@@ -1,0 +1,142 @@
+package framelog_test
+
+import (
+	"os"
+	"os/signal"
+	"path/filepath"
+	"syscall"
+	"testing"
+
+	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/framelog"
+	"github.com/reliable-cda/cda/internal/sessionstore"
+	"github.com/reliable-cda/cda/internal/vstore"
+)
+
+// failNextWrite makes the next write that grows file fail after a few
+// bytes of it reached the disk — a full disk, in miniature — by capping
+// the process's file size just past the file's current end for the
+// duration of op. The kernel performs the short write and then refuses
+// the rest with EFBIG, which is the failure a real log sees.
+func failNextWrite(t *testing.T, file string, op func()) {
+	t.Helper()
+	info, err := os.Stat(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signal.Ignore(syscall.SIGXFSZ)
+	defer signal.Reset(syscall.SIGXFSZ)
+	var old syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+		t.Fatal(err)
+	}
+	capped := old
+	capped.Cur = uint64(info.Size()) + 5
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &capped); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	op()
+}
+
+// The failed-append rule, at its one site and through both stores that
+// rely on it: an append that fails part-way must not leave its partial
+// frame in the file, or the next Open stops there and truncates every
+// later, acknowledged record behind it.
+
+func TestFailedAppendDoesNotPoisonLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _ := openCollect(t, path, framelog.Options{})
+	if err := l.Append(frame("first")); err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	failNextWrite(t, path, func() { failed = l.Append(frame("lost to a full disk")) })
+	if failed == nil {
+		t.Fatal("append past the file size cap succeeded")
+	}
+	if l.Dead() {
+		t.Fatalf("log went dead although the rollback could succeed: %v", failed)
+	}
+	if err := l.Append(frame("second")); err != nil {
+		t.Fatal(err)
+	}
+	_, got := openCollect(t, path, framelog.Options{})
+	wantPayloads(t, got, "first", "second")
+}
+
+func TestFailedAppendDoesNotPoisonWAL(t *testing.T) {
+	dir := t.TempDir()
+	cfg := sessionstore.Config{Dir: dir, Shards: 1}
+	st, err := sessionstore.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(q string) error {
+		return e.Do(func(sess *dialogue.Session) error {
+			sess.CommitTurn(q, dialogue.IntentQuery, "answer to "+q, 0.5)
+			return st.CommitTurn(e)
+		})
+	}
+	var failed error
+	failNextWrite(t, filepath.Join(dir, "shard-00.wal"), func() { failed = commit("lost to a full disk") })
+	if failed == nil {
+		t.Fatal("commit past the file size cap succeeded")
+	}
+	if err := commit("acknowledged"); err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	_ = e.Do(func(sess *dialogue.Session) error { want = sessionstore.Transcript(sess); return nil })
+
+	// Reopen without Close, as after a kill: Close would compact the
+	// WAL away and hide what is in it.
+	st2, err := sessionstore.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, status := st2.Get(e.ID)
+	if status != sessionstore.Found {
+		t.Fatalf("session lost: status %v", status)
+	}
+	got := ""
+	_ = e2.Do(func(sess *dialogue.Session) error { got = sessionstore.Transcript(sess); return nil })
+	if got != want || got == "" {
+		t.Fatalf("acknowledged turn lost behind a failed append:\n got: %q\nwant: %q", got, want)
+	}
+}
+
+func TestFailedAppendDoesNotPoisonPack(t *testing.T) {
+	dir := t.TempDir()
+	s, err := vstore.Open(vstore.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("leaf", nil, []byte(`[1]`)); err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	failNextWrite(t, filepath.Join(dir, "chunks.pack"), func() { _, failed = s.Put("leaf", nil, []byte(`"lost to a full disk"`)) })
+	if failed == nil {
+		t.Fatal("put past the file size cap succeeded")
+	}
+	acked, err := s.Put("leaf", nil, []byte(`[2]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := vstore.Open(vstore.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Has(acked) {
+		t.Fatal("acknowledged chunk lost behind a failed append")
+	}
+}

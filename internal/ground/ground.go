@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/reliable-cda/cda/internal/kg"
 	"github.com/reliable-cda/cda/internal/storage"
@@ -97,7 +98,11 @@ type Grounder struct {
 	// considered for value linking (keeps grounding interactive, P1).
 	MaxValueScan int
 
-	valueIndex map[string][]SchemaLink // lazily built lower(value) -> links
+	// valueIndex maps lower(value) -> links. It is built by the first
+	// LinkSchema, under valueOnce: a fresh server's first asks arrive
+	// concurrently.
+	valueOnce  sync.Once
+	valueIndex map[string][]SchemaLink
 }
 
 // NewGrounder wires the grounding sources together.
@@ -169,7 +174,7 @@ func (g *Grounder) LinkSchema(question string) []SchemaLink {
 	if g.DB == nil {
 		return nil
 	}
-	g.buildValueIndex()
+	g.valueOnce.Do(g.buildValueIndex)
 	toks := textindex.Tokenize(question)
 	var out []SchemaLink
 	addUnique := func(l SchemaLink) {
@@ -232,9 +237,6 @@ func nameMatches(ident, phrase string) bool {
 }
 
 func (g *Grounder) buildValueIndex() {
-	if g.valueIndex != nil {
-		return
-	}
 	g.valueIndex = make(map[string][]SchemaLink)
 	budget := g.MaxValueScan
 	for _, t := range g.DB.Tables() {

@@ -1,7 +1,9 @@
 package ground
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/kg"
@@ -258,4 +260,23 @@ func TestValueScanBudget(t *testing.T) {
 	if len(g.LinkSchema("employment in Geneva")) == 0 {
 		t.Error("first value should still be indexed under budget")
 	}
+}
+
+// TestLinkSchemaConcurrentFirstUse is the regression for the lazy
+// value index: a fresh server's first asks arrive together, and every
+// one of them must see the fully built index (run under -race).
+func TestLinkSchemaConcurrentFirstUse(t *testing.T) {
+	g := fixtureGrounder()
+	want := fixtureGrounder().LinkSchema("employment in Zurich")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := g.LinkSchema("employment in Zurich"); !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent first LinkSchema = %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -113,9 +113,6 @@ func (t *Translator) emitReranked(ideal string, rng *rand.Rand, pool int) string
 // artifact cache, so its (deterministic) training happens once per
 // database rather than once per Translator.
 func (t *Translator) emitRerankedToks(sc *schemaArtifacts, toks []string, rng *rand.Rand, pool int) string {
-	if t.reranker == nil {
-		t.reranker = sc.rerankerFor(t.DB)
-	}
 	if pool < 2 {
 		pool = 2
 	}
@@ -123,7 +120,7 @@ func (t *Translator) emitRerankedToks(sc *schemaArtifacts, toks []string, rng *r
 	for i := 0; i < pool; i++ {
 		cands = append(cands, t.emitCandidateToks(sc, toks, rng))
 	}
-	return t.reranker.Best(cands)
+	return sc.rerankerFor(t.DB).Best(cands)
 }
 
 // renderTokens joins SQL tokens the way candidates are built, for

@@ -92,8 +92,6 @@ type Translator struct {
 	// Faults, when non-nil, injects deterministic chaos faults into
 	// NL-model generation.
 	Faults FaultHook
-
-	reranker *Reranker // lazily built when Options.UseReranking
 }
 
 // NewTranslator wires a translator over a database with the full

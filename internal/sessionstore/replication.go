@@ -214,20 +214,20 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 			sh.mu.Unlock()
 			return fmt.Errorf("%w: shard %d at %d got frame %d", ErrReplicaGap, b.Shard, cur, fr.Seq)
 		}
-		recs, _, valid := scanWAL(fr.Data)
-		if len(recs) != 1 || valid != int64(len(fr.Data)) {
+		rec, ok := decodeFrame(fr.Data)
+		if !ok {
 			sh.mu.Unlock()
 			return fmt.Errorf("sessionstore: corrupt replication frame %d for shard %d", fr.Seq, b.Shard)
 		}
 		if sh.wal != nil {
-			if err := sh.wal.appendFrame(fr.Data); err != nil {
+			if err := sh.wal.Append(fr.Data); err != nil {
 				sh.mu.Unlock()
 				return err
 			}
 		}
-		sh.replay(recs[0], s.clock.Now())
-		if recs[0].Kind == "turn" {
-			touched[recs[0].ID] = true
+		sh.replay(rec, s.clock.Now())
+		if rec.Kind == "turn" {
+			touched[rec.ID] = true
 		}
 		sh.tail = append(sh.tail, fr.Data)
 		sh.pending++
@@ -281,7 +281,7 @@ func (sh *shard) installSnapshotDoc(snap snapshot, seq int64, now time.Duration)
 		if err := writeSnapshot(sh.snapPath, snap, sh.nosync); err != nil {
 			return err
 		}
-		if err := sh.wal.reset(); err != nil {
+		if err := sh.wal.Reset(); err != nil {
 			return err
 		}
 	}

@@ -2,15 +2,16 @@ package sessionstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // snapshot is one shard's compacted state: everything the WAL had
 // said, folded into a single JSON document. Compaction writes the
-// snapshot durably (temp file + fsync + rename) and only then
+// snapshot durably (framelog.Publish) and only then
 // truncates the WAL, so a crash between the two steps merely replays
 // records the snapshot already contains — replay is idempotent by
 // construction (turn records carry their transcript index).
@@ -43,55 +44,10 @@ func writeSnapshot(path string, snap snapshot, nosync bool) error {
 	if err != nil {
 		return fmt.Errorf("sessionstore: encode snapshot: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("sessionstore: create snapshot temp %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("sessionstore: write snapshot %s: %w", tmp, err), cerr)
-	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("sessionstore: fsync snapshot %s: %w", tmp, err), cerr)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("sessionstore: close snapshot %s: %w", tmp, err)
-	}
-	// cdalint:ignore fsync-order -- nosync is a benchmark-only escape
-	// hatch that deliberately skips the Sync; production callers always
-	// pass nosync=false, so the durable-write protocol holds.
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("sessionstore: publish snapshot %s: %w", path, err)
-	}
-	if nosync {
-		return nil
-	}
-	// The rename's directory entry must itself be durable, or a crash
-	// right after compaction truncates the WAL against a snapshot the
-	// filesystem never committed.
-	return syncSnapshotDir(filepath.Dir(path))
-}
-
-// syncSnapshotDir fsyncs the snapshot's directory so the rename
-// survives a crash on filesystems that do not order directory updates
-// with data writes.
-func syncSnapshotDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sessionstore: open dir %s: %w", dir, err)
-	}
-	if err := d.Sync(); err != nil {
-		cerr := d.Close()
-		return errors.Join(fmt.Errorf("sessionstore: fsync dir %s: %w", dir, err), cerr)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("sessionstore: close dir %s: %w", dir, err)
-	}
-	return nil
+	return framelog.Publish(path, nosync, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // readSnapshot loads the shard snapshot at path; a missing file is an

@@ -12,10 +12,13 @@
 //	shard-00.snap   atomically-published JSON snapshot (compaction)
 //	shard-00.wal    append-only framed log of records since the snap
 //
+// Both are written through internal/framelog, the module's one frame
+// codec, torn-tail log and atomic publish; this package owns only what
+// the bytes mean — the record and snapshot schemas and their replay.
 // Recovery loads the snapshot, replays the WAL over it (idempotent:
-// turn records carry their transcript index), and truncates any torn
-// tail left by a crash mid-append — so a recovered transcript is
-// byte-identical to the committed prefix at the moment of the crash.
+// turn records carry their transcript index), and the log truncates
+// any torn tail left by a crash mid-append — so a recovered transcript
+// is byte-identical to the committed prefix at the moment of the crash.
 // The chaos harness (internal/chaos) property-tests exactly that
 // under seeded crash/torn-write faults from internal/faults.
 //
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -132,7 +136,7 @@ type shard struct {
 	mu         sync.Mutex
 	sessions   map[string]*Entry
 	tombstones map[string]bool
-	wal        *wal
+	wal        *framelog.Log
 	maxNum     int
 	pending    int // WAL records since the last snapshot
 	snapEvery  int
@@ -225,18 +229,21 @@ func Open(cfg Config) (*Store, error) {
 		}
 		sh.applySnapshot(snap, st.clock.Now())
 		sh.shipBase = snap.ShipSeq
-		w, recs, frames, err := openWAL(
-			filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", i)),
-			"wal.append", cfg.Faults, cfg.NoFsync)
+		sh.wal, err = framelog.Open(
+			filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", i)), walMagic,
+			framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},
+			func(frame, payload []byte) bool {
+				rec, ok := decodeRecord(payload)
+				if ok {
+					sh.replay(rec, st.clock.Now())
+					sh.tail = append(sh.tail, frame)
+				}
+				return ok
+			})
 		if err != nil {
 			return nil, err
 		}
-		sh.wal = w
-		for _, rec := range recs {
-			sh.replay(rec, st.clock.Now())
-		}
-		sh.pending = len(recs)
-		sh.tail = frames
+		sh.pending = len(sh.tail)
 	}
 	for _, sh := range st.shards {
 		if sh.maxNum > st.nextNum {
@@ -354,12 +361,12 @@ func (s *Store) Len() int {
 // configured), and retains the frame in the replication tail. Caller
 // holds sh.mu.
 func (sh *shard) appendRecord(rec walRecord) error {
-	buf, err := frame(rec)
+	buf, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
 	if sh.wal != nil {
-		if err := sh.wal.appendFrame(buf); err != nil {
+		if err := sh.wal.Append(buf); err != nil {
 			return err
 		}
 	}
@@ -590,14 +597,14 @@ func (sh *shard) buildSnapshot() snapshot {
 // it will be served a snapshot transfer instead of frames. Caller
 // holds sh.mu.
 func (sh *shard) compact() error {
-	if sh.wal == nil || sh.wal.dead {
+	if sh.wal == nil || sh.wal.Dead() {
 		return nil
 	}
 	snap := sh.buildSnapshot()
 	if err := writeSnapshot(sh.snapPath, snap, sh.nosync); err != nil {
 		return err
 	}
-	if err := sh.wal.reset(); err != nil {
+	if err := sh.wal.Reset(); err != nil {
 		return err
 	}
 	sh.shipBase = snap.ShipSeq
@@ -630,12 +637,12 @@ func (s *Store) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if sh.wal != nil {
-			if sh.pending > 0 && !sh.wal.dead {
+			if sh.pending > 0 {
 				if err := sh.compact(); err != nil {
 					errs = append(errs, err)
 				}
 			}
-			if err := sh.wal.close(); err != nil {
+			if err := sh.wal.Close(); err != nil {
 				errs = append(errs, err)
 			}
 		}

@@ -247,8 +247,16 @@ func TestCrashFaultRollsBack(t *testing.T) {
 	}
 	commitPair(t, st, e, "q0", "a0", 0.8)
 	want := transcriptOf(t, e)
-	// Arm the crash injector after a clean prefix exists.
-	st.shards[0].wal.faults = inj
+	// Arm the crash injector after a clean prefix exists: reopen the
+	// directory with it configured.
+	st, err = Open(Config{Dir: dir, Shards: 1, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ = st.Get(e.ID)
+	if got := transcriptOf(t, e); got != want {
+		t.Fatalf("reopened transcript = %q, want %q", got, want)
+	}
 	err = e.Do(func(sess *dialogue.Session) error {
 		sess.CommitTurn("q1", dialogue.IntentQuery, "a1", 0.7)
 		return st.CommitTurn(e)

@@ -1,34 +1,22 @@
 package sessionstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
-// WAL record framing: every record is
-//
-//	[magic 1B][payload length uint32 LE][payload crc32 (IEEE) uint32 LE][payload]
-//
-// followed immediately by the next record. The payload is one JSON
-// walRecord. The fixed header makes torn tails detectable without a
-// scan-back: a crash mid-append leaves either a partial header, a
-// partial payload, or a payload whose checksum no longer matches —
-// all three truncate cleanly to the last complete record on open.
-const (
-	walMagic      = byte(0xC5)
-	walHeaderSize = 1 + 4 + 4
-)
+// walMagic tags this package's frames in the shared framelog layout:
+// one frame per record, the payload one JSON walRecord. The shipped
+// replication frames are the same bytes.
+const walMagic = byte(0xC5)
 
 // ErrCrashed is returned by a commit whose WAL append was torn by an
 // injected crash fault (faults.Injector.TornWrite). The store rolls
 // the in-memory turn back so memory matches the durable prefix; the
 // harness then reopens the directory to exercise recovery.
-var ErrCrashed = errors.New("sessionstore: simulated crash during WAL append")
+var ErrCrashed = framelog.ErrCrashed
 
 // walRecord is the WAL payload. Kind is one of "create", "turn",
 // "evict". Turn records carry Seq — the transcript index of the first
@@ -56,152 +44,32 @@ type turnRec struct {
 
 // WriteFaults is the crash seam the WAL threads its appends through;
 // *faults.Injector implements it. Nil means no injected crashes.
-type WriteFaults interface {
-	TornWrite(op string, b []byte) ([]byte, bool)
-}
+type WriteFaults = framelog.Faults
 
-// wal is one shard's append-only log. All methods are called with the
-// owning shard's mutex held, so the wal itself needs no lock.
-type wal struct {
-	f      *os.File
-	path   string
-	op     string // fault-injection operation name, e.g. "wal.append.s3"
-	faults WriteFaults
-	nosync bool
-	// dead is set after a simulated crash: the process is considered
-	// gone, so further appends must fail rather than write past the
-	// torn record.
-	dead bool
-}
-
-// openWAL opens (creating if absent) the shard log at path, scans it,
-// truncates any torn tail, and returns the decoded complete records
-// alongside their raw frames (the replication tail).
-func openWAL(path, op string, faults WriteFaults, nosync bool) (*wal, []walRecord, [][]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, nil, fmt.Errorf("sessionstore: read wal %s: %w", path, err)
-	}
-	recs, frames, valid := scanWAL(raw)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sessionstore: open wal %s: %w", path, err)
-	}
-	if valid < int64(len(raw)) {
-		// Torn tail from a crash mid-append: drop the incomplete record
-		// so the next append starts on a clean frame boundary.
-		if err := f.Truncate(valid); err != nil {
-			cerr := f.Close()
-			return nil, nil, nil, errors.Join(fmt.Errorf("sessionstore: truncate torn wal tail %s: %w", path, err), cerr)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		cerr := f.Close()
-		return nil, nil, nil, errors.Join(fmt.Errorf("sessionstore: seek wal %s: %w", path, err), cerr)
-	}
-	return &wal{f: f, path: path, op: op, faults: faults, nosync: nosync}, recs, frames, nil
-}
-
-// scanWAL decodes the longest valid record prefix of raw, returning
-// the records, their raw frames, and the byte offset of the end of
-// the last complete record. Anything after the first malformed frame
-// is untrusted (a torn append) and excluded.
-func scanWAL(raw []byte) ([]walRecord, [][]byte, int64) {
-	var recs []walRecord
-	var frames [][]byte
-	off := int64(0)
-	for {
-		rest := raw[off:]
-		if len(rest) < walHeaderSize || rest[0] != walMagic {
-			return recs, frames, off
-		}
-		n := binary.LittleEndian.Uint32(rest[1:5])
-		sum := binary.LittleEndian.Uint32(rest[5:9])
-		if uint32(len(rest)-walHeaderSize) < n {
-			return recs, frames, off
-		}
-		payload := rest[walHeaderSize : walHeaderSize+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, frames, off
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, frames, off
-		}
-		recs = append(recs, rec)
-		frames = append(frames, rest[:walHeaderSize+int(n)])
-		off += int64(walHeaderSize) + int64(n)
-	}
-}
-
-// frame encodes one record with its header.
-func frame(rec walRecord) ([]byte, error) {
+// encodeRecord frames one record for the WAL and the replication tail.
+func encodeRecord(rec walRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("sessionstore: encode wal record: %w", err)
 	}
-	buf := make([]byte, walHeaderSize+len(payload))
-	buf[0] = walMagic
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(payload))
-	copy(buf[walHeaderSize:], payload)
-	return buf, nil
+	return framelog.Encode(walMagic, payload), nil
 }
 
-// appendFrame writes an already-framed record durably. A crash fault
-// persists the torn prefix, marks the wal dead, and returns
-// ErrCrashed.
-func (w *wal) appendFrame(buf []byte) error {
-	if w.dead {
-		return ErrCrashed
-	}
-	if w.faults != nil {
-		cut, crashed := w.faults.TornWrite(w.op, buf)
-		if crashed {
-			w.dead = true
-			if _, werr := w.f.Write(cut); werr != nil {
-				return errors.Join(ErrCrashed, werr)
-			}
-			if serr := w.f.Sync(); serr != nil {
-				return errors.Join(ErrCrashed, serr)
-			}
-			return ErrCrashed
-		}
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("sessionstore: append wal %s: %w", w.path, err)
-	}
-	if !w.nosync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("sessionstore: fsync wal %s: %w", w.path, err)
-		}
-	}
-	return nil
+// decodeRecord parses one frame payload; a payload that is not a
+// walRecord ends the trusted prefix exactly like a failed checksum.
+func decodeRecord(payload []byte) (walRecord, bool) {
+	var rec walRecord
+	err := json.Unmarshal(payload, &rec)
+	return rec, err == nil
 }
 
-// reset truncates the log after a successful snapshot compaction.
-func (w *wal) reset() error {
-	if w.dead {
-		return ErrCrashed
+// decodeFrame validates one shipped replication frame — exactly one
+// complete WAL frame, nothing before or after it — with the same scan
+// recovery uses.
+func decodeFrame(data []byte) (walRecord, bool) {
+	payloads, valid := framelog.Scan(walMagic, data)
+	if len(payloads) != 1 || valid != len(data) {
+		return walRecord{}, false
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("sessionstore: truncate wal %s: %w", w.path, err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("sessionstore: rewind wal %s: %w", w.path, err)
-	}
-	if !w.nosync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("sessionstore: fsync wal %s: %w", w.path, err)
-		}
-	}
-	return nil
-}
-
-// close releases the file handle.
-func (w *wal) close() error {
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("sessionstore: close wal %s: %w", w.path, err)
-	}
-	return nil
+	return decodeRecord(payloads[0])
 }

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // manifest is the on-disk schema descriptor (schema.json) written
@@ -31,9 +33,9 @@ type manifestColumn struct {
 // schema.json manifest carrying the typed schema and descriptions
 // (information a bare CSV loses). The directory is created if needed;
 // existing files are overwritten. Every file is published atomically
-// (temp + fsync + rename) and the directory is fsynced once at the
-// end, so a crash mid-save leaves either the old file or the new one
-// — never a truncated CSV that LoadDir would misread as a short table.
+// (framelog.Publish), so a crash mid-save leaves either the old file
+// or the new one — never a truncated CSV that LoadDir would misread
+// as a short table.
 func SaveDir(db *Database, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: creating %s: %w", dir, err)
@@ -47,8 +49,8 @@ func SaveDir(db *Database, dir string) error {
 			})
 		}
 		m.Tables = append(m.Tables, mt)
-		if err := writeDurable(dir, t.Name+".csv", func(f *os.File) error {
-			return WriteCSV(t, f)
+		if err := framelog.Publish(filepath.Join(dir, t.Name+".csv"), false, func(w io.Writer) error {
+			return WriteCSV(t, w)
 		}); err != nil {
 			return fmt.Errorf("storage: writing %s: %w", t.Name, err)
 		}
@@ -57,56 +59,11 @@ func SaveDir(db *Database, dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeDurable(dir, "schema.json", func(f *os.File) error {
-		_, werr := f.Write(data)
+	if err := framelog.Publish(filepath.Join(dir, "schema.json"), false, func(w io.Writer) error {
+		_, werr := w.Write(data)
 		return werr
 	}); err != nil {
 		return fmt.Errorf("storage: writing schema.json: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// writeDurable atomically publishes dir/name: write to a temp file,
-// fsync, close, rename into place. The rename's own directory entry
-// is covered by the caller's single syncDir(dir) after all files are
-// published.
-func writeDurable(dir, name string, write func(*os.File) error) error {
-	path := filepath.Join(dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: create temp %s: %w", tmp, err)
-	}
-	if err := write(f); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("storage: write %s: %w", tmp, err), cerr)
-	}
-	if err := f.Sync(); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("storage: fsync %s: %w", tmp, err), cerr)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("storage: publish %s: %w", path, err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so renames into it survive a crash on
-// filesystems that do not order directory updates with data writes.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: open dir %s: %w", dir, err)
-	}
-	if err := d.Sync(); err != nil {
-		cerr := d.Close()
-		return errors.Join(fmt.Errorf("storage: fsync dir %s: %w", dir, err), cerr)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("storage: close dir %s: %w", dir, err)
 	}
 	return nil
 }

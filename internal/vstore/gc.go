@@ -1,11 +1,11 @@
 package vstore
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"sort"
 	"sync"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // GC is mark-and-sweep collection of chunks unreachable from any
@@ -31,8 +31,8 @@ import (
 //     deletes. A commit that starts after the sweep takes the lock
 //     simply waits for it.
 //
-// The surviving chunks are rewritten into a fresh pack (temp + fsync
-// + rename + dir fsync) so on-disk space is actually reclaimed.
+// The surviving chunks are rewritten into a fresh pack
+// (framelog.Log.Rewrite) so on-disk space is actually reclaimed.
 
 // GCStats reports what a collection did.
 type GCStats struct {
@@ -193,64 +193,24 @@ func (s *Store) markFromLocked(head Hash, marked map[Hash]bool) {
 	}
 }
 
-// rewritePackLocked rebuilds the pack from the surviving index (temp
-// + fsync + rename + dir fsync). Caller holds s.mu exclusively.
+// rewritePackLocked rebuilds the pack from the surviving index, in
+// hash order, and publishes it atomically. Caller holds s.mu
+// exclusively.
 func (s *Store) rewritePackLocked() error {
 	if s.pack == nil {
 		return nil
-	}
-	path := filepath.Join(s.cfg.Dir, packName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("vstore: create pack temp %s: %w", tmp, err)
 	}
 	hashes := make([]Hash, 0, len(s.chunks)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
 	for h := range s.chunks {                // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
 		hashes = append(hashes, h)
 	}
 	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	for _, h := range hashes {
-		if _, err := f.Write(packFrame(s.chunks[h].data)); err != nil { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
-			cerr := f.Close()
-			if cerr != nil {
-				return fmt.Errorf("vstore: rewrite pack %s: %v (and close: %v)", tmp, err, cerr)
+	return s.pack.Rewrite(func(w io.Writer) error {
+		for _, h := range hashes {
+			if _, err := w.Write(framelog.Encode(packMagic, s.chunks[h].data)); err != nil { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+				return err
 			}
-			return fmt.Errorf("vstore: rewrite pack %s: %w", tmp, err)
 		}
-	}
-	if !s.cfg.NoFsync {
-		if err := f.Sync(); err != nil {
-			cerr := f.Close()
-			if cerr != nil {
-				return fmt.Errorf("vstore: fsync pack %s: %v (and close: %v)", tmp, err, cerr)
-			}
-			return fmt.Errorf("vstore: fsync pack %s: %w", tmp, err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("vstore: close pack temp %s: %w", tmp, err)
-	}
-	// cdalint:ignore fsync-order -- NoFsync is a benchmark-only escape
-	// hatch; with fsync on, Sync precedes the rename as required.
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("vstore: publish pack %s: %w", path, err)
-	}
-	if !s.cfg.NoFsync {
-		if err := syncDir(s.cfg.Dir); err != nil {
-			return err
-		}
-	}
-	old := s.pack
-	s.pack = nil
-	if err := old.Close(); err != nil {
-		return fmt.Errorf("vstore: close old pack: %w", err)
-	}
-	reopened, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("vstore: reopen pack %s: %w", path, err)
-	}
-	s.pack = reopened
-	s.packN = len(hashes)
-	return nil
+		return nil
+	})
 }

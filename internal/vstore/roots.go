@@ -52,7 +52,7 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 	if c, ok := s.chunks[h]; ok {
 		c.epoch = s.epoch
 	} else {
-		if err := s.appendPack([][]byte{payload}); err != nil {
+		if err := s.appendPack(payload); err != nil {
 			return Commit{}, err
 		}
 		s.chunks[h] = &chunk{data: payload, refs: []Hash{tree}, epoch: s.epoch}

@@ -10,12 +10,12 @@
 // The store keeps three things:
 //
 //   - chunks: immutable byte payloads in an in-memory index, mirrored
-//     to a CRC-framed append-only pack file (torn tails from a crash
-//     truncate cleanly on open, exactly like the session store's WAL);
+//     to an append-only pack file — a framelog.Log, the same frame
+//     codec and torn-tail recovery as the session store's WAL;
 //   - roots: named version lines ("db/main", "session/s0001",
 //     "shard/03"), each a commit log of (commit hash, parent hash,
 //     turn number, wall-free logical stamp), published atomically
-//     (temp file + fsync + rename + parent-dir fsync);
+//     (framelog.Publish);
 //   - a garbage collector: mark-and-sweep from every commit of every
 //     root, with an epoch write barrier so chunks put or re-touched
 //     while a sweep is running are never collected (see gc.go).
@@ -27,18 +27,17 @@
 package vstore
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // Hash is a chunk address: the lowercase hex SHA-256 of the chunk's
@@ -85,9 +84,6 @@ type FaultHook interface {
 type Config struct {
 	// Dir is the data directory; empty runs the store memory-only.
 	Dir string
-	// NoFsync skips fsync on pack appends and root publishes —
-	// benchmarks only.
-	NoFsync bool
 	// Faults, when non-nil, injects deterministic chaos faults into
 	// vstore operations ("vstore.put", "vstore.commit",
 	// "vstore.gc.mark", "vstore.gc.sweep"). Leave nil in production.
@@ -134,17 +130,13 @@ type Store struct {
 	epoch  uint64 // GC epoch counter (see gc.go)
 	pins   map[uint64]uint64
 	pinSeq uint64
-	pack   *os.File
-	packN  int // frames in the pack (rewrite bookkeeping)
+	pack   *framelog.Log // nil when memory-only
 }
 
-// Pack framing: [magic 1B][payload length uint32 LE][payload crc32
-// uint32 LE][payload]. The payload is one chunk envelope; its address
-// is recomputed on load, so the pack needs no separate hash column.
-const (
-	packMagic      = byte(0xC6)
-	packHeaderSize = 1 + 4 + 4
-)
+// packMagic tags the pack's frames in the shared framelog layout. A
+// frame's payload is one chunk envelope; its address is recomputed on
+// load, so the pack needs no separate hash column.
+const packMagic = byte(0xC6)
 
 const (
 	packName  = "chunks.pack"
@@ -188,9 +180,8 @@ func NewMemory() *Store {
 	return s
 }
 
-func (s *Store) loadRoots(
-// (split for line length only)
-) error {
+// loadRoots reads roots.json; a missing file is an empty store.
+func (s *Store) loadRoots() error {
 	path := filepath.Join(s.cfg.Dir, rootsName)
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -212,60 +203,22 @@ func (s *Store) loadRoots(
 	return nil
 }
 
-// openPack opens (creating if absent) the chunk pack, scans it into
-// the index, and truncates any torn tail left by a crash mid-append.
+// openPack opens (creating if absent) the chunk pack and indexes
+// every chunk in it; a torn tail left by a crash mid-append is
+// truncated by the log.
 func (s *Store) openPack() error {
-	path := filepath.Join(s.cfg.Dir, packName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("vstore: read pack %s: %w", path, err)
-	}
-	valid := s.scanPack(raw)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("vstore: open pack %s: %w", path, err)
-	}
-	if valid < int64(len(raw)) {
-		if terr := f.Truncate(valid); terr != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("vstore: truncate torn pack tail %s: %w", path, terr), cerr)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("vstore: seek pack %s: %w", path, err), cerr)
-	}
-	s.pack = f
-	return nil
-}
-
-// scanPack indexes the longest valid frame prefix of raw and returns
-// the byte offset of the end of the last complete frame.
-func (s *Store) scanPack(raw []byte) int64 {
-	off := int64(0)
-	for {
-		rest := raw[off:]
-		if len(rest) < packHeaderSize || rest[0] != packMagic {
-			return off
-		}
-		n := binary.LittleEndian.Uint32(rest[1:5])
-		sum := binary.LittleEndian.Uint32(rest[5:9])
-		if uint32(len(rest)-packHeaderSize) < n {
-			return off
-		}
-		payload := rest[packHeaderSize : packHeaderSize+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return off
-		}
-		var env envelope
-		if err := json.Unmarshal(payload, &env); err != nil {
-			return off
-		}
-		data := append([]byte(nil), payload...)
-		s.chunks[hashBytes(data)] = &chunk{data: data, refs: env.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
-		s.packN++
-		off += int64(packHeaderSize) + int64(n)
-	}
+	var err error
+	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, framelog.Options{},
+		func(_, payload []byte) bool {
+			var env envelope
+			if err := json.Unmarshal(payload, &env); err != nil {
+				return false
+			}
+			data := append([]byte(nil), payload...)
+			s.chunks[hashBytes(data)] = &chunk{data: data, refs: env.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
+			return true
+		})
+	return err
 }
 
 // hashBytes addresses a payload.
@@ -274,35 +227,13 @@ func hashBytes(b []byte) Hash {
 	return Hash(hex.EncodeToString(sum[:]))
 }
 
-// frame wraps a payload in the pack framing.
-func packFrame(payload []byte) []byte {
-	buf := make([]byte, packHeaderSize+len(payload))
-	buf[0] = packMagic
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(payload))
-	copy(buf[packHeaderSize:], payload)
-	return buf
-}
-
-// appendPack writes payloads durably to the pack. Caller holds s.mu.
-func (s *Store) appendPack(payloads [][]byte) error {
-	if s.pack == nil || len(payloads) == 0 {
+// appendPack writes one chunk payload durably to the pack (a no-op
+// when memory-only). Caller holds s.mu.
+func (s *Store) appendPack(payload []byte) error {
+	if s.pack == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	for _, p := range payloads {
-		buf.Write(packFrame(p))
-	}
-	if _, err := s.pack.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("vstore: append pack: %w", err)
-	}
-	if !s.cfg.NoFsync {
-		if err := s.pack.Sync(); err != nil {
-			return fmt.Errorf("vstore: fsync pack: %w", err)
-		}
-	}
-	s.packN += len(payloads)
-	return nil
+	return s.pack.Append(framelog.Encode(packMagic, payload))
 }
 
 // encode renders an envelope canonically (json.Marshal of a struct is
@@ -337,7 +268,7 @@ func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 		c.epoch = s.epoch
 		return h, nil
 	}
-	if err := s.appendPack([][]byte{payload}); err != nil {
+	if err := s.appendPack(payload); err != nil {
 		return "", err
 	}
 	s.chunks[h] = &chunk{data: payload, refs: refs, epoch: s.epoch}
@@ -361,7 +292,7 @@ func (s *Store) AddPacket(p Packet) error {
 		return nil
 	}
 	data := append([]byte(nil), p.Data...)
-	if err := s.appendPack([][]byte{data}); err != nil {
+	if err := s.appendPack(data); err != nil {
 		return err
 	}
 	s.chunks[p.Hash] = &chunk{data: data, refs: env.R, epoch: s.epoch}
@@ -457,25 +388,7 @@ func (s *Store) NumChunks() int {
 	return len(s.chunks)
 }
 
-// syncDir fsyncs a directory so a rename into it survives a crash on
-// filesystems that do not order directory updates with data writes.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("vstore: open dir %s: %w", dir, err)
-	}
-	if err := d.Sync(); err != nil {
-		cerr := d.Close()
-		return errors.Join(fmt.Errorf("vstore: fsync dir %s: %w", dir, err), cerr)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("vstore: close dir %s: %w", dir, err)
-	}
-	return nil
-}
-
-// publishRoots atomically replaces roots.json (temp + fsync + rename
-// + dir fsync). Caller holds s.mu.
+// publishRoots atomically replaces roots.json. Caller holds s.mu.
 func (s *Store) publishRoots() error {
 	if s.cfg.Dir == "" {
 		return nil
@@ -485,35 +398,10 @@ func (s *Store) publishRoots() error {
 	if err != nil {
 		return fmt.Errorf("vstore: encode roots: %w", err)
 	}
-	path := filepath.Join(s.cfg.Dir, rootsName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("vstore: create roots temp %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("vstore: write roots %s: %w", tmp, err), cerr)
-	}
-	if !s.cfg.NoFsync {
-		if err := f.Sync(); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("vstore: fsync roots %s: %w", tmp, err), cerr)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("vstore: close roots %s: %w", tmp, err)
-	}
-	// cdalint:ignore fsync-order -- NoFsync is a benchmark-only escape
-	// hatch that deliberately skips the Sync; production callers always
-	// keep fsync on, so the durable-write protocol holds.
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("vstore: publish roots %s: %w", path, err)
-	}
-	if s.cfg.NoFsync {
-		return nil
-	}
-	return syncDir(s.cfg.Dir)
+	return framelog.Publish(filepath.Join(s.cfg.Dir, rootsName), false, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // Close releases the pack file handle.
@@ -525,8 +413,5 @@ func (s *Store) Close() error {
 	}
 	err := s.pack.Close()
 	s.pack = nil
-	if err != nil {
-		return fmt.Errorf("vstore: close pack: %w", err)
-	}
-	return nil
+	return err
 }

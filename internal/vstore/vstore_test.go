@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
@@ -176,7 +177,7 @@ func TestTornPackTailTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open pack: %v", err)
 	}
-	torn := packFrame([]byte(`{"k":"leaf","d":[9,9,9]}`))
+	torn := framelog.Encode(packMagic, []byte(`{"k":"leaf","d":[9,9,9]}`))
 	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
 		t.Fatalf("write torn frame: %v", err)
 	}
@@ -208,7 +209,7 @@ func TestTornPackTailTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read pack after: %v", err)
 	}
-	if len(after) >= len(before)+packHeaderSize {
+	if len(after) >= len(before)+framelog.HeaderSize {
 		t.Fatalf("torn tail not truncated: %d bytes then %d", len(before), len(after))
 	}
 	rr, err := Open(Config{Dir: dir})

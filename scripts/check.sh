@@ -17,30 +17,21 @@
 #                      budget (compile time excluded): if whole-module
 #                      analysis ever exceeds it, the gate fails rather
 #                      than silently slowing every CI run.
-#   4. determinism   — the serial-vs-parallel equality property tests,
-#                      run under -race (parallel operators must return
-#                      byte-identical results AND be race-clean)
-#   5. chaos         — fault-injection sweeps under -race: replayed
-#                      dialogues at 5/20/50/100% fault rates must stay
-#                      panic-free, annotate every degraded answer, and
-#                      produce byte-identical transcripts per seed;
-#                      plus the cancellation-contract tests in core
-#   6. crash-recovery determinism — the chaos kill-and-recover tests:
-#                      each scenario runs twice into fresh directories
-#                      and the rendered transcripts are diffed byte for
-#                      byte; recovery must serve exactly the committed
-#                      prefix, including under injected torn WAL writes
-#   7. cluster chaos — the multi-node gates under -race: ring and
-#                      router suites, replication shipping, and the
-#                      kill/partition cluster scenarios (failover must
-#                      serve the byte-identical committed prefix; a
-#                      healed partition must lose no committed turn;
-#                      both run twice and diff transcripts)
-#   8. session durability — the sessionstore, admission, and durable
-#                      server suites under -race (WAL replay, snapshot
-#                      compaction, TTL eviction, load shedding)
-#   9. go test -race — full test suite under the race detector
-#  10. bench smoke   — one iteration of every BenchmarkParallel*,
+#   4. go test -race — the whole module's test suite, once, under the
+#                      race detector. That one run is every -race gate
+#                      this script used to list separately: the
+#                      serial-vs-parallel determinism properties, the
+#                      chaos fault sweeps and cancellation contracts,
+#                      kill-and-recover and cluster kill/partition
+#                      run-twice transcript diffs, and the session
+#                      store, admission, framelog and versioned-store
+#                      durability suites.
+#   5. bench module  — go test -C bench ./...: bench/ is a module of
+#                      its own that `./...` skips, and cdaload imports
+#                      internal/storage, sessionstore and vstore, so a
+#                      change to those must keep it compiling and its
+#                      own tests green
+#   6. bench smoke   — one iteration of every BenchmarkParallel*,
 #                      BenchmarkResilience*, BenchmarkVectorized*,
 #                      BenchmarkCluster*, BenchmarkVstore*,
 #                      BenchmarkSessionStore*, BenchmarkCdalint,
@@ -68,29 +59,11 @@ echo "    rules (from the registry):"
 "$CDALINT_BIN" -list | sed 's/^/      /'
 timeout 60 "$CDALINT_BIN" ./...
 
-echo "==> determinism property tests (-race)"
-go test -race \
-  -run 'TestParallelExecution|TestIVFParallelProbe|TestTopKCanonicalUnderTies|TestSearchBatch|TestSearchParallel|TestDenseSearchParallel|TestHybridSearch|TestRespondBatch' \
-  ./internal/sqldb ./internal/vectorindex ./internal/textindex ./internal/embed ./internal/core
-
-echo "==> chaos fault sweeps (-race)"
-go test -race ./internal/chaos ./internal/faults ./internal/resilience
-go test -race -run 'TestCancelled|TestDeadlineExceeded|TestOpenBreaker' ./internal/core
-
-echo "==> crash-recovery determinism (kill-and-recover twice per seed, diff transcripts)"
-go test -race -run 'TestKillRecover' ./internal/chaos
-
-echo "==> cluster routing, replication, and kill/partition chaos (-race)"
-go test -race ./internal/cluster
-go test -race -run 'TestCluster' ./internal/chaos
-go test -race -run 'TestHealthzReportsShardSeqAndLag|TestReplicaPaginationMidCatchUp|TestReplicationEndpointErrors' ./internal/server
-
-echo "==> session durability + admission + versioned store (-race)"
-go test -race ./internal/sessionstore ./internal/admission ./internal/vstore
-go test -race -run 'TestSessionSurvivesRestart|TestTranscriptPagination|TestEvictedSessionGone|TestOverloadSheds|TestRateLimitSheds|TestConcurrentLifecycleAcrossShards|TestCreateSessionIDsMonotonicAcrossRestart' ./internal/server
-
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> go test -C bench ./... (the benchmark's own module)"
+go test -C bench ./...
 
 echo "==> parallel + resilience + vectorized + cluster + vstore benchmark smoke (1 iteration)"
 go test -run='^$' -bench='^Benchmark(Parallel|Resilience|Vectorized|Cluster|Vstore)' -benchtime=1x .
