@@ -14,14 +14,14 @@
 // Each -member is name=primaryURL[,replicaURL]; -shards must match
 // the nodes' own -shards flag (placement is a shared constant).
 //
-// Endpoints:
+// Endpoints: the three session routes of a cdaserver node (POST
+// /sessions, POST /sessions/{id}/ask, GET /sessions/{id} — listed in
+// internal/server's package comment and served by the same handlers,
+// with the same status for every refusal), where GET /sessions/{id}
+// also takes ?replica=1 to read from the member's replica (stale
+// pages carry X-CDA-Stale: true), plus
 //
 //	GET  /healthz                  router + per-member failover/lag status
-//	POST /sessions                 create a session (router allocates the id)
-//	POST /sessions/{id}/ask        one conversational turn
-//	GET  /sessions/{id}            transcript page; ?replica=1 reads from
-//	                               the replica (stale pages carry
-//	                               X-CDA-Stale: true)
 //
 // Example:
 //
@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,7 +40,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -49,7 +47,6 @@ import (
 	"github.com/reliable-cda/cda/internal/admission"
 	"github.com/reliable-cda/cda/internal/cluster"
 	"github.com/reliable-cda/cda/internal/resilience"
-	"github.com/reliable-cda/cda/internal/server"
 )
 
 // memberSpec is one parsed -member value; the HTTPNode clients are
@@ -143,7 +140,7 @@ func main() {
 
 	hs := &http.Server{
 		Addr:              *addr,
-		Handler:           handler(router),
+		Handler:           router.Handler(),
 		ReadTimeout:       10 * time.Second,
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -218,96 +215,4 @@ func runLoops(ctx context.Context, router *cluster.Router, probeEvery, catchupEv
 			}
 		}
 	}
-}
-
-// handler builds the router's HTTP surface.
-func handler(router *cluster.Router) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":  "ok",
-			"members": router.Status(r.Context()),
-		})
-	})
-	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		id, err := router.CreateSession(r.Context())
-		if err != nil {
-			writeRouteError(w, "create session", err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
-	})
-	mux.HandleFunc("POST /sessions/{id}/ask", func(w http.ResponseWriter, r *http.Request) {
-		var req server.AskRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "body must be JSON with a question field")
-			return
-		}
-		resp, err := router.Ask(r.Context(), r.PathValue("id"), req.Question)
-		if err != nil {
-			writeRouteError(w, "ask", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		offset, limit := 0, 0
-		var err error
-		if v := q.Get("offset"); v != "" {
-			if offset, err = strconv.Atoi(v); err != nil || offset < 0 {
-				writeError(w, http.StatusBadRequest, "offset must be a non-negative integer")
-				return
-			}
-		}
-		if v := q.Get("limit"); v != "" {
-			if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
-				writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")
-				return
-			}
-		}
-		preferReplica := q.Get("replica") == "1"
-		page, err := router.Transcript(r.Context(), r.PathValue("id"), offset, limit, preferReplica)
-		if err != nil {
-			writeRouteError(w, "transcript", err)
-			return
-		}
-		if page.Stale {
-			w.Header().Set("X-CDA-Stale", "true")
-		}
-		writeJSON(w, http.StatusOK, page)
-	})
-	return mux
-}
-
-// writeRouteError folds a router error into the right status code:
-// overload → 429 + Retry-After, node down → 503 (the member is mid-
-// failover; the request is safe to retry), unknown session → 404.
-func writeRouteError(w http.ResponseWriter, op string, err error) {
-	var ov *admission.Overload
-	switch {
-	case errors.As(err, &ov):
-		w.Header().Set("Retry-After", admission.RetryAfterSeconds(ov.RetryAfter))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("overloaded (%s limit); retry after the indicated delay", ov.Reason))
-	case errors.Is(err, cluster.ErrNodeDown):
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("%s: node unavailable, retry shortly", op))
-	case errors.Is(err, cluster.ErrUnknownSession):
-		writeError(w, http.StatusNotFound, "unknown session")
-	default:
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("%s failed: %v", op, err))
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("cdarouter: encode response: %v", err)
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -122,7 +122,6 @@ func Analyzers() []*Analyzer {
 		DroppedError,
 		Nondeterminism,
 		UnannotatedAnswer,
-		MutexHygiene,
 		MapOrderLeak,
 		BarePanic,
 		RawSleep,
@@ -216,7 +215,6 @@ const (
 	ruleDroppedError      = "dropped-error"
 	ruleNondeterminism    = "nondeterminism"
 	ruleUnannotatedAnswer = "unannotated-answer"
-	ruleMutexHygiene      = "mutex-hygiene"
 	ruleMapOrderLeak      = "map-order-leak"
 	ruleBarePanic         = "bare-panic"
 	ruleRawSleep          = "raw-sleep"

@@ -64,7 +64,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"dropped-error", "droppederror"},
 		{"nondeterminism", "nondeterminism"},
 		{"unannotated-answer", "unannotated"},
-		{"mutex-hygiene", "mutex"},
 		{"map-order-leak", "maporder"},
 		{"bare-panic", "barepanic"},
 		{"raw-sleep", "rawsleep"},
@@ -119,7 +118,6 @@ func TestSuppressedSitesAreCounted(t *testing.T) {
 		"dropped-error":      "droppederror",
 		"nondeterminism":     "nondeterminism",
 		"unannotated-answer": "unannotated",
-		"mutex-hygiene":      "mutex",
 		"map-order-leak":     "maporder",
 		"bare-panic":         "barepanic",
 		"raw-sleep":          "rawsleep",

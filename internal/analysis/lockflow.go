@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// LockFlow is the interprocedural companion to mutex-hygiene: it
+// LockFlow is the interprocedural companion to unlock-path: it
 // flags calling a function that (transitively) acquires a mutex that
 // the caller already holds on the same object — the classic
 // self-deadlock that sync.Mutex does not forgive. Lock acquisitions
@@ -83,9 +83,9 @@ func runLockFlow(m *Module) []Finding {
 }
 
 // collectLockFuncs walks every declaration once, recording direct
-// lock events and call sites. Function literals are skipped, matching
-// mutex-hygiene: a closure may run after the region ends (goroutine,
-// defer), so charging its locks to the enclosing region would guess.
+// lock events and call sites. Function literals are skipped: a
+// closure may run after the region ends (goroutine, defer), so
+// charging its locks to the enclosing region would guess.
 func collectLockFuncs(m *Module) map[*types.Func]*lfFunc {
 	funcs := map[*types.Func]*lfFunc{}
 	for _, p := range m.Pkgs {

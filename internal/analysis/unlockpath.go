@@ -10,9 +10,8 @@ import (
 	"github.com/reliable-cda/cda/internal/analysis/typestate"
 )
 
-// UnlockPath is the CFG-based successor of mutex-hygiene's old
-// lock-pairing heuristic: every sync.Mutex/RWMutex acquisition must
-// be released on EVERY path out of the function — every return, every
+// UnlockPath is the CFG-based lock-pairing rule: every
+// sync.Mutex/RWMutex acquisition must be released on EVERY path out of the function — every return, every
 // branch, and every explicit panic — not merely "before the first
 // return after the Lock". A defer'd Unlock (directly or inside a
 // deferred closure) satisfies all paths at once, including panics;

@@ -18,8 +18,9 @@ import (
 // HTTPNode is a NodeClient over a real cdaserver's base URL — the
 // implementation cmd/cdarouter wires in. Transport-level failures
 // (connection refused, reset, timeout) wrap ErrNodeDown so the
-// router's failover breaker sees them; HTTP-level application errors
-// (404, 409, 400) do not, because a node that answers 404 is alive.
+// router's failover breaker sees them; a refusal the node answered
+// with comes back as the typed error the node returned
+// (server.DecodeError), because a node that answers 404 is alive.
 type HTTPNode struct {
 	name   string
 	base   string
@@ -45,7 +46,8 @@ func (n *HTTPNode) Name() string { return n.name }
 func (n *HTTPNode) Shards() int { return n.shards }
 
 // do runs one request, decoding a 2xx JSON body into out (skipped
-// when out is nil) and folding every other outcome into an error.
+// when out is nil) and every other status through the server's
+// error ↔ status table.
 func (n *HTTPNode) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -80,31 +82,7 @@ func (n *HTTPNode) do(ctx context.Context, method, path string, body, out any) e
 		}
 		return nil
 	}
-	var apiErr struct {
-		Error string `json:"error"`
-		// MissingRoot rides on a 428 from /replication/apply: the
-		// versioned snapshot whose chunks must be negotiated first.
-		MissingRoot string `json:"missing_root"`
-	}
-	msg := resp.Status
-	if derr := json.NewDecoder(resp.Body).Decode(&apiErr); derr == nil && apiErr.Error != "" {
-		msg = fmt.Sprintf("%s: %s", resp.Status, apiErr.Error)
-	}
-	switch resp.StatusCode {
-	case http.StatusNotFound, http.StatusGone:
-		return fmt.Errorf("%w: node %s: %s", ErrUnknownSession, n.name, msg)
-	case http.StatusConflict:
-		return fmt.Errorf("cluster: node %s conflict: %s", n.name, msg)
-	case http.StatusPreconditionRequired:
-		if apiErr.MissingRoot != "" {
-			// Typed so the router's errors.As negotiation path fires for
-			// HTTP nodes exactly as for in-process ones.
-			return &sessionstore.MissingChunksError{Root: vstore.Hash(apiErr.MissingRoot)}
-		}
-		return fmt.Errorf("cluster: node %s: %s", n.name, msg)
-	default:
-		return fmt.Errorf("cluster: node %s: %s", n.name, msg)
-	}
+	return fmt.Errorf("node %s: %w", n.name, server.DecodeError(resp.StatusCode, resp.Header, resp.Body))
 }
 
 // CreateSession implements NodeClient.
@@ -155,9 +133,7 @@ func (n *HTTPNode) Pull(ctx context.Context, shard int, after int64, max int) (s
 	return batch, err
 }
 
-// Apply implements NodeClient. A gap conflict still returns the
-// replica's cursor (the apply endpoint carries it in the 409 body) so
-// the shipper can re-pull without a health round trip.
+// Apply implements NodeClient.
 func (n *HTTPNode) Apply(ctx context.Context, batch sessionstore.ShipBatch) (int64, error) {
 	var out struct {
 		Cursor int64 `json:"cursor"`

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/reliable-cda/cda/internal/core"
-	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/vstore"
@@ -19,11 +18,10 @@ import (
 // produced while healthy. The router's failover breaker counts only
 // wrapped ErrNodeDown failures; application errors pass through
 // without tripping promotion.
-var ErrNodeDown = errors.New("cluster: node unreachable")
-
-// ErrUnknownSession is the node-level 404: the id was never created
-// on (or replicated to) that node.
-var ErrUnknownSession = errors.New("cluster: unknown session")
+//
+// It wraps server.ErrUnavailable, so the front door answers it 503:
+// the member is mid-failover and the request is safe to retry.
+var ErrNodeDown = fmt.Errorf("cluster: node unreachable: %w", server.ErrUnavailable)
 
 // NodeClient is one cdaserver process as the router sees it. The two
 // implementations are LocalNode (in-process, for tests and the chaos
@@ -59,18 +57,14 @@ type NodeClient interface {
 	PutChunks(ctx context.Context, packets []vstore.Packet) error
 }
 
-// ErrNoVersionStore marks chunk-negotiation calls against a node
-// whose store has no version store configured.
-var ErrNoVersionStore = errors.New("cluster: node has no version store")
-
-// LocalNode is an in-process node: a store plus the system that
-// answers its questions, with the failure switches the chaos harness
-// flips. All methods honour context cancellation and report
-// ErrNodeDown once killed or while partitioned.
+// LocalNode is an in-process node: a server.Server over a store and
+// the system that answers its questions, behind the failure switches
+// the chaos harness flips. It adds nothing to the node API but that
+// gate: every method honours context cancellation, reports ErrNodeDown
+// once killed or while partitioned, and otherwise is the server's own.
 type LocalNode struct {
-	name  string
-	store *sessionstore.Store
-	sys   *core.System
+	name string
+	srv  *server.Server
 
 	mu          sync.Mutex
 	killed      bool
@@ -79,7 +73,8 @@ type LocalNode struct {
 
 // NewLocalNode wraps a store and system as a node.
 func NewLocalNode(name string, store *sessionstore.Store, sys *core.System) *LocalNode {
-	return &LocalNode{name: name, store: store, sys: sys}
+	return &LocalNode{name: name,
+		srv: server.NewWithOptions(sys, nil, 0, server.Options{Store: store, NodeName: name})}
 }
 
 // Kill marks the node dead — permanently, like a crashed process. A
@@ -99,7 +94,7 @@ func (n *LocalNode) SetPartitioned(p bool) {
 }
 
 // Store exposes the node's store (chaos assertions).
-func (n *LocalNode) Store() *sessionstore.Store { return n.store }
+func (n *LocalNode) Store() *sessionstore.Store { return n.srv.Store() }
 
 // reachable folds the kill/partition switches and the context into
 // one gate every method passes first.
@@ -118,196 +113,78 @@ func (n *LocalNode) reachable(ctx context.Context) error {
 	return nil
 }
 
-// noteCrash converts a store-level simulated crash into node death:
-// the WAL append was torn mid-write, which in a real deployment is
-// the process dying with it.
-func (n *LocalNode) noteCrash(err error) error {
+// gated runs one server call behind the gate. A store-level simulated
+// crash — the WAL append torn mid-write, which in a real deployment is
+// the process dying with it — becomes node death.
+func gated[T any](ctx context.Context, n *LocalNode, call func() (T, error)) (T, error) {
+	var zero T
+	if err := n.reachable(ctx); err != nil {
+		return zero, err
+	}
+	v, err := call()
 	if errors.Is(err, sessionstore.ErrCrashed) {
 		n.Kill()
-		return fmt.Errorf("%w: %s crashed mid-append", ErrNodeDown, n.name)
+		return zero, fmt.Errorf("%w: %s crashed mid-append", ErrNodeDown, n.name)
 	}
-	return err
+	if err != nil {
+		return zero, err
+	}
+	return v, nil
 }
 
 // Name implements NodeClient.
 func (n *LocalNode) Name() string { return n.name }
 
 // Shards implements NodeClient.
-func (n *LocalNode) Shards() int { return n.store.Shards() }
+func (n *LocalNode) Shards() int { return n.Store().Shards() }
 
 // CreateSession implements NodeClient.
 func (n *LocalNode) CreateSession(ctx context.Context, id string) error {
-	if err := n.reachable(ctx); err != nil {
-		return err
-	}
-	if _, err := n.store.NewSessionWithID(id); err != nil {
-		return n.noteCrash(err)
-	}
-	return nil
+	_, err := gated(ctx, n, func() (struct{}, error) {
+		return struct{}{}, n.srv.CreateSessionWithID(ctx, id)
+	})
+	return err
 }
 
-// Ask implements NodeClient: one turn, committed durably before the
-// answer is returned (the single-node server's contract).
+// Ask implements NodeClient.
 func (n *LocalNode) Ask(ctx context.Context, id, question string) (server.AskResponse, error) {
-	// resp stays the zero value on every error path; the annotated
-	// response only comes from AskResponseFrom on success.
-	var resp server.AskResponse
-	if err := n.reachable(ctx); err != nil {
-		return resp, err
-	}
-	entry, status := n.store.Get(id)
-	if status != sessionstore.Found {
-		return resp, fmt.Errorf("%w: %s on node %s (%v)", ErrUnknownSession, id, n.name, status)
-	}
-	err := entry.Do(func(sess *dialogue.Session) error {
-		ans, rerr := n.sys.Respond(ctx, sess, question)
-		if rerr != nil {
-			return rerr
-		}
-		resp = server.AskResponseFrom(ans)
-		return n.store.CommitTurn(entry)
-	})
-	if err != nil {
-		// Not resp: AskResponseFrom may have run before CommitTurn
-		// failed, and an uncommitted turn must not leak a response.
-		var zero server.AskResponse
-		return zero, n.noteCrash(err)
-	}
-	return resp, nil
+	return gated(ctx, n, func() (server.AskResponse, error) { return n.srv.Ask(ctx, id, question) })
 }
 
-// Transcript implements NodeClient, rendering the same page the HTTP
-// handler would — staleness stamp included, so a replica read through
-// the router degrades exactly like one through a node's own endpoint.
+// Transcript implements NodeClient.
 func (n *LocalNode) Transcript(ctx context.Context, id string, offset, limit int) (server.TranscriptPage, error) {
-	if err := n.reachable(ctx); err != nil {
-		return server.TranscriptPage{}, err
-	}
-	if limit <= 0 {
-		limit = server.DefaultPageLimit
-	}
-	if limit > server.MaxPageLimit {
-		limit = server.MaxPageLimit
-	}
-	entry, status := n.store.Get(id)
-	if status != sessionstore.Found {
-		return server.TranscriptPage{}, fmt.Errorf("%w: %s on node %s (%v)", ErrUnknownSession, id, n.name, status)
-	}
-	page := server.TranscriptPage{Offset: offset, Limit: limit, Turns: []server.TranscriptTurn{}}
-	if lag := n.store.ReplicationLag(n.store.ShardIndex(id)); lag > 0 {
-		page.Source = n.name
-		page.Stale = true
-		page.LagRecords = lag
-	}
-	err := entry.Do(func(sess *dialogue.Session) error {
-		page.Total = len(sess.Turns)
-		end := offset + limit
-		if end > page.Total {
-			end = page.Total
-		}
-		for i := offset; i < end && i >= 0; i++ {
-			t := sess.Turns[i]
-			tt := server.TranscriptTurn{Role: t.Role.String(), Text: t.Text, Confidence: t.Confidence}
-			if t.Role == dialogue.RoleUser {
-				tt.Intent = t.Intent.String()
-			}
-			page.Turns = append(page.Turns, tt)
-		}
-		return nil
+	return gated(ctx, n, func() (server.TranscriptPage, error) {
+		return n.srv.Transcript(ctx, id, offset, limit, false)
 	})
-	if err != nil {
-		return server.TranscriptPage{}, err
-	}
-	return page, nil
 }
 
 // Health implements NodeClient.
 func (n *LocalNode) Health(ctx context.Context) (server.HealthReport, error) {
-	if err := n.reachable(ctx); err != nil {
-		return server.HealthReport{}, err
-	}
-	rep := server.HealthReport{Status: "ok", Node: n.name, Sessions: n.store.Len()}
-	for i := 0; i < n.store.Shards(); i++ {
-		h := server.ShardHealth{Shard: i,
-			WALSeq: n.store.ReplicationCursor(i),
-			Lag:    n.store.ReplicationLag(i)}
-		if h.Lag > rep.MaxLag {
-			rep.MaxLag = h.Lag
-		}
-		rep.Shards = append(rep.Shards, h)
-	}
-	return rep, nil
+	return gated(ctx, n, func() (server.HealthReport, error) { return n.srv.Health(), nil })
 }
 
 // Pull implements NodeClient.
 func (n *LocalNode) Pull(ctx context.Context, shard int, after int64, max int) (sessionstore.ShipBatch, error) {
-	if err := n.reachable(ctx); err != nil {
-		return sessionstore.ShipBatch{}, err
-	}
-	return n.store.PullFrames(shard, after, max)
+	return gated(ctx, n, func() (sessionstore.ShipBatch, error) { return n.srv.Pull(shard, after, max) })
 }
 
 // Apply implements NodeClient.
 func (n *LocalNode) Apply(ctx context.Context, batch sessionstore.ShipBatch) (int64, error) {
-	if err := n.reachable(ctx); err != nil {
-		return 0, err
-	}
-	if err := n.store.ApplyBatch(batch); err != nil {
-		return n.store.ReplicationCursor(batch.Shard), n.noteCrash(err)
-	}
-	return n.store.ReplicationCursor(batch.Shard), nil
-}
-
-// versions returns the node's version store or ErrNoVersionStore.
-func (n *LocalNode) versions() (*vstore.Store, error) {
-	vs := n.store.Versions()
-	if vs == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoVersionStore, n.name)
-	}
-	return vs, nil
+	return gated(ctx, n, func() (int64, error) { return n.srv.Apply(batch) })
 }
 
 // WantChunks implements NodeClient.
 func (n *LocalNode) WantChunks(ctx context.Context, root string, limit int) ([]string, error) {
-	if err := n.reachable(ctx); err != nil {
-		return nil, err
-	}
-	vs, err := n.versions()
-	if err != nil {
-		return nil, err
-	}
-	missing := vs.WantList(vstore.Hash(root), limit)
-	out := make([]string, 0, len(missing))
-	for _, h := range missing {
-		out = append(out, string(h))
-	}
-	return out, nil
+	return gated(ctx, n, func() ([]string, error) { return n.srv.WantChunks(root, limit) })
 }
 
 // FetchChunks implements NodeClient.
 func (n *LocalNode) FetchChunks(ctx context.Context, hashes []string) ([]vstore.Packet, error) {
-	if err := n.reachable(ctx); err != nil {
-		return nil, err
-	}
-	vs, err := n.versions()
-	if err != nil {
-		return nil, err
-	}
-	hs := make([]vstore.Hash, 0, len(hashes))
-	for _, h := range hashes {
-		hs = append(hs, vstore.Hash(h))
-	}
-	return vs.Packets(hs)
+	return gated(ctx, n, func() ([]vstore.Packet, error) { return n.srv.FetchChunks(hashes) })
 }
 
 // PutChunks implements NodeClient.
 func (n *LocalNode) PutChunks(ctx context.Context, packets []vstore.Packet) error {
-	if err := n.reachable(ctx); err != nil {
-		return err
-	}
-	vs, err := n.versions()
-	if err != nil {
-		return err
-	}
-	return vs.AddPackets(packets)
+	_, err := gated(ctx, n, func() (struct{}, error) { return struct{}{}, n.srv.PutChunks(packets) })
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,6 +146,21 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
+// Handler returns the router's front door: the session routes every
+// node serves (server.RegisterSessionRoutes, with this router as the
+// backend) plus the router's own /healthz.
+func (r *Router) Handler() http.Handler {
+	mux := http.NewServeMux()
+	server.RegisterSessionRoutes(mux, r)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
+		server.WriteJSON(w, http.StatusOK, map[string]any{
+			"status":  "ok",
+			"members": r.Status(req.Context()),
+		})
+	})
+	return mux
+}
+
 // Ring exposes the placement ring (status endpoints, tests).
 func (r *Router) Ring() *Ring { return r.ring }
 
@@ -155,8 +171,8 @@ func (r *Router) route(id string) *member {
 
 // admit passes the request through the cluster-wide bucket and then
 // the owning member's per-shard gate, returning a combined release.
-// The error, when non-nil, is a *admission.Overload for the caller to
-// render as 429 + Retry-After.
+// The error, when non-nil, is a *admission.Overload, which the front
+// door renders as 429 + Retry-After.
 func (r *Router) admit(m *member, id string) (func(), error) {
 	release := func() {}
 	if r.cluster != nil {
@@ -206,26 +222,31 @@ func (r *Router) recordOutcome(m *member, err error) {
 	}
 }
 
-// CreateSession allocates a cluster-wide session id, places it on the
-// ring, and creates it on the owning member's active node. The id is
-// chosen by the router (not the node) so every later request routes
-// from the id alone.
+// CreateSession allocates a cluster-wide session id and places it.
+// The id is chosen by the router (not the node) so every later
+// request routes from the id alone.
 func (r *Router) CreateSession(ctx context.Context) (string, error) {
 	id := fmt.Sprintf("c%06d", r.nextID.Add(1))
+	return id, r.CreateSessionWithID(ctx, id)
+}
+
+// CreateSessionWithID places id on the ring and creates the session
+// on the owning member's active node.
+func (r *Router) CreateSessionWithID(ctx context.Context, id string) error {
 	m := r.route(id)
 	release, err := r.admit(m, id)
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer release()
 	node := m.active()
 	cerr := node.CreateSession(ctx, id)
 	r.recordOutcome(m, cerr)
 	if cerr != nil {
-		return "", fmt.Errorf("cluster: create session on %s: %w", node.Name(), cerr)
+		return fmt.Errorf("cluster: create session on %s: %w", node.Name(), cerr)
 	}
 	r.shipAfterWrite(ctx, m, id)
-	return id, nil
+	return nil
 }
 
 // Ask routes one turn to the session's member. A failed ask is NOT
@@ -297,60 +318,61 @@ func (r *Router) shipAfterWrite(ctx context.Context, m *member, id string) {
 	m.mu.Unlock()
 }
 
-// shipShard pulls frames from the member's primary and applies them
-// on its replica until the replica reaches the primary's cursor. A
-// gap or cursor drift re-syncs from the replica's authoritative
-// cursor (via its health report) once per call.
+// shipStep is one bounded pull → apply for one shard: pull at most
+// max frames after the router's cursor from the primary, apply them
+// on the replica (negotiating chunks first when the batch ships a
+// versioned snapshot the replica cannot materialize yet: replica
+// asks, primary serves, only the delta moves) and store the replica's
+// new cursor.
+func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caughtUp bool, err error) {
+	m.mu.Lock()
+	after := m.cursors[shard]
+	m.mu.Unlock()
+	batch, err := m.Primary.Pull(ctx, shard, after, max)
+	if err != nil {
+		return false, err
+	}
+	if batch.Empty() && batch.PrimaryCursor <= after {
+		return true, nil
+	}
+	cur, err := m.Replica.Apply(ctx, batch)
+	var missing *sessionstore.MissingChunksError
+	if errors.As(err, &missing) {
+		if nerr := r.negotiateChunks(ctx, m, string(missing.Root)); nerr != nil {
+			return false, errors.Join(err, nerr)
+		}
+		cur, err = m.Replica.Apply(ctx, batch)
+	}
+	if err != nil {
+		return false, err
+	}
+	m.mu.Lock()
+	m.cursors[shard] = cur
+	m.mu.Unlock()
+	return cur >= batch.PrimaryCursor, nil
+}
+
+// shipShard steps until the replica reaches the primary's cursor. A
+// step a live node refused is retried once per call, after re-learning
+// the replica's authoritative cursor from its health report: the
+// router's view may be stale (e.g. a restarted router at cursor 0 with
+// a caught-up replica). A step that found a node down is not.
 func (r *Router) shipShard(ctx context.Context, m *member, shard int) error {
 	resynced := false
 	for {
-		m.mu.Lock()
-		after := m.cursors[shard]
-		m.mu.Unlock()
-		batch, err := m.Primary.Pull(ctx, shard, after, r.shipMax)
-		if err != nil {
-			if resynced {
-				return err
-			}
-			// The router's cursor view may be stale (e.g. a restarted
-			// router at cursor 0 with a caught-up replica): re-learn the
-			// replica's actual cursor and retry once.
-			if rerr := r.resyncCursor(ctx, m, shard); rerr != nil {
-				return errors.Join(err, rerr)
-			}
-			resynced = true
-			continue
-		}
-		if batch.Empty() && batch.PrimaryCursor <= after {
+		caughtUp, err := r.shipStep(ctx, m, shard, r.shipMax)
+		switch {
+		case err == nil && caughtUp:
 			return nil
-		}
-		cur, err := m.Replica.Apply(ctx, batch)
-		var missing *sessionstore.MissingChunksError
-		if errors.As(err, &missing) {
-			// The batch ships a versioned snapshot the replica cannot
-			// materialize yet: negotiate the missing chunks (replica asks,
-			// primary serves, only the delta moves) and re-apply.
-			if nerr := r.negotiateChunks(ctx, m, string(missing.Root)); nerr != nil {
-				return errors.Join(err, nerr)
-			}
-			cur, err = m.Replica.Apply(ctx, batch)
-		}
-		if err != nil {
-			if errors.Is(err, ErrNodeDown) || resynced {
-				return err
-			}
-			if rerr := r.resyncCursor(ctx, m, shard); rerr != nil {
-				return errors.Join(err, rerr)
-			}
-			resynced = true
+		case err == nil:
 			continue
+		case resynced || errors.Is(err, ErrNodeDown):
+			return err
 		}
-		m.mu.Lock()
-		m.cursors[shard] = cur
-		m.mu.Unlock()
-		if cur >= batch.PrimaryCursor {
-			return nil
+		if rerr := r.resyncCursor(ctx, m, shard); rerr != nil {
+			return errors.Join(err, rerr)
 		}
+		resynced = true
 	}
 }
 
@@ -446,31 +468,7 @@ func (r *Router) ShipStep(ctx context.Context, name string, shard, maxFrames int
 	if maxFrames <= 0 {
 		maxFrames = r.shipMax
 	}
-	m.mu.Lock()
-	after := m.cursors[shard]
-	m.mu.Unlock()
-	batch, err := m.Primary.Pull(ctx, shard, after, maxFrames)
-	if err != nil {
-		return false, err
-	}
-	if batch.Empty() && batch.PrimaryCursor <= after {
-		return true, nil
-	}
-	cur, err := m.Replica.Apply(ctx, batch)
-	var missing *sessionstore.MissingChunksError
-	if errors.As(err, &missing) {
-		if nerr := r.negotiateChunks(ctx, m, string(missing.Root)); nerr != nil {
-			return false, errors.Join(err, nerr)
-		}
-		cur, err = m.Replica.Apply(ctx, batch)
-	}
-	if err != nil {
-		return false, err
-	}
-	m.mu.Lock()
-	m.cursors[shard] = cur
-	m.mu.Unlock()
-	return cur >= batch.PrimaryCursor, nil
+	return r.shipStep(ctx, m, shard, maxFrames)
 }
 
 // Probe health-checks every unpromoted primary, feeding the failover

@@ -1,24 +1,36 @@
-// Package server exposes the reliable CDA system over HTTP/JSON: a
+// Package server is the reliable CDA system's node API: a
 // session-oriented conversational API in which every response carries
 // the paper's answer annotations (confidence, sources, code,
 // provenance summary, suggestions) so downstream UIs can render the
 // reliability signals, not just the text.
 //
+// The API exists once, as transport-free methods on *Server (this
+// file) that return typed errors (errors.go). The HTTP handlers
+// (http.go) are decode → call → encode adapters over those methods,
+// and cluster.LocalNode calls them directly, so an in-process node, a
+// node over HTTP and a node behind cmd/cdarouter answer alike.
+//
 // Sessions live in a durable sharded store (internal/sessionstore):
 // every committed turn pair is WAL-logged before the response leaves,
 // so transcripts survive a crash and a restarted server resumes the
-// same conversations. Requests pass an admission controller
+// same conversations. Asks pass an admission controller
 // (internal/admission) before any work is done; an overloaded shard
 // sheds with 429 + Retry-After while already-admitted turns complete.
 //
-// Endpoints:
+// Session routes — the public API, registered once by
+// RegisterSessionRoutes over the SessionAPI interface, which a node
+// (*Server) and the cluster router (*cluster.Router) both satisfy:
+//
+//	POST /sessions                           create a conversation; returns {"id": ...}
+//	POST /sessions/{id}/ask                  {"question": "..."} → annotated answer
+//	GET  /sessions/{id}?offset=&limit=       paginated session transcript; &replica=1
+//	                                         asks a router for the replica's copy
+//
+// Node routes (Handler adds them):
 //
 //	GET  /health                             liveness probe
 //	GET  /healthz                            per-shard WAL seq + replication lag (JSON)
 //	GET  /datasets                           catalog listing with freshness
-//	POST /sessions                           create a conversation; returns {"id": ...}
-//	POST /sessions/{id}/ask                  {"question": "..."} → annotated answer
-//	GET  /sessions/{id}?offset=&limit=       paginated session transcript
 //	GET  /sessions/{id}/asof/{turn}          time-travel transcript read (versioned stores)
 //	GET  /versions/{root...}                 a version root's commit log
 //	GET  /replication/{shard}?after=&max=    pull committed WAL frames (cluster shipping)
@@ -35,15 +47,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
-	"net/http"
-	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"github.com/reliable-cda/cda/internal/admission"
 	"github.com/reliable-cda/cda/internal/catalog"
@@ -61,9 +67,9 @@ const (
 	MaxPageLimit     = 1000
 )
 
-// Server wraps a core.System with HTTP session management over the
-// durable store. Safe for concurrent use; turns within one session
-// are serialized by the store's per-session lock.
+// Server is one node: a core.System answering questions over the
+// durable session store. Safe for concurrent use; turns within one
+// session are serialized by the store's per-session lock.
 type Server struct {
 	sys   *core.System
 	cat   *catalog.Catalog
@@ -108,268 +114,40 @@ func NewWithOptions(sys *core.System, cat *catalog.Catalog, now int, opts Option
 // Store exposes the session store (shutdown hooks and tests).
 func (s *Server) Store() *sessionstore.Store { return s.store }
 
-// Handler returns the HTTP handler with all routes registered.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /health", s.handleHealth)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /datasets", s.handleDatasets)
-	mux.HandleFunc("POST /sessions", s.handleCreateSession)
-	mux.HandleFunc("POST /sessions/{id}/ask", s.handleAsk)
-	mux.HandleFunc("GET /sessions/{id}", s.handleTranscript)
-	mux.HandleFunc("GET /sessions/{id}/asof/{turn}", s.handleTranscriptAsOf)
-	mux.HandleFunc("GET /versions/{root...}", s.handleVersions)
-	mux.HandleFunc("GET /replication/{shard}", s.handlePullFrames)
-	mux.HandleFunc("POST /replication/apply", s.handleApplyBatch)
-	mux.HandleFunc("POST /chunks/want", s.handleChunksWant)
-	mux.HandleFunc("POST /chunks/fetch", s.handleChunksFetch)
-	mux.HandleFunc("POST /chunks/put", s.handleChunksPut)
-	return mux
+// CreateSession creates a session under a store-allocated id.
+func (s *Server) CreateSession(context.Context) (string, error) {
+	return created(s.store.NewSession())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already on the wire, so the client cannot
-		// be told; surface the failure to the operator instead of
-		// dropping it (a truncated annotated answer silently loses its
-		// provenance/confidence payload).
-		log.Printf("server: encoding response: %v", err)
-	}
+// CreateSessionWithID creates a session under a caller-chosen id: a
+// cluster router picks the id up front so consistent-hash placement
+// can route every later request from the id alone.
+func (s *Server) CreateSessionWithID(_ context.Context, id string) error {
+	_, err := created(s.store.NewSessionWithID(id))
+	return err
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// ShardHealth is one shard's replication state in /healthz: the ship
-// sequence its WAL has reached and how far it is known to lag the
-// primary it last applied a batch from (0 on a primary).
-type ShardHealth struct {
-	Shard  int   `json:"shard"`
-	WALSeq int64 `json:"wal_seq"`
-	Lag    int64 `json:"lag"`
-}
-
-// HealthReport is the /healthz payload: enough for a router or
-// operator to judge replication health, and nothing else — no paths,
-// no session ids, no internals.
-type HealthReport struct {
-	Status   string        `json:"status"`
-	Node     string        `json:"node"`
-	Sessions int           `json:"sessions"`
-	Shards   []ShardHealth `json:"shards"`
-	// MaxLag is the largest per-shard lag, hoisted so probes can
-	// threshold on one number.
-	MaxLag int64 `json:"max_lag"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	rep := HealthReport{Status: "ok", Node: s.node, Sessions: s.store.Len()}
-	for i := 0; i < s.store.Shards(); i++ {
-		h := ShardHealth{Shard: i,
-			WALSeq: s.store.ReplicationCursor(i),
-			Lag:    s.store.ReplicationLag(i)}
-		if h.Lag > rep.MaxLag {
-			rep.MaxLag = h.Lag
-		}
-		rep.Shards = append(rep.Shards, h)
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// handlePullFrames serves one shard's committed WAL frames after the
-// requested cursor (GET /replication/{shard}?after=&max=). The body is
-// a sessionstore.ShipBatch; a replica applies it verbatim with
-// /replication/apply on its own server.
-func (s *Server) handlePullFrames(w http.ResponseWriter, r *http.Request) {
-	shard, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil || shard < 0 || shard >= s.store.Shards() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("shard must be an integer in [0,%d)", s.store.Shards()))
-		return
-	}
-	after, max := int64(0), 0
-	if v := r.URL.Query().Get("after"); v != "" {
-		after, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || after < 0 {
-			writeError(w, http.StatusBadRequest, "after must be a non-negative integer")
-			return
-		}
-	}
-	if v := r.URL.Query().Get("max"); v != "" {
-		max, err = strconv.Atoi(v)
-		if err != nil || max < 0 {
-			writeError(w, http.StatusBadRequest, "max must be a non-negative integer")
-			return
-		}
-	}
-	batch, err := s.store.PullFrames(shard, after, max)
-	if err != nil {
-		// A cursor ahead of this node's WAL means the puller has state we
-		// never shipped — 409, not 500: the request is wrong, not the node.
-		writeError(w, http.StatusConflict, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, batch)
-}
-
-// handleApplyBatch applies a shipped batch on this node's store (POST
-// /replication/apply). Responds with the shard's new cursor so the
-// shipper can advance without a second round trip.
-func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request) {
-	var batch sessionstore.ShipBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	if batch.Shard < 0 || batch.Shard >= s.store.Shards() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("shard must be in [0,%d)", s.store.Shards()))
-		return
-	}
-	if err := s.store.ApplyBatch(batch); err != nil {
-		var missing *sessionstore.MissingChunksError
-		if errors.As(err, &missing) {
-			// The versioned snapshot's chunk closure is incomplete here:
-			// 428 tells the shipper to negotiate chunks (POST /chunks/*)
-			// and retry the same batch.
-			writeJSON(w, http.StatusPreconditionRequired, map[string]string{
-				"error":        err.Error(),
-				"missing_root": string(missing.Root),
-			})
-			return
-		}
-		if errors.Is(err, sessionstore.ErrNoVersions) {
-			writeError(w, http.StatusPreconditionFailed,
-				"batch carries a snapshot root but this node has no version store; re-pull with inline snapshots")
-			return
-		}
-		if errors.Is(err, sessionstore.ErrReplicaGap) {
-			// The shipper must re-pull from our actual cursor; 409 carries
-			// it in the body.
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  err.Error(),
-				"cursor": s.store.ReplicationCursor(batch.Shard),
-			})
-			return
-		}
-		reqID := fmt.Sprintf("req-%06d", reqCounter.Add(1))
-		log.Printf("server: apply replication batch on shard %d failed [%s]: %v", batch.Shard, reqID, err)
-		writeError(w, http.StatusInternalServerError, "internal error (reference "+reqID+")")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int64{
-		"cursor": s.store.ReplicationCursor(batch.Shard),
-	})
-}
-
-// DatasetInfo is the catalog listing payload.
-type DatasetInfo struct {
-	ID          string  `json:"id"`
-	Name        string  `json:"name"`
-	Description string  `json:"description"`
-	Source      string  `json:"source,omitempty"`
-	Freshness   float64 `json:"freshness"`
-	Rotted      bool    `json:"rotted"`
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	if s.cat == nil {
-		writeJSON(w, http.StatusOK, []DatasetInfo{})
-		return
-	}
-	var out []DatasetInfo
-	for _, d := range s.cat.List() {
-		out = append(out, DatasetInfo{
-			ID: d.ID, Name: d.Name, Description: d.Description, Source: d.Source,
-			Freshness: catalog.Freshness(d, s.now),
-			Rotted:    catalog.Rotted(d, s.now),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// admit runs the request through the admission controller, writing
-// the 429 + Retry-After shed response itself. The returned release
-// must be called when the request finishes; admitted is false when
-// the request was shed (or a non-overload admission failure was
-// reported as 500).
-func (s *Server) admit(w http.ResponseWriter, shard int) (release func(), admitted bool) {
-	if s.adm == nil {
-		return func() {}, true
-	}
-	release, err := s.adm.Admit(shard)
-	if err == nil {
-		return release, true
-	}
-	var ov *admission.Overload
-	if errors.As(err, &ov) {
-		w.Header().Set("Retry-After", admission.RetryAfterSeconds(ov.RetryAfter))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("overloaded (%s limit on shard %d); retry after the indicated delay", ov.Reason, ov.Shard))
-		return nil, false
-	}
-	writeError(w, http.StatusInternalServerError, "admission failed")
-	return nil, false
-}
-
-// createSessionRequest is the optional POST /sessions body: a cluster
-// router picks the id up front so consistent-hash placement can route
-// every later request from the id alone. An empty body (the original
-// protocol) lets the store allocate.
-type createSessionRequest struct {
-	ID string `json:"id"`
-}
-
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req createSessionRequest
-	if r.Body != nil {
-		// Decode errors on an empty body are expected (the pre-cluster
-		// protocol sends none); only a present-but-broken body is a 400.
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-			return
-		}
-	}
-	var entry *sessionstore.Entry
-	var err error
-	if req.ID != "" {
-		entry, err = s.store.NewSessionWithID(req.ID)
-	} else {
-		entry, err = s.store.NewSession()
-	}
+func created(entry *sessionstore.Entry, err error) (string, error) {
 	if errors.Is(err, sessionstore.ErrSessionExists) {
-		writeError(w, http.StatusConflict, "session id already exists")
-		return
+		return "", refuse(ErrConflict, "session id already exists")
 	}
 	if err != nil {
-		reqID := fmt.Sprintf("req-%06d", reqCounter.Add(1))
-		log.Printf("server: creating session failed [%s]: %v", reqID, err)
-		writeError(w, http.StatusInternalServerError, "internal error (reference "+reqID+")")
-		return
+		return "", fmt.Errorf("creating session: %w", err)
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": entry.ID})
+	return entry.ID, nil
 }
 
-// lookup resolves a session id, writing the 404/410 error response
-// itself when the session is missing or evicted.
-func (s *Server) lookup(w http.ResponseWriter, id string) (*sessionstore.Entry, bool) {
+// lookup resolves a session id; a missing session is ErrUnknown, an
+// evicted one ErrGone.
+func (s *Server) lookup(id string) (*sessionstore.Entry, error) {
 	entry, status := s.store.Get(id)
 	switch status {
 	case sessionstore.NotFound:
-		writeError(w, http.StatusNotFound, "unknown session")
-		return nil, false
+		return nil, refuse(ErrUnknown, "unknown session")
 	case sessionstore.Gone:
-		writeError(w, http.StatusGone, "session evicted after idling past the server's TTL; start a new session")
-		return nil, false
+		return nil, refuse(ErrGone, "session evicted after idling past the server's TTL; start a new session")
 	}
-	return entry, true
+	return entry, nil
 }
 
 // AskRequest is the question payload.
@@ -396,9 +174,7 @@ type AskResponse struct {
 	DataRoot string `json:"data_root,omitempty"`
 }
 
-// AskResponseFrom renders a core answer as the wire payload — shared
-// by this server's ask handler and the cluster router's local-node
-// path, so a routed answer is byte-identical to a direct one.
+// AskResponseFrom renders a core answer as the wire payload.
 func AskResponseFrom(ans *core.Answer) AskResponse {
 	resp := AskResponse{
 		Text:          ans.Text,
@@ -417,36 +193,30 @@ func AskResponseFrom(ans *core.Answer) AskResponse {
 	return resp
 }
 
-// reqCounter issues request IDs for error correlation in logs. An
-// atomic counter — not a timestamp — so the server stays free of
-// wall-clock reads.
-var reqCounter atomic.Int64
-
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	// Shed BEFORE any work: no body decode, no session lock, no
-	// backend calls happen for a rejected request.
-	release, admitted := s.admit(w, s.store.ShardIndex(id))
-	if !admitted {
-		return
+// Ask runs one turn against a session — the only place a turn is
+// taken: admit → lookup → validate → respond → commit. A refused or
+// failed ask returns the zero response and leaves no turn behind.
+func (s *Server) Ask(ctx context.Context, id, question string) (AskResponse, error) {
+	var zero AskResponse
+	if s.adm != nil {
+		// Shed BEFORE any work: no session lock, no backend calls happen
+		// for a rejected request.
+		release, err := s.adm.Admit(s.store.ShardIndex(id))
+		if err != nil {
+			return zero, err
+		}
+		defer release()
 	}
-	defer release()
-	entry, ok := s.lookup(w, id)
-	if !ok {
-		return
+	entry, err := s.lookup(id)
+	if err != nil {
+		return zero, err
 	}
-	var req AskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	if strings.TrimSpace(req.Question) == "" {
-		writeError(w, http.StatusBadRequest, "question must not be empty")
-		return
+	if strings.TrimSpace(question) == "" {
+		return zero, refuse(ErrBadRequest, "question must not be empty")
 	}
 	var ans *core.Answer
-	err := entry.Do(func(sess *dialogue.Session) error {
-		a, rerr := s.sys.Respond(r.Context(), sess, req.Question)
+	err = entry.Do(func(sess *dialogue.Session) error {
+		a, rerr := s.sys.Respond(ctx, sess, question)
 		if rerr != nil {
 			return rerr
 		}
@@ -459,22 +229,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		return s.store.CommitTurn(entry)
 	})
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The client went away or the request deadline passed; the
-			// session transcript gained no partial turn (core's
-			// contract), so the next ask starts clean.
-			writeError(w, http.StatusServiceUnavailable, "request cancelled or timed out")
-			return
-		}
-		// Internal details (SQL text, backend names, stack context)
-		// must not leak to clients: log them server-side under a
-		// request ID and return only the reference.
-		reqID := fmt.Sprintf("req-%06d", reqCounter.Add(1))
-		log.Printf("server: ask on session %s failed [%s]: %v", id, reqID, err)
-		writeError(w, http.StatusInternalServerError, "internal error (reference "+reqID+")")
-		return
+		return zero, fmt.Errorf("ask on session %s: %w", id, err)
 	}
-	writeJSON(w, http.StatusOK, AskResponseFrom(ans))
+	return AskResponseFrom(ans), nil
 }
 
 // TranscriptTurn is one turn of the session transcript payload.
@@ -483,6 +240,21 @@ type TranscriptTurn struct {
 	Text       string  `json:"text"`
 	Intent     string  `json:"intent,omitempty"`
 	Confidence float64 `json:"confidence,omitempty"`
+}
+
+// renderTurns renders turns[lo:hi), clamped to the transcript; never
+// nil, so an empty page encodes as [] rather than null.
+func renderTurns(turns []dialogue.Turn, lo, hi int) []TranscriptTurn {
+	out := []TranscriptTurn{}
+	for i := lo; i < hi && i < len(turns); i++ {
+		t := turns[i]
+		tt := TranscriptTurn{Role: t.Role.String(), Text: t.Text, Confidence: t.Confidence}
+		if t.Role == dialogue.RoleUser {
+			tt.Intent = t.Intent.String()
+		}
+		out = append(out, tt)
+	}
+	return out
 }
 
 // TranscriptPage is the paginated transcript envelope: Turns holds
@@ -506,248 +278,183 @@ type TranscriptPage struct {
 	LagRecords int64 `json:"lag_records,omitempty"`
 }
 
-// pageParams parses ?offset=&limit= with stable defaults (0,
-// DefaultPageLimit). Malformed or negative values are a client error.
-func pageParams(r *http.Request) (offset, limit int, err error) {
-	offset, limit = 0, DefaultPageLimit
-	if v := r.URL.Query().Get("offset"); v != "" {
-		offset, err = strconv.Atoi(v)
-		if err != nil || offset < 0 {
-			return 0, 0, fmt.Errorf("offset must be a non-negative integer, got %q", v)
-		}
+// Transcript reads one page of a session's transcript. limit <= 0
+// takes DefaultPageLimit and anything above MaxPageLimit is clamped.
+// The last argument is SessionAPI's preferReplica: a node has one
+// store and serves from it either way.
+func (s *Server) Transcript(_ context.Context, id string, offset, limit int, _ bool) (TranscriptPage, error) {
+	if offset < 0 {
+		return TranscriptPage{}, refuse(ErrBadRequest, "offset must not be negative")
 	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		limit, err = strconv.Atoi(v)
-		if err != nil || limit < 1 {
-			return 0, 0, fmt.Errorf("limit must be a positive integer, got %q", v)
-		}
+	if limit <= 0 {
+		limit = DefaultPageLimit
 	}
-	if limit > MaxPageLimit {
-		limit = MaxPageLimit
-	}
-	return offset, limit, nil
-}
-
-func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
-	offset, limit, err := pageParams(r)
+	limit = min(limit, MaxPageLimit)
+	entry, err := s.lookup(id)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return TranscriptPage{}, err
 	}
-	id := r.PathValue("id")
-	entry, ok := s.lookup(w, id)
-	if !ok {
-		return
-	}
-	page := TranscriptPage{Offset: offset, Limit: limit, Turns: []TranscriptTurn{}}
+	page := TranscriptPage{Offset: offset, Limit: limit}
 	if lag := s.store.ReplicationLag(s.store.ShardIndex(id)); lag > 0 {
 		// This node's shard is behind the primary it replicates from:
 		// serve the read (graceful degradation) but stamp it.
-		page.Source = s.node
-		page.Stale = true
-		page.LagRecords = lag
-		w.Header().Set("X-CDA-Stale", "true")
+		page.Source, page.Stale, page.LagRecords = s.node, true, lag
 	}
-	doErr := entry.Do(func(sess *dialogue.Session) error {
+	err = entry.Do(func(sess *dialogue.Session) error {
 		page.Total = len(sess.Turns)
-		end := offset + limit
-		if end > page.Total {
-			end = page.Total
-		}
-		for i := offset; i < end; i++ {
-			t := sess.Turns[i]
-			tt := TranscriptTurn{Role: t.Role.String(), Text: t.Text, Confidence: t.Confidence}
-			if t.Role == dialogue.RoleUser {
-				tt.Intent = t.Intent.String()
-			}
-			page.Turns = append(page.Turns, tt)
-		}
+		page.Turns = renderTurns(sess.Turns, offset, offset+limit)
 		return nil
 	})
-	if doErr != nil {
-		writeError(w, http.StatusInternalServerError, "transcript read failed")
-		return
-	}
-	writeJSON(w, http.StatusOK, page)
-}
-
-// VersionInfo is one commit in a /versions/{root} listing.
-type VersionInfo struct {
-	Hash   string `json:"hash"`
-	Tree   string `json:"tree"`
-	Parent string `json:"parent,omitempty"`
-	Turn   int    `json:"turn"`
-	Stamp  int64  `json:"stamp"`
-}
-
-// versions returns the node's version store, or nil on an unversioned
-// deployment.
-func (s *Server) versions() *vstore.Store {
-	return s.store.Versions()
-}
-
-// handleVersions serves a version root's commit log (GET
-// /versions/{root...} — root names contain slashes, e.g.
-// "session/s0001" or "data").
-func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	vs := s.versions()
-	if vs == nil {
-		writeError(w, http.StatusNotFound, "this node has no version store")
-		return
-	}
-	root := r.PathValue("root")
-	log, err := vs.Log(root)
 	if err != nil {
-		if errors.Is(err, vstore.ErrUnknownRoot) {
-			writeError(w, http.StatusNotFound, "unknown version root")
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "version log read failed")
-		return
+		return TranscriptPage{}, fmt.Errorf("transcript of session %s: %w", id, err)
 	}
-	out := make([]VersionInfo, 0, len(log))
-	for _, c := range log {
-		out = append(out, VersionInfo{Hash: string(c.Hash), Tree: string(c.Tree),
-			Parent: string(c.Parent), Turn: c.Turn, Stamp: c.Stamp})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"root": root, "commits": out})
+	return page, nil
 }
 
-// AsOfResponse is the time-travel transcript payload: the transcript
-// as the store saw it at the requested turn, plus the commit that
-// pins that version.
-type AsOfResponse struct {
-	Turns  []TranscriptTurn `json:"turns"`
-	Total  int              `json:"total"`
-	Commit VersionInfo      `json:"commit"`
+// ShardHealth is one shard's replication state in /healthz: the ship
+// sequence its WAL has reached and how far it is known to lag the
+// primary it last applied a batch from (0 on a primary).
+type ShardHealth struct {
+	Shard  int   `json:"shard"`
+	WALSeq int64 `json:"wal_seq"`
+	Lag    int64 `json:"lag"`
 }
 
-// handleTranscriptAsOf serves GET /sessions/{id}/asof/{turn}: the
-// session transcript materialized from the version at or before the
-// requested turn — an immutable read that never touches the live
-// session entry.
-func (s *Server) handleTranscriptAsOf(w http.ResponseWriter, r *http.Request) {
-	if s.versions() == nil {
-		writeError(w, http.StatusNotFound, "this node has no version store")
-		return
+// HealthReport is the /healthz payload: enough for a router or
+// operator to judge replication health, and nothing else — no paths,
+// no session ids, no internals.
+type HealthReport struct {
+	Status   string        `json:"status"`
+	Node     string        `json:"node"`
+	Sessions int           `json:"sessions"`
+	Shards   []ShardHealth `json:"shards"`
+	// MaxLag is the largest per-shard lag, hoisted so probes can
+	// threshold on one number.
+	MaxLag int64 `json:"max_lag"`
+}
+
+// Health reports the node's replication state.
+func (s *Server) Health() HealthReport {
+	rep := HealthReport{Status: "ok", Node: s.node, Sessions: s.store.Len()}
+	for i := 0; i < s.store.Shards(); i++ {
+		h := ShardHealth{Shard: i,
+			WALSeq: s.store.ReplicationCursor(i),
+			Lag:    s.store.ReplicationLag(i)}
+		rep.MaxLag = max(rep.MaxLag, h.Lag)
+		rep.Shards = append(rep.Shards, h)
 	}
-	turn, err := strconv.Atoi(r.PathValue("turn"))
-	if err != nil || turn < 0 {
-		writeError(w, http.StatusBadRequest, "turn must be a non-negative integer")
-		return
+	return rep
+}
+
+// checkShard rejects a shard index this node's store does not have.
+func (s *Server) checkShard(shard int) error {
+	if shard < 0 || shard >= s.store.Shards() {
+		return refuse(ErrBadRequest, "shard must be an integer in [0,%d)", s.store.Shards())
 	}
-	id := r.PathValue("id")
-	sess, c, err := s.store.TranscriptAsOf(id, turn)
+	return nil
+}
+
+// Pull returns one shard's committed WAL frames after a cursor, at
+// most max of them (0: all) — a sessionstore.ShipBatch a replica
+// applies verbatim.
+func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, error) {
+	if err := s.checkShard(shard); err != nil {
+		return sessionstore.ShipBatch{}, err
+	}
+	if after < 0 || max < 0 {
+		return sessionstore.ShipBatch{}, refuse(ErrBadRequest, "after and max must be non-negative integers")
+	}
+	batch, err := s.store.PullFrames(shard, after, max)
 	if err != nil {
-		if errors.Is(err, vstore.ErrUnknownRoot) {
-			writeError(w, http.StatusNotFound, "no versions recorded for this session")
-			return
-		}
-		writeError(w, http.StatusNotFound, "no version at or before that turn")
-		return
+		// A cursor ahead of this node's WAL means the puller has state we
+		// never shipped: the request is wrong, not the node.
+		return batch, refuse(ErrConflict, "%v", err)
 	}
-	resp := AsOfResponse{Total: len(sess.Turns), Turns: []TranscriptTurn{},
-		Commit: VersionInfo{Hash: string(c.Hash), Tree: string(c.Tree),
-			Parent: string(c.Parent), Turn: c.Turn, Stamp: c.Stamp}}
-	for _, t := range sess.Turns {
-		tt := TranscriptTurn{Role: t.Role.String(), Text: t.Text, Confidence: t.Confidence}
-		if t.Role == dialogue.RoleUser {
-			tt.Intent = t.Intent.String()
-		}
-		resp.Turns = append(resp.Turns, tt)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return batch, nil
 }
 
-// WantChunksRequest asks which chunks of a root's closure are missing
-// locally (POST /chunks/want) — the replica-side half of catch-up
-// negotiation.
-type WantChunksRequest struct {
-	Root  string `json:"root"`
-	Limit int    `json:"limit"`
+// Apply installs a shipped batch on this node's store. The shard's
+// cursor comes back with success and refusal alike, so a shipper that
+// hit a gap can re-pull from it without a second round trip.
+func (s *Server) Apply(batch sessionstore.ShipBatch) (int64, error) {
+	if err := s.checkShard(batch.Shard); err != nil {
+		return 0, err
+	}
+	err := s.store.ApplyBatch(batch)
+	switch {
+	case errors.Is(err, sessionstore.ErrNoVersions):
+		err = refuse(sessionstore.ErrNoVersions,
+			"batch carries a snapshot root but this node has no version store; re-pull with inline snapshots")
+	case errors.Is(err, sessionstore.ErrReplicaGap):
+		err = refuse(ErrConflict, "%v", err)
+	case err != nil && !errors.As(err, new(*sessionstore.MissingChunksError)):
+		// A MissingChunksError passes as it is: the shipper negotiates
+		// the chunks (WantChunks/FetchChunks/PutChunks) and re-applies.
+		err = fmt.Errorf("apply replication batch on shard %d: %w", batch.Shard, err)
+	}
+	return s.store.ReplicationCursor(batch.Shard), err
 }
 
-// FetchChunksRequest asks for chunk packets by hash (POST
-// /chunks/fetch) — served by the node that has them.
-type FetchChunksRequest struct {
-	Hashes []string `json:"hashes"`
+// versions returns the node's version store, or ErrUnknown on an
+// unversioned deployment.
+func (s *Server) versions() (*vstore.Store, error) {
+	if vs := s.store.Versions(); vs != nil {
+		return vs, nil
+	}
+	return nil, refuse(ErrUnknown, "this node has no version store")
 }
 
-// PutChunksRequest ships chunk packets (POST /chunks/put); each
-// packet is re-hashed on receipt, so a corrupted packet is rejected
-// rather than stored under a wrong address.
-type PutChunksRequest struct {
-	Packets []vstore.Packet `json:"packets"`
-}
-
-func (s *Server) handleChunksWant(w http.ResponseWriter, r *http.Request) {
-	vs := s.versions()
-	if vs == nil {
-		writeError(w, http.StatusNotFound, "this node has no version store")
-		return
+// WantChunks lists up to limit chunks of root's closure that are
+// missing here — the replica-side half of catch-up negotiation.
+func (s *Server) WantChunks(root string, limit int) ([]string, error) {
+	vs, err := s.versions()
+	if err != nil {
+		return nil, err
 	}
-	var req WantChunksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
+	if root == "" {
+		return nil, refuse(ErrBadRequest, "root must not be empty")
 	}
-	if req.Root == "" {
-		writeError(w, http.StatusBadRequest, "root must not be empty")
-		return
-	}
-	missing := vs.WantList(vstore.Hash(req.Root), req.Limit)
+	missing := vs.WantList(vstore.Hash(root), limit)
 	out := make([]string, 0, len(missing))
 	for _, h := range missing {
 		out = append(out, string(h))
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"missing": out})
+	return out, nil
 }
 
-func (s *Server) handleChunksFetch(w http.ResponseWriter, r *http.Request) {
-	vs := s.versions()
-	if vs == nil {
-		writeError(w, http.StatusNotFound, "this node has no version store")
-		return
+// FetchChunks serves chunk packets by hash — the primary-side half.
+func (s *Server) FetchChunks(hashes []string) ([]vstore.Packet, error) {
+	vs, err := s.versions()
+	if err != nil {
+		return nil, err
 	}
-	var req FetchChunksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
+	hs := make([]vstore.Hash, 0, len(hashes))
+	for _, h := range hashes {
+		hs = append(hs, vstore.Hash(h))
 	}
-	hashes := make([]vstore.Hash, 0, len(req.Hashes))
-	for _, h := range req.Hashes {
-		hashes = append(hashes, vstore.Hash(h))
-	}
-	packets, err := vs.Packets(hashes)
+	packets, err := vs.Packets(hs)
 	if err != nil {
 		// Asking for a chunk this node lacks is the requester's staleness,
 		// not a server fault.
-		writeError(w, http.StatusConflict, err.Error())
-		return
+		return nil, refuse(ErrConflict, "%v", err)
 	}
-	writeJSON(w, http.StatusOK, map[string][]vstore.Packet{"packets": packets})
+	return packets, nil
 }
 
-func (s *Server) handleChunksPut(w http.ResponseWriter, r *http.Request) {
-	vs := s.versions()
-	if vs == nil {
-		writeError(w, http.StatusNotFound, "this node has no version store")
-		return
+// PutChunks stores shipped packets; each is re-hashed on receipt, so a
+// corrupted packet is rejected rather than stored under a wrong
+// address.
+func (s *Server) PutChunks(packets []vstore.Packet) error {
+	vs, err := s.versions()
+	if err != nil {
+		return err
 	}
-	var req PutChunksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
+	err = vs.AddPackets(packets)
+	if errors.Is(err, vstore.ErrBadPacket) {
+		return refuse(ErrBadRequest, "%v", err)
 	}
-	if err := vs.AddPackets(req.Packets); err != nil {
-		if errors.Is(err, vstore.ErrBadPacket) {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		reqID := fmt.Sprintf("req-%06d", reqCounter.Add(1))
-		log.Printf("server: storing shipped chunks failed [%s]: %v", reqID, err)
-		writeError(w, http.StatusInternalServerError, "internal error (reference "+reqID+")")
-		return
+	if err != nil {
+		return fmt.Errorf("storing shipped chunks: %w", err)
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"added": len(req.Packets)})
+	return nil
 }

@@ -116,9 +116,9 @@ type Engine struct {
 	// joins, keeping the naive plan (correctness cross-checks and the
 	// optimizer ablation bench).
 	DisableOptimizations bool
-	// Workers bounds the goroutines used by the parallel operators
-	// (filter scans and hash-join probes): 0 = GOMAXPROCS, 1 =
-	// serial. Parallel execution is deterministic by construction —
+	// Workers bounds the goroutines used by the columnar engine's
+	// parallel operators (filter scans, hash-join probes, grouping):
+	// 0 = GOMAXPROCS, 1 = serial. Parallel execution is deterministic by construction —
 	// chunk outputs merge in row order — so Result (rows, provenance,
 	// Fingerprint) and Stats are byte-identical to the serial
 	// executor's.
@@ -131,7 +131,9 @@ type Engine struct {
 	// (false) runs the vectorized columnar engine; the row path is
 	// kept as the differential-testing oracle — same Result, Stats,
 	// Prov, Fingerprint, and errors, enforced by the fuzz and
-	// determinism suites.
+	// determinism suites. It is serial by construction: plain loops
+	// that ignore Workers and share no chunk-merge code with the
+	// engine they check.
 	RowOracle bool
 }
 

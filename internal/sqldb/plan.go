@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"github.com/reliable-cda/cda/internal/parallel"
-	"github.com/reliable-cda/cda/internal/storage"
-)
+import "github.com/reliable-cda/cda/internal/storage"
 
 // This file implements the engine's logical optimizations, the
 // query-level half of the paper's "holistic optimizer":
@@ -70,40 +67,27 @@ func pushDown(preds []Expr, rel columnResolver) (pushed, rest []Expr) {
 	return pushed, rest
 }
 
-// filterRelation applies a predicate list to a relation. Rows are
-// evaluated in parallel chunks (expression evaluation is pure);
-// per-chunk survivors merge in chunk order, so the output row order —
-// and with it Result bytes and Fingerprint — matches the serial scan
-// exactly.
+// filterRelation applies a predicate list to a relation — a plain
+// loop: this is the row oracle the columnar engine is checked
+// against, so it shares none of that engine's chunk-and-merge
+// machinery and is serial whatever Engine.Workers says.
 func (e *Engine) filterRelation(rel *relation, preds []Expr) (*relation, error) {
 	if len(preds) == 0 {
 		return rel, nil
 	}
 	cond := conjoin(preds)
 	out := &relation{aliases: rel.aliases, names: rel.names}
-	chunks, err := parallel.MapChunks(len(rel.rows), e.parOptions(), func(lo, hi int) (*relation, error) {
-		part := &relation{}
-		for i := lo; i < hi; i++ {
-			row := rel.rows[i]
-			v, err := evalExpr(cond, rel, row)
-			if err != nil {
-				return nil, err
-			}
-			if isTrue(v) {
-				part.rows = append(part.rows, row)
-				if e.CaptureProvenance {
-					part.prov = append(part.prov, rel.prov[i])
-				}
+	for i, row := range rel.rows {
+		v, err := evalExpr(cond, rel, row)
+		if err != nil {
+			return nil, err
+		}
+		if isTrue(v) {
+			out.rows = append(out.rows, row)
+			if e.CaptureProvenance {
+				out.prov = append(out.prov, rel.prov[i])
 			}
 		}
-		return part, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range chunks {
-		out.rows = append(out.rows, part.rows...)
-		out.prov = append(out.prov, part.prov...)
 	}
 	return out, nil
 }
@@ -154,11 +138,9 @@ func valueKey(v storage.Value) (string, bool) {
 }
 
 // hashJoin builds a hash table on the right side and probes with the
-// left, evaluating residual conjuncts on each candidate match. The
-// probe phase runs in parallel chunks over the left rows: bucket
-// lists preserve right-row order, chunks scan left rows in order, and
-// chunk outputs merge in chunk order, so the joined rows, provenance,
-// and RowsJoined accounting are identical to the serial probe.
+// left, row by row in left order (bucket lists preserve right-row
+// order), evaluating residual conjuncts on each candidate match.
+// Serial by construction, like filterRelation.
 func (e *Engine) hashJoin(left, right *relation, li, ri int, residual []Expr, stats *Stats) (*relation, error) {
 	out := &relation{
 		aliases: append(append([]string{}, left.aliases...), right.aliases...),
@@ -173,50 +155,33 @@ func (e *Engine) hashJoin(left, right *relation, li, ri int, residual []Expr, st
 			buckets[key] = append(buckets[key], i)
 		}
 	}
-	type probePart struct {
-		rel    relation
-		joined int
-	}
-	chunks, err := parallel.MapChunks(len(left.rows), e.parOptions(), func(lo, hi int) (*probePart, error) {
-		part := &probePart{}
-		for lIdx := lo; lIdx < hi; lIdx++ {
-			lrow := left.rows[lIdx]
-			key, ok := valueKey(lrow[li])
-			if !ok {
-				continue
+	for lIdx, lrow := range left.rows {
+		key, ok := valueKey(lrow[li])
+		if !ok {
+			continue
+		}
+		for _, rIdx := range buckets[key] {
+			stats.RowsJoined++
+			combined := make([]storage.Value, 0, len(lrow)+len(right.rows[rIdx]))
+			combined = append(combined, lrow...)
+			combined = append(combined, right.rows[rIdx]...)
+			if cond != nil {
+				v, err := evalExpr(cond, out, combined)
+				if err != nil {
+					return nil, err
+				}
+				if !isTrue(v) {
+					continue
+				}
 			}
-			for _, rIdx := range buckets[key] {
-				part.joined++
-				combined := make([]storage.Value, 0, len(lrow)+len(right.rows[rIdx]))
-				combined = append(combined, lrow...)
-				combined = append(combined, right.rows[rIdx]...)
-				if cond != nil {
-					v, err := evalExpr(cond, out, combined)
-					if err != nil {
-						return nil, err
-					}
-					if !isTrue(v) {
-						continue
-					}
-				}
-				part.rel.rows = append(part.rel.rows, combined)
-				if e.CaptureProvenance {
-					p := make([]RowRef, 0, len(left.prov[lIdx])+len(right.prov[rIdx]))
-					p = append(p, left.prov[lIdx]...)
-					p = append(p, right.prov[rIdx]...)
-					part.rel.prov = append(part.rel.prov, p)
-				}
+			out.rows = append(out.rows, combined)
+			if e.CaptureProvenance {
+				p := make([]RowRef, 0, len(left.prov[lIdx])+len(right.prov[rIdx]))
+				p = append(p, left.prov[lIdx]...)
+				p = append(p, right.prov[rIdx]...)
+				out.prov = append(out.prov, p)
 			}
 		}
-		return part, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range chunks {
-		stats.RowsJoined += part.joined
-		out.rows = append(out.rows, part.rel.rows...)
-		out.prov = append(out.prov, part.rel.prov...)
 	}
 	stats.HashJoins++
 	return out, nil

@@ -2,7 +2,12 @@
 # check.sh — the extended verification gate for this repo.
 #
 # Runs, in order:
-#   1. go vet        — stock Go correctness checks
+#   1. go vet        — stock Go correctness checks. Its copylocks pass
+#                      is the only guard against copying a struct that
+#                      holds a lock (cdalint's mutex-hygiene rule did
+#                      the same job and is gone), which is why the
+#                      push/PR job in .github/workflows/check.yml runs
+#                      vet too
 #   2. go build      — every package compiles
 #   3. cdalint       — the repo's own reliability analyzers. The rule
 #                      set is printed from the registry at run time
