@@ -140,3 +140,61 @@ func TestFailedAppendDoesNotPoisonPack(t *testing.T) {
 		t.Fatal("acknowledged chunk lost behind a failed append")
 	}
 }
+
+// TestFailedAppendLeavesBatchUncommitted cuts a whole version batch —
+// chunks, commit, root record in one append — short on a full disk: the
+// store's index, root logs and stamp sequence are what they were, and
+// the next commit succeeds, continues the sequence and survives reopen.
+func TestFailedAppendLeavesBatchUncommitted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := vstore.Open(vstore.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(v string, turn int) (vstore.Commit, error) {
+		b := s.NewBatch()
+		leaf, err := b.Put("leaf", nil, []byte(`"`+v+`"`))
+		if err != nil {
+			return vstore.Commit{}, err
+		}
+		tree, err := b.Put("db", []vstore.Hash{leaf}, nil)
+		if err != nil {
+			return vstore.Commit{}, err
+		}
+		return b.Commit("db/main", tree, turn)
+	}
+	first, err := commit("first", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := s.NumChunks()
+	var failed error
+	failNextWrite(t, filepath.Join(dir, "chunks.pack"), func() { _, failed = commit("lost to a full disk", 1) })
+	if failed == nil {
+		t.Fatal("commit past the file size cap succeeded")
+	}
+	if log, err := s.Log("db/main"); err != nil || len(log) != 1 || log[0] != first {
+		t.Fatalf("root log after the failed commit = %+v, %v; want only the first commit", log, err)
+	}
+	if s.NumChunks() != chunks {
+		t.Fatalf("index has %d chunks after the failed commit, had %d", s.NumChunks(), chunks)
+	}
+	acked, err := commit("second", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acked.Stamp != first.Stamp+1 || acked.Parent != first.Hash {
+		t.Fatalf("commit after the failure = %+v; want stamp %d on parent %s", acked, first.Stamp+1, first.Hash)
+	}
+	r, err := vstore.Open(vstore.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := r.Head("db/main")
+	if err != nil || head != acked || !r.HasClosure(head.Hash) {
+		t.Fatalf("head after reopen = %+v, %v; want the acknowledged commit with its whole tree", head, err)
+	}
+	if r.NumChunks() != s.NumChunks() {
+		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
+	}
+}

@@ -1,10 +1,11 @@
 // Package framelog is the storage spine: the one frame codec, the one
 // append-only log, and the one atomic publish that every durable file
 // in the module is written through. The session store's WAL, the
-// version store's chunk pack, replication frames on the wire, shard
-// snapshots, roots.json and storage.SaveDir's CSVs differ only in the
-// magic byte and in what the payload bytes mean; that schema stays
-// with its owner, and everything a crash can interrupt lives here.
+// version store's journal (chunks and root records in one log),
+// replication frames on the wire, shard snapshots and
+// storage.SaveDir's CSVs differ only in the magic byte and in what the
+// payload bytes mean; that schema stays with its owner, and everything
+// a crash can interrupt lives here.
 //
 // Frame layout, identical for every log:
 //
@@ -13,8 +14,12 @@
 // The fixed header makes a torn tail detectable without a scan-back:
 // a crash mid-append leaves a partial header, a partial payload, or a
 // payload whose checksum no longer matches, and all three truncate to
-// the last complete frame on Open. DESIGN.md "Storage spine" states
-// the torn-tail, failed-append and publish rules this package enforces.
+// the last complete frame on Open. An Append of several frames is one
+// write and one fsync, so a torn one leaves a prefix of whole frames:
+// an owner that needs the group to land together makes its last frame
+// the one that gives the others meaning. DESIGN.md "Storage spine"
+// states the torn-tail, failed-append and publish rules this package
+// enforces.
 package framelog
 
 import (
@@ -283,7 +288,18 @@ func Publish(path string, nosync bool, write func(w io.Writer) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory so a rename into it survives a crash.
+// Remove deletes path and fsyncs its directory, so that a crash cannot
+// bring the file back after later writes were made on the strength of
+// its absence.
+func Remove(path string) error {
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("framelog: remove %s: %w", path, err)
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a rename into it or a removal from it
+// survives a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

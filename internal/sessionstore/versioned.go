@@ -85,11 +85,9 @@ type shardData struct {
 	Tombstones []string `json:"tombstones,omitempty"`
 }
 
-// encodeSessionTree stores a transcript as a Merkle tree and returns
+// encodeSessionTree stages a transcript as a Merkle tree and returns
 // the session node's address.
-func encodeSessionTree(vs *vstore.Store, ss sessionSnap) (vstore.Hash, error) {
-	release := vs.Pin()
-	defer release()
+func encodeSessionTree(b *vstore.Batch, ss sessionSnap) (vstore.Hash, error) {
 	var refs []vstore.Hash
 	for lo := 0; lo < len(ss.Turns); lo += turnsPerChunk {
 		hi := lo + turnsPerChunk
@@ -100,7 +98,7 @@ func encodeSessionTree(vs *vstore.Store, ss sessionSnap) (vstore.Hash, error) {
 		if err != nil {
 			return "", fmt.Errorf("sessionstore: encode turn chunk: %w", err)
 		}
-		h, err := vs.Put("turns", nil, data)
+		h, err := b.Put("turns", nil, data)
 		if err != nil {
 			return "", err
 		}
@@ -111,7 +109,7 @@ func encodeSessionTree(vs *vstore.Store, ss sessionSnap) (vstore.Hash, error) {
 	if err != nil {
 		return "", fmt.Errorf("sessionstore: encode session node: %w", err)
 	}
-	return vs.Put("sess", refs, data)
+	return b.Put("sess", refs, data)
 }
 
 // decodeSessionTree rebuilds a transcript from a session node.
@@ -146,15 +144,13 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 	return ss, nil
 }
 
-// encodeShardTree stores a shard snapshot as a Merkle tree and
+// encodeShardTree stages a shard snapshot as a Merkle tree and
 // returns the shard node's address.
-func encodeShardTree(vs *vstore.Store, snap snapshot) (vstore.Hash, error) {
-	release := vs.Pin()
-	defer release()
+func encodeShardTree(b *vstore.Batch, snap snapshot) (vstore.Hash, error) {
 	meta := shardData{MaxNum: snap.MaxNum, ShipSeq: snap.ShipSeq, Tombstones: snap.Tombstones}
 	refs := make([]vstore.Hash, 0, len(snap.Sessions))
 	for _, ss := range snap.Sessions {
-		h, err := encodeSessionTree(vs, ss)
+		h, err := encodeSessionTree(b, ss)
 		if err != nil {
 			return "", err
 		}
@@ -165,7 +161,7 @@ func encodeShardTree(vs *vstore.Store, snap snapshot) (vstore.Hash, error) {
 	if err != nil {
 		return "", fmt.Errorf("sessionstore: encode shard node: %w", err)
 	}
-	return vs.Put("shard", refs, data)
+	return b.Put("shard", refs, data)
 }
 
 // decodeShardTree rebuilds a shard snapshot from a shard node.
@@ -197,16 +193,18 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 }
 
 // commitSessionVersion commits the session's transcript tree at its
-// current committed turn count. Caller holds sh.mu. Failures are
-// recorded on the shard, never returned to the durability path.
+// current committed turn count, as one journal append. Caller holds
+// sh.mu. Failures are recorded on the shard, never returned to the
+// durability path.
 func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
 	if vs == nil {
 		return
 	}
 	ss := sessionSnap{ID: e.ID, Num: e.num, Focus: e.focus, Turns: e.committed}
-	tree, err := encodeSessionTree(vs, ss)
+	b := vs.NewBatch()
+	tree, err := encodeSessionTree(b, ss)
 	if err == nil {
-		_, err = vs.Commit(SessionRoot(e.ID), tree, len(e.committed))
+		_, err = b.Commit(SessionRoot(e.ID), tree, len(e.committed))
 	}
 	if err != nil {
 		sh.versionErr = fmt.Errorf("sessionstore: version session %s: %w", e.ID, err)
@@ -219,9 +217,10 @@ func (sh *shard) commitShardVersion(vs *vstore.Store, shard int, snap snapshot) 
 	if vs == nil {
 		return
 	}
-	tree, err := encodeShardTree(vs, snap)
+	b := vs.NewBatch()
+	tree, err := encodeShardTree(b, snap)
 	if err == nil {
-		_, err = vs.Commit(ShardRoot(shard), tree, int(snap.ShipSeq))
+		_, err = b.Commit(ShardRoot(shard), tree, int(snap.ShipSeq))
 	}
 	if err != nil {
 		sh.versionErr = fmt.Errorf("sessionstore: version shard %d: %w", shard, err)

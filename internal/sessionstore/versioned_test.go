@@ -3,6 +3,7 @@ package sessionstore
 import (
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/vstore"
@@ -362,5 +363,158 @@ func TestVersionedStoreSurvivesRestart(t *testing.T) {
 	}
 	if len(after) != len(before)+1 {
 		t.Fatalf("version log grew by %d, want 1", len(after)-len(before))
+	}
+}
+
+// journalProbe is a vstore fault hook that also rides the journal's
+// crash seam: it counts journal appends and their bytes, and runs
+// onCommit at the "vstore.commit" consult — after a version's tree is
+// encoded, before its commit takes the store lock.
+type journalProbe struct {
+	appends  int
+	bytes    int64
+	onCommit func()
+}
+
+func (p *journalProbe) Inject(op string) error {
+	if op == "vstore.commit" && p.onCommit != nil {
+		p.onCommit()
+	}
+	return nil
+}
+
+func (p *journalProbe) TornWrite(_ string, b []byte) ([]byte, bool) {
+	p.appends++
+	p.bytes += int64(len(b))
+	return b, false
+}
+
+// TestGCBetweenSessionEncodeAndCommit is the regression test for a GC
+// round landing between a session tree's encode and its commit: the
+// fresh tree is unreachable at that point, and the head must not end
+// up pinning a tree the sweep took.
+func TestGCBetweenSessionEncodeAndCommit(t *testing.T) {
+	probe := &journalProbe{}
+	vs, err := vstore.Open(vstore.Config{Dir: t.TempDir(), Faults: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Config{Dir: t.TempDir(), Shards: 1, Versions: vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := errors.Join(st.Close(), vs.Close()); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	e, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPair(t, st, e, "q0", "a0", 0.5)
+	// An orphan gives the sweep something to delete, so it rewrites
+	// the journal as well.
+	if _, err := vs.Put("leaf", nil, []byte(`["orphan"]`)); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	probe.onCommit = func() {
+		probe.onCommit = nil
+		// Two rounds: the second one's epoch is past anything the
+		// encode could have touched.
+		for i := 0; i < 2; i++ {
+			if _, err := vs.GC(); err != nil {
+				t.Errorf("GC: %v", err)
+			}
+			rounds++
+		}
+	}
+	commitPair(t, st, e, "q1", "a1", 0.5)
+	if rounds != 2 {
+		t.Fatalf("GC ran %d times between encode and commit, want 2", rounds)
+	}
+	if err := st.VersionError(0); err != nil {
+		t.Fatalf("version error: %v", err)
+	}
+	head, err := vs.Head(SessionRoot(e.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head.Turn != 4 || !vs.HasClosure(head.Hash) {
+		t.Fatalf("head = %+v, closure complete = %v; want turn 4 with its whole tree", head, vs.HasClosure(head.Hash))
+	}
+	sess, _, err := st.TranscriptAsOf(e.ID, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Transcript(sess); got != transcriptOf(t, e) {
+		t.Fatalf("as-of transcript after the raced commit:\n got: %q\nwant: %q", got, transcriptOf(t, e))
+	}
+}
+
+// TestVersionCommitsAreJournalAppends commits 400 turns into one
+// dir-backed version store: each session and shard version is exactly
+// one journal append, the journal is exactly the bytes of those
+// appends — no per-commit document, nothing that grows with the run —
+// and it is the only file.
+func TestVersionCommitsAreJournalAppends(t *testing.T) {
+	probe := &journalProbe{}
+	vdir := t.TempDir()
+	vs, err := vstore.Open(vstore.Config{Dir: vdir, Faults: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 64, Versions: vs, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := errors.Join(st.Close(), vs.Close()); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	const sessions, pairs = 25, 8 // 25 × 8 × 2 = 400 turns
+	var entries []*Entry
+	for i := 0; i < sessions; i++ {
+		e, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	sh := st.shards[0]
+	for j := 0; j < pairs; j++ {
+		for _, e := range entries {
+			sh.mu.Lock()
+			compactsAt := sh.pending+1 >= 64
+			sh.mu.Unlock()
+			before := probe.appends
+			commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
+			want := 1 // the session version
+			if compactsAt {
+				want = 2 // and the shard version the compaction commits
+			}
+			if got := probe.appends - before; got != want {
+				t.Fatalf("turn pair %d of %s made %d journal appends, want %d", j, e.ID, got, want)
+			}
+		}
+	}
+	if err := st.VersionError(0); err != nil {
+		t.Fatalf("version error: %v", err)
+	}
+	files, err := os.ReadDir(vdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0].Name() != "chunks.pack" {
+		t.Fatalf("version store dir holds %v, want only chunks.pack", files)
+	}
+	info, err := files[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != probe.bytes {
+		t.Fatalf("journal is %d bytes, its %d appends sum to %d", info.Size(), probe.appends, probe.bytes)
 	}
 }

@@ -1,0 +1,108 @@
+package vstore
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+// Batch stages the chunks of one version in memory and lands them, the
+// commit chunk and the root record in the journal with one append and
+// one fsync. Nothing staged is visible in the store before Commit, and
+// Commit decides what is new under the store lock, so a GC round
+// between encoding a tree and committing it cannot sweep the tree from
+// under its root. A Batch serves one goroutine and one version.
+type Batch struct {
+	s      *Store
+	staged []stagedChunk
+	seen   map[Hash]bool
+}
+
+type stagedChunk struct {
+	hash    Hash
+	payload []byte
+	refs    []Hash
+}
+
+// NewBatch starts an empty write batch.
+func (s *Store) NewBatch() *Batch {
+	return &Batch{s: s, seen: map[Hash]bool{}}
+}
+
+// Put stages one chunk and returns its address; see Store.Put.
+func (b *Batch) Put(kind string, refs []Hash, data []byte) (Hash, error) {
+	h, payload, err := b.s.encodeChunk(kind, refs, data)
+	if err != nil {
+		return "", err
+	}
+	if !b.seen[h] {
+		b.seen[h] = true
+		b.staged = append(b.staged, stagedChunk{hash: h, payload: payload, refs: refs})
+	}
+	return h, nil
+}
+
+// Commit appends a new version to the named root, pinning tree, which
+// must be staged or already stored. The staged chunks the store lacks,
+// the commit chunk and the root record reach the journal in one
+// append; the index and the root log change only once it is
+// acknowledged, so a failed append leaves the store as it was.
+func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
+	s := b.s
+	if s.cfg.Faults != nil {
+		if err := s.cfg.Faults.Inject("vstore.commit"); err != nil {
+			return Commit{}, err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.chunks[tree]; !ok && !b.seen[tree] {
+		return Commit{}, fmt.Errorf("vstore: commit %q: tree %w: %s", root, ErrUnknownChunk, tree)
+	}
+	log := s.roots[root]
+	var parent Hash
+	if len(log) > 0 {
+		last := log[len(log)-1]
+		if last.Tree == tree && last.Turn == turn {
+			// Idempotent re-commit (recovery replay, batch re-apply):
+			// the head already pins this exact state.
+			return last, nil
+		}
+		parent = last.Hash
+	}
+	stamp := s.stamp + 1
+	data, err := json.Marshal(commitData{Parent: parent, Turn: turn, Stamp: stamp})
+	if err != nil {
+		return Commit{}, fmt.Errorf("vstore: encode commit for %q: %w", root, err)
+	}
+	payload, err := encodeEnvelope("commit", []Hash{tree}, data)
+	if err != nil {
+		return Commit{}, err
+	}
+	c := Commit{Hash: hashBytes(payload), Tree: tree, Parent: parent, Turn: turn, Stamp: stamp}
+	rootRec, err := rootPayload(rootRecord{Root: &root, Commit: c.Hash})
+	if err != nil {
+		return Commit{}, err
+	}
+
+	var fresh []stagedChunk
+	var payloads [][]byte
+	add := func(st stagedChunk) {
+		if _, ok := s.chunks[st.hash]; !ok {
+			fresh = append(fresh, st)
+			payloads = append(payloads, st.payload)
+		}
+	}
+	for _, st := range b.staged {
+		add(st)
+	}
+	add(stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}})
+	if err := s.appendPack(append(payloads, rootRec)...); err != nil {
+		return Commit{}, err
+	}
+	for _, st := range fresh {
+		s.chunks[st.hash] = &chunk{data: st.payload, refs: st.refs, epoch: s.epoch}
+	}
+	s.roots[root] = append(log, c)
+	s.stamp = stamp
+	return c, nil
+}

@@ -3,7 +3,6 @@ package vstore
 import (
 	"io"
 	"sort"
-	"sync"
 
 	"github.com/reliable-cda/cda/internal/framelog"
 )
@@ -13,16 +12,14 @@ import (
 // AddPacket, and Commit; two mechanisms keep a racing commit's chunks
 // alive:
 //
-//   - Epoch write barrier with pins. Every Put/AddPacket — including
-//     a dedup hit on content already stored — re-touches the chunk's
-//     epoch, and a multi-chunk write (encode + commit) holds a Pin
-//     recording the epoch it started at. The sweep spares any chunk
-//     touched at or after the oldest active pin (or its own epoch if
-//     no pin is active), so a tree being encoded mid-sweep — or
-//     across several sweeps — survives even though nothing reachable
-//     points at it yet. Encoders always Put every node of the tree
-//     they build (dedup makes the unchanged ones free), which is
-//     exactly what arms the barrier.
+//   - Epoch write barrier. Every Put/AddPacket — including a dedup
+//     hit on content already stored — re-touches the chunk's epoch,
+//     and the sweep spares any chunk touched at or after its own
+//     epoch, so chunks shipped or put one by one while a sweep runs
+//     survive even though nothing reachable points at them yet. A
+//     version written through a Batch does not depend on it: Commit
+//     re-checks under the store lock which staged chunks the store
+//     still holds and journals the rest with the root.
 //
 //   - Head re-scan under the sweep lock. Marking runs without the
 //     write lock, so a root can be committed after the mark set was
@@ -31,7 +28,8 @@ import (
 //     deletes. A commit that starts after the sweep takes the lock
 //     simply waits for it.
 //
-// The surviving chunks are rewritten into a fresh pack
+// The surviving chunks, followed by one "log is exactly" record per
+// root as the checkpoint, are rewritten into a fresh journal
 // (framelog.Log.Rewrite) so on-disk space is actually reclaimed.
 
 // GCStats reports what a collection did.
@@ -78,20 +76,13 @@ func (s *Store) GC() (GCStats, error) {
 			s.markFromLocked(h, marked)
 		}
 	}
-	// The barrier guard: everything written at or after the oldest
-	// active pin's epoch is an in-flight write and must survive.
-	guard := sweepEpoch
-	for _, e := range s.pins {
-		if e < guard {
-			guard = e
-		}
-	}
 	doomed := make([]Hash, 0)
 	for h, c := range s.chunks {
 		switch {
 		case marked[h]:
 			stats.Live++
-		case c.epoch >= guard:
+		case c.epoch >= sweepEpoch:
+			// The barrier: written since this sweep began.
 			stats.Spared++
 		default:
 			doomed = append(doomed, h)
@@ -110,38 +101,11 @@ func (s *Store) GC() (GCStats, error) {
 	return stats, nil
 }
 
-// Pin marks the start of a multi-chunk write and returns its release.
-// While held, no chunk put at or after the pin's epoch is swept —
-// even across multiple GC rounds — closing the window where an
-// encode's early chunks are collected before its root is committed.
-// Release exactly once the root is durably committed (or the write
-// abandoned); the release function is idempotent.
-func (s *Store) Pin() func() {
-	s.mu.Lock()
-	id := s.pinSeq
-	s.pinSeq++
-	s.pins[id] = s.epoch
-	s.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			delete(s.pins, id)
-			s.mu.Unlock()
-		})
-	}
-}
-
 // headsLocked lists every commit hash of every root. Caller holds
 // s.mu (either mode).
 func (s *Store) headsLocked() []Hash {
-	names := make([]string, 0, len(s.roots)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
-	for name := range s.roots {              // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var out []Hash
-	for _, name := range names {
+	for _, name := range s.rootNamesLocked() {
 		for _, c := range s.roots[name] { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
 			out = append(out, c.Hash)
 		}
@@ -193,9 +157,9 @@ func (s *Store) markFromLocked(head Hash, marked map[Hash]bool) {
 	}
 }
 
-// rewritePackLocked rebuilds the pack from the surviving index, in
-// hash order, and publishes it atomically. Caller holds s.mu
-// exclusively.
+// rewritePackLocked rebuilds the journal as the surviving chunks in
+// hash order followed by every root's log in name order, and publishes
+// it atomically. Caller holds s.mu exclusively.
 func (s *Store) rewritePackLocked() error {
 	if s.pack == nil {
 		return nil
@@ -205,9 +169,19 @@ func (s *Store) rewritePackLocked() error {
 		hashes = append(hashes, h)
 	}
 	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+	names := s.rootNamesLocked()
 	return s.pack.Rewrite(func(w io.Writer) error {
 		for _, h := range hashes {
 			if _, err := w.Write(framelog.Encode(packMagic, s.chunks[h].data)); err != nil { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+				return err
+			}
+		}
+		for _, name := range names {
+			payload, err := rootPayload(setRecord(name, s.roots[name], s.stamp)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(framelog.Encode(packMagic, payload)); err != nil {
 				return err
 			}
 		}

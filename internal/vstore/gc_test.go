@@ -53,6 +53,7 @@ func TestGCCollectsOrphansKeepsReachable(t *testing.T) {
 	if _, err := s.MaterializeDatabase(c.Tree); err != nil {
 		t.Fatalf("materialize after GC: %v", err)
 	}
+	requireReopensEqual(t, dir, s)
 
 	// The pack rewrite must survive a reopen with only live chunks.
 	if err := s.Close(); err != nil {
@@ -72,6 +73,79 @@ func TestGCCollectsOrphansKeepsReachable(t *testing.T) {
 	}
 	if _, err := r.MaterializeDatabase(c.Tree); err != nil {
 		t.Fatalf("materialize after reopen: %v", err)
+	}
+}
+
+// TestGCCheckpointKeepsEveryRootLog drives the root records a journal
+// can hold — appends, a truncation, a deletion, and the checkpoint a
+// GC rewrite ends on — and after each requires a second open of the
+// directory to rebuild every root's full log, and the stamp sequence
+// to go on past a commit the checkpoint no longer lists.
+func TestGCCheckpointKeepsEveryRootLog(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	commit := func(s *Store, root string, turn int) Commit {
+		t.Helper()
+		b := s.NewBatch()
+		tree, err := b.Put("db", nil, []byte(fmt.Sprintf(`{"root":%q,"turn":%d}`, root, turn)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := b.Commit(root, tree, turn)
+		if err != nil {
+			t.Fatalf("commit %s@%d: %v", root, turn, err)
+		}
+		return c
+	}
+	for turn := 0; turn < 3; turn++ {
+		commit(s, "a", turn)
+		commit(s, "b", turn)
+	}
+	last := commit(s, "c", 0) // the highest stamp, on the root about to go
+	requireReopensEqual(t, dir, s)
+	if err := s.TruncateLog("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteRoot("c"); err != nil {
+		t.Fatal(err)
+	}
+	requireReopensEqual(t, dir, s)
+
+	stats, err := s.GC()
+	if err != nil {
+		t.Fatalf("GC: %v", err)
+	}
+	// a's trimmed commit and tree, c's commit and tree.
+	if stats.Swept != 4 {
+		t.Fatalf("swept %d chunks, want 4; stats=%+v", stats.Swept, stats)
+	}
+	requireReopensEqual(t, dir, s)
+	if logs := allLogs(t, s); len(logs) != 2 || len(logs["a"]) != 2 || len(logs["b"]) != 3 {
+		t.Fatalf("logs after GC = %+v, want a×2 and b×3", logs)
+	}
+
+	// Appends after the rewrite land in the rewritten journal.
+	commit(s, "b", 3)
+	requireReopensEqual(t, dir, s)
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Errorf("close reopened: %v", err)
+		}
+	}()
+	if c := commit(r, "a", 3); c.Stamp <= last.Stamp+1 {
+		t.Fatalf("stamp %d after reopen does not continue past %d (deleted root) + 1", c.Stamp, last.Stamp)
 	}
 }
 
@@ -129,7 +203,7 @@ func TestGCConcurrentCommitMidSweep(t *testing.T) {
 	db := demoDB(300)
 	// Encode the tree but do NOT commit it: at mark time every one of
 	// its chunks is an unreachable candidate.
-	tree, err := s.EncodeDatabase(db, 0)
+	tree, err := encodeDatabase(s, db, 0)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -191,7 +265,7 @@ func TestGCEpochBarrierSparesInFlightEncode(t *testing.T) {
 	<-gate.markDone
 	// Encode a tree between mark and sweep; commit only after GC ends.
 	db := demoDB(300)
-	tree, err := s.EncodeDatabase(db, 0)
+	tree, err := encodeDatabase(s, db, 0)
 	if err != nil {
 		t.Fatalf("encode mid-sweep: %v", err)
 	}

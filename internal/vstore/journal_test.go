@@ -1,0 +1,340 @@
+package vstore
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"github.com/reliable-cda/cda/internal/framelog"
+)
+
+// journalFaults is the test double for Config.Faults that also rides
+// the journal's crash seam: it counts appends and their bytes, and can
+// tear the next one at a chosen byte.
+type journalFaults struct {
+	appends int
+	bytes   int64
+	tearAt  int // cut offset for the next append; < 0 leaves it whole
+}
+
+func (j *journalFaults) Inject(string) error { return nil }
+
+func (j *journalFaults) TornWrite(op string, b []byte) ([]byte, bool) {
+	if op != "vstore.journal" {
+		panic("journal append under op " + op)
+	}
+	j.appends++
+	if j.tearAt >= 0 && j.tearAt < len(b) {
+		return b[:j.tearAt], true
+	}
+	j.bytes += int64(len(b))
+	return b, false
+}
+
+// allLogs maps every root to its full commit log.
+func allLogs(t *testing.T, s *Store) map[string][]Commit {
+	t.Helper()
+	out := map[string][]Commit{}
+	for _, root := range s.Roots() {
+		log, err := s.Log(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[root] = log
+	}
+	return out
+}
+
+// requireReopensEqual opens dir a second time, as after a kill, and
+// requires the root logs and the chunk count s holds in memory.
+func requireReopensEqual(t *testing.T, dir string, s *Store) {
+	t.Helper()
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Errorf("close reopened: %v", err)
+		}
+	}()
+	if got, want := allLogs(t, r), allLogs(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("root logs after reopen:\n got: %+v\nwant: %+v", got, want)
+	}
+	if r.NumChunks() != s.NumChunks() {
+		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
+	}
+}
+
+func TestCommitDatabaseIsOneJournalAppend(t *testing.T) {
+	dir := t.TempDir()
+	jf := &journalFaults{tearAt: -1}
+	s, err := Open(Config{Dir: dir, Faults: jf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	db := demoDB(2000) // 8 leaves per column
+	for turn := 0; turn < 2; turn++ {
+		before := jf.appends
+		if _, err := s.CommitDatabase("db/main", db, turn); err != nil {
+			t.Fatal(err)
+		}
+		if got := jf.appends - before; got != 1 {
+			t.Fatalf("commit %d made %d journal appends, want 1", turn, got)
+		}
+	}
+	info, err := os.Stat(filepath.Join(dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != jf.bytes {
+		t.Fatalf("journal is %d bytes, its appends sum to %d", info.Size(), jf.bytes)
+	}
+	if _, err := os.Stat(filepath.Join(dir, rootsV1Name)); !os.IsNotExist(err) {
+		t.Fatalf("%s exists (err %v); the journal is the only file", rootsV1Name, err)
+	}
+	requireReopensEqual(t, dir, s)
+}
+
+// TestBatchTornAtEveryOffset crashes one batch append at each of its
+// bytes: the reopened root is on the old commit with its whole tree —
+// the root record is the batch's last frame, so nothing short of the
+// full append moves the head — and the journal accepts new commits.
+func TestBatchTornAtEveryOffset(t *testing.T) {
+	base := t.TempDir()
+	s, err := Open(Config{Dir: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(s *Store, v int) (Commit, error) {
+		b := s.NewBatch()
+		leaf, err := b.Put("leaf", nil, []byte(fmt.Sprintf(`[%d]`, v)))
+		if err != nil {
+			return Commit{}, err
+		}
+		tree, err := b.Put("db", []Hash{leaf}, []byte(fmt.Sprintf(`{"v":%d}`, v)))
+		if err != nil {
+			return Commit{}, err
+		}
+		return b.Commit("db/main", tree, v)
+	}
+	old, err := commit(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(base, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for cut := 0; ; cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, packName), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jf := &journalFaults{tearAt: cut}
+		s, err := Open(Config{Dir: dir, Faults: jf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := commit(s, 2)
+		whole := err == nil
+		if !whole && !errors.Is(err, framelog.ErrCrashed) {
+			t.Fatalf("cut %d: commit err = %v, want ErrCrashed", cut, err)
+		}
+		if !whole {
+			// Memory is what it was: the append was never acknowledged.
+			if head, herr := s.Head("db/main"); herr != nil || head != old {
+				t.Fatalf("cut %d: in-memory head after the crash = %+v, %v; want the old commit", cut, head, herr)
+			}
+			if s.NumChunks() != 3 {
+				t.Fatalf("cut %d: in-memory index has %d chunks after the crash, want 3", cut, s.NumChunks())
+			}
+		}
+		_ = s.Close()
+
+		r, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		want := old
+		if whole {
+			want = next
+		}
+		head, err := r.Head("db/main")
+		if err != nil || head != want {
+			t.Fatalf("cut %d: head after reopen = %+v, %v; want %+v", cut, head, err, want)
+		}
+		if !r.HasClosure(head.Hash) {
+			t.Fatalf("cut %d: head's closure is incomplete", cut)
+		}
+		if _, err := commit(r, 3); err != nil {
+			t.Fatalf("cut %d: commit after recovery: %v", cut, err)
+		}
+		requireReopensEqual(t, dir, r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if whole {
+			break // cut reached the batch's length: every offset is covered
+		}
+	}
+}
+
+func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
+	dir := t.TempDir()
+	root := "db/main"
+	leaf, err := encodeEnvelope("leaf", nil, []byte(`[1]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dangling, err := rootPayload(rootRecord{Root: &root, Commit: Hash("beef")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := encodeEnvelope("leaf", nil, []byte(`[2]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for _, p := range [][]byte{leaf, dangling, late} {
+		journal = append(journal, framelog.Encode(packMagic, p)...)
+	}
+	path := filepath.Join(dir, packName)
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	if len(s.Roots()) != 0 || s.NumChunks() != 1 || !s.Has(hashBytes(leaf)) {
+		t.Fatalf("roots %v, %d chunks; want no root and only the chunk before the dangling record", s.Roots(), s.NumChunks())
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(framelog.HeaderSize + len(leaf)); info.Size() != want {
+		t.Fatalf("journal is %d bytes after open, want it cut to %d", info.Size(), want)
+	}
+}
+
+func TestAddPacketRejectsRootRecord(t *testing.T) {
+	root := "session/s0001"
+	data, err := rootPayload(rootRecord{Root: &root, Commit: Hash("beef")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewMemory()
+	if err := s.AddPacket(Packet{Hash: hashBytes(data), Data: data}); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("root record shipped as a chunk: err = %v, want ErrBadPacket", err)
+	}
+}
+
+// journalSeeds are hand-made journals around the decoder's edges.
+func journalSeeds(t testing.TB) [][]byte {
+	root := "r"
+	must := func(b []byte, err error) []byte {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return framelog.Encode(packMagic, b)
+	}
+	tree := must(encodeEnvelope("db", nil, []byte(`{"v":1}`)))
+	commitPayload, err := encodeEnvelope("commit", []Hash{hashBytes(tree[framelog.HeaderSize:])}, []byte(`{"turn":1,"stamp":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := framelog.Encode(packMagic, commitPayload)
+	h := hashBytes(commitPayload)
+	appendRec := must(rootPayload(rootRecord{Root: &root, Commit: h}))
+	setRec := must(rootPayload(rootRecord{Root: &root, Log: []Hash{h, h}, Stamp: 9}))
+	deleteRec := must(rootPayload(rootRecord{Root: &root, Stamp: 9}))
+	notCommit := must(rootPayload(rootRecord{Root: &root, Commit: hashBytes(tree[framelog.HeaderSize:])}))
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	return [][]byte{
+		nil,
+		cat(tree, commit, appendRec),
+		cat(tree, commit, appendRec, setRec),
+		cat(tree, commit, appendRec, deleteRec),
+		cat(tree, appendRec, commit),
+		cat(tree, commit, notCommit),
+		cat(tree, commit, appendRec)[:len(tree)+len(commit)+len(appendRec)-3],
+		framelog.Encode(packMagic, []byte(`{"root":7}`)),
+		framelog.Encode(packMagic, []byte(`[]`)),
+		framelog.Encode(0xA7, []byte(`{"k":"leaf"}`)),
+		append(cat(tree), packMagic, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0),
+		append(cat(tree, commit), "garbage!!!"...),
+	}
+}
+
+// FuzzJournalOpen feeds arbitrary bytes to Open as chunks.pack, with
+// or without a v1 roots.json beside it: it never panics, and whatever
+// it accepts — cutting the journal, folding the document — re-opens to
+// the same root logs.
+func FuzzJournalOpen(f *testing.F) {
+	for _, seed := range journalSeeds(f) {
+		f.Add(seed, []byte(nil))
+	}
+	for _, fixture := range []string{"format-v1", "format-v2"} {
+		dir := filepath.Join("..", "sessionstore", "testdata", fixture, "vstore")
+		pack, err := os.ReadFile(filepath.Join(dir, packName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		roots, err := os.ReadFile(filepath.Join(dir, rootsV1Name))
+		if err != nil && !os.IsNotExist(err) {
+			f.Fatal(err)
+		}
+		f.Add(pack, roots)
+		f.Add(pack[:len(pack)/2], roots)
+	}
+	f.Add([]byte(nil), []byte(`{"stamp":3,"roots":{"a":[{"hash":"beef"}],"":[]}}`))
+	f.Add([]byte(nil), []byte(`{"roots":[1]}`))
+
+	f.Fuzz(func(t *testing.T, pack, roots []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(roots) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, rootsV1Name), roots, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			return
+		}
+		defer func() { _ = s.Close() }()
+		if _, err := os.Stat(filepath.Join(dir, rootsV1Name)); !os.IsNotExist(err) {
+			t.Fatalf("%s survived a successful open (err %v)", rootsV1Name, err)
+		}
+		for root, log := range allLogs(t, s) {
+			for _, c := range log {
+				if !s.Has(c.Hash) {
+					t.Fatalf("root %q lists commit %s whose chunk is absent", root, c.Hash)
+				}
+			}
+		}
+		requireReopensEqual(t, dir, s)
+	})
+}

@@ -16,61 +16,91 @@ type commitData struct {
 }
 
 // Commit appends a new version to the named root, pinning tree (which
-// must already be stored). It writes a commit chunk and durably
-// publishes the updated root log, returning the new commit.
+// must already be stored): a batch with nothing staged.
 func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
-	if s.cfg.Faults != nil {
-		if err := s.cfg.Faults.Inject("vstore.commit"); err != nil {
-			return Commit{}, err
-		}
+	return s.NewBatch().Commit(root, tree, turn)
+}
+
+// commitEntryLocked rebuilds a root-log entry from its commit chunk —
+// the journal's root records and shipped commits carry only the hash.
+// Caller holds s.mu (either mode).
+func (s *Store) commitEntryLocked(h Hash) (Commit, error) {
+	c, ok := s.chunks[h] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
+	if !ok {
+		return Commit{}, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
 	}
-	if !s.Has(tree) {
-		return Commit{}, fmt.Errorf("vstore: commit %q: tree %w: %s", root, ErrUnknownChunk, tree)
+	var env envelope
+	if err := json.Unmarshal(c.data, &env); err != nil {
+		return Commit{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var parent Hash
-	if log := s.roots[root]; len(log) > 0 {
-		last := log[len(log)-1]
-		if last.Tree == tree && last.Turn == turn {
-			// Idempotent re-commit (recovery replay, batch re-apply):
-			// the head already pins this exact state.
-			return last, nil
-		}
-		parent = last.Hash
+	if env.K != "commit" || len(env.R) != 1 {
+		return Commit{}, fmt.Errorf("vstore: chunk %s is %q with %d refs, want a commit with 1", h, env.K, len(env.R))
 	}
-	stamp := s.stamp + 1
-	data, err := json.Marshal(commitData{Parent: parent, Turn: turn, Stamp: stamp})
+	var data commitData
+	if err := json.Unmarshal(env.D, &data); err != nil {
+		return Commit{}, fmt.Errorf("vstore: decode commit chunk %s data: %w", h, err)
+	}
+	return Commit{Hash: h, Tree: env.R[0], Parent: data.Parent, Turn: data.Turn, Stamp: data.Stamp}, nil
+}
+
+// rootPayload encodes a root record.
+func rootPayload(r rootRecord) ([]byte, error) {
+	payload, err := json.Marshal(r)
 	if err != nil {
-		return Commit{}, fmt.Errorf("vstore: encode commit for %q: %w", root, err)
+		return nil, fmt.Errorf("vstore: encode root record for %q: %w", *r.Root, err)
 	}
-	payload, err := encodeEnvelope("commit", []Hash{tree}, data)
-	if err != nil {
-		return Commit{}, err
+	return payload, nil
+}
+
+// setRecord is the record that makes root's log exactly log.
+func setRecord(root string, log []Commit, stamp int64) rootRecord {
+	r := rootRecord{Root: &root, Stamp: stamp}
+	for _, c := range log {
+		r.Log = append(r.Log, c.Hash)
 	}
-	h := hashBytes(payload)
-	if c, ok := s.chunks[h]; ok {
-		c.epoch = s.epoch
-	} else {
+	return r
+}
+
+// applyRootLocked applies one root record: it rebuilds the log entries
+// from the commit chunks the record names (failing if the store lacks
+// one), journals the record unless the journal already holds it, and
+// only then changes the root's log and lifts the store-wide stamp past
+// the commits it now lists. Caller holds s.mu exclusively, or is Open
+// before the store is published.
+func (s *Store) applyRootLocked(r rootRecord, journalled bool) error {
+	hashes, stamp := r.Log, r.Stamp
+	var log []Commit
+	if r.Commit != "" {
+		hashes, log = []Hash{r.Commit}, s.roots[*r.Root] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+	}
+	for _, h := range hashes {
+		c, err := s.commitEntryLocked(h)
+		if err != nil {
+			return err
+		}
+		if c.Stamp > stamp {
+			stamp = c.Stamp
+		}
+		log = append(log, c)
+	}
+	if !journalled {
+		payload, err := rootPayload(r)
+		if err != nil {
+			return err
+		}
 		if err := s.appendPack(payload); err != nil {
-			return Commit{}, err
+			return err
 		}
-		s.chunks[h] = &chunk{data: payload, refs: []Hash{tree}, epoch: s.epoch}
 	}
-	c := Commit{Hash: h, Tree: tree, Parent: parent, Turn: turn, Stamp: stamp}
-	s.roots[root] = append(s.roots[root], c)
-	s.stamp = stamp
-	if err := s.publishRoots(); err != nil {
-		// Roll back the in-memory log so memory and disk agree; the
-		// commit chunk stays in the pack as a GC-able orphan.
-		s.roots[root] = s.roots[root][:len(s.roots[root])-1]
-		if len(s.roots[root]) == 0 {
-			delete(s.roots, root)
-		}
-		s.stamp = stamp - 1
-		return Commit{}, err
+	if len(log) == 0 {
+		delete(s.roots, *r.Root) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+	} else {
+		s.roots[*r.Root] = log // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
 	}
-	return c, nil
+	if stamp > s.stamp { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		s.stamp = stamp // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+	}
+	return nil
 }
 
 // AdoptCommit appends an existing commit chunk — typically shipped
@@ -80,42 +110,15 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 // chunks first, adopt after). Adopting the current head again is a
 // no-op.
 func (s *Store) AdoptCommit(root string, h Hash) (Commit, error) {
-	var data commitData
-	kind, err := s.Data(h, &data)
-	if err != nil {
-		return Commit{}, err
-	}
-	if kind != "commit" {
-		return Commit{}, fmt.Errorf("vstore: adopt %s into %q: chunk is %q, want commit", h, root, kind)
-	}
-	refs, err := s.Refs(h)
-	if err != nil {
-		return Commit{}, err
-	}
-	if len(refs) != 1 {
-		return Commit{}, fmt.Errorf("vstore: adopt %s: commit has %d refs, want 1", h, len(refs))
-	}
-	c := Commit{Hash: h, Tree: refs[0], Parent: data.Parent, Turn: data.Turn, Stamp: data.Stamp}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if log := s.roots[root]; len(log) > 0 && log[len(log)-1].Hash == h {
-		return log[len(log)-1], nil
-	}
-	s.roots[root] = append(s.roots[root], c)
-	savedStamp := s.stamp
-	if c.Stamp > s.stamp {
-		// Keep the local stamp sequence monotone past adopted commits.
-		s.stamp = c.Stamp
-	}
-	if err := s.publishRoots(); err != nil {
-		s.roots[root] = s.roots[root][:len(s.roots[root])-1]
-		if len(s.roots[root]) == 0 {
-			delete(s.roots, root)
+	if log := s.roots[root]; len(log) == 0 || log[len(log)-1].Hash != h {
+		if err := s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false); err != nil {
+			return Commit{}, fmt.Errorf("vstore: adopt into %q: %w", root, err)
 		}
-		s.stamp = savedStamp
-		return Commit{}, err
 	}
-	return c, nil
+	log := s.roots[root]
+	return log[len(log)-1], nil
 }
 
 // Head returns the latest commit on a root.
@@ -144,8 +147,14 @@ func (s *Store) Log(root string) ([]Commit, error) {
 func (s *Store) Roots() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.roots))
-	for name := range s.roots {
+	return s.rootNamesLocked()
+}
+
+// rootNamesLocked lists the root names, sorted. Caller holds s.mu
+// (either mode).
+func (s *Store) rootNamesLocked() []string {
+	out := make([]string, 0, len(s.roots)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
+	for name := range s.roots {            // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -174,12 +183,7 @@ func (s *Store) AsOf(root string, turn int) (Commit, error) {
 func (s *Store) CommitByHash(h Hash) (Commit, string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.roots))
-	for name := range s.roots {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range s.rootNamesLocked() {
 		for _, c := range s.roots[name] {
 			if c.Hash == h {
 				return c, name, nil
@@ -190,20 +194,14 @@ func (s *Store) CommitByHash(h Hash) (Commit, string, error) {
 }
 
 // DeleteRoot drops a root's log (its chunks become GC candidates) and
-// durably publishes the change.
+// durably records the change.
 func (s *Store) DeleteRoot(root string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.roots[root]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRoot, root)
 	}
-	saved := s.roots[root]
-	delete(s.roots, root)
-	if err := s.publishRoots(); err != nil {
-		s.roots[root] = saved
-		return err
-	}
-	return nil
+	return s.applyRootLocked(setRecord(root, nil, s.stamp), false)
 }
 
 // TruncateLog keeps only the last keep commits of a root (retention
@@ -222,11 +220,5 @@ func (s *Store) TruncateLog(root string, keep int) error {
 	if len(log) <= keep {
 		return nil
 	}
-	saved := log
-	s.roots[root] = append([]Commit(nil), log[len(log)-keep:]...)
-	if err := s.publishRoots(); err != nil {
-		s.roots[root] = saved
-		return err
-	}
-	return nil
+	return s.applyRootLocked(setRecord(root, log[len(log)-keep:], s.stamp), false)
 }

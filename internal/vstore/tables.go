@@ -19,8 +19,8 @@ import (
 // Leaves hold up to LeafRows values of ONE column, so editing one row
 // rewrites one leaf per column plus the table, db, and commit nodes —
 // O(columns · log-ish path), not O(table). Content addressing makes
-// the unchanged leaves free: the encoder re-puts them, the store
-// dedups by hash (and the re-put arms the GC write barrier).
+// the unchanged leaves free: the encoder re-puts them and the store
+// dedups by hash.
 
 // DefaultLeafRows is the row span of one column leaf.
 const DefaultLeafRows = 256
@@ -59,11 +59,15 @@ func leavesPerCol(rows, leafRows int) int {
 	return (rows + leafRows - 1) / leafRows
 }
 
-// EncodeTable stores a table as a Merkle tree and returns the table
+// chunkWriter is where an encoder puts the nodes of the tree it
+// builds: a Batch, or in tests the Store itself, chunk by chunk.
+type chunkWriter interface {
+	Put(kind string, refs []Hash, data []byte) (Hash, error)
+}
+
+// encodeTable writes a table as a Merkle tree and returns the table
 // chunk's address.
-func (s *Store) EncodeTable(t *storage.Table, leafRows int) (Hash, error) {
-	release := s.Pin()
-	defer release()
+func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
 	if leafRows <= 0 {
 		leafRows = DefaultLeafRows
 	}
@@ -83,7 +87,7 @@ func (s *Store) EncodeTable(t *storage.Table, leafRows int) (Hash, error) {
 			if err != nil {
 				return "", fmt.Errorf("vstore: encode leaf %s[%d][%d:%d]: %w", t.Name, c, lo, hi, err)
 			}
-			h, err := s.Put("leaf", nil, data)
+			h, err := w.Put("leaf", nil, data)
 			if err != nil {
 				return "", err
 			}
@@ -98,14 +102,12 @@ func (s *Store) EncodeTable(t *storage.Table, leafRows int) (Hash, error) {
 	if err != nil {
 		return "", fmt.Errorf("vstore: encode table %s: %w", t.Name, err)
 	}
-	return s.Put("table", refs, data)
+	return w.Put("table", refs, data)
 }
 
-// EncodeDatabase stores every table of db and returns the db chunk's
+// encodeDatabase writes every table of db and returns the db chunk's
 // address. Tables are encoded in canonical (lowercased-name) order.
-func (s *Store) EncodeDatabase(db *storage.Database, leafRows int) (Hash, error) {
-	release := s.Pin()
-	defer release()
+func encodeDatabase(w chunkWriter, db *storage.Database, leafRows int) (Hash, error) {
 	tables := db.Tables()
 	sort.Slice(tables, func(i, j int) bool {
 		return strings.ToLower(tables[i].Name) < strings.ToLower(tables[j].Name)
@@ -113,7 +115,7 @@ func (s *Store) EncodeDatabase(db *storage.Database, leafRows int) (Hash, error)
 	meta := dbData{Name: db.Name, Tables: make([]string, 0, len(tables))}
 	refs := make([]Hash, 0, len(tables))
 	for _, t := range tables {
-		h, err := s.EncodeTable(t, leafRows)
+		h, err := encodeTable(w, t, leafRows)
 		if err != nil {
 			return "", err
 		}
@@ -124,21 +126,18 @@ func (s *Store) EncodeDatabase(db *storage.Database, leafRows int) (Hash, error)
 	if err != nil {
 		return "", fmt.Errorf("vstore: encode db %s: %w", db.Name, err)
 	}
-	return s.Put("db", refs, data)
+	return w.Put("db", refs, data)
 }
 
 // CommitDatabase encodes db and commits it to the named root at the
-// given turn, returning the new commit.
+// given turn in one batch, returning the new commit.
 func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Commit, error) {
-	// The pin spans encode AND commit: without it a GC round between
-	// the two could sweep the freshly encoded tree.
-	release := s.Pin()
-	defer release()
-	tree, err := s.EncodeDatabase(db, DefaultLeafRows)
+	b := s.NewBatch()
+	tree, err := encodeDatabase(b, db, DefaultLeafRows)
 	if err != nil {
 		return Commit{}, err
 	}
-	return s.Commit(root, tree, turn)
+	return b.Commit(root, tree, turn)
 }
 
 // MaterializeTable rebuilds a table from its chunk address.

@@ -90,7 +90,16 @@ func applyEdit(t *testing.T, tab *storage.Table, rng *rand.Rand, nEdits, nAppend
 }
 
 func TestTimeTravelGate(t *testing.T) {
-	s := NewMemory()
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
 	rng := rand.New(rand.NewSource(20260808))
 	db := demoDB(ttRows)
 	tab, err := db.Get("metrics")
@@ -119,9 +128,20 @@ func TestTimeTravelGate(t *testing.T) {
 	}
 
 	// 1. Every version's AsOf snapshot reproduces its captured results
-	// byte for byte.
+	// byte for byte — read from a second open of the directory, so from
+	// what the journal holds and not what this process remembers.
+	requireReopensEqual(t, dir, s)
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Errorf("close reopened: %v", err)
+		}
+	}()
 	for k := 0; k < K; k++ {
-		snap, c, err := s.DatabaseAsOf("db/main", k)
+		snap, c, err := r.DatabaseAsOf("db/main", k)
 		if err != nil {
 			t.Fatalf("DatabaseAsOf(%d): %v", k, err)
 		}
@@ -230,11 +250,11 @@ func TestEncodeDatabaseCanonicalOrder(t *testing.T) {
 		}
 		return db
 	}
-	a, err := s.EncodeDatabase(mk("alpha", "beta"), 0)
+	a, err := encodeDatabase(s, mk("alpha", "beta"), 0)
 	if err != nil {
 		t.Fatalf("encode a: %v", err)
 	}
-	b, err := s.EncodeDatabase(mk("beta", "alpha"), 0)
+	b, err := encodeDatabase(s, mk("beta", "alpha"), 0)
 	if err != nil {
 		t.Fatalf("encode b: %v", err)
 	}

@@ -9,21 +9,31 @@
 //
 // The store keeps three things:
 //
-//   - chunks: immutable byte payloads in an in-memory index, mirrored
-//     to an append-only pack file — a framelog.Log, the same frame
-//     codec and torn-tail recovery as the session store's WAL;
+//   - chunks: immutable byte payloads in an in-memory index;
 //   - roots: named version lines ("db/main", "session/s0001",
 //     "shard/03"), each a commit log of (commit hash, parent hash,
-//     turn number, wall-free logical stamp), published atomically
-//     (framelog.Publish);
+//     turn number, wall-free logical stamp);
 //   - a garbage collector: mark-and-sweep from every commit of every
 //     root, with an epoch write barrier so chunks put or re-touched
 //     while a sweep is running are never collected (see gc.go).
 //
-// A chunk's payload is a self-describing JSON envelope
-// {"k": kind, "r": [child hashes], "d": data}, so replication can
-// walk a tree generically (have/want negotiation over chunk hashes)
-// without knowing the schema of what it is shipping.
+// Both chunks and roots are durable through one journal, chunks.pack —
+// a framelog.Log, the same frame codec and torn-tail recovery as the
+// session store's WAL. A frame's payload is either a chunk, the
+// self-describing JSON envelope {"k": kind, "r": [child hashes],
+// "d": data} that lets replication walk a tree generically (have/want
+// negotiation over chunk hashes) without knowing the schema of what it
+// is shipping, or a root record: {"root": name, "commit": hash}
+// appends that commit to the root's log, and {"root": name, "log":
+// [hashes], "stamp": n} says the log is now exactly that (empty:
+// the root is gone). A root record names commit chunks that precede
+// it in the journal; the log entry is rebuilt from the chunk on open.
+// A Batch puts a version's new chunks, its commit chunk and its root
+// record into the journal with one append and one fsync, so a crash
+// leaves the root on the old commit or the new one with its whole
+// tree. GC rewrites the journal as the surviving chunks followed by
+// one "log is exactly" record per root — log + checkpoint, the shape
+// the WAL has.
 package vstore
 
 import (
@@ -32,9 +42,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"github.com/reliable-cda/cda/internal/framelog"
@@ -86,7 +96,9 @@ type Config struct {
 	Dir string
 	// Faults, when non-nil, injects deterministic chaos faults into
 	// vstore operations ("vstore.put", "vstore.commit",
-	// "vstore.gc.mark", "vstore.gc.sweep"). Leave nil in production.
+	// "vstore.gc.mark", "vstore.gc.sweep"); one that also implements
+	// framelog.Faults may tear a journal append ("vstore.journal").
+	// Leave nil in production.
 	Faults FaultHook
 }
 
@@ -117,53 +129,66 @@ type envelope struct {
 	D json.RawMessage `json:"d,omitempty"`
 }
 
+// rootRecord is the journal payload that updates a root. With Commit
+// set it appends that commit to the root's log; without, it replaces
+// the log with exactly Log (empty deletes the root) and carries the
+// store-wide stamp, which must survive a checkpoint that drops the
+// commits that reached it. Root is a pointer so that its presence, not
+// its value, tells a root record from a chunk.
+type rootRecord struct {
+	Root   *string `json:"root"`
+	Commit Hash    `json:"commit,omitempty"`
+	Log    []Hash  `json:"log,omitempty"`
+	Stamp  int64   `json:"stamp,omitempty"`
+}
+
+// record decodes either journal payload.
+type record struct {
+	envelope
+	rootRecord
+}
+
 // Store is the content-addressed chunk store. Safe for concurrent
-// use: chunks are immutable once put, and the index, roots, and pack
-// file are guarded by one mutex.
+// use: chunks are immutable once put, and the index, roots, and
+// journal are guarded by one mutex.
 type Store struct {
 	cfg Config
 
 	mu     sync.RWMutex
 	chunks map[Hash]*chunk
 	roots  map[string][]Commit
-	stamp  int64  // store-wide logical commit sequence
-	epoch  uint64 // GC epoch counter (see gc.go)
-	pins   map[uint64]uint64
-	pinSeq uint64
-	pack   *framelog.Log // nil when memory-only
+	stamp  int64         // store-wide logical commit sequence
+	epoch  uint64        // GC epoch counter (see gc.go)
+	pack   *framelog.Log // the journal; nil when memory-only
 }
 
-// packMagic tags the pack's frames in the shared framelog layout. A
-// frame's payload is one chunk envelope; its address is recomputed on
-// load, so the pack needs no separate hash column.
+// packMagic tags the journal's frames in the shared framelog layout. A
+// chunk's address is recomputed on load, so the journal needs no
+// separate hash column.
 const packMagic = byte(0xC6)
 
 const (
-	packName  = "chunks.pack"
-	rootsName = "roots.json"
+	packName = "chunks.pack"
+	// rootsV1Name is the v1 layout's root document, rewritten on every
+	// commit; Open folds one into the journal and removes it.
+	rootsV1Name = "roots.json"
 )
 
-// rootsDoc is the on-disk roots.json schema.
-type rootsDoc struct {
-	Stamp int64               `json:"stamp"`
-	Roots map[string][]Commit `json:"roots"`
-}
-
-// Open builds a store over cfg.Dir (created if needed), loading the
-// pack and roots files; an empty Dir is memory-only.
+// Open builds a store over cfg.Dir (created if needed), replaying the
+// journal; an empty Dir is memory-only.
 func Open(cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg, chunks: map[Hash]*chunk{}, roots: map[string][]Commit{}, pins: map[uint64]uint64{}}
+	s := &Store{cfg: cfg, chunks: map[Hash]*chunk{}, roots: map[string][]Commit{}}
 	if cfg.Dir == "" {
 		return s, nil
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vstore: create %s: %w", cfg.Dir, err)
 	}
-	if err := s.loadRoots(); err != nil {
-		return nil, err
-	}
 	if err := s.openPack(); err != nil {
 		return nil, err
+	}
+	if err := s.upgradeV1Roots(); err != nil {
+		return nil, errors.Join(err, s.Close())
 	}
 	return s, nil
 }
@@ -180,9 +205,39 @@ func NewMemory() *Store {
 	return s
 }
 
-// loadRoots reads roots.json; a missing file is an empty store.
-func (s *Store) loadRoots() error {
-	path := filepath.Join(s.cfg.Dir, rootsName)
+// openPack opens (creating if absent) the journal and replays it:
+// chunks enter the index, root records rebuild the root logs. A torn
+// tail left by a crash mid-append — or a root record whose commit
+// chunk does not precede it — ends the valid prefix and is truncated
+// by the log.
+func (s *Store) openPack() error {
+	opts := framelog.Options{Op: "vstore.journal"}
+	if f, ok := s.cfg.Faults.(framelog.Faults); ok {
+		opts.Faults = f
+	}
+	var err error
+	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, opts,
+		func(_, payload []byte) bool {
+			var rec record
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				return false
+			}
+			if rec.Root != nil {
+				return s.applyRootLocked(rec.rootRecord, true) == nil
+			}
+			data := append([]byte(nil), payload...)
+			s.chunks[hashBytes(data)] = &chunk{data: data, refs: rec.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
+			return true
+		})
+	return err
+}
+
+// upgradeV1Roots folds a v1 roots.json into the journal as one "log is
+// exactly" record per root and removes the file. The records are
+// idempotent, so an upgrade interrupted between the append and the
+// removal simply runs again.
+func (s *Store) upgradeV1Roots() error {
+	path := filepath.Join(s.cfg.Dir, rootsV1Name)
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -190,35 +245,41 @@ func (s *Store) loadRoots() error {
 	if err != nil {
 		return fmt.Errorf("vstore: read %s: %w", path, err)
 	}
-	var doc rootsDoc
+	var doc struct {
+		Stamp int64               `json:"stamp"`
+		Roots map[string][]Commit `json:"roots"`
+	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		// roots.json is published atomically; damage means something
+		// roots.json was published atomically; damage means something
 		// outside the store's crash model touched it.
 		return fmt.Errorf("vstore: decode %s: %w", path, err)
 	}
-	s.stamp = doc.Stamp // cdalint:ignore racy-access -- Open-time load, before the store is published
-	for name, log := range doc.Roots {
-		s.roots[name] = log // cdalint:ignore racy-access -- Open-time load, before the store is published
+	names := make([]string, 0, len(doc.Roots))
+	for name := range doc.Roots {
+		names = append(names, name)
 	}
-	return nil
-}
-
-// openPack opens (creating if absent) the chunk pack and indexes
-// every chunk in it; a torn tail left by a crash mid-append is
-// truncated by the log.
-func (s *Store) openPack() error {
-	var err error
-	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, framelog.Options{},
-		func(_, payload []byte) bool {
-			var env envelope
-			if err := json.Unmarshal(payload, &env); err != nil {
-				return false
-			}
-			data := append([]byte(nil), payload...)
-			s.chunks[hashBytes(data)] = &chunk{data: data, refs: env.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
-			return true
-		})
-	return err
+	sort.Strings(names)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	payloads := make([][]byte, len(names))
+	for i := range names {
+		r := rootRecord{Root: &names[i], Stamp: doc.Stamp}
+		for _, c := range doc.Roots[names[i]] {
+			r.Log = append(r.Log, c.Hash)
+		}
+		// The journal keeps hashes only, so every entry must be
+		// recoverable from its commit chunk.
+		if err := s.applyRootLocked(r, true); err != nil {
+			return fmt.Errorf("vstore: upgrade %s: root %q: %w", path, names[i], err)
+		}
+		if payloads[i], err = rootPayload(r); err != nil {
+			return err
+		}
+	}
+	if err := s.appendPack(payloads...); err != nil {
+		return err
+	}
+	return framelog.Remove(path)
 }
 
 // hashBytes addresses a payload.
@@ -227,13 +288,18 @@ func hashBytes(b []byte) Hash {
 	return Hash(hex.EncodeToString(sum[:]))
 }
 
-// appendPack writes one chunk payload durably to the pack (a no-op
-// when memory-only). Caller holds s.mu.
-func (s *Store) appendPack(payload []byte) error {
+// appendPack writes the payloads durably to the journal, one frame
+// each, with one append and one fsync (a no-op when memory-only).
+// Caller holds s.mu.
+func (s *Store) appendPack(payloads ...[]byte) error {
 	if s.pack == nil {
 		return nil
 	}
-	return s.pack.Append(framelog.Encode(packMagic, payload))
+	frames := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		frames[i] = framelog.Encode(packMagic, p)
+	}
+	return s.pack.Append(frames...)
 }
 
 // encode renders an envelope canonically (json.Marshal of a struct is
@@ -247,21 +313,30 @@ func encodeEnvelope(kind string, refs []Hash, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// encodeChunk is the lock-free half of a put: the fault consult, the
+// envelope and its address.
+func (s *Store) encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte, error) {
+	if s.cfg.Faults != nil {
+		if err := s.cfg.Faults.Inject("vstore.put"); err != nil {
+			return "", nil, err
+		}
+	}
+	payload, err := encodeEnvelope(kind, refs, data)
+	if err != nil {
+		return "", nil, err
+	}
+	return hashBytes(payload), payload, nil
+}
+
 // Put stores one chunk, returning its address. Re-putting identical
 // content is free (content addressing dedups) but still re-touches
 // the chunk's GC epoch — the write barrier that keeps a tree being
 // committed mid-sweep alive. data must be valid JSON (or nil).
 func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
-	if s.cfg.Faults != nil {
-		if err := s.cfg.Faults.Inject("vstore.put"); err != nil {
-			return "", err
-		}
-	}
-	payload, err := encodeEnvelope(kind, refs, data)
+	h, payload, err := s.encodeChunk(kind, refs, data)
 	if err != nil {
 		return "", err
 	}
-	h := hashBytes(payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.chunks[h]; ok {
@@ -281,9 +356,13 @@ func (s *Store) AddPacket(p Packet) error {
 	if hashBytes(p.Data) != p.Hash {
 		return fmt.Errorf("%w: %s", ErrBadPacket, p.Hash)
 	}
-	var env envelope
+	var env record
 	if err := json.Unmarshal(p.Data, &env); err != nil {
 		return fmt.Errorf("vstore: decode packet %s: %w", p.Hash, err)
+	}
+	if env.Root != nil {
+		// Stored as a chunk, it would replay as a root update.
+		return fmt.Errorf("%w: %s is a root record, not a chunk", ErrBadPacket, p.Hash)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -388,23 +467,7 @@ func (s *Store) NumChunks() int {
 	return len(s.chunks)
 }
 
-// publishRoots atomically replaces roots.json. Caller holds s.mu.
-func (s *Store) publishRoots() error {
-	if s.cfg.Dir == "" {
-		return nil
-	}
-	doc := rootsDoc{Stamp: s.stamp, Roots: s.roots} // cdalint:ignore racy-access -- *Locked-style helper: caller holds s.mu
-	data, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("vstore: encode roots: %w", err)
-	}
-	return framelog.Publish(filepath.Join(s.cfg.Dir, rootsName), false, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// Close releases the pack file handle.
+// Close releases the journal's file handle.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -338,7 +338,16 @@ func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 }
 
 func TestDeleteRootAndTruncateLog(t *testing.T) {
-	s := NewMemory()
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
 	tr := mustPut(t, s, "db", nil, `{"v":1}`)
 	if _, err := s.Commit("a", tr, 0); err != nil {
 		t.Fatalf("commit: %v", err)
@@ -349,6 +358,9 @@ func TestDeleteRootAndTruncateLog(t *testing.T) {
 	if _, err := s.Commit("a", tr, 2); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
+	if _, err := s.Commit("b", tr, 0); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
 	if err := s.TruncateLog("a", 2); err != nil {
 		t.Fatalf("truncate: %v", err)
 	}
@@ -356,12 +368,14 @@ func TestDeleteRootAndTruncateLog(t *testing.T) {
 	if err != nil || len(log) != 2 || log[0].Turn != 1 {
 		t.Fatalf("Log after truncate = %+v, %v", log, err)
 	}
+	requireReopensEqual(t, dir, s)
 	if err := s.DeleteRoot("a"); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if _, err := s.Log("a"); !errors.Is(err, ErrUnknownRoot) {
 		t.Fatalf("Log after delete err = %v", err)
 	}
+	requireReopensEqual(t, dir, s)
 	if err := s.DeleteRoot("a"); !errors.Is(err, ErrUnknownRoot) {
 		t.Fatalf("double delete err = %v", err)
 	}

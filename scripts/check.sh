@@ -30,7 +30,13 @@
 #                      kill-and-recover and cluster kill/partition
 #                      run-twice transcript diffs, and the session
 #                      store, admission, framelog and versioned-store
-#                      durability suites.
+#                      durability suites. FuzzScan and FuzzJournalOpen
+#                      run their seed corpora here; the nightly
+#                      full-check job in .github/workflows/check.yml
+#                      also fuzzes the journal decoder for 30 s
+#                      (go test ./internal/vstore -run '^$'
+#                      -fuzz=FuzzJournalOpen -fuzztime=30s
+#                      -fuzzminimizetime=2s).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
