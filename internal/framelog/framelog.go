@@ -92,7 +92,8 @@ type Options struct {
 }
 
 // Log is one append-only file of frames. It is not safe for concurrent
-// use; the owner serializes calls under its own lock.
+// use; the owner serializes calls under its own lock, of which
+// ReadFrame needs only the shared side.
 type Log struct {
 	f    *os.File
 	path string
@@ -158,6 +159,31 @@ func (l *Log) truncate(size int64) error {
 // it is reopened: after a crash fault, or a failed append that could
 // not be rolled back.
 func (l *Log) Dead() bool { return l.dead != nil }
+
+// Size is the offset of the end of the last acknowledged frame, which
+// is where the first frame of the next Append will start.
+func (l *Log) Size() int64 { return l.size }
+
+// ReadFrame returns the payload of the frame that starts at off and
+// carries n payload bytes: one ReadAt, accepted only if the frame ends
+// at or below Size() and its magic, length and checksum verify through
+// the Scan that recovery uses. Acknowledged frames stay readable on a
+// dead log. Unlike the rest of Log, ReadFrame calls may run
+// concurrently with each other — not with Append, Reset, Rewrite or
+// Close, which move Size() or the file under it.
+func (l *Log) ReadFrame(magic byte, off int64, n int) ([]byte, error) {
+	if off < 0 || n < 0 || off+int64(HeaderSize+n) > l.size {
+		return nil, fmt.Errorf("framelog: read %s: a %d-byte frame at offset %d does not end below the log's %d bytes", l.path, n, off, l.size)
+	}
+	buf := make([]byte, HeaderSize+n)
+	if _, err := l.f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("framelog: read %s at offset %d: %w", l.path, off, err)
+	}
+	if payloads, _ := Scan(magic, buf); len(payloads) == 1 && len(payloads[0]) == n {
+		return payloads[0], nil
+	}
+	return nil, fmt.Errorf("framelog: read %s: no intact %d-byte frame at offset %d (magic, length or checksum mismatch)", l.path, n, off)
+}
 
 // Append writes already-encoded frames with one write and one fsync.
 // When the write or the fsync fails, whatever part reached the file is

@@ -250,6 +250,103 @@ func TestCrashFaultKillsLog(t *testing.T) {
 	wantPayloads(t, got, "a")
 }
 
+// TestReadFrame: a frame is served only from where one starts, with the
+// length the caller indexed, below the acknowledged end, and intact —
+// also after a rewrite moved it, and on a log a crash has killed.
+func TestReadFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _ := openCollect(t, path, framelog.Options{Op: "test.append", Faults: &tearAt{n: 2}})
+	if l.Size() != 0 {
+		t.Fatalf("empty log has size %d", l.Size())
+	}
+	if err := l.Append(frame("alpha"), frame("be"), frame("ta")); err != nil {
+		t.Fatal(err)
+	}
+	second := int64(len(frame("alpha")))
+	if l.Size() != int64(len(frames("alpha", "be", "ta"))) {
+		t.Fatalf("size %d after three frames", l.Size())
+	}
+	read := func(off int64, n int) (string, error) {
+		p, err := l.ReadFrame(testMagic, off, n)
+		return string(p), err
+	}
+	if got, err := read(0, 5); err != nil || got != "alpha" {
+		t.Fatalf("first frame = %q, %v", got, err)
+	}
+	if got, err := read(second, 2); err != nil || got != "be" {
+		t.Fatalf("second frame = %q, %v", got, err)
+	}
+	refused := []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"length field says 5, index says 4", 0, 4},
+		{"length field says 5, index says 6", 0, 6},
+		// "be" and "ta" together are exactly as long as one 11-byte frame.
+		{"two whole frames where one was indexed", second, 2 + framelog.HeaderSize + 2},
+		{"not a frame boundary", 1, 5},
+		{"ends past Size", l.Size() - 3, 5},
+		{"starts at Size", l.Size(), 0},
+		{"negative offset", -1, 5},
+		{"negative length", 0, -1},
+	}
+	for _, tc := range refused {
+		if got, err := read(tc.off, tc.n); err == nil {
+			t.Errorf("%s: ReadFrame(%d, %d) = %q, want an error", tc.name, tc.off, tc.n, got)
+		}
+	}
+	if _, err := l.ReadFrame(testMagic+1, 0, 5); err == nil {
+		t.Error("frame served under the wrong magic")
+	}
+
+	// One flipped payload byte on disk: the checksum refuses the frame,
+	// its neighbour still reads.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("A"), framelog.HeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := read(0, 5); err == nil {
+		t.Fatalf("corrupt frame served as %q", got)
+	}
+	if got, err := read(second, 2); err != nil || got != "be" {
+		t.Fatalf("neighbour of the corrupt frame = %q, %v", got, err)
+	}
+
+	// A rewrite moves frames; Size and reads follow the new file.
+	if err := l.Rewrite(func(w io.Writer) error {
+		_, err := w.Write(frames("be", "alpha"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := read(int64(len(frame("be"))), 5); err != nil || got != "alpha" || l.Size() != int64(len(frames("be", "alpha"))) {
+		t.Fatalf("after rewrite: %q, %v, size %d", got, err, l.Size())
+	}
+
+	// The second append is torn by a crash: the log is dead, its torn
+	// bytes lie past Size and are refused, acknowledged frames still read.
+	size := l.Size()
+	if err := l.Append(frame("torn-by-the-crash")); !errors.Is(err, framelog.ErrCrashed) || !l.Dead() {
+		t.Fatalf("torn append = %v, dead %v", err, l.Dead())
+	}
+	if l.Size() != size {
+		t.Fatalf("size moved from %d to %d by an unacknowledged append", size, l.Size())
+	}
+	if got, err := read(0, 2); err != nil || got != "be" {
+		t.Fatalf("acknowledged frame on a dead log = %q, %v", got, err)
+	}
+	if got, err := read(size, 2); err == nil {
+		t.Fatalf("read past Size on a dead log = %q", got)
+	}
+}
+
 // TestPublishReplacesAtomically: a failed write leaves the published
 // file untouched; a successful one replaces it whole.
 func TestPublishReplacesAtomically(t *testing.T) {

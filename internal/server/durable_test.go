@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,8 +16,10 @@ import (
 
 	"github.com/reliable-cda/cda/internal/admission"
 	"github.com/reliable-cda/cda/internal/core"
+	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/sessionstore"
+	"github.com/reliable-cda/cda/internal/vstore"
 	"github.com/reliable-cda/cda/internal/workload"
 )
 
@@ -324,5 +331,96 @@ func TestCreateSessionIDsMonotonicAcrossRestart(t *testing.T) {
 		if id := createSession(t, ts2); id == first || id == second {
 			t.Fatalf("duplicate id %s after restart", id)
 		}
+	}
+}
+
+// TestCorruptVersionChunkIsA500 flips one byte of a session's turns
+// chunk in the version journal under the running node. The as-of read
+// that needs the chunk fails — in the session store with an error naming
+// the chunk, over HTTP as a logged 500 — and never serves the altered
+// transcript; a version that exists but cannot be read is not a 404.
+func TestCorruptVersionChunkIsA500(t *testing.T) {
+	dir := t.TempDir()
+	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := vs.Close(); err != nil {
+			t.Errorf("close version store: %v", err)
+		}
+	})
+	ts, srv := durableServer(t, dir, sessionstore.Config{Shards: 1, Versions: vs}, nil)
+	id := createSession(t, ts)
+	askOK(t, ts, id, "how many employment where canton is Zurich")
+	asOf := ts.URL + "/sessions/" + id + "/asof/2"
+	resp, err := http.Get(asOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decode[AsOfResponse](t, resp); resp.StatusCode != http.StatusOK || got.Total != 2 {
+		t.Fatalf("as-of read before the damage: status %d, %d turns", resp.StatusCode, got.Total)
+	}
+
+	// Find the turns chunk's frame in the journal and flip a byte of the
+	// question inside it, which leaves the payload valid JSON.
+	pack := filepath.Join(dir, "vstore", "chunks.pack")
+	raw, err := os.ReadFile(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := framelog.Scan(0xC6, raw)
+	at, victim := int64(-1), ""
+	off := int64(0)
+	for _, p := range payloads {
+		if i := bytes.Index(p, []byte("Zurich")); i >= 0 && bytes.HasPrefix(p, []byte(`{"k":"turns"`)) {
+			sum := sha256.Sum256(p)
+			at, victim = off+framelog.HeaderSize+int64(i), hex.EncodeToString(sum[:])
+		}
+		off += int64(framelog.HeaderSize + len(p))
+	}
+	if at < 0 {
+		t.Fatal("no turns chunk holding the question in the journal")
+	}
+	f, err := os.OpenFile(pack, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("B"), at); err != nil { // "Burich"
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if sess, _, err := srv.Store().TranscriptAsOf(id, 2); err == nil || !strings.Contains(err.Error(), victim) {
+		t.Fatalf("TranscriptAsOf over a corrupt chunk = %v, %v; want an error naming chunk %s", sess, err, victim)
+	}
+	resp, err = http.Get(asOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || strings.Contains(string(body), "urich") || strings.Contains(string(body), victim) {
+		t.Fatalf("as-of read over a corrupt chunk: status %d, body %s; want a 500 that leaks neither data nor detail", resp.StatusCode, body)
+	}
+	// What the client could ask for and is not there stays a 404.
+	for _, url := range []string{ts.URL + "/sessions/" + id + "/asof/1", ts.URL + "/sessions/never-issued/asof/2"} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", url, resp.StatusCode)
+		}
+	}
+	// The live transcript does not go through the journal.
+	if code, _ := rawTranscript(t, ts, id, ""); code != http.StatusOK {
+		t.Errorf("live transcript status = %d", code)
 	}
 }

@@ -240,7 +240,8 @@ type AsOfResponse struct {
 // requested turn — an immutable read that never touches the live
 // session entry.
 func (s *Server) handleTranscriptAsOf(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.versions(); err != nil {
+	vs, err := s.versions()
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -249,13 +250,21 @@ func (s *Server) handleTranscriptAsOf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, refuse(ErrBadRequest, "turn must be a non-negative integer"))
 		return
 	}
-	sess, c, err := s.store.TranscriptAsOf(r.PathValue("id"), turn)
-	if err != nil {
+	id := r.PathValue("id")
+	if _, err := vs.AsOf(sessionstore.SessionRoot(id), turn); err != nil {
 		msg := "no version at or before that turn"
 		if errors.Is(err, vstore.ErrUnknownRoot) {
 			msg = "no versions recorded for this session"
 		}
 		writeError(w, refuse(ErrUnknown, msg))
+		return
+	}
+	// The version exists, so failing to read it back — a chunk that no
+	// longer passes its checksum, say — is this node's failure, not the
+	// client's: a logged 500, never a 404 and never altered bytes.
+	sess, c, err := s.store.TranscriptAsOf(id, turn)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, AsOfResponse{Total: len(sess.Turns),

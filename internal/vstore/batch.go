@@ -84,23 +84,9 @@ func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
 		return Commit{}, err
 	}
 
-	var fresh []stagedChunk
-	var payloads [][]byte
-	add := func(st stagedChunk) {
-		if _, ok := s.chunks[st.hash]; !ok {
-			fresh = append(fresh, st)
-			payloads = append(payloads, st.payload)
-		}
-	}
-	for _, st := range b.staged {
-		add(st)
-	}
-	add(stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}})
-	if err := s.appendPack(append(payloads, rootRec)...); err != nil {
+	staged := append(b.staged, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}})
+	if err := s.journalLocked(staged, rootRec); err != nil {
 		return Commit{}, err
-	}
-	for _, st := range fresh {
-		s.chunks[st.hash] = &chunk{data: st.payload, refs: st.refs, epoch: s.epoch}
 	}
 	s.roots[root] = append(log, c)
 	s.stamp = stamp

@@ -158,8 +158,9 @@ func (s *Store) markFromLocked(head Hash, marked map[Hash]bool) {
 }
 
 // rewritePackLocked rebuilds the journal as the surviving chunks in
-// hash order followed by every root's log in name order, and publishes
-// it atomically. Caller holds s.mu exclusively.
+// hash order followed by every root's log in name order, streaming each
+// payload from the old file into the new one, and publishes it
+// atomically. Caller holds s.mu exclusively.
 func (s *Store) rewritePackLocked() error {
 	if s.pack == nil {
 		return nil
@@ -170,11 +171,20 @@ func (s *Store) rewritePackLocked() error {
 	}
 	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
 	names := s.rootNamesLocked()
-	return s.pack.Rewrite(func(w io.Writer) error {
-		for _, h := range hashes {
-			if _, err := w.Write(framelog.Encode(packMagic, s.chunks[h].data)); err != nil { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+	offs := make([]int64, len(hashes))
+	err := s.pack.Rewrite(func(w io.Writer) error {
+		var end int64
+		for i, h := range hashes {
+			payload, err := s.payloadLocked(h)
+			if err != nil {
 				return err
 			}
+			n, err := w.Write(framelog.Encode(packMagic, payload))
+			if err != nil {
+				return err
+			}
+			offs[i] = end
+			end += int64(n)
 		}
 		for _, name := range names {
 			payload, err := rootPayload(setRecord(name, s.roots[name], s.stamp)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
@@ -187,4 +197,28 @@ func (s *Store) rewritePackLocked() error {
 		}
 		return nil
 	})
+	s.relocateLocked(hashes, offs, err == nil)
+	return err
+}
+
+// relocateLocked points the index at the rewritten journal. A Rewrite
+// that reported success wrote every chunk where offs says. One that
+// failed may have done so on either side of its rename, and which file
+// now bears the name is not guessed: an entry takes whichever of its new
+// and old offsets still reads back as its own bytes, and is unreadable
+// if neither does. Caller holds s.mu exclusively.
+func (s *Store) relocateLocked(hashes []Hash, offs []int64, trusted bool) {
+	for i, h := range hashes {
+		c := s.chunks[h] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		if trusted {
+			c.off = offs[i]
+			continue
+		}
+		for _, off := range []int64{offs[i], c.off, -1} {
+			c.off = off
+			if p, err := s.payloadLocked(h); err == nil && hashBytes(p) == h {
+				break
+			}
+		}
+	}
 }

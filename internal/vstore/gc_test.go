@@ -2,10 +2,14 @@ package vstore
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/faults"
+	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/storage"
 )
@@ -290,10 +294,15 @@ func TestGCEpochBarrierSparesInFlightEncode(t *testing.T) {
 	}
 }
 
-// TestGCUnderConcurrentCommitSeeded hammers GC against committers
-// under the race detector with seeded fault-injector interleavings
-// (latency faults on vstore ops shift the phase boundaries run to
-// run, but each seed is deterministic).
+// TestGCUnderConcurrentCommitSeeded hammers GC against committers and
+// readers under the race detector with seeded fault-injector
+// interleavings (latency faults on vstore ops shift the phase
+// boundaries run to run, but each seed is deterministic). The store is
+// dir-backed, so the readers of a pinned version — Data, PacketOf,
+// MaterializeDatabase: every path that preads the journal — race the
+// appends and the collector's file swap, and every packet they get
+// must hash to the address they asked for: before, during and after
+// the rewrites, and from a second open of the directory.
 func TestGCUnderConcurrentCommitSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -304,15 +313,31 @@ func TestGCUnderConcurrentCommitSeeded(t *testing.T) {
 					"vstore": {Latency: 0.5},
 				},
 			}, resilience.NewWallClock())
-			s, err := Open(Config{Faults: inj})
+			dir := t.TempDir()
+			s, err := Open(Config{Dir: dir, Faults: inj})
 			if err != nil {
 				t.Fatalf("open: %v", err)
+			}
+			defer func() {
+				if err := s.Close(); err != nil {
+					t.Errorf("close: %v", err)
+				}
+			}()
+			const pinnedRows = 600
+			pin, err := s.CommitDatabase("db/pinned", demoDB(pinnedRows), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned, err := s.Closure(pin.Hash)
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			const writers = 3
 			const commitsPerWriter = 8
-			var wg sync.WaitGroup
-			errs := make(chan error, writers+1)
+			const readers = 2
+			var wg, rg sync.WaitGroup
+			errs := make(chan error, writers+readers+1)
 			for w := 0; w < writers; w++ {
 				w := w
 				wg.Add(1)
@@ -331,41 +356,219 @@ func TestGCUnderConcurrentCommitSeeded(t *testing.T) {
 							errs <- fmt.Errorf("writer %d commit %d: %w", w, k, cerr)
 							return
 						}
+						// An orphan per commit: work for the sweep, so that
+						// the journal really is rewritten under the readers.
+						if _, perr := s.Put("leaf", nil, []byte(fmt.Sprintf(`["orphan %d/%d"]`, w, k))); perr != nil {
+							errs <- fmt.Errorf("writer %d orphan %d: %w", w, k, perr)
+							return
+						}
 					}
 				}()
 			}
+			swept := 0
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 6; i++ {
-					if _, gerr := s.GC(); gerr != nil {
+				// The first round to start after an orphan's epoch sweeps.
+				for i := 0; i < 6 || (swept == 0 && i < 1000); i++ {
+					stats, gerr := s.GC()
+					if gerr != nil {
 						errs <- fmt.Errorf("GC round %d: %w", i, gerr)
 						return
 					}
+					swept += stats.Swept
 				}
 			}()
+			stop := make(chan struct{})
+			passes := make([]int, readers)
+			for r := 0; r < readers; r++ {
+				r := r
+				rg.Add(1)
+				go func() {
+					defer rg.Done()
+					for {
+						for _, h := range pinned {
+							pk, rerr := s.PacketOf(h)
+							if rerr == nil && hashBytes(pk.Data) != h {
+								rerr = fmt.Errorf("reads back as %s", hashBytes(pk.Data))
+							}
+							if rerr == nil {
+								_, rerr = s.Data(h, nil)
+							}
+							if rerr != nil {
+								errs <- fmt.Errorf("reader %d: chunk %s: %w", r, h, rerr)
+								return
+							}
+						}
+						db, rerr := s.MaterializeDatabase(pin.Hash)
+						if rerr == nil {
+							var tab *storage.Table
+							if tab, rerr = db.Get("metrics"); rerr == nil && tab.NumRows() != pinnedRows {
+								rerr = fmt.Errorf("%d rows, want %d", tab.NumRows(), pinnedRows)
+							}
+						}
+						if rerr != nil {
+							errs <- fmt.Errorf("reader %d: materialize: %w", r, rerr)
+							return
+						}
+						passes[r]++
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
 			wg.Wait()
+			close(stop)
+			rg.Wait()
 			close(errs)
 			for err := range errs {
 				t.Fatal(err)
 			}
-
-			// Every committed version of every root must still be fully
-			// materializable — no reachable chunk was ever collected.
-			for _, root := range s.Roots() {
-				log, err := s.Log(root)
-				if err != nil {
-					t.Fatalf("log %s: %v", root, err)
-				}
-				for _, c := range log {
-					if !s.HasClosure(c.Hash) {
-						t.Fatalf("root %s commit turn %d lost chunks", root, c.Turn)
-					}
-					if _, err := s.MaterializeDatabase(c.Tree); err != nil {
-						t.Fatalf("root %s turn %d materialize: %v", root, c.Turn, err)
-					}
+			if swept == 0 {
+				t.Fatal("no round swept anything: the journal was never rewritten under the readers")
+			}
+			for r, n := range passes {
+				if n == 0 {
+					t.Fatalf("reader %d never completed a pass", r)
 				}
 			}
+
+			// Every committed version of every root must still be fully
+			// materializable — no reachable chunk was ever collected —
+			// here and from a second open of the directory.
+			requireVersions := func(s *Store) {
+				t.Helper()
+				for _, root := range s.Roots() {
+					log, err := s.Log(root)
+					if err != nil {
+						t.Fatalf("log %s: %v", root, err)
+					}
+					for _, c := range log {
+						if !s.HasClosure(c.Hash) {
+							t.Fatalf("root %s commit turn %d lost chunks", root, c.Turn)
+						}
+						if _, err := s.MaterializeDatabase(c.Tree); err != nil {
+							t.Fatalf("root %s turn %d materialize: %v", root, c.Turn, err)
+						}
+					}
+				}
+				requirePacketsRehash(t, s)
+			}
+			requireVersions(s)
+			requireReopensEqual(t, dir, s)
+			r, err := Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := r.Close(); err != nil {
+					t.Errorf("close reopened: %v", err)
+				}
+			}()
+			requireVersions(r)
 		})
 	}
+}
+
+// TestRewriteThatFailedAfterItsRename covers the failure the process
+// cannot be made to suffer for real — the directory fsync after the
+// rename — by doing what it leaves behind: the file swapped for one
+// with every chunk somewhere else, and a Rewrite that says it failed.
+// Equal-length leaves make stale offsets land on other chunks' intact
+// frames, which a checksum alone would accept.
+func TestRewriteThatFailedAfterItsRename(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	b := s.NewBatch()
+	var leaves []Hash
+	for i := 0; i < 8; i++ {
+		h, err := b.Put("leaf", nil, []byte(fmt.Sprintf(`[%d]`, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, h)
+	}
+	tree, err := b.Put("db", leaves, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.Commit("db/main", tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The journal again, chunks in reverse order, root records last.
+	raw, err := os.ReadFile(filepath.Join(dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := framelog.Scan(packMagic, raw)
+	var swapped, rootRecords []byte
+	var hashes []Hash
+	var offs []int64
+	for i := len(payloads) - 1; i >= 0; i-- {
+		frame := framelog.Encode(packMagic, payloads[i])
+		if h := hashBytes(payloads[i]); s.Has(h) {
+			hashes, offs = append(hashes, h), append(offs, int64(len(swapped)))
+			swapped = append(swapped, frame...)
+		} else {
+			rootRecords = append(rootRecords, frame...)
+		}
+	}
+	swapped = append(swapped, rootRecords...)
+	swap := func() {
+		t.Helper()
+		if err := s.pack.Rewrite(func(w io.Writer) error {
+			_, err := w.Write(swapped)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A rewrite that failed before telling where anything went: no entry
+	// may keep an offset that now holds another chunk.
+	s.mu.Lock()
+	swap()
+	s.relocateLocked(hashes, make([]int64, len(hashes)), false)
+	s.mu.Unlock()
+	served := 0
+	for _, h := range hashes {
+		p, err := s.PacketOf(h)
+		if err == nil && hashBytes(p.Data) != h {
+			t.Fatalf("chunk %s served another chunk's bytes %q from a stale offset", h, p.Data)
+		}
+		if err == nil {
+			served++
+		}
+	}
+	if served > 1 { // the chunk now at offset 0 verifies there
+		t.Fatalf("%d chunks served without a verified offset", served)
+	}
+
+	// The same failure with the offsets the writer recorded: everything
+	// reads from the new file, and the next open agrees.
+	s.mu.Lock()
+	s.relocateLocked(hashes, offs, false)
+	s.mu.Unlock()
+	requirePacketsRehash(t, s)
+	if !s.HasClosure(c.Hash) || s.NumChunks() != len(hashes) {
+		t.Fatalf("index lost chunks: %d of %d", s.NumChunks(), len(hashes))
+	}
+	if _, err := s.Commit("db/main", tree, 1); err != nil {
+		t.Fatalf("commit after the failed rewrite: %v", err)
+	}
+	requirePacketsRehash(t, s)
+	requireReopensEqual(t, dir, s)
 }

@@ -70,6 +70,28 @@ func requireReopensEqual(t *testing.T, dir string, s *Store) {
 	}
 }
 
+// requirePacketsRehash reads every indexed chunk back through PacketOf
+// — on a dir-backed store one pread at the offset the index recorded —
+// and requires the bytes to hash to the address they are indexed under.
+func requirePacketsRehash(t testing.TB, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	hashes := make([]Hash, 0, len(s.chunks))
+	for h := range s.chunks {
+		hashes = append(hashes, h)
+	}
+	s.mu.RUnlock()
+	for _, h := range hashes {
+		p, err := s.PacketOf(h)
+		if err != nil {
+			t.Fatalf("PacketOf(%s): %v", h, err)
+		}
+		if got := hashBytes(p.Data); got != h {
+			t.Fatalf("chunk indexed as %s reads back as %s", h, got)
+		}
+	}
+}
+
 func TestCommitDatabaseIsOneJournalAppend(t *testing.T) {
 	dir := t.TempDir()
 	jf := &journalFaults{tearAt: -1}
@@ -249,6 +271,112 @@ func TestAddPacketRejectsRootRecord(t *testing.T) {
 	}
 }
 
+// TestAddPacketsIsOneJournalAppend: a negotiated batch is verified
+// whole, then journalled with one append and one fsync however many
+// chunks it carries, and a bad packet anywhere in it installs nothing.
+func TestAddPacketsIsOneJournalAppend(t *testing.T) {
+	src := NewMemory()
+	c, err := src.CommitDatabase("db/main", demoDB(8000), 0) // 32 leaves per column
+	if err != nil {
+		t.Fatal(err)
+	}
+	closure, err := src.Closure(c.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := len(closure) - 3 - 50 // past commit, db, table and one full batch of leaves
+	dir := t.TempDir()
+	jf := &journalFaults{tearAt: -1}
+	dst, err := Open(Config{Dir: dir, Faults: jf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := dst.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	// Walk down to the leaves one level per round: commit, db, table.
+	for level := 0; level < 3; level++ {
+		if _, err := pullRound(src, dst, c.Hash, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := dst.WantList(c.Hash, 50)
+	if len(want) != 50 {
+		t.Fatalf("frontier has %d chunks, want a full batch of 50", len(want))
+	}
+	packets, err := src.Packets(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Forged, undecodable and root-record packets, first, last or in the
+	// middle: nothing of the batch is journalled or indexed.
+	root := "db/main"
+	rootRec, err := rootPayload(rootRecord{Root: &root, Commit: c.Hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends, chunks := jf.appends, dst.NumChunks()
+	for name, bad := range map[string]Packet{
+		"forged":      {Hash: packets[7].Hash, Data: append(bytes.Clone(packets[7].Data), ' ')},
+		"not JSON":    {Hash: hashBytes([]byte("{")), Data: []byte("{")},
+		"root record": {Hash: hashBytes(rootRec), Data: rootRec},
+	} {
+		for _, at := range []int{0, 25, len(packets)} {
+			batch := append(append(append([]Packet(nil), packets[:at]...), bad), packets[at:]...)
+			if err := dst.AddPackets(batch); err == nil {
+				t.Fatalf("%s packet at %d: batch accepted", name, at)
+			}
+			if jf.appends != appends || dst.NumChunks() != chunks {
+				t.Fatalf("%s packet at %d: %d appends and %d chunks installed by a refused batch",
+					name, at, jf.appends-appends, dst.NumChunks()-chunks)
+			}
+		}
+	}
+
+	// The good batch — with one packet repeated — is one append.
+	if err := dst.AddPackets(append(packets, packets[3])); err != nil {
+		t.Fatal(err)
+	}
+	if got := jf.appends - appends; got != 1 {
+		t.Fatalf("a 50-chunk batch made %d journal appends, want 1", got)
+	}
+	if got := dst.NumChunks() - chunks; got != 50 {
+		t.Fatalf("batch installed %d chunks, want 50", got)
+	}
+	// Re-shipping what the store holds appends nothing.
+	if err := dst.AddPackets(packets); err != nil || jf.appends != appends+1 {
+		t.Fatalf("re-shipped batch: err %v, %d further appends", err, jf.appends-appends-1)
+	}
+	moved, err := dst.PullFrom(src, c.Hash, 50)
+	if err != nil || moved != rest || rest < 1 || rest > 50 || jf.appends != appends+2 {
+		t.Fatalf("pulling the rest: moved %d (want %d), %d appends (want 1), err %v", moved, rest, jf.appends-appends-1, err)
+	}
+	if !dst.HasClosure(c.Hash) {
+		t.Fatal("closure incomplete after the pull")
+	}
+	info, err := os.Stat(filepath.Join(dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != jf.bytes {
+		t.Fatalf("journal is %d bytes, its appends sum to %d", info.Size(), jf.bytes)
+	}
+	requirePacketsRehash(t, dst)
+	requireReopensEqual(t, dir, dst)
+}
+
+// pullRound is one round of PullFrom's loop.
+func pullRound(src, dst *Store, target Hash, batch int) (int, error) {
+	packets, err := src.Packets(dst.WantList(target, batch))
+	if err != nil {
+		return 0, err
+	}
+	return len(packets), dst.AddPackets(packets)
+}
+
 // journalSeeds are hand-made journals around the decoder's edges.
 func journalSeeds(t testing.TB) [][]byte {
 	root := "r"
@@ -289,7 +417,8 @@ func journalSeeds(t testing.TB) [][]byte {
 // FuzzJournalOpen feeds arbitrary bytes to Open as chunks.pack, with
 // or without a v1 roots.json beside it: it never panics, and whatever
 // it accepts — cutting the journal, folding the document — re-opens to
-// the same root logs.
+// the same root logs, with every indexed chunk at the offset the index
+// holds for it, before and after a further commit.
 func FuzzJournalOpen(f *testing.F) {
 	for _, seed := range journalSeeds(f) {
 		f.Add(seed, []byte(nil))
@@ -336,5 +465,28 @@ func FuzzJournalOpen(f *testing.F) {
 			}
 		}
 		requireReopensEqual(t, dir, s)
+
+		// Every chunk the scan indexed lies where the index says, and
+		// appends after the point the journal was cut at land where
+		// theirs says too — in this process and in the next.
+		requirePacketsRehash(t, s)
+		b := s.NewBatch()
+		tree, err := b.Put("db", nil, []byte(`{"fuzz":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Commit("fuzz/extra", tree, 1); err != nil {
+			t.Fatalf("commit on an accepted journal: %v", err)
+		}
+		requirePacketsRehash(t, s)
+		r, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("reopen after a commit: %v", err)
+		}
+		defer func() { _ = r.Close() }()
+		if r.NumChunks() != s.NumChunks() {
+			t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
+		}
+		requirePacketsRehash(t, r)
 	})
 }

@@ -21,16 +21,11 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 	return s.NewBatch().Commit(root, tree, turn)
 }
 
-// commitEntryLocked rebuilds a root-log entry from its commit chunk —
+// commitEntry rebuilds a root-log entry from its commit chunk's payload —
 // the journal's root records and shipped commits carry only the hash.
-// Caller holds s.mu (either mode).
-func (s *Store) commitEntryLocked(h Hash) (Commit, error) {
-	c, ok := s.chunks[h] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
-	if !ok {
-		return Commit{}, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
-	}
+func commitEntry(h Hash, payload []byte) (Commit, error) {
 	var env envelope
-	if err := json.Unmarshal(c.data, &env); err != nil {
+	if err := json.Unmarshal(payload, &env); err != nil {
 		return Commit{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
 	if env.K != "commit" || len(env.R) != 1 {
@@ -62,19 +57,23 @@ func setRecord(root string, log []Commit, stamp int64) rootRecord {
 }
 
 // applyRootLocked applies one root record: it rebuilds the log entries
-// from the commit chunks the record names (failing if the store lacks
-// one), journals the record unless the journal already holds it, and
-// only then changes the root's log and lifts the store-wide stamp past
-// the commits it now lists. Caller holds s.mu exclusively, or is Open
-// before the store is published.
-func (s *Store) applyRootLocked(r rootRecord, journalled bool) error {
+// from the commit chunks the record names, read through payload
+// (failing if the store lacks one), journals the record unless the
+// journal already holds it, and only then changes the root's log and
+// lifts the store-wide stamp past the commits it now lists. Caller holds
+// s.mu exclusively, or is Open before the store is published.
+func (s *Store) applyRootLocked(r rootRecord, journalled bool, payload func(Hash) ([]byte, error)) error {
 	hashes, stamp := r.Log, r.Stamp
 	var log []Commit
 	if r.Commit != "" {
 		hashes, log = []Hash{r.Commit}, s.roots[*r.Root] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
 	}
 	for _, h := range hashes {
-		c, err := s.commitEntryLocked(h)
+		p, err := payload(h)
+		if err != nil {
+			return err
+		}
+		c, err := commitEntry(h, p)
 		if err != nil {
 			return err
 		}
@@ -84,11 +83,11 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool) error {
 		log = append(log, c)
 	}
 	if !journalled {
-		payload, err := rootPayload(r)
+		rec, err := rootPayload(r)
 		if err != nil {
 			return err
 		}
-		if err := s.appendPack(payload); err != nil {
+		if _, err := s.appendPack(rec); err != nil {
 			return err
 		}
 	}
@@ -113,7 +112,7 @@ func (s *Store) AdoptCommit(root string, h Hash) (Commit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if log := s.roots[root]; len(log) == 0 || log[len(log)-1].Hash != h {
-		if err := s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false); err != nil {
+		if err := s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false, s.payloadLocked); err != nil {
 			return Commit{}, fmt.Errorf("vstore: adopt into %q: %w", root, err)
 		}
 	}
@@ -201,7 +200,7 @@ func (s *Store) DeleteRoot(root string) error {
 	if _, ok := s.roots[root]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRoot, root)
 	}
-	return s.applyRootLocked(setRecord(root, nil, s.stamp), false)
+	return s.applyRootLocked(setRecord(root, nil, s.stamp), false, s.payloadLocked)
 }
 
 // TruncateLog keeps only the last keep commits of a root (retention
@@ -220,5 +219,5 @@ func (s *Store) TruncateLog(root string, keep int) error {
 	if len(log) <= keep {
 		return nil
 	}
-	return s.applyRootLocked(setRecord(root, log[len(log)-keep:], s.stamp), false)
+	return s.applyRootLocked(setRecord(root, log[len(log)-keep:], s.stamp), false, s.payloadLocked)
 }

@@ -1,6 +1,10 @@
 package vstore
 
-import "sort"
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+)
 
 // Have/want chunk negotiation: the replica drives. It walks a wanted
 // version's ref graph over the chunks it already has; every reference
@@ -89,14 +93,37 @@ type missingError struct{ h Hash }
 func (e *missingError) Error() string { return "vstore: unknown chunk " + string(e.h) }
 func (e *missingError) Unwrap() error { return ErrUnknownChunk }
 
-// AddPackets installs a batch of shipped chunks.
+// AddPacket installs a chunk shipped from another store, verifying
+// its address.
+func (s *Store) AddPacket(p Packet) error { return s.AddPackets([]Packet{p}) }
+
+// AddPackets installs a batch of shipped chunks. Every packet is
+// verified first — its bytes must hash to its address and must not be a
+// root record — so a bad one anywhere in the batch installs nothing;
+// then the chunks the store lacks are journalled with one append.
 func (s *Store) AddPackets(ps []Packet) error {
+	staged := make([]stagedChunk, 0, len(ps))
+	seen := map[Hash]bool{}
 	for _, p := range ps {
-		if err := s.AddPacket(p); err != nil {
-			return err
+		if hashBytes(p.Data) != p.Hash {
+			return fmt.Errorf("%w: %s", ErrBadPacket, p.Hash)
+		}
+		var rec record
+		if err := json.Unmarshal(p.Data, &rec); err != nil {
+			return fmt.Errorf("vstore: decode packet %s: %w", p.Hash, err)
+		}
+		if rec.Root != nil {
+			// Stored as a chunk, it would replay as a root update.
+			return fmt.Errorf("%w: %s is a root record, not a chunk", ErrBadPacket, p.Hash)
+		}
+		if !seen[p.Hash] {
+			seen[p.Hash] = true
+			staged = append(staged, stagedChunk{hash: p.Hash, payload: append([]byte(nil), p.Data...), refs: rec.R})
 		}
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.journalLocked(staged)
 }
 
 // PullFrom copies the closure of target from src into s using the

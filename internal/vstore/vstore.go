@@ -9,7 +9,10 @@
 //
 // The store keeps three things:
 //
-//   - chunks: immutable byte payloads in an in-memory index;
+//   - chunks: immutable byte payloads that live in the journal, behind
+//     an in-memory index from address to (offset, length, refs), so
+//     holding history costs disk and O(chunks) of memory, not O(bytes);
+//     a read is one checksum-verified pread;
 //   - roots: named version lines ("db/main", "session/s0001",
 //     "shard/03"), each a commit log of (commit hash, parent hash,
 //     turn number, wall-free logical stamp);
@@ -112,10 +115,13 @@ var ErrUnknownRoot = errors.New("vstore: unknown root")
 // claimed address.
 var ErrBadPacket = errors.New("vstore: packet bytes do not match hash")
 
-// chunk is one stored chunk plus its GC bookkeeping.
+// chunk is one index entry: where the chunk's frame lies in the journal,
+// the refs every graph walk needs, and its GC bookkeeping.
 type chunk struct {
-	data []byte
+	off  int64 // the frame's offset in the journal
+	n    int   // payload length
 	refs []Hash
+	data []byte // memory-only store: the payload itself (see payloadLocked)
 	// epoch is the GC epoch the chunk was last put or re-touched in;
 	// the sweep spares any chunk touched at or after the sweep's own
 	// epoch (the write barrier for in-flight commits).
@@ -206,27 +212,41 @@ func NewMemory() *Store {
 }
 
 // openPack opens (creating if absent) the journal and replays it:
-// chunks enter the index, root records rebuild the root logs. A torn
-// tail left by a crash mid-append — or a root record whose commit
-// chunk does not precede it — ends the valid prefix and is truncated
-// by the log.
+// chunks enter the index at their offsets, root records rebuild the
+// root logs. A torn tail left by a crash mid-append — or a root record
+// whose commit chunk does not precede it — ends the valid prefix and is
+// truncated by the log.
 func (s *Store) openPack() error {
 	opts := framelog.Options{Op: "vstore.journal"}
 	if f, ok := s.cfg.Faults.(framelog.Faults); ok {
 		opts.Faults = f
 	}
+	// The log cannot be read until Open returns it, so root records are
+	// resolved against the commit chunks this scan has passed: payloads
+	// that alias its read buffer and go when it does. One it has not
+	// passed is nil, which decodes as no commit, and the record is refused.
+	commits := map[Hash][]byte{}
+	scanned := func(h Hash) ([]byte, error) { return commits[h], nil }
+	var off int64
 	var err error
 	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, opts,
-		func(_, payload []byte) bool {
+		func(frame, payload []byte) bool {
 			var rec record
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return false
 			}
 			if rec.Root != nil {
-				return s.applyRootLocked(rec.rootRecord, true) == nil
+				if s.applyRootLocked(rec.rootRecord, true, scanned) != nil {
+					return false
+				}
+			} else {
+				h := hashBytes(payload)
+				if rec.K == "commit" {
+					commits[h] = payload
+				}
+				s.chunks[h] = &chunk{off: off, n: len(payload), refs: rec.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
 			}
-			data := append([]byte(nil), payload...)
-			s.chunks[hashBytes(data)] = &chunk{data: data, refs: rec.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
+			off += int64(len(frame))
 			return true
 		})
 	return err
@@ -269,14 +289,14 @@ func (s *Store) upgradeV1Roots() error {
 		}
 		// The journal keeps hashes only, so every entry must be
 		// recoverable from its commit chunk.
-		if err := s.applyRootLocked(r, true); err != nil {
+		if err := s.applyRootLocked(r, true, s.payloadLocked); err != nil {
 			return fmt.Errorf("vstore: upgrade %s: root %q: %w", path, names[i], err)
 		}
 		if payloads[i], err = rootPayload(r); err != nil {
 			return err
 		}
 	}
-	if err := s.appendPack(payloads...); err != nil {
+	if _, err := s.appendPack(payloads...); err != nil {
 		return err
 	}
 	return framelog.Remove(path)
@@ -289,17 +309,75 @@ func hashBytes(b []byte) Hash {
 }
 
 // appendPack writes the payloads durably to the journal, one frame
-// each, with one append and one fsync (a no-op when memory-only).
-// Caller holds s.mu.
-func (s *Store) appendPack(payloads ...[]byte) error {
+// each, with one append and one fsync (a no-op when memory-only), and
+// returns the offset each frame was given. Caller holds s.mu.
+func (s *Store) appendPack(payloads ...[]byte) ([]int64, error) {
+	offs := make([]int64, len(payloads))
 	if s.pack == nil {
-		return nil
+		return offs, nil
 	}
 	frames := make([][]byte, len(payloads))
+	end := s.pack.Size()
 	for i, p := range payloads {
 		frames[i] = framelog.Encode(packMagic, p)
+		offs[i] = end
+		end += int64(len(frames[i]))
 	}
-	return s.pack.Append(frames...)
+	return offs, s.pack.Append(frames...)
+}
+
+// journalLocked appends the staged chunks the store lacks, then the
+// root records in tail, with one append, and indexes the chunks only
+// once it is acknowledged: a failed or torn append leaves memory as it
+// was. A chunk the store holds is re-touched instead (the GC write
+// barrier). Caller holds s.mu exclusively.
+func (s *Store) journalLocked(staged []stagedChunk, tail ...[]byte) error {
+	var fresh []stagedChunk
+	var payloads [][]byte
+	for _, st := range staged {
+		if c, ok := s.chunks[st.hash]; ok {
+			c.epoch = s.epoch
+		} else {
+			fresh = append(fresh, st)
+			payloads = append(payloads, st.payload)
+		}
+	}
+	offs, err := s.appendPack(append(payloads, tail...)...)
+	if err != nil {
+		return err
+	}
+	for i, st := range fresh {
+		c := &chunk{off: offs[i], n: len(st.payload), refs: st.refs, epoch: s.epoch}
+		if s.pack == nil {
+			c.data = st.payload
+		}
+		s.chunks[st.hash] = c
+	}
+	return nil
+}
+
+// payloadLocked returns a chunk's payload: one pread of its frame,
+// refused unless magic, length and checksum verify — or, in a
+// memory-only store, the bytes its entry kept, so callers treat the
+// result as read-only. It runs under s.mu (either mode) because GC's
+// rewrite swaps the file and every offset under the exclusive lock; the
+// decode can follow the unlock.
+func (s *Store) payloadLocked(h Hash) ([]byte, error) {
+	c, ok := s.chunks[h]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
+	}
+	if s.pack == nil {
+		if c.data == nil {
+			return nil, fmt.Errorf("vstore: read chunk %s: the store is closed", h)
+		}
+		return c.data, nil
+	}
+	payload, err := s.pack.ReadFrame(packMagic, c.off, c.n)
+	if err != nil {
+		return nil, fmt.Errorf("vstore: read chunk %s: %w", h, err)
+	}
+	return payload, nil
 }
 
 // encode renders an envelope canonically (json.Marshal of a struct is
@@ -339,43 +417,10 @@ func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.chunks[h]; ok {
-		c.epoch = s.epoch
-		return h, nil
-	}
-	if err := s.appendPack(payload); err != nil {
+	if err := s.journalLocked([]stagedChunk{{hash: h, payload: payload, refs: refs}}); err != nil {
 		return "", err
 	}
-	s.chunks[h] = &chunk{data: payload, refs: refs, epoch: s.epoch}
 	return h, nil
-}
-
-// AddPacket installs a chunk shipped from another store, verifying
-// its address.
-func (s *Store) AddPacket(p Packet) error {
-	if hashBytes(p.Data) != p.Hash {
-		return fmt.Errorf("%w: %s", ErrBadPacket, p.Hash)
-	}
-	var env record
-	if err := json.Unmarshal(p.Data, &env); err != nil {
-		return fmt.Errorf("vstore: decode packet %s: %w", p.Hash, err)
-	}
-	if env.Root != nil {
-		// Stored as a chunk, it would replay as a root update.
-		return fmt.Errorf("%w: %s is a root record, not a chunk", ErrBadPacket, p.Hash)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.chunks[p.Hash]; ok {
-		c.epoch = s.epoch
-		return nil
-	}
-	data := append([]byte(nil), p.Data...)
-	if err := s.appendPack(data); err != nil {
-		return err
-	}
-	s.chunks[p.Hash] = &chunk{data: data, refs: env.R, epoch: s.epoch}
-	return nil
 }
 
 // Has reports whether the chunk is present.
@@ -386,17 +431,17 @@ func (s *Store) Has(h Hash) bool {
 	return ok
 }
 
-// get decodes one chunk's envelope. Callers treat the returned data
-// as read-only.
+// get reads and decodes one chunk's envelope. Callers treat the
+// returned data as read-only.
 func (s *Store) get(h Hash) (envelope, error) {
 	s.mu.RLock()
-	c, ok := s.chunks[h]
+	payload, err := s.payloadLocked(h)
 	s.mu.RUnlock()
-	if !ok {
-		return envelope{}, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
+	if err != nil {
+		return envelope{}, err
 	}
 	var env envelope
-	if err := json.Unmarshal(c.data, &env); err != nil {
+	if err := json.Unmarshal(payload, &env); err != nil {
 		return envelope{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
 	return env, nil
@@ -440,11 +485,11 @@ func (s *Store) Data(h Hash, out any) (string, error) {
 func (s *Store) PacketOf(h Hash) (Packet, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.chunks[h]
-	if !ok {
-		return Packet{}, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
+	payload, err := s.payloadLocked(h)
+	if err != nil {
+		return Packet{}, err
 	}
-	return Packet{Hash: h, Data: append([]byte(nil), c.data...)}, nil
+	return Packet{Hash: h, Data: append([]byte(nil), payload...)}, nil
 }
 
 // Packets exports several chunks in wire form (replication fetch).

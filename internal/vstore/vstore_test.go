@@ -3,8 +3,11 @@ package vstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/framelog"
@@ -399,4 +402,211 @@ func demoDB(rows int) *storage.Database {
 	}
 	db.Put(t)
 	return db
+}
+
+// flipJournalByte inverts one byte of dir's journal behind the store's
+// back, as a failing disk would.
+func flipJournalByte(t *testing.T, dir string, at int64) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, packName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptChunkIsAnErrorNotAnAnswer flips one payload byte of a
+// chunk under the live store: every read of that chunk fails naming the
+// chunk and its offset, no read returns the altered bytes, the chunks
+// around it still read, and GC refuses to copy the damage forward.
+func TestCorruptChunkIsAnErrorNotAnAnswer(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	b := s.NewBatch()
+	before, err := b.Put("leaf", nil, []byte(`["before"]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := b.Put("leaf", nil, []byte(`["the value 41 was computed from this"]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := b.Put("db", []Hash{before, victim}, []byte(`{"v":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.Commit("db/main", tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "leaf", nil, `["garbage for the sweep"]`)
+
+	s.mu.RLock()
+	off := s.chunks[victim].off
+	s.mu.RUnlock()
+	flipJournalByte(t, dir, off+framelog.HeaderSize+20) // inside the JSON string: still valid JSON
+
+	var out []string
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s of a corrupt chunk succeeded (decoded %q)", what, out)
+		}
+		for _, part := range []string{string(victim), fmt.Sprintf("offset %d", off)} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%s error %q does not name %q", what, err, part)
+			}
+		}
+	}
+	_, err = s.Data(victim, &out)
+	wantErr("Data", err)
+	_, err = s.Kind(victim)
+	wantErr("Kind", err)
+	_, err = s.PacketOf(victim)
+	wantErr("PacketOf", err)
+	_, err = s.Packets([]Hash{before, victim})
+	wantErr("Packets", err)
+
+	// Graph walks need no bytes; the neighbours are intact.
+	if !s.HasClosure(c.Hash) {
+		t.Fatal("closure lost")
+	}
+	for _, h := range []Hash{before, tree, c.Hash} {
+		if p, err := s.PacketOf(h); err != nil || hashBytes(p.Data) != h {
+			t.Fatalf("neighbour %s of the corrupt chunk: %v", h, err)
+		}
+	}
+	// The rewrite would have to read the victim to keep it: GC fails
+	// before its rename and the journal stays as it was.
+	if _, err := s.GC(); err == nil {
+		t.Fatal("GC copied a chunk it could not verify")
+	} else {
+		wantErr("GC", err)
+	}
+	if p, err := s.PacketOf(before); err != nil || hashBytes(p.Data) != before {
+		t.Fatalf("intact chunk after the refused GC: %v", err)
+	}
+	if p, err := s.PacketOf(victim); err == nil || !strings.Contains(err.Error(), string(victim)) {
+		t.Fatalf("corrupt chunk after the refused GC = %q, %v; want an error naming it", p.Data, err)
+	}
+}
+
+// TestIndexKeepsNoPayloadBytes is the memory guard behind "history costs
+// disk, not RAM": after a 20 000 × 5 table is committed to a dir-backed
+// store and the batch is dropped, the heap has grown by less than a
+// fifth of what the journal grew by. A memory-only store has nowhere
+// else to keep the bytes, so there — the one place — they stay resident.
+func TestIndexKeepsNoPayloadBytes(t *testing.T) {
+	db := storage.NewDatabase("guard")
+	tab := storage.NewTable("wide", storage.Schema{
+		{Name: "id", Kind: storage.KindInt},
+		{Name: "a", Kind: storage.KindFloat},
+		{Name: "b", Kind: storage.KindFloat},
+		{Name: "name", Kind: storage.KindString},
+		{Name: "n", Kind: storage.KindInt},
+	})
+	for i := 0; i < 20000; i++ {
+		tab.MustAppendRow(storage.Int(int64(i)), storage.Float(float64(i)*1.25), storage.Float(float64(i)/7),
+			storage.Str(fmt.Sprintf("row-%05d", i)), storage.Int(int64(i*i)))
+	}
+	db.Put(tab)
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // a second cycle finishes sweeping what the first one freed
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	grownBy := func(s *Store) int64 {
+		before := heap()
+		if _, err := s.CommitDatabase("db/main", db, 0); err != nil {
+			t.Fatal(err)
+		}
+		grown := heap() - before
+		runtime.KeepAlive(s)
+		return grown
+	}
+
+	dir := t.TempDir()
+	durable, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := durable.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	grown := grownBy(durable)
+	info, err := os.Stat(filepath.Join(dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := info.Size()
+	t.Logf("journal %d bytes; heap grew by %d dir-backed", journal, grown)
+	if grown >= journal/5 {
+		t.Fatalf("committing a %d-byte journal grew the heap by %d bytes, want under a fifth: the index is holding payload bytes", journal, grown)
+	}
+	if _, err := durable.MaterializeDatabase(mustHead(t, durable, "db/main").Tree); err != nil {
+		t.Fatalf("reading the table back from the journal: %v", err)
+	}
+
+	grown = grownBy(NewMemory())
+	t.Logf("heap grew by %d memory-only", grown)
+	if grown < journal*4/5 {
+		t.Fatalf("a memory-only store grew the heap by only %d bytes for %d bytes of chunks: where are they?", grown, journal)
+	}
+	runtime.KeepAlive(db) // or the table's own bytes leave the heap inside the last measurement
+}
+
+func mustHead(t *testing.T, s *Store, root string) Commit {
+	t.Helper()
+	c, err := s.Head(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestClosedStoreRefusesReads: the journal was the only home of a
+// dir-backed store's chunk bytes, so once it is closed a read is an
+// error — not an empty packet.
+func TestClosedStoreRefusesReads(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mustPut(t, s, "leaf", nil, `[1]`)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := s.PacketOf(h); err == nil {
+		t.Fatalf("PacketOf on a closed store = %q, want an error", p.Data)
+	}
+	if kind, err := s.Data(h, nil); err == nil {
+		t.Fatalf("Data on a closed store = %q, want an error", kind)
+	}
+	if refs, err := s.Refs(h); err != nil || len(refs) != 0 || !s.Has(h) {
+		t.Fatalf("the index itself outlives the journal: refs %v, %v", refs, err)
+	}
 }

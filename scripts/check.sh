@@ -30,7 +30,12 @@
 #                      kill-and-recover and cluster kill/partition
 #                      run-twice transcript diffs, and the session
 #                      store, admission, framelog and versioned-store
-#                      durability suites. FuzzScan and FuzzJournalOpen
+#                      durability suites. The framelog + vstore part —
+#                      journal readers racing GC's file swap — also
+#                      runs on every push and PR (check.yml build-test:
+#                      go test -race ./internal/framelog
+#                      ./internal/vstore, ~20 s), since tier-1 has no
+#                      -race. FuzzScan and FuzzJournalOpen
 #                      run their seed corpora here; the nightly
 #                      full-check job in .github/workflows/check.yml
 #                      also fuzzes the journal decoder for 30 s
