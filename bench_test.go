@@ -55,7 +55,7 @@ func benchVectorIndex(b *testing.B, build func(data []vectorindex.Vector) vector
 	for i, q := range queries {
 		truth[i], _ = exact.Search(q, 10)
 	}
-	var recall float64
+	var recallSum float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
@@ -63,9 +63,9 @@ func benchVectorIndex(b *testing.B, build func(data []vectorindex.Vector) vector
 		if err != nil {
 			b.Fatal(err)
 		}
-		recall = vectorindex.Recall(truth[i%len(queries)], nn)
+		recallSum += vectorindex.Recall(truth[i%len(queries)], nn)
 	}
-	b.ReportMetric(recall, "recall")
+	b.ReportMetric(recallSum/float64(b.N), "recall")
 }
 
 func BenchmarkE2VectorSearchExact(b *testing.B) {
@@ -416,14 +416,6 @@ func BenchmarkCoreRespondEndToEnd(b *testing.B) {
 			}
 		}
 	}
-}
-
-// Efficiency lever before approximation: fan the exact scan across
-// cores.
-func BenchmarkE2VectorSearchParallelExact(b *testing.B) {
-	benchVectorIndex(b, func(data []vectorindex.Vector) vectorindex.Index {
-		return vectorindex.NewParallelExact(data, 0)
-	})
 }
 
 // Scorecard: the composite reliability report (heavier; runs E2–E7

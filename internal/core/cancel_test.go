@@ -79,17 +79,6 @@ func TestCancelledRespondReturnsPromptly(t *testing.T) {
 	}
 }
 
-// TestCancelledBatchAborts: a dead context aborts RespondBatch with
-// ctx.Err() before any work runs.
-func TestCancelledBatchAborts(t *testing.T) {
-	s := swissSystem(t, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RespondBatch(ctx, []string{"how many employment"}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RespondBatch on cancelled ctx: %v, want context.Canceled", err)
-	}
-}
-
 // TestDeadlineExceededPropagates: an already-expired deadline is
 // reported as context.DeadlineExceeded, not absorbed by the
 // degradation ladder — a timeout is not an outage.

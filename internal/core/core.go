@@ -308,14 +308,6 @@ func (s *System) CacheHitRate() float64 { return s.cache.HitRate() }
 // when ctx is cancelled or its deadline passes, Respond returns
 // ctx.Err() promptly and commits nothing to the session transcript —
 // a cancelled turn leaves no partial user/system pair behind.
-func (s *System) Respond(ctx context.Context, sess *dialogue.Session, userText string) (*Answer, error) {
-	return s.respond(ctx, sess, userText, nil)
-}
-
-// respond is the dispatch behind Respond. rng is the model-confidence
-// stream for this turn: nil draws from the system's seeded stream
-// (serialized by rngMu); batch callers pass a per-question stream so
-// answers do not depend on turn interleaving.
 //
 // The turn is transactional with respect to the transcript: intent is
 // classified without mutating the session, the handler runs, and only
@@ -323,7 +315,7 @@ func (s *System) Respond(ctx context.Context, sess *dialogue.Session, userText s
 // pair. Handlers may still update conversational state (offers,
 // focus, memo) before a cancellation lands — that state is advisory
 // and safe to keep — but the transcript never gains half a turn.
-func (s *System) respond(ctx context.Context, sess *dialogue.Session, userText string, rng *rand.Rand) (*Answer, error) {
+func (s *System) Respond(ctx context.Context, sess *dialogue.Session, userText string) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -334,15 +326,15 @@ func (s *System) respond(ctx context.Context, sess *dialogue.Session, userText s
 	)
 	switch intent {
 	case dialogue.IntentDiscover:
-		ans, err = s.discover(sess, userText, rng)
+		ans, err = s.discover(sess, userText)
 	case dialogue.IntentDescribe:
-		ans, err = s.describe(sess, userText, rng)
+		ans, err = s.describe(sess, userText)
 	case dialogue.IntentChoose:
-		ans, err = s.choose(sess, userText, rng)
+		ans, err = s.choose(sess, userText)
 	case dialogue.IntentAnalyze:
-		ans, err = s.analyze(sess, userText, rng)
+		ans, err = s.analyze(sess, userText)
 	case dialogue.IntentQuery, dialogue.IntentFollowUp:
-		ans, err = s.query(ctx, sess, userText, rng)
+		ans, err = s.query(ctx, sess, userText)
 	case dialogue.IntentConfirm:
 		ans = s.confirm(sess, userText)
 	default:
@@ -359,12 +351,9 @@ func (s *System) respond(ctx context.Context, sess *dialogue.Session, userText s
 	return ans, nil
 }
 
-// modelScore draws the simulated raw model confidence from rng, or —
-// when rng is nil — from the system's own seeded stream under rngMu.
-func (s *System) modelScore(rng *rand.Rand) float64 {
-	if rng != nil {
-		return s.rawConf.Score(rng)
-	}
+// modelScore draws the simulated raw model confidence from the
+// system's seeded stream.
+func (s *System) modelScore() float64 {
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
 	return s.rawConf.Score(s.rng)
@@ -409,16 +398,15 @@ func (s *System) attachSuggestions(sess *dialogue.Session, intent dialogue.Inten
 
 // finalize combines evidence into a calibrated confidence, assembles
 // the explanation from provenance, enforces losslessness, and applies
-// the abstention policy. rng selects the model-confidence stream (see
-// modelScore).
-func (s *System) finalize(ans *Answer, rng *rand.Rand) *Answer {
+// the abstention policy.
+func (s *System) finalize(ans *Answer) *Answer {
 	if s.cfg.DisableProvenance {
 		// E4/E8 ablation: with provenance capture off the system
 		// cannot cite or check sources at all.
 		ans.Provenance = nil
 		ans.AnswerNode = ""
 	}
-	ans.Evidence.RawModel = s.modelScore(rng)
+	ans.Evidence.RawModel = s.modelScore()
 	ans.Confidence = s.combiner.Combine(ans.Evidence)
 	s.stampDataRoot(ans)
 	if ans.Provenance != nil && ans.AnswerNode != "" {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
@@ -282,4 +283,40 @@ func TestProvenanceDisabledStillAnswers(t *testing.T) {
 	if ans.Abstained {
 		t.Errorf("abstained: %+v", ans)
 	}
+}
+
+// TestConcurrentRespondAcrossSessions: many sessions asking mixed
+// questions at once must be race-free (the shared rng is serialized,
+// the cache singleflights) and still answer correctly.
+func TestConcurrentRespondAcrossSessions(t *testing.T) {
+	s := swissSystem(t, nil)
+	questions := []string{
+		"how many employment",
+		"how many employment where canton is Zurich",
+		"what is the average value where canton is Bern",
+		"how many employment", // duplicate: cache hit or joined flight
+		"zorp blat quux",      // unknown intent: asks back, no error
+		"list the canton of employment",
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sess := s.NewSession()
+			for i := 0; i < 4; i++ {
+				q := questions[(g+i)%len(questions)]
+				ans, err := s.Respond(context.Background(), sess, q)
+				if err != nil {
+					t.Errorf("Respond(%q): %v", q, err)
+					return
+				}
+				if ans == nil || ans.Text == "" {
+					t.Errorf("Respond(%q): empty answer", q)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/catalog"
@@ -50,7 +49,7 @@ func (s *System) groundingStrength(text string) float64 {
 }
 
 // discover handles dataset-discovery turns (Figure 1, turn 1).
-func (s *System) discover(sess *dialogue.Session, text string, rng *rand.Rand) (*Answer, error) {
+func (s *System) discover(sess *dialogue.Session, text string) (*Answer, error) {
 	ans := &Answer{}
 	if s.cfg.Catalog == nil {
 		ans.Abstained = true
@@ -62,7 +61,7 @@ func (s *System) discover(sess *dialogue.Session, text string, rng *rand.Rand) (
 	if len(recs) == 0 {
 		ans.Evidence = uncertainty.Evidence{Unverifiable: true}
 		ans.Text = "I could not find any dataset matching your question."
-		return s.finalize(ans, rng), nil
+		return s.finalize(ans), nil
 	}
 
 	g := provenance.NewGraph()
@@ -103,7 +102,7 @@ func (s *System) discover(sess *dialogue.Session, text string, rng *rand.Rand) (
 		GroundingStrength: s.groundingStrength(text),
 		Verified:          true, // catalog lookup is deterministic and cited
 	}
-	return s.finalize(ans, rng), nil
+	return s.finalize(ans), nil
 }
 
 // assumption extracts what the expansion added, for the "I am
@@ -132,7 +131,7 @@ func quoteShort(s string) string {
 }
 
 // describe handles "what is X?" turns (Figure 1, turn 2).
-func (s *System) describe(sess *dialogue.Session, text string, rng *rand.Rand) (*Answer, error) {
+func (s *System) describe(sess *dialogue.Session, text string) (*Answer, error) {
 	ans := &Answer{}
 	// Prefer a KG entity; fall back to an offered/known dataset.
 	var entity string
@@ -167,12 +166,12 @@ func (s *System) describe(sess *dialogue.Session, text string, rng *rand.Rand) (
 					GroundingStrength: hit.Score + hit.Margin,
 					Verified:          true, // verbatim extraction from a cited document
 				}
-				return s.finalize(ans, rng), nil
+				return s.finalize(ans), nil
 			}
 		}
 		ans.Evidence = uncertainty.Evidence{Unverifiable: true}
 		ans.Text = "I do not have grounded knowledge about that; could you point me to a dataset or concept I know?"
-		return s.finalize(ans, rng), nil
+		return s.finalize(ans), nil
 	}
 
 	g := provenance.NewGraph()
@@ -204,7 +203,7 @@ func (s *System) describe(sess *dialogue.Session, text string, rng *rand.Rand) (
 		GroundingStrength: s.groundingStrength(text),
 		Verified:          true,
 	}
-	return s.finalize(ans, rng), nil
+	return s.finalize(ans), nil
 }
 
 func uriish(s string) string {
@@ -215,7 +214,7 @@ func uriish(s string) string {
 }
 
 // choose handles "I am interested in X" turns (Figure 1, turn 3).
-func (s *System) choose(sess *dialogue.Session, text string, rng *rand.Rand) (*Answer, error) {
+func (s *System) choose(sess *dialogue.Session, text string) (*Answer, error) {
 	ans := &Answer{}
 	offer, ok := sess.ResolveOffer(text)
 	if !ok {
@@ -247,7 +246,7 @@ func (s *System) choose(sess *dialogue.Session, text string, rng *rand.Rand) (*A
 	ans.Provenance = g
 	ans.AnswerNode = ansNode
 	ans.Evidence = uncertainty.Evidence{Consistency: 1, GroundingStrength: 1, Verified: true}
-	return s.finalize(ans, rng), nil
+	return s.finalize(ans), nil
 }
 
 func (s *System) datasetByID(id string) (*catalog.Dataset, error) {
@@ -259,7 +258,7 @@ func (s *System) datasetByID(id string) (*catalog.Dataset, error) {
 
 // analyze handles analytical turns (Figure 1, turn 4): seasonality
 // and trend over the focused dataset.
-func (s *System) analyze(sess *dialogue.Session, text string, rng *rand.Rand) (*Answer, error) {
+func (s *System) analyze(sess *dialogue.Session, text string) (*Answer, error) {
 	ans := &Answer{}
 	dsID := sess.Focus
 	if dsID == "" {
@@ -315,9 +314,9 @@ func (s *System) analyze(sess *dialogue.Session, text string, rng *rand.Rand) (*
 	lower := strings.ToLower(text)
 	switch {
 	case strings.Contains(lower, "forecast") || strings.Contains(lower, "predict"):
-		return s.analyzeForecast(ds, col, vals, season, rng)
+		return s.analyzeForecast(ds, col, vals, season)
 	case strings.Contains(lower, "anomal") || strings.Contains(lower, "outlier"):
-		return s.analyzeAnomalies(ds, col, vals, season, rng)
+		return s.analyzeAnomalies(ds, col, vals, season)
 	}
 
 	sqlText := fmt.Sprintf("SELECT %s FROM %s", col, ds.Table.Name)
@@ -377,13 +376,13 @@ func (s *System) analyze(sess *dialogue.Session, text string, rng *rand.Rand) (*
 		GroundingStrength: 1,
 		Verified:          true, // deterministic computation over cited data
 	}
-	return s.finalize(ans, rng), nil
+	return s.finalize(ans), nil
 }
 
 // analyzeForecast answers forecast requests with explicit prediction
 // intervals (P4: the uncertainty of the prediction is part of the
 // answer).
-func (s *System) analyzeForecast(ds *catalog.Dataset, col string, vals []float64, season *timeseries.Seasonality, rng *rand.Rand) (*Answer, error) {
+func (s *System) analyzeForecast(ds *catalog.Dataset, col string, vals []float64, season *timeseries.Seasonality) (*Answer, error) {
 	ans := &Answer{}
 	const horizon = 6
 	const level = 0.9
@@ -415,12 +414,12 @@ func (s *System) analyzeForecast(ds *catalog.Dataset, col string, vals []float64
 		conf = 0.7 // naive+drift without seasonal structure
 	}
 	ans.Evidence = uncertainty.Evidence{Consistency: conf, GroundingStrength: 1, Verified: true}
-	return s.finalize(ans, rng), nil
+	return s.finalize(ans), nil
 }
 
 // analyzeAnomalies answers outlier requests with the auditable
 // z-score criterion.
-func (s *System) analyzeAnomalies(ds *catalog.Dataset, col string, vals []float64, season *timeseries.Seasonality, rng *rand.Rand) (*Answer, error) {
+func (s *System) analyzeAnomalies(ds *catalog.Dataset, col string, vals []float64, season *timeseries.Seasonality) (*Answer, error) {
 	ans := &Answer{}
 	const threshold = 3.0
 	anomalies, err := timeseries.DetectAnomalies(vals, season.Period, threshold)
@@ -451,7 +450,7 @@ func (s *System) analyzeAnomalies(ds *catalog.Dataset, col string, vals []float6
 	ans.Provenance = g
 	ans.AnswerNode = ansNode
 	ans.Evidence = uncertainty.Evidence{Consistency: 1, GroundingStrength: 1, Verified: true}
-	return s.finalize(ans, rng), nil
+	return s.finalize(ans), nil
 }
 
 // analysisProvenance builds the source → query → computation → answer
@@ -502,14 +501,14 @@ const (
 // Self-contained questions go through the optimizer's singleflight
 // answer cache: concurrent sessions asking the same question share
 // one pipeline run, and a stampede on a cold key computes once.
-func (s *System) query(ctx context.Context, sess *dialogue.Session, text string, rng *rand.Rand) (*Answer, error) {
+func (s *System) query(ctx context.Context, sess *dialogue.Session, text string) (*Answer, error) {
 	if s.translator == nil {
 		return &Answer{Abstained: true, Text: "No database is connected."}, nil
 	}
 	// Follow-ups depend on conversation context and must bypass the
 	// text-keyed answer cache.
 	if _, freshErr := nl2sql.ParseIntent(text); freshErr != nil {
-		ans, _, err := s.queryUncached(ctx, sess, text, rng)
+		ans, _, err := s.queryUncached(ctx, sess, text)
 		return ans, err
 	}
 	// A caller served from the cache (or from another caller's flight)
@@ -518,7 +517,7 @@ func (s *System) query(ctx context.Context, sess *dialogue.Session, text string,
 	// gets a shallow copy — per-session suggestion attachment must not
 	// race on the shared value.
 	ans, err := s.cache.Do(ctx, text, func() (*Answer, bool, error) {
-		return s.queryUncached(ctx, sess, text, rng)
+		return s.queryUncached(ctx, sess, text)
 	})
 	if ans == nil || err != nil {
 		return nil, err
@@ -532,7 +531,7 @@ func (s *System) query(ctx context.Context, sess *dialogue.Session, text string,
 // only final committed answers are; clarifications, abstentions, and
 // pending ask-and-refine exchanges carry session side effects and are
 // recomputed per caller.
-func (s *System) queryUncached(ctx context.Context, sess *dialogue.Session, text string, rng *rand.Rand) (*Answer, bool, error) {
+func (s *System) queryUncached(ctx context.Context, sess *dialogue.Session, text string) (*Answer, bool, error) {
 	var prevFrame *nl2sql.Frame
 	if f, ok := sess.Memo[memoLastFrame].(*nl2sql.Frame); ok {
 		prevFrame = f
@@ -603,7 +602,7 @@ func (s *System) queryUncached(ctx context.Context, sess *dialogue.Session, text
 		Verified:          verified,
 		Unverifiable:      tr.Result == nil,
 	}
-	out := s.finalize(ans, rng)
+	out := s.finalize(ans)
 	// Ask-and-refine (the paper's "ask-and-refine dialogues"): when
 	// the evidence fell just short of the threshold but a verifiable
 	// candidate exists, show it and ask instead of silently

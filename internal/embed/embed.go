@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/reliable-cda/cda/internal/parallel"
 	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/textindex"
 	"github.com/reliable-cda/cda/internal/vectorindex"
@@ -190,7 +189,24 @@ type Hit struct {
 
 // Search returns the k most similar items (cosine), ties broken by ID.
 func (ix *DenseIndex) Search(query string, k int) []Hit {
-	return ix.search(query, k, parallel.Options{Workers: 1})
+	if len(ix.items) == 0 || k <= 0 {
+		return nil
+	}
+	qv := ix.embedder.EmbedText(query)
+	hits := make([]Hit, len(ix.items))
+	for i, item := range ix.items {
+		hits[i] = Hit{ID: item.ID, Score: Similarity(qv, ix.vectors[i])}
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].ID < hits[j].ID
+	})
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
 }
 
 // TrySearch is Search through the fault-injection seam: with no hook
@@ -204,59 +220,6 @@ func (ix *DenseIndex) TrySearch(query string, k int) ([]Hit, error) {
 		}
 	}
 	return ix.Search(query, k), nil
-}
-
-// SearchParallel is Search with the similarity scan chunked over
-// `workers` goroutines (0 = GOMAXPROCS). Each item's score is an
-// independent dot product written to its own slot, so the hit list —
-// and therefore the ranking — is bit-identical to Search for any
-// worker count. Small indexes fall back to the inline scan.
-func (ix *DenseIndex) SearchParallel(query string, k, workers int) []Hit {
-	return ix.search(query, k, parallel.Options{Workers: workers})
-}
-
-func (ix *DenseIndex) search(query string, k int, o parallel.Options) []Hit {
-	if len(ix.items) == 0 || k <= 0 {
-		return nil
-	}
-	qv := ix.embedder.EmbedText(query)
-	hits := make([]Hit, len(ix.items))
-	// cdalint:ignore dropped-error -- the scorer never fails.
-	parallel.Do(len(ix.items), o, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			hits[i] = Hit{ID: ix.items[i].ID, Score: Similarity(qv, ix.vectors[i])}
-		}
-		return nil
-	})
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].ID < hits[j].ID
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
-}
-
-// HybridSearch runs the dense and lexical retrieval legs concurrently
-// — each leg itself chunked over `workers` goroutines — and fuses the
-// two rankings with Hybrid. Both legs are bit-deterministic, so the
-// fused ranking equals running them back-to-back serially.
-func HybridSearch(dense *DenseIndex, lex *textindex.Index, query string, k, workers int) []Hit {
-	var dhits []Hit
-	var lhits []textindex.Hit
-	legs := []func(){
-		func() { dhits = dense.SearchParallel(query, k, workers) },
-		func() { lhits = lex.SearchParallel(query, k, workers) },
-	}
-	// cdalint:ignore dropped-error -- the legs never fail.
-	parallel.ForEach(len(legs), parallel.Options{SerialThreshold: 1}, func(i int) error {
-		legs[i]()
-		return nil
-	})
-	return Hybrid(dhits, lhits, k)
 }
 
 // Hybrid fuses dense and lexical rankings by reciprocal-rank fusion,

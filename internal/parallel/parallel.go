@@ -5,8 +5,8 @@
 // pay goroutine overhead.
 //
 // The package exists to make "run it on all cores" a safe default for
-// the reliability-critical paths (SQL execution, index probes,
-// retrieval scoring, batched respond): every helper guarantees that
+// the paths that fan out (the columnar SQL operators and the IVF
+// probe): every helper guarantees that
 //
 //   - chunk boundaries are a pure function of (n, workers), never of
 //     scheduling;
@@ -198,19 +198,4 @@ func MapChunks[T any](n int, o Options, fn func(lo, hi int) (T, error)) ([]T, er
 		}
 	}
 	return results, nil
-}
-
-// ForEach runs fn(i) for every i in [0, n) in parallel chunks,
-// stopping each chunk at its first error. fn must only write to
-// per-index state (out[i]). Error selection follows Do: the failure a
-// serial scan would have hit first wins.
-func ForEach(n int, o Options, fn func(i int) error) error {
-	return Do(n, o, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

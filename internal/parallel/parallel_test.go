@@ -3,10 +3,69 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
+
+// TestImporters pins the package's call sites. Every fan-out costs a
+// worker knob, a serial threshold and a serial-vs-parallel determinism
+// suite, so a new one has to argue for itself by editing this list.
+func TestImporters(t *testing.T) {
+	want := []string{
+		"internal/sqldb/exec.go",
+		"internal/sqldb/vexec.go",
+		"internal/vectorindex/ivf.go",
+	}
+	const (
+		root       = "../.."
+		importPath = `"github.com/reliable-cda/cda/internal/parallel"`
+	)
+	var got []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is a module of its own; testdata holds fixtures.
+			if name := d.Name(); name == "testdata" || name == "bench" || (path != root && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == importPath {
+				rel, err := filepath.Rel(root, path)
+				if err != nil {
+					return err
+				}
+				got = append(got, filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("non-test importers of internal/parallel:\n got %v\nwant %v", got, want)
+	}
+}
 
 func TestSpansCoverAndOrder(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 10, 100, 1001} {
@@ -100,9 +159,11 @@ func TestDoFirstErrorWins(t *testing.T) {
 	// Every chunk fails; the returned error must be the one a serial
 	// left-to-right scan would have hit first, on every run.
 	for trial := 0; trial < 20; trial++ {
-		err := ForEach(1000, Options{Workers: 8, SerialThreshold: 1}, func(i int) error {
-			if i >= 100 {
-				return fmt.Errorf("fail at %d", i)
+		err := Do(1000, Options{Workers: 8, SerialThreshold: 1}, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if i >= 100 {
+					return fmt.Errorf("fail at %d", i)
+				}
 			}
 			return nil
 		})

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/storage"
@@ -12,80 +11,6 @@ import (
 type group struct {
 	key     []storage.Value
 	rowIdxs []int
-}
-
-// executeAggregate handles SELECTs with aggregates and/or GROUP BY.
-// With no GROUP BY the whole (filtered) relation forms one group.
-// HAVING and ORDER BY expressions are evaluated in group scope, where
-// aggregate calls compute over the group and plain column references
-// must be group keys.
-func (e *Engine) executeAggregate(stmt *SelectStmt, rel *relation) (*Result, error) {
-	if stmt.SelStar {
-		return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
-	}
-	// Validate: non-aggregate select items must appear in GROUP BY.
-	for _, it := range stmt.Items {
-		if err := validateGroupExpr(it.Expr, stmt.GroupBy); err != nil {
-			return nil, err
-		}
-	}
-
-	groups := buildGroups(stmt.GroupBy, rel)
-	res := &Result{}
-	for _, it := range stmt.Items {
-		res.Columns = append(res.Columns, it.OutputName())
-	}
-
-	type keyed struct {
-		row  []storage.Value
-		prov []RowRef
-		keys []storage.Value
-	}
-	orderExprs := e.orderExprs(stmt)
-	var out []keyed
-	for _, g := range groups {
-		if stmt.Having != nil {
-			hv, err := evalGroupExpr(stmt.Having, rel, g)
-			if err != nil {
-				return nil, err
-			}
-			if !isTrue(hv) {
-				continue
-			}
-		}
-		row := make([]storage.Value, len(stmt.Items))
-		for j, it := range stmt.Items {
-			v, err := evalGroupExpr(it.Expr, rel, g)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
-		}
-		k := keyed{row: row}
-		if e.CaptureProvenance {
-			k.prov = groupProvenance(rel, g)
-		}
-		for _, oe := range orderExprs {
-			v, err := evalGroupExpr(oe, rel, g)
-			if err != nil {
-				return nil, err
-			}
-			k.keys = append(k.keys, v)
-		}
-		out = append(out, k)
-	}
-	if len(orderExprs) > 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			return compareKeySlices(out[i].keys, out[j].keys, stmt.OrderBy) < 0
-		})
-	}
-	for _, k := range out {
-		res.Rows = append(res.Rows, k.row)
-		if e.CaptureProvenance {
-			res.Prov = append(res.Prov, k.prov)
-		}
-	}
-	return res, nil
 }
 
 // validateGroupExpr rejects select items that reference columns
@@ -146,166 +71,6 @@ func validateGroupExpr(e Expr, groupBy []Expr) error {
 // sound because Render is deterministic and fully parenthesized.
 func exprEqual(a, b Expr) bool {
 	return strings.EqualFold(a.Render(), b.Render())
-}
-
-func buildGroups(groupBy []Expr, rel *relation) []*group {
-	if len(groupBy) == 0 {
-		g := &group{}
-		for i := range rel.rows {
-			g.rowIdxs = append(g.rowIdxs, i)
-		}
-		return []*group{g}
-	}
-	index := make(map[string]*group)
-	var order []*group
-	for i, row := range rel.rows {
-		key := make([]storage.Value, len(groupBy))
-		parts := make([]string, len(groupBy))
-		for j, ge := range groupBy {
-			v, err := evalExpr(ge, rel, row)
-			if err != nil {
-				// Surface evaluation errors lazily via a sentinel group;
-				// in practice GROUP BY keys are column refs validated
-				// earlier, so treat errors as NULL keys.
-				v = storage.Null()
-			}
-			key[j] = v
-			parts[j] = v.Kind.String() + ":" + v.String()
-		}
-		ks := strings.Join(parts, "\x1f")
-		g, ok := index[ks]
-		if !ok {
-			g = &group{key: key}
-			index[ks] = g
-			order = append(order, g)
-		}
-		g.rowIdxs = append(g.rowIdxs, i)
-	}
-	return order
-}
-
-func groupProvenance(rel *relation, g *group) []RowRef {
-	var out []RowRef
-	seen := make(map[RowRef]struct{})
-	for _, i := range g.rowIdxs {
-		for _, r := range rel.prov[i] {
-			if _, ok := seen[r]; !ok {
-				seen[r] = struct{}{}
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
-// evalGroupExpr evaluates an expression in group scope: FuncExpr nodes
-// aggregate over the group's rows; everything else evaluates against
-// the group's first row (valid because validation restricts bare
-// columns to group keys, which are constant within a group).
-func evalGroupExpr(e Expr, rel *relation, g *group) (storage.Value, error) {
-	switch x := e.(type) {
-	case *FuncExpr:
-		return evalAggregate(x, rel, g)
-	case *Literal:
-		return x.Val, nil
-	case *ColumnRef:
-		if len(g.rowIdxs) == 0 {
-			return storage.Null(), nil
-		}
-		return evalExpr(x, rel, rel.rows[g.rowIdxs[0]])
-	case *BinaryExpr:
-		// Rebuild with group-evaluated leaves: handle aggregates nested
-		// in arithmetic, e.g. SUM(x)/COUNT(*).
-		l, err := evalGroupExpr(x.Left, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		r, err := evalGroupExpr(x.Right, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		lit := &BinaryExpr{Op: x.Op, Left: &Literal{Val: l}, Right: &Literal{Val: r}}
-		return evalExpr(lit, rel, nil)
-	case *UnaryExpr:
-		v, err := evalGroupExpr(x.Expr, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return evalExpr(&UnaryExpr{Op: x.Op, Expr: &Literal{Val: v}}, rel, nil)
-	case *InExpr:
-		v, err := evalGroupExpr(x.Expr, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		list := make([]Expr, len(x.List))
-		for i, it := range x.List {
-			iv, err := evalGroupExpr(it, rel, g)
-			if err != nil {
-				return storage.Null(), err
-			}
-			list[i] = &Literal{Val: iv}
-		}
-		return evalExpr(&InExpr{Expr: &Literal{Val: v}, List: list, Not: x.Not}, rel, nil)
-	case *BetweenExpr:
-		v, err := evalGroupExpr(x.Expr, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		lo, err := evalGroupExpr(x.Lo, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		hi, err := evalGroupExpr(x.Hi, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return evalExpr(&BetweenExpr{
-			Expr: &Literal{Val: v}, Lo: &Literal{Val: lo}, Hi: &Literal{Val: hi}, Not: x.Not,
-		}, rel, nil)
-	case *IsNullExpr:
-		v, err := evalGroupExpr(x.Expr, rel, g)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return storage.Bool(v.IsNull() != x.Not), nil
-	case *ScalarExpr:
-		args := make([]storage.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalGroupExpr(a, rel, g)
-			if err != nil {
-				return storage.Null(), err
-			}
-			args[i] = v
-		}
-		return evalScalar(x.Name, args)
-	default:
-		return storage.Null(), fmt.Errorf("sql: unsupported expression %T in group scope", e)
-	}
-}
-
-func evalAggregate(f *FuncExpr, rel *relation, g *group) (storage.Value, error) {
-	if _, isStar := f.Arg.(*Star); isStar {
-		if f.Name != "COUNT" {
-			return storage.Null(), fmt.Errorf("sql: %s(*) is not valid", f.Name)
-		}
-		return storage.Int(int64(len(g.rowIdxs))), nil
-	}
-	// Gather non-NULL argument values over the group.
-	var vals []storage.Value
-	for _, i := range g.rowIdxs {
-		v, err := evalExpr(f.Arg, rel, rel.rows[i])
-		if err != nil {
-			return storage.Null(), err
-		}
-		if v.IsNull() {
-			continue
-		}
-		vals = append(vals, v)
-	}
-	if f.Distinct {
-		vals = dedupValues(vals)
-	}
-	return finishAggregate(f.Name, vals)
 }
 
 // dedupValues removes duplicate values in first-appearance order,

@@ -127,14 +127,6 @@ type Engine struct {
 	// stay serial (0 = parallel.DefaultSerialThreshold). Tests set 1
 	// to force the parallel path on small fixtures.
 	ParallelThreshold int
-	// RowOracle forces the legacy row-at-a-time executor. The default
-	// (false) runs the vectorized columnar engine; the row path is
-	// kept as the differential-testing oracle — same Result, Stats,
-	// Prov, Fingerprint, and errors, enforced by the fuzz and
-	// determinism suites. It is serial by construction: plain loops
-	// that ignore Workers and share no chunk-merge code with the
-	// engine they check.
-	RowOracle bool
 }
 
 // execChunkFactor oversubscribes parallel chunks (workers × factor)
@@ -162,91 +154,14 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	return e.Execute(stmt)
 }
 
-// Execute runs a parsed statement. The columnar engine is the
-// default; RowOracle selects the legacy row-at-a-time path (the
-// differential-testing oracle). Both produce byte-identical results.
+// Execute runs a parsed statement on the columnar engine.
 func (e *Engine) Execute(stmt *SelectStmt) (*Result, error) {
 	if e.Faults != nil {
 		if err := e.Faults.Inject("sqldb.execute"); err != nil {
 			return nil, err
 		}
 	}
-	if e.RowOracle {
-		return e.executeRow(stmt)
-	}
 	return e.executeVec(stmt)
-}
-
-// executeRow is the row-at-a-time pipeline: scan → pushdown → joins →
-// residual filter → aggregation/projection.
-func (e *Engine) executeRow(stmt *SelectStmt) (*Result, error) {
-	var stats Stats
-
-	rel, err := e.scan(stmt.From, stmt.FromAl, &stats)
-	if err != nil {
-		return nil, err
-	}
-	var wherePreds []Expr
-	if stmt.Where != nil {
-		if containsAggregate(stmt.Where) {
-			return nil, fmt.Errorf("sql: aggregates are not allowed in WHERE")
-		}
-		wherePreds = conjuncts(stmt.Where)
-	}
-	// Predicate pushdown onto the base scan.
-	if !e.DisableOptimizations && len(stmt.Joins) > 0 {
-		// (With no joins, the final filter is the scan filter anyway.)
-		var pushed []Expr
-		pushed, wherePreds = pushDown(wherePreds, rel)
-		stats.PushedPredicates += len(pushed)
-		rel, err = e.filterRelation(rel, pushed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, jc := range stmt.Joins {
-		right, err := e.scan(jc.Table, jc.Alias, &stats)
-		if err != nil {
-			return nil, err
-		}
-		if !e.DisableOptimizations {
-			var pushed []Expr
-			pushed, wherePreds = pushDown(wherePreds, right)
-			stats.PushedPredicates += len(pushed)
-			right, err = e.filterRelation(right, pushed)
-			if err != nil {
-				return nil, err
-			}
-			if li, ri, residual, ok := equiJoinKey(jc.On, rel, right); ok {
-				rel, err = e.hashJoin(rel, right, li, ri, residual, &stats)
-				if err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		rel, err = e.join(rel, right, jc.On, &stats)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cond := conjoin(wherePreds); cond != nil {
-		rel, err = e.filterRelation(rel, wherePreds)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var res *Result
-	if stmt.HasAggregates() || len(stmt.GroupBy) > 0 {
-		res, err = e.executeAggregate(stmt, rel)
-	} else {
-		res, err = e.executeProjection(stmt, rel)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return finishResult(stmt, res, &stats), nil
 }
 
 // finishResult applies the post-projection stages shared by both
@@ -276,124 +191,6 @@ func finishResult(stmt *SelectStmt, res *Result, stats *Stats) *Result {
 	res.Stats = *stats
 	res.Stmt = stmt
 	return res
-}
-
-func (e *Engine) scan(table, alias string, stats *Stats) (*relation, error) {
-	t, err := e.DB.Get(table)
-	if err != nil {
-		return nil, err
-	}
-	if alias == "" {
-		alias = table
-	}
-	rel := &relation{}
-	for _, c := range t.Schema() {
-		rel.aliases = append(rel.aliases, alias)
-		rel.names = append(rel.names, c.Name)
-	}
-	n := t.NumRows()
-	stats.RowsScanned += n
-	rel.rows = make([][]storage.Value, n)
-	for i := 0; i < n; i++ {
-		rel.rows[i] = t.Row(i)
-	}
-	if e.CaptureProvenance {
-		rel.prov = make([][]RowRef, n)
-		for i := 0; i < n; i++ {
-			rel.prov[i] = []RowRef{{Table: t.Name, Row: i}}
-		}
-	}
-	return rel, nil
-}
-
-func (e *Engine) join(left, right *relation, on Expr, stats *Stats) (*relation, error) {
-	out := &relation{
-		aliases: append(append([]string{}, left.aliases...), right.aliases...),
-		names:   append(append([]string{}, left.names...), right.names...),
-	}
-	for li, lrow := range left.rows {
-		for ri, rrow := range right.rows {
-			stats.RowsJoined++
-			combined := make([]storage.Value, 0, len(lrow)+len(rrow))
-			combined = append(combined, lrow...)
-			combined = append(combined, rrow...)
-			v, err := evalExpr(on, out, combined)
-			if err != nil {
-				return nil, err
-			}
-			if !isTrue(v) {
-				continue
-			}
-			out.rows = append(out.rows, combined)
-			if e.CaptureProvenance {
-				p := make([]RowRef, 0, len(left.prov[li])+len(right.prov[ri]))
-				p = append(p, left.prov[li]...)
-				p = append(p, right.prov[ri]...)
-				out.prov = append(out.prov, p)
-			}
-		}
-	}
-	return out, nil
-}
-
-// executeProjection handles non-aggregate SELECTs, including ORDER BY
-// keys evaluated in the same scope as the projections.
-func (e *Engine) executeProjection(stmt *SelectStmt, rel *relation) (*Result, error) {
-	res := &Result{}
-	if stmt.SelStar {
-		res.Columns = append(res.Columns, rel.names...)
-	} else {
-		for _, it := range stmt.Items {
-			res.Columns = append(res.Columns, it.OutputName())
-		}
-	}
-
-	type keyed struct {
-		row  []storage.Value
-		prov []RowRef
-		keys []storage.Value
-	}
-	var out []keyed
-	orderExprs := e.orderExprs(stmt)
-	for i, row := range rel.rows {
-		var projected []storage.Value
-		if stmt.SelStar {
-			projected = row
-		} else {
-			projected = make([]storage.Value, len(stmt.Items))
-			for j, it := range stmt.Items {
-				v, err := evalExpr(it.Expr, rel, row)
-				if err != nil {
-					return nil, err
-				}
-				projected[j] = v
-			}
-		}
-		k := keyed{row: projected}
-		if e.CaptureProvenance {
-			k.prov = rel.prov[i]
-		}
-		for _, oe := range orderExprs {
-			v, err := evalExpr(oe, rel, row)
-			if err != nil {
-				return nil, err
-			}
-			k.keys = append(k.keys, v)
-		}
-		out = append(out, k)
-	}
-	if len(orderExprs) > 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			return compareKeySlices(out[i].keys, out[j].keys, stmt.OrderBy) < 0
-		})
-	}
-	for _, k := range out {
-		res.Rows = append(res.Rows, k.row)
-		if e.CaptureProvenance {
-			res.Prov = append(res.Prov, k.prov)
-		}
-	}
-	return res, nil
 }
 
 // orderExprs resolves ORDER BY items, substituting references to

@@ -165,13 +165,12 @@ func genDiffQuery(rng *rand.Rand) string {
 func TestVectorizedMatchesRowOracleFuzz(t *testing.T) {
 	db := genJoinDB(1500, 80, 11)
 	oracle := NewEngine(db)
-	oracle.RowOracle = true
 	vec := NewEngine(db)
 	vec.ParallelThreshold = 1 // force the parallel operators
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
 		q := genDiffQuery(rng)
-		want, werr := oracle.Query(q)
+		want, werr := oracle.queryRow(q)
 		got, gerr := vec.Query(q)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%q: error divergence oracle=%v vectorized=%v", q, werr, gerr)

@@ -42,7 +42,10 @@ var parallelPropQueries = []string{
 	"SELECT * FROM facts WHERE v > 50",
 	"SELECT grp, COUNT(*) FROM facts WHERE v > 25 GROUP BY grp ORDER BY grp",
 	"SELECT f.grp, d.label, COUNT(*) FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 30 GROUP BY f.grp, d.label ORDER BY f.grp, d.label",
-	"SELECT d.label, AVG(f.v) FROM facts f JOIN dims d ON f.k = d.k GROUP BY d.label ORDER BY d.label",
+	// The three statements bench_test.go times row against columnar.
+	benchFilterScan,
+	benchHashJoinAgg,
+	benchGroupAgg,
 	"SELECT DISTINCT grp FROM facts WHERE v < 90 ORDER BY grp",
 	"SELECT f.v, d.label FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 80 AND d.label = 'd3' ORDER BY f.v DESC LIMIT 20",
 }
@@ -135,7 +138,6 @@ func TestVectorizedMatchesRowOracleAcrossWorkers(t *testing.T) {
 		db := genJoinDB(4000, 200, seed)
 		for _, disableOpt := range []bool{false, true} {
 			oracle := NewEngine(db)
-			oracle.RowOracle = true
 			oracle.Workers = 1
 			oracle.DisableOptimizations = disableOpt
 			for _, workers := range []int{1, 2, 8} {
@@ -144,7 +146,7 @@ func TestVectorizedMatchesRowOracleAcrossWorkers(t *testing.T) {
 				vec.ParallelThreshold = 1
 				vec.DisableOptimizations = disableOpt
 				for _, q := range parallelPropQueries {
-					want, err := oracle.Query(q)
+					want, err := oracle.queryRow(q)
 					if err != nil {
 						t.Fatalf("oracle %q: %v", q, err)
 					}
@@ -176,18 +178,17 @@ func TestVectorizedMatchesRowOracleAcrossWorkers(t *testing.T) {
 func TestVectorizedErrorMatchesRowOracle(t *testing.T) {
 	db := genJoinDB(3000, 50, 4)
 	oracle := NewEngine(db)
-	oracle.RowOracle = true
 	vec := NewEngine(db)
 	vec.Workers = 8
 	vec.ParallelThreshold = 1
 	for _, q := range []string{
-		"SELECT * FROM facts WHERE grp + 1 > 0",          // filter eval error
-		"SELECT v + grp FROM facts",                      // projection eval error
-		"SELECT SUM(grp) FROM facts",                     // aggregate over strings
-		"SELECT nosuch FROM facts",                       // unknown column
+		"SELECT * FROM facts WHERE grp + 1 > 0",                                  // filter eval error
+		"SELECT v + grp FROM facts",                                              // projection eval error
+		"SELECT SUM(grp) FROM facts",                                             // aggregate over strings
+		"SELECT nosuch FROM facts",                                               // unknown column
 		"SELECT f.v FROM facts f JOIN dims d ON f.k = d.k WHERE d.label - 1 > 0", // residual eval error
 	} {
-		_, oerr := oracle.Query(q)
+		_, oerr := oracle.queryRow(q)
 		_, verr := vec.Query(q)
 		if oerr == nil || verr == nil {
 			t.Fatalf("%q: expected both engines to fail, oracle=%v vectorized=%v", q, oerr, verr)

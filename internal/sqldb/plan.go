@@ -67,31 +67,6 @@ func pushDown(preds []Expr, rel columnResolver) (pushed, rest []Expr) {
 	return pushed, rest
 }
 
-// filterRelation applies a predicate list to a relation — a plain
-// loop: this is the row oracle the columnar engine is checked
-// against, so it shares none of that engine's chunk-and-merge
-// machinery and is serial whatever Engine.Workers says.
-func (e *Engine) filterRelation(rel *relation, preds []Expr) (*relation, error) {
-	if len(preds) == 0 {
-		return rel, nil
-	}
-	cond := conjoin(preds)
-	out := &relation{aliases: rel.aliases, names: rel.names}
-	for i, row := range rel.rows {
-		v, err := evalExpr(cond, rel, row)
-		if err != nil {
-			return nil, err
-		}
-		if isTrue(v) {
-			out.rows = append(out.rows, row)
-			if e.CaptureProvenance {
-				out.prov = append(out.prov, rel.prov[i])
-			}
-		}
-	}
-	return out, nil
-}
-
 // equiJoinKey finds one `a = b` conjunct with a resolving in left and
 // b in right (either order), returning the column indexes and the
 // residual conjuncts.
@@ -135,54 +110,4 @@ func valueKey(v storage.Value) (string, bool) {
 		return "n:" + storage.Float(f).String(), true
 	}
 	return v.Kind.String() + ":" + v.String(), true
-}
-
-// hashJoin builds a hash table on the right side and probes with the
-// left, row by row in left order (bucket lists preserve right-row
-// order), evaluating residual conjuncts on each candidate match.
-// Serial by construction, like filterRelation.
-func (e *Engine) hashJoin(left, right *relation, li, ri int, residual []Expr, stats *Stats) (*relation, error) {
-	out := &relation{
-		aliases: append(append([]string{}, left.aliases...), right.aliases...),
-		names:   append(append([]string{}, left.names...), right.names...),
-	}
-	cond := conjoin(residual)
-	// Build on the right (kept simple; the planner has no cardinality
-	// estimates to choose sides).
-	buckets := make(map[string][]int, len(right.rows))
-	for i, row := range right.rows {
-		if key, ok := valueKey(row[ri]); ok {
-			buckets[key] = append(buckets[key], i)
-		}
-	}
-	for lIdx, lrow := range left.rows {
-		key, ok := valueKey(lrow[li])
-		if !ok {
-			continue
-		}
-		for _, rIdx := range buckets[key] {
-			stats.RowsJoined++
-			combined := make([]storage.Value, 0, len(lrow)+len(right.rows[rIdx]))
-			combined = append(combined, lrow...)
-			combined = append(combined, right.rows[rIdx]...)
-			if cond != nil {
-				v, err := evalExpr(cond, out, combined)
-				if err != nil {
-					return nil, err
-				}
-				if !isTrue(v) {
-					continue
-				}
-			}
-			out.rows = append(out.rows, combined)
-			if e.CaptureProvenance {
-				p := make([]RowRef, 0, len(left.prov[lIdx])+len(right.prov[rIdx]))
-				p = append(p, left.prov[lIdx]...)
-				p = append(p, right.prov[rIdx]...)
-				out.prov = append(out.prov, p)
-			}
-		}
-	}
-	stats.HashJoins++
-	return out, nil
 }

@@ -13,8 +13,8 @@ import (
 // aggregation/projection) over the vrel columnar representation.
 // Every operator preserves row order and first-error order, so
 // Result, Stats, Prov, and Fingerprint are byte-identical to the row
-// engine's — a property the differential tests in fuzz_test.go and
-// parallel_determinism_test.go enforce against the RowOracle flag.
+// engine's (oracle_test.go) — a property the differential tests in
+// fuzz_test.go and parallel_determinism_test.go enforce.
 
 // executeVec runs the columnar pipeline. Structure mirrors executeRow
 // stage for stage so the two engines stay diffable side by side.

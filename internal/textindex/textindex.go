@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"unicode"
-
-	"github.com/reliable-cda/cda/internal/parallel"
 )
 
 // Tokenize lower-cases and splits text into alphanumeric word tokens.
@@ -149,33 +147,6 @@ func (ix *Index) Doc(i int) Document {
 // top k hits (fewer if fewer match). Scores are strictly positive;
 // documents sharing no query term are omitted.
 func (ix *Index) Search(query string, k int) []Hit {
-	return ix.search(query, k, parallel.Options{Workers: 1})
-}
-
-// TrySearch is Search through the fault-injection seam: with no hook
-// wired (or no fault drawn) it returns exactly Search's hits; under
-// an injected fault it returns the injected error. Resilience-aware
-// callers (the core degradation ladder) use this entry point.
-func (ix *Index) TrySearch(query string, k int) ([]Hit, error) {
-	if ix.Faults != nil {
-		if err := ix.Faults.Inject("textindex.search"); err != nil {
-			return nil, err
-		}
-	}
-	return ix.Search(query, k), nil
-}
-
-// SearchParallel is Search with the scoring fanned out over `workers`
-// goroutines (0 = GOMAXPROCS). The document-ID space is chunked so
-// every document's score is accumulated by exactly one worker, in
-// query-term order — the same floating-point addition order as the
-// serial scan — making the hits bit-identical to Search for any
-// worker count. Corpora below the serial threshold are scored inline.
-func (ix *Index) SearchParallel(query string, k, workers int) []Hit {
-	return ix.search(query, k, parallel.Options{Workers: workers})
-}
-
-func (ix *Index) search(query string, k int, o parallel.Options) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if len(ix.docs) == 0 || k <= 0 {
@@ -211,35 +182,19 @@ func (ix *Index) search(query string, k int, o parallel.Options) []Hit {
 			plist: plist,
 		})
 	}
-	// Chunk the document-ID space: postings are sorted by doc (Add
-	// assigns increasing ids), so each worker scores the slice of
-	// every posting list that falls inside its range.
-	partials, err := parallel.MapChunks(len(ix.docs), o, func(lo, hi int) (map[int]float64, error) {
-		local := make(map[int]float64)
-		for _, ts := range terms {
-			plist := ts.plist
-			from := sort.Search(len(plist), func(i int) bool { return plist[i].doc >= lo })
-			to := sort.Search(len(plist), func(i int) bool { return plist[i].doc >= hi })
-			for _, p := range plist[from:to] {
-				tf := float64(p.freq)
-				dl := float64(ix.docLen[p.doc])
-				local[p.doc] += ts.idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
-			}
+	// Postings are accumulated per document in query-term order, which
+	// fixes the floating-point addition order and so the scores.
+	scores := make(map[int]float64)
+	for _, ts := range terms {
+		for _, p := range ts.plist {
+			tf := float64(p.freq)
+			dl := float64(ix.docLen[p.doc])
+			scores[p.doc] += ts.idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
 		}
-		return local, nil
-	})
-	if err != nil {
-		return nil // unreachable: the scorer never fails
 	}
-	size := 0
-	for _, part := range partials {
-		size += len(part)
-	}
-	hits := make([]Hit, 0, size)
-	for _, part := range partials {
-		for doc, s := range part {
-			hits = append(hits, Hit{ID: ix.docs[doc].ID, Score: s})
-		}
+	hits := make([]Hit, 0, len(scores))
+	for doc, s := range scores {
+		hits = append(hits, Hit{ID: ix.docs[doc].ID, Score: s})
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {
@@ -251,6 +206,19 @@ func (ix *Index) search(query string, k int, o parallel.Options) []Hit {
 		hits = hits[:k]
 	}
 	return hits
+}
+
+// TrySearch is Search through the fault-injection seam: with no hook
+// wired (or no fault drawn) it returns exactly Search's hits; under
+// an injected fault it returns the injected error. Resilience-aware
+// callers (the core degradation ladder) use this entry point.
+func (ix *Index) TrySearch(query string, k int) ([]Hit, error) {
+	if ix.Faults != nil {
+		if err := ix.Faults.Inject("textindex.search"); err != nil {
+			return nil, err
+		}
+	}
+	return ix.Search(query, k), nil
 }
 
 // TermFrequency returns how many indexed documents contain the term

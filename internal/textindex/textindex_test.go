@@ -107,6 +107,21 @@ func TestEmptyIndex(t *testing.T) {
 	}
 }
 
+// TestSearchEdgeCases: an empty query, a stopword-only query and
+// k<=0 return nil on a populated index.
+func TestSearchEdgeCases(t *testing.T) {
+	ix := buildIndex()
+	if got := ix.Search("", 5); got != nil {
+		t.Fatalf("empty query: got %v, want nil", got)
+	}
+	if got := ix.Search("the a of", 5); got != nil {
+		t.Fatalf("stopword query: got %v, want nil", got)
+	}
+	if got := ix.Search("labour", 0); got != nil {
+		t.Fatalf("k=0: got %v, want nil", got)
+	}
+}
+
 func TestTermFrequency(t *testing.T) {
 	ix := buildIndex()
 	if got := ix.TermFrequency("labour"); got != 2 {

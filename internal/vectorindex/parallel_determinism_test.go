@@ -121,57 +121,17 @@ func TestTopKCanonicalUnderTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
-		p := NewParallelExact(data, workers)
-		got, err := p.Search(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameNeighbors(t, "ties", want, got)
-	}
-}
-
-func TestSearchBatchMatchesSequential(t *testing.T) {
-	data, queries := genVecs(1500, 12, 30, 5)
-	indexes := map[string]Index{
-		"exact": NewExact(data),
-	}
-	lsh, err := NewLSH(data, LSHParams{Tables: 6, Hashes: 4, Width: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexes["lsh"] = lsh
-	ivf, err := NewIVF(data, IVFParams{Lists: 16, Probe: 4, KMeansIts: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexes["ivf"] = ivf
-	for name, ix := range indexes {
-		want := make([][]Neighbor, len(queries))
-		for i, q := range queries {
-			nn, err := ix.Search(q, 5)
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{2, 3, 8} {
+		merged := newTopK(7)
+		for s := 0; s < shards; s++ {
+			// Strided shards, scanned high to low: neither the split
+			// nor the visit order is the serial scan's.
+			h := newTopK(7)
+			for id := len(data) - 1 - s; id >= 0; id -= shards {
+				h.push(Neighbor{ID: id, Dist: SquaredL2(q, data[id])})
 			}
-			want[i] = nn
+			merged.merge(h)
 		}
-		for _, workers := range []int{1, 4} {
-			got, err := SearchBatch(ix, queries, 5, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				sameNeighbors(t, name, want[i], got[i])
-			}
-		}
-	}
-}
-
-func TestSearchBatchPropagatesError(t *testing.T) {
-	data, _ := genVecs(100, 8, 0, 1)
-	ix := NewExact(data)
-	bad := []Vector{make(Vector, 8), make(Vector, 3)} // second has wrong dim
-	if _, err := SearchBatch(ix, bad, 5, 4); err != ErrDimension {
-		t.Fatalf("got %v, want ErrDimension", err)
+		sameNeighbors(t, "ties", want, merged.sorted())
 	}
 }

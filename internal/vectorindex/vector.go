@@ -98,7 +98,7 @@ func (c *distCounter) add(k int64)      { c.n.Add(k) }
 // distance, ties broken by ascending ID. Using it for every heap
 // comparison makes the kept top-k set a pure function of the
 // candidate multiset — independent of push order — which is what lets
-// the parallel probe paths merge per-shard heaps and provably
+// the parallel IVF probe merge per-shard heaps and provably
 // reproduce the serial result even when distances tie at the k-th
 // position.
 func neighborLess(a, b Neighbor) bool {

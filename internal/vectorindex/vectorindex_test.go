@@ -424,49 +424,3 @@ func TestDefaultParams(t *testing.T) {
 		t.Errorf("lsh params = %+v", lp)
 	}
 }
-
-func TestParallelExactMatchesSerial(t *testing.T) {
-	all := randomData(2020, 16, 8, 13)
-	data, queries := all[:2000], all[2000:]
-	serial := NewExact(data)
-	parallel := NewParallelExact(data, 4)
-	if parallel.Len() != 2000 {
-		t.Errorf("len = %d", parallel.Len())
-	}
-	for _, q := range queries {
-		a, err := serial.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-				t.Fatalf("result %d differs: %+v vs %+v", i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestParallelExactEdgeCases(t *testing.T) {
-	p := NewParallelExact(nil, 0)
-	if _, err := p.Search(Vector{1}, 1); err != ErrEmpty {
-		t.Errorf("empty err = %v", err)
-	}
-	p = NewParallelExact([]Vector{{1, 2}}, 8) // more workers than points
-	got, err := p.Search(Vector{1, 2}, 3)
-	if err != nil || len(got) != 1 || got[0].Dist != 0 {
-		t.Errorf("tiny search = %v, %v", got, err)
-	}
-	if _, err := p.Search(Vector{1}, 1); err != ErrDimension {
-		t.Errorf("dim err = %v", err)
-	}
-	if got, _ := p.Search(Vector{1, 2}, 0); got != nil {
-		t.Errorf("k=0 = %v", got)
-	}
-}

@@ -12,8 +12,7 @@ package cda
 //   - BenchmarkResilienceRetrier / Breaker: the micro costs of one
 //     guarded call on the happy path.
 //
-// The check gate runs every BenchmarkResilience* once as a smoke test
-// alongside the BenchmarkParallel* family.
+// The check gate runs every BenchmarkResilience* once as a smoke test.
 
 import (
 	"context"

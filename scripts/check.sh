@@ -47,12 +47,13 @@
 #                      internal/storage, sessionstore and vstore, so a
 #                      change to those must keep it compiling and its
 #                      own tests green
-#   6. bench smoke   — one iteration of every BenchmarkParallel*,
-#                      BenchmarkResilience*, BenchmarkVectorized*,
-#                      BenchmarkCluster*, BenchmarkVstore*,
-#                      BenchmarkSessionStore*, BenchmarkCdalint,
-#                      BenchmarkCdastate, and BenchmarkCdarace so a
-#                      broken benchmark fixture fails the gate, not
+#   6. bench smoke   — one iteration of every benchmark in the module
+#                      (the root E-benches, ablations, resilience and
+#                      version-commit benches; internal/sqldb's
+#                      row-vs-columnar table and worker sweeps;
+#                      internal/vectorindex's IVF-probe sweep;
+#                      internal/analysis's whole-module cdalint runs),
+#                      so a broken benchmark fixture fails the gate, not
 #                      the next perf investigation
 #
 # Any non-zero exit fails the gate. See README "Static analysis &
@@ -81,13 +82,7 @@ go test -race ./...
 echo "==> go test -C bench ./... (the benchmark's own module)"
 go test -C bench ./...
 
-echo "==> parallel + resilience + vectorized + cluster + vstore benchmark smoke (1 iteration)"
-go test -run='^$' -bench='^Benchmark(Parallel|Resilience|Vectorized|Cluster|Vstore)' -benchtime=1x .
-
-echo "==> session store benchmark smoke (1 iteration)"
-go test -run='^$' -bench='^BenchmarkSessionStore' -benchtime=1x ./internal/sessionstore
-
-echo "==> cdalint whole-module benchmark smoke (1 iteration)"
-go test -run='^$' -bench='^BenchmarkCda(lint|state|race)$' -benchtime=1x ./internal/analysis
+echo "==> benchmark smoke (1 iteration of each)"
+go test -run='^$' -bench=. -benchtime=1x . ./internal/sqldb ./internal/vectorindex ./internal/analysis
 
 echo "check.sh: all gates passed"

@@ -1,22 +1,12 @@
 package cda
 
-// vstore_bench_test.go measures the versioned store's three costs:
-//
-//   - BenchmarkVstoreCommitDelta: commit latency as a function of how
-//     many rows changed since the previous version (1/16/256 of a
-//     4096-row table). Structural sharing should make the cost scale
-//     with the delta, not the table — the chunks/op metric makes the
-//     shape visible in benchmark output.
-//   - BenchmarkVstoreAsOf: materializing a historical database version
-//     from its Merkle tree (the time-travel read path behind
-//     GET /sessions/{id}/asof/{turn} and DataAsOf).
-//   - BenchmarkVstoreCatchUp: replica catch-up via chunk negotiation
-//     when the replica already holds the previous version (ships only
-//     the delta) versus a cold replica pulling the full closure (the
-//     inline-snapshot equivalent).
-//
-// scripts/bench.sh snapshots BenchmarkVstore* into BENCH_vstore.json;
-// the check gate runs each once as a smoke test.
+// vstore_bench_test.go holds the one versioned-store micro-benchmark
+// cdaload does not isolate: BenchmarkVstoreCommitDelta, commit latency
+// as a function of how many rows changed since the previous version
+// (1/16/256 of a 4096-row table). Structural sharing should make the
+// cost scale with the delta, not the table — the chunks/op metric
+// makes the shape visible in benchmark output, and ROADMAP's
+// "commit CPU O(delta)" rung is judged on it.
 
 import (
 	"fmt"
@@ -78,92 +68,4 @@ func BenchmarkVstoreCommitDelta(b *testing.B) {
 			b.ReportMetric(float64(s.NumChunks()-base)/float64(b.N), "chunks/op")
 		})
 	}
-}
-
-func BenchmarkVstoreAsOf(b *testing.B) {
-	s := vstore.NewMemory()
-	db := vstoreBenchDB(vstoreBenchRows)
-	tab, err := db.Get("metrics")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const versions = 8
-	for k := 0; k < versions; k++ {
-		if k > 0 {
-			tab.Column(2)[k] = storage.Float(float64(k) * 3.5)
-		}
-		if _, err := s.CommitDatabase("data", db, k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mdb, _, err := s.DatabaseAsOf("data", i%versions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mt, err := mdb.Get("metrics")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if mt.NumRows() != vstoreBenchRows {
-			b.Fatalf("materialized %d rows, want %d", mt.NumRows(), vstoreBenchRows)
-		}
-	}
-}
-
-func BenchmarkVstoreCatchUp(b *testing.B) {
-	prim := vstore.NewMemory()
-	db := vstoreBenchDB(vstoreBenchRows)
-	tab, err := db.Get("metrics")
-	if err != nil {
-		b.Fatal(err)
-	}
-	head0, err := prim.CommitDatabase("data", db, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for j := 0; j < 16; j++ {
-		tab.Column(2)[j*17] = storage.Float(float64(j) + 0.5)
-	}
-	head1, err := prim.CommitDatabase("data", db, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	b.Run("negotiated", func(b *testing.B) {
-		moved := 0
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			rep := vstore.NewMemory()
-			if _, err := rep.PullFrom(prim, head0.Hash, batch); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			// The measured span: a replica at version 0 negotiating the
-			// missing closure of version 1 — only the delta moves.
-			n, err := rep.PullFrom(prim, head1.Hash, batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			moved += n
-		}
-		b.ReportMetric(float64(moved)/float64(b.N), "chunks/op")
-	})
-	b.Run("fullsnapshot", func(b *testing.B) {
-		moved := 0
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			rep := vstore.NewMemory()
-			b.StartTimer()
-			// A cold replica pulls the entire closure — what an inline
-			// full-snapshot transfer would cost.
-			n, err := rep.PullFrom(prim, head1.Hash, batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			moved += n
-		}
-		b.ReportMetric(float64(moved)/float64(b.N), "chunks/op")
-	})
 }
