@@ -165,6 +165,36 @@ func TestTableAppendValidation(t *testing.T) {
 	}
 }
 
+// TestTableFromColumns: the columnar constructor accepts and refuses
+// what AppendRow does, and takes the slices as they are.
+func TestTableFromColumns(t *testing.T) {
+	schema := testTable(t).Schema()
+	ids := []Value{Int(1), Null()}
+	tbl, err := TableFromColumns("people", schema, [][]Value{ids, {Str("ada"), Null()}, {Int(70), Null()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumRows() != 2 || tbl.At(0, 2) != Float(70) || !tbl.At(1, 2).IsNull() || &tbl.Column(0)[0] != &ids[0] {
+		t.Errorf("rows %d, widened cell %v, id column copied: %v", tbl.NumRows(), tbl.At(0, 2), &tbl.Column(0)[0] != &ids[0])
+	}
+	if err := tbl.AppendRow([]Value{Int(3), Str("cy"), Float(1)}); err != nil || tbl.NumRows() != 3 {
+		t.Errorf("append to a table built from columns: %v", err)
+	}
+	for name, cols := range map[string][][]Value{
+		"a column short of the schema": {{Int(1)}, {Str("a")}},
+		"columns of unequal length":    {{Int(1)}, {Str("a"), Str("b")}, {Float(1)}},
+		"a cell of another kind":       {{Int(1), Str("2")}, {Str("a"), Str("b")}, {Float(1), Float(2)}},
+		"a float in an int column":     {{Float(1)}, {Str("a")}, {Float(1)}},
+	} {
+		if _, err := TableFromColumns("people", schema, cols); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if empty, err := TableFromColumns("none", nil, nil); err != nil || empty.NumRows() != 0 {
+		t.Errorf("no columns: %v", err)
+	}
+}
+
 func TestFloatColumnSkipsNulls(t *testing.T) {
 	tbl := testTable(t)
 	vals, rows, err := tbl.FloatColumn("salary")

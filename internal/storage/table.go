@@ -57,6 +57,32 @@ func NewTable(name string, schema Schema) *Table {
 	return t
 }
 
+// TableFromColumns builds a table over cols, one slice per schema
+// column, without copying them: the table owns them afterwards. It
+// enforces what AppendRow enforces — columns of one length, every cell
+// NULL or its column's kind, INT cells in a FLOAT column widened.
+func TableFromColumns(name string, schema Schema, cols [][]Value) (*Table, error) {
+	if len(cols) != len(schema) {
+		return nil, fmt.Errorf("storage: %d columns of values, schema has %d columns", len(cols), len(schema))
+	}
+	for c, col := range cols {
+		if len(col) != len(cols[0]) {
+			return nil, fmt.Errorf("storage: column %s has %d rows, column %s has %d", schema[c].Name, len(col), schema[0].Name, len(cols[0]))
+		}
+		want := schema[c].Kind
+		for r, v := range col {
+			switch {
+			case v.IsNull() || v.Kind == want:
+			case want == KindFloat && v.Kind == KindInt:
+				col[r] = Float(float64(v.I))
+			default:
+				return nil, fmt.Errorf("storage: column %s wants %s, got %s in row %d", schema[c].Name, want, v.Kind, r)
+			}
+		}
+	}
+	return &Table{Name: name, schema: schema, cols: cols}, nil
+}
+
 // Schema returns the table schema (callers must not mutate it).
 func (t *Table) Schema() Schema { return t.schema }
 

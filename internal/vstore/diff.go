@@ -112,11 +112,12 @@ func (s *Store) dbTables(h Hash) (map[string]Hash, error) {
 // diffTable compares two versions of one table.
 func (s *Store) diffTable(name string, ah, bh Hash) (TableDiff, error) {
 	td := TableDiff{Table: name}
-	var am, bm tableData
-	if _, err := s.Data(ah, &am); err != nil {
+	am, aRefs, err := s.loadTable(ah)
+	if err != nil {
 		return td, err
 	}
-	if _, err := s.Data(bh, &bm); err != nil {
+	bm, bRefs, err := s.loadTable(bh)
+	if err != nil {
 		return td, err
 	}
 	if !schemaEqual(am.Schema, bm.Schema) {
@@ -141,62 +142,37 @@ func (s *Store) diffTable(name string, ah, bh Hash) (TableDiff, error) {
 		}
 		return td, nil
 	}
-	aRefs, err := s.Refs(ah)
-	if err != nil {
-		return td, err
-	}
-	bRefs, err := s.Refs(bh)
-	if err != nil {
-		return td, err
-	}
 	aLeaves := leavesPerCol(am.Rows, am.LeafRows)
 	bLeaves := leavesPerCol(bm.Rows, bm.LeafRows)
 	nCols := len(am.Schema)
 	commonLeaves := leavesPerCol(common, am.LeafRows)
 	changed := map[int]bool{}
 	for l := 0; l < commonLeaves; l++ {
-		lo := l * am.LeafRows
-		hi := lo + am.LeafRows
-		if hi > common {
-			hi = common
-		}
 		for c := 0; c < nCols; c++ {
 			la := aRefs[c*aLeaves+l]
 			lb := bRefs[c*bLeaves+l]
 			if la == lb {
 				continue
 			}
-			if err := s.diffLeaf(la, lb, lo, hi, changed); err != nil {
+			av, err := s.leaf(la, leafSpan(l, am.Rows, am.LeafRows))
+			if err != nil {
 				return td, err
+			}
+			bv, err := s.leaf(lb, leafSpan(l, bm.Rows, bm.LeafRows))
+			if err != nil {
+				return td, err
+			}
+			// The longer version's tail leaf runs past the shared
+			// prefix; those rows are already counted as added/removed.
+			for i := 0; i < min(len(av), len(bv)); i++ {
+				if av[i] != bv[i] {
+					changed[l*am.LeafRows+i] = true
+				}
 			}
 		}
 	}
 	td.ChangedRows = sortedKeys(changed)
 	return td, nil
-}
-
-// diffLeaf compares two column leaves over rows [lo, hi) and records
-// differing absolute row indices.
-func (s *Store) diffLeaf(la, lb Hash, lo, hi int, changed map[int]bool) error {
-	var av, bv []rawValue
-	if _, err := s.Data(la, &av); err != nil {
-		return err
-	}
-	if _, err := s.Data(lb, &bv); err != nil {
-		return err
-	}
-	n := hi - lo
-	for i := 0; i < n; i++ {
-		if i >= len(av) || i >= len(bv) {
-			// Tail leaf of the longer version; rows beyond the shared
-			// prefix are already counted as added/removed.
-			break
-		}
-		if av[i] != bv[i] {
-			changed[lo+i] = true
-		}
-	}
-	return nil
 }
 
 // diffRowsFull materializes both versions and compares the shared row
@@ -219,16 +195,6 @@ func (s *Store) diffRowsFull(td TableDiff, ah, bh Hash, common int) (TableDiff, 
 		}
 	}
 	return td, nil
-}
-
-// rawValue mirrors storage.Value for comparison without importing the
-// coercing Equal (a diff must be exact, not numerically tolerant).
-type rawValue struct {
-	Kind int     `json:"Kind"`
-	I    int64   `json:"I"`
-	F    float64 `json:"F"`
-	S    string  `json:"S"`
-	B    bool    `json:"B"`
 }
 
 func schemaEqual(a, b []colDef) bool {

@@ -1,0 +1,85 @@
+package vstore
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/reliable-cda/cda/internal/storage"
+)
+
+// The leaf-format pins. testdata/leaf-v1/chunks.pack is the journal the
+// commit *before* the typed leaf codec wrote for commitLeafFixture (this
+// file, compiled there unchanged): every leaf an array of Value structs.
+// testdata/leaf-v2/chunks.pack is what this code writes for the same
+// two commits.
+
+const (
+	leafFixtureV1   = "testdata/leaf-v1"
+	leafFixtureV2   = "testdata/leaf-v2"
+	leafFixtureRoot = "db/main"
+)
+
+// leafFixtureDB is a 260-row table (two leaves per column) of all four
+// column kinds, with a NULL in every column and the values a number or
+// string codec gets wrong first.
+func leafFixtureDB() *storage.Database {
+	ints := []int64{0, -1, math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53) - 1}
+	floats := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e21, 9.99e20, 0.1, -2.5,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1.0 / 3}
+	labels := []string{"", "plain", `"quoted" \ back`, "tab\there\nnewline\x00nul\x1f", "<tag> & ampersand",
+		"é ü 東京 🙂", "\u2028line sep", "null", "17"}
+	tab := storage.NewTable("readings", storage.Schema{
+		{Name: "id", Kind: storage.KindInt, Description: "row id"},
+		{Name: "amount", Kind: storage.KindFloat},
+		{Name: "label", Kind: storage.KindString, Description: "free text"},
+		{Name: "ok", Kind: storage.KindBool},
+	})
+	tab.Description = "leaf codec fixture"
+	for i := 0; i < 260; i++ {
+		row := []storage.Value{
+			storage.Int(int64(i) * 1001),
+			storage.Float(float64(i) / 8),
+			storage.Str(fmt.Sprintf("row-%03d", i)),
+			storage.Bool(i%3 == 0),
+		}
+		if i < len(ints) {
+			row[0] = storage.Int(ints[i])
+		}
+		if i < len(floats) {
+			row[1] = storage.Float(floats[i])
+		}
+		if i < len(labels) {
+			row[2] = storage.Str(labels[i])
+		}
+		if i >= 16 && i%7 < 4 { // past the edge values above
+			row[i%7] = storage.Null()
+		}
+		tab.MustAppendRow(row...)
+	}
+	db := storage.NewDatabase("fixture")
+	db.Put(tab)
+	return db
+}
+
+// commitLeafFixture commits the fixture database at turn 0, then edits
+// one row, appends two, and commits again at turn 1. It returns the
+// database as it stood at each commit.
+func commitLeafFixture(t testing.TB, s *Store) [2]*storage.Database {
+	t.Helper()
+	db := leafFixtureDB()
+	if _, err := s.CommitDatabase(leafFixtureRoot, db, 0); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.Get("readings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Column(2)[100] = storage.Str("edited")
+	tab.MustAppendRow(storage.Int(260260), storage.Float(32.5), storage.Null(), storage.Bool(true))
+	tab.MustAppendRow(storage.Null(), storage.Float(-32.5), storage.Str("last"), storage.Null())
+	if _, err := s.CommitDatabase(leafFixtureRoot, db, 1); err != nil {
+		t.Fatal(err)
+	}
+	return [2]*storage.Database{leafFixtureDB(), db}
+}

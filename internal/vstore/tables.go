@@ -3,6 +3,7 @@ package vstore
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -21,6 +22,12 @@ import (
 // O(columns · log-ish path), not O(table). Content addressing makes
 // the unchanged leaves free: the encoder re-puts them and the store
 // dedups by hash.
+//
+// A leaf's data takes one of two JSON forms, told apart by the first
+// byte (see encodeLeaf):
+//
+//	{"t":1,"v":[17,null,-4]}                      typed: one kind, bare values
+//	[{"Kind":1,"I":17,"F":0,"S":"","B":false},…]  untyped: one struct per value
 
 // DefaultLeafRows is the row span of one column leaf.
 const DefaultLeafRows = 256
@@ -51,12 +58,153 @@ type dbData struct {
 	Tables []string `json:"tables"`
 }
 
-// leavesPerCol returns the leaf count covering rows.
+// leavesPerCol returns the leaf count covering rows; leafRows > 0.
 func leavesPerCol(rows, leafRows int) int {
-	if rows == 0 {
-		return 0
+	n := rows / leafRows
+	if rows%leafRows != 0 {
+		n++
 	}
-	return (rows + leafRows - 1) / leafRows
+	return n
+}
+
+// leafSpan returns how many of a column's rows leaf l holds.
+func leafSpan(l, rows, leafRows int) int {
+	return min(leafRows, rows-l*leafRows)
+}
+
+// encodeLeaf renders one leaf's values. A leaf whose every value is
+// NULL or exactly what one kind's constructor builds (storage.Int(v.I)
+// and so on) is typed: {"t": kind, "v": [bare values, null for NULL]},
+// t being 0 when all are NULL. Any other leaf — mixed kinds, a Value
+// with fields its kind does not use, an unknown kind — is written as
+// the array of Value structs, the only form before the typed one
+// existed, so decodeLeaf reads both and a journal never needs
+// rewriting. The form is a function of the values alone: equal leaves
+// hash equal. NaN and ±Inf have no JSON form and fail the encode.
+func encodeLeaf(col []storage.Value) ([]byte, error) {
+	kind, ok := leafKind(col)
+	if !ok {
+		return json.Marshal(col)
+	}
+	var packed any
+	switch kind {
+	case storage.KindInt:
+		packed = pack(col, func(v *storage.Value) *int64 { return &v.I })
+	case storage.KindFloat:
+		packed = pack(col, func(v *storage.Value) *float64 { return &v.F })
+	case storage.KindString:
+		packed = pack(col, func(v *storage.Value) *string { return &v.S })
+	case storage.KindBool:
+		packed = pack(col, func(v *storage.Value) *bool { return &v.B })
+	default: // all NULL
+		packed = make([]*bool, len(col))
+	}
+	vals, err := json.Marshal(packed)
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Appendf(nil, `{"t":%d,"v":%s}`, int(kind), vals), nil
+}
+
+// leafKind returns the kind col can be written typed as, and whether
+// it can.
+func leafKind(col []storage.Value) (storage.Kind, bool) {
+	kind := storage.KindNull
+	for _, v := range col {
+		var canonical storage.Value
+		switch v.Kind {
+		case storage.KindNull:
+		case storage.KindInt:
+			canonical = storage.Int(v.I)
+		case storage.KindFloat:
+			canonical = storage.Float(v.F)
+		case storage.KindString:
+			canonical = storage.Str(v.S)
+		case storage.KindBool:
+			canonical = storage.Bool(v.B)
+		default:
+			return 0, false
+		}
+		// NaN differs from itself, so it lands in the untyped form,
+		// whose json.Marshal refuses it; == takes -0 for 0, and an F of
+		// -0 on a value that is no float is a stray field like any other.
+		if v != canonical || math.Signbit(v.F) != math.Signbit(canonical.F) {
+			return 0, false
+		}
+		if v.Kind != storage.KindNull && v.Kind != kind {
+			if kind != storage.KindNull {
+				return 0, false
+			}
+			kind = v.Kind
+		}
+	}
+	return kind, true
+}
+
+// pack points at each value's payload field, nil for NULL, so that
+// json.Marshal writes the bare value or null.
+func pack[T any](col []storage.Value, field func(*storage.Value) *T) []*T {
+	out := make([]*T, len(col))
+	for i := range col {
+		if col[i].Kind != storage.KindNull {
+			out[i] = field(&col[i])
+		}
+	}
+	return out
+}
+
+// decodeLeaf reads either form encodeLeaf writes.
+func decodeLeaf(data []byte) ([]storage.Value, error) {
+	if len(data) > 0 && data[0] == '[' {
+		var vals []storage.Value
+		err := json.Unmarshal(data, &vals)
+		return vals, err
+	}
+	var leaf struct {
+		T storage.Kind    `json:"t"`
+		V json.RawMessage `json:"v"`
+	}
+	if err := json.Unmarshal(data, &leaf); err != nil {
+		return nil, err
+	}
+	switch leaf.T {
+	case storage.KindInt:
+		return unpack(leaf.V, storage.Int)
+	case storage.KindFloat:
+		return unpack(leaf.V, storage.Float)
+	case storage.KindString:
+		return unpack(leaf.V, storage.Str)
+	case storage.KindBool:
+		return unpack(leaf.V, storage.Bool)
+	case storage.KindNull:
+		var nulls []any
+		if err := json.Unmarshal(leaf.V, &nulls); err != nil {
+			return nil, err
+		}
+		for i, v := range nulls {
+			if v != nil {
+				return nil, fmt.Errorf("value %d of an all-NULL leaf is not null", i)
+			}
+		}
+		return make([]storage.Value, len(nulls)), nil
+	default:
+		return nil, fmt.Errorf("leaf kind %d", int(leaf.T))
+	}
+}
+
+// unpack decodes a typed leaf's values, null becoming NULL.
+func unpack[T any](raw []byte, value func(T) storage.Value) ([]storage.Value, error) {
+	var ptrs []*T
+	if err := json.Unmarshal(raw, &ptrs); err != nil {
+		return nil, err
+	}
+	out := make([]storage.Value, len(ptrs))
+	for i, p := range ptrs {
+		if p != nil {
+			out[i] = value(*p)
+		}
+	}
+	return out, nil
 }
 
 // chunkWriter is where an encoder puts the nodes of the tree it
@@ -79,11 +227,8 @@ func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
 		col := t.Column(c)
 		for l := 0; l < nLeaves; l++ {
 			lo := l * leafRows
-			hi := lo + leafRows
-			if hi > rows {
-				hi = rows
-			}
-			data, err := json.Marshal(col[lo:hi])
+			hi := lo + leafSpan(l, rows, leafRows)
+			data, err := encodeLeaf(col[lo:hi])
 			if err != nil {
 				return "", fmt.Errorf("vstore: encode leaf %s[%d][%d:%d]: %w", t.Name, c, lo, hi, err)
 			}
@@ -140,58 +285,88 @@ func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Com
 	return b.Commit(root, tree, turn)
 }
 
-// MaterializeTable rebuilds a table from its chunk address.
-func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
+// loadTable reads a table chunk and checks everything its readers index
+// or allocate by: the chunk may be a peer's, and AddPackets verifies a
+// packet's hash, not its shape.
+func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
 	var meta tableData
 	kind, err := s.Data(h, &meta)
 	if err != nil {
-		return nil, err
+		return meta, nil, err
 	}
 	if kind != "table" {
-		return nil, fmt.Errorf("vstore: chunk %s is %q, want table", h, kind)
+		return meta, nil, fmt.Errorf("vstore: chunk %s is %q, want table", h, kind)
 	}
 	refs, err := s.Refs(h)
+	if err != nil {
+		return meta, nil, err
+	}
+	if meta.Rows < 0 || meta.LeafRows <= 0 {
+		return meta, nil, fmt.Errorf("vstore: table chunk %s has rows %d, leafRows %d", h, meta.Rows, meta.LeafRows)
+	}
+	for _, cd := range meta.Schema {
+		if cd.Kind < storage.KindNull || cd.Kind > storage.KindBool {
+			return meta, nil, fmt.Errorf("vstore: table chunk %s: column %s has kind %d", h, cd.Name, int(cd.Kind))
+		}
+	}
+	// The first test keeps a forged row count from overflowing the product.
+	nLeaves, nCols := leavesPerCol(meta.Rows, meta.LeafRows), len(meta.Schema)
+	if nLeaves > len(refs) || nLeaves*nCols != len(refs) {
+		return meta, nil, fmt.Errorf("vstore: table chunk %s has %d leaves, want %d for each of %d columns", h, len(refs), nLeaves, nCols)
+	}
+	return meta, refs, nil
+}
+
+// leaf reads one column leaf, which must hold exactly want values.
+func (s *Store) leaf(h Hash, want int) ([]storage.Value, error) {
+	env, err := s.get(h)
+	if err != nil {
+		return nil, err
+	}
+	if env.K != "leaf" {
+		return nil, fmt.Errorf("vstore: chunk %s is %q, want leaf", h, env.K)
+	}
+	vals, err := decodeLeaf(env.D)
+	if err != nil {
+		return nil, fmt.Errorf("vstore: decode leaf %s: %w", h, err)
+	}
+	if len(vals) != want {
+		return nil, fmt.Errorf("vstore: leaf %s holds %d values, its row range %d", h, len(vals), want)
+	}
+	return vals, nil
+}
+
+// MaterializeTable rebuilds a table from its chunk address.
+func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
+	meta, refs, err := s.loadTable(h)
 	if err != nil {
 		return nil, err
 	}
 	nLeaves := leavesPerCol(meta.Rows, meta.LeafRows)
-	if len(refs) != nLeaves*len(meta.Schema) {
-		return nil, fmt.Errorf("vstore: table chunk %s has %d leaves, want %d", h, len(refs), nLeaves*len(meta.Schema))
-	}
 	schema := make(storage.Schema, 0, len(meta.Schema))
 	for _, cd := range meta.Schema {
 		schema = append(schema, storage.ColumnDef{Name: cd.Name, Kind: cd.Kind, Description: cd.Desc})
 	}
 	cols := make([][]storage.Value, len(schema))
 	for c := range schema {
-		col := make([]storage.Value, 0, meta.Rows)
 		for l := 0; l < nLeaves; l++ {
-			var vals []storage.Value
-			leafKind, err := s.Data(refs[c*nLeaves+l], &vals)
+			vals, err := s.leaf(refs[c*nLeaves+l], leafSpan(l, meta.Rows, meta.LeafRows))
 			if err != nil {
 				return nil, err
 			}
-			if leafKind != "leaf" {
-				return nil, fmt.Errorf("vstore: chunk %s is %q, want leaf", refs[c*nLeaves+l], leafKind)
+			if cols[c] == nil {
+				// Sized only now: a full first leaf shows the row count
+				// is backed by chunks, not just claimed.
+				cols[c] = make([]storage.Value, 0, meta.Rows)
 			}
-			col = append(col, vals...)
+			cols[c] = append(cols[c], vals...)
 		}
-		if len(col) != meta.Rows {
-			return nil, fmt.Errorf("vstore: table %s column %d has %d rows, want %d", meta.Name, c, len(col), meta.Rows)
-		}
-		cols[c] = col
 	}
-	t := storage.NewTable(meta.Name, schema)
+	t, err := storage.TableFromColumns(meta.Name, schema, cols)
+	if err != nil {
+		return nil, fmt.Errorf("vstore: materialize table %s: %w", meta.Name, err)
+	}
 	t.Description = meta.Desc
-	for r := 0; r < meta.Rows; r++ {
-		row := make([]storage.Value, len(schema))
-		for c := range schema {
-			row[c] = cols[c][r]
-		}
-		if err := t.AppendRow(row); err != nil {
-			return nil, fmt.Errorf("vstore: materialize table %s row %d: %w", meta.Name, r, err)
-		}
-	}
 	return t, nil
 }
 

@@ -35,13 +35,15 @@
 #                      runs on every push and PR (check.yml build-test:
 #                      go test -race ./internal/framelog
 #                      ./internal/vstore, ~20 s), since tier-1 has no
-#                      -race. FuzzScan and FuzzJournalOpen
-#                      run their seed corpora here; the nightly
-#                      full-check job in .github/workflows/check.yml
-#                      also fuzzes the journal decoder for 30 s
-#                      (go test ./internal/vstore -run '^$'
+#                      -race. FuzzScan, FuzzJournalOpen and
+#                      FuzzDecodeLeaf run their seed corpora here; the
+#                      nightly full-check job in
+#                      .github/workflows/check.yml also fuzzes the
+#                      journal decoder and the column-leaf decoder for
+#                      30 s each (go test ./internal/vstore -run '^$'
 #                      -fuzz=FuzzJournalOpen -fuzztime=30s
-#                      -fuzzminimizetime=2s).
+#                      -fuzzminimizetime=2s; the same with
+#                      -fuzz=FuzzDecodeLeaf).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
