@@ -9,7 +9,6 @@ import (
 
 // group collects the rows sharing one GROUP BY key tuple.
 type group struct {
-	key     []storage.Value
 	rowIdxs []int
 }
 
@@ -89,53 +88,81 @@ func dedupValues(vals []storage.Value) []storage.Value {
 	return dedup
 }
 
-// finishAggregate folds gathered non-NULL argument values. It is
-// shared by the row and vectorized engines so accumulation order —
-// float summation order, MIN/MAX comparison order — is one piece of
-// code, not two that could drift.
-func finishAggregate(name string, vals []storage.Value) (storage.Value, error) {
-	switch name {
-	case "COUNT":
-		return storage.Int(int64(len(vals))), nil
+// aggFold is one aggregate being folded over its non-NULL argument
+// values in row order. It is the only aggregate arithmetic — the row
+// engine and the columnar engine's gathered and in-place paths all
+// feed it — so accumulation order (float summation order, MIN/MAX
+// comparison order) cannot drift between them.
+type aggFold struct {
+	name     string
+	n        int
+	sum      float64
+	sawFloat bool
+	best     storage.Value
+}
+
+// add folds in one non-NULL value.
+func (a *aggFold) add(v storage.Value) error {
+	switch a.name {
 	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return storage.Null(), nil
+		fv, ok := v.AsFloat()
+		if !ok || v.Kind == storage.KindString || v.Kind == storage.KindBool {
+			return fmt.Errorf("sql: %s over non-numeric value %s", a.name, v.Kind)
 		}
-		var sum float64
-		allInt := true
-		for _, v := range vals {
-			fv, ok := v.AsFloat()
-			if !ok || v.Kind == storage.KindString || v.Kind == storage.KindBool {
-				return storage.Null(), fmt.Errorf("sql: %s over non-numeric value %s", name, v.Kind)
-			}
-			if v.Kind != storage.KindInt {
-				allInt = false
-			}
-			sum += fv
+		if v.Kind != storage.KindInt {
+			a.sawFloat = true
 		}
-		if name == "AVG" {
-			return storage.Float(sum / float64(len(vals))), nil
-		}
-		if allInt {
-			return storage.Int(int64(sum)), nil
-		}
-		return storage.Float(sum), nil
+		a.sum += fv
 	case "MIN", "MAX":
-		if len(vals) == 0 {
+		if a.n == 0 {
+			a.best = v
+			break
+		}
+		c, err := v.Compare(a.best)
+		if err != nil {
+			return err
+		}
+		if (a.name == "MIN" && c < 0) || (a.name == "MAX" && c > 0) {
+			a.best = v
+		}
+	}
+	a.n++
+	return nil
+}
+
+// result returns the aggregate of the values added.
+func (a *aggFold) result() (storage.Value, error) {
+	switch a.name {
+	case "COUNT":
+		return storage.Int(int64(a.n)), nil
+	case "SUM", "AVG":
+		switch {
+		case a.n == 0:
+			return storage.Null(), nil
+		case a.name == "AVG":
+			return storage.Float(a.sum / float64(a.n)), nil
+		case a.sawFloat:
+			return storage.Float(a.sum), nil
+		default:
+			return storage.Int(int64(a.sum)), nil
+		}
+	case "MIN", "MAX":
+		if a.n == 0 {
 			return storage.Null(), nil
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := v.Compare(best)
-			if err != nil {
-				return storage.Null(), err
-			}
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
+		return a.best, nil
 	default:
-		return storage.Null(), fmt.Errorf("sql: unknown aggregate %s", name)
+		return storage.Null(), fmt.Errorf("sql: unknown aggregate %s", a.name)
 	}
+}
+
+// finishAggregate folds gathered non-NULL argument values.
+func finishAggregate(name string, vals []storage.Value) (storage.Value, error) {
+	a := aggFold{name: name}
+	for _, v := range vals {
+		if err := a.add(v); err != nil {
+			return storage.Null(), err
+		}
+	}
+	return a.result()
 }

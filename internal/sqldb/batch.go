@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/reliable-cda/cda/internal/storage"
 )
@@ -12,8 +13,8 @@ import (
 // The row executor (exec.go) evaluates the Expr AST once per row,
 // re-resolving every column reference by a linear scan over the schema
 // and materializing a fresh []storage.Value per scanned row. The
-// vectorized executor instead keeps data in column vectors (zero-copy
-// views of storage.Table for base scans), tracks surviving rows in a
+// vectorized executor instead keeps data in typed column vectors
+// (storage.Table's own for base scans), tracks surviving rows in a
 // selection vector, and compiles each expression once per relation
 // schema into a closure tree with column indexes already bound.
 //
@@ -24,7 +25,11 @@ import (
 // including which sub-expression errors first and that unresolvable
 // columns fail at evaluation time, not compile time (a query over an
 // empty table must succeed even if it references unknown columns,
-// exactly as the row engine behaves).
+// exactly as the row engine behaves). The kernels bound to a vector's
+// kind (columnKernel, compareKernel, and foldColumn in vagg.go) each
+// sit beside the generic kernel they stand in for and return what it
+// would; the row oracle, which reads cells through Table.Row, is what
+// checks them.
 
 // vrel is the columnar intermediate relation: parallel column vectors
 // with an optional selection vector of surviving physical rows.
@@ -32,9 +37,9 @@ type vrel struct {
 	aliases []string // per column
 	names   []string // per column
 	// cols are the physical column vectors; for base-table scans they
-	// alias storage.Table's backing slices (zero copy) and must be
-	// treated as read-only.
-	cols  [][]storage.Value
+	// are storage.Table's own (zero copy) and must be treated as
+	// read-only. A derived relation's vectors are of its source's kinds.
+	cols  []*storage.Vector
 	nphys int
 	// sel lists the selected physical row indexes in ascending order;
 	// nil means all rows are selected. Filters refine sel without
@@ -88,18 +93,18 @@ func (vr *vrel) provOf(phys int) []RowRef {
 // relation: columns at index >= split come from rcols at rphys. This
 // lets ON/residual predicates run without materializing combined rows.
 type vctx struct {
-	cols  [][]storage.Value
+	cols  []*storage.Vector
 	phys  int
-	rcols [][]storage.Value
+	rcols []*storage.Vector
 	rphys int
 	split int
 }
 
 func (c *vctx) col(i int) storage.Value {
 	if c.rcols != nil && i >= c.split {
-		return c.rcols[i-c.split][c.rphys]
+		return c.rcols[i-c.split].At(c.rphys)
 	}
-	return c.cols[i][c.phys]
+	return c.cols[i].At(c.phys)
 }
 
 // vkernel is a compiled scalar expression: evaluate against one row
@@ -113,22 +118,52 @@ type vkernel func(c *vctx) (storage.Value, error)
 // only once. The cache is not goroutine-safe; compile before fanning
 // out (compiled kernels themselves are safe to share).
 type vcompiler struct {
-	res   columnResolver
-	cache map[Expr]vkernel
+	res columnResolver
+	// cols, when set, are the vectors every vctx the kernels will see
+	// carries as cols (and no rcols): the relation is at hand, so a
+	// kernel over a bare column binds to its vector and kind here, once,
+	// instead of finding them again per row. Join conditions, whose two
+	// sides are only virtually concatenated, compile without.
+	cols  []*storage.Vector
+	cache map[Expr]compiled
+}
+
+// compiled is one expression's kernel and, when the expression is a
+// bare reference to one of the compiler's cols, the vector it reads.
+type compiled struct {
+	eval vkernel
+	col  *storage.Vector
+}
+
+// column returns the vector e reads when e is a bare reference to one
+// of vc.cols, and nil otherwise.
+func (vc *vcompiler) column(e Expr) *storage.Vector {
+	ref, ok := e.(*ColumnRef)
+	if !ok || vc.cols == nil {
+		return nil
+	}
+	idx, err := vc.res.resolve(ref)
+	if err != nil {
+		return nil
+	}
+	return vc.cols[idx]
+}
+
+// compiled returns the cached kernel for e, compiling on first use.
+func (vc *vcompiler) compiled(e Expr) compiled {
+	if c, ok := vc.cache[e]; ok {
+		return c
+	}
+	if vc.cache == nil {
+		vc.cache = make(map[Expr]compiled)
+	}
+	c := compiled{eval: vc.compile(e), col: vc.column(e)}
+	vc.cache[e] = c
+	return c
 }
 
 // kernel returns the cached kernel for e, compiling on first use.
-func (vc *vcompiler) kernel(e Expr) vkernel {
-	if k, ok := vc.cache[e]; ok {
-		return k
-	}
-	if vc.cache == nil {
-		vc.cache = make(map[Expr]vkernel)
-	}
-	k := vc.compile(e)
-	vc.cache[e] = k
-	return k
-}
+func (vc *vcompiler) kernel(e Expr) vkernel { return vc.compiled(e).eval }
 
 // errKernel defers an error to evaluation time: the row engine only
 // surfaces resolution (and shape) errors when a row is actually
@@ -146,6 +181,9 @@ func (vc *vcompiler) compile(e Expr) vkernel {
 		v := x.Val
 		return func(*vctx) (storage.Value, error) { return v, nil }
 	case *ColumnRef:
+		if col := vc.column(x); col != nil {
+			return columnKernel(col)
+		}
 		idx, err := vc.res.resolve(x)
 		if err != nil {
 			return errKernel(err)
@@ -291,6 +329,91 @@ func (vc *vcompiler) compile(e Expr) vkernel {
 	}
 }
 
+// columnKernel reads col at the context's row with the kind already
+// chosen: what Vector.At does, less its switch.
+func columnKernel(col *storage.Vector) vkernel {
+	nulls := col.Nulls()
+	switch col.Kind() {
+	case storage.KindInt:
+		ints := col.Ints()
+		return func(c *vctx) (storage.Value, error) {
+			if nulls.Get(c.phys) {
+				return storage.Null(), nil
+			}
+			return storage.Int(ints[c.phys]), nil
+		}
+	case storage.KindFloat:
+		floats := col.Floats()
+		return func(c *vctx) (storage.Value, error) {
+			if nulls.Get(c.phys) {
+				return storage.Null(), nil
+			}
+			return storage.Float(floats[c.phys]), nil
+		}
+	case storage.KindString:
+		strs := col.Strings()
+		return func(c *vctx) (storage.Value, error) {
+			if nulls.Get(c.phys) {
+				return storage.Null(), nil
+			}
+			return storage.Str(strs[c.phys]), nil
+		}
+	default:
+		return func(c *vctx) (storage.Value, error) { return col.At(c.phys), nil }
+	}
+}
+
+// cmpAccepts[op][cmp+1] is whether a comparison operator holds of two
+// values that compare as cmp = -1, 0 or +1.
+var cmpAccepts = map[string][3]bool{
+	"=": {false, true, false}, "!=": {true, false, true},
+	"<": {true, false, false}, "<=": {true, true, false},
+	">": {false, false, true}, ">=": {false, true, true},
+}
+
+// compareKernel is `column <cmp> literal` over the column's vector: a
+// number against a number as Value.Compare compares them (both as
+// float64, neither above the other being equal), a string against a
+// string. Every other pairing — NULL or BOOL on either side, kinds
+// Compare refuses — returns nil and takes the generic kernel.
+func compareKernel(col *storage.Vector, op string, lit storage.Value) vkernel {
+	accept := cmpAccepts[op]
+	nulls := col.Nulls()
+	isNumber := func(k storage.Kind) bool { return k == storage.KindInt || k == storage.KindFloat }
+	switch {
+	case isNumber(col.Kind()) && isNumber(lit.Kind):
+		b, _ := lit.AsFloat()
+		ints, floats := col.Ints(), col.Floats()
+		return func(c *vctx) (storage.Value, error) {
+			if nulls.Get(c.phys) {
+				return storage.Null(), nil
+			}
+			var a float64
+			if ints != nil {
+				a = float64(ints[c.phys])
+			} else {
+				a = floats[c.phys]
+			}
+			cmp := 0
+			if a < b {
+				cmp = -1
+			} else if a > b {
+				cmp = 1
+			}
+			return storage.Bool(accept[cmp+1]), nil
+		}
+	case col.Kind() == storage.KindString && lit.Kind == storage.KindString:
+		strs := col.Strings()
+		return func(c *vctx) (storage.Value, error) {
+			if nulls.Get(c.phys) {
+				return storage.Null(), nil
+			}
+			return storage.Bool(accept[strings.Compare(strs[c.phys], lit.S)+1]), nil
+		}
+	}
+	return nil
+}
+
 // compileBinary mirrors evalBinary: AND/OR short-circuit with SQL
 // three-valued semantics, comparisons through Value.Compare,
 // arithmetic through evalArith, LIKE through likeMatch.
@@ -342,6 +465,13 @@ func (vc *vcompiler) compileBinary(x *BinaryExpr) vkernel {
 			return storage.Bool(isTrue(l) || isTrue(r)), nil
 		}
 	case "=", "!=", "<", "<=", ">", ">=":
+		if lit, ok := x.Right.(*Literal); ok {
+			if col := vc.column(x.Left); col != nil {
+				if k := compareKernel(col, op, lit.Val); k != nil {
+					return k
+				}
+			}
+		}
 		return func(c *vctx) (storage.Value, error) {
 			l, err := lk(c)
 			if err != nil {

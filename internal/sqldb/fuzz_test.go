@@ -2,11 +2,14 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/reliable-cda/cda/internal/storage"
 )
 
 // Property: the lexer and parser never panic — they return errors for
@@ -75,6 +78,9 @@ func TestExecutorResultShapeProperty(t *testing.T) {
 // aggregation, predicates, grouping, ordering, and paging. It is the
 // workload generator for the vectorized-vs-row differential property.
 func genDiffQuery(rng *rand.Rand) string {
+	if rng.Intn(3) == 0 {
+		return genSparseQuery(rng)
+	}
 	var b strings.Builder
 	join := rng.Intn(2) == 0
 	agg := rng.Intn(2) == 0
@@ -158,6 +164,64 @@ func genDiffQuery(rng *rand.Rand) string {
 	return b.String()
 }
 
+// genSparseQuery emits a random, always-parseable query over
+// genJoinDB's sparse table, alone or joined on a key with NULLs in it:
+// the statements that read a NULL bitmap, an all-NULL column or a
+// KindNull one through every operator. Some fail (SUM over TEXT); both
+// engines must then fail alike.
+func genSparseQuery(rng *rand.Rand) string {
+	pick := func(options ...string) string { return options[rng.Intn(len(options))] }
+	col := func() string { return "s." + pick("k", "x", "s", "b", "ni", "nf", "ns", "nb", "z") }
+	from := pick(
+		"sparse s",
+		"facts f JOIN sparse s ON f.k = s.k",
+		"sparse s JOIN dims d ON s.k = d.k",
+		"sparse s JOIN dims d ON s.x = d.k", // FLOAT key, -0 included, against INT
+		"sparse s JOIN sparse t ON s.x = t.k AND s.b = t.b",
+		"sparse s JOIN sparse t ON s.s = t.s AND s.k < t.k",
+		"sparse s JOIN sparse t ON s.nf = t.nf",
+	)
+	var b strings.Builder
+	b.WriteString("SELECT ")
+	group := ""
+	switch rng.Intn(3) {
+	case 0:
+		group = col()
+		fmt.Fprintf(&b, "%s, COUNT(*), %s(%s) AS m", group, pick("COUNT", "SUM", "AVG", "MIN", "MAX", "COUNT"), col())
+	case 1:
+		fmt.Fprintf(&b, "%s(%s), %s(DISTINCT %s), MIN(s.x + s.k)", pick("COUNT", "SUM", "AVG", "MIN", "MAX"), col(), pick("COUNT", "SUM", "MAX"), col())
+	default:
+		if from == "sparse s" && rng.Intn(3) == 0 {
+			b.WriteString("*")
+		} else {
+			fmt.Fprintf(&b, "%s%s, %s, COALESCE(%s, s.k) AS c", pick("", "DISTINCT "), col(), col(), col())
+		}
+	}
+	b.WriteString(" FROM " + from)
+	preds := []string{
+		"s.x > " + fmt.Sprint(rng.Intn(100)), "s.x <= 0", "s.x = 0", "s.x != 2", "s.k < " + fmt.Sprint(rng.Intn(60)), "s.k >= 2.0",
+		"s.s = 'g" + fmt.Sprint(rng.Intn(7)) + "'", "s.s > 'g3'", "s.b = TRUE", "s.b != FALSE", "s.s = 3", "s.k = 'g1'",
+		"s.ni > 1", "s.nf < 2.5", "s.ns = 'a'", "s.nb = TRUE", "s.z = 1", "s.z IS NULL",
+		col() + " IS NULL", col() + " IS NOT NULL", "NOT s.b", "s.x BETWEEN 1 AND 50", "s.k IN (1, 2, 3)",
+	}
+	if n := rng.Intn(3); n > 0 {
+		b.WriteString(" WHERE " + pick(preds...))
+		if n > 1 {
+			b.WriteString(pick(" AND ", " OR ") + pick(preds...))
+		}
+	}
+	switch {
+	case group != "":
+		b.WriteString(" GROUP BY " + group + pick("", " HAVING COUNT(*) > 1") + " ORDER BY " + group)
+	case rng.Intn(2) == 0:
+		b.WriteString(" ORDER BY " + col() + pick("", " DESC") + ", s.k, s.x")
+	}
+	if rng.Intn(3) == 0 {
+		b.WriteString(" LIMIT " + fmt.Sprint(rng.Intn(40)))
+	}
+	return b.String()
+}
+
 // TestVectorizedMatchesRowOracleFuzz is the engine differential
 // property: hundreds of generated queries run through both the legacy
 // row-at-a-time oracle and the vectorized engine, which must agree on
@@ -168,7 +232,7 @@ func TestVectorizedMatchesRowOracleFuzz(t *testing.T) {
 	vec := NewEngine(db)
 	vec.ParallelThreshold = 1 // force the parallel operators
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 450; i++ {
 		q := genDiffQuery(rng)
 		want, werr := oracle.queryRow(q)
 		got, gerr := vec.Query(q)
@@ -192,6 +256,60 @@ func TestVectorizedMatchesRowOracleFuzz(t *testing.T) {
 		}
 		if want.Stats != got.Stats {
 			t.Fatalf("%q: stats oracle %+v vectorized %+v", q, want.Stats, got.Stats)
+		}
+	}
+}
+
+// TestOptimizedMatchesUnoptimized is the planner's differential: the
+// row oracle shares the hash join's key with the columnar engine, so
+// only a run without the hash join — DisableOptimizations, where ON is
+// evaluated by Value.Compare — can say whether the key agrees with `=`.
+// FLOAT -0 must join INT 0, 2.0 join 2, and a NULL key join nothing.
+func TestOptimizedMatchesUnoptimized(t *testing.T) {
+	db := genJoinDB(300, 40, 5)
+	a := storage.NewTable("a", storage.Schema{{Name: "k", Kind: storage.KindFloat}, {Name: "tag", Kind: storage.KindString}})
+	b := storage.NewTable("b", storage.Schema{{Name: "k", Kind: storage.KindInt}, {Name: "tag", Kind: storage.KindString}})
+	for i, k := range []storage.Value{storage.Float(math.Copysign(0, -1)), storage.Float(2), storage.Null(), storage.Float(0), storage.Float(1.5), storage.Float(-2)} {
+		a.MustAppendRow(k, storage.Str(fmt.Sprint("a", i)))
+	}
+	for i, k := range []storage.Value{storage.Int(0), storage.Int(2), storage.Null(), storage.Int(7), storage.Int(2), storage.Int(-2)} {
+		b.MustAppendRow(k, storage.Str(fmt.Sprint("b", i)))
+	}
+	db.Put(a)
+	db.Put(b)
+	hash := NewEngine(db)
+	nested := NewEngine(db)
+	nested.DisableOptimizations = true
+	for q, wantRows := range map[string]int{
+		"SELECT a.k FROM a JOIN b ON a.k = b.k":                                           5, // -0·0, 2·2 twice, 0·0, -2·-2
+		"SELECT a.tag, b.tag FROM b JOIN a ON b.k = a.k ORDER BY a.tag, b.tag":            5,
+		"SELECT a.tag, b.tag FROM a JOIN b ON a.k = b.k AND a.tag < b.tag":                5,
+		"SELECT x.tag, y.tag FROM a x JOIN a y ON x.k = y.k":                              7, // the two zeros meet each way; NULL meets nothing
+		"SELECT s.x, d.k, d.label FROM sparse s JOIN dims d ON s.x = d.k":                 -1,
+		"SELECT COUNT(*), SUM(d.k) FROM sparse s JOIN dims d ON d.k = s.x":                -1,
+		"SELECT s.k, t.x FROM sparse s JOIN sparse t ON s.k = t.x WHERE t.x <= 0":         -1,
+		"SELECT s.s, COUNT(*) FROM sparse s JOIN sparse t ON s.s = t.s GROUP BY s.s":      -1,
+		"SELECT s.b, t.k FROM sparse s JOIN sparse t ON s.b = t.b AND s.k = t.k":          -1,
+		"SELECT COUNT(*) FROM sparse s JOIN sparse t ON s.nf = t.nf":                      -1,
+		"SELECT f.k, s.x FROM facts f JOIN sparse s ON f.k = s.x WHERE f.v > 50":          -1,
+		"SELECT f.grp, COUNT(*) FROM facts f JOIN sparse s ON f.grp = s.s GROUP BY f.grp": -1,
+	} {
+		want, err := nested.Query(q)
+		if err != nil {
+			t.Fatalf("unoptimized %q: %v", q, err)
+		}
+		got, err := hash.Query(q)
+		if err != nil {
+			t.Fatalf("optimized %q: %v", q, err)
+		}
+		if got.Stats.HashJoins != 1 || want.Stats.HashJoins != 0 {
+			t.Fatalf("%q: %d and %d hash joins, want 1 and 0", q, got.Stats.HashJoins, want.Stats.HashJoins)
+		}
+		if !reflect.DeepEqual(want.Rows, got.Rows) || !reflect.DeepEqual(want.Prov, got.Prov) {
+			t.Errorf("%q: the hash join answers\n%v\nthe nested loop\n%v", q, got.Rows, want.Rows)
+		}
+		if wantRows >= 0 && len(got.Rows) != wantRows {
+			t.Errorf("%q: %d rows, want %d", q, len(got.Rows), wantRows)
 		}
 	}
 }

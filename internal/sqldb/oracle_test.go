@@ -252,14 +252,14 @@ func (e *Engine) hashJoin(left, right *relation, li, ri int, residual []Expr, st
 	cond := conjoin(residual)
 	// Build on the right (kept simple; the planner has no cardinality
 	// estimates to choose sides).
-	buckets := make(map[string][]int, len(right.rows))
+	buckets := make(map[joinKey][]int, len(right.rows))
 	for i, row := range right.rows {
-		if key, ok := valueKey(row[ri]); ok {
+		if key, ok := joinKeyOf(row[ri]); ok {
 			buckets[key] = append(buckets[key], i)
 		}
 	}
 	for lIdx, lrow := range left.rows {
-		key, ok := valueKey(lrow[li])
+		key, ok := joinKeyOf(lrow[li])
 		if !ok {
 			continue
 		}
@@ -375,7 +375,6 @@ func buildGroups(groupBy []Expr, rel *relation) []*group {
 	index := make(map[string]*group)
 	var order []*group
 	for i, row := range rel.rows {
-		key := make([]storage.Value, len(groupBy))
 		parts := make([]string, len(groupBy))
 		for j, ge := range groupBy {
 			v, err := evalExpr(ge, rel, row)
@@ -385,13 +384,12 @@ func buildGroups(groupBy []Expr, rel *relation) []*group {
 				// earlier, so treat errors as NULL keys.
 				v = storage.Null()
 			}
-			key[j] = v
 			parts[j] = v.Kind.String() + ":" + v.String()
 		}
 		ks := strings.Join(parts, "\x1f")
 		g, ok := index[ks]
 		if !ok {
-			g = &group{key: key}
+			g = &group{}
 			index[ks] = g
 			order = append(order, g)
 		}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,8 +10,12 @@ import (
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
-// genJoinDB builds a randomized two-table database: a fact table with
-// numeric and string columns and a dimension table keyed by id.
+// genJoinDB builds a randomized database: a fact table with numeric and
+// string columns, a dimension table keyed by id, and sparse — a column
+// of every kind with NULLs scattered across bitmap words, a column of
+// every kind holding nothing but NULL, and a KindNull column. sparse
+// draws from its own stream, so facts and dims are what they were
+// before it existed (the benchmarks run over them).
 func genJoinDB(rows, dims int, seed int64) *storage.Database {
 	rng := rand.New(rand.NewSource(seed))
 	db := storage.NewDatabase("par")
@@ -35,6 +40,40 @@ func genJoinDB(rows, dims int, seed int64) *storage.Database {
 	}
 	db.Put(facts)
 	db.Put(dim)
+
+	srng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	sparse := storage.NewTable("sparse", storage.Schema{
+		{Name: "k", Kind: storage.KindInt},
+		{Name: "x", Kind: storage.KindFloat},
+		{Name: "s", Kind: storage.KindString},
+		{Name: "b", Kind: storage.KindBool},
+		{Name: "ni", Kind: storage.KindInt},
+		{Name: "nf", Kind: storage.KindFloat},
+		{Name: "ns", Kind: storage.KindString},
+		{Name: "nb", Kind: storage.KindBool},
+		{Name: "z", Kind: storage.KindNull},
+	})
+	for i := 0; i < dims+100; i++ {
+		row := make([]storage.Value, 9)
+		if srng.Intn(4) != 0 {
+			row[0] = storage.Int(int64(srng.Intn(dims)))
+		}
+		switch srng.Intn(5) {
+		case 0:
+		case 1: // a whole number, to meet an INT key; sometimes -0
+			row[1] = storage.Float(math.Copysign(float64(srng.Intn(4)), -1))
+		default:
+			row[1] = storage.Float(srng.Float64() * 100)
+		}
+		if srng.Intn(3) != 0 {
+			row[2] = storage.Str(fmt.Sprintf("g%d", srng.Intn(7)))
+		}
+		if srng.Intn(3) != 0 {
+			row[3] = storage.Bool(srng.Intn(2) == 0)
+		}
+		sparse.MustAppendRow(row...)
+	}
+	db.Put(sparse)
 	return db
 }
 

@@ -1,6 +1,10 @@
 package sqldb
 
-import "github.com/reliable-cda/cda/internal/storage"
+import (
+	"math"
+
+	"github.com/reliable-cda/cda/internal/storage"
+)
 
 // This file implements the engine's logical optimizations, the
 // query-level half of the paper's "holistic optimizer":
@@ -98,16 +102,42 @@ func equiJoinKey(on Expr, left, right columnResolver) (li, ri int, residual []Ex
 	return 0, 0, nil, false
 }
 
-// valueKey renders a value as a hash key with kind tag; numeric kinds
-// share a representation so INT 2 joins FLOAT 2.0.
-func valueKey(v storage.Value) (string, bool) {
-	if v.IsNull() {
-		return "", false // NULL never equi-joins
+// joinKey is a cell as a hash-join key. Two non-NULL cells of kinds `=`
+// can compare get equal keys exactly when Value.Compare calls them
+// equal — numbers meet as float64s, so INT 2 joins FLOAT 2.0 and -0
+// joins 0 — except that a NaN joins only another NaN.
+type joinKey struct {
+	kind storage.Kind // KindFloat for INT and FLOAT alike
+	bits uint64       // a number's float64 bits; 0 or 1 for a BOOL
+	str  string
+}
+
+// canonicalNaN stands for every NaN bit pattern in a joinKey.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// joinKeyOf returns v's join key; NULL has none, because NULL never
+// equi-joins.
+func joinKeyOf(v storage.Value) (joinKey, bool) {
+	switch v.Kind {
+	case storage.KindNull:
+		return joinKey{}, false
+	case storage.KindInt, storage.KindFloat:
+		f, _ := v.AsFloat()
+		k := joinKey{kind: storage.KindFloat, bits: math.Float64bits(f)}
+		switch {
+		case f == 0:
+			k.bits = 0 // -0 = 0
+		case f != f:
+			k.bits = canonicalNaN
+		}
+		return k, true
+	case storage.KindBool:
+		k := joinKey{kind: storage.KindBool}
+		if v.B {
+			k.bits = 1
+		}
+		return k, true
+	default:
+		return joinKey{kind: v.Kind, str: v.S}, true
 	}
-	if f, ok := v.AsFloat(); ok && v.Kind != storage.KindString && v.Kind != storage.KindBool {
-		// Both sides go through the same float renderer, so INT 2 and
-		// FLOAT 2.0 produce the identical key "n:2".
-		return "n:" + storage.Float(f).String(), true
-	}
-	return v.Kind.String() + ":" + v.String(), true
 }

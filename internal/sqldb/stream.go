@@ -47,7 +47,7 @@ type streamJoin struct {
 	on       Expr
 	equi     bool
 	li       int
-	buckets  map[string][]int
+	buckets  map[joinKey][]int
 	residual []Expr
 }
 
@@ -87,6 +87,7 @@ func (e *Engine) ExecStream(ctx context.Context, stmt *SelectStmt, opts StreamOp
 	leftSchema := &vrel{
 		aliases: append([]string{}, base.aliases...),
 		names:   append([]string{}, base.names...),
+		cols:    append([]*storage.Vector{}, base.cols...),
 	}
 	joins := make([]streamJoin, 0, len(stmt.Joins))
 	for _, jc := range stmt.Joins {
@@ -113,15 +114,16 @@ func (e *Engine) ExecStream(ctx context.Context, stmt *SelectStmt, opts StreamOp
 		joins = append(joins, sj)
 		leftSchema.aliases = append(leftSchema.aliases, right.aliases...)
 		leftSchema.names = append(leftSchema.names, right.names...)
+		leftSchema.cols = append(leftSchema.cols, right.cols...)
 	}
 	residualWhere := wherePreds
 
 	// The accumulator holds the post-join, post-filter relation built
-	// so far: materialized columns plus explicit provenance.
-	acc := &vrel{
-		aliases: leftSchema.aliases,
-		names:   leftSchema.names,
-		cols:    make([][]storage.Value, len(leftSchema.names)),
+	// so far: materialized columns of the sources' kinds plus explicit
+	// provenance.
+	acc := &vrel{aliases: leftSchema.aliases, names: leftSchema.names}
+	for _, src := range leftSchema.cols {
+		acc.cols = append(acc.cols, storage.NewVector(src.Kind(), 0))
 	}
 
 	total := base.nphys
@@ -192,7 +194,9 @@ func (e *Engine) ExecStream(ctx context.Context, stmt *SelectStmt, opts StreamOp
 		if err != nil {
 			return err
 		}
-		appendToAccumulator(acc, cur, e.CaptureProvenance)
+		if err := appendToAccumulator(acc, cur, e.CaptureProvenance); err != nil {
+			return err
+		}
 		if err := snapshot(hi); err != nil {
 			return err
 		}
@@ -202,16 +206,21 @@ func (e *Engine) ExecStream(ctx context.Context, stmt *SelectStmt, opts StreamOp
 
 // appendToAccumulator materializes the batch's selected rows onto the
 // accumulator's columns, carrying provenance across.
-func appendToAccumulator(acc, b *vrel, capture bool) {
+func appendToAccumulator(acc, b *vrel, capture bool) error {
 	n := b.length()
-	for pos := 0; pos < n; pos++ {
-		p := b.phys(pos)
-		for c := range acc.cols {
-			acc.cols[c] = append(acc.cols[c], b.cols[c][p])
+	for c, col := range b.cols {
+		if b.sel != nil {
+			col = col.Gather(b.sel)
 		}
-		if capture {
-			acc.prov = append(acc.prov, b.provOf(p))
+		if err := acc.cols[c].Extend(col); err != nil {
+			return err
+		}
+	}
+	if capture {
+		for pos := 0; pos < n; pos++ {
+			acc.prov = append(acc.prov, b.provOf(b.phys(pos)))
 		}
 	}
 	acc.nphys += n
+	return nil
 }

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/reliable-cda/cda/internal/storage"
 )
@@ -24,7 +25,7 @@ func (e *Engine) vExecuteAggregate(stmt *SelectStmt, vr *vrel) (*Result, error) 
 		}
 	}
 
-	vc := &vcompiler{res: vr}
+	vc := &vcompiler{res: vr, cols: vr.cols}
 	groups := vBuildGroups(stmt.GroupBy, vr, vc)
 	res := &Result{}
 	for _, it := range stmt.Items {
@@ -87,8 +88,8 @@ func (e *Engine) vExecuteAggregate(stmt *SelectStmt, vr *vrel) (*Result, error) 
 // order over the selection, kernel errors treated as NULL keys, and
 // the key string built exactly as the row engine builds it
 // (kind:value joined with \x1f). Group members are physical row
-// indexes in selection order. A reused byte buffer replaces the
-// per-row strings.Join allocation.
+// indexes in selection order. The key is built in one reused buffer,
+// so a row that joins an existing group allocates nothing.
 func vBuildGroups(groupBy []Expr, vr *vrel, vc *vcompiler) []*group {
 	n := vr.length()
 	if len(groupBy) == 0 {
@@ -109,7 +110,6 @@ func vBuildGroups(groupBy []Expr, vr *vrel, vc *vcompiler) []*group {
 	for pos := 0; pos < n; pos++ {
 		p := vr.phys(pos)
 		ctx.phys = p
-		key := make([]storage.Value, len(groupBy))
 		buf = buf[:0]
 		for j, k := range ks {
 			v, err := k(&ctx)
@@ -119,23 +119,34 @@ func vBuildGroups(groupBy []Expr, vr *vrel, vc *vcompiler) []*group {
 				// practice).
 				v = storage.Null()
 			}
-			key[j] = v
 			if j > 0 {
 				buf = append(buf, '\x1f')
 			}
-			buf = append(buf, v.Kind.String()...)
-			buf = append(buf, ':')
-			buf = append(buf, v.String()...)
+			buf = appendValueKey(buf, v)
 		}
 		g, ok := index[string(buf)]
 		if !ok {
-			g = &group{key: key}
+			g = &group{}
 			index[string(buf)] = g
 			order = append(order, g)
 		}
 		g.rowIdxs = append(g.rowIdxs, p)
 	}
 	return order
+}
+
+// appendValueKey appends v.Kind.String() + ":" + v.String() without
+// building either string.
+func appendValueKey(buf []byte, v storage.Value) []byte {
+	buf = append(append(buf, v.Kind.String()...), ':')
+	switch v.Kind {
+	case storage.KindInt:
+		return strconv.AppendInt(buf, v.I, 10)
+	case storage.KindFloat:
+		return strconv.AppendFloat(buf, v.F, 'g', -1, 64)
+	default: // NULL, TEXT and BOOL render without allocating
+		return append(buf, v.String()...)
+	}
 }
 
 // vGroupProvenance mirrors groupProvenance: dedup in row order over
@@ -253,9 +264,12 @@ func vEvalGroupExpr(e Expr, vr *vrel, g *group, vc *vcompiler) (storage.Value, e
 	}
 }
 
-// vEvalAggregate mirrors evalAggregate: gather non-NULL argument
-// values over the group in row order through one compiled kernel,
-// dedup for DISTINCT, then fold with the shared finishAggregate.
+// vEvalAggregate mirrors evalAggregate: fold the non-NULL argument
+// values over the group in row order, deduplicated first for DISTINCT,
+// through the shared aggFold. A bare-column argument cannot fail to
+// evaluate, so it is folded where it lies in its vector; any other
+// argument is gathered through its kernel first, because an evaluation
+// error on a later row comes before a fold error on an earlier one.
 func vEvalAggregate(f *FuncExpr, vr *vrel, g *group, vc *vcompiler) (storage.Value, error) {
 	if _, isStar := f.Arg.(*Star); isStar {
 		if f.Name != "COUNT" {
@@ -263,7 +277,11 @@ func vEvalAggregate(f *FuncExpr, vr *vrel, g *group, vc *vcompiler) (storage.Val
 		}
 		return storage.Int(int64(len(g.rowIdxs))), nil
 	}
-	k := vc.kernel(f.Arg)
+	arg := vc.compiled(f.Arg)
+	if arg.col != nil && !f.Distinct {
+		return foldColumn(f.Name, arg.col, g.rowIdxs)
+	}
+	k := arg.eval
 	ctx := vctx{cols: vr.cols}
 	var vals []storage.Value
 	for _, p := range g.rowIdxs {
@@ -281,4 +299,45 @@ func vEvalAggregate(f *FuncExpr, vr *vrel, g *group, vc *vcompiler) (storage.Val
 		vals = dedupValues(vals)
 	}
 	return finishAggregate(f.Name, vals)
+}
+
+// foldColumn folds col's non-NULL values at rows, in that order. The
+// numeric kinds, which is what SUM, AVG, MIN and MAX are asked for,
+// are read with the kind chosen once; the loop through At serves the
+// rest.
+func foldColumn(name string, col *storage.Vector, rows []int) (storage.Value, error) {
+	fold := aggFold{name: name}
+	nulls := col.Nulls()
+	switch col.Kind() {
+	case storage.KindInt:
+		ints := col.Ints()
+		for _, p := range rows {
+			if nulls.Get(p) {
+				continue
+			}
+			if err := fold.add(storage.Int(ints[p])); err != nil {
+				return storage.Null(), err
+			}
+		}
+	case storage.KindFloat:
+		floats := col.Floats()
+		for _, p := range rows {
+			if nulls.Get(p) {
+				continue
+			}
+			if err := fold.add(storage.Float(floats[p])); err != nil {
+				return storage.Null(), err
+			}
+		}
+	default:
+		for _, p := range rows {
+			if col.IsNull(p) {
+				continue
+			}
+			if err := fold.add(col.At(p)); err != nil {
+				return storage.Null(), err
+			}
+		}
+	}
+	return fold.result()
 }

@@ -99,10 +99,11 @@ func (e *Engine) vScan(table, alias string, stats *Stats) (*vrel, error) {
 	if alias == "" {
 		alias = table
 	}
-	vr := &vrel{cols: t.Columns(), nphys: t.NumRows()}
-	for _, c := range t.Schema() {
+	vr := &vrel{nphys: t.NumRows()}
+	for i, c := range t.Schema() {
 		vr.aliases = append(vr.aliases, alias)
 		vr.names = append(vr.names, c.Name)
+		vr.cols = append(vr.cols, t.Vector(i))
 	}
 	stats.RowsScanned += vr.nphys
 	if e.CaptureProvenance {
@@ -120,7 +121,7 @@ func (e *Engine) vFilter(vr *vrel, preds []Expr) (*vrel, error) {
 		return vr, nil
 	}
 	cond := conjoin(preds)
-	k := (&vcompiler{res: vr}).compile(cond)
+	k := (&vcompiler{res: vr, cols: vr.cols}).compile(cond)
 	n := vr.length()
 	chunks, err := parallel.MapChunks(n, e.parOptions(), func(lo, hi int) ([]int, error) {
 		keep := make([]int, 0, hi-lo)
@@ -154,15 +155,15 @@ func (e *Engine) vFilter(vr *vrel, preds []Expr) (*vrel, error) {
 }
 
 // buildBuckets builds the hash-join table over the right relation's
-// key column: valueKey → physical row indexes in selection order
+// key column: joinKey → physical row indexes in selection order
 // (matching the row engine's bucket order over surviving rows).
-func buildBuckets(right *vrel, ri int) map[string][]int {
+func buildBuckets(right *vrel, ri int) map[joinKey][]int {
 	col := right.cols[ri]
 	n := right.length()
-	buckets := make(map[string][]int, n)
+	buckets := make(map[joinKey][]int, n)
 	for pos := 0; pos < n; pos++ {
 		rp := right.phys(pos)
-		if key, ok := valueKey(col[rp]); ok {
+		if key, ok := joinKeyOf(col.At(rp)); ok {
 			buckets[key] = append(buckets[key], rp)
 		}
 	}
@@ -174,7 +175,7 @@ func buildBuckets(right *vrel, ri int) map[string][]int {
 // pair without materializing combined rows, then gathers the matched
 // pairs into fresh output columns. Candidate order is left-row-major
 // with bucket order within a row — the row engine's exact order.
-func (e *Engine) vProbeJoin(left, right *vrel, li int, buckets map[string][]int, residual []Expr, stats *Stats) (*vrel, error) {
+func (e *Engine) vProbeJoin(left, right *vrel, li int, buckets map[joinKey][]int, residual []Expr, stats *Stats) (*vrel, error) {
 	out := &vrel{
 		aliases: append(append([]string{}, left.aliases...), right.aliases...),
 		names:   append(append([]string{}, left.names...), right.names...),
@@ -194,7 +195,7 @@ func (e *Engine) vProbeJoin(left, right *vrel, li int, buckets map[string][]int,
 		ctx := vctx{cols: left.cols, rcols: right.cols, split: split}
 		for pos := lo; pos < hi; pos++ {
 			lp := left.phys(pos)
-			key, ok := valueKey(lcol[lp])
+			key, ok := joinKeyOf(lcol.At(lp))
 			if !ok {
 				continue
 			}
@@ -275,32 +276,18 @@ func (e *Engine) vNestedJoin(left, right *vrel, on Expr, stats *Stats) (*vrel, e
 	return e.vGatherJoin(left, right, lidx, ridx, out)
 }
 
-// vGatherJoin materializes the joined output: fresh column vectors
-// gathered from the matched (left, right) physical row pairs, plus
-// concatenated per-row provenance (left refs then right refs, no
-// dedup — matching the row engine's join provenance).
+// vGatherJoin materializes the joined output: fresh vectors of the
+// sources' kinds gathered from the matched (left, right) physical row
+// pairs, plus concatenated per-row provenance (left refs then right
+// refs, no dedup — matching the row engine's join provenance).
 func (e *Engine) vGatherJoin(left, right *vrel, lidx, ridx []int, out *vrel) (*vrel, error) {
 	n := len(lidx)
-	split := len(left.cols)
-	out.cols = make([][]storage.Value, split+len(right.cols))
-	for c := range out.cols {
-		out.cols[c] = make([]storage.Value, n)
-	}
 	out.nphys = n
-	gerr := parallel.Do(n, e.parOptions(), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			lp, rp := lidx[i], ridx[i]
-			for c, col := range left.cols {
-				out.cols[c][i] = col[lp]
-			}
-			for c, col := range right.cols {
-				out.cols[split+c][i] = col[rp]
-			}
-		}
-		return nil
-	})
-	if gerr != nil {
-		return nil, gerr
+	for _, col := range left.cols {
+		out.cols = append(out.cols, col.Gather(lidx))
+	}
+	for _, col := range right.cols {
+		out.cols = append(out.cols, col.Gather(ridx))
 	}
 	if e.CaptureProvenance {
 		out.prov = make([][]RowRef, n)
@@ -336,7 +323,7 @@ func (e *Engine) vProjection(stmt *SelectStmt, vr *vrel) (*Result, error) {
 			res.Columns = append(res.Columns, it.OutputName())
 		}
 	}
-	vc := &vcompiler{res: vr}
+	vc := &vcompiler{res: vr, cols: vr.cols}
 	var itemKs []vkernel
 	if !stmt.SelStar {
 		for _, it := range stmt.Items {
@@ -364,7 +351,7 @@ func (e *Engine) vProjection(stmt *SelectStmt, vr *vrel) (*Result, error) {
 			if stmt.SelStar {
 				projected = make([]storage.Value, len(vr.cols))
 				for c, col := range vr.cols {
-					projected[c] = col[p]
+					projected[c] = col.At(p)
 				}
 			} else {
 				projected = make([]storage.Value, len(itemKs))

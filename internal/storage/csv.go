@@ -4,30 +4,46 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strings"
 )
+
+// inferRows is how many data rows ReadCSV looks at to infer kinds.
+const inferRows = 100
 
 // ReadCSV loads a table from CSV. The first record is the header. If
 // schema is nil, column kinds are inferred from up to the first 100
 // data rows (preference INT > FLOAT > BOOL > TEXT); otherwise the
 // provided schema must match the header width and is used as-is.
+// Records stream into the table's vectors one at a time, and a TEXT
+// cell is stored as a copy, so that it does not keep its whole CSV
+// line alive.
 func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
-	records, err := cr.ReadAll()
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("storage: csv for %s has no header", name)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: reading csv for %s: %w", name, err)
 	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("storage: csv for %s has no header", name)
-	}
-	header := records[0]
-	data := records[1:]
+	var ahead [][]string
 	if schema == nil {
+		for len(ahead) < inferRows {
+			rec, err := cr.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("storage: reading csv for %s: %w", name, err)
+			}
+			ahead = append(ahead, rec)
+		}
 		schema = make(Schema, len(header))
+		samples := make([]string, len(ahead))
 		for c, h := range header {
-			samples := make([]string, 0, 100)
-			for r := 0; r < len(data) && r < 100; r++ {
-				samples = append(samples, data[r][c])
+			for i, rec := range ahead {
+				samples[i] = rec[c]
 			}
 			schema[c] = ColumnDef{Name: h, Kind: InferKind(samples)}
 		}
@@ -35,23 +51,25 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 		return nil, fmt.Errorf("storage: schema has %d columns, csv header has %d", len(schema), len(header))
 	}
 	t := NewTable(name, schema)
-	for rn, rec := range data {
-		if len(rec) != len(schema) {
-			return nil, fmt.Errorf("storage: row %d has %d fields, want %d", rn+1, len(rec), len(schema))
+	cr.ReuseRecord = true
+	for rn := 1; ; rn++ {
+		var rec []string
+		if rn <= len(ahead) {
+			rec = ahead[rn-1]
+		} else if rec, err = cr.Read(); err == io.EOF {
+			return t, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("storage: reading csv for %s: %w", name, err)
 		}
-		row := make([]Value, len(rec))
 		for c, raw := range rec {
 			v, err := ParseValue(raw, schema[c].Kind)
 			if err != nil {
-				return nil, fmt.Errorf("storage: row %d col %s: %w", rn+1, schema[c].Name, err)
+				return nil, fmt.Errorf("storage: row %d col %s: %w", rn, schema[c].Name, err)
 			}
-			row[c] = v
-		}
-		if err := t.AppendRow(row); err != nil {
-			return nil, err
+			v.S = strings.Clone(v.S)
+			t.cols[c].push(v)
 		}
 	}
-	return t, nil
 }
 
 // WriteCSV serializes the table as CSV with a header row. NULLs are

@@ -37,14 +37,15 @@ func Profile(t *Table) []ColumnStats {
 		var sum float64
 		numeric := 0
 		st.Min, st.Max = math.Inf(1), math.Inf(-1)
-		for r := 0; r < t.NumRows(); r++ {
-			v := t.At(r, c)
+		col := t.cols[c]
+		for r := 0; r < col.Len(); r++ {
+			v := col.At(r)
 			if v.IsNull() {
 				st.Nulls++
 				continue
 			}
 			counts[v.String()]++
-			if f, ok := v.AsFloat(); ok && (v.Kind == KindInt || v.Kind == KindFloat) {
+			if f, ok := v.AsFloat(); ok && isNumeric(v.Kind) {
 				sum += f
 				numeric++
 				if f < st.Min {

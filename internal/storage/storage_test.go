@@ -143,7 +143,7 @@ func TestTableBasics(t *testing.T) {
 	if row[0].I != 1 || row[1].S != "ada" {
 		t.Errorf("Row(0) = %v", row)
 	}
-	if _, err := tbl.ColumnByName("nope"); err == nil {
+	if _, _, err := tbl.FloatColumn("nope"); err == nil {
 		t.Error("missing column must error")
 	}
 }
@@ -165,26 +165,42 @@ func TestTableAppendValidation(t *testing.T) {
 	}
 }
 
+// vectorOf builds a vector of the given kind from vals.
+func vectorOf(t *testing.T, kind Kind, vals ...Value) *Vector {
+	t.Helper()
+	col := NewVector(kind, len(vals))
+	for _, v := range vals {
+		if err := col.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return col
+}
+
 // TestTableFromColumns: the columnar constructor accepts and refuses
-// what AppendRow does, and takes the slices as they are.
+// what AppendRow does, and takes a vector of the right kind as it is.
 func TestTableFromColumns(t *testing.T) {
 	schema := testTable(t).Schema()
-	ids := []Value{Int(1), Null()}
-	tbl, err := TableFromColumns("people", schema, [][]Value{ids, {Str("ada"), Null()}, {Int(70), Null()}})
+	ids := vectorOf(t, KindInt, Int(1), Null())
+	tbl, err := TableFromColumns("people", schema, []*Vector{ids, vectorOf(t, KindString, Str("ada"), Null()), vectorOf(t, KindInt, Int(70), Null())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRows() != 2 || tbl.At(0, 2) != Float(70) || !tbl.At(1, 2).IsNull() || &tbl.Column(0)[0] != &ids[0] {
-		t.Errorf("rows %d, widened cell %v, id column copied: %v", tbl.NumRows(), tbl.At(0, 2), &tbl.Column(0)[0] != &ids[0])
+	if tbl.NumRows() != 2 || tbl.At(0, 2) != Float(70) || !tbl.At(1, 2).IsNull() || tbl.Vector(0) != ids {
+		t.Errorf("rows %d, widened cell %v, id column copied: %v", tbl.NumRows(), tbl.At(0, 2), tbl.Vector(0) != ids)
 	}
 	if err := tbl.AppendRow([]Value{Int(3), Str("cy"), Float(1)}); err != nil || tbl.NumRows() != 3 {
 		t.Errorf("append to a table built from columns: %v", err)
 	}
-	for name, cols := range map[string][][]Value{
-		"a column short of the schema": {{Int(1)}, {Str("a")}},
-		"columns of unequal length":    {{Int(1)}, {Str("a"), Str("b")}, {Float(1)}},
-		"a cell of another kind":       {{Int(1), Str("2")}, {Str("a"), Str("b")}, {Float(1), Float(2)}},
-		"a float in an int column":     {{Float(1)}, {Str("a")}, {Float(1)}},
+	allNull, err := TableFromColumns("people", schema, []*Vector{vectorOf(t, KindNull, Null()), vectorOf(t, KindNull, Null()), vectorOf(t, KindNull, Null())})
+	if err != nil || allNull.NumRows() != 1 || allNull.Vector(1).Kind() != KindString || !allNull.At(0, 1).IsNull() {
+		t.Errorf("all-NULL vectors under a typed schema: %v", err)
+	}
+	for name, cols := range map[string][]*Vector{
+		"a column short of the schema": {vectorOf(t, KindInt, Int(1)), vectorOf(t, KindString, Str("a"))},
+		"columns of unequal length":    {vectorOf(t, KindInt, Int(1)), vectorOf(t, KindString, Str("a"), Str("b")), vectorOf(t, KindFloat, Float(1))},
+		"a column of another kind":     {vectorOf(t, KindString, Str("1")), vectorOf(t, KindString, Str("a")), vectorOf(t, KindFloat, Float(1))},
+		"a float in an int column":     {vectorOf(t, KindFloat, Float(1)), vectorOf(t, KindString, Str("a")), vectorOf(t, KindFloat, Float(1))},
 	} {
 		if _, err := TableFromColumns("people", schema, cols); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -40,47 +40,50 @@ func (s Schema) Names() []string {
 	return out
 }
 
-// Table is an in-memory columnar table. Values are stored column-wise;
-// all columns always have equal length. Table is safe for concurrent
-// reads; writes must be externally serialized (the engine appends only
-// during loading).
+// Table is an in-memory columnar table: one typed Vector per schema
+// column, all of equal length. Table is safe for concurrent reads;
+// writes (AppendRow, Set) must be externally serialized (the engine
+// appends only during loading).
 type Table struct {
 	Name        string
 	Description string
 	schema      Schema
-	cols        [][]Value
+	cols        []*Vector
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema Schema) *Table {
-	t := &Table{Name: name, schema: schema, cols: make([][]Value, len(schema))}
+	t := &Table{Name: name, schema: schema, cols: make([]*Vector, len(schema))}
+	for c, def := range schema {
+		t.cols[c] = NewVector(def.Kind, 0)
+	}
 	return t
 }
 
-// TableFromColumns builds a table over cols, one slice per schema
-// column, without copying them: the table owns them afterwards. It
-// enforces what AppendRow enforces — columns of one length, every cell
-// NULL or its column's kind, INT cells in a FLOAT column widened.
-func TableFromColumns(name string, schema Schema, cols [][]Value) (*Table, error) {
+// TableFromColumns builds a table over cols, one vector per schema
+// column, without copying a vector that is already of its column's
+// kind: the table owns it afterwards. It enforces what AppendRow
+// enforces — columns of one length, each of its column's kind, an INT
+// vector widened for a FLOAT column, a KindNull vector fitting any.
+func TableFromColumns(name string, schema Schema, cols []*Vector) (*Table, error) {
 	if len(cols) != len(schema) {
 		return nil, fmt.Errorf("storage: %d columns of values, schema has %d columns", len(cols), len(schema))
 	}
+	t := &Table{Name: name, schema: schema, cols: make([]*Vector, len(cols))}
 	for c, col := range cols {
-		if len(col) != len(cols[0]) {
-			return nil, fmt.Errorf("storage: column %s has %d rows, column %s has %d", schema[c].Name, len(col), schema[0].Name, len(cols[0]))
+		if col.Len() != cols[0].Len() {
+			return nil, fmt.Errorf("storage: column %s has %d rows, column %s has %d", schema[c].Name, col.Len(), schema[0].Name, cols[0].Len())
 		}
-		want := schema[c].Kind
-		for r, v := range col {
-			switch {
-			case v.IsNull() || v.Kind == want:
-			case want == KindFloat && v.Kind == KindInt:
-				col[r] = Float(float64(v.I))
-			default:
-				return nil, fmt.Errorf("storage: column %s wants %s, got %s in row %d", schema[c].Name, want, v.Kind, r)
+		if col.Kind() != schema[c].Kind {
+			fitted := NewVector(schema[c].Kind, col.Len())
+			if err := fitted.Extend(col); err != nil {
+				return nil, fmt.Errorf("storage: column %s: %w", schema[c].Name, err)
 			}
+			col = fitted
 		}
+		t.cols[c] = col
 	}
-	return &Table{Name: name, schema: schema, cols: cols}, nil
+	return t, nil
 }
 
 // Schema returns the table schema (callers must not mutate it).
@@ -91,7 +94,7 @@ func (t *Table) NumRows() int {
 	if len(t.cols) == 0 {
 		return 0
 	}
-	return len(t.cols[0])
+	return t.cols[0].Len()
 }
 
 // NumCols returns the column count.
@@ -105,21 +108,14 @@ func (t *Table) AppendRow(row []Value) error {
 		return fmt.Errorf("storage: row has %d values, schema has %d columns", len(row), len(t.schema))
 	}
 	for i, v := range row {
-		if v.IsNull() {
-			continue
+		fitted, err := fit(t.schema[i].Kind, v)
+		if err != nil {
+			return fmt.Errorf("storage: column %s %w", t.schema[i].Name, err)
 		}
-		want := t.schema[i].Kind
-		if v.Kind == want {
-			continue
-		}
-		if want == KindFloat && v.Kind == KindInt {
-			row[i] = Float(float64(v.I))
-			continue
-		}
-		return fmt.Errorf("storage: column %s wants %s, got %s", t.schema[i].Name, want, v.Kind)
+		row[i] = fitted
 	}
 	for i, v := range row {
-		t.cols[i] = append(t.cols[i], v)
+		t.cols[i].push(v)
 	}
 	return nil
 }
@@ -135,43 +131,48 @@ func (t *Table) MustAppendRow(row ...Value) {
 	}
 }
 
+// Set overwrites the cell at (row, col) under AppendRow's rules; it is
+// how a stored cell is changed.
+func (t *Table) Set(row, col int, v Value) error {
+	if col < 0 || col >= len(t.cols) {
+		return fmt.Errorf("storage: table %s has no column %d", t.Name, col)
+	}
+	if err := t.cols[col].Set(row, v); err != nil {
+		return fmt.Errorf("storage: table %s column %s: %w", t.Name, t.schema[col].Name, err)
+	}
+	return nil
+}
+
 // At returns the value at (row, col) without bounds checking beyond
 // the slice's own.
-func (t *Table) At(row, col int) Value { return t.cols[col][row] }
+func (t *Table) At(row, col int) Value { return t.cols[col].At(row) }
 
 // Row materializes row i as a fresh slice.
 func (t *Table) Row(i int) []Value {
 	out := make([]Value, len(t.cols))
-	for c := range t.cols {
-		out[c] = t.cols[c][i]
+	for c, col := range t.cols {
+		out[c] = col.At(i)
 	}
 	return out
 }
 
-// Column returns the backing slice for column i; callers must treat it
-// as read-only.
-func (t *Table) Column(i int) []Value { return t.cols[i] }
+// Vector returns column i as stored; callers must treat it as
+// read-only. This is the zero-copy entry point for columnar execution
+// and for the version store's leaf codec.
+func (t *Table) Vector(i int) *Vector { return t.cols[i] }
 
-// Columns returns the backing column slices in schema order; callers
-// must treat them as read-only. This is the zero-copy entry point for
-// columnar (batch-at-a-time) execution: the SQL engine's vectorized
-// scan operates directly over these slices instead of materializing
-// per-row value slices.
-func (t *Table) Columns() [][]Value { return t.cols }
-
-// Kinds returns the schema kinds in column order. AppendRow enforces
-// that every stored cell is either NULL or its column's kind, so
-// vectorized kernels may specialize on these kinds safely.
-func (t *Table) Kinds() []Kind {
-	out := make([]Kind, len(t.schema))
-	for i, c := range t.schema {
-		out[i] = c.Kind
+// Column returns a fresh copy of column i as Values, for callers that
+// want a cell at a time and run once; Vector is the column itself.
+func (t *Table) Column(i int) []Value {
+	col := t.cols[i]
+	out := make([]Value, col.Len())
+	for r := range out {
+		out[r] = col.At(r)
 	}
 	return out
 }
 
-// ColumnByName returns the backing slice for the named column.
-func (t *Table) ColumnByName(name string) ([]Value, error) {
+func (t *Table) vectorByName(name string) (*Vector, error) {
 	i := t.schema.ColumnIndex(name)
 	if i < 0 {
 		return nil, fmt.Errorf("storage: table %s has no column %q", t.Name, name)
@@ -182,42 +183,48 @@ func (t *Table) ColumnByName(name string) ([]Value, error) {
 // FloatColumn extracts the named column as float64s, skipping NULLs;
 // the second return slice holds the row indices kept.
 func (t *Table) FloatColumn(name string) ([]float64, []int, error) {
-	col, err := t.ColumnByName(name)
+	col, err := t.vectorByName(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	vals := make([]float64, 0, len(col))
-	rows := make([]int, 0, len(col))
-	for i, v := range col {
-		f, ok := v.AsFloat()
+	vals := make([]float64, 0, col.Len())
+	rows := make([]int, 0, col.Len())
+	for r := 0; r < col.Len(); r++ {
+		f, ok := col.At(r).AsFloat()
 		if !ok {
 			continue
 		}
 		vals = append(vals, f)
-		rows = append(rows, i)
+		rows = append(rows, r)
 	}
 	return vals, rows, nil
 }
 
 // DistinctStrings returns the sorted distinct non-NULL string renderings
-// of the named column. Useful for grounding value vocabularies.
+// of the named column. Useful for grounding value vocabularies. The
+// slice is computed once per column and shared until the column is
+// next written: callers must treat it as read-only.
 func (t *Table) DistinctStrings(name string) ([]string, error) {
-	col, err := t.ColumnByName(name)
+	col, err := t.vectorByName(name)
 	if err != nil {
 		return nil, err
 	}
+	if memo := col.distinct.Load(); memo != nil {
+		return *memo, nil
+	}
 	set := make(map[string]struct{})
-	for _, v := range col {
-		if v.IsNull() {
-			continue
+	for r := 0; r < col.Len(); r++ {
+		if v := col.At(r); !v.IsNull() {
+			set[v.String()] = struct{}{}
 		}
-		set[v.String()] = struct{}{}
 	}
 	out := make([]string, 0, len(set))
 	for s := range set {
 		out = append(out, s)
 	}
 	sort.Strings(out)
+	// Two readers racing here store equal slices.
+	col.distinct.Store(&out)
 	return out, nil
 }
 

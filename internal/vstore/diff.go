@@ -164,8 +164,8 @@ func (s *Store) diffTable(name string, ah, bh Hash) (TableDiff, error) {
 			}
 			// The longer version's tail leaf runs past the shared
 			// prefix; those rows are already counted as added/removed.
-			for i := 0; i < min(len(av), len(bv)); i++ {
-				if av[i] != bv[i] {
+			for i := 0; i < min(av.Len(), bv.Len()); i++ {
+				if av.At(i) != bv.At(i) {
 					changed[l*am.LeafRows+i] = true
 				}
 			}

@@ -351,7 +351,10 @@ func TestGCUnderConcurrentCommitSeeded(t *testing.T) {
 					}
 					root := fmt.Sprintf("db/w%d", w)
 					for k := 0; k < commitsPerWriter; k++ {
-						tab.Column(2)[(k*17+w)%tab.NumRows()] = storage.Float(float64(seed) + float64(k))
+						if serr := tab.Set((k*17+w)%tab.NumRows(), 2, storage.Float(float64(seed)+float64(k))); serr != nil {
+							errs <- fmt.Errorf("writer %d edit %d: %w", w, k, serr)
+							return
+						}
 						if _, cerr := s.CommitDatabase(root, db, k); cerr != nil {
 							errs <- fmt.Errorf("writer %d commit %d: %w", w, k, cerr)
 							return

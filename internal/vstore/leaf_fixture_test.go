@@ -75,7 +75,9 @@ func commitLeafFixture(t testing.TB, s *Store) [2]*storage.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab.Column(2)[100] = storage.Str("edited")
+	if err := tab.Set(100, 2, storage.Str("edited")); err != nil {
+		t.Fatal(err)
+	}
 	tab.MustAppendRow(storage.Int(260260), storage.Float(32.5), storage.Null(), storage.Bool(true))
 	tab.MustAppendRow(storage.Null(), storage.Float(-32.5), storage.Str("last"), storage.Null())
 	if _, err := s.CommitDatabase(leafFixtureRoot, db, 1); err != nil {

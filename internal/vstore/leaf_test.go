@@ -52,25 +52,49 @@ func requireSameDB(t testing.TB, got, want *storage.Database) {
 	}
 }
 
-// requireRoundTrip encodes col, requires the given form, and requires
-// the decode to return col and to encode to the same bytes again.
-func requireRoundTrip(t testing.TB, col []storage.Value, typed bool) []byte {
-	t.Helper()
-	data, err := encodeLeaf(col)
-	if err != nil {
-		t.Fatalf("encode %#v: %v", col, err)
+// values returns col's rows as Values.
+func values(col *storage.Vector) []storage.Value {
+	out := make([]storage.Value, col.Len())
+	for r := range out {
+		out[r] = col.At(r)
 	}
-	if !json.Valid(data) || (data[0] == '{') != typed {
-		t.Fatalf("encoded %#v as %s, want valid JSON, typed=%v", col, data, typed)
+	return out
+}
+
+func mustVector(t testing.TB, kind storage.Kind, vals []storage.Value) *storage.Vector {
+	t.Helper()
+	col, err := vectorOf(kind, vals)
+	if err != nil {
+		t.Fatalf("%s vector of %#v: %v", kind, vals, err)
+	}
+	return col
+}
+
+func mustEncode(t testing.TB, col *storage.Vector, lo, hi int) []byte {
+	t.Helper()
+	data, err := encodeLeaf(col, lo, hi)
+	if err != nil {
+		t.Fatalf("encode %#v: %v", values(col)[lo:hi], err)
+	}
+	return data
+}
+
+// requireRoundTrip encodes all of col, requires the typed form, and
+// requires the decode to return col's values and to encode to the same
+// bytes again.
+func requireRoundTrip(t testing.TB, col *storage.Vector) []byte {
+	t.Helper()
+	data := mustEncode(t, col, 0, col.Len())
+	if !json.Valid(data) || data[0] != '{' || strings.Contains(string(data), "Kind") {
+		t.Fatalf("encoded %#v as %s, want the typed form", values(col), data)
 	}
 	got, err := decodeLeaf(data)
 	if err != nil {
 		t.Fatalf("decode %s: %v", data, err)
 	}
-	requireSameValues(t, string(data), got, col)
-	again, err := encodeLeaf(got)
-	if err != nil || !bytes.Equal(again, data) {
-		t.Fatalf("re-encoding the decode of %s gave %s, %v", data, again, err)
+	requireSameValues(t, string(data), values(got), values(col))
+	if again := mustEncode(t, got, 0, got.Len()); !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding the decode of %s gave %s", data, again)
 	}
 	return data
 }
@@ -109,69 +133,106 @@ func randomLeaf(rng *rand.Rand, kind storage.Kind) []storage.Value {
 	return col
 }
 
-// TestLeafRoundTrip: every one-kind leaf takes the typed form and comes
-// back bit for bit; anything else takes the untyped form and comes back
-// too; what JSON cannot carry behaves as it did before the typed form.
+// TestLeafRoundTrip: every span of a vector takes the typed form and
+// comes back bit for bit, written from the slice itself or through
+// pointers; a legacy leaf reads as the vector it can be or not at all;
+// what JSON cannot carry behaves as it did before the typed form.
 func TestLeafRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	for i := 0; i < 400; i++ {
 		kind := storage.Kind(i % 5) // KindNull draws an all-NULL leaf
-		col := randomLeaf(rng, kind)
-		data := requireRoundTrip(t, col, true)
-		if strings.Contains(string(data), "Kind") {
-			t.Fatalf("typed leaf spells out a struct: %s", data)
-		}
+		vals := randomLeaf(rng, kind)
+		data := requireRoundTrip(t, mustVector(t, kind, vals))
 		if kind == storage.KindNull && !strings.HasPrefix(string(data), `{"t":0,`) {
 			t.Fatalf("all-NULL leaf = %s", data)
 		}
+		// A span without a NULL is marshalled as the slice it is, one
+		// with a NULL through pointers: a value's text must not depend
+		// on which.
+		var dense []storage.Value
+		for _, v := range vals {
+			if !v.IsNull() {
+				dense = append(dense, v)
+			}
+		}
+		if len(dense) == 0 {
+			continue
+		}
+		col := mustVector(t, kind, append(dense, storage.Null()))
+		direct, viaPointers := mustEncode(t, col, 0, len(dense)), mustEncode(t, col, 0, len(dense)+1)
+		if want := strings.TrimSuffix(string(direct), "]}") + ",null]}"; string(viaPointers) != want {
+			t.Fatalf("span with a trailing NULL = %s, without it %s", viaPointers, direct)
+		}
 	}
-	requireRoundTrip(t, nil, true)
+	requireRoundTrip(t, mustVector(t, storage.KindInt, nil))
 
-	// Equal columns encode equal, whatever slice they sit in.
+	// Equal spans encode equal, whatever vector they sit in.
 	a := []storage.Value{storage.Int(1), storage.Null(), storage.Int(3), storage.Int(4)}
-	b := append([]storage.Value{storage.Str("x")}, a...)
-	if x, y := requireRoundTrip(t, a, true), requireRoundTrip(t, b[1:], true); !bytes.Equal(x, y) {
-		t.Fatalf("equal columns encoded as %s and %s", x, y)
+	b := mustVector(t, storage.KindInt, append(append([]storage.Value{storage.Int(99)}, a...), storage.Int(5)))
+	if x, y := requireRoundTrip(t, mustVector(t, storage.KindInt, a)), mustEncode(t, b, 1, 5); !bytes.Equal(x, y) {
+		t.Fatalf("equal spans encoded as %s and %s", x, y)
+	}
+	nulls := make([]storage.Value, 3)
+	if x, y := requireRoundTrip(t, mustVector(t, storage.KindNull, nulls)), requireRoundTrip(t, mustVector(t, storage.KindFloat, nulls)); !bytes.Equal(x, y) {
+		t.Fatalf("all-NULL spans encoded as %s and %s", x, y)
 	}
 
-	for name, col := range map[string][]storage.Value{
-		"mixed kinds":    {storage.Int(1), storage.Str("one")},
-		"int and float":  {storage.Int(1), storage.Float(1)},
-		"stray I":        {storage.Str("s"), {Kind: storage.KindString, S: "s", I: 7}},
-		"stray on NULL":  {storage.Int(1), {B: true}},
-		"stray F on int": {{Kind: storage.KindInt, I: 1, F: 0.5}},
-		"stray -0":       {storage.Int(1), {Kind: storage.KindInt, I: 2, F: math.Copysign(0, -1)}},
-		"unknown kind":   {{Kind: 9, I: 1}},
+	// The struct-array form is only read. A leaf no column could have
+	// held is refused; fields a value's kind does not use are dropped.
+	for name, c := range map[string]struct {
+		leaf, want []storage.Value
+	}{
+		"mixed kinds":    {leaf: []storage.Value{storage.Int(1), storage.Str("one")}},
+		"int and float":  {leaf: []storage.Value{storage.Int(1), storage.Float(1)}},
+		"float and int":  {leaf: []storage.Value{storage.Float(1), storage.Int(1)}},
+		"unknown kind":   {leaf: []storage.Value{{Kind: 9, I: 1}}},
+		"one kind":       {leaf: a, want: a},
+		"stray I":        {leaf: []storage.Value{storage.Str("s"), {Kind: storage.KindString, S: "s", I: 7}}, want: []storage.Value{storage.Str("s"), storage.Str("s")}},
+		"stray on NULL":  {leaf: []storage.Value{storage.Int(1), {B: true}}, want: []storage.Value{storage.Int(1), storage.Null()}},
+		"stray F on int": {leaf: []storage.Value{{Kind: storage.KindInt, I: 1, F: 0.5}}, want: []storage.Value{storage.Int(1)}},
+		"stray -0":       {leaf: []storage.Value{{Kind: storage.KindInt, I: 2, F: math.Copysign(0, -1)}}, want: []storage.Value{storage.Int(2)}},
 	} {
-		data := requireRoundTrip(t, col, false)
-		want, err := json.Marshal(col)
-		if err != nil || !bytes.Equal(data, want) {
-			t.Fatalf("%s: untyped form %s, want the struct array %s", name, data, want)
-		}
-	}
-
-	// Invalid UTF-8 becomes U+FFFD in both forms, as json.Marshal of the
-	// struct array always did; the replaced string is then stable.
-	for _, typed := range []bool{true, false} {
-		col := []storage.Value{storage.Str("a\xffb\xc3")}
-		if !typed {
-			col = append(col, storage.Int(1))
-		}
-		data, err := encodeLeaf(col)
+		data, err := json.Marshal(c.leaf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := decodeLeaf(data)
-		if err != nil || got[0] != storage.Str("a\ufffdb\ufffd") {
-			t.Fatalf("invalid UTF-8 came back from %s as %#v, %v", data, got, err)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: decoded %s as %#v", name, data, values(got))
+			}
+			continue
 		}
-		requireRoundTrip(t, got, typed)
+		if err != nil {
+			t.Fatalf("%s: decode %s: %v", name, data, err)
+		}
+		requireSameValues(t, name, values(got), c.want)
+		requireRoundTrip(t, got)
 	}
 
-	// NaN and ±Inf have no JSON form: the encode fails, as it always did.
+	// Invalid UTF-8 becomes U+FFFD in both forms, as json.Marshal of the
+	// struct array always did; the replaced string is then stable.
+	invalid := []storage.Value{storage.Str("a\xffb\xc3")}
+	legacy, err := json.Marshal(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{legacy, mustEncode(t, mustVector(t, storage.KindString, invalid), 0, 1)} {
+		got, err := decodeLeaf(data)
+		if err != nil || got.At(0) != storage.Str("a\ufffdb\ufffd") {
+			t.Fatalf("invalid UTF-8 came back from %s as %#v, %v", data, got, err)
+		}
+		requireRoundTrip(t, got)
+	}
+
+	// NaN and ±Inf have no JSON form: the encode fails, as it always
+	// did, from the slice and through pointers alike.
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if data, err := encodeLeaf([]storage.Value{storage.Float(1), storage.Float(f)}); err == nil {
-			t.Fatalf("encoded %v as %s", f, data)
+		col := mustVector(t, storage.KindFloat, []storage.Value{storage.Float(1), storage.Float(f), storage.Null()})
+		for _, hi := range []int{2, 3} {
+			if data, err := encodeLeaf(col, 0, hi); err == nil {
+				t.Fatalf("encoded %v as %s", f, data)
+			}
 		}
 	}
 	db := demoDB(300)
@@ -179,7 +240,9 @@ func TestLeafRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab.Column(2)[299] = storage.Float(math.NaN())
+	if err := tab.Set(299, 2, storage.Float(math.NaN())); err != nil {
+		t.Fatal(err)
+	}
 	_, err = NewMemory().CommitDatabase("db/main", db, 0)
 	if err == nil || !strings.Contains(err.Error(), "metrics[2][256:300]") {
 		t.Fatalf("committing a NaN: %v, want an error naming metrics[2][256:300]", err)
@@ -187,21 +250,18 @@ func TestLeafRoundTrip(t *testing.T) {
 }
 
 // FuzzDecodeLeaf: arbitrary bytes never panic the leaf decoder, and
-// whatever it accepts re-encodes to bytes that decode to the same
-// values and are a fixed point of the codec.
+// whatever it accepts — what a vector can hold — re-encodes to bytes
+// that decode to the same values and are a fixed point of the codec.
 func FuzzDecodeLeaf(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for kind := storage.KindNull; kind <= storage.KindBool; kind++ {
-		typed, err := encodeLeaf(randomLeaf(rng, kind))
+		col := mustVector(f, kind, randomLeaf(rng, kind))
+		f.Add(mustEncode(f, col, 0, col.Len()))
+		legacy, err := json.Marshal(randomLeaf(rng, kind))
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(typed)
-		untyped, err := json.Marshal(randomLeaf(rng, kind))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(untyped)
+		f.Add(legacy)
 	}
 	for _, seed := range []string{
 		``, `null`, `[]`, `{}`, `[null]`, `{"t":1}`, `{"t":1,"v":null}`, `{"t":0,"v":[null,0]}`,
@@ -213,20 +273,20 @@ func FuzzDecodeLeaf(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, err := decodeLeaf(data)
+		col, err := decodeLeaf(data)
 		if err != nil {
 			return
 		}
-		enc, err := encodeLeaf(vals)
+		enc, err := encodeLeaf(col, 0, col.Len())
 		if err != nil {
-			t.Fatalf("decoded %q to %#v, which does not encode: %v", data, vals, err)
+			t.Fatalf("decoded %q to %#v, which does not encode: %v", data, values(col), err)
 		}
 		again, err := decodeLeaf(enc)
 		if err != nil {
 			t.Fatalf("decoded %q, re-encoded as %s, which does not decode: %v", data, enc, err)
 		}
-		requireSameValues(t, string(enc), again, vals)
-		if fixed, err := encodeLeaf(again); err != nil || !bytes.Equal(fixed, enc) {
+		requireSameValues(t, string(enc), values(again), values(col))
+		if fixed, err := encodeLeaf(again, 0, again.Len()); err != nil || !bytes.Equal(fixed, enc) {
 			t.Fatalf("%s re-encodes as %s, %v", enc, fixed, err)
 		}
 	})
@@ -284,6 +344,31 @@ func TestOpensParentLeaves(t *testing.T) {
 		}
 	}
 	requireOldVersions(s)
+
+	// A struct-array leaf materializes to the vector a typed leaf does,
+	// so each old version committed again is leaf-v2's tree, hash for
+	// hash — the fixture's no-NULL spans marshalled from the slice, its
+	// NULL-bearing ones through pointers.
+	v2 := openDir(t, copyLeafFixture(t, leafFixtureV2))
+	pinned, err := v2.Log(leafFixtureRoot)
+	if err != nil || len(pinned) != len(old) {
+		t.Fatalf("leaf-v2 log = %+v, %v", pinned, err)
+	}
+	for turn := range old {
+		fromV1, _, err := s.DatabaseAsOf(leafFixtureRoot, turn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromV2, _, err := v2.DatabaseAsOf(leafFixtureRoot, turn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameDB(t, fromV1, fromV2)
+		again, err := NewMemory().CommitDatabase(leafFixtureRoot, fromV1, turn)
+		if err != nil || again.Tree != pinned[turn].Tree {
+			t.Fatalf("turn %d read from leaf-v1 commits as tree %s, %v; leaf-v2 has %s", turn, again.Tree, err, pinned[turn].Tree)
+		}
+	}
 
 	// The same content re-committed is a new tree (typed leaves hash
 	// differently) beside the old one, which stays readable.
@@ -478,15 +563,9 @@ func TestDiffAcrossLeafForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed, err := encodeLeaf(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	typed := mustEncode(t, mustVector(t, storage.KindFloat, col), 0, 3)
 	col[2] = storage.Float(2)
-	edited, err := encodeLeaf(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edited := mustEncode(t, mustVector(t, storage.KindFloat, col), 0, 3)
 	const meta = `{"name":"t","schema":[{"name":"x","kind":2}],"rows":3,"leafRows":256}`
 	var tables []Hash
 	for _, leaf := range [][]byte{untyped, typed, edited} {

@@ -3,7 +3,6 @@ package vstore
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -24,10 +23,13 @@ import (
 // dedups by hash.
 //
 // A leaf's data takes one of two JSON forms, told apart by the first
-// byte (see encodeLeaf):
+// byte:
 //
 //	{"t":1,"v":[17,null,-4]}                      typed: one kind, bare values
-//	[{"Kind":1,"I":17,"F":0,"S":"","B":false},…]  untyped: one struct per value
+//	[{"Kind":1,"I":17,"F":0,"S":"","B":false},…]  legacy: one struct per value
+//
+// encodeLeaf writes only the first, which is what a storage.Vector holds
+// in memory; decodeLeaf reads both, so a journal never needs rewriting.
 
 // DefaultLeafRows is the row span of one column leaf.
 const DefaultLeafRows = 256
@@ -72,93 +74,78 @@ func leafSpan(l, rows, leafRows int) int {
 	return min(leafRows, rows-l*leafRows)
 }
 
-// encodeLeaf renders one leaf's values. A leaf whose every value is
-// NULL or exactly what one kind's constructor builds (storage.Int(v.I)
-// and so on) is typed: {"t": kind, "v": [bare values, null for NULL]},
-// t being 0 when all are NULL. Any other leaf — mixed kinds, a Value
-// with fields its kind does not use, an unknown kind — is written as
-// the array of Value structs, the only form before the typed one
-// existed, so decodeLeaf reads both and a journal never needs
-// rewriting. The form is a function of the values alone: equal leaves
-// hash equal. NaN and ±Inf have no JSON form and fail the encode.
-func encodeLeaf(col []storage.Value) ([]byte, error) {
-	kind, ok := leafKind(col)
-	if !ok {
-		return json.Marshal(col)
+// encodeLeaf renders rows [lo, hi) of col as {"t": kind, "v": [bare
+// values, null for NULL]}, t being 0 when all are NULL. The form is a
+// function of the values alone: equal spans hash equal, whatever the
+// column's kind or the rows around them. NaN and ±Inf have no JSON
+// form and fail the encode.
+func encodeLeaf(col *storage.Vector, lo, hi int) ([]byte, error) {
+	kind, nulls := col.Kind(), col.NullCount(lo, hi)
+	if nulls == hi-lo {
+		kind = storage.KindNull
 	}
-	var packed any
+	var isNull func(i int) bool // nil when the span holds no NULL
+	if nulls > 0 {
+		isNull = func(i int) bool { return col.IsNull(lo + i) }
+	}
+	var vals []byte
+	var err error
 	switch kind {
 	case storage.KindInt:
-		packed = pack(col, func(v *storage.Value) *int64 { return &v.I })
+		vals, err = marshalSpan(col.Ints()[lo:hi], isNull)
 	case storage.KindFloat:
-		packed = pack(col, func(v *storage.Value) *float64 { return &v.F })
+		vals, err = marshalSpan(col.Floats()[lo:hi], isNull)
 	case storage.KindString:
-		packed = pack(col, func(v *storage.Value) *string { return &v.S })
+		vals, err = marshalSpan(col.Strings()[lo:hi], isNull)
 	case storage.KindBool:
-		packed = pack(col, func(v *storage.Value) *bool { return &v.B })
+		vals, err = marshalSpan(col.Bools()[lo:hi], isNull)
 	default: // all NULL
-		packed = make([]*bool, len(col))
+		vals, err = json.Marshal(make([]*bool, hi-lo))
 	}
-	vals, err := json.Marshal(packed)
 	if err != nil {
 		return nil, err
 	}
 	return fmt.Appendf(nil, `{"t":%d,"v":%s}`, int(kind), vals), nil
 }
 
-// leafKind returns the kind col can be written typed as, and whether
-// it can.
-func leafKind(col []storage.Value) (storage.Kind, bool) {
-	kind := storage.KindNull
-	for _, v := range col {
-		var canonical storage.Value
-		switch v.Kind {
-		case storage.KindNull:
-		case storage.KindInt:
-			canonical = storage.Int(v.I)
-		case storage.KindFloat:
-			canonical = storage.Float(v.F)
-		case storage.KindString:
-			canonical = storage.Str(v.S)
-		case storage.KindBool:
-			canonical = storage.Bool(v.B)
-		default:
-			return 0, false
-		}
-		// NaN differs from itself, so it lands in the untyped form,
-		// whose json.Marshal refuses it; == takes -0 for 0, and an F of
-		// -0 on a value that is no float is a stray field like any other.
-		if v != canonical || math.Signbit(v.F) != math.Signbit(canonical.F) {
-			return 0, false
-		}
-		if v.Kind != storage.KindNull && v.Kind != kind {
-			if kind != storage.KindNull {
-				return 0, false
-			}
-			kind = v.Kind
+// marshalSpan writes the slice itself when it holds no NULL, and
+// otherwise a slice of pointers into it, nil for NULL, so that
+// json.Marshal writes the bare value or null. Both give a value the
+// same text.
+func marshalSpan[T any](vals []T, isNull func(i int) bool) ([]byte, error) {
+	if isNull == nil {
+		return json.Marshal(vals)
+	}
+	ptrs := make([]*T, len(vals))
+	for i := range vals {
+		if !isNull(i) {
+			ptrs[i] = &vals[i]
 		}
 	}
-	return kind, true
+	return json.Marshal(ptrs)
 }
 
-// pack points at each value's payload field, nil for NULL, so that
-// json.Marshal writes the bare value or null.
-func pack[T any](col []storage.Value, field func(*storage.Value) *T) []*T {
-	out := make([]*T, len(col))
-	for i := range col {
-		if col[i].Kind != storage.KindNull {
-			out[i] = field(&col[i])
-		}
-	}
-	return out
-}
-
-// decodeLeaf reads either form encodeLeaf writes.
-func decodeLeaf(data []byte) ([]storage.Value, error) {
+// decodeLeaf reads a leaf in either form into a vector of the leaf's
+// kind (KindNull when every value is NULL). A legacy leaf must hold
+// what a vector can, values of one kind and NULLs; a field its value's
+// kind does not use is dropped.
+func decodeLeaf(data []byte) (*storage.Vector, error) {
 	if len(data) > 0 && data[0] == '[' {
 		var vals []storage.Value
-		err := json.Unmarshal(data, &vals)
-		return vals, err
+		if err := json.Unmarshal(data, &vals); err != nil {
+			return nil, err
+		}
+		kind := storage.KindNull
+		for i, v := range vals {
+			switch {
+			case v.IsNull() || v.Kind == kind:
+			case kind == storage.KindNull && v.Kind >= storage.KindInt && v.Kind <= storage.KindBool:
+				kind = v.Kind
+			default:
+				return nil, fmt.Errorf("value %d of a %s leaf is %s", i, kind, v.Kind)
+			}
+		}
+		return vectorOf(kind, vals)
 	}
 	var leaf struct {
 		T storage.Kind    `json:"t"`
@@ -169,13 +156,13 @@ func decodeLeaf(data []byte) ([]storage.Value, error) {
 	}
 	switch leaf.T {
 	case storage.KindInt:
-		return unpack(leaf.V, storage.Int)
+		return unpack(leaf.T, leaf.V, storage.Int)
 	case storage.KindFloat:
-		return unpack(leaf.V, storage.Float)
+		return unpack(leaf.T, leaf.V, storage.Float)
 	case storage.KindString:
-		return unpack(leaf.V, storage.Str)
+		return unpack(leaf.T, leaf.V, storage.Str)
 	case storage.KindBool:
-		return unpack(leaf.V, storage.Bool)
+		return unpack(leaf.T, leaf.V, storage.Bool)
 	case storage.KindNull:
 		var nulls []any
 		if err := json.Unmarshal(leaf.V, &nulls); err != nil {
@@ -186,25 +173,40 @@ func decodeLeaf(data []byte) ([]storage.Value, error) {
 				return nil, fmt.Errorf("value %d of an all-NULL leaf is not null", i)
 			}
 		}
-		return make([]storage.Value, len(nulls)), nil
+		return vectorOf(leaf.T, make([]storage.Value, len(nulls)))
 	default:
 		return nil, fmt.Errorf("leaf kind %d", int(leaf.T))
 	}
 }
 
 // unpack decodes a typed leaf's values, null becoming NULL.
-func unpack[T any](raw []byte, value func(T) storage.Value) ([]storage.Value, error) {
+func unpack[T any](kind storage.Kind, raw []byte, value func(T) storage.Value) (*storage.Vector, error) {
 	var ptrs []*T
 	if err := json.Unmarshal(raw, &ptrs); err != nil {
 		return nil, err
 	}
-	out := make([]storage.Value, len(ptrs))
-	for i, p := range ptrs {
+	col := storage.NewVector(kind, len(ptrs))
+	for _, p := range ptrs {
+		v := storage.Null()
 		if p != nil {
-			out[i] = value(*p)
+			v = value(*p)
+		}
+		if err := col.Append(v); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return col, nil
+}
+
+// vectorOf builds a vector of the given kind from vals.
+func vectorOf(kind storage.Kind, vals []storage.Value) (*storage.Vector, error) {
+	col := storage.NewVector(kind, len(vals))
+	for i, v := range vals {
+		if err := col.Append(v); err != nil {
+			return nil, fmt.Errorf("value %d: %w", i, err)
+		}
+	}
+	return col, nil
 }
 
 // chunkWriter is where an encoder puts the nodes of the tree it
@@ -224,11 +226,11 @@ func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
 	nLeaves := leavesPerCol(rows, leafRows)
 	refs := make([]Hash, 0, nLeaves*len(schema))
 	for c := 0; c < len(schema); c++ {
-		col := t.Column(c)
+		col := t.Vector(c)
 		for l := 0; l < nLeaves; l++ {
 			lo := l * leafRows
 			hi := lo + leafSpan(l, rows, leafRows)
-			data, err := encodeLeaf(col[lo:hi])
+			data, err := encodeLeaf(col, lo, hi)
 			if err != nil {
 				return "", fmt.Errorf("vstore: encode leaf %s[%d][%d:%d]: %w", t.Name, c, lo, hi, err)
 			}
@@ -318,7 +320,7 @@ func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
 }
 
 // leaf reads one column leaf, which must hold exactly want values.
-func (s *Store) leaf(h Hash, want int) ([]storage.Value, error) {
+func (s *Store) leaf(h Hash, want int) (*storage.Vector, error) {
 	env, err := s.get(h)
 	if err != nil {
 		return nil, err
@@ -330,8 +332,8 @@ func (s *Store) leaf(h Hash, want int) ([]storage.Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vstore: decode leaf %s: %w", h, err)
 	}
-	if len(vals) != want {
-		return nil, fmt.Errorf("vstore: leaf %s holds %d values, its row range %d", h, len(vals), want)
+	if vals.Len() != want {
+		return nil, fmt.Errorf("vstore: leaf %s holds %d values, its row range %d", h, vals.Len(), want)
 	}
 	return vals, nil
 }
@@ -347,19 +349,22 @@ func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
 	for _, cd := range meta.Schema {
 		schema = append(schema, storage.ColumnDef{Name: cd.Name, Kind: cd.Kind, Description: cd.Desc})
 	}
-	cols := make([][]storage.Value, len(schema))
-	for c := range schema {
+	cols := make([]*storage.Vector, len(schema))
+	for c, cd := range schema {
+		cols[c] = storage.NewVector(cd.Kind, 0)
 		for l := 0; l < nLeaves; l++ {
 			vals, err := s.leaf(refs[c*nLeaves+l], leafSpan(l, meta.Rows, meta.LeafRows))
 			if err != nil {
 				return nil, err
 			}
-			if cols[c] == nil {
+			if l == 0 {
 				// Sized only now: a full first leaf shows the row count
 				// is backed by chunks, not just claimed.
-				cols[c] = make([]storage.Value, 0, meta.Rows)
+				cols[c] = storage.NewVector(cd.Kind, meta.Rows)
 			}
-			cols[c] = append(cols[c], vals...)
+			if err := cols[c].Extend(vals); err != nil {
+				return nil, fmt.Errorf("vstore: materialize table %s: leaf %s: %w", meta.Name, refs[c*nLeaves+l], err)
+			}
 		}
 	}
 	t, err := storage.TableFromColumns(meta.Name, schema, cols)

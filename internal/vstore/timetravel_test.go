@@ -77,7 +77,9 @@ func applyEdit(t *testing.T, tab *storage.Table, rng *rand.Rand, nEdits, nAppend
 		changed[rng.Intn(rows)] = true
 	}
 	for r := range changed {
-		tab.Column(2)[r] = storage.Float(float64(rng.Intn(100000)) / 7.0)
+		if err := tab.Set(r, 2, storage.Float(float64(rng.Intn(100000))/7.0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < nAppends; i++ {
 		tab.MustAppendRow(

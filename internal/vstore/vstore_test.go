@@ -315,7 +315,9 @@ func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("get table: %v", err)
 	}
-	tab.Column(2)[5] = storage.Float(999.5)
+	if err := tab.Set(5, 2, storage.Float(999.5)); err != nil {
+		t.Fatal(err)
+	}
 	c2, err := src.CommitDatabase("db/main", db, 1)
 	if err != nil {
 		t.Fatalf("commit v2: %v", err)

@@ -49,14 +49,19 @@
 #                      internal/storage, sessionstore and vstore, so a
 #                      change to those must keep it compiling and its
 #                      own tests green
-#   6. bench smoke   — one iteration of every benchmark in the module
-#                      (the root E-benches, ablations, resilience and
-#                      version-commit benches; internal/sqldb's
+#   6. bench smoke   — one iteration of every benchmark in the module,
+#                      with -benchmem (the root E-benches, ablations,
+#                      resilience and version-commit benches;
+#                      internal/storage's BenchmarkReadCSV and
+#                      BenchmarkDistinctStrings over a generated
+#                      60 000 × 5 orders table; internal/sqldb's
 #                      row-vs-columnar table and worker sweeps;
 #                      internal/vectorindex's IVF-probe sweep;
 #                      internal/analysis's whole-module cdalint runs),
 #                      so a broken benchmark fixture fails the gate, not
-#                      the next perf investigation
+#                      the next perf investigation, and the bytes and
+#                      allocations per operation are in the log beside
+#                      the times
 #
 # Any non-zero exit fails the gate. See README "Static analysis &
 # reliability invariants" for what each cdalint rule enforces.
@@ -85,6 +90,6 @@ echo "==> go test -C bench ./... (the benchmark's own module)"
 go test -C bench ./...
 
 echo "==> benchmark smoke (1 iteration of each)"
-go test -run='^$' -bench=. -benchtime=1x . ./internal/sqldb ./internal/vectorindex ./internal/analysis
+go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/storage ./internal/sqldb ./internal/vectorindex ./internal/analysis
 
 echo "check.sh: all gates passed"

@@ -60,7 +60,9 @@ func BenchmarkVstoreCommitDelta(b *testing.B) {
 					// Unique value per (iteration, row) so every commit
 					// really produces a new version.
 					r := (i*delta + j) % vstoreBenchRows
-					tab.Column(2)[r] = storage.Float(float64(i*delta+j) + 0.25)
+					if err := tab.Set(r, 2, storage.Float(float64(i*delta+j)+0.25)); err != nil {
+						b.Fatal(err)
+					}
 				}
 				if _, err := s.CommitDatabase("data", db, i+1); err != nil {
 					b.Fatal(err)
