@@ -20,7 +20,13 @@
 // Merkle-tree versions, answers are stamped with the data root hash
 // they were computed against, GET /sessions/{id}/asof/{turn} serves
 // time-travel transcript reads, and replica catch-up below the
-// compaction horizon ships only missing chunks.
+// compaction horizon ships only missing chunks. A turn still waits for
+// one fsync, the WAL's: a session's version is written to the journal
+// unflushed, the journal is flushed before a compaction truncates the
+// WAL that could rebuild it, and a restart after a power cut commits
+// again whatever versions the journal's tail lost. A version or
+// compaction failure never fails a turn; it is logged, under a request
+// reference, at the turn that ran into it.
 //
 // Example session:
 //

@@ -3,6 +3,7 @@ package framelog_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -30,9 +31,33 @@ func failNextWrite(t *testing.T, file string, op func()) {
 	capFileSize(t, uint64(info.Size())+5, op)
 }
 
+// drainTestLog empties the buffer `go test` logs this process's file
+// opens and stats through (a 4 KiB bufio.Writer over -test.testlogfile,
+// the record a cached result is checked against). The cap below applies
+// to that file too, so a buffer that happened to fill while op opens a
+// file would fail the run from outside the test. Each Stat here logs one
+// line; the file grows when the buffer has just been flushed.
+func drainTestLog(t *testing.T) {
+	t.Helper()
+	f := flag.Lookup("test.testlogfile")
+	if f == nil || f.Value.String() == "" {
+		return
+	}
+	size := func() int64 {
+		info, err := os.Stat(f.Value.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	for start := size(); size() == start; {
+	}
+}
+
 // capFileSize runs op with no file of the process allowed past limit.
 func capFileSize(t *testing.T, limit uint64, op func()) {
 	t.Helper()
+	drainTestLog(t)
 	signal.Ignore(syscall.SIGXFSZ)
 	defer signal.Reset(syscall.SIGXFSZ)
 	var old syscall.Rlimit
@@ -58,24 +83,35 @@ func capFileSize(t *testing.T, limit uint64, op func()) {
 // later, acknowledged record behind it.
 
 func TestFailedAppendDoesNotPoisonLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _ := openCollect(t, path, framelog.Options{})
-	if err := l.Append(frame("first")); err != nil {
-		t.Fatal(err)
+	for name, add := range map[string]func(*framelog.Log, ...[]byte) error{
+		"Append": (*framelog.Log).Append,
+		"Write":  (*framelog.Log).Write,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log")
+			l, _ := openCollect(t, path, framelog.Options{})
+			if err := add(l, frame("first")); err != nil {
+				t.Fatal(err)
+			}
+			size, synced := l.Size(), l.Synced()
+			var failed error
+			failNextWrite(t, path, func() { failed = add(l, frame("lost to a full disk")) })
+			if failed == nil {
+				t.Fatal("append past the file size cap succeeded")
+			}
+			if l.Dead() {
+				t.Fatalf("log went dead although the rollback could succeed: %v", failed)
+			}
+			if l.Size() != size || l.Synced() != synced {
+				t.Fatalf("the failed append moved the log to %d flushed of %d; want %d of %d", l.Synced(), l.Size(), synced, size)
+			}
+			if err := add(l, frame("second")); err != nil {
+				t.Fatal(err)
+			}
+			_, got := openCollect(t, path, framelog.Options{})
+			wantPayloads(t, got, "first", "second")
+		})
 	}
-	var failed error
-	failNextWrite(t, path, func() { failed = l.Append(frame("lost to a full disk")) })
-	if failed == nil {
-		t.Fatal("append past the file size cap succeeded")
-	}
-	if l.Dead() {
-		t.Fatalf("log went dead although the rollback could succeed: %v", failed)
-	}
-	if err := l.Append(frame("second")); err != nil {
-		t.Fatal(err)
-	}
-	_, got := openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "first", "second")
 }
 
 func TestFailedAppendDoesNotPoisonWAL(t *testing.T) {
@@ -154,57 +190,69 @@ func TestFailedAppendDoesNotPoisonPack(t *testing.T) {
 // chunks, commit, root record in one append — short on a full disk: the
 // store's index, root logs and stamp sequence are what they were, and
 // the next commit succeeds, continues the sequence and survives reopen.
+// The flushed and the unflushed commit fail the same way.
 func TestFailedAppendLeavesBatchUncommitted(t *testing.T) {
-	dir := t.TempDir()
-	s, err := vstore.Open(vstore.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := func(v string, turn int) (vstore.Commit, error) {
-		b := s.NewBatch()
-		leaf, err := b.Put("leaf", nil, []byte(`"`+v+`"`))
-		if err != nil {
-			return vstore.Commit{}, err
-		}
-		tree, err := b.Put("db", []vstore.Hash{leaf}, nil)
-		if err != nil {
-			return vstore.Commit{}, err
-		}
-		return b.Commit("db/main", tree, turn)
-	}
-	first, err := commit("first", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := s.NumChunks()
-	var failed error
-	failNextWrite(t, filepath.Join(dir, "chunks.pack"), func() { _, failed = commit("lost to a full disk", 1) })
-	if failed == nil {
-		t.Fatal("commit past the file size cap succeeded")
-	}
-	if log, err := s.Log("db/main"); err != nil || len(log) != 1 || log[0] != first {
-		t.Fatalf("root log after the failed commit = %+v, %v; want only the first commit", log, err)
-	}
-	if s.NumChunks() != chunks {
-		t.Fatalf("index has %d chunks after the failed commit, had %d", s.NumChunks(), chunks)
-	}
-	acked, err := commit("second", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acked.Stamp != first.Stamp+1 || acked.Parent != first.Hash {
-		t.Fatalf("commit after the failure = %+v; want stamp %d on parent %s", acked, first.Stamp+1, first.Hash)
-	}
-	r, err := vstore.Open(vstore.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := r.Head("db/main")
-	if err != nil || head != acked || !r.HasClosure(head.Hash) {
-		t.Fatalf("head after reopen = %+v, %v; want the acknowledged commit with its whole tree", head, err)
-	}
-	if r.NumChunks() != s.NumChunks() {
-		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
+	for name, land := range map[string]func(*vstore.Batch, string, vstore.Hash, int) (vstore.Commit, error){
+		"Commit":         (*vstore.Batch).Commit,
+		"CommitUnsynced": (*vstore.Batch).CommitUnsynced,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := vstore.Open(vstore.Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			commit := func(v string, turn int) (vstore.Commit, error) {
+				b := s.NewBatch()
+				leaf, err := b.Put("leaf", nil, []byte(`"`+v+`"`))
+				if err != nil {
+					return vstore.Commit{}, err
+				}
+				tree, err := b.Put("db", []vstore.Hash{leaf}, nil)
+				if err != nil {
+					return vstore.Commit{}, err
+				}
+				return land(b, "db/main", tree, turn)
+			}
+			first, err := commit("first", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := s.NumChunks()
+			flushed, size := s.JournalSynced()
+			var failed error
+			failNextWrite(t, filepath.Join(dir, "chunks.pack"), func() { _, failed = commit("lost to a full disk", 1) })
+			if failed == nil {
+				t.Fatal("commit past the file size cap succeeded")
+			}
+			if log, err := s.Log("db/main"); err != nil || len(log) != 1 || log[0] != first {
+				t.Fatalf("root log after the failed commit = %+v, %v; want only the first commit", log, err)
+			}
+			if s.NumChunks() != chunks {
+				t.Fatalf("index has %d chunks after the failed commit, had %d", s.NumChunks(), chunks)
+			}
+			if f, n := s.JournalSynced(); f != flushed || n != size {
+				t.Fatalf("journal after the failed commit is flushed to %d of %d bytes, was %d of %d", f, n, flushed, size)
+			}
+			acked, err := commit("second", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acked.Stamp != first.Stamp+1 || acked.Parent != first.Hash {
+				t.Fatalf("commit after the failure = %+v; want stamp %d on parent %s", acked, first.Stamp+1, first.Hash)
+			}
+			r, err := vstore.Open(vstore.Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, err := r.Head("db/main")
+			if err != nil || head != acked || !r.HasClosure(head.Hash) {
+				t.Fatalf("head after reopen = %+v, %v; want the acknowledged commit with its whole tree", head, err)
+			}
+			if r.NumChunks() != s.NumChunks() {
+				t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
+			}
+		})
 	}
 }
 

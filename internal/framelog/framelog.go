@@ -17,9 +17,19 @@
 // the last complete frame on Open. An Append of several frames is one
 // write and one fsync, so a torn one leaves a prefix of whole frames:
 // an owner that needs the group to land together makes its last frame
-// the one that gives the others meaning. DESIGN.md "Storage spine"
-// states the torn-tail, failed-append and publish rules this package
-// enforces.
+// the one that gives the others meaning.
+//
+// There are two ways to add frames. Append is write + fsync: what it
+// acknowledges survives a power cut, and it is the only spelling an
+// owner may acknowledge to anyone on. Write is the write alone: the
+// frames are readable at once and survive a process kill, but a power
+// cut may take them — any suffix of them, or a page out of their middle
+// — until a later Append or Sync flushes the file. It is for an owner
+// who can rebuild those frames from a log it did flush (the version
+// journal's session versions, behind the session store's WAL), and who
+// calls Sync before it gives that other log up. DESIGN.md "Storage
+// spine" states the torn-tail, append, failed-append and publish rules
+// this package enforces.
 package framelog
 
 import (
@@ -101,6 +111,9 @@ type Log struct {
 	// size is the offset of the end of the last acknowledged frame: a
 	// failed append rolls the file back to it.
 	size int64
+	// synced is the end of the prefix known to be flushed: size after an
+	// Append or Sync, behind it after a Write.
+	synced int64
 	// dead, once set, fails every further operation until the file is
 	// reopened: after a simulated crash, or when a failed append could
 	// not be rolled back, writing on would bury a partial frame under
@@ -131,7 +144,10 @@ func Open(path string, magic byte, opts Options, accept func(frame, payload []by
 	if err != nil {
 		return nil, fmt.Errorf("framelog: open %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path, opts: opts, size: int64(valid)}
+	// Nothing tells flushed bytes from ones a killed process only wrote,
+	// so what Open accepts counts as flushed; Sync never skips its fsync
+	// on the strength of that.
+	l := &Log{f: f, path: path, opts: opts, size: int64(valid), synced: int64(valid)}
 	if valid < len(raw) {
 		err = l.truncate(l.size)
 	} else {
@@ -152,6 +168,7 @@ func (l *Log) truncate(size int64) error {
 		return err
 	}
 	l.size = size
+	l.synced = min(l.synced, size)
 	return nil
 }
 
@@ -161,16 +178,21 @@ func (l *Log) truncate(size int64) error {
 func (l *Log) Dead() bool { return l.dead != nil }
 
 // Size is the offset of the end of the last acknowledged frame, which
-// is where the first frame of the next Append will start.
+// is where the first frame of the next Append or Write will start.
 func (l *Log) Size() int64 { return l.size }
+
+// Synced is the end of the flushed prefix: what a power cut cannot
+// take. It equals Size() except between a Write and the Append or Sync
+// that follows it.
+func (l *Log) Synced() int64 { return l.synced }
 
 // ReadFrame returns the payload of the frame that starts at off and
 // carries n payload bytes: one ReadAt, accepted only if the frame ends
-// at or below Size() and its magic, length and checksum verify through
-// the Scan that recovery uses. Acknowledged frames stay readable on a
-// dead log. Unlike the rest of Log, ReadFrame calls may run
-// concurrently with each other — not with Append, Reset, Rewrite or
-// Close, which move Size() or the file under it.
+// at or below Size() — flushed or not — and its magic, length and
+// checksum verify through the Scan that recovery uses. Acknowledged
+// frames stay readable on a dead log. Unlike the rest of Log, ReadFrame
+// calls may run concurrently with each other — not with Append, Write,
+// Sync, Reset, Rewrite or Close, which move Size() or the file under it.
 func (l *Log) ReadFrame(magic byte, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+int64(HeaderSize+n) > l.size {
 		return nil, fmt.Errorf("framelog: read %s: a %d-byte frame at offset %d does not end below the log's %d bytes", l.path, n, off, l.size)
@@ -185,12 +207,22 @@ func (l *Log) ReadFrame(magic byte, off int64, n int) ([]byte, error) {
 	return nil, fmt.Errorf("framelog: read %s: no intact %d-byte frame at offset %d (magic, length or checksum mismatch)", l.path, n, off)
 }
 
-// Append writes already-encoded frames with one write and one fsync.
-// When the write or the fsync fails, whatever part reached the file is
-// truncated away so a later successful append is not lost behind it;
-// if that rollback fails too the log goes dead. A crash fault persists
-// the torn prefix, kills the log, and returns ErrCrashed.
-func (l *Log) Append(frames ...[]byte) error {
+// Append writes already-encoded frames with one write and one fsync,
+// which also flushes whatever earlier Writes left unflushed. When the
+// write or the fsync fails, whatever part reached the file is truncated
+// away so a later successful append is not lost behind it; if that
+// rollback fails too — or the failed fsync covered earlier Writes,
+// whose pages the kernel may have dropped — the log goes dead. A crash
+// fault persists the torn prefix, kills the log, and returns ErrCrashed.
+func (l *Log) Append(frames ...[]byte) error { return l.add(true, frames) }
+
+// Write is Append without the fsync: one write, acknowledged once the
+// kernel has it. The frames count toward Size() and are served by
+// ReadFrame at once; Synced() stays where it was until the next Append
+// or Sync. Failure and crash faults are handled as in Append.
+func (l *Log) Write(frames ...[]byte) error { return l.add(false, frames) }
+
+func (l *Log) add(flush bool, frames [][]byte) error {
 	if l.dead != nil {
 		return l.dead
 	}
@@ -212,8 +244,11 @@ func (l *Log) Append(frames ...[]byte) error {
 		}
 	}
 	_, err := l.f.Write(buf)
-	if err == nil {
-		err = l.sync()
+	if err == nil && flush {
+		if err = l.sync(); err != nil && l.synced < l.size {
+			l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flushing %d written bytes: %w", l.path, l.size-l.synced, err)
+			return l.dead
+		}
 	}
 	if err != nil {
 		err = fmt.Errorf("framelog: append %s: %w", l.path, err)
@@ -224,6 +259,26 @@ func (l *Log) Append(frames ...[]byte) error {
 		return err
 	}
 	l.size += int64(len(buf))
+	if flush {
+		l.synced = l.size
+	}
+	return nil
+}
+
+// Sync flushes what Writes left unflushed, after which Synced() equals
+// Size(). A failed flush kills the log: the kernel may have dropped the
+// pages it could not write, so frames this log acknowledged can no
+// longer be promised, and an owner that was about to give up its redo
+// log on the strength of this one must keep it.
+func (l *Log) Sync() error {
+	if l.dead != nil {
+		return l.dead
+	}
+	if err := l.sync(); err != nil {
+		l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flush: %w", l.path, err)
+		return l.dead
+	}
+	l.synced = l.size
 	return nil
 }
 
@@ -266,6 +321,12 @@ func (l *Log) Rewrite(write func(w io.Writer) error) error {
 	}
 	if err == nil {
 		l.size, err = l.f.Seek(0, io.SeekEnd)
+		if perr == nil {
+			l.synced = l.size
+		} else {
+			// The old file may still bear the name, unflushed tail and all.
+			l.synced = min(l.synced, l.size)
+		}
 	}
 	if err != nil {
 		l.dead = fmt.Errorf("framelog: reopen rewritten %s: %w", l.path, err)

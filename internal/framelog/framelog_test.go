@@ -376,3 +376,105 @@ func TestPublishReplacesAtomically(t *testing.T) {
 		t.Fatalf("after publish: %q, %v; want v2", got, err)
 	}
 }
+
+// TestWriteIsUnflushedUntilAppendOrSync: the two ways to add frames.
+// Both move Size() and are served by ReadFrame at once; only Append,
+// Sync, Reset and Rewrite move Synced(), and each moves it to Size().
+func TestWriteIsUnflushedUntilAppendOrSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _ := openCollect(t, path, framelog.Options{})
+	flushed := func(when string, want bool) {
+		t.Helper()
+		if got := l.Synced() == l.Size(); got != want || l.Synced() > l.Size() {
+			t.Fatalf("%s: flushed to %d of %d bytes; want flushed = %v", when, l.Synced(), l.Size(), want)
+		}
+	}
+	flushed("empty", true)
+	if err := l.Append(frame("a")); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after Append", true)
+	mark := l.Synced()
+
+	if err := l.Write(frame("b"), frame("c")); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after Write", false)
+	if l.Synced() != mark || l.Size() != int64(len(frames("a", "b", "c"))) {
+		t.Fatalf("Write moved the log to %d flushed of %d; want %d of %d", l.Synced(), l.Size(), mark, len(frames("a", "b", "c")))
+	}
+	if got, err := l.ReadFrame(testMagic, int64(len(frames("a", "b"))), 1); err != nil || string(got) != "c" {
+		t.Fatalf("ReadFrame of an unflushed frame = %q, %v", got, err)
+	}
+	// A process kill keeps the page cache: what was written is read back.
+	_, got := openCollect(t, path, framelog.Options{})
+	wantPayloads(t, got, "a", "b", "c")
+
+	if err := l.Append(frame("d")); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after an Append that followed a Write", true)
+	if err := l.Write(frame("e")); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after a second Write", false)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after Sync", true)
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync with nothing to flush: %v", err)
+	}
+
+	if err := l.Write(frame("f")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rewrite(func(w io.Writer) error {
+		_, err := w.Write(frames("a", "f"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after Rewrite", true)
+	if err := l.Write(frame("g")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	flushed("after Reset", true)
+	if l.Size() != 0 {
+		t.Fatalf("reset log has size %d", l.Size())
+	}
+	if err := l.Write(frame("h")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got = openCollect(t, path, framelog.Options{})
+	wantPayloads(t, got, "h")
+}
+
+// TestCrashFaultKillsLogOnWrite: the crash seam tears a Write exactly as
+// it tears an Append, and a dead log refuses Sync too.
+func TestCrashFaultKillsLogOnWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _ := openCollect(t, path, framelog.Options{Op: "test.append", Faults: &tearAt{n: 2}})
+	if err := l.Write(frame("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Write(frame("torn")); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("torn write = %v, want ErrCrashed", err)
+	}
+	if !l.Dead() || l.Size() != int64(len(frames("a"))) {
+		t.Fatalf("after the crash: dead = %v, size %d; want a dead log that acknowledged one frame", l.Dead(), l.Size())
+	}
+	for name, err := range map[string]error{"Write": l.Write(frame("b")), "Sync": l.Sync()} {
+		if !errors.Is(err, framelog.ErrCrashed) {
+			t.Fatalf("%s after crash = %v, want ErrCrashed", name, err)
+		}
+	}
+	_, got := openCollect(t, path, framelog.Options{})
+	wantPayloads(t, got, "a")
+}

@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -422,5 +424,87 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 	// The live transcript does not go through the journal.
 	if code, _ := rawTranscript(t, ts, id, ""); code != http.StatusOK {
 		t.Errorf("live transcript status = %d", code)
+	}
+}
+
+// tearJournalAppend is a version-store fault hook that tears the n-th
+// journal append in half, which kills the journal.
+type tearJournalAppend struct{ n, seen int }
+
+func (f *tearJournalAppend) Inject(string) error { return nil }
+
+func (f *tearJournalAppend) TornWrite(_ string, b []byte) ([]byte, bool) {
+	f.seen++
+	if f.seen != f.n {
+		return b, false
+	}
+	return b[:len(b)/2], true
+}
+
+// TestVersionFailureIsLoggedAtTheTurn: when a shard cannot keep a
+// session's version — or, later, compact — the turn that ran into it is
+// still answered, byte for byte as a healthy node answers it, and the
+// failure is logged under a request reference then, once, not at
+// shutdown.
+func TestVersionFailureIsLoggedAtTheTurn(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	questions := []string{
+		"how many employment where canton is Zurich",
+		"and in Bern?",
+		"how many barometer",
+		"what is the average employment by canton",
+	}
+	run := func(faults vstore.FaultHook) (answers []string, st *sessionstore.Store) {
+		dir := t.TempDir()
+		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore"), Faults: faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := vs.Close(); err != nil {
+				t.Errorf("close version store: %v", err)
+			}
+		})
+		ts, srv := durableServer(t, dir, sessionstore.Config{Shards: 1, SnapshotEvery: 4, Versions: vs}, nil)
+		id := createSession(t, ts)
+		for _, q := range questions {
+			resp := postJSON(t, ts.URL+"/sessions/"+id+"/ask", AskRequest{Question: q})
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("ask %q: status %d, %v", q, resp.StatusCode, err)
+			}
+			answers = append(answers, string(body))
+		}
+		_, transcript := rawTranscript(t, ts, id, "")
+		return append(answers, transcript), srv.Store()
+	}
+	healthy, _ := run(nil)
+	if logged.Len() != 0 {
+		t.Fatalf("a healthy node logged:\n%s", logged.String())
+	}
+	// The second session version is torn; every later one, and the
+	// compaction due at the fourth WAL record, finds the journal dead.
+	failing, st := run(&tearJournalAppend{n: 2})
+	if !reflect.DeepEqual(failing, healthy) {
+		t.Fatalf("responses differ from a healthy node's:\n got: %q\nwant: %q", failing, healthy)
+	}
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("logged %d lines, want one per turn from the torn version on:\n%s", len(lines), logged.String())
+	}
+	for i, line := range lines {
+		if !strings.Contains(line, "version session") || !strings.Contains(line, "[req-") {
+			t.Errorf("log line %d names neither the version failure nor a request reference: %s", i, line)
+		}
+		if compaction := strings.Contains(line, "keeps its WAL"); compaction != (i > 0) {
+			t.Errorf("log line %d: refused compaction reported = %v, want %v: %s", i, compaction, i > 0, line)
+		}
+	}
+	if err := st.DeferredError(0); err != nil {
+		t.Errorf("a failure was left unreported: %v", err)
 	}
 }

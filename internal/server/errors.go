@@ -74,6 +74,14 @@ func refuse(kind error, format string, args ...any) error {
 // wall-clock reads.
 var reqCounter atomic.Int64
 
+// logInternal logs an internal failure under a fresh request ID and
+// returns the ID, the only part of it a client may see.
+func logInternal(err error) string {
+	reqID := fmt.Sprintf("req-%06d", reqCounter.Add(1))
+	log.Printf("server: %v [%s]", err, reqID)
+	return reqID
+}
+
 // errorBody is every non-2xx response's payload.
 type errorBody struct {
 	Error string `json:"error"`
@@ -116,9 +124,7 @@ func writeErrorBody(w http.ResponseWriter, err error, body errorBody) {
 		// not leak to clients: log them under a request ID and return
 		// only the reference.
 		status = http.StatusInternalServerError
-		reqID := fmt.Sprintf("req-%06d", reqCounter.Add(1))
-		log.Printf("server: %v [%s]", err, reqID)
-		body.Error = "internal error (reference " + reqID + ")"
+		body.Error = "internal error (reference " + logInternal(err) + ")"
 	} else if errors.As(err, &said) {
 		body.Error = said.Msg
 	}

@@ -231,6 +231,13 @@ func (s *Server) Ask(ctx context.Context, id, question string) (AskResponse, err
 	if err != nil {
 		return zero, fmt.Errorf("ask on session %s: %w", id, err)
 	}
+	// The turn is durable and answered. What its shard failed to do off
+	// the acknowledgement path — keep the session's version, compact the
+	// WAL — changes nothing the client reads, so it is said here, once,
+	// where an operator will see it before shutdown does.
+	if derr := s.store.DeferredError(s.store.ShardIndex(id)); derr != nil {
+		logInternal(fmt.Errorf("after a turn on session %s: %w", id, derr))
+	}
 	return AskResponseFrom(ans), nil
 }
 

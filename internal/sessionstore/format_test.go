@@ -271,10 +271,10 @@ func TestFormatUpgradesV1Roots(t *testing.T) {
 		t.Fatalf("session s0001: status %v", status)
 	}
 	commitPair(t, st, e, "one more", "answer", 0.5)
-	if err := st.VersionError(0); err != nil {
+	if err := st.DeferredError(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.VersionError(1); err != nil {
+	if err := st.DeferredError(1); err != nil {
 		t.Fatal(err)
 	}
 	got := versionLogs(t, dir)

@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/reliable-cda/cda/internal/vstore"
@@ -162,11 +161,12 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 // ApplyBatch applies a pulled batch on the replica: a snapshot is
 // installed wholesale (replacing the shard — the primary's state at
 // SnapshotSeq is a superset of any prefix the replica held) and
-// persisted; frames are CRC-validated, appended byte-identically to
-// the replica's own WAL, and replayed through the same idempotent
-// path as crash recovery. Frames at or below the replica's cursor are
-// skipped, so re-applying a batch is harmless; a gap above the cursor
-// returns ErrReplicaGap.
+// persisted; frames are CRC-validated — all of them before anything is
+// installed, appended or replayed — land byte-identically in the
+// replica's own WAL with one append and one fsync, and are replayed
+// through the same idempotent, version-keeping path as crash recovery.
+// Frames at or below the replica's cursor are skipped, so re-applying a
+// batch is harmless; a gap above the cursor returns ErrReplicaGap.
 func (s *Store) ApplyBatch(b ShipBatch) error {
 	if b.Shard < 0 || b.Shard >= len(s.shards) {
 		return fmt.Errorf("sessionstore: apply to unknown shard %d (have %d)", b.Shard, len(s.shards))
@@ -176,13 +176,9 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 	// before the shard lock is taken (vstore has its own locking); a
 	// *MissingChunksError here tells the driver to negotiate chunks
 	// and retry the apply.
-	var (
-		versionedSnap *snapshot
-		adoptRoot     vstore.Hash
-	)
+	var versionedSnap *snapshot
 	if b.Snapshot == nil && b.SnapshotRoot != "" {
-		adoptRoot = vstore.Hash(b.SnapshotRoot)
-		snap, err := s.materializeShardSnapshot(adoptRoot)
+		snap, err := s.materializeShardSnapshot(vstore.Hash(b.SnapshotRoot))
 		if err != nil {
 			return err
 		}
@@ -190,66 +186,11 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 		versionedSnap = &snap
 	}
 	sh.mu.Lock()
-	if b.Snapshot != nil {
-		if err := sh.installSnapshot(b, s.clock.Now()); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		sh.versionAfterInstall(b.Shard, "")
-	}
-	if versionedSnap != nil {
-		if err := sh.installSnapshotDoc(*versionedSnap, b.SnapshotSeq, s.clock.Now()); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		sh.versionAfterInstall(b.Shard, adoptRoot)
-	}
-	touched := map[string]bool{}
-	for _, fr := range b.Frames {
-		cur := sh.cursor()
-		if fr.Seq <= cur {
-			continue
-		}
-		if fr.Seq != cur+1 {
-			sh.mu.Unlock()
-			return fmt.Errorf("%w: shard %d at %d got frame %d", ErrReplicaGap, b.Shard, cur, fr.Seq)
-		}
-		rec, ok := decodeFrame(fr.Data)
-		if !ok {
-			sh.mu.Unlock()
-			return fmt.Errorf("sessionstore: corrupt replication frame %d for shard %d", fr.Seq, b.Shard)
-		}
-		if sh.wal != nil {
-			if err := sh.wal.Append(fr.Data); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.replay(rec, s.clock.Now())
-		if rec.Kind == "turn" {
-			touched[rec.ID] = true
-		}
-		sh.tail = append(sh.tail, fr.Data)
-		sh.pending++
-	}
-	if sh.versions != nil && len(touched) > 0 {
-		ids := make([]string, 0, len(touched))
-		for id := range touched {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			if e, ok := sh.sessions[id]; ok {
-				sh.commitSessionVersion(sh.versions, e)
-			}
-		}
-	}
-	if b.PrimaryCursor > sh.remoteSeq {
-		sh.remoteSeq = b.PrimaryCursor
-	}
-	sh.compactIfDue()
-	maxNum := sh.maxNum
+	maxNum, err := sh.applyLocked(b, versionedSnap, s.clock.Now())
 	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	// Lift the shard's id horizon into the store-wide allocator (lock
 	// order: s.mu is never taken while holding sh.mu), so a promoted
 	// replica never re-issues an id the primary already handed out.
@@ -259,6 +200,60 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// applyLocked is ApplyBatch under the shard lock, versionedSnap being
+// the snapshot b.SnapshotRoot materialized to (nil when b names none);
+// it returns the shard's id horizon after the apply. Caller holds sh.mu.
+func (sh *shard) applyLocked(b ShipBatch, versionedSnap *snapshot, now time.Duration) (int, error) {
+	// The cursor the frames must extend is the one the batch's snapshot
+	// will leave, so the whole batch is judged before any of it lands.
+	cur := sh.cursor()
+	if b.Snapshot != nil || versionedSnap != nil {
+		cur = b.SnapshotSeq
+	}
+	var recs []walRecord
+	var frames [][]byte
+	for _, fr := range b.Frames {
+		if fr.Seq <= cur {
+			continue
+		}
+		if fr.Seq != cur+1 {
+			return 0, fmt.Errorf("%w: shard %d at %d got frame %d", ErrReplicaGap, b.Shard, cur, fr.Seq)
+		}
+		rec, ok := decodeFrame(fr.Data)
+		if !ok {
+			return 0, fmt.Errorf("sessionstore: corrupt replication frame %d for shard %d", fr.Seq, b.Shard)
+		}
+		recs, frames, cur = append(recs, rec), append(frames, fr.Data), fr.Seq
+	}
+	if b.Snapshot != nil {
+		if err := sh.installSnapshot(b, now); err != nil {
+			return 0, err
+		}
+		sh.versionAfterInstall(b.Shard, "")
+	}
+	if versionedSnap != nil {
+		if err := sh.installSnapshotDoc(*versionedSnap, b.SnapshotSeq, now); err != nil {
+			return 0, err
+		}
+		sh.versionAfterInstall(b.Shard, vstore.Hash(b.SnapshotRoot))
+	}
+	if sh.wal != nil {
+		if err := sh.wal.Append(frames...); err != nil {
+			return 0, err
+		}
+	}
+	for _, rec := range recs {
+		sh.replay(rec, now)
+	}
+	sh.tail = append(sh.tail, frames...)
+	sh.pending += len(frames)
+	if b.PrimaryCursor > sh.remoteSeq {
+		sh.remoteSeq = b.PrimaryCursor
+	}
+	sh.compactIfDue()
+	return sh.maxNum, nil
 }
 
 // installSnapshot replaces the shard's state with a shipped inline
@@ -272,12 +267,15 @@ func (sh *shard) installSnapshot(b ShipBatch, now time.Duration) error {
 }
 
 // installSnapshotDoc replaces the shard's state with a snapshot
-// document at ship sequence seq and persists it (snapshot file
-// published, WAL truncated) so the replica's disk recovers to the
-// same cursor. Caller holds sh.mu.
+// document at ship sequence seq and persists it (version journal
+// flushed as in compact, snapshot file published, WAL truncated) so the
+// replica's disk recovers to the same cursor. Caller holds sh.mu.
 func (sh *shard) installSnapshotDoc(snap snapshot, seq int64, now time.Duration) error {
 	snap.ShipSeq = seq
 	if sh.wal != nil {
+		if err := sh.flushVersions(); err != nil {
+			return err
+		}
 		if err := writeSnapshot(sh.snapPath, snap, sh.nosync); err != nil {
 			return err
 		}
@@ -306,12 +304,7 @@ func (sh *shard) versionAfterInstall(shard int, adopt vstore.Hash) {
 	if vs == nil {
 		return
 	}
-	ids := make([]string, 0, len(sh.sessions))
-	for id := range sh.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sh.sessionIDs() {
 		sh.commitSessionVersion(vs, sh.sessions[id])
 	}
 	if adopt != "" {

@@ -3,7 +3,10 @@ package sessionstore
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // shipAll drains every shard of src into dst until both cursors
@@ -266,4 +269,134 @@ func TestReplicationLagTracksPrimaryCursor(t *testing.T) {
 	if lag := primary.ReplicationLag(0); lag != 0 {
 		t.Fatalf("primary lag = %d, want 0", lag)
 	}
+}
+
+// TestReplicaAsOfAfterBatchedCatchUp: a replica that caught up in one
+// batch carrying several turns of one session has one version per pair,
+// as the primary does — the trees the primary has, since a tree is a
+// function of the transcript — and serves every as-of read.
+func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
+	primary := NewMemory(Config{Shards: 1, Versions: vstore.NewMemory()})
+	replica := NewMemory(Config{Shards: 1, Versions: vstore.NewMemory()})
+	var ids []string
+	want := map[string][]string{} // id → transcript after each pair
+	for i := 0; i < 2; i++ {
+		e, err := primary.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.ID)
+		for j := 0; j < 3; j++ {
+			commitPair(t, primary, e, fmt.Sprintf("question %d-%d", i, j), fmt.Sprintf("answer %d", 10*i+j), 0.25+float64(j)/13)
+			want[e.ID] = append(want[e.ID], transcriptOf(t, e))
+		}
+	}
+	b, err := primary.PullFrames(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Frames) != 8 || b.Snapshot != nil || b.SnapshotRoot != "" {
+		t.Fatalf("pull = %d frames (snapshot %v, root %q), want the 8 records as frames", len(b.Frames), b.Snapshot != nil, b.SnapshotRoot)
+	}
+	for round := 0; round < 2; round++ { // applied, then re-applied: nothing changes
+		if err := replica.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.DeferredError(0); err != nil {
+			t.Fatal(err)
+		}
+		assertMirrors(t, primary, replica, ids)
+		for _, id := range ids {
+			plog, err := primary.SessionVersions(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rlog, err := replica.SessionVersions(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rlog) != 3 || !reflect.DeepEqual(versionEntries(rlog), versionEntries(plog)) {
+				t.Fatalf("round %d: replica's version log of %s (turn, tree):\n got: %v\nwant: %v", round, id, versionEntries(rlog), versionEntries(plog))
+			}
+			for j, transcript := range want[id] {
+				sess, c, err := replica.TranscriptAsOf(id, 2*(j+1))
+				if err != nil {
+					t.Fatalf("round %d: replica's %s as of turn %d: %v", round, id, 2*(j+1), err)
+				}
+				if c.Turn != 2*(j+1) || Transcript(sess) != transcript {
+					t.Fatalf("round %d: replica's %s as of turn %d = commit at turn %d:\n got: %q\nwant: %q", round, id, 2*(j+1), c.Turn, Transcript(sess), transcript)
+				}
+			}
+		}
+	}
+}
+
+// TestApplyBatchIsOneWALAppend: a catch-up batch is judged whole, then
+// lands in the replica's WAL with one append — one fsync — however many
+// frames it carries; a bad frame anywhere in it appends and replays
+// nothing, and so does a batch the replica already holds.
+func TestApplyBatchIsOneWALAppend(t *testing.T) {
+	primary := NewMemory(Config{Shards: 1, SnapshotEvery: 1 << 20})
+	e, err := primary.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 49; j++ {
+		commitPair(t, primary, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
+	}
+	b, err := primary.PullFrames(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Frames) != 50 {
+		t.Fatalf("pull = %d frames, want 50", len(b.Frames))
+	}
+	wal := &journalProbe{}
+	replica, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1 << 20, Faults: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := replica.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	untouched := func(when string) {
+		t.Helper()
+		if wal.appends != 0 || replica.ReplicationCursor(0) != 0 || replica.Len() != 0 || replica.shards[0].wal.Size() != 0 {
+			t.Fatalf("%s: %d WAL appends, cursor %d, %d sessions, %d WAL bytes; want nothing of the batch", when,
+				wal.appends, replica.ReplicationCursor(0), replica.Len(), replica.shards[0].wal.Size())
+		}
+	}
+	for _, at := range []int{0, 25, 49} {
+		bad := b
+		bad.Frames = append([]Frame(nil), b.Frames...)
+		data := append([]byte(nil), b.Frames[at].Data...)
+		data[len(data)-1] ^= 0x5A
+		bad.Frames[at].Data = data
+		if err := replica.ApplyBatch(bad); err == nil {
+			t.Fatalf("batch with a corrupt frame at %d applied", at)
+		}
+		untouched(fmt.Sprintf("corrupt frame at %d", at))
+	}
+	gap := b
+	gap.Frames = append(append([]Frame(nil), b.Frames[:25]...), b.Frames[26:]...)
+	if err := replica.ApplyBatch(gap); !errors.Is(err, ErrReplicaGap) {
+		t.Fatalf("batch missing frame 25: err = %v, want ErrReplicaGap", err)
+	}
+	untouched("frame 25 missing")
+
+	if err := replica.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if wal.appends != 1 || replica.ReplicationCursor(0) != 50 {
+		t.Fatalf("a 50-frame batch: %d WAL appends, cursor %d; want 1 and 50", wal.appends, replica.ReplicationCursor(0))
+	}
+	if err := replica.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if wal.appends != 1 {
+		t.Fatalf("re-applying a held batch made %d WAL appends", wal.appends-1)
+	}
+	assertMirrors(t, primary, replica, []string{e.ID})
 }

@@ -88,7 +88,7 @@ type Config struct {
 	// Versions, when non-nil, maintains content-addressed version
 	// roots for transcripts (per committed turn) and shard snapshots
 	// (per compaction) — see versioned.go. Version maintenance never
-	// fails user traffic; its errors surface via VersionError/Close.
+	// fails user traffic; its errors surface via DeferredError/Close.
 	Versions *vstore.Store
 }
 
@@ -152,8 +152,9 @@ type shard struct {
 	// compactErr holds the most recent snapshot-compaction failure.
 	// Compaction is an optimization — user traffic must not fail when
 	// it does — so the error is retried on later commits and surfaced
-	// at Close.
-	compactErr error
+	// by DeferredError (once: compactSaid) and at Close.
+	compactErr  error
+	compactSaid bool
 	// versionErr holds the most recent version-maintenance failure
 	// (see versioned.go); same policy as compactErr.
 	versionErr error
@@ -200,7 +201,11 @@ func NewMemory(cfg Config) *Store {
 }
 
 // Open builds a store over cfg.Dir, recovering every shard: snapshot
-// first, then the WAL replayed over it, torn tail truncated.
+// first, then the WAL replayed over it, torn tail truncated. With
+// cfg.Versions the same pass is the version journal's redo: a session
+// whose root is behind its recovered transcript — the journal lost an
+// unflushed tail to a power cut — gets its version committed again,
+// after the snapshot and after each replayed turn record (replay).
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{cfg: cfg, clock: cfg.Clock, shards: make([]*shard, cfg.Shards)}
@@ -228,6 +233,9 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		sh.applySnapshot(snap, st.clock.Now())
+		for _, ss := range snap.Sessions {
+			sh.keepVersion(sh.sessions[ss.ID])
+		}
 		sh.shipBase = snap.ShipSeq
 		sh.wal, err = framelog.Open(
 			filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", i)), walMagic,
@@ -274,9 +282,12 @@ func (sh *shard) applySnapshot(snap snapshot, now time.Duration) {
 	}
 }
 
-// replay applies one WAL record over the recovered state. Records the
-// snapshot already folded in are skipped by transcript index, so a
-// crash between snapshot publication and WAL truncation is harmless.
+// replay applies one WAL record over the recovered state — at Open, and
+// on a replica for every shipped frame — and keeps the session version a
+// turn record produces, so recovery and shipping leave one version per
+// replayed pair exactly as CommitTurn does. Records the snapshot already
+// folded in are skipped by transcript index, so a crash between snapshot
+// publication and WAL truncation is harmless.
 func (sh *shard) replay(rec walRecord, now time.Duration) {
 	switch rec.Kind {
 	case "create":
@@ -301,6 +312,7 @@ func (sh *shard) replay(rec walRecord, now time.Duration) {
 		}
 		e.focus = rec.Focus
 		e.sess.Focus = rec.Focus
+		sh.keepVersion(e)
 	case "evict":
 		delete(sh.sessions, rec.ID)
 		sh.tombstones[rec.ID] = true
@@ -567,20 +579,28 @@ func (sh *shard) compactIfDue() {
 		return
 	}
 	if err := sh.compact(); err != nil {
-		sh.compactErr = err
+		sh.compactErr, sh.compactSaid = err, false
 	}
+}
+
+// sessionIDs lists the shard's live session ids, sorted: the one order
+// everything that walks a shard's sessions uses, so snapshots, version
+// stamps and eviction records come out the same on every run. Caller
+// holds sh.mu.
+func (sh *shard) sessionIDs() []string {
+	ids := make([]string, 0, len(sh.sessions))
+	for id := range sh.sessions {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // buildSnapshot renders the shard's committed state as a snapshot
 // document, stamped with the current ship cursor. Caller holds sh.mu.
 func (sh *shard) buildSnapshot() snapshot {
 	snap := snapshot{MaxNum: sh.maxNum, ShipSeq: sh.cursor()}
-	ids := make([]string, 0, len(sh.sessions))
-	for id := range sh.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sh.sessionIDs() {
 		e := sh.sessions[id]
 		snap.Sessions = append(snap.Sessions, sessionSnap{
 			ID: e.ID, Num: e.num, Focus: e.focus, Turns: e.committed})
@@ -593,12 +613,18 @@ func (sh *shard) buildSnapshot() snapshot {
 }
 
 // compact folds the shard into a fresh snapshot and truncates the
-// WAL. The ship horizon advances with the snapshot: replicas behind
-// it will be served a snapshot transfer instead of frames. Caller
-// holds sh.mu.
+// WAL — the checkpoint: the version journal is flushed first, because
+// the WAL about to go is what could rebuild its unflushed session
+// versions, and a journal that cannot be flushed refuses the compaction
+// (the WAL is kept). The ship horizon advances with the snapshot:
+// replicas behind it will be served a snapshot transfer instead of
+// frames. Caller holds sh.mu.
 func (sh *shard) compact() error {
 	if sh.wal == nil || sh.wal.Dead() {
 		return nil
+	}
+	if err := sh.flushVersions(); err != nil {
+		return err
 	}
 	snap := sh.buildSnapshot()
 	if err := writeSnapshot(sh.snapPath, snap, sh.nosync); err != nil {

@@ -22,11 +22,22 @@ package sessionstore
 //
 // Version maintenance is an annotation on the durability path, never
 // a gate on it: vstore failures are recorded (surfaced by
-// VersionError and at Close) and user traffic continues. The known
-// corner: a crash between a WAL append and its root commit leaves the
-// session root one turn behind until the next commit folds the
-// missing pair into its tree (the tree covers the full committed
-// transcript, so nothing is lost — only the per-turn log entry).
+// DeferredError — the server reads it after every turn — and at Close)
+// and user traffic continues. Nor does a turn wait for it: the WAL is
+// the session versions' redo log. A session version is written to the
+// journal without an fsync (vstore.Batch.CommitUnsynced) after the WAL
+// append that acknowledged the turn; the journal is flushed before any
+// WAL that covers such versions is truncated (compact,
+// installSnapshotDoc — flushVersions — and vstore.Store.Close); and
+// Open commits again whatever a power cut took from the journal's
+// unflushed tail, one version per replayed turn record (keepVersion),
+// so every acknowledged turn count has its as-of entry. What differs
+// after such a recovery is the re-derived commits' hashes, parents and
+// stamps — never a tree hash, which is a function of the transcript.
+// Shard roots have no redo log behind them and are flushed commits.
+// What still leaves a turn count without an entry: a version commit
+// that fails without killing the journal (a full disk, rolled back) on a
+// shard that compacts before the process restarts.
 
 import (
 	"encoding/json"
@@ -192,10 +203,38 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 	return snap, nil
 }
 
+// keepVersion commits the session's version unless its root already
+// has one at or past the committed turn count: the redo step, one Head
+// lookup when there is nothing to redo. Caller holds sh.mu, or is Open.
+func (sh *shard) keepVersion(e *Entry) {
+	vs := sh.versions
+	if vs == nil || len(e.committed) == 0 {
+		return
+	}
+	if head, err := vs.Head(SessionRoot(e.ID)); err == nil && head.Turn >= len(e.committed) {
+		return
+	}
+	sh.commitSessionVersion(vs, e)
+}
+
+// flushVersions flushes the version journal; callers are about to
+// truncate the WAL that could rebuild its unflushed session versions.
+func (sh *shard) flushVersions() error {
+	if sh.versions == nil {
+		return nil
+	}
+	if err := sh.versions.Sync(); err != nil {
+		return fmt.Errorf("sessionstore: shard %d keeps its WAL: %w", sh.idx, err)
+	}
+	return nil
+}
+
 // commitSessionVersion commits the session's transcript tree at its
-// current committed turn count, as one journal append. Caller holds
-// sh.mu. Failures are recorded on the shard, never returned to the
-// durability path.
+// current committed turn count, as one journal append and no fsync —
+// the WAL record that produced this state is already flushed and
+// rebuilds the version if a power cut takes it. Caller holds sh.mu.
+// Failures are recorded on the shard, never returned to the durability
+// path.
 func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
 	if vs == nil {
 		return
@@ -204,7 +243,7 @@ func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
 	b := vs.NewBatch()
 	tree, err := encodeSessionTree(b, ss)
 	if err == nil {
-		_, err = b.Commit(SessionRoot(e.ID), tree, len(e.committed))
+		_, err = b.CommitUnsynced(SessionRoot(e.ID), tree, len(e.committed))
 	}
 	if err != nil {
 		sh.versionErr = fmt.Errorf("sessionstore: version session %s: %w", e.ID, err)
@@ -212,7 +251,7 @@ func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
 }
 
 // commitShardVersion commits the shard snapshot tree at its ship
-// horizon. Caller holds sh.mu.
+// horizon, flushed: nothing could rebuild it. Caller holds sh.mu.
 func (sh *shard) commitShardVersion(vs *vstore.Store, shard int, snap snapshot) {
 	if vs == nil {
 		return
@@ -227,14 +266,24 @@ func (sh *shard) commitShardVersion(vs *vstore.Store, shard int, snap snapshot) 
 	}
 }
 
-// VersionError reports (and clears) the most recent version-
-// maintenance failure on a shard, for health surfacing.
-func (s *Store) VersionError(shard int) error {
+// DeferredError reports, once each, the most recent failures of the
+// work a shard does off the acknowledgement path: version maintenance
+// (cleared here) and snapshot compaction (kept for the retry and for
+// Close). Neither failed the turn that ran into it, so the caller
+// serving that turn is where it gets said.
+func (s *Store) DeferredError(shard int) error {
 	sh := s.shards[shard&(len(s.shards)-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	err := sh.versionErr
 	sh.versionErr = nil
+	if sh.compactErr != nil && !sh.compactSaid {
+		sh.compactSaid = true
+		if err == nil {
+			return sh.compactErr
+		}
+		return fmt.Errorf("%w; %w", err, sh.compactErr) // one line for a log
+	}
 	return err
 }
 

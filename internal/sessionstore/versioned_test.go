@@ -4,8 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
@@ -367,12 +373,15 @@ func TestVersionedStoreSurvivesRestart(t *testing.T) {
 }
 
 // journalProbe is a vstore fault hook that also rides the journal's
-// crash seam: it counts journal appends and their bytes, and runs
-// onCommit at the "vstore.commit" consult — after a version's tree is
-// encoded, before its commit takes the store lock.
+// crash seam (and, as a Config.Faults, the WAL's): it counts appends
+// and their bytes, tears the next one in half once tearNext is set —
+// which kills the log — and runs onCommit at the "vstore.commit"
+// consult, after a version's tree is encoded and before its commit
+// takes the store lock.
 type journalProbe struct {
 	appends  int
 	bytes    int64
+	tearNext bool
 	onCommit func()
 }
 
@@ -385,6 +394,10 @@ func (p *journalProbe) Inject(op string) error {
 
 func (p *journalProbe) TornWrite(_ string, b []byte) ([]byte, bool) {
 	p.appends++
+	if p.tearNext {
+		p.tearNext = false
+		return b[:len(b)/2], true
+	}
 	p.bytes += int64(len(b))
 	return b, false
 }
@@ -434,7 +447,7 @@ func TestGCBetweenSessionEncodeAndCommit(t *testing.T) {
 	if rounds != 2 {
 		t.Fatalf("GC ran %d times between encode and commit, want 2", rounds)
 	}
-	if err := st.VersionError(0); err != nil {
+	if err := st.DeferredError(0); err != nil {
 		t.Fatalf("version error: %v", err)
 	}
 	head, err := vs.Head(SessionRoot(e.ID))
@@ -457,7 +470,9 @@ func TestGCBetweenSessionEncodeAndCommit(t *testing.T) {
 // dir-backed version store: each session and shard version is exactly
 // one journal append, the journal is exactly the bytes of those
 // appends — no per-commit document, nothing that grows with the run —
-// and it is the only file.
+// and it is the only file. A session version is that append and no
+// flush; the journal is flushed when a compaction is about to reset the
+// WAL that covers those versions, and by Close.
 func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	probe := &journalProbe{}
 	vdir := t.TempDir()
@@ -469,11 +484,6 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := errors.Join(st.Close(), vs.Close()); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
 	const sessions, pairs = 25, 8 // 25 × 8 × 2 = 400 turns
 	var entries []*Entry
 	for i := 0; i < sessions; i++ {
@@ -484,12 +494,26 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 		entries = append(entries, e)
 	}
 	sh := st.shards[0]
+	// The consult runs on the committing goroutine, which holds sh.mu. An
+	// empty WAL there means the commit is the shard version a compaction
+	// makes right after its reset — before that commit's own flush.
+	resets := 0
+	probe.onCommit = func() {
+		if sh.wal.Size() != 0 {
+			return
+		}
+		resets++
+		if synced, size := vs.JournalSynced(); synced != size {
+			t.Errorf("WAL reset %d with the journal flushed to %d of %d bytes", resets, synced, size)
+		}
+	}
 	for j := 0; j < pairs; j++ {
 		for _, e := range entries {
 			sh.mu.Lock()
 			compactsAt := sh.pending+1 >= 64
 			sh.mu.Unlock()
 			before := probe.appends
+			flushed, _ := vs.JournalSynced()
 			commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
 			want := 1 // the session version
 			if compactsAt {
@@ -498,9 +522,19 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 			if got := probe.appends - before; got != want {
 				t.Fatalf("turn pair %d of %s made %d journal appends, want %d", j, e.ID, got, want)
 			}
+			synced, size := vs.JournalSynced()
+			if !compactsAt && (synced != flushed || synced == size) {
+				t.Fatalf("turn pair %d of %s: journal flushed to %d of %d bytes, was flushed to %d; a session version is no flush", j, e.ID, synced, size, flushed)
+			}
+			if compactsAt && synced != size {
+				t.Fatalf("turn pair %d of %s compacted with the journal flushed to %d of %d bytes", j, e.ID, synced, size)
+			}
 		}
 	}
-	if err := st.VersionError(0); err != nil {
+	if resets != (sessions+sessions*pairs)/64 {
+		t.Fatalf("saw %d WAL resets, want %d", resets, (sessions+sessions*pairs)/64)
+	}
+	if err := st.DeferredError(0); err != nil {
 		t.Fatalf("version error: %v", err)
 	}
 	files, err := os.ReadDir(vdir)
@@ -510,11 +544,198 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	if len(files) != 1 || files[0].Name() != "chunks.pack" {
 		t.Fatalf("version store dir holds %v, want only chunks.pack", files)
 	}
+	if err := st.Close(); err != nil { // the last compaction: one more shard version
+		t.Fatal(err)
+	}
+	if synced, size := vs.JournalSynced(); synced != size || sh.wal.Synced() != sh.wal.Size() {
+		t.Fatalf("after Close: journal flushed to %d of %d bytes, WAL to %d of %d", synced, size, sh.wal.Synced(), sh.wal.Size())
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
 	info, err := files[0].Info()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Size() != probe.bytes {
 		t.Fatalf("journal is %d bytes, its %d appends sum to %d", info.Size(), probe.appends, probe.bytes)
+	}
+}
+
+// TestDeadJournalRefusesCompaction: a journal that can no longer be
+// flushed must not cost the WAL that could rebuild it. Turns are still
+// acknowledged, the failure is reported once per turn, every compaction
+// is refused with the WAL and the cursor where they were, and a reopen
+// re-derives from that WAL every version the dead journal never took.
+func TestDeadJournalRefusesCompaction(t *testing.T) {
+	dir := t.TempDir()
+	vdir := filepath.Join(dir, "vstore")
+	fault := &journalProbe{}
+	vs, err := vstore.Open(vstore.Config{Dir: vdir, Faults: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const snapEvery = 6
+	st, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: snapEvery, Versions: vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPair(t, st, e, "q0", "a0", 0.5)
+	commitPair(t, st, e, "q1", "a1", 0.5)
+	if err := st.DeferredError(0); err != nil {
+		t.Fatal(err)
+	}
+
+	fault.tearNext = true
+	commitPair(t, st, e, "q2", "a2", 0.5) // acknowledged; its version is torn
+	if err := st.DeferredError(0); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("deferred error after the torn version = %v, want ErrCrashed", err)
+	}
+	if err := st.DeferredError(0); err != nil {
+		t.Fatalf("the failure was reported twice: %v", err)
+	}
+	sh := st.shards[0]
+	for j := 3; j < 10; j++ { // well past the compaction cadence
+		size := sh.wal.Size()
+		commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
+		if sh.wal.Size() <= size {
+			t.Fatalf("turn pair %d: WAL went from %d to %d bytes; a dead journal keeps it", j, size, sh.wal.Size())
+		}
+		err := st.DeferredError(0)
+		if !errors.Is(err, framelog.ErrCrashed) {
+			t.Fatalf("turn pair %d: deferred error = %v, want the dead journal's", j, err)
+		}
+		if due := 1+j+1 >= snapEvery; due != strings.Contains(err.Error(), "keeps its WAL") {
+			t.Fatalf("turn pair %d: compaction due = %v, deferred error = %v", j, due, err)
+		}
+	}
+	sh.mu.Lock()
+	size, cursor, pending := sh.wal.Size(), sh.cursor(), sh.pending
+	cerr := sh.compact()
+	if cerr == nil || sh.wal.Size() != size || sh.cursor() != cursor || sh.pending != pending || sh.shipBase != 0 {
+		t.Errorf("compact on a dead journal = %v; WAL %d → %d bytes, cursor %d → %d, pending %d → %d, horizon %d",
+			cerr, size, sh.wal.Size(), cursor, sh.cursor(), pending, sh.pending, sh.shipBase)
+	}
+	sh.mu.Unlock()
+	if _, err := os.Stat(sh.snapPath); !os.IsNotExist(err) {
+		t.Errorf("a refused compaction published a snapshot (stat err %v)", err)
+	}
+	log, err := st.SessionVersions(e.ID)
+	if err != nil || len(log) != 2 {
+		t.Fatalf("version log on the dead journal = %+v, %v; want the two versions it took", log, err)
+	}
+	want := transcriptOf(t, e)
+	if err := st.Close(); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("Close = %v, want the refused compaction's error", err)
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	vs2, err := vstore.Open(vstore.Config{Dir: vdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: snapEvery, Versions: vs2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := errors.Join(st2.Close(), vs2.Close()); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	if err := st2.DeferredError(0); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	e2, status := st2.Get(e.ID)
+	if status != Found || transcriptOf(t, e2) != want {
+		t.Fatalf("reopened: status %v, transcript %q; want %q", status, transcriptOf(t, e2), want)
+	}
+	log, err = st2.SessionVersions(e.ID)
+	if err != nil || len(log) != 10 {
+		t.Fatalf("reopened version log has %d entries (%v), want one per pair: 10", len(log), err)
+	}
+	for i, c := range log {
+		sess, _, err := st2.TranscriptAsOf(e.ID, c.Turn)
+		if err != nil || c.Turn != 2*(i+1) || Transcript(sess) != turnPrefix(want, c.Turn) {
+			t.Fatalf("version %d is at turn %d (%v); want turn %d and that prefix of the transcript", i, c.Turn, err, 2*(i+1))
+		}
+	}
+}
+
+// TestConcurrentTurnsFlushesAndAsOfReads runs turns on every shard at
+// once against one dir-backed version store, with compactions (each one
+// a journal flush under the store's exclusive lock) frequent and as-of
+// reads of not-yet-flushed versions in between: under -race this is the
+// shard lock and the store lock taken together from several goroutines.
+func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
+	dir := t.TempDir()
+	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Config{Dir: dir, Shards: 4, SnapshotEvery: 3, Versions: vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions, pairs = 8, 12
+	var entries []*Entry
+	for i := 0; i < sessions; i++ {
+		e, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	var wg sync.WaitGroup
+	for _, e := range entries {
+		wg.Add(1)
+		go func(e *Entry) {
+			defer wg.Done()
+			for j := 0; j < pairs; j++ {
+				err := e.Do(func(sess *dialogue.Session) error {
+					sess.CommitTurn(fmt.Sprintf("q%d of %s", j, e.ID), dialogue.IntentQuery, fmt.Sprintf("a%d", j), 0.5)
+					return st.CommitTurn(e)
+				})
+				if err != nil {
+					t.Errorf("commit %d of %s: %v", j, e.ID, err)
+					return
+				}
+				// Read back what was just written and nothing has flushed.
+				sess, c, err := st.TranscriptAsOf(e.ID, 2*(j+1))
+				if err != nil || c.Turn != 2*(j+1) || len(sess.Turns) != 2*(j+1) {
+					t.Errorf("%s as of turn %d = commit at turn %d, %v", e.ID, 2*(j+1), c.Turn, err)
+					return
+				}
+			}
+		}(e)
+	}
+	wg.Wait()
+	for shard := 0; shard < 4; shard++ {
+		if err := st.DeferredError(shard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string][]vstore.Commit{}
+	for _, e := range entries {
+		log, err := st.SessionVersions(e.ID)
+		if err != nil || len(log) != pairs {
+			t.Fatalf("session %s has %d versions (%v), want %d", e.ID, len(log), err, pairs)
+		}
+		want[e.ID] = log
+	}
+	if err := errors.Join(st.Close(), vs.Close()); err != nil {
+		t.Fatal(err)
+	}
+	logs := versionLogs(t, dir)
+	for id, w := range want {
+		if got := logs[SessionRoot(id)]; !reflect.DeepEqual(got, w) {
+			t.Fatalf("reopened log of %s differs:\n got: %+v\nwant: %+v", id, got, w)
+		}
 	}
 }

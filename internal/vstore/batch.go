@@ -6,8 +6,8 @@ import (
 )
 
 // Batch stages the chunks of one version in memory and lands them, the
-// commit chunk and the root record in the journal with one append and
-// one fsync. Nothing staged is visible in the store before Commit, and
+// commit chunk and the root record in the journal with one append.
+// Nothing staged is visible in the store before Commit, and
 // Commit decides what is new under the store lock, so a GC round
 // between encoding a tree and committing it cannot sweep the tree from
 // under its root. A Batch serves one goroutine and one version.
@@ -45,8 +45,25 @@ func (b *Batch) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 // must be staged or already stored. The staged chunks the store lacks,
 // the commit chunk and the root record reach the journal in one
 // append; the index and the root log change only once it is
-// acknowledged, so a failed append leaves the store as it was.
+// acknowledged, so a failed append leaves the store as it was. The
+// append is flushed before Commit returns: the version survives a power
+// cut, as one that nothing else could rebuild must.
 func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
+	return b.commit(root, tree, turn, true)
+}
+
+// CommitUnsynced is Commit without the fsync, for a version its caller
+// can derive again from a redo log it has already flushed: the version
+// is readable at once and survives a process kill, and a power cut may
+// take it until the next flushed append or Store.Sync. The caller calls
+// Sync before it truncates that redo log, and re-derives what is missing
+// when it opens. The one such caller is the session store (a session
+// root has a WAL behind it; no other root does).
+func (b *Batch) CommitUnsynced(root string, tree Hash, turn int) (Commit, error) {
+	return b.commit(root, tree, turn, false)
+}
+
+func (b *Batch) commit(root string, tree Hash, turn int, durable bool) (Commit, error) {
 	s := b.s
 	if s.cfg.Faults != nil {
 		if err := s.cfg.Faults.Inject("vstore.commit"); err != nil {
@@ -85,7 +102,7 @@ func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
 	}
 
 	staged := append(b.staged, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}})
-	if err := s.journalLocked(staged, rootRec); err != nil {
+	if err := s.journalLocked(durable, staged, rootRec); err != nil {
 		return Commit{}, err
 	}
 	s.roots[root] = append(log, c)

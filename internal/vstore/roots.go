@@ -87,7 +87,7 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, payload func(Hash
 		if err != nil {
 			return err
 		}
-		if _, err := s.appendPack(rec); err != nil {
+		if _, err := s.appendPack(true, rec); err != nil {
 			return err
 		}
 	}

@@ -123,7 +123,7 @@ func (s *Store) AddPackets(ps []Packet) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.journalLocked(staged)
+	return s.journalLocked(true, staged)
 }
 
 // PullFrom copies the closure of target from src into s using the

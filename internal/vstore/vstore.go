@@ -32,11 +32,21 @@
 // the root is gone). A root record names commit chunks that precede
 // it in the journal; the log entry is rebuilt from the chunk on open.
 // A Batch puts a version's new chunks, its commit chunk and its root
-// record into the journal with one append and one fsync, so a crash
-// leaves the root on the old commit or the new one with its whole
-// tree. GC rewrites the journal as the surviving chunks followed by
-// one "log is exactly" record per root — log + checkpoint, the shape
-// the WAL has.
+// record into the journal with one append, so a crash leaves the root
+// on the old commit or the new one with its whole tree. GC rewrites
+// the journal as the surviving chunks followed by one "log is exactly"
+// record per root — log + checkpoint, the shape the WAL has.
+//
+// When the journal is flushed depends on who could rebuild the version.
+// Nothing can rebuild a data root, a shard root, an adopted commit, a
+// shipped packet or a root-log edit, so Batch.Commit and every other
+// journal write is framelog's Append: write + fsync, then the
+// acknowledgement. A session version is a pure function of a transcript
+// the session store's WAL already holds flushed, so that one caller
+// uses Batch.CommitUnsynced — framelog's Write, no fsync: readable at
+// once, flushed by the next flushed append or by Store.Sync, which the
+// session store calls before it truncates the WAL that could have
+// rebuilt the version (and Close calls last).
 package vstore
 
 import (
@@ -296,7 +306,7 @@ func (s *Store) upgradeV1Roots() error {
 			return err
 		}
 	}
-	if _, err := s.appendPack(payloads...); err != nil {
+	if _, err := s.appendPack(true, payloads...); err != nil {
 		return err
 	}
 	return framelog.Remove(path)
@@ -308,10 +318,11 @@ func hashBytes(b []byte) Hash {
 	return Hash(hex.EncodeToString(sum[:]))
 }
 
-// appendPack writes the payloads durably to the journal, one frame
-// each, with one append and one fsync (a no-op when memory-only), and
+// appendPack writes the payloads to the journal, one frame each, with
+// one append (a no-op when memory-only) — and one fsync when durable;
+// without, they are flushed by the next durable append or Sync — and
 // returns the offset each frame was given. Caller holds s.mu.
-func (s *Store) appendPack(payloads ...[]byte) ([]int64, error) {
+func (s *Store) appendPack(durable bool, payloads ...[]byte) ([]int64, error) {
 	offs := make([]int64, len(payloads))
 	if s.pack == nil {
 		return offs, nil
@@ -323,6 +334,9 @@ func (s *Store) appendPack(payloads ...[]byte) ([]int64, error) {
 		offs[i] = end
 		end += int64(len(frames[i]))
 	}
+	if !durable {
+		return offs, s.pack.Write(frames...)
+	}
 	return offs, s.pack.Append(frames...)
 }
 
@@ -330,8 +344,8 @@ func (s *Store) appendPack(payloads ...[]byte) ([]int64, error) {
 // root records in tail, with one append, and indexes the chunks only
 // once it is acknowledged: a failed or torn append leaves memory as it
 // was. A chunk the store holds is re-touched instead (the GC write
-// barrier). Caller holds s.mu exclusively.
-func (s *Store) journalLocked(staged []stagedChunk, tail ...[]byte) error {
+// barrier). durable is appendPack's. Caller holds s.mu exclusively.
+func (s *Store) journalLocked(durable bool, staged []stagedChunk, tail ...[]byte) error {
 	var fresh []stagedChunk
 	var payloads [][]byte
 	for _, st := range staged {
@@ -342,7 +356,7 @@ func (s *Store) journalLocked(staged []stagedChunk, tail ...[]byte) error {
 			payloads = append(payloads, st.payload)
 		}
 	}
-	offs, err := s.appendPack(append(payloads, tail...)...)
+	offs, err := s.appendPack(durable, append(payloads, tail...)...)
 	if err != nil {
 		return err
 	}
@@ -417,7 +431,7 @@ func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.journalLocked([]stagedChunk{{hash: h, payload: payload, refs: refs}}); err != nil {
+	if err := s.journalLocked(true, []stagedChunk{{hash: h, payload: payload, refs: refs}}); err != nil {
 		return "", err
 	}
 	return h, nil
@@ -512,14 +526,43 @@ func (s *Store) NumChunks() int {
 	return len(s.chunks)
 }
 
-// Close releases the journal's file handle.
+// Sync flushes the journal: every version committed before it returns
+// nil survives a power cut. Only CommitUnsynced leaves anything to
+// flush; its caller calls Sync before giving up the log it could have
+// rebuilt those versions from. A failed flush leaves the journal dead —
+// every later commit and Sync fails until the store is reopened.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pack == nil {
+		return nil
+	}
+	return s.pack.Sync()
+}
+
+// JournalSynced reports the journal's flushed prefix and its size in
+// bytes (framelog's Synced and Size; both 0 when memory-only or closed).
+func (s *Store) JournalSynced() (synced, size int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.pack == nil {
+		return 0, 0
+	}
+	return s.pack.Synced(), s.pack.Size()
+}
+
+// Close flushes the journal and releases its file handle.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pack == nil {
 		return nil
 	}
-	err := s.pack.Close()
+	var err error
+	if !s.pack.Dead() { // a dead journal said so where it died
+		err = s.pack.Sync()
+	}
+	err = errors.Join(err, s.pack.Close())
 	s.pack = nil
 	return err
 }

@@ -30,12 +30,15 @@
 #                      kill-and-recover and cluster kill/partition
 #                      run-twice transcript diffs, and the session
 #                      store, admission, framelog and versioned-store
-#                      durability suites. The framelog + vstore part —
-#                      journal readers racing GC's file swap — also
-#                      runs on every push and PR (check.yml build-test:
-#                      go test -race ./internal/framelog
-#                      ./internal/vstore, ~20 s), since tier-1 has no
-#                      -race. FuzzScan, FuzzJournalOpen and
+#                      durability suites. The framelog + vstore +
+#                      sessionstore part — journal readers racing GC's
+#                      file swap, and the power-cut and dead-journal
+#                      tests, which hold a shard's lock and the version
+#                      store's together — also runs on every push and
+#                      PR (check.yml build-test: go test -race
+#                      ./internal/framelog ./internal/vstore
+#                      ./internal/sessionstore, ~1 min), since tier-1
+#                      has no -race. FuzzScan, FuzzJournalOpen and
 #                      FuzzDecodeLeaf run their seed corpora here; the
 #                      nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
