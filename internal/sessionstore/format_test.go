@@ -17,14 +17,18 @@ import (
 )
 
 // The on-disk format pins. testdata/format-v1 is a data directory in the
-// `cdaserver -data-dir D -versioned` layout, written by replayFormatDialogue
-// at the commit *before* the storage spine (internal/framelog) existed:
+// `cdaserver -data-dir D -versioned` layout, written for formatScript (by
+// what is now replayScript) at the commit *before* the storage spine (internal/framelog) existed:
 // shard WALs and snapshots, the chunk pack, roots.json. testdata/format-v2
 // is the same dialogue written at the commit that made chunks.pack the
 // version store's one journal: the same shard files, root records
-// interleaved with the chunks, no roots.json. The tests below hold the
-// format still in both directions — v1 opens on this code (and is
-// upgraded once), and this code writes the v2 bytes.
+// interleaved with the chunks, no roots.json. testdata/format-v3 is the
+// dialogue again at the commit that cut a session's open window into one
+// chunk per pair (tree_fixture_test.go): the shard files and the
+// journal's frame layout as before, other session trees in it. The
+// tests below hold the format still in both directions — v1 and v2 open
+// on this code (v1 is upgraded once) and take their next turn, and this
+// code writes the v3 bytes.
 
 const (
 	formatFixture   = "testdata/format-v1"
@@ -59,8 +63,9 @@ func formatScript() []formatTurn {
 	return script
 }
 
-// openFormatStores opens dir in the fixture's configuration.
-func openFormatStores(t *testing.T, dir string) (*Store, *vstore.Store) {
+// openFixture opens dir in the fixtures' configuration; the caller
+// abandons the stores (a Close would compact, which is a shard version).
+func openFixture(t *testing.T, dir string) (*Store, *vstore.Store) {
 	t.Helper()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
 	if err != nil {
@@ -70,6 +75,13 @@ func openFormatStores(t *testing.T, dir string) (*Store, *vstore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st, vs
+}
+
+// openFormatStores is openFixture with the stores closed at cleanup.
+func openFormatStores(t *testing.T, dir string) (*Store, *vstore.Store) {
+	t.Helper()
+	st, vs := openFixture(t, dir)
 	t.Cleanup(func() {
 		if err := st.Close(); err != nil {
 			t.Errorf("close store: %v", err)
@@ -81,31 +93,9 @@ func openFormatStores(t *testing.T, dir string) (*Store, *vstore.Store) {
 	return st, vs
 }
 
-// replayFormatDialogue commits the script into a fresh versioned store
-// under dir. Two shards at a snapshot cadence of 8 put two sessions on
-// one shard, which therefore compacts once mid-dialogue and keeps
-// appending afterwards. The stores are left open — Close would compact
-// every WAL away — and closed at test cleanup.
-func replayFormatDialogue(t *testing.T, dir string) (*Store, *vstore.Store) {
-	t.Helper()
-	st, vs := openFormatStores(t, dir)
-	var entries []*Entry
-	for i := 0; i < 3; i++ {
-		e, err := st.NewSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, e)
-	}
-	for _, turn := range formatScript() {
-		commitPair(t, st, entries[turn.session], turn.q, turn.a, turn.conf)
-	}
-	return st, vs
-}
-
 // readTree maps every file under dir, by slash-separated relative
 // path, to its bytes.
-func readTree(t *testing.T, dir string) map[string][]byte {
+func readTree(t testing.TB, dir string) map[string][]byte {
 	t.Helper()
 	files := map[string][]byte{}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -158,25 +148,48 @@ var shardFiles = []string{"shard-00.wal", "shard-01.wal", "shard-01.snap"}
 // same JSON. (The version store's files are pinned by the v2 fixture.)
 func TestFormatWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
-	replayFormatDialogue(t, dir)
+	replayScript(t, dir, formatScript())
 	requireSameFiles(t, readTree(t, dir), readTree(t, formatFixture), shardFiles)
 }
 
-// TestFormatWritesV2Bytes replays the dialogue and requires every file
-// to hash equal to the v2 fixture, the journal included, and nothing
-// else to be written.
+// TestFormatWritesV2Bytes replays the dialogue and requires the shard
+// files to hash equal to the v2 fixture's, and nothing but them and the
+// journal to be written. (What the journal holds is the v3 fixtures'.)
 func TestFormatWritesV2Bytes(t *testing.T) {
 	dir := t.TempDir()
-	replayFormatDialogue(t, dir)
+	replayScript(t, dir, formatScript())
 	got, want := readTree(t, dir), readTree(t, formatFixtureV2)
-	requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
+	requireSameFiles(t, got, want, shardFiles)
 	if len(got) != len(want) || len(want) != 4 {
 		t.Errorf("replay wrote %d files, fixture has %d, want 4 in both", len(got), len(want))
 	}
 }
 
+// TestFormatWritesV3Bytes replays both fixture dialogues and requires
+// every file to hash equal to the v3 fixture's, the journal included —
+// the long session's across two folds, from trees remembered turn to
+// turn — nothing else to be written, and the root logs to be the ones
+// the fixture recorded.
+func TestFormatWritesV3Bytes(t *testing.T) {
+	for _, fx := range []struct {
+		fixture string
+		script  []formatTurn
+	}{{formatFixtureV3, formatScript()}, {treeFixtureV3, treeScript()}} {
+		dir := t.TempDir()
+		_, vs := replayScript(t, dir, fx.script)
+		got, want := readTree(t, dir), readTree(t, fx.fixture)
+		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
+		if len(got) != 4 || len(want) != 5 {
+			t.Errorf("%s: replay wrote %d files, fixture has %d; want 4, and %s beside them", fx.fixture, len(got), len(want), fixtureLogs)
+		}
+		if got, want := logsOf(t, vs), recordedLogs(t, fx.fixture); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.fixture, got, want)
+		}
+	}
+}
+
 // copyFixture copies a fixture directory into a fresh temp dir.
-func copyFixture(t *testing.T, fixture string) string {
+func copyFixture(t testing.TB, fixture string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for name, data := range readTree(t, fixture) {
@@ -199,14 +212,22 @@ func versionLogs(t *testing.T, dir string) map[string][]vstore.Commit {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logs := logsOf(t, vs)
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return logs
+}
+
+// logsOf maps every root of vs to its full commit log.
+func logsOf(t *testing.T, vs *vstore.Store) map[string][]vstore.Commit {
+	t.Helper()
 	logs := map[string][]vstore.Commit{}
 	for _, root := range vs.Roots() {
+		var err error
 		if logs[root], err = vs.Log(root); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := vs.Close(); err != nil {
-		t.Fatal(err)
 	}
 	return logs
 }
@@ -283,40 +304,154 @@ func TestFormatUpgradesV1Roots(t *testing.T) {
 	}
 }
 
-// TestFormatOpensParentDir opens a copy of the v1 fixture and requires
-// the transcripts, replication cursors and version-root heads the
-// dialogue must have produced — and that opening it upgraded the
-// version store to the journal layout, which opens cleanly again.
-func TestFormatOpensParentDir(t *testing.T) {
-	dir := copyFixture(t, formatFixture)
-	st, vs := openFormatStores(t, dir)
-	live, liveVS := replayFormatDialogue(t, t.TempDir())
-
-	// Transcripts: rendered from the script alone, no store involved.
-	want := []*dialogue.Session{dialogue.NewSession(), dialogue.NewSession(), dialogue.NewSession()}
-	for _, turn := range formatScript() {
-		want[turn.session].CommitTurn(turn.q, dialogue.ClassifyIntent(turn.q), turn.a, turn.conf)
+// requireRecorded holds an opened fixture to what its writer recorded
+// and its script says: the root logs entry for entry — tree hashes are
+// the writer's, this code computes none of them — every head's closure
+// whole, every shard version decodable, every live transcript, and for
+// every version of every session the as-of read of exactly that prefix.
+func requireRecorded(t *testing.T, st *Store, vs *vstore.Store, want map[string][]vstore.Commit, transcripts map[string]string) {
+	t.Helper()
+	got := logsOf(t, vs)
+	for root, log := range got {
+		if head := log[len(log)-1]; !vs.HasClosure(head.Hash) {
+			t.Errorf("root %s head %s: closure incomplete in the fixture journal", root, head.Hash)
+		}
 	}
-	for i, sess := range want {
-		id := fmt.Sprintf("s%04d", i+1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("root logs\n got: %+v\nwant: %+v", got, want)
+	}
+	if len(got) < len(transcripts)+1 {
+		t.Fatalf("roots = %v, want %d sessions and a compacted shard", vs.Roots(), len(transcripts))
+	}
+	for id, transcript := range transcripts {
 		e, status := st.Get(id)
 		if status != Found {
 			t.Fatalf("session %s: status %v", id, status)
 		}
-		if got := transcriptOf(t, e); got != Transcript(sess) {
-			t.Errorf("session %s transcript:\n got: %q\nwant: %q", id, got, Transcript(sess))
+		if got := transcriptOf(t, e); got != transcript {
+			t.Errorf("session %s transcript:\n got: %q\nwant: %q", id, got, transcript)
 		}
-		asOf, _, err := st.TranscriptAsOf(id, 4)
-		if err != nil {
-			t.Fatalf("session %s as of turn 4: %v", id, err)
-		}
-		sess.Turns = sess.Turns[:4]
-		if got := Transcript(asOf); got != Transcript(sess) {
-			t.Errorf("session %s as of turn 4:\n got: %q\nwant: %q", id, got, Transcript(sess))
+		for _, c := range want[SessionRoot(id)] {
+			sess, at, err := st.TranscriptAsOf(id, c.Turn)
+			if err != nil || at != c || Transcript(sess) != turnPrefix(transcript, c.Turn) {
+				t.Fatalf("session %s as of turn %d = commit %+v, %v; want %+v and that prefix of the transcript", id, c.Turn, at, err, c)
+			}
 		}
 	}
+	for shard := 0; shard < st.Shards(); shard++ {
+		for _, c := range want[ShardRoot(shard)] {
+			snap, err := decodeShardTree(vs, c.Tree)
+			if err != nil {
+				t.Fatalf("shard %d version at %d: %v", shard, c.Turn, err)
+			}
+			for _, ss := range snap.Sessions {
+				if turns := Transcript(sessionOf(ss)); turns != turnPrefix(transcripts[ss.ID], len(ss.Turns)) {
+					t.Errorf("shard %d version at %d holds %q for %s, no prefix of its transcript", shard, c.Turn, turns, ss.ID)
+				}
+			}
+		}
+	}
+}
+
+// sessionOf renders a decoded session state as a dialogue session.
+func sessionOf(ss sessionSnap) *dialogue.Session {
+	e := &Entry{sess: dialogue.NewSession()}
+	for _, tr := range ss.Turns {
+		appendTurn(e, tr)
+	}
+	return e.sess
+}
+
+// snapOf is a live session's committed state.
+func snapOf(st *Store, id string) sessionSnap {
+	sh := st.shards[st.ShardIndex(id)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.sessions[id].snap()
+}
+
+// coldTree is the tree a store that remembers nothing of ss cuts for it.
+func coldTree(t testing.TB, ss sessionSnap) *sessionTree {
+	t.Helper()
+	ss.tree = nil
+	tree, err := encodeSessionTree(vstore.NewMemory().NewBatch(), ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// requireNextTurn commits one more pair on a session an older tree
+// layout may have versioned so far, and requires the version to be this
+// code's tree over that one: the head's parent is the old head, the tree
+// is the one a cold encode cuts — sealed windows, then a chunk per pair —
+// the old tree's sealed chunks are in it and not written again, the open
+// window is written as pair chunks at most once, and the version before
+// still reads back as it did.
+func requireNextTurn(t *testing.T, st *Store, vs *vstore.Store, id string) {
+	t.Helper()
+	old, err := vs.Head(SessionRoot(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRefs, err := vs.Refs(old.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, status := st.Get(id)
+	if status != Found {
+		t.Fatalf("session %s: status %v", id, status)
+	}
+	before, chunks := transcriptOf(t, e), vs.NumChunks()
+	commitPair(t, st, e, fmt.Sprintf("what comes after turn %d", old.Turn), "the next turn", 0.5)
+	if err := st.DeferredError(st.ShardIndex(id)); err != nil {
+		t.Fatalf("the next turn on %s: %v", id, err)
+	}
+	head, err := vs.Head(SessionRoot(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	turns := old.Turn + 2
+	want := coldTree(t, snapOf(st, id))
+	refs, err := vs.Refs(head.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head.Turn != turns || head.Parent != old.Hash || head.Tree != want.sess || !reflect.DeepEqual(refs, want.refs) || !vs.HasClosure(head.Hash) {
+		t.Fatalf("%s after the next turn: head %+v over %d chunks, closure whole = %v; want turn %d on parent %s with tree %s",
+			id, head, len(refs), vs.HasClosure(head.Hash), turns, old.Hash, want.sess)
+	}
+	sealed, open := turns/turnsPerChunk, (turns%turnsPerChunk+openUnit-1)/openUnit
+	if len(refs) != sealed+open || !reflect.DeepEqual(refs[:old.Turn/turnsPerChunk], oldRefs[:old.Turn/turnsPerChunk]) {
+		t.Fatalf("%s at turn %d lists %d chunks, want %d sealed (the %d it had among them) and %d of the open window",
+			id, turns, len(refs), sealed, old.Turn/turnsPerChunk, open)
+	}
+	// New to the store: the window's chunks, the session node, the commit.
+	if added := vs.NumChunks() - chunks; added > max(open, 1)+2 {
+		t.Fatalf("the next turn on %s added %d chunks, want at most %d", id, added, max(open, 1)+2)
+	}
+	for turn, want := range map[int]string{old.Turn: before, turns: transcriptOf(t, e)} {
+		sess, c, err := st.TranscriptAsOf(id, turn)
+		if err != nil || c.Turn != turn || Transcript(sess) != want {
+			t.Fatalf("%s as of turn %d after the next turn = commit at %d, %v; want %q", id, turn, c.Turn, err, want)
+		}
+	}
+}
+
+// TestFormatOpensParentDir opens a copy of the v1 fixture and requires
+// everything its roots.json recorded and its dialogue must have produced
+// — root logs, transcripts, every as-of read, replication cursors — that
+// opening it upgraded the version store to the journal layout, which
+// opens again with the same logs, and that every session takes its next
+// turn over the old tree.
+func TestFormatOpensParentDir(t *testing.T) {
+	dir := copyFixture(t, formatFixture)
+	want, transcripts := v1Logs(t), scriptTranscripts(formatScript())
+	st, vs := openFixture(t, dir)
+	requireRecorded(t, st, vs, want, transcripts)
 	// Cursors: 3 creates + 15 turn records over the two shards, and the
-	// same split the live replay has.
+	// same split a live replay has.
+	live, _ := replayScript(t, t.TempDir(), formatScript())
 	var total int64
 	for shard := 0; shard < 2; shard++ {
 		cur := st.ReplicationCursor(shard)
@@ -328,34 +463,110 @@ func TestFormatOpensParentDir(t *testing.T) {
 	if total != 18 {
 		t.Errorf("cursors sum to %d, want 18 records", total)
 	}
-	// Roots: three session lines and the compacted shard's line, each
-	// with the head the live replay committed.
-	roots := vs.Roots()
-	if len(roots) != 4 || len(liveVS.Roots()) != 4 {
-		t.Fatalf("roots = %v, live replay has %v; want 3 sessions + 1 shard", roots, liveVS.Roots())
-	}
-	for _, root := range roots {
-		got, err := vs.Head(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantHead, err := liveVS.Head(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != wantHead {
-			t.Errorf("root %s head = %+v, live replay has %+v", root, got, wantHead)
-		}
-		if !vs.HasClosure(got.Hash) {
-			t.Errorf("root %s head %s: closure incomplete in the fixture pack", root, got.Hash)
-		}
-	}
+	abandon(t, st, vs)
 	// The upgrade: roots.json is gone, the journal took its place, and a
 	// second open finds in it what the document held.
 	if _, err := os.Stat(filepath.Join(dir, "vstore", "roots.json")); !os.IsNotExist(err) {
 		t.Errorf("roots.json survived the open (err %v)", err)
 	}
-	if got, want := versionLogs(t, dir), v1Logs(t); !reflect.DeepEqual(got, want) {
+	if got := versionLogs(t, dir); !reflect.DeepEqual(got, want) {
 		t.Errorf("root logs on a second open:\n got: %+v\nwant: %+v", got, want)
+	}
+	st, vs = openFormatStores(t, dir)
+	for id := range transcripts {
+		requireNextTurn(t, st, vs, id)
+	}
+}
+
+// TestOpensV2Trees opens the directories the parent of the per-pair open
+// window wrote — the format dialogue, and the tree dialogue whose long
+// session has two sealed chunks and a 16-turn tail — with no upgrade
+// step: what was recorded reads back, open after open; each session's
+// next turn is this code's tree over the old one; and the long session
+// goes on across its next fold with every version, old cut and new,
+// still reading back exactly.
+func TestOpensV2Trees(t *testing.T) {
+	for _, fx := range []struct {
+		fixture string
+		want    map[string][]vstore.Commit
+		script  []formatTurn
+	}{
+		{formatFixtureV2, v1Logs(t), formatScript()}, // the commits roots.json lists, journalled
+		{treeFixtureV2, recordedLogs(t, treeFixtureV2), treeScript()},
+	} {
+		dir := copyFixture(t, fx.fixture)
+		transcripts := scriptTranscripts(fx.script)
+		for open := 1; open <= 2; open++ {
+			st, vs := openFixture(t, dir)
+			requireRecorded(t, st, vs, fx.want, transcripts)
+			abandon(t, st, vs)
+		}
+		// No upgrade step: two opens wrote nothing.
+		requireSameFiles(t, readTree(t, dir), readTree(t, fx.fixture), append([]string{"vstore/chunks.pack"}, shardFiles...))
+		st, vs := openFormatStores(t, dir)
+		for id := range transcripts {
+			requireNextTurn(t, st, vs, id)
+		}
+	}
+}
+
+// TestV2TreeContinuesAcrossFold takes the tree fixture's long session
+// from its 80 recorded turns past turn 96, where the window the parent
+// left as a 16-turn tail is sealed: every version — the recorded ones
+// and the ones this code adds — reads back as exactly its prefix, and
+// the chunks the parent sealed are the ones this code seals.
+func TestV2TreeContinuesAcrossFold(t *testing.T) {
+	dir := copyFixture(t, treeFixtureV2)
+	st, vs := openFormatStores(t, dir)
+	const id = "s0001"
+	e, status := st.Get(id)
+	if status != Found {
+		t.Fatalf("session %s: status %v", id, status)
+	}
+	for j := treeLongPairs; j < 50; j++ {
+		commitPair(t, st, e, fmt.Sprintf("how many vacancies in round %d", j), "as many as before", 0.5)
+	}
+	if err := st.DeferredError(st.ShardIndex(id)); err != nil {
+		t.Fatal(err)
+	}
+	log, err := st.SessionVersions(id)
+	if err != nil || len(log) != 50 {
+		t.Fatalf("%s has %d versions (%v), want 50", id, len(log), err)
+	}
+	transcript := transcriptOf(t, e)
+	for i, c := range log {
+		sess, _, err := st.TranscriptAsOf(id, c.Turn)
+		if err != nil || c.Turn != 2*(i+1) || Transcript(sess) != turnPrefix(transcript, c.Turn) {
+			t.Fatalf("version %d of %s is at turn %d (%v); want turn %d and that prefix of the transcript", i, id, c.Turn, err, 2*(i+1))
+		}
+	}
+	// Sealed chunks: the parent's two are in every later tree, and in the
+	// v3 fixture's, which this code wrote from nothing.
+	sealedAt := func(vs *vstore.Store, turn int) []vstore.Hash {
+		c, err := vs.AsOf(SessionRoot(id), turn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs, err := vs.Refs(c.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return refs[:turn/turnsPerChunk]
+	}
+	parents := sealedAt(vs, 2*treeLongPairs)
+	if got := sealedAt(vs, 96); len(parents) != 2 || len(got) != 3 || !reflect.DeepEqual(got[:2], parents) {
+		t.Fatalf("sealed chunks at turn 96 = %v, want three, the first two the parent's %v", got, parents)
+	}
+	vs3, err := vstore.Open(vstore.Config{Dir: filepath.Join(copyFixture(t, treeFixtureV3), "vstore")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := vs3.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	if got := sealedAt(vs3, 2*treeLongPairs); !reflect.DeepEqual(got, parents) {
+		t.Fatalf("tree-v3 seals %v, tree-v2 sealed %v", got, parents)
 	}
 }

@@ -34,6 +34,11 @@ const (
 	pcSnapEvery = 16
 	pcTTL       = time.Hour
 	pcPage      = 4096
+	// pcLongPairs is how far the script takes one shipped and one native
+	// session: past the fold at 16 pairs, so the recovered stores' trees —
+	// encoded from nothing — are held against trees the store that never
+	// crashed cut turn by turn from the ones it remembered.
+	pcLongPairs = 19
 )
 
 // versionEntry is what a session's version log must agree on with a run
@@ -503,6 +508,26 @@ func TestPowerCutKeepsEveryAcknowledgedTurnAndVersion(t *testing.T) {
 	}
 	talk(2)
 	catchUp()
+	// One shipped session goes on past its first fold, caught up every
+	// other pair: the replica's replay cuts the window's 16th pair into a
+	// sealed chunk from the tree it remembers, as the primary did.
+	long := pc.ids[0]
+	foldedByReplay := false
+	for e, _ := primary.Get(long); len(e.committed) < 2*pcLongPairs; {
+		n := len(e.committed) / 2
+		commitPair(t, primary, e, fmt.Sprintf("primary question %d of %s", n, long), fmt.Sprintf("primary answer %d", n), 0.25+float64(n)/13)
+		if n%2 == 0 {
+			continue
+		}
+		held := peek(st, long)
+		before, remembered := len(held.committed), held.tree != nil
+		if catchUp() == 0 && remembered && before < turnsPerChunk && len(held.committed) >= turnsPerChunk {
+			foldedByReplay = true // no install: held is still the shard's entry
+		}
+	}
+	if !foldedByReplay {
+		t.Fatal("the script never replays a shipped session across a fold from a remembered tree")
+	}
 
 	// Act two: promoted, the store takes turns itself — on the sessions
 	// it was shipped and on new ones — across several compactions of
@@ -526,6 +551,11 @@ func TestPowerCutKeepsEveryAcknowledgedTurnAndVersion(t *testing.T) {
 			n++
 			pc.turn(pc.ids[i], n)
 		}
+	}
+	// And one of the new sessions goes on past its first fold.
+	for id := pc.ids[len(pc.ids)-6]; len(peek(st, id).committed) < 2*pcLongPairs; { // the first of them: never swept below
+		n++
+		pc.turn(id, n)
 	}
 
 	// Act three: some sessions sit idle past the TTL and are swept; the

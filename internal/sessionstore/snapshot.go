@@ -36,6 +36,11 @@ type sessionSnap struct {
 	Num   int       `json:"num"`
 	Focus string    `json:"focus,omitempty"`
 	Turns []turnRec `json:"turns"`
+	// tree, when the state is a live Entry's, is the version tree of a
+	// prefix of Turns that the version store already holds (and, when it
+	// covers all of them, of Focus): where encodeSessionTree starts from.
+	// It is no part of the document.
+	tree *sessionTree
 }
 
 // writeSnapshot atomically replaces the snapshot at path.

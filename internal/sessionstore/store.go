@@ -161,7 +161,7 @@ type shard struct {
 }
 
 // Entry is one live session. The turn lock (Do) serializes turns
-// within the session; committed/focus/lastActive are guarded by the
+// within the session; committed/focus/lastActive/tree are guarded by the
 // owning shard's mutex and describe only durably-committed state, so
 // snapshot compaction never observes a half-applied turn.
 type Entry struct {
@@ -174,6 +174,15 @@ type Entry struct {
 	committed  []turnRec
 	focus      string
 	lastActive time.Duration
+	// tree is committed's version tree as of the last session version
+	// this Entry committed (versioned.go); nil until it commits one, so
+	// a recovered or installed session pays one full encode.
+	tree *sessionTree
+}
+
+// snap is the entry's committed state. Caller holds the shard's mutex.
+func (e *Entry) snap() sessionSnap {
+	return sessionSnap{ID: e.ID, Num: e.num, Focus: e.focus, Turns: e.committed, tree: e.tree}
 }
 
 // Do runs fn with the session's turn lock held. All reads and writes
@@ -601,9 +610,7 @@ func (sh *shard) sessionIDs() []string {
 func (sh *shard) buildSnapshot() snapshot {
 	snap := snapshot{MaxNum: sh.maxNum, ShipSeq: sh.cursor()}
 	for _, id := range sh.sessionIDs() {
-		e := sh.sessions[id]
-		snap.Sessions = append(snap.Sessions, sessionSnap{
-			ID: e.ID, Num: e.num, Focus: e.focus, Turns: e.committed})
+		snap.Sessions = append(snap.Sessions, sh.sessions[id].snap())
 	}
 	for id := range sh.tombstones {
 		snap.Tombstones = append(snap.Tombstones, id)

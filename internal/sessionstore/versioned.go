@@ -12,13 +12,27 @@ package sessionstore
 //	              shard's durable state at the ship horizon, the unit
 //	              replicas catch up on via chunk negotiation.
 //
-// Transcripts chunk into groups of turnsPerChunk turns, so appending
-// a turn pair rewrites only the tail chunk plus the session node —
-// every earlier full chunk is shared byte-for-byte with the previous
-// version. A shard tree references its session nodes, so a compaction
-// after light traffic shares every untouched session with the
-// previous compaction's tree, and a replica that installed that one
-// only fetches the delta.
+// A transcript is cut where its turn count says, and nowhere else: every
+// full window of turnsPerChunk turns is one sealed "turns" chunk, and
+// the open window after the last one is a run of small chunks of
+// openUnit turns — a pair each — all listed flat under the session
+// node. Appending a pair therefore writes that pair's chunk and the
+// session node; the turn that fills the window writes the window's one
+// sealed chunk in place of its pair chunks, once; and every chunk before
+// the one a turn added is shared byte for byte with the previous
+// version. The cuts being a function of the count, two stores that hold
+// the same transcript hold the same tree — what recovery's redo and a
+// replica's replay stand on. The reader (decodeSessionTree) concatenates
+// whatever turns chunks a node lists, so the trees older code wrote —
+// sealed windows and one growing tail chunk — read through the same
+// loop, and a session that has one gets the layout above at its next
+// turn, sharing its sealed chunks. Each Entry remembers the chunks of
+// its last committed version (sessionTree), so a version encodes and
+// hashes only what the turn added, whatever the transcript's length.
+// A shard tree references its session nodes, so a compaction after
+// light traffic shares every untouched session with the previous
+// compaction's tree, and a replica that installed that one only fetches
+// the delta.
 //
 // Version maintenance is an annotation on the durability path, never
 // a gate on it: vstore failures are recorded (surfaced by
@@ -48,8 +62,13 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// turnsPerChunk is the transcript chunking unit.
-const turnsPerChunk = 32
+// turnsPerChunk is how many turns a sealed chunk holds — a full window
+// of the transcript — and openUnit how many a chunk of the open window
+// after the last full one does: the pair a turn commits.
+const (
+	turnsPerChunk = 32
+	openUnit      = 2
+)
 
 // SessionRoot names the vstore root tracking a session's transcript.
 func SessionRoot(id string) string { return "session/" + id }
@@ -96,34 +115,63 @@ type shardData struct {
 	Tombstones []string `json:"tombstones,omitempty"`
 }
 
+// sessionTree is a session's tree as a committed version left it in the
+// version store: what the next encode need not marshal or hash again.
+type sessionTree struct {
+	turns int           // it covers the transcript's first turns turns
+	refs  []vstore.Hash // their turns chunks, in transcript order
+	sess  vstore.Hash   // the session node over them
+}
+
 // encodeSessionTree stages a transcript as a Merkle tree and returns
-// the session node's address.
-func encodeSessionTree(b *vstore.Batch, ss sessionSnap) (vstore.Hash, error) {
-	var refs []vstore.Hash
-	for lo := 0; lo < len(ss.Turns); lo += turnsPerChunk {
-		hi := lo + turnsPerChunk
-		if hi > len(ss.Turns) {
-			hi = len(ss.Turns)
+// it. A chunk that ss.tree — the tree of a prefix of ss.Turns, already
+// in the store — cuts at the same turns is referenced, not staged: with
+// it the encode costs what lies past that prefix, without it the whole
+// transcript, and the hashes are the same either way.
+func encodeSessionTree(b *vstore.Batch, ss sessionSnap) (*sessionTree, error) {
+	n, memo := len(ss.Turns), ss.tree
+	if memo != nil && memo.turns == n {
+		return memo, nil // the focus moves only with a turn
+	}
+	sealed := n - n%turnsPerChunk
+	refs := make([]vstore.Hash, 0, sealed/turnsPerChunk+(n-sealed+openUnit-1)/openUnit)
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		if hi = lo + turnsPerChunk; lo >= sealed {
+			hi = min(lo+openUnit, n)
+		}
+		if memo != nil && hi <= memo.turns {
+			// Cut the same at both counts, and at the same place in the
+			// list: a sealed window, or a whole unit of the window that
+			// both leave open.
+			refs = append(refs, memo.refs[len(refs)])
+			continue
 		}
 		data, err := json.Marshal(ss.Turns[lo:hi])
 		if err != nil {
-			return "", fmt.Errorf("sessionstore: encode turn chunk: %w", err)
+			return nil, fmt.Errorf("sessionstore: encode turn chunk: %w", err)
 		}
 		h, err := b.Put("turns", nil, data)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		refs = append(refs, h)
 	}
-	meta := sessData{ID: ss.ID, Num: ss.Num, Focus: ss.Focus, Turns: len(ss.Turns), Per: turnsPerChunk}
+	meta := sessData{ID: ss.ID, Num: ss.Num, Focus: ss.Focus, Turns: n, Per: turnsPerChunk}
 	data, err := json.Marshal(meta)
 	if err != nil {
-		return "", fmt.Errorf("sessionstore: encode session node: %w", err)
+		return nil, fmt.Errorf("sessionstore: encode session node: %w", err)
 	}
-	return b.Put("sess", refs, data)
+	sess, err := b.Put("sess", refs, data)
+	if err != nil {
+		return nil, err
+	}
+	return &sessionTree{turns: n, refs: refs, sess: sess}, nil
 }
 
-// decodeSessionTree rebuilds a transcript from a session node.
+// decodeSessionTree rebuilds a transcript from a session node: the
+// turns chunks it lists, however they were cut, end to end. The chunks
+// may be a peer's, so a node or chunk that no encoder writes is an error
+// naming it.
 func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 	var meta sessData
 	kind, err := vs.Data(h, &meta)
@@ -132,6 +180,9 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 	}
 	if kind != "sess" {
 		return sessionSnap{}, fmt.Errorf("sessionstore: chunk %s is %q, want sess", h, kind)
+	}
+	if meta.Per <= 0 || meta.Turns < 0 {
+		return sessionSnap{}, fmt.Errorf("sessionstore: session node %s says %d turns in chunks of %d", h, meta.Turns, meta.Per)
 	}
 	refs, err := vs.Refs(h)
 	if err != nil {
@@ -147,6 +198,14 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 		if kind != "turns" {
 			return sessionSnap{}, fmt.Errorf("sessionstore: chunk %s is %q, want turns", ref, kind)
 		}
+		if sub, err := vs.Refs(ref); err != nil {
+			return sessionSnap{}, err
+		} else if len(sub) != 0 {
+			return sessionSnap{}, fmt.Errorf("sessionstore: turns chunk %s has %d refs, want none", ref, len(sub))
+		}
+		if len(turns) == 0 || len(turns) > meta.Per {
+			return sessionSnap{}, fmt.Errorf("sessionstore: turns chunk %s holds %d turns, session node %s allows 1 to %d", ref, len(turns), h, meta.Per)
+		}
 		ss.Turns = append(ss.Turns, turns...)
 	}
 	if len(ss.Turns) != meta.Turns {
@@ -156,16 +215,18 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 }
 
 // encodeShardTree stages a shard snapshot as a Merkle tree and
-// returns the shard node's address.
+// returns the shard node's address. A session whose remembered tree
+// covers its whole transcript costs nothing here: its node is in the
+// store and is referenced as it is.
 func encodeShardTree(b *vstore.Batch, snap snapshot) (vstore.Hash, error) {
 	meta := shardData{MaxNum: snap.MaxNum, ShipSeq: snap.ShipSeq, Tombstones: snap.Tombstones}
 	refs := make([]vstore.Hash, 0, len(snap.Sessions))
 	for _, ss := range snap.Sessions {
-		h, err := encodeSessionTree(b, ss)
+		tree, err := encodeSessionTree(b, ss)
 		if err != nil {
 			return "", err
 		}
-		refs = append(refs, h)
+		refs = append(refs, tree.sess)
 		meta.IDs = append(meta.IDs, ss.ID)
 	}
 	data, err := json.Marshal(meta)
@@ -175,7 +236,9 @@ func encodeShardTree(b *vstore.Batch, snap snapshot) (vstore.Hash, error) {
 	return b.Put("shard", refs, data)
 }
 
-// decodeShardTree rebuilds a shard snapshot from a shard node.
+// decodeShardTree rebuilds a shard snapshot from a shard node, holding
+// it to what encodeShardTree writes: one session node per id, in the
+// ids' order, no id twice.
 func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 	var meta shardData
 	kind, err := vs.Data(h, &meta)
@@ -193,11 +256,19 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 		return snapshot{}, fmt.Errorf("sessionstore: shard tree %s has %d sessions, node says %d", h, len(refs), len(meta.IDs))
 	}
 	snap := snapshot{MaxNum: meta.MaxNum, ShipSeq: meta.ShipSeq, Tombstones: meta.Tombstones}
-	for _, ref := range refs {
+	seen := make(map[string]bool, len(refs))
+	for i, ref := range refs {
 		ss, err := decodeSessionTree(vs, ref)
 		if err != nil {
 			return snapshot{}, err
 		}
+		if ss.ID != meta.IDs[i] {
+			return snapshot{}, fmt.Errorf("sessionstore: shard node %s lists session %q at %d, session node %s there is %q", h, meta.IDs[i], i, ref, ss.ID)
+		}
+		if seen[ss.ID] {
+			return snapshot{}, fmt.Errorf("sessionstore: shard node %s lists session %q twice", h, ss.ID)
+		}
+		seen[ss.ID] = true
 		snap.Sessions = append(snap.Sessions, ss)
 	}
 	return snap, nil
@@ -232,22 +303,25 @@ func (sh *shard) flushVersions() error {
 // commitSessionVersion commits the session's transcript tree at its
 // current committed turn count, as one journal append and no fsync —
 // the WAL record that produced this state is already flushed and
-// rebuilds the version if a power cut takes it. Caller holds sh.mu.
-// Failures are recorded on the shard, never returned to the durability
-// path.
+// rebuilds the version if a power cut takes it — and, once the store
+// has taken it, remembers the tree for the next one to build on; a
+// failed commit leaves e.tree at the last version that landed, whose
+// chunks the root's head still reaches. Caller holds sh.mu. Failures
+// are recorded on the shard, never returned to the durability path.
 func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
 	if vs == nil {
 		return
 	}
-	ss := sessionSnap{ID: e.ID, Num: e.num, Focus: e.focus, Turns: e.committed}
 	b := vs.NewBatch()
-	tree, err := encodeSessionTree(b, ss)
+	tree, err := encodeSessionTree(b, e.snap())
 	if err == nil {
-		_, err = b.CommitUnsynced(SessionRoot(e.ID), tree, len(e.committed))
+		_, err = b.CommitUnsynced(SessionRoot(e.ID), tree.sess, len(e.committed))
 	}
 	if err != nil {
 		sh.versionErr = fmt.Errorf("sessionstore: version session %s: %w", e.ID, err)
+		return
 	}
+	e.tree = tree
 }
 
 // commitShardVersion commits the shard snapshot tree at its ship

@@ -272,6 +272,104 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	}
 }
 
+// TestCatchUpIsNoDeeperAndShipsNoMore: the per-pair open window lists its
+// chunks flat under the session node, so a snapshot catch-up descends
+// commit → shard → sess → turns and no further — four have/want rounds
+// for a replica that holds nothing, whether a session is mid-window,
+// exactly at a fold or past one — and because the cut is a function of
+// the turn count, a replica that replayed the same records has derived
+// every session chunk itself: sent below the horizon again (a restarted
+// router's cursor of 0 does that), it wants the shard node and its
+// commit, and nothing else.
+func TestCatchUpIsNoDeeperAndShipsNoMore(t *testing.T) {
+	open := func() (*Store, *vstore.Store) {
+		vs := vstore.NewMemory()
+		st, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1 << 20, Versions: vs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := st.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+		return st, vs
+	}
+	primary, vsP := open()
+	follower, vsF := open() // replays every record as a frame
+	fresh, vsN := open()    // holds nothing
+	var ids []string
+	for _, pairs := range []int{20, 3, 16} { // past a fold and mid-window; mid-window; exactly at a fold
+		e, err := primary.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.ID)
+		for j := 0; j < pairs; j++ {
+			commitPair(t, primary, e, fmt.Sprintf("%s q%d", e.ID, j), fmt.Sprintf("a%d", j), 0.5)
+			if j%5 == 4 {
+				shipAll(t, primary, follower, 3)
+			}
+		}
+	}
+	shipAll(t, primary, follower, 3)
+	if err := primary.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := primary.PullFrames(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.SnapshotRoot == "" || len(b.Frames) != 0 {
+		t.Fatalf("pull below the horizon: root %q and %d frames, want the snapshot root alone", b.SnapshotRoot, len(b.Frames))
+	}
+	// The driver's loop (cluster.negotiateChunks), counted.
+	negotiate := func(vs *vstore.Store) (rounds, moved int) {
+		for {
+			want := vs.WantList(vstore.Hash(b.SnapshotRoot), 0)
+			if len(want) == 0 {
+				return rounds, moved
+			}
+			packets, err := vsP.Packets(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vs.AddPackets(packets); err != nil {
+				t.Fatal(err)
+			}
+			rounds, moved = rounds+1, moved+len(packets)
+		}
+	}
+	// Commit, shard node, three session nodes; one sealed chunk and four
+	// pairs, three pairs, one sealed chunk.
+	if rounds, moved := negotiate(vsN); rounds != 4 || moved != 2+3+5+3+1 {
+		t.Errorf("a replica that held nothing negotiated %d chunks in %d rounds, want 14 in 4", moved, rounds)
+	}
+	if rounds, moved := negotiate(vsF); rounds != 2 || moved != 2 {
+		t.Errorf("a replica that had replayed every record negotiated %d chunks in %d rounds, want the commit and the shard node in 2", moved, rounds)
+	}
+	for _, replica := range []*Store{fresh, follower} {
+		if err := replica.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.DeferredError(0); err != nil {
+			t.Fatal(err)
+		}
+		assertMirrors(t, primary, replica, ids)
+	}
+	for _, id := range ids {
+		want, err := vsP.Head(SessionRoot(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, vs := range map[string]*vstore.Store{"fresh": vsN, "follower": vsF} {
+			if got, err := vs.Head(SessionRoot(id)); err != nil || got.Tree != want.Tree || got.Turn != want.Turn {
+				t.Errorf("the %s replica's head of %s = %+v, %v; the primary's tree is %s at turn %d", name, id, got, err, want.Tree, want.Turn)
+			}
+		}
+	}
+}
+
 // TestVersionedBatchOnUnversionedReplica pins the mixed-deployment
 // behavior: the apply fails typed (ErrNoVersions) instead of
 // installing garbage, and the driver can fall back to inline
@@ -374,20 +472,35 @@ func TestVersionedStoreSurvivesRestart(t *testing.T) {
 
 // journalProbe is a vstore fault hook that also rides the journal's
 // crash seam (and, as a Config.Faults, the WAL's): it counts appends
-// and their bytes, tears the next one in half once tearNext is set —
-// which kills the log — and runs onCommit at the "vstore.commit"
-// consult, after a version's tree is encoded and before its commit
-// takes the store lock.
+// and their bytes and the chunks encoded (the "vstore.put" consult:
+// one per chunk marshalled and hashed, new to the store or not), tears
+// the next append in half once tearNext is set — which kills the log —
+// and, at the "vstore.commit" consult, after a version's tree is encoded
+// and before its commit takes the store lock, runs onCommit and then
+// fails the commit once if failCommit is set, which kills nothing.
 type journalProbe struct {
-	appends  int
-	bytes    int64
-	tearNext bool
-	onCommit func()
+	appends    int
+	bytes      int64
+	puts       int
+	tearNext   bool
+	failCommit bool
+	onCommit   func()
 }
 
+var errProbeCommit = errors.New("journalProbe: injected commit failure")
+
 func (p *journalProbe) Inject(op string) error {
-	if op == "vstore.commit" && p.onCommit != nil {
-		p.onCommit()
+	switch op {
+	case "vstore.put":
+		p.puts++
+	case "vstore.commit":
+		if p.onCommit != nil {
+			p.onCommit()
+		}
+		if p.failCommit {
+			p.failCommit = false
+			return errProbeCommit
+		}
 	}
 	return nil
 }
@@ -463,6 +576,49 @@ func TestGCBetweenSessionEncodeAndCommit(t *testing.T) {
 	}
 	if got := Transcript(sess); got != transcriptOf(t, e) {
 		t.Fatalf("as-of transcript after the raced commit:\n got: %q\nwant: %q", got, transcriptOf(t, e))
+	}
+
+	// From here the session's tree is remembered turn to turn, and the
+	// chunks it remembers are referenced by the next version, never put
+	// again — nothing re-touches their GC epoch. They live because the
+	// root's head reaches them: with the log cut to that head and a sweep
+	// run before every turn and again between its encode and its commit,
+	// across the fold at turn 32 (whose pair chunks the sweep then takes),
+	// every head keeps its whole tree.
+	retain := func() {
+		if err := vs.TruncateLog(SessionRoot(e.ID), 1); err != nil {
+			t.Errorf("TruncateLog: %v", err)
+		}
+		if _, err := vs.GC(); err != nil {
+			t.Errorf("GC: %v", err)
+		}
+	}
+	for j := 2; j < 20; j++ {
+		retain()
+		probe.onCommit = func() {
+			probe.onCommit = nil
+			retain()
+			rounds++
+		}
+		commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
+		if err := st.DeferredError(0); err != nil {
+			t.Fatalf("turn pair %d: version error: %v", j, err)
+		}
+		turns := 2 * (j + 1)
+		head, err := vs.Head(SessionRoot(e.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree := peek(st, e.ID).tree; tree == nil || tree.turns != turns || tree.sess != head.Tree {
+			t.Fatalf("turn pair %d: the entry remembers %+v, the head is %+v", j, tree, head)
+		}
+		sess, _, err := st.TranscriptAsOf(e.ID, turns)
+		if head.Turn != turns || !vs.HasClosure(head.Hash) || err != nil || Transcript(sess) != transcriptOf(t, e) {
+			t.Fatalf("turn pair %d after retention: head %+v, closure whole = %v, as-of read %v; want turn %d and the transcript", j, head, vs.HasClosure(head.Hash), err, turns)
+		}
+	}
+	if rounds != 2+18 {
+		t.Fatalf("GC ran %d times between an encode and its commit, want 20", rounds)
 	}
 }
 

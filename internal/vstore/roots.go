@@ -178,20 +178,6 @@ func (s *Store) AsOf(root string, turn int) (Commit, error) {
 	return Commit{}, fmt.Errorf("vstore: root %q has no commit at or before turn %d", root, turn)
 }
 
-// CommitByHash finds a commit entry anywhere in the root logs.
-func (s *Store) CommitByHash(h Hash) (Commit, string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, name := range s.rootNamesLocked() {
-		for _, c := range s.roots[name] {
-			if c.Hash == h {
-				return c, name, nil
-			}
-		}
-	}
-	return Commit{}, "", fmt.Errorf("vstore: no root commit %s", h)
-}
-
 // DeleteRoot drops a root's log (its chunks become GC candidates) and
 // durably records the change.
 func (s *Store) DeleteRoot(root string) error {

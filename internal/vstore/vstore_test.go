@@ -114,10 +114,6 @@ func TestCommitLogAndAsOf(t *testing.T) {
 	if _, err := s.Commit("db/main", Hash("beef"), 9); !errors.Is(err, ErrUnknownChunk) {
 		t.Fatalf("Commit(absent tree) err = %v, want ErrUnknownChunk", err)
 	}
-	got, name, err := s.CommitByHash(c2.Hash)
-	if err != nil || name != "db/main" || got.Turn != 3 {
-		t.Fatalf("CommitByHash = %+v, %q, %v", got, name, err)
-	}
 }
 
 func TestDurabilityAcrossReopen(t *testing.T) {

@@ -38,15 +38,20 @@
 #                      PR (check.yml build-test: go test -race
 #                      ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore, ~1 min), since tier-1
-#                      has no -race. FuzzScan, FuzzJournalOpen and
-#                      FuzzDecodeLeaf run their seed corpora here; the
-#                      nightly full-check job in
+#                      has no -race. FuzzScan, FuzzJournalOpen,
+#                      FuzzDecodeLeaf and FuzzDecodeSessionTree (seeded
+#                      from the chunks of sessionstore's format-v2,
+#                      tree-v2 and tree-v3 fixtures) run their seed
+#                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
-#                      journal decoder and the column-leaf decoder for
-#                      30 s each (go test ./internal/vstore -run '^$'
+#                      journal decoder, the column-leaf decoder and the
+#                      session-tree decoder for 30 s each (go test
+#                      ./internal/vstore -run '^$'
 #                      -fuzz=FuzzJournalOpen -fuzztime=30s
 #                      -fuzzminimizetime=2s; the same with
-#                      -fuzz=FuzzDecodeLeaf).
+#                      -fuzz=FuzzDecodeLeaf, and in
+#                      ./internal/sessionstore with
+#                      -fuzz=FuzzDecodeSessionTree).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a

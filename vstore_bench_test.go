@@ -1,19 +1,26 @@
 package cda
 
-// vstore_bench_test.go holds the one versioned-store micro-benchmark
-// cdaload does not isolate: BenchmarkVstoreCommitDelta, commit latency
+// vstore_bench_test.go holds the two versioned-store micro-benchmarks
+// cdaload does not isolate. BenchmarkVstoreCommitDelta: commit latency
 // as a function of how many rows changed since the previous version
 // (1/16/256 of a 4096-row table). Structural sharing should make the
 // cost scale with the delta, not the table — the chunks/op and
 // journal-B/op metrics (chunks a commit adds to the store, and the
 // payload bytes they put in the journal) make the shape visible in
 // benchmark output, and ROADMAP's "commit CPU O(delta)" rung is judged
-// on it.
+// on it. BenchmarkSessionVersionCommit: what a committed turn costs —
+// WAL record and session version, no fsync — as a function of how long
+// the transcript already is (4/64/512 pairs); a version encodes the pair
+// the turn added from the tree the session remembers, so time, bytes
+// allocated and journal-B/op should read flat across the three.
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -106,4 +113,78 @@ func addedBytes(b *testing.B, s *vstore.Store, root string) int {
 		}
 	}
 	return total
+}
+
+// sessionBenchTurns is how many turns one warmed-up session is timed for
+// before the next is built: the transcript stays within 64 pairs of the
+// length the sub-benchmark names.
+const sessionBenchTurns = 64
+
+func BenchmarkSessionVersionCommit(b *testing.B) {
+	for _, pairs := range []int{4, 64, 512} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			var st *sessionstore.Store
+			var vs *vstore.Store
+			var e *sessionstore.Entry
+			var journal int64
+			turn := func(j int) {
+				err := e.Do(func(sess *dialogue.Session) error {
+					sess.CommitTurn(fmt.Sprintf("how many employment where canton is Zurich in %04d", j), dialogue.IntentQuery,
+						fmt.Sprintf("There are %05d rows of employment where canton is Zurich; the figure comes from employment.csv, filtered on canton = 'Zurich'.", j), 0.83)
+					return st.CommitTurn(e)
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			// closeStores ends the timed stretch of one session and counts
+			// what it put in the journal; the timer is stopped.
+			closeStores := func(base int64) {
+				_, size := vs.JournalSynced()
+				journal += size - base
+				if err := st.DeferredError(0); err != nil {
+					b.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := vs.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var base int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%sessionBenchTurns == 0 {
+					b.StopTimer()
+					if st != nil {
+						closeStores(base)
+					}
+					dir := b.TempDir()
+					var err error
+					if vs, err = vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")}); err != nil {
+						b.Fatal(err)
+					}
+					// No compaction inside the measurement: a snapshot
+					// document is O(transcript) by design.
+					st, err = sessionstore.Open(sessionstore.Config{Dir: dir, Shards: 1, SnapshotEvery: 1 << 30, NoFsync: true, Versions: vs})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if e, err = st.NewSession(); err != nil {
+						b.Fatal(err)
+					}
+					for j := 0; j < pairs; j++ {
+						turn(j)
+					}
+					_, base = vs.JournalSynced()
+					b.StartTimer()
+				}
+				turn(pairs + i%sessionBenchTurns)
+			}
+			b.StopTimer()
+			closeStores(base)
+			b.ReportMetric(float64(journal)/float64(b.N), "journal-B/op")
+		})
+	}
 }
