@@ -1,6 +1,7 @@
-// Command cdabench regenerates every experiment in EXPERIMENTS.md
-// (E1–E8) and prints the result tables. Use -only to run a subset and
-// -quick for smaller workloads.
+// Command cdabench regenerates the experiments in EXPERIMENTS.md and
+// prints the result tables. Use -only to run a subset and -quick for
+// smaller workloads; `cdabench -h` lists the experiment ids, from the
+// same list that runs them.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,27 +21,39 @@ import (
 	"github.com/reliable-cda/cda/internal/workload"
 )
 
-func main() {
-	ctx := context.Background()
-	only := flag.String("only", "", "comma-separated experiment ids (e1..e8); empty = all")
-	quick := flag.Bool("quick", false, "smaller workloads for a fast smoke run")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
-
+// selectIDs parses an -only list against the runner ids: empty selects
+// everything, an id no runner has is an error naming the ones there
+// are.
+func selectIDs(ids []string, only string) (map[string]bool, error) {
 	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.ToLower(strings.TrimSpace(id))] = true
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		if id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(ids, ", "))
+		}
+		selected[id] = true
+	}
+	if len(selected) == 0 {
+		for _, id := range ids {
+			selected[id] = true
 		}
 	}
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
+	return selected, nil
+}
 
-	scale := 1.0
-	if *quick {
-		scale = 0.2
-	}
+func main() {
+	ctx := context.Background()
+	quick := flag.Bool("quick", false, "smaller workloads for a fast smoke run")
+	seed := flag.Int64("seed", 1, "random seed")
+
 	n := func(full int) int {
-		v := int(float64(full) * scale)
+		v := full
+		if *quick {
+			v = int(float64(full) * 0.2)
+		}
 		if v < 20 {
 			v = 20
 		}
@@ -153,8 +167,20 @@ func main() {
 		}},
 	}
 
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.id
+	}
+	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(ids, ", ")+"); empty = all")
+	flag.Parse()
+	selected, err := selectIDs(ids, *only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cdabench: %v\n", err)
+		os.Exit(2)
+	}
+
 	for _, r := range runners {
-		if !want(r.id) {
+		if !selected[r.id] {
 			continue
 		}
 		start := time.Now() // cdalint:ignore nondeterminism -- reports real wall-clock runtime, not a measured result

@@ -17,7 +17,6 @@
 //
 //	-only a,b    run only the named analyzers
 //	-skip a,b    run every analyzer except the named ones
-//	-rules a,b   legacy alias for -only
 //	-tests       also lint in-package _test.go files
 //	-list        print the available analyzers and exit
 //	-werror      treat warnings as fatal (default true)
@@ -37,7 +36,6 @@ import (
 var (
 	only   = flag.String("only", "", "comma-separated analyzer names to run (default all)")
 	skip   = flag.String("skip", "", "comma-separated analyzer names to exclude")
-	rules  = flag.String("rules", "", "legacy alias for -only")
 	tests  = flag.Bool("tests", false, "also lint in-package _test.go files")
 	list   = flag.Bool("list", false, "list available analyzers and exit")
 	werror = flag.Bool("werror", true, "exit nonzero on warnings too")
@@ -53,14 +51,7 @@ func main() {
 		return
 	}
 
-	onlyArg := *only
-	if *rules != "" {
-		if onlyArg != "" {
-			fatalf("cdalint: -rules is a legacy alias for -only; pass one of them, not both")
-		}
-		onlyArg = *rules
-	}
-	analyzers, err := selectAnalyzers(analysis.Analyzers(), onlyArg, *skip)
+	analyzers, err := selectAnalyzers(analysis.Analyzers(), *only, *skip)
 	if err != nil {
 		fatalf("cdalint: %v", err)
 	}

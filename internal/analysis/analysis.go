@@ -92,8 +92,9 @@ type Module struct {
 }
 
 // Lockset runs the module-wide lockset analysis once and caches the
-// result: the three cdarace rules all read from it, so enabling one
-// or all of them costs a single interprocedural fixed point.
+// result: the three cdarace rules and lock-flow all read from it, so
+// enabling one or all of them costs a single interprocedural fixed
+// point.
 func (m *Module) Lockset() *lockset.Result {
 	m.locksetOnce.Do(func() {
 		m.lockset = lockset.Analyze(m.Graph)

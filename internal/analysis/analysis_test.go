@@ -4,7 +4,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -237,21 +239,40 @@ func TestIgnoreScopeMultilineRename(t *testing.T) {
 	}
 }
 
+// moduleLoad is the whole module, loaded once for the tests that lint
+// it.
+var moduleLoad struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("whole-module lint is slow; skipped with -short")
+	}
+	moduleLoad.once.Do(func() {
+		loader, err := NewLoader(".")
+		if err == nil {
+			moduleLoad.pkgs, err = loader.Load("./...")
+		}
+		moduleLoad.err = err
+	})
+	if moduleLoad.err != nil {
+		t.Fatalf("loading module: %v", moduleLoad.err)
+	}
+	if len(moduleLoad.pkgs) < 20 {
+		t.Fatalf("expected to load the whole module, got %d packages", len(moduleLoad.pkgs))
+	}
+	return moduleLoad.pkgs
+}
+
 // TestModuleIsClean lints the entire module with the full suite —
 // the same gate scripts/check.sh enforces. Any finding here means a
 // reliability invariant regressed.
 func TestModuleIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint is slow; skipped with -short")
-	}
-	loader := newTestLoader(t)
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("expected to load the whole module, got %d packages", len(pkgs))
-	}
+	pkgs := loadModule(t)
 	findings := Run(pkgs, Analyzers())
 	for _, f := range findings {
 		t.Errorf("%s", f)
@@ -262,7 +283,70 @@ func TestModuleIsClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerByName covers the lookup used by the -rules flag.
+// TestModuleIgnoresAreLoadBearing is the other half of the gate: every
+// cdalint:ignore in module code must still be suppressing something.
+// The suite runs with directive processing bypassed, and each directive
+// has to cover a raw finding of a rule it names on the lines it spans —
+// so a suppression the engines no longer need fails the build instead
+// of waiting for someone to strip it by hand. The analyzers' own
+// sources are skipped: they spell the directive in prose.
+func TestModuleIgnoresAreLoadBearing(t *testing.T) {
+	pkgs := loadModule(t)
+	type site struct {
+		file string
+		line int
+	}
+	raw := map[site]map[string]bool{}
+	m := NewModule(pkgs)
+	for _, a := range Analyzers() {
+		var fs []Finding
+		if a.RunModule != nil {
+			fs = a.RunModule(m)
+		} else {
+			for _, p := range pkgs {
+				fs = append(fs, a.Run(p)...)
+			}
+		}
+		for _, f := range fs {
+			at := site{f.Pos.Filename, f.Pos.Line}
+			if raw[at] == nil {
+				raw[at] = map[string]bool{}
+			}
+			raw[at][a.Name] = true
+		}
+	}
+	checked := 0
+	for _, p := range pkgs {
+		if strings.Contains(p.Path+"/", "/internal/analysis/") || strings.HasSuffix(p.Path, "/cmd/cdalint") {
+			continue
+		}
+		for _, d := range directivesFor(p) {
+			checked++
+			bearing := false
+			for line := d.first; line <= d.last; line++ {
+				for rule := range raw[site{d.file, line}] {
+					if d.rules["*"] || d.rules[rule] {
+						bearing = true
+					}
+				}
+			}
+			if !bearing {
+				rules := make([]string, 0, len(d.rules))
+				for r := range d.rules {
+					rules = append(rules, r)
+				}
+				sort.Strings(rules)
+				t.Errorf("%s:%d: cdalint:ignore %s suppresses nothing on lines %d-%d: delete the directive",
+					d.file, d.first, strings.Join(rules, ","), d.first, d.last)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("found no directive to check; the module has some")
+	}
+}
+
+// TestAnalyzerByName covers the lookup used by the -only flag.
 func TestAnalyzerByName(t *testing.T) {
 	for _, a := range Analyzers() {
 		if AnalyzerByName(a.Name) != a {

@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkCdalint measures one full-suite analysis pass over the
 // whole module — the exact work scripts/check.sh runs under its
-// 60-second budget. Loading and type-checking the packages happens
+// 15-second budget. Loading and type-checking the packages happens
 // once outside the timer; each iteration re-runs every analyzer,
 // including the module-wide call-graph construction and dataflow
 // fixed points (NewModule is rebuilt per Run call, as in the CLI).

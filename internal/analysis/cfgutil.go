@@ -3,34 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-
-	"github.com/reliable-cda/cda/internal/analysis/typestate"
 )
-
-// buildCFG constructs the typestate control-flow graph for one
-// function body, resolving panic and no-return calls through the
-// package's type information.
-func buildCFG(p *Package, body *ast.BlockStmt) *typestate.CFG {
-	return typestate.Build(body, func(call *ast.CallExpr) typestate.CallKind {
-		return classifyCall(p, call)
-	})
-}
-
-// classifyCall resolves a call's control-flow effect: the builtin
-// panic unwinds, a small set of well-known functions never return,
-// everything else returns normally.
-func classifyCall(p *Package, call *ast.CallExpr) typestate.CallKind {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-			return typestate.CallPanic
-		}
-	}
-	switch calleeFullName(p, call) {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return typestate.CallNoReturn
-	}
-	return typestate.CallNormal
-}
 
 // funcBody is one analyzable body: a declared function/method or a
 // function literal. Literals are separate units because control never

@@ -145,7 +145,7 @@ func (g *Graph) addEdges(fn *types.Func, info *FuncInfo) {
 		case *ast.SelectorExpr:
 			callFuns[fun.Sel] = true
 		}
-		callee := calleeOf(u.Info, call)
+		callee := CalleeOf(u.Info, call)
 		if callee == nil {
 			return true
 		}

@@ -18,8 +18,8 @@
 //   - flow inside a function is object-granular and flow-insensitive:
 //     writing one field of a struct taints the whole object.
 //
-// The engine deliberately over-approximates: for rules that forbid a
-// flow (provenance-taint, lock-flow) this errs toward reporting, and
+// The engine deliberately over-approximates: for a rule that forbids a
+// flow (provenance-taint) this errs toward reporting, and
 // the cdalint:ignore directive is the documented escape hatch.
 package flow
 
@@ -123,9 +123,9 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return types.IsInterface(sig.Recv().Type())
 }
 
-// calleeOf resolves the called function of a call expression, or nil
+// CalleeOf resolves the called function of a call expression, or nil
 // for builtins, conversions, and calls of function-typed values.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return funcObj(info, fun)

@@ -218,7 +218,7 @@ func (ff *funcFlow) assign(info *types.Info, lhs, rhs []ast.Expr) {
 // passed into a call may end up inside any other argument object the
 // callee can write through — e.g. fmt.Fprintf(&sb, tainted)).
 func (ff *funcFlow) addCall(info *types.Info, call *ast.CallExpr) {
-	cs := &callSite{call: call, callee: calleeOf(info, call)}
+	cs := &callSite{call: call, callee: CalleeOf(info, call)}
 	if cs.callee != nil {
 		cs.iface = isInterfaceMethod(cs.callee)
 	}

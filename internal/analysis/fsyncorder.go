@@ -52,7 +52,7 @@ func fsyncOrderBody(p *Package, fb funcBody) []Finding {
 	var out []Finding
 	reported := map[token.Pos]bool{}
 
-	cfg := buildCFG(p, fb.body)
+	cfg := typestate.BuildTyped(p.Info, fb.body)
 	typestate.Forward(cfg, typestate.Analysis{
 		Transfer: func(n ast.Node, s typestate.State) {
 			if as, ok := n.(*ast.AssignStmt); ok {

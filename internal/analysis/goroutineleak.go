@@ -72,7 +72,7 @@ func checkGoroutine(p *Package, gs *ast.GoStmt, fl *ast.FuncLit) []Finding {
 	if glContextBounded(p, fl.Body) {
 		return nil
 	}
-	cfg := buildCFG(p, fl.Body)
+	cfg := typestate.BuildTyped(p.Info, fl.Body)
 	res := typestate.Forward(cfg, typestate.Analysis{
 		Init: typestate.State{glKey{}: glPending},
 		Transfer: func(n ast.Node, s typestate.State) {

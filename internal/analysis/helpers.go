@@ -6,6 +6,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"github.com/reliable-cda/cda/internal/analysis/flow"
 )
 
 // errorType is the predeclared error interface.
@@ -33,17 +35,7 @@ func funcDecls(p *Package) []*ast.FuncDecl {
 // calleeFunc resolves a call expression to the *types.Func it
 // invokes, or nil for builtins, conversions, and function values.
 func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := p.Info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
+	return flow.CalleeOf(p.Info, call)
 }
 
 // calleeFullName returns the types.Func full name of the callee
@@ -63,19 +55,6 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 		return "<expr>"
 	}
 	return sb.String()
-}
-
-// derefStruct returns the underlying struct type of t, unwrapping
-// one level of pointer, or nil.
-func derefStruct(t types.Type) *types.Struct {
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, _ := t.Underlying().(*types.Struct)
-	return st
 }
 
 // namedPathName returns (package path, type name) of a named or

@@ -13,12 +13,41 @@ const ignoreDirective = "cdalint:ignore"
 // wildcard rule "*" suppresses everything on that line.
 type ignoreSet map[string]map[int]map[string]bool
 
-// ignoresFor scans a package's comments for cdalint:ignore
+// directive is one cdalint:ignore comment: the rules it names ("*" for
+// all) and the lines it covers.
+type directive struct {
+	file        string
+	first, last int
+	rules       map[string]bool
+}
+
+// ignoresFor indexes a package's directives by covered line.
+func ignoresFor(p *Package) ignoreSet {
+	set := ignoreSet{}
+	for _, d := range directivesFor(p) {
+		byLine := set[d.file]
+		if byLine == nil {
+			byLine = map[int]map[string]bool{}
+			set[d.file] = byLine
+		}
+		for line := d.first; line <= d.last; line++ {
+			if byLine[line] == nil {
+				byLine[line] = map[string]bool{}
+			}
+			for r := range d.rules {
+				byLine[line][r] = true
+			}
+		}
+	}
+	return set
+}
+
+// directivesFor scans a package's comments for cdalint:ignore
 // directives. A directive applies to its own line (end-of-line
 // placement) and to the following line (preceding-comment
 // placement).
-func ignoresFor(p *Package) ignoreSet {
-	set := ignoreSet{}
+func directivesFor(p *Package) []directive {
+	var out []directive
 	for _, f := range p.Files {
 		ends := stmtEndsByLine(p.Fset, f)
 		for _, cg := range f.Comments {
@@ -36,13 +65,7 @@ func ignoresFor(p *Package) ignoreSet {
 				if cut := strings.Index(rest, "--"); cut >= 0 {
 					rest = rest[:cut]
 				}
-				rules := parseRuleList(rest)
 				pos := p.Fset.Position(c.Pos())
-				byLine := set[pos.Filename]
-				if byLine == nil {
-					byLine = map[int]map[string]bool{}
-					set[pos.Filename] = byLine
-				}
 				// The directive covers its own line (end-of-line
 				// placement) and, when it heads a comment group, every
 				// line through the one after the group (preceding-
@@ -57,18 +80,11 @@ func ignoresFor(p *Package) ignoreSet {
 						last = end
 					}
 				}
-				for line := pos.Line; line <= last; line++ {
-					if byLine[line] == nil {
-						byLine[line] = map[string]bool{}
-					}
-					for r := range rules {
-						byLine[line][r] = true
-					}
-				}
+				out = append(out, directive{file: pos.Filename, first: pos.Line, last: last, rules: parseRuleList(rest)})
 			}
 		}
 	}
-	return set
+	return out
 }
 
 // stmtEndsByLine maps the line a simple (non-block) statement starts

@@ -1,8 +1,8 @@
 // Package lockset implements the interprocedural lockset engine under
 // the cdarace rule family (racy-access, atomic-plain-mix,
-// guard-escape): a module-wide static race analysis that composes the
-// flow package's call graph with the typestate package's per-function
-// control-flow graphs.
+// guard-escape) and lock-flow: a module-wide static race and
+// self-deadlock analysis that composes the flow package's call graph
+// with the typestate package's per-function control-flow graphs.
 //
 // The analysis has three layers:
 //
@@ -21,7 +21,19 @@
 //     releases a mutex it never acquired exports a Releases point.
 //     Call sites map the callee's points back through the receiver and
 //     argument expressions, so lock()/unlock() helper pairs — and
-//     helpers calling helpers — keep the caller's lockset exact.
+//     helpers calling helpers — keep the caller's lockset exact. Beside
+//     them a summary carries Locks, every mutex the function may lock
+//     anywhere in its body or through a callee, with the mode: a lock
+//     call, or a call whose mapped Locks hit a key the caller already
+//     holds, is a re-acquisition (Result.Relocks, the lock-flow rule).
+//
+//     The recording pass gives every function a caller-holds
+//     precondition: an unexported function that is only ever called —
+//     never used as a value, never an interface-dispatch target — is
+//     analyzed with the intersection of its call sites' locksets,
+//     mapped into its own receiver/parameter points, as its entry
+//     state. That is what a "caller holds s.mu" comment says, read
+//     off the call sites instead of trusted.
 //
 //  3. Guard inference, field by field: every read or write of a
 //     struct field reachable from a receiver, parameter, or global is
@@ -52,6 +64,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -62,7 +75,8 @@ import (
 // maxRounds bounds the summary fixed point. Acquire propagation alone
 // is monotone, but Releases can shrink downstream locksets, so the
 // combined iteration is cut off deterministically rather than proven
-// convergent; real modules stabilize in two or three rounds.
+// convergent. Functions are summarized callees first, so only
+// recursion needs a second round at all.
 const maxRounds = 8
 
 // parallelPkgSuffix identifies the deterministic worker-pool package.
@@ -88,35 +102,53 @@ const (
 	// held to the end of the function but is released when the
 	// function returns, so it must not appear in the exit summary.
 	deferredRelease
+	// exclusive: taken by Lock (not RLock) on some path.
+	exclusive
 )
 
-// state is the must-lockset at one program point.
-type state map[key]facts
+// hold is what the state knows about one held mutex: its facts and
+// where this body took it. at is NoPos for a lock held only by the
+// caller-holds precondition — the caller took it.
+type hold struct {
+	f  facts
+	at token.Pos
+}
 
-func (s state) clone() state {
+// state is the must-lockset at one program point.
+type state map[key]hold
+
+func (s state) clone() state { return maps.Clone(s) }
+
+// assumed is s as a lockset somebody else took: the same keys with no
+// acquisition site, which is what keeps relocked quiet about them.
+func (s state) assumed() state {
 	out := make(state, len(s))
-	for k, f := range s {
-		out[k] = f
+	for k, h := range s {
+		out[k] = hold{f: h.f}
 	}
 	return out
 }
 
 // meet intersects o into s — the must-analysis join — and reports
 // whether s changed. A key survives only when held on both sides; a
-// deferred release on either side is remembered (conservative for the
-// exit summary: the lock will not outlive the function).
+// deferred release or an exclusive acquisition on either side is
+// remembered (conservative for the exit summary: the lock will not
+// outlive the function), and the earliest acquisition site wins.
 func (s state) meet(o state) bool {
 	changed := false
-	for k, f := range s {
-		of, ok := o[k]
-		if !ok || of&held == 0 {
+	for k, h := range s {
+		oh, ok := o[k]
+		if !ok || oh.f&held == 0 {
 			delete(s, k)
 			changed = true
 			continue
 		}
-		nf := f | (of & deferredRelease)
-		if nf != f {
-			s[k] = nf
+		n := hold{f: h.f | oh.f&(deferredRelease|exclusive), at: h.at}
+		if oh.at != token.NoPos && (n.at == token.NoPos || oh.at < n.at) {
+			n.at = oh.at
+		}
+		if n != h {
+			s[k] = n
 			changed = true
 		}
 	}
@@ -136,6 +168,15 @@ type Point struct {
 	Obj  types.Object
 }
 
+// Mode says how a mutex is taken: RLock is Shared, Lock is Exclusive.
+// A summary point that a function may take either way carries both.
+type Mode uint8
+
+const (
+	Shared Mode = 1 << iota
+	Exclusive
+)
+
 // Summary is one function's interprocedural lock behaviour.
 type Summary struct {
 	// Acquires are mutexes the function locks and still holds on every
@@ -144,27 +185,19 @@ type Summary struct {
 	// Releases are mutexes the function unlocks without having locked
 	// them itself (unlock() helpers).
 	Releases map[Point]bool
+	// Locks are mutexes the function may lock at any point of its
+	// body, directly or through a callee, held at return or not.
+	// Function literals and go-spawned calls do not count: they may
+	// run after the body, or elsewhere.
+	Locks map[Point]Mode
 }
 
 func newSummary() *Summary {
-	return &Summary{Acquires: map[Point]bool{}, Releases: map[Point]bool{}}
+	return &Summary{Acquires: map[Point]bool{}, Releases: map[Point]bool{}, Locks: map[Point]Mode{}}
 }
 
 func summaryEqual(a, b *Summary) bool {
-	if len(a.Acquires) != len(b.Acquires) || len(a.Releases) != len(b.Releases) {
-		return false
-	}
-	for p := range a.Acquires {
-		if !b.Acquires[p] {
-			return false
-		}
-	}
-	for p := range a.Releases {
-		if !b.Releases[p] {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.Acquires, b.Acquires) && maps.Equal(a.Releases, b.Releases) && maps.Equal(a.Locks, b.Locks)
 }
 
 // EscapeKind classifies how a field access leaks its reference.
@@ -223,131 +256,259 @@ type Group struct {
 	Ref bool
 }
 
-// Result is the module-wide analysis output the cdarace rules consume.
+// Relock is one re-acquisition of a mutex the body already holds on
+// every path: sync.Mutex is not reentrant, so the call never returns.
+// RLock under RLock is not one.
+type Relock struct {
+	Unit *flow.Unit
+	// Pos is the lock call, or the call whose callee locks.
+	Pos token.Pos
+	// Callee is the called function that may lock; nil when Pos is the
+	// lock call itself.
+	Callee *types.Func
+	// Lock renders the mutex as the body names it ("c.mu"); HeldAt is
+	// where the body took it.
+	Lock   string
+	HeldAt token.Pos
+}
+
+// Result is the module-wide analysis output the lock rules consume.
 type Result struct {
 	// Summaries maps every declared function to its lock summary.
 	Summaries map[*types.Func]*Summary
 	// Groups lists every accessed shared field, sorted by GroupKey.
 	Groups []*Group
+	// Relocks lists every re-acquisition, in the recording pass's
+	// (deterministic) order.
+	Relocks []*Relock
 }
 
 // engine carries the per-run state.
 type engine struct {
-	g      *flow.Graph
-	sums   map[*types.Func]*Summary
-	cfgs   map[*types.Func]*typestate.CFG
-	groups map[GroupKey]*Group
-
-	// curReleases collects release-at-entry points while replaying one
-	// declared function during summary computation.
-	curFn       *types.Func
-	curReleases map[Point]bool
+	g       *flow.Graph
+	sums    map[*types.Func]*Summary
+	cfgs    map[*ast.BlockStmt]*typestate.CFG
+	pre     map[*types.Func]*precond
+	groups  map[GroupKey]*Group
+	relocks []*Relock
 
 	// fresh holds the current declared function's freshly constructed
 	// locals during the recording pass.
 	fresh map[types.Object]bool
 }
 
-// Analyze runs the full lockset analysis over the module graph.
+// precond tallies the call sites of one candidate for the caller-holds
+// precondition, in the function's own receiver/parameter/global points.
+type precond struct {
+	// uses counts the identifiers naming the function anywhere in the
+	// module. The precondition stands only when the recording pass has
+	// walked that many call sites before it reaches the function: a use
+	// as a value, in a package-level initializer, in a caller analyzed
+	// later (recursion), or anywhere else the walk does not reach is a
+	// caller nobody checked.
+	uses  int
+	seen  int           // call sites walked so far
+	sites map[int]int   // per operand index: those whose operand is not rooted at a fresh local
+	held  map[Point]int // per point: those that held it
+}
+
+// preconditions picks the candidates: unexported functions with only
+// static call edges. Exported functions have callers outside the
+// loaded packages; an interface-dispatch target or a function used as
+// a value is called from places no call site names.
+func preconditions(g *flow.Graph) map[*types.Func]*precond {
+	pre := map[*types.Func]*precond{}
+candidates:
+	for fn := range g.Funcs {
+		if fn.Exported() {
+			continue
+		}
+		for _, e := range g.Callers[fn] {
+			if e.Kind != flow.EdgeStatic {
+				continue candidates
+			}
+		}
+		pre[fn] = &precond{sites: map[int]int{}, held: map[Point]int{}}
+	}
+	for _, u := range g.Units {
+		for _, obj := range u.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && pre[fn] != nil {
+				pre[fn].uses++
+			}
+		}
+	}
+	return pre
+}
+
+// Analyze runs the full lockset analysis over the module graph:
+// summaries to a fixed point, callees first, then one recording pass,
+// callers first — so that by the time a function is recorded every
+// call site of it has been, with its lockset, and what they all held
+// is the function's entry state. Helpers that call helpers need no
+// iteration; a recursive one simply has a call site not yet walked and
+// keeps the empty entry.
 func Analyze(g *flow.Graph) *Result {
 	e := &engine{
 		g:      g,
 		sums:   map[*types.Func]*Summary{},
-		cfgs:   map[*types.Func]*typestate.CFG{},
+		cfgs:   map[*ast.BlockStmt]*typestate.CFG{},
+		pre:    preconditions(g),
 		groups: map[GroupKey]*Group{},
 	}
-	fns := e.sortedFuncs()
-	for _, fn := range fns {
+	fns := e.calleesFirst()
+	index := make(map[*types.Func]int, len(fns))
+	for i, fn := range fns {
 		e.sums[fn] = newSummary()
+		index[fn] = i
 	}
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, fn := range fns {
-			ns := e.computeSummary(fn)
-			if !summaryEqual(e.sums[fn], ns) {
-				e.sums[fn] = ns
-				changed = true
+	for round, again := 0, true; again && round < maxRounds; round++ {
+		again = false
+		for i, fn := range fns {
+			ns := newSummary()
+			if !e.lockFree(fn) {
+				ns = e.computeSummary(fn)
+			}
+			if summaryEqual(e.sums[fn], ns) {
+				continue
+			}
+			e.sums[fn] = ns
+			// Callees come first: only a caller summarized earlier in
+			// this round — recursion — has read the summary this replaces.
+			for _, c := range g.Callers[fn] {
+				if index[c.Caller] <= i {
+					again = true
+				}
 			}
 		}
-		if !changed {
-			break
-		}
 	}
-	for _, fn := range fns {
-		info := e.g.Funcs[fn]
+	for i := len(fns) - 1; i >= 0; i-- {
+		info := e.g.Funcs[fns[i]]
 		e.fresh = freshLocals(info.Unit, info.Decl.Body)
-		e.analyzeBody(info.Unit, fn, info.Decl.Body, state{}, true)
+		e.solveAndReplay(info.Decl.Body, e.entryState(fns[i]), walker{e: e, u: info.Unit, fn: fns[i], rec: true})
 	}
-	e.fresh = nil
 	return e.result()
 }
 
-// sortedFuncs orders the graph's functions deterministically.
-func (e *engine) sortedFuncs() []*types.Func {
-	fns := make([]*types.Func, 0, len(e.g.Funcs))
-	for fn := range e.g.Funcs {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool {
-		a, b := fns[i], fns[j]
-		if a.FullName() != b.FullName() {
-			return a.FullName() < b.FullName()
+// lockFree reports whether nothing fn calls (its literals included) can
+// touch a lockset — no method of a mutex, no function with a summary —
+// so its own summary is empty without walking the body.
+func (e *engine) lockFree(fn *types.Func) bool {
+	for _, edge := range e.g.Edges[fn] {
+		for _, callee := range e.g.CalleesOf(edge) {
+			if recv := callee.Type().(*types.Signature).Recv(); recv != nil && isMutex(recv.Type()) {
+				return false
+			}
+			if sum := e.sums[callee]; sum != nil && len(sum.Locks)+len(sum.Releases) > 0 {
+				return false
+			}
 		}
-		return a.Pos() < b.Pos()
-	})
-	return fns
+	}
+	return true
 }
 
-// cfgFor builds (and caches) the CFG of a declared function.
-func (e *engine) cfgFor(fn *types.Func) *typestate.CFG {
-	if cfg, ok := e.cfgs[fn]; ok {
+// calleesFirst orders the graph's functions deterministically so that,
+// recursion aside, each follows everything it calls: a depth-first
+// post-order over the call edges (interface calls reach every known
+// implementation) from the functions in name order.
+func (e *engine) calleesFirst() []*types.Func {
+	type named struct {
+		name string
+		fn   *types.Func
+	}
+	roots := make([]named, 0, len(e.g.Funcs))
+	for fn := range e.g.Funcs {
+		roots = append(roots, named{fn.FullName(), fn})
+	}
+	sort.Slice(roots, func(i, j int) bool {
+		a, b := roots[i], roots[j]
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.fn.Pos() < b.fn.Pos()
+	})
+	out := make([]*types.Func, 0, len(roots))
+	done := map[*types.Func]bool{}
+	var visit func(fn *types.Func)
+	visit = func(fn *types.Func) {
+		if done[fn] || e.g.Funcs[fn] == nil {
+			return
+		}
+		done[fn] = true
+		for _, edge := range e.g.Edges[fn] {
+			for _, callee := range e.g.CalleesOf(edge) {
+				visit(callee)
+			}
+		}
+		out = append(out, fn)
+	}
+	for _, r := range roots {
+		visit(r.fn)
+	}
+	return out
+}
+
+// cfgFor builds (and caches) the CFG of a function or literal body.
+func (e *engine) cfgFor(u *flow.Unit, body *ast.BlockStmt) *typestate.CFG {
+	if cfg, ok := e.cfgs[body]; ok {
 		return cfg
 	}
-	info := e.g.Funcs[fn]
-	cfg := typestate.Build(info.Decl.Body, func(call *ast.CallExpr) typestate.CallKind {
-		return classifyCall(info.Unit, call)
-	})
-	e.cfgs[fn] = cfg
+	cfg := typestate.BuildTyped(u.Info, body)
+	e.cfgs[body] = cfg
 	return cfg
+}
+
+// entryState is the caller-holds precondition as a lockset in fn's own
+// frame: the points every call site held, once all of them have been
+// walked. The keys carry no acquisition site: the caller took them.
+func (e *engine) entryState(fn *types.Func) state {
+	s := state{}
+	p := e.pre[fn]
+	if p == nil || p.seen != p.uses {
+		return s
+	}
+	sig := fn.Type().(*types.Signature)
+	for pt, n := range p.held {
+		if n != p.sites[pt.Idx] {
+			continue
+		}
+		root := pt.Obj
+		switch {
+		case pt.Idx == -1:
+			root = sig.Recv()
+		case pt.Idx >= 0:
+			root = sig.Params().At(pt.Idx)
+		}
+		s[key{root: root, path: pt.Path}] = hold{f: held}
+	}
+	return s
 }
 
 // computeSummary derives one function's summary from the current
 // round's callee summaries: solve the must-lockset to a fixed point,
-// then replay once to collect release-at-entry points and read the
-// exit lockset.
+// then replay once to collect release-at-entry and may-lock points and
+// read the exit lockset.
 func (e *engine) computeSummary(fn *types.Func) *Summary {
 	info := e.g.Funcs[fn]
-	cfg := e.cfgFor(fn)
-	e.curFn, e.curReleases = fn, map[Point]bool{}
-	exit := e.solveAndReplay(info.Unit, fn, cfg, state{}, false)
 	sum := newSummary()
-	for k, f := range exit {
-		if f&held == 0 || f&deferredRelease != 0 {
+	exit := e.solveAndReplay(info.Decl.Body, state{}, walker{e: e, u: info.Unit, fn: fn, sum: sum})
+	for k, h := range exit {
+		if h.f&held == 0 || h.f&deferredRelease != 0 {
 			continue
 		}
 		if pt, ok := pointFor(fn, k); ok {
 			sum.Acquires[pt] = true
 		}
 	}
-	for pt := range e.curReleases {
-		sum.Releases[pt] = true
-	}
-	e.curFn, e.curReleases = nil, nil
 	return sum
 }
 
-// analyzeBody runs the recording pass over one declared function:
-// solve, then replay with access recording on. Literal bodies found
-// during the replay are analyzed recursively by the walker with entry
-// locksets per their spawn classification.
-func (e *engine) analyzeBody(u *flow.Unit, fn *types.Func, body *ast.BlockStmt, entry state, rec bool) {
-	e.solveAndReplay(u, fn, e.cfgFor(fn), entry, rec)
-}
-
-// solveAndReplay computes the fixed point over the CFG, then replays
-// every reachable block once with its converged in-state, returning
-// the state at the normal exit.
-func (e *engine) solveAndReplay(u *flow.Unit, fn *types.Func, cfg *typestate.CFG, entry state, rec bool) state {
+// solveAndReplay computes the fixed point over the body's CFG, then
+// replays every reachable block once with its converged in-state and
+// w's recording switches on, returning the state at the normal exit.
+// Literal bodies found during the replay are analyzed recursively by
+// the walker with entry locksets per their spawn classification.
+func (e *engine) solveAndReplay(body *ast.BlockStmt, entry state, w walker) state {
+	cfg := e.cfgFor(w.u, body)
 	in := map[*typestate.Block]state{cfg.Entry: entry.clone()}
 	queue := []*typestate.Block{cfg.Entry}
 	queued := map[*typestate.Block]bool{cfg.Entry: true}
@@ -356,9 +517,9 @@ func (e *engine) solveAndReplay(u *flow.Unit, fn *types.Func, cfg *typestate.CFG
 		queue = queue[1:]
 		queued[b] = false
 		s := in[b].clone()
-		w := &walker{e: e, u: u, fn: fn, s: s}
+		sw := &walker{e: e, u: w.u, fn: w.fn, s: s}
 		for _, n := range b.Nodes {
-			w.node(n)
+			sw.node(n)
 		}
 		for _, edge := range b.Succs {
 			tgt, ok := in[edge.To]
@@ -373,23 +534,19 @@ func (e *engine) solveAndReplay(u *flow.Unit, fn *types.Func, cfg *typestate.CFG
 			}
 		}
 	}
-	// Replay in block order: deterministic, one visit per node, with
-	// recording (accesses, literal bodies, summary releases) enabled.
+	// Replay in block order: deterministic, one visit per node.
 	for _, b := range cfg.Blocks {
 		s, ok := in[b]
 		if !ok {
 			continue // unreachable
 		}
-		w := &walker{e: e, u: u, fn: fn, s: s.clone(), rec: rec, collect: e.curReleases != nil}
+		rw := w
+		rw.s = s.clone()
 		for _, n := range b.Nodes {
-			w.node(n)
+			rw.node(n)
 		}
 	}
-	exit, ok := in[cfg.Exit]
-	if !ok {
-		return nil
-	}
-	return exit
+	return in[cfg.Exit]
 }
 
 // pointFor maps a lock key to a caller-mappable summary point:
@@ -444,7 +601,7 @@ func (e *engine) result() *Result {
 		}
 		return a.Key.Path < b.Key.Path
 	})
-	return &Result{Summaries: e.sums, Groups: groups}
+	return &Result{Summaries: e.sums, Groups: groups, Relocks: e.relocks}
 }
 
 // inferGuard picks the dominant-majority lock for one field: the most
@@ -474,51 +631,10 @@ func inferGuard(grp *Group) {
 	}
 }
 
-// classifyCall resolves a call's control-flow effect for the CFG
-// builder — the builtin panic unwinds, the conventional never-return
-// functions terminate the block. Mirrors the analysis package's
-// classifier, which lockset cannot import.
-func classifyCall(u *flow.Unit, call *ast.CallExpr) typestate.CallKind {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := u.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-			return typestate.CallPanic
-		}
-	}
-	switch calleeName(u, call) {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return typestate.CallNoReturn
-	}
-	return typestate.CallNormal
-}
-
-// calleeName returns the full name of the called declared function
-// ("sync/atomic.AddInt64", "(*sync.Mutex).Lock"), or "".
-func calleeName(u *flow.Unit, call *ast.CallExpr) string {
-	if fn := calleeFunc(u, call); fn != nil {
-		return fn.FullName()
-	}
-	return ""
-}
-
-// calleeFunc resolves a call to the *types.Func it invokes, or nil.
-func calleeFunc(u *flow.Unit, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := u.Info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := u.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
 // callTargets resolves a call to its declared targets, adding every
 // known implementation when the callee is an interface method.
 func (e *engine) callTargets(u *flow.Unit, call *ast.CallExpr) []*types.Func {
-	callee := calleeFunc(u, call)
+	callee := flow.CalleeOf(u.Info, call)
 	if callee == nil {
 		return nil
 	}
@@ -538,6 +654,18 @@ func joinPath(a, b string) string {
 		return a
 	}
 	return a + "." + b
+}
+
+// cutPath is the inverse of joinPath: full relative to prefix, when it
+// lies at or under it.
+func cutPath(full, prefix string) (string, bool) {
+	switch {
+	case prefix == "":
+		return full, true
+	case full == prefix:
+		return "", true
+	}
+	return strings.CutPrefix(full, prefix+".")
 }
 
 // namedOf unwraps one pointer level and returns the named type, or
@@ -591,20 +719,20 @@ func refType(t types.Type) bool {
 	return false
 }
 
-// mutexType reports whether t is sync.Mutex or sync.RWMutex,
-// unwrapping one pointer level.
-func mutexType(t types.Type) (rw bool, ok bool) {
+// isMutex reports whether t is sync.Mutex or sync.RWMutex, unwrapping
+// one pointer level.
+func isMutex(t types.Type) bool {
 	named := namedOf(t)
 	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return false, false
+		return false
 	}
-	switch named.Obj().Name() {
-	case "Mutex":
-		return false, true
-	case "RWMutex":
-		return true, true
-	}
-	return false, false
+	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
+}
+
+// isAtomicFunc reports whether fn is one of sync/atomic's package-level
+// functions (atomic.AddInt64; the typed atomics' methods are not).
+func isAtomicFunc(fn *types.Func) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // isParallelPkg reports whether fn is declared in the worker-pool

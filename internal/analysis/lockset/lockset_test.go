@@ -464,3 +464,261 @@ func (r *reg) kick(done chan struct{}) {
 		t.Errorf("EscapeGo accesses = %d, want 1", goEsc)
 	}
 }
+
+// unguardedIn names the functions whose accesses to the field lack its
+// inferred guard, sorted, one entry per access.
+func unguardedIn(t *testing.T, res *Result, path string) []string {
+	t.Helper()
+	g := groupByPath(t, res, path)
+	if g.Guard != "mu" {
+		t.Fatalf("%s: guard = %q, want mu (guarded %d of %d)", path, g.Guard, g.Guarded, len(g.Accesses))
+	}
+	out := []string{}
+	for _, a := range g.Accesses {
+		if !a.Held[g.Guard] {
+			out = append(out, a.Fn.Name())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestCallerHoldsPrecondition covers the edges of the entry state a
+// helper is analyzed with: the locks every one of its call sites holds,
+// and nothing when a caller cannot be checked.
+func TestCallerHoldsPrecondition(t *testing.T) {
+	const decl = `package fixture
+
+import "sync"
+
+type store struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func (s *store) a() { s.mu.Lock(); s.n++; s.mu.Unlock() }
+func (s *store) b() { s.mu.Lock(); s.n++; s.mu.Unlock() }
+func (s *store) c() { s.mu.Lock(); s.n++; s.mu.Unlock() }
+`
+	cases := []struct {
+		name      string
+		src       string
+		unguarded []string
+	}{
+		{"every caller holds", `
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); s.bumpLocked(); s.mu.Unlock() }
+func (s *store) y() { s.mu.Lock(); defer s.mu.Unlock(); s.bumpLocked() }
+`, nil},
+		{"one caller of three does not", `
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); s.bumpLocked(); s.mu.Unlock() }
+func (s *store) y() { s.mu.Lock(); defer s.mu.Unlock(); s.bumpLocked() }
+func (s *store) z() { s.bumpLocked() }
+`, []string{"bumpLocked"}},
+		{"helper calls helper under the same lock", `
+func (s *store) outerLocked() { s.innerLocked() }
+func (s *store) innerLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); s.outerLocked(); s.mu.Unlock() }
+`, nil},
+		{"exported method is not assumed", `
+func (s *store) BumpLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); s.BumpLocked(); s.mu.Unlock() }
+`, []string{"BumpLocked"}},
+		{"method used as a value is not assumed", `
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) each(f func()) { f() }
+func (s *store) x() { s.mu.Lock(); s.bumpLocked(); s.each(s.bumpLocked); s.mu.Unlock() }
+`, []string{"bumpLocked"}},
+		{"interface-dispatch target is not assumed", `
+type bumper interface{ bumpLocked() }
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) x(b bumper) { s.mu.Lock(); b.bumpLocked(); s.bumpLocked(); s.mu.Unlock() }
+`, []string{"bumpLocked"}},
+		{"recursion keeps the empty entry", `
+func (s *store) walkLocked(d int) { s.n++; if d > 0 { s.walkLocked(d - 1) } }
+func (s *store) x() { s.mu.Lock(); s.walkLocked(3); s.mu.Unlock() }
+`, []string{"walkLocked"}},
+		{"RLock counts as held", `
+func (s *store) peekLocked() int { return s.n }
+func (s *store) x() int { s.mu.RLock(); defer s.mu.RUnlock(); return s.peekLocked() }
+`, nil},
+		{"go statement is a caller without the lock", `
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); go s.bumpLocked(); s.bumpLocked(); s.mu.Unlock() }
+`, []string{"bumpLocked"}},
+		{"deferred call holds what was deferred before it", `
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); defer s.mu.Unlock(); defer s.bumpLocked() }
+`, nil},
+		{"deferred call registered before the unlock runs after it", `
+func (s *store) bumpLocked() { s.n++ }
+func (s *store) x() { s.mu.Lock(); defer s.bumpLocked(); defer s.mu.Unlock() }
+`, []string{"bumpLocked"}},
+		{"call site on a fresh local is skipped, not counted unlocked", `
+func (s *store) bumpLocked() { s.n++ }
+func newStore() *store { s := &store{}; s.bumpLocked(); return s }
+func (s *store) x() { s.mu.Lock(); s.bumpLocked(); s.mu.Unlock() }
+`, nil},
+		{"literal passed to a call inherits, its call site counts", `
+func (s *store) bumpLocked() { s.n++ }
+func each(f func()) { f() }
+func (s *store) x() { s.mu.Lock(); each(func() { s.bumpLocked() }); s.mu.Unlock() }
+`, nil},
+		{"parameter point", `
+func bumpLocked(s *store) { s.n++ }
+func (s *store) x() { s.mu.Lock(); bumpLocked(s); s.mu.Unlock() }
+`, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := unguardedIn(t, analyzeSrc(t, decl+tc.src), "n")
+			if strings.Join(got, " ") != strings.Join(tc.unguarded, " ") {
+				t.Errorf("unguarded accesses in %v, want %v", got, tc.unguarded)
+			}
+		})
+	}
+}
+
+// TestRelocks covers the re-acquisition events lock-flow formats.
+func TestRelocks(t *testing.T) {
+	const decl = `package fixture
+
+import "sync"
+
+type store struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func (s *store) inc() { s.mu.Lock(); s.n++; s.mu.Unlock() }
+func (s *store) get() int { s.mu.RLock(); defer s.mu.RUnlock(); return s.n }
+`
+	cases := []struct {
+		name string
+		src  string
+		want []string // "caller>callee", or "caller" for a direct re-lock
+	}{
+		{"call under the lock", `
+func (s *store) x() { s.mu.Lock(); defer s.mu.Unlock(); s.inc() }
+`, []string{"x>inc"}},
+		{"read inside read is tolerated, write inside read is not", `
+func (s *store) x() int { s.mu.RLock(); defer s.mu.RUnlock(); return s.get() }
+func (s *store) y() { s.mu.RLock(); defer s.mu.RUnlock(); s.inc() }
+`, []string{"y>inc"}},
+		{"direct", `
+func (s *store) x() { s.mu.Lock(); s.mu.Lock() }
+`, []string{"x"}},
+		{"after the release", `
+func (s *store) x() { s.mu.Lock(); s.n++; s.mu.Unlock(); s.inc() }
+`, nil},
+		{"held on one path only", `
+func (s *store) x(b bool) { if b { s.mu.Lock() }; s.inc(); if b { s.mu.Unlock() } }
+`, nil},
+		{"helper analyzed with mu held reports once, at the caller", `
+func (s *store) incLocked() { s.inc() }
+func (s *store) x() { s.mu.Lock(); defer s.mu.Unlock(); s.incLocked() }
+`, []string{"x>incLocked"}},
+		{"through a lock() helper", `
+func (s *store) lock() { s.mu.Lock() }
+func (s *store) x() { s.lock(); s.inc(); s.mu.Unlock() }
+`, []string{"x>inc"}},
+		{"a literal that runs elsewhere", `
+func (s *store) x() func() { s.mu.Lock(); defer s.mu.Unlock(); return func() { s.inc() } }
+func (s *store) y() { s.mu.Lock(); defer s.mu.Unlock(); go func() { s.inc() }() }
+func (s *store) z() { s.mu.Lock(); defer s.mu.Unlock(); go s.inc() }
+`, nil},
+		{"a literal that runs here", `
+func (s *store) x() { s.mu.Lock(); defer s.mu.Unlock(); func() { s.inc() }() }
+`, []string{"x>inc"}},
+		{"deferred call under a deferred unlock", `
+func (s *store) x() { s.mu.Lock(); defer s.mu.Unlock(); defer s.inc() }
+func (s *store) y() { s.mu.Lock(); defer s.inc(); s.n++; s.mu.Unlock() }
+`, []string{"x>inc"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := analyzeSrc(t, decl+tc.src)
+			got := []string{}
+			for _, r := range res.Relocks {
+				s := res.funcAt(r).Name()
+				if r.Callee != nil {
+					s += ">" + r.Callee.Name()
+				}
+				if r.Lock != "s.mu" {
+					s += "?" + r.Lock
+				}
+				got = append(got, s)
+			}
+			sort.Strings(got)
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("relocks = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// funcAt finds the declared function a re-acquisition lies in.
+func (res *Result) funcAt(r *Relock) *types.Func {
+	for fn := range res.Summaries {
+		if s := fn.Scope(); s != nil && s.Contains(r.Pos) {
+			return fn
+		}
+	}
+	return nil
+}
+
+// TestMayLockSummary pins Summary.Locks: transitive, with the mode, and
+// without what runs elsewhere.
+func TestMayLockSummary(t *testing.T) {
+	res := analyzeSrc(t, `package fixture
+
+import "sync"
+
+type store struct {
+	mu sync.RWMutex
+	n  int
+}
+
+var global sync.Mutex
+
+func (s *store) inc()          { s.mu.Lock(); s.n++; s.mu.Unlock() }
+func (s *store) get() int      { s.mu.RLock(); defer s.mu.RUnlock(); return s.n }
+func (s *store) both() int     { s.inc(); return s.get() }
+func viaParam(x int, s *store) { s.inc() }
+func viaGlobal()               { global.Lock(); global.Unlock() }
+func hop()                     { viaGlobal() }
+func elsewhere(s *store)       { go s.inc(); _ = func() { s.inc() } }
+func local()                   { s := &store{}; s.inc() }
+`)
+	want := map[string]string{
+		"inc":       "-1.mu=X",
+		"get":       "-1.mu=S",
+		"both":      "-1.mu=SX",
+		"viaParam":  "1.mu=X",
+		"viaGlobal": "global=X",
+		"hop":       "global=X",
+		"elsewhere": "",
+		"local":     "",
+	}
+	for fn, sum := range res.Summaries {
+		var parts []string
+		for pt, mode := range sum.Locks {
+			s := fmt.Sprintf("%d.%s=", pt.Idx, pt.Path)
+			if pt.Idx == PointGlobal {
+				s = pt.Obj.Name() + pt.Path + "="
+			}
+			if mode&Shared != 0 {
+				s += "S"
+			}
+			if mode&Exclusive != 0 {
+				s += "X"
+			}
+			parts = append(parts, s)
+		}
+		sort.Strings(parts)
+		if got := strings.Join(parts, " "); got != want[fn.Name()] {
+			t.Errorf("%s may lock %q, want %q", fn.Name(), got, want[fn.Name()])
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/analysis/flow"
@@ -11,17 +12,19 @@ import (
 )
 
 // walker applies one CFG node's effects to the lockset state. During
-// the solver iterations only the state matters; during the replay pass
-// (rec) it also records field accesses, escapes, and recursion into
-// function literal bodies, and during summary replay (collect) it
-// gathers release-at-entry points.
+// the solver iterations only the state matters. The replay pass turns
+// on what it is for: sum collects the enclosing function's
+// release-at-entry and may-lock points (the summary rounds); rec
+// records field accesses, escapes and re-acquisitions, counts call
+// sites toward the callees' caller-holds preconditions, and recurses
+// into function literal bodies (the recording pass).
 type walker struct {
-	e       *engine
-	u       *flow.Unit
-	fn      *types.Func
-	s       state
-	rec     bool
-	collect bool
+	e   *engine
+	u   *flow.Unit
+	fn  *types.Func
+	s   state
+	rec bool
+	sum *Summary
 }
 
 // accOpts qualifies one recorded access.
@@ -92,10 +95,11 @@ func (w *walker) expr(e ast.Expr) {
 	case *ast.CallExpr:
 		w.call(t)
 	case *ast.FuncLit:
-		// A literal stored or passed outside a spawn context
-		// (callback registration, sort comparator, immediate local):
-		// conservatively analyzed with the lockset at its position.
-		w.lit(t, w.s.clone())
+		// A literal stored or returned rather than called or passed
+		// here (callback registration, immediate local): conservatively
+		// analyzed with the lockset at its position — but it may run
+		// after the region ends, so a lock it takes is no re-acquisition.
+		w.lit(t, w.s.assumed())
 	case *ast.SelectorExpr:
 		if !w.access(t, accOpts{}) {
 			w.children(t)
@@ -153,16 +157,15 @@ func (w *walker) escapeExpr(e ast.Expr, kind EscapeKind) {
 // operations, operand evaluation (with spawn classification for
 // literal arguments), and the callee's interprocedural summary.
 func (w *walker) call(call *ast.CallExpr) {
-	if ev, ok := w.lockEvent(call); ok {
-		w.applyLockEvent(ev, false)
-		return
-	}
-	name := calleeName(w.u, call)
-	if rest, ok := strings.CutPrefix(name, "sync/atomic."); ok {
-		w.atomicCall(call, rest)
+	if op, ok := LockCall(w.u.Info, call); ok {
+		w.lockOp(op, call.Pos(), false)
 		return
 	}
 	targets := w.e.callTargets(w.u, call)
+	if len(targets) > 0 && isAtomicFunc(targets[0]) {
+		w.atomicCall(call, targets[0].Name())
+		return
+	}
 	spawn := false
 	for _, tg := range targets {
 		if isParallelPkg(tg) {
@@ -193,7 +196,8 @@ func (w *walker) call(call *ast.CallExpr) {
 		}
 		w.expr(arg)
 	}
-	w.applySummaries(call, targets)
+	w.tallySite(call, targets, w.s)
+	w.applySummaries(call, targets, w.s, false)
 }
 
 // goStmt is a spawn point: literals run with an empty lockset, and
@@ -219,6 +223,7 @@ func (w *walker) goStmt(g *ast.GoStmt) {
 		}
 		w.escapeExpr(arg, EscapeGo)
 	}
+	w.tallySite(call, w.e.callTargets(w.u, call), nil)
 }
 
 // deferStmt applies a deferred call's release effects at registration
@@ -228,15 +233,15 @@ func (w *walker) goStmt(g *ast.GoStmt) {
 // function but are excluded from the exit summary.
 func (w *walker) deferStmt(d *ast.DeferStmt) {
 	call := d.Call
-	if ev, ok := w.lockEvent(call); ok {
-		w.applyLockEvent(ev, true)
+	if op, ok := LockCall(w.u.Info, call); ok {
+		w.lockOp(op, call.Pos(), true)
 		return
 	}
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		typestate.InspectNoFuncLit(fl.Body, func(m ast.Node) bool {
 			if inner, ok := m.(*ast.CallExpr); ok {
-				if ev, ok := w.lockEvent(inner); ok && ev.unlock {
-					w.applyLockEvent(ev, true)
+				if op, ok := LockCall(w.u.Info, inner); ok && op.Unlock {
+					w.release(op.key(), true)
 				}
 			}
 			return true
@@ -246,21 +251,18 @@ func (w *walker) deferStmt(d *ast.DeferStmt) {
 		w.lit(fl, w.s.clone())
 		return
 	}
-	for _, tg := range w.e.callTargets(w.u, call) {
-		sum := w.e.sums[tg]
-		if sum == nil {
-			continue
-		}
-		for pt := range sum.Releases {
-			k, ok := w.mapPoint(call, pt)
-			if !ok {
-				continue
-			}
-			if f, isHeld := w.s[k]; isHeld && f&held != 0 {
-				w.s[k] = f | deferredRelease
-			}
+	// A deferred call runs at exit under the locks whose release was
+	// deferred before it (defers run last-in first-out): those are what
+	// it can re-acquire, and what its callee may assume.
+	atExit := state{}
+	for k, h := range w.s {
+		if h.f&deferredRelease != 0 {
+			atExit[k] = h
 		}
 	}
+	targets := w.e.callTargets(w.u, call)
+	w.tallySite(call, targets, atExit)
+	w.applySummaries(call, targets, atExit, true)
 	// Receiver and arguments are evaluated at registration time.
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -280,73 +282,114 @@ func (w *walker) deferStmt(d *ast.DeferStmt) {
 // Literal bodies are only walked during the recording pass; they never
 // contribute to summaries.
 func (w *walker) lit(fl *ast.FuncLit, entry state) {
-	if !w.rec {
-		return
+	if w.rec {
+		w.e.solveAndReplay(fl.Body, entry, walker{e: w.e, u: w.u, fn: w.fn, rec: true})
 	}
-	cfg := typestate.Build(fl.Body, func(call *ast.CallExpr) typestate.CallKind {
-		return classifyCall(w.u, call)
-	})
-	w.e.solveAndReplay(w.u, w.fn, cfg, entry, true)
 }
 
-// lockEvent classifies a call as a sync.Mutex/sync.RWMutex operation
-// on a resolvable object chain. The key deliberately ignores the
-// read/write mode: for guard purposes RLock counts as held (a write
-// under RLock is a real race this analysis does not model; see
-// DESIGN.md).
-type lockEvent struct {
-	k      key
-	unlock bool
+// LockOp is one sync.Mutex/sync.RWMutex method call on a resolvable
+// object chain: s.mu.Lock() is {s, "mu", Exclusive, false}.
+type LockOp struct {
+	Root   types.Object
+	Path   string
+	Mode   Mode // Shared for RLock/RUnlock
+	Unlock bool
 }
 
-func (w *walker) lockEvent(call *ast.CallExpr) (lockEvent, bool) {
+// String renders the mutex as the source names it ("s.mu").
+func (op LockOp) String() string { return op.key().String() }
+
+func (op LockOp) key() key { return key{root: op.Root, path: op.Path} }
+
+func (k key) String() string {
+	return joinPath(k.root.Name(), k.path)
+}
+
+// LockCall classifies a call as a lock operation. It is the one place
+// the analyzers recognise Lock/RLock/Unlock/RUnlock: the lockset
+// walker, and through Result the race rules and lock-flow, and
+// unlock-path directly, all read it.
+func LockCall(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return lockEvent{}, false
+		return LockOp{}, false
 	}
-	var unlock bool
+	op := LockOp{Mode: Exclusive}
 	switch sel.Sel.Name {
-	case "Lock", "RLock":
-	case "Unlock", "RUnlock":
-		unlock = true
+	case "Lock":
+	case "RLock":
+		op.Mode = Shared
+	case "Unlock":
+		op.Unlock = true
+	case "RUnlock":
+		op.Mode, op.Unlock = Shared, true
 	default:
-		return lockEvent{}, false
+		return LockOp{}, false
 	}
-	tv, ok := w.u.Info.Types[sel.X]
-	if !ok {
-		return lockEvent{}, false
+	tv, ok := info.Types[sel.X]
+	if !ok || !isMutex(tv.Type) {
+		return LockOp{}, false
 	}
-	if _, isMutex := mutexType(tv.Type); !isMutex {
-		return lockEvent{}, false
-	}
-	root, path, ok := exprKey(w.u, sel.X)
-	if !ok {
-		return lockEvent{}, false
-	}
-	return lockEvent{k: key{root: root, path: path}, unlock: unlock}, true
+	op.Root, op.Path, ok = exprKey(info, sel.X)
+	return op, ok
 }
 
-// applyLockEvent updates the state for one lock operation. An unlock
-// of a never-acquired mutex is this function's release-at-entry
-// obligation — exported in the summary when caller-mappable.
-func (w *walker) applyLockEvent(ev lockEvent, deferred bool) {
-	if !ev.unlock {
-		w.s[ev.k] |= held
+// lockOp updates the state for one lock operation at pos.
+func (w *walker) lockOp(op LockOp, pos token.Pos, deferred bool) {
+	k := op.key()
+	if op.Unlock {
+		w.release(k, deferred)
 		return
 	}
-	if f, isHeld := w.s[ev.k]; isHeld && f&held != 0 {
-		if deferred {
-			w.s[ev.k] = f | deferredRelease
-		} else {
-			delete(w.s, ev.k)
-		}
-		return
+	if h := w.s[k]; w.rec && relocked(h, op.Mode) {
+		w.e.relocks = append(w.e.relocks, &Relock{Unit: w.u, Pos: pos, Lock: k.String(), HeldAt: h.at})
 	}
-	if w.collect {
-		if pt, ok := pointFor(w.fn, ev.k); ok {
-			w.e.curReleases[pt] = true
+	if w.sum != nil {
+		if pt, ok := pointFor(w.fn, k); ok {
+			w.sum.Locks[pt] |= op.Mode
 		}
 	}
+	w.acquire(k, op.Mode, pos)
+}
+
+// acquire adds k to the lockset, taken at pos. The guard rules ignore
+// the mode — RLock counts as held (a write under RLock is a real race
+// this analysis does not model; see DESIGN.md) — it is kept for
+// relocked.
+func (w *walker) acquire(k key, mode Mode, pos token.Pos) {
+	h := hold{f: w.s[k].f&deferredRelease | held, at: pos}
+	if mode&Exclusive != 0 {
+		h.f |= exclusive
+	}
+	w.s[k] = h
+}
+
+// release drops k from the lockset, or with deferred set keeps it held
+// to the end of the function but out of the exit summary. Releasing a
+// mutex that is not held is the function's release-at-entry
+// obligation, exported in the summary when caller-mappable.
+func (w *walker) release(k key, deferred bool) {
+	h, ok := w.s[k]
+	switch {
+	case !ok || h.f&held == 0:
+		if pt, ok := pointFor(w.fn, k); ok && w.sum != nil {
+			w.sum.Releases[pt] = true
+		}
+	case deferred:
+		h.f |= deferredRelease
+		w.s[k] = h
+	default:
+		delete(w.s, k)
+	}
+}
+
+// relocked reports whether taking a mutex in the given mode(s) while it
+// is held as h re-acquires a lock this body holds on every path: read
+// inside read is tolerated, and a lock held only by the precondition
+// is the call site's to report — the caller holds it and this
+// function's Locks say it may lock it.
+func relocked(h hold, mode Mode) bool {
+	return h.f&held != 0 && h.at != token.NoPos && (mode&Exclusive != 0 || h.f&exclusive != 0)
 }
 
 // atomicCall records the sync/atomic access to &x.f and evaluates the
@@ -364,37 +407,127 @@ func (w *walker) atomicCall(call *ast.CallExpr, fname string) {
 }
 
 // applySummaries maps each target's lock summary through the call
-// operands into the caller's frame: releases first (delete held keys,
-// or propagate the obligation when the key was never held), then
-// acquires. Interface calls apply the union of all known
+// operands into the caller's frame: re-acquisitions against under, the
+// lockset the callee runs with; then releases (drop held keys, or
+// propagate the obligation); then, for a call that runs here rather
+// than at exit, acquires. Interface calls apply the union of all known
 // implementations — a documented over-approximation.
-func (w *walker) applySummaries(call *ast.CallExpr, targets []*types.Func) {
+func (w *walker) applySummaries(call *ast.CallExpr, targets []*types.Func, under state, deferred bool) {
+	w.relocks(call, targets, under)
 	for _, tg := range targets {
 		sum := w.e.sums[tg]
 		if sum == nil {
 			continue
 		}
+		for pt, mode := range sum.Locks {
+			w.mayLock(call, pt, mode)
+		}
 		for pt := range sum.Releases {
-			k, ok := w.mapPoint(call, pt)
-			if !ok {
-				continue
-			}
-			if f, isHeld := w.s[k]; isHeld && f&held != 0 {
-				delete(w.s, k)
-			} else if w.collect {
-				if mp, ok := pointFor(w.fn, k); ok {
-					w.e.curReleases[mp] = true
-				}
+			if k, ok := w.mapPoint(call, pt); ok {
+				w.release(k, deferred)
 			}
 		}
 		for pt := range sum.Acquires {
-			k, ok := w.mapPoint(call, pt)
-			if !ok {
-				continue
+			if k, ok := w.mapPoint(call, pt); ok && !deferred {
+				w.acquire(k, sum.Locks[pt], call.Pos())
 			}
-			w.s[k] |= held
 		}
 	}
+}
+
+// mayLock adds a callee's may-lock point, mapped through the call, to
+// the enclosing function's own.
+func (w *walker) mayLock(call *ast.CallExpr, pt Point, mode Mode) {
+	if w.sum == nil {
+		return
+	}
+	if k, ok := w.mapPoint(call, pt); ok {
+		if mp, ok := pointFor(w.fn, k); ok {
+			w.sum.Locks[mp] |= mode
+		}
+	}
+}
+
+// relocks records, for every key of s that a target of the call may
+// lock again, one re-acquisition naming the first such target.
+func (w *walker) relocks(call *ast.CallExpr, targets []*types.Func, s state) {
+	if !w.rec || len(s) == 0 {
+		return
+	}
+	hit := map[key]*types.Func{}
+	for _, tg := range targets {
+		sum := w.e.sums[tg]
+		if sum == nil {
+			continue
+		}
+		for pt, mode := range sum.Locks {
+			if k, ok := w.mapPoint(call, pt); ok && hit[k] == nil && relocked(s[k], mode) {
+				hit[k] = tg
+			}
+		}
+	}
+	first := len(w.e.relocks)
+	for k, tg := range hit {
+		w.e.relocks = append(w.e.relocks, &Relock{Unit: w.u, Pos: call.Pos(), Callee: tg, Lock: k.String(), HeldAt: s[k].at})
+	}
+	sort.Slice(w.e.relocks[first:], func(i, j int) bool { return w.e.relocks[first+i].Lock < w.e.relocks[first+j].Lock })
+}
+
+// tallySite counts one call site, reached with lockset s, toward each
+// candidate target's caller-holds precondition: per operand, the held
+// mutexes reachable from it, as the callee's points. An operand rooted
+// at a fresh local is skipped — the object is unpublished, whatever the
+// callee touches through it cannot race — rather than counted as a
+// caller without the lock.
+func (w *walker) tallySite(call *ast.CallExpr, targets []*types.Func, s state) {
+	if !w.rec {
+		return
+	}
+	for _, tg := range targets {
+		p := w.e.pre[tg]
+		if p == nil {
+			continue
+		}
+		p.seen++
+		sig := tg.Type().(*types.Signature)
+		for idx := -1; idx < sig.Params().Len(); idx++ {
+			if idx == -1 && sig.Recv() == nil {
+				continue
+			}
+			root, path, ok := exprKey(w.u.Info, callOperand(call, idx))
+			if ok && w.e.fresh[root] {
+				continue
+			}
+			p.sites[idx]++
+			for k, h := range s {
+				if rest, under := cutPath(k.path, path); under && k.root == root && h.f&held != 0 {
+					p.held[Point{Idx: idx, Path: rest}]++
+				}
+			}
+		}
+		p.sites[PointGlobal]++
+		for k, h := range s {
+			if pt, ok := pointFor(tg, k); ok && pt.Idx == PointGlobal && h.f&held != 0 {
+				p.held[pt]++
+			}
+		}
+	}
+}
+
+// callOperand is the expression a call binds to the callee's receiver
+// (idx -1) or parameter idx, nil when the call has none; &x as a
+// lock-carrying operand is the same object as x.
+func callOperand(call *ast.CallExpr, idx int) ast.Expr {
+	var operand ast.Expr
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && idx == -1 {
+		operand = sel.X
+	} else if idx >= 0 && idx < len(call.Args) {
+		operand = call.Args[idx]
+	}
+	if un, ok := ast.Unparen(operand).(*ast.UnaryExpr); ok && un.Op == token.AND {
+		operand = un.X
+	}
+	return operand
 }
 
 // mapPoint translates a callee summary point into a caller state key
@@ -405,41 +538,21 @@ func (w *walker) mapPoint(call *ast.CallExpr, pt Point) (key, bool) {
 	if pt.Idx == PointGlobal {
 		return key{root: pt.Obj, path: pt.Path}, true
 	}
-	var operand ast.Expr
-	if pt.Idx == -1 {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return key{}, false
-		}
-		operand = sel.X
-	} else {
-		if pt.Idx >= len(call.Args) {
-			return key{}, false
-		}
-		operand = call.Args[pt.Idx]
-	}
-	if un, ok := ast.Unparen(operand).(*ast.UnaryExpr); ok && un.Op == token.AND {
-		// &x as a lock-carrying operand is the same object as x.
-		operand = un.X
-	}
-	root, path, ok := exprKey(w.u, operand)
-	if !ok {
-		return key{}, false
-	}
-	return key{root: root, path: joinPath(path, pt.Path)}, true
+	root, path, ok := exprKey(w.u.Info, callOperand(call, pt.Idx))
+	return key{root: root, path: joinPath(path, pt.Path)}, ok
 }
 
 // exprKey resolves an object chain to (root object, dotted field
 // path): s.mu → (s, "mu"); mu → (mu, ""); (*c).state.mu →
 // (c, "state.mu"). Chains through calls or index expressions are not
 // resolvable.
-func exprKey(u *flow.Unit, e ast.Expr) (types.Object, string, bool) {
+func exprKey(info *types.Info, e ast.Expr) (types.Object, string, bool) {
 	var parts []string
 	cur := ast.Unparen(e)
 	for {
 		switch t := cur.(type) {
 		case *ast.Ident:
-			obj := u.Info.ObjectOf(t)
+			obj := info.ObjectOf(t)
 			if obj == nil {
 				return nil, "", false
 			}
@@ -565,8 +678,8 @@ spine:
 // object at this point — the Eraser-style same-object lockset.
 func (w *walker) heldFor(root types.Object) map[string]bool {
 	out := map[string]bool{}
-	for k, f := range w.s {
-		if k.root == root && f&held != 0 {
+	for k, h := range w.s {
+		if k.root == root && h.f&held != 0 {
 			out[k.path] = true
 		}
 	}

@@ -70,7 +70,7 @@ func runResourceLeak(p *Package) []Finding {
 
 func resourceLeakBody(p *Package, fb funcBody) []Finding {
 	tr := &rlTracker{p: p, resKeys: map[types.Object][]rlKey{}, errKeys: map[types.Object][]rlKey{}}
-	cfg := buildCFG(p, fb.body)
+	cfg := typestate.BuildTyped(p.Info, fb.body)
 	res := typestate.Forward(cfg, typestate.Analysis{
 		Transfer: tr.transfer,
 		Refine: func(cond ast.Expr, truth bool, s typestate.State) {

@@ -36,6 +36,7 @@ package typestate
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // CallKind classifies a call expression for control-flow purposes.
@@ -102,6 +103,36 @@ type builder struct {
 	// pending is the label of a LabeledStmt whose statement is being
 	// built next, so `break L` / `continue L` resolve to its frame.
 	pending string
+}
+
+// BuildTyped is Build with the classifier every rule uses, resolved
+// through the package's type information: the builtin panic unwinds,
+// the conventional never-return functions terminate the block,
+// everything else returns normally.
+func BuildTyped(info *types.Info, body *ast.BlockStmt) *CFG {
+	return Build(body, func(call *ast.CallExpr) CallKind {
+		var id *ast.Ident
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
+		default:
+			return CallNormal
+		}
+		switch obj := info.Uses[id].(type) {
+		case *types.Builtin:
+			if obj.Name() == "panic" {
+				return CallPanic
+			}
+		case *types.Func:
+			switch obj.FullName() {
+			case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
+				return CallNoReturn
+			}
+		}
+		return CallNormal
+	})
 }
 
 // Build constructs the CFG of one function body. classify may be nil,

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 
+	"github.com/reliable-cda/cda/internal/analysis/lockset"
 	"github.com/reliable-cda/cda/internal/analysis/typestate"
 )
 
@@ -35,14 +35,11 @@ const (
 	upDeferred
 )
 
-// upKey identifies one acquisition: the lock object (root object +
-// field path, as in lock-flow), the lock kind, and the call site.
+// upKey identifies one acquisition: the lock as the lockset engine
+// recognises it (root object, field path, mode) and the call site.
 type upKey struct {
-	obj  types.Object
-	path string
-	rw   bool
-	pos  token.Pos
-	name string
+	op  lockset.LockOp
+	pos token.Pos
 }
 
 func runUnlockPath(p *Package) []Finding {
@@ -54,7 +51,7 @@ func runUnlockPath(p *Package) []Finding {
 }
 
 func unlockPathBody(p *Package, fb funcBody) []Finding {
-	cfg := buildCFG(p, fb.body)
+	cfg := typestate.BuildTyped(p.Info, fb.body)
 	res := typestate.Forward(cfg, typestate.Analysis{
 		Transfer: func(n ast.Node, s typestate.State) {
 			if ds, ok := n.(*ast.DeferStmt); ok {
@@ -66,16 +63,15 @@ func unlockPathBody(p *Package, fb funcBody) []Finding {
 				if !ok {
 					return true
 				}
-				ev, ok := lockEventOf(p, call)
+				op, ok := lockset.LockCall(p.Info, call)
 				if !ok {
 					return true
 				}
-				if ev.unlock {
-					upRelease(s, ev, false)
+				if op.Unlock {
+					upRelease(s, op, false)
 					return true
 				}
-				k := upKey{obj: ev.base, path: ev.path, rw: ev.rw, pos: call.Pos(),
-					name: lockDisplayName(p, ev)}
+				k := upKey{op: op, pos: call.Pos()}
 				// Re-entering the acquire site (a loop): paths already
 				// covered by a registered defer stay covered.
 				s[k] = upHeld | (s[k] & upDeferred)
@@ -95,14 +91,14 @@ func unlockPathBody(p *Package, fb funcBody) []Finding {
 			reported[key] = true
 			verb := "Lock"
 			unlockVerb := "Unlock"
-			if key.rw {
+			if key.op.Mode == lockset.Shared {
 				verb, unlockVerb = "RLock", "RUnlock"
 			}
 			out = append(out, Finding{
 				Rule: ruleUnlockPath, Severity: SeverityError,
 				Pos: p.Fset.Position(key.pos),
 				Message: fmt.Sprintf("%s.%s() is not released on every %s; add defer %s.%s()",
-					key.name, verb, what, key.name, unlockVerb),
+					key.op, verb, what, key.op, unlockVerb),
 			})
 		}
 	}
@@ -122,8 +118,8 @@ func unlockPathBody(p *Package, fb funcBody) []Finding {
 // closure. Held facts become deferred-covered facts.
 func upDeferredReleases(p *Package, ds *ast.DeferStmt, s typestate.State) {
 	apply := func(call *ast.CallExpr) {
-		if ev, ok := lockEventOf(p, call); ok && ev.unlock {
-			upRelease(s, ev, true)
+		if op, ok := lockset.LockCall(p.Info, call); ok && op.Unlock {
+			upRelease(s, op, true)
 		}
 	}
 	if fl, ok := ast.Unparen(ds.Call.Fun).(*ast.FuncLit); ok {
@@ -142,10 +138,11 @@ func upDeferredReleases(p *Package, ds *ast.DeferStmt, s typestate.State) {
 // lock. A deferred release converts held into deferred-covered
 // (release at every exit); an explicit one simply ends the region on
 // this path.
-func upRelease(s typestate.State, ev lfAcquire, deferred bool) {
+func upRelease(s typestate.State, rel lockset.LockOp, deferred bool) {
+	rel.Unlock = false
 	for k, facts := range s {
 		key, ok := k.(upKey)
-		if !ok || key.obj != ev.base || key.path != ev.path || key.rw != ev.rw {
+		if !ok || key.op != rel {
 			continue
 		}
 		if facts&upHeld != 0 {

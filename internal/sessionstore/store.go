@@ -261,8 +261,6 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		sh.pending = len(sh.tail)
-	}
-	for _, sh := range st.shards {
 		if sh.maxNum > st.nextNum {
 			st.nextNum = sh.maxNum
 		}

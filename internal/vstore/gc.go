@@ -106,7 +106,7 @@ func (s *Store) GC() (GCStats, error) {
 func (s *Store) headsLocked() []Hash {
 	var out []Hash
 	for _, name := range s.rootNamesLocked() {
-		for _, c := range s.roots[name] { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
+		for _, c := range s.roots[name] {
 			out = append(out, c.Hash)
 		}
 	}
@@ -148,7 +148,7 @@ func (s *Store) markFromLocked(head Hash, marked map[Hash]bool) {
 		if marked[h] {
 			continue
 		}
-		c, ok := s.chunks[h] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		c, ok := s.chunks[h]
 		if !ok {
 			continue
 		}
@@ -165,8 +165,8 @@ func (s *Store) rewritePackLocked() error {
 	if s.pack == nil {
 		return nil
 	}
-	hashes := make([]Hash, 0, len(s.chunks)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
-	for h := range s.chunks {                // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+	hashes := make([]Hash, 0, len(s.chunks))
+	for h := range s.chunks {
 		hashes = append(hashes, h)
 	}
 	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
@@ -187,7 +187,7 @@ func (s *Store) rewritePackLocked() error {
 			end += int64(n)
 		}
 		for _, name := range names {
-			payload, err := rootPayload(setRecord(name, s.roots[name], s.stamp)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+			payload, err := rootPayload(setRecord(name, s.roots[name], s.stamp))
 			if err != nil {
 				return err
 			}
@@ -209,7 +209,7 @@ func (s *Store) rewritePackLocked() error {
 // if neither does. Caller holds s.mu exclusively.
 func (s *Store) relocateLocked(hashes []Hash, offs []int64, trusted bool) {
 	for i, h := range hashes {
-		c := s.chunks[h] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		c := s.chunks[h]
 		if trusted {
 			c.off = offs[i]
 			continue

@@ -57,21 +57,25 @@ func setRecord(root string, log []Commit, stamp int64) rootRecord {
 }
 
 // applyRootLocked applies one root record: it rebuilds the log entries
-// from the commit chunks the record names, read through payload
-// (failing if the store lacks one), journals the record unless the
-// journal already holds it, and only then changes the root's log and
-// lifts the store-wide stamp past the commits it now lists. Caller holds
-// s.mu exclusively, or is Open before the store is published.
-func (s *Store) applyRootLocked(r rootRecord, journalled bool, payload func(Hash) ([]byte, error)) error {
+// from the commit chunks the record names — read from the store, or,
+// when Open's replay passes the commit payloads its scan has passed,
+// from scanned (failing if either lacks one) — journals the record
+// unless the journal already holds it, and only then changes the root's
+// log and lifts the store-wide stamp past the commits it now lists.
+// Caller holds s.mu exclusively.
+func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash][]byte) error {
 	hashes, stamp := r.Log, r.Stamp
 	var log []Commit
 	if r.Commit != "" {
-		hashes, log = []Hash{r.Commit}, s.roots[*r.Root] // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		hashes, log = []Hash{r.Commit}, s.roots[*r.Root]
 	}
 	for _, h := range hashes {
-		p, err := payload(h)
-		if err != nil {
-			return err
+		p := scanned[h]
+		if scanned == nil {
+			var err error
+			if p, err = s.payloadLocked(h); err != nil {
+				return err
+			}
 		}
 		c, err := commitEntry(h, p)
 		if err != nil {
@@ -92,12 +96,12 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, payload func(Hash
 		}
 	}
 	if len(log) == 0 {
-		delete(s.roots, *r.Root) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		delete(s.roots, *r.Root)
 	} else {
-		s.roots[*r.Root] = log // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+		s.roots[*r.Root] = log
 	}
-	if stamp > s.stamp { // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
-		s.stamp = stamp // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu exclusively
+	if stamp > s.stamp {
+		s.stamp = stamp
 	}
 	return nil
 }
@@ -112,7 +116,7 @@ func (s *Store) AdoptCommit(root string, h Hash) (Commit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if log := s.roots[root]; len(log) == 0 || log[len(log)-1].Hash != h {
-		if err := s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false, s.payloadLocked); err != nil {
+		if err := s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false, nil); err != nil {
 			return Commit{}, fmt.Errorf("vstore: adopt into %q: %w", root, err)
 		}
 	}
@@ -152,8 +156,8 @@ func (s *Store) Roots() []string {
 // rootNamesLocked lists the root names, sorted. Caller holds s.mu
 // (either mode).
 func (s *Store) rootNamesLocked() []string {
-	out := make([]string, 0, len(s.roots)) // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
-	for name := range s.roots {            // cdalint:ignore racy-access -- *Locked helper: caller holds s.mu
+	out := make([]string, 0, len(s.roots))
+	for name := range s.roots {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -186,7 +190,7 @@ func (s *Store) DeleteRoot(root string) error {
 	if _, ok := s.roots[root]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRoot, root)
 	}
-	return s.applyRootLocked(setRecord(root, nil, s.stamp), false, s.payloadLocked)
+	return s.applyRootLocked(setRecord(root, nil, s.stamp), false, nil)
 }
 
 // TruncateLog keeps only the last keep commits of a root (retention
@@ -205,5 +209,5 @@ func (s *Store) TruncateLog(root string, keep int) error {
 	if len(log) <= keep {
 		return nil
 	}
-	return s.applyRootLocked(setRecord(root, log[len(log)-keep:], s.stamp), false, s.payloadLocked)
+	return s.applyRootLocked(setRecord(root, log[len(log)-keep:], s.stamp), false, nil)
 }

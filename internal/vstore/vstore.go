@@ -225,8 +225,11 @@ func NewMemory() *Store {
 // chunks enter the index at their offsets, root records rebuild the
 // root logs. A torn tail left by a crash mid-append — or a root record
 // whose commit chunk does not precede it — ends the valid prefix and is
-// truncated by the log.
+// truncated by the log. Only Open can see the store yet; s.mu is taken
+// so that every caller of a *Locked helper holds it, replay included.
 func (s *Store) openPack() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	opts := framelog.Options{Op: "vstore.journal"}
 	if f, ok := s.cfg.Faults.(framelog.Faults); ok {
 		opts.Faults = f
@@ -236,7 +239,6 @@ func (s *Store) openPack() error {
 	// that alias its read buffer and go when it does. One it has not
 	// passed is nil, which decodes as no commit, and the record is refused.
 	commits := map[Hash][]byte{}
-	scanned := func(h Hash) ([]byte, error) { return commits[h], nil }
 	var off int64
 	var err error
 	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, opts,
@@ -246,7 +248,7 @@ func (s *Store) openPack() error {
 				return false
 			}
 			if rec.Root != nil {
-				if s.applyRootLocked(rec.rootRecord, true, scanned) != nil {
+				if s.applyRootLocked(rec.rootRecord, true, commits) != nil {
 					return false
 				}
 			} else {
@@ -254,7 +256,7 @@ func (s *Store) openPack() error {
 				if rec.K == "commit" {
 					commits[h] = payload
 				}
-				s.chunks[h] = &chunk{off: off, n: len(payload), refs: rec.R} // cdalint:ignore racy-access -- Open-time load, before the store is published
+				s.chunks[h] = &chunk{off: off, n: len(payload), refs: rec.R}
 			}
 			off += int64(len(frame))
 			return true
@@ -299,7 +301,7 @@ func (s *Store) upgradeV1Roots() error {
 		}
 		// The journal keeps hashes only, so every entry must be
 		// recoverable from its commit chunk.
-		if err := s.applyRootLocked(r, true, s.payloadLocked); err != nil {
+		if err := s.applyRootLocked(r, true, nil); err != nil {
 			return fmt.Errorf("vstore: upgrade %s: root %q: %w", path, names[i], err)
 		}
 		if payloads[i], err = rootPayload(r); err != nil {
