@@ -316,8 +316,3 @@ func (t *Taint) ExprTainted(fn *types.Func, e ast.Expr) bool {
 	})
 	return found
 }
-
-// ObjTainted reports whether the object carries tainted data in fn.
-func (t *Taint) ObjTainted(fn *types.Func, obj types.Object) bool {
-	return t.tainted[fn][obj]
-}

@@ -85,12 +85,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// ModuleDir returns the module root directory.
-func (l *Loader) ModuleDir() string { return l.modDir }
-
 // Load resolves a pattern — "./...", a relative directory, or a
 // module-internal import path — to loaded packages. Directories
 // named testdata, hidden directories, and directories without

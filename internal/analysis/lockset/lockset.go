@@ -44,9 +44,9 @@
 //     lockset empty.
 //
 // Goroutine spawn points clear the lockset: a function literal behind
-// a `go` statement, or handed to the internal/parallel worker pools,
-// is analyzed with an empty entry lockset — locks held at the spawn
-// site do not protect the code that runs on the other goroutine.
+// a `go` statement is analyzed with an empty entry lockset — locks held
+// at the spawn site do not protect the code that runs on the other
+// goroutine.
 // Other literals (deferred closures, sort.Slice comparators, immediate
 // calls) inherit the lockset at their syntactic position. Accesses
 // whose base object is a plain local variable are excluded entirely:
@@ -78,11 +78,6 @@ import (
 // convergent. Functions are summarized callees first, so only
 // recursion needs a second round at all.
 const maxRounds = 8
-
-// parallelPkgSuffix identifies the deterministic worker-pool package.
-// Function literals handed to it run on other goroutines, so they are
-// lockset-clearing spawn points exactly like go statements.
-const parallelPkgSuffix = "/internal/parallel"
 
 // key identifies one mutex as seen from inside a function body: the
 // root object (receiver, parameter, global, or local) plus the dotted
@@ -733,10 +728,4 @@ func isMutex(t types.Type) bool {
 // functions (atomic.AddInt64; the typed atomics' methods are not).
 func isAtomicFunc(fn *types.Func) bool {
 	return fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil
-}
-
-// isParallelPkg reports whether fn is declared in the worker-pool
-// package whose callbacks run on spawned goroutines.
-func isParallelPkg(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), parallelPkgSuffix)
 }

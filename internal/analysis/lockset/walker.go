@@ -154,8 +154,8 @@ func (w *walker) escapeExpr(e ast.Expr, kind EscapeKind) {
 }
 
 // call applies one call expression: lock events, sync/atomic
-// operations, operand evaluation (with spawn classification for
-// literal arguments), and the callee's interprocedural summary.
+// operations, operand evaluation (literal arguments inherit the current
+// lockset), and the callee's interprocedural summary.
 func (w *walker) call(call *ast.CallExpr) {
 	if op, ok := LockCall(w.u.Info, call); ok {
 		w.lockOp(op, call.Pos(), false)
@@ -165,12 +165,6 @@ func (w *walker) call(call *ast.CallExpr) {
 	if len(targets) > 0 && isAtomicFunc(targets[0]) {
 		w.atomicCall(call, targets[0].Name())
 		return
-	}
-	spawn := false
-	for _, tg := range targets {
-		if isParallelPkg(tg) {
-			spawn = true
-		}
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
@@ -185,13 +179,7 @@ func (w *walker) call(call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		if fl, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			if spawn {
-				// Worker-pool submission: the literal runs on another
-				// goroutine — locks held here do not protect it.
-				w.lit(fl, state{})
-			} else {
-				w.lit(fl, w.s.clone())
-			}
+			w.lit(fl, w.s.clone())
 			continue
 		}
 		w.expr(arg)

@@ -68,12 +68,10 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []Edge
+	// preds counts the edges that target the block; 0 on a non-entry
+	// block means the block is unreachable.
 	preds int
 }
-
-// Preds reports how many edges target the block; 0 on a non-entry
-// block means the block is unreachable.
-func (b *Block) Preds() int { return b.preds }
 
 // CFG is one function body's control-flow graph.
 type CFG struct {

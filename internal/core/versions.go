@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
@@ -48,17 +47,6 @@ func (s *System) DataVersion() string {
 		return ""
 	}
 	return string(head.Hash)
-}
-
-// DataAsOf materializes the immutable database snapshot the system
-// saw at the given turn — the time-travel read path callers hand to
-// sqldb.NewEngine to re-execute historical queries against historical
-// data.
-func (s *System) DataAsOf(turn int) (*storage.Database, vstore.Commit, error) {
-	if s.cfg.Versions == nil {
-		return nil, vstore.Commit{}, fmt.Errorf("core: no version store configured")
-	}
-	return s.cfg.Versions.DatabaseAsOf(s.dataRoot(), turn)
 }
 
 // stampDataRoot records the data version an answer was computed

@@ -109,7 +109,7 @@ func (c *vctx) col(i int) storage.Value {
 
 // vkernel is a compiled scalar expression: evaluate against one row
 // addressed by the context. Kernels are pure and re-entrant (no shared
-// scratch), so parallel chunks may share one kernel tree.
+// scratch), so vFilter's spans may share one kernel tree.
 type vkernel func(c *vctx) (storage.Value, error)
 
 // vcompiler compiles expressions against one relation schema. The

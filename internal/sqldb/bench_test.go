@@ -10,14 +10,13 @@ package sqldb
 //     differential cases (parallelPropQueries), which is what makes
 //     the two columns comparable: Rows, Prov, Stats and Fingerprint
 //     are asserted identical there; these benches measure only speed.
-//   - BenchmarkParallel*: the columnar filter scan and hash-join probe
-//     at workers=1 (the exact serial code path) and at several fan-out
-//     widths — the sweeps the engine's internal/parallel call sites
-//     are judged on.
+//   - BenchmarkParallelSQLFilterScan: the columnar filter scan, the
+//     one operator that fans out. It takes its width from GOMAXPROCS,
+//     so `-cpu 1,2,4` is the sweep it is judged on, and -cpu 1 is the
+//     serial path.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
@@ -90,29 +89,14 @@ func BenchmarkVectorizedStreamE7(b *testing.B) {
 	}
 }
 
-// benchWorkerSweep runs one statement through the columnar engine at
-// every worker count.
-func benchWorkerSweep(b *testing.B, rows, dims int, sql string, check func(b *testing.B, res *Result)) {
-	db := genJoinDB(rows, dims, 1)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := NewEngine(db)
-			e.Workers = workers
-			for i := 0; i < b.N; i++ {
-				res, err := e.Query(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, res)
-			}
-		})
-	}
-}
-
 func BenchmarkParallelSQLFilterScan(b *testing.B) {
-	benchWorkerSweep(b, 150000, 200, benchFilterScan, nonEmpty)
-}
-
-func BenchmarkParallelHashJoinProbe(b *testing.B) {
-	benchWorkerSweep(b, 120000, 300, benchHashJoinAgg, oneHashJoin)
+	e := NewEngine(genJoinDB(150000, 200, 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Query(benchFilterScan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nonEmpty(b, res)
+	}
 }

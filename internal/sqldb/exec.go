@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/reliable-cda/cda/internal/parallel"
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
@@ -116,28 +115,6 @@ type Engine struct {
 	// joins, keeping the naive plan (correctness cross-checks and the
 	// optimizer ablation bench).
 	DisableOptimizations bool
-	// Workers bounds the goroutines used by the columnar engine's
-	// parallel operators (filter scans, hash-join probes, grouping):
-	// 0 = GOMAXPROCS, 1 = serial. Parallel execution is deterministic by construction —
-	// chunk outputs merge in row order — so Result (rows, provenance,
-	// Fingerprint) and Stats are byte-identical to the serial
-	// executor's.
-	Workers int
-	// ParallelThreshold is the input row count below which operators
-	// stay serial (0 = parallel.DefaultSerialThreshold). Tests set 1
-	// to force the parallel path on small fixtures.
-	ParallelThreshold int
-}
-
-// execChunkFactor oversubscribes parallel chunks (workers × factor)
-// so skewed chunks — hash-join probes over clustered keys, filters
-// with uneven selectivity — stop gating the whole pool on the slowest
-// worker. Results are unaffected: chunk outputs merge in chunk order.
-const execChunkFactor = 8
-
-// parOptions assembles the fan-out knobs for the parallel operators.
-func (e *Engine) parOptions() parallel.Options {
-	return parallel.Options{Workers: e.Workers, SerialThreshold: e.ParallelThreshold, ChunkFactor: execChunkFactor}
 }
 
 // NewEngine creates an engine with provenance capture enabled.

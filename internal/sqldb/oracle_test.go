@@ -12,9 +12,9 @@ import (
 // reference the columnar engine (Engine.Execute) is checked against:
 // same Result, Stats, Prov, Fingerprint and errors, enforced by the
 // fuzz and determinism suites. It is serial by construction — plain
-// loops that ignore Workers and share no chunk-merge code with the
-// engine they check — and it lives in a _test file so that no binary
-// carries a second executor.
+// loops that share no span-and-merge code with the engine they check —
+// and it lives in a _test file so that no binary carries a second
+// executor.
 
 // queryRow parses SQL text and runs it through the row executor.
 func (e *Engine) queryRow(sql string) (*Result, error) {
@@ -217,8 +217,8 @@ func (e *Engine) executeProjection(stmt *SelectStmt, rel *relation) (*Result, er
 
 // filterRelation applies a predicate list to a relation — a plain
 // loop: this is the row oracle the columnar engine is checked
-// against, so it shares none of that engine's chunk-and-merge
-// machinery and is serial whatever Engine.Workers says.
+// against, so it shares none of vFilter's span-and-merge code and is
+// serial whatever GOMAXPROCS says.
 func (e *Engine) filterRelation(rel *relation, preds []Expr) (*relation, error) {
 	if len(preds) == 0 {
 		return rel, nil

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/storage"
@@ -89,39 +90,52 @@ var parallelPropQueries = []string{
 	"SELECT f.v, d.label FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 80 AND d.label = 'd3' ORDER BY f.v DESC LIMIT 20",
 }
 
+// procWidths are the GOMAXPROCS values the determinism tests sweep:
+// vFilter cuts a selection of filterSpanMin or more positions into that
+// many spans, and 1 is the serial scan.
+var procWidths = []int{1, 2, 4, 8}
+
+// setProcs sets GOMAXPROCS for the rest of the test and restores the
+// value it found when the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestParallelExecutionMatchesSerial is the executor's determinism
-// property test: for randomized workloads and several worker counts,
-// the parallel engine returns byte-identical rows, provenance,
-// Fingerprint, and Stats versus the serial engine.
+// property test: for randomized workloads over a fact table above
+// filterSpanMin, every GOMAXPROCS width returns byte-identical rows,
+// provenance, Fingerprint, and Stats to the serial width.
 func TestParallelExecutionMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		db := genJoinDB(4000, 200, seed)
-		serial := NewEngine(db)
-		serial.Workers = 1
-		for _, workers := range []int{2, 4, 8} {
-			par := NewEngine(db)
-			par.Workers = workers
-			par.ParallelThreshold = 1 // force the parallel operators
-			for _, q := range parallelPropQueries {
-				want, err := serial.Query(q)
+		e := NewEngine(genJoinDB(4000, 200, seed))
+		setProcs(t, 1)
+		want := make([]*Result, len(parallelPropQueries))
+		for i, q := range parallelPropQueries {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("serial %q: %v", q, err)
+			}
+			want[i] = res
+		}
+		for _, procs := range procWidths[1:] {
+			setProcs(t, procs)
+			for i, q := range parallelPropQueries {
+				got, err := e.Query(q)
 				if err != nil {
-					t.Fatalf("serial %q: %v", q, err)
+					t.Fatalf("procs=%d %q: %v", procs, q, err)
 				}
-				got, err := par.Query(q)
-				if err != nil {
-					t.Fatalf("parallel(%d) %q: %v", workers, q, err)
+				if want[i].Fingerprint() != got.Fingerprint() {
+					t.Fatalf("procs=%d %q: fingerprints differ", procs, q)
 				}
-				if want.Fingerprint() != got.Fingerprint() {
-					t.Fatalf("workers=%d %q: fingerprints differ", workers, q)
+				if !reflect.DeepEqual(want[i].Rows, got.Rows) {
+					t.Fatalf("procs=%d %q: row order differs", procs, q)
 				}
-				if !reflect.DeepEqual(want.Rows, got.Rows) {
-					t.Fatalf("workers=%d %q: row order differs", workers, q)
+				if !reflect.DeepEqual(want[i].Prov, got.Prov) {
+					t.Fatalf("procs=%d %q: provenance differs", procs, q)
 				}
-				if !reflect.DeepEqual(want.Prov, got.Prov) {
-					t.Fatalf("workers=%d %q: provenance differs", workers, q)
-				}
-				if want.Stats != got.Stats {
-					t.Fatalf("workers=%d %q: stats %+v, want %+v", workers, q, got.Stats, want.Stats)
+				if want[i].Stats != got.Stats {
+					t.Fatalf("procs=%d %q: stats %+v, want %+v", procs, q, got.Stats, want[i].Stats)
 				}
 			}
 		}
@@ -129,14 +143,13 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 }
 
 // TestParallelExecutionProvenanceOff checks the E4 baseline stays
-// identical too: provenance disabled must be nil under both engines.
+// identical too: provenance disabled must be nil when the filter fans
+// out.
 func TestParallelExecutionProvenanceOff(t *testing.T) {
-	db := genJoinDB(2000, 100, 9)
-	par := NewEngine(db)
-	par.CaptureProvenance = false
-	par.Workers = 4
-	par.ParallelThreshold = 1
-	res, err := par.Query("SELECT f.v FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 10")
+	setProcs(t, 4)
+	e := NewEngine(genJoinDB(2000, 100, 9))
+	e.CaptureProvenance = false
+	res, err := e.Query("SELECT f.v FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,61 +162,59 @@ func TestParallelExecutionProvenanceOff(t *testing.T) {
 }
 
 // TestParallelExecutionErrorMatchesSerial: a predicate that fails on
-// some row must surface the same error the serial scan reports.
+// some row must surface the same error at every width.
 func TestParallelExecutionErrorMatchesSerial(t *testing.T) {
-	db := genJoinDB(3000, 50, 4)
-	serial := NewEngine(db)
-	serial.Workers = 1
-	par := NewEngine(db)
-	par.Workers = 8
-	par.ParallelThreshold = 1
+	e := NewEngine(genJoinDB(3000, 50, 4))
 	const q = "SELECT * FROM facts WHERE grp + 1 > 0" // string + int fails in eval
-	_, serr := serial.Query(q)
-	_, perr := par.Query(q)
-	if serr == nil || perr == nil {
-		t.Fatalf("expected both engines to fail, got serial=%v parallel=%v", serr, perr)
+	setProcs(t, 1)
+	_, serr := e.Query(q)
+	if serr == nil {
+		t.Fatal("expected the serial scan to fail")
 	}
-	if serr.Error() != perr.Error() {
-		t.Fatalf("error diverged: serial %q, parallel %q", serr, perr)
+	for _, procs := range procWidths[1:] {
+		setProcs(t, procs)
+		if _, perr := e.Query(q); perr == nil || perr.Error() != serr.Error() {
+			t.Fatalf("procs=%d: error %v, want %q", procs, perr, serr)
+		}
 	}
 }
 
 // TestVectorizedMatchesRowOracleAcrossWorkers runs the determinism
-// query set through the row oracle and the vectorized engine across
-// worker counts and both optimizer settings: every combination must
+// query set through the row oracle and the vectorized engine at every
+// GOMAXPROCS width and both optimizer settings: every combination must
 // agree on Rows, Prov, Stats, and Fingerprint bit-for-bit.
 func TestVectorizedMatchesRowOracleAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		db := genJoinDB(4000, 200, seed)
 		for _, disableOpt := range []bool{false, true} {
-			oracle := NewEngine(db)
-			oracle.Workers = 1
-			oracle.DisableOptimizations = disableOpt
-			for _, workers := range []int{1, 2, 8} {
-				vec := NewEngine(db)
-				vec.Workers = workers
-				vec.ParallelThreshold = 1
-				vec.DisableOptimizations = disableOpt
-				for _, q := range parallelPropQueries {
-					want, err := oracle.queryRow(q)
+			e := NewEngine(db)
+			e.DisableOptimizations = disableOpt
+			want := make([]*Result, len(parallelPropQueries))
+			for i, q := range parallelPropQueries {
+				res, err := e.queryRow(q)
+				if err != nil {
+					t.Fatalf("oracle %q: %v", q, err)
+				}
+				want[i] = res
+			}
+			for _, procs := range procWidths {
+				setProcs(t, procs)
+				for i, q := range parallelPropQueries {
+					got, err := e.Query(q)
 					if err != nil {
-						t.Fatalf("oracle %q: %v", q, err)
+						t.Fatalf("vectorized(procs=%d,noopt=%v) %q: %v", procs, disableOpt, q, err)
 					}
-					got, err := vec.Query(q)
-					if err != nil {
-						t.Fatalf("vectorized(w=%d,noopt=%v) %q: %v", workers, disableOpt, q, err)
+					if want[i].Fingerprint() != got.Fingerprint() {
+						t.Fatalf("procs=%d noopt=%v %q: fingerprints differ", procs, disableOpt, q)
 					}
-					if want.Fingerprint() != got.Fingerprint() {
-						t.Fatalf("w=%d noopt=%v %q: fingerprints differ", workers, disableOpt, q)
+					if !reflect.DeepEqual(want[i].Rows, got.Rows) {
+						t.Fatalf("procs=%d noopt=%v %q: rows differ", procs, disableOpt, q)
 					}
-					if !reflect.DeepEqual(want.Rows, got.Rows) {
-						t.Fatalf("w=%d noopt=%v %q: rows differ", workers, disableOpt, q)
+					if !reflect.DeepEqual(want[i].Prov, got.Prov) {
+						t.Fatalf("procs=%d noopt=%v %q: provenance differs", procs, disableOpt, q)
 					}
-					if !reflect.DeepEqual(want.Prov, got.Prov) {
-						t.Fatalf("w=%d noopt=%v %q: provenance differs", workers, disableOpt, q)
-					}
-					if want.Stats != got.Stats {
-						t.Fatalf("w=%d noopt=%v %q: stats %+v, want %+v", workers, disableOpt, q, got.Stats, want.Stats)
+					if want[i].Stats != got.Stats {
+						t.Fatalf("procs=%d noopt=%v %q: stats %+v, want %+v", procs, disableOpt, q, got.Stats, want[i].Stats)
 					}
 				}
 			}
@@ -213,13 +224,10 @@ func TestVectorizedMatchesRowOracleAcrossWorkers(t *testing.T) {
 
 // TestVectorizedErrorMatchesRowOracle: evaluation errors in scans,
 // projections, and aggregates must surface with identical text and
-// identical first-error selection under both engines.
+// identical first-error selection under both engines, at every
+// GOMAXPROCS width.
 func TestVectorizedErrorMatchesRowOracle(t *testing.T) {
-	db := genJoinDB(3000, 50, 4)
-	oracle := NewEngine(db)
-	vec := NewEngine(db)
-	vec.Workers = 8
-	vec.ParallelThreshold = 1
+	e := NewEngine(genJoinDB(3000, 50, 4))
 	for _, q := range []string{
 		"SELECT * FROM facts WHERE grp + 1 > 0",                                  // filter eval error
 		"SELECT v + grp FROM facts",                                              // projection eval error
@@ -227,13 +235,15 @@ func TestVectorizedErrorMatchesRowOracle(t *testing.T) {
 		"SELECT nosuch FROM facts",                                               // unknown column
 		"SELECT f.v FROM facts f JOIN dims d ON f.k = d.k WHERE d.label - 1 > 0", // residual eval error
 	} {
-		_, oerr := oracle.queryRow(q)
-		_, verr := vec.Query(q)
-		if oerr == nil || verr == nil {
-			t.Fatalf("%q: expected both engines to fail, oracle=%v vectorized=%v", q, oerr, verr)
+		_, oerr := e.queryRow(q)
+		if oerr == nil {
+			t.Fatalf("%q: expected the oracle to fail", q)
 		}
-		if oerr.Error() != verr.Error() {
-			t.Fatalf("%q: error diverged oracle %q vectorized %q", q, oerr, verr)
+		for _, procs := range procWidths {
+			setProcs(t, procs)
+			if _, verr := e.Query(q); verr == nil || verr.Error() != oerr.Error() {
+				t.Fatalf("procs=%d %q: vectorized error %v, oracle %q", procs, q, verr, oerr)
+			}
 		}
 	}
 }

@@ -2,9 +2,10 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
-	"github.com/reliable-cda/cda/internal/parallel"
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
@@ -112,18 +113,19 @@ func (e *Engine) vScan(table, alias string, stats *Stats) (*vrel, error) {
 	return vr, nil
 }
 
-// vFilter refines the selection vector by the conjoined predicates.
-// Chunks scan selection positions in order and chunk survivors merge
-// in chunk order, so the surviving rows — and the first evaluation
-// error — are identical to a serial scan for any chunking.
+// filterSpanMin is the selection size from which vFilter fans out:
+// below about a thousand cheap predicate evaluations the goroutines
+// cost more than the scan they would share.
+const filterSpanMin = 1024
+
+// vFilter refines the selection vector by the conjoined predicates,
+// scanning it through scanSpans.
 func (e *Engine) vFilter(vr *vrel, preds []Expr) (*vrel, error) {
 	if len(preds) == 0 {
 		return vr, nil
 	}
-	cond := conjoin(preds)
-	k := (&vcompiler{res: vr, cols: vr.cols}).compile(cond)
-	n := vr.length()
-	chunks, err := parallel.MapChunks(n, e.parOptions(), func(lo, hi int) ([]int, error) {
+	k := (&vcompiler{res: vr, cols: vr.cols}).compile(conjoin(preds))
+	scan := func(lo, hi int) ([]int, error) {
 		keep := make([]int, 0, hi-lo)
 		ctx := vctx{cols: vr.cols}
 		for pos := lo; pos < hi; pos++ {
@@ -137,21 +139,52 @@ func (e *Engine) vFilter(vr *vrel, preds []Expr) (*vrel, error) {
 			}
 		}
 		return keep, nil
-	})
+	}
+	sel, err := scanSpans(vr.length(), scan)
 	if err != nil {
 		return nil, err
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	sel := make([]int, 0, total)
-	for _, c := range chunks {
-		sel = append(sel, c...)
 	}
 	out := *vr
 	out.sel = sel
 	return &out, nil
+}
+
+// scanSpans runs scan over [0, n). From filterSpanMin positions on it
+// cuts [0, n) into one contiguous span per GOMAXPROCS worker; span
+// outputs concatenate in span order and the lowest span's error wins,
+// so the result — and the first error — are a serial scan's whatever
+// the width.
+func scanSpans(n int, scan func(lo, hi int) ([]int, error)) ([]int, error) {
+	spans := 1
+	if n >= filterSpanMin {
+		spans = runtime.GOMAXPROCS(0)
+	}
+	if spans == 1 {
+		return scan(0, n)
+	}
+	keeps := make([][]int, spans)
+	errs := make([]error, spans)
+	var wg sync.WaitGroup
+	for i := range spans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			keeps[i], errs[i] = scan(i*n/spans, (i+1)*n/spans)
+		}(i)
+	}
+	wg.Wait()
+	total := 0
+	for i, keep := range keeps {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		total += len(keep)
+	}
+	sel := make([]int, 0, total)
+	for _, keep := range keeps {
+		sel = append(sel, keep...)
+	}
+	return sel, nil
 }
 
 // buildBuckets builds the hash-join table over the right relation's
@@ -170,11 +203,11 @@ func buildBuckets(right *vrel, ri int) map[joinKey][]int {
 	return buckets
 }
 
-// vProbeJoin probes the prebuilt buckets with the left relation in
-// parallel chunks, evaluating residual ON conjuncts on each candidate
-// pair without materializing combined rows, then gathers the matched
-// pairs into fresh output columns. Candidate order is left-row-major
-// with bucket order within a row — the row engine's exact order.
+// vProbeJoin probes the prebuilt buckets with the left relation,
+// evaluating residual ON conjuncts on each candidate pair without
+// materializing combined rows, then gathers the matched pairs into
+// fresh output columns. Candidate order is left-row-major with bucket
+// order within a row — the row engine's exact order.
 func (e *Engine) vProbeJoin(left, right *vrel, li int, buckets map[joinKey][]int, residual []Expr, stats *Stats) (*vrel, error) {
 	out := &vrel{
 		aliases: append(append([]string{}, left.aliases...), right.aliases...),
@@ -185,63 +218,42 @@ func (e *Engine) vProbeJoin(left, right *vrel, li int, buckets map[joinKey][]int
 		resid = (&vcompiler{res: out}).compile(cond)
 	}
 	lcol := left.cols[li]
-	split := len(left.cols)
-	type probePart struct {
-		lphys, rphys []int
-		joined       int
-	}
-	chunks, err := parallel.MapChunks(left.length(), e.parOptions(), func(lo, hi int) (*probePart, error) {
-		part := &probePart{}
-		ctx := vctx{cols: left.cols, rcols: right.cols, split: split}
-		for pos := lo; pos < hi; pos++ {
-			lp := left.phys(pos)
-			key, ok := joinKeyOf(lcol.At(lp))
-			if !ok {
-				continue
-			}
-			matches := buckets[key]
-			if len(matches) == 0 {
-				continue
-			}
-			part.joined += len(matches)
-			if resid == nil {
-				for range matches {
-					part.lphys = append(part.lphys, lp)
-				}
-				part.rphys = append(part.rphys, matches...)
-				continue
-			}
-			ctx.phys = lp
-			for _, rp := range matches {
-				ctx.rphys = rp
-				v, err := resid(&ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !isTrue(v) {
-					continue
-				}
-				part.lphys = append(part.lphys, lp)
-				part.rphys = append(part.rphys, rp)
-			}
+	var lidx, ridx []int
+	ctx := vctx{cols: left.cols, rcols: right.cols, split: len(left.cols)}
+	n := left.length()
+	for pos := 0; pos < n; pos++ {
+		lp := left.phys(pos)
+		key, ok := joinKeyOf(lcol.At(lp))
+		if !ok {
+			continue
 		}
-		return part, nil
-	})
-	if err != nil {
-		return nil, err
+		matches := buckets[key]
+		if len(matches) == 0 {
+			continue
+		}
+		stats.RowsJoined += len(matches)
+		if resid == nil {
+			for range matches {
+				lidx = append(lidx, lp)
+			}
+			ridx = append(ridx, matches...)
+			continue
+		}
+		ctx.phys = lp
+		for _, rp := range matches {
+			ctx.rphys = rp
+			v, err := resid(&ctx)
+			if err != nil {
+				return nil, err
+			}
+			if !isTrue(v) {
+				continue
+			}
+			lidx = append(lidx, lp)
+			ridx = append(ridx, rp)
+		}
 	}
-	total := 0
-	for _, p := range chunks {
-		stats.RowsJoined += p.joined
-		total += len(p.lphys)
-	}
-	lidx := make([]int, 0, total)
-	ridx := make([]int, 0, total)
-	for _, p := range chunks {
-		lidx = append(lidx, p.lphys...)
-		ridx = append(ridx, p.rphys...)
-	}
-	return e.vGatherJoin(left, right, lidx, ridx, out)
+	return e.vGatherJoin(left, right, lidx, ridx, out), nil
 }
 
 // vNestedJoin is the fallback O(n·m) join (non-equi ON conditions, or
@@ -273,14 +285,14 @@ func (e *Engine) vNestedJoin(left, right *vrel, on Expr, stats *Stats) (*vrel, e
 			ridx = append(ridx, rp)
 		}
 	}
-	return e.vGatherJoin(left, right, lidx, ridx, out)
+	return e.vGatherJoin(left, right, lidx, ridx, out), nil
 }
 
 // vGatherJoin materializes the joined output: fresh vectors of the
 // sources' kinds gathered from the matched (left, right) physical row
 // pairs, plus concatenated per-row provenance (left refs then right
 // refs, no dedup — matching the row engine's join provenance).
-func (e *Engine) vGatherJoin(left, right *vrel, lidx, ridx []int, out *vrel) (*vrel, error) {
+func (e *Engine) vGatherJoin(left, right *vrel, lidx, ridx []int, out *vrel) *vrel {
 	n := len(lidx)
 	out.nphys = n
 	for _, col := range left.cols {
@@ -291,22 +303,15 @@ func (e *Engine) vGatherJoin(left, right *vrel, lidx, ridx []int, out *vrel) (*v
 	}
 	if e.CaptureProvenance {
 		out.prov = make([][]RowRef, n)
-		perr := parallel.Do(n, e.parOptions(), func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				lrefs := left.provOf(lidx[i])
-				rrefs := right.provOf(ridx[i])
-				p := make([]RowRef, 0, len(lrefs)+len(rrefs))
-				p = append(p, lrefs...)
-				p = append(p, rrefs...)
-				out.prov[i] = p
-			}
-			return nil
-		})
-		if perr != nil {
-			return nil, perr
+		for i := range out.prov {
+			lrefs := left.provOf(lidx[i])
+			rrefs := right.provOf(ridx[i])
+			p := make([]RowRef, 0, len(lrefs)+len(rrefs))
+			p = append(p, lrefs...)
+			out.prov[i] = append(p, rrefs...)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // vProjection handles non-aggregate SELECTs over a vrel. Rows are
@@ -341,58 +346,39 @@ func (e *Engine) vProjection(stmt *SelectStmt, vr *vrel) (*Result, error) {
 		keys []storage.Value
 	}
 	n := vr.length()
-	chunks, err := parallel.MapChunks(n, e.parOptions(), func(lo, hi int) ([]keyed, error) {
-		part := make([]keyed, 0, hi-lo)
-		ctx := vctx{cols: vr.cols}
-		for pos := lo; pos < hi; pos++ {
-			p := vr.phys(pos)
-			ctx.phys = p
-			var projected []storage.Value
-			if stmt.SelStar {
-				projected = make([]storage.Value, len(vr.cols))
-				for c, col := range vr.cols {
-					projected[c] = col.At(p)
-				}
-			} else {
-				projected = make([]storage.Value, len(itemKs))
-				for j, k := range itemKs {
-					v, err := k(&ctx)
-					if err != nil {
-						return nil, err
-					}
-					projected[j] = v
-				}
+	out := make([]keyed, 0, n)
+	ctx := vctx{cols: vr.cols}
+	for pos := 0; pos < n; pos++ {
+		p := vr.phys(pos)
+		ctx.phys = p
+		var projected []storage.Value
+		if stmt.SelStar {
+			projected = make([]storage.Value, len(vr.cols))
+			for c, col := range vr.cols {
+				projected[c] = col.At(p)
 			}
-			kd := keyed{row: projected}
-			if e.CaptureProvenance {
-				kd.prov = vr.provOf(p)
-			}
-			for _, ok := range orderKs {
-				v, err := ok(&ctx)
+		} else {
+			projected = make([]storage.Value, len(itemKs))
+			for j, k := range itemKs {
+				v, err := k(&ctx)
 				if err != nil {
 					return nil, err
 				}
-				kd.keys = append(kd.keys, v)
+				projected[j] = v
 			}
-			part = append(part, kd)
 		}
-		return part, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []keyed
-	if len(chunks) == 1 {
-		out = chunks[0]
-	} else {
-		total := 0
-		for _, c := range chunks {
-			total += len(c)
+		kd := keyed{row: projected}
+		if e.CaptureProvenance {
+			kd.prov = vr.provOf(p)
 		}
-		out = make([]keyed, 0, total)
-		for _, c := range chunks {
-			out = append(out, c...)
+		for _, ok := range orderKs {
+			v, err := ok(&ctx)
+			if err != nil {
+				return nil, err
+			}
+			kd.keys = append(kd.keys, v)
 		}
+		out = append(out, kd)
 	}
 	if len(orderKs) > 0 {
 		sort.SliceStable(out, func(i, j int) bool {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"github.com/reliable-cda/cda/internal/parallel"
 )
 
 // IVFParams configures an inverted-file index: vectors are assigned to
@@ -17,12 +15,6 @@ type IVFParams struct {
 	Probe     int // lists visited per query
 	KMeansIts int // Lloyd iterations
 	Seed      int64
-	// Workers bounds the goroutines probing lists concurrently per
-	// query (0 = GOMAXPROCS, 1 = serial). Queries with fewer
-	// candidates than the serial threshold run serially either way,
-	// and the parallel probe returns exactly the serial neighbors
-	// (the top-k order is canonical: distance, then ID).
-	Workers int
 }
 
 // DefaultIVFParams sizes the cluster count to sqrt(n) per common
@@ -45,10 +37,6 @@ type IVF struct {
 	dim       int
 	centroids []Vector
 	lists     [][]int
-	// par configures the fan-out of Search's probe phase; tests
-	// lower the threshold to exercise the parallel path on small
-	// fixtures.
-	par parallel.Options
 	// Faults, when non-nil, injects deterministic chaos faults into
 	// searches.
 	Faults FaultHook
@@ -66,7 +54,7 @@ func NewIVF(data []Vector, params IVFParams) (*IVF, error) {
 	if params.KMeansIts <= 0 {
 		params.KMeansIts = 10
 	}
-	idx := &IVF{params: params, data: data, par: parallel.Options{Workers: params.Workers}}
+	idx := &IVF{params: params, data: data}
 	if len(data) == 0 {
 		return idx, nil
 	}
@@ -197,11 +185,7 @@ func (ivf *IVF) orderedLists(q Vector) []int {
 	return out
 }
 
-// Search probes the nearest Probe lists and ranks their members. When
-// the probed lists hold enough candidates, the lists are scanned by
-// concurrent workers with per-worker top-k heaps that are then merged;
-// the canonical heap order makes the merged result identical to the
-// serial scan's.
+// Search probes the nearest Probe lists and ranks their members.
 func (ivf *IVF) Search(q Vector, k int) ([]Neighbor, error) {
 	if ivf.Faults != nil {
 		if err := ivf.Faults.Inject("vectorindex.search"); err != nil {
@@ -223,50 +207,16 @@ func (ivf *IVF) Search(q Vector, k int) ([]Neighbor, error) {
 	if probe > len(order) {
 		probe = len(order)
 	}
-	probed := order[:probe]
-	heaps, err := parallel.MapChunks(len(probed), ivf.probeOptions(probed), func(lo, hi int) (*topK, error) {
-		h := newTopK(k)
-		var comps int64
-		for _, c := range probed[lo:hi] {
-			for _, id := range ivf.lists[c] {
-				h.push(Neighbor{ID: id, Dist: SquaredL2(q, ivf.data[id])})
-				comps++
-			}
+	h := newTopK(k)
+	var comps int64
+	for _, c := range order[:probe] {
+		for _, id := range ivf.lists[c] {
+			h.push(Neighbor{ID: id, Dist: SquaredL2(q, ivf.data[id])})
+			comps++
 		}
-		ivf.add(comps)
-		return h, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	heap := heaps[0]
-	for _, h := range heaps[1:] {
-		heap.merge(h)
-	}
-	return heap.sorted(), nil
-}
-
-// probeOptions sizes the probe fan-out by total candidate count, not
-// list count: probing 8 lists of 10 vectors each is serial work.
-func (ivf *IVF) probeOptions(probed []int) parallel.Options {
-	o := ivf.par
-	total := 0
-	for _, c := range probed {
-		total += len(ivf.lists[c])
-	}
-	threshold := o.SerialThreshold
-	if threshold <= 0 {
-		threshold = parallel.DefaultSerialThreshold
-	}
-	if total < threshold {
-		o.Workers = 1
-	} else {
-		// Candidate volume cleared the bar; chunk over the (few)
-		// probed lists without re-applying the threshold to their
-		// count.
-		o.SerialThreshold = 1
-	}
-	return o
+	ivf.add(comps)
+	return h.sorted(), nil
 }
 
 func max(a, b int) int {

@@ -97,10 +97,9 @@ func (c *distCounter) add(k int64)      { c.n.Add(k) }
 // neighborLess is the canonical total order on candidates: ascending
 // distance, ties broken by ascending ID. Using it for every heap
 // comparison makes the kept top-k set a pure function of the
-// candidate multiset — independent of push order — which is what lets
-// the parallel IVF probe merge per-shard heaps and provably
-// reproduce the serial result even when distances tie at the k-th
-// position.
+// candidate multiset — independent of push order — so every index
+// agrees with the exact scan on which of several tied candidates it
+// keeps at the k-th position.
 func neighborLess(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
@@ -165,15 +164,6 @@ func (t *topK) down(i int) {
 		}
 		t.items[i], t.items[big] = t.items[big], t.items[i]
 		i = big
-	}
-}
-
-// merge pushes every neighbor kept by o; because the heap order is
-// canonical, merging per-shard heaps yields exactly the heap a single
-// serial scan over the union would have kept.
-func (t *topK) merge(o *topK) {
-	for _, n := range o.items {
-		t.push(n)
 	}
 }
 

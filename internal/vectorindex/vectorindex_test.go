@@ -3,6 +3,7 @@ package vectorindex
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,36 @@ func TestTopKUnderfull(t *testing.T) {
 	}
 	if len(h.sorted()) != 1 {
 		t.Error("underfull sorted length")
+	}
+}
+
+// TestTopKCanonicalUnderTies: with duplicated vectors (exact distance
+// ties) the kept top-k must not depend on the order candidates are
+// pushed in, or an index's visit order would decide which tie it keeps.
+func TestTopKCanonicalUnderTies(t *testing.T) {
+	base := randomData(50, 8, 3, 11)
+	// Every vector appears 4 times → every distance ties 4 ways.
+	var data []Vector
+	for r := 0; r < 4; r++ {
+		data = append(data, base...)
+	}
+	q := make(Vector, 8)
+	want, err := NewExact(data).Search(q, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stride := range []int{2, 3, 8} {
+		// Strided passes, each scanned high to low: not the exact
+		// scan's visit order.
+		h := newTopK(7)
+		for s := 0; s < stride; s++ {
+			for id := len(data) - 1 - s; id >= 0; id -= stride {
+				h.push(Neighbor{ID: id, Dist: SquaredL2(q, data[id])})
+			}
+		}
+		if got := h.sorted(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("stride %d: top-k %v, want %v", stride, got, want)
+		}
 	}
 }
 
@@ -185,6 +216,75 @@ func TestIVFRecall(t *testing.T) {
 	}
 	if ivf.DistComps() >= exact.DistComps() {
 		t.Errorf("IVF comps %d >= exact %d", ivf.DistComps(), exact.DistComps())
+	}
+}
+
+// probedLists returns the lists ivf.Search visits for q: the Probe
+// lists whose centroids are nearest q.
+func probedLists(ivf *IVF, q Vector) [][]int {
+	order := ivf.orderedLists(q)
+	if len(order) > ivf.params.Probe {
+		order = order[:ivf.params.Probe]
+	}
+	lists := make([][]int, len(order))
+	for i, c := range order {
+		lists[i] = ivf.lists[c]
+	}
+	return lists
+}
+
+// TestIVFSearchMatchesProbedScan: for randomized workloads the probe
+// returns exactly the top-k of the probed lists' members, as a scan of
+// them in reverse visit order ranks it.
+func TestIVFSearchMatchesProbedScan(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		all := randomData(3040, 16, 8, seed)
+		data, queries := all[:3000], all[3000:]
+		ivf, err := NewIVF(data, IVFParams{Lists: 32, Probe: 8, KMeansIts: 5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			lists := probedLists(ivf, q)
+			h := newTopK(10)
+			for i := len(lists) - 1; i >= 0; i-- {
+				for j := len(lists[i]) - 1; j >= 0; j-- {
+					id := lists[i][j]
+					h.push(Neighbor{ID: id, Dist: SquaredL2(q, data[id])})
+				}
+			}
+			got, err := ivf.Search(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := h.sorted(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d query %d: neighbors %v, want %v", seed, qi, got, want)
+			}
+		}
+	}
+}
+
+// TestIVFSearchCountsDistances: a search counts one distance per
+// centroid and one per member of every probed list, no more.
+func TestIVFSearchCountsDistances(t *testing.T) {
+	all := randomData(2020, 8, 4, 7)
+	data, queries := all[:2000], all[2000:]
+	ivf, err := NewIVF(data, IVFParams{Lists: 16, Probe: 6, KMeansIts: 5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, q := range queries {
+		want += int64(len(ivf.centroids))
+		for _, l := range probedLists(ivf, q) {
+			want += int64(len(l))
+		}
+		if _, err := ivf.Search(q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ivf.DistComps(); got != want {
+		t.Fatalf("probe counted %d distance comps, want %d", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -209,9 +208,4 @@ func SparseBarometerTable(p BarometerParams, gapYears int) *storage.Table {
 		month++
 	}
 	return t
-}
-
-// DatasetLabel formats a dataset reference for dialogue text.
-func DatasetLabel(d *catalog.Dataset) string {
-	return fmt.Sprintf("%s (%s)", d.Name, d.ID)
 }

@@ -32,8 +32,9 @@
 #   4. go test -race — the whole module's test suite, once, under the
 #                      race detector. That one run is every -race gate
 #                      this script used to list separately: the
-#                      serial-vs-parallel determinism properties, the
-#                      chaos fault sweeps and cancellation contracts,
+#                      filter scan's GOMAXPROCS-sweep determinism
+#                      properties, the chaos fault sweeps and
+#                      cancellation contracts,
 #                      kill-and-recover and cluster kill/partition
 #                      run-twice transcript diffs, and the session
 #                      store, admission, framelog and versioned-store
@@ -46,19 +47,22 @@
 #                      ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore, ~1 min), since tier-1
 #                      has no -race. FuzzScan, FuzzJournalOpen,
-#                      FuzzDecodeLeaf and FuzzDecodeSessionTree (seeded
+#                      FuzzDecodeLeaf, FuzzDecodeSessionTree (seeded
 #                      from the chunks of sessionstore's format-v2,
-#                      tree-v2 and tree-v3 fixtures) run their seed
+#                      tree-v2 and tree-v3 fixtures) and
+#                      FuzzDecodeRecord (seeded from every frame of the
+#                      format-v1, -v2 and -v3 shard WALs) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
-#                      journal decoder, the column-leaf decoder and the
-#                      session-tree decoder for 30 s each (go test
-#                      ./internal/vstore -run '^$'
-#                      -fuzz=FuzzJournalOpen -fuzztime=30s
+#                      journal decoder, the column-leaf decoder, the
+#                      session-tree decoder and the WAL-record decoder
+#                      for 30 s each (go test ./internal/vstore
+#                      -run '^$' -fuzz=FuzzJournalOpen -fuzztime=30s
 #                      -fuzzminimizetime=2s; the same with
 #                      -fuzz=FuzzDecodeLeaf, and in
 #                      ./internal/sessionstore with
-#                      -fuzz=FuzzDecodeSessionTree).
+#                      -fuzz=FuzzDecodeSessionTree and
+#                      -fuzz=FuzzDecodeRecord).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
@@ -70,10 +74,12 @@
 #                      internal/storage's BenchmarkReadCSV and
 #                      BenchmarkDistinctStrings over a generated
 #                      60 000 × 5 orders table; internal/sqldb's
-#                      row-vs-columnar table and worker sweeps;
-#                      internal/vectorindex's IVF-probe sweep;
-#                      internal/analysis's whole-module cdalint runs),
-#                      so a broken benchmark fixture fails the gate, not
+#                      row-vs-columnar table and
+#                      BenchmarkParallelSQLFilterScan, run at -cpu 1,2
+#                      because the filter scan takes its width from
+#                      GOMAXPROCS; internal/analysis's whole-module
+#                      cdalint runs), so a broken benchmark fixture
+#                      fails the gate, not
 #                      the next perf investigation, and the bytes and
 #                      allocations per operation are in the log beside
 #                      the times
@@ -108,6 +114,7 @@ echo "==> go test -C bench ./... (the benchmark's own module)"
 go test -C bench ./...
 
 echo "==> benchmark smoke (1 iteration of each)"
-go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/storage ./internal/sqldb ./internal/vectorindex ./internal/analysis
+go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/storage ./internal/analysis
+go test -run='^$' -bench=. -benchtime=1x -benchmem -cpu 1,2 ./internal/sqldb
 
 echo "check.sh: all gates passed"
