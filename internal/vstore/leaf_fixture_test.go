@@ -12,12 +12,18 @@ import (
 // commit *before* the typed leaf codec wrote for commitLeafFixture (this
 // file, compiled there unchanged): every leaf an array of Value structs.
 // testdata/leaf-v2/chunks.pack is what this code writes for the same
-// two commits.
+// two commits. testdata/orders-v2/chunks.pack is the journal the commit
+// before the runs and dictionary forms wrote for ordersFixtureDB, every
+// leaf a plain typed one; testdata/leaf-v3/chunks.pack is what this code
+// writes for it.
 
 const (
-	leafFixtureV1   = "testdata/leaf-v1"
-	leafFixtureV2   = "testdata/leaf-v2"
-	leafFixtureRoot = "db/main"
+	leafFixtureV1     = "testdata/leaf-v1"
+	leafFixtureV2     = "testdata/leaf-v2"
+	leafFixtureRoot   = "db/main"
+	ordersFixtureV2   = "testdata/orders-v2"
+	leafFixtureV3     = "testdata/leaf-v3"
+	ordersFixtureRoot = "data"
 )
 
 // leafFixtureDB is a 260-row table (two leaves per column) of all four
@@ -84,4 +90,42 @@ func commitLeafFixture(t testing.TB, s *Store) [2]*storage.Database {
 		t.Fatal(err)
 	}
 	return [2]*storage.Database{leafFixtureDB(), db}
+}
+
+// ordersFixtureDB is the shape of an uploaded CSV at 600 rows (three
+// leaves per column, the last short): a sequential key, eight region
+// names with one NULL in the middle leaf, a constant INT column, a
+// periodic quantity and a two-decimal amount.
+func ordersFixtureDB() *storage.Database {
+	regions := []string{"north", "south", "east", "west", "central", "alpine", "lakeside", "border"}
+	tab := storage.NewTable("orders", storage.Schema{
+		{Name: "order_id", Kind: storage.KindInt},
+		{Name: "region", Kind: storage.KindString},
+		{Name: "store", Kind: storage.KindInt, Description: "one store"},
+		{Name: "quantity", Kind: storage.KindInt},
+		{Name: "amount", Kind: storage.KindFloat},
+	})
+	tab.Description = "orders codec fixture"
+	for i := 0; i < 600; i++ {
+		region := storage.Str(regions[(i*i+i/5)%len(regions)])
+		if i == 300 {
+			region = storage.Null()
+		}
+		tab.MustAppendRow(storage.Int(int64(i+1)), region, storage.Int(42),
+			storage.Int(int64(1+i*7%12)), storage.Float(float64(i*3701%100000)/100))
+	}
+	db := storage.NewDatabase("shop")
+	db.Put(tab)
+	return db
+}
+
+// commitOrdersFixture commits ordersFixtureDB at turn 0, as a node's
+// first CommitData does, and returns the database.
+func commitOrdersFixture(t testing.TB, s *Store) *storage.Database {
+	t.Helper()
+	db := ordersFixtureDB()
+	if _, err := s.CommitDatabase(ordersFixtureRoot, db, 0); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }

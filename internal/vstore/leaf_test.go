@@ -3,13 +3,16 @@ package vstore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/reliable-cda/cda/internal/storage"
 )
@@ -79,16 +82,81 @@ func mustEncode(t testing.TB, col *storage.Vector, lo, hi int) []byte {
 	return data
 }
 
-// requireRoundTrip encodes all of col, requires the typed form, and
-// requires the decode to return col's values and to encode to the same
-// bytes again.
+func mustPlain(t testing.TB, col *storage.Vector, lo, hi int) []byte {
+	t.Helper()
+	data, err := plainLeaf(col, lo, hi)
+	if err != nil {
+		t.Fatalf("plain form of %#v: %v", values(col)[lo:hi], err)
+	}
+	return data
+}
+
+// otherForm is the runs or dictionary form of a non-empty, NULL-free
+// INT or TEXT vector, written through json.Marshal: the oracle for
+// encodeInts and encodeStrings. It is nil for any other vector.
+func otherForm(t testing.TB, col *storage.Vector) []byte {
+	t.Helper()
+	if col.Len() == 0 || col.NullCount(0, col.Len()) > 0 {
+		return nil
+	}
+	var form any
+	switch col.Kind() {
+	case storage.KindInt:
+		var dr []int64
+		var prev int64
+		for _, v := range col.Ints() {
+			if d := v - prev; len(dr) > 0 && dr[len(dr)-2] == d {
+				dr[len(dr)-1]++
+			} else {
+				dr = append(dr, d, 1)
+			}
+			prev = v
+		}
+		form = struct {
+			T  storage.Kind `json:"t"`
+			DR []int64      `json:"dr"`
+		}{storage.KindInt, dr}
+	case storage.KindString:
+		at := map[string]int{}
+		var dict []string
+		var ix []int
+		for _, s := range col.Strings() {
+			k, ok := at[s]
+			if !ok {
+				k, at[s], dict = len(dict), len(dict), append(dict, s)
+			}
+			ix = append(ix, k)
+		}
+		form = struct {
+			T    storage.Kind `json:"t"`
+			Dict []string     `json:"dict"`
+			IX   []int        `json:"ix"`
+		}{storage.KindString, dict, ix}
+	default:
+		return nil
+	}
+	data, err := json.Marshal(form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// requireRoundTrip encodes all of col, requires the form the choice rule
+// picks — the shorter of the plain form and the other form of its kind,
+// plain on a tie — and requires the decode to return col's values and to
+// encode to the same bytes again.
 func requireRoundTrip(t testing.TB, col *storage.Vector) []byte {
 	t.Helper()
 	data := mustEncode(t, col, 0, col.Len())
-	if !json.Valid(data) || data[0] != '{' || strings.Contains(string(data), "Kind") {
-		t.Fatalf("encoded %#v as %s, want the typed form", values(col), data)
+	want := mustPlain(t, col, 0, col.Len())
+	if other := otherForm(t, col); other != nil && len(other) < len(want) {
+		want = other
 	}
-	got, err := decodeLeaf(data)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("encoded %#v as %s, want %s", values(col), data, want)
+	}
+	got, err := decodeLeaf(data, col.Len())
 	if err != nil {
 		t.Fatalf("decode %s: %v", data, err)
 	}
@@ -133,10 +201,36 @@ func randomLeaf(rng *rand.Rand, kind storage.Kind) []storage.Value {
 	return col
 }
 
-// TestLeafRoundTrip: every span of a vector takes the typed form and
-// comes back bit for bit, written from the slice itself or through
-// pointers; a legacy leaf reads as the vector it can be or not at all;
-// what JSON cannot carry behaves as it did before the typed form.
+// structuredLeaf draws the spans the runs and dictionary forms are for:
+// INT runs of equal deltas, extremes among them, or TEXT drawn from a
+// small dictionary — and now and then one NULL, which keeps it plain.
+func structuredLeaf(rng *rand.Rand, kind storage.Kind) []storage.Value {
+	deltas := []int64{0, 1, -1, 7, math.MaxInt64, math.MinInt64, 1 << 62}
+	words := []string{"north", "", "é東", "<&>", `"\`, "a b", "tab\there"}[:1+rng.Intn(7)]
+	col := make([]storage.Value, 1+rng.Intn(300))
+	acc, d := int64(rng.Uint64()), int64(0)
+	for i := range col {
+		if kind == storage.KindInt {
+			if rng.Intn(6) == 0 {
+				d = deltas[rng.Intn(len(deltas))]
+			}
+			acc += d
+			col[i] = storage.Int(acc)
+		} else {
+			col[i] = storage.Str(words[rng.Intn(len(words))])
+		}
+	}
+	if rng.Intn(4) == 0 {
+		col[rng.Intn(len(col))] = storage.Null()
+	}
+	return col
+}
+
+// TestLeafRoundTrip: every span of a vector takes the form the choice
+// rule picks and comes back bit for bit, its plain text written from the
+// slice itself or through pointers; a legacy leaf reads as the vector it
+// can be or not at all; what JSON cannot carry behaves as it did before
+// the typed form.
 func TestLeafRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	for i := 0; i < 400; i++ {
@@ -159,10 +253,14 @@ func TestLeafRoundTrip(t *testing.T) {
 			continue
 		}
 		col := mustVector(t, kind, append(dense, storage.Null()))
-		direct, viaPointers := mustEncode(t, col, 0, len(dense)), mustEncode(t, col, 0, len(dense)+1)
+		direct, viaPointers := mustPlain(t, col, 0, len(dense)), mustEncode(t, col, 0, len(dense)+1)
 		if want := strings.TrimSuffix(string(direct), "]}") + ",null]}"; string(viaPointers) != want {
 			t.Fatalf("span with a trailing NULL = %s, without it %s", viaPointers, direct)
 		}
+	}
+	for i := 0; i < 400; i++ {
+		kind := []storage.Kind{storage.KindInt, storage.KindString}[i%2]
+		requireRoundTrip(t, mustVector(t, kind, structuredLeaf(rng, kind)))
 	}
 	requireRoundTrip(t, mustVector(t, storage.KindInt, nil))
 
@@ -171,6 +269,12 @@ func TestLeafRoundTrip(t *testing.T) {
 	b := mustVector(t, storage.KindInt, append(append([]storage.Value{storage.Int(99)}, a...), storage.Int(5)))
 	if x, y := requireRoundTrip(t, mustVector(t, storage.KindInt, a)), mustEncode(t, b, 1, 5); !bytes.Equal(x, y) {
 		t.Fatalf("equal spans encoded as %s and %s", x, y)
+	}
+	// Runs start from 0, not from the row before the span.
+	run := []storage.Value{storage.Int(5), storage.Int(6), storage.Int(7), storage.Int(8), storage.Int(9)}
+	c := mustVector(t, storage.KindInt, append(append([]storage.Value{storage.Int(99)}, run...), storage.Int(3)))
+	if x, y := requireRoundTrip(t, mustVector(t, storage.KindInt, run)), mustEncode(t, c, 1, 6); !bytes.Equal(x, y) || !strings.Contains(string(x), `"dr"`) {
+		t.Fatalf("equal NULL-free spans encoded as %s and %s, want runs", x, y)
 	}
 	nulls := make([]storage.Value, 3)
 	if x, y := requireRoundTrip(t, mustVector(t, storage.KindNull, nulls)), requireRoundTrip(t, mustVector(t, storage.KindFloat, nulls)); !bytes.Equal(x, y) {
@@ -196,7 +300,7 @@ func TestLeafRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeLeaf(data)
+		got, err := decodeLeaf(data, len(c.leaf))
 		if c.want == nil {
 			if err == nil {
 				t.Errorf("%s: decoded %s as %#v", name, data, values(got))
@@ -218,7 +322,7 @@ func TestLeafRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, data := range [][]byte{legacy, mustEncode(t, mustVector(t, storage.KindString, invalid), 0, 1)} {
-		got, err := decodeLeaf(data)
+		got, err := decodeLeaf(data, 1)
 		if err != nil || got.At(0) != storage.Str("a\ufffdb\ufffd") {
 			t.Fatalf("invalid UTF-8 came back from %s as %#v, %v", data, got, err)
 		}
@@ -249,39 +353,113 @@ func TestLeafRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeafForms pins the text of each form on the spans it is for, and
+// the rule between them: the shorter text, the plain one on a tie, and
+// only the plain one for a span with a NULL.
+func TestLeafForms(t *testing.T) {
+	ints := func(vs ...int64) *storage.Vector {
+		vals := make([]storage.Value, len(vs))
+		for i, v := range vs {
+			vals[i] = storage.Int(v)
+		}
+		return mustVector(t, storage.KindInt, vals)
+	}
+	strs := func(vs ...string) *storage.Vector {
+		vals := make([]storage.Value, len(vs))
+		for i, v := range vs {
+			vals[i] = storage.Str(v)
+		}
+		return mustVector(t, storage.KindString, vals)
+	}
+	seq := make([]int64, 256)
+	for i := range seq {
+		seq[i] = int64(i + 1)
+	}
+	withNull := mustVector(t, storage.KindInt, []storage.Value{storage.Int(1), storage.Int(2), storage.Null(), storage.Int(4)})
+	for _, c := range []struct {
+		col  *storage.Vector
+		want string
+	}{
+		{ints(seq...), `{"t":1,"dr":[1,256]}`},
+		{ints(42, 42, 42, 42), `{"t":1,"dr":[42,1,0,3]}`},
+		{ints(math.MaxInt64, math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64),
+			`{"t":1,"dr":[9223372036854775807,1,1,1,0,1,-1,1,0,1]}`},
+		{ints(10, 20), `{"t":1,"v":[10,20]}`}, // 4 + "v" against 4 + "dr": a tie
+		{ints(0, 0, 0), `{"t":1,"dr":[0,3]}`},
+		{withNull, `{"t":1,"v":[1,2,null,4]}`},
+		{strs("east", "west", "east", "east", "west"), `{"t":3,"dict":["east","west"],"ix":[0,1,0,0,1]}`},
+		{strs("<a>", "<a>", "<a>"), `{"t":3,"dict":["\u003ca\u003e"],"ix":[0,0,0]}`},
+		{strs("a", "b", "a"), `{"t":3,"v":["a","b","a"]}`},
+		{strs(`"\`, `"\`, "\u2028"), `{"t":3,"v":["\"\\","\"\\","\u2028"]}`},
+	} {
+		if got := requireRoundTrip(t, c.col); string(got) != c.want {
+			t.Errorf("%v encodes as %s, want %s", values(c.col), got, c.want)
+		}
+	}
+
+	// A dictionary leaf's rows share the dictionary's strings.
+	col, err := decodeLeaf([]byte(`{"t":3,"dict":["lakeside","border"],"ix":[0,1,0,0]}`), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := col.Strings(); unsafe.StringData(s[0]) != unsafe.StringData(s[2]) || unsafe.StringData(s[0]) != unsafe.StringData(s[3]) {
+		t.Fatalf("rows of one dictionary entry hold separate copies: %q", s)
+	}
+}
+
 // FuzzDecodeLeaf: arbitrary bytes never panic the leaf decoder, and
-// whatever it accepts — what a vector can hold — re-encodes to bytes
-// that decode to the same values and are a fixed point of the codec.
+// whatever it accepts as the row count asked for — what a vector can
+// hold — re-encodes to bytes no longer than the plain form of those
+// values, which decode to the same values and are a fixed point of the
+// codec.
 func FuzzDecodeLeaf(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for kind := storage.KindNull; kind <= storage.KindBool; kind++ {
 		col := mustVector(f, kind, randomLeaf(rng, kind))
-		f.Add(mustEncode(f, col, 0, col.Len()))
-		legacy, err := json.Marshal(randomLeaf(rng, kind))
+		f.Add(mustEncode(f, col, 0, col.Len()), uint16(col.Len()))
+		vals := randomLeaf(rng, kind)
+		legacy, err := json.Marshal(vals)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(legacy)
+		f.Add(legacy, uint16(len(vals)))
 	}
-	for _, seed := range []string{
-		``, `null`, `[]`, `{}`, `[null]`, `{"t":1}`, `{"t":1,"v":null}`, `{"t":0,"v":[null,0]}`,
-		`{"t":5,"v":[]}`, `{"t":-1,"v":[]}`, `{"t":1,"v":[1.5]}`, `{"t":1,"v":[9223372036854775808]}`,
-		`{"t":2,"v":[1e999]}`, `{"t":2,"v":[-0,1E+2]}`, `{"t":3,"v":["\ud800",7]}`, `{"t":4,"v":[true,null,"x"]}`,
-		`{"t":3,"v":["a"],"v":["b"]}`, `[{"Kind":9,"S":"x"},{"kind":1,"i":2}]`, `[{"Kind":2,"F":1e999}]`, ` [1]`,
-		`[{"F":-0}]`,
+	for _, seed := range []struct {
+		leaf string
+		want uint16
+	}{
+		{``, 0}, {`null`, 0}, {`[]`, 0}, {`{}`, 0}, {`[null]`, 1}, {`{"t":1}`, 0}, {`{"t":1,"v":null}`, 0}, {`{"t":0,"v":[null,0]}`, 2},
+		{`{"t":5,"v":[]}`, 0}, {`{"t":-1,"v":[]}`, 0}, {`{"t":1,"v":[1.5]}`, 1}, {`{"t":1,"v":[9223372036854775808]}`, 1},
+		{`{"t":2,"v":[1e999]}`, 1}, {`{"t":2,"v":[-0,1E+2]}`, 2}, {`{"t":3,"v":["\ud800",7]}`, 2}, {`{"t":4,"v":[true,null,"x"]}`, 3},
+		{`{"t":3,"v":["a"],"v":["b"]}`, 1}, {`[{"Kind":9,"S":"x"},{"kind":1,"i":2}]`, 2}, {`[{"Kind":2,"F":1e999}]`, 1}, {` [1]`, 1},
+		{`[{"F":-0}]`, 1},
+		// The runs and dictionary forms, int64 extremes and forgeries among them.
+		{`{"t":1,"dr":[1,256]}`, 256}, {`{"t":1,"dr":[42,1,0,255]}`, 256}, {`{"t":1,"dr":[10,2]}`, 2},
+		{`{"t":1,"dr":[9223372036854775807,1,-9223372036854775808,2,1,1]}`, 4}, {`{"t":1,"dr":[-9223372036854775808,3]}`, 3},
+		{`{"t":1,"dr":[1,4611686018427387904]}`, 256}, {`{"t":1,"dr":[1,9223372036854775807,1,9223372036854775807,1,5]}`, 3},
+		{`{"t":1,"dr":[1,0,1,3]}`, 3}, {`{"t":1,"dr":[1,3,5]}`, 3}, {`{"t":2,"dr":[1,3]}`, 3}, {`{"t":1,"dr":null}`, 0},
+		{`{"t":3,"dict":["east","west"],"ix":[0,1,1,0]}`, 4}, {`{"t":3,"dict":["a","a",""],"ix":[1,0]}`, 2},
+		{`{"t":3,"dict":["a"],"ix":[0,1]}`, 2}, {`{"t":3,"dict":["a"],"ix":[-1]}`, 1}, {`{"t":3,"dict":[],"ix":[]}`, 0},
+		{`{"t":3,"v":["a"],"dict":["a"],"ix":[0]}`, 1}, {`{"t":3,"dict":["\ud800","<\u2028>"],"ix":[1,0,1]}`, 3},
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed.leaf), seed.want)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		col, err := decodeLeaf(data)
+	f.Fuzz(func(t *testing.T, data []byte, want uint16) {
+		col, err := decodeLeaf(data, int(want))
 		if err != nil {
 			return
+		}
+		if col.Len() != int(want) {
+			t.Fatalf("decoded %q to %d values, asked for %d", data, col.Len(), want)
 		}
 		enc, err := encodeLeaf(col, 0, col.Len())
 		if err != nil {
 			t.Fatalf("decoded %q to %#v, which does not encode: %v", data, values(col), err)
 		}
-		again, err := decodeLeaf(enc)
+		if plain := mustPlain(t, col, 0, col.Len()); len(enc) > len(plain) {
+			t.Fatalf("%q re-encodes as %s, longer than its plain form %s", data, enc, plain)
+		}
+		again, err := decodeLeaf(enc, col.Len())
 		if err != nil {
 			t.Fatalf("decoded %q, re-encoded as %s, which does not decode: %v", data, enc, err)
 		}
@@ -320,11 +498,26 @@ func openDir(t *testing.T, dir string) *Store {
 	return s
 }
 
+// requireSameVersion requires two versions to materialize cell for cell
+// equal.
+func requireSameVersion(t *testing.T, s *Store, a, b Hash) {
+	t.Helper()
+	da, err := s.MaterializeDatabase(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := s.MaterializeDatabase(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, da, db)
+}
+
 // TestOpensParentLeaves opens the journal the parent commit wrote —
 // every leaf an array of structs — and requires both versions to
 // materialize equal to the generator's, before and after this code
-// commits the same data on top as a tree of typed leaves; between the
-// two encodings of one version Diff finds no changed row.
+// commits the same data on top as a tree of typed leaves; the two
+// encodings of one version materialize equal.
 func TestOpensParentLeaves(t *testing.T) {
 	dir := copyLeafFixture(t, leafFixtureV1)
 	s := openDir(t, dir)
@@ -380,17 +573,7 @@ func TestOpensParentLeaves(t *testing.T) {
 	if head.Tree == old[1].Tree || s.NumChunks() <= chunks {
 		t.Fatalf("re-commit reused tree %s (%d → %d chunks): the fixture holds no old-form leaves?", head.Tree, chunks, s.NumChunks())
 	}
-	rep, err := s.Diff(old[1].Hash, head.Hash)
-	if err != nil || len(rep.Tables) != 1 {
-		t.Fatalf("diff across encodings = %+v, %v", rep, err)
-	}
-	if td := rep.Tables[0]; td.SchemaChanged || len(td.ChangedRows)+td.RowsAdded+td.RowsRemoved != 0 {
-		t.Fatalf("diff between two encodings of one table: %+v", td)
-	}
-	rep, err = s.Diff(old[0].Hash, head.Hash)
-	if err != nil || len(rep.Tables) != 1 || fmt.Sprint(rep.Tables[0].ChangedRows) != "[100]" || rep.Tables[0].RowsAdded != 2 {
-		t.Fatalf("diff from the old encoding of version 0 = %+v, %v; want row 100 changed, 2 added", rep, err)
-	}
+	requireSameVersion(t, s, old[1].Hash, head.Hash)
 	// Committing it once more is the no-op it has to be on every restart.
 	chunks = s.NumChunks()
 	if again, err := s.CommitDatabase(leafFixtureRoot, want[1], 2); err != nil || again != head || s.NumChunks() != chunks {
@@ -448,10 +631,114 @@ func TestWritesV2LeafBytes(t *testing.T) {
 	}
 }
 
+// TestUpgradesParentOrders opens the journal the parent commit wrote for
+// ordersFixtureDB — every leaf plain — and walks the upgrade a node's
+// first CommitData(0) takes: the old version materializes to the
+// generator's database; committing that database at turn 0 adds one new
+// tree beside it, leaf-v3's, sharing the leaves whose form did not
+// change; both materialize equal and keep resolving after a reopen; and
+// committing once more writes nothing.
+func TestUpgradesParentOrders(t *testing.T) {
+	dir := copyLeafFixture(t, ordersFixtureV2)
+	s := openDir(t, dir)
+	old, err := s.Log(ordersFixtureRoot)
+	if err != nil || len(old) != 1 {
+		t.Fatalf("fixture log = %+v, %v; want one commit", old, err)
+	}
+	want := ordersFixtureDB()
+	got, err := s.MaterializeDatabase(old[0].Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, got, want)
+
+	chunks := s.NumChunks()
+	head, err := s.CommitDatabase(ordersFixtureRoot, want, 0)
+	if err != nil || head.Tree == old[0].Tree || head.Parent != old[0].Hash || head.Turn != 0 {
+		t.Fatalf("upgrade commit = %+v, %v; want a new turn-0 tree on top of %s", head, err, old[0].Hash)
+	}
+	added := s.NumChunks() - chunks
+	if added <= 0 || added >= chunks {
+		t.Fatalf("upgrade added %d chunks to %d: want new leaves beside old ones, with the unchanged ones shared", added, chunks)
+	}
+	pinned, err := openDir(t, copyLeafFixture(t, leafFixtureV3)).Log(ordersFixtureRoot)
+	if err != nil || pinned[0].Tree != head.Tree {
+		t.Fatalf("upgrade committed tree %s; leaf-v3 has %+v, %v", head.Tree, pinned, err)
+	}
+	requireSameVersion(t, s, old[0].Hash, head.Hash)
+	chunks = s.NumChunks()
+	if again, err := s.CommitDatabase(ordersFixtureRoot, want, 0); err != nil || again != head || s.NumChunks() != chunks {
+		t.Fatalf("second commit = %+v, %v (%d → %d chunks); want %+v and nothing written", again, err, chunks, s.NumChunks(), head)
+	}
+
+	reopened := openDir(t, dir)
+	if log, err := reopened.Log(ordersFixtureRoot); err != nil || fmt.Sprint(log) != fmt.Sprint([]Commit{old[0], head}) {
+		t.Fatalf("log after reopen = %+v, %v", log, err)
+	}
+	db, at, err := reopened.DatabaseAsOf(ordersFixtureRoot, 0)
+	if err != nil || at != head {
+		t.Fatalf("as of turn 0 after reopen: %+v, %v; want %+v", at, err, head)
+	}
+	requireSameDB(t, db, want)
+	requireSameVersion(t, reopened, old[0].Hash, head.Hash)
+}
+
+// TestWritesV3LeafBytes pins the bytes this code journals for
+// ordersFixtureDB, and the form each leaf took: runs for the key and the
+// constant, a dictionary for the regions but in the leaf with the NULL,
+// the plain form for the periodic quantity and the amount.
+func TestWritesV3LeafBytes(t *testing.T) {
+	dir := t.TempDir()
+	s := openDir(t, dir)
+	want := commitOrdersFixture(t, s)
+	got, err := os.ReadFile(filepath.Join(dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := os.ReadFile(filepath.Join(leafFixtureV3, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pinned) {
+		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
+	}
+	head := mustHead(t, s, ordersFixtureRoot)
+	tables, err := s.Refs(head.Tree)
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("db refs %v, %v", tables, err)
+	}
+	leaves, err := s.Refs(tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := []string{"dr", "dr", "dr", "dict", "v", "dict", "dr", "dr", "dr", "v", "v", "v", "v", "v", "v"}
+	if len(leaves) != len(forms) {
+		t.Fatalf("%d leaves, want %d", len(leaves), len(forms))
+	}
+	for i, h := range leaves {
+		var keys map[string]json.RawMessage
+		if _, err := s.Data(h, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, form := range []string{"v", "dr", "dict"} {
+			if _, ok := keys[form]; ok != (form == forms[i]) {
+				t.Errorf("leaf %d of column %d has keys %v, want the %q form", i%3, i/3, keys, forms[i])
+			}
+		}
+	}
+	fixture := openDir(t, copyLeafFixture(t, leafFixtureV3))
+	db, _, err := fixture.DatabaseAsOf(ordersFixtureRoot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, db, want)
+}
+
 // TestLeafBytesPerValue holds the journal of an orders-shaped table —
 // the benchmark's scan_heavy CSV: int id, c%04d customer, eight region
-// names, 1–12, a two-decimal amount — to 8 bytes per value, envelopes,
-// hashes and frames included (the struct-array form took ~44).
+// names, 1–12, a two-decimal amount — to 5 bytes per value, envelopes,
+// hashes and frames included (the struct-array form took ~44, the plain
+// form alone ~6.7).
 func TestLeafBytesPerValue(t *testing.T) {
 	const rows = 6000
 	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "urban"}
@@ -482,8 +769,8 @@ func TestLeafBytesPerValue(t *testing.T) {
 	}
 	values := int64(rows * tab.NumCols())
 	t.Logf("%d values in a %d-byte journal: %.2f bytes per value", values, info.Size(), float64(info.Size())/float64(values))
-	if info.Size() > 8*values {
-		t.Fatalf("journal is %d bytes for %d values, want at most 8 per value", info.Size(), values)
+	if info.Size() > 5*values {
+		t.Fatalf("journal is %d bytes for %d values, want at most 5 per value", info.Size(), values)
 	}
 	got, err := s.MaterializeDatabase(c.Tree)
 	if err != nil {
@@ -494,7 +781,7 @@ func TestLeafBytesPerValue(t *testing.T) {
 
 // TestForgedTableChunkIsAnError: AddPackets verifies a chunk's hash,
 // not its shape, so every reader of a table tree must turn a malformed
-// one into an error — none of these may panic.
+// one into a MalformedChunkError — none of these may panic.
 func TestForgedTableChunkIsAnError(t *testing.T) {
 	s := NewMemory()
 	put := func(kind string, refs []Hash, data string) Hash {
@@ -503,79 +790,141 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 	}
 	ints := put("leaf", nil, `{"t":1,"v":[1,2,3]}`)
 	good := put("table", []Hash{ints}, `{"name":"t","schema":[{"name":"x","kind":1}],"rows":3,"leafRows":256}`)
-	if tab, err := s.MaterializeTable(good); err != nil || tab.NumRows() != 3 {
-		t.Fatalf("the well-formed table: %v", err)
-	}
 	table := func(leaf Hash, schemaKind int, rows, leafRows int) Hash {
 		return put("table", []Hash{leaf}, fmt.Sprintf(`{"name":"t","schema":[{"name":"x","kind":%d}],"rows":%d,"leafRows":%d}`, schemaKind, rows, leafRows))
+	}
+	// A three-row table of one column of the given kind over one leaf.
+	leaf := func(schemaKind int, data string) Hash { return table(put("leaf", nil, data), schemaKind, 3, 256) }
+	for _, well := range []Hash{good, leaf(1, `{"t":1,"dr":[1,3]}`), leaf(3, `{"t":3,"dict":["a","b"],"ix":[1,0,1]}`)} {
+		if tab, err := s.MaterializeTable(well); err != nil || tab.NumRows() != 3 {
+			t.Fatalf("a well-formed table: %v", err)
+		}
 	}
 	cols4 := `{"name":"a","kind":1},{"name":"b","kind":1},{"name":"c","kind":1},{"name":"d","kind":1}`
 	strs := put("leaf", nil, `[{"Kind":3,"S":"a"},{"Kind":1,"I":2},{"Kind":1,"I":3}]`)
 	for _, forged := range []struct {
 		name string
 		h    Hash
-		// badShape: the table chunk itself is refused, so Diff fails too;
-		// otherwise the fault lies in a leaf, which Diff reads only where
-		// the two versions' leaf hashes differ.
-		badShape bool
 	}{
-		{"leafRows 0", table(ints, 1, 3, 0), true},
-		{"negative rows", table(ints, 1, -5, 256), true},
-		{"too few leaf refs", table(ints, 1, 600, 256), true},
-		{"too many leaf refs", put("table", []Hash{ints, ints}, `{"name":"t","schema":[{"name":"x","kind":1}],"rows":3,"leafRows":256}`), true},
-		{"rows without columns", put("table", nil, `{"name":"t","rows":3,"leafRows":256}`), true},
-		{"leaves × columns overflows", put("table", []Hash{ints, ints, ints, ints}, `{"name":"t","schema":[`+cols4+`],"rows":4611686018427387904,"leafRows":1}`), true},
-		{"schema kind out of range", table(ints, 9, 3, 256), true},
-		{"leaf shorter than its row range", table(ints, 1, 4, 256), false},
-		{"leaf longer than its row range", table(ints, 1, 2, 256), false},
-		{"row count no leaf backs", table(ints, 1, 1<<40, 1<<40), false},
-		{"typed leaf of another kind than the column", table(ints, 3, 3, 256), false},
-		{"untyped leaf of another kind than the column", table(strs, 1, 3, 256), false},
-		{"leaf ref to a table chunk", table(good, 1, 3, 256), false},
-		{"leaf that does not decode", table(put("leaf", nil, `{"t":1,"v":[1,"2",3]}`), 1, 3, 256), false},
+		{"leafRows 0", table(ints, 1, 3, 0)},
+		{"negative rows", table(ints, 1, -5, 256)},
+		{"too few leaf refs", table(ints, 1, 600, 256)},
+		{"too many leaf refs", put("table", []Hash{ints, ints}, `{"name":"t","schema":[{"name":"x","kind":1}],"rows":3,"leafRows":256}`)},
+		{"rows without columns", put("table", nil, `{"name":"t","rows":3,"leafRows":256}`)},
+		{"leaves × columns overflows", put("table", []Hash{ints, ints, ints, ints}, `{"name":"t","schema":[`+cols4+`],"rows":4611686018427387904,"leafRows":1}`)},
+		{"schema kind out of range", table(ints, 9, 3, 256)},
+		{"leaf shorter than its row range", table(ints, 1, 4, 256)},
+		{"leaf longer than its row range", table(ints, 1, 2, 256)},
+		{"row count no leaf backs", table(ints, 1, 1<<40, 1<<40)},
+		{"typed leaf of another kind than the column", table(ints, 3, 3, 256)},
+		{"untyped leaf of another kind than the column", table(strs, 1, 3, 256)},
+		{"leaf ref to a table chunk", table(good, 1, 3, 256)},
+		{"leaf that does not decode", leaf(1, `{"t":1,"v":[1,"2",3]}`)},
+		{"a run count of zero", leaf(1, `{"t":1,"dr":[1,0,1,3]}`)},
+		{"a negative run count", leaf(1, `{"t":1,"dr":[1,-1,1,4]}`)},
+		{"run counts short of the rows", leaf(1, `{"t":1,"dr":[1,2]}`)},
+		{"run counts past the rows", leaf(1, `{"t":1,"dr":[1,2,5,2]}`)},
+		{"a run count near 2^62", leaf(1, `{"t":1,"dr":[1,4611686018427387904]}`)},
+		{"run counts whose sum wraps to the rows", leaf(1, `{"t":1,"dr":[1,9223372036854775807,1,9223372036854775807,1,5]}`)},
+		{"a delta without its count", leaf(1, `{"t":1,"dr":[1,3,5]}`)},
+		{"runs of another kind", leaf(2, `{"t":2,"dr":[1,3]}`)},
+		{"runs in a column of another kind", leaf(3, `{"t":1,"dr":[1,3]}`)},
+		{"an index past the dictionary", leaf(3, `{"t":3,"dict":["a"],"ix":[0,1,0]}`)},
+		{"a negative index", leaf(3, `{"t":3,"dict":["a"],"ix":[0,-1,0]}`)},
+		{"fewer indexes than rows", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0]}`)},
+		{"more indexes than rows", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0,0,0]}`)},
+		{"a dictionary of another kind", leaf(1, `{"t":1,"dict":["1"],"ix":[0,0,0]}`)},
+		{"v and dr", leaf(1, `{"t":1,"v":[1,2,3],"dr":[1,3]}`)},
+		{"v and dict", leaf(3, `{"t":3,"v":["a","a","a"],"dict":["a"],"ix":[0,0,0]}`)},
+		{"dr and dict", leaf(1, `{"t":1,"dr":[1,3],"dict":["a"],"ix":[0,0,0]}`)},
+		{"a null dr beside v", leaf(1, `{"t":1,"v":[1,2,3],"dr":null}`)},
 	} {
-		if tab, err := s.MaterializeTable(forged.h); err == nil {
-			t.Errorf("%s: materialized %d rows", forged.name, tab.NumRows())
-		}
-		// Against the well-formed table, in both directions.
-		for _, pair := range [][2]Hash{{good, forged.h}, {forged.h, good}} {
-			a := put("db", []Hash{pair[0]}, `{"name":"d","tables":["t"]}`)
-			b := put("db", []Hash{pair[1]}, `{"name":"d","tables":["t"]}`)
-			if rep, err := s.Diff(a, b); err == nil && forged.badShape {
-				t.Errorf("%s: diffed as %+v", forged.name, rep)
-			}
+		tab, err := s.MaterializeTable(forged.h)
+		var mal *MalformedChunkError
+		if !errors.As(err, &mal) {
+			t.Errorf("%s: materialized %v, %v; want a MalformedChunkError", forged.name, tab, err)
 		}
 	}
-	// diffRowsFull, the path for two tables chunked differently.
-	a := put("db", []Hash{good}, `{"name":"d","tables":["t"]}`)
-	b := put("db", []Hash{table(ints, 1, 4, 128)}, `{"name":"d","tables":["t"]}`)
-	if rep, err := s.Diff(a, b); err == nil {
-		t.Errorf("short leaf under another leafRows: diffed as %+v", rep)
+
+	// A count near 2^62 is refused before anything is sized by it.
+	huge := []byte(`{"t":1,"dr":[1,4611686018427387904]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, err := decodeLeaf(huge, 256); err == nil {
+			t.Fatal("decoded a run of 2^62 values")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
+		t.Fatalf("refusing a run of 2^62 values allocated %d bytes", per)
 	}
 }
 
-// TestDiffAcrossLeafForms: a leaf in the struct-array form and a typed
-// leaf of the same values differ in hash and in nothing else.
-func TestDiffAcrossLeafForms(t *testing.T) {
+// TestForgedDBAndCommitChunksAreErrors: a db or commit chunk may be a
+// peer's as well. MaterializeDatabase, DatabaseAsOf and ResolveTree
+// answer a malformed one with a MalformedChunkError naming it, and none
+// panics.
+func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 	s := NewMemory()
-	col := []storage.Value{storage.Float(1.5), storage.Null(), storage.Float(-2)}
-	untyped, err := json.Marshal(col)
-	if err != nil {
-		t.Fatal(err)
+	put := func(kind string, refs []Hash, data string) Hash {
+		t.Helper()
+		return mustPut(t, s, kind, refs, data)
 	}
-	typed := mustEncode(t, mustVector(t, storage.KindFloat, col), 0, 3)
-	col[2] = storage.Float(2)
-	edited := mustEncode(t, mustVector(t, storage.KindFloat, col), 0, 3)
-	const meta = `{"name":"t","schema":[{"name":"x","kind":2}],"rows":3,"leafRows":256}`
-	var tables []Hash
-	for _, leaf := range [][]byte{untyped, typed, edited} {
-		h := mustPut(t, s, "leaf", nil, string(leaf))
-		tables = append(tables, mustPut(t, s, "table", []Hash{h}, meta))
+	leaf := put("leaf", nil, `{"t":1,"v":[1,2,3]}`)
+	table := put("table", []Hash{leaf}, `{"name":"t","schema":[{"name":"x","kind":1}],"rows":3,"leafRows":256}`)
+	db := func(data string, refs ...Hash) Hash { return put("db", refs, data) }
+	good := db(`{"name":"d","tables":["t"]}`, table)
+	commit := func(refs ...Hash) Hash { return put("commit", refs, `{"turn":0,"stamp":1}`) }
+	if got, err := s.MaterializeDatabase(commit(good)); err != nil || len(got.TableNames()) != 1 {
+		t.Fatalf("the well-formed database: %v", err)
 	}
-	if td, err := s.diffTable("t", tables[0], tables[1]); err != nil || td.ChangedRows != nil {
-		t.Fatalf("struct-array vs typed leaf of equal values: %+v, %v", td, err)
+	names := func(err error, culprit Hash) bool {
+		var mal *MalformedChunkError
+		return errors.As(err, &mal) && mal.Chunk == culprit
 	}
-	if td, err := s.diffTable("t", tables[0], tables[2]); err != nil || fmt.Sprint(td.ChangedRows) != "[2]" {
-		t.Fatalf("struct-array vs edited typed leaf: %+v, %v; want row 2", td, err)
+	type forged struct {
+		name          string
+		node, culprit Hash
+	}
+	self := func(name string, node Hash) forged { return forged{name, node, node} }
+	dbs := []forged{
+		self("more refs than names", db(`{"name":"d","tables":["t"]}`, table, table)),
+		self("more names than refs", db(`{"name":"d","tables":["t","u"]}`, table)),
+		self("names that are not strings", db(`{"name":"d","tables":[7]}`, table)),
+		{"a table ref that points at a leaf", db(`{"name":"d","tables":["t"]}`, leaf), leaf},
+		{"a table ref that points at a db", db(`{"name":"d","tables":["t"]}`, good), good},
+	}
+	commits := []forged{
+		self("a commit with no ref", commit()),
+		self("a commit with two refs", commit(good, good)),
+		self("a commit of a commit", commit(commit(good))),
+		self("a commit of a commit with no ref", commit(commit())),
+	}
+	for i, f := range append(dbs, commits...) {
+		if _, err := s.MaterializeDatabase(f.node); !names(err, f.culprit) {
+			t.Errorf("%s: MaterializeDatabase = %v, want an error naming %s", f.name, err, f.culprit)
+		}
+		// In a root's log behind a well-formed commit, a forged db names
+		// itself and a forged commit the log entry that pins it.
+		root := fmt.Sprintf("forged/%d", i)
+		c, err := s.Commit(root, f.node, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		culprit := f.culprit
+		if i >= len(dbs) {
+			culprit = c.Hash
+		}
+		if _, _, err := s.DatabaseAsOf(root, 0); !names(err, culprit) {
+			t.Errorf("%s: DatabaseAsOf = %v, want an error naming %s", f.name, err, culprit)
+		}
+		if i < len(dbs) {
+			if tree, err := s.ResolveTree(c.Hash); err != nil || tree != f.node {
+				t.Errorf("%s: ResolveTree of its commit = %s, %v; want the db", f.name, tree, err)
+			}
+		} else if _, err := s.ResolveTree(f.node); !names(err, f.culprit) {
+			t.Errorf("%s: ResolveTree = %v, want an error naming %s", f.name, err, f.culprit)
+		}
 	}
 }

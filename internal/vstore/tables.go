@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/storage"
@@ -22,14 +23,18 @@ import (
 // the unchanged leaves free: the encoder re-puts them and the store
 // dedups by hash.
 //
-// A leaf's data takes one of two JSON forms, told apart by the first
-// byte:
+// A leaf's data takes one of four JSON forms, the legacy one told apart
+// by its first byte and the others by their keys:
 //
-//	{"t":1,"v":[17,null,-4]}                      typed: one kind, bare values
+//	{"t":1,"v":[17,null,-4]}                      plain: one kind, bare values
+//	{"t":1,"dr":[1,256]}                          INT runs: 256 deltas of 1 from 0
+//	{"t":3,"dict":["east","west"],"ix":[0,1,1]}   TEXT dictionary
 //	[{"Kind":1,"I":17,"F":0,"S":"","B":false},…]  legacy: one struct per value
 //
-// encodeLeaf writes only the first, which is what a storage.Vector holds
-// in memory; decodeLeaf reads both, so a journal never needs rewriting.
+// encodeLeaf writes the shorter of the plain form and its kind's second
+// form, the plain one on a tie; a span with a NULL, and a FLOAT or BOOL
+// span, has only the plain one. decodeLeaf reads all four, so a journal
+// never needs rewriting.
 
 // DefaultLeafRows is the row span of one column leaf.
 const DefaultLeafRows = 256
@@ -75,11 +80,25 @@ func leafSpan(l, rows, leafRows int) int {
 }
 
 // encodeLeaf renders rows [lo, hi) of col as {"t": kind, "v": [bare
-// values, null for NULL]}, t being 0 when all are NULL. The form is a
-// function of the values alone: equal spans hash equal, whatever the
-// column's kind or the rows around them. NaN and ±Inf have no JSON
-// form and fail the encode.
+// values, null for NULL]}, t being 0 when all are NULL — or, for an INT
+// or TEXT span with no NULL, as the runs or dictionary form when that
+// is shorter. The form is a function of the values alone: equal spans
+// hash equal, whatever the column's kind or the rows around them. NaN
+// and ±Inf have no JSON form and fail the encode.
 func encodeLeaf(col *storage.Vector, lo, hi int) ([]byte, error) {
+	if hi > lo && col.NullCount(lo, hi) == 0 {
+		switch col.Kind() {
+		case storage.KindInt:
+			return encodeInts(col.Ints()[lo:hi]), nil
+		case storage.KindString:
+			return encodeStrings(col.Strings()[lo:hi])
+		}
+	}
+	return plainLeaf(col, lo, hi)
+}
+
+// plainLeaf renders rows [lo, hi) of col in the plain form.
+func plainLeaf(col *storage.Vector, lo, hi int) ([]byte, error) {
 	kind, nulls := col.Kind(), col.NullCount(lo, hi)
 	if nulls == hi-lo {
 		kind = storage.KindNull
@@ -125,11 +144,129 @@ func marshalSpan[T any](vals []T, isNull func(i int) bool) ([]byte, error) {
 	return json.Marshal(ptrs)
 }
 
-// decodeLeaf reads a leaf in either form into a vector of the leaf's
-// kind (KindNull when every value is NULL). A legacy leaf must hold
-// what a vector can, values of one kind and NULLs; a field its value's
-// kind does not use is dropped.
-func decodeLeaf(data []byte) (*storage.Vector, error) {
+// encodeInts writes a non-empty INT span in the shorter of the plain
+// form and its runs of equal deltas, having counted the digits of both.
+func encodeInts(vals []int64) []byte {
+	// Each number is written with a comma after it; the last becomes "]".
+	plain, runs := len(`{"t":1,"v":[]}`)-1, len(`{"t":1,"dr":[]}`)-1
+	for _, v := range vals {
+		plain += digits(v) + 1
+	}
+	eachRun(vals, func(d, n int64) { runs += digits(d) + digits(n) + 2 })
+	var out []byte
+	if runs < plain {
+		out = append(make([]byte, 0, runs), `{"t":1,"dr":[`...)
+		eachRun(vals, func(d, n int64) {
+			out = append(strconv.AppendInt(append(strconv.AppendInt(out, d, 10), ','), n, 10), ',')
+		})
+	} else {
+		out = append(make([]byte, 0, plain), `{"t":1,"v":[`...)
+		for _, v := range vals {
+			out = append(strconv.AppendInt(out, v, 10), ',')
+		}
+	}
+	return append(out[:len(out)-1], "]}"...)
+}
+
+// digits is the length of v in decimal.
+func digits(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// eachRun calls f with each run of n equal deltas d in a non-empty
+// vals, the first taken from 0. The differences wrap, as the decoder's
+// sums do, so every INT span has runs.
+func eachRun(vals []int64, f func(d, n int64)) {
+	var prev, d, n int64
+	for _, v := range vals {
+		if n > 0 && v-prev != d {
+			f(d, n)
+			n = 0
+		}
+		d, prev, n = v-prev, v, n+1
+	}
+	f(d, n)
+}
+
+// encodeStrings writes a non-empty TEXT span in the shorter of the plain
+// form and a dictionary in first-appearance order with an index per
+// row. Each distinct string is marshalled once, and either form is
+// assembled from those texts, so the plain one is json.Marshal's.
+func encodeStrings(vals []string) ([]byte, error) {
+	at := make(map[string]int32, len(vals))
+	dict := make([]string, 0, len(vals))
+	ix := make([]int32, len(vals))
+	for i, v := range vals {
+		k, ok := at[v]
+		if !ok {
+			k = int32(len(dict))
+			at[v] = k
+			dict = append(dict, v)
+		}
+		ix[i] = k
+	}
+	list, err := json.Marshal(dict)
+	if err != nil {
+		return nil, err
+	}
+	// Cut the list into its strings: each ends at the first quote no
+	// backslash escapes, and a comma or the closing bracket follows it.
+	texts := make([][]byte, len(dict))
+	for k, rest := 0, list[1:]; k < len(dict); k++ {
+		i := 1
+		for ; rest[i] != '"'; i++ {
+			if rest[i] == '\\' {
+				i++
+			}
+		}
+		texts[k], rest = rest[:i+1], rest[i+2:]
+	}
+	plain, dictLen := len(`{"t":3,"v":[]}`)-1, len(`{"t":3,"dict":,"ix":[]}`)+len(list)-1
+	for _, k := range ix {
+		plain += len(texts[k]) + 1
+		dictLen += digits(int64(k)) + 1
+	}
+	var out []byte
+	if dictLen < plain {
+		out = append(append(make([]byte, 0, dictLen), `{"t":3,"dict":`...), list...)
+		out = append(out, `,"ix":[`...)
+		for _, k := range ix {
+			out = append(strconv.AppendInt(out, int64(k), 10), ',')
+		}
+	} else {
+		out = append(make([]byte, 0, plain), `{"t":3,"v":[`...)
+		for _, k := range ix {
+			out = append(append(out, texts[k]...), ',')
+		}
+	}
+	return append(out[:len(out)-1], "]}"...), nil
+}
+
+// decodeLeaf reads a leaf in any form into a vector of the leaf's kind
+// (KindNull when every value is NULL) holding exactly want values.
+func decodeLeaf(data []byte, want int) (*storage.Vector, error) {
+	col, err := decodeForm(data, want)
+	if err != nil {
+		return nil, err
+	}
+	if col.Len() != want {
+		return nil, fmt.Errorf("leaf holds %d values, its row range %d", col.Len(), want)
+	}
+	return col, nil
+}
+
+// decodeForm is decodeLeaf less the final count. A legacy leaf must
+// hold what a vector can, values of one kind and NULLs; a field its
+// value's kind does not use is dropped. A runs or dictionary leaf is
+// checked against want before anything is sized by what it claims.
+func decodeForm(data []byte, want int) (*storage.Vector, error) {
 	if len(data) > 0 && data[0] == '[' {
 		var vals []storage.Value
 		if err := json.Unmarshal(data, &vals); err != nil {
@@ -148,11 +285,24 @@ func decodeLeaf(data []byte) (*storage.Vector, error) {
 		return vectorOf(kind, vals)
 	}
 	var leaf struct {
-		T storage.Kind    `json:"t"`
-		V json.RawMessage `json:"v"`
+		T    storage.Kind    `json:"t"`
+		V    json.RawMessage `json:"v"`
+		DR   json.RawMessage `json:"dr"`
+		Dict json.RawMessage `json:"dict"`
+		IX   []int           `json:"ix"`
 	}
 	if err := json.Unmarshal(data, &leaf); err != nil {
 		return nil, err
+	}
+	switch {
+	case leaf.V != nil && (leaf.DR != nil || leaf.Dict != nil) || leaf.DR != nil && leaf.Dict != nil:
+		return nil, fmt.Errorf("leaf has more than one of v, dr and dict")
+	case leaf.DR != nil && leaf.T == storage.KindInt:
+		return decodeRuns(leaf.DR, want)
+	case leaf.Dict != nil && leaf.T == storage.KindString:
+		return decodeDict(leaf.Dict, leaf.IX, want)
+	case leaf.V == nil:
+		return nil, fmt.Errorf("%s leaf in no form of its kind", leaf.T)
 	}
 	switch leaf.T {
 	case storage.KindInt:
@@ -192,6 +342,60 @@ func unpack[T any](kind storage.Kind, raw []byte, value func(T) storage.Value) (
 			v = value(*p)
 		}
 		if err := col.Append(v); err != nil {
+			return nil, err
+		}
+	}
+	return col, nil
+}
+
+// decodeRuns expands [d0,n0,d1,n1,…] into the running sums of n_k
+// deltas d_k from 0, once every count is known to be positive and the
+// counts to sum to want. Each count is held to what is left of want, so
+// the sum cannot overflow on the way.
+func decodeRuns(raw []byte, want int) (*storage.Vector, error) {
+	var dr []int64
+	if err := json.Unmarshal(raw, &dr); err != nil {
+		return nil, err
+	}
+	sum := 0
+	for k := 1; k < len(dr); k += 2 {
+		if dr[k] < 1 || dr[k] > int64(want-sum) {
+			return nil, fmt.Errorf("run of %d values after %d of %d", dr[k], sum, want)
+		}
+		sum += int(dr[k])
+	}
+	if len(dr)%2 != 0 || sum != want {
+		return nil, fmt.Errorf("runs leaf of %d numbers counting %d values, want pairs counting %d", len(dr), sum, want)
+	}
+	col := storage.NewVector(storage.KindInt, want)
+	var acc int64
+	for k := 0; k < len(dr); k += 2 {
+		for n := dr[k+1]; n > 0; n-- {
+			acc += dr[k]
+			if err := col.Append(storage.Int(acc)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return col, nil
+}
+
+// decodeDict reads a dictionary leaf: one index per row into the
+// dictionary, whose strings the rows share.
+func decodeDict(raw []byte, ix []int, want int) (*storage.Vector, error) {
+	var dict []string
+	if err := json.Unmarshal(raw, &dict); err != nil {
+		return nil, err
+	}
+	if len(ix) != want {
+		return nil, fmt.Errorf("dictionary leaf of %d indexes, its row range %d", len(ix), want)
+	}
+	col := storage.NewVector(storage.KindString, want)
+	for i, k := range ix {
+		if k < 0 || k >= len(dict) {
+			return nil, fmt.Errorf("index %d is %d, outside a dictionary of %d", i, k, len(dict))
+		}
+		if err := col.Append(storage.Str(dict[k])); err != nil {
 			return nil, err
 		}
 	}
@@ -297,24 +501,24 @@ func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
 		return meta, nil, err
 	}
 	if kind != "table" {
-		return meta, nil, fmt.Errorf("vstore: chunk %s is %q, want table", h, kind)
+		return meta, nil, malformed(h, "is %q, want table", kind)
 	}
 	refs, err := s.Refs(h)
 	if err != nil {
 		return meta, nil, err
 	}
 	if meta.Rows < 0 || meta.LeafRows <= 0 {
-		return meta, nil, fmt.Errorf("vstore: table chunk %s has rows %d, leafRows %d", h, meta.Rows, meta.LeafRows)
+		return meta, nil, malformed(h, "has rows %d, leafRows %d", meta.Rows, meta.LeafRows)
 	}
 	for _, cd := range meta.Schema {
 		if cd.Kind < storage.KindNull || cd.Kind > storage.KindBool {
-			return meta, nil, fmt.Errorf("vstore: table chunk %s: column %s has kind %d", h, cd.Name, int(cd.Kind))
+			return meta, nil, malformed(h, "column %s has kind %d", cd.Name, int(cd.Kind))
 		}
 	}
 	// The first test keeps a forged row count from overflowing the product.
 	nLeaves, nCols := leavesPerCol(meta.Rows, meta.LeafRows), len(meta.Schema)
 	if nLeaves > len(refs) || nLeaves*nCols != len(refs) {
-		return meta, nil, fmt.Errorf("vstore: table chunk %s has %d leaves, want %d for each of %d columns", h, len(refs), nLeaves, nCols)
+		return meta, nil, malformed(h, "has %d leaves, want %d for each of %d columns", len(refs), nLeaves, nCols)
 	}
 	return meta, refs, nil
 }
@@ -326,14 +530,11 @@ func (s *Store) leaf(h Hash, want int) (*storage.Vector, error) {
 		return nil, err
 	}
 	if env.K != "leaf" {
-		return nil, fmt.Errorf("vstore: chunk %s is %q, want leaf", h, env.K)
+		return nil, malformed(h, "is %q, want leaf", env.K)
 	}
-	vals, err := decodeLeaf(env.D)
+	vals, err := decodeLeaf(env.D, want)
 	if err != nil {
-		return nil, fmt.Errorf("vstore: decode leaf %s: %w", h, err)
-	}
-	if vals.Len() != want {
-		return nil, fmt.Errorf("vstore: leaf %s holds %d values, its row range %d", h, vals.Len(), want)
+		return nil, malformed(h, "decode leaf: %w", err)
 	}
 	return vals, nil
 }
@@ -363,13 +564,13 @@ func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
 				cols[c] = storage.NewVector(cd.Kind, meta.Rows)
 			}
 			if err := cols[c].Extend(vals); err != nil {
-				return nil, fmt.Errorf("vstore: materialize table %s: leaf %s: %w", meta.Name, refs[c*nLeaves+l], err)
+				return nil, malformed(refs[c*nLeaves+l], "in table %s: %w", meta.Name, err)
 			}
 		}
 	}
 	t, err := storage.TableFromColumns(meta.Name, schema, cols)
 	if err != nil {
-		return nil, fmt.Errorf("vstore: materialize table %s: %w", meta.Name, err)
+		return nil, malformed(h, "materialize table %s: %w", meta.Name, err)
 	}
 	t.Description = meta.Desc
 	return t, nil
@@ -378,7 +579,7 @@ func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
 // MaterializeDatabase rebuilds a database from a db or commit chunk
 // address — an immutable snapshot ready for internal/sqldb execution.
 func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
-	h, err := s.resolveTree(h)
+	h, err := s.ResolveTree(h)
 	if err != nil {
 		return nil, err
 	}
@@ -388,14 +589,14 @@ func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
 		return nil, err
 	}
 	if kind != "db" {
-		return nil, fmt.Errorf("vstore: chunk %s is %q, want db", h, kind)
+		return nil, malformed(h, "is %q, want db", kind)
 	}
 	refs, err := s.Refs(h)
 	if err != nil {
 		return nil, err
 	}
 	if len(refs) != len(meta.Tables) {
-		return nil, fmt.Errorf("vstore: db chunk %s has %d refs, %d names", h, len(refs), len(meta.Tables))
+		return nil, malformed(h, "has %d refs, %d names", len(refs), len(meta.Tables))
 	}
 	db := storage.NewDatabase(meta.Name)
 	for _, ref := range refs {
@@ -409,26 +610,23 @@ func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
 }
 
 // DatabaseAsOf materializes the snapshot of a root as of the given
-// turn — the time-travel read path.
+// turn — the time-travel read path. It reads from the commit, so a log
+// entry that pins a commit instead of a tree is refused.
 func (s *Store) DatabaseAsOf(root string, turn int) (*storage.Database, Commit, error) {
 	c, err := s.AsOf(root, turn)
 	if err != nil {
 		return nil, Commit{}, err
 	}
-	db, err := s.MaterializeDatabase(c.Tree)
+	db, err := s.MaterializeDatabase(c.Hash)
 	if err != nil {
 		return nil, Commit{}, err
 	}
 	return db, c, nil
 }
 
-// ResolveTree follows a commit chunk to the tree it pins; non-commit
-// chunks pass through unchanged.
-func (s *Store) ResolveTree(h Hash) (Hash, error) { return s.resolveTree(h) }
-
-// resolveTree follows a commit chunk to its tree; other kinds pass
-// through unchanged.
-func (s *Store) resolveTree(h Hash) (Hash, error) {
+// ResolveTree follows a commit chunk to the tree it pins, which must
+// not be another commit; non-commit chunks pass through unchanged.
+func (s *Store) ResolveTree(h Hash) (Hash, error) {
 	kind, err := s.Kind(h)
 	if err != nil {
 		return "", err
@@ -441,7 +639,13 @@ func (s *Store) resolveTree(h Hash) (Hash, error) {
 		return "", err
 	}
 	if len(refs) != 1 {
-		return "", fmt.Errorf("vstore: commit chunk %s has %d refs, want 1", h, len(refs))
+		return "", malformed(h, "is a commit with %d refs, want 1", len(refs))
+	}
+	if kind, err = s.Kind(refs[0]); err != nil {
+		return "", err
+	}
+	if kind == "commit" {
+		return "", malformed(h, "is a commit of commit %s, want a tree", refs[0])
 	}
 	return refs[0], nil
 }

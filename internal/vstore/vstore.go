@@ -125,6 +125,24 @@ var ErrUnknownRoot = errors.New("vstore: unknown root")
 // claimed address.
 var ErrBadPacket = errors.New("vstore: packet bytes do not match hash")
 
+// MalformedChunkError is a chunk that is stored and intact but not the
+// shape its reader needs: AddPackets checks a peer's chunk against its
+// hash, not its shape, so a forged tree is this error, never a panic.
+type MalformedChunkError struct {
+	Chunk Hash
+	Err   error
+}
+
+func (e *MalformedChunkError) Error() string {
+	return fmt.Sprintf("vstore: chunk %s %v", e.Chunk, e.Err)
+}
+func (e *MalformedChunkError) Unwrap() error { return e.Err }
+
+// malformed builds a MalformedChunkError from a fmt.Errorf format.
+func malformed(h Hash, format string, args ...any) error {
+	return &MalformedChunkError{Chunk: h, Err: fmt.Errorf(format, args...)}
+}
+
 // chunk is one index entry: where the chunk's frame lies in the journal,
 // the refs every graph walk needs, and its GC bookkeeping.
 type chunk struct {
@@ -491,7 +509,7 @@ func (s *Store) Data(h Hash, out any) (string, error) {
 	}
 	if out != nil && env.D != nil {
 		if err := json.Unmarshal(env.D, out); err != nil {
-			return env.K, fmt.Errorf("vstore: decode %s chunk %s data: %w", env.K, h, err)
+			return env.K, malformed(h, "%s data: %w", env.K, err)
 		}
 	}
 	return env.K, nil

@@ -70,7 +70,11 @@
 #                      own tests green
 #   6. bench smoke   — one iteration of every benchmark in the module,
 #                      with -benchmem (the root E-benches, ablations,
-#                      resilience and version-commit benches;
+#                      resilience and version-commit benches, among
+#                      them BenchmarkCommitOrdersTable — the first
+#                      commit of scan_heavy's 60 000 × 5 orders table
+#                      to a dir-backed store, with the journal it
+#                      leaves as pack-B/op;
 #                      internal/storage's BenchmarkReadCSV and
 #                      BenchmarkDistinctStrings over a generated
 #                      60 000 × 5 orders table; internal/sqldb's

@@ -1,7 +1,10 @@
 package cda
 
-// vstore_bench_test.go holds the two versioned-store micro-benchmarks
-// cdaload does not isolate. BenchmarkVstoreCommitDelta: commit latency
+// vstore_bench_test.go holds the three versioned-store micro-benchmarks
+// cdaload does not isolate. BenchmarkCommitOrdersTable: the first commit
+// of scan_heavy's 60 000 × 5 orders table to a dir-backed store — the
+// data version a node's CommitData(0) writes at start-up — with the
+// journal it leaves as pack-B/op. BenchmarkVstoreCommitDelta: commit latency
 // as a function of how many rows changed since the previous version
 // (1/16/256 of a 4096-row table). Structural sharing should make the
 // cost scale with the delta, not the table — the chunks/op and
@@ -16,6 +19,7 @@ package cda
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -46,6 +50,54 @@ func vstoreBenchDB(rows int) *storage.Database {
 	}
 	db.Put(t)
 	return db
+}
+
+// ordersBenchDB builds scan_heavy's orders table as bench/cdaload does
+// (seed 1): a sequential id, c%04d of 4 000 customers, eight region
+// names, a quantity of 1–12 and a two-decimal amount.
+func ordersBenchDB(rows int) *storage.Database {
+	r := rand.New(rand.NewSource(1))
+	regions := []string{"north", "south", "east", "west", "central", "alpine", "lakeside", "border"}
+	t := storage.NewTable("orders", storage.Schema{
+		{Name: "order_id", Kind: storage.KindInt},
+		{Name: "customer", Kind: storage.KindString},
+		{Name: "region", Kind: storage.KindString},
+		{Name: "quantity", Kind: storage.KindInt},
+		{Name: "amount", Kind: storage.KindFloat},
+	})
+	for i := 0; i < rows; i++ {
+		t.MustAppendRow(storage.Int(int64(i+1)), storage.Str(fmt.Sprintf("c%04d", r.Intn(4000))),
+			storage.Str(regions[r.Intn(len(regions))]), storage.Int(int64(1+r.Intn(12))),
+			storage.Float(float64(100+r.Intn(99900))/100))
+	}
+	db := storage.NewDatabase("shop")
+	db.Put(t)
+	return db
+}
+
+func BenchmarkCommitOrdersTable(b *testing.B) {
+	db := ordersBenchDB(60000)
+	var pack int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := vstore.Open(vstore.Config{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := s.CommitDatabase("data", db, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		_, pack = s.JournalSynced()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(pack), "pack-B/op")
 }
 
 func BenchmarkVstoreCommitDelta(b *testing.B) {
