@@ -71,6 +71,7 @@ func main() {
 		fmt.Printf("sql: %s\n", question)
 	} else {
 		tr := nl2sql.NewTranslator(db, ground.NewGrounder(nil, db, nil), *seed)
+		tr.Engine.CaptureProvenance = *showProv
 		out, err := tr.Translate(question)
 		if err != nil {
 			fatal(err)

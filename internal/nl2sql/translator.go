@@ -95,11 +95,16 @@ type Translator struct {
 }
 
 // NewTranslator wires a translator over a database with the full
-// pipeline enabled and a default noisy channel.
+// pipeline enabled and a default noisy channel. Its engine records no
+// row provenance: candidates are compared by Fingerprint, and an
+// answer's provenance is its query's. A caller that reads Result.Prov
+// turns Engine.CaptureProvenance on.
 func NewTranslator(db *storage.Database, g *ground.Grounder, seed int64) *Translator {
+	eng := sqldb.NewEngine(db)
+	eng.CaptureProvenance = false
 	return &Translator{
 		DB:       db,
-		Engine:   sqldb.NewEngine(db),
+		Engine:   eng,
 		Grounder: g,
 		Channel:  nlmodel.Channel{HallucinationRate: 0.08},
 		Options:  DefaultOptions(),
@@ -216,7 +221,6 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 	type executed struct {
 		sql  string
 		res  *sqldb.Result
-		fp   string
 		vote int
 	}
 	byFP := map[string]*executed{}
@@ -225,12 +229,13 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 	// The engine is deterministic: identical candidate SQL produces an
 	// identical result (or error), so repeated candidates within a
 	// round — common once constrained repair converges — need only one
-	// execution. Any configured fault hook disables the dedup, since
-	// skipping executions would shift the deterministic injection
-	// schedule.
+	// execution, and one fingerprint. Any configured fault hook disables
+	// the dedup, since skipping executions would shift the deterministic
+	// injection schedule.
 	type queryOut struct {
 		res *sqldb.Result
 		err error
+		fp  string // the result's Fingerprint, under verification
 	}
 	var queryMemo map[string]queryOut
 	if t.Faults == nil && t.Engine.Faults == nil && t.DB.Faults == nil {
@@ -247,16 +252,17 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 		if firstCandidate == "" {
 			firstCandidate = cand
 		}
-		var res *sqldb.Result
-		var err error
-		if out, ok := queryMemo[cand]; ok {
-			res, err = out.res, out.err
-		} else {
-			res, err = t.Engine.Query(cand)
+		out, ok := queryMemo[cand]
+		if !ok {
+			out.res, out.err = t.Engine.Query(cand)
+			if out.err == nil && t.Options.UseVerification {
+				out.fp = out.res.Fingerprint()
+			}
 			if queryMemo != nil {
-				queryMemo[cand] = queryOut{res: res, err: err}
+				queryMemo[cand] = out
 			}
 		}
+		res, err := out.res, out.err
 		if err != nil {
 			if resilience.IsTransient(err) {
 				// Backend failure, not a bad candidate: remember it so a
@@ -281,11 +287,10 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 			tr.Notes = append(tr.Notes, "verification: OFF; first executable candidate reported")
 			return tr, nil
 		}
-		fp := res.Fingerprint()
-		if e, ok := byFP[fp]; ok {
+		if e, ok := byFP[out.fp]; ok {
 			e.vote++
 		} else {
-			byFP[fp] = &executed{sql: cand, res: res, fp: fp, vote: 1}
+			byFP[out.fp] = &executed{sql: cand, res: res, vote: 1}
 		}
 	}
 

@@ -351,12 +351,12 @@ func columnKernel(col *storage.Vector) vkernel {
 			return storage.Float(floats[c.phys]), nil
 		}
 	case storage.KindString:
-		strs := col.Strings()
+		dict, codes := col.Dict(), col.Codes()
 		return func(c *vctx) (storage.Value, error) {
 			if nulls.Get(c.phys) {
 				return storage.Null(), nil
 			}
-			return storage.Str(strs[c.phys]), nil
+			return storage.Str(dict[codes[c.phys]]), nil
 		}
 	default:
 		return func(c *vctx) (storage.Value, error) { return col.At(c.phys), nil }
@@ -374,7 +374,8 @@ var cmpAccepts = map[string][3]bool{
 // compareKernel is `column <cmp> literal` over the column's vector: a
 // number against a number as Value.Compare compares them (both as
 // float64, neither above the other being equal), a string against a
-// string. Every other pairing — NULL or BOOL on either side, kinds
+// string — each string of the column's dictionary once, when the kernel
+// is built. Every other pairing — NULL or BOOL on either side, kinds
 // Compare refuses — returns nil and takes the generic kernel.
 func compareKernel(col *storage.Vector, op string, lit storage.Value) vkernel {
 	accept := cmpAccepts[op]
@@ -403,12 +404,16 @@ func compareKernel(col *storage.Vector, op string, lit storage.Value) vkernel {
 			return storage.Bool(accept[cmp+1]), nil
 		}
 	case col.Kind() == storage.KindString && lit.Kind == storage.KindString:
-		strs := col.Strings()
+		holds := make([]bool, len(col.Dict()))
+		for k, s := range col.Dict() {
+			holds[k] = accept[strings.Compare(s, lit.S)+1]
+		}
+		codes := col.Codes()
 		return func(c *vctx) (storage.Value, error) {
 			if nulls.Get(c.phys) {
 				return storage.Null(), nil
 			}
-			return storage.Bool(accept[strings.Compare(strs[c.phys], lit.S)+1]), nil
+			return storage.Bool(holds[codes[c.phys]]), nil
 		}
 	}
 	return nil

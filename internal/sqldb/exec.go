@@ -1,8 +1,12 @@
 package sqldb
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/storage"
@@ -38,18 +42,28 @@ type Result struct {
 }
 
 // Fingerprint returns an order-insensitive multiset digest of the
-// result, used by the NL2SQL verifier to compare candidate queries.
+// result, used by the NL2SQL verifier to compare candidate queries: the
+// SHA-256 of its rows' SHA-256 digests in sorted order. A row is
+// digested as its values' kind:value texts, each after its length, so
+// no byte a TEXT value holds can make two different rows read alike.
 func (r *Result) Fingerprint() string {
-	lines := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = v.Kind.String() + ":" + v.String()
+	digests := make([][sha256.Size]byte, len(r.Rows))
+	var row, key []byte
+	for i, vals := range r.Rows {
+		row = row[:0]
+		for _, v := range vals {
+			key = appendValueKey(key[:0], v)
+			row = append(binary.AppendUvarint(row, uint64(len(key))), key...)
 		}
-		lines[i] = strings.Join(parts, "\x1f")
+		digests[i] = sha256.Sum256(row)
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\x1e")
+	slices.SortFunc(digests, func(a, b [sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) })
+	all := make([]byte, 0, len(digests)*sha256.Size)
+	for i := range digests {
+		all = append(all, digests[i][:]...)
+	}
+	sum := sha256.Sum256(all)
+	return hex.EncodeToString(sum[:])
 }
 
 // relation is the executor's intermediate representation: a bag of

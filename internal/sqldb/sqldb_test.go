@@ -407,6 +407,29 @@ func TestFingerprintOrderInsensitive(t *testing.T) {
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("different result sets must differ")
 	}
+
+	// Multisets of rows, compared directly: equal when they hold the
+	// same rows as often, whatever a TEXT value holds.
+	s, i := storage.Str, storage.Int
+	rows := func(rs ...[]storage.Value) *Result { return &Result{Rows: rs} }
+	row := func(vs ...storage.Value) []storage.Value { return vs }
+	for _, c := range []struct {
+		name  string
+		a, b  *Result
+		equal bool
+	}{
+		{"a unit separator in a value", rows(row(s("a\x1fINT:1"))), rows(row(s("a"), i(1))), false},
+		{"a record separator in a value", rows(row(s("x\x1eTEXT:y"))), rows(row(s("x")), row(s("y"))), false},
+		{"a row twice, another once", rows(row(i(1)), row(i(1)), row(i(2))), rows(row(i(1)), row(i(2)), row(i(2))), false},
+		{"a row twice or once", rows(row(i(1)), row(i(1))), rows(row(i(1))), false},
+		{"an empty row or none", rows(row()), rows(), false},
+		{"one kind or another", rows(row(s("1"))), rows(row(i(1))), false},
+		{"duplicates in another order", rows(row(i(2)), row(i(1)), row(i(2))), rows(row(i(2)), row(i(2)), row(i(1))), true},
+	} {
+		if got := c.a.Fingerprint() == c.b.Fingerprint(); got != c.equal {
+			t.Errorf("%s: fingerprints equal = %v, want %v", c.name, got, c.equal)
+		}
+	}
 }
 
 func TestProvenanceToggle(t *testing.T) {

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -119,23 +120,43 @@ func (e *Engine) vScan(table, alias string, stats *Stats) (*vrel, error) {
 const filterSpanMin = 1024
 
 // vFilter refines the selection vector by the conjoined predicates,
-// scanning it through scanSpans.
+// scanning it through scanSpans. A span marks its survivors in a bitmap
+// first, so that the slice it returns is sized by what survives, not by
+// the span. (It is empty, not nil, when none does: a nil selection is
+// every row.)
 func (e *Engine) vFilter(vr *vrel, preds []Expr) (*vrel, error) {
 	if len(preds) == 0 {
 		return vr, nil
 	}
 	k := (&vcompiler{res: vr, cols: vr.cols}).compile(conjoin(preds))
 	scan := func(lo, hi int) ([]int, error) {
-		keep := make([]int, 0, hi-lo)
-		ctx := vctx{cols: vr.cols}
+		hits := make([]uint64, (hi-lo+63)/64)
+		n := 0
+		// Each span's goroutine writes its vctx once a row, and the vctx
+		// escapes to the heap. Padded, it shares no cache line with
+		// whatever sits beside it there: a kernel closure that every
+		// span reads every row would otherwise bounce between cores.
+		padded := &struct {
+			_   [64]byte
+			ctx vctx
+			_   [64]byte
+		}{ctx: vctx{cols: vr.cols}}
+		ctx := &padded.ctx
 		for pos := lo; pos < hi; pos++ {
 			ctx.phys = vr.phys(pos)
-			v, err := k(&ctx)
+			v, err := k(ctx)
 			if err != nil {
 				return nil, err
 			}
 			if isTrue(v) {
-				keep = append(keep, ctx.phys)
+				hits[(pos-lo)>>6] |= 1 << (uint(pos-lo) & 63)
+				n++
+			}
+		}
+		keep := make([]int, 0, n)
+		for w, word := range hits {
+			for ; word != 0; word &= word - 1 {
+				keep = append(keep, vr.phys(lo+w<<6+bits.TrailingZeros64(word)))
 			}
 		}
 		return keep, nil

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // inferRows is how many data rows ReadCSV looks at to infer kinds.
@@ -15,8 +14,8 @@ const inferRows = 100
 // data rows (preference INT > FLOAT > BOOL > TEXT); otherwise the
 // provided schema must match the header width and is used as-is.
 // Records stream into the table's vectors one at a time, and a TEXT
-// cell is stored as a copy, so that it does not keep its whole CSV
-// line alive.
+// value enters its column's dictionary as a copy, so that it does not
+// keep its whole CSV line alive. The vectors are sealed at the end.
 func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -57,6 +56,9 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 		if rn <= len(ahead) {
 			rec = ahead[rn-1]
 		} else if rec, err = cr.Read(); err == io.EOF {
+			for _, col := range t.cols {
+				col.seal()
+			}
 			return t, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("storage: reading csv for %s: %w", name, err)
@@ -66,8 +68,7 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("storage: row %d col %s: %w", rn, schema[c].Name, err)
 			}
-			v.S = strings.Clone(v.S)
-			t.cols[c].push(v)
+			t.cols[c].push(v, true)
 		}
 	}
 }

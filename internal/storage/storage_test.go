@@ -182,13 +182,18 @@ func vectorOf(t *testing.T, kind Kind, vals ...Value) *Vector {
 func TestTableFromColumns(t *testing.T) {
 	schema := testTable(t).Schema()
 	ids := vectorOf(t, KindInt, Int(1), Null())
-	tbl, err := TableFromColumns("people", schema, []*Vector{ids, vectorOf(t, KindString, Str("ada"), Null()), vectorOf(t, KindInt, Int(70), Null())})
+	names := NewVector(KindString, 8) // room to spare, which the table cuts
+	if names.Append(Str("ada")) != nil || names.Append(Null()) != nil {
+		t.Fatal("append")
+	}
+	tbl, err := TableFromColumns("people", schema, []*Vector{ids, names, vectorOf(t, KindInt, Int(70), Null())})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.NumRows() != 2 || tbl.At(0, 2) != Float(70) || !tbl.At(1, 2).IsNull() || tbl.Vector(0) != ids {
 		t.Errorf("rows %d, widened cell %v, id column copied: %v", tbl.NumRows(), tbl.At(0, 2), tbl.Vector(0) != ids)
 	}
+	requireSealed(t, tbl)
 	if err := tbl.AppendRow([]Value{Int(3), Str("cy"), Float(1)}); err != nil || tbl.NumRows() != 3 {
 		t.Errorf("append to a table built from columns: %v", err)
 	}

@@ -62,9 +62,10 @@ func NewTable(name string, schema Schema) *Table {
 
 // TableFromColumns builds a table over cols, one vector per schema
 // column, without copying a vector that is already of its column's
-// kind: the table owns it afterwards. It enforces what AppendRow
-// enforces — columns of one length, each of its column's kind, an INT
-// vector widened for a FLOAT column, a KindNull vector fitting any.
+// kind: the table owns it afterwards, sealed as ReadCSV leaves its own.
+// It enforces what AppendRow enforces — columns of one length, each of
+// its column's kind, an INT vector widened for a FLOAT column, a
+// KindNull vector fitting any.
 func TableFromColumns(name string, schema Schema, cols []*Vector) (*Table, error) {
 	if len(cols) != len(schema) {
 		return nil, fmt.Errorf("storage: %d columns of values, schema has %d columns", len(cols), len(schema))
@@ -81,6 +82,7 @@ func TableFromColumns(name string, schema Schema, cols []*Vector) (*Table, error
 			}
 			col = fitted
 		}
+		col.seal()
 		t.cols[c] = col
 	}
 	return t, nil
@@ -115,7 +117,7 @@ func (t *Table) AppendRow(row []Value) error {
 		row[i] = fitted
 	}
 	for i, v := range row {
-		t.cols[i].push(v)
+		t.cols[i].push(v, false)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"strings"
 	"sync/atomic"
 )
 
@@ -48,9 +50,11 @@ func (b Bitmap) clear(i int) {
 
 // Vector is one column: the values of one kind in a slice of that
 // kind's Go type, plus a bitmap of the rows that are NULL (whose slots
-// hold the zero value). A KindNull vector is a length and nothing
-// else: every row is NULL. Value is the scalar form of a cell, built
-// on the way out (At) and taken apart on the way in (Append, Set).
+// hold the zero value). A TEXT vector keeps each distinct string once,
+// in its dictionary, and one code per row into it. A KindNull vector
+// is a length and nothing else: every row is NULL. Value is the scalar
+// form of a cell, built on the way out (At) and taken apart on the way
+// in (Append, Set).
 //
 // A Vector is safe for concurrent readers; writes must be externally
 // serialized, as for Table.
@@ -59,9 +63,13 @@ type Vector struct {
 	n      int
 	ints   []int64
 	floats []float64
-	strs   []string
+	dict   []string
+	codes  []uint32
 	bools  []bool
 	nulls  Bitmap
+	// index maps each string of dict to its code. The first write that
+	// needs it builds it, and the end of a load (seal) drops it.
+	index map[string]uint32
 	// distinct memoises Table.DistinctStrings; every write drops it.
 	distinct atomic.Pointer[[]string]
 }
@@ -76,11 +84,34 @@ func NewVector(kind Kind, capacity int) *Vector {
 	case KindFloat:
 		v.floats = make([]float64, 0, capacity)
 	case KindString:
-		v.strs = make([]string, 0, capacity)
+		v.codes = make([]uint32, 0, capacity)
 	case KindBool:
 		v.bools = make([]bool, 0, capacity)
 	}
 	return v
+}
+
+// NewTextVector returns the TEXT vector whose row r is dict[codes[r]],
+// taking codes over; every code must index dict. The dictionary is
+// read through the index, so a string it holds twice is kept once and
+// its rows share one code.
+func NewTextVector(dict []string, codes []uint32) (*Vector, error) {
+	for r, k := range codes {
+		if int(k) >= len(dict) {
+			return nil, fmt.Errorf("storage: row %d has code %d, outside a dictionary of %d", r, k, len(dict))
+		}
+	}
+	v := &Vector{kind: KindString, n: len(codes), codes: codes}
+	recode := make([]uint32, len(dict))
+	for k, s := range dict {
+		recode[k] = v.code(s, false)
+	}
+	if len(v.dict) < len(dict) {
+		for r, k := range codes {
+			codes[r] = recode[k]
+		}
+	}
+	return v, nil
 }
 
 // Kind returns the kind of every non-NULL value of the vector.
@@ -89,13 +120,19 @@ func (v *Vector) Kind() Kind { return v.kind }
 // Len returns the row count.
 func (v *Vector) Len() int { return v.n }
 
-// Ints, Floats, Strings and Bools return the values of a vector of
-// that kind, one per row (nil for a vector of another kind); callers
-// must treat them as read-only and consult Nulls for which rows count.
+// Ints, Floats and Bools return the values of a vector of that kind,
+// one per row (nil for a vector of another kind); callers must treat
+// them as read-only and consult Nulls for which rows count.
 func (v *Vector) Ints() []int64     { return v.ints }
 func (v *Vector) Floats() []float64 { return v.floats }
-func (v *Vector) Strings() []string { return v.strs }
 func (v *Vector) Bools() []bool     { return v.bools }
+
+// Dict and Codes are a TEXT vector's values: a row that is not NULL
+// holds Dict()[Codes()[r]], and a NULL row has code 0. No string is in
+// Dict twice, though one may be in no row. Callers must treat both as
+// read-only.
+func (v *Vector) Dict() []string  { return v.dict }
+func (v *Vector) Codes() []uint32 { return v.codes }
 
 // Nulls returns the bitmap of NULL rows, nil when there is none — and
 // for a KindNull vector, whose every row is NULL without one.
@@ -123,7 +160,7 @@ func (v *Vector) At(r int) Value {
 	case KindFloat:
 		return Value{Kind: KindFloat, F: v.floats[r]}
 	case KindString:
-		return Value{Kind: KindString, S: v.strs[r]}
+		return Value{Kind: KindString, S: v.dict[v.codes[r]]}
 	case KindBool:
 		return Value{Kind: KindBool, B: v.bools[r]}
 	default:
@@ -152,12 +189,14 @@ func (v *Vector) Append(val Value) error {
 	if err != nil {
 		return fmt.Errorf("storage: column %w", err)
 	}
-	v.push(val)
+	v.push(val, false)
 	return nil
 }
 
-// push appends a value fit has passed.
-func (v *Vector) push(val Value) {
+// push appends a value fit has passed. A borrowed string is copied if
+// the dictionary takes it, so that it does not keep the buffer it was
+// cut from alive.
+func (v *Vector) push(val Value, borrowed bool) {
 	if val.Kind == KindNull && v.kind != KindNull {
 		v.nulls.set(v.n)
 	}
@@ -167,12 +206,37 @@ func (v *Vector) push(val Value) {
 	case KindFloat:
 		v.floats = append(v.floats, val.F)
 	case KindString:
-		v.strs = append(v.strs, val.S)
+		var k uint32
+		if val.Kind != KindNull {
+			k = v.code(val.S, borrowed)
+		}
+		v.codes = append(v.codes, k)
 	case KindBool:
 		v.bools = append(v.bools, val.B)
 	}
 	v.n++
 	v.written()
+}
+
+// code returns the code of s, adding s to the dictionary when it is
+// new (a copy of it when borrowed).
+func (v *Vector) code(s string, borrowed bool) uint32 {
+	if v.index == nil {
+		v.index = make(map[string]uint32, len(v.dict))
+		for k, d := range v.dict {
+			v.index[d] = uint32(k)
+		}
+	}
+	k, ok := v.index[s]
+	if !ok {
+		if borrowed {
+			s = strings.Clone(s)
+		}
+		k = uint32(len(v.dict))
+		v.dict = append(v.dict, s)
+		v.index[s] = k
+	}
+	return k
 }
 
 // written drops what was memoised about the values; the load keeps an
@@ -181,6 +245,21 @@ func (v *Vector) written() {
 	if v.distinct.Load() != nil {
 		v.distinct.Store(nil)
 	}
+}
+
+// seal ends a load: every slice is cut to its exact length, and the
+// index, which only writes use, is dropped.
+func (v *Vector) seal() {
+	v.ints, v.floats, v.bools = exact(v.ints), exact(v.floats), exact(v.bools)
+	v.dict, v.codes, v.nulls = exact(v.dict), exact(v.codes), exact(v.nulls)
+	v.index = nil
+}
+
+func exact[S ~[]E, E any](s S) S {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // Set overwrites row r under Append's rules.
@@ -206,7 +285,11 @@ func (v *Vector) Set(r int, val Value) error {
 	case KindFloat:
 		v.floats[r] = val.F
 	case KindString:
-		v.strs[r] = val.S
+		var k uint32
+		if val.Kind != KindNull {
+			k = v.code(val.S, false)
+		}
+		v.codes[r] = k
 	case KindBool:
 		v.bools[r] = val.B
 	}
@@ -215,7 +298,8 @@ func (v *Vector) Set(r int, val Value) error {
 }
 
 // Extend appends every row of src, which must be of v's kind, INT for
-// a FLOAT vector (widened), or KindNull.
+// a FLOAT vector (widened), or KindNull. A TEXT row's code is mapped
+// from src's dictionary into v's.
 func (v *Vector) Extend(src *Vector) error {
 	if src.kind != v.kind {
 		// Whether cells of another kind fit depends on the kind alone;
@@ -230,23 +314,47 @@ func (v *Vector) Extend(src *Vector) error {
 		}
 		return nil
 	}
-	for w, word := range src.nulls {
+	nulls := src.nulls
+	if src == v {
+		// The bits set below would land in words still to be read.
+		nulls = slices.Clone(nulls)
+	}
+	for w, word := range nulls {
 		for ; word != 0; word &= word - 1 {
 			v.nulls.set(v.n + w<<6 + bits.TrailingZeros64(word))
 		}
 	}
-	// Three of the four are nil on both sides.
-	v.ints = append(v.ints, src.ints...)
-	v.floats = append(v.floats, src.floats...)
-	v.strs = append(v.strs, src.strs...)
-	v.bools = append(v.bools, src.bools...)
+	switch v.kind {
+	case KindInt:
+		v.ints = append(v.ints, src.ints...)
+	case KindFloat:
+		v.floats = append(v.floats, src.floats...)
+	case KindString:
+		// remap[k] is 1 + the code in v of src's string k, 0 until a row
+		// uses it.
+		remap := make([]uint32, len(src.dict))
+		for r, k := range src.codes {
+			if src.nulls.Get(r) {
+				v.codes = append(v.codes, 0)
+				continue
+			}
+			if remap[k] == 0 {
+				remap[k] = 1 + v.code(src.dict[k], false)
+			}
+			v.codes = append(v.codes, remap[k]-1)
+		}
+	case KindBool:
+		v.bools = append(v.bools, src.bools...)
+	}
 	v.n += src.n
 	v.written()
 	return nil
 }
 
 // Gather returns a new vector of v's kind holding v's rows at the
-// given indexes, in that order.
+// given indexes, in that order. A TEXT vector's dictionary is shared,
+// capped at its length: a string the new vector adds reallocates it,
+// and one v adds lands past what the new vector sees.
 func (v *Vector) Gather(rows []int) *Vector {
 	out := &Vector{kind: v.kind, n: len(rows)}
 	switch v.kind {
@@ -255,7 +363,8 @@ func (v *Vector) Gather(rows []int) *Vector {
 	case KindFloat:
 		out.floats = gather(v.floats, rows)
 	case KindString:
-		out.strs = gather(v.strs, rows)
+		out.dict = v.dict[:len(v.dict):len(v.dict)]
+		out.codes = gather(v.codes, rows)
 	case KindBool:
 		out.bools = gather(v.bools, rows)
 	}

@@ -120,7 +120,8 @@ func otherForm(t testing.TB, col *storage.Vector) []byte {
 		at := map[string]int{}
 		var dict []string
 		var ix []int
-		for _, s := range col.Strings() {
+		for _, v := range values(col) {
+			s := v.S
 			k, ok := at[s]
 			if !ok {
 				k, at[s], dict = len(dict), len(dict), append(dict, s)
@@ -397,13 +398,34 @@ func TestLeafForms(t *testing.T) {
 		}
 	}
 
-	// A dictionary leaf's rows share the dictionary's strings.
+	// A dictionary leaf's dictionary becomes the vector's, whose rows
+	// share its strings.
 	col, err := decodeLeaf([]byte(`{"t":3,"dict":["lakeside","border"],"ix":[0,1,0,0]}`), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := col.Strings(); unsafe.StringData(s[0]) != unsafe.StringData(s[2]) || unsafe.StringData(s[0]) != unsafe.StringData(s[3]) {
-		t.Fatalf("rows of one dictionary entry hold separate copies: %q", s)
+	dict := col.Dict()
+	if fmt.Sprint(dict, col.Codes()) != "[lakeside border] [0 1 0 0]" {
+		t.Fatalf("decoded to dictionary %q, codes %v", dict, col.Codes())
+	}
+	for r, k := range []int{0, 1, 0, 0} {
+		if unsafe.StringData(col.At(r).S) != unsafe.StringData(dict[k]) {
+			t.Fatalf("row %d holds its own copy of %q", r, dict[k])
+		}
+	}
+
+	// A forged dictionary that repeats a string decodes through the
+	// vector's index to one entry, and re-encodes to the canonical text.
+	col, err = decodeLeaf([]byte(`{"t":3,"dict":["a","a"],"ix":[0,1]}`), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameValues(t, "repeated dictionary", values(col), []storage.Value{storage.Str("a"), storage.Str("a")})
+	if fmt.Sprint(col.Dict(), col.Codes()) != "[a] [0 0]" {
+		t.Fatalf("repeated dictionary decoded to %q, codes %v", col.Dict(), col.Codes())
+	}
+	if got := requireRoundTrip(t, col); string(got) != `{"t":3,"v":["a","a"]}` {
+		t.Fatalf("repeated dictionary re-encodes as %s", got)
 	}
 }
 
@@ -438,7 +460,7 @@ func FuzzDecodeLeaf(f *testing.F) {
 		{`{"t":1,"dr":[9223372036854775807,1,-9223372036854775808,2,1,1]}`, 4}, {`{"t":1,"dr":[-9223372036854775808,3]}`, 3},
 		{`{"t":1,"dr":[1,4611686018427387904]}`, 256}, {`{"t":1,"dr":[1,9223372036854775807,1,9223372036854775807,1,5]}`, 3},
 		{`{"t":1,"dr":[1,0,1,3]}`, 3}, {`{"t":1,"dr":[1,3,5]}`, 3}, {`{"t":2,"dr":[1,3]}`, 3}, {`{"t":1,"dr":null}`, 0},
-		{`{"t":3,"dict":["east","west"],"ix":[0,1,1,0]}`, 4}, {`{"t":3,"dict":["a","a",""],"ix":[1,0]}`, 2},
+		{`{"t":3,"dict":["east","west"],"ix":[0,1,1,0]}`, 4}, {`{"t":3,"dict":["a","a",""],"ix":[1,0]}`, 2}, {`{"t":3,"dict":["a","a"],"ix":[0,1]}`, 2},
 		{`{"t":3,"dict":["a"],"ix":[0,1]}`, 2}, {`{"t":3,"dict":["a"],"ix":[-1]}`, 1}, {`{"t":3,"dict":[],"ix":[]}`, 0},
 		{`{"t":3,"v":["a"],"dict":["a"],"ix":[0]}`, 1}, {`{"t":3,"dict":["\ud800","<\u2028>"],"ix":[1,0,1]}`, 3},
 	} {

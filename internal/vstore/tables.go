@@ -91,7 +91,7 @@ func encodeLeaf(col *storage.Vector, lo, hi int) ([]byte, error) {
 		case storage.KindInt:
 			return encodeInts(col.Ints()[lo:hi]), nil
 		case storage.KindString:
-			return encodeStrings(col.Strings()[lo:hi])
+			return encodeStrings(col.Dict(), col.Codes()[lo:hi])
 		}
 	}
 	return plainLeaf(col, lo, hi)
@@ -115,7 +115,11 @@ func plainLeaf(col *storage.Vector, lo, hi int) ([]byte, error) {
 	case storage.KindFloat:
 		vals, err = marshalSpan(col.Floats()[lo:hi], isNull)
 	case storage.KindString:
-		vals, err = marshalSpan(col.Strings()[lo:hi], isNull)
+		strs := make([]string, hi-lo)
+		for i, k := range col.Codes()[lo:hi] {
+			strs[i] = col.Dict()[k]
+		}
+		vals, err = marshalSpan(strs, isNull)
 	case storage.KindBool:
 		vals, err = marshalSpan(col.Bools()[lo:hi], isNull)
 	default: // all NULL
@@ -195,20 +199,23 @@ func eachRun(vals []int64, f func(d, n int64)) {
 	f(d, n)
 }
 
-// encodeStrings writes a non-empty TEXT span in the shorter of the plain
-// form and a dictionary in first-appearance order with an index per
-// row. Each distinct string is marshalled once, and either form is
-// assembled from those texts, so the plain one is json.Marshal's.
-func encodeStrings(vals []string) ([]byte, error) {
-	at := make(map[string]int32, len(vals))
-	dict := make([]string, 0, len(vals))
-	ix := make([]int32, len(vals))
-	for i, v := range vals {
-		k, ok := at[v]
+// encodeStrings writes a non-empty TEXT span, given as codes into the
+// vector's dictionary, in the shorter of the plain form and a
+// dictionary in first-appearance order with an index per row. Each
+// distinct string is marshalled once, and either form is assembled from
+// those texts, so the plain one is json.Marshal's. A vector's
+// dictionary holds no string twice, so renumbering its codes in order
+// of first appearance gives the dictionary the strings themselves would.
+func encodeStrings(colDict []string, codes []uint32) ([]byte, error) {
+	at := make(map[uint32]int32, len(codes))
+	dict := make([]string, 0, len(codes))
+	ix := make([]int32, len(codes))
+	for i, c := range codes {
+		k, ok := at[c]
 		if !ok {
 			k = int32(len(dict))
-			at[v] = k
-			dict = append(dict, v)
+			at[c] = k
+			dict = append(dict, colDict[c])
 		}
 		ix[i] = k
 	}
@@ -381,7 +388,8 @@ func decodeRuns(raw []byte, want int) (*storage.Vector, error) {
 }
 
 // decodeDict reads a dictionary leaf: one index per row into the
-// dictionary, whose strings the rows share.
+// dictionary, which becomes the vector's, read through its index so
+// that a string the leaf repeats is held once.
 func decodeDict(raw []byte, ix []int, want int) (*storage.Vector, error) {
 	var dict []string
 	if err := json.Unmarshal(raw, &dict); err != nil {
@@ -390,16 +398,14 @@ func decodeDict(raw []byte, ix []int, want int) (*storage.Vector, error) {
 	if len(ix) != want {
 		return nil, fmt.Errorf("dictionary leaf of %d indexes, its row range %d", len(ix), want)
 	}
-	col := storage.NewVector(storage.KindString, want)
+	codes := make([]uint32, len(ix))
 	for i, k := range ix {
 		if k < 0 || k >= len(dict) {
 			return nil, fmt.Errorf("index %d is %d, outside a dictionary of %d", i, k, len(dict))
 		}
-		if err := col.Append(storage.Str(dict[k])); err != nil {
-			return nil, err
-		}
+		codes[i] = uint32(k)
 	}
-	return col, nil
+	return storage.NewTextVector(dict, codes)
 }
 
 // vectorOf builds a vector of the given kind from vals.
