@@ -5,17 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/reliable-cda/cda/internal/admission"
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
+	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // The session API's conformance table: one list of request → expected
@@ -379,6 +383,271 @@ func TestNodeClientsRefuseAlike(t *testing.T) {
 			}
 			if said[0].Msg != said[1].Msg {
 				t.Errorf("LocalNode says %q, HTTPNode says %q", said[0].Msg, said[1].Msg)
+			}
+		})
+	}
+}
+
+// The node-to-node routes get the same treatment, with the two columns
+// being the router's two views of a node: LocalNode in process, whose
+// outcome is rendered here the way the node's handler encodes it, and
+// HTTPNode over the node's own handler, whose response is taken off the
+// wire. Each row is a NodeClient call on a fresh pair of durable nodes
+// with version stores, and the two bodies must be byte-identical.
+
+// shipWorld is a primary and a replica store with what every ship row
+// starts from: session s1 committed on the primary to cursor 7 with a
+// compaction at 6, and the replica holding the primary's first 4
+// records.
+type shipWorld struct {
+	primary, replica *sessionstore.Store
+	shard            int
+}
+
+const shipSnapEvery = 6
+
+func newShipWorld(t *testing.T) *shipWorld {
+	t.Helper()
+	open := func() *sessionstore.Store {
+		dir := t.TempDir()
+		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sessionstore.Open(sessionstore.Config{Dir: dir, Shards: confShards,
+			SnapshotEvery: shipSnapEvery, Versions: vs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := errors.Join(st.Close(), vs.Close()); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+		return st
+	}
+	w := &shipWorld{primary: open(), replica: open(), shard: sessionstore.ShardIndexFor("s1", confShards)}
+	e, err := w.primary.NewSessionWithID("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func(i int) {
+		err := e.Do(func(sess *dialogue.Session) error {
+			sess.CommitTurn(fmt.Sprintf("how many barometer in round %d", i), dialogue.IntentQuery, fmt.Sprintf("%d rows", i), 0.5)
+			return w.primary.CommitTurn(e)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		pair(i)
+	}
+	w.apply(t, w.pull(t, 0))
+	for i := 3; i < 6; i++ {
+		pair(i)
+	}
+	if got := w.primary.ReplicationCursor(w.shard); got != 7 || w.replica.ReplicationCursor(w.shard) != 4 {
+		t.Fatalf("set-up: primary at %d, replica at %d; want 7 and 4", got, w.replica.ReplicationCursor(w.shard))
+	}
+	return w
+}
+
+func (w *shipWorld) pull(t *testing.T, after int64) sessionstore.ShipBatch {
+	t.Helper()
+	b, err := w.primary.PullFrames(w.shard, after, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func (w *shipWorld) apply(t *testing.T, b sessionstore.ShipBatch) {
+	t.Helper()
+	if err := w.replica.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// applied is an Apply call's outcome on the wire: the replica's cursor,
+// which a 409 carries too.
+type applied struct {
+	Cursor int64 `json:"cursor"`
+}
+
+// shipRow is one node-to-node row: a call on the primary or the replica
+// and what the node answers.
+type shipRow struct {
+	name   string
+	call   func(ctx context.Context, t *testing.T, w *shipWorld, primary, replica NodeClient) (any, error)
+	status int
+	match  matcher
+}
+
+func pullRow(name string, shard func(w *shipWorld) int, after int64, max, status int, match matcher) shipRow {
+	return shipRow{name: name, status: status, match: match,
+		call: func(ctx context.Context, _ *testing.T, w *shipWorld, primary, _ NodeClient) (any, error) {
+			return primary.Pull(ctx, shard(w), after, max)
+		}}
+}
+
+func applyRow(name string, after int64, status int, match matcher) shipRow {
+	return shipRow{name: name, status: status, match: match,
+		call: func(ctx context.Context, t *testing.T, w *shipWorld, _, replica NodeClient) (any, error) {
+			cur, err := replica.Apply(ctx, w.pull(t, after))
+			return applied{cur}, err
+		}}
+}
+
+func ownShard(w *shipWorld) int { return w.shard }
+
+// batchIs matches a ShipBatch: a snapshot root or none, and the ship
+// sequences of its frames.
+func batchIs(root bool, seqs ...int64) matcher {
+	return func(t *testing.T, body []byte) {
+		t.Helper()
+		var b sessionstore.ShipBatch
+		if err := json.Unmarshal(body, &b); err != nil {
+			t.Fatalf("body is not a batch: %s", body)
+		}
+		var got []int64
+		for _, f := range b.Frames {
+			got = append(got, f.Seq)
+		}
+		if (b.SnapshotRoot != "") != root || fmt.Sprint(got) != fmt.Sprint(seqs) || b.PrimaryCursor != 7 {
+			t.Errorf("batch = root %q, frames %v, primary cursor %d; want a root %v, frames %v, cursor 7",
+				b.SnapshotRoot, got, b.PrimaryCursor, root, seqs)
+		}
+		if root && b.SnapshotSeq != shipSnapEvery {
+			t.Errorf("snapshot_seq = %d, want the horizon %d", b.SnapshotSeq, shipSnapEvery)
+		}
+	}
+}
+
+// refusalWith is refusal plus the extra members a replication refusal
+// carries beside its error.
+func refusalWith(want string, extra map[string]any) matcher {
+	return func(t *testing.T, body []byte) {
+		t.Helper()
+		var got map[string]any
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("body is not JSON: %s", body)
+		}
+		msg, _ := got["error"].(string)
+		if len(got) != 1+len(extra) || !strings.Contains(msg, want) {
+			t.Errorf("body = %s, want an error containing %q and %v", body, want, extra)
+		}
+		for k, v := range extra {
+			if fmt.Sprint(got[k]) != fmt.Sprint(v) && !(v == nil && got[k] != nil) {
+				t.Errorf("%s = %v, want %v", k, got[k], v)
+			}
+		}
+	}
+}
+
+var shipConformance = []shipRow{
+	pullRow("pull with a negative after", ownShard, -1, 0, 400, refusal(`after must be a non-negative integer, got "-1"`)),
+	pullRow("pull with a negative max", ownShard, 0, -1, 400, refusal(`max must be a non-negative integer, got "-1"`)),
+	pullRow("pull from a shard the node lacks", func(*shipWorld) int { return confShards }, 0, 0, 400, refusal("shard must be an integer in [0,2)")),
+	pullRow("pull from a cursor ahead of the primary", ownShard, 99, 0, 409, refusal("replica cursor 99 ahead of shard")),
+	pullRow("pull at the horizon", ownShard, shipSnapEvery, 0, 200, batchIs(false, 7)),
+	pullRow("pull below the horizon", ownShard, 4, 0, 200, batchIs(true, 7)),
+	applyRow("apply with a gap", shipSnapEvery, 409, refusalWith("frame gap", map[string]any{"cursor": 4})),
+	applyRow("apply with a missing closure", 4, 428, refusalWith("missing chunks under snapshot root", map[string]any{"missing_root": nil})),
+}
+
+// wire renders a LocalNode call's outcome as the node's handler encodes
+// it: the value, or the error envelope under the refusal's status.
+func wire(t *testing.T, v any, err error) (int, []byte) {
+	t.Helper()
+	type envelope struct {
+		Error       string `json:"error"`
+		MissingRoot string `json:"missing_root,omitempty"`
+		Cursor      *int64 `json:"cursor,omitempty"`
+	}
+	status, body := http.StatusOK, v
+	var missing *sessionstore.MissingChunksError
+	var said *server.Error
+	switch {
+	case err == nil:
+	case errors.As(err, &missing):
+		status, body = http.StatusPreconditionRequired, envelope{Error: err.Error(), MissingRoot: string(missing.Root)}
+	case errors.As(err, &said) && errors.Is(err, server.ErrBadRequest):
+		status, body = http.StatusBadRequest, envelope{Error: said.Msg}
+	case errors.As(err, &said) && errors.Is(err, server.ErrConflict):
+		env := envelope{Error: said.Msg}
+		if a, ok := v.(applied); ok {
+			env.Cursor = &a.Cursor
+		}
+		status, body = http.StatusConflict, env
+	default:
+		t.Fatalf("no row expects %v", err)
+	}
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, append(data, '\n')
+}
+
+// lastResponse is an HTTP transport that keeps the last response's
+// status and body.
+type lastResponse struct {
+	status int
+	body   []byte
+}
+
+func (l *lastResponse) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	l.status, l.body = resp.StatusCode, data
+	resp.Body = io.NopCloser(bytes.NewReader(data))
+	return resp, nil
+}
+
+// run plays the row against one column and returns the status and body.
+func (r shipRow) run(t *testing.T, overHTTP bool) (int, []byte) {
+	ctx := context.Background()
+	w := newShipWorld(t)
+	if !overHTTP {
+		v, err := r.call(ctx, t, w, NewLocalNode("n1-primary", w.primary, nil), NewLocalNode("n1-replica", w.replica, nil))
+		return wire(t, v, err)
+	}
+	last := &lastResponse{}
+	node := func(name string, st *sessionstore.Store) NodeClient {
+		ts := httptest.NewServer(server.NewWithOptions(nil, nil, 0, server.Options{Store: st, NodeName: name}).Handler())
+		t.Cleanup(ts.Close)
+		return NewHTTPNode(name, ts.URL, confShards, &http.Client{Transport: last})
+	}
+	_, _ = r.call(ctx, t, w, node("n1-primary", w.primary), node("n1-replica", w.replica))
+	return last.status, last.body
+}
+
+func TestReplicationRouteConformance(t *testing.T) {
+	for _, r := range shipConformance {
+		t.Run(r.name, func(t *testing.T) {
+			var bodies [2][]byte
+			for i, col := range []string{"LocalNode", "HTTPNode"} {
+				t.Run(col, func(t *testing.T) {
+					status, body := r.run(t, i == 1)
+					if status != r.status {
+						t.Errorf("status = %d, want %d (body %s)", status, r.status, body)
+					}
+					r.match(t, body)
+					bodies[i] = body
+				})
+			}
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Errorf("LocalNode and HTTPNode must answer byte-identically:\nLocalNode: %sHTTPNode:  %s", bodies[0], bodies[1])
 			}
 		})
 	}

@@ -113,9 +113,10 @@ func (n *LocalNode) reachable(ctx context.Context) error {
 	return nil
 }
 
-// gated runs one server call behind the gate. A store-level simulated
-// crash — the WAL append torn mid-write, which in a real deployment is
-// the process dying with it — becomes node death.
+// gated runs one server call behind the gate and returns what the call
+// did, a refusal's value included (Apply's cursor). A store-level
+// simulated crash — the WAL append torn mid-write, which in a real
+// deployment is the process dying with it — becomes node death.
 func gated[T any](ctx context.Context, n *LocalNode, call func() (T, error)) (T, error) {
 	var zero T
 	if err := n.reachable(ctx); err != nil {
@@ -126,10 +127,7 @@ func gated[T any](ctx context.Context, n *LocalNode, call func() (T, error)) (T,
 		n.Kill()
 		return zero, fmt.Errorf("%w: %s crashed mid-append", ErrNodeDown, n.name)
 	}
-	if err != nil {
-		return zero, err
-	}
-	return v, nil
+	return v, err
 }
 
 // Name implements NodeClient.

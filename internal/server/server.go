@@ -368,8 +368,12 @@ func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, 
 	if err := s.checkShard(shard); err != nil {
 		return sessionstore.ShipBatch{}, err
 	}
-	if after < 0 || max < 0 {
-		return sessionstore.ShipBatch{}, refuse(ErrBadRequest, "after and max must be non-negative integers")
+	// Worded as the HTTP handler words the same values in a query.
+	if after < 0 {
+		return sessionstore.ShipBatch{}, refuse(ErrBadRequest, "after must be a non-negative integer, got %q", fmt.Sprint(after))
+	}
+	if max < 0 {
+		return sessionstore.ShipBatch{}, refuse(ErrBadRequest, "max must be a non-negative integer, got %q", fmt.Sprint(max))
 	}
 	batch, err := s.store.PullFrames(shard, after, max)
 	if err != nil {
