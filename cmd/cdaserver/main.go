@@ -7,26 +7,29 @@
 //	cdaserver [-addr :8080] [-seed 1] [-noise 0.05] [-csv a.csv,b.csv]
 //	          [-data-dir ./data] [-session-ttl 30m] [-shards 8]
 //	          [-snapshot-every 256] [-max-inflight 64] [-rate 0] [-burst 0]
-//	          [-node-name node] [-versioned]
+//	          [-node-name node]
+//
+// Every node keeps a content-addressed version store: the analytical
+// database and every session transcript get immutable Merkle-tree
+// versions, answers are stamped with the data root hash they were
+// computed against, GET /sessions/{id}/asof/{turn} serves time-travel
+// transcript reads, and replica catch-up below the compaction horizon
+// ships only missing chunks.
 //
 // With -data-dir, sessions are durable: every committed turn is
-// WAL-logged before the response is acknowledged, and a restarted
-// server replays the directory to serve the same transcripts
-// byte-for-byte. Without it, sessions live in memory only.
+// WAL-logged before the response is acknowledged, the version store is
+// the journal under <data-dir>/vstore, each shard compacts its WAL into
+// a shard root there, and a restarted server replays the directory to
+// serve the same transcripts byte-for-byte. A turn waits for one fsync,
+// the WAL's: a session's version is written to the journal unflushed,
+// the journal is flushed before a compaction truncates the WAL that
+// could rebuild it, and a restart after a power cut commits again
+// whatever versions the journal's tail lost. A version or compaction
+// failure never fails a turn; it is logged, under a request reference,
+// at the turn that ran into it. Without -data-dir, sessions and their
+// versions live in memory only.
 //
-// With -versioned (requires -data-dir), the node additionally keeps a
-// content-addressed version store under <data-dir>/vstore: the
-// analytical database and every session transcript get immutable
-// Merkle-tree versions, answers are stamped with the data root hash
-// they were computed against, GET /sessions/{id}/asof/{turn} serves
-// time-travel transcript reads, and replica catch-up below the
-// compaction horizon ships only missing chunks. A turn still waits for
-// one fsync, the WAL's: a session's version is written to the journal
-// unflushed, the journal is flushed before a compaction truncates the
-// WAL that could rebuild it, and a restart after a power cut commits
-// again whatever versions the journal's tail lost. A version or
-// compaction failure never fails a turn; it is logged, under a request
-// reference, at the turn that ran into it.
+// -versioned is accepted and ignored: versions are no longer optional.
 //
 // Example session:
 //
@@ -56,7 +59,6 @@ import (
 	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/storage"
-	"github.com/reliable-cda/cda/internal/vstore"
 	"github.com/reliable-cda/cda/internal/workload"
 )
 
@@ -68,16 +70,13 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for durable session state (empty: in-memory sessions)")
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (0: never)")
 	shards := flag.Int("shards", 8, "session store shard count (rounded up to a power of two)")
-	snapshotEvery := flag.Int("snapshot-every", 256, "compact each shard's WAL into a snapshot every N records")
+	snapshotEvery := flag.Int("snapshot-every", 256, "compact each shard's WAL into its shard root every N records")
 	maxInflight := flag.Int("max-inflight", 64, "per-shard concurrent ask limit (negative: unlimited)")
 	rate := flag.Float64("rate", 0, "per-shard admitted asks per second (0: unlimited)")
 	burst := flag.Float64("burst", 0, "token-bucket burst size (0: max(rate,1))")
 	nodeName := flag.String("node-name", "node", "node name reported by /healthz and stamped on stale replica reads")
-	versioned := flag.Bool("versioned", false, "keep content-addressed versions of data and transcripts under <data-dir>/vstore (requires -data-dir)")
+	flag.Bool("versioned", false, "ignored: every node keeps versions (accepted until no caller passes it)")
 	flag.Parse()
-	if *versioned && *dataDir == "" {
-		log.Fatal("cdaserver: -versioned requires -data-dir")
-	}
 
 	var cfg core.Config
 	var cat *catalog.Catalog
@@ -119,16 +118,6 @@ func main() {
 		TTL:           *sessionTTL,
 		Clock:         clock,
 	}
-	var versions *vstore.Store
-	if *versioned {
-		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(*dataDir, "vstore")})
-		if err != nil {
-			log.Fatalf("cdaserver: open version store: %v", err)
-		}
-		versions = vs
-		storeCfg.Versions = vs
-		cfg.Versions = vs
-	}
 	var store *sessionstore.Store
 	if *dataDir == "" {
 		store = sessionstore.NewMemory(storeCfg)
@@ -139,9 +128,10 @@ func main() {
 			log.Fatalf("cdaserver: open session store: %v", err)
 		}
 		store = st
-		log.Printf("cdaserver: durable sessions in %s (%d shards, snapshot every %d, versioned=%t)",
-			*dataDir, *shards, *snapshotEvery, *versioned)
+		log.Printf("cdaserver: durable sessions in %s (%d shards, compaction every %d)",
+			*dataDir, *shards, *snapshotEvery)
 	}
+	cfg.Versions = store.Versions()
 	adm := admission.New(admission.Config{
 		Shards:      *shards,
 		MaxInflight: *maxInflight,
@@ -151,15 +141,13 @@ func main() {
 	})
 
 	sys := core.New(cfg)
-	if versions != nil {
-		// Version zero of the analytical data: every answer from here on
-		// is stamped with the root hash it was computed against.
-		c, err := sys.CommitData(0)
-		if err != nil {
-			log.Fatalf("cdaserver: commit initial data version: %v", err)
-		}
-		log.Printf("cdaserver: data root %s (%d chunks)", c.Hash, versions.NumChunks())
+	// Version zero of the analytical data: every answer from here on is
+	// stamped with the root hash it was computed against.
+	c, err := sys.CommitData(0)
+	if err != nil {
+		log.Fatalf("cdaserver: commit initial data version: %v", err)
 	}
+	log.Printf("cdaserver: data root %s (%d chunks)", c.Hash, cfg.Versions.NumChunks())
 	srv := server.NewWithOptions(sys, cat, now, server.Options{Store: store, Admission: adm, NodeName: *nodeName})
 	hs := &http.Server{
 		Addr:    *addr,
@@ -228,15 +216,10 @@ func main() {
 		sweepStop()
 		<-sweepDone
 		// Close after the drain: every acknowledged turn is already in
-		// the WAL; Close compacts shards and surfaces any deferred
-		// compaction error.
+		// the WAL; Close compacts shards, closes the version store, and
+		// surfaces any deferred compaction error.
 		if err := store.Close(); err != nil {
 			log.Printf("cdaserver: close session store: %v", err)
-		}
-		if versions != nil {
-			if err := versions.Close(); err != nil {
-				log.Printf("cdaserver: close version store: %v", err)
-			}
 		}
 	}
 }

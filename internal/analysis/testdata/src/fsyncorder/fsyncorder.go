@@ -5,7 +5,7 @@ package fixture
 
 import "os"
 
-// publishNoSync is writeSnapshot with the Sync call deleted: the
+// publishNoSync is an atomic publish with the Sync call deleted: the
 // rename can publish a name whose bytes are not on disk.
 func publishNoSync(path string, data []byte) error {
 	tmp := path + ".tmp"

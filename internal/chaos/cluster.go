@@ -16,7 +16,8 @@ import (
 
 // ClusterScenario configures one deterministic cluster chaos replay:
 // a one-member ring (a primary/replica pair of durable stores, each
-// with its own seeded system — two "processes") fronted by a router
+// with its own seeded system and version store — two "processes")
+// fronted by a router
 // whose failover breaker trips on the first node-level failure. The
 // kill arrives either as a seeded torn WAL write mid-commit
 // (CrashRate) or as a clean kill after KillAfter committed turns —
@@ -262,11 +263,10 @@ type ClusterPartitionScenario struct {
 	PartitionTurns int
 	// PrimaryDir and ReplicaDir are the nodes' data directories.
 	PrimaryDir, ReplicaDir string
-	// SnapshotEvery is both stores' compaction cadence (default 64 —
-	// large enough that the partition backlog stays in WAL frames, so
-	// the heal exercises bounded frame catch-up; the snapshot-transfer
-	// fallback below the compaction horizon is covered by the
-	// sessionstore replication tests).
+	// SnapshotEvery is both stores' compaction cadence (default 3 —
+	// small enough that the primary compacts past the replica's cursor
+	// during the partition, so the heal ships the shard root, negotiates
+	// its chunks, and resumes bounded frame catch-up on top of it).
 	SnapshotEvery int
 }
 
@@ -279,6 +279,10 @@ type ClusterPartitionResult struct {
 	// LagAtHeal is the replica's record lag the moment the partition
 	// heals (> 0, or the partition did nothing).
 	LagAtHeal int64
+	// RootShipped reports whether the heal's first step adopted the
+	// primary's shard root on the replica — the heal crossed the
+	// compaction horizon through chunk negotiation.
+	RootShipped bool
 	// MidCatchUp is the replica-served page after one bounded ship
 	// step — stamped stale, holding a committed prefix.
 	MidCatchUp string
@@ -300,7 +304,7 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 		return nil, errors.New("chaos: ClusterPartitionHeal needs primary and replica data dirs")
 	}
 	if sc.SnapshotEvery <= 0 {
-		sc.SnapshotEvery = 64
+		sc.SnapshotEvery = 3
 	}
 	turns := SwissTurns()
 	if sc.PartitionAfter <= 0 || sc.PartitionAfter >= len(turns) {
@@ -312,7 +316,7 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	if sc.PartitionAfter+sc.PartitionTurns > len(turns) {
 		sc.PartitionTurns = len(turns) - sc.PartitionAfter
 	}
-	member, _, rn, _, _, err := newClusterMember(ClusterScenario{
+	member, pn, rn, _, _, err := newClusterMember(ClusterScenario{
 		Seed: sc.Seed, Rates: sc.Rates, PrimaryDir: sc.PrimaryDir,
 		ReplicaDir: sc.ReplicaDir, SnapshotEvery: sc.SnapshotEvery}, false)
 	if err != nil {
@@ -357,10 +361,22 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	res.LagAtHeal = member.Primary.(*cluster.LocalNode).Store().ReplicationCursor(shard) -
 		rn.Store().ReplicationCursor(shard)
 
-	// One bounded ship step: the replica now KNOWS it is behind (the
-	// applied batch carries the primary's cursor) and stamps its pages.
+	// One bounded ship step — the shard root and one frame: the replica
+	// now KNOWS it is behind (the applied batch carries the primary's
+	// cursor) and stamps its pages.
+	root, err := pn.Store().Versions().Head(sessionstore.ShardRoot(shard))
+	if err != nil {
+		return nil, fmt.Errorf("chaos: primary shard root: %w", err)
+	}
 	if _, err := router.ShipStep(ctx, "m1", shard, 1); err != nil {
 		return nil, fmt.Errorf("chaos: ship step: %w", err)
+	}
+	adopted, err := rn.Store().Versions().Log(sessionstore.ShardRoot(shard))
+	if err != nil {
+		return nil, fmt.Errorf("chaos: replica shard root: %w", err)
+	}
+	for _, c := range adopted {
+		res.RootShipped = res.RootShipped || c.Hash == root.Hash
 	}
 	midPage, err := router.Transcript(ctx, id, 0, server.MaxPageLimit, true)
 	if err != nil {
@@ -389,8 +405,8 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	}
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "seed=%d partitionAfter=%d partitionTurns=%d committed=%d lagAtHeal=%d midStale=%t session=%s\n",
-		sc.Seed, sc.PartitionAfter, sc.PartitionTurns, res.Committed, res.LagAtHeal, res.MidCatchUpStale, res.SessionID)
+	fmt.Fprintf(&sb, "seed=%d partitionAfter=%d partitionTurns=%d committed=%d lagAtHeal=%d rootShipped=%t midStale=%t session=%s\n",
+		sc.Seed, sc.PartitionAfter, sc.PartitionTurns, res.Committed, res.LagAtHeal, res.RootShipped, res.MidCatchUpStale, res.SessionID)
 	fmt.Fprintf(&sb, "--- mid-catch-up\n%s--- final\n%s--- replica-final\n%s",
 		res.MidCatchUp, res.Final, res.ReplicaFinal)
 	for _, st := range router.Status(ctx) {

@@ -107,9 +107,10 @@ func runClusterPartition(t *testing.T, sc ClusterPartitionScenario) *ClusterPart
 }
 
 // TestClusterPartitionHeal pins the partition contract: commits never
-// fail while the replica is away, the healed replica is observably
-// stale mid-catch-up, and after full catch-up it serves the primary's
-// transcript byte-identically — no committed turn lost.
+// fail while the replica is away, the heal crosses the primary's
+// compaction horizon by adopting its shard root, the healed replica is
+// observably stale mid-catch-up, and after full catch-up it serves the
+// primary's transcript byte-identically — no committed turn lost.
 func TestClusterPartitionHeal(t *testing.T) {
 	for _, seed := range []int64{1, 21, 63} {
 		res := runClusterPartition(t, ClusterPartitionScenario{
@@ -121,6 +122,9 @@ func TestClusterPartitionHeal(t *testing.T) {
 		}
 		if res.LagAtHeal <= 0 {
 			t.Errorf("seed %d: lag at heal = %d, want > 0", seed, res.LagAtHeal)
+		}
+		if !res.RootShipped {
+			t.Errorf("seed %d: the heal's first step did not adopt the primary's shard root", seed)
 		}
 		if !res.MidCatchUpStale {
 			t.Errorf("seed %d: mid-catch-up replica page not stamped stale:\n%s", seed, res.MidCatchUp)

@@ -4,22 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/cluster"
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/sessionstore"
-	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // ClusterVersionedScenario configures the versioned kill/recover
-// replay: both nodes run content-addressed version stores, the
-// replica is partitioned past the primary's compaction horizon so the
-// heal MUST go through the versioned snapshot path (root hash +
-// chunk negotiation, not inline JSON), and the primary is killed
-// afterwards so the promoted replica — caught up via negotiated
-// chunks — serves and finishes the dialogue.
+// replay: the replica is partitioned past the primary's compaction
+// horizon so the heal goes through the shard root (root hash + chunk
+// negotiation), and the primary is killed afterwards so the promoted
+// replica — caught up via negotiated chunks — serves and finishes the
+// dialogue, and its version roots are compared.
 type ClusterVersionedScenario struct {
 	// Seed drives both systems deterministically.
 	Seed int64
@@ -30,8 +27,7 @@ type ClusterVersionedScenario struct {
 	// away (default 4 — with SnapshotEvery 4 that pushes the backlog
 	// below the compaction horizon, forcing the versioned transfer).
 	PartitionTurns int
-	// PrimaryDir and ReplicaDir are the nodes' data directories; each
-	// node's version store lives in a "vstore" subdirectory.
+	// PrimaryDir and ReplicaDir are the nodes' data directories.
 	PrimaryDir, ReplicaDir string
 	// SnapshotEvery is both stores' compaction cadence (default 4).
 	SnapshotEvery int
@@ -60,34 +56,6 @@ type ClusterVersionedResult struct {
 	Transcript string
 }
 
-// newVersionedMember assembles a primary/replica pair whose session
-// stores both maintain version roots in their own chunk stores.
-func newVersionedMember(sc ClusterVersionedScenario) (cluster.Member, *cluster.LocalNode, *cluster.LocalNode, *vstore.Store, *vstore.Store, error) {
-	psys, _ := newSwissSystem(Scenario{Seed: sc.Seed})
-	rsys, _ := newSwissSystem(Scenario{Seed: sc.Seed})
-	pvs, err := vstore.Open(vstore.Config{Dir: filepath.Join(sc.PrimaryDir, "vstore")})
-	if err != nil {
-		return cluster.Member{}, nil, nil, nil, nil, fmt.Errorf("chaos: open primary vstore: %w", err)
-	}
-	rvs, err := vstore.Open(vstore.Config{Dir: filepath.Join(sc.ReplicaDir, "vstore")})
-	if err != nil {
-		return cluster.Member{}, nil, nil, nil, nil, fmt.Errorf("chaos: open replica vstore: %w", err)
-	}
-	pstore, err := sessionstore.Open(sessionstore.Config{
-		Dir: sc.PrimaryDir, Shards: 4, SnapshotEvery: sc.SnapshotEvery, Versions: pvs})
-	if err != nil {
-		return cluster.Member{}, nil, nil, nil, nil, fmt.Errorf("chaos: open primary store: %w", err)
-	}
-	rstore, err := sessionstore.Open(sessionstore.Config{
-		Dir: sc.ReplicaDir, Shards: 4, SnapshotEvery: sc.SnapshotEvery, Versions: rvs})
-	if err != nil {
-		return cluster.Member{}, nil, nil, nil, nil, fmt.Errorf("chaos: open replica store: %w", err)
-	}
-	pn := cluster.NewLocalNode("m1-primary", pstore, psys)
-	rn := cluster.NewLocalNode("m1-replica", rstore, rsys)
-	return cluster.Member{Name: "m1", Primary: pn, Replica: rn}, pn, rn, pvs, rvs, nil
-}
-
 // ClusterKillRecoverVersioned runs one versioned kill/recover
 // scenario: partition the replica past the compaction horizon, heal
 // through chunk-negotiated versioned catch-up, kill the primary, and
@@ -110,10 +78,12 @@ func ClusterKillRecoverVersioned(ctx context.Context, sc ClusterVersionedScenari
 		return nil, fmt.Errorf("chaos: partition window [%d,%d) leaves no post-kill turns in a %d-turn dialogue",
 			sc.PartitionAfter, sc.PartitionAfter+sc.PartitionTurns, len(turns))
 	}
-	member, pn, rn, pvs, rvs, err := newVersionedMember(sc)
+	member, pn, rn, _, _, err := newClusterMember(ClusterScenario{Seed: sc.Seed,
+		PrimaryDir: sc.PrimaryDir, ReplicaDir: sc.ReplicaDir, SnapshotEvery: sc.SnapshotEvery}, false)
 	if err != nil {
 		return nil, err
 	}
+	pvs, rvs := pn.Store().Versions(), rn.Store().Versions()
 	router, err := cluster.NewRouter(cluster.Config{
 		Members: []cluster.Member{member},
 		Breaker: resilience.BreakerConfig{FailureThreshold: 1},
@@ -156,7 +126,7 @@ func ClusterKillRecoverVersioned(ctx context.Context, sc ClusterVersionedScenari
 	}
 	rn.SetPartitioned(false)
 
-	// Heal below the compaction horizon: the batch carries a snapshot
+	// Heal below the compaction horizon: the batch carries the shard
 	// root, the first apply fails typed on the missing closure, and the
 	// router negotiates exactly the delta before re-applying. Chunk
 	// growth on the replica measures what actually moved.

@@ -321,7 +321,7 @@ func (r *Router) shipAfterWrite(ctx context.Context, m *member, id string) {
 // shipStep is one bounded pull → apply for one shard: pull at most
 // max frames after the router's cursor from the primary, apply them
 // on the replica (negotiating chunks first when the batch ships a
-// versioned snapshot the replica cannot materialize yet: replica
+// shard root the replica cannot materialize yet: replica
 // asks, primary serves, only the delta moves) and store the replica's
 // new cursor.
 func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caughtUp bool, err error) {
@@ -381,7 +381,7 @@ func (r *Router) shipShard(ctx context.Context, m *member, shard int) error {
 // the want list drains.
 const chunkBatch = 64
 
-// negotiateChunks drives have/want chunk transfer for one snapshot
+// negotiateChunks drives have/want chunk transfer for one shard
 // root: the member's replica lists what it is missing under the root,
 // the primary serves those packets, and the loop repeats until the
 // replica wants nothing — shipping only the delta, never the chunks

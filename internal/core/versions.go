@@ -25,7 +25,7 @@ func (s *System) dataRoot() string {
 // already pins the same tree — but learning that it is the same tree
 // costs a full encode: every leaf is marshalled and hashed again, O(table)
 // CPU and a batch holding the whole encoded tree until it is dropped.
-// Returns ErrNoVersions-style failure when the system is unversioned.
+// Fails when the system has no version store.
 func (s *System) CommitData(turn int) (vstore.Commit, error) {
 	if s.cfg.Versions == nil {
 		return vstore.Commit{}, fmt.Errorf("core: no version store configured")

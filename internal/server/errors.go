@@ -45,7 +45,6 @@ var statusTable = []struct {
 	{http.StatusNotFound, ErrUnknown},
 	{http.StatusConflict, ErrConflict},
 	{http.StatusGone, ErrGone},
-	{http.StatusPreconditionFailed, sessionstore.ErrNoVersions},
 	{http.StatusServiceUnavailable, ErrUnavailable},
 	// The client went away or the deadline passed mid-turn; core's
 	// contract is that the transcript gained no partial turn.
@@ -85,8 +84,8 @@ func logInternal(err error) string {
 // errorBody is every non-2xx response's payload.
 type errorBody struct {
 	Error string `json:"error"`
-	// MissingRoot rides on a 428 from /replication/apply: the versioned
-	// snapshot whose chunks must be negotiated first.
+	// MissingRoot rides on a 428 from /replication/apply: the shipped
+	// shard root whose chunks must be negotiated first.
 	MissingRoot string `json:"missing_root,omitempty"`
 	// Cursor rides on a 409 from /replication/apply: the replica's
 	// actual cursor, for the shipper to re-pull from.

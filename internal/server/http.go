@@ -209,13 +209,8 @@ func versionInfo(c vstore.Commit) VersionInfo {
 // /versions/{root...} — root names contain slashes, e.g.
 // "session/s0001" or "data").
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	vs, err := s.versions()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	root := r.PathValue("root")
-	commits, err := vs.Log(root)
+	commits, err := s.store.Versions().Log(root)
 	if errors.Is(err, vstore.ErrUnknownRoot) {
 		err = refuse(ErrUnknown, "unknown version root")
 	}
@@ -240,18 +235,13 @@ type AsOfResponse struct {
 // requested turn — an immutable read that never touches the live
 // session entry.
 func (s *Server) handleTranscriptAsOf(w http.ResponseWriter, r *http.Request) {
-	vs, err := s.versions()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	turn, err := strconv.Atoi(r.PathValue("turn"))
 	if err != nil || turn < 0 {
 		writeError(w, refuse(ErrBadRequest, "turn must be a non-negative integer"))
 		return
 	}
 	id := r.PathValue("id")
-	if _, err := vs.AsOf(sessionstore.SessionRoot(id), turn); err != nil {
+	if _, err := s.store.Versions().AsOf(sessionstore.SessionRoot(id), turn); err != nil {
 		msg := "no version at or before that turn"
 		if errors.Is(err, vstore.ErrUnknownRoot) {
 			msg = "no versions recorded for this session"

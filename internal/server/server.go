@@ -31,7 +31,7 @@
 //	GET  /health                             liveness probe
 //	GET  /healthz                            per-shard WAL seq + replication lag (JSON)
 //	GET  /datasets                           catalog listing with freshness
-//	GET  /sessions/{id}/asof/{turn}          time-travel transcript read (versioned stores)
+//	GET  /sessions/{id}/asof/{turn}          time-travel transcript read
 //	GET  /versions/{root...}                 a version root's commit log
 //	GET  /replication/{shard}?after=&max=    pull committed WAL frames (cluster shipping)
 //	POST /replication/apply                  apply a pulled batch on a replica
@@ -170,7 +170,7 @@ type AskResponse struct {
 	// can render the outage caveat alongside the lowered confidence.
 	Degraded string `json:"degraded,omitempty"`
 	// DataRoot is the content hash of the data version the answer was
-	// computed against (versioned deployments only).
+	// computed against (empty when the system versions no data).
 	DataRoot string `json:"data_root,omitempty"`
 }
 
@@ -393,9 +393,6 @@ func (s *Server) Apply(batch sessionstore.ShipBatch) (int64, error) {
 	}
 	err := s.store.ApplyBatch(batch)
 	switch {
-	case errors.Is(err, sessionstore.ErrNoVersions):
-		err = refuse(sessionstore.ErrNoVersions,
-			"batch carries a snapshot root but this node has no version store; re-pull with inline snapshots")
 	case errors.Is(err, sessionstore.ErrReplicaGap):
 		err = refuse(ErrConflict, "%v", err)
 	case err != nil && !errors.As(err, new(*sessionstore.MissingChunksError)):
@@ -406,26 +403,13 @@ func (s *Server) Apply(batch sessionstore.ShipBatch) (int64, error) {
 	return s.store.ReplicationCursor(batch.Shard), err
 }
 
-// versions returns the node's version store, or ErrUnknown on an
-// unversioned deployment.
-func (s *Server) versions() (*vstore.Store, error) {
-	if vs := s.store.Versions(); vs != nil {
-		return vs, nil
-	}
-	return nil, refuse(ErrUnknown, "this node has no version store")
-}
-
 // WantChunks lists up to limit chunks of root's closure that are
 // missing here — the replica-side half of catch-up negotiation.
 func (s *Server) WantChunks(root string, limit int) ([]string, error) {
-	vs, err := s.versions()
-	if err != nil {
-		return nil, err
-	}
 	if root == "" {
 		return nil, refuse(ErrBadRequest, "root must not be empty")
 	}
-	missing := vs.WantList(vstore.Hash(root), limit)
+	missing := s.store.Versions().WantList(vstore.Hash(root), limit)
 	out := make([]string, 0, len(missing))
 	for _, h := range missing {
 		out = append(out, string(h))
@@ -435,15 +419,11 @@ func (s *Server) WantChunks(root string, limit int) ([]string, error) {
 
 // FetchChunks serves chunk packets by hash — the primary-side half.
 func (s *Server) FetchChunks(hashes []string) ([]vstore.Packet, error) {
-	vs, err := s.versions()
-	if err != nil {
-		return nil, err
-	}
 	hs := make([]vstore.Hash, 0, len(hashes))
 	for _, h := range hashes {
 		hs = append(hs, vstore.Hash(h))
 	}
-	packets, err := vs.Packets(hs)
+	packets, err := s.store.Versions().Packets(hs)
 	if err != nil {
 		// Asking for a chunk this node lacks is the requester's staleness,
 		// not a server fault.
@@ -456,11 +436,7 @@ func (s *Server) FetchChunks(hashes []string) ([]vstore.Packet, error) {
 // corrupted packet is rejected rather than stored under a wrong
 // address.
 func (s *Server) PutChunks(packets []vstore.Packet) error {
-	vs, err := s.versions()
-	if err != nil {
-		return err
-	}
-	err = vs.AddPackets(packets)
+	err := s.store.Versions().AddPackets(packets)
 	if errors.Is(err, vstore.ErrBadPacket) {
 		return refuse(ErrBadRequest, "%v", err)
 	}

@@ -28,7 +28,9 @@ import (
 // journal's frame layout as before, other session trees in it. The
 // tests below hold the format still in both directions — v1 and v2 open
 // on this code (v1 is upgraded once) and take their next turn, and this
-// code writes the v3 bytes.
+// code writes the v3 bytes. Each fixture's shard-01.snap, the JSON
+// checkpoint its writer published beside the shard root, is read once
+// and removed (upgrade_test.go); this code writes none.
 
 const (
 	formatFixture   = "testdata/format-v1"
@@ -139,13 +141,13 @@ func requireSameFiles(t *testing.T, got, want map[string][]byte, names []string)
 }
 
 // shardFiles are the files whose bytes no storage change so far may
-// move: the WALs and the one snapshot the dialogue's compaction leaves.
-var shardFiles = []string{"shard-00.wal", "shard-01.wal", "shard-01.snap"}
+// move: the WALs.
+var shardFiles = []string{"shard-00.wal", "shard-01.wal"}
 
 // TestFormatWritesParentBytes replays the fixture's dialogue into a
-// fresh directory and requires the shard WALs and snapshots to hash
-// equal to the ones the v1 commit wrote: same file names, same frames,
-// same JSON. (The version store's files are pinned by the v2 fixture.)
+// fresh directory and requires the shard WALs to hash equal to the ones
+// the v1 commit wrote: same file names, same frames, same JSON. (The
+// version store's files are pinned by the v2 fixture.)
 func TestFormatWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
 	replayScript(t, dir, formatScript())
@@ -154,22 +156,23 @@ func TestFormatWritesParentBytes(t *testing.T) {
 
 // TestFormatWritesV2Bytes replays the dialogue and requires the shard
 // files to hash equal to the v2 fixture's, and nothing but them and the
-// journal to be written. (What the journal holds is the v3 fixtures'.)
+// journal to be written — the fixture's fourth file is its snapshot.
+// (What the journal holds is the v3 fixtures'.)
 func TestFormatWritesV2Bytes(t *testing.T) {
 	dir := t.TempDir()
 	replayScript(t, dir, formatScript())
 	got, want := readTree(t, dir), readTree(t, formatFixtureV2)
 	requireSameFiles(t, got, want, shardFiles)
-	if len(got) != len(want) || len(want) != 4 {
-		t.Errorf("replay wrote %d files, fixture has %d, want 4 in both", len(got), len(want))
+	if len(got) != 3 || len(want) != 4 {
+		t.Errorf("replay wrote %d files, fixture has %d; want 3, and shard-01.snap beside them", len(got), len(want))
 	}
 }
 
 // TestFormatWritesV3Bytes replays both fixture dialogues and requires
-// every file to hash equal to the v3 fixture's, the journal included —
-// the long session's across two folds, from trees remembered turn to
-// turn — nothing else to be written, and the root logs to be the ones
-// the fixture recorded.
+// every file but the snapshot to hash equal to the v3 fixture's, the
+// journal included — the long session's across two folds, from trees
+// remembered turn to turn — nothing else to be written, and the root
+// logs to be the ones the fixture recorded.
 func TestFormatWritesV3Bytes(t *testing.T) {
 	for _, fx := range []struct {
 		fixture string
@@ -179,8 +182,8 @@ func TestFormatWritesV3Bytes(t *testing.T) {
 		_, vs := replayScript(t, dir, fx.script)
 		got, want := readTree(t, dir), readTree(t, fx.fixture)
 		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
-		if len(got) != 4 || len(want) != 5 {
-			t.Errorf("%s: replay wrote %d files, fixture has %d; want 4, and %s beside them", fx.fixture, len(got), len(want), fixtureLogs)
+		if len(got) != 3 || len(want) != 5 {
+			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and shard-01.snap and %s beside them", fx.fixture, len(got), len(want), fixtureLogs)
 		}
 		if got, want := logsOf(t, vs), recordedLogs(t, fx.fixture); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.fixture, got, want)
@@ -481,10 +484,10 @@ func TestFormatOpensParentDir(t *testing.T) {
 // TestOpensV2Trees opens the directories the parent of the per-pair open
 // window wrote — the format dialogue, and the tree dialogue whose long
 // session has two sealed chunks and a 16-turn tail — with no upgrade
-// step: what was recorded reads back, open after open; each session's
-// next turn is this code's tree over the old one; and the long session
-// goes on across its next fold with every version, old cut and new,
-// still reading back exactly.
+// step for the trees: what was recorded reads back, open after open;
+// each session's next turn is this code's tree over the old one; and
+// the long session goes on across its next fold with every version, old
+// cut and new, still reading back exactly.
 func TestOpensV2Trees(t *testing.T) {
 	for _, fx := range []struct {
 		fixture string
@@ -501,8 +504,13 @@ func TestOpensV2Trees(t *testing.T) {
 			requireRecorded(t, st, vs, fx.want, transcripts)
 			abandon(t, st, vs)
 		}
-		// No upgrade step: two opens wrote nothing.
-		requireSameFiles(t, readTree(t, dir), readTree(t, fx.fixture), append([]string{"vstore/chunks.pack"}, shardFiles...))
+		// No upgrade step for the trees: two opens wrote nothing, and only
+		// removed the snapshot, whose shard root the journal already has.
+		got := readTree(t, dir)
+		requireSameFiles(t, got, readTree(t, fx.fixture), append([]string{"vstore/chunks.pack"}, shardFiles...))
+		if _, ok := got["shard-01.snap"]; ok {
+			t.Errorf("%s: shard-01.snap survived two opens", fx.fixture)
+		}
 		st, vs := openFormatStores(t, dir)
 		for id := range transcripts {
 			requireNextTurn(t, st, vs, id)

@@ -1,15 +1,16 @@
 package sessionstore
 
 // Primary→replica WAL shipping. Every shard numbers the records it
-// appends with a ship sequence — 1-based, monotonic across snapshot
-// compactions and restarts (the snapshot persists the sequence at its
-// horizon) — and keeps the CRC-framed bytes of the records since the
-// last compaction in memory, exactly mirroring the on-disk WAL. A
+// appends with a ship sequence — 1-based, monotonic across compactions
+// and restarts (the shard root persists the sequence at its horizon) —
+// and keeps the CRC-framed bytes of the records since the last
+// compaction in memory, exactly mirroring the on-disk WAL. A
 // replication driver (internal/cluster, or cdarouter over HTTP) pulls
 // frames after the replica's cursor with PullFrames and applies them
 // on the replica store with ApplyBatch; when the replica's cursor has
-// fallen behind the primary's compaction horizon the pull returns a
-// full shard snapshot instead, and frame shipping resumes from there.
+// fallen behind the primary's compaction horizon the pull ships the
+// shard root at the horizon as well, and frame shipping resumes from
+// there.
 //
 // The shipped frames are the WAL's own wire format, so the replica
 // validates them with the same CRC scan recovery uses, persists them
@@ -21,7 +22,6 @@ package sessionstore
 // protocol invariant to maintain.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -37,25 +37,22 @@ type Frame struct {
 	Data []byte `json:"data"`
 }
 
-// ShipBatch is one replication transfer for one shard. One of three
+// ShipBatch is one replication transfer for one shard. One of two
 // shapes, by how far behind the requested cursor is:
 //
 //   - Frames only: the records after the cursor, in order (the common
 //     case — the replica is within the primary's retained tail).
 //   - SnapshotRoot + Frames: the cursor predates the compaction
-//     horizon and both ends are versioned. SnapshotRoot is the vstore
-//     commit hash of the shard snapshot at SnapshotSeq; the replica
-//     materializes it from chunks it negotiates separately (have/want
-//     over chunk hashes — only missing chunks cross the wire), then
-//     replays the frames on top.
-//   - Snapshot (JSON) at SnapshotSeq: the unversioned fallback — the
-//     whole shard state, shipped inline.
+//     horizon. SnapshotRoot is the commit hash of the primary's shard
+//     root at SnapshotSeq, the horizon; the replica materializes it
+//     from chunks it negotiates separately (have/want over chunk
+//     hashes — only missing chunks cross the wire), adopts it as its
+//     own shard root, then replays the frames on top.
 //
 // PrimaryCursor is the primary's cursor at pull time so the replica
 // can report its lag without a second round trip.
 type ShipBatch struct {
 	Shard         int     `json:"shard"`
-	Snapshot      []byte  `json:"snapshot,omitempty"`
 	SnapshotRoot  string  `json:"snapshot_root,omitempty"`
 	SnapshotSeq   int64   `json:"snapshot_seq,omitempty"`
 	Frames        []Frame `json:"frames,omitempty"`
@@ -64,7 +61,7 @@ type ShipBatch struct {
 
 // Empty reports whether the batch carries no state to apply.
 func (b ShipBatch) Empty() bool {
-	return b.Snapshot == nil && b.SnapshotRoot == "" && len(b.Frames) == 0
+	return b.SnapshotRoot == "" && len(b.Frames) == 0
 }
 
 // ErrReplicaGap is returned by ApplyBatch when the batch's first
@@ -103,10 +100,10 @@ func (sh *shard) cursor() int64 { return sh.shipBase + int64(len(sh.tail)) }
 
 // PullFrames returns the shard's records after cursor `after`, at
 // most max frames (max <= 0 means all). When `after` predates the
-// compaction horizon the batch instead carries a full shard snapshot
-// at the current cursor. An `after` beyond the cursor is an error:
-// the "replica" has state this primary never shipped (split brain or
-// crossed stores), and silently rewinding it would mask that.
+// compaction horizon the batch also carries the shard root at the
+// horizon, and its frames start there. An `after` beyond the cursor is
+// an error: the "replica" has state this primary never shipped (split
+// brain or crossed stores), and silently rewinding it would mask that.
 func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return ShipBatch{}, fmt.Errorf("sessionstore: pull from unknown shard %d (have %d)", shard, len(s.shards))
@@ -120,32 +117,14 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 		return ShipBatch{}, fmt.Errorf("sessionstore: replica cursor %d ahead of shard %d cursor %d", after, shard, cur)
 	}
 	if after < sh.shipBase {
-		if sh.versions != nil {
-			// Versioned transfer: ship the root hash of the snapshot
-			// committed at the last compaction plus the frames since.
-			// The replica fetches only the chunks it is missing.
-			if head, err := sh.versions.Head(ShardRoot(shard)); err == nil && head.Turn == int(sh.shipBase) {
-				b.SnapshotRoot = string(head.Hash)
-				b.SnapshotSeq = sh.shipBase
-				end := len(sh.tail)
-				if max > 0 && max < end {
-					end = max
-				}
-				for i := 0; i < end; i++ {
-					b.Frames = append(b.Frames, Frame{Seq: sh.shipBase + int64(i) + 1, Data: sh.tail[i]})
-				}
-				return b, nil
-			}
-			// No matching shard root (version commit failed at the last
-			// compaction): fall through to the inline snapshot.
+		// The horizon moves only once the shard root has landed there
+		// (compact, installSnapshotDoc), so a head anywhere else is a bug.
+		head, err := sh.versions.Head(ShardRoot(shard))
+		if err != nil || head.Turn != int(sh.shipBase) {
+			return ShipBatch{}, fmt.Errorf("sessionstore: shard %d root is not at its horizon %d: head at %d, %v", shard, sh.shipBase, head.Turn, err)
 		}
-		data, err := json.Marshal(sh.buildSnapshot())
-		if err != nil {
-			return ShipBatch{}, fmt.Errorf("sessionstore: encode replication snapshot: %w", err)
-		}
-		b.Snapshot = data
-		b.SnapshotSeq = cur
-		return b, nil
+		b.SnapshotRoot, b.SnapshotSeq = string(head.Hash), sh.shipBase
+		after = sh.shipBase
 	}
 	start := int(after - sh.shipBase)
 	end := len(sh.tail)
@@ -158,35 +137,35 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 	return b, nil
 }
 
-// ApplyBatch applies a pulled batch on the replica: a snapshot is
+// ApplyBatch applies a pulled batch on the replica: a shard root is
 // installed wholesale (replacing the shard — the primary's state at
-// SnapshotSeq is a superset of any prefix the replica held) and
-// persisted; frames are CRC-validated — all of them before anything is
-// installed, appended or replayed — land byte-identically in the
-// replica's own WAL with one append and one fsync, and are replayed
-// through the same idempotent, version-keeping path as crash recovery.
-// Frames at or below the replica's cursor are skipped, so re-applying a
-// batch is harmless; a gap above the cursor returns ErrReplicaGap.
+// SnapshotSeq is a superset of any prefix the replica held) and adopted
+// as the replica's own root; frames are CRC-validated — all of them
+// before anything is installed, appended or replayed — land
+// byte-identically in the replica's own WAL with one append and one
+// fsync, and are replayed through the same idempotent, version-keeping
+// path as crash recovery. Frames at or below the replica's cursor are
+// skipped, so re-applying a batch is harmless; a gap above the cursor
+// returns ErrReplicaGap.
 func (s *Store) ApplyBatch(b ShipBatch) error {
 	if b.Shard < 0 || b.Shard >= len(s.shards) {
 		return fmt.Errorf("sessionstore: apply to unknown shard %d (have %d)", b.Shard, len(s.shards))
 	}
 	sh := s.shards[b.Shard]
-	// A versioned snapshot materializes from the local chunk store
-	// before the shard lock is taken (vstore has its own locking); a
-	// *MissingChunksError here tells the driver to negotiate chunks
-	// and retry the apply.
-	var versionedSnap *snapshot
-	if b.Snapshot == nil && b.SnapshotRoot != "" {
-		snap, err := s.materializeShardSnapshot(vstore.Hash(b.SnapshotRoot))
+	// The shard root materializes from the local chunk store before the
+	// shard lock is taken (vstore has its own locking); a
+	// *MissingChunksError here tells the driver to negotiate chunks and
+	// retry the apply.
+	var snap *snapshot
+	if b.SnapshotRoot != "" {
+		ss, err := s.materializeShardSnapshot(vstore.Hash(b.SnapshotRoot), b.SnapshotSeq)
 		if err != nil {
 			return err
 		}
-		snap.ShipSeq = b.SnapshotSeq
-		versionedSnap = &snap
+		snap = &ss
 	}
 	sh.mu.Lock()
-	maxNum, err := sh.applyLocked(b, versionedSnap, s.clock.Now())
+	maxNum, err := sh.applyLocked(b, snap, s.clock.Now())
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -202,14 +181,14 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 	return nil
 }
 
-// applyLocked is ApplyBatch under the shard lock, versionedSnap being
-// the snapshot b.SnapshotRoot materialized to (nil when b names none);
-// it returns the shard's id horizon after the apply. Caller holds sh.mu.
-func (sh *shard) applyLocked(b ShipBatch, versionedSnap *snapshot, now time.Duration) (int, error) {
-	// The cursor the frames must extend is the one the batch's snapshot
-	// will leave, so the whole batch is judged before any of it lands.
+// applyLocked is ApplyBatch under the shard lock, snap being the state
+// b.SnapshotRoot materialized to (nil when b names none); it returns the
+// shard's id horizon after the apply. Caller holds sh.mu.
+func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (int, error) {
+	// The cursor the frames must extend is the one the batch's root will
+	// leave, so the whole batch is judged before any of it lands.
 	cur := sh.cursor()
-	if b.Snapshot != nil || versionedSnap != nil {
+	if snap != nil {
 		cur = b.SnapshotSeq
 	}
 	var recs []walRecord
@@ -227,17 +206,10 @@ func (sh *shard) applyLocked(b ShipBatch, versionedSnap *snapshot, now time.Dura
 		}
 		recs, frames, cur = append(recs, rec), append(frames, fr.Data), fr.Seq
 	}
-	if b.Snapshot != nil {
-		if err := sh.installSnapshot(b, now); err != nil {
+	if snap != nil {
+		if err := sh.installSnapshotDoc(*snap, vstore.Hash(b.SnapshotRoot), now); err != nil {
 			return 0, err
 		}
-		sh.versionAfterInstall(b.Shard, "")
-	}
-	if versionedSnap != nil {
-		if err := sh.installSnapshotDoc(*versionedSnap, b.SnapshotSeq, now); err != nil {
-			return 0, err
-		}
-		sh.versionAfterInstall(b.Shard, vstore.Hash(b.SnapshotRoot))
 	}
 	if sh.wal != nil {
 		if err := sh.wal.Append(frames...); err != nil {
@@ -256,27 +228,19 @@ func (sh *shard) applyLocked(b ShipBatch, versionedSnap *snapshot, now time.Dura
 	return sh.maxNum, nil
 }
 
-// installSnapshot replaces the shard's state with a shipped inline
-// JSON snapshot. Caller holds sh.mu.
-func (sh *shard) installSnapshot(b ShipBatch, now time.Duration) error {
-	var snap snapshot
-	if err := json.Unmarshal(b.Snapshot, &snap); err != nil {
-		return fmt.Errorf("sessionstore: decode replication snapshot for shard %d: %w", b.Shard, err)
+// installSnapshotDoc replaces the shard's state with snap, the state of
+// the shipped shard root, and persists it: the root is adopted as this
+// shard's own first — a flushed journal append, as is the flush after
+// it for the session versions the WAL about to go could rebuild — and
+// only then is the WAL truncated, so the replica's disk recovers to the
+// same cursor. Every installed session then gets its version. Caller
+// holds sh.mu.
+func (sh *shard) installSnapshotDoc(snap snapshot, root vstore.Hash, now time.Duration) error {
+	if _, err := sh.versions.AdoptCommit(ShardRoot(sh.idx), root); err != nil {
+		return fmt.Errorf("sessionstore: adopt shard %d root: %w", sh.idx, err)
 	}
-	return sh.installSnapshotDoc(snap, b.SnapshotSeq, now)
-}
-
-// installSnapshotDoc replaces the shard's state with a snapshot
-// document at ship sequence seq and persists it (version journal
-// flushed as in compact, snapshot file published, WAL truncated) so the
-// replica's disk recovers to the same cursor. Caller holds sh.mu.
-func (sh *shard) installSnapshotDoc(snap snapshot, seq int64, now time.Duration) error {
-	snap.ShipSeq = seq
 	if sh.wal != nil {
 		if err := sh.flushVersions(); err != nil {
-			return err
-		}
-		if err := writeSnapshot(sh.snapPath, snap, sh.nosync); err != nil {
 			return err
 		}
 		if err := sh.wal.Reset(); err != nil {
@@ -287,31 +251,12 @@ func (sh *shard) installSnapshotDoc(snap snapshot, seq int64, now time.Duration)
 	sh.tombstones = map[string]bool{}
 	sh.maxNum = 0
 	sh.applySnapshot(snap, now)
-	sh.shipBase = seq
+	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
 	sh.pending = 0
 	sh.compactErr = nil
-	return nil
-}
-
-// versionAfterInstall re-establishes version roots after a snapshot
-// install: every installed session gets its transcript root committed
-// locally, and the shard root adopts the shipped commit (preserving
-// its cross-store identity) or commits a locally encoded tree when
-// the batch was unversioned. Caller holds sh.mu.
-func (sh *shard) versionAfterInstall(shard int, adopt vstore.Hash) {
-	vs := sh.versions
-	if vs == nil {
-		return
-	}
 	for _, id := range sh.sessionIDs() {
-		sh.commitSessionVersion(vs, sh.sessions[id])
+		sh.commitSessionVersion(sh.sessions[id])
 	}
-	if adopt != "" {
-		if _, err := vs.AdoptCommit(ShardRoot(shard), adopt); err != nil {
-			sh.versionErr = fmt.Errorf("sessionstore: adopt shard %d root: %w", shard, err)
-		}
-		return
-	}
-	sh.commitShardVersion(vs, shard, sh.buildSnapshot())
+	return nil
 }

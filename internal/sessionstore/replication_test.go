@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // shipAll drains every shard of src into dst until both cursors
@@ -22,10 +20,25 @@ func shipAll(t *testing.T, src, dst *Store, max int) {
 			if b.Empty() {
 				break
 			}
-			if err := dst.ApplyBatch(b); err != nil {
-				t.Fatalf("apply shard %d: %v", shard, err)
-			}
+			applyShipped(t, src, dst, b)
 		}
+	}
+}
+
+// applyShipped applies b on dst, first moving the chunks of its shard
+// root from src when dst lacks them — the driver's negotiation.
+func applyShipped(t *testing.T, src, dst *Store, b ShipBatch) {
+	t.Helper()
+	err := dst.ApplyBatch(b)
+	var missing *MissingChunksError
+	if errors.As(err, &missing) {
+		if _, err := dst.Versions().PullFrom(src.Versions(), missing.Root, 16); err != nil {
+			t.Fatalf("negotiate shard %d root: %v", b.Shard, err)
+		}
+		err = dst.ApplyBatch(b)
+	}
+	if err != nil {
+		t.Fatalf("apply shard %d: %v", b.Shard, err)
 	}
 }
 
@@ -98,7 +111,7 @@ func TestShipFramesByteIdenticalReplica(t *testing.T) {
 }
 
 // TestShipSnapshotFallback compacts the primary past the replica's
-// cursor so the pull must fall back to a snapshot transfer, then
+// cursor so the pull must fall back from frames to the shard root, then
 // resumes frame shipping on top of it.
 func TestShipSnapshotFallback(t *testing.T) {
 	primary, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 4})
@@ -120,12 +133,10 @@ func TestShipSnapshotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Snapshot == nil {
-		t.Fatalf("expected snapshot transfer (cursor 0 behind compaction horizon), got %d frames", len(b.Frames))
+	if b.SnapshotRoot == "" {
+		t.Fatalf("expected the shard root (cursor 0 behind compaction horizon), got %d frames", len(b.Frames))
 	}
-	if err := replica.ApplyBatch(b); err != nil {
-		t.Fatal(err)
-	}
+	applyShipped(t, primary, replica, b)
 	// More commits after the snapshot: shipped as plain frames.
 	commitPair(t, primary, e, "q-post", "a-post", 0.75)
 	shipAll(t, primary, replica, 0)
@@ -276,8 +287,8 @@ func TestReplicationLagTracksPrimaryCursor(t *testing.T) {
 // as the primary does — the trees the primary has, since a tree is a
 // function of the transcript — and serves every as-of read.
 func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
-	primary := NewMemory(Config{Shards: 1, Versions: vstore.NewMemory()})
-	replica := NewMemory(Config{Shards: 1, Versions: vstore.NewMemory()})
+	primary := NewMemory(Config{Shards: 1})
+	replica := NewMemory(Config{Shards: 1})
 	var ids []string
 	want := map[string][]string{} // id → transcript after each pair
 	for i := 0; i < 2; i++ {
@@ -295,8 +306,8 @@ func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Frames) != 8 || b.Snapshot != nil || b.SnapshotRoot != "" {
-		t.Fatalf("pull = %d frames (snapshot %v, root %q), want the 8 records as frames", len(b.Frames), b.Snapshot != nil, b.SnapshotRoot)
+	if len(b.Frames) != 8 || b.SnapshotRoot != "" {
+		t.Fatalf("pull = %d frames (root %q), want the 8 records as frames", len(b.Frames), b.SnapshotRoot)
 	}
 	for round := 0; round < 2; round++ { // applied, then re-applied: nothing changes
 		if err := replica.ApplyBatch(b); err != nil {

@@ -3,18 +3,18 @@ package sessionstore
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"github.com/reliable-cda/cda/internal/framelog"
 )
 
-// snapshot is one shard's compacted state: everything the WAL had
-// said, folded into a single JSON document. Compaction writes the
-// snapshot durably (framelog.Publish) and only then
-// truncates the WAL, so a crash between the two steps merely replays
-// records the snapshot already contains — replay is idempotent by
-// construction (turn records carry their transcript index).
+// snapshot is one shard's state at a ship horizon: everything its WAL
+// had said up to there. A compaction commits it as the shard's root
+// (encodeShardTree) and only then truncates the WAL, so a crash between
+// the two steps merely replays records the root already contains —
+// replay is idempotent by construction (turn records carry their
+// transcript index). Older stores published it as a JSON document
+// instead, shard-NN.snap, which Open reads once (upgradeSnapshot).
 type snapshot struct {
 	// MaxNum is the highest numeric session id this shard has ever
 	// issued, evicted sessions included, so a recovered store never
@@ -22,11 +22,11 @@ type snapshot struct {
 	MaxNum     int           `json:"max_num"`
 	Sessions   []sessionSnap `json:"sessions"`
 	Tombstones []string      `json:"tombstones"`
-	// ShipSeq is the replication cursor at the snapshot horizon: how
-	// many records had ever been appended to this shard's WAL when the
-	// snapshot was published. Recovery resumes the cursor at ShipSeq
-	// plus the replayed WAL length, keeping ship sequences monotonic
-	// across compactions and restarts.
+	// ShipSeq is the replication cursor at the horizon: how many records
+	// had ever been appended to this shard's WAL when it was taken.
+	// Recovery resumes the cursor at ShipSeq plus the replayed WAL
+	// length, keeping ship sequences monotonic across compactions and
+	// restarts.
 	ShipSeq int64 `json:"ship_seq,omitempty"`
 }
 
@@ -43,34 +43,42 @@ type sessionSnap struct {
 	tree *sessionTree
 }
 
-// writeSnapshot atomically replaces the snapshot at path.
-func writeSnapshot(path string, snap snapshot, nosync bool) error {
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("sessionstore: encode snapshot: %w", err)
-	}
-	return framelog.Publish(path, nosync, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// readSnapshot loads the shard snapshot at path; a missing file is an
-// empty snapshot (fresh shard or pre-first-compaction crash). A
-// corrupt snapshot is an error — unlike the WAL tail, the snapshot
-// was published atomically, so damage means something outside the
-// store's crash model touched the file.
-func readSnapshot(path string) (snapshot, error) {
-	var snap snapshot
+// readSnapshot loads the snapshot document at path, nil when there is
+// none. A corrupt document is an error — it was published atomically,
+// so damage means something outside the store's crash model touched
+// the file.
+func readSnapshot(path string) (*snapshot, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return snap, nil
+		return nil, nil
 	}
 	if err != nil {
-		return snap, fmt.Errorf("sessionstore: read snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("sessionstore: read snapshot %s: %w", path, err)
 	}
+	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return snap, fmt.Errorf("sessionstore: decode snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("sessionstore: decode snapshot %s: %w", path, err)
 	}
-	return snap, nil
+	return &snap, nil
+}
+
+// upgradeSnapshot makes the snapshot document the shard was just loaded
+// from its shard root, and removes the document: the one-way upgrade to
+// the layout in which the root is the checkpoint. The document is
+// authoritative — an older store published it before its WAL reset and
+// before the root's commit — so the root is committed at its horizon
+// unless the head is already there; either way the journal is flushed
+// before the file goes, and an upgrade interrupted before the removal
+// runs again. Caller holds sh.mu.
+func (sh *shard) upgradeSnapshot(path string) error {
+	var err error
+	if head, herr := sh.versions.Head(ShardRoot(sh.idx)); herr != nil || head.Turn != int(sh.shipBase) {
+		err = sh.commitShardVersion(sh.buildSnapshot())
+	} else {
+		err = sh.flushVersions()
+	}
+	if err != nil {
+		return fmt.Errorf("sessionstore: upgrade %s: %w", path, err)
+	}
+	return framelog.Remove(path)
 }

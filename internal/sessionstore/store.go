@@ -4,27 +4,30 @@
 // first-class artifact the user returns to, so sessions must outlive
 // the serving process: every committed turn pair is appended to a
 // per-shard write-ahead log before the commit is acknowledged, and
-// periodic snapshot compaction folds the log into one JSON document
-// so recovery stays O(recent traffic), not O(history).
+// periodic compaction folds the log into the shard's root in the
+// version store so recovery stays O(recent traffic), not O(history).
 //
-// Layout on disk (one pair of files per shard under Config.Dir):
+// Layout on disk under Config.Dir:
 //
-//	shard-00.snap   atomically-published JSON snapshot (compaction)
-//	shard-00.wal    append-only framed log of records since the snap
+//	shard-00.wal    append-only framed log of records since the checkpoint
+//	vstore/         the version store (internal/vstore): a root per
+//	                session, and per shard the root that is its checkpoint
 //
-// Both are written through internal/framelog, the module's one frame
-// codec, torn-tail log and atomic publish; this package owns only what
-// the bytes mean — the record and snapshot schemas and their replay.
-// Recovery loads the snapshot, replays the WAL over it (idempotent:
-// turn records carry their transcript index), and the log truncates
-// any torn tail left by a crash mid-append — so a recovered transcript
-// is byte-identical to the committed prefix at the moment of the crash.
+// The WAL is written through internal/framelog, the module's one frame
+// codec and torn-tail log; this package owns only what the bytes mean —
+// the record schema, the trees of versioned.go, and their replay.
+// Recovery loads the head of the shard's root, replays the WAL over it
+// (idempotent: turn records carry their transcript index), and the log
+// truncates any torn tail left by a crash mid-append — so a recovered
+// transcript is byte-identical to the committed prefix at the moment of
+// the crash. A shard-00.snap, the JSON checkpoint older stores wrote, is
+// read once, made the shard's root, and removed (upgradeSnapshot).
 // The chaos harness (internal/chaos) property-tests exactly that
 // under seeded crash/torn-write faults from internal/faults.
 //
 // Sessions are spread across a power-of-two number of shards by FNV-1a
 // hash of the session id; each shard has its own mutex, WAL, and
-// snapshot cadence, so commit traffic on one shard never serializes
+// compaction cadence, so commit traffic on one shard never serializes
 // against another. Idle sessions are evicted on a TTL measured on the
 // injectable resilience.Clock (deterministic in tests); evicted ids
 // leave tombstones so the server can answer 410 Gone instead of 404.
@@ -64,12 +67,12 @@ const (
 // Config assembles a Store.
 type Config struct {
 	// Dir is the data directory; empty runs the store memory-only
-	// (no WAL, no snapshots, nothing survives restart).
+	// (no WAL, nothing survives restart).
 	Dir string
 	// Shards is the shard count, rounded up to the next power of two
 	// (default 8).
 	Shards int
-	// SnapshotEvery is the per-shard WAL record count between snapshot
+	// SnapshotEvery is the per-shard WAL record count between
 	// compactions (default 256).
 	SnapshotEvery int
 	// TTL evicts sessions idle longer than this; 0 disables eviction.
@@ -81,14 +84,15 @@ type Config struct {
 	// Faults, when non-nil, injects crash/torn-write faults into WAL
 	// appends (op "wal.append"). Leave nil in production.
 	Faults WriteFaults
-	// NoFsync skips fsync on WAL appends and snapshots — benchmarks
-	// only; a production store must keep fsync on for its durability
+	// NoFsync skips fsync on WAL appends — benchmarks only; a production store must keep fsync on for its durability
 	// guarantee to mean anything.
 	NoFsync bool
-	// Versions, when non-nil, maintains content-addressed version
-	// roots for transcripts (per committed turn) and shard snapshots
-	// (per compaction) — see versioned.go. Version maintenance never
-	// fails user traffic; its errors surface via DeferredError/Close.
+	// Versions holds the content-addressed version roots of transcripts
+	// (per committed turn) and shards (per compaction, the checkpoint) —
+	// see versioned.go. Nil opens <Dir>/vstore, or a memory-only store
+	// when Dir is empty, which Close closes; a store passed here is the
+	// caller's to close. A session version never fails user traffic; its
+	// errors surface via DeferredError/Close.
 	Versions *vstore.Store
 }
 
@@ -121,15 +125,15 @@ type Store struct {
 	nextNum int
 
 	shards []*shard
+	// ownsVersions: Open opened cfg.Versions, and Close closes it.
+	ownsVersions bool
 }
 
 // shard owns one slice of the id space: its sessions, tombstones,
-// WAL, and snapshot file. All fields below mu are guarded by it.
+// WAL, and shard root. All fields below mu are guarded by it.
 type shard struct {
-	snapPath string
-	// idx is this shard's index; versions is the shared vstore (nil
-	// when versioning is off). Both are set once at Open, before any
-	// concurrent use.
+	// idx is this shard's index; versions is the store's vstore. Both
+	// are set once at Open, before any concurrent use.
 	idx      int
 	versions *vstore.Store
 
@@ -138,10 +142,10 @@ type shard struct {
 	tombstones map[string]bool
 	wal        *framelog.Log
 	maxNum     int
-	pending    int // WAL records since the last snapshot
+	pending    int // WAL records since the last compaction
 	snapEvery  int
 	nosync     bool
-	// shipBase is the ship sequence at the last snapshot horizon; tail
+	// shipBase is the ship sequence at the last compaction horizon; tail
 	// holds the framed bytes of every record since, mirroring the
 	// on-disk WAL, so replication pulls serve committed frames without
 	// re-reading disk. remoteSeq is the highest primary cursor seen by
@@ -149,7 +153,7 @@ type shard struct {
 	shipBase  int64
 	tail      [][]byte
 	remoteSeq int64
-	// compactErr holds the most recent snapshot-compaction failure.
+	// compactErr holds the most recent compaction failure.
 	// Compaction is an optimization — user traffic must not fail when
 	// it does — so the error is retried on later commits and surfaced
 	// by DeferredError (once: compactSaid) and at Close.
@@ -163,7 +167,7 @@ type shard struct {
 // Entry is one live session. The turn lock (Do) serializes turns
 // within the session; committed/focus/lastActive/tree are guarded by the
 // owning shard's mutex and describe only durably-committed state, so
-// snapshot compaction never observes a half-applied turn.
+// compaction never observes a half-applied turn.
 type Entry struct {
 	ID  string
 	num int
@@ -209,12 +213,12 @@ func NewMemory(cfg Config) *Store {
 	return st
 }
 
-// Open builds a store over cfg.Dir, recovering every shard: snapshot
-// first, then the WAL replayed over it, torn tail truncated. With
-// cfg.Versions the same pass is the version journal's redo: a session
+// Open builds a store over cfg.Dir, recovering every shard: the head
+// of its shard root first, then the WAL replayed over it, torn tail
+// truncated. The same pass is the version journal's redo: a session
 // whose root is behind its recovered transcript — the journal lost an
 // unflushed tail to a power cut — gets its version committed again,
-// after the snapshot and after each replayed turn record (replay).
+// after the checkpoint and after each replayed turn record (replay).
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{cfg: cfg, clock: cfg.Clock, shards: make([]*shard, cfg.Shards)}
@@ -223,53 +227,119 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("sessionstore: create data dir: %w", err)
 		}
 	}
-	for i := range st.shards {
-		sh := &shard{
-			idx:        i,
-			versions:   cfg.Versions,
-			sessions:   map[string]*Entry{},
-			tombstones: map[string]bool{},
-			snapEvery:  cfg.SnapshotEvery,
-			nosync:     cfg.NoFsync,
+	if cfg.Versions == nil {
+		dir := ""
+		if cfg.Dir != "" {
+			dir = filepath.Join(cfg.Dir, "vstore")
 		}
-		st.shards[i] = sh
-		if cfg.Dir == "" {
-			continue
-		}
-		sh.snapPath = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.snap", i))
-		snap, err := readSnapshot(sh.snapPath)
+		vs, err := vstore.Open(vstore.Config{Dir: dir})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sessionstore: open version store: %w", err)
 		}
-		sh.applySnapshot(snap, st.clock.Now())
-		for _, ss := range snap.Sessions {
-			sh.keepVersion(sh.sessions[ss.ID])
+		st.cfg.Versions, st.ownsVersions = vs, true
+	}
+	if err := st.recover(); err != nil {
+		if st.ownsVersions {
+			err = errors.Join(err, st.cfg.Versions.Close())
 		}
-		sh.shipBase = snap.ShipSeq
-		sh.wal, err = framelog.Open(
-			filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", i)), walMagic,
-			framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},
-			func(frame, payload []byte) bool {
-				rec, ok := decodeRecord(payload)
-				if ok {
-					sh.replay(rec, st.clock.Now())
-					sh.tail = append(sh.tail, frame)
-				}
-				return ok
-			})
-		if err != nil {
-			return nil, err
-		}
-		sh.pending = len(sh.tail)
-		if sh.maxNum > st.nextNum {
-			st.nextNum = sh.maxNum
-		}
+		return nil, err
 	}
 	return st, nil
 }
 
-// applySnapshot installs a shard snapshot (recovery only; no lock
-// needed, the shard is not yet shared).
+// recover builds every shard and, over a data directory, loads it.
+func (s *Store) recover() error {
+	for i := range s.shards {
+		s.shards[i] = &shard{
+			idx:        i,
+			versions:   s.cfg.Versions,
+			sessions:   map[string]*Entry{},
+			tombstones: map[string]bool{},
+			snapEvery:  s.cfg.SnapshotEvery,
+			nosync:     s.cfg.NoFsync,
+		}
+		sh := s.shards[i]
+		if s.cfg.Dir == "" {
+			continue
+		}
+		// Nothing else can reach the shard yet; its lock is held so the
+		// helpers it shares with serving run under the lock they document.
+		sh.mu.Lock()
+		err := sh.load(s.cfg, s.clock.Now())
+		maxNum := sh.maxNum
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.nextNum = max(s.nextNum, maxNum)
+		s.mu.Unlock()
+	}
+	return nil
+}
+
+// load recovers the shard from cfg.Dir: its checkpoint, then its WAL
+// replayed over it. Caller holds sh.mu.
+func (sh *shard) load(cfg Config, now time.Duration) error {
+	if err := sh.checkpoint(filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.snap", sh.idx)), now); err != nil {
+		return err
+	}
+	var frames [][]byte
+	var recs []walRecord
+	wal, err := framelog.Open(
+		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx)), walMagic,
+		framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},
+		func(frame, payload []byte) bool {
+			rec, ok := decodeRecord(payload)
+			if ok {
+				recs, frames = append(recs, rec), append(frames, frame)
+			}
+			return ok
+		})
+	if err != nil {
+		return err
+	}
+	sh.wal = wal
+	for _, rec := range recs {
+		sh.replay(rec, now)
+	}
+	sh.tail, sh.pending = frames, len(frames)
+	return nil
+}
+
+// checkpoint loads the shard's state at its ship horizon — the head of
+// its shard root, or nothing on a fresh shard — and keeps every loaded
+// session's version. A snapshot document at snapPath, which an older
+// store wrote instead, is what it loads once, and upgradeSnapshot makes
+// it the root. Caller holds sh.mu.
+func (sh *shard) checkpoint(snapPath string, now time.Duration) error {
+	doc, err := readSnapshot(snapPath)
+	if err != nil {
+		return err
+	}
+	var snap snapshot
+	if doc != nil {
+		snap = *doc
+	} else if head, err := sh.versions.Head(ShardRoot(sh.idx)); err == nil {
+		if snap, err = shardTreeOf(sh.versions, head); err != nil {
+			return fmt.Errorf("sessionstore: load shard %d root: %w", sh.idx, err)
+		}
+	} else if !errors.Is(err, vstore.ErrUnknownRoot) {
+		return err
+	}
+	sh.applySnapshot(snap, now)
+	for _, ss := range snap.Sessions {
+		sh.keepVersion(sh.sessions[ss.ID])
+	}
+	sh.shipBase = snap.ShipSeq
+	if doc == nil {
+		return nil
+	}
+	return sh.upgradeSnapshot(snapPath)
+}
+
+// applySnapshot installs a shard's state (recovery and snapshot install;
+// the caller holds sh.mu or is Open).
 func (sh *shard) applySnapshot(snap snapshot, now time.Duration) {
 	sh.maxNum = snap.MaxNum
 	for _, ss := range snap.Sessions {
@@ -292,9 +362,9 @@ func (sh *shard) applySnapshot(snap snapshot, now time.Duration) {
 // replay applies one WAL record over the recovered state — at Open, and
 // on a replica for every shipped frame — and keeps the session version a
 // turn record produces, so recovery and shipping leave one version per
-// replayed pair exactly as CommitTurn does. Records the snapshot already
-// folded in are skipped by transcript index, so a crash between snapshot
-// publication and WAL truncation is harmless.
+// replayed pair exactly as CommitTurn does. Records the checkpoint
+// already folded in are skipped by transcript index, so a crash between
+// a shard root's commit and the WAL's truncation is harmless.
 func (sh *shard) replay(rec walRecord, now time.Duration) {
 	switch rec.Kind {
 	case "create":
@@ -505,7 +575,7 @@ func (s *Store) CommitTurn(e *Entry) error {
 	e.committed = append(e.committed, pair...)
 	e.focus = e.sess.Focus
 	e.lastActive = s.clock.Now()
-	sh.commitSessionVersion(sh.versions, e)
+	sh.commitSessionVersion(e)
 	sh.compactIfDue()
 	return nil
 }
@@ -566,7 +636,7 @@ func (s *Store) SweepIdle() (int, error) {
 	return evicted, firstErr
 }
 
-// compactIfDue snapshots the shard when enough WAL records have
+// compactIfDue compacts the shard when enough WAL records have
 // accumulated. Caller holds sh.mu. Failures are remembered, not
 // propagated: the commit that triggered compaction is already durable
 // in the WAL, so user traffic continues and the error resurfaces at
@@ -575,23 +645,13 @@ func (sh *shard) compactIfDue() {
 	if sh.pending < sh.snapEvery {
 		return
 	}
-	if sh.wal == nil {
-		// Memory-only: there is no WAL to fold, but the replication tail
-		// must not grow without bound. Advancing the ship horizon drops
-		// the retained frames; a replica behind it gets a snapshot
-		// transfer built from live state instead.
-		sh.shipBase = sh.cursor()
-		sh.tail = nil
-		sh.pending = 0
-		return
-	}
 	if err := sh.compact(); err != nil {
 		sh.compactErr, sh.compactSaid = err, false
 	}
 }
 
 // sessionIDs lists the shard's live session ids, sorted: the one order
-// everything that walks a shard's sessions uses, so snapshots, version
+// everything that walks a shard's sessions uses, so shard trees, version
 // stamps and eviction records come out the same on every run. Caller
 // holds sh.mu.
 func (sh *shard) sessionIDs() []string {
@@ -603,8 +663,8 @@ func (sh *shard) sessionIDs() []string {
 	return ids
 }
 
-// buildSnapshot renders the shard's committed state as a snapshot
-// document, stamped with the current ship cursor. Caller holds sh.mu.
+// buildSnapshot renders the shard's committed state, stamped with the
+// current ship cursor. Caller holds sh.mu.
 func (sh *shard) buildSnapshot() snapshot {
 	snap := snapshot{MaxNum: sh.maxNum, ShipSeq: sh.cursor()}
 	for _, id := range sh.sessionIDs() {
@@ -617,41 +677,41 @@ func (sh *shard) buildSnapshot() snapshot {
 	return snap
 }
 
-// compact folds the shard into a fresh snapshot and truncates the
-// WAL — the checkpoint: the version journal is flushed first, because
-// the WAL about to go is what could rebuild its unflushed session
-// versions, and a journal that cannot be flushed refuses the compaction
-// (the WAL is kept). The ship horizon advances with the snapshot:
-// replicas behind it will be served a snapshot transfer instead of
-// frames. Caller holds sh.mu.
+// compact folds the shard into its shard root and then truncates the
+// WAL — the checkpoint. The root's commit is a flushed journal append,
+// so it flushes the session versions written before it, which the WAL
+// about to go is what could rebuild; a journal that cannot take it
+// refuses the compaction, and the WAL is kept. The ship horizon advances
+// with the root: replicas behind it are shipped the root instead of
+// frames. A memory-only shard does the same with nothing to truncate, so
+// its replication tail stays bounded. Caller holds sh.mu.
 func (sh *shard) compact() error {
-	if sh.wal == nil || sh.wal.Dead() {
+	if sh.wal != nil && sh.wal.Dead() {
 		return nil
 	}
-	if err := sh.flushVersions(); err != nil {
-		return err
-	}
 	snap := sh.buildSnapshot()
-	if err := writeSnapshot(sh.snapPath, snap, sh.nosync); err != nil {
-		return err
+	if err := sh.commitShardVersion(snap); err != nil {
+		return fmt.Errorf("sessionstore: shard %d keeps its WAL: %w", sh.idx, err)
 	}
-	if err := sh.wal.Reset(); err != nil {
-		return err
+	if sh.wal != nil {
+		if err := sh.wal.Reset(); err != nil {
+			return err
+		}
 	}
 	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
 	sh.pending = 0
 	sh.compactErr = nil
-	sh.commitShardVersion(sh.versions, sh.idx, snap)
 	return nil
 }
 
-// Compact forces a snapshot of every shard (graceful shutdown, tests).
+// Compact compacts every shard with records since its last compaction
+// (graceful shutdown, tests).
 func (s *Store) Compact() error {
 	var errs []error
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.wal != nil && sh.pending > 0 {
+		if sh.pending > 0 {
 			if err := sh.compact(); err != nil {
 				errs = append(errs, err)
 			}
@@ -661,8 +721,9 @@ func (s *Store) Compact() error {
 	return errors.Join(errs...)
 }
 
-// Close compacts what is pending, closes every WAL, and reports any
-// compaction failure that was deferred off the commit path.
+// Close compacts what is pending, closes every WAL and a version store
+// Open opened, and reports any failure that was deferred off the commit
+// path.
 func (s *Store) Close() error {
 	var errs []error
 	for _, sh := range s.shards {
@@ -686,6 +747,9 @@ func (s *Store) Close() error {
 			sh.versionErr = nil
 		}
 		sh.mu.Unlock()
+	}
+	if s.ownsVersions {
+		errs = append(errs, s.cfg.Versions.Close())
 	}
 	return errors.Join(errs...)
 }

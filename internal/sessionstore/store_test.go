@@ -109,14 +109,22 @@ func TestRecoverAfterSnapshotCompaction(t *testing.T) {
 		commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.9)
 	}
 	want := transcriptOf(t, e)
-	// Compaction must have fired (8 records > 2*SnapshotEvery) and
-	// truncated the WAL below its full-history size.
-	snapInfo, err := os.Stat(filepath.Join(dir, "shard-00.snap"))
-	if err != nil {
-		t.Fatalf("snapshot missing: %v", err)
+	// Compaction must have fired (8 records > 2*SnapshotEvery) into the
+	// shard root, and written nothing beside the WAL and the version
+	// store: no snapshot document.
+	if head, err := st.Versions().Head(ShardRoot(0)); err != nil || head.Turn != 6 {
+		t.Fatalf("shard root head = %+v, %v; want one at the horizon 6", head, err)
 	}
-	if snapInfo.Size() == 0 {
-		t.Fatal("snapshot empty")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if fmt.Sprint(names) != "[shard-00.wal vstore]" {
+		t.Fatalf("data dir after compactions holds %v, want the WAL and the version store", names)
 	}
 	st2, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: 3})
 	if err != nil {
@@ -134,9 +142,9 @@ func TestRecoverAfterSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// TestReplayIdempotentOverSnapshot simulates a crash between snapshot
-// publication and WAL truncation: the WAL still holds records the
-// snapshot already folded in, and replay must not duplicate them.
+// TestReplayIdempotentOverSnapshot simulates a crash between the shard
+// root's commit and WAL truncation: the WAL still holds records the
+// root already folded in, and replay must not duplicate them.
 func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Config{Dir: dir, Shards: 1})
@@ -158,7 +166,7 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// Resurrect the pre-compaction WAL next to the published snapshot.
+	// Resurrect the pre-compaction WAL next to the committed shard root.
 	if err := os.WriteFile(walPath, walBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}

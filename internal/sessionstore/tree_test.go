@@ -128,15 +128,15 @@ func TestForgedSessionChunkIsAnError(t *testing.T) {
 		if _, err := decodeShardTree(vs, f.node); !names(err, f.culprit) {
 			t.Errorf("%s: decodeShardTree = %v, want an error naming %s", f.name, err, f.culprit)
 		}
-		// The materializer answers an incomplete closure with the typed
-		// error that starts a negotiation; everything else as the decoder.
-		var missing *MissingChunksError
-		if _, err := replica.materializeShardSnapshot(f.node); !names(err, f.culprit) && !(f.culprit == absent && errors.As(err, &missing)) {
-			t.Errorf("%s: materializeShardSnapshot = %v, want an error naming %s", f.name, err, f.culprit)
-		}
 		c, err := vs.Commit("shard/forged", f.node, 7)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The materializer answers an incomplete closure with the typed
+		// error that starts a negotiation; everything else as the decoder.
+		var missing *MissingChunksError
+		if _, err := replica.materializeShardSnapshot(c.Hash, 7); !names(err, f.culprit) && !(f.culprit == absent && errors.As(err, &missing)) {
+			t.Errorf("%s: materializeShardSnapshot = %v, want an error naming %s", f.name, err, f.culprit)
 		}
 		if err := replica.ApplyBatch(ShipBatch{Shard: 0, SnapshotRoot: string(c.Hash), SnapshotSeq: 7, PrimaryCursor: 7}); err == nil {
 			t.Errorf("%s: the replica applied it", f.name)

@@ -1,16 +1,16 @@
 package sessionstore
 
 // Content-addressed versioning of session state (internal/vstore).
-// When Config.Versions is set, the store maintains two families of
-// vstore roots:
+// Every store maintains two families of vstore roots:
 //
 //	session/<id>  committed per turn pair: the transcript's Merkle
 //	              tree at each committed turn count, so
 //	              TranscriptAsOf(id, turn) materializes exactly what
 //	              the session held at turn N;
-//	shard/<NN>    committed at every snapshot compaction: the whole
-//	              shard's durable state at the ship horizon, the unit
-//	              replicas catch up on via chunk negotiation.
+//	shard/<NN>    committed at every compaction: the whole shard's
+//	              durable state at the ship horizon — the checkpoint
+//	              recovery loads and the WAL is truncated to, and the
+//	              unit replicas catch up on via chunk negotiation.
 //
 // A transcript is cut where its turn count says, and nowhere else: every
 // full window of turnsPerChunk turns is one sealed "turns" chunk, and
@@ -34,28 +34,28 @@ package sessionstore
 // compaction's tree, and a replica that installed that one only fetches
 // the delta.
 //
-// Version maintenance is an annotation on the durability path, never
-// a gate on it: vstore failures are recorded (surfaced by
-// DeferredError — the server reads it after every turn — and at Close)
-// and user traffic continues. Nor does a turn wait for it: the WAL is
-// the session versions' redo log. A session version is written to the
-// journal without an fsync (vstore.Batch.CommitUnsynced) after the WAL
-// append that acknowledged the turn; the journal is flushed before any
-// WAL that covers such versions is truncated (compact,
-// installSnapshotDoc — flushVersions — and vstore.Store.Close); and
+// A session version is an annotation on the durability path, never a
+// gate on it: its failures are recorded (surfaced by DeferredError —
+// the server reads it after every turn — and at Close) and user traffic
+// continues. Nor does a turn wait for it: the WAL is the session
+// versions' redo log. A session version is written to the journal
+// without an fsync (vstore.Batch.CommitUnsynced) after the WAL append
+// that acknowledged the turn; the journal is flushed before any WAL that
+// covers such versions is truncated (the shard root's flushed commit in
+// compact, flushVersions in installSnapshotDoc, and vstore.Store.Close); and
 // Open commits again whatever a power cut took from the journal's
 // unflushed tail, one version per replayed turn record (keepVersion),
 // so every acknowledged turn count has its as-of entry. What differs
 // after such a recovery is the re-derived commits' hashes, parents and
 // stamps — never a tree hash, which is a function of the transcript.
-// Shard roots have no redo log behind them and are flushed commits.
-// What still leaves a turn count without an entry: a version commit
-// that fails without killing the journal (a full disk, rolled back) on a
-// shard that compacts before the process restarts.
+// Shard roots have no redo log behind them and are flushed commits; a
+// compaction whose root does not land keeps its WAL. What still leaves a
+// turn count without an entry: a version commit that fails without
+// killing the journal (a full disk, rolled back) on a shard that
+// compacts before the process restarts.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
@@ -73,19 +73,14 @@ const (
 // SessionRoot names the vstore root tracking a session's transcript.
 func SessionRoot(id string) string { return "session/" + id }
 
-// ShardRoot names the vstore root tracking a shard's snapshots.
+// ShardRoot names the vstore root holding a shard's checkpoints.
 func ShardRoot(shard int) string { return fmt.Sprintf("shard/%02d", shard) }
 
-// Versions returns the configured version store (nil when versioning
-// is off) — the seam the server and cluster layers use to serve and
-// negotiate chunks.
+// Versions returns the store's version store, never nil — the seam the
+// server and cluster layers use to serve and negotiate chunks.
 func (s *Store) Versions() *vstore.Store { return s.cfg.Versions }
 
-// ErrNoVersions is returned by version-dependent calls when the store
-// was opened without a Config.Versions.
-var ErrNoVersions = errors.New("sessionstore: version store not configured")
-
-// MissingChunksError reports that a versioned snapshot could not be
+// MissingChunksError reports that a shipped shard root could not be
 // materialized because parts of its closure are absent locally; the
 // replication driver negotiates the missing chunks and retries.
 type MissingChunksError struct {
@@ -168,10 +163,15 @@ func encodeSessionTree(b *vstore.Batch, ss sessionSnap) (*sessionTree, error) {
 	return &sessionTree{turns: n, refs: refs, sess: sess}, nil
 }
 
+// malformed is a chunk a tree decoder cannot read as what the tree says
+// it is. The chunks may be a peer's, so that is an error naming it.
+func malformed(h vstore.Hash, format string, args ...any) error {
+	return &vstore.MalformedChunkError{Chunk: h, Err: fmt.Errorf(format, args...)}
+}
+
 // decodeSessionTree rebuilds a transcript from a session node: the
-// turns chunks it lists, however they were cut, end to end. The chunks
-// may be a peer's, so a node or chunk that no encoder writes is an error
-// naming it.
+// turns chunks it lists, however they were cut, end to end. A node or
+// chunk that no encoder writes is a *vstore.MalformedChunkError.
 func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 	var meta sessData
 	kind, err := vs.Data(h, &meta)
@@ -179,10 +179,10 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 		return sessionSnap{}, err
 	}
 	if kind != "sess" {
-		return sessionSnap{}, fmt.Errorf("sessionstore: chunk %s is %q, want sess", h, kind)
+		return sessionSnap{}, malformed(h, "is %q, want sess", kind)
 	}
 	if meta.Per <= 0 || meta.Turns < 0 {
-		return sessionSnap{}, fmt.Errorf("sessionstore: session node %s says %d turns in chunks of %d", h, meta.Turns, meta.Per)
+		return sessionSnap{}, malformed(h, "is a session node of %d turns in chunks of %d", meta.Turns, meta.Per)
 	}
 	refs, err := vs.Refs(h)
 	if err != nil {
@@ -196,25 +196,25 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 			return sessionSnap{}, err
 		}
 		if kind != "turns" {
-			return sessionSnap{}, fmt.Errorf("sessionstore: chunk %s is %q, want turns", ref, kind)
+			return sessionSnap{}, malformed(ref, "is %q, want turns", kind)
 		}
 		if sub, err := vs.Refs(ref); err != nil {
 			return sessionSnap{}, err
 		} else if len(sub) != 0 {
-			return sessionSnap{}, fmt.Errorf("sessionstore: turns chunk %s has %d refs, want none", ref, len(sub))
+			return sessionSnap{}, malformed(ref, "is a turns chunk with %d refs, want none", len(sub))
 		}
 		if len(turns) == 0 || len(turns) > meta.Per {
-			return sessionSnap{}, fmt.Errorf("sessionstore: turns chunk %s holds %d turns, session node %s allows 1 to %d", ref, len(turns), h, meta.Per)
+			return sessionSnap{}, malformed(ref, "holds %d turns, session node %s allows 1 to %d", len(turns), h, meta.Per)
 		}
 		ss.Turns = append(ss.Turns, turns...)
 	}
 	if len(ss.Turns) != meta.Turns {
-		return sessionSnap{}, fmt.Errorf("sessionstore: session tree %s has %d turns, node says %d", h, len(ss.Turns), meta.Turns)
+		return sessionSnap{}, malformed(h, "is a session tree of %d turns, its node says %d", len(ss.Turns), meta.Turns)
 	}
 	return ss, nil
 }
 
-// encodeShardTree stages a shard snapshot as a Merkle tree and
+// encodeShardTree stages a shard's state as a Merkle tree and
 // returns the shard node's address. A session whose remembered tree
 // covers its whole transcript costs nothing here: its node is in the
 // store and is referenced as it is.
@@ -236,7 +236,7 @@ func encodeShardTree(b *vstore.Batch, snap snapshot) (vstore.Hash, error) {
 	return b.Put("shard", refs, data)
 }
 
-// decodeShardTree rebuilds a shard snapshot from a shard node, holding
+// decodeShardTree rebuilds a shard's state from a shard node, holding
 // it to what encodeShardTree writes: one session node per id, in the
 // ids' order, no id twice.
 func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
@@ -246,14 +246,14 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 		return snapshot{}, err
 	}
 	if kind != "shard" {
-		return snapshot{}, fmt.Errorf("sessionstore: chunk %s is %q, want shard", h, kind)
+		return snapshot{}, malformed(h, "is %q, want shard", kind)
 	}
 	refs, err := vs.Refs(h)
 	if err != nil {
 		return snapshot{}, err
 	}
 	if len(refs) != len(meta.IDs) {
-		return snapshot{}, fmt.Errorf("sessionstore: shard tree %s has %d sessions, node says %d", h, len(refs), len(meta.IDs))
+		return snapshot{}, malformed(h, "is a shard tree of %d sessions, its node says %d", len(refs), len(meta.IDs))
 	}
 	snap := snapshot{MaxNum: meta.MaxNum, ShipSeq: meta.ShipSeq, Tombstones: meta.Tombstones}
 	seen := make(map[string]bool, len(refs))
@@ -263,10 +263,10 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 			return snapshot{}, err
 		}
 		if ss.ID != meta.IDs[i] {
-			return snapshot{}, fmt.Errorf("sessionstore: shard node %s lists session %q at %d, session node %s there is %q", h, meta.IDs[i], i, ref, ss.ID)
+			return snapshot{}, malformed(h, "lists session %q at %d, session node %s there is %q", meta.IDs[i], i, ref, ss.ID)
 		}
 		if seen[ss.ID] {
-			return snapshot{}, fmt.Errorf("sessionstore: shard node %s lists session %q twice", h, ss.ID)
+			return snapshot{}, malformed(h, "lists session %q twice", ss.ID)
 		}
 		seen[ss.ID] = true
 		snap.Sessions = append(snap.Sessions, ss)
@@ -274,26 +274,31 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 	return snap, nil
 }
 
+// shardTreeOf decodes the shard tree a commit pins.
+func shardTreeOf(vs *vstore.Store, c vstore.Commit) (snapshot, error) {
+	tree, err := treeOf(vs, c)
+	if err != nil {
+		return snapshot{}, err
+	}
+	return decodeShardTree(vs, tree)
+}
+
 // keepVersion commits the session's version unless its root already
 // has one at or past the committed turn count: the redo step, one Head
 // lookup when there is nothing to redo. Caller holds sh.mu, or is Open.
 func (sh *shard) keepVersion(e *Entry) {
-	vs := sh.versions
-	if vs == nil || len(e.committed) == 0 {
+	if len(e.committed) == 0 {
 		return
 	}
-	if head, err := vs.Head(SessionRoot(e.ID)); err == nil && head.Turn >= len(e.committed) {
+	if head, err := sh.versions.Head(SessionRoot(e.ID)); err == nil && head.Turn >= len(e.committed) {
 		return
 	}
-	sh.commitSessionVersion(vs, e)
+	sh.commitSessionVersion(e)
 }
 
 // flushVersions flushes the version journal; callers are about to
 // truncate the WAL that could rebuild its unflushed session versions.
 func (sh *shard) flushVersions() error {
-	if sh.versions == nil {
-		return nil
-	}
 	if err := sh.versions.Sync(); err != nil {
 		return fmt.Errorf("sessionstore: shard %d keeps its WAL: %w", sh.idx, err)
 	}
@@ -308,11 +313,8 @@ func (sh *shard) flushVersions() error {
 // failed commit leaves e.tree at the last version that landed, whose
 // chunks the root's head still reaches. Caller holds sh.mu. Failures
 // are recorded on the shard, never returned to the durability path.
-func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
-	if vs == nil {
-		return
-	}
-	b := vs.NewBatch()
+func (sh *shard) commitSessionVersion(e *Entry) {
+	b := sh.versions.NewBatch()
 	tree, err := encodeSessionTree(b, e.snap())
 	if err == nil {
 		_, err = b.CommitUnsynced(SessionRoot(e.ID), tree.sess, len(e.committed))
@@ -324,26 +326,21 @@ func (sh *shard) commitSessionVersion(vs *vstore.Store, e *Entry) {
 	e.tree = tree
 }
 
-// commitShardVersion commits the shard snapshot tree at its ship
-// horizon, flushed: nothing could rebuild it. Caller holds sh.mu.
-func (sh *shard) commitShardVersion(vs *vstore.Store, shard int, snap snapshot) {
-	if vs == nil {
-		return
-	}
-	b := vs.NewBatch()
+// commitShardVersion commits snap's tree as the shard's root at its
+// ship horizon, flushed: it is the checkpoint, and nothing could rebuild
+// it. Caller holds sh.mu, or is Open.
+func (sh *shard) commitShardVersion(snap snapshot) error {
+	b := sh.versions.NewBatch()
 	tree, err := encodeShardTree(b, snap)
 	if err == nil {
-		_, err = b.Commit(ShardRoot(shard), tree, int(snap.ShipSeq))
+		_, err = b.Commit(ShardRoot(sh.idx), tree, int(snap.ShipSeq))
 	}
-	if err != nil {
-		sh.versionErr = fmt.Errorf("sessionstore: version shard %d: %w", shard, err)
-	}
+	return err
 }
 
 // DeferredError reports, once each, the most recent failures of the
-// work a shard does off the acknowledgement path: version maintenance
-// (cleared here) and snapshot compaction (kept for the retry and for
-// Close). Neither failed the turn that ran into it, so the caller
+// work a shard does off the acknowledgement path: session versions
+// (cleared here) and compaction (kept for the retry and for Close). Neither failed the turn that ran into it, so the caller
 // serving that turn is where it gets said.
 func (s *Store) DeferredError(shard int) error {
 	sh := s.shards[shard&(len(s.shards)-1)]
@@ -367,9 +364,6 @@ func (s *Store) DeferredError(shard int) error {
 // materialization, sharing nothing with the live session.
 func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.Commit, error) {
 	vs := s.cfg.Versions
-	if vs == nil {
-		return nil, vstore.Commit{}, ErrNoVersions
-	}
 	c, err := vs.AsOf(SessionRoot(id), turn)
 	if err != nil {
 		return nil, vstore.Commit{}, err
@@ -393,11 +387,7 @@ func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.C
 
 // SessionVersions returns a session's commit log (oldest first).
 func (s *Store) SessionVersions(id string) ([]vstore.Commit, error) {
-	vs := s.cfg.Versions
-	if vs == nil {
-		return nil, ErrNoVersions
-	}
-	return vs.Log(SessionRoot(id))
+	return s.cfg.Versions.Log(SessionRoot(id))
 }
 
 // treeOf returns the commit's tree hash (Commit.Tree is recorded in
@@ -416,21 +406,30 @@ func treeOf(vs *vstore.Store, c vstore.Commit) (vstore.Hash, error) {
 	return refs[0], nil
 }
 
-// materializeShardSnapshot rebuilds a shard snapshot from a shard
-// root hash present in the local version store. A partially shipped
-// closure yields *MissingChunksError so the driver can negotiate the
-// gap and retry.
-func (s *Store) materializeShardSnapshot(root vstore.Hash) (snapshot, error) {
+// materializeShardSnapshot rebuilds a shard's state from a shipped
+// shard root, held to be a commit of a shard tree at ship sequence seq.
+// A partially shipped closure yields *MissingChunksError so the driver
+// can negotiate the gap and retry; any other chunk is a
+// *vstore.MalformedChunkError naming it.
+func (s *Store) materializeShardSnapshot(root vstore.Hash, seq int64) (snapshot, error) {
 	vs := s.cfg.Versions
-	if vs == nil {
-		return snapshot{}, ErrNoVersions
-	}
 	if !vs.HasClosure(root) {
 		return snapshot{}, &MissingChunksError{Root: root}
+	}
+	kind, err := vs.Kind(root)
+	if err != nil {
+		return snapshot{}, err
+	}
+	if kind != "commit" {
+		return snapshot{}, malformed(root, "is %q, want a commit", kind)
 	}
 	tree, err := vs.ResolveTree(root)
 	if err != nil {
 		return snapshot{}, err
 	}
-	return decodeShardTree(vs, tree)
+	snap, err := decodeShardTree(vs, tree)
+	if err == nil && snap.ShipSeq != seq {
+		err = malformed(tree, "is a shard node at ship sequence %d, the batch says %d", snap.ShipSeq, seq)
+	}
+	return snap, err
 }

@@ -56,21 +56,22 @@ func TestPullFramesAtCompactionHorizonBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Snapshot != nil || b.SnapshotRoot != "" {
-		t.Fatalf("cursor at horizon %d got a snapshot transfer", horizon)
+	if b.SnapshotRoot != "" {
+		t.Fatalf("cursor at horizon %d got the shard root", horizon)
 	}
 	if len(b.Frames) == 0 || b.Frames[0].Seq != horizon+1 {
 		t.Fatalf("cursor at horizon: frames = %d starting %d, want first seq %d",
 			len(b.Frames), b.Frames[0].Seq, horizon+1)
 	}
 
-	// One below: snapshot (or versioned root) transfer.
+	// One below: the shard root at the horizon, and the frames after it.
 	b, err = primary.PullFrames(0, horizon-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Snapshot == nil && b.SnapshotRoot == "" {
-		t.Fatalf("cursor below horizon served %d frames, want snapshot", len(b.Frames))
+	if b.SnapshotRoot == "" || b.SnapshotSeq != horizon || len(b.Frames) == 0 || b.Frames[0].Seq != horizon+1 {
+		t.Fatalf("cursor below horizon: root %q at %d and %d frames, want the root at %d and frames from %d",
+			b.SnapshotRoot, b.SnapshotSeq, len(b.Frames), horizon, horizon+1)
 	}
 
 	// A replica starting exactly at the horizon catches up by frames
@@ -88,9 +89,7 @@ func TestPullFramesAtCompactionHorizonBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.ApplyBatch(full); err != nil {
-		t.Fatal(err)
-	}
+	applyShipped(t, primary, replica, full)
 	shipAll(t, primary, replica, 0)
 	assertMirrors(t, primary, replica, []string{e.ID})
 }
@@ -152,17 +151,11 @@ func TestTranscriptAsOfMaterializesEveryVersion(t *testing.T) {
 	if _, _, err := st.TranscriptAsOf("never-issued", 2); err == nil {
 		t.Fatal("TranscriptAsOf on unknown session succeeded")
 	}
-
-	// Unversioned stores refuse rather than pretend.
-	plain := NewMemory(Config{Shards: 1})
-	if _, _, err := plain.TranscriptAsOf(e.ID, 2); !errors.Is(err, ErrNoVersions) {
-		t.Fatalf("err = %v, want ErrNoVersions", err)
-	}
 }
 
 // TestVersionedSnapshotShipNegotiatesChunks drives the versioned
-// catch-up path end to end in-process: the pull returns a snapshot
-// root instead of inline JSON, the first apply fails typed on missing
+// catch-up path end to end in-process: the pull returns the shard
+// root, the first apply fails typed on missing
 // chunks, negotiation ships exactly the missing closure, and the
 // retried apply installs it. A later catch-up reuses the replica's
 // chunks and moves only the delta.
@@ -195,8 +188,8 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SnapshotRoot == "" || b.Snapshot != nil {
-		t.Fatalf("versioned pull below horizon: root=%q inline=%d bytes", b.SnapshotRoot, len(b.Snapshot))
+	if b.SnapshotRoot == "" {
+		t.Fatalf("pull below horizon: no shard root, %d frames", len(b.Frames))
 	}
 
 	var missing *MissingChunksError
@@ -367,37 +360,6 @@ func TestCatchUpIsNoDeeperAndShipsNoMore(t *testing.T) {
 				t.Errorf("the %s replica's head of %s = %+v, %v; the primary's tree is %s at turn %d", name, id, got, err, want.Tree, want.Turn)
 			}
 		}
-	}
-}
-
-// TestVersionedBatchOnUnversionedReplica pins the mixed-deployment
-// behavior: the apply fails typed (ErrNoVersions) instead of
-// installing garbage, and the driver can fall back to inline
-// snapshots.
-func TestVersionedBatchOnUnversionedReplica(t *testing.T) {
-	primary, _ := versionedPair(t)
-	defer func() {
-		if err := primary.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	replica := NewMemory(Config{Shards: 1})
-	e, err := primary.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 9; j++ {
-		commitPair(t, primary, e, fmt.Sprintf("q%d", j), "a", 0.5)
-	}
-	b, err := primary.PullFrames(0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.SnapshotRoot == "" {
-		t.Skip("no compaction happened; nothing to pin")
-	}
-	if err := replica.ApplyBatch(b); !errors.Is(err, ErrNoVersions) {
-		t.Fatalf("err = %v, want ErrNoVersions", err)
 	}
 }
 
@@ -650,19 +612,7 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 		entries = append(entries, e)
 	}
 	sh := st.shards[0]
-	// The consult runs on the committing goroutine, which holds sh.mu. An
-	// empty WAL there means the commit is the shard version a compaction
-	// makes right after its reset — before that commit's own flush.
 	resets := 0
-	probe.onCommit = func() {
-		if sh.wal.Size() != 0 {
-			return
-		}
-		resets++
-		if synced, size := vs.JournalSynced(); synced != size {
-			t.Errorf("WAL reset %d with the journal flushed to %d of %d bytes", resets, synced, size)
-		}
-	}
 	for j := 0; j < pairs; j++ {
 		for _, e := range entries {
 			sh.mu.Lock()
@@ -682,8 +632,13 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 			if !compactsAt && (synced != flushed || synced == size) {
 				t.Fatalf("turn pair %d of %s: journal flushed to %d of %d bytes, was flushed to %d; a session version is no flush", j, e.ID, synced, size, flushed)
 			}
-			if compactsAt && synced != size {
-				t.Fatalf("turn pair %d of %s compacted with the journal flushed to %d of %d bytes", j, e.ID, synced, size)
+			if compactsAt {
+				// The shard root's commit is the flushed append; the WAL
+				// reset comes after it.
+				resets++
+				if synced != size || sh.wal.Size() != 0 {
+					t.Fatalf("turn pair %d of %s compacted with the journal flushed to %d of %d bytes and %d WAL bytes left", j, e.ID, synced, size, sh.wal.Size())
+				}
 			}
 		}
 	}
@@ -777,8 +732,8 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 			cerr, size, sh.wal.Size(), cursor, sh.cursor(), pending, sh.pending, sh.shipBase)
 	}
 	sh.mu.Unlock()
-	if _, err := os.Stat(sh.snapPath); !os.IsNotExist(err) {
-		t.Errorf("a refused compaction published a snapshot (stat err %v)", err)
+	if head, err := vs.Head(ShardRoot(0)); err == nil {
+		t.Errorf("a refused compaction committed a shard root: %+v", head)
 	}
 	log, err := st.SessionVersions(e.ID)
 	if err != nil || len(log) != 2 {

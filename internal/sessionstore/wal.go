@@ -20,7 +20,7 @@ var ErrCrashed = framelog.ErrCrashed
 
 // walRecord is the WAL payload. Kind is one of "create", "turn",
 // "evict". Turn records carry Seq — the transcript index of the first
-// turn of the committed pair — so replay over a snapshot that already
+// turn of the committed pair — so replay over a checkpoint that already
 // contains the pair is idempotent.
 type walRecord struct {
 	Kind  string    `json:"kind"`
