@@ -407,7 +407,8 @@ func treeOf(vs *vstore.Store, c vstore.Commit) (vstore.Hash, error) {
 }
 
 // materializeShardSnapshot rebuilds a shard's state from a shipped
-// shard root, held to be a commit of a shard tree at ship sequence seq.
+// shard root, held to be a commit at ship sequence seq of a shard tree
+// at seq.
 // A partially shipped closure yields *MissingChunksError so the driver
 // can negotiate the gap and retry; any other chunk is a
 // *vstore.MalformedChunkError naming it.
@@ -416,12 +417,15 @@ func (s *Store) materializeShardSnapshot(root vstore.Hash, seq int64) (snapshot,
 	if !vs.HasClosure(root) {
 		return snapshot{}, &MissingChunksError{Root: root}
 	}
-	kind, err := vs.Kind(root)
+	var commit struct {
+		Turn int64 `json:"turn"`
+	}
+	kind, err := vs.Data(root, &commit)
 	if err != nil {
 		return snapshot{}, err
 	}
-	if kind != "commit" {
-		return snapshot{}, malformed(root, "is %q, want a commit", kind)
+	if kind != "commit" || commit.Turn != seq {
+		return snapshot{}, malformed(root, "is %q at %d, want a commit at the batch's %d", kind, commit.Turn, seq)
 	}
 	tree, err := vs.ResolveTree(root)
 	if err != nil {

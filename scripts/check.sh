@@ -51,21 +51,26 @@
 #                      from the chunks of sessionstore's format-v2,
 #                      tree-v2 and tree-v3 fixtures),
 #                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v1, -v2 and -v3 shard WALs) and
+#                      format-v1, -v2 and -v3 shard WALs),
+#                      FuzzApplyBatch (ShipBatch JSON applied to a
+#                      replica opened on format-v3, seeded from that
+#                      fixture's frames and shard roots and the forged
+#                      roots of TestForgedShipBatchIsAnError) and
 #                      FuzzVectorOps (Append/Set/Extend/Gather scripts
 #                      over column vectors of every kind, checked
 #                      against a []Value oracle) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
 #                      journal decoder, the column-leaf decoder, the
-#                      session-tree decoder, the WAL-record decoder
-#                      and the vector operations for 30 s each (go test
+#                      session-tree decoder, the WAL-record decoder,
+#                      the replica's batch apply and the vector
+#                      operations for 30 s each (go test
 #                      ./internal/vstore -run '^$' -fuzz=FuzzJournalOpen
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
 #                      with -fuzz=FuzzDecodeLeaf, in
 #                      ./internal/sessionstore with
-#                      -fuzz=FuzzDecodeSessionTree and
-#                      -fuzz=FuzzDecodeRecord, and in ./internal/storage
+#                      -fuzz=FuzzDecodeSessionTree, -fuzz=FuzzDecodeRecord
+#                      and -fuzz=FuzzApplyBatch, and in ./internal/storage
 #                      with -fuzz=FuzzVectorOps).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
