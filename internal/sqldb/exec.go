@@ -44,16 +44,14 @@ type Result struct {
 // Fingerprint returns an order-insensitive multiset digest of the
 // result, used by the NL2SQL verifier to compare candidate queries: the
 // SHA-256 of its rows' SHA-256 digests in sorted order. A row is
-// digested as its values' kind:value texts, each after its length, so
-// no byte a TEXT value holds can make two different rows read alike.
+// digested as its appendKeyed encoding.
 func (r *Result) Fingerprint() string {
 	digests := make([][sha256.Size]byte, len(r.Rows))
-	var row, key []byte
+	var row []byte
 	for i, vals := range r.Rows {
 		row = row[:0]
 		for _, v := range vals {
-			key = appendValueKey(key[:0], v)
-			row = append(binary.AppendUvarint(row, uint64(len(key))), key...)
+			row = appendKeyed(row, v)
 		}
 		digests[i] = sha256.Sum256(row)
 	}
@@ -64,6 +62,28 @@ func (r *Result) Fingerprint() string {
 	}
 	sum := sha256.Sum256(all)
 	return hex.EncodeToString(sum[:])
+}
+
+// appendKeyed appends v's kind:value text to buf after its length, a
+// uvarint. A list of values so encoded is the one key no byte a TEXT
+// value holds can make read as another list: Fingerprint's rows, GROUP
+// BY keys and DISTINCT rows all use it. The text is written in place
+// behind a one-byte length, which a text of 128 bytes or more moves up
+// to widen.
+func appendKeyed(buf []byte, v storage.Value) []byte {
+	at := len(buf)
+	buf = appendValueKey(append(buf, 0), v)
+	n := len(buf) - at - 1
+	if n < 0x80 {
+		buf[at] = byte(n)
+		return buf
+	}
+	var size [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(size[:], uint64(n))
+	buf = append(buf, size[1:w]...)
+	copy(buf[at+w:], buf[at+1:at+1+n])
+	copy(buf[at:], size[:w])
+	return buf
 }
 
 // relation is the executor's intermediate representation: a bag of
@@ -227,15 +247,15 @@ func compareKeySlices(a, b []storage.Value, order []OrderItem) int {
 }
 
 func distinct(res *Result) *Result {
-	seen := make(map[string]int) // fingerprint -> output index
+	seen := make(map[string]int) // appendKeyed row -> output index
 	out := &Result{Columns: res.Columns, Stmt: res.Stmt, Stats: res.Stats}
+	var key []byte
 	for i, row := range res.Rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = v.Kind.String() + ":" + v.String()
+		key = key[:0]
+		for _, v := range row {
+			key = appendKeyed(key, v)
 		}
-		key := strings.Join(parts, "\x1f")
-		if idx, dup := seen[key]; dup {
+		if idx, dup := seen[string(key)]; dup {
 			// Merge provenance of duplicates: the output row is
 			// witnessed by every duplicate's sources.
 			if res.Prov != nil {
@@ -243,7 +263,7 @@ func distinct(res *Result) *Result {
 			}
 			continue
 		}
-		seen[key] = len(out.Rows)
+		seen[string(key)] = len(out.Rows)
 		out.Rows = append(out.Rows, row)
 		if res.Prov != nil {
 			out.Prov = append(out.Prov, res.Prov[i])

@@ -267,6 +267,33 @@ func matchRowOracle(t *testing.T, db *storage.Database, rng *rand.Rand, n int) {
 	}
 }
 
+// TestGroupAndDistinctKeysHoldAnyText: two rows whose TEXT values hold
+// the separator and kind tag a key once joined its values with —
+// ('x\x1fTEXT:y', 'z') and ('x', 'y\x1fTEXT:z') — are two groups and
+// two distinct rows, in the row oracle and the vectorized engine alike.
+func TestGroupAndDistinctKeysHoldAnyText(t *testing.T) {
+	tbl := storage.NewTable("t", storage.Schema{{Name: "a", Kind: storage.KindString}, {Name: "b", Kind: storage.KindString}})
+	tbl.MustAppendRow(storage.Str("x\x1fTEXT:y"), storage.Str("z"))
+	tbl.MustAppendRow(storage.Str("x"), storage.Str("y\x1fTEXT:z"))
+	db := storage.NewDatabase("keys")
+	db.Put(tbl)
+	e := NewEngine(db)
+	for _, q := range []string{"SELECT a, b, COUNT(*) FROM t GROUP BY a, b", "SELECT DISTINCT a, b FROM t"} {
+		for _, engine := range []struct {
+			name string
+			run  func(string) (*Result, error)
+		}{{"row oracle", e.queryRow}, {"vectorized", e.Query}} {
+			res, err := engine.run(q)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", engine.name, q, err)
+			}
+			if len(res.Rows) != 2 {
+				t.Errorf("%s: %q = %v, want the two rows apart", engine.name, q, res.Rows)
+			}
+		}
+	}
+}
+
 // TestOptimizedMatchesUnoptimized is the planner's differential: the
 // row oracle shares the hash join's key with the columnar engine, so
 // only a run without the hash join — DisableOptimizations, where ON is

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/reliable-cda/cda/internal/storage"
 )
@@ -374,9 +373,10 @@ func buildGroups(groupBy []Expr, rel *relation) []*group {
 	}
 	index := make(map[string]*group)
 	var order []*group
+	var key []byte
 	for i, row := range rel.rows {
-		parts := make([]string, len(groupBy))
-		for j, ge := range groupBy {
+		key = key[:0]
+		for _, ge := range groupBy {
 			v, err := evalExpr(ge, rel, row)
 			if err != nil {
 				// Surface evaluation errors lazily via a sentinel group;
@@ -384,13 +384,12 @@ func buildGroups(groupBy []Expr, rel *relation) []*group {
 				// earlier, so treat errors as NULL keys.
 				v = storage.Null()
 			}
-			parts[j] = v.Kind.String() + ":" + v.String()
+			key = appendKeyed(key, v)
 		}
-		ks := strings.Join(parts, "\x1f")
-		g, ok := index[ks]
+		g, ok := index[string(key)]
 		if !ok {
 			g = &group{}
-			index[ks] = g
+			index[string(key)] = g
 			order = append(order, g)
 		}
 		g.rowIdxs = append(g.rowIdxs, i)

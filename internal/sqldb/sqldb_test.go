@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -393,6 +395,20 @@ func TestStringConcat(t *testing.T) {
 	res := mustQuery(t, e, "SELECT name + '!' FROM employees WHERE id = 1")
 	if res.Rows[0][0].S != "Ada!" {
 		t.Errorf("concat = %v", res.Rows[0][0])
+	}
+}
+
+// TestAppendKeyedIsLengthThenText: appendKeyed writes a value's text in
+// place behind its uvarint length, moving it up for a length that needs
+// more than one byte; either way the bytes are the length, then the text.
+func TestAppendKeyedIsLengthThenText(t *testing.T) {
+	for _, n := range []int{0, 1, 120, 121, 122, 127, 128, 300, 20000} {
+		v := storage.Str(strings.Repeat("é", n/2) + strings.Repeat("x", n%2))
+		text := appendValueKey(nil, v)
+		want := append(binary.AppendUvarint([]byte("prefix"), uint64(len(text))), text...)
+		if got := appendKeyed([]byte("prefix"), v); !bytes.Equal(got, want) {
+			t.Fatalf("text of %d bytes: got %q, want %q", len(text), got, want)
+		}
 	}
 }
 

@@ -86,8 +86,8 @@ func (e *Engine) vExecuteAggregate(stmt *SelectStmt, vr *vrel) (*Result, error) 
 
 // vBuildGroups mirrors buildGroups: group keys in first-appearance
 // order over the selection, kernel errors treated as NULL keys, and
-// the key string built exactly as the row engine builds it
-// (kind:value joined with \x1f). Group members are physical row
+// the key built exactly as the row engine builds it (appendKeyed per
+// value). Group members are physical row
 // indexes in selection order. The key is built in one reused buffer,
 // so a row that joins an existing group allocates nothing.
 func vBuildGroups(groupBy []Expr, vr *vrel, vc *vcompiler) []*group {
@@ -111,7 +111,7 @@ func vBuildGroups(groupBy []Expr, vr *vrel, vc *vcompiler) []*group {
 		p := vr.phys(pos)
 		ctx.phys = p
 		buf = buf[:0]
-		for j, k := range ks {
+		for _, k := range ks {
 			v, err := k(&ctx)
 			if err != nil {
 				// Same policy as buildGroups: evaluation errors become
@@ -119,10 +119,7 @@ func vBuildGroups(groupBy []Expr, vr *vrel, vc *vcompiler) []*group {
 				// practice).
 				v = storage.Null()
 			}
-			if j > 0 {
-				buf = append(buf, '\x1f')
-			}
-			buf = appendValueKey(buf, v)
+			buf = appendKeyed(buf, v)
 		}
 		g, ok := index[string(buf)]
 		if !ok {
