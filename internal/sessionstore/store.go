@@ -84,8 +84,9 @@ type Config struct {
 	// Faults, when non-nil, injects crash/torn-write faults into WAL
 	// appends (op "wal.append"). Leave nil in production.
 	Faults WriteFaults
-	// NoFsync skips fsync on WAL appends — benchmarks only; a production store must keep fsync on for its durability
-	// guarantee to mean anything.
+	// NoFsync skips fsync on WAL appends — benchmarks only; a
+	// production store must keep fsync on for its durability guarantee
+	// to mean anything.
 	NoFsync bool
 	// Versions holds the content-addressed version roots of transcripts
 	// (per committed turn) and shards (per compaction, the checkpoint) —
@@ -238,81 +239,43 @@ func Open(cfg Config) (*Store, error) {
 		}
 		st.cfg.Versions, st.ownsVersions = vs, true
 	}
-	if err := st.recover(); err != nil {
-		if st.ownsVersions {
-			err = errors.Join(err, st.cfg.Versions.Close())
-		}
-		return nil, err
-	}
-	return st, nil
-}
-
-// recover builds every shard and, over a data directory, loads it.
-func (s *Store) recover() error {
-	for i := range s.shards {
-		s.shards[i] = &shard{
+	for i := range st.shards {
+		st.shards[i] = &shard{
 			idx:        i,
-			versions:   s.cfg.Versions,
+			versions:   st.cfg.Versions,
 			sessions:   map[string]*Entry{},
 			tombstones: map[string]bool{},
-			snapEvery:  s.cfg.SnapshotEvery,
-			nosync:     s.cfg.NoFsync,
+			snapEvery:  cfg.SnapshotEvery,
+			nosync:     cfg.NoFsync,
 		}
-		sh := s.shards[i]
-		if s.cfg.Dir == "" {
+		sh := st.shards[i]
+		if cfg.Dir == "" {
 			continue
 		}
 		// Nothing else can reach the shard yet; its lock is held so the
 		// helpers it shares with serving run under the lock they document.
 		sh.mu.Lock()
-		err := sh.load(s.cfg, s.clock.Now())
+		err := sh.load(cfg, st.clock.Now())
 		maxNum := sh.maxNum
 		sh.mu.Unlock()
 		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.nextNum = max(s.nextNum, maxNum)
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// load recovers the shard from cfg.Dir: its checkpoint, then its WAL
-// replayed over it. Caller holds sh.mu.
-func (sh *shard) load(cfg Config, now time.Duration) error {
-	if err := sh.checkpoint(filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.snap", sh.idx)), now); err != nil {
-		return err
-	}
-	var frames [][]byte
-	var recs []walRecord
-	wal, err := framelog.Open(
-		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx)), walMagic,
-		framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},
-		func(frame, payload []byte) bool {
-			rec, ok := decodeRecord(payload)
-			if ok {
-				recs, frames = append(recs, rec), append(frames, frame)
+			if st.ownsVersions {
+				err = errors.Join(err, st.cfg.Versions.Close())
 			}
-			return ok
-		})
-	if err != nil {
-		return err
+			return nil, err
+		}
+		st.nextNum = max(st.nextNum, maxNum)
 	}
-	sh.wal = wal
-	for _, rec := range recs {
-		sh.replay(rec, now)
-	}
-	sh.tail, sh.pending = frames, len(frames)
-	return nil
+	return st, nil
 }
 
-// checkpoint loads the shard's state at its ship horizon — the head of
-// its shard root, or nothing on a fresh shard — and keeps every loaded
-// session's version. A snapshot document at snapPath, which an older
-// store wrote instead, is what it loads once, and upgradeSnapshot makes
-// it the root. Caller holds sh.mu.
-func (sh *shard) checkpoint(snapPath string, now time.Duration) error {
+// load recovers the shard from cfg.Dir: the head of its shard root —
+// nothing on a fresh shard, or once, the snapshot document an older
+// store wrote instead, which upgradeSnapshot makes the root — with every
+// loaded session's version kept, then the WAL replayed over it. Caller
+// holds sh.mu.
+func (sh *shard) load(cfg Config, now time.Duration) error {
+	snapPath := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.snap", sh.idx))
 	doc, err := readSnapshot(snapPath)
 	if err != nil {
 		return err
@@ -321,7 +284,7 @@ func (sh *shard) checkpoint(snapPath string, now time.Duration) error {
 	if doc != nil {
 		snap = *doc
 	} else if head, err := sh.versions.Head(ShardRoot(sh.idx)); err == nil {
-		if snap, err = shardTreeOf(sh.versions, head); err != nil {
+		if snap, err = decodeShardTree(sh.versions, head.Tree); err != nil {
 			return fmt.Errorf("sessionstore: load shard %d root: %w", sh.idx, err)
 		}
 	} else if !errors.Is(err, vstore.ErrUnknownRoot) {
@@ -332,10 +295,24 @@ func (sh *shard) checkpoint(snapPath string, now time.Duration) error {
 		sh.keepVersion(sh.sessions[ss.ID])
 	}
 	sh.shipBase = snap.ShipSeq
-	if doc == nil {
-		return nil
+	if doc != nil {
+		if err := sh.upgradeSnapshot(snapPath); err != nil {
+			return err
+		}
 	}
-	return sh.upgradeSnapshot(snapPath)
+	sh.wal, err = framelog.Open(
+		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx)), walMagic,
+		framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},
+		func(frame, payload []byte) bool {
+			rec, ok := decodeRecord(payload)
+			if ok {
+				sh.replay(rec, now)
+				sh.tail = append(sh.tail, frame)
+			}
+			return ok
+		})
+	sh.pending = len(sh.tail)
+	return err
 }
 
 // applySnapshot installs a shard's state (recovery and snapshot install;

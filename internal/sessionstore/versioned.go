@@ -274,15 +274,6 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 	return snap, nil
 }
 
-// shardTreeOf decodes the shard tree a commit pins.
-func shardTreeOf(vs *vstore.Store, c vstore.Commit) (snapshot, error) {
-	tree, err := treeOf(vs, c)
-	if err != nil {
-		return snapshot{}, err
-	}
-	return decodeShardTree(vs, tree)
-}
-
 // keepVersion commits the session's version unless its root already
 // has one at or past the committed turn count: the redo step, one Head
 // lookup when there is nothing to redo. Caller holds sh.mu, or is Open.
