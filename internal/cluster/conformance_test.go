@@ -359,7 +359,7 @@ func TestNodeClientsRefuseAlike(t *testing.T) {
 		{"create under a taken id", func(n NodeClient, id string) error { return n.CreateSession(ctx, id) }, server.ErrConflict},
 		{"pull from a shard the node lacks", func(n NodeClient, _ string) error { _, err := n.Pull(ctx, confShards, 0, 0); return err }, server.ErrBadRequest},
 		{"pull from a cursor the node never reached", func(n NodeClient, _ string) error { _, err := n.Pull(ctx, 0, 99, 0); return err }, server.ErrConflict},
-		{"want chunks under an empty root", func(n NodeClient, _ string) error { _, err := n.WantChunks(ctx, "", 1); return err }, server.ErrBadRequest},
+		{"want chunks for no root", func(n NodeClient, _ string) error { _, err := n.WantChunks(ctx, "", 1); return err }, server.ErrBadRequest},
 	}
 	for _, c := range calls {
 		t.Run(c.name, func(t *testing.T) {

@@ -157,12 +157,17 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 	// *MissingChunksError here tells the driver to negotiate chunks and
 	// retry the apply.
 	var snap *snapshot
-	if b.SnapshotRoot != "" {
+	switch {
+	case b.SnapshotRoot != "":
 		ss, err := s.materializeShardSnapshot(vstore.Hash(b.SnapshotRoot), b.SnapshotSeq)
 		if err != nil {
 			return err
 		}
 		snap = &ss
+	case b.SnapshotSeq != 0:
+		// A primary that shipped its state some other way (older builds
+		// inlined a JSON document): nothing here can install it.
+		return fmt.Errorf("sessionstore: batch for shard %d is at snapshot_seq %d with no snapshot_root", b.Shard, b.SnapshotSeq)
 	}
 	sh.mu.Lock()
 	maxNum, err := sh.applyLocked(b, snap, s.clock.Now())

@@ -108,6 +108,17 @@ func TestForgedShipBatchIsAnError(t *testing.T) {
 			}
 		})
 	}
+	// What an older primary shipped below its horizon: its whole state
+	// inline, which nothing here reads, at a snapshot_seq with no root.
+	before := storeState(t, replica)
+	inline := []byte(`{"shard":0,"snapshot":"e30=","snapshot_seq":12,"primary_cursor":12}`)
+	var b ShipBatch
+	if err := json.Unmarshal(inline, &b); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.ApplyBatch(b); err == nil || storeState(t, replica) != before {
+		t.Errorf("an inline snapshot batch: apply = %v, replica changed = %v; want an error and no change", err, storeState(t, replica) != before)
+	}
 }
 
 // fuzzSeq is the snapshot_seq of FuzzApplyBatch's forged seeds.
