@@ -20,12 +20,14 @@ func (s *System) dataRoot() string {
 
 // CommitData publishes the current analytical database as an
 // immutable version at the given turn. The caller decides when data
-// changes warrant a new version (ingest, refresh, turn boundary). An
-// unchanged re-commit writes nothing and returns the head, which
-// already pins the same tree — but learning that it is the same tree
-// costs a full encode: every leaf is marshalled and hashed again, O(table)
-// CPU and a batch holding the whole encoded tree until it is dropped.
-// Fails when the system has no version store.
+// changes warrant a new version (ingest, refresh, turn boundary). A
+// table's leaves are encoded and hashed on every core, then staged in
+// order, so the version and its journal bytes do not depend on
+// GOMAXPROCS. An unchanged re-commit writes nothing and returns the
+// head, which already pins the same tree — but learning that it is the
+// same tree costs a full encode: every leaf is marshalled and hashed
+// again, O(table) CPU and a batch holding the whole encoded tree until
+// it is dropped. Fails when the system has no version store.
 func (s *System) CommitData(turn int) (vstore.Commit, error) {
 	if s.cfg.Versions == nil {
 		return vstore.Commit{}, fmt.Errorf("core: no version store configured")

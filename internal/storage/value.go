@@ -172,7 +172,7 @@ func (v Value) Equal(o Value) bool {
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
 // ParseValue parses raw text into the given kind. Empty text becomes
-// NULL for every kind.
+// NULL for every kind, and NaN or infinite text is no number.
 func ParseValue(raw string, kind Kind) (Value, error) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
@@ -183,16 +183,16 @@ func ParseValue(raw string, kind Kind) (Value, error) {
 		i, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			// Accept float-looking integers like "3.0".
-			f, ferr := strconv.ParseFloat(raw, 64)
-			if ferr != nil || f != math.Trunc(f) {
+			f, ok := parseFinite(raw)
+			if !ok || f != math.Trunc(f) {
 				return Null(), fmt.Errorf("storage: %q is not an INT", raw)
 			}
 			i = int64(f)
 		}
 		return Int(i), nil
 	case KindFloat:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
+		f, ok := parseFinite(raw)
+		if !ok {
 			return Null(), fmt.Errorf("storage: %q is not a FLOAT", raw)
 		}
 		return Float(f), nil
@@ -223,7 +223,7 @@ func InferKind(samples []string) Kind {
 		if _, err := strconv.ParseInt(s, 10, 64); err != nil {
 			okInt = false
 		}
-		if _, err := strconv.ParseFloat(s, 64); err != nil {
+		if _, ok := parseFinite(s); !ok {
 			okFloat = false
 		}
 		if _, err := strconv.ParseBool(strings.ToLower(s)); err != nil {
@@ -242,4 +242,12 @@ func InferKind(samples []string) Kind {
 	default:
 		return KindString
 	}
+}
+
+// parseFinite parses s as a finite float. strconv.ParseFloat also reads
+// "NaN" and "inf", which have no JSON form: a column holding one could
+// not be committed as a version.
+func parseFinite(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
 }

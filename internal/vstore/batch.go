@@ -30,15 +30,26 @@ func (s *Store) NewBatch() *Batch {
 
 // Put stages one chunk and returns its address; see Store.Put.
 func (b *Batch) Put(kind string, refs []Hash, data []byte) (Hash, error) {
-	h, payload, err := b.s.encodeChunk(kind, refs, data)
+	h, payload, err := encodeChunk(kind, refs, data)
 	if err != nil {
 		return "", err
+	}
+	if err := b.putEncoded(h, payload, refs); err != nil {
+		return "", err
+	}
+	return h, nil
+}
+
+// putEncoded is Put for a chunk encodeChunk has rendered.
+func (b *Batch) putEncoded(h Hash, payload []byte, refs []Hash) error {
+	if err := b.s.injectPut(); err != nil {
+		return err
 	}
 	if !b.seen[h] {
 		b.seen[h] = true
 		b.staged = append(b.staged, stagedChunk{hash: h, payload: payload, refs: refs})
 	}
-	return h, nil
+	return nil
 }
 
 // Commit appends a new version to the named root, pinning tree, which

@@ -950,3 +950,60 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptCommitRefusesForgedCommits: AdoptCommit installs a commit a
+// peer shipped, so its tree is input too. A commit whose tree is absent,
+// a leaf, or another commit is refused naming the commit, and the root
+// log, the stamp and the journal stay as they were.
+func TestAdoptCommitRefusesForgedCommits(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	first := commitOrdersFixture(t, s)
+	head, err := s.Head(ordersFixtureRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := mustPut(t, s, "leaf", nil, `{"t":1,"v":[1,2,3]}`)
+	commit := func(tree Hash) Hash {
+		return mustPut(t, s, "commit", []Hash{tree}, fmt.Sprintf(`{"parent":%q,"turn":1,"stamp":9}`, head.Hash))
+	}
+	absent := hashBytes([]byte("absent"))
+	forged := []struct {
+		name   string
+		commit Hash
+	}{
+		{"a commit of an absent tree", commit(absent)},
+		{"a commit of a leaf", commit(leaf)},
+		{"a commit of a commit", commit(head.Hash)},
+	}
+	for _, f := range forged {
+		_, size := s.JournalSynced()
+		stamp := s.stamp
+		_, err := s.AdoptCommit(ordersFixtureRoot, f.commit)
+		var mal *MalformedChunkError
+		if !errors.As(err, &mal) || mal.Chunk != f.commit {
+			t.Errorf("%s: AdoptCommit = %v, want an error naming %s", f.name, err, f.commit)
+		}
+		log, _ := s.Log(ordersFixtureRoot)
+		if _, after := s.JournalSynced(); len(log) != 1 || s.stamp != stamp || after != size {
+			t.Errorf("%s: the log holds %d commits, the stamp is %d (was %d), the journal %d bytes (was %d)", f.name, len(log), s.stamp, stamp, after, size)
+		}
+	}
+	if _, err := s.AdoptCommit(ordersFixtureRoot, forged[0].commit); !errors.Is(err, ErrUnknownChunk) {
+		t.Errorf("the absent tree: %v, want ErrUnknownChunk", err)
+	}
+
+	// A well-formed commit is adopted, and its tree reads back.
+	good := commit(head.Tree)
+	if c, err := s.AdoptCommit(ordersFixtureRoot, good); err != nil || c.Hash != good || c.Stamp != 9 {
+		t.Fatalf("the well-formed commit: %+v, %v", c, err)
+	}
+	got, _, err := s.DatabaseAsOf(ordersFixtureRoot, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, got, first)
+}

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -110,18 +111,50 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash]
 // from another store — to the named root, preserving the commit's
 // identity (hash, turn, stamp) so the two stores agree on version
 // addresses. The chunk and its tree must already be present (ship
-// chunks first, adopt after). Adopting the current head again is a
+// chunks first, adopt after), and the tree must be neither a leaf nor
+// another commit: a commit that fails that is refused, naming it, and
+// leaves the store as it was. Adopting the current head again is a
 // no-op.
 func (s *Store) AdoptCommit(root string, h Hash) (Commit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if log := s.roots[root]; len(log) == 0 || log[len(log)-1].Hash != h {
-		if err := s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false, nil); err != nil {
+		err := s.checkTreeLocked(h)
+		if err == nil {
+			err = s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false, nil)
+		}
+		if err != nil {
 			return Commit{}, fmt.Errorf("vstore: adopt into %q: %w", root, err)
 		}
 	}
 	log := s.roots[root]
 	return log[len(log)-1], nil
+}
+
+// checkTreeLocked requires commit chunk h to pin a stored tree that is
+// neither a leaf nor a commit. Caller holds s.mu.
+func (s *Store) checkTreeLocked(h Hash) error {
+	p, err := s.payloadLocked(h)
+	if err != nil {
+		return err
+	}
+	c, err := commitEntry(h, p)
+	if err != nil {
+		return err
+	}
+	if p, err = s.payloadLocked(c.Tree); errors.Is(err, ErrUnknownChunk) {
+		return malformed(h, "pins tree %s: %w", c.Tree, ErrUnknownChunk)
+	} else if err != nil {
+		return err
+	}
+	var env envelope
+	if err := json.Unmarshal(p, &env); err != nil {
+		return fmt.Errorf("vstore: decode chunk %s: %w", c.Tree, err)
+	}
+	if env.K == "leaf" || env.K == "commit" {
+		return malformed(h, "pins %s %s, want a tree", env.K, c.Tree)
+	}
+	return nil
 }
 
 // Head returns the latest commit on a root.

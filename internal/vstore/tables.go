@@ -3,9 +3,11 @@ package vstore
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/reliable-cda/cda/internal/storage"
 )
@@ -420,13 +422,26 @@ func vectorOf(kind storage.Kind, vals []storage.Value) (*storage.Vector, error) 
 }
 
 // chunkWriter is where an encoder puts the nodes of the tree it
-// builds: a Batch, or in tests the Store itself, chunk by chunk.
+// builds: a Batch, or in tests the Store itself, chunk by chunk. Both
+// methods consult the "vstore.put" fault once a chunk; putEncoded takes
+// one encodeChunk has rendered.
 type chunkWriter interface {
 	Put(kind string, refs []Hash, data []byte) (Hash, error)
+	putEncoded(h Hash, payload []byte, refs []Hash) error
 }
 
+// encodeSpanMin is the leaf count from which encodeTable encodes a
+// table's leaves on every core; below it, as for every table of the
+// demonstration domain, it encodes them inline.
+const encodeSpanMin = 64
+
 // encodeTable writes a table as a Merkle tree and returns the table
-// chunk's address.
+// chunk's address. The leaves are encoded — leaf, envelope, address —
+// in one contiguous span of the column-major leaf order per GOMAXPROCS
+// worker, and then put in that order by the calling goroutine, so the
+// staged chunks, the journal and the fault schedule are a serial
+// encode's. A leaf that fails to encode fails the table after every
+// leaf before it has been put, as the serial encode did.
 func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
 	if leafRows <= 0 {
 		leafRows = DefaultLeafRows
@@ -434,22 +449,26 @@ func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
 	rows := t.NumRows()
 	schema := t.Schema()
 	nLeaves := leavesPerCol(rows, leafRows)
-	refs := make([]Hash, 0, nLeaves*len(schema))
-	for c := 0; c < len(schema); c++ {
-		col := t.Vector(c)
-		for l := 0; l < nLeaves; l++ {
-			lo := l * leafRows
-			hi := lo + leafSpan(l, rows, leafRows)
-			data, err := encodeLeaf(col, lo, hi)
-			if err != nil {
-				return "", fmt.Errorf("vstore: encode leaf %s[%d][%d:%d]: %w", t.Name, c, lo, hi, err)
-			}
-			h, err := w.Put("leaf", nil, data)
-			if err != nil {
-				return "", err
-			}
-			refs = append(refs, h)
+	leaves := make([]encodedLeaf, nLeaves*len(schema))
+	encoded, encErr := encodeSpans(len(leaves), func(i int) error {
+		c, lo := i/nLeaves, i%nLeaves*leafRows
+		hi := lo + leafSpan(i%nLeaves, rows, leafRows)
+		data, err := encodeLeaf(t.Vector(c), lo, hi)
+		if err != nil {
+			return fmt.Errorf("vstore: encode leaf %s[%d][%d:%d]: %w", t.Name, c, lo, hi, err)
 		}
+		leaves[i].hash, leaves[i].payload, err = encodeChunk("leaf", nil, data)
+		return err
+	})
+	refs := make([]Hash, 0, len(leaves))
+	for _, leaf := range leaves[:encoded] {
+		if err := w.putEncoded(leaf.hash, leaf.payload, nil); err != nil {
+			return "", err
+		}
+		refs = append(refs, leaf.hash)
+	}
+	if encErr != nil {
+		return "", encErr
 	}
 	meta := tableData{Name: t.Name, Desc: t.Description, Rows: rows, LeafRows: leafRows}
 	for _, cd := range schema {
@@ -460,6 +479,53 @@ func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
 		return "", fmt.Errorf("vstore: encode table %s: %w", t.Name, err)
 	}
 	return w.Put("table", refs, data)
+}
+
+// encodedLeaf is one leaf chunk's address and payload.
+type encodedLeaf struct {
+	hash    Hash
+	payload []byte
+}
+
+// encodeSpans runs encode over [0, n) and returns how many of the first
+// indexes succeeded, with the error of the one after them. From
+// encodeSpanMin indexes on it cuts [0, n) into one contiguous span per
+// GOMAXPROCS worker, each stopping at its first error; the lowest
+// span's error wins, so the count and the error are a serial run's
+// whatever the width.
+func encodeSpans(n int, encode func(i int) error) (int, error) {
+	spans := 1
+	if n >= encodeSpanMin {
+		spans = min(runtime.GOMAXPROCS(0), n)
+	}
+	span := func(lo, hi int) (int, error) {
+		for i := lo; i < hi; i++ {
+			if err := encode(i); err != nil {
+				return i, err
+			}
+		}
+		return hi, nil
+	}
+	if spans == 1 {
+		return span(0, n)
+	}
+	ends := make([]int, spans)
+	errs := make([]error, spans)
+	var wg sync.WaitGroup
+	for i := range spans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ends[i], errs[i] = span(i*n/spans, (i+1)*n/spans)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return ends[i], err
+		}
+	}
+	return n, nil
 }
 
 // encodeDatabase writes every table of db and returns the db chunk's

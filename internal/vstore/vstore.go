@@ -425,14 +425,8 @@ func encodeEnvelope(kind string, refs []Hash, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeChunk is the lock-free half of a put: the fault consult, the
-// envelope and its address.
-func (s *Store) encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte, error) {
-	if s.cfg.Faults != nil {
-		if err := s.cfg.Faults.Inject("vstore.put"); err != nil {
-			return "", nil, err
-		}
-	}
+// encodeChunk renders a chunk's envelope and its address.
+func encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte, error) {
 	payload, err := encodeEnvelope(kind, refs, data)
 	if err != nil {
 		return "", nil, err
@@ -440,21 +434,37 @@ func (s *Store) encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte
 	return hashBytes(payload), payload, nil
 }
 
+// injectPut consults the "vstore.put" fault, once for every chunk put.
+func (s *Store) injectPut() error {
+	if s.cfg.Faults != nil {
+		return s.cfg.Faults.Inject("vstore.put")
+	}
+	return nil
+}
+
 // Put stores one chunk, returning its address. Re-putting identical
 // content is free (content addressing dedups) but still re-touches
 // the chunk's GC epoch — the write barrier that keeps a tree being
 // committed mid-sweep alive. data must be valid JSON (or nil).
 func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
-	h, payload, err := s.encodeChunk(kind, refs, data)
+	h, payload, err := encodeChunk(kind, refs, data)
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.journalLocked(true, []stagedChunk{{hash: h, payload: payload, refs: refs}}); err != nil {
+	if err := s.putEncoded(h, payload, refs); err != nil {
 		return "", err
 	}
 	return h, nil
+}
+
+// putEncoded is Put for a chunk encodeChunk has rendered.
+func (s *Store) putEncoded(h Hash, payload []byte, refs []Hash) error {
+	if err := s.injectPut(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.journalLocked(true, []stagedChunk{{hash: h, payload: payload, refs: refs}})
 }
 
 // Has reports whether the chunk is present.

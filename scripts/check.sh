@@ -55,23 +55,27 @@
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
 #                      replica opened on format-v3, seeded from that
 #                      fixture's frames and shard roots and the forged
-#                      roots of TestForgedShipBatchIsAnError) and
+#                      roots of TestForgedShipBatchIsAnError),
 #                      FuzzVectorOps (Append/Set/Extend/Gather scripts
 #                      over column vectors of every kind, checked
-#                      against a []Value oracle) run their seed
+#                      against a []Value oracle) and FuzzReadCSV
+#                      (arbitrary CSV text under an inferred or given
+#                      schema, loaded by column workers in two-record
+#                      batches and checked against the serial load's
+#                      table or error text) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
 #                      journal decoder, the column-leaf decoder, the
 #                      session-tree decoder, the WAL-record decoder,
-#                      the replica's batch apply and the vector
-#                      operations for 30 s each (go test
+#                      the replica's batch apply, the vector
+#                      operations and the CSV load for 30 s each (go test
 #                      ./internal/vstore -run '^$' -fuzz=FuzzJournalOpen
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
 #                      with -fuzz=FuzzDecodeLeaf, in
 #                      ./internal/sessionstore with
 #                      -fuzz=FuzzDecodeSessionTree, -fuzz=FuzzDecodeRecord
 #                      and -fuzz=FuzzApplyBatch, and in ./internal/storage
-#                      with -fuzz=FuzzVectorOps).
+#                      with -fuzz=FuzzVectorOps and -fuzz=FuzzReadCSV).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
