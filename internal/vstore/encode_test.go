@@ -112,7 +112,7 @@ func TestEncodeWidthSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := encodeTable(s, tab, DefaultLeafRows); fmt.Sprint(err) != fmt.Sprint("injected put ", failAt) || hook.seen != failAt || s.NumChunks() != failAt-1 {
+		if _, err := encodeTable(s, tab); fmt.Sprint(err) != fmt.Sprint("injected put ", failAt) || hook.seen != failAt || s.NumChunks() != failAt-1 {
 			t.Errorf("GOMAXPROCS %d: %v after %d puts, %d chunks kept; want put %d to fail", procs, err, hook.seen, s.NumChunks(), failAt)
 		}
 	}
@@ -129,7 +129,7 @@ func TestEncodeWidthSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = encodeTable(s, tab, DefaultLeafRows)
+		_, err = encodeTable(s, tab)
 		if leaves := 3*235 + 117; fmt.Sprint(err) != want || hook.seen != leaves || s.NumChunks() != leaves {
 			t.Errorf("GOMAXPROCS %d: %v after %d puts, %d chunks kept; want %s after %d", procs, err, hook.seen, s.NumChunks(), want, leaves)
 		}

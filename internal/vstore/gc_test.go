@@ -207,7 +207,7 @@ func TestGCConcurrentCommitMidSweep(t *testing.T) {
 	db := demoDB(300)
 	// Encode the tree but do NOT commit it: at mark time every one of
 	// its chunks is an unreachable candidate.
-	tree, err := encodeDatabase(s, db, 0)
+	tree, err := encodeDatabase(s, db)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestGCEpochBarrierSparesInFlightEncode(t *testing.T) {
 	<-gate.markDone
 	// Encode a tree between mark and sweep; commit only after GC ends.
 	db := demoDB(300)
-	tree, err := encodeDatabase(s, db, 0)
+	tree, err := encodeDatabase(s, db)
 	if err != nil {
 		t.Fatalf("encode mid-sweep: %v", err)
 	}

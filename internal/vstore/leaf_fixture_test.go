@@ -14,7 +14,9 @@ import (
 // testdata/leaf-v2/chunks.pack is what this code writes for the same
 // two commits. testdata/orders-v2/chunks.pack is the journal the commit
 // before the runs and dictionary forms wrote for ordersFixtureDB, every
-// leaf a plain typed one; testdata/leaf-v3/chunks.pack is what this code
+// leaf a plain typed one; testdata/leaf-v3/chunks.pack is what the
+// commit before the packed forms wrote for it, runs and dictionaries
+// with decimal indexes; testdata/leaf-v4/chunks.pack is what this code
 // writes for it.
 
 const (
@@ -23,6 +25,7 @@ const (
 	leafFixtureRoot   = "db/main"
 	ordersFixtureV2   = "testdata/orders-v2"
 	leafFixtureV3     = "testdata/leaf-v3"
+	leafFixtureV4     = "testdata/leaf-v4"
 	ordersFixtureRoot = "data"
 )
 

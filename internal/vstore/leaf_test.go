@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -91,68 +93,139 @@ func mustPlain(t testing.TB, col *storage.Vector, lo, hi int) []byte {
 	return data
 }
 
-// otherForm is the runs or dictionary form of a non-empty, NULL-free
-// INT or TEXT vector, written through json.Marshal: the oracle for
-// encodeInts and encodeStrings. It is nil for any other vector.
-func otherForm(t testing.TB, col *storage.Vector) []byte {
+// packBitByBit is the packed text of offs in w bits each, set one bit at
+// a time: the oracle for appendPacked.
+func packBitByBit(offs []uint64, w int) string {
+	raw := make([]byte, (len(offs)*w+7)/8)
+	for i, v := range offs {
+		for b := 0; b < w; b++ {
+			if v>>b&1 == 1 {
+				at := i*w + b
+				raw[at/8] |= 1 << (at % 8)
+			}
+		}
+	}
+	return base64.RawStdEncoding.EncodeToString(raw)
+}
+
+// offsetsOf returns the least of a non-empty ks, the offsets from it,
+// and the fewest bits that hold the largest.
+func offsetsOf(ks []int64) (lo int64, offs []uint64, w int) {
+	lo = slices.Min(ks)
+	for _, k := range ks {
+		offs = append(offs, uint64(k-lo))
+	}
+	for w < 64 && slices.Max(offs)>>w != 0 {
+		w++
+	}
+	return lo, offs, w
+}
+
+// scaleOf is the smallest s ≤ 9 at which every value is float64(k)/10^s
+// bit for bit, k being the value times 10^s rounded and |k| ≤ 2^53, with
+// those k; ok is false when none is.
+func scaleOf(vals []float64) (s int, ks []int64, ok bool) {
+	for s = 0; s <= 9; s++ {
+		ks = ks[:0]
+		for _, f := range vals {
+			k := math.Round(f * math.Pow10(s))
+			if !(math.Abs(k) <= 1<<53) || math.Float64bits(float64(int64(k))/math.Pow10(s)) != math.Float64bits(f) {
+				break
+			}
+			ks = append(ks, int64(k))
+		}
+		if len(ks) == len(vals) {
+			return s, ks, true
+		}
+	}
+	return 0, nil, false
+}
+
+// formsOf is every form the choice rule weighs for all of col, in its
+// tie order — plain, runs, dictionary, packed — each written through
+// json.Marshal: the oracle for encodeLeaf. A vector with a NULL, and a
+// BOOL one, has only the plain form.
+func formsOf(t testing.TB, col *storage.Vector) [][]byte {
 	t.Helper()
-	if col.Len() == 0 || col.NullCount(0, col.Len()) > 0 {
-		return nil
-	}
-	var form any
-	switch col.Kind() {
-	case storage.KindInt:
-		var dr []int64
-		var prev int64
-		for _, v := range col.Ints() {
-			if d := v - prev; len(dr) > 0 && dr[len(dr)-2] == d {
-				dr[len(dr)-1]++
-			} else {
-				dr = append(dr, d, 1)
-			}
-			prev = v
+	forms := [][]byte{mustPlain(t, col, 0, col.Len())}
+	add := func(form any) {
+		data, err := json.Marshal(form)
+		if err != nil {
+			t.Fatal(err)
 		}
-		form = struct {
-			T  storage.Kind `json:"t"`
-			DR []int64      `json:"dr"`
-		}{storage.KindInt, dr}
-	case storage.KindString:
-		at := map[string]int{}
-		var dict []string
-		var ix []int
-		for _, v := range values(col) {
-			s := v.S
-			k, ok := at[s]
-			if !ok {
-				k, at[s], dict = len(dict), len(dict), append(dict, s)
+		forms = append(forms, data)
+	}
+	if col.Len() > 0 && col.NullCount(0, col.Len()) == 0 {
+		switch col.Kind() {
+		case storage.KindInt:
+			var dr []int64
+			var prev int64
+			for _, v := range col.Ints() {
+				if d := v - prev; len(dr) > 0 && dr[len(dr)-2] == d {
+					dr[len(dr)-1]++
+				} else {
+					dr = append(dr, d, 1)
+				}
+				prev = v
 			}
-			ix = append(ix, k)
+			lo, offs, w := offsetsOf(col.Ints())
+			add(struct {
+				T  storage.Kind `json:"t"`
+				DR []int64      `json:"dr"`
+			}{storage.KindInt, dr})
+			add(struct {
+				T  storage.Kind `json:"t"`
+				Lo int64        `json:"lo"`
+				W  int          `json:"w"`
+				P  string       `json:"p"`
+			}{storage.KindInt, lo, w, packBitByBit(offs, w)})
+		case storage.KindFloat:
+			if s, ks, ok := scaleOf(col.Floats()); ok {
+				lo, offs, w := offsetsOf(ks)
+				add(struct {
+					T  storage.Kind `json:"t"`
+					Lo int64        `json:"lo"`
+					W  int          `json:"w"`
+					S  int          `json:"s"`
+					P  string       `json:"p"`
+				}{storage.KindFloat, lo, w, s, packBitByBit(offs, w)})
+			}
+		case storage.KindString:
+			at := map[string]uint64{}
+			var dict []string
+			var ix []uint64
+			for _, v := range values(col) {
+				s := v.S
+				k, ok := at[s]
+				if !ok {
+					k, at[s], dict = uint64(len(dict)), uint64(len(dict)), append(dict, s)
+				}
+				ix = append(ix, k)
+			}
+			_, _, w := offsetsOf([]int64{0, int64(len(dict) - 1)})
+			add(struct {
+				T    storage.Kind `json:"t"`
+				Dict []string     `json:"dict"`
+				W    int          `json:"w"`
+				P    string       `json:"p"`
+			}{storage.KindString, dict, w, packBitByBit(ix, w)})
 		}
-		form = struct {
-			T    storage.Kind `json:"t"`
-			Dict []string     `json:"dict"`
-			IX   []int        `json:"ix"`
-		}{storage.KindString, dict, ix}
-	default:
-		return nil
 	}
-	data, err := json.Marshal(form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return forms
 }
 
 // requireRoundTrip encodes all of col, requires the form the choice rule
-// picks — the shorter of the plain form and the other form of its kind,
-// plain on a tie — and requires the decode to return col's values and to
-// encode to the same bytes again.
+// picks — the shortest of the forms its kind has, the earliest in the
+// tie order on a tie — and requires the decode to return col's values
+// and to encode to the same bytes again.
 func requireRoundTrip(t testing.TB, col *storage.Vector) []byte {
 	t.Helper()
 	data := mustEncode(t, col, 0, col.Len())
-	want := mustPlain(t, col, 0, col.Len())
-	if other := otherForm(t, col); other != nil && len(other) < len(want) {
-		want = other
+	var want []byte
+	for _, form := range formsOf(t, col) {
+		if want == nil || len(form) < len(want) {
+			want = form
+		}
 	}
 	if !bytes.Equal(data, want) {
 		t.Fatalf("encoded %#v as %s, want %s", values(col), data, want)
@@ -355,8 +428,9 @@ func TestLeafRoundTrip(t *testing.T) {
 }
 
 // TestLeafForms pins the text of each form on the spans it is for, and
-// the rule between them: the shorter text, the plain one on a tie, and
-// only the plain one for a span with a NULL.
+// the rule between them: the shortest text, ties going to plain, runs,
+// dictionary and packed in that order, and only the plain one for a span
+// with a NULL.
 func TestLeafForms(t *testing.T) {
 	ints := func(vs ...int64) *storage.Vector {
 		vals := make([]storage.Value, len(vs))
@@ -365,6 +439,14 @@ func TestLeafForms(t *testing.T) {
 		}
 		return mustVector(t, storage.KindInt, vals)
 	}
+	floats := func(vs ...float64) *storage.Vector {
+		vals := make([]storage.Value, len(vs))
+		for i, v := range vs {
+			vals[i] = storage.Float(v)
+		}
+		return mustVector(t, storage.KindFloat, vals)
+	}
+	tenth := 0.1 // a variable, so that tenth+0.2 is float64 arithmetic
 	strs := func(vs ...string) *storage.Vector {
 		vals := make([]storage.Value, len(vs))
 		for i, v := range vs {
@@ -388,8 +470,18 @@ func TestLeafForms(t *testing.T) {
 		{ints(10, 20), `{"t":1,"v":[10,20]}`}, // 4 + "v" against 4 + "dr": a tie
 		{ints(0, 0, 0), `{"t":1,"dr":[0,3]}`},
 		{withNull, `{"t":1,"v":[1,2,null,4]}`},
-		{strs("east", "west", "east", "east", "west"), `{"t":3,"dict":["east","west"],"ix":[0,1,0,0,1]}`},
-		{strs("<a>", "<a>", "<a>"), `{"t":3,"dict":["\u003ca\u003e"],"ix":[0,0,0]}`},
+		{ints(3, 1, 4, 1, 5, 0, 2, 6, 5, 3), `{"t":1,"v":[3,1,4,1,5,0,2,6,5,3]}`}, // 33 plain and packed: a tie
+		{ints(3, 1, 4, 1, 5, 0, 2, 6, 5, 3, 5), `{"t":1,"lo":0,"w":3,"p":"C1PIXQE"}`},
+		{ints(19, 21, 23, 22, 21, 22, 23), `{"t":1,"dr":[19,1,2,2,-1,2,1,2]}`}, // 32 runs and packed: a tie
+		{floats(10.25, 10.5, 10.75, 10.99, 10.01, 10.4), `{"t":2,"lo":1001,"w":7,"s":2,"p":"mJhSDDgB"}`},
+		{floats(20, 20.6, 15.5, 6.3, 17.8, 19.1, 36.1), `{"t":2,"v":[20,20.6,15.5,6.3,17.8,19.1,36.1]}`}, // 46 plain and packed: a tie
+		{floats(1e-9, 2e-9, 3e-9, 1e-9, 2e-9, 3e-9), `{"t":2,"lo":1,"w":2,"s":9,"p":"JAk"}`},
+		{floats(10.25, 10.5, 10.75, 10.99, 10.01, math.Copysign(0, -1)), `{"t":2,"v":[10.25,10.5,10.75,10.99,10.01,-0]}`},
+		{floats(10.25, 10.5, 10.75, 10.99, 10.01, tenth+0.2), `{"t":2,"v":[10.25,10.5,10.75,10.99,10.01,0.30000000000000004]}`},
+		{floats(10.25, 10.5, 10.75, 10.99, 10.01, 1e-10), `{"t":2,"v":[10.25,10.5,10.75,10.99,10.01,1e-10]}`},
+		{strs("east", "west", "east", "east", "west"), `{"t":3,"dict":["east","west"],"w":1,"p":"Eg"}`},
+		{strs("<a>", "<a>", "<a>"), `{"t":3,"dict":["\u003ca\u003e"],"w":0,"p":""}`},
+		{strs("ccc", "bb", "bb", "ccc", "a", "a", "a"), `{"t":3,"v":["ccc","bb","bb","ccc","a","a","a"]}`}, // 43 plain and dictionary: a tie
 		{strs("a", "b", "a"), `{"t":3,"v":["a","b","a"]}`},
 		{strs(`"\`, `"\`, "\u2028"), `{"t":3,"v":["\"\\","\"\\","\u2028"]}`},
 	} {
@@ -463,6 +555,19 @@ func FuzzDecodeLeaf(f *testing.F) {
 		{`{"t":3,"dict":["east","west"],"ix":[0,1,1,0]}`, 4}, {`{"t":3,"dict":["a","a",""],"ix":[1,0]}`, 2}, {`{"t":3,"dict":["a","a"],"ix":[0,1]}`, 2},
 		{`{"t":3,"dict":["a"],"ix":[0,1]}`, 2}, {`{"t":3,"dict":["a"],"ix":[-1]}`, 1}, {`{"t":3,"dict":[],"ix":[]}`, 0},
 		{`{"t":3,"v":["a"],"dict":["a"],"ix":[0]}`, 1}, {`{"t":3,"dict":["\ud800","<\u2028>"],"ix":[1,0,1]}`, 3},
+		// The packed forms, and their forgeries.
+		{`{"t":1,"lo":5,"w":2,"p":"JA"}`, 3}, {`{"t":2,"lo":5,"w":2,"s":1,"p":"JA"}`, 3}, {`{"t":3,"dict":["a","b","c"],"w":2,"p":"JA"}`, 3},
+		{`{"t":1,"lo":-9223372036854775808,"w":64,"p":"////////////////////////////////"}`, 3}, {`{"t":1,"lo":42,"w":0,"p":""}`, 256},
+		{`{"t":2,"lo":-9007199254740992,"w":54,"s":9,"p":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}`, 6}, {`{"t":2,"lo":1,"w":2,"s":9,"p":"JAk"}`, 6},
+		{`{"t":1,"lo":0,"w":65,"p":"AAAAAAAAAAAAAAAAAAAAAAAAAAA"}`, 3}, {`{"t":1,"lo":0,"w":-1,"p":""}`, 3}, {`{"t":1,"lo":0,"w":8,"p":"AB*D"}`, 3},
+		{`{"t":1,"lo":0,"w":0,"p":7}`, 3}, {`{"t":1,"lo":0,"w":8,"p":"AAA"}`, 3}, {`{"t":1,"lo":0,"w":8,"p":"AAAAAA"}`, 3},
+		{`{"t":1,"lo":0,"w":8,"p":"AAA\n"}`, 3}, {`{"t":1,"lo":0,"w":3,"p":"AA=="}`, 3}, {`{"t":1,"lo":0,"w":3,"p":"AAI"}`, 3},
+		{`{"t":1,"lo":0,"w":3,"p":"AAB"}`, 3}, {`{"t":2,"lo":0,"w":0,"s":10,"p":""}`, 3}, {`{"t":2,"lo":0,"w":0,"s":-1,"p":""}`, 3},
+		{`{"t":2,"lo":9007199254740992,"w":1,"s":0,"p":"Ag"}`, 3}, {`{"t":2,"lo":9007199254740993,"w":0,"s":0,"p":""}`, 3},
+		{`{"t":2,"lo":0,"w":64,"s":0,"p":"////////////////////////////////"}`, 3}, {`{"t":3,"dict":["a","b"],"w":2,"p":"JA"}`, 3},
+		{`{"t":3,"dict":["a"],"w":64,"p":"AAAAAAAAAIAAAAAAAAAAgAAAAAAAAACA"}`, 3}, {`{"t":1,"v":[1,2,3],"lo":0,"w":0,"p":""}`, 3},
+		{`{"t":1,"dr":[1,3],"lo":0,"w":0,"p":""}`, 3}, {`{"t":3,"dict":["a"],"ix":[0,0,0],"w":0,"p":""}`, 3}, {`{"t":3,"dict":["a"]}`, 0},
+		{`{"t":1,"dict":["a"],"lo":0,"w":0,"p":""}`, 3}, {`{"t":3,"w":0,"p":""}`, 3}, {`{"t":4,"w":0,"p":""}`, 3},
 	} {
 		f.Add([]byte(seed.leaf), seed.want)
 	}
@@ -488,6 +593,101 @@ func FuzzDecodeLeaf(f *testing.F) {
 		requireSameValues(t, string(enc), values(again), values(col))
 		if fixed, err := encodeLeaf(again, 0, again.Len()); err != nil || !bytes.Equal(fixed, enc) {
 			t.Fatalf("%s re-encodes as %s, %v", enc, fixed, err)
+		}
+	})
+}
+
+// spanFromBytes builds a span of one kind from fuzz bytes. Each value
+// reads a selector byte — one in eight makes it NULL — and then what its
+// kind needs: INT a signed number of 1, 2, 4 or 8 bytes; FLOAT a
+// float64's bits (NaN and ±Inf, which no leaf carries, read as -0), -0,
+// a subnormal, or a decimal of 2 to 9 places; TEXT up to four characters
+// JSON escapes or repeats; BOOL a bit of the selector.
+func spanFromBytes(t *testing.T, kind storage.Kind, data []byte) *storage.Vector {
+	alphabet := []string{"a", "b", " ", `"`, `\`, "<", "\x00", "\u2028", "é", "東"}
+	next := func(n int) uint64 {
+		var v uint64
+		for i := 0; i < n && len(data) > 0; i++ {
+			v |= uint64(data[0]) << (8 * i)
+			data = data[1:]
+		}
+		return v
+	}
+	col := storage.NewVector(kind, 0)
+	for len(data) > 0 {
+		sel := next(1)
+		v := storage.Null()
+		if sel%8 != 0 {
+			switch arm := int(sel>>3) % 4; kind {
+			case storage.KindInt:
+				shift := 64 - 8<<arm
+				v = storage.Int(int64(next(8>>(3-arm))<<shift) >> shift)
+			case storage.KindFloat:
+				f := math.Copysign(0, -1)
+				switch arm {
+				case 0:
+					if f = math.Float64frombits(next(8)); math.IsNaN(f) || math.IsInf(f, 0) {
+						f = math.Copysign(0, -1)
+					}
+				case 2:
+					f = math.Float64frombits(next(8) & (1<<52 - 1))
+				case 3:
+					f = float64(int32(next(4))) / math.Pow10(2+int(sel>>5))
+				}
+				v = storage.Float(f)
+			case storage.KindString:
+				var b strings.Builder
+				for n := arm + int(sel>>5)%2; n > 0; n-- {
+					b.WriteString(alphabet[next(1)%uint64(len(alphabet))])
+				}
+				v = storage.Str(b.String())
+			case storage.KindBool:
+				v = storage.Bool(arm%2 == 1)
+			}
+		}
+		if err := col.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return col
+}
+
+// FuzzEncodeLeaf runs the codec in the encode direction: a span built
+// from the fuzz bytes encodes, decodes to itself bit for bit, is written
+// no longer than its plain form, and re-encodes from the decode to the
+// same bytes.
+func FuzzEncodeLeaf(f *testing.F) {
+	rng := rand.New(rand.NewSource(30))
+	for kind := byte(0); kind < 4; kind++ {
+		for _, n := range []int{16, 300, 2000} {
+			data := make([]byte, n)
+			rng.Read(data)
+			f.Add(kind, data)
+		}
+	}
+	// Spans of decimals — prices in cents, then 9-place values — and of
+	// small integers, which the packed forms are for.
+	for _, sel := range []byte{0x19, 0xf9, 0x01, 0x09} {
+		var data []byte
+		for i := 0; i < 256; i++ {
+			data = append(data, sel, byte(i*37), byte(i%3), 0, 0)
+		}
+		f.Add(byte(1), data)
+		f.Add(byte(0), data)
+	}
+	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
+		col := spanFromBytes(t, storage.KindInt+storage.Kind(kind%4), data)
+		enc := mustEncode(t, col, 0, col.Len())
+		dec, err := decodeLeaf(enc, col.Len())
+		if err != nil {
+			t.Fatalf("%s does not decode: %v", enc, err)
+		}
+		requireSameValues(t, string(enc), values(dec), values(col))
+		if plain := mustPlain(t, col, 0, col.Len()); len(enc) > len(plain) {
+			t.Fatalf("%s is longer than its plain form %s", enc, plain)
+		}
+		if again := mustEncode(t, dec, 0, dec.Len()); !bytes.Equal(again, enc) {
+			t.Fatalf("%s re-encodes from its decode as %s", enc, again)
 		}
 	})
 }
@@ -653,15 +853,53 @@ func TestWritesV2LeafBytes(t *testing.T) {
 	}
 }
 
-// TestUpgradesParentOrders opens the journal the parent commit wrote for
-// ordersFixtureDB — every leaf plain — and walks the upgrade a node's
-// first CommitData(0) takes: the old version materializes to the
-// generator's database; committing that database at turn 0 adds one new
-// tree beside it, leaf-v3's, sharing the leaves whose form did not
-// change; both materialize equal and keep resolving after a reopen; and
-// committing once more writes nothing.
-func TestUpgradesParentOrders(t *testing.T) {
-	dir := copyLeafFixture(t, ordersFixtureV2)
+// tableLeaves returns the leaf refs of the one table of a db tree.
+func tableLeaves(t *testing.T, s *Store, tree Hash) []Hash {
+	t.Helper()
+	tables, err := s.Refs(tree)
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("db refs %v, %v", tables, err)
+	}
+	leaves, err := s.Refs(tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leaves
+}
+
+// leafForms names the form of each leaf of the one table of a db tree
+// by its keys, "t" aside, sorted: "v", "dr", "dict ix", "dict p w",
+// "lo p w" or "lo p s w".
+func leafForms(t *testing.T, s *Store, tree Hash) []string {
+	t.Helper()
+	var forms []string
+	for _, h := range tableLeaves(t, s, tree) {
+		var keys map[string]json.RawMessage
+		if _, err := s.Data(h, &keys); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for k := range keys {
+			if k != "t" {
+				names = append(names, k)
+			}
+		}
+		slices.Sort(names)
+		forms = append(forms, strings.Join(names, " "))
+	}
+	return forms
+}
+
+// requireOrdersUpgrade opens a journal an older writer left for
+// ordersFixtureDB and walks the upgrade a node's first CommitData(0)
+// takes: the old version materializes to the generator's database;
+// committing that database at turn 0 adds one new tree beside it,
+// leaf-v4's, which shares exactly the old leaves whose form is one of
+// kept and adds the rest; both materialize equal and keep resolving
+// after a reopen; and committing once more writes nothing.
+func requireOrdersUpgrade(t *testing.T, fixture string, kept ...string) {
+	t.Helper()
+	dir := copyLeafFixture(t, fixture)
 	s := openDir(t, dir)
 	old, err := s.Log(ordersFixtureRoot)
 	if err != nil || len(old) != 1 {
@@ -675,17 +913,26 @@ func TestUpgradesParentOrders(t *testing.T) {
 	requireSameDB(t, got, want)
 
 	chunks := s.NumChunks()
+	oldLeaves := tableLeaves(t, s, old[0].Tree)
 	head, err := s.CommitDatabase(ordersFixtureRoot, want, 0)
 	if err != nil || head.Tree == old[0].Tree || head.Parent != old[0].Hash || head.Turn != 0 {
 		t.Fatalf("upgrade commit = %+v, %v; want a new turn-0 tree on top of %s", head, err, old[0].Hash)
 	}
-	added := s.NumChunks() - chunks
-	if added <= 0 || added >= chunks {
-		t.Fatalf("upgrade added %d chunks to %d: want new leaves beside old ones, with the unchanged ones shared", added, chunks)
-	}
-	pinned, err := openDir(t, copyLeafFixture(t, leafFixtureV3)).Log(ordersFixtureRoot)
+	pinned, err := openDir(t, copyLeafFixture(t, leafFixtureV4)).Log(ordersFixtureRoot)
 	if err != nil || pinned[0].Tree != head.Tree {
-		t.Fatalf("upgrade committed tree %s; leaf-v3 has %+v, %v", head.Tree, pinned, err)
+		t.Fatalf("upgrade committed tree %s; leaf-v4 has %+v, %v", head.Tree, pinned, err)
+	}
+	added := map[Hash]bool{}
+	forms := leafForms(t, s, head.Tree)
+	for i, h := range tableLeaves(t, s, head.Tree) {
+		if shared := slices.Contains(oldLeaves, h); shared != slices.Contains(kept, forms[i]) {
+			t.Errorf("leaf %d of column %d, in the %q form, shared with the old tree: %t", i%3, i/3, forms[i], shared)
+		} else if !shared {
+			added[h] = true
+		}
+	}
+	if n := s.NumChunks() - chunks; n != len(added)+3 {
+		t.Fatalf("upgrade added %d chunks, want %d new leaves and a table, db and commit", n, len(added))
 	}
 	requireSameVersion(t, s, old[0].Hash, head.Hash)
 	chunks = s.NumChunks()
@@ -703,64 +950,81 @@ func TestUpgradesParentOrders(t *testing.T) {
 	}
 	requireSameDB(t, db, want)
 	requireSameVersion(t, reopened, old[0].Hash, head.Hash)
+	if again, err := reopened.CommitDatabase(ordersFixtureRoot, want, 0); err != nil || again != head {
+		t.Fatalf("commit after reopen = %+v, %v; want %+v", again, err, head)
+	}
 }
 
-// TestWritesV3LeafBytes pins the bytes this code journals for
-// ordersFixtureDB, and the form each leaf took: runs for the key and the
-// constant, a dictionary for the regions but in the leaf with the NULL,
-// the plain form for the periodic quantity and the amount.
+// TestUpgradesParentOrders: the journal of plain leaves written before
+// the runs and dictionary forms upgrades to leaf-v4's tree, sharing the
+// one leaf still plain, the one with the NULL.
+func TestUpgradesParentOrders(t *testing.T) {
+	requireOrdersUpgrade(t, ordersFixtureV2, "v")
+}
+
+// TestUpgradesV3Orders: leaf-v3, the journal written before the packed
+// forms, upgrades to leaf-v4's tree, sharing the runs leaves and the
+// leaf with the NULL.
+func TestUpgradesV3Orders(t *testing.T) {
+	requireOrdersUpgrade(t, leafFixtureV3, "dr", "v")
+}
+
+// v3Forms and v4Forms are the forms of the orders fixture's leaves, three
+// a column: runs for the key and the constant, a dictionary for the
+// regions but in the leaf with the NULL, and — v3 plain, v4 packed — the
+// periodic quantity and the two-decimal amount.
+var (
+	v3Forms = []string{"dr", "dr", "dr", "dict ix", "v", "dict ix", "dr", "dr", "dr", "v", "v", "v", "v", "v", "v"}
+	v4Forms = []string{"dr", "dr", "dr", "dict p w", "v", "dict p w", "dr", "dr", "dr",
+		"lo p w", "lo p w", "lo p w", "lo p s w", "lo p s w", "lo p s w"}
+)
+
+// requireOrdersFixture requires a fixture journal to hold
+// ordersFixtureDB at turn 0 in leaves of the given forms.
+func requireOrdersFixture(t *testing.T, fixture string, forms []string) {
+	t.Helper()
+	s := openDir(t, copyLeafFixture(t, fixture))
+	db, c, err := s.DatabaseAsOf(ordersFixtureRoot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, db, ordersFixtureDB())
+	if got := leafForms(t, s, c.Tree); fmt.Sprint(got) != fmt.Sprint(forms) {
+		t.Errorf("%s leaves are in the forms %q, want %q", fixture, got, forms)
+	}
+}
+
+// TestWritesV3LeafBytes reads leaf-v3, the journal the writer before the
+// packed forms left for ordersFixtureDB.
 func TestWritesV3LeafBytes(t *testing.T) {
+	requireOrdersFixture(t, leafFixtureV3, v3Forms)
+}
+
+// TestWritesV4LeafBytes pins the bytes this code journals for
+// ordersFixtureDB, and reads them back.
+func TestWritesV4LeafBytes(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
-	want := commitOrdersFixture(t, s)
+	commitOrdersFixture(t, openDir(t, dir))
 	got, err := os.ReadFile(filepath.Join(dir, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := os.ReadFile(filepath.Join(leafFixtureV3, packName))
+	pinned, err := os.ReadFile(filepath.Join(leafFixtureV4, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pinned) {
 		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
 	}
-	head := mustHead(t, s, ordersFixtureRoot)
-	tables, err := s.Refs(head.Tree)
-	if err != nil || len(tables) != 1 {
-		t.Fatalf("db refs %v, %v", tables, err)
-	}
-	leaves, err := s.Refs(tables[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	forms := []string{"dr", "dr", "dr", "dict", "v", "dict", "dr", "dr", "dr", "v", "v", "v", "v", "v", "v"}
-	if len(leaves) != len(forms) {
-		t.Fatalf("%d leaves, want %d", len(leaves), len(forms))
-	}
-	for i, h := range leaves {
-		var keys map[string]json.RawMessage
-		if _, err := s.Data(h, &keys); err != nil {
-			t.Fatal(err)
-		}
-		for _, form := range []string{"v", "dr", "dict"} {
-			if _, ok := keys[form]; ok != (form == forms[i]) {
-				t.Errorf("leaf %d of column %d has keys %v, want the %q form", i%3, i/3, keys, forms[i])
-			}
-		}
-	}
-	fixture := openDir(t, copyLeafFixture(t, leafFixtureV3))
-	db, _, err := fixture.DatabaseAsOf(ordersFixtureRoot, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameDB(t, db, want)
+	requireOrdersFixture(t, leafFixtureV4, v4Forms)
 }
 
 // TestLeafBytesPerValue holds the journal of an orders-shaped table —
 // the benchmark's scan_heavy CSV: int id, c%04d customer, eight region
-// names, 1–12, a two-decimal amount — to 5 bytes per value, envelopes,
-// hashes and frames included (the struct-array form took ~44, the plain
-// form alone ~6.7).
+// names, 1–12, a two-decimal amount — to 3.05 bytes per value,
+// envelopes, hashes and frames included (it measures 2.95; the
+// struct-array form took ~44, the plain form alone ~6.7, plain, runs
+// and decimal dictionaries ~4.3).
 func TestLeafBytesPerValue(t *testing.T) {
 	const rows = 6000
 	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "urban"}
@@ -791,8 +1055,8 @@ func TestLeafBytesPerValue(t *testing.T) {
 	}
 	values := int64(rows * tab.NumCols())
 	t.Logf("%d values in a %d-byte journal: %.2f bytes per value", values, info.Size(), float64(info.Size())/float64(values))
-	if info.Size() > 5*values {
-		t.Fatalf("journal is %d bytes for %d values, want at most 5 per value", info.Size(), values)
+	if info.Size()*100 > 305*values {
+		t.Fatalf("journal is %d bytes for %d values, want at most 3.05 per value", info.Size(), values)
 	}
 	got, err := s.MaterializeDatabase(c.Tree)
 	if err != nil {
@@ -817,12 +1081,21 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 	}
 	// A three-row table of one column of the given kind over one leaf.
 	leaf := func(schemaKind int, data string) Hash { return table(put("leaf", nil, data), schemaKind, 3, 256) }
-	for _, well := range []Hash{good, leaf(1, `{"t":1,"dr":[1,3]}`), leaf(3, `{"t":3,"dict":["a","b"],"ix":[1,0,1]}`)} {
+	// "JA" packs 0, 1 and 2 in two bits each.
+	wellFormed := []Hash{good, leaf(1, `{"t":1,"dr":[1,3]}`), leaf(3, `{"t":3,"dict":["a","b"],"ix":[1,0,1]}`),
+		leaf(1, `{"t":1,"lo":5,"w":2,"p":"JA"}`), leaf(2, `{"t":2,"lo":5,"w":2,"s":1,"p":"JA"}`), leaf(3, `{"t":3,"dict":["a","b","c"],"w":2,"p":"JA"}`)}
+	for _, well := range wellFormed {
 		if tab, err := s.MaterializeTable(well); err != nil || tab.NumRows() != 3 {
 			t.Fatalf("a well-formed table: %v", err)
 		}
 	}
 	cols4 := `{"name":"a","kind":1},{"name":"b","kind":1},{"name":"c","kind":1},{"name":"d","kind":1}`
+	// A few bytes that claim 2^40 rows, under a table that claims as many
+	// a leaf: refused before MaterializeTable sizes a column by them.
+	vast := []Hash{
+		table(put("leaf", nil, `{"t":1,"dr":[0,1099511627776]}`), 1, 1<<40, 1<<40),
+		table(put("leaf", nil, `{"t":1,"lo":0,"w":0,"p":""}`), 1, 1<<40, 1<<40),
+	}
 	strs := put("leaf", nil, `[{"Kind":3,"S":"a"},{"Kind":1,"I":2},{"Kind":1,"I":3}]`)
 	for _, forged := range []struct {
 		name string
@@ -860,6 +1133,35 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 		{"v and dict", leaf(3, `{"t":3,"v":["a","a","a"],"dict":["a"],"ix":[0,0,0]}`)},
 		{"dr and dict", leaf(1, `{"t":1,"dr":[1,3],"dict":["a"],"ix":[0,0,0]}`)},
 		{"a null dr beside v", leaf(1, `{"t":1,"v":[1,2,3],"dr":null}`)},
+		{"leafRows past DefaultLeafRows", table(ints, 1, 3, DefaultLeafRows+1)},
+		{"a one-run leaf claiming 2^40 rows", vast[0]},
+		{"a zero-width packed leaf claiming 2^40 rows", vast[1]},
+		{"a width of 65", leaf(1, `{"t":1,"lo":0,"w":65,"p":"AAAAAAAAAAAAAAAAAAAAAAAAAAA"}`)},
+		{"a width of -1", leaf(1, `{"t":1,"lo":0,"w":-1,"p":""}`)},
+		{"packed text that is not base64", leaf(1, `{"t":1,"lo":0,"w":8,"p":"AB*D"}`)},
+		{"packed text that is not a string", leaf(1, `{"t":1,"lo":0,"w":0,"p":7}`)},
+		{"packed text of too few bytes", leaf(1, `{"t":1,"lo":0,"w":8,"p":"AAA"}`)},
+		{"packed text of too many bytes", leaf(1, `{"t":1,"lo":0,"w":8,"p":"AAAAAA"}`)},
+		{"packed text padded with a newline", leaf(1, `{"t":1,"lo":0,"w":8,"p":"AAA\n"}`)},
+		{"packed text with a base64 pad", leaf(1, `{"t":1,"lo":0,"w":3,"p":"AA=="}`)},
+		{"a bit set past the last value", leaf(1, `{"t":1,"lo":0,"w":3,"p":"AAI"}`)},
+		{"stray bits in the last base64 character", leaf(1, `{"t":1,"lo":0,"w":3,"p":"AAB"}`)},
+		{"a scale of 10", leaf(2, `{"t":2,"lo":0,"w":0,"s":10,"p":""}`)},
+		{"a scale of -1", leaf(2, `{"t":2,"lo":0,"w":0,"s":-1,"p":""}`)},
+		{"a FLOAT k of 2^53+1", leaf(2, `{"t":2,"lo":9007199254740992,"w":1,"s":0,"p":"Ag"}`)},
+		{"a FLOAT lo past 2^53", leaf(2, `{"t":2,"lo":9007199254740993,"w":0,"s":0,"p":""}`)},
+		{"a FLOAT lo below -2^53", leaf(2, `{"t":2,"lo":-9007199254740993,"w":0,"s":0,"p":""}`)},
+		{"a FLOAT k past 2^53 in 64 bits", leaf(2, `{"t":2,"lo":0,"w":64,"s":0,"p":"////////////////////////////////"}`)},
+		{"a packed index at the dictionary's length", leaf(3, `{"t":3,"dict":["a","b"],"w":2,"p":"JA"}`)},
+		{"a packed index past 2^63", leaf(3, `{"t":3,"dict":["a"],"w":64,"p":"AAAAAAAAAIAAAAAAAAAAgAAAAAAAAACA"}`)},
+		{"v and p", leaf(1, `{"t":1,"v":[1,2,3],"lo":0,"w":0,"p":""}`)},
+		{"dr and p", leaf(1, `{"t":1,"dr":[1,3],"lo":0,"w":0,"p":""}`)},
+		{"ix and p", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0,0],"w":0,"p":""}`)},
+		{"a dictionary without ix or p", leaf(3, `{"t":3,"dict":["a"]}`)},
+		{"a dictionary in an INT leaf", leaf(1, `{"t":1,"dict":["a"],"lo":0,"w":0,"p":""}`)},
+		{"packed TEXT without a dictionary", leaf(3, `{"t":3,"w":0,"p":""}`)},
+		{"packed BOOL", leaf(4, `{"t":4,"w":0,"p":""}`)},
+		{"packed INT in a TEXT column", leaf(3, `{"t":1,"lo":0,"w":0,"p":""}`)},
 	} {
 		tab, err := s.MaterializeTable(forged.h)
 		var mal *MalformedChunkError
@@ -868,18 +1170,26 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 		}
 	}
 
-	// A count near 2^62 is refused before anything is sized by it.
+	// A count near 2^62, and a table of 2^40 rows a leaf, are refused
+	// before anything is sized by them.
 	huge := []byte(`{"t":1,"dr":[1,4611686018427387904]}`)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 100; i++ {
-		if _, err := decodeLeaf(huge, 256); err == nil {
-			t.Fatal("decoded a run of 2^62 values")
-		}
+	refusals := map[string]func() error{
+		"a run of 2^62 values":           func() error { _, err := decodeLeaf(huge, 256); return err },
+		"a one-run leaf of 2^40 rows":    func() error { _, err := s.MaterializeTable(vast[0]); return err },
+		"a zero-width leaf of 2^40 rows": func() error { _, err := s.MaterializeTable(vast[1]); return err },
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
-		t.Fatalf("refusing a run of 2^62 values allocated %d bytes", per)
+	for name, refuse := range refusals {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			if refuse() == nil {
+				t.Fatalf("accepted %s", name)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
+			t.Fatalf("refusing %s allocated %d bytes", name, per)
+		}
 	}
 }
 

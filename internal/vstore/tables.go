@@ -1,8 +1,11 @@
 package vstore
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strconv"
@@ -25,20 +28,27 @@ import (
 // the unchanged leaves free: the encoder re-puts them and the store
 // dedups by hash.
 //
-// A leaf's data takes one of four JSON forms, the legacy one told apart
-// by its first byte and the others by their keys:
+// A leaf's data takes one of these JSON forms, the legacy one told
+// apart by its first byte and the others by their keys:
 //
 //	{"t":1,"v":[17,null,-4]}                      plain: one kind, bare values
 //	{"t":1,"dr":[1,256]}                          INT runs: 256 deltas of 1 from 0
-//	{"t":3,"dict":["east","west"],"ix":[0,1,1]}   TEXT dictionary
+//	{"t":1,"lo":1,"w":4,"p":"…"}                  INT packed: offsets from 1 in 4 bits
+//	{"t":2,"lo":100,"w":17,"s":2,"p":"…"}         FLOAT packed: hundredths from 1.00
+//	{"t":3,"dict":["east","west"],"w":1,"p":"…"}  TEXT dictionary, indexes packed
+//	{"t":3,"dict":["east","west"],"ix":[0,1,1]}   TEXT dictionary, decimal indexes
 //	[{"Kind":1,"I":17,"F":0,"S":"","B":false},…]  legacy: one struct per value
 //
-// encodeLeaf writes the shorter of the plain form and its kind's second
-// form, the plain one on a tie; a span with a NULL, and a FLOAT or BOOL
-// span, has only the plain one. decodeLeaf reads all four, so a journal
-// never needs rewriting.
+// encodeLeaf writes the shortest of the forms a span's kind has, ties
+// going to plain, runs, dictionary and packed in that order; a span with
+// a NULL, and a BOOL span, has only the plain one. A packed text "p" is
+// the base64 of each value less the span's minimum "lo" in "w" bits,
+// least-significant bit first; a FLOAT span packs the integers k its
+// values are float64(k)/10^s of. decodeLeaf reads every form — the
+// last two are no longer written — so a journal never needs rewriting.
 
-// DefaultLeafRows is the row span of one column leaf.
+// DefaultLeafRows is the row span of one column leaf, and the most a
+// table chunk may claim.
 const DefaultLeafRows = 256
 
 // colDef mirrors storage.ColumnDef with stable JSON tags.
@@ -82,8 +92,8 @@ func leafSpan(l, rows, leafRows int) int {
 }
 
 // encodeLeaf renders rows [lo, hi) of col as {"t": kind, "v": [bare
-// values, null for NULL]}, t being 0 when all are NULL — or, for an INT
-// or TEXT span with no NULL, as the runs or dictionary form when that
+// values, null for NULL]}, t being 0 when all are NULL — or, for an INT,
+// FLOAT or TEXT span with no NULL, in another form of its kind when that
 // is shorter. The form is a function of the values alone: equal spans
 // hash equal, whatever the column's kind or the rows around them. NaN
 // and ±Inf have no JSON form and fail the encode.
@@ -92,6 +102,10 @@ func encodeLeaf(col *storage.Vector, lo, hi int) ([]byte, error) {
 		switch col.Kind() {
 		case storage.KindInt:
 			return encodeInts(col.Ints()[lo:hi]), nil
+		case storage.KindFloat:
+			if data := packFloats(col.Floats()[lo:hi]); data != nil {
+				return data, nil
+			}
 		case storage.KindString:
 			return encodeStrings(col.Dict(), col.Codes()[lo:hi])
 		}
@@ -150,8 +164,9 @@ func marshalSpan[T any](vals []T, isNull func(i int) bool) ([]byte, error) {
 	return json.Marshal(ptrs)
 }
 
-// encodeInts writes a non-empty INT span in the shorter of the plain
-// form and its runs of equal deltas, having counted the digits of both.
+// encodeInts writes a non-empty INT span in the shortest of the plain
+// form, its runs of equal deltas and its packed offsets, having counted
+// the length of each.
 func encodeInts(vals []int64) []byte {
 	// Each number is written with a comma after it; the last becomes "]".
 	plain, runs := len(`{"t":1,"v":[]}`)-1, len(`{"t":1,"dr":[]}`)-1
@@ -159,19 +174,164 @@ func encodeInts(vals []int64) []byte {
 		plain += digits(v) + 1
 	}
 	eachRun(vals, func(d, n int64) { runs += digits(d) + digits(n) + 2 })
+	lo, w := intRange(vals)
+	packed := len(`{"t":1,"lo":,"w":,"p":""}`) + digits(lo) + digits(int64(w)) + packedLen(len(vals), w)
 	var out []byte
-	if runs < plain {
-		out = append(make([]byte, 0, runs), `{"t":1,"dr":[`...)
-		eachRun(vals, func(d, n int64) {
-			out = append(strconv.AppendInt(append(strconv.AppendInt(out, d, 10), ','), n, 10), ',')
-		})
-	} else {
+	switch {
+	case plain <= runs && plain <= packed:
 		out = append(make([]byte, 0, plain), `{"t":1,"v":[`...)
 		for _, v := range vals {
 			out = append(strconv.AppendInt(out, v, 10), ',')
 		}
+	case runs <= packed:
+		out = append(make([]byte, 0, runs), `{"t":1,"dr":[`...)
+		eachRun(vals, func(d, n int64) {
+			out = append(strconv.AppendInt(append(strconv.AppendInt(out, d, 10), ','), n, 10), ',')
+		})
+	default:
+		out = strconv.AppendInt(append(make([]byte, 0, packed), `{"t":1,"lo":`...), lo, 10)
+		out = strconv.AppendInt(append(out, `,"w":`...), int64(w), 10)
+		out = appendPacked(append(out, `,"p":"`...), len(vals), w, func(i int) uint64 { return uint64(vals[i] - lo) })
+		return append(out, `"}`...)
 	}
 	return append(out[:len(out)-1], "]}"...)
+}
+
+// intRange returns the least of a non-empty vals and the bits its
+// largest offset from it takes. The offsets wrap, as the decoder's sums
+// do, so the widest span is 64 bits.
+func intRange(vals []int64) (lo int64, w int) {
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, bits.Len64(uint64(hi - lo))
+}
+
+// packedLen is the length of the base64 text of n values in w bits.
+func packedLen(n, w int) int {
+	return base64.RawStdEncoding.EncodedLen((n*w + 7) / 8)
+}
+
+// appendPacked appends the base64 text (RawStdEncoding) of off(0) …
+// off(n-1), each below 2^w, written in w bits apiece from the
+// least-significant bit of the first byte on; the bits after the last
+// value are zero.
+func appendPacked(out []byte, n, w int, off func(i int) uint64) []byte {
+	raw := make([]byte, (n*w+7)/8)
+	for i, bit := 0, 0; i < n && w > 0; i++ {
+		v := off(i)
+		for end := bit + w; bit < end; {
+			raw[bit/8] |= byte(v << (bit % 8))
+			step := min(8-bit%8, end-bit)
+			v >>= step
+			bit += step
+		}
+	}
+	return base64.RawStdEncoding.AppendEncode(out, raw)
+}
+
+// unpackBits reads n values of w bits from a packed text, refusing a
+// width outside 0–64 and text that is not the exact base64 of the
+// ⌈n·w/8⌉ bytes appendPacked writes — a bit set past the last value
+// included. Nothing is sized by the text before its length is checked.
+func unpackBits(p json.RawMessage, n, w int) ([]uint64, error) {
+	if w < 0 || w > 64 {
+		return nil, fmt.Errorf("packed width %d, want 0 to 64", w)
+	}
+	var text string
+	if err := json.Unmarshal(p, &text); err != nil {
+		return nil, err
+	}
+	if len(text) != packedLen(n, w) {
+		return nil, fmt.Errorf("packed text of %d characters, want %d for %d values of %d bits", len(text), packedLen(n, w), n, w)
+	}
+	// Strict refuses stray bits in the last character, and the byte
+	// count below a \r or \n, which the decoder skips.
+	raw, err := base64.RawStdEncoding.Strict().DecodeString(text)
+	if err != nil {
+		return nil, err
+	}
+	size := (n*w + 7) / 8
+	if len(raw) != size {
+		return nil, fmt.Errorf("packed text holds %d bytes, want %d", len(raw), size)
+	}
+	if used := n * w % 8; used != 0 && raw[size-1]>>used != 0 {
+		return nil, fmt.Errorf("packed text has bits set past its last value")
+	}
+	offs := make([]uint64, n)
+	for i, bit := 0, 0; i < n && w > 0; i++ {
+		for shift := 0; shift < w; {
+			step := min(8-bit%8, w-shift)
+			offs[i] |= (uint64(raw[bit/8]>>(bit%8)) & (1<<step - 1)) << shift
+			shift += step
+			bit += step
+		}
+	}
+	return offs, nil
+}
+
+// pow10 holds 10^s for each scale a packed FLOAT leaf may have; every
+// one is exact in a float64.
+var pow10 = [...]float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// maxScaled bounds |k| in a packed FLOAT leaf: every integer up to it is
+// exact in a float64.
+const maxScaled = 1 << 53
+
+// scaled returns the smallest scale s at which every value is bit for
+// bit float64(k)/10^s, k being the value times 10^s rounded and |k| ≤
+// 2^53, with those k; ok is false when no scale fits. -0, NaN, ±Inf and
+// a sum like 0.1+0.2 fit none.
+func scaled(vals []float64) (s int, ks []int64, ok bool) {
+	ks = make([]int64, len(vals))
+	for s = range pow10 {
+		i := 0
+		for ; i < len(vals); i++ {
+			k := math.Round(vals[i] * pow10[s])
+			if !(math.Abs(k) <= maxScaled) || math.Float64bits(float64(int64(k))/pow10[s]) != math.Float64bits(vals[i]) {
+				break
+			}
+			ks[i] = int64(k)
+		}
+		if i == len(vals) {
+			return s, ks, true
+		}
+	}
+	return 0, nil, false
+}
+
+// packFloats writes a non-empty FLOAT span packed when its values are
+// decimals of at most nine places and that text is shorter than the
+// plain one; it returns nil when the plain form is to be written. The
+// plain text is measured only when a lower bound on its length — each
+// value's integer digits, plus a point and a digit for a fraction — does
+// not settle the choice, so a span of prices is never formatted.
+func packFloats(vals []float64) []byte {
+	s, ks, ok := scaled(vals)
+	if !ok {
+		return nil
+	}
+	lo, w := intRange(ks)
+	packed := len(`{"t":2,"lo":,"w":,"s":0,"p":""}`) + digits(lo) + digits(int64(w)) + packedLen(len(ks), w)
+	plain := len(`{"t":2,"v":[]}`) - 1
+	for _, f := range vals {
+		plain += digits(int64(f)) + 1
+		if f != math.Trunc(f) {
+			plain += 2
+		}
+	}
+	if plain <= packed {
+		text, err := json.Marshal(vals)
+		if err != nil || len(`{"t":2,"v":}`)+len(text) <= packed {
+			return nil
+		}
+	}
+	out := strconv.AppendInt(append(make([]byte, 0, packed), `{"t":2,"lo":`...), lo, 10)
+	out = strconv.AppendInt(append(out, `,"w":`...), int64(w), 10)
+	out = strconv.AppendInt(append(out, `,"s":`...), int64(s), 10)
+	out = appendPacked(append(out, `,"p":"`...), len(ks), w, func(i int) uint64 { return uint64(ks[i] - lo) })
+	return append(out, `"}`...)
 }
 
 // digits is the length of v in decimal.
@@ -203,7 +363,8 @@ func eachRun(vals []int64, f func(d, n int64)) {
 
 // encodeStrings writes a non-empty TEXT span, given as codes into the
 // vector's dictionary, in the shorter of the plain form and a
-// dictionary in first-appearance order with an index per row. Each
+// dictionary in first-appearance order with an index per row, the
+// indexes packed in the bits the last of them takes. Each
 // distinct string is marshalled once, and either form is assembled from
 // those texts, so the plain one is json.Marshal's. A vector's
 // dictionary holds no string twice, so renumbering its codes in order
@@ -237,23 +398,21 @@ func encodeStrings(colDict []string, codes []uint32) ([]byte, error) {
 		}
 		texts[k], rest = rest[:i+1], rest[i+2:]
 	}
-	plain, dictLen := len(`{"t":3,"v":[]}`)-1, len(`{"t":3,"dict":,"ix":[]}`)+len(list)-1
+	plain := len(`{"t":3,"v":[]}`) - 1
 	for _, k := range ix {
 		plain += len(texts[k]) + 1
-		dictLen += digits(int64(k)) + 1
 	}
-	var out []byte
+	w := bits.Len(uint(len(dict) - 1))
+	dictLen := len(`{"t":3,"dict":,"w":,"p":""}`) + len(list) + digits(int64(w)) + packedLen(len(ix), w)
 	if dictLen < plain {
-		out = append(append(make([]byte, 0, dictLen), `{"t":3,"dict":`...), list...)
-		out = append(out, `,"ix":[`...)
-		for _, k := range ix {
-			out = append(strconv.AppendInt(out, int64(k), 10), ',')
-		}
-	} else {
-		out = append(make([]byte, 0, plain), `{"t":3,"v":[`...)
-		for _, k := range ix {
-			out = append(append(out, texts[k]...), ',')
-		}
+		out := append(append(make([]byte, 0, dictLen), `{"t":3,"dict":`...), list...)
+		out = strconv.AppendInt(append(out, `,"w":`...), int64(w), 10)
+		out = appendPacked(append(out, `,"p":"`...), len(ix), w, func(i int) uint64 { return uint64(ix[i]) })
+		return append(out, `"}`...), nil
+	}
+	out := append(make([]byte, 0, plain), `{"t":3,"v":[`...)
+	for _, k := range ix {
+		out = append(append(out, texts[k]...), ',')
 	}
 	return append(out[:len(out)-1], "]}"...), nil
 }
@@ -273,8 +432,9 @@ func decodeLeaf(data []byte, want int) (*storage.Vector, error) {
 
 // decodeForm is decodeLeaf less the final count. A legacy leaf must
 // hold what a vector can, values of one kind and NULLs; a field its
-// value's kind does not use is dropped. A runs or dictionary leaf is
-// checked against want before anything is sized by what it claims.
+// value's kind does not use is dropped. A runs, packed or dictionary
+// leaf is checked against want before anything is sized by what it
+// claims; a packed one holds exactly want values.
 func decodeForm(data []byte, want int) (*storage.Vector, error) {
 	if len(data) > 0 && data[0] == '[' {
 		var vals []storage.Value
@@ -298,18 +458,36 @@ func decodeForm(data []byte, want int) (*storage.Vector, error) {
 		V    json.RawMessage `json:"v"`
 		DR   json.RawMessage `json:"dr"`
 		Dict json.RawMessage `json:"dict"`
-		IX   []int           `json:"ix"`
+		IX   json.RawMessage `json:"ix"`
+		P    json.RawMessage `json:"p"`
+		Lo   int64           `json:"lo"`
+		W    int             `json:"w"`
+		S    int             `json:"s"`
 	}
 	if err := json.Unmarshal(data, &leaf); err != nil {
 		return nil, err
 	}
+	forms := 0
+	for _, form := range []json.RawMessage{leaf.V, leaf.DR, leaf.IX, leaf.P} {
+		if form != nil {
+			forms++
+		}
+	}
 	switch {
-	case leaf.V != nil && (leaf.DR != nil || leaf.Dict != nil) || leaf.DR != nil && leaf.Dict != nil:
-		return nil, fmt.Errorf("leaf has more than one of v, dr and dict")
+	case forms > 1:
+		return nil, fmt.Errorf("leaf has more than one of v, dr, ix and p")
+	case leaf.Dict != nil && leaf.IX == nil && leaf.P == nil:
+		return nil, fmt.Errorf("leaf has a dictionary and neither ix nor p")
+	case leaf.Dict != nil && leaf.T != storage.KindString:
+		return nil, fmt.Errorf("%s leaf has a dictionary", leaf.T)
+	case leaf.Dict != nil:
+		return decodeDict(leaf.Dict, leaf.IX, leaf.P, leaf.W, want)
 	case leaf.DR != nil && leaf.T == storage.KindInt:
 		return decodeRuns(leaf.DR, want)
-	case leaf.Dict != nil && leaf.T == storage.KindString:
-		return decodeDict(leaf.Dict, leaf.IX, want)
+	case leaf.P != nil && leaf.T == storage.KindInt:
+		return decodePackedInts(leaf.P, leaf.Lo, leaf.W, want)
+	case leaf.P != nil && leaf.T == storage.KindFloat:
+		return decodeScaled(leaf.P, leaf.Lo, leaf.W, leaf.S, want)
 	case leaf.V == nil:
 		return nil, fmt.Errorf("%s leaf in no form of its kind", leaf.T)
 	}
@@ -389,12 +567,68 @@ func decodeRuns(raw []byte, want int) (*storage.Vector, error) {
 	return col, nil
 }
 
+// decodePackedInts reads a packed INT leaf: want offsets from lo, whose
+// sums wrap as the encoder's differences did.
+func decodePackedInts(p json.RawMessage, lo int64, w, want int) (*storage.Vector, error) {
+	offs, err := unpackBits(p, want, w)
+	if err != nil {
+		return nil, err
+	}
+	col := storage.NewVector(storage.KindInt, want)
+	for _, off := range offs {
+		if err := col.Append(storage.Int(lo + int64(off))); err != nil {
+			return nil, err
+		}
+	}
+	return col, nil
+}
+
+// decodeScaled reads a packed FLOAT leaf: want values float64(k)/10^s,
+// k being lo plus an offset, once s is a scale the encoder writes and
+// every k is within 2^53 of 0.
+func decodeScaled(p json.RawMessage, lo int64, w, s, want int) (*storage.Vector, error) {
+	if s < 0 || s >= len(pow10) {
+		return nil, fmt.Errorf("scale %d, want 0 to %d", s, len(pow10)-1)
+	}
+	if lo < -maxScaled || lo > maxScaled {
+		return nil, fmt.Errorf("scaled values from %d, past 2^53", lo)
+	}
+	offs, err := unpackBits(p, want, w)
+	if err != nil {
+		return nil, err
+	}
+	col := storage.NewVector(storage.KindFloat, want)
+	for i, off := range offs {
+		if off > uint64(maxScaled-lo) {
+			return nil, fmt.Errorf("value %d is %d more than %d, past 2^53", i, off, lo)
+		}
+		if err := col.Append(storage.Float(float64(lo+int64(off)) / pow10[s])); err != nil {
+			return nil, err
+		}
+	}
+	return col, nil
+}
+
 // decodeDict reads a dictionary leaf: one index per row into the
-// dictionary, which becomes the vector's, read through its index so
-// that a string the leaf repeats is held once.
-func decodeDict(raw []byte, ix []int, want int) (*storage.Vector, error) {
+// dictionary, packed in p or decimal in ix, the dictionary becoming the
+// vector's, read through its index so that a string the leaf repeats is
+// held once.
+func decodeDict(raw, ixRaw, p json.RawMessage, w, want int) (*storage.Vector, error) {
 	var dict []string
 	if err := json.Unmarshal(raw, &dict); err != nil {
+		return nil, err
+	}
+	var ix []int64
+	if p != nil {
+		offs, err := unpackBits(p, want, w)
+		if err != nil {
+			return nil, err
+		}
+		ix = make([]int64, len(offs))
+		for i, off := range offs {
+			ix[i] = int64(off) // one past 2^63 turns negative, and is refused below
+		}
+	} else if err := json.Unmarshal(ixRaw, &ix); err != nil {
 		return nil, err
 	}
 	if len(ix) != want {
@@ -402,7 +636,7 @@ func decodeDict(raw []byte, ix []int, want int) (*storage.Vector, error) {
 	}
 	codes := make([]uint32, len(ix))
 	for i, k := range ix {
-		if k < 0 || k >= len(dict) {
+		if k < 0 || k >= int64(len(dict)) {
 			return nil, fmt.Errorf("index %d is %d, outside a dictionary of %d", i, k, len(dict))
 		}
 		codes[i] = uint32(k)
@@ -442,10 +676,8 @@ const encodeSpanMin = 64
 // staged chunks, the journal and the fault schedule are a serial
 // encode's. A leaf that fails to encode fails the table after every
 // leaf before it has been put, as the serial encode did.
-func encodeTable(w chunkWriter, t *storage.Table, leafRows int) (Hash, error) {
-	if leafRows <= 0 {
-		leafRows = DefaultLeafRows
-	}
+func encodeTable(w chunkWriter, t *storage.Table) (Hash, error) {
+	const leafRows = DefaultLeafRows
 	rows := t.NumRows()
 	schema := t.Schema()
 	nLeaves := leavesPerCol(rows, leafRows)
@@ -530,7 +762,7 @@ func encodeSpans(n int, encode func(i int) error) (int, error) {
 
 // encodeDatabase writes every table of db and returns the db chunk's
 // address. Tables are encoded in canonical (lowercased-name) order.
-func encodeDatabase(w chunkWriter, db *storage.Database, leafRows int) (Hash, error) {
+func encodeDatabase(w chunkWriter, db *storage.Database) (Hash, error) {
 	tables := db.Tables()
 	sort.Slice(tables, func(i, j int) bool {
 		return strings.ToLower(tables[i].Name) < strings.ToLower(tables[j].Name)
@@ -538,7 +770,7 @@ func encodeDatabase(w chunkWriter, db *storage.Database, leafRows int) (Hash, er
 	meta := dbData{Name: db.Name, Tables: make([]string, 0, len(tables))}
 	refs := make([]Hash, 0, len(tables))
 	for _, t := range tables {
-		h, err := encodeTable(w, t, leafRows)
+		h, err := encodeTable(w, t)
 		if err != nil {
 			return "", err
 		}
@@ -556,7 +788,7 @@ func encodeDatabase(w chunkWriter, db *storage.Database, leafRows int) (Hash, er
 // given turn in one batch, returning the new commit.
 func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Commit, error) {
 	b := s.NewBatch()
-	tree, err := encodeDatabase(b, db, DefaultLeafRows)
+	tree, err := encodeDatabase(b, db)
 	if err != nil {
 		return Commit{}, err
 	}
@@ -579,8 +811,11 @@ func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
 	if err != nil {
 		return meta, nil, err
 	}
-	if meta.Rows < 0 || meta.LeafRows <= 0 {
-		return meta, nil, malformed(h, "has rows %d, leafRows %d", meta.Rows, meta.LeafRows)
+	// A leaf may claim no more rows than a leaf is written with: a
+	// zero-width packed leaf or a one-run leaf claims any count in a
+	// few bytes, and MaterializeTable sizes a column by it.
+	if meta.Rows < 0 || meta.LeafRows <= 0 || meta.LeafRows > DefaultLeafRows {
+		return meta, nil, malformed(h, "has rows %d, leafRows %d (at most %d)", meta.Rows, meta.LeafRows, DefaultLeafRows)
 	}
 	for _, cd := range meta.Schema {
 		if cd.Kind < storage.KindNull || cd.Kind > storage.KindBool {

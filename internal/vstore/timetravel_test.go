@@ -265,11 +265,11 @@ func TestEncodeDatabaseCanonicalOrder(t *testing.T) {
 		}
 		return db
 	}
-	a, err := encodeDatabase(s, mk("alpha", "beta"), 0)
+	a, err := encodeDatabase(s, mk("alpha", "beta"))
 	if err != nil {
 		t.Fatalf("encode a: %v", err)
 	}
-	b, err := encodeDatabase(s, mk("beta", "alpha"), 0)
+	b, err := encodeDatabase(s, mk("beta", "alpha"))
 	if err != nil {
 		t.Fatalf("encode b: %v", err)
 	}

@@ -47,7 +47,12 @@
 #                      ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore, ~1 min), since tier-1
 #                      has no -race. FuzzScan, FuzzJournalOpen,
-#                      FuzzDecodeLeaf, FuzzDecodeSessionTree (seeded
+#                      FuzzDecodeLeaf, FuzzEncodeLeaf (typed spans
+#                      built from the fuzz bytes — -0, subnormals and
+#                      scaled decimals among them — must encode to no
+#                      more than their plain form, decode bit for bit
+#                      and re-encode to the same bytes),
+#                      FuzzDecodeSessionTree (seeded
 #                      from the chunks of sessionstore's format-v2,
 #                      tree-v2 and tree-v3 fixtures),
 #                      FuzzDecodeRecord (seeded from every frame of the
@@ -65,13 +70,14 @@
 #                      table or error text) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
-#                      journal decoder, the column-leaf decoder, the
-#                      session-tree decoder, the WAL-record decoder,
+#                      journal decoder, the column-leaf decoder and
+#                      encoder, the session-tree decoder, the WAL-record decoder,
 #                      the replica's batch apply, the vector
 #                      operations and the CSV load for 30 s each (go test
 #                      ./internal/vstore -run '^$' -fuzz=FuzzJournalOpen
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
-#                      with -fuzz=FuzzDecodeLeaf, in
+#                      with -fuzz=FuzzDecodeLeaf and
+#                      -fuzz=FuzzEncodeLeaf, in
 #                      ./internal/sessionstore with
 #                      -fuzz=FuzzDecodeSessionTree, -fuzz=FuzzDecodeRecord
 #                      and -fuzz=FuzzApplyBatch, and in ./internal/storage
