@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
@@ -25,12 +26,15 @@ import (
 // interleaved with the chunks, no roots.json. testdata/format-v3 is the
 // dialogue again at the commit that cut a session's open window into one
 // chunk per pair (tree_fixture_test.go): the shard files and the
-// journal's frame layout as before, other session trees in it. The
-// tests below hold the format still in both directions — v1 and v2 open
-// on this code (v1 is upgraded once) and take their next turn, and this
-// code writes the v3 bytes. Each fixture's shard-01.snap, the JSON
-// checkpoint its writer published beside the shard root, is read once
-// and removed (upgrade_test.go); this code writes none.
+// journal's frame layout as before, other session trees in it.
+// testdata/format-v4 is what this code writes: the same shard WALs, and
+// a journal whose chunks with refs and whose append records spell every
+// address as 32 raw bytes. The tests below hold the format still in both
+// directions — v1, v2 and v3 open on this code (v1 is upgraded once) and
+// take their next turn, and this code writes the v4 bytes. Each older
+// fixture's shard-01.snap, the JSON checkpoint its writer published
+// beside the shard root, is read once and removed (upgrade_test.go);
+// this code writes none.
 
 const (
 	formatFixture   = "testdata/format-v1"
@@ -169,24 +173,105 @@ func TestFormatWritesV2Bytes(t *testing.T) {
 }
 
 // TestFormatWritesV3Bytes replays both fixture dialogues and requires
-// every file but the snapshot to hash equal to the v3 fixture's, the
-// journal included — the long session's across two folds, from trees
-// remembered turn to turn — nothing else to be written, and the root
-// logs to be the ones the fixture recorded.
+// the shard WALs to hash equal to the v3 fixture's — the journal's
+// binary refs left the WAL as it was — and the v3 directory, whose
+// journal the writer before them left, to open on this code holding
+// every root log, transcript and as-of read its writer recorded. (What
+// this code's journal holds is the v4 fixtures'.)
 func TestFormatWritesV3Bytes(t *testing.T) {
 	for _, fx := range []struct {
 		fixture string
 		script  []formatTurn
 	}{{formatFixtureV3, formatScript()}, {treeFixtureV3, treeScript()}} {
 		dir := t.TempDir()
+		replayScript(t, dir, fx.script)
+		requireSameFiles(t, readTree(t, dir), readTree(t, fx.fixture), shardFiles)
+		st, vs := openFixture(t, copyFixture(t, fx.fixture))
+		requireRecorded(t, st, vs, recordedLogs(t, fx.fixture), scriptTranscripts(fx.script))
+		abandon(t, st, vs)
+	}
+}
+
+// TestFormatWritesV4Bytes replays both fixture dialogues and requires
+// every file to hash equal to the v4 fixture's, the journal included —
+// the long session's across two folds, from trees remembered turn to
+// turn — nothing else to be written, and the root logs to be the ones
+// the fixture recorded.
+func TestFormatWritesV4Bytes(t *testing.T) {
+	for _, fx := range []struct {
+		fixture string
+		script  []formatTurn
+	}{{formatFixtureV4, formatScript()}, {treeFixtureV4, treeScript()}} {
+		dir := t.TempDir()
 		_, vs := replayScript(t, dir, fx.script)
 		got, want := readTree(t, dir), readTree(t, fx.fixture)
 		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
-		if len(got) != 3 || len(want) != 5 {
-			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and shard-01.snap and %s beside them", fx.fixture, len(got), len(want), fixtureLogs)
+		if len(got) != 3 || len(want) != 4 {
+			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.fixture, len(got), len(want), fixtureLogs)
 		}
 		if got, want := logsOf(t, vs), recordedLogs(t, fx.fixture); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.fixture, got, want)
+		}
+	}
+}
+
+// TestV3UpgradesToBinaryRefs opens a copy of each v3 directory and of
+// the v4 one this code writes for the same script. Both hold what their
+// writers recorded; every session's next turn is this code's tree over
+// the old one (requireNextTurn) and journals exactly the bytes the same
+// turn journals on the v4 directory. So the upgrade costs a session
+// nothing past the turn that makes it: a turns chunk has no refs and
+// keeps its JSON envelope and its address, and the session node and
+// commit a turn writes are new at every turn anyway. A reopen holds the
+// logs the stores held, and committing a head again writes nothing.
+func TestV3UpgradesToBinaryRefs(t *testing.T) {
+	for _, fx := range []struct {
+		old, cur string
+		script   []formatTurn
+	}{{formatFixtureV3, formatFixtureV4, formatScript()}, {treeFixtureV3, treeFixtureV4, treeScript()}} {
+		transcripts := scriptTranscripts(fx.script)
+		var ids []string
+		for id := range transcripts {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		grew := map[string][]int64{}
+		for _, fixture := range []string{fx.old, fx.cur} {
+			dir := copyFixture(t, fixture)
+			st, vs := openFixture(t, dir)
+			requireRecorded(t, st, vs, recordedLogs(t, fixture), transcripts)
+			for _, id := range ids {
+				_, before := vs.JournalSynced()
+				requireNextTurn(t, st, vs, id)
+				_, after := vs.JournalSynced()
+				grew[fixture] = append(grew[fixture], after-before)
+			}
+			logs := logsOf(t, vs)
+			abandon(t, st, vs)
+			vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := logsOf(t, vs); !reflect.DeepEqual(got, logs) {
+				t.Fatalf("%s: root logs after the next turns and a reopen\n got: %+v\nwant: %+v", fixture, got, logs)
+			}
+			for root, log := range logs {
+				head := log[len(log)-1]
+				_, size := vs.JournalSynced()
+				if again, err := vs.Commit(root, head.Tree, head.Turn); err != nil || again != head {
+					t.Fatalf("%s: committing %s's head again = %+v, %v; want %+v", fixture, root, again, err, head)
+				}
+				if _, after := vs.JournalSynced(); after != size {
+					t.Fatalf("%s: committing %s's head again wrote %d bytes", fixture, root, after-size)
+				}
+			}
+			if err := vs.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("%s: the next turn of %v journals %v bytes; on %s, %v", fx.old, ids, grew[fx.old], fx.cur, grew[fx.cur])
+		if !slices.Equal(grew[fx.old], grew[fx.cur]) {
+			t.Errorf("%s: the next turns journal %v bytes, on %s %v", fx.old, grew[fx.old], fx.cur, grew[fx.cur])
 		}
 	}
 }

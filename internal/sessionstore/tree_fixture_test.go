@@ -19,13 +19,16 @@ import (
 // directory the commit *before* that change wrote for replayScript(
 // treeScript()) — this file, compiled there unchanged — whose long
 // session has two sealed chunks and a 16-turn tail; testdata/tree-v3 and
-// testdata/format-v3 are what this code writes for the two scripts. Each
-// of the three carries logs.json, the root logs its writer's store
-// reported (the v1 fixture has roots.json for that).
+// testdata/format-v3 are what the commit before binary refs wrote for the
+// two scripts, and testdata/tree-v4 and testdata/format-v4 what this code
+// writes. Each of them carries logs.json, the root logs its writer's
+// store reported (the v1 fixture has roots.json for that).
 const (
 	treeFixtureV2   = "testdata/tree-v2"
 	treeFixtureV3   = "testdata/tree-v3"
+	treeFixtureV4   = "testdata/tree-v4"
 	formatFixtureV3 = "testdata/format-v3"
+	formatFixtureV4 = "testdata/format-v4"
 	fixtureLogs     = "logs.json"
 )
 

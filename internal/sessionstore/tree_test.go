@@ -153,7 +153,7 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 	f.Helper()
 	base := vstore.NewMemory()
 	var all []vstore.Packet
-	for _, fixture := range []string{formatFixtureV2, treeFixtureV2, treeFixtureV3} {
+	for _, fixture := range []string{formatFixtureV2, treeFixtureV2, treeFixtureV3, formatFixtureV4, treeFixtureV4} {
 		// A copy: an open may truncate, and a fixture is read-only.
 		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(copyFixture(f, fixture), "vstore")})
 		if err != nil {
@@ -193,7 +193,7 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 
 // FuzzDecodeSessionTree feeds the tree decoders one chunk a peer could
 // ship — any bytes that hash to their address — over the chunks of the
-// v2 and v3 fixtures, which its refs may name: the decoders answer with
+// v2, v3 and v4 fixtures — JSON and binary — which its refs may name: the decoders answer with
 // a transcript or an error, never a panic, and whatever decodes, encoded
 // again from nothing, is a tree that decodes to the same transcript. A
 // turns chunk is also read through a session node made for it.

@@ -850,3 +850,96 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionVersionJournalBytes pins what each version of one 8-pair
+// session journals on a dir-backed store that does not compact, frame by
+// frame in journal order (framelog header included): the pair's turns
+// chunk — or, at the turn that fills a window, the sealed chunk — the
+// session node, the commit chunk and the root record. No frame spells
+// in hex an address it references; the one hex address a frame holds is
+// a commit's parent, in the commit's data.
+func TestSessionVersionJournalBytes(t *testing.T) {
+	dir := t.TempDir()
+	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := vs.Close(); err != nil {
+			t.Errorf("close versions: %v", err)
+		}
+	}()
+	st, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: 1 << 20, Versions: vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Errorf("close store: %v", err)
+		}
+	}()
+	e, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 8; j++ {
+		commitPair(t, st, e, fmt.Sprintf("how many employment where canton is Zurich in round %d", j),
+			fmt.Sprintf("There are %d rows of employment matching Zurich.", 100*j), 0.5)
+	}
+	if err := st.DeferredError(0); err != nil {
+		t.Fatal(err)
+	}
+	log, err := vs.Log(SessionRoot(e.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "vstore", "chunks.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := framelog.Scan(0xC6, raw) // the version store's journal magic
+	addrs := make([]vstore.Hash, len(payloads))
+	for i, p := range payloads {
+		addrs[i] = vstore.Hash(sha256Hex(p))
+	}
+	parent := map[vstore.Hash]vstore.Hash{}
+	for _, c := range log {
+		parent[c.Hash] = c.Parent
+	}
+	var got [][]string
+	var version []string
+	for i, p := range payloads {
+		kind := "root"
+		if vs.Has(addrs[i]) {
+			if kind, err = vs.Kind(addrs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range append(addrs, log[len(log)-1].Hash) {
+			if strings.Contains(string(p), string(a)) && (kind != "commit" || a != parent[addrs[i]]) {
+				t.Errorf("the %s frame at %d spells address %s in hex", kind, i, a)
+			}
+		}
+		version = append(version, fmt.Sprintf("%s %d", kind, framelog.HeaderSize+len(p)))
+		if kind == "root" {
+			got, version = append(got, version), nil
+		}
+	}
+	// Frame sizes, the 9-byte header included: a session node grows 32
+	// bytes a ref (33 where its turn count gains a digit); a commit is 70
+	// bytes, 146 once it names a parent and 147 from turn 10; the root
+	// record of session/s0001 is 56.
+	want := [][]string{
+		{"turns 216", "sess 89", "commit 70", "root 56"},
+		{"turns 218", "sess 121", "commit 146", "root 56"},
+		{"turns 218", "sess 153", "commit 146", "root 56"},
+		{"turns 218", "sess 185", "commit 146", "root 56"},
+		{"turns 218", "sess 218", "commit 147", "root 56"},
+		{"turns 218", "sess 250", "commit 147", "root 56"},
+		{"turns 218", "sess 282", "commit 147", "root 56"},
+		{"turns 218", "sess 314", "commit 147", "root 56"},
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != len(log) {
+		t.Errorf("versions journal\n got: %q\nwant: %q", got, want)
+	}
+}

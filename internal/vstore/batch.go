@@ -107,7 +107,7 @@ func (b *Batch) commit(root string, tree Hash, turn int, durable bool) (Commit, 
 		return Commit{}, err
 	}
 	c := Commit{Hash: hashBytes(payload), Tree: tree, Parent: parent, Turn: turn, Stamp: stamp}
-	rootRec, err := rootPayload(rootRecord{Root: &root, Commit: c.Hash})
+	rootRec, err := appendPayload(root, c.Hash)
 	if err != nil {
 		return Commit{}, err
 	}

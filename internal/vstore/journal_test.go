@@ -2,11 +2,15 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/framelog"
@@ -370,6 +374,243 @@ func TestAddPacketRejectsRootRecord(t *testing.T) {
 	}
 }
 
+// forgedPayloads are chunk payloads no writer of this store produces,
+// each hashing to its address: the JSON shapes a peer could ship before
+// AddPackets held a chunk to its shape, and every way out of the binary
+// layout.
+func forgedPayloads(t testing.TB) []struct {
+	name    string
+	payload []byte
+} {
+	addr := hashBytes([]byte("a"))
+	raw := func(parts ...any) []byte {
+		var p []byte
+		for _, part := range parts {
+			switch v := part.(type) {
+			case int:
+				p = append(p, byte(v))
+			case string:
+				p = append(p, v...)
+			case []byte:
+				p = append(p, v...)
+			case Hash:
+				var err error
+				if p, err = appendAddr(p, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return p
+	}
+	rootRec, err := appendPayload("session/s0001", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonRoot, err := rootPayload(rootRecord{Root: new(string), Commit: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"JSON null", []byte(`null`)},
+		{"JSON chunk with no kind", []byte(`{}`)},
+		{"JSON refs that are not addresses", []byte(`{"k":"x","r":["zz"]}`)},
+		{"JSON ref in uppercase hex", []byte(`{"k":"x","r":["` + strings.ToUpper(string(addr)) + `"]}`)},
+		{"JSON root record", jsonRoot},
+		{"not JSON", []byte(`{`)},
+		{"empty", nil},
+		{"unknown first byte", raw(0x03, 1, "x", 1, addr)},
+		{"binary chunk with an empty kind", raw(tagChunk, 0, 1, addr)},
+		{"binary kind whose bytes are not there", raw(tagChunk, 9, "x")},
+		{"binary ref whose bytes are not there", raw(tagChunk, 1, "x", 2, addr)},
+		{"binary ref count of 2^63", raw(tagChunk, 1, "x", binary.AppendUvarint(nil, 1<<63), addr)},
+		{"binary uvarint that overflows", raw(tagChunk, strings.Repeat("\xff", 10), 1)},
+		{"binary overlong kind length", raw(tagChunk, 0x81, 0, "x", 1, addr)},
+		{"binary overlong ref count", raw(tagChunk, 1, "x", 0x81, 0, addr)},
+		{"binary chunk with no refs", raw(tagChunk, 1, "x", 0, `{}`)},
+		{"binary data that is not JSON", raw(tagChunk, 1, "x", 1, addr, `{`)},
+		{"binary root record", rootRec},
+		{"binary root record with trailing bytes", append(bytes.Clone(rootRec), 0)},
+		{"binary root record short of its commit", rootRec[:len(rootRec)-1]},
+		{"binary root name whose bytes are not there", raw(tagAppend, 40, "session/")},
+	}
+}
+
+// TestAddPacketsRefusesForgedPayloads: every forged payload, shipped
+// alone or amid good packets, is ErrBadPacket; nothing of its batch is
+// journalled or indexed, and a refusal allocates at most 4 KB whatever
+// count the payload claims. The well-formed binary chunk beside them is
+// installed.
+func TestAddPacketsRefusesForgedPayloads(t *testing.T) {
+	jf := &journalFaults{tearAt: -1}
+	s, err := Open(Config{Dir: t.TempDir(), Faults: jf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	leaf, err := encodeEnvelope("leaf", nil, []byte(`[1]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := encodeEnvelope("table", []Hash{hashBytes(leaf)}, []byte(`{"rows":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []Packet{{Hash: hashBytes(leaf), Data: leaf}, {Hash: hashBytes(table), Data: table}}
+	for _, f := range forgedPayloads(t) {
+		bad := Packet{Hash: hashBytes(f.payload), Data: f.payload}
+		for _, batch := range [][]Packet{{bad}, {good[0], bad, good[1]}} {
+			if err := s.AddPackets(batch); !errors.Is(err, ErrBadPacket) {
+				t.Errorf("%s: AddPackets = %v, want ErrBadPacket", f.name, err)
+			}
+			if jf.appends != 0 || s.NumChunks() != 0 {
+				t.Fatalf("%s: a refused batch made %d appends and indexed %d chunks", f.name, jf.appends, s.NumChunks())
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			if s.AddPacket(bad) == nil {
+				t.Fatalf("%s: installed", f.name)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
+			t.Errorf("%s: a refusal allocated %d bytes", f.name, per)
+		}
+	}
+	if err := s.AddPackets(good); err != nil || jf.appends != 1 || s.NumChunks() != 2 {
+		t.Fatalf("the good batch: %v, %d appends, %d chunks", err, jf.appends, s.NumChunks())
+	}
+	if refs, err := s.Refs(good[1].Hash); err != nil || !reflect.DeepEqual(refs, []Hash{good[0].Hash}) {
+		t.Fatalf("the binary table's refs = %v, %v", refs, err)
+	}
+}
+
+// TestOpenKeepsFramesTheParentAccepted: a store built before AddPackets
+// held a chunk to its shape journalled whatever JSON a peer shipped it.
+// Such frames — null, a chunk with no kind, refs that are not addresses —
+// sit in the journal before the versions committed after them; Open
+// indexes them as the chunks they always were, keeps every frame after
+// them, and the store commits on as before.
+func TestOpenKeepsFramesTheParentAccepted(t *testing.T) {
+	dir := t.TempDir()
+	root := "session/s0001"
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	legacy := [][]byte{[]byte(`null`), []byte(`{}`), []byte(`{"k":"x","r":["zz"]}`)}
+	tree := must(encodeEnvelope("sess", []Hash{hashBytes(legacy[2])}, []byte(`{"turns":0}`)))
+	commit := must(encodeEnvelope("commit", []Hash{hashBytes(tree)}, []byte(`{"turn":2,"stamp":1}`)))
+	var journal []byte
+	for _, p := range append(legacy, tree, commit, must(appendPayload(root, hashBytes(commit)))) {
+		journal = append(journal, framelog.Encode(packMagic, p)...)
+	}
+	path := filepath.Join(dir, packName)
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	want := Commit{Hash: hashBytes(commit), Tree: hashBytes(tree), Turn: 2, Stamp: 1}
+	if head, err := s.Head(root); err != nil || head != want {
+		t.Fatalf("head = %+v, %v; want %+v", head, err, want)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != int64(len(journal)) {
+		t.Fatalf("journal after open: %v, %v; want all %d bytes kept", info, err, len(journal))
+	}
+	for _, p := range legacy {
+		if !s.Has(hashBytes(p)) {
+			t.Fatalf("%s is not indexed", p)
+		}
+	}
+	if refs, err := s.Refs(hashBytes(legacy[2])); err != nil || !reflect.DeepEqual(refs, []Hash{"zz"}) {
+		t.Fatalf("refs of the chunk with a bad ref = %v, %v", refs, err)
+	}
+	b := s.NewBatch()
+	next, err := b.Put("sess", []Hash{hashBytes(legacy[2])}, []byte(`{"turns":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Commit(root, next, 4); err != nil {
+		t.Fatal(err)
+	}
+	requirePacketsRehash(t, s)
+	requireReopensEqual(t, dir, s)
+}
+
+// TestJSONOnlyPeerRefusesBinaryChunks: a node built before binary refs
+// decodes every shipped packet as JSON before it installs a batch (the
+// loop below is its AddPackets' verification). So it refuses, whole and
+// with a decode error naming the packet, any batch that carries a chunk
+// with refs this code wrote — a replica must be upgraded before its
+// primary — and it still takes the chunks without refs, whose form did
+// not change.
+func TestJSONOnlyPeerRefusesBinaryChunks(t *testing.T) {
+	jsonOnlyAddPackets := func(ps []Packet) error {
+		for _, p := range ps {
+			var rec record
+			if err := json.Unmarshal(p.Data, &rec); err != nil {
+				return fmt.Errorf("vstore: decode packet %s: %w", p.Hash, err)
+			}
+		}
+		return nil
+	}
+	src := NewMemory()
+	c, err := src.CommitDatabase("db/main", demoDB(600), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closure, err := src.Closure(c.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packets, err := src.Packets(closure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []Packet
+	for _, p := range packets {
+		refs, err := src.Refs(p.Hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(refs) == 0 {
+			leaves = append(leaves, p)
+			continue
+		}
+		var syntax *json.SyntaxError
+		if err := jsonOnlyAddPackets([]Packet{p}); err == nil {
+			t.Fatalf("a JSON-only peer decodes the binary chunk %s", p.Hash)
+		} else if !errors.As(err, &syntax) || !strings.Contains(err.Error(), string(p.Hash)) {
+			t.Fatalf("a JSON-only peer refuses %s with %v, want a decode error naming it", p.Hash, err)
+		}
+	}
+	if len(leaves) == 0 || len(leaves) == len(packets) {
+		t.Fatalf("%d of %d chunks have no refs; want some of each", len(leaves), len(packets))
+	}
+	if err := jsonOnlyAddPackets(leaves); err != nil {
+		t.Fatalf("a JSON-only peer refuses the leaves: %v", err)
+	}
+}
+
 // TestAddPacketsIsOneJournalAppend: a negotiated batch is verified
 // whole, then journalled with one append and one fsync however many
 // chunks it carries, and a bad packet anywhere in it installs nothing.
@@ -537,6 +778,23 @@ func FuzzJournalOpen(f *testing.F) {
 	}
 	f.Add([]byte(nil), []byte(`{"stamp":3,"roots":{"a":[{"hash":"beef"}],"":[]}}`))
 	f.Add([]byte(nil), []byte(`{"roots":[1]}`))
+	// The binary forms: journals this code wrote, whole and cut, and the
+	// frames the parent accepted ahead of a binary version.
+	for _, path := range []string{
+		filepath.Join(leafFixtureV5, packName),
+		filepath.Join("..", "sessionstore", "testdata", "format-v4", "vstore", packName),
+		filepath.Join("..", "sessionstore", "testdata", "tree-v4", "vstore", packName),
+	} {
+		pack, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(pack, []byte(nil))
+		f.Add(pack[:len(pack)/2], []byte(nil))
+	}
+	for _, forged := range forgedPayloads(f) {
+		f.Add(framelog.Encode(packMagic, forged.payload), []byte(nil))
+	}
 
 	f.Fuzz(func(t *testing.T, pack, roots []byte) {
 		dir := t.TempDir()

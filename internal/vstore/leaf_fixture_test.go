@@ -16,8 +16,12 @@ import (
 // before the runs and dictionary forms wrote for ordersFixtureDB, every
 // leaf a plain typed one; testdata/leaf-v3/chunks.pack is what the
 // commit before the packed forms wrote for it, runs and dictionaries
-// with decimal indexes; testdata/leaf-v4/chunks.pack is what this code
-// writes for it.
+// with decimal indexes; testdata/leaf-v4/chunks.pack is what the commit
+// before binary refs wrote for it, packed leaves under JSON envelopes;
+// testdata/leaf-v5/chunks.pack is what this code writes for it, the same
+// leaves under table, db and commit chunks whose refs are bytes. Leaves
+// have no refs and keep their JSON envelope, so leaf-v2's and leaf-v4's
+// leaves are the ones this code writes.
 
 const (
 	leafFixtureV1     = "testdata/leaf-v1"
@@ -26,6 +30,7 @@ const (
 	ordersFixtureV2   = "testdata/orders-v2"
 	leafFixtureV3     = "testdata/leaf-v3"
 	leafFixtureV4     = "testdata/leaf-v4"
+	leafFixtureV5     = "testdata/leaf-v5"
 	ordersFixtureRoot = "data"
 )
 

@@ -761,7 +761,7 @@ func TestOpensParentLeaves(t *testing.T) {
 	requireOldVersions(s)
 
 	// A struct-array leaf materializes to the vector a typed leaf does,
-	// so each old version committed again is leaf-v2's tree, hash for
+	// so each old version committed again has leaf-v2's leaves, hash for
 	// hash — the fixture's no-NULL spans marshalled from the slice, its
 	// NULL-bearing ones through pointers.
 	v2 := openDir(t, copyLeafFixture(t, leafFixtureV2))
@@ -779,9 +779,13 @@ func TestOpensParentLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameDB(t, fromV1, fromV2)
-		again, err := NewMemory().CommitDatabase(leafFixtureRoot, fromV1, turn)
-		if err != nil || again.Tree != pinned[turn].Tree {
-			t.Fatalf("turn %d read from leaf-v1 commits as tree %s, %v; leaf-v2 has %s", turn, again.Tree, err, pinned[turn].Tree)
+		m := NewMemory()
+		again, err := m.CommitDatabase(leafFixtureRoot, fromV1, turn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tableLeaves(t, m, again.Tree), tableLeaves(t, v2, pinned[turn].Tree); !slices.Equal(got, want) {
+			t.Fatalf("turn %d read from leaf-v1 commits as leaves %v; leaf-v2 has %v", turn, got, want)
 		}
 	}
 
@@ -811,23 +815,14 @@ func TestOpensParentLeaves(t *testing.T) {
 	requireSameDB(t, db, want[1])
 }
 
-// TestWritesV2LeafBytes pins the bytes this code journals for the
-// fixture's two commits, and reads them back.
+// TestWritesV2LeafBytes requires the leaves this code journals for the
+// fixture's two commits to be leaf-v2's, byte for byte — a chunk without
+// refs is written as it was before refs became bytes — and reads them
+// back.
 func TestWritesV2LeafBytes(t *testing.T) {
-	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := NewMemory()
 	want := commitLeafFixture(t, s)
-	got, err := os.ReadFile(filepath.Join(dir, packName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := os.ReadFile(filepath.Join(leafFixtureV2, packName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pinned) {
-		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
-	}
+	requireLeavesOf(t, s, leafFixtureV2, leafFixtureRoot)
 	tab, err := want[0].Get("readings")
 	if err != nil {
 		t.Fatal(err)
@@ -894,7 +889,7 @@ func leafForms(t *testing.T, s *Store, tree Hash) []string {
 // ordersFixtureDB and walks the upgrade a node's first CommitData(0)
 // takes: the old version materializes to the generator's database;
 // committing that database at turn 0 adds one new tree beside it,
-// leaf-v4's, which shares exactly the old leaves whose form is one of
+// leaf-v5's, which shares exactly the old leaves whose form is one of
 // kept and adds the rest; both materialize equal and keep resolving
 // after a reopen; and committing once more writes nothing.
 func requireOrdersUpgrade(t *testing.T, fixture string, kept ...string) {
@@ -918,9 +913,9 @@ func requireOrdersUpgrade(t *testing.T, fixture string, kept ...string) {
 	if err != nil || head.Tree == old[0].Tree || head.Parent != old[0].Hash || head.Turn != 0 {
 		t.Fatalf("upgrade commit = %+v, %v; want a new turn-0 tree on top of %s", head, err, old[0].Hash)
 	}
-	pinned, err := openDir(t, copyLeafFixture(t, leafFixtureV4)).Log(ordersFixtureRoot)
+	pinned, err := openDir(t, copyLeafFixture(t, leafFixtureV5)).Log(ordersFixtureRoot)
 	if err != nil || pinned[0].Tree != head.Tree {
-		t.Fatalf("upgrade committed tree %s; leaf-v4 has %+v, %v", head.Tree, pinned, err)
+		t.Fatalf("upgrade committed tree %s; leaf-v5 has %+v, %v", head.Tree, pinned, err)
 	}
 	added := map[Hash]bool{}
 	forms := leafForms(t, s, head.Tree)
@@ -956,17 +951,24 @@ func requireOrdersUpgrade(t *testing.T, fixture string, kept ...string) {
 }
 
 // TestUpgradesParentOrders: the journal of plain leaves written before
-// the runs and dictionary forms upgrades to leaf-v4's tree, sharing the
+// the runs and dictionary forms upgrades to leaf-v5's tree, sharing the
 // one leaf still plain, the one with the NULL.
 func TestUpgradesParentOrders(t *testing.T) {
 	requireOrdersUpgrade(t, ordersFixtureV2, "v")
 }
 
 // TestUpgradesV3Orders: leaf-v3, the journal written before the packed
-// forms, upgrades to leaf-v4's tree, sharing the runs leaves and the
+// forms, upgrades to leaf-v5's tree, sharing the runs leaves and the
 // leaf with the NULL.
 func TestUpgradesV3Orders(t *testing.T) {
 	requireOrdersUpgrade(t, leafFixtureV3, "dr", "v")
+}
+
+// TestUpgradesV4Orders: leaf-v4, the journal written before binary refs,
+// upgrades to leaf-v5's tree, sharing every leaf — a leaf has no refs
+// and keeps its JSON envelope — and adding only a table, db and commit.
+func TestUpgradesV4Orders(t *testing.T) {
+	requireOrdersUpgrade(t, leafFixtureV4, "dr", "dict p w", "v", "lo p w", "lo p s w")
 }
 
 // v3Forms and v4Forms are the forms of the orders fixture's leaves, three
@@ -1000,31 +1002,63 @@ func TestWritesV3LeafBytes(t *testing.T) {
 	requireOrdersFixture(t, leafFixtureV3, v3Forms)
 }
 
-// TestWritesV4LeafBytes pins the bytes this code journals for
-// ordersFixtureDB, and reads them back.
+// TestWritesV4LeafBytes reads leaf-v4, the journal the writer before
+// binary refs left for ordersFixtureDB, and requires the leaves this code
+// writes for it to be leaf-v4's, byte for byte.
 func TestWritesV4LeafBytes(t *testing.T) {
+	s := NewMemory()
+	commitOrdersFixture(t, s)
+	requireLeavesOf(t, s, leafFixtureV4, ordersFixtureRoot)
+	requireOrdersFixture(t, leafFixtureV4, v4Forms)
+}
+
+// TestWritesV5LeafBytes pins the bytes this code journals for
+// ordersFixtureDB — leaf-v4's leaves under a table, db and commit chunk
+// and a root record whose addresses are bytes — and reads them back.
+func TestWritesV5LeafBytes(t *testing.T) {
 	dir := t.TempDir()
 	commitOrdersFixture(t, openDir(t, dir))
 	got, err := os.ReadFile(filepath.Join(dir, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := os.ReadFile(filepath.Join(leafFixtureV4, packName))
+	pinned, err := os.ReadFile(filepath.Join(leafFixtureV5, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pinned) {
 		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
 	}
-	requireOrdersFixture(t, leafFixtureV4, v4Forms)
+	requireOrdersFixture(t, leafFixtureV5, v4Forms)
+}
+
+// requireLeavesOf requires every commit on root in s to list, table by
+// table, the leaves the same commit of the fixture journal lists.
+func requireLeavesOf(t *testing.T, s *Store, fixture, root string) {
+	t.Helper()
+	got, err := s.Log(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := openDir(t, copyLeafFixture(t, fixture))
+	want, err := f.Log(root)
+	if err != nil || len(want) != len(got) {
+		t.Fatalf("%s log = %+v, %v; this code committed %d versions", fixture, want, err, len(got))
+	}
+	for i := range got {
+		if g, w := tableLeaves(t, s, got[i].Tree), tableLeaves(t, f, want[i].Tree); !slices.Equal(g, w) {
+			t.Errorf("commit %d lists leaves %v; %s has %v", i, g, fixture, w)
+		}
+	}
 }
 
 // TestLeafBytesPerValue holds the journal of an orders-shaped table —
 // the benchmark's scan_heavy CSV: int id, c%04d customer, eight region
-// names, 1–12, a two-decimal amount — to 3.05 bytes per value,
-// envelopes, hashes and frames included (it measures 2.95; the
-// struct-array form took ~44, the plain form alone ~6.7, plain, runs
-// and decimal dictionaries ~4.3).
+// names, 1–12, a two-decimal amount — to 2.90 bytes per value,
+// envelopes, hashes and frames included (it measures 2.80, 2.95 while
+// the table chunk spelled its leaf refs in hex; the struct-array form
+// took ~44, the plain form alone ~6.7, plain, runs and decimal
+// dictionaries ~4.3).
 func TestLeafBytesPerValue(t *testing.T) {
 	const rows = 6000
 	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "urban"}
@@ -1055,8 +1089,8 @@ func TestLeafBytesPerValue(t *testing.T) {
 	}
 	values := int64(rows * tab.NumCols())
 	t.Logf("%d values in a %d-byte journal: %.2f bytes per value", values, info.Size(), float64(info.Size())/float64(values))
-	if info.Size()*100 > 305*values {
-		t.Fatalf("journal is %d bytes for %d values, want at most 3.05 per value", info.Size(), values)
+	if info.Size()*100 > 290*values {
+		t.Fatalf("journal is %d bytes for %d values, want at most 2.90 per value", info.Size(), values)
 	}
 	got, err := s.MaterializeDatabase(c.Tree)
 	if err != nil {

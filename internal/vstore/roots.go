@@ -25,11 +25,11 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 // commitEntry rebuilds a root-log entry from its commit chunk's payload —
 // the journal's root records and shipped commits carry only the hash.
 func commitEntry(h Hash, payload []byte) (Commit, error) {
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+	env, err := decodePayload(payload)
+	if err != nil {
 		return Commit{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
-	if env.K != "commit" || len(env.R) != 1 {
+	if env.Root != nil || env.K != "commit" || len(env.R) != 1 {
 		return Commit{}, fmt.Errorf("vstore: chunk %s is %q with %d refs, want a commit with 1", h, env.K, len(env.R))
 	}
 	var data commitData
@@ -39,7 +39,8 @@ func commitEntry(h Hash, payload []byte) (Commit, error) {
 	return Commit{Hash: h, Tree: env.R[0], Parent: data.Parent, Turn: data.Turn, Stamp: data.Stamp}, nil
 }
 
-// rootPayload encodes a root record.
+// rootPayload encodes a root record as JSON: the form of every "log is
+// exactly" record, and of the append records older writers left.
 func rootPayload(r rootRecord) ([]byte, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {
@@ -88,7 +89,13 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash]
 		log = append(log, c)
 	}
 	if !journalled {
-		rec, err := rootPayload(r)
+		var rec []byte
+		var err error
+		if r.Commit != "" {
+			rec, err = appendPayload(*r.Root, r.Commit)
+		} else {
+			rec, err = rootPayload(r)
+		}
 		if err != nil {
 			return err
 		}
@@ -147,8 +154,8 @@ func (s *Store) checkTreeLocked(h Hash) error {
 	} else if err != nil {
 		return err
 	}
-	var env envelope
-	if err := json.Unmarshal(p, &env); err != nil {
+	env, err := decodePayload(p)
+	if err != nil {
 		return fmt.Errorf("vstore: decode chunk %s: %w", c.Tree, err)
 	}
 	if env.K == "leaf" || env.K == "commit" {

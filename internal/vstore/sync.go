@@ -1,7 +1,6 @@
 package vstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -98,23 +97,23 @@ func (e *missingError) Unwrap() error { return ErrUnknownChunk }
 func (s *Store) AddPacket(p Packet) error { return s.AddPackets([]Packet{p}) }
 
 // AddPackets installs a batch of shipped chunks. Every packet is
-// verified first — its bytes must hash to its address and must not be a
-// root record — so a bad one anywhere in the batch installs nothing;
-// then the chunks the store lacks are journalled with one append.
+// verified first — its bytes must hash to its address and decode as a
+// chunk some writer of this store produces (checkShipped) — so a bad one
+// anywhere in the batch installs nothing; then the chunks the store
+// lacks are journalled with one append.
 func (s *Store) AddPackets(ps []Packet) error {
 	staged := make([]stagedChunk, 0, len(ps))
 	seen := map[Hash]bool{}
 	for _, p := range ps {
 		if hashBytes(p.Data) != p.Hash {
-			return fmt.Errorf("%w: %s", ErrBadPacket, p.Hash)
+			return fmt.Errorf("%w: %s does not hash to its address", ErrBadPacket, p.Hash)
 		}
-		var rec record
-		if err := json.Unmarshal(p.Data, &rec); err != nil {
-			return fmt.Errorf("vstore: decode packet %s: %w", p.Hash, err)
+		rec, err := decodePayload(p.Data)
+		if err != nil {
+			return fmt.Errorf("%w: decode %s: %v", ErrBadPacket, p.Hash, err)
 		}
-		if rec.Root != nil {
-			// Stored as a chunk, it would replay as a root update.
-			return fmt.Errorf("%w: %s is a root record, not a chunk", ErrBadPacket, p.Hash)
+		if err := checkShipped(p.Data, rec); err != nil {
+			return fmt.Errorf("%w: %s %v", ErrBadPacket, p.Hash, err)
 		}
 		if !seen[p.Hash] {
 			seen[p.Hash] = true

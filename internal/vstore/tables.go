@@ -797,7 +797,7 @@ func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Com
 
 // loadTable reads a table chunk and checks everything its readers index
 // or allocate by: the chunk may be a peer's, and AddPackets verifies a
-// packet's hash, not its shape.
+// packet's hash and envelope, not its data.
 func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
 	var meta tableData
 	kind, err := s.Data(h, &meta)

@@ -22,15 +22,17 @@
 //
 // Both chunks and roots are durable through one journal, chunks.pack —
 // a framelog.Log, the same frame codec and torn-tail recovery as the
-// session store's WAL. A frame's payload is either a chunk, the
-// self-describing JSON envelope {"k": kind, "r": [child hashes],
-// "d": data} that lets replication walk a tree generically (have/want
-// negotiation over chunk hashes) without knowing the schema of what it
-// is shipping, or a root record: {"root": name, "commit": hash}
-// appends that commit to the root's log, and {"root": name, "log":
-// [hashes], "stamp": n} says the log is now exactly that (empty:
-// the root is gone). A root record names commit chunks that precede
-// it in the journal; the log entry is rebuilt from the chunk on open.
+// session store's WAL. A frame's payload is either a chunk — a
+// self-describing envelope of kind, child addresses and JSON data that
+// lets replication walk a tree generically (have/want negotiation over
+// chunk hashes) without knowing the schema of what it is shipping — or
+// a root record: one appends a commit to a root's log, and {"root":
+// name, "log": [hashes], "stamp": n} says the log is now exactly that
+// (empty: the root is gone). A chunk with refs and an append record
+// spell every address as its 32 raw bytes; a chunk without refs keeps
+// the JSON envelope {"k": kind, "d": data} (payload.go has the
+// layouts). A root record names commit chunks that precede it in the
+// journal; the log entry is rebuilt from the chunk on open.
 // A Batch puts a version's new chunks, its commit chunk and its root
 // record into the journal with one append, so a crash leaves the root
 // on the old commit or the new one with its whole tree. GC rewrites
@@ -121,13 +123,15 @@ var ErrUnknownChunk = errors.New("vstore: unknown chunk")
 // ErrUnknownRoot is returned for an absent root name.
 var ErrUnknownRoot = errors.New("vstore: unknown root")
 
-// ErrBadPacket is returned when a packet's bytes do not hash to its
-// claimed address.
-var ErrBadPacket = errors.New("vstore: packet bytes do not match hash")
+// ErrBadPacket is returned for a shipped packet whose bytes do not hash
+// to its claimed address, or are not a chunk a writer of this store
+// produces.
+var ErrBadPacket = errors.New("vstore: bad packet")
 
 // MalformedChunkError is a chunk that is stored and intact but not the
 // shape its reader needs: AddPackets checks a peer's chunk against its
-// hash, not its shape, so a forged tree is this error, never a panic.
+// hash and its envelope, not the schema of its data or what its refs
+// point at, so a forged tree is this error, never a panic.
 type MalformedChunkError struct {
 	Chunk Hash
 	Err   error
@@ -156,7 +160,7 @@ type chunk struct {
 	epoch uint64
 }
 
-// envelope is the chunk payload schema.
+// envelope is a decoded chunk: its kind, refs and data.
 type envelope struct {
 	K string          `json:"k"`
 	R []Hash          `json:"r,omitempty"`
@@ -176,7 +180,7 @@ type rootRecord struct {
 	Stamp  int64   `json:"stamp,omitempty"`
 }
 
-// record decodes either journal payload.
+// record is either journal payload, decoded (decodePayload).
 type record struct {
 	envelope
 	rootRecord
@@ -241,10 +245,13 @@ func NewMemory() *Store {
 
 // openPack opens (creating if absent) the journal and replays it:
 // chunks enter the index at their offsets, root records rebuild the
-// root logs. A torn tail left by a crash mid-append — or a root record
-// whose commit chunk does not precede it — ends the valid prefix and is
-// truncated by the log. Only Open can see the store yet; s.mu is taken
-// so that every caller of a *Locked helper holds it, replay included.
+// root logs. A torn tail left by a crash mid-append — or a binary
+// payload off its layout, or a root record whose commit chunk does not
+// precede it — ends the valid prefix and is truncated by the log. A JSON
+// payload is taken as it always was, so a frame an older store accepted
+// from a peer stays a chunk here and hides no version after it. Only
+// Open can see the store yet; s.mu is taken so that every caller of a
+// *Locked helper holds it, replay included.
 func (s *Store) openPack() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,8 +268,8 @@ func (s *Store) openPack() error {
 	var err error
 	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, opts,
 		func(frame, payload []byte) bool {
-			var rec record
-			if err := json.Unmarshal(payload, &rec); err != nil {
+			rec, err := decodePayload(payload)
+			if err != nil {
 				return false
 			}
 			if rec.Root != nil {
@@ -414,17 +421,6 @@ func (s *Store) payloadLocked(h Hash) ([]byte, error) {
 	return payload, nil
 }
 
-// encode renders an envelope canonically (json.Marshal of a struct is
-// field-ordered, so equal envelopes hash equally).
-func encodeEnvelope(kind string, refs []Hash, data []byte) ([]byte, error) {
-	env := envelope{K: kind, R: refs, D: data}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("vstore: encode %s chunk: %w", kind, err)
-	}
-	return payload, nil
-}
-
 // encodeChunk renders a chunk's envelope and its address.
 func encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte, error) {
 	payload, err := encodeEnvelope(kind, refs, data)
@@ -484,11 +480,11 @@ func (s *Store) get(h Hash) (envelope, error) {
 	if err != nil {
 		return envelope{}, err
 	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+	rec, err := decodePayload(payload)
+	if err != nil {
 		return envelope{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
-	return env, nil
+	return rec.envelope, nil
 }
 
 // Kind returns a chunk's envelope kind.

@@ -47,6 +47,10 @@
 #                      ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore, ~1 min), since tier-1
 #                      has no -race. FuzzScan, FuzzJournalOpen,
+#                      FuzzDecodePayload (arbitrary journal payloads:
+#                      never a panic, an accepted binary one is the
+#                      one encoding the writer produces, a shipped one
+#                      AddPackets' check accepts has address refs),
 #                      FuzzDecodeLeaf, FuzzEncodeLeaf (typed spans
 #                      built from the fuzz bytes — -0, subnormals and
 #                      scaled decimals among them — must encode to no
@@ -54,7 +58,8 @@
 #                      and re-encode to the same bytes),
 #                      FuzzDecodeSessionTree (seeded
 #                      from the chunks of sessionstore's format-v2,
-#                      tree-v2 and tree-v3 fixtures),
+#                      tree-v2, tree-v3, format-v4 and tree-v4
+#                      fixtures),
 #                      FuzzDecodeRecord (seeded from every frame of the
 #                      format-v1, -v2 and -v3 shard WALs),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
@@ -70,13 +75,14 @@
 #                      table or error text) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
-#                      journal decoder, the column-leaf decoder and
-#                      encoder, the session-tree decoder, the WAL-record decoder,
+#                      journal decoder, its payload decoder, the
+#                      column-leaf decoder and encoder, the
+#                      session-tree decoder, the WAL-record decoder,
 #                      the replica's batch apply, the vector
 #                      operations and the CSV load for 30 s each (go test
 #                      ./internal/vstore -run '^$' -fuzz=FuzzJournalOpen
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
-#                      with -fuzz=FuzzDecodeLeaf and
+#                      with -fuzz=FuzzDecodePayload, -fuzz=FuzzDecodeLeaf and
 #                      -fuzz=FuzzEncodeLeaf, in
 #                      ./internal/sessionstore with
 #                      -fuzz=FuzzDecodeSessionTree, -fuzz=FuzzDecodeRecord
