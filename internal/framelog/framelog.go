@@ -375,18 +375,7 @@ func Publish(path string, nosync bool, write func(w io.Writer) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// Remove deletes path and fsyncs its directory, so that a crash cannot
-// bring the file back after later writes were made on the strength of
-// its absence.
-func Remove(path string) error {
-	if err := os.Remove(path); err != nil {
-		return fmt.Errorf("framelog: remove %s: %w", path, err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a rename into it or a removal from it
-// survives a crash.
+// syncDir fsyncs a directory so a rename into it survives a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

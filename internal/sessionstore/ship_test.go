@@ -150,14 +150,14 @@ func kill(t testing.TB, st *Store) {
 }
 
 // FuzzApplyBatch applies arbitrary ShipBatch JSON to a replica opened on
-// a copy of format-v3. Nothing panics; a refused batch changes no
+// a copy of format-v4. Nothing panics; a refused batch changes no
 // transcript, cursor or shard root; and whatever is accepted leaves a
 // directory that, abandoned as a kill leaves it, reopens to exactly what
 // the replica held. The seeds are the fixture's own frames, shipped
 // again at and above its cursors, its shard root at its horizon, and
 // the forged roots of TestForgedShipBatchIsAnError.
 func FuzzApplyBatch(f *testing.F) {
-	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV3))
+	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV4))
 	add := func(b ShipBatch) {
 		data, err := json.Marshal(b)
 		if err != nil {
@@ -166,7 +166,7 @@ func FuzzApplyBatch(f *testing.F) {
 		f.Add(data)
 	}
 	for shard := 0; shard < 2; shard++ {
-		raw, err := os.ReadFile(filepath.Join(formatFixtureV3, fmt.Sprintf("shard-%02d.wal", shard)))
+		raw, err := os.ReadFile(filepath.Join(formatFixtureV4, fmt.Sprintf("shard-%02d.wal", shard)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func FuzzApplyBatch(f *testing.F) {
 		if json.Unmarshal(data, &b) != nil {
 			return
 		}
-		dir := copyFixture(t, formatFixtureV3)
+		dir := copyFixture(t, formatFixtureV4)
 		st, _ := openFuzzReplica(t, dir)
 		before := storeState(t, st)
 		err := st.ApplyBatch(b)

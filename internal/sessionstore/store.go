@@ -20,8 +20,10 @@
 // (idempotent: turn records carry their transcript index), and the log
 // truncates any torn tail left by a crash mid-append — so a recovered
 // transcript is byte-identical to the committed prefix at the moment of
-// the crash. A shard-00.snap, the JSON checkpoint older stores wrote, is
-// read once, made the shard's root, and removed (upgradeSnapshot).
+// the crash. That layout is the only one Open reads: a directory older
+// than it — a shard-00.snap, the JSON checkpoint older stores wrote, or
+// a version store older than the journal's format — is a
+// *vstore.FormatError, and Open leaves it as it found it.
 // The chaos harness (internal/chaos) property-tests exactly that
 // under seeded crash/torn-write faults from internal/faults.
 //
@@ -219,11 +221,16 @@ func NewMemory(cfg Config) *Store {
 // truncated. The same pass is the version journal's redo: a session
 // whose root is behind its recovered transcript — the journal lost an
 // unflushed tail to a power cut — gets its version committed again,
-// after the checkpoint and after each replayed turn record (replay).
+// after the checkpoint and after each replayed turn record (replay). A
+// directory holding a shard-NN.snap is a *vstore.FormatError, found
+// before anything is opened or created in it.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{cfg: cfg, clock: cfg.Clock, shards: make([]*shard, cfg.Shards)}
 	if cfg.Dir != "" {
+		if err := refuseSnapshots(cfg.Dir); err != nil {
+			return nil, err
+		}
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("sessionstore: create data dir: %w", err)
 		}
@@ -269,21 +276,28 @@ func Open(cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// load recovers the shard from cfg.Dir: the head of its shard root —
-// nothing on a fresh shard, or once, the snapshot document an older
-// store wrote instead, which upgradeSnapshot makes the root — with every
-// loaded session's version kept, then the WAL replayed over it. Caller
-// holds sh.mu.
-func (sh *shard) load(cfg Config, now time.Duration) error {
-	snapPath := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.snap", sh.idx))
-	doc, err := readSnapshot(snapPath)
-	if err != nil {
-		return err
+// refuseSnapshots fails with a *vstore.FormatError if dir holds a
+// shard-NN.snap, the JSON checkpoint older stores wrote; a dir that is
+// not there holds none.
+func refuseSnapshots(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("sessionstore: read data dir: %w", err)
 	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".snap") {
+			return &vstore.FormatError{Path: filepath.Join(dir, name), Format: "a JSON shard snapshot"}
+		}
+	}
+	return nil
+}
+
+// load recovers the shard from cfg.Dir: the head of its shard root —
+// nothing on a fresh shard — with every loaded session's version kept,
+// then the WAL replayed over it. Caller holds sh.mu.
+func (sh *shard) load(cfg Config, now time.Duration) error {
 	var snap snapshot
-	if doc != nil {
-		snap = *doc
-	} else if head, err := sh.versions.Head(ShardRoot(sh.idx)); err == nil {
+	if head, err := sh.versions.Head(ShardRoot(sh.idx)); err == nil {
 		if snap, err = decodeShardTree(sh.versions, head.Tree); err != nil {
 			return fmt.Errorf("sessionstore: load shard %d root: %w", sh.idx, err)
 		}
@@ -295,11 +309,7 @@ func (sh *shard) load(cfg Config, now time.Duration) error {
 		sh.keepVersion(sh.sessions[ss.ID])
 	}
 	sh.shipBase = snap.ShipSeq
-	if doc != nil {
-		if err := sh.upgradeSnapshot(snapPath); err != nil {
-			return err
-		}
-	}
+	var err error
 	sh.wal, err = framelog.Open(
 		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx)), walMagic,
 		framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -487,5 +488,53 @@ func TestCommitWithoutPairErrors(t *testing.T) {
 	}
 	if cerr := e.Do(func(*dialogue.Session) error { return st.CommitTurn(e) }); cerr == nil {
 		t.Fatal("CommitTurn on empty transcript must error")
+	}
+}
+
+// TestMemoryOnlyStoreHeap bounds what a memory-only store holds after
+// 48 sessions × 8 pairs at the default cadence. No benchmark workload
+// runs such a node, so this is the only measure of it. Go 1.24,
+// linux/amd64: before every store kept versions it held 282 864 bytes
+// (the sessions and the retained replication tail); with its version
+// store it held 894 192 — the per-pair turns chunks, session nodes and
+// commits of every session root, 3.2 times as much — and since session
+// nodes and commits spell their refs as bytes it holds 799 544. The
+// bound is that plus a quarter.
+func TestMemoryOnlyStoreHeap(t *testing.T) {
+	const bound = 799_544 * 5 / 4
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	st := NewMemory(Config{})
+	var entries []*Entry
+	for i := 0; i < 48; i++ {
+		e, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	for j := 0; j < 8; j++ {
+		for _, e := range entries {
+			err := e.Do(func(sess *dialogue.Session) error {
+				sess.CommitTurn(fmt.Sprintf("how many employment where canton is Zurich in round %d of %s", j, e.ID), dialogue.IntentQuery,
+					fmt.Sprintf("There are %d rows of employment matching Zurich.", 100*j), 0.5)
+				return st.CommitTurn(e)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	grown := int64(heap()) - int64(before)
+	runtime.KeepAlive(st)
+	t.Logf("memory-only store: heap grew %d bytes over 48 sessions × 8 pairs (bound %d)", grown, bound)
+	if grown > bound {
+		t.Fatalf("memory-only store holds %d bytes after 48 × 8, bound %d", grown, bound)
 	}
 }

@@ -12,22 +12,15 @@ import (
 )
 
 // The session-tree pins. A session's tree is cut as a function of its
-// turn count, and the cut changed once: up to testdata/format-v2 a
-// transcript was sealed 32-turn chunks and one tail chunk that grew with
-// every turn; since, the open window is one chunk per pair. The format
-// dialogue never leaves its first window, so testdata/tree-v2 is the data
-// directory the commit *before* that change wrote for replayScript(
-// treeScript()) — this file, compiled there unchanged — whose long
-// session has two sealed chunks and a 16-turn tail; testdata/tree-v3 and
-// testdata/format-v3 are what the commit before binary refs wrote for the
-// two scripts, and testdata/tree-v4 and testdata/format-v4 what this code
-// writes. Each of them carries logs.json, the root logs its writer's
-// store reported (the v1 fixture has roots.json for that).
+// turn count: sealed 32-turn chunks, then one chunk per pair of the open
+// window. The format dialogue never leaves its first window, so
+// testdata/tree-v4 is the data directory replayScript(treeScript()) writes
+// — this file, compiled in the commit that wrote it — whose long session
+// has two sealed chunks and eight pair chunks after them; testdata/format-v4
+// is the same for formatScript(). Each carries logs.json, the root logs
+// its writer's store reported.
 const (
-	treeFixtureV2   = "testdata/tree-v2"
-	treeFixtureV3   = "testdata/tree-v3"
 	treeFixtureV4   = "testdata/tree-v4"
-	formatFixtureV3 = "testdata/format-v3"
 	formatFixtureV4 = "testdata/format-v4"
 	fixtureLogs     = "logs.json"
 )

@@ -147,13 +147,13 @@ func TestForgedSessionChunkIsAnError(t *testing.T) {
 	}
 }
 
-// fuzzFixtureChunks opens a copy of each tree-bearing fixture and returns
-// a store holding every chunk their roots reach, and those chunks.
+// fuzzFixtureChunks opens a copy of each fixture and returns a store
+// holding every chunk their roots reach, and those chunks.
 func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 	f.Helper()
 	base := vstore.NewMemory()
 	var all []vstore.Packet
-	for _, fixture := range []string{formatFixtureV2, treeFixtureV2, treeFixtureV3, formatFixtureV4, treeFixtureV4} {
+	for _, fixture := range []string{formatFixtureV4, treeFixtureV4} {
 		// A copy: an open may truncate, and a fixture is read-only.
 		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(copyFixture(f, fixture), "vstore")})
 		if err != nil {
@@ -177,7 +177,7 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 					if err != nil {
 						f.Fatal(err)
 					}
-					if err := base.AddPacket(p); err != nil {
+					if err := base.AddPackets([]vstore.Packet{p}); err != nil {
 						f.Fatal(err)
 					}
 					all = append(all, p)
@@ -193,21 +193,55 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 
 // FuzzDecodeSessionTree feeds the tree decoders one chunk a peer could
 // ship — any bytes that hash to their address — over the chunks of the
-// v2, v3 and v4 fixtures — JSON and binary — which its refs may name: the decoders answer with
-// a transcript or an error, never a panic, and whatever decodes, encoded
+// v4 fixtures, which its refs may name: the decoders answer with a
+// transcript or an error, never a panic, and whatever decodes, encoded
 // again from nothing, is a tree that decodes to the same transcript. A
 // turns chunk is also read through a session node made for it.
 func FuzzDecodeSessionTree(f *testing.F) {
 	base, seeds := fuzzFixtureChunks(f)
 	for _, p := range seeds {
 		f.Add(p.Data)
+		// A chunk with refs also as stores before binary refs wrote it,
+		// and cut one byte short: both refused.
+		if refs, err := base.Refs(p.Hash); err != nil {
+			f.Fatal(err)
+		} else if len(refs) > 0 {
+			var data json.RawMessage
+			kind, err := base.Data(p.Hash, &data)
+			if err != nil {
+				f.Fatal(err)
+			}
+			old, err := json.Marshal(struct {
+				K string          `json:"k"`
+				R []vstore.Hash   `json:"r"`
+				D json.RawMessage `json:"d,omitempty"`
+			}{kind, refs, data})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(old)
+			f.Add(p.Data[:len(p.Data)-1])
+		}
 	}
-	f.Add([]byte(`{"k":"turns","d":[]}`))
-	f.Add([]byte(`{"k":"sess","d":{"id":"s","num":1,"turns":0,"per":32}}`))
+	for _, seed := range []string{
+		`{"k":"turns","d":[]}`,
+		`{"k":"turns","d":null}`,
+		`{"k":"turns","d":[{"role":"user","text":"q","intent":"query","confidence":0.5}]}`,
+		`{"k":"sess","d":{"id":"s","num":1,"turns":0,"per":32}}`,
+		`{"k":"sess","d":{"id":"s","num":1,"turns":2,"per":32}}`,
+		`{"k":"sess","d":{"id":"s","num":1,"turns":0,"per":0}}`,
+		`{"k":"shard","d":{"maxNum":1,"shipSeq":0,"ids":[]}}`,
+		`{"k":"shard","d":{"maxNum":1,"shipSeq":0,"ids":["s"]}}`,
+		`{"root":"session/s","log":[]}`,
+		`null`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		vs := vstore.NewMemory()
 		h := vstore.Hash(sha256Hex(payload))
-		if err := vs.AddPacket(vstore.Packet{Hash: h, Data: payload}); err != nil {
+		if err := vs.AddPackets([]vstore.Packet{{Hash: h, Data: payload}}); err != nil {
 			return // no chunk at all
 		}
 		// What it references, as far as the fixtures hold it.
@@ -215,7 +249,7 @@ func FuzzDecodeSessionTree(f *testing.F) {
 			moved = false
 			for _, want := range vs.WantList(h, 0) {
 				if p, err := base.PacketOf(want); err == nil {
-					if err := vs.AddPacket(p); err != nil {
+					if err := vs.AddPackets([]vstore.Packet{p}); err != nil {
 						t.Fatal(err)
 					}
 					moved = true

@@ -23,10 +23,7 @@ package sessionstore
 // version. The cuts being a function of the count, two stores that hold
 // the same transcript hold the same tree — what recovery's redo and a
 // replica's replay stand on. The reader (decodeSessionTree) concatenates
-// whatever turns chunks a node lists, so the trees older code wrote —
-// sealed windows and one growing tail chunk — read through the same
-// loop, and a session that has one gets the layout above at its next
-// turn, sharing its sealed chunks. Each Entry remembers the chunks of
+// whatever turns chunks a node lists. Each Entry remembers the chunks of
 // its last committed version (sessionTree), so a version encodes and
 // hashes only what the turn added, whatever the transcript's length.
 // A shard tree references its session nodes, so a compaction after

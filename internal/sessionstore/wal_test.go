@@ -1,6 +1,7 @@
 package sessionstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,19 +11,19 @@ import (
 )
 
 // FuzzDecodeRecord feeds the WAL record decoders any bytes, seeded with
-// every frame of the format-v1, -v2 and -v3 shard WALs. decodeFrame
+// every frame of the format-v4 and tree-v4 shard WALs, whole and with
+// its checksum flipped. decodeFrame
 // reads the bytes as a shipped frame and decodeRecord reads what
 // follows a frame header as a payload (so a mutated payload reaches the
 // JSON decoder even when its checksum no longer matches). Neither may
 // panic, and whatever decodes re-encodes through encodeRecord to a
 // frame that decodes equal.
 func FuzzDecodeRecord(f *testing.F) {
-	wals, err := filepath.Glob("testdata/format-v[123]/shard-*.wal")
-	if err != nil {
-		f.Fatal(err)
-	}
-	if len(wals) != 6 {
-		f.Fatalf("found shard WALs %v, want two in each of format-v1, -v2 and -v3", wals)
+	var wals []string
+	for _, fixture := range []string{formatFixtureV4, treeFixtureV4} {
+		for _, name := range shardFiles {
+			wals = append(wals, filepath.Join(fixture, name))
+		}
 	}
 	for _, path := range wals {
 		raw, err := os.ReadFile(path)
@@ -34,7 +35,13 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Fatalf("%s: %d frames cover %d of %d bytes", path, len(payloads), valid, len(raw))
 		}
 		for _, p := range payloads {
-			f.Add(framelog.Encode(walMagic, p))
+			frame := framelog.Encode(walMagic, p)
+			f.Add(frame)
+			// With its checksum flipped, decodeFrame refuses the frame and
+			// decodeRecord still reads the payload.
+			frame = bytes.Clone(frame)
+			frame[framelog.HeaderSize-1] ^= 0xFF
+			f.Add(frame)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

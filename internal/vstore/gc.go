@@ -9,10 +9,10 @@ import (
 
 // GC is mark-and-sweep collection of chunks unreachable from any
 // commit of any root. It is safe to run concurrently with Put,
-// AddPacket, and Commit; two mechanisms keep a racing commit's chunks
+// AddPackets, and Commit; two mechanisms keep a racing commit's chunks
 // alive:
 //
-//   - Epoch write barrier. Every Put/AddPacket — including a dedup
+//   - Epoch write barrier. Every Put/AddPackets — including a dedup
 //     hit on content already stored — re-touches the chunk's epoch,
 //     and the sweep spares any chunk touched at or after its own
 //     epoch, so chunks shipped or put one by one while a sweep runs

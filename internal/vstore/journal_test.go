@@ -3,7 +3,6 @@ package vstore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -125,8 +124,8 @@ func TestCommitDatabaseIsOneJournalAppend(t *testing.T) {
 	if info.Size() != jf.bytes {
 		t.Fatalf("journal is %d bytes, its appends sum to %d", info.Size(), jf.bytes)
 	}
-	if _, err := os.Stat(filepath.Join(dir, rootsV1Name)); !os.IsNotExist(err) {
-		t.Fatalf("%s exists (err %v); the journal is the only file", rootsV1Name, err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("the store's directory holds %v (err %v); the journal is the only file", entries, err)
 	}
 	requireReopensEqual(t, dir, s)
 }
@@ -325,7 +324,7 @@ func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dangling, err := rootPayload(rootRecord{Root: &root, Commit: Hash("beef")})
+	dangling, err := appendPayload(root, hashBytes([]byte("beef")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,14 +368,14 @@ func TestAddPacketRejectsRootRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewMemory()
-	if err := s.AddPacket(Packet{Hash: hashBytes(data), Data: data}); !errors.Is(err, ErrBadPacket) {
+	if err := s.AddPackets([]Packet{{Hash: hashBytes(data), Data: data}}); !errors.Is(err, ErrBadPacket) {
 		t.Fatalf("root record shipped as a chunk: err = %v, want ErrBadPacket", err)
 	}
 }
 
 // forgedPayloads are chunk payloads no writer of this store produces,
-// each hashing to its address: the JSON shapes a peer could ship before
-// AddPackets held a chunk to its shape, and every way out of the binary
+// each hashing to its address: the JSON shapes older stores wrote or
+// accepted from a peer, a root record, and every way out of the binary
 // layout.
 func forgedPayloads(t testing.TB) []struct {
 	name    string
@@ -418,7 +417,10 @@ func forgedPayloads(t testing.TB) []struct {
 		{"JSON chunk with no kind", []byte(`{}`)},
 		{"JSON refs that are not addresses", []byte(`{"k":"x","r":["zz"]}`)},
 		{"JSON ref in uppercase hex", []byte(`{"k":"x","r":["` + strings.ToUpper(string(addr)) + `"]}`)},
-		{"JSON root record", jsonRoot},
+		{"JSON chunk with address refs", []byte(`{"k":"x","r":["` + string(addr) + `"],"d":{}}`)},
+		{"JSON append record", jsonRoot},
+		{"JSON root record with a kind", []byte(`{"root":"r","k":"x","log":["` + string(addr) + `"]}`)},
+		{"JSON log record", []byte(`{"root":"r","log":["` + string(addr) + `"],"stamp":1}`)},
 		{"not JSON", []byte(`{`)},
 		{"empty", nil},
 		{"unknown first byte", raw(0x03, 1, "x", 1, addr)},
@@ -476,7 +478,7 @@ func TestAddPacketsRefusesForgedPayloads(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 100; i++ {
-			if s.AddPacket(bad) == nil {
+			if s.AddPackets([]Packet{bad}) == nil {
 				t.Fatalf("%s: installed", f.name)
 			}
 		}
@@ -490,124 +492,6 @@ func TestAddPacketsRefusesForgedPayloads(t *testing.T) {
 	}
 	if refs, err := s.Refs(good[1].Hash); err != nil || !reflect.DeepEqual(refs, []Hash{good[0].Hash}) {
 		t.Fatalf("the binary table's refs = %v, %v", refs, err)
-	}
-}
-
-// TestOpenKeepsFramesTheParentAccepted: a store built before AddPackets
-// held a chunk to its shape journalled whatever JSON a peer shipped it.
-// Such frames — null, a chunk with no kind, refs that are not addresses —
-// sit in the journal before the versions committed after them; Open
-// indexes them as the chunks they always were, keeps every frame after
-// them, and the store commits on as before.
-func TestOpenKeepsFramesTheParentAccepted(t *testing.T) {
-	dir := t.TempDir()
-	root := "session/s0001"
-	must := func(b []byte, err error) []byte {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	legacy := [][]byte{[]byte(`null`), []byte(`{}`), []byte(`{"k":"x","r":["zz"]}`)}
-	tree := must(encodeEnvelope("sess", []Hash{hashBytes(legacy[2])}, []byte(`{"turns":0}`)))
-	commit := must(encodeEnvelope("commit", []Hash{hashBytes(tree)}, []byte(`{"turn":2,"stamp":1}`)))
-	var journal []byte
-	for _, p := range append(legacy, tree, commit, must(appendPayload(root, hashBytes(commit)))) {
-		journal = append(journal, framelog.Encode(packMagic, p)...)
-	}
-	path := filepath.Join(dir, packName)
-	if err := os.WriteFile(path, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	want := Commit{Hash: hashBytes(commit), Tree: hashBytes(tree), Turn: 2, Stamp: 1}
-	if head, err := s.Head(root); err != nil || head != want {
-		t.Fatalf("head = %+v, %v; want %+v", head, err, want)
-	}
-	if info, err := os.Stat(path); err != nil || info.Size() != int64(len(journal)) {
-		t.Fatalf("journal after open: %v, %v; want all %d bytes kept", info, err, len(journal))
-	}
-	for _, p := range legacy {
-		if !s.Has(hashBytes(p)) {
-			t.Fatalf("%s is not indexed", p)
-		}
-	}
-	if refs, err := s.Refs(hashBytes(legacy[2])); err != nil || !reflect.DeepEqual(refs, []Hash{"zz"}) {
-		t.Fatalf("refs of the chunk with a bad ref = %v, %v", refs, err)
-	}
-	b := s.NewBatch()
-	next, err := b.Put("sess", []Hash{hashBytes(legacy[2])}, []byte(`{"turns":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Commit(root, next, 4); err != nil {
-		t.Fatal(err)
-	}
-	requirePacketsRehash(t, s)
-	requireReopensEqual(t, dir, s)
-}
-
-// TestJSONOnlyPeerRefusesBinaryChunks: a node built before binary refs
-// decodes every shipped packet as JSON before it installs a batch (the
-// loop below is its AddPackets' verification). So it refuses, whole and
-// with a decode error naming the packet, any batch that carries a chunk
-// with refs this code wrote — a replica must be upgraded before its
-// primary — and it still takes the chunks without refs, whose form did
-// not change.
-func TestJSONOnlyPeerRefusesBinaryChunks(t *testing.T) {
-	jsonOnlyAddPackets := func(ps []Packet) error {
-		for _, p := range ps {
-			var rec record
-			if err := json.Unmarshal(p.Data, &rec); err != nil {
-				return fmt.Errorf("vstore: decode packet %s: %w", p.Hash, err)
-			}
-		}
-		return nil
-	}
-	src := NewMemory()
-	c, err := src.CommitDatabase("db/main", demoDB(600), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closure, err := src.Closure(c.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packets, err := src.Packets(closure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var leaves []Packet
-	for _, p := range packets {
-		refs, err := src.Refs(p.Hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(refs) == 0 {
-			leaves = append(leaves, p)
-			continue
-		}
-		var syntax *json.SyntaxError
-		if err := jsonOnlyAddPackets([]Packet{p}); err == nil {
-			t.Fatalf("a JSON-only peer decodes the binary chunk %s", p.Hash)
-		} else if !errors.As(err, &syntax) || !strings.Contains(err.Error(), string(p.Hash)) {
-			t.Fatalf("a JSON-only peer refuses %s with %v, want a decode error naming it", p.Hash, err)
-		}
-	}
-	if len(leaves) == 0 || len(leaves) == len(packets) {
-		t.Fatalf("%d of %d chunks have no refs; want some of each", len(leaves), len(packets))
-	}
-	if err := jsonOnlyAddPackets(leaves); err != nil {
-		t.Fatalf("a JSON-only peer refuses the leaves: %v", err)
 	}
 }
 
@@ -754,34 +638,23 @@ func journalSeeds(t testing.TB) [][]byte {
 	}
 }
 
-// FuzzJournalOpen feeds arbitrary bytes to Open as chunks.pack, with
-// or without a v1 roots.json beside it: it never panics, and whatever
-// it accepts — cutting the journal, folding the document — re-opens to
-// the same root logs, with every indexed chunk at the offset the index
-// holds for it, before and after a further commit.
+// FuzzJournalOpen feeds arbitrary bytes to Open as chunks.pack: it
+// never panics; a refusal for an older format keeps every frame whose
+// checksum verifies, byte for byte — only a torn tail after the last of
+// them, which any reader cuts, may go — so a journal that ends on a
+// frame is left as it was; and whatever it accepts, cutting the journal,
+// re-opens to the same root logs, with every indexed chunk at the offset
+// the index holds for it, before and after a further commit.
 func FuzzJournalOpen(f *testing.F) {
 	for _, seed := range journalSeeds(f) {
-		f.Add(seed, []byte(nil))
+		f.Add(seed)
 	}
-	for _, fixture := range []string{"format-v1", "format-v2"} {
-		dir := filepath.Join("..", "sessionstore", "testdata", fixture, "vstore")
-		pack, err := os.ReadFile(filepath.Join(dir, packName))
-		if err != nil {
-			f.Fatal(err)
-		}
-		roots, err := os.ReadFile(filepath.Join(dir, rootsV1Name))
-		if err != nil && !os.IsNotExist(err) {
-			f.Fatal(err)
-		}
-		f.Add(pack, roots)
-		f.Add(pack[:len(pack)/2], roots)
-	}
-	f.Add([]byte(nil), []byte(`{"stamp":3,"roots":{"a":[{"hash":"beef"}],"":[]}}`))
-	f.Add([]byte(nil), []byte(`{"roots":[1]}`))
-	// The binary forms: journals this code wrote, whole and cut, and the
-	// frames the parent accepted ahead of a binary version.
+	// Journals this code wrote: whole, cut, and behind a JSON chunk with
+	// refs, which only older stores wrote.
+	old := framelog.Encode(packMagic, []byte(`{"k":"sess","r":["`+string(hashBytes(nil))+`"]}`))
 	for _, path := range []string{
 		filepath.Join(leafFixtureV5, packName),
+		filepath.Join(readingsFixture, packName),
 		filepath.Join("..", "sessionstore", "testdata", "format-v4", "vstore", packName),
 		filepath.Join("..", "sessionstore", "testdata", "tree-v4", "vstore", packName),
 	} {
@@ -789,31 +662,33 @@ func FuzzJournalOpen(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(pack, []byte(nil))
-		f.Add(pack[:len(pack)/2], []byte(nil))
+		f.Add(pack)
+		f.Add(pack[:len(pack)/2])
+		f.Add(append(bytes.Clone(old), pack...))
 	}
 	for _, forged := range forgedPayloads(f) {
-		f.Add(framelog.Encode(packMagic, forged.payload), []byte(nil))
+		f.Add(framelog.Encode(packMagic, forged.payload))
 	}
 
-	f.Fuzz(func(t *testing.T, pack, roots []byte) {
+	f.Fuzz(func(t *testing.T, pack []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
+		path := filepath.Join(dir, packName)
+		if err := os.WriteFile(path, pack, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if len(roots) > 0 {
-			if err := os.WriteFile(filepath.Join(dir, rootsV1Name), roots, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
 		s, err := Open(Config{Dir: dir})
+		var older *FormatError
+		if errors.As(err, &older) {
+			_, valid := framelog.Scan(packMagic, pack)
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, pack[:valid]) {
+				t.Fatalf("refused (%v), the journal is %d bytes (err %v); it was %d, %d of them whole frames", older, len(got), err, len(pack), valid)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
 		defer func() { _ = s.Close() }()
-		if _, err := os.Stat(filepath.Join(dir, rootsV1Name)); !os.IsNotExist(err) {
-			t.Fatalf("%s survived a successful open (err %v)", rootsV1Name, err)
-		}
 		for root, log := range allLogs(t, s) {
 			for _, c := range log {
 				if !s.Has(c.Hash) {

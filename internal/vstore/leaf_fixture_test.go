@@ -8,28 +8,17 @@ import (
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
-// The leaf-format pins. testdata/leaf-v1/chunks.pack is the journal the
-// commit *before* the typed leaf codec wrote for commitLeafFixture (this
-// file, compiled there unchanged): every leaf an array of Value structs.
-// testdata/leaf-v2/chunks.pack is what this code writes for the same
-// two commits. testdata/orders-v2/chunks.pack is the journal the commit
-// before the runs and dictionary forms wrote for ordersFixtureDB, every
-// leaf a plain typed one; testdata/leaf-v3/chunks.pack is what the
-// commit before the packed forms wrote for it, runs and dictionaries
-// with decimal indexes; testdata/leaf-v4/chunks.pack is what the commit
-// before binary refs wrote for it, packed leaves under JSON envelopes;
-// testdata/leaf-v5/chunks.pack is what this code writes for it, the same
-// leaves under table, db and commit chunks whose refs are bytes. Leaves
-// have no refs and keep their JSON envelope, so leaf-v2's and leaf-v4's
-// leaves are the ones this code writes.
+// The leaf-format pins, each a journal written by one Open, the
+// fixture's commits and Close. testdata/readings-v5/chunks.pack is
+// commitLeafFixture's: every column kind, NULLs and the values a codec
+// gets wrong first, in plain leaves. testdata/leaf-v5/chunks.pack is
+// commitOrdersFixture's: runs, dictionary and packed leaves. Both were
+// written by the commit that made refs bytes — this file, compiled there
+// unchanged — and this code writes them byte for byte.
 
 const (
-	leafFixtureV1     = "testdata/leaf-v1"
-	leafFixtureV2     = "testdata/leaf-v2"
+	readingsFixture   = "testdata/readings-v5"
 	leafFixtureRoot   = "db/main"
-	ordersFixtureV2   = "testdata/orders-v2"
-	leafFixtureV3     = "testdata/leaf-v3"
-	leafFixtureV4     = "testdata/leaf-v4"
 	leafFixtureV5     = "testdata/leaf-v5"
 	ordersFixtureRoot = "data"
 )

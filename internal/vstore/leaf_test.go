@@ -355,53 +355,30 @@ func TestLeafRoundTrip(t *testing.T) {
 		t.Fatalf("all-NULL spans encoded as %s and %s", x, y)
 	}
 
-	// The struct-array form is only read. A leaf no column could have
-	// held is refused; fields a value's kind does not use are dropped.
-	for name, c := range map[string]struct {
-		leaf, want []storage.Value
-	}{
-		"mixed kinds":    {leaf: []storage.Value{storage.Int(1), storage.Str("one")}},
-		"int and float":  {leaf: []storage.Value{storage.Int(1), storage.Float(1)}},
-		"float and int":  {leaf: []storage.Value{storage.Float(1), storage.Int(1)}},
-		"unknown kind":   {leaf: []storage.Value{{Kind: 9, I: 1}}},
-		"one kind":       {leaf: a, want: a},
-		"stray I":        {leaf: []storage.Value{storage.Str("s"), {Kind: storage.KindString, S: "s", I: 7}}, want: []storage.Value{storage.Str("s"), storage.Str("s")}},
-		"stray on NULL":  {leaf: []storage.Value{storage.Int(1), {B: true}}, want: []storage.Value{storage.Int(1), storage.Null()}},
-		"stray F on int": {leaf: []storage.Value{{Kind: storage.KindInt, I: 1, F: 0.5}}, want: []storage.Value{storage.Int(1)}},
-		"stray -0":       {leaf: []storage.Value{{Kind: storage.KindInt, I: 2, F: math.Copysign(0, -1)}}, want: []storage.Value{storage.Int(2)}},
+	// The struct-array form older stores wrote is refused, whatever it
+	// holds.
+	for name, leaf := range map[string][]storage.Value{
+		"one kind":    a,
+		"mixed kinds": {storage.Int(1), storage.Str("one")},
 	} {
-		data, err := json.Marshal(c.leaf)
+		data, err := json.Marshal(leaf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeLeaf(data, len(c.leaf))
-		if c.want == nil {
-			if err == nil {
-				t.Errorf("%s: decoded %s as %#v", name, data, values(got))
-			}
-			continue
+		if got, err := decodeLeaf(data, len(leaf)); err == nil {
+			t.Errorf("%s: decoded %s as %#v", name, data, values(got))
 		}
-		if err != nil {
-			t.Fatalf("%s: decode %s: %v", name, data, err)
-		}
-		requireSameValues(t, name, values(got), c.want)
-		requireRoundTrip(t, got)
 	}
 
-	// Invalid UTF-8 becomes U+FFFD in both forms, as json.Marshal of the
-	// struct array always did; the replaced string is then stable.
+	// Invalid UTF-8 becomes U+FFFD, as json.Marshal always made it; the
+	// replaced string is then stable.
 	invalid := []storage.Value{storage.Str("a\xffb\xc3")}
-	legacy, err := json.Marshal(invalid)
-	if err != nil {
-		t.Fatal(err)
+	data := mustEncode(t, mustVector(t, storage.KindString, invalid), 0, 1)
+	got, err := decodeLeaf(data, 1)
+	if err != nil || got.At(0) != storage.Str("a\ufffdb\ufffd") {
+		t.Fatalf("invalid UTF-8 came back from %s as %#v, %v", data, got, err)
 	}
-	for _, data := range [][]byte{legacy, mustEncode(t, mustVector(t, storage.KindString, invalid), 0, 1)} {
-		got, err := decodeLeaf(data, 1)
-		if err != nil || got.At(0) != storage.Str("a\ufffdb\ufffd") {
-			t.Fatalf("invalid UTF-8 came back from %s as %#v, %v", data, got, err)
-		}
-		requireRoundTrip(t, got)
-	}
+	requireRoundTrip(t, got)
 
 	// NaN and ±Inf have no JSON form: the encode fails, as it always
 	// did, from the slice and through pointers alike.
@@ -492,7 +469,7 @@ func TestLeafForms(t *testing.T) {
 
 	// A dictionary leaf's dictionary becomes the vector's, whose rows
 	// share its strings.
-	col, err := decodeLeaf([]byte(`{"t":3,"dict":["lakeside","border"],"ix":[0,1,0,0]}`), 4)
+	col, err := decodeLeaf([]byte(`{"t":3,"dict":["lakeside","border"],"w":1,"p":"Ag"}`), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +485,7 @@ func TestLeafForms(t *testing.T) {
 
 	// A forged dictionary that repeats a string decodes through the
 	// vector's index to one entry, and re-encodes to the canonical text.
-	col, err = decodeLeaf([]byte(`{"t":3,"dict":["a","a"],"ix":[0,1]}`), 2)
+	col, err = decodeLeaf([]byte(`{"t":3,"dict":["a","a"],"w":1,"p":"Ag"}`), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +502,8 @@ func TestLeafForms(t *testing.T) {
 // whatever it accepts as the row count asked for — what a vector can
 // hold — re-encodes to bytes no longer than the plain form of those
 // values, which decode to the same values and are a fixed point of the
-// codec.
+// codec. Among the seeds are the struct-array and decimal-index leaves
+// older stores wrote, which it refuses.
 func FuzzDecodeLeaf(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for kind := storage.KindNull; kind <= storage.KindBool; kind++ {
@@ -735,94 +713,26 @@ func requireSameVersion(t *testing.T, s *Store, a, b Hash) {
 	requireSameDB(t, da, db)
 }
 
-// TestOpensParentLeaves opens the journal the parent commit wrote —
-// every leaf an array of structs — and requires both versions to
-// materialize equal to the generator's, before and after this code
-// commits the same data on top as a tree of typed leaves; the two
-// encodings of one version materialize equal.
-func TestOpensParentLeaves(t *testing.T) {
-	dir := copyLeafFixture(t, leafFixtureV1)
-	s := openDir(t, dir)
-	old, err := s.Log(leafFixtureRoot)
-	if err != nil || len(old) != 2 {
-		t.Fatalf("fixture log = %+v, %v; want two commits", old, err)
-	}
-	want := commitLeafFixture(t, NewMemory())
-	requireOldVersions := func(s *Store) {
-		t.Helper()
-		for turn, c := range old {
-			db, at, err := s.DatabaseAsOf(leafFixtureRoot, turn)
-			if err != nil || at != c {
-				t.Fatalf("as of turn %d: commit %+v, %v; want %+v", turn, at, err, c)
-			}
-			requireSameDB(t, db, want[turn])
-		}
-	}
-	requireOldVersions(s)
-
-	// A struct-array leaf materializes to the vector a typed leaf does,
-	// so each old version committed again has leaf-v2's leaves, hash for
-	// hash — the fixture's no-NULL spans marshalled from the slice, its
-	// NULL-bearing ones through pointers.
-	v2 := openDir(t, copyLeafFixture(t, leafFixtureV2))
-	pinned, err := v2.Log(leafFixtureRoot)
-	if err != nil || len(pinned) != len(old) {
-		t.Fatalf("leaf-v2 log = %+v, %v", pinned, err)
-	}
-	for turn := range old {
-		fromV1, _, err := s.DatabaseAsOf(leafFixtureRoot, turn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromV2, _, err := v2.DatabaseAsOf(leafFixtureRoot, turn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameDB(t, fromV1, fromV2)
-		m := NewMemory()
-		again, err := m.CommitDatabase(leafFixtureRoot, fromV1, turn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := tableLeaves(t, m, again.Tree), tableLeaves(t, v2, pinned[turn].Tree); !slices.Equal(got, want) {
-			t.Fatalf("turn %d read from leaf-v1 commits as leaves %v; leaf-v2 has %v", turn, got, want)
-		}
-	}
-
-	// The same content re-committed is a new tree (typed leaves hash
-	// differently) beside the old one, which stays readable.
-	chunks := s.NumChunks()
-	head, err := s.CommitDatabase(leafFixtureRoot, want[1], 2)
+// TestWritesV2LeafBytes requires the journal this code writes for the
+// readings fixture's two commits to be readings-v5's, byte for byte, its
+// leaves to be the fixture's, and its two versions to read back.
+func TestWritesV2LeafBytes(t *testing.T) {
+	dir := t.TempDir()
+	commitLeafFixture(t, openDir(t, dir))
+	got, err := os.ReadFile(filepath.Join(dir, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if head.Tree == old[1].Tree || s.NumChunks() <= chunks {
-		t.Fatalf("re-commit reused tree %s (%d → %d chunks): the fixture holds no old-form leaves?", head.Tree, chunks, s.NumChunks())
+	pinned, err := os.ReadFile(filepath.Join(readingsFixture, packName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireSameVersion(t, s, old[1].Hash, head.Hash)
-	// Committing it once more is the no-op it has to be on every restart.
-	chunks = s.NumChunks()
-	if again, err := s.CommitDatabase(leafFixtureRoot, want[1], 2); err != nil || again != head || s.NumChunks() != chunks {
-		t.Fatalf("second re-commit = %+v, %v (%d → %d chunks); want %+v and nothing written", again, err, chunks, s.NumChunks(), head)
+	if !bytes.Equal(got, pinned) {
+		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
 	}
-
-	reopened := openDir(t, dir)
-	requireOldVersions(reopened)
-	db, at, err := reopened.DatabaseAsOf(leafFixtureRoot, 2)
-	if err != nil || at != head {
-		t.Fatalf("as of turn 2 after reopen: %+v, %v", at, err)
-	}
-	requireSameDB(t, db, want[1])
-}
-
-// TestWritesV2LeafBytes requires the leaves this code journals for the
-// fixture's two commits to be leaf-v2's, byte for byte — a chunk without
-// refs is written as it was before refs became bytes — and reads them
-// back.
-func TestWritesV2LeafBytes(t *testing.T) {
 	s := NewMemory()
 	want := commitLeafFixture(t, s)
-	requireLeavesOf(t, s, leafFixtureV2, leafFixtureRoot)
+	requireLeavesOf(t, s, readingsFixture, leafFixtureRoot)
 	tab, err := want[0].Get("readings")
 	if err != nil {
 		t.Fatal(err)
@@ -838,7 +748,7 @@ func TestWritesV2LeafBytes(t *testing.T) {
 			t.Fatalf("fixture column %s has %d NULLs in %d rows, want some of each", cd.Name, nulls, tab.NumRows())
 		}
 	}
-	fixture := openDir(t, copyLeafFixture(t, leafFixtureV2))
+	fixture := openDir(t, copyLeafFixture(t, readingsFixture))
 	for turn := range want {
 		db, _, err := fixture.DatabaseAsOf(leafFixtureRoot, turn)
 		if err != nil {
@@ -885,101 +795,12 @@ func leafForms(t *testing.T, s *Store, tree Hash) []string {
 	return forms
 }
 
-// requireOrdersUpgrade opens a journal an older writer left for
-// ordersFixtureDB and walks the upgrade a node's first CommitData(0)
-// takes: the old version materializes to the generator's database;
-// committing that database at turn 0 adds one new tree beside it,
-// leaf-v5's, which shares exactly the old leaves whose form is one of
-// kept and adds the rest; both materialize equal and keep resolving
-// after a reopen; and committing once more writes nothing.
-func requireOrdersUpgrade(t *testing.T, fixture string, kept ...string) {
-	t.Helper()
-	dir := copyLeafFixture(t, fixture)
-	s := openDir(t, dir)
-	old, err := s.Log(ordersFixtureRoot)
-	if err != nil || len(old) != 1 {
-		t.Fatalf("fixture log = %+v, %v; want one commit", old, err)
-	}
-	want := ordersFixtureDB()
-	got, err := s.MaterializeDatabase(old[0].Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameDB(t, got, want)
-
-	chunks := s.NumChunks()
-	oldLeaves := tableLeaves(t, s, old[0].Tree)
-	head, err := s.CommitDatabase(ordersFixtureRoot, want, 0)
-	if err != nil || head.Tree == old[0].Tree || head.Parent != old[0].Hash || head.Turn != 0 {
-		t.Fatalf("upgrade commit = %+v, %v; want a new turn-0 tree on top of %s", head, err, old[0].Hash)
-	}
-	pinned, err := openDir(t, copyLeafFixture(t, leafFixtureV5)).Log(ordersFixtureRoot)
-	if err != nil || pinned[0].Tree != head.Tree {
-		t.Fatalf("upgrade committed tree %s; leaf-v5 has %+v, %v", head.Tree, pinned, err)
-	}
-	added := map[Hash]bool{}
-	forms := leafForms(t, s, head.Tree)
-	for i, h := range tableLeaves(t, s, head.Tree) {
-		if shared := slices.Contains(oldLeaves, h); shared != slices.Contains(kept, forms[i]) {
-			t.Errorf("leaf %d of column %d, in the %q form, shared with the old tree: %t", i%3, i/3, forms[i], shared)
-		} else if !shared {
-			added[h] = true
-		}
-	}
-	if n := s.NumChunks() - chunks; n != len(added)+3 {
-		t.Fatalf("upgrade added %d chunks, want %d new leaves and a table, db and commit", n, len(added))
-	}
-	requireSameVersion(t, s, old[0].Hash, head.Hash)
-	chunks = s.NumChunks()
-	if again, err := s.CommitDatabase(ordersFixtureRoot, want, 0); err != nil || again != head || s.NumChunks() != chunks {
-		t.Fatalf("second commit = %+v, %v (%d → %d chunks); want %+v and nothing written", again, err, chunks, s.NumChunks(), head)
-	}
-
-	reopened := openDir(t, dir)
-	if log, err := reopened.Log(ordersFixtureRoot); err != nil || fmt.Sprint(log) != fmt.Sprint([]Commit{old[0], head}) {
-		t.Fatalf("log after reopen = %+v, %v", log, err)
-	}
-	db, at, err := reopened.DatabaseAsOf(ordersFixtureRoot, 0)
-	if err != nil || at != head {
-		t.Fatalf("as of turn 0 after reopen: %+v, %v; want %+v", at, err, head)
-	}
-	requireSameDB(t, db, want)
-	requireSameVersion(t, reopened, old[0].Hash, head.Hash)
-	if again, err := reopened.CommitDatabase(ordersFixtureRoot, want, 0); err != nil || again != head {
-		t.Fatalf("commit after reopen = %+v, %v; want %+v", again, err, head)
-	}
-}
-
-// TestUpgradesParentOrders: the journal of plain leaves written before
-// the runs and dictionary forms upgrades to leaf-v5's tree, sharing the
-// one leaf still plain, the one with the NULL.
-func TestUpgradesParentOrders(t *testing.T) {
-	requireOrdersUpgrade(t, ordersFixtureV2, "v")
-}
-
-// TestUpgradesV3Orders: leaf-v3, the journal written before the packed
-// forms, upgrades to leaf-v5's tree, sharing the runs leaves and the
-// leaf with the NULL.
-func TestUpgradesV3Orders(t *testing.T) {
-	requireOrdersUpgrade(t, leafFixtureV3, "dr", "v")
-}
-
-// TestUpgradesV4Orders: leaf-v4, the journal written before binary refs,
-// upgrades to leaf-v5's tree, sharing every leaf — a leaf has no refs
-// and keeps its JSON envelope — and adding only a table, db and commit.
-func TestUpgradesV4Orders(t *testing.T) {
-	requireOrdersUpgrade(t, leafFixtureV4, "dr", "dict p w", "v", "lo p w", "lo p s w")
-}
-
-// v3Forms and v4Forms are the forms of the orders fixture's leaves, three
-// a column: runs for the key and the constant, a dictionary for the
-// regions but in the leaf with the NULL, and — v3 plain, v4 packed — the
-// periodic quantity and the two-decimal amount.
-var (
-	v3Forms = []string{"dr", "dr", "dr", "dict ix", "v", "dict ix", "dr", "dr", "dr", "v", "v", "v", "v", "v", "v"}
-	v4Forms = []string{"dr", "dr", "dr", "dict p w", "v", "dict p w", "dr", "dr", "dr",
-		"lo p w", "lo p w", "lo p w", "lo p s w", "lo p s w", "lo p s w"}
-)
+// v4Forms are the forms of the orders fixture's leaves, three a column:
+// runs for the key and the constant, a dictionary for the regions but in
+// the leaf with the NULL, and packed for the periodic quantity and the
+// two-decimal amount.
+var v4Forms = []string{"dr", "dr", "dr", "dict p w", "v", "dict p w", "dr", "dr", "dr",
+	"lo p w", "lo p w", "lo p w", "lo p s w", "lo p s w", "lo p s w"}
 
 // requireOrdersFixture requires a fixture journal to hold
 // ordersFixtureDB at turn 0 in leaves of the given forms.
@@ -996,25 +817,10 @@ func requireOrdersFixture(t *testing.T, fixture string, forms []string) {
 	}
 }
 
-// TestWritesV3LeafBytes reads leaf-v3, the journal the writer before the
-// packed forms left for ordersFixtureDB.
-func TestWritesV3LeafBytes(t *testing.T) {
-	requireOrdersFixture(t, leafFixtureV3, v3Forms)
-}
-
-// TestWritesV4LeafBytes reads leaf-v4, the journal the writer before
-// binary refs left for ordersFixtureDB, and requires the leaves this code
-// writes for it to be leaf-v4's, byte for byte.
-func TestWritesV4LeafBytes(t *testing.T) {
-	s := NewMemory()
-	commitOrdersFixture(t, s)
-	requireLeavesOf(t, s, leafFixtureV4, ordersFixtureRoot)
-	requireOrdersFixture(t, leafFixtureV4, v4Forms)
-}
-
 // TestWritesV5LeafBytes pins the bytes this code journals for
-// ordersFixtureDB — leaf-v4's leaves under a table, db and commit chunk
-// and a root record whose addresses are bytes — and reads them back.
+// ordersFixtureDB — runs, dictionary and packed leaves under a table, db
+// and commit chunk and a root record whose addresses are bytes — and
+// reads them back.
 func TestWritesV5LeafBytes(t *testing.T) {
 	dir := t.TempDir()
 	commitOrdersFixture(t, openDir(t, dir))
@@ -1116,7 +922,7 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 	// A three-row table of one column of the given kind over one leaf.
 	leaf := func(schemaKind int, data string) Hash { return table(put("leaf", nil, data), schemaKind, 3, 256) }
 	// "JA" packs 0, 1 and 2 in two bits each.
-	wellFormed := []Hash{good, leaf(1, `{"t":1,"dr":[1,3]}`), leaf(3, `{"t":3,"dict":["a","b"],"ix":[1,0,1]}`),
+	wellFormed := []Hash{good, leaf(1, `{"t":1,"dr":[1,3]}`), leaf(3, `{"t":3,"dict":["a","b"],"w":1,"p":"BQ"}`),
 		leaf(1, `{"t":1,"lo":5,"w":2,"p":"JA"}`), leaf(2, `{"t":2,"lo":5,"w":2,"s":1,"p":"JA"}`), leaf(3, `{"t":3,"dict":["a","b","c"],"w":2,"p":"JA"}`)}
 	for _, well := range wellFormed {
 		if tab, err := s.MaterializeTable(well); err != nil || tab.NumRows() != 3 {
@@ -1158,14 +964,14 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 		{"a delta without its count", leaf(1, `{"t":1,"dr":[1,3,5]}`)},
 		{"runs of another kind", leaf(2, `{"t":2,"dr":[1,3]}`)},
 		{"runs in a column of another kind", leaf(3, `{"t":1,"dr":[1,3]}`)},
-		{"an index past the dictionary", leaf(3, `{"t":3,"dict":["a"],"ix":[0,1,0]}`)},
-		{"a negative index", leaf(3, `{"t":3,"dict":["a"],"ix":[0,-1,0]}`)},
-		{"fewer indexes than rows", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0]}`)},
-		{"more indexes than rows", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0,0,0]}`)},
-		{"a dictionary of another kind", leaf(1, `{"t":1,"dict":["1"],"ix":[0,0,0]}`)},
+		{"an index past the dictionary", leaf(3, `{"t":3,"dict":["a"],"w":1,"p":"Ag"}`)},
+		{"decimal indexes", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0,0]}`)},
+		{"fewer indexes than rows", leaf(3, `{"t":3,"dict":["a"],"w":8,"p":"AAA"}`)},
+		{"more indexes than rows", leaf(3, `{"t":3,"dict":["a"],"w":8,"p":"AAAAAA"}`)},
+		{"a dictionary of another kind", leaf(1, `{"t":1,"dict":["1"],"w":0,"p":""}`)},
 		{"v and dr", leaf(1, `{"t":1,"v":[1,2,3],"dr":[1,3]}`)},
-		{"v and dict", leaf(3, `{"t":3,"v":["a","a","a"],"dict":["a"],"ix":[0,0,0]}`)},
-		{"dr and dict", leaf(1, `{"t":1,"dr":[1,3],"dict":["a"],"ix":[0,0,0]}`)},
+		{"v and dict", leaf(3, `{"t":3,"v":["a","a","a"],"dict":["a"],"w":0,"p":""}`)},
+		{"dr and dict", leaf(1, `{"t":1,"dr":[1,3],"dict":["a"],"w":0,"p":""}`)},
 		{"a null dr beside v", leaf(1, `{"t":1,"v":[1,2,3],"dr":null}`)},
 		{"leafRows past DefaultLeafRows", table(ints, 1, 3, DefaultLeafRows+1)},
 		{"a one-run leaf claiming 2^40 rows", vast[0]},
@@ -1190,7 +996,6 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 		{"a packed index past 2^63", leaf(3, `{"t":3,"dict":["a"],"w":64,"p":"AAAAAAAAAIAAAAAAAAAAgAAAAAAAAACA"}`)},
 		{"v and p", leaf(1, `{"t":1,"v":[1,2,3],"lo":0,"w":0,"p":""}`)},
 		{"dr and p", leaf(1, `{"t":1,"dr":[1,3],"lo":0,"w":0,"p":""}`)},
-		{"ix and p", leaf(3, `{"t":3,"dict":["a"],"ix":[0,0,0],"w":0,"p":""}`)},
 		{"a dictionary without ix or p", leaf(3, `{"t":3,"dict":["a"]}`)},
 		{"a dictionary in an INT leaf", leaf(1, `{"t":1,"dict":["a"],"lo":0,"w":0,"p":""}`)},
 		{"packed TEXT without a dictionary", leaf(3, `{"t":3,"w":0,"p":""}`)},

@@ -21,9 +21,8 @@ import (
 // chunk — keeps the JSON envelope {"k": kind, "d": data}: refs are what
 // the binary form saves, and so such a chunk keeps the address it had
 // when every chunk was JSON. The "log is exactly" record keeps its JSON
-// {"root": name, "log": [hashes], "stamp": n}. Readers take every form
-// any writer has produced; the first byte tells them apart, since no JSON
-// text begins with 0x01 or 0x02.
+// {"root": name, "log": [hashes], "stamp": n}. The first byte tells the
+// forms apart, since no JSON text begins with 0x01 or 0x02.
 const (
 	tagChunk  = 0x01
 	tagAppend = 0x02
@@ -112,15 +111,16 @@ func appendPayload(root string, commit Hash) ([]byte, error) {
 	return p, nil
 }
 
-// decodePayload decodes a journal payload of any form: a chunk, or a
-// root record (Root set). A binary one is refused unless it is the one
-// encoding a writer produces for what it holds — every count canonical
-// and backed by the bytes that follow it, a chunk with a kind and refs,
-// nothing after an append record's commit — and each refusal comes
-// before anything is sized by a count. A JSON one is decoded as it
-// always was: whatever the JSON decoder takes is a record; AddPackets
-// holds what a peer ships to more (checkShipped). A binary chunk's data
-// aliases p.
+// decodePayload decodes a journal payload: a chunk, or a root record
+// (Root set). A binary one is refused unless it is the one encoding a
+// writer produces for what it holds — every count canonical and backed
+// by the bytes that follow it, a chunk with a kind and refs, nothing
+// after an append record's commit — and each refusal comes before
+// anything is sized by a count. A JSON one must decode to one of the two
+// JSON shapes written: a chunk with a kind and no refs, or a root record
+// with no commit and nothing of a chunk. JSON that decodes to anything
+// else — refs or an appended commit spelled in hex, no kind — is what
+// older stores wrote, a *FormatError. A binary chunk's data aliases p.
 func decodePayload(p []byte) (record, error) {
 	var rec record
 	if len(p) == 0 {
@@ -168,6 +168,16 @@ func decodePayload(p []byte) (record, error) {
 	if err := json.Unmarshal(p, &rec); err != nil {
 		return rec, err
 	}
+	switch {
+	case rec.R != nil:
+		return rec, &FormatError{Format: "a JSON chunk with refs"}
+	case rec.Commit != "":
+		return rec, &FormatError{Format: "a JSON append record"}
+	case rec.Root != nil && (rec.K != "" || rec.D != nil):
+		return rec, &FormatError{Format: "a JSON root record with a chunk's fields"}
+	case rec.Root == nil && (rec.K == "" || rec.Log != nil || rec.Stamp != 0):
+		return rec, &FormatError{Format: "a JSON chunk with no kind or a root record's fields"}
+	}
 	return rec, nil
 }
 
@@ -197,24 +207,16 @@ func cutString(b []byte, what string) (string, []byte, error) {
 	return string(rest[:n]), rest[n:], nil
 }
 
-// checkShipped holds a decoded packet to what some writer of this store
+// checkShipped holds a decoded packet to what a writer of this store
 // produces for a chunk, beyond what the journal scan asks of a payload:
-// a kind, refs that are addresses (WantList asks peers for them), and,
-// in the binary form, JSON data. A root record is no chunk at all:
+// a binary chunk's data is JSON, and a root record is no chunk at all —
 // stored as one, it would replay as a root update.
 func checkShipped(p []byte, rec record) error {
 	switch {
 	case rec.Root != nil:
 		return errors.New("is a root record, not a chunk")
-	case rec.K == "":
-		return errors.New("has no kind")
 	case p[0] == tagChunk && len(rec.D) > 0 && !json.Valid(rec.D):
 		return errors.New("has data that is not JSON")
-	}
-	for _, r := range rec.R {
-		if !isAddr(r) {
-			return fmt.Errorf("has ref %q, not an address", r)
-		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,20 +11,41 @@ import (
 	"github.com/reliable-cda/cda/internal/framelog"
 )
 
+// olderForm is the JSON that stores before binary refs wrote for the
+// binary payload p, which this one refuses; nil for a JSON payload.
+func olderForm(t testing.TB, p []byte) []byte {
+	rec, err := decodePayload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []byte
+	switch p[0] {
+	case tagChunk:
+		old, err = json.Marshal(rec.envelope)
+	case tagAppend:
+		old, err = rootPayload(rec.rootRecord)
+	default:
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return old
+}
+
 // FuzzDecodePayload feeds arbitrary bytes to the journal's payload
 // decoder: it never panics; a binary payload it accepts is the one
 // encoding the writer produces for what it decoded, byte for byte; and a
 // payload AddPackets' check accepts lists refs that are addresses and
 // installs as a chunk whose kind and refs read back as decoded. Seeded
 // with every frame of the journals the leaf and session fixtures hold,
-// JSON and binary, and with the forged payloads.
+// JSON and binary, each binary one also in its older JSON form and cut
+// one byte short, and with the forged payloads.
 func FuzzDecodePayload(f *testing.F) {
 	for _, path := range []string{
-		filepath.Join(leafFixtureV4, packName),
+		filepath.Join(readingsFixture, packName),
 		filepath.Join(leafFixtureV5, packName),
-		filepath.Join("..", "sessionstore", "testdata", "format-v3", "vstore", packName),
 		filepath.Join("..", "sessionstore", "testdata", "format-v4", "vstore", packName),
-		filepath.Join("..", "sessionstore", "testdata", "tree-v3", "vstore", packName),
 		filepath.Join("..", "sessionstore", "testdata", "tree-v4", "vstore", packName),
 	} {
 		raw, err := os.ReadFile(path)
@@ -36,6 +58,10 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		for _, p := range payloads {
 			f.Add(p)
+			if old := olderForm(f, p); old != nil {
+				f.Add(old)
+				f.Add(p[:len(p)-1])
+			}
 		}
 	}
 	for _, forged := range forgedPayloads(f) {
@@ -66,7 +92,7 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		s := NewMemory()
 		h := hashBytes(p)
-		if err := s.AddPacket(Packet{Hash: h, Data: p}); err != nil {
+		if err := s.AddPackets([]Packet{{Hash: h, Data: p}}); err != nil {
 			t.Fatalf("a payload the check accepts is refused: %v", err)
 		}
 		kind, err := s.Kind(h)

@@ -39,8 +39,7 @@ func commitEntry(h Hash, payload []byte) (Commit, error) {
 	return Commit{Hash: h, Tree: env.R[0], Parent: data.Parent, Turn: data.Turn, Stamp: data.Stamp}, nil
 }
 
-// rootPayload encodes a root record as JSON: the form of every "log is
-// exactly" record, and of the append records older writers left.
+// rootPayload encodes a "log is exactly" record, which stays JSON.
 func rootPayload(r rootRecord) ([]byte, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {

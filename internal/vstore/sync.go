@@ -92,15 +92,12 @@ type missingError struct{ h Hash }
 func (e *missingError) Error() string { return "vstore: unknown chunk " + string(e.h) }
 func (e *missingError) Unwrap() error { return ErrUnknownChunk }
 
-// AddPacket installs a chunk shipped from another store, verifying
-// its address.
-func (s *Store) AddPacket(p Packet) error { return s.AddPackets([]Packet{p}) }
-
 // AddPackets installs a batch of shipped chunks. Every packet is
-// verified first — its bytes must hash to its address and decode as a
-// chunk some writer of this store produces (checkShipped) — so a bad one
-// anywhere in the batch installs nothing; then the chunks the store
-// lacks are journalled with one append.
+// verified first: its bytes must hash to its address and decode as a
+// chunk a writer of this store produces (decodePayload, checkShipped),
+// so a chunk of an older format is ErrBadPacket like any forgery, and a
+// bad one anywhere in the batch installs nothing. Then the chunks the
+// store lacks are journalled with one append.
 func (s *Store) AddPackets(ps []Packet) error {
 	staged := make([]stagedChunk, 0, len(ps))
 	seen := map[Hash]bool{}

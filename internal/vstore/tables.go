@@ -28,24 +28,21 @@ import (
 // the unchanged leaves free: the encoder re-puts them and the store
 // dedups by hash.
 //
-// A leaf's data takes one of these JSON forms, the legacy one told
-// apart by its first byte and the others by their keys:
+// A leaf's data takes one of these JSON forms, told apart by their keys:
 //
 //	{"t":1,"v":[17,null,-4]}                      plain: one kind, bare values
 //	{"t":1,"dr":[1,256]}                          INT runs: 256 deltas of 1 from 0
 //	{"t":1,"lo":1,"w":4,"p":"…"}                  INT packed: offsets from 1 in 4 bits
 //	{"t":2,"lo":100,"w":17,"s":2,"p":"…"}         FLOAT packed: hundredths from 1.00
 //	{"t":3,"dict":["east","west"],"w":1,"p":"…"}  TEXT dictionary, indexes packed
-//	{"t":3,"dict":["east","west"],"ix":[0,1,1]}   TEXT dictionary, decimal indexes
-//	[{"Kind":1,"I":17,"F":0,"S":"","B":false},…]  legacy: one struct per value
 //
 // encodeLeaf writes the shortest of the forms a span's kind has, ties
 // going to plain, runs, dictionary and packed in that order; a span with
 // a NULL, and a BOOL span, has only the plain one. A packed text "p" is
 // the base64 of each value less the span's minimum "lo" in "w" bits,
 // least-significant bit first; a FLOAT span packs the integers k its
-// values are float64(k)/10^s of. decodeLeaf reads every form — the
-// last two are no longer written — so a journal never needs rewriting.
+// values are float64(k)/10^s of. decodeLeaf reads these forms and no
+// other.
 
 // DefaultLeafRows is the row span of one column leaf, and the most a
 // table chunk may claim.
@@ -417,8 +414,8 @@ func encodeStrings(colDict []string, codes []uint32) ([]byte, error) {
 	return append(out[:len(out)-1], "]}"...), nil
 }
 
-// decodeLeaf reads a leaf in any form into a vector of the leaf's kind
-// (KindNull when every value is NULL) holding exactly want values.
+// decodeLeaf reads a leaf in one of the forms above into a vector of its
+// kind (KindNull when every value is NULL) holding exactly want values.
 func decodeLeaf(data []byte, want int) (*storage.Vector, error) {
 	col, err := decodeForm(data, want)
 	if err != nil {
@@ -430,35 +427,15 @@ func decodeLeaf(data []byte, want int) (*storage.Vector, error) {
 	return col, nil
 }
 
-// decodeForm is decodeLeaf less the final count. A legacy leaf must
-// hold what a vector can, values of one kind and NULLs; a field its
-// value's kind does not use is dropped. A runs, packed or dictionary
-// leaf is checked against want before anything is sized by what it
-// claims; a packed one holds exactly want values.
+// decodeForm is decodeLeaf less the final count. A runs, packed or
+// dictionary leaf is checked against want before anything is sized by
+// what it claims; a packed one holds exactly want values.
 func decodeForm(data []byte, want int) (*storage.Vector, error) {
-	if len(data) > 0 && data[0] == '[' {
-		var vals []storage.Value
-		if err := json.Unmarshal(data, &vals); err != nil {
-			return nil, err
-		}
-		kind := storage.KindNull
-		for i, v := range vals {
-			switch {
-			case v.IsNull() || v.Kind == kind:
-			case kind == storage.KindNull && v.Kind >= storage.KindInt && v.Kind <= storage.KindBool:
-				kind = v.Kind
-			default:
-				return nil, fmt.Errorf("value %d of a %s leaf is %s", i, kind, v.Kind)
-			}
-		}
-		return vectorOf(kind, vals)
-	}
 	var leaf struct {
 		T    storage.Kind    `json:"t"`
 		V    json.RawMessage `json:"v"`
 		DR   json.RawMessage `json:"dr"`
 		Dict json.RawMessage `json:"dict"`
-		IX   json.RawMessage `json:"ix"`
 		P    json.RawMessage `json:"p"`
 		Lo   int64           `json:"lo"`
 		W    int             `json:"w"`
@@ -468,20 +445,20 @@ func decodeForm(data []byte, want int) (*storage.Vector, error) {
 		return nil, err
 	}
 	forms := 0
-	for _, form := range []json.RawMessage{leaf.V, leaf.DR, leaf.IX, leaf.P} {
+	for _, form := range []json.RawMessage{leaf.V, leaf.DR, leaf.P} {
 		if form != nil {
 			forms++
 		}
 	}
 	switch {
 	case forms > 1:
-		return nil, fmt.Errorf("leaf has more than one of v, dr, ix and p")
-	case leaf.Dict != nil && leaf.IX == nil && leaf.P == nil:
-		return nil, fmt.Errorf("leaf has a dictionary and neither ix nor p")
+		return nil, fmt.Errorf("leaf has more than one of v, dr and p")
+	case leaf.Dict != nil && leaf.P == nil:
+		return nil, fmt.Errorf("leaf has a dictionary and no p")
 	case leaf.Dict != nil && leaf.T != storage.KindString:
 		return nil, fmt.Errorf("%s leaf has a dictionary", leaf.T)
 	case leaf.Dict != nil:
-		return decodeDict(leaf.Dict, leaf.IX, leaf.P, leaf.W, want)
+		return decodeDict(leaf.Dict, leaf.P, leaf.W, want)
 	case leaf.DR != nil && leaf.T == storage.KindInt:
 		return decodeRuns(leaf.DR, want)
 	case leaf.P != nil && leaf.T == storage.KindInt:
@@ -609,34 +586,21 @@ func decodeScaled(p json.RawMessage, lo int64, w, s, want int) (*storage.Vector,
 	return col, nil
 }
 
-// decodeDict reads a dictionary leaf: one index per row into the
-// dictionary, packed in p or decimal in ix, the dictionary becoming the
-// vector's, read through its index so that a string the leaf repeats is
-// held once.
-func decodeDict(raw, ixRaw, p json.RawMessage, w, want int) (*storage.Vector, error) {
+// decodeDict reads a dictionary leaf: one packed index per row into the
+// dictionary, which becomes the vector's, read through its index so that
+// a string the leaf repeats is held once.
+func decodeDict(raw, p json.RawMessage, w, want int) (*storage.Vector, error) {
 	var dict []string
 	if err := json.Unmarshal(raw, &dict); err != nil {
 		return nil, err
 	}
-	var ix []int64
-	if p != nil {
-		offs, err := unpackBits(p, want, w)
-		if err != nil {
-			return nil, err
-		}
-		ix = make([]int64, len(offs))
-		for i, off := range offs {
-			ix[i] = int64(off) // one past 2^63 turns negative, and is refused below
-		}
-	} else if err := json.Unmarshal(ixRaw, &ix); err != nil {
+	ix, err := unpackBits(p, want, w)
+	if err != nil {
 		return nil, err
-	}
-	if len(ix) != want {
-		return nil, fmt.Errorf("dictionary leaf of %d indexes, its row range %d", len(ix), want)
 	}
 	codes := make([]uint32, len(ix))
 	for i, k := range ix {
-		if k < 0 || k >= int64(len(dict)) {
+		if k >= uint64(len(dict)) {
 			return nil, fmt.Errorf("index %d is %d, outside a dictionary of %d", i, k, len(dict))
 		}
 		codes[i] = uint32(k)

@@ -32,7 +32,9 @@
 // spell every address as its 32 raw bytes; a chunk without refs keeps
 // the JSON envelope {"k": kind, "d": data} (payload.go has the
 // layouts). A root record names commit chunks that precede it in the
-// journal; the log entry is rebuilt from the chunk on open.
+// journal; the log entry is rebuilt from the chunk on open. That is the
+// store's one format: Open refuses a directory holding anything older
+// with a *FormatError, naming the last commit that reads it.
 // A Batch puts a version's new chunks, its commit chunk and its root
 // record into the journal with one append, so a crash leaves the root
 // on the old commit or the new one with its whole tree. GC rewrites
@@ -59,7 +61,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"github.com/reliable-cda/cda/internal/framelog"
@@ -205,28 +206,48 @@ type Store struct {
 // separate hash column.
 const packMagic = byte(0xC6)
 
-const (
-	packName = "chunks.pack"
-	// rootsV1Name is the v1 layout's root document, rewritten on every
-	// commit; Open folds one into the journal and removes it.
-	rootsV1Name = "roots.json"
-)
+const packName = "chunks.pack"
+
+// lastReader names the last commit that reads a directory older than
+// the one format this store reads, and upgrades it on open.
+const lastReader = `6a9117d ("a chunk's refs are bytes")`
+
+// FormatError is a data directory, or a payload, older than the one
+// format this store reads: Path holds Format. Open refuses such a
+// directory as it found it — no file removed, no frame whose checksum
+// verifies dropped — so the commit lastReader names can still upgrade it.
+type FormatError struct {
+	Path   string
+	Format string
+}
+
+func (e *FormatError) Error() string {
+	msg := fmt.Sprintf("%s, a format older than this store reads; the last commit that reads it is %s", e.Format, lastReader)
+	if e.Path != "" {
+		msg = e.Path + " holds " + msg
+	}
+	return "vstore: " + msg
+}
 
 // Open builds a store over cfg.Dir (created if needed), replaying the
-// journal; an empty Dir is memory-only.
+// journal; an empty Dir is memory-only. A directory older than the
+// store's format is a *FormatError: a roots.json, the root document
+// stores wrote before the journal held roots, or a journal frame
+// decodePayload takes for an older shape.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, chunks: map[Hash]*chunk{}, roots: map[string][]Commit{}}
 	if cfg.Dir == "" {
 		return s, nil
+	}
+	roots := filepath.Join(cfg.Dir, "roots.json")
+	if _, err := os.Stat(roots); err == nil {
+		return nil, &FormatError{Path: roots, Format: "a root document"}
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vstore: create %s: %w", cfg.Dir, err)
 	}
 	if err := s.openPack(); err != nil {
 		return nil, err
-	}
-	if err := s.upgradeV1Roots(); err != nil {
-		return nil, errors.Join(err, s.Close())
 	}
 	return s, nil
 }
@@ -245,13 +266,13 @@ func NewMemory() *Store {
 
 // openPack opens (creating if absent) the journal and replays it:
 // chunks enter the index at their offsets, root records rebuild the
-// root logs. A torn tail left by a crash mid-append — or a binary
-// payload off its layout, or a root record whose commit chunk does not
-// precede it — ends the valid prefix and is truncated by the log. A JSON
-// payload is taken as it always was, so a frame an older store accepted
-// from a peer stays a chunk here and hides no version after it. Only
-// Open can see the store yet; s.mu is taken so that every caller of a
-// *Locked helper holds it, replay included.
+// root logs. A torn tail left by a crash mid-append — or a payload that
+// does not decode, or a root record whose commit chunk does not precede
+// it — ends the valid prefix and is truncated by the log. A frame of an
+// older format is a *FormatError: the scan keeps it and every frame
+// after it, so the log truncates nothing but a torn tail, and Open
+// fails. Only Open can see the store yet; s.mu is taken so that every
+// caller of a *Locked helper holds it, replay included.
 func (s *Store) openPack() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,11 +285,20 @@ func (s *Store) openPack() error {
 	// that alias its read buffer and go when it does. One it has not
 	// passed is nil, which decodes as no commit, and the record is refused.
 	commits := map[Hash][]byte{}
+	path := filepath.Join(s.cfg.Dir, packName)
+	var old *FormatError
 	var off int64
 	var err error
-	s.pack, err = framelog.Open(filepath.Join(s.cfg.Dir, packName), packMagic, opts,
+	s.pack, err = framelog.Open(path, packMagic, opts,
 		func(frame, payload []byte) bool {
+			if old != nil {
+				return true
+			}
 			rec, err := decodePayload(payload)
+			if errors.As(err, &old) {
+				old.Path, old.Format = path, fmt.Sprintf("%s (the frame at offset %d)", old.Format, off)
+				return true
+			}
 			if err != nil {
 				return false
 			}
@@ -286,57 +316,10 @@ func (s *Store) openPack() error {
 			off += int64(len(frame))
 			return true
 		})
+	if err == nil && old != nil {
+		err = errors.Join(old, s.pack.Close())
+	}
 	return err
-}
-
-// upgradeV1Roots folds a v1 roots.json into the journal as one "log is
-// exactly" record per root and removes the file. The records are
-// idempotent, so an upgrade interrupted between the append and the
-// removal simply runs again.
-func (s *Store) upgradeV1Roots() error {
-	path := filepath.Join(s.cfg.Dir, rootsV1Name)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("vstore: read %s: %w", path, err)
-	}
-	var doc struct {
-		Stamp int64               `json:"stamp"`
-		Roots map[string][]Commit `json:"roots"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		// roots.json was published atomically; damage means something
-		// outside the store's crash model touched it.
-		return fmt.Errorf("vstore: decode %s: %w", path, err)
-	}
-	names := make([]string, 0, len(doc.Roots))
-	for name := range doc.Roots {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	payloads := make([][]byte, len(names))
-	for i := range names {
-		r := rootRecord{Root: &names[i], Stamp: doc.Stamp}
-		for _, c := range doc.Roots[names[i]] {
-			r.Log = append(r.Log, c.Hash)
-		}
-		// The journal keeps hashes only, so every entry must be
-		// recoverable from its commit chunk.
-		if err := s.applyRootLocked(r, true, nil); err != nil {
-			return fmt.Errorf("vstore: upgrade %s: root %q: %w", path, names[i], err)
-		}
-		if payloads[i], err = rootPayload(r); err != nil {
-			return err
-		}
-	}
-	if _, err := s.appendPack(true, payloads...); err != nil {
-		return err
-	}
-	return framelog.Remove(path)
 }
 
 // hashBytes addresses a payload.

@@ -267,14 +267,14 @@ func TestPacketsVerifyHashes(t *testing.T) {
 		t.Fatalf("PacketOf: %v", err)
 	}
 	dst := NewMemory()
-	if err := dst.AddPacket(p); err != nil {
-		t.Fatalf("AddPacket: %v", err)
+	if err := dst.AddPackets([]Packet{p}); err != nil {
+		t.Fatalf("AddPackets: %v", err)
 	}
 	if !dst.Has(h) {
 		t.Fatalf("packet not installed")
 	}
 	forged := Packet{Hash: p.Hash, Data: append(bytes.Clone(p.Data), ' ')}
-	if err := dst.AddPacket(forged); !errors.Is(err, ErrBadPacket) {
+	if err := dst.AddPackets([]Packet{forged}); !errors.Is(err, ErrBadPacket) {
 		t.Fatalf("forged packet err = %v, want ErrBadPacket", err)
 	}
 }

@@ -46,8 +46,10 @@
 #                      PR (check.yml build-test: go test -race
 #                      ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore, ~1 min), since tier-1
-#                      has no -race. FuzzScan, FuzzJournalOpen,
-#                      FuzzDecodePayload (arbitrary journal payloads:
+#                      has no -race. FuzzScan, FuzzJournalOpen
+#                      (arbitrary journals: a refusal for an older
+#                      format keeps every whole frame), FuzzDecodePayload
+#                      (arbitrary journal payloads:
 #                      never a panic, an accepted binary one is the
 #                      one encoding the writer produces, a shipped one
 #                      AddPackets' check accepts has address refs),
@@ -57,13 +59,13 @@
 #                      more than their plain form, decode bit for bit
 #                      and re-encode to the same bytes),
 #                      FuzzDecodeSessionTree (seeded
-#                      from the chunks of sessionstore's format-v2,
-#                      tree-v2, tree-v3, format-v4 and tree-v4
-#                      fixtures),
+#                      from the chunks of sessionstore's format-v4 and
+#                      tree-v4 fixtures, each chunk with refs also in
+#                      the JSON older stores wrote, which is refused),
 #                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v1, -v2 and -v3 shard WALs),
+#                      format-v4 and tree-v4 shard WALs),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
-#                      replica opened on format-v3, seeded from that
+#                      replica opened on format-v4, seeded from that
 #                      fixture's frames and shard roots and the forged
 #                      roots of TestForgedShipBatchIsAnError),
 #                      FuzzVectorOps (Append/Set/Extend/Gather scripts
