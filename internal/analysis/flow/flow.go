@@ -88,18 +88,6 @@ type Graph struct {
 	flowCache map[*types.Func]*funcFlow
 }
 
-// FuncOf returns the declared function enclosing pos, or nil. It is a
-// convenience for rules that need to map a finding site back to its
-// call-graph node.
-func (g *Graph) FuncOf(u *Unit, pos token.Pos) *types.Func {
-	for fn, info := range g.Funcs {
-		if info.Unit == u && info.Decl.Pos() <= pos && pos <= info.Decl.End() {
-			return fn
-		}
-	}
-	return nil
-}
-
 // objOf resolves an identifier to its object through Uses then Defs.
 func objOf(info *types.Info, id *ast.Ident) types.Object {
 	if o := info.Uses[id]; o != nil {

@@ -285,25 +285,6 @@ func viaWriteback() string {
 	}
 }
 
-func TestFuncOf(t *testing.T) {
-	src := `package fixture
-func a() { b() }
-func b() {}`
-	u := loadUnit(t, src)
-	g := BuildGraph([]*Unit{u})
-	a := fnByName(t, g, "a")
-	var callPos token.Pos
-	ast.Inspect(g.Funcs[a].Decl, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			callPos = c.Pos()
-		}
-		return true
-	})
-	if got := g.FuncOf(u, callPos); got != a {
-		t.Errorf("FuncOf(call site) = %v, want a", got)
-	}
-}
-
 // TestDeterministicImplOrder guards the sort in resolveInterfaces:
 // repeated builds must list implementations in the same order.
 func TestDeterministicImplOrder(t *testing.T) {

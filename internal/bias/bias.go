@@ -6,7 +6,7 @@
 //
 // Two tools are provided:
 //
-//   - a lexicon-based sentiment scorer with negation handling; and
+//   - a sentiment lexicon giving each descriptor term its polarity; and
 //   - a corpus-assisted association analysis: for each descriptor
 //     term, the informative-Dirichlet-prior log-odds ratio (Monroe et
 //     al.) of occurring within a window of a target group term versus
@@ -55,39 +55,6 @@ func DefaultLexicon() *Lexicon {
 		lex.Neg[w] = true
 	}
 	return lex
-}
-
-var negators = map[string]bool{"not": true, "no": true, "never": true, "hardly": true}
-
-// Sentiment scores text in [-1, 1]: (pos − neg) / (pos + neg) with a
-// preceding negator flipping a word's polarity. Returns 0 for text
-// with no sentiment-bearing words.
-func (l *Lexicon) Sentiment(text string) float64 {
-	toks := textindex.Tokenize(text)
-	var pos, neg float64
-	for i, tok := range toks {
-		var polarity float64
-		switch {
-		case l.Pos[tok]:
-			polarity = 1
-		case l.Neg[tok]:
-			polarity = -1
-		default:
-			continue
-		}
-		if i > 0 && negators[toks[i-1]] {
-			polarity = -polarity
-		}
-		if polarity > 0 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos+neg == 0 {
-		return 0
-	}
-	return (pos - neg) / (pos + neg)
 }
 
 // TermPolarity returns +1/-1/0 for a single lexicon word.

@@ -3,36 +3,7 @@ package bias
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSentimentBasic(t *testing.T) {
-	lex := DefaultLexicon()
-	cases := []struct {
-		text string
-		want float64
-	}{
-		{"the results are excellent and reliable", 1},
-		{"this is bad and unreliable", -1},
-		{"good but dangerous", 0},
-		{"plain statement about data", 0},
-	}
-	for _, c := range cases {
-		if got := lex.Sentiment(c.text); got != c.want {
-			t.Errorf("Sentiment(%q) = %v, want %v", c.text, got, c.want)
-		}
-	}
-}
-
-func TestSentimentNegation(t *testing.T) {
-	lex := DefaultLexicon()
-	if got := lex.Sentiment("the model is not good"); got != -1 {
-		t.Errorf("negated positive = %v", got)
-	}
-	if got := lex.Sentiment("never bad results"); got != 1 {
-		t.Errorf("negated negative = %v", got)
-	}
-}
 
 func TestTermPolarity(t *testing.T) {
 	lex := DefaultLexicon()
@@ -127,18 +98,6 @@ func TestMinCountSuppression(t *testing.T) {
 	corpus := biasedCorpus("northerners", "lazy", 2) // only 2 co-occurrences
 	if got := a.Findings(corpus, []string{"northerners"}); len(got) != 0 {
 		t.Errorf("below-min-count association flagged: %v", got)
-	}
-}
-
-// Property: sentiment is always within [-1, 1].
-func TestSentimentBoundsProperty(t *testing.T) {
-	lex := DefaultLexicon()
-	f := func(s string) bool {
-		v := lex.Sentiment(s)
-		return v >= -1 && v <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

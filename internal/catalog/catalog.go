@@ -278,25 +278,3 @@ func Describe(d *Dataset) string {
 	}
 	return s
 }
-
-// Sweep removes rotted datasets from the catalog and returns the IDs
-// it discarded — the explicit data-rotting maintenance pass.
-func (c *Catalog) Sweep(now int) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var removed []string
-	kept := c.order[:0]
-	for _, id := range c.order {
-		if Rotted(c.byID[id], now) {
-			removed = append(removed, id)
-			delete(c.byID, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	c.order = kept
-	if len(removed) > 0 {
-		c.stale = true
-	}
-	return removed
-}

@@ -167,29 +167,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	c := fixture()
-	// At epoch 120: barometer age 20 of cadence 1 → rotted; chocolate
-	// age 30 of cadence 12 → freshness ≈ 0.08, still kept.
-	removed := c.Sweep(120)
-	if len(removed) != 1 || removed[0] != "barometer" {
-		t.Errorf("removed = %v", removed)
-	}
-	if c.Len() != 2 {
-		t.Errorf("len after sweep = %d", c.Len())
-	}
-	if _, err := c.Get("barometer"); err == nil {
-		t.Error("swept dataset still present")
-	}
-	// Search index must rebuild after sweep.
-	if recs := c.Search("barometer", 5, 120); len(recs) != 0 {
-		t.Errorf("swept dataset still searchable: %v", recs)
-	}
-	if again := c.Sweep(120); len(again) != 0 {
-		t.Errorf("second sweep removed %v", again)
-	}
-}
-
 func TestReasonOutdatedNote(t *testing.T) {
 	c := New()
 	c.Add(Dataset{ID: "d", Name: "employment", Description: "employment data", UpdatedAt: 0, Cadence: 10})

@@ -156,7 +156,7 @@ func ClusterKillRecoverVersioned(ctx context.Context, sc ClusterVersionedScenari
 	// not commit hashes, because the replica's commit log legitimately
 	// starts at install time while tree addresses are content-equal
 	// across nodes and across runs.
-	log, err := rn.Store().SessionVersions(id)
+	log, err := rn.Store().Versions().Log(sessionstore.SessionRoot(id))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: session versions on replica: %w", err)
 	}

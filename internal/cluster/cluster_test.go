@@ -33,7 +33,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 		}
 		counts[o1]++
 	}
-	for _, m := range r1.Members() {
+	for _, m := range r1.members {
 		if counts[m] < 300 { // each of 3 members owns at least 10%
 			t.Errorf("member %s owns only %d/3000 keys — ring badly skewed", m, counts[m])
 		}
@@ -129,7 +129,7 @@ func TestRouterRoutesAndReplicates(t *testing.T) {
 	// Every session lives on its ring owner's primary AND is already
 	// mirrored on the replica (synchronous post-write ship).
 	for _, id := range ids {
-		owner := r.Ring().Owner(id)
+		owner := r.ring.Owner(id)
 		if _, status := primaries[owner].Store().Get(id); status != sessionstore.Found {
 			t.Errorf("session %s missing on its owner %s", id, owner)
 		}

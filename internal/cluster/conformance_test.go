@@ -227,9 +227,13 @@ var conformance = []fixture{
 		setup: session, status: 409, match: refusal("already exists")},
 	{name: "create with malformed JSON", method: "POST", path: "/sessions", body: `{"id":`,
 		status: 400, match: refusal("invalid JSON")},
+	{name: "create with a body over the bound", method: "POST", path: "/sessions", body: `{"id":"` + strings.Repeat("x", 64<<10) + `"}`,
+		status: 400, match: refusal("request body exceeds 65536 bytes")},
 
 	{name: "ask", method: "POST", path: "/sessions/{id}/ask", body: `{"question":"` + confQ + `"}`,
 		setup: session, status: 200, match: annotated},
+	{name: "ask with a body over the bound", method: "POST", path: "/sessions/{id}/ask", body: oversizedAsk,
+		setup: session, status: 400, match: refusal("request body exceeds 65536 bytes")},
 	{name: "ask on unknown session", method: "POST", path: "/sessions/nope/ask", body: `{"question":"` + confQ + `"}`,
 		status: 404, match: refusal("unknown session")},
 	{name: "ask on evicted session", method: "POST", path: "/sessions/{id}/ask", body: `{"question":"` + confQ + `"}`,
@@ -297,6 +301,63 @@ var conformance = []fixture{
 	{name: "transcript with the primary down", method: "GET", path: "/sessions/{id}",
 		setup:  func(w *world) string { id := session(w); w.primary.Close(); return id },
 		status: 503, match: refusal("retry shortly"), routerOnly: true},
+}
+
+// oversizedAsk is an ask body just over the public routes' 64 KiB
+// bound.
+var oversizedAsk = `{"question":"` + strings.Repeat("x", 64<<10) + `"}`
+
+// TestOversizedAskLeavesNoTurn: at either front door, an ask whose body
+// is over the bound is refused whether it declares its length or is
+// streamed without one, the transcript does not grow, and the next
+// ordinary ask is answered.
+func TestOversizedAskLeavesNoTurn(t *testing.T) {
+	for _, routed := range []bool{false, true} {
+		for _, streamed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("routed=%v/streamed=%v", routed, streamed), func(t *testing.T) {
+				w := newWorld(t, routed)
+				id := session(w)
+				total := func() int {
+					t.Helper()
+					_, body := w.do("GET", w.front+"/sessions/"+id, "")
+					var p server.TranscriptPage
+					if err := json.Unmarshal(body, &p); err != nil {
+						t.Fatalf("transcript: %s", body)
+					}
+					return p.Total
+				}
+				before := total()
+				var body io.Reader = strings.NewReader(oversizedAsk)
+				if streamed {
+					body = io.MultiReader(body) // no length: sent chunked
+				}
+				req, err := http.NewRequest("POST", w.front+"/sessions/"+id+"/ask", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("status = %d, want 400 (body %s)", resp.StatusCode, data)
+				}
+				refusal("request body exceeds 65536 bytes")(t, data)
+				if got := total(); got != before {
+					t.Fatalf("transcript grew from %d to %d turns on a refused ask", before, got)
+				}
+				w.ask(w.front, id, 1)
+				if got := total(); got != before+2 {
+					t.Errorf("after an ordinary ask the transcript has %d turns, want %d", got, before+2)
+				}
+			})
+		}
+	}
 }
 
 // run plays one fixture against one column and returns the body.

@@ -77,9 +77,6 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Members returns the member names in sorted order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
 // Owner maps a key (session id) to the member owning it: the first
 // virtual node at or clockwise of the key's hash.
 func (r *Ring) Owner(key string) string {

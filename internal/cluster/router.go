@@ -161,9 +161,6 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// Ring exposes the placement ring (status endpoints, tests).
-func (r *Router) Ring() *Ring { return r.ring }
-
 // route maps a session id to its member.
 func (r *Router) route(id string) *member {
 	return r.members[r.ring.Owner(id)]

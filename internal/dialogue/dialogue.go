@@ -224,19 +224,6 @@ func (s *Session) ClassifyTurn(text string) Intent {
 	return intent
 }
 
-// AddUserTurn appends a user turn, classifying its intent, and
-// returns that intent.
-func (s *Session) AddUserTurn(text string) Intent {
-	intent := s.ClassifyTurn(text)
-	s.Turns = append(s.Turns, Turn{Role: RoleUser, Text: text, Intent: intent})
-	return intent
-}
-
-// AddSystemTurn appends a system turn with its confidence.
-func (s *Session) AddSystemTurn(text string, confidence float64) {
-	s.Turns = append(s.Turns, Turn{Role: RoleSystem, Text: text, Confidence: confidence})
-}
-
 // CommitTurn atomically appends a completed user/system turn pair
 // with the intent the dispatch ran under (classified before any
 // handler side effects shifted the pending-clarification bias).
@@ -290,36 +277,4 @@ func tokenSet(text string) map[string]bool {
 func (s *Session) Choose(offer Offer) {
 	s.Focus = offer.ID
 	s.Pending = nil
-}
-
-// LastUserTurn returns the most recent user turn, if any.
-func (s *Session) LastUserTurn() (Turn, bool) {
-	for i := len(s.Turns) - 1; i >= 0; i-- {
-		if s.Turns[i].Role == RoleUser {
-			return s.Turns[i], true
-		}
-	}
-	return Turn{}, false
-}
-
-// ContextTerms returns the distinct content tokens of the last n user
-// turns (newest first), the lightweight conversation context used for
-// follow-up grounding.
-func (s *Session) ContextTerms(n int) []string {
-	var out []string
-	seen := map[string]bool{}
-	count := 0
-	for i := len(s.Turns) - 1; i >= 0 && count < n; i-- {
-		if s.Turns[i].Role != RoleUser {
-			continue
-		}
-		count++
-		for _, t := range textindex.TokenizeContent(s.Turns[i].Text) {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	return out
 }

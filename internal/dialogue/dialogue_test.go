@@ -34,36 +34,6 @@ func TestIntentAndRoleStrings(t *testing.T) {
 	}
 }
 
-func TestSessionTurns(t *testing.T) {
-	s := NewSession()
-	intent := s.AddUserTurn("overview of employment data")
-	if intent != IntentDiscover {
-		t.Errorf("intent = %v", intent)
-	}
-	s.AddSystemTurn("I found two datasets.", 0.9)
-	if len(s.Turns) != 2 {
-		t.Fatalf("turns = %d", len(s.Turns))
-	}
-	last, ok := s.LastUserTurn()
-	if !ok || last.Text != "overview of employment data" {
-		t.Errorf("last user turn = %+v", last)
-	}
-	if s.Turns[1].Confidence != 0.9 {
-		t.Error("system confidence lost")
-	}
-}
-
-func TestLastUserTurnEmpty(t *testing.T) {
-	s := NewSession()
-	if _, ok := s.LastUserTurn(); ok {
-		t.Error("empty session has no user turn")
-	}
-	s.AddSystemTurn("hello", 1)
-	if _, ok := s.LastUserTurn(); ok {
-		t.Error("system-only session has no user turn")
-	}
-}
-
 func TestResolveOffer(t *testing.T) {
 	s := NewSession()
 	s.SetOffers([]Offer{
@@ -89,7 +59,7 @@ func TestPendingClarificationBiasesChoose(t *testing.T) {
 		&Clarification{Question: "which info would you prefer?"})
 	// "the barometer" alone is not a choose-phrase, but with a pending
 	// clarification and a resolvable offer it becomes one.
-	intent := s.AddUserTurn("the barometer")
+	intent := s.ClassifyTurn("the barometer")
 	if intent != IntentChoose {
 		t.Errorf("intent = %v", intent)
 	}
@@ -105,32 +75,6 @@ func TestChooseSetsFocus(t *testing.T) {
 	}
 	if s.Pending != nil {
 		t.Error("pending clarification not cleared")
-	}
-}
-
-func TestContextTerms(t *testing.T) {
-	s := NewSession()
-	s.AddUserTurn("overview of the labour market")
-	s.AddSystemTurn("two datasets found", 0.8)
-	s.AddUserTurn("seasonality of the barometer")
-	terms := s.ContextTerms(2)
-	set := map[string]bool{}
-	for _, t := range terms {
-		set[t] = true
-	}
-	for _, want := range []string{"labour", "market", "seasonality", "barometer"} {
-		if !set[want] {
-			t.Errorf("context missing %q: %v", want, terms)
-		}
-	}
-	// n=1 only covers the newest user turn.
-	terms = s.ContextTerms(1)
-	set = map[string]bool{}
-	for _, t := range terms {
-		set[t] = true
-	}
-	if set["labour"] {
-		t.Errorf("n=1 context leaked older turn: %v", terms)
 	}
 }
 

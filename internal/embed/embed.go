@@ -16,9 +16,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 
-	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/textindex"
 	"github.com/reliable-cda/cda/internal/vectorindex"
 )
@@ -62,26 +60,6 @@ func (e *Embedder) EmbedText(text string) vectorindex.Vector {
 		}
 	}
 	return normalize(v)
-}
-
-// EmbedSchema embeds a table's identity: name, column names, and
-// descriptions — the "schema modality".
-func (e *Embedder) EmbedSchema(t *storage.Table) vectorindex.Vector {
-	var sb strings.Builder
-	sb.WriteString(t.Name + " " + t.Description)
-	for _, c := range t.Schema() {
-		sb.WriteString(" " + c.Name + " " + c.Description)
-	}
-	return e.EmbedText(sb.String())
-}
-
-// EmbedRow embeds one table row as text — the "records modality".
-func (e *Embedder) EmbedRow(t *storage.Table, row int) vectorindex.Vector {
-	var sb strings.Builder
-	for c := 0; c < t.NumCols(); c++ {
-		sb.WriteString(t.Schema()[c].Name + " " + t.At(row, c).String() + " ")
-	}
-	return e.EmbedText(sb.String())
 }
 
 func addFeature(v []float64, feature string, weight float64) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/textindex"
 )
 
@@ -61,25 +60,6 @@ func TestSubwordRobustness(t *testing.T) {
 	b := Similarity(e.EmbedText("employment"), e.EmbedText("chocolate"))
 	if a <= b {
 		t.Errorf("morphological similarity %v <= unrelated %v", a, b)
-	}
-}
-
-func TestEmbedSchemaAndRow(t *testing.T) {
-	tbl := storage.NewTable("employment", storage.Schema{
-		{Name: "canton", Kind: storage.KindString, Description: "Swiss canton"},
-		{Name: "rate", Kind: storage.KindFloat, Description: "employment rate"},
-	})
-	tbl.Description = "employment statistics"
-	tbl.MustAppendRow(storage.Str("Zurich"), storage.Float(79.5))
-	e := NewEmbedder()
-	schemaV := e.EmbedSchema(tbl)
-	q := e.EmbedText("employment rate by canton")
-	if Similarity(q, schemaV) < 0.3 {
-		t.Errorf("schema similarity = %v", Similarity(q, schemaV))
-	}
-	rowV := e.EmbedRow(tbl, 0)
-	if Similarity(e.EmbedText("Zurich"), rowV) <= Similarity(e.EmbedText("Bern"), rowV) {
-		t.Error("row embedding does not reflect cell values")
 	}
 }
 

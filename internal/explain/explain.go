@@ -33,28 +33,6 @@ type Explanation struct {
 	Caveats []string
 }
 
-// Equal reports whether two explanations are identical — the
-// consistency check between explanations of equivalent outcomes.
-func (e Explanation) Equal(o Explanation) bool {
-	if e.Summary != o.Summary || e.Code != o.Code {
-		return false
-	}
-	if len(e.Sources) != len(o.Sources) || len(e.Caveats) != len(o.Caveats) {
-		return false
-	}
-	for i := range e.Sources {
-		if e.Sources[i] != o.Sources[i] {
-			return false
-		}
-	}
-	for i := range e.Caveats {
-		if e.Caveats[i] != o.Caveats[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // FromProvenance derives an explanation for a node of the provenance
 // graph: the summary narrates the derivation chain, Code carries the
 // closest computation's query/code, and Sources collect source-node
@@ -261,19 +239,4 @@ func trimNum(f float64) string {
 	s := fmt.Sprintf("%.2f", f)
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
-}
-
-// Truncate enforces a conciseness budget (max runes) on the rendered
-// summary without ever dropping the sources line: the summary is cut
-// with an ellipsis instead.
-func (e Explanation) Truncate(maxRunes int) Explanation {
-	out := e
-	runes := []rune(e.Summary)
-	if len(runes) > maxRunes {
-		if maxRunes < 1 {
-			maxRunes = 1
-		}
-		out.Summary = string(runes[:maxRunes-1]) + "…"
-	}
-	return out
 }

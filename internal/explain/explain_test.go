@@ -2,9 +2,9 @@ package explain
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"github.com/reliable-cda/cda/internal/provenance"
 	"github.com/reliable-cda/cda/internal/storage"
@@ -60,30 +60,8 @@ func TestConsistencyOfEquivalentOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e1.Equal(e2) {
+	if !reflect.DeepEqual(e1, e2) {
 		t.Errorf("equivalent outcomes explained differently:\n%+v\n%+v", e1, e2)
-	}
-}
-
-func TestEqualDetectsDifferences(t *testing.T) {
-	a := Explanation{Summary: "s", Code: "c", Sources: []string{"x"}}
-	if !a.Equal(a) {
-		t.Error("self-equality failed")
-	}
-	b := a
-	b.Summary = "other"
-	if a.Equal(b) {
-		t.Error("summary diff missed")
-	}
-	c := a
-	c.Sources = []string{"y"}
-	if a.Equal(c) {
-		t.Error("sources diff missed")
-	}
-	d := a
-	d.Caveats = []string{"careful"}
-	if a.Equal(d) {
-		t.Error("caveats diff missed")
 	}
 }
 
@@ -115,25 +93,6 @@ func TestRenderVerbosityLevels(t *testing.T) {
 		if !strings.Contains(r, "Sources: src") {
 			t.Errorf("sources dropped: %q", r)
 		}
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	ex := Explanation{Summary: strings.Repeat("a", 100), Sources: []string{"s"}}
-	cut := ex.Truncate(10)
-	if utf8.RuneCountInString(cut.Summary) != 10 {
-		t.Errorf("summary len = %d", utf8.RuneCountInString(cut.Summary))
-	}
-	if !strings.HasSuffix(cut.Summary, "…") {
-		t.Errorf("missing ellipsis: %q", cut.Summary)
-	}
-	if len(cut.Sources) != 1 {
-		t.Error("truncate dropped sources")
-	}
-	// No-op when under budget.
-	same := ex.Truncate(1000)
-	if same.Summary != ex.Summary {
-		t.Error("under-budget truncate modified summary")
 	}
 }
 

@@ -7,7 +7,6 @@
 package ground
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -269,24 +268,6 @@ type Ambiguity struct {
 	// Kind is "entity" (several KG entities share the label) or
 	// "schema" (several tables/columns match the same mention).
 	Kind string
-}
-
-// Question renders the clarification question a dialogue layer can ask.
-func (a Ambiguity) Question() string {
-	return fmt.Sprintf("By %q, do you mean %s?", a.Term, orList(a.Options))
-}
-
-func orList(opts []string) string {
-	switch len(opts) {
-	case 0:
-		return "something else"
-	case 1:
-		return opts[0]
-	case 2:
-		return opts[0] + " or " + opts[1]
-	default:
-		return strings.Join(opts[:len(opts)-1], ", ") + ", or " + opts[len(opts)-1]
-	}
 }
 
 // DetectAmbiguities reports mentions that ground to more than one

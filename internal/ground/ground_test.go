@@ -179,24 +179,8 @@ func TestDetectAmbiguities(t *testing.T) {
 	if ams[0].Term != "mercury" || len(ams[0].Options) != 2 || ams[0].Kind != "entity" {
 		t.Errorf("ambiguity = %+v", ams[0])
 	}
-	q := ams[0].Question()
-	if !strings.Contains(q, "mercury") || !strings.Contains(q, " or ") {
-		t.Errorf("clarification = %q", q)
-	}
 	if got := g.DetectAmbiguities("swiss labour market barometer"); len(got) != 0 {
 		t.Errorf("unambiguous question flagged: %v", got)
-	}
-}
-
-func TestOrList(t *testing.T) {
-	if orList(nil) != "something else" {
-		t.Error("empty orList")
-	}
-	if orList([]string{"a"}) != "a" {
-		t.Error("single orList")
-	}
-	if got := orList([]string{"a", "b", "c"}); got != "a, b, or c" {
-		t.Errorf("orList = %q", got)
 	}
 }
 

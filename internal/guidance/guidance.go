@@ -8,7 +8,6 @@ package guidance
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -299,21 +298,4 @@ func SuggestText(steps []Step) string {
 		}
 	}
 	return "You could next: " + strings.Join(parts, "; ") + "."
-}
-
-// ExpectedSuccess estimates the success probability of an entire
-// recorded path (product of edge rates) — used by E6 to compare
-// guided vs unguided trajectories.
-func (g *Graph) ExpectedSuccess(path []Action) float64 {
-	prob := 1.0
-	prev := ActStart
-	for _, a := range path {
-		prob *= g.SuccessRate(prev, a)
-		prev = a
-	}
-	prob *= g.SuccessRate(prev, ActDone)
-	if math.IsNaN(prob) {
-		return 0
-	}
-	return prob
 }

@@ -145,15 +145,3 @@ func TestSuggestText(t *testing.T) {
 		t.Error("empty suggestions must render empty")
 	}
 }
-
-func TestExpectedSuccess(t *testing.T) {
-	g := trainedGraph()
-	good := g.ExpectedSuccess([]Action{ActDiscover, ActClarify, ActDescribe, ActAnalyze})
-	bad := g.ExpectedSuccess([]Action{ActDiscover, ActQuery})
-	if good <= bad {
-		t.Errorf("good path %v <= bad path %v", good, bad)
-	}
-	if good <= 0 || good > 1 {
-		t.Errorf("good = %v", good)
-	}
-}

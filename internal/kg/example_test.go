@@ -13,12 +13,10 @@ func Example() {
 	st.Add(kg.Triple{S: "ex:Barometer", P: kg.PredLabel, O: "Labour Market Barometer", Source: "catalog"})
 	st.Infer() // materialize the RDFS closure
 
-	_, rows, err := st.Select(`SELECT ?label WHERE { ?x a ex:Dataset . ?x rdfs:label ?label }`)
-	if err != nil {
-		panic(err)
-	}
-	for _, r := range rows {
-		fmt.Println(r[0])
+	for _, d := range st.Match("", kg.PredType, "ex:Dataset") {
+		for _, l := range st.Match(d.S, kg.PredLabel, "") {
+			fmt.Println(l.O)
+		}
 	}
 	// Output:
 	// Labour Market Barometer

@@ -1,8 +1,7 @@
 // Package kg implements the knowledge-graph substrate the paper's P2
 // (Grounding) requires: an in-memory triple store with pattern
-// queries, basic-graph-pattern (BGP) joins with variables, and
-// RDFS-lite forward-chaining inference (subClassOf, subPropertyOf,
-// domain, range).
+// queries and RDFS-lite forward-chaining inference (subClassOf,
+// subPropertyOf, domain, range).
 //
 // Every triple carries a Source so answers grounded in the KG can
 // cite where a fact came from (P4 Soundness by provenance); inferred
@@ -126,83 +125,6 @@ func (st *Store) Match(s, p, o string) []Triple {
 	return out
 }
 
-// IsVar reports whether a BGP term is a variable (leading '?').
-func IsVar(term string) bool { return strings.HasPrefix(term, "?") }
-
-// Pattern is one BGP triple pattern; terms starting with '?' are
-// variables, everything else is a constant.
-type Pattern struct {
-	S, P, O string
-}
-
-// Binding maps variable names (with '?') to constants.
-type Binding map[string]string
-
-// Query evaluates a conjunctive BGP with backtracking, returning all
-// variable bindings. Patterns are evaluated in the given order;
-// callers should put selective patterns first for speed.
-func (st *Store) Query(patterns []Pattern) []Binding {
-	var results []Binding
-	st.bgp(patterns, Binding{}, &results)
-	return results
-}
-
-func (st *Store) bgp(patterns []Pattern, bound Binding, out *[]Binding) {
-	if len(patterns) == 0 {
-		b := make(Binding, len(bound))
-		for k, v := range bound {
-			b[k] = v
-		}
-		*out = append(*out, b)
-		return
-	}
-	p := patterns[0]
-	s, sv := resolveTerm(p.S, bound)
-	pr, pv := resolveTerm(p.P, bound)
-	o, ov := resolveTerm(p.O, bound)
-	for _, t := range st.Match(s, pr, o) {
-		var assigned []string
-		ok := true
-		bind := func(varName, val string) {
-			if cur, has := bound[varName]; has {
-				if cur != val {
-					ok = false
-				}
-				return
-			}
-			bound[varName] = val
-			assigned = append(assigned, varName)
-		}
-		if sv != "" {
-			bind(sv, t.S)
-		}
-		if ok && pv != "" {
-			bind(pv, t.P)
-		}
-		if ok && ov != "" {
-			bind(ov, t.O)
-		}
-		if ok {
-			st.bgp(patterns[1:], bound, out)
-		}
-		for _, v := range assigned {
-			delete(bound, v)
-		}
-	}
-}
-
-// resolveTerm returns (constant, "") for constants and bound
-// variables, or ("", varName) for unbound variables.
-func resolveTerm(term string, bound Binding) (constant, varName string) {
-	if !IsVar(term) {
-		return term, ""
-	}
-	if v, ok := bound[term]; ok {
-		return v, ""
-	}
-	return "", term
-}
-
 // Infer materializes the RDFS-lite closure:
 //
 //	(C subClassOf D), (D subClassOf E)   ⇒ (C subClassOf E)
@@ -268,19 +190,6 @@ func (st *Store) Infer() int {
 			return added
 		}
 	}
-}
-
-// Labels returns all rdfs:label and skos:altLabel values of an entity.
-func (st *Store) Labels(entity string) []string {
-	var out []string
-	for _, t := range st.Match(entity, PredLabel, "") {
-		out = append(out, t.O)
-	}
-	for _, t := range st.Match(entity, PredSynonym, "") {
-		out = append(out, t.O)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EntitiesByLabel returns entities whose rdfs:label or skos:altLabel

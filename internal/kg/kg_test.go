@@ -61,59 +61,6 @@ func TestMatchPatterns(t *testing.T) {
 	}
 }
 
-func TestBGPQuery(t *testing.T) {
-	st := buildStore()
-	res := st.Query([]Pattern{
-		{S: "?x", P: PredType, O: "ex:Indicator"},
-		{S: "?x", P: PredLabel, O: "?label"},
-	})
-	if len(res) != 1 {
-		t.Fatalf("bindings = %v", res)
-	}
-	if res[0]["?x"] != "ex:Barometer" || res[0]["?label"] != "Swiss Labour Market Barometer" {
-		t.Errorf("binding = %v", res[0])
-	}
-}
-
-func TestBGPQueryVariablePredicate(t *testing.T) {
-	st := buildStore()
-	res := st.Query([]Pattern{{S: "ex:Barometer", P: "?p", O: "ex:Employment"}})
-	if len(res) != 1 || res[0]["?p"] != "ex:measures" {
-		t.Errorf("bindings = %v", res)
-	}
-}
-
-func TestBGPQueryJoinConsistency(t *testing.T) {
-	st := buildStore()
-	// ?x must bind consistently across patterns; nothing both an
-	// Indicator and labeled "nonexistent".
-	res := st.Query([]Pattern{
-		{S: "?x", P: PredType, O: "ex:Indicator"},
-		{S: "?x", P: PredLabel, O: "nonexistent"},
-	})
-	if len(res) != 0 {
-		t.Errorf("bindings = %v", res)
-	}
-}
-
-func TestBGPSameVariableTwice(t *testing.T) {
-	st := NewStore()
-	st.Add(Triple{S: "a", P: "knows", O: "a"})
-	st.Add(Triple{S: "a", P: "knows", O: "b"})
-	res := st.Query([]Pattern{{S: "?x", P: "knows", O: "?x"}})
-	if len(res) != 1 || res[0]["?x"] != "a" {
-		t.Errorf("self-loop bindings = %v", res)
-	}
-}
-
-func TestBGPEmptyPatterns(t *testing.T) {
-	st := buildStore()
-	res := st.Query(nil)
-	if len(res) != 1 || len(res[0]) != 0 {
-		t.Errorf("empty BGP = %v", res)
-	}
-}
-
 func TestInferSubclassTransitive(t *testing.T) {
 	st := buildStore()
 	added := st.Infer()
@@ -163,10 +110,6 @@ func TestInferIdempotent(t *testing.T) {
 
 func TestLabelsAndLookup(t *testing.T) {
 	st := buildStore()
-	labels := st.Labels("ex:Barometer")
-	if len(labels) != 2 {
-		t.Errorf("labels = %v", labels)
-	}
 	ents := st.EntitiesByLabel("WORKFORCE BAROMETER")
 	if len(ents) != 1 || ents[0] != "ex:Barometer" {
 		t.Errorf("entities = %v", ents)

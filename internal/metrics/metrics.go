@@ -1,9 +1,8 @@
-// Package metrics implements the evaluation measures prescribed by the
-// paper's Evaluation section: Precision, Recall, F1, Accuracy, AUC, MSE
-// for prediction tasks; MRR and NDCG for ranking tasks; calibration
-// measures (ECE, Brier score) for probabilistic correctness estimates;
-// and system measures (wall time, operation counts, memory) for
-// efficiency.
+// Package metrics implements the evaluation measures the experiments
+// report from the paper's Evaluation section: Precision, Recall and F1
+// for prediction tasks; MRR for ranking tasks; calibration measures
+// (ECE, Brier score, risk–coverage) for probabilistic correctness
+// estimates; and bootstrap confidence intervals.
 //
 // All functions are pure and allocation-light so they can be called
 // from benchmarks without perturbing what they measure.
@@ -11,9 +10,6 @@ package metrics
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by measures that are undefined on empty input.
@@ -38,9 +34,6 @@ func (c *Confusion) Observe(predicted, actual bool) {
 		c.TN++
 	}
 }
-
-// Total returns the number of observed outcomes.
-func (c *Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
 
 // Precision returns TP/(TP+FP), or 0 when no positive predictions exist.
 func (c *Confusion) Precision() float64 {
@@ -67,99 +60,6 @@ func (c *Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct predictions.
-func (c *Confusion) Accuracy() float64 {
-	n := c.Total()
-	if n == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(n)
-}
-
-// Accuracy returns the fraction of pairs where predicted equals actual.
-// The two slices must have equal length.
-func Accuracy(predicted, actual []bool) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, fmt.Errorf("metrics: length mismatch %d != %d", len(predicted), len(actual))
-	}
-	if len(predicted) == 0 {
-		return 0, ErrEmpty
-	}
-	correct := 0
-	for i := range predicted {
-		if predicted[i] == actual[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(predicted)), nil
-}
-
-// MSE returns the mean squared error between predictions and targets.
-func MSE(predicted, actual []float64) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, fmt.Errorf("metrics: length mismatch %d != %d", len(predicted), len(actual))
-	}
-	if len(predicted) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for i := range predicted {
-		d := predicted[i] - actual[i]
-		sum += d * d
-	}
-	return sum / float64(len(predicted)), nil
-}
-
-// AUC computes the area under the ROC curve for scores (higher = more
-// positive) against binary labels, using the rank-sum formulation.
-// Ties in score contribute half. Returns 0.5 when one class is absent.
-func AUC(scores []float64, labels []bool) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("metrics: length mismatch %d != %d", len(scores), len(labels))
-	}
-	if len(scores) == 0 {
-		return 0, ErrEmpty
-	}
-	var pos, neg int
-	for _, l := range labels {
-		if l {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0.5, nil
-	}
-	// Count concordant pairs with tie correction.
-	type sl struct {
-		s float64
-		l bool
-	}
-	items := make([]sl, len(scores))
-	for i := range scores {
-		items[i] = sl{scores[i], labels[i]}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].s < items[j].s })
-	var rankSum float64 // sum of ranks of positives (1-based, average for ties)
-	i := 0
-	for i < len(items) {
-		j := i
-		for j < len(items) && items[j].s == items[i].s {
-			j++
-		}
-		avgRank := float64(i+j+1) / 2 // ranks i+1..j averaged
-		for k := i; k < j; k++ {
-			if items[k].l {
-				rankSum += avgRank
-			}
-		}
-		i = j
-	}
-	u := rankSum - float64(pos)*float64(pos+1)/2
-	return u / (float64(pos) * float64(neg)), nil
-}
-
 // MRR returns the mean reciprocal rank. Each ranks[i] is the 1-based
 // rank of the first relevant item for query i; 0 means no relevant item
 // was retrieved and contributes 0.
@@ -174,64 +74,4 @@ func MRR(ranks []int) (float64, error) {
 		}
 	}
 	return sum / float64(len(ranks)), nil
-}
-
-// DCG computes the discounted cumulative gain of a ranked list of
-// graded relevances using the standard log2 discount.
-func DCG(rels []float64) float64 {
-	var dcg float64
-	for i, rel := range rels {
-		dcg += (math.Pow(2, rel) - 1) / math.Log2(float64(i)+2)
-	}
-	return dcg
-}
-
-// NDCG computes DCG normalized by the ideal DCG of the same relevance
-// multiset. Returns 0 when the ideal DCG is 0 (all relevances zero).
-func NDCG(rels []float64) float64 {
-	ideal := make([]float64, len(rels))
-	copy(ideal, rels)
-	sort.Sort(sort.Reverse(sort.Float64Slice(ideal)))
-	idcg := DCG(ideal)
-	if idcg == 0 {
-		return 0
-	}
-	return DCG(rels) / idcg
-}
-
-// NDCGAt truncates the list to k before computing NDCG; the ideal
-// ranking is also truncated to k, per the standard definition.
-func NDCGAt(rels []float64, k int) float64 {
-	ideal := make([]float64, len(rels))
-	copy(ideal, rels)
-	sort.Sort(sort.Reverse(sort.Float64Slice(ideal)))
-	if k < len(rels) {
-		rels = rels[:k]
-	}
-	if k < len(ideal) {
-		ideal = ideal[:k]
-	}
-	idcg := DCG(ideal)
-	if idcg == 0 {
-		return 0
-	}
-	return DCG(rels) / idcg
-}
-
-// RecallAtK returns |retrieved ∩ relevant| / |relevant| for ID sets.
-func RecallAtK(retrieved, relevant []int) (float64, error) {
-	if len(relevant) == 0 {
-		return 0, ErrEmpty
-	}
-	rel := make(map[int]struct{}, len(relevant))
-	for _, id := range relevant {
-		rel[id] = struct{}{}
-	}
-	hit := 0
-	for _, id := range retrieved {
-		if _, ok := rel[id]; ok {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(relevant)), nil
 }

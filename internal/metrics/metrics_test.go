@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func approx(t *testing.T, got, want, tol float64, msg string) {
@@ -27,72 +26,13 @@ func TestConfusionBasics(t *testing.T) {
 	approx(t, c.Precision(), 2.0/3.0, 1e-12, "precision")
 	approx(t, c.Recall(), 2.0/3.0, 1e-12, "recall")
 	approx(t, c.F1(), 2.0/3.0, 1e-12, "f1")
-	approx(t, c.Accuracy(), 3.0/5.0, 1e-12, "accuracy")
 }
 
 func TestConfusionEmpty(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("empty confusion must return zeros, not NaN")
 	}
-}
-
-func TestAccuracy(t *testing.T) {
-	got, err := Accuracy([]bool{true, false, true}, []bool{true, true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 2.0/3.0, 1e-12, "accuracy")
-	if _, err := Accuracy(nil, nil); err != ErrEmpty {
-		t.Errorf("want ErrEmpty, got %v", err)
-	}
-	if _, err := Accuracy([]bool{true}, []bool{}); err == nil {
-		t.Error("want length-mismatch error")
-	}
-}
-
-func TestMSE(t *testing.T) {
-	got, err := MSE([]float64{1, 2, 3}, []float64{1, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 4.0/3.0, 1e-12, "mse")
-}
-
-func TestAUCPerfectSeparation(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	labels := []bool{true, true, false, false}
-	got, err := AUC(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 1.0, 1e-12, "auc perfect")
-}
-
-func TestAUCRandom(t *testing.T) {
-	// All identical scores: AUC must be 0.5 by tie handling.
-	scores := []float64{0.5, 0.5, 0.5, 0.5}
-	labels := []bool{true, false, true, false}
-	got, err := AUC(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 0.5, 1e-12, "auc ties")
-}
-
-func TestAUCOneClass(t *testing.T) {
-	got, err := AUC([]float64{0.1, 0.9}, []bool{true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 0.5, 1e-12, "auc one class")
-}
-
-func TestAUCInverted(t *testing.T) {
-	scores := []float64{0.1, 0.2, 0.8, 0.9}
-	labels := []bool{true, true, false, false}
-	got, _ := AUC(scores, labels)
-	approx(t, got, 0.0, 1e-12, "auc inverted")
 }
 
 func TestMRR(t *testing.T) {
@@ -101,43 +41,6 @@ func TestMRR(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, got, (1+0.5+0+0.25)/4, 1e-12, "mrr")
-}
-
-func TestDCGAndNDCG(t *testing.T) {
-	// Ideal ordering gives NDCG 1.
-	if got := NDCG([]float64{3, 2, 1, 0}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("ideal NDCG = %v, want 1", got)
-	}
-	// Worst ordering strictly below 1.
-	if got := NDCG([]float64{0, 1, 2, 3}); got >= 1 {
-		t.Errorf("reversed NDCG = %v, want < 1", got)
-	}
-	if got := NDCG([]float64{0, 0}); got != 0 {
-		t.Errorf("all-zero NDCG = %v, want 0", got)
-	}
-}
-
-func TestNDCGAt(t *testing.T) {
-	rels := []float64{0, 3, 2}
-	full := NDCG(rels)
-	at2 := NDCGAt(rels, 2)
-	if at2 >= full {
-		t.Errorf("NDCG@2 (%v) should be below full NDCG (%v) here", at2, full)
-	}
-	if got := NDCGAt([]float64{3, 2, 1}, 10); math.Abs(got-1) > 1e-12 {
-		t.Errorf("NDCG@10 of ideal = %v, want 1", got)
-	}
-}
-
-func TestRecallAtK(t *testing.T) {
-	got, err := RecallAtK([]int{1, 2, 3}, []int{2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 0.5, 1e-12, "recall@k")
-	if _, err := RecallAtK([]int{1}, nil); err != ErrEmpty {
-		t.Error("want ErrEmpty for empty relevant set")
-	}
 }
 
 func TestECEPerfectCalibration(t *testing.T) {
@@ -231,54 +134,6 @@ func TestSelectiveAccuracy(t *testing.T) {
 	}
 }
 
-func TestLatencyRecorder(t *testing.T) {
-	var r LatencyRecorder
-	for i := 1; i <= 100; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	if r.Count() != 100 {
-		t.Fatalf("count = %d", r.Count())
-	}
-	if got := r.Percentile(50); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := r.Percentile(99); got != 99*time.Millisecond {
-		t.Errorf("p99 = %v", got)
-	}
-	if got := r.Mean(); got != 50*time.Millisecond+500*time.Microsecond {
-		t.Errorf("mean = %v", got)
-	}
-	if s := r.Summary(); s == "" {
-		t.Error("empty summary")
-	}
-}
-
-func TestLatencyRecorderEmpty(t *testing.T) {
-	var r LatencyRecorder
-	if r.Mean() != 0 || r.Percentile(50) != 0 {
-		t.Error("empty recorder must return zeros")
-	}
-}
-
-func TestOpsCounter(t *testing.T) {
-	var c OpsCounter
-	c.Add("dist", 5)
-	c.Add("dist", 7)
-	c.Add("rows", 1)
-	if c.Get("dist") != 12 || c.Get("rows") != 1 || c.Get("missing") != 0 {
-		t.Errorf("counter state = %v", c.Snapshot())
-	}
-	snap := c.Snapshot()
-	c.Add("dist", 1)
-	if snap["dist"] != 12 {
-		t.Error("snapshot must be a copy")
-	}
-	c.Reset()
-	if c.Get("dist") != 0 {
-		t.Error("reset failed")
-	}
-}
-
 // Property: ECE is always within [0,1] and Brier within [0,1].
 func TestCalibrationBoundsProperty(t *testing.T) {
 	f := func(confs []float64, seed int64) bool {
@@ -299,40 +154,6 @@ func TestCalibrationBoundsProperty(t *testing.T) {
 			return false
 		}
 		return e >= 0 && e <= 1 && b >= 0 && b <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: AUC is symmetric — flipping labels and negating scores
-// preserves the value.
-func TestAUCSymmetryProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		labels := make([]bool, len(raw))
-		scores := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			scores[i] = v
-			labels[i] = i%2 == 0
-		}
-		a1, err1 := AUC(scores, labels)
-		neg := make([]float64, len(scores))
-		flip := make([]bool, len(labels))
-		for i := range scores {
-			neg[i] = -scores[i]
-			flip[i] = !labels[i]
-		}
-		a2, err2 := AUC(neg, flip)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(a1-a2) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

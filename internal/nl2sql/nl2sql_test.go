@@ -183,10 +183,8 @@ func TestTranslateAbstainsWhenNothingExecutes(t *testing.T) {
 }
 
 func TestConstrainedRepairFixesHallucination(t *testing.T) {
-	db := fixtureDB()
-	tr := cleanTranslator(db)
 	// Hand the repairer a corrupted query directly.
-	fixed := tr.repairIdentifiers("SELECT AVG ( salarry ) FROM employeez")
+	fixed := schemaArtifactsFor(fixtureDB()).repairSQL("SELECT AVG ( salarry ) FROM employeez")
 	if !strings.Contains(fixed, "salary") || !strings.Contains(fixed, "employees") {
 		t.Errorf("repaired = %q", fixed)
 	}

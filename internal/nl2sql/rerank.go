@@ -3,7 +3,6 @@ package nl2sql
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"github.com/reliable-cda/cda/internal/nlmodel"
@@ -101,16 +100,10 @@ func (r *Reranker) Best(candidates []string) string {
 	return best
 }
 
-// emitReranked draws a pool of candidates through the noisy channel
-// (+ optional constrained repair) and returns the reward-maximizing
-// one.
-func (t *Translator) emitReranked(ideal string, rng *rand.Rand, pool int) string {
-	return t.emitRerankedToks(schemaArtifactsFor(t.DB), tokenizeSQL(ideal), rng, pool)
-}
-
-// emitRerankedToks is emitReranked over pre-tokenized ideal SQL and
-// pre-resolved schema artifacts. The reference LM comes from the
-// artifact cache, so its (deterministic) training happens once per
+// emitRerankedToks draws a pool of candidates for the pre-tokenized
+// ideal SQL through the noisy channel (+ optional constrained repair)
+// and returns the reward-maximizing one. The reference LM comes from
+// the artifact cache, so its (deterministic) training happens once per
 // database rather than once per Translator.
 func (t *Translator) emitRerankedToks(sc *schemaArtifacts, toks []string, rng *rand.Rand, pool int) string {
 	if pool < 2 {
@@ -121,10 +114,4 @@ func (t *Translator) emitRerankedToks(sc *schemaArtifacts, toks []string, rng *r
 		cands = append(cands, t.emitCandidateToks(sc, toks, rng))
 	}
 	return sc.rerankerFor(t.DB).Best(cands)
-}
-
-// renderTokens joins SQL tokens the way candidates are built, for
-// tests that compare spacing-insensitive SQL.
-func renderTokens(sql string) string {
-	return strings.Join(tokenizeSQL(sql), " ")
 }

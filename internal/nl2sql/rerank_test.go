@@ -72,7 +72,7 @@ func TestEmitRerankedDeterministic(t *testing.T) {
 	mk := func() string {
 		tr := NewTranslator(db, fixtureGrounder(db), 5)
 		tr.Channel = nlmodel.Channel{HallucinationRate: 0.3, Fabrications: []string{"zz"}}
-		return tr.emitReranked("SELECT COUNT ( * ) FROM employees", rand.New(rand.NewSource(9)), 4)
+		return tr.emitRerankedToks(schemaArtifactsFor(tr.DB), tokenizeSQL("SELECT COUNT ( * ) FROM employees"), rand.New(rand.NewSource(9)), 4)
 	}
 	if mk() != mk() {
 		t.Error("reranked emission not deterministic")
@@ -80,7 +80,7 @@ func TestEmitRerankedDeterministic(t *testing.T) {
 }
 
 func TestRenderTokens(t *testing.T) {
-	if got := renderTokens("SELECT  a FROM t"); !strings.Contains(got, "SELECT a FROM t") {
-		t.Errorf("renderTokens = %q", got)
+	if got := strings.Join(tokenizeSQL("SELECT  a FROM t"), " "); !strings.Contains(got, "SELECT a FROM t") {
+		t.Errorf("rendered tokens = %q", got)
 	}
 }

@@ -333,20 +333,15 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 	return tr, nil
 }
 
-// emitCandidate pushes the ideal SQL through the noisy channel and,
-// when constrained decoding is on, repairs it against the schema and
-// grammar with bounded rejection sampling.
-func (t *Translator) emitCandidate(ideal string, rng *rand.Rand) string {
-	return t.emitCandidateToks(schemaArtifactsFor(t.DB), tokenizeSQL(ideal), rng)
-}
-
-// emitCandidateToks is emitCandidate over pre-tokenized ideal SQL and
-// pre-resolved schema artifacts, saving a lex and a cache lookup per
-// repair attempt when the caller samples repeatedly from the same
-// ideal. Repair and the parse-validity check are memoized per
-// corrupted candidate (both are pure functions of schema and text);
-// the fault hook runs on every attempt, before the memo key is formed,
-// so chaos corruption is never skipped.
+// emitCandidateToks pushes the pre-tokenized ideal SQL through the
+// noisy channel and, when constrained decoding is on, repairs it
+// against the schema and grammar with bounded rejection sampling. It
+// takes tokens and pre-resolved schema artifacts, saving a lex and a
+// cache lookup per repair attempt when the caller samples repeatedly
+// from the same ideal. Repair and the parse-validity check are
+// memoized per corrupted candidate (both are pure functions of schema
+// and text); the fault hook runs on every attempt, before the memo key
+// is formed, so chaos corruption is never skipped.
 func (t *Translator) emitCandidateToks(sc *schemaArtifacts, toks []string, rng *rand.Rand) string {
 	attempts := 1
 	if t.Options.UseConstrained {
@@ -397,14 +392,6 @@ func tokenizeSQL(sql string) []string {
 		out = append(out, tk.Text)
 	}
 	return out
-}
-
-// repairIdentifiers is the constrained-decoding surrogate: every
-// identifier token outside the schema vocabulary is replaced by the
-// closest valid identifier (edit distance), mimicking a token mask
-// that only admits schema terms.
-func (t *Translator) repairIdentifiers(sql string) string {
-	return schemaArtifactsFor(t.DB).repairSQL(sql)
 }
 
 // levenshtein computes edit distance with two rolling rows.

@@ -3,19 +3,15 @@
 // provides the failure modes and control surfaces the paper's
 // architecture is designed around, without any network dependency:
 //
-//   - an n-gram language model (bigram, add-one smoothed) for natural
-//     language generation with temperature sampling and token-level
-//     constrained decoding (the paper's "constrained decoding and
-//     parsing" soundness mechanism);
+//   - an n-gram language model (bigram, add-one smoothed) that scores
+//     the fluency of token sequences (the reranker's reference model);
 //   - a noisy channel that corrupts structured token sequences with a
 //     configurable hallucination rate — the stand-in for an LLM
 //     emitting plausible-but-wrong identifiers;
 //   - a raw confidence generator that is deliberately miscalibrated
 //     (overconfident), reproducing the paper's observation that "when
 //     relying solely on an LLM, confidence scores may not accurately
-//     reflect the true probability of correctness";
-//   - self-consistency sampling (consistency-based black-box
-//     uncertainty quantification, ref [7] in the paper).
+//     reflect the true probability of correctness".
 //
 // All randomness flows from explicit seeds so experiments reproduce
 // bit-for-bit.
@@ -25,10 +21,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
-// EOS terminates generated sequences.
+// EOS terminates every training and scored sequence.
 const EOS = "</s>"
 
 // BOS starts generated sequences.
@@ -82,9 +77,6 @@ func (m *NGram) observe(prev, tok string) {
 	sort.Strings(m.vocab)
 }
 
-// Vocab returns the sorted vocabulary (including EOS, excluding BOS).
-func (m *NGram) Vocab() []string { return m.vocab }
-
 // Prob returns the add-one-smoothed probability P(tok | prev).
 func (m *NGram) Prob(prev, tok string) float64 {
 	v := len(m.vocab)
@@ -109,62 +101,6 @@ func (m *NGram) Perplexity(seq []string) float64 {
 		prev = tok
 	}
 	return math.Exp(-logSum / float64(n))
-}
-
-// Constraint masks candidate next tokens during constrained decoding.
-// Returning false removes the token from the distribution.
-type Constraint func(prev string, candidate string) bool
-
-// Generate samples up to maxTokens tokens autoregressively, applying
-// the optional constraint at each step and renormalizing. Generation
-// stops at EOS. Temperature < 1 sharpens, > 1 flattens. A nil rng or
-// empty model returns nil.
-func (m *NGram) Generate(rng *rand.Rand, maxTokens int, temperature float64, constraint Constraint) []string {
-	if rng == nil || len(m.vocab) == 0 || maxTokens <= 0 {
-		return nil
-	}
-	if temperature <= 0 {
-		temperature = 1e-3
-	}
-	var out []string
-	prev := BOS
-	for len(out) < maxTokens {
-		tok, ok := m.sampleNext(rng, prev, temperature, constraint)
-		if !ok || tok == EOS {
-			break
-		}
-		out = append(out, tok)
-		prev = tok
-	}
-	return out
-}
-
-func (m *NGram) sampleNext(rng *rand.Rand, prev string, temperature float64, constraint Constraint) (string, bool) {
-	type cand struct {
-		tok string
-		w   float64
-	}
-	cands := make([]cand, 0, len(m.vocab))
-	var total float64
-	for _, tok := range m.vocab {
-		if constraint != nil && tok != EOS && !constraint(prev, tok) {
-			continue
-		}
-		w := math.Pow(m.Prob(prev, tok), 1/temperature)
-		cands = append(cands, cand{tok, w})
-		total += w
-	}
-	if len(cands) == 0 || total == 0 {
-		return "", false
-	}
-	r := rng.Float64() * total
-	for _, c := range cands {
-		r -= c.w
-		if r <= 0 {
-			return c.tok, true
-		}
-	}
-	return cands[len(cands)-1].tok, true
 }
 
 // Channel is the noisy structured-output channel: it corrupts token
@@ -220,35 +156,4 @@ func (r RawConfidence) Score(rng *rand.Rand) float64 {
 		return 1
 	}
 	return v
-}
-
-// SelfConsistency runs sample() m times and returns the modal output
-// with its agreement fraction — the consistency-based black-box UQ
-// the paper cites: answers the model produces stably are likelier
-// correct than one-off generations.
-func SelfConsistency(m int, sample func(i int) string) (answer string, agreement float64) {
-	if m <= 0 {
-		return "", 0
-	}
-	counts := make(map[string]int, m)
-	for i := 0; i < m; i++ {
-		counts[sample(i)]++
-	}
-	best, bestN := "", 0
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic tie-break
-	for _, k := range keys {
-		if counts[k] > bestN {
-			best, bestN = k, counts[k]
-		}
-	}
-	return best, float64(bestN) / float64(m)
-}
-
-// Detokenize joins tokens with spaces, collapsing runs of whitespace.
-func Detokenize(tokens []string) string {
-	return strings.Join(tokens, " ")
 }

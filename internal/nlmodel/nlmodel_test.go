@@ -31,7 +31,7 @@ func TestProbSmoothing(t *testing.T) {
 	}
 	// Probabilities over the vocabulary sum to 1.
 	var sum float64
-	for _, tok := range m.Vocab() {
+	for _, tok := range m.vocab {
 		sum += m.Prob("the", tok)
 	}
 	if math.Abs(sum-1) > 1e-9 {
@@ -52,65 +52,11 @@ func TestPerplexityOrdersFluency(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	m := trainedModel()
-	a := m.Generate(rand.New(rand.NewSource(5)), 10, 1.0, nil)
-	b := m.Generate(rand.New(rand.NewSource(5)), 10, 1.0, nil)
-	if Detokenize(a) != Detokenize(b) {
-		t.Errorf("same seed produced %v vs %v", a, b)
-	}
-	c := m.Generate(rand.New(rand.NewSource(6)), 10, 1.0, nil)
-	_ = c // different seed may or may not differ; just ensure no panic
-}
-
-func TestGenerateRespectsMaxTokens(t *testing.T) {
-	m := trainedModel()
-	out := m.Generate(rand.New(rand.NewSource(1)), 3, 1.0, nil)
-	if len(out) > 3 {
-		t.Errorf("generated %d tokens", len(out))
-	}
-}
-
-func TestGenerateEdgeCases(t *testing.T) {
-	m := trainedModel()
-	if out := m.Generate(nil, 5, 1, nil); out != nil {
-		t.Error("nil rng must return nil")
-	}
-	if out := m.Generate(rand.New(rand.NewSource(1)), 0, 1, nil); out != nil {
-		t.Error("maxTokens 0 must return nil")
-	}
-	if out := NewNGram().Generate(rand.New(rand.NewSource(1)), 5, 1, nil); out != nil {
-		t.Error("untrained model must return nil")
-	}
-}
-
-func TestConstrainedDecoding(t *testing.T) {
-	m := trainedModel()
-	// Forbid the token "seasonal" entirely.
-	constraint := func(prev, cand string) bool { return cand != "seasonal" }
-	for seed := int64(0); seed < 20; seed++ {
-		out := m.Generate(rand.New(rand.NewSource(seed)), 20, 1.5, constraint)
-		for _, tok := range out {
-			if tok == "seasonal" {
-				t.Fatalf("constraint violated in %v", out)
-			}
-		}
-	}
-}
-
-func TestConstraintBlockingEverything(t *testing.T) {
-	m := trainedModel()
-	out := m.Generate(rand.New(rand.NewSource(1)), 5, 1, func(_, _ string) bool { return false })
-	if len(out) != 0 {
-		t.Errorf("fully blocked generation = %v", out)
-	}
-}
-
 func TestChannelZeroRateIsIdentity(t *testing.T) {
 	ch := Channel{HallucinationRate: 0, Fabrications: []string{"bogus"}}
 	in := []string{"SELECT", "a", "FROM", "t"}
 	out := ch.Corrupt(rand.New(rand.NewSource(1)), in)
-	if Detokenize(out) != Detokenize(in) {
+	if strings.Join(out, " ") != strings.Join(in, " ") {
 		t.Errorf("zero-rate corruption changed %v -> %v", in, out)
 	}
 }
@@ -120,7 +66,7 @@ func TestChannelCorruptsAtHighRate(t *testing.T) {
 	in := []string{"SELECT", "a", "FROM", "t"}
 	rng := rand.New(rand.NewSource(2))
 	out := ch.Corrupt(rng, in)
-	if Detokenize(out) == Detokenize(in) {
+	if strings.Join(out, " ") == strings.Join(in, " ") {
 		t.Error("rate-1 corruption left sequence unchanged")
 	}
 	// Input must not be mutated.
@@ -173,44 +119,6 @@ func TestRawConfidenceOverconfident(t *testing.T) {
 	}
 }
 
-func TestSelfConsistency(t *testing.T) {
-	answers := []string{"a", "b", "a", "a", "c"}
-	got, agree := SelfConsistency(len(answers), func(i int) string { return answers[i] })
-	if got != "a" || agree != 0.6 {
-		t.Errorf("consistency = %q %v", got, agree)
-	}
-	if _, agree := SelfConsistency(0, nil); agree != 0 {
-		t.Error("m=0 must return 0 agreement")
-	}
-}
-
-func TestSelfConsistencyTieBreakDeterministic(t *testing.T) {
-	got1, _ := SelfConsistency(2, func(i int) string { return []string{"b", "a"}[i] })
-	got2, _ := SelfConsistency(2, func(i int) string { return []string{"a", "b"}[i] })
-	if got1 != got2 {
-		t.Errorf("tie-break not deterministic: %q vs %q", got1, got2)
-	}
-}
-
-// Property: generation under a whitelist constraint only emits
-// whitelisted tokens.
-func TestWhitelistProperty(t *testing.T) {
-	m := trainedModel()
-	allowed := map[string]bool{"the": true, "labour": true, "market": true}
-	f := func(seed int64) bool {
-		out := m.Generate(rand.New(rand.NewSource(seed)), 10, 1.0, func(_, c string) bool { return allowed[c] })
-		for _, tok := range out {
-			if !allowed[tok] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Corrupt never panics and output tokens come from input ∪
 // fabrications.
 func TestCorruptClosedWorldProperty(t *testing.T) {
@@ -229,17 +137,5 @@ func TestCorruptClosedWorldProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDetokenize(t *testing.T) {
-	if got := Detokenize([]string{"a", "b"}); got != "a b" {
-		t.Errorf("detokenize = %q", got)
-	}
-	if got := Detokenize(nil); got != "" {
-		t.Errorf("empty detokenize = %q", got)
-	}
-	if !strings.Contains(Detokenize([]string{"SELECT", "*"}), "SELECT") {
-		t.Error("missing token")
 	}
 }

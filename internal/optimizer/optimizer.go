@@ -165,21 +165,6 @@ func (c *Cache[V]) settle(key string, f *flight[V], v V, store bool, err error) 
 	close(f.done)
 }
 
-// GetOrCompute returns the cached value or computes, stores, and
-// returns it, sharing one in-flight computation per key among
-// concurrent callers (singleflight via Do).
-func (c *Cache[V]) GetOrCompute(ctx context.Context, key string, compute func() (V, error)) (V, error) {
-	v, err := c.Do(ctx, key, func() (V, bool, error) {
-		v, err := compute()
-		return v, err == nil, err
-	})
-	if err != nil {
-		var zero V
-		return zero, err
-	}
-	return v, nil
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int {
 	c.mu.Lock()

@@ -71,28 +71,6 @@ func TestCacheMinimumCapacity(t *testing.T) {
 	}
 }
 
-func TestGetOrCompute(t *testing.T) {
-	c := NewCache[int](4)
-	calls := 0
-	fn := func() (int, error) { calls++; return 42, nil }
-	v, err := c.GetOrCompute(context.Background(), "k", fn)
-	if err != nil || v != 42 {
-		t.Fatalf("first = %v %v", v, err)
-	}
-	v, err = c.GetOrCompute(context.Background(), "k", fn)
-	if err != nil || v != 42 || calls != 1 {
-		t.Errorf("second = %v %v calls=%d", v, err, calls)
-	}
-	wantErr := errors.New("boom")
-	_, err = c.GetOrCompute(context.Background(), "bad", func() (int, error) { return 0, wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Errorf("err = %v", err)
-	}
-	if _, ok := c.Get("bad"); ok {
-		t.Error("error result cached")
-	}
-}
-
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache[int](64)
 	var wg sync.WaitGroup

@@ -300,40 +300,6 @@ func (g *Graph) CheckInvertibility() InvertibilityReport {
 	return rep
 }
 
-// Merge copies every node and edge of other into g. Node IDs are kept;
-// collisions favor other's node payload (edges union).
-func (g *Graph) Merge(other *Graph) error {
-	other.mu.RLock()
-	nodes := make([]Node, 0, len(other.nodes))
-	for _, n := range other.nodes {
-		nodes = append(nodes, *n)
-	}
-	type edge struct{ result, origin string }
-	var edges []edge
-	for result, origins := range other.derivedFrom {
-		for _, o := range origins {
-			edges = append(edges, edge{result, o})
-		}
-	}
-	other.mu.RUnlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
-		g.AddNode(n)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].result != edges[j].result {
-			return edges[i].result < edges[j].result
-		}
-		return edges[i].origin < edges[j].origin
-	})
-	for _, e := range edges {
-		if err := g.DerivedFrom(e.result, e.origin); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Summary renders a compact human-readable trace of a node's
 // ancestry, one line per ancestor, deepest (sources) last.
 func (g *Graph) Summary(id string) string {

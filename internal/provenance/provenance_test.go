@@ -133,31 +133,6 @@ func TestInvertibility(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	g1, ids1 := buildChain(t)
-	g2 := NewGraph()
-	s2 := g2.AddNode(Node{ID: "other-src", Kind: KindSource, Label: "census.csv"})
-	a2 := g2.AddNode(Node{ID: "other-ans", Kind: KindAnswer, Label: "population"})
-	if err := g2.DerivedFrom(a2, s2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.Merge(g2); err != nil {
-		t.Fatal(err)
-	}
-	if g1.Len() != 6 {
-		t.Errorf("merged len = %d", g1.Len())
-	}
-	srcs, _ := g1.SourcesOf("other-ans")
-	if len(srcs) != 1 || srcs[0].ID != "other-src" {
-		t.Errorf("merged sources = %v", srcs)
-	}
-	// Original chain intact.
-	srcs, _ = g1.SourcesOf(ids1["ans"])
-	if len(srcs) != 1 {
-		t.Errorf("original chain broken: %v", srcs)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	g, ids := buildChain(t)
 	s := g.Summary(ids["ans"])

@@ -33,10 +33,13 @@ func RegisterSessionRoutes(mux *http.ServeMux, api SessionAPI) {
 		var req struct {
 			ID string `json:"id"`
 		}
-		err := json.NewDecoder(r.Body).Decode(&req)
+		err := limitBody(w, r)
+		if err == nil {
+			err = json.NewDecoder(r.Body).Decode(&req)
+		}
 		switch {
 		case err != nil && !errors.Is(err, io.EOF):
-			err = refuse(ErrBadRequest, "invalid JSON: %v", err)
+			err = badBody(err)
 		case req.ID != "":
 			err = api.CreateSessionWithID(r.Context(), req.ID)
 		default:
@@ -46,6 +49,10 @@ func RegisterSessionRoutes(mux *http.ServeMux, api SessionAPI) {
 	})
 	mux.HandleFunc("POST /sessions/{id}/ask", func(w http.ResponseWriter, r *http.Request) {
 		var req AskRequest
+		if err := limitBody(w, r); err != nil {
+			writeError(w, badBody(err))
+			return
+		}
 		if !decodeBody(w, r, &req) {
 			return
 		}
@@ -112,11 +119,35 @@ func respond(w http.ResponseWriter, status int, v any, err error) {
 	WriteJSON(w, status, v)
 }
 
+// maxSessionBody bounds the body of the two public POST routes, so a
+// client cannot make a node buffer an arbitrarily large body before
+// admission.
+const maxSessionBody = 64 << 10
+
+// limitBody caps a public route's body at maxSessionBody bytes. A body
+// that declares a longer length is refused before any of it is read.
+func limitBody(w http.ResponseWriter, r *http.Request) error {
+	if r.ContentLength > maxSessionBody {
+		return &http.MaxBytesError{Limit: maxSessionBody}
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxSessionBody)
+	return nil
+}
+
+// badBody is the refusal for a request body that did not decode.
+func badBody(err error) error {
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		return refuse(ErrBadRequest, "request body exceeds %d bytes", tooLong.Limit)
+	}
+	return refuse(ErrBadRequest, "invalid JSON: %v", err)
+}
+
 // decodeBody is the decode half for JSON bodies; it answers a malformed
 // one itself and reports whether the handler may go on.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		writeError(w, refuse(ErrBadRequest, "invalid JSON: %v", err))
+		writeError(w, badBody(err))
 		return false
 	}
 	return true

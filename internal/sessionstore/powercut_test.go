@@ -296,7 +296,7 @@ func (pc *powerCut) recover(what string, journal []byte) {
 		before := transcriptOf(t, e)
 		commitPair(t, st, e, "what came after the power cut", "the next turn", 0.75)
 		turns := strings.Count(before, "\n") + 2
-		log, err := st.SessionVersions(id)
+		log, err := st.Versions().Log(SessionRoot(id))
 		if err != nil || log[len(log)-1].Turn != turns || len(log) != len(logs[SessionRoot(id)])+1 {
 			t.Fatalf("%s: version log of %s after the next turn = %+v, %v; want one more entry, at turn %d", what, id, log, err, turns)
 		}

@@ -318,11 +318,11 @@ func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 		}
 		assertMirrors(t, primary, replica, ids)
 		for _, id := range ids {
-			plog, err := primary.SessionVersions(id)
+			plog, err := primary.Versions().Log(SessionRoot(id))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rlog, err := replica.SessionVersions(id)
+			rlog, err := replica.Versions().Log(SessionRoot(id))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -373,11 +373,6 @@ func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.C
 	return sess, c, nil
 }
 
-// SessionVersions returns a session's commit log (oldest first).
-func (s *Store) SessionVersions(id string) ([]vstore.Commit, error) {
-	return s.cfg.Versions.Log(SessionRoot(id))
-}
-
 // treeOf returns the commit's tree hash (Commit.Tree is recorded in
 // the log; fall back to the chunk for logs shipped without it).
 func treeOf(vs *vstore.Store, c vstore.Commit) (vstore.Hash, error) {

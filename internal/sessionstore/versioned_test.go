@@ -121,7 +121,7 @@ func TestTranscriptAsOfMaterializesEveryVersion(t *testing.T) {
 		commitPair(t, st, e, fmt.Sprintf("question %d", j), fmt.Sprintf("answer %d", j), 0.25+float64(j)/10)
 		want[2*(j+1)] = transcriptOf(t, e)
 	}
-	log, err := st.SessionVersions(e.ID)
+	log, err := st.Versions().Log(SessionRoot(e.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +212,9 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	// The replica can itself time travel after a versioned install —
 	// its log starts at install time (pre-install history stays on the
 	// primary), so ask for its own head.
-	rlog, err := replica.SessionVersions(e.ID)
+	rlog, err := replica.Versions().Log(SessionRoot(e.ID))
 	if err != nil {
-		t.Fatalf("replica SessionVersions: %v", err)
+		t.Fatalf("replica session log: %v", err)
 	}
 	if len(rlog) == 0 {
 		t.Fatal("replica has no session versions after install")
@@ -414,7 +414,7 @@ func TestVersionedStoreSurvivesRestart(t *testing.T) {
 	}
 	// Committing the same pair again during recovery-like replay is
 	// idempotent: the log is unchanged.
-	before, err := st2.SessionVersions(e.ID)
+	before, err := st2.Versions().Log(SessionRoot(e.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestVersionedStoreSurvivesRestart(t *testing.T) {
 		t.Fatalf("session lost: %v", status)
 	}
 	commitPair(t, st2, ee, "q2", "a2", 0.5)
-	after, err := st2.SessionVersions(e.ID)
+	after, err := st2.Versions().Log(SessionRoot(e.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,7 +735,7 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 	if head, err := vs.Head(ShardRoot(0)); err == nil {
 		t.Errorf("a refused compaction committed a shard root: %+v", head)
 	}
-	log, err := st.SessionVersions(e.ID)
+	log, err := st.Versions().Log(SessionRoot(e.ID))
 	if err != nil || len(log) != 2 {
 		t.Fatalf("version log on the dead journal = %+v, %v; want the two versions it took", log, err)
 	}
@@ -767,7 +767,7 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 	if status != Found || transcriptOf(t, e2) != want {
 		t.Fatalf("reopened: status %v, transcript %q; want %q", status, transcriptOf(t, e2), want)
 	}
-	log, err = st2.SessionVersions(e.ID)
+	log, err = st2.Versions().Log(SessionRoot(e.ID))
 	if err != nil || len(log) != 10 {
 		t.Fatalf("reopened version log has %d entries (%v), want one per pair: 10", len(log), err)
 	}
@@ -834,7 +834,7 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 	}
 	want := map[string][]vstore.Commit{}
 	for _, e := range entries {
-		log, err := st.SessionVersions(e.ID)
+		log, err := st.Versions().Log(SessionRoot(e.ID))
 		if err != nil || len(log) != pairs {
 			t.Fatalf("session %s has %d versions (%v), want %d", e.ID, len(log), err, pairs)
 		}

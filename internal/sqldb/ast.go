@@ -346,24 +346,3 @@ func columnRefs(e Expr, out *[]*ColumnRef) {
 		}
 	}
 }
-
-// ColumnRefs returns every column reference in the statement, for
-// schema linking and validation.
-func (s *SelectStmt) ColumnRefs() []*ColumnRef {
-	var out []*ColumnRef
-	for _, it := range s.Items {
-		columnRefs(it.Expr, &out)
-	}
-	columnRefs(s.Where, &out)
-	for _, g := range s.GroupBy {
-		columnRefs(g, &out)
-	}
-	columnRefs(s.Having, &out)
-	for _, o := range s.OrderBy {
-		columnRefs(o.Expr, &out)
-	}
-	for _, j := range s.Joins {
-		columnRefs(j.On, &out)
-	}
-	return out
-}

@@ -113,7 +113,7 @@ func (e *Engine) scan(table, alias string, stats *Stats) (*relation, error) {
 	stats.RowsScanned += n
 	rel.rows = make([][]storage.Value, n)
 	for i := 0; i < n; i++ {
-		rel.rows[i] = t.Row(i)
+		rel.rows[i] = rowOf(t, i)
 	}
 	if e.CaptureProvenance {
 		rel.prov = make([][]RowRef, n)
@@ -519,4 +519,13 @@ func evalAggregate(f *FuncExpr, rel *relation, g *group) (storage.Value, error) 
 		vals = dedupValues(vals)
 	}
 	return finishAggregate(f.Name, vals)
+}
+
+// rowOf materializes row i of t as a fresh slice.
+func rowOf(t *storage.Table, i int) []storage.Value {
+	out := make([]storage.Value, t.NumCols())
+	for c := range out {
+		out[c] = t.At(i, c)
+	}
+	return out
 }

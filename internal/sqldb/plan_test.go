@@ -179,25 +179,6 @@ func TestSQLErrorRendering(t *testing.T) {
 	}
 }
 
-func TestColumnRefsCollection(t *testing.T) {
-	stmt, err := Parse("SELECT a, SUM(b) FROM t WHERE c IN (1, d) AND e BETWEEN f AND 2 GROUP BY a HAVING COUNT(*) > g ORDER BY LOWER(h)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := stmt.ColumnRefs()
-	want := map[string]bool{"a": false, "b": false, "c": false, "d": false, "e": false, "f": false, "g": false, "h": false}
-	for _, r := range refs {
-		if _, ok := want[r.Column]; ok {
-			want[r.Column] = true
-		}
-	}
-	for col, seen := range want {
-		if !seen {
-			t.Errorf("column %q not collected", col)
-		}
-	}
-}
-
 func TestStarAndUnaryRender(t *testing.T) {
 	if (&Star{}).Render() != "*" {
 		t.Error("star render")

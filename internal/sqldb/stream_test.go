@@ -107,7 +107,7 @@ func TestExecStreamPartialsAreExactPrefixAnswers(t *testing.T) {
 		pdb := storage.NewDatabase("prefix")
 		pt := storage.NewTable("facts", facts.Schema())
 		for r := 0; r < hi; r++ {
-			pt.MustAppendRow(facts.Row(r)...)
+			pt.MustAppendRow(rowOf(facts, r)...)
 		}
 		pdb.Put(pt)
 		dims, err := db.Get("dims")

@@ -34,7 +34,7 @@ type manifestColumn struct {
 // (information a bare CSV loses). The directory is created if needed;
 // existing files are overwritten. Every file is published atomically
 // (framelog.Publish), so a crash mid-save leaves either the old file
-// or the new one — never a truncated CSV that LoadDir would misread
+// or the new one — never a truncated CSV that a reader would misread
 // as a short table.
 func SaveDir(db *Database, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -66,80 +66,4 @@ func SaveDir(db *Database, dir string) error {
 		return fmt.Errorf("storage: writing schema.json: %w", err)
 	}
 	return nil
-}
-
-// LoadDir restores a database saved with SaveDir. When schema.json is
-// absent, every *.csv in the directory is loaded with inferred kinds.
-func LoadDir(dir string) (*Database, error) {
-	manifestPath := filepath.Join(dir, "schema.json")
-	data, err := os.ReadFile(manifestPath)
-	if os.IsNotExist(err) {
-		return loadInferred(dir)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("storage: parsing %s: %w", manifestPath, err)
-	}
-	db := NewDatabase(m.Name)
-	for _, mt := range m.Tables {
-		schema := make(Schema, len(mt.Columns))
-		for i, mc := range mt.Columns {
-			kind, err := ParseKind(mc.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("storage: table %s column %s: %w", mt.Name, mc.Name, err)
-			}
-			schema[i] = ColumnDef{Name: mc.Name, Kind: kind, Description: mc.Description}
-		}
-		f, err := os.Open(filepath.Join(dir, mt.Name+".csv"))
-		if err != nil {
-			return nil, err
-		}
-		t, err := ReadCSV(mt.Name, f, schema)
-		cerr := f.Close()
-		if err != nil {
-			return nil, err
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("storage: closing %s.csv: %w", mt.Name, cerr)
-		}
-		t.Description = mt.Description
-		db.Put(t)
-	}
-	return db, nil
-}
-
-func loadInferred(dir string) (*Database, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	db := NewDatabase(filepath.Base(dir))
-	loaded := 0
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".csv" {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		name := e.Name()[:len(e.Name())-len(".csv")]
-		t, err := ReadCSV(name, f, nil)
-		cerr := f.Close()
-		if err != nil {
-			return nil, err
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("storage: closing %s: %w", e.Name(), cerr)
-		}
-		db.Put(t)
-		loaded++
-	}
-	if loaded == 0 {
-		return nil, fmt.Errorf("storage: no CSV files in %s", dir)
-	}
-	return db, nil
 }

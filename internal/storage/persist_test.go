@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,29 +16,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := SaveDir(db, dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDir(dir)
+	m := readManifest(t, dir)
+	if m.Name != "hr" || len(m.Tables) != 1 || m.Tables[0].Name != "emp" {
+		t.Fatalf("manifest = %+v", m)
+	}
+	if m.Tables[0].Description != "test employees" {
+		t.Errorf("description = %q", m.Tables[0].Description)
+	}
+	// The typed schema is recorded exactly (no inference drift: the
+	// float column stays FLOAT even though its values could parse as INT).
+	for i, c := range tbl.Schema() {
+		if got := m.Tables[0].Columns[i]; got.Name != c.Name || got.Kind != c.Kind.String() {
+			t.Errorf("column %d = %+v, want %s %v", i, got, c.Name, c.Kind)
+		}
+	}
+	f, err := os.Open(filepath.Join(dir, "emp.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "hr" {
-		t.Errorf("name = %q", got.Name)
-	}
-	lt, err := got.Get("emp")
+	defer f.Close()
+	lt, err := ReadCSV("emp", f, tbl.Schema())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lt.Description != "test employees" {
-		t.Errorf("description = %q", lt.Description)
 	}
 	if lt.NumRows() != tbl.NumRows() {
 		t.Fatalf("rows = %d", lt.NumRows())
-	}
-	// Typed schema survives exactly (no inference drift: the float
-	// column stays FLOAT even though its values could parse as INT).
-	for i, c := range tbl.Schema() {
-		if lt.Schema()[i].Kind != c.Kind {
-			t.Errorf("column %s kind = %v, want %v", c.Name, lt.Schema()[i].Kind, c.Kind)
-		}
 	}
 	for r := 0; r < tbl.NumRows(); r++ {
 		for c := 0; c < tbl.NumCols(); c++ {
@@ -57,47 +60,23 @@ func TestSaveDirSchemaPreservesIntColumnWithRoundValues(t *testing.T) {
 	if err := SaveDir(db, dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, _ := got.Get("t")
-	if lt.Schema()[0].Kind != KindFloat {
-		t.Errorf("kind = %v, want FLOAT", lt.Schema()[0].Kind)
+	if got := readManifest(t, dir).Tables[0].Columns[0].Kind; got != "FLOAT" {
+		t.Errorf("kind = %v, want FLOAT", got)
 	}
 }
 
-func TestLoadDirWithoutManifest(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "nums.csv"), []byte("a,b\n1,x\n2,y\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, err := LoadDir(dir)
+// readManifest decodes the schema.json that SaveDir wrote to dir.
+func readManifest(t *testing.T, dir string) manifest {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "schema.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.Get("nums")
-	if err != nil {
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRows() != 2 || tbl.Schema()[0].Kind != KindInt || tbl.Schema()[1].Kind != KindString {
-		t.Errorf("inferred table = %v rows, kinds %v %v", tbl.NumRows(), tbl.Schema()[0].Kind, tbl.Schema()[1].Kind)
-	}
-}
-
-func TestLoadDirErrors(t *testing.T) {
-	if _, err := LoadDir(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing dir must error")
-	}
-	empty := t.TempDir()
-	if _, err := LoadDir(empty); err == nil {
-		t.Error("empty dir must error")
-	}
-	bad := t.TempDir()
-	os.WriteFile(filepath.Join(bad, "schema.json"), []byte("{broken"), 0o644)
-	if _, err := LoadDir(bad); err == nil {
-		t.Error("broken manifest must error")
-	}
+	return m
 }
 
 func TestProfile(t *testing.T) {

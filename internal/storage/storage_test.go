@@ -139,7 +139,7 @@ func TestTableBasics(t *testing.T) {
 	if got := tbl.At(1, 1); got.S != "bob" {
 		t.Errorf("At(1,1) = %v", got)
 	}
-	row := tbl.Row(0)
+	row := rowOf(tbl, 0)
 	if row[0].I != 1 || row[1].S != "ada" {
 		t.Errorf("Row(0) = %v", row)
 	}
@@ -258,8 +258,8 @@ func TestDatabase(t *testing.T) {
 	if _, err := db.Get("missing"); err == nil {
 		t.Error("missing table must error")
 	}
-	if names := db.TableNames(); len(names) != 1 || names[0] != "emp" {
-		t.Errorf("names = %v", names)
+	if tables := db.Tables(); len(tables) != 1 || tables[0].Name != "emp" {
+		t.Errorf("tables = %v", tables)
 	}
 	// Replacement keeps order and count.
 	db.Put(NewTable("emp", Schema{{Name: "x", Kind: KindInt}}))
@@ -337,4 +337,13 @@ func TestParseRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// rowOf materializes row i of t as a fresh slice.
+func rowOf(t *Table, i int) []Value {
+	out := make([]Value, t.NumCols())
+	for c := range out {
+		out[c] = t.At(i, c)
+	}
+	return out
 }

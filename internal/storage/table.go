@@ -149,15 +149,6 @@ func (t *Table) Set(row, col int, v Value) error {
 // the slice's own.
 func (t *Table) At(row, col int) Value { return t.cols[col].At(row) }
 
-// Row materializes row i as a fresh slice.
-func (t *Table) Row(i int) []Value {
-	out := make([]Value, len(t.cols))
-	for c, col := range t.cols {
-		out[c] = col.At(i)
-	}
-	return out
-}
-
 // Vector returns column i as stored; callers must treat it as
 // read-only. This is the zero-copy entry point for columnar execution
 // and for the version store's leaf codec.
@@ -288,17 +279,6 @@ func (db *Database) Tables() []*Table {
 	out := make([]*Table, 0, len(db.order))
 	for _, key := range db.order {
 		out = append(out, db.tables[key])
-	}
-	return out
-}
-
-// TableNames returns the registered table names in registration order.
-func (db *Database) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.order))
-	for _, key := range db.order {
-		out = append(out, db.tables[key].Name)
 	}
 	return out
 }

@@ -42,22 +42,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a type name (case-insensitive) to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "INT", "INTEGER", "BIGINT":
-		return KindInt, nil
-	case "FLOAT", "REAL", "DOUBLE", "NUMERIC":
-		return KindFloat, nil
-	case "TEXT", "STRING", "VARCHAR", "CHAR":
-		return KindString, nil
-	case "BOOL", "BOOLEAN":
-		return KindBool, nil
-	default:
-		return KindNull, fmt.Errorf("storage: unknown type %q", s)
-	}
-}
-
 // Value is a dynamically typed cell value. The zero Value is NULL.
 type Value struct {
 	Kind Kind

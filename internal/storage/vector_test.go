@@ -393,7 +393,7 @@ func TestTableSet(t *testing.T) {
 			t.Errorf("Set(%d, %d, %v): cell %v, %v", ok.row, ok.col, ok.v, tbl.At(ok.row, ok.col), err)
 		}
 	}
-	before := fmt.Sprint(tbl.Row(0), tbl.Row(1), tbl.Row(2))
+	before := fmt.Sprint(rowOf(tbl, 0), rowOf(tbl, 1), rowOf(tbl, 2))
 	for _, bad := range []struct {
 		row, col int
 		v        Value
@@ -402,7 +402,7 @@ func TestTableSet(t *testing.T) {
 			t.Errorf("Set(%d, %d, %v) accepted", bad.row, bad.col, bad.v)
 		}
 	}
-	if after := fmt.Sprint(tbl.Row(0), tbl.Row(1), tbl.Row(2)); after != before {
+	if after := fmt.Sprint(rowOf(tbl, 0), rowOf(tbl, 1), rowOf(tbl, 2)); after != before {
 		t.Errorf("refused writes changed the table: %s → %s", before, after)
 	}
 	// A refused row leaves no column longer than the others.
@@ -557,7 +557,7 @@ func TestReadCSVStreams(t *testing.T) {
 	}
 	tbl, live, _ := measureLoad(t, wide.Bytes())
 	if tbl.NumRows() != rows || tbl.At(rows-1, 0) != Str(fmt.Sprint("k", rows-1)) || tbl.At(rows-1, 1) != Float(1) {
-		t.Fatalf("loaded %d rows ending %v", tbl.NumRows(), tbl.Row(tbl.NumRows()-1))
+		t.Fatalf("loaded %d rows ending %v", tbl.NumRows(), rowOf(tbl, tbl.NumRows()-1))
 	}
 	t.Logf("%d short TEXT cells off %d-byte lines keep %d bytes live", rows, wide.Len()/rows, live)
 	if live > 100*rows {

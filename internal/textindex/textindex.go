@@ -136,13 +136,6 @@ func (ix *Index) Len() int {
 	return len(ix.docs)
 }
 
-// Doc returns the i-th document added.
-func (ix *Index) Doc(i int) Document {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.docs[i]
-}
-
 // Search ranks documents against the query by BM25 and returns the
 // top k hits (fewer if fewer match). Scores are strictly positive;
 // documents sharing no query term are omitted.
@@ -219,24 +212,4 @@ func (ix *Index) TrySearch(query string, k int) ([]Hit, error) {
 		}
 	}
 	return ix.Search(query, k), nil
-}
-
-// TermFrequency returns how many indexed documents contain the term
-// (document frequency), used by grounding to weigh vocabulary matches.
-func (ix *Index) TermFrequency(term string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.postings[strings.ToLower(term)])
-}
-
-// Vocabulary returns all indexed terms in sorted order.
-func (ix *Index) Vocabulary() []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]string, 0, len(ix.postings))
-	for t := range ix.postings {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -122,35 +122,6 @@ func TestSearchEdgeCases(t *testing.T) {
 	}
 }
 
-func TestTermFrequency(t *testing.T) {
-	ix := buildIndex()
-	if got := ix.TermFrequency("labour"); got != 2 {
-		t.Errorf("df(labour) = %d", got)
-	}
-	if got := ix.TermFrequency("LABOUR"); got != 2 {
-		t.Errorf("df is not case-insensitive: %d", got)
-	}
-	if got := ix.TermFrequency("missing"); got != 0 {
-		t.Errorf("df(missing) = %d", got)
-	}
-}
-
-func TestVocabulary(t *testing.T) {
-	ix := NewIndex()
-	ix.Add(Document{ID: "a", Text: "beta alpha"})
-	voc := ix.Vocabulary()
-	if len(voc) != 2 || voc[0] != "alpha" || voc[1] != "beta" {
-		t.Errorf("vocabulary = %v", voc)
-	}
-}
-
-func TestDocAccessor(t *testing.T) {
-	ix := buildIndex()
-	if d := ix.Doc(0); d.ID != "d1" {
-		t.Errorf("Doc(0) = %v", d)
-	}
-}
-
 func TestRepeatedTermBoost(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(Document{ID: "once", Text: "barometer data xylophone"})

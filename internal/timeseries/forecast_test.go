@@ -182,59 +182,3 @@ func TestDetectAnomaliesConstant(t *testing.T) {
 		t.Errorf("short: %v", err)
 	}
 }
-
-func TestDecomposeRobustResistsOutliers(t *testing.T) {
-	xs := seasonalSeries(120, 6, 0, 8, 0.5, 11)
-	xs[30] += 60 // gross outlier at phase 0
-	classical, err := Decompose(xs, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	robust, err := DecomposeRobust(xs, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := Decompose(seasonalSeries(120, 6, 0, 8, 0.5, 11), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The robust seasonal component at the contaminated phase must sit
-	// closer to the clean reference than the classical one does.
-	phase := 30 % 6
-	errClassical := math.Abs(classical.Seasonal[phase] - clean.Seasonal[phase])
-	errRobust := math.Abs(robust.Seasonal[phase] - clean.Seasonal[phase])
-	if errRobust >= errClassical {
-		t.Errorf("robust error %v >= classical %v", errRobust, errClassical)
-	}
-	// Reconstruction still holds.
-	for i := range xs {
-		if math.IsNaN(robust.Trend[i]) {
-			continue
-		}
-		sum := robust.Trend[i] + robust.Seasonal[i] + robust.Residual[i]
-		if math.Abs(sum-xs[i]) > 1e-9 {
-			t.Fatalf("robust reconstruction off at %d", i)
-		}
-	}
-}
-
-func TestDecomposeRobustErrors(t *testing.T) {
-	if _, err := DecomposeRobust([]float64{1, 2, 3}, 1); err == nil {
-		t.Error("period 1 must error")
-	}
-	if _, err := DecomposeRobust([]float64{1, 2, 3}, 6); err != ErrInsufficient {
-		t.Errorf("short: %v", err)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if median(nil) != 0 {
-		t.Error("empty median")
-	}
-	if median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if median([]float64{4, 1, 3, 2}) != 2.5 {
-		t.Error("even median")
-	}
-}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrInsufficient is returned when a series is too short for the
@@ -336,72 +335,6 @@ func Decompose(xs []float64, period int) (*Decomposition, error) {
 		}
 	}
 	return dec, nil
-}
-
-// DecomposeRobust performs the additive decomposition with
-// median-based seasonal estimates: phase medians instead of phase
-// means, so isolated anomalies do not contaminate the seasonal
-// component. Prefer it when the series may contain outliers.
-func DecomposeRobust(xs []float64, period int) (*Decomposition, error) {
-	if period < 2 {
-		return nil, fmt.Errorf("timeseries: period must be >= 2, got %d", period)
-	}
-	if len(xs) < MinPointsPerPeriod*period {
-		return nil, ErrInsufficient
-	}
-	trend, err := MovingAverage(xs, period)
-	if err != nil {
-		return nil, err
-	}
-	n := len(xs)
-	byPhase := make([][]float64, period)
-	for i := 0; i < n; i++ {
-		if math.IsNaN(trend[i]) {
-			continue
-		}
-		ph := i % period
-		byPhase[ph] = append(byPhase[ph], xs[i]-trend[i])
-	}
-	seasonalByPhase := make([]float64, period)
-	var total float64
-	for ph := range seasonalByPhase {
-		seasonalByPhase[ph] = median(byPhase[ph])
-		total += seasonalByPhase[ph]
-	}
-	adj := total / float64(period)
-	for ph := range seasonalByPhase {
-		seasonalByPhase[ph] -= adj
-	}
-	dec := &Decomposition{
-		Period:   period,
-		Trend:    trend,
-		Seasonal: make([]float64, n),
-		Residual: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		dec.Seasonal[i] = seasonalByPhase[i%period]
-		if math.IsNaN(trend[i]) {
-			dec.Residual[i] = math.NaN()
-		} else {
-			dec.Residual[i] = xs[i] - trend[i] - dec.Seasonal[i]
-		}
-	}
-	return dec, nil
-}
-
-// median returns the middle value (mean of the two middle values for
-// even counts); 0 for empty input.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64{}, xs...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
 }
 
 // TrendDirection classifies the overall trend.

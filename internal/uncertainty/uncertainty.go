@@ -8,13 +8,11 @@
 //     single confidence;
 //   - abstention policies ("the system should be able to refrain from
 //     producing answers when unable to produce any answer with
-//     sufficient certainty"), including choosing the abstention
-//     threshold that meets a target risk on held-out data.
+//     sufficient certainty").
 package uncertainty
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/reliable-cda/cda/internal/metrics"
@@ -22,26 +20,6 @@ import (
 
 // ErrUnfitted is returned when calibrating before fitting.
 var ErrUnfitted = errors.New("uncertainty: calibrator not fitted")
-
-// Calibrator maps raw confidence scores to calibrated probabilities.
-type Calibrator interface {
-	// Fit learns the mapping from (raw confidence, correctness)
-	// pairs.
-	Fit(preds []metrics.Prediction) error
-	// Calibrate maps one raw score; implementations must clamp to
-	// [0,1].
-	Calibrate(raw float64) (float64, error)
-}
-
-// Identity passes raw scores through unchanged (the LLM-only
-// baseline in E5).
-type Identity struct{}
-
-// Fit is a no-op.
-func (Identity) Fit([]metrics.Prediction) error { return nil }
-
-// Calibrate clamps and returns the raw score.
-func (Identity) Calibrate(raw float64) (float64, error) { return clamp01(raw), nil }
 
 // Histogram is an equal-width binning calibrator: each bin's output
 // is its empirical accuracy, with add-one smoothing toward 0.5 so
@@ -237,30 +215,6 @@ type Policy struct {
 // ShouldAnswer reports whether the confidence clears the threshold.
 func (p Policy) ShouldAnswer(confidence float64) bool {
 	return confidence >= p.Threshold
-}
-
-// ThresholdForRisk picks the smallest threshold whose selective risk
-// on the provided labeled predictions is at most maxRisk, maximizing
-// coverage subject to the risk budget. Returns an error when even
-// answering nothing... i.e., when no threshold achieves the risk (the
-// caller should then abstain always, threshold 1+).
-func ThresholdForRisk(preds []metrics.Prediction, maxRisk float64) (float64, error) {
-	curve, err := metrics.RiskCoverage(preds)
-	if err != nil {
-		return 0, err
-	}
-	bestCoverage := -1.0
-	bestThreshold := math.Inf(1)
-	for _, pt := range curve {
-		if pt.Risk <= maxRisk && pt.Coverage > bestCoverage {
-			bestCoverage = pt.Coverage
-			bestThreshold = pt.Threshold
-		}
-	}
-	if bestCoverage < 0 {
-		return 0, fmt.Errorf("uncertainty: no threshold achieves risk <= %v", maxRisk)
-	}
-	return bestThreshold, nil
 }
 
 func clamp01(x float64) float64 {

@@ -24,21 +24,6 @@ func overconfidentPreds(n int, acc float64, seed int64) []metrics.Prediction {
 	return out
 }
 
-func TestIdentity(t *testing.T) {
-	var c Identity
-	if err := c.Fit(nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Calibrate(1.7)
-	if err != nil || got != 1 {
-		t.Errorf("calibrate = %v, %v", got, err)
-	}
-	got, _ = c.Calibrate(-0.3)
-	if got != 0 {
-		t.Errorf("negative clamp = %v", got)
-	}
-}
-
 func TestHistogramReducesECE(t *testing.T) {
 	train := overconfidentPreds(2000, 0.5, 1)
 	test := overconfidentPreds(2000, 0.5, 2)
@@ -146,43 +131,9 @@ func TestPolicy(t *testing.T) {
 	}
 }
 
-func TestThresholdForRisk(t *testing.T) {
-	preds := []metrics.Prediction{
-		{Confidence: 0.9, Correct: true},
-		{Confidence: 0.8, Correct: true},
-		{Confidence: 0.6, Correct: false},
-		{Confidence: 0.4, Correct: true},
-		{Confidence: 0.2, Correct: false},
-	}
-	// Risk 0 achievable only at coverage 0.4 (top two).
-	th, err := ThresholdForRisk(preds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th != 0.8 {
-		t.Errorf("threshold = %v", th)
-	}
-	// Risk 0.4 allows answering everything (2/5 wrong).
-	th, err = ThresholdForRisk(preds, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th != 0.2 {
-		t.Errorf("threshold = %v", th)
-	}
-	// Impossible risk.
-	bad := []metrics.Prediction{{Confidence: 0.9, Correct: false}}
-	if _, err := ThresholdForRisk(bad, 0.1); err == nil {
-		t.Error("impossible risk must error")
-	}
-	if _, err := ThresholdForRisk(nil, 0.1); err == nil {
-		t.Error("empty preds must error")
-	}
-}
-
 func TestAbstentionImprovesSelectiveAccuracy(t *testing.T) {
 	// Confidence correlates with correctness; abstention below a
-	// tuned threshold must raise accuracy on the answered subset.
+	// threshold must raise accuracy on the answered subset.
 	rng := rand.New(rand.NewSource(9))
 	var preds []metrics.Prediction
 	for i := 0; i < 2000; i++ {
@@ -190,11 +141,7 @@ func TestAbstentionImprovesSelectiveAccuracy(t *testing.T) {
 		preds = append(preds, metrics.Prediction{Confidence: conf, Correct: rng.Float64() < conf})
 	}
 	_, accAll := metrics.SelectiveAccuracy(preds, 0)
-	th, err := ThresholdForRisk(preds, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov, accSel := metrics.SelectiveAccuracy(preds, th)
+	cov, accSel := metrics.SelectiveAccuracy(preds, 0.5)
 	if accSel <= accAll {
 		t.Errorf("selective accuracy %v <= overall %v", accSel, accAll)
 	}

@@ -1,7 +1,5 @@
 package vectorindex
 
-import "sort"
-
 // Exact is the brute-force scan baseline: always correct, O(n·d) per
 // query. It anchors recall measurements for every other index.
 type Exact struct {
@@ -47,35 +45,4 @@ func (e *Exact) Search(q Vector, k int) ([]Neighbor, error) {
 	}
 	e.add(int64(len(e.data)))
 	return heap.sorted(), nil
-}
-
-// SearchRange returns every vector within squared distance r of q, in
-// ascending distance order. Supports the paper's requirement that a
-// retrieval method "return an empty set when no answer exists with a
-// given expected relevance".
-func (e *Exact) SearchRange(q Vector, r float64) ([]Neighbor, error) {
-	if len(e.data) == 0 {
-		return nil, ErrEmpty
-	}
-	if len(q) != e.dim {
-		return nil, ErrDimension
-	}
-	var out []Neighbor
-	for id, v := range e.data {
-		if d := SquaredL2(q, v); d <= r {
-			out = append(out, Neighbor{ID: id, Dist: d})
-		}
-	}
-	e.add(int64(len(e.data)))
-	sortNeighbors(out)
-	return out, nil
-}
-
-func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].ID < ns[j].ID
-	})
 }

@@ -17,16 +17,6 @@ type IVFParams struct {
 	Seed      int64
 }
 
-// DefaultIVFParams sizes the cluster count to sqrt(n) per common
-// practice.
-func DefaultIVFParams(n int) IVFParams {
-	lists := int(math.Sqrt(float64(n)))
-	if lists < 1 {
-		lists = 1
-	}
-	return IVFParams{Lists: lists, Probe: max(1, lists/10), KMeansIts: 10, Seed: 1}
-}
-
 // IVF is an inverted-file (coarse-quantization) index: the second
 // fast-without-guarantees regime, and the candidate-ordering substrate
 // the Progressive index reuses.
@@ -217,11 +207,4 @@ func (ivf *IVF) Search(q Vector, k int) ([]Neighbor, error) {
 	}
 	ivf.add(comps)
 	return h.sorted(), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -16,12 +16,6 @@ type LSHParams struct {
 	Seed   int64
 }
 
-// DefaultLSHParams returns parameters that work reasonably for unit-
-// scale random data.
-func DefaultLSHParams() LSHParams {
-	return LSHParams{Tables: 8, Hashes: 8, Width: 2.0, Seed: 1}
-}
-
 type lshTable struct {
 	// proj[k] is one random Gaussian direction; offsets[k] its shift.
 	proj    []Vector
@@ -117,20 +111,4 @@ func (l *LSH) Search(q Vector, k int) ([]Neighbor, error) {
 	}
 	l.add(comps)
 	return heap.sorted(), nil
-}
-
-// CandidateCount returns how many distinct candidates hashing q would
-// examine, an effort predictor used by the holistic optimizer.
-func (l *LSH) CandidateCount(q Vector) int {
-	if len(q) != l.dim {
-		return 0
-	}
-	seen := make(map[int]struct{})
-	for t := range l.tables {
-		tab := &l.tables[t]
-		for _, id := range tab.buckets[tab.key(q, l.params.Width)] {
-			seen[id] = struct{}{}
-		}
-	}
-	return len(seen)
 }

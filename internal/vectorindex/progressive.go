@@ -17,12 +17,6 @@ type ProgressiveParams struct {
 	Seed      int64
 }
 
-// DefaultProgressiveParams mirrors DefaultIVFParams with δ=0.9.
-func DefaultProgressiveParams(n int) ProgressiveParams {
-	p := DefaultIVFParams(n)
-	return ProgressiveParams{Delta: 0.9, Lists: p.Lists, KMeansIts: p.KMeansIts, BatchSize: 64, Seed: p.Seed}
-}
-
 // Progressive implements ProS-style progressive k-NN with a
 // probabilistic quality guarantee — the paper's P1 desideratum of
 // similarity search that is fast AND bounds its answer quality, and
@@ -189,23 +183,4 @@ func (p *Progressive) promise(visited, improves, remaining int) float64 {
 	}
 	pHat := (float64(improves) + 1) / (float64(visited) + 2)
 	return math.Pow(1-pHat, float64(remaining))
-}
-
-// SearchWithBound runs SearchProgressive and then drops neighbors
-// whose distance exceeds maxDist. An empty result means nothing met
-// the relevance bound — the paper's "return an empty set when no
-// answer exists with a given expected relevance".
-func (p *Progressive) SearchWithBound(q Vector, k int, maxDist float64) (*ProgressiveResult, error) {
-	res, err := p.SearchProgressive(q, k)
-	if err != nil {
-		return nil, err
-	}
-	kept := res.Neighbors[:0]
-	for _, n := range res.Neighbors {
-		if n.Dist <= maxDist {
-			kept = append(kept, n)
-		}
-	}
-	res.Neighbors = kept
-	return res, nil
 }

@@ -8,9 +8,7 @@
 //   - Progressive search: ProS-style early-terminating scan that stops
 //     as soon as the probability that the current top-k is final
 //     reaches a user target δ — the paper's envisioned "new generation"
-//     combining speed WITH a probabilistic quality guarantee, including
-//     the ability to return an empty set when no answer meets the
-//     expected relevance.
+//     combining speed WITH a probabilistic quality guarantee.
 //
 // All indexes operate on float32 vectors under squared Euclidean
 // distance and count distance computations so benchmarks can report
@@ -51,21 +49,6 @@ func SquaredL2(a, b Vector) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// Cosine returns 1 - cosine similarity, a proper dissimilarity in
-// [0,2]. Zero vectors are treated as maximally dissimilar.
-func Cosine(a, b Vector) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
-	}
-	if na == 0 || nb == 0 {
-		return 2
-	}
-	return 1 - dot/math.Sqrt(na*nb)
 }
 
 // Neighbor is one search hit.

@@ -37,15 +37,6 @@ func TestDistances(t *testing.T) {
 	if got := SquaredL2(a, b); got != 2 {
 		t.Errorf("SquaredL2 = %v", got)
 	}
-	if got := Cosine(a, b); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Cosine orthogonal = %v", got)
-	}
-	if got := Cosine(a, a); math.Abs(got) > 1e-9 {
-		t.Errorf("Cosine identical = %v", got)
-	}
-	if got := Cosine(a, Vector{0, 0, 0}); got != 2 {
-		t.Errorf("Cosine zero vector = %v", got)
-	}
 }
 
 func TestTopKHeap(t *testing.T) {
@@ -133,22 +124,6 @@ func TestExactErrors(t *testing.T) {
 	}
 }
 
-func TestExactRange(t *testing.T) {
-	data := []Vector{{0}, {1}, {2}, {5}}
-	idx := NewExact(data)
-	got, err := idx.SearchRange(Vector{0}, 4.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].ID != 0 || got[2].ID != 2 {
-		t.Errorf("range = %v", got)
-	}
-	got, _ = idx.SearchRange(Vector{100}, 1)
-	if len(got) != 0 {
-		t.Errorf("empty range = %v", got)
-	}
-}
-
 func TestLSHRecallAndSpeed(t *testing.T) {
 	all := randomData(2050, 16, 8, 42)
 	data, queries := all[:2000], all[2000:]
@@ -183,11 +158,11 @@ func TestLSHParamValidation(t *testing.T) {
 }
 
 func TestLSHEmptyAndDim(t *testing.T) {
-	lsh, _ := NewLSH(nil, DefaultLSHParams())
+	lsh, _ := NewLSH(nil, LSHParams{Tables: 8, Hashes: 8, Width: 2.0, Seed: 1})
 	if _, err := lsh.Search(Vector{1}, 1); err != ErrEmpty {
 		t.Errorf("want ErrEmpty, got %v", err)
 	}
-	lsh, _ = NewLSH([]Vector{{1, 2}}, DefaultLSHParams())
+	lsh, _ = NewLSH([]Vector{{1, 2}}, LSHParams{Tables: 8, Hashes: 8, Width: 2.0, Seed: 1})
 	if _, err := lsh.Search(Vector{1}, 1); err != ErrDimension {
 		t.Errorf("want ErrDimension, got %v", err)
 	}
@@ -362,25 +337,6 @@ func TestProgressiveProbabilisticGuarantee(t *testing.T) {
 	}
 }
 
-func TestProgressiveBound(t *testing.T) {
-	data := []Vector{{0, 0}, {1, 0}, {2, 0}}
-	prog, err := NewProgressive(data, ProgressiveParams{Delta: 1, Lists: 1, KMeansIts: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prog.SearchWithBound(Vector{100, 0}, 2, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != 0 {
-		t.Errorf("far query must return empty under bound, got %v", res.Neighbors)
-	}
-	res, _ = prog.SearchWithBound(Vector{0, 0}, 2, 1.5)
-	if len(res.Neighbors) != 2 {
-		t.Errorf("bounded neighbors = %v", res.Neighbors)
-	}
-}
-
 func TestProgressiveValidation(t *testing.T) {
 	if _, err := NewProgressive(nil, ProgressiveParams{Delta: 0}); err == nil {
 		t.Error("delta 0 must error")
@@ -471,7 +427,7 @@ func TestProgressivePruneSoundProperty(t *testing.T) {
 
 func TestProgressiveIndexInterface(t *testing.T) {
 	data := randomData(300, 8, 4, 2)
-	prog, err := NewProgressive(data, DefaultProgressiveParams(len(data)))
+	prog, err := NewProgressive(data, ProgressiveParams{Delta: 0.9, Lists: 17, KMeansIts: 10, BatchSize: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,37 +446,5 @@ func TestProgressiveIndexInterface(t *testing.T) {
 	}
 	if _, err := prog.SearchProgressive(Vector{1}, 3); err != ErrDimension {
 		t.Errorf("dim err = %v", err)
-	}
-}
-
-func TestLSHCandidateCount(t *testing.T) {
-	data := randomData(500, 8, 2, 3)
-	lsh, err := NewLSH(data, LSHParams{Tables: 6, Hashes: 3, Width: 12, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lsh.CandidateCount(data[0]); got <= 0 || got > 500 {
-		t.Errorf("candidate count = %d", got)
-	}
-	if got := lsh.CandidateCount(Vector{1}); got != 0 {
-		t.Errorf("wrong-dim candidate count = %d", got)
-	}
-}
-
-func TestDefaultParams(t *testing.T) {
-	p := DefaultIVFParams(10000)
-	if p.Lists != 100 || p.Probe < 1 {
-		t.Errorf("ivf params = %+v", p)
-	}
-	if tiny := DefaultIVFParams(0); tiny.Lists < 1 {
-		t.Errorf("tiny ivf params = %+v", tiny)
-	}
-	pp := DefaultProgressiveParams(10000)
-	if pp.Delta != 0.9 || pp.Lists != 100 {
-		t.Errorf("progressive params = %+v", pp)
-	}
-	lp := DefaultLSHParams()
-	if lp.Tables < 1 || lp.Width <= 0 {
-		t.Errorf("lsh params = %+v", lp)
 	}
 }

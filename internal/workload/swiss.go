@@ -185,27 +185,3 @@ func Figure1Turns() []string {
 		"Can you please give me the seasonality insights, such as overall trend, etc.",
 	}
 }
-
-// SparseBarometerTable prepends `gapYears` years of sparse,
-// unusable history (one point per year) before the dense series —
-// the data condition behind Figure 1's "I am only reporting data for
-// the last 10 years since there is no sufficient data earlier".
-func SparseBarometerTable(p BarometerParams, gapYears int) *storage.Table {
-	t := storage.NewTable("barometer_full", storage.Schema{
-		{Name: "month", Kind: storage.KindInt},
-		{Name: "value", Kind: storage.KindFloat},
-	})
-	rng := rand.New(rand.NewSource(p.Seed + 7))
-	month := 1
-	for y := 0; y < gapYears; y++ {
-		// One observation per year: far below sufficiency.
-		t.MustAppendRow(storage.Int(int64(month)), storage.Float(p.Level+rng.NormFloat64()*p.Noise))
-		month += 12
-	}
-	for i, v := range BarometerSeries(p) {
-		_ = i
-		t.MustAppendRow(storage.Int(int64(month)), storage.Float(v))
-		month++
-	}
-	return t
-}

@@ -95,19 +95,6 @@ func TestFigure1Turns(t *testing.T) {
 	}
 }
 
-func TestSparseBarometerTable(t *testing.T) {
-	p := DefaultBarometerParams()
-	tbl := SparseBarometerTable(p, 5)
-	if tbl.NumRows() != 5+120 {
-		t.Errorf("rows = %d", tbl.NumRows())
-	}
-	// The sparse prefix alone is insufficient for seasonal analysis.
-	rep := timeseries.CheckSufficiency(5, BarometerPeriod)
-	if rep.OK {
-		t.Error("sparse history should be insufficient")
-	}
-}
-
 func TestGenNL2SQLGoldExecutes(t *testing.T) {
 	w := GenNL2SQL(100, 0.5, 7)
 	if len(w.Pairs) != 100 {

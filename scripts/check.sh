@@ -74,22 +74,28 @@
 #                      (arbitrary CSV text under an inferred or given
 #                      schema, loaded by column workers in two-record
 #                      batches and checked against the serial load's
-#                      table or error text) run their seed
+#                      table or error text) and FuzzDecodeError
+#                      (arbitrary error responses never decode to nil
+#                      or a panic; the response writeError renders for
+#                      each refusal kind decodes back to its status's
+#                      kind and message) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
 #                      journal decoder, its payload decoder, the
 #                      column-leaf decoder and encoder, the
 #                      session-tree decoder, the WAL-record decoder,
 #                      the replica's batch apply, the vector
-#                      operations and the CSV load for 30 s each (go test
-#                      ./internal/vstore -run '^$' -fuzz=FuzzJournalOpen
+#                      operations, the CSV load and the error decoder
+#                      for 30 s each, in one step that loops over the
+#                      (package, target) pairs (go test
+#                      ./internal/vstore -run '^$' -fuzz='^FuzzJournalOpen$'
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
-#                      with -fuzz=FuzzDecodePayload, -fuzz=FuzzDecodeLeaf and
-#                      -fuzz=FuzzEncodeLeaf, in
-#                      ./internal/sessionstore with
-#                      -fuzz=FuzzDecodeSessionTree, -fuzz=FuzzDecodeRecord
-#                      and -fuzz=FuzzApplyBatch, and in ./internal/storage
-#                      with -fuzz=FuzzVectorOps and -fuzz=FuzzReadCSV).
+#                      with FuzzDecodePayload, FuzzDecodeLeaf and
+#                      FuzzEncodeLeaf, in ./internal/sessionstore with
+#                      FuzzDecodeSessionTree, FuzzDecodeRecord and
+#                      FuzzApplyBatch, in ./internal/storage with
+#                      FuzzVectorOps and FuzzReadCSV, and in
+#                      ./internal/server with FuzzDecodeError).
 #   5. bench module  — go test -C bench ./...: bench/ is a module of
 #                      its own that `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
