@@ -7,67 +7,39 @@ import (
 	"github.com/reliable-cda/cda/internal/analysis"
 )
 
-// selectAnalyzers applies the -only / -skip rule filters to the
-// registry list, preserving registry order. Every name in either list
-// must exist in the registry; -only and -skip are mutually exclusive
-// (an -only list already says exactly what runs). Empty filters return
-// the full suite.
-func selectAnalyzers(all []*analysis.Analyzer, only, skip string) ([]*analysis.Analyzer, error) {
-	if only != "" && skip != "" {
-		return nil, fmt.Errorf("-only and -skip are mutually exclusive")
-	}
-	if only == "" && skip == "" {
+// selectAnalyzers applies the -only rule filter to the registry list,
+// preserving registry order. Every name in the list must exist in the
+// registry. An empty filter returns the full suite.
+func selectAnalyzers(all []*analysis.Analyzer, only string) ([]*analysis.Analyzer, error) {
+	if only == "" {
 		return all, nil
 	}
-	parse := func(arg string) (map[string]bool, error) {
-		set := map[string]bool{}
-		for _, name := range strings.Split(arg, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			found := false
-			for _, a := range all {
-				if a.Name == name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("unknown analyzer %q (use -list)", name)
-			}
-			set[name] = true
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
 		}
-		if len(set) == 0 {
-			return nil, fmt.Errorf("empty rule list")
-		}
-		return set, nil
-	}
-	if only != "" {
-		want, err := parse(only)
-		if err != nil {
-			return nil, err
-		}
-		var out []*analysis.Analyzer
+		found := false
 		for _, a := range all {
-			if want[a.Name] {
-				out = append(out, a)
+			if a.Name == name {
+				found = true
+				break
 			}
 		}
-		return out, nil
+		if !found {
+			return nil, fmt.Errorf("unknown analyzer %q (use -list)", name)
+		}
+		want[name] = true
 	}
-	drop, err := parse(skip)
-	if err != nil {
-		return nil, err
+	if len(want) == 0 {
+		return nil, fmt.Errorf("empty rule list")
 	}
 	var out []*analysis.Analyzer
 	for _, a := range all {
-		if !drop[a.Name] {
+		if want[a.Name] {
 			out = append(out, a)
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-skip excludes every analyzer")
 	}
 	return out, nil
 }

@@ -17,7 +17,7 @@ func names(as []*analysis.Analyzer) []string {
 
 func TestSelectAnalyzersDefault(t *testing.T) {
 	all := analysis.Analyzers()
-	got, err := selectAnalyzers(all, "", "")
+	got, err := selectAnalyzers(all, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,62 +28,34 @@ func TestSelectAnalyzersDefault(t *testing.T) {
 
 func TestSelectAnalyzersOnly(t *testing.T) {
 	all := analysis.Analyzers()
-	got, err := selectAnalyzers(all, "racy-access, atomic-plain-mix", "")
+	got, err := selectAnalyzers(all, "guard-escape, racy-access")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"racy-access", "atomic-plain-mix"}
+	want := []string{"racy-access", "guard-escape"}
 	if len(got) != 2 {
 		t.Fatalf("selection = %v, want %v", names(got), want)
 	}
 	// Registry order is preserved regardless of argument order.
-	if got[0].Name != "racy-access" || got[1].Name != "atomic-plain-mix" {
+	if got[0].Name != "racy-access" || got[1].Name != "guard-escape" {
 		t.Errorf("selection order = %v, want %v", names(got), want)
-	}
-}
-
-func TestSelectAnalyzersSkip(t *testing.T) {
-	all := analysis.Analyzers()
-	got, err := selectAnalyzers(all, "", "guard-escape")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(all)-1 {
-		t.Fatalf("skip selection = %d analyzers, want %d", len(got), len(all)-1)
-	}
-	for _, a := range got {
-		if a.Name == "guard-escape" {
-			t.Error("guard-escape survived -skip")
-		}
 	}
 }
 
 func TestSelectAnalyzersValidation(t *testing.T) {
 	all := analysis.Analyzers()
 	cases := []struct {
-		only, skip, wantErr string
+		only, wantErr string
 	}{
-		{"no-such-rule", "", "unknown analyzer"},
-		{"", "no-such-rule", "unknown analyzer"},
-		{"racy-access", "guard-escape", "mutually exclusive"},
-		{" , ", "", "empty rule list"},
+		{"no-such-rule", "unknown analyzer"},
+		{"racy-access,no-such-rule", "unknown analyzer"},
+		{" , ", "empty rule list"},
 	}
 	for _, tc := range cases {
-		_, err := selectAnalyzers(all, tc.only, tc.skip)
+		_, err := selectAnalyzers(all, tc.only)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("selectAnalyzers(%q, %q) error = %v, want containing %q",
-				tc.only, tc.skip, err, tc.wantErr)
+			t.Errorf("selectAnalyzers(%q) error = %v, want containing %q",
+				tc.only, err, tc.wantErr)
 		}
-	}
-}
-
-func TestSelectAnalyzersSkipAll(t *testing.T) {
-	all := analysis.Analyzers()
-	var every []string
-	for _, a := range all {
-		every = append(every, a.Name)
-	}
-	if _, err := selectAnalyzers(all, "", strings.Join(every, ",")); err == nil {
-		t.Error("skipping every analyzer should be an error")
 	}
 }

@@ -7,44 +7,6 @@ import (
 	"github.com/reliable-cda/cda/internal/analysis"
 )
 
-// jsonFinding is the machine-readable shape of one finding; it
-// round-trips through encoding/json.
-type jsonFinding struct {
-	Rule     string `json:"rule"`
-	Severity string `json:"severity"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the top-level -format=json document.
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Packages int           `json:"packages"`
-}
-
-func toJSONFindings(findings []analysis.Finding) []jsonFinding {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			Rule:     f.Rule,
-			Severity: f.Severity.String(),
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	return out
-}
-
-func writeJSON(w io.Writer, findings []analysis.Finding, packages int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Findings: toJSONFindings(findings), Packages: packages})
-}
-
 // Minimal SARIF 2.1.0 document: enough structure for CI annotation
 // surfaces (one run, one driver, rule metadata, physical locations).
 type sarifReport struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"strings"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/analysis"
@@ -24,45 +23,6 @@ func sampleFindings() []analysis.Finding {
 			Pos:      token.Position{Filename: "internal/faults/faults.go", Line: 9, Column: 2},
 			Message:  "time.Sleep bypasses the injected clock",
 		},
-	}
-}
-
-// TestJSONRoundTrip: the -format=json document decodes back through
-// encoding/json into the same findings.
-func TestJSONRoundTrip(t *testing.T) {
-	in := sampleFindings()
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, in, 3); err != nil {
-		t.Fatalf("writeJSON: %v", err)
-	}
-	var got jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("decoding emitted json: %v", err)
-	}
-	if got.Packages != 3 {
-		t.Errorf("packages = %d, want 3", got.Packages)
-	}
-	if len(got.Findings) != len(in) {
-		t.Fatalf("findings = %d, want %d", len(got.Findings), len(in))
-	}
-	for i, f := range got.Findings {
-		want := in[i]
-		if f.Rule != want.Rule || f.Severity != want.Severity.String() ||
-			f.File != want.Pos.Filename || f.Line != want.Pos.Line ||
-			f.Column != want.Pos.Column || f.Message != want.Message {
-			t.Errorf("finding %d did not round-trip: %+v vs %+v", i, f, want)
-		}
-	}
-}
-
-// TestJSONEmpty: a clean run emits an empty findings array, not null.
-func TestJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, nil, 7); err != nil {
-		t.Fatalf("writeJSON: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"findings": []`) {
-		t.Errorf("empty findings should encode as []: %s", buf.String())
 	}
 }
 

@@ -16,11 +16,9 @@
 // Flags:
 //
 //	-only a,b    run only the named analyzers
-//	-skip a,b    run every analyzer except the named ones
-//	-tests       also lint in-package _test.go files
 //	-list        print the available analyzers and exit
 //	-werror      treat warnings as fatal (default true)
-//	-format f    output format: text (default), json, or sarif
+//	-format f    output format: text (default) or sarif
 package main
 
 import (
@@ -35,11 +33,9 @@ import (
 
 var (
 	only   = flag.String("only", "", "comma-separated analyzer names to run (default all)")
-	skip   = flag.String("skip", "", "comma-separated analyzer names to exclude")
-	tests  = flag.Bool("tests", false, "also lint in-package _test.go files")
 	list   = flag.Bool("list", false, "list available analyzers and exit")
 	werror = flag.Bool("werror", true, "exit nonzero on warnings too")
-	format = flag.String("format", "text", "output format: text, json, or sarif")
+	format = flag.String("format", "text", "output format: text or sarif")
 )
 
 func main() {
@@ -51,7 +47,7 @@ func main() {
 		return
 	}
 
-	analyzers, err := selectAnalyzers(analysis.Analyzers(), *only, *skip)
+	analyzers, err := selectAnalyzers(analysis.Analyzers(), *only)
 	if err != nil {
 		fatalf("cdalint: %v", err)
 	}
@@ -68,7 +64,6 @@ func main() {
 	if err != nil {
 		fatalf("cdalint: %v", err)
 	}
-	loader.IncludeTests = *tests
 
 	var pkgs []*analysis.Package
 	for _, pat := range patterns {
@@ -95,16 +90,12 @@ func main() {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
-	case "json":
-		if err := writeJSON(os.Stdout, findings, len(pkgs)); err != nil {
-			fatalf("cdalint: encoding json: %v", err)
-		}
 	case "sarif":
 		if err := writeSARIF(os.Stdout, findings); err != nil {
 			fatalf("cdalint: encoding sarif: %v", err)
 		}
 	default:
-		fatalf("cdalint: unknown -format %q (text, json, sarif)", *format)
+		fatalf("cdalint: unknown -format %q (text, sarif)", *format)
 	}
 	if bad > 0 {
 		fatalf("cdalint: %d finding(s) in %d package(s)", bad, len(pkgs))

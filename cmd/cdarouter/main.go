@@ -121,10 +121,10 @@ func main() {
 
 	clock := resilience.NewWallClock()
 	cfg := cluster.Config{
-		Members: ringMembers,
-		VNodes:  *vnodes,
-		Clock:   clock,
-		Breaker: resilience.BreakerConfig{FailureThreshold: *failureThreshold},
+		Members:          ringMembers,
+		VNodes:           *vnodes,
+		Clock:            clock,
+		FailureThreshold: *failureThreshold,
 	}
 	if *maxInflight > 0 || *rate > 0 {
 		cfg.ClusterAdmission = &admission.Config{

@@ -42,13 +42,6 @@ type Config struct {
 	Rate float64
 	// Burst is the token-bucket capacity (default max(Rate, 1)).
 	Burst float64
-	// RetryAfterHint is the Retry-After floor used when the inflight
-	// bound rejects a request (default 1s): concurrency has no natural
-	// refill time, so the hint stands in — unless the token bucket is
-	// also empty, in which case its computed refill time wins when
-	// longer. Token-bucket rejections never use the hint; their
-	// Retry-After is always the exact refill time on the clock.
-	RetryAfterHint time.Duration
 	// Clock drives bucket refill; nil defaults to a VirtualClock
 	// (deterministic). Production passes resilience.NewWallClock().
 	Clock resilience.Clock
@@ -69,14 +62,19 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Burst <= 0 {
 		cfg.Burst = math.Max(cfg.Rate, 1)
 	}
-	if cfg.RetryAfterHint <= 0 {
-		cfg.RetryAfterHint = time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = resilience.NewVirtualClock()
 	}
 	return cfg
 }
+
+// retryAfterHint is the Retry-After floor used when the inflight bound
+// rejects a request: concurrency has no natural refill time, so the
+// hint stands in — unless the token bucket is also empty, in which
+// case its computed refill time wins when longer. Token-bucket
+// rejections never use the hint; their Retry-After is always the exact
+// refill time on the clock.
+const retryAfterHint = time.Second
 
 // Overload is the shed decision: the request was NOT admitted and the
 // client should retry no sooner than RetryAfter.
@@ -88,12 +86,12 @@ type Overload struct {
 	Reason string
 	// RetryAfter is the suggested wait before retrying. For "rate" it
 	// is always the exact bucket refill time on the controller's
-	// clock; for "inflight" it is the configured hint, raised to the
+	// clock; for "inflight" it is the 1s hint, raised to the
 	// refill time when the bucket is simultaneously empty (retrying
 	// sooner would trade a concurrency rejection for a rate one).
 	RetryAfter time.Duration
 	// Computed reports whether RetryAfter came from bucket refill
-	// arithmetic rather than the static RetryAfterHint.
+	// arithmetic rather than the static 1s hint.
 	Computed bool
 }
 
@@ -127,9 +125,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Shards reports the gate count.
-func (c *Controller) Shards() int { return len(c.gates) }
-
 // Admit asks shard's gate for entry. On success it returns a release
 // function the caller MUST invoke when the request finishes (it is
 // idempotent). On overload it returns a *Overload error and the
@@ -145,7 +140,7 @@ func (c *Controller) Admit(shard int) (func(), error) {
 		g.last = now
 	}
 	if c.cfg.MaxInflight > 0 && g.inflight >= c.cfg.MaxInflight {
-		ov := &Overload{Shard: shard, Reason: "inflight", RetryAfter: c.cfg.RetryAfterHint}
+		ov := &Overload{Shard: shard, Reason: "inflight", RetryAfter: retryAfterHint}
 		if c.cfg.Rate > 0 && g.tokens < 1 {
 			if wait := refillWait(g.tokens, c.cfg.Rate); wait > ov.RetryAfter {
 				ov.RetryAfter = wait

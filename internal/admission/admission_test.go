@@ -106,8 +106,8 @@ func TestShardsIndependent(t *testing.T) {
 
 func TestDefaultsAndRounding(t *testing.T) {
 	c := New(Config{Shards: 5})
-	if c.Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", c.Shards())
+	if len(c.gates) != 8 {
+		t.Fatalf("shards = %d, want 8", len(c.gates))
 	}
 	// Out-of-range shard indexes mask into range rather than panic.
 	rel, err := c.Admit(1337)
@@ -175,7 +175,7 @@ func TestConcurrentAdmitNeverExceedsBound(t *testing.T) {
 
 // TestRetryAfterComputedFromRefill pins the shed hint arithmetic: a
 // token-bucket rejection's Retry-After is always the exact refill
-// time on the injectable clock — never the static RetryAfterHint —
+// time on the injectable clock — never the static retryAfterHint —
 // including for slow rates where the flat 1s default would tell
 // clients to hammer a bucket that cannot possibly have refilled.
 func TestRetryAfterComputedFromRefill(t *testing.T) {

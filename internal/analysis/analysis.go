@@ -135,7 +135,6 @@ func Analyzers() []*Analyzer {
 		FsyncOrder,
 		GoroutineLeak,
 		RacyAccess,
-		AtomicPlainMix,
 		GuardEscape,
 	}
 }
@@ -228,6 +227,5 @@ const (
 	ruleFsyncOrder        = "fsync-order"
 	ruleGoroutineLeak     = "goroutine-leak"
 	ruleRacyAccess        = "racy-access"
-	ruleAtomicPlainMix    = "atomic-plain-mix"
 	ruleGuardEscape       = "guard-escape"
 )

@@ -78,7 +78,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"fsync-order", "fsyncorder"},
 		{"goroutine-leak", "goroutineleak"},
 		{"racy-access", "racyaccess"},
-		{"atomic-plain-mix", "atomicmix"},
 		{"guard-escape", "guardescape"},
 	}
 	loader := newTestLoader(t)
@@ -132,7 +131,6 @@ func TestSuppressedSitesAreCounted(t *testing.T) {
 		"fsync-order":        "fsyncorder",
 		"goroutine-leak":     "goroutineleak",
 		"racy-access":        "racyaccess",
-		"atomic-plain-mix":   "atomicmix",
 		"guard-escape":       "guardescape",
 	}
 	loader := newTestLoader(t)

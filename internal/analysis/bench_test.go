@@ -57,8 +57,8 @@ func BenchmarkCdastate(b *testing.B) {
 	}
 }
 
-// BenchmarkCdarace measures just the three lockset race rules
-// (racy-access, atomic-plain-mix, guard-escape) over the whole
+// BenchmarkCdarace measures just the two lockset race rules
+// (racy-access, guard-escape) over the whole
 // module. The interprocedural lockset fixed point is the most
 // expensive single analysis in the suite, so it gets its own number:
 // a regression here must not hide inside BenchmarkCdalint's total.
@@ -71,7 +71,7 @@ func BenchmarkCdarace(b *testing.B) {
 	if err != nil {
 		b.Fatalf("loading module: %v", err)
 	}
-	analyzers := []*Analyzer{RacyAccess, AtomicPlainMix, GuardEscape}
+	analyzers := []*Analyzer{RacyAccess, GuardEscape}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if findings := Run(pkgs, analyzers); len(findings) != 0 {

@@ -2,19 +2,17 @@ package analysis
 
 import (
 	"fmt"
-	"go/token"
-	"path/filepath"
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/analysis/lockset"
 )
 
-// The cdarace rule family — racy-access, atomic-plain-mix, and
-// guard-escape — is the static race-detection layer over the lockset
+// The cdarace rule family — racy-access and guard-escape — is the
+// static race-detection layer over the lockset
 // engine (internal/analysis/lockset): guard relationships are inferred
 // field by field from the module-wide must-lockset dataflow, with lock
 // summaries propagated through call edges and goroutine spawn points
-// clearing the lockset. The three rules share one analysis run, cached
+// clearing the lockset. The two rules share one analysis run, cached
 // on the Module, so cdalint pays for the interprocedural fixed point
 // once regardless of which rules are enabled.
 
@@ -30,17 +28,6 @@ var RacyAccess = &Analyzer{
 	Doc:       "a read/write of a mutex-guarded field without holding the inferred guard",
 	Severity:  SeverityError,
 	RunModule: runRacyAccess,
-}
-
-// AtomicPlainMix reports fields touched both through sync/atomic and
-// through plain loads/stores. Mixing the two voids the atomics'
-// guarantees: the plain access races with every atomic one, and the
-// compiler may tear or cache it.
-var AtomicPlainMix = &Analyzer{
-	Name:      ruleAtomicPlainMix,
-	Doc:       "a field accessed both via sync/atomic and via plain loads/stores",
-	Severity:  SeverityError,
-	RunModule: runAtomicPlainMix,
 }
 
 // GuardEscape reports guarded pointer/slice/map fields whose
@@ -79,36 +66,6 @@ func runRacyAccess(m *Module) []Finding {
 				Pos: a.Unit.Fset.Position(a.Pos),
 				Message: fmt.Sprintf("%s is %s without %s, which guards it on %d of %d accesses; hold the lock here or document why this access cannot race",
 					grp.Display, verb, guardDisplay(grp), grp.Guarded, len(grp.Accesses)),
-			})
-		}
-	}
-	return out
-}
-
-func runAtomicPlainMix(m *Module) []Finding {
-	var out []Finding
-	for _, grp := range m.Lockset().Groups {
-		if len(grp.Atomics) == 0 || len(grp.Accesses) == 0 {
-			continue
-		}
-		atomicAt := token.Position{}
-		for _, a := range grp.Atomics {
-			p := a.Unit.Fset.Position(a.Pos)
-			if atomicAt.Filename == "" || p.Filename < atomicAt.Filename ||
-				(p.Filename == atomicAt.Filename && p.Line < atomicAt.Line) {
-				atomicAt = p
-			}
-		}
-		for _, a := range grp.Accesses {
-			verb := "load"
-			if a.Write {
-				verb = "store"
-			}
-			out = append(out, Finding{
-				Rule: ruleAtomicPlainMix, Severity: SeverityError,
-				Pos: a.Unit.Fset.Position(a.Pos),
-				Message: fmt.Sprintf("%s is accessed via sync/atomic (%s:%d) but this is a plain %s; use atomic operations for every access to the field",
-					grp.Display, filepath.Base(atomicAt.Filename), atomicAt.Line, verb),
 			})
 		}
 	}

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"github.com/reliable-cda/cda/internal/analysis/typestate"
@@ -21,16 +19,13 @@ import (
 //   - a goroutine that can neither terminate nor be signalled (an
 //     unbounded for {} worker) is flagged outright.
 //
-// It also flags the pre-Go-1.22 footgun of a goroutine closure
-// capturing the enclosing loop's iteration variable instead of taking
-// it as an argument: under older toolchains that races every
-// iteration, and even under per-iteration semantics the explicit
-// argument keeps the worker's inputs obvious and deterministic.
 // Goroutines that launch named functions are not checked — their
-// bodies belong to another CFG.
+// bodies belong to another CFG. Loop-variable capture is not checked
+// either: the module is go 1.22, so every iteration has its own
+// variable.
 var GoroutineLeak = &Analyzer{
 	Name:     ruleGoroutineLeak,
-	Doc:      "a go func with no completion signal (Done/send/close) or context bound; loop variables captured by goroutines",
+	Doc:      "a go func with no completion signal (Done/send/close) or context bound",
 	Severity: SeverityError,
 	Run:      runGoroutineLeak,
 }
@@ -59,9 +54,6 @@ func runGoroutineLeak(p *Package) []Finding {
 			}
 			return true
 		})
-	}
-	for _, fd := range funcDecls(p) {
-		ast.Walk(glScope{p: p, out: &out}, fd.Body)
 	}
 	return out
 }
@@ -170,76 +162,5 @@ func glSignals(p *Package, n ast.Node) bool {
 		return found
 	}
 	typestate.InspectNoFuncLit(n, func(m ast.Node) bool { return visit(m) })
-	return found
-}
-
-// glScope is the loop-variable-capture walker: it carries the set of
-// iteration variables in scope and flags goroutine closures that read
-// them instead of taking them as arguments.
-type glScope struct {
-	p    *Package
-	vars []types.Object
-	out  *[]Finding
-}
-
-func (v glScope) Visit(n ast.Node) ast.Visitor {
-	switch st := n.(type) {
-	case *ast.RangeStmt:
-		nv := v.vars
-		for _, e := range []ast.Expr{st.Key, st.Value} {
-			if id, ok := e.(*ast.Ident); ok && !isBlank(id) {
-				if obj := v.p.Info.Defs[id]; obj != nil {
-					nv = appendScope(nv, obj)
-				}
-			}
-		}
-		return glScope{p: v.p, vars: nv, out: v.out}
-	case *ast.ForStmt:
-		nv := v.vars
-		if init, ok := st.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-			for _, lhs := range init.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && !isBlank(id) {
-					if obj := v.p.Info.Defs[id]; obj != nil {
-						nv = appendScope(nv, obj)
-					}
-				}
-			}
-		}
-		return glScope{p: v.p, vars: nv, out: v.out}
-	case *ast.GoStmt:
-		fl, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit)
-		if !ok {
-			return v
-		}
-		for _, obj := range v.vars {
-			if usesObject(v.p, fl.Body, obj) {
-				*v.out = append(*v.out, Finding{
-					Rule: ruleGoroutineLeak, Severity: SeverityError,
-					Pos: v.p.Fset.Position(st.Pos()),
-					Message: fmt.Sprintf("goroutine captures loop variable %s; pass it as an argument so each iteration gets its own copy",
-						obj.Name()),
-				})
-			}
-		}
-		return v
-	}
-	return v
-}
-
-func appendScope(vars []types.Object, obj types.Object) []types.Object {
-	out := make([]types.Object, len(vars), len(vars)+1)
-	copy(out, vars)
-	return append(out, obj)
-}
-
-// usesObject reports whether the subtree reads obj.
-func usesObject(p *Package, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
 	return found
 }

@@ -29,9 +29,6 @@ type Package struct {
 // importer.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests adds in-package _test.go files to each package.
-	// External (pkg_test) test packages are never loaded.
-	IncludeTests bool
 
 	modPath string
 	modDir  string
@@ -196,10 +193,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	var pkgName string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(abs, name), nil, parser.ParseComments)
@@ -210,12 +204,10 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		if strings.HasSuffix(fname, "_test") {
 			continue // external test packages are out of scope
 		}
-		if pkgName == "" || !strings.HasSuffix(name, "_test.go") {
-			if pkgName != "" && pkgName != fname && !strings.HasSuffix(name, "_test.go") {
-				return nil, fmt.Errorf("analysis: multiple packages in %s: %s and %s", abs, pkgName, fname)
-			}
-			pkgName = fname
+		if pkgName != "" && pkgName != fname {
+			return nil, fmt.Errorf("analysis: multiple packages in %s: %s and %s", abs, pkgName, fname)
 		}
+		pkgName = fname
 		files = append(files, f)
 	}
 	if len(files) == 0 {

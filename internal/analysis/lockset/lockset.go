@@ -1,8 +1,8 @@
 // Package lockset implements the interprocedural lockset engine under
-// the cdarace rule family (racy-access, atomic-plain-mix,
-// guard-escape) and lock-flow: a module-wide static race and
-// self-deadlock analysis that composes the flow package's call graph
-// with the typestate package's per-function control-flow graphs.
+// the cdarace rule family (racy-access, guard-escape) and lock-flow: a
+// module-wide static race and self-deadlock analysis that composes the
+// flow package's call graph with the typestate package's per-function
+// control-flow graphs.
 //
 // The analysis has three layers:
 //
@@ -240,8 +240,6 @@ type Group struct {
 	// Accesses are the plain (non-atomic) reads and writes, in
 	// deterministic order.
 	Accesses []*Access
-	// Atomics are accesses through sync/atomic functions.
-	Atomics []*Access
 	// Guard is the inferred guarding mutex field path ("" when no
 	// dominant guard exists); Guarded counts accesses holding it.
 	Guard   string

@@ -30,7 +30,6 @@ type walker struct {
 // accOpts qualifies one recorded access.
 type accOpts struct {
 	write  bool
-	atomic bool
 	escape EscapeKind
 	addr   bool
 }
@@ -163,7 +162,7 @@ func (w *walker) call(call *ast.CallExpr) {
 	}
 	targets := w.e.callTargets(w.u, call)
 	if len(targets) > 0 && isAtomicFunc(targets[0]) {
-		w.atomicCall(call, targets[0].Name())
+		w.atomicCall(call)
 		return
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -380,14 +379,16 @@ func relocked(h hold, mode Mode) bool {
 	return h.f&held != 0 && h.at != token.NoPos && (mode&Exclusive != 0 || h.f&exclusive != 0)
 }
 
-// atomicCall records the sync/atomic access to &x.f and evaluates the
-// remaining operands normally.
-func (w *walker) atomicCall(call *ast.CallExpr, fname string) {
-	write := !strings.HasPrefix(fname, "Load")
+// atomicCall evaluates a sync/atomic call's operands, leaving out the
+// &x.f it operates on: an atomic access is synchronized, so it is no
+// plain access for the guard inference to weigh.
+func (w *walker) atomicCall(call *ast.CallExpr) {
 	for i, arg := range call.Args {
 		if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND && i == 0 {
-			if w.access(un.X, accOpts{atomic: true, write: write, addr: true}) {
-				continue
+			if sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr); ok {
+				if _, _, _, ok := w.fieldChain(sel); ok {
+					continue
+				}
 			}
 		}
 		w.expr(arg)
@@ -601,11 +602,7 @@ func (w *walker) access(e ast.Expr, o accOpts) bool {
 		Write: o.write, Escape: o.escape, Addr: o.addr,
 		Held: w.heldFor(root),
 	}
-	if o.atomic {
-		grp.Atomics = append(grp.Atomics, a)
-	} else {
-		grp.Accesses = append(grp.Accesses, a)
-	}
+	grp.Accesses = append(grp.Accesses, a)
 	return true
 }
 

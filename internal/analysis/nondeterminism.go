@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"path/filepath"
 	"strings"
 )
 
@@ -16,9 +15,8 @@ import (
 // two ways determinism silently leaks out of such a system.
 //
 // Explicitly-seeded sources (rand.New(rand.NewSource(seed))) are
-// fine. An allowlist covers the two places wall-clock time is the
-// point: internal/metrics timing counters and internal/experiments
-// wall-clock measurements.
+// fine. An allowlist covers the one place wall-clock time is the
+// point: internal/experiments wall-clock measurements.
 var Nondeterminism = &Analyzer{
 	Name:     ruleNondeterminism,
 	Doc:      "time.Now() or the global math/rand source outside the timing allowlist",
@@ -26,16 +24,9 @@ var Nondeterminism = &Analyzer{
 	Run:      runNondeterminism,
 }
 
-// nondetAllowlist lists locations where wall-clock access is
-// intentional: pkgSuffix matches the end of the import path, file
-// (optional) restricts to one basename within it.
-var nondetAllowlist = []struct {
-	pkgSuffix string
-	file      string
-}{
-	{pkgSuffix: "internal/experiments"},                  // measures real latency
-	{pkgSuffix: "internal/metrics", file: "counters.go"}, // timing instrumentation
-}
+// nondetAllowedPkg is the import-path suffix of the one package where
+// wall-clock access is intentional: it measures real latency.
+const nondetAllowedPkg = "internal/experiments"
 
 // nondetAllowedFuncs are math/rand package-level functions that
 // construct explicit sources rather than touching the global one.
@@ -44,12 +35,11 @@ var nondetAllowedFuncs = map[string]bool{
 }
 
 func runNondeterminism(p *Package) []Finding {
+	if strings.HasSuffix(p.Path, nondetAllowedPkg) {
+		return nil
+	}
 	var out []Finding
 	for _, f := range p.Files {
-		fname := p.Fset.Position(f.Pos()).Filename
-		if nondetAllowed(p.Path, fname) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -85,14 +75,4 @@ func runNondeterminism(p *Package) []Finding {
 // a method, e.g. (*rand.Rand).Intn which is fine on a seeded source).
 func isPackageLevel(fn interface{ FullName() string }) bool {
 	return !strings.Contains(fn.FullName(), "(")
-}
-
-func nondetAllowed(pkgPath, filename string) bool {
-	base := filepath.Base(filename)
-	for _, a := range nondetAllowlist {
-		if strings.HasSuffix(pkgPath, a.pkgSuffix) && (a.file == "" || a.file == base) {
-			return true
-		}
-	}
-	return false
 }

@@ -40,15 +40,6 @@ func leakBranchSkipsSend(ch chan int, n int) {
 	}()
 }
 
-// leakLoopCapture signals fine but captures the loop variable.
-func leakLoopCapture(jobs []int, ch chan int) {
-	for _, j := range jobs {
-		go func() { // flagged: captures loop variable j
-			ch <- j * 2
-		}()
-	}
-}
-
 func goodDone(jobs []int) {
 	var wg sync.WaitGroup
 	results := make([]int, len(jobs))

@@ -33,8 +33,11 @@ type Lexicon struct {
 	Neg map[string]bool
 }
 
-// DefaultLexicon returns a compact general-purpose sentiment lexicon.
-func DefaultLexicon() *Lexicon {
+// lexicon scores descriptor polarity: a compact general-purpose
+// sentiment lexicon. Read-only after init.
+var lexicon = newLexicon()
+
+func newLexicon() *Lexicon {
 	pos := []string{
 		"good", "great", "excellent", "reliable", "skilled", "strong",
 		"competent", "productive", "honest", "efficient", "qualified",
@@ -86,52 +89,20 @@ type Association struct {
 	Sentiment float64
 }
 
-// Analyzer configures the corpus analysis.
-type Analyzer struct {
-	// Window is the token distance around a group term that counts
-	// as "near" (default 5).
-	Window int
-	// MinCount drops descriptors seen fewer times near the group
-	// term (default 2).
-	MinCount int
-	// Alpha is the Dirichlet prior pseudo-count (default 0.01 per
-	// background frequency unit).
-	Alpha float64
-	// Lexicon scores descriptor polarity (default DefaultLexicon).
-	Lexicon *Lexicon
-}
-
-// NewAnalyzer returns an analyzer with defaults.
-func NewAnalyzer() *Analyzer {
-	return &Analyzer{Window: 5, MinCount: 2, Alpha: 0.01, Lexicon: DefaultLexicon()}
-}
-
-func (a *Analyzer) window() int {
-	if a.Window <= 0 {
-		return 5
-	}
-	return a.Window
-}
-
-func (a *Analyzer) minCount() int {
-	if a.MinCount <= 0 {
-		return 2
-	}
-	return a.MinCount
-}
-
-func (a *Analyzer) lexicon() *Lexicon {
-	if a.Lexicon == nil {
-		return DefaultLexicon()
-	}
-	return a.Lexicon
-}
+// The corpus analysis: a descriptor is "near" a group term within
+// window tokens of it, counts only when seen at least minCount times
+// there, and gets a Dirichlet prior of alpha pseudo-counts per unit of
+// its overall frequency.
+const (
+	window   = 5
+	minCount = 2
+	alpha    = 0.01
+)
 
 // Associations computes, for every descriptor co-occurring with the
 // group term, its log-odds ratio vs the background corpus, sorted by
 // descending Z.
-func (a *Analyzer) Associations(corpus []string, group string) []Association {
-	w := a.window()
+func Associations(corpus []string, group string) []Association {
 	near := map[string]int{} // term counts within the window of group
 	far := map[string]int{}  // term counts elsewhere
 	var nearTotal, farTotal int
@@ -143,7 +114,7 @@ func (a *Analyzer) Associations(corpus []string, group string) []Association {
 			if tok != group {
 				continue
 			}
-			for j := maxInt(0, i-w); j <= minInt(len(toks)-1, i+w); j++ {
+			for j := max(0, i-window); j <= min(len(toks)-1, i+window); j++ {
 				isNear[j] = true
 			}
 		}
@@ -163,23 +134,22 @@ func (a *Analyzer) Associations(corpus []string, group string) []Association {
 	if nearTotal == 0 {
 		return nil
 	}
-	lex := a.lexicon()
 	var out []Association
 	for term, cNear := range near {
-		if cNear < a.minCount() {
+		if cNear < minCount {
 			continue
 		}
 		cFar := far[term]
 		// Informative Dirichlet prior proportional to overall term
 		// frequency.
-		prior := a.Alpha * float64(cNear+cFar+1)
+		prior := alpha * float64(cNear+cFar+1)
 		lo := math.Log((float64(cNear)+prior)/(float64(nearTotal)+prior*2-float64(cNear)-prior)) -
 			math.Log((float64(cFar)+prior)/(float64(farTotal)+prior*2-float64(cFar)-prior))
 		variance := 1/(float64(cNear)+prior) + 1/(float64(cFar)+prior)
 		z := lo / math.Sqrt(variance)
 		out = append(out, Association{
 			Group: group, Term: term, LogOdds: lo, Z: z,
-			CountNear: cNear, Sentiment: lex.TermPolarity(term),
+			CountNear: cNear, Sentiment: lexicon.TermPolarity(term),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -203,10 +173,10 @@ const SignificanceZ = 1.96
 
 // Findings flags significant associations between any group term and
 // a negatively connoted descriptor, across the corpus.
-func (a *Analyzer) Findings(corpus []string, groupTerms []string) []Finding {
+func Findings(corpus []string, groupTerms []string) []Finding {
 	var out []Finding
 	for _, g := range groupTerms {
-		for _, assoc := range a.Associations(corpus, g) {
+		for _, assoc := range Associations(corpus, g) {
 			if assoc.Z >= SignificanceZ && assoc.Sentiment < 0 {
 				out = append(out, Finding{
 					Association: assoc,
@@ -218,18 +188,4 @@ func (a *Analyzer) Findings(corpus []string, groupTerms []string) []Finding {
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,8 +6,7 @@ import (
 )
 
 func TestTermPolarity(t *testing.T) {
-	lex := DefaultLexicon()
-	if lex.TermPolarity("reliable") != 1 || lex.TermPolarity("lazy") != -1 || lex.TermPolarity("table") != 0 {
+	if lexicon.TermPolarity("reliable") != 1 || lexicon.TermPolarity("lazy") != -1 || lexicon.TermPolarity("table") != 0 {
 		t.Error("polarity lookup wrong")
 	}
 }
@@ -25,9 +24,8 @@ func biasedCorpus(group, descriptor string, n int) []string {
 }
 
 func TestAssociationsDetectPlantedBias(t *testing.T) {
-	a := NewAnalyzer()
 	corpus := biasedCorpus("northerners", "lazy", 10)
-	assocs := a.Associations(corpus, "northerners")
+	assocs := Associations(corpus, "northerners")
 	if len(assocs) == 0 {
 		t.Fatal("no associations found")
 	}
@@ -55,21 +53,19 @@ func TestAssociationsDetectPlantedBias(t *testing.T) {
 }
 
 func TestAssociationsNoGroupMentions(t *testing.T) {
-	a := NewAnalyzer()
-	if got := a.Associations([]string{"nothing about the target here"}, "martians"); got != nil {
+	if got := Associations([]string{"nothing about the target here"}, "martians"); got != nil {
 		t.Errorf("associations = %v", got)
 	}
 }
 
 func TestFindingsFlagOnlyNegativeSignificant(t *testing.T) {
-	a := NewAnalyzer()
 	// Positive association must NOT be flagged.
 	posCorpus := biasedCorpus("southerners", "skilled", 10)
-	if got := a.Findings(posCorpus, []string{"southerners"}); len(got) != 0 {
+	if got := Findings(posCorpus, []string{"southerners"}); len(got) != 0 {
 		t.Errorf("positive association flagged: %v", got)
 	}
 	negCorpus := biasedCorpus("northerners", "lazy", 10)
-	got := a.Findings(negCorpus, []string{"northerners"})
+	got := Findings(negCorpus, []string{"northerners"})
 	if len(got) == 0 {
 		t.Fatal("planted negative bias not flagged")
 	}
@@ -79,7 +75,6 @@ func TestFindingsFlagOnlyNegativeSignificant(t *testing.T) {
 }
 
 func TestFindingsUnbiasedCorpusClean(t *testing.T) {
-	a := NewAnalyzer()
 	var corpus []string
 	for i := 0; i < 20; i++ {
 		corpus = append(corpus,
@@ -87,17 +82,21 @@ func TestFindingsUnbiasedCorpusClean(t *testing.T) {
 			"cantonal employment varies with the season",
 		)
 	}
-	if got := a.Findings(corpus, []string{"northerners", "southerners"}); len(got) != 0 {
+	if got := Findings(corpus, []string{"northerners", "southerners"}); len(got) != 0 {
 		t.Errorf("unbiased corpus flagged: %v", got)
 	}
 }
 
 func TestMinCountSuppression(t *testing.T) {
-	a := NewAnalyzer()
-	a.MinCount = 5
-	corpus := biasedCorpus("northerners", "lazy", 2) // only 2 co-occurrences
-	if got := a.Findings(corpus, []string{"northerners"}); len(got) != 0 {
-		t.Errorf("below-min-count association flagged: %v", got)
+	// minCount is 2: one co-occurrence is dropped, two are kept.
+	for n, want := range map[int]bool{1: false, 2: true} {
+		found := false
+		for _, as := range Associations(biasedCorpus("northerners", "lazy", n), "northerners") {
+			found = found || as.Term == "lazy"
+		}
+		if found != want {
+			t.Errorf("%d co-occurrence(s): lazy kept = %v, want %v", n, found, want)
+		}
 	}
 }
 
@@ -105,9 +104,8 @@ func TestMinCountSuppression(t *testing.T) {
 // near the group term has positive log-odds; the same corpus with the
 // descriptor moved to background flips the sign.
 func TestLogOddsSignProperty(t *testing.T) {
-	a := NewAnalyzer()
 	near := biasedCorpus("group", "lazy", 8)
-	assocsNear := a.Associations(near, "group")
+	assocsNear := Associations(near, "group")
 	for _, as := range assocsNear {
 		if as.Term == "lazy" && as.LogOdds <= 0 {
 			t.Errorf("near descriptor log-odds = %v", as.LogOdds)
@@ -118,7 +116,7 @@ func TestLogOddsSignProperty(t *testing.T) {
 		far = append(far, "the group applicants are steady workers")
 		far = append(far, "elsewhere the lazy afternoons pass slowly with lazy rivers")
 	}
-	for _, as := range a.Associations(far, "group") {
+	for _, as := range Associations(far, "group") {
 		if as.Term == "lazy" && as.LogOdds >= 0 {
 			t.Errorf("background descriptor log-odds = %v", as.LogOdds)
 		}

@@ -113,7 +113,7 @@ func (c *Catalog) ensureIndex() (*textindex.Index, *embed.DenseIndex) {
 	defer c.mu.Unlock()
 	if c.index == nil || c.stale {
 		ix := textindex.NewIndex()
-		dense := embed.NewDenseIndex(nil)
+		dense := embed.NewDenseIndex()
 		for _, id := range c.order {
 			d := c.byID[id]
 			text := d.Name + " " + d.Description + " " + strings.Join(d.Tags, " ")

@@ -9,7 +9,6 @@ import (
 
 	"github.com/reliable-cda/cda/internal/cluster"
 	"github.com/reliable-cda/cda/internal/faults"
-	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 )
@@ -145,9 +144,9 @@ func ClusterKillRecover(ctx context.Context, sc ClusterScenario) (*ClusterKillRe
 		return nil, err
 	}
 	router, err := cluster.NewRouter(cluster.Config{
-		Members: []cluster.Member{member},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1},
-		ShipMax: 8,
+		Members:          []cluster.Member{member},
+		FailureThreshold: 1,
+		ShipMax:          8,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build router: %w", err)

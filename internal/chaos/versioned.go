@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/reliable-cda/cda/internal/cluster"
-	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 )
 
@@ -85,9 +84,9 @@ func ClusterKillRecoverVersioned(ctx context.Context, sc ClusterVersionedScenari
 	}
 	pvs, rvs := pn.Store().Versions(), rn.Store().Versions()
 	router, err := cluster.NewRouter(cluster.Config{
-		Members: []cluster.Member{member},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1},
-		ShipMax: 8,
+		Members:          []cluster.Member{member},
+		FailureThreshold: 1,
+		ShipMax:          8,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build router: %w", err)

@@ -161,7 +161,7 @@ func TestRouterRoutesAndReplicates(t *testing.T) {
 func TestRouterPromotesOnPrimaryDeath(t *testing.T) {
 	ctx := context.Background()
 	r, primaries, _ := testRouter(t,
-		Config{Breaker: resilience.BreakerConfig{FailureThreshold: 1}}, "n1")
+		Config{FailureThreshold: 1}, "n1")
 	id, err := r.CreateSession(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestRouterPromotesOnPrimaryDeath(t *testing.T) {
 func TestProbePromotesIdlePrimary(t *testing.T) {
 	ctx := context.Background()
 	r, primaries, _ := testRouter(t,
-		Config{Breaker: resilience.BreakerConfig{FailureThreshold: 2}}, "n1")
+		Config{FailureThreshold: 2}, "n1")
 	r.Probe(ctx) // healthy probe: breaker stays closed
 	primaries["n1"].Kill()
 	r.Probe(ctx)

@@ -36,18 +36,14 @@ type Config struct {
 	// defaults to a VirtualClock (tests). Production passes
 	// resilience.NewWallClock().
 	Clock resilience.Clock
-	// Breaker tunes the per-member failover breaker: consecutive
-	// node-level failures of a primary trip it, and a tripped breaker
-	// permanently promotes the replica. The zero value takes the
-	// resilience defaults (threshold 5).
-	Breaker resilience.BreakerConfig
+	// FailureThreshold is how many consecutive node-level failures of
+	// a primary trip its member's failover breaker; a tripped breaker
+	// permanently promotes the replica. Zero takes
+	// resilience.DefaultFailureThreshold.
+	FailureThreshold int
 	// ClusterAdmission, when non-nil, gates every request through one
 	// cluster-wide token bucket before any routing happens.
 	ClusterAdmission *admission.Config
-	// NodeAdmission, when non-nil, additionally gates each member with
-	// its own admission controller (per-session-shard buckets, exactly
-	// the single-node server's admission semantics).
-	NodeAdmission *admission.Config
 	// ShipMax bounds the frames per replication pull during the
 	// synchronous post-write ship and CatchUp (default 64).
 	ShipMax int
@@ -57,7 +53,6 @@ type Config struct {
 type member struct {
 	Member
 	breaker *resilience.Breaker
-	adm     *admission.Controller
 
 	mu       sync.Mutex
 	promoted bool
@@ -116,13 +111,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		}
 		m := &member{
 			Member:  mm,
-			breaker: resilience.NewBreaker("cluster."+mm.Name, cfg.Breaker, clock),
+			breaker: resilience.NewBreaker("cluster."+mm.Name, cfg.FailureThreshold, clock),
 			cursors: map[int]int64{},
-		}
-		if cfg.NodeAdmission != nil {
-			acfg := *cfg.NodeAdmission
-			acfg.Clock = clock
-			m.adm = admission.New(acfg)
 		}
 		members[mm.Name] = m
 		names = append(names, mm.Name)
@@ -166,30 +156,14 @@ func (r *Router) route(id string) *member {
 	return r.members[r.ring.Owner(id)]
 }
 
-// admit passes the request through the cluster-wide bucket and then
-// the owning member's per-shard gate, returning a combined release.
-// The error, when non-nil, is a *admission.Overload, which the front
-// door renders as 429 + Retry-After.
-func (r *Router) admit(m *member, id string) (func(), error) {
-	release := func() {}
-	if r.cluster != nil {
-		rel, err := r.cluster.Admit(0)
-		if err != nil {
-			return nil, err
-		}
-		release = rel
+// admit passes the request through the cluster-wide bucket, returning
+// its release. The error, when non-nil, is a *admission.Overload, which
+// the front door renders as 429 + Retry-After.
+func (r *Router) admit() (func(), error) {
+	if r.cluster == nil {
+		return func() {}, nil
 	}
-	if m.adm != nil {
-		shard := sessionstore.ShardIndexFor(id, m.adm.Shards())
-		rel, err := m.adm.Admit(shard)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		prev := release
-		release = func() { prev(); rel() }
-	}
-	return release, nil
+	return r.cluster.Admit(0)
 }
 
 // recordOutcome feeds a call's outcome into the member's failover
@@ -231,7 +205,7 @@ func (r *Router) CreateSession(ctx context.Context) (string, error) {
 // on the owning member's active node.
 func (r *Router) CreateSessionWithID(ctx context.Context, id string) error {
 	m := r.route(id)
-	release, err := r.admit(m, id)
+	release, err := r.admit()
 	if err != nil {
 		return err
 	}
@@ -257,7 +231,7 @@ func (r *Router) Ask(ctx context.Context, id, question string) (server.AskRespon
 	// annotated from the node.
 	var zero server.AskResponse
 	m := r.route(id)
-	release, err := r.admit(m, id)
+	release, err := r.admit()
 	if err != nil {
 		return zero, err
 	}

@@ -63,9 +63,6 @@ type Config struct {
 	HallucinationRate float64
 	// Fabrications is the hallucination token pool.
 	Fabrications []string
-	// AbstainBelow is the confidence threshold of the abstention
-	// policy (default 0.5 when zero).
-	AbstainBelow float64
 	// DisableGuidance turns off next-step suggestions (E6/E8
 	// ablation).
 	DisableGuidance bool
@@ -88,17 +85,11 @@ type Config struct {
 	Clock resilience.Clock
 	// Versions, when set, gives the system a content-addressed
 	// version store (internal/vstore): CommitData publishes immutable
-	// snapshots of DB under DataRoot, and every answer is stamped with
-	// the data root hash it was computed against — the provenance
-	// chain then pins not just which tables, but which VERSION of
-	// them.
+	// snapshots of DB under DefaultDataRoot, and every answer is
+	// stamped with the data root hash it was computed against — the
+	// provenance chain then pins not just which tables, but which
+	// VERSION of them.
 	Versions *vstore.Store
-	// DataRoot names the version root CommitData publishes to
-	// (default DefaultDataRoot).
-	DataRoot string
-	// Resilience tunes retry and circuit-breaker behavior for the
-	// backend executor (zero value = library defaults).
-	Resilience resilience.Options
 	// Faults, when non-nil, is the deterministic chaos injector
 	// attached to every backend the system constructs (see
 	// internal/faults). Leave nil in production.
@@ -169,18 +160,14 @@ type System struct {
 	rng            *rand.Rand
 }
 
-// DefaultAbstainBelow is the abstention threshold used when the
-// config leaves AbstainBelow zero. The graceful-degradation ladder's
-// confidence caps (ladder.go) must stay below it so a degraded answer
-// never outranks the abstention line; cdalint's confidence-bounds
-// rule checks that relationship.
+// DefaultAbstainBelow is the abstention policy's threshold. The
+// graceful-degradation ladder's confidence caps (ladder.go) must stay
+// below it so a degraded answer never outranks the abstention line;
+// cdalint's confidence-bounds rule checks that relationship.
 const DefaultAbstainBelow = 0.5
 
 // New builds a System from the config.
 func New(cfg Config) *System {
-	if cfg.AbstainBelow == 0 {
-		cfg.AbstainBelow = DefaultAbstainBelow
-	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 256
 	}
@@ -190,7 +177,7 @@ func New(cfg Config) *System {
 	s := &System{
 		cfg:      cfg,
 		combiner: uncertainty.DefaultCombiner(),
-		policy:   uncertainty.Policy{Threshold: cfg.AbstainBelow},
+		policy:   uncertainty.Policy{Threshold: DefaultAbstainBelow},
 		rawConf:  nlmodel.RawConfidence{Base: 0.9, Noise: 0.04},
 		cache:    optimizer.NewCache[*Answer](cfg.CacheSize),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -199,7 +186,7 @@ func New(cfg Config) *System {
 		cfg.Clock = resilience.NewWallClock()
 		s.cfg.Clock = cfg.Clock
 	}
-	s.exec = resilience.NewExecutor(cfg.Resilience, cfg.Clock, cfg.Seed)
+	s.exec = resilience.NewExecutor(cfg.Clock, cfg.Seed)
 	if !cfg.DisableGrounding {
 		s.grounder = ground.NewGrounder(cfg.KG, cfg.DB, cfg.Vocab)
 	}
@@ -250,7 +237,7 @@ func New(cfg Config) *System {
 // are tiny (one entry per dataset/document) and built eagerly so a
 // backend outage cannot also take down the fallback path.
 func (s *System) buildFallbackIndexes() {
-	s.fallbackDense = embed.NewDenseIndex(nil)
+	s.fallbackDense = embed.NewDenseIndex()
 	s.fallbackText = textindex.NewIndex()
 	s.fallbackLabels = map[string]string{}
 	if s.cfg.Catalog != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/uncertainty"
 	"github.com/reliable-cda/cda/internal/workload"
 )
 
@@ -70,8 +71,8 @@ func TestAskAndRefineYes(t *testing.T) {
 	s := swissSystem(t, func(c *Config) {
 		c.HallucinationRate = 0.28
 		c.Fabrications = []string{"bogus1", "bogus2"}
-		c.AbstainBelow = 0.97
 	})
+	s.policy = uncertainty.Policy{Threshold: 0.97}
 	questions := []string{
 		"how many employment where canton is Zurich",
 		"what is the average value in barometer",
@@ -107,8 +108,8 @@ func TestAskAndRefineNo(t *testing.T) {
 	s := swissSystem(t, func(c *Config) {
 		c.HallucinationRate = 0.28
 		c.Fabrications = []string{"bogus1", "bogus2"}
-		c.AbstainBelow = 0.97
 	})
+	s.policy = uncertainty.Policy{Threshold: 0.97}
 	for _, q := range []string{
 		"how many employment where canton is Zurich",
 		"what is the average value in barometer",

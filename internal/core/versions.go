@@ -7,16 +7,8 @@ import (
 )
 
 // DefaultDataRoot is the vstore root name the analytical database is
-// versioned under when Config.DataRoot is empty.
+// versioned under.
 const DefaultDataRoot = "data"
-
-// dataRoot resolves the configured root name.
-func (s *System) dataRoot() string {
-	if s.cfg.DataRoot != "" {
-		return s.cfg.DataRoot
-	}
-	return DefaultDataRoot
-}
 
 // CommitData publishes the current analytical database as an
 // immutable version at the given turn. The caller decides when data
@@ -35,7 +27,7 @@ func (s *System) CommitData(turn int) (vstore.Commit, error) {
 	if s.cfg.DB == nil {
 		return vstore.Commit{}, fmt.Errorf("core: no database to version")
 	}
-	return s.cfg.Versions.CommitDatabase(s.dataRoot(), s.cfg.DB, turn)
+	return s.cfg.Versions.CommitDatabase(DefaultDataRoot, s.cfg.DB, turn)
 }
 
 // DataVersion returns the hash of the data root's head commit, or ""
@@ -44,7 +36,7 @@ func (s *System) DataVersion() string {
 	if s.cfg.Versions == nil {
 		return ""
 	}
-	head, err := s.cfg.Versions.Head(s.dataRoot())
+	head, err := s.cfg.Versions.Head(DefaultDataRoot)
 	if err != nil {
 		return ""
 	}

@@ -52,7 +52,7 @@ func NewStore() *Store {
 	return &Store{
 		byID:  map[string]int{},
 		lex:   textindex.NewIndex(),
-		dense: embed.NewDenseIndex(nil),
+		dense: embed.NewDenseIndex(),
 	}
 }
 
@@ -135,8 +135,7 @@ func (s *Store) Ask(question string) *Answer {
 		score    float64
 	}
 	var cands []cand
-	emb := embed.NewEmbedder()
-	qv := emb.EmbedText(question)
+	qv := embed.EmbedText(question)
 	for _, h := range fused {
 		di, ok := s.byID[h.ID]
 		if !ok {
@@ -144,7 +143,7 @@ func (s *Store) Ask(question string) *Answer {
 		}
 		for _, sent := range SplitSentences(s.docs[di].Text) {
 			f1 := overlapF1(question, sent)
-			sim := embed.Similarity(qv, emb.EmbedText(sent))
+			sim := embed.Similarity(qv, embed.EmbedText(sent))
 			score := 0.7*f1 + 0.3*sim
 			if score >= MinScore {
 				cands = append(cands, cand{sentence: sent, doc: di, score: score})

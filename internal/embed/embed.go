@@ -21,42 +21,23 @@ import (
 	"github.com/reliable-cda/cda/internal/vectorindex"
 )
 
-// Embedder hashes token and character-trigram features into a fixed
-// dimensionality.
-type Embedder struct {
-	// Dim is the embedding dimensionality (default 256 when zero).
-	Dim int
-	// TrigramWeight scales sub-word features relative to word
-	// features; sub-words give robustness to morphology ("employment"
-	// vs "employees").
-	TrigramWeight float64
-}
+// The embedding space: embedDim hashed dimensions, and sub-word
+// trigram features weighted trigramWeight against whole words, which
+// gives robustness to morphology ("employment" vs "employees").
+const (
+	embedDim      = 256
+	trigramWeight = 0.35
+)
 
-// NewEmbedder returns an embedder with the default configuration.
-func NewEmbedder() *Embedder { return &Embedder{Dim: 256, TrigramWeight: 0.35} }
-
-func (e *Embedder) dim() int {
-	if e.Dim <= 0 {
-		return 256
-	}
-	return e.Dim
-}
-
-func (e *Embedder) trigramWeight() float64 {
-	if e.TrigramWeight == 0 {
-		return 0.35
-	}
-	return e.TrigramWeight
-}
-
-// EmbedText embeds free text.
-func (e *Embedder) EmbedText(text string) vectorindex.Vector {
-	v := make([]float64, e.dim())
+// EmbedText embeds free text: hashed word and character-trigram
+// features, L2-normalized.
+func EmbedText(text string) vectorindex.Vector {
+	v := make([]float64, embedDim)
 	toks := textindex.TokenizeContent(text)
 	for _, tok := range toks {
 		addFeature(v, "w:"+tok, 1)
 		for _, tg := range trigrams(tok) {
-			addFeature(v, "t:"+tg, e.trigramWeight())
+			addFeature(v, "t:"+tg, trigramWeight)
 		}
 	}
 	return normalize(v)
@@ -124,9 +105,8 @@ type Item struct {
 // "multimodal index" entry point for discovery: dataset descriptions,
 // schema renderings, and document snippets all share one space.
 type DenseIndex struct {
-	embedder *Embedder
-	items    []Item
-	vectors  []vectorindex.Vector
+	items   []Item
+	vectors []vectorindex.Vector
 	// Faults, when non-nil, injects deterministic chaos faults into
 	// TrySearch (see internal/faults). Set once at wiring time,
 	// before concurrent use.
@@ -141,19 +121,13 @@ type FaultHook interface {
 	Inject(op string) error
 }
 
-// NewDenseIndex creates an empty index over the given embedder
-// (nil = default embedder).
-func NewDenseIndex(e *Embedder) *DenseIndex {
-	if e == nil {
-		e = NewEmbedder()
-	}
-	return &DenseIndex{embedder: e}
-}
+// NewDenseIndex creates an empty index.
+func NewDenseIndex() *DenseIndex { return &DenseIndex{} }
 
 // Add embeds and indexes one item.
 func (ix *DenseIndex) Add(item Item) {
 	ix.items = append(ix.items, item)
-	ix.vectors = append(ix.vectors, ix.embedder.EmbedText(item.Text))
+	ix.vectors = append(ix.vectors, EmbedText(item.Text))
 }
 
 // Len returns the number of indexed items.
@@ -170,7 +144,7 @@ func (ix *DenseIndex) Search(query string, k int) []Hit {
 	if len(ix.items) == 0 || k <= 0 {
 		return nil
 	}
-	qv := ix.embedder.EmbedText(query)
+	qv := EmbedText(query)
 	hits := make([]Hit, len(ix.items))
 	for i, item := range ix.items {
 		hits[i] = Hit{ID: item.ID, Score: Similarity(qv, ix.vectors[i])}

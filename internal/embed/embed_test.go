@@ -9,9 +9,8 @@ import (
 )
 
 func TestEmbedDeterministicAndUnitNorm(t *testing.T) {
-	e := NewEmbedder()
-	a := e.EmbedText("swiss labour market barometer")
-	b := e.EmbedText("swiss labour market barometer")
+	a := EmbedText("swiss labour market barometer")
+	b := EmbedText("swiss labour market barometer")
 	var norm float64
 	for i := range a {
 		if a[i] != b[i] {
@@ -25,8 +24,7 @@ func TestEmbedDeterministicAndUnitNorm(t *testing.T) {
 }
 
 func TestEmbedEmptyText(t *testing.T) {
-	e := NewEmbedder()
-	v := e.EmbedText("")
+	v := EmbedText("")
 	for _, x := range v {
 		if x != 0 {
 			t.Fatal("empty text must embed to the zero vector")
@@ -38,11 +36,10 @@ func TestEmbedEmptyText(t *testing.T) {
 }
 
 func TestSimilarityOrdering(t *testing.T) {
-	e := NewEmbedder()
-	q := e.EmbedText("labour market statistics")
-	near := e.EmbedText("statistics about the labour market")
-	mid := e.EmbedText("labour force data") // shares one content word
-	far := e.EmbedText("chocolate export volumes")
+	q := EmbedText("labour market statistics")
+	near := EmbedText("statistics about the labour market")
+	mid := EmbedText("labour force data") // shares one content word
+	far := EmbedText("chocolate export volumes")
 	sNear, sMid, sFar := Similarity(q, near), Similarity(q, mid), Similarity(q, far)
 	if !(sNear > sMid && sMid > sFar) {
 		t.Errorf("ordering violated: near=%v mid=%v far=%v", sNear, sMid, sFar)
@@ -53,18 +50,17 @@ func TestSimilarityOrdering(t *testing.T) {
 }
 
 func TestSubwordRobustness(t *testing.T) {
-	e := NewEmbedder()
 	// "employment" and "employees" share no word token but share
 	// trigrams; they must be measurably closer than unrelated words.
-	a := Similarity(e.EmbedText("employment"), e.EmbedText("employees"))
-	b := Similarity(e.EmbedText("employment"), e.EmbedText("chocolate"))
+	a := Similarity(EmbedText("employment"), EmbedText("employees"))
+	b := Similarity(EmbedText("employment"), EmbedText("chocolate"))
 	if a <= b {
 		t.Errorf("morphological similarity %v <= unrelated %v", a, b)
 	}
 }
 
 func TestDenseIndexSearch(t *testing.T) {
-	ix := NewDenseIndex(nil)
+	ix := NewDenseIndex()
 	ix.Add(Item{ID: "barometer", Text: "Swiss labour market barometer monthly indicator"})
 	ix.Add(Item{ID: "emptype", Text: "employment type distribution for employees"})
 	ix.Add(Item{ID: "chocolate", Text: "chocolate export volumes by destination"})
@@ -75,7 +71,7 @@ func TestDenseIndexSearch(t *testing.T) {
 	if got := ix.Search("anything", 0); got != nil {
 		t.Error("k=0 must return nil")
 	}
-	empty := NewDenseIndex(nil)
+	empty := NewDenseIndex()
 	if got := empty.Search("q", 3); got != nil {
 		t.Error("empty index must return nil")
 	}
@@ -90,7 +86,7 @@ func TestDenseFindsMorphologicalMatchBM25Misses(t *testing.T) {
 		{ID: "choc", Text: "chocolate exports"},
 	}
 	lex := textindex.NewIndex()
-	dense := NewDenseIndex(nil)
+	dense := NewDenseIndex()
 	for _, d := range docs {
 		lex.Add(textindex.Document{ID: d.ID, Text: d.Text})
 		dense.Add(d)
@@ -140,9 +136,8 @@ func TestTrigrams(t *testing.T) {
 
 // Property: similarity is symmetric and bounded by [-1, 1].
 func TestSimilarityBoundsProperty(t *testing.T) {
-	e := NewEmbedder()
 	f := func(a, b string) bool {
-		va, vb := e.EmbedText(a), e.EmbedText(b)
+		va, vb := EmbedText(a), EmbedText(b)
 		s1, s2 := Similarity(va, vb), Similarity(vb, va)
 		return math.Abs(s1-s2) < 1e-9 && s1 >= -1.0001 && s1 <= 1.0001
 	}

@@ -29,8 +29,7 @@ type E10Result struct {
 // with its planted descriptor).
 func RunE10(biased, perGroup int, seed int64) (*E10Result, error) {
 	logs := workload.GenBiasLogs(biased, perGroup, seed)
-	analyzer := bias.NewAnalyzer()
-	findings := analyzer.Findings(logs.Corpus, logs.GroupTerms)
+	findings := bias.Findings(logs.Corpus, logs.GroupTerms)
 
 	res := &E10Result{Groups: len(logs.GroupTerms), Biased: len(logs.Planted), PerGroup: perGroup}
 	var conf metrics.Confusion

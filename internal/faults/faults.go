@@ -32,8 +32,8 @@ type Rates struct {
 	// Error is the probability an operation fails with a transient
 	// injected error.
 	Error float64
-	// Latency is the probability an operation is delayed by Config
-	// .Latency on the injected clock.
+	// Latency is the probability an operation is delayed by
+	// injectedLatency on the injected clock.
 	Latency float64
 	// Corrupt is the probability a corruption-capable operation has
 	// its payload corrupted (e.g. the NL model's token stream).
@@ -54,10 +54,10 @@ type Config struct {
 	// PerBackend overrides rates for specific backend names (the op
 	// prefix before the first dot, e.g. "sqldb" for "sqldb.execute").
 	PerBackend map[string]Rates
-	// Latency is the injected delay per latency fault (default 5ms of
-	// clock time).
-	Latency time.Duration
 }
+
+// injectedLatency is the clock time one latency fault sleeps.
+const injectedLatency = 5 * time.Millisecond
 
 // Counts tallies the faults injected for one backend.
 type Counts struct {
@@ -99,9 +99,6 @@ type Injector struct {
 func New(cfg Config, clock resilience.Clock) *Injector {
 	if clock == nil {
 		clock = resilience.NewVirtualClock()
-	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = 5 * time.Millisecond
 	}
 	return &Injector{
 		cfg:    cfg,
@@ -169,7 +166,7 @@ func (in *Injector) Inject(op string) error {
 		// no context; deadline enforcement happens a layer up.
 		// cdalint:ignore ctx-propagation -- backend hooks are
 		// context-free by design; see the note above.
-		if err := in.clock.Sleep(context.Background(), in.cfg.Latency); err != nil {
+		if err := in.clock.Sleep(context.Background(), injectedLatency); err != nil {
 			return err
 		}
 	}

@@ -67,11 +67,11 @@ func TestInjectedErrorsAreTransient(t *testing.T) {
 
 func TestLatencyAdvancesClock(t *testing.T) {
 	clock := resilience.NewVirtualClock()
-	in := New(Config{Seed: 1, Default: Rates{Latency: 1}, Latency: 7 * time.Millisecond}, clock)
+	in := New(Config{Seed: 1, Default: Rates{Latency: 1}}, clock)
 	if err := in.Inject("textindex.search"); err != nil {
 		t.Fatal(err)
 	}
-	if clock.Now() != 7*time.Millisecond {
+	if clock.Now() != 5*time.Millisecond {
 		t.Fatalf("latency fault must sleep on the clock, now=%v", clock.Now())
 	}
 }

@@ -97,8 +97,6 @@ type Options struct {
 	Op string
 	// Faults, when non-nil, may tear an append. Leave nil in production.
 	Faults Faults
-	// NoSync skips fsync on append, reset, and rewrite — benchmarks only.
-	NoSync bool
 }
 
 // Log is one append-only file of frames. It is not safe for concurrent
@@ -245,7 +243,7 @@ func (l *Log) add(flush bool, frames [][]byte) error {
 	}
 	_, err := l.f.Write(buf)
 	if err == nil && flush {
-		if err = l.sync(); err != nil && l.synced < l.size {
+		if err = l.f.Sync(); err != nil && l.synced < l.size {
 			l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flushing %d written bytes: %w", l.path, l.size-l.synced, err)
 			return l.dead
 		}
@@ -274,19 +272,12 @@ func (l *Log) Sync() error {
 	if l.dead != nil {
 		return l.dead
 	}
-	if err := l.sync(); err != nil {
+	if err := l.f.Sync(); err != nil {
 		l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flush: %w", l.path, err)
 		return l.dead
 	}
 	l.synced = l.size
 	return nil
-}
-
-func (l *Log) sync() error {
-	if l.opts.NoSync {
-		return nil
-	}
-	return l.f.Sync()
 }
 
 // Reset empties the log (after its contents were folded into a
@@ -297,7 +288,7 @@ func (l *Log) Reset() error {
 	}
 	err := l.truncate(0)
 	if err == nil {
-		err = l.sync()
+		err = l.f.Sync()
 	}
 	if err != nil {
 		return fmt.Errorf("framelog: reset %s: %w", l.path, err)
@@ -314,7 +305,7 @@ func (l *Log) Rewrite(write func(w io.Writer) error) error {
 	if l.dead != nil {
 		return l.dead
 	}
-	perr := Publish(l.path, l.opts.NoSync, write)
+	perr := Publish(l.path, write)
 	err := l.f.Close()
 	if err == nil {
 		l.f, err = os.OpenFile(l.path, os.O_RDWR, 0o644)
@@ -346,31 +337,24 @@ func (l *Log) Close() error {
 // fsync, close, rename, fsync of the parent directory — so a crash
 // leaves either the old file or the new one, never a mix, and the
 // rename itself survives on filesystems that do not order directory
-// updates with data writes. nosync skips both fsyncs (benchmarks only).
-func Publish(path string, nosync bool, write func(w io.Writer) error) error {
+// updates with data writes.
+func Publish(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("framelog: create temp %s: %w", tmp, err)
 	}
-	err = write(f)
-	if err == nil && !nosync {
-		err = f.Sync()
-	}
-	if err != nil {
+	if err := write(f); err != nil {
 		return errors.Join(fmt.Errorf("framelog: write %s: %w", tmp, err), f.Close())
+	}
+	if err := f.Sync(); err != nil {
+		return errors.Join(fmt.Errorf("framelog: fsync %s: %w", tmp, err), f.Close())
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("framelog: close %s: %w", tmp, err)
 	}
-	// cdalint:ignore fsync-order -- nosync is the benchmark-only escape
-	// hatch (sessionstore.Config.NoFsync); every production caller
-	// passes false, so Sync precedes the rename.
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("framelog: publish %s: %w", path, err)
-	}
-	if nosync {
-		return nil
 	}
 	return syncDir(filepath.Dir(path))
 }

@@ -352,7 +352,7 @@ func TestReadFrame(t *testing.T) {
 func TestPublishReplacesAtomically(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "doc.json")
 	publish := func(data string, fail error) error {
-		return framelog.Publish(path, false, func(w io.Writer) error {
+		return framelog.Publish(path, func(w io.Writer) error {
 			if _, err := io.WriteString(w, data); err != nil {
 				return err
 			}

@@ -23,8 +23,8 @@ const (
 	StateClosed BreakerState = iota
 	// StateOpen rejects calls until the cool-down elapses.
 	StateOpen
-	// StateHalfOpen admits a bounded number of probe calls; success
-	// closes the circuit, failure reopens it.
+	// StateHalfOpen admits one probe call; its success closes the
+	// circuit, its failure reopens it.
 	StateHalfOpen
 )
 
@@ -40,56 +40,41 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes one circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// circuit (default 5).
-	FailureThreshold int
-	// OpenTimeout is the cool-down before an open circuit admits a
-	// half-open probe (default 1s of clock time).
-	OpenTimeout time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close the
-	// circuit again (default 1).
-	HalfOpenProbes int
-}
+// DefaultFailureThreshold is the consecutive-failure count that opens
+// a circuit when its builder names none.
+const DefaultFailureThreshold = 5
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	return c
-}
+// breakerOpenFor is the cool-down before an open circuit admits its
+// one half-open probe.
+const breakerOpenFor = time.Second
 
 // Breaker is a per-backend circuit breaker on an injectable clock.
 // Callers bracket each attempt with Allow/Record. Safe for concurrent
 // use; the clock is read before the lock is taken so the mutex stays
 // leaf-level.
 type Breaker struct {
-	name  string
-	cfg   BreakerConfig
-	clock Clock
+	name      string
+	threshold int
+	clock     Clock
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int           // consecutive failures while closed
-	successes int           // consecutive probe successes while half-open
-	probes    int           // probes currently in flight while half-open
-	openedAt  time.Duration // clock time the circuit last opened
+	mu       sync.Mutex
+	state    BreakerState
+	failures int           // consecutive failures while closed
+	probing  bool          // the half-open probe is in flight
+	openedAt time.Duration // clock time the circuit last opened
 }
 
-// NewBreaker builds a breaker named for its backend. A nil clock
-// falls back to a VirtualClock.
-func NewBreaker(name string, cfg BreakerConfig, clock Clock) *Breaker {
+// NewBreaker builds a breaker named for its backend that opens after
+// threshold consecutive failures (DefaultFailureThreshold when
+// threshold <= 0). A nil clock falls back to a VirtualClock.
+func NewBreaker(name string, threshold int, clock Clock) *Breaker {
+	if threshold <= 0 {
+		threshold = DefaultFailureThreshold
+	}
 	if clock == nil {
 		clock = NewVirtualClock()
 	}
-	return &Breaker{name: name, cfg: cfg.withDefaults(), clock: clock}
+	return &Breaker{name: name, threshold: threshold, clock: clock}
 }
 
 // Name returns the backend name the breaker guards.
@@ -117,10 +102,10 @@ func (b *Breaker) Allow() error {
 	case StateOpen:
 		return fmt.Errorf("%w: backend %s cooling down", ErrOpen, b.name)
 	case StateHalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probing {
 			return fmt.Errorf("%w: backend %s probing", ErrOpen, b.name)
 		}
-		b.probes++
+		b.probing = true
 		return nil
 	default:
 		return nil
@@ -136,8 +121,8 @@ func (b *Breaker) Record(err error) {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == StateHalfOpen && b.probes > 0 {
-		b.probes--
+	if b.state == StateHalfOpen {
+		b.probing = false
 	}
 	if neutral {
 		return
@@ -153,10 +138,7 @@ func (b *Breaker) Record(err error) {
 func (b *Breaker) recordSuccess() {
 	switch b.state {
 	case StateHalfOpen:
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			b.reset()
-		}
+		b.reset()
 	case StateClosed:
 		b.failures = 0
 	}
@@ -169,7 +151,7 @@ func (b *Breaker) recordFailure(now time.Duration) {
 		b.trip(now)
 	case StateClosed:
 		b.failures++
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= b.threshold {
 			b.trip(now)
 		}
 	}
@@ -178,10 +160,9 @@ func (b *Breaker) recordFailure(now time.Duration) {
 // maybeHalfOpen transitions open → half-open once the cool-down has
 // elapsed. Caller holds the lock.
 func (b *Breaker) maybeHalfOpen(now time.Duration) {
-	if b.state == StateOpen && now-b.openedAt >= b.cfg.OpenTimeout {
+	if b.state == StateOpen && now-b.openedAt >= breakerOpenFor {
 		b.state = StateHalfOpen
-		b.probes = 0
-		b.successes = 0
+		b.probing = false
 	}
 }
 
@@ -190,14 +171,12 @@ func (b *Breaker) trip(now time.Duration) {
 	b.state = StateOpen
 	b.openedAt = now
 	b.failures = 0
-	b.successes = 0
-	b.probes = 0
+	b.probing = false
 }
 
 // reset closes the circuit. Caller holds the lock.
 func (b *Breaker) reset() {
 	b.state = StateClosed
 	b.failures = 0
-	b.successes = 0
-	b.probes = 0
+	b.probing = false
 }

@@ -6,20 +6,14 @@ import (
 	"sync"
 )
 
-// Options bundles the per-system resilience tuning.
-type Options struct {
-	Retry   RetryPolicy
-	Breaker BreakerConfig
-}
-
 // Executor is the per-system resilience front door: each backend call
 // runs through its own circuit breaker, and transient failures are
-// retried on the shared backoff schedule. One executor serves all
+// retried on the shared backoff schedule. Every breaker opens after
+// DefaultFailureThreshold consecutive failures. One executor serves all
 // backends of one System; breakers are created lazily per backend
 // name. Safe for concurrent use.
 type Executor struct {
 	retrier *Retrier
-	cfg     BreakerConfig
 	clock   Clock
 
 	mu       sync.Mutex
@@ -28,13 +22,12 @@ type Executor struct {
 
 // NewExecutor builds an executor. A nil clock falls back to a
 // VirtualClock so everything stays deterministic by default.
-func NewExecutor(opts Options, clock Clock, seed int64) *Executor {
+func NewExecutor(clock Clock, seed int64) *Executor {
 	if clock == nil {
 		clock = NewVirtualClock()
 	}
 	return &Executor{
-		retrier:  NewRetrier(opts.Retry, clock, seed),
-		cfg:      opts.Breaker,
+		retrier:  NewRetrier(clock, seed),
 		clock:    clock,
 		breakers: make(map[string]*Breaker),
 	}
@@ -46,7 +39,7 @@ func (e *Executor) Breaker(backend string) *Breaker {
 	defer e.mu.Unlock()
 	b, ok := e.breakers[backend]
 	if !ok {
-		b = NewBreaker(backend, e.cfg, e.clock)
+		b = NewBreaker(backend, DefaultFailureThreshold, e.clock)
 		e.breakers[backend] = b
 	}
 	return b

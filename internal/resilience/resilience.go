@@ -45,42 +45,20 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// RetryPolicy shapes the backoff schedule.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first
-	// (default 3).
-	MaxAttempts int
-	// BaseDelay is the pre-jitter delay after the first failure
-	// (default 10ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (default 500ms).
-	MaxDelay time.Duration
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 500 * time.Millisecond
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
-	return p
-}
+// The retry schedule: 3 tries in all, the first retry after 10ms,
+// each later delay doubled up to 500ms, and every delay
+// equal-jittered (half fixed, half drawn from the seed).
+const (
+	retryAttempts  = 3
+	retryBaseDelay = 10 * time.Millisecond
+	retryMaxDelay  = 500 * time.Millisecond
+)
 
 // Retrier retries transient failures with capped exponential backoff
 // and seeded equal-jitter, sleeping on the injected clock. Safe for
 // concurrent use; the jitter stream is serialized by a mutex.
 type Retrier struct {
-	policy RetryPolicy
-	clock  Clock
+	clock Clock
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -88,54 +66,45 @@ type Retrier struct {
 
 // NewRetrier builds a retrier. A nil clock falls back to a
 // VirtualClock (deterministic, non-blocking).
-func NewRetrier(policy RetryPolicy, clock Clock, seed int64) *Retrier {
+func NewRetrier(clock Clock, seed int64) *Retrier {
 	if clock == nil {
 		clock = NewVirtualClock()
 	}
-	return &Retrier{
-		policy: policy.withDefaults(),
-		clock:  clock,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+	return &Retrier{clock: clock, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Do runs op, retrying transient errors until the policy's attempt
-// budget is exhausted, the error turns permanent, or ctx is done.
-// The returned error is op's last error (or ctx.Err() when the wait
+// Do runs op, retrying transient errors until retryAttempts are
+// spent, the error turns permanent, or ctx is done. The returned error is op's last error (or ctx.Err() when the wait
 // was interrupted), so callers can classify it with IsTransient.
 func (r *Retrier) Do(ctx context.Context, op func() error) error {
 	var err error
-	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
 		if err = op(); err == nil || !IsTransient(err) {
 			return err
 		}
-		if attempt == r.policy.MaxAttempts-1 {
+		if attempt == retryAttempts-1 {
 			break
 		}
 		if serr := r.clock.Sleep(ctx, r.backoff(attempt)); serr != nil {
 			return serr
 		}
 	}
-	return fmt.Errorf("resilience: %d attempts exhausted: %w", r.policy.MaxAttempts, err)
+	return fmt.Errorf("resilience: %d attempts exhausted: %w", retryAttempts, err)
 }
 
 // backoff computes the equal-jitter delay for the given zero-based
 // attempt: half the capped exponential delay is guaranteed, the other
 // half is drawn from the seeded stream.
 func (r *Retrier) backoff(attempt int) time.Duration {
-	d := float64(r.policy.BaseDelay)
-	for i := 0; i < attempt; i++ {
-		d *= r.policy.Multiplier
-		if d >= float64(r.policy.MaxDelay) {
-			d = float64(r.policy.MaxDelay)
-			break
-		}
+	d := retryBaseDelay
+	for i := 0; i < attempt && d < retryMaxDelay; i++ {
+		d = min(2*d, retryMaxDelay)
 	}
 	r.mu.Lock()
 	f := r.rng.Float64()
 	r.mu.Unlock()
-	return time.Duration(d/2 + f*d/2)
+	return time.Duration(float64(d)/2 + f*float64(d)/2)
 }

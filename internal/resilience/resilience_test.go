@@ -29,7 +29,7 @@ func TestMarkTransient(t *testing.T) {
 
 func TestRetrierRetriesTransient(t *testing.T) {
 	clock := NewVirtualClock()
-	r := NewRetrier(RetryPolicy{MaxAttempts: 4}, clock, 7)
+	r := NewRetrier(clock, 7)
 	calls := 0
 	err := r.Do(context.Background(), func() error {
 		calls++
@@ -47,7 +47,7 @@ func TestRetrierRetriesTransient(t *testing.T) {
 }
 
 func TestRetrierFailsFastOnPermanent(t *testing.T) {
-	r := NewRetrier(RetryPolicy{MaxAttempts: 5}, NewVirtualClock(), 7)
+	r := NewRetrier(NewVirtualClock(), 7)
 	calls := 0
 	perm := errors.New("schema mismatch")
 	err := r.Do(context.Background(), func() error { calls++; return perm })
@@ -57,7 +57,7 @@ func TestRetrierFailsFastOnPermanent(t *testing.T) {
 }
 
 func TestRetrierExhaustsBudget(t *testing.T) {
-	r := NewRetrier(RetryPolicy{MaxAttempts: 3}, NewVirtualClock(), 7)
+	r := NewRetrier(NewVirtualClock(), 7)
 	calls := 0
 	flaky := errors.New("still down")
 	err := r.Do(context.Background(), func() error { calls++; return MarkTransient(flaky) })
@@ -72,7 +72,7 @@ func TestRetrierExhaustsBudget(t *testing.T) {
 func TestRetrierHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRetrier(RetryPolicy{}, NewVirtualClock(), 7)
+	r := NewRetrier(NewVirtualClock(), 7)
 	err := r.Do(ctx, func() error { t.Fatal("op must not run on a dead context"); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -81,27 +81,30 @@ func TestRetrierHonorsCancellation(t *testing.T) {
 
 func TestRetrierBackoffDeterministic(t *testing.T) {
 	seq := func() []time.Duration {
-		r := NewRetrier(RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}, NewVirtualClock(), 99)
+		r := NewRetrier(NewVirtualClock(), 99)
 		var out []time.Duration
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 8; i++ {
 			out = append(out, r.backoff(i))
 		}
 		return out
 	}
 	a, b := seq(), seq()
+	// 10ms doubling, capped at 500ms; equal jitter keeps at least half.
+	ms := time.Millisecond
+	want := []time.Duration{10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 320 * ms, 500 * ms, 500 * ms}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed must give identical jitter: %v vs %v", a, b)
 		}
-		if a[i] < 5*time.Millisecond || a[i] > 80*time.Millisecond {
-			t.Fatalf("backoff %d out of [base/2, max]: %v", i, a[i])
+		if a[i] < want[i]/2 || a[i] > want[i] {
+			t.Fatalf("backoff %d out of [%v, %v]: %v", i, want[i]/2, want[i], a[i])
 		}
 	}
 }
 
 func TestBreakerLifecycle(t *testing.T) {
 	clock := NewVirtualClock()
-	b := NewBreaker("sqldb", BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Second}, clock)
+	b := NewBreaker("sqldb", 2, clock)
 	fail := errors.New("boom")
 
 	// Two consecutive failures trip the circuit.
@@ -148,7 +151,7 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerIgnoresCancellation(t *testing.T) {
-	b := NewBreaker("x", BreakerConfig{FailureThreshold: 1}, NewVirtualClock())
+	b := NewBreaker("x", 1, NewVirtualClock())
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +163,11 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 
 func TestExecutorOpensAndDegrades(t *testing.T) {
 	clock := NewVirtualClock()
-	ex := NewExecutor(Options{
-		Retry:   RetryPolicy{MaxAttempts: 2},
-		Breaker: BreakerConfig{FailureThreshold: 3, OpenTimeout: time.Minute},
-	}, clock, 1)
+	ex := NewExecutor(clock, 1)
 	calls := 0
 	op := func() error { calls++; return MarkTransient(errors.New("down")) }
 
-	// Two Do calls = 4 attempts > threshold 3: circuit opens mid-way.
+	// Two Do calls = 6 attempts > threshold 5: circuit opens mid-way.
 	err1 := ex.Do(context.Background(), "vector", op)
 	err2 := ex.Do(context.Background(), "vector", op)
 	if err1 == nil || err2 == nil {

@@ -91,14 +91,9 @@ type Options struct {
 	NodeName string
 }
 
-// New creates a memory-only server over an assembled system. cat may
-// be nil when the deployment has no catalog.
-func New(sys *core.System, cat *catalog.Catalog, now int) *Server {
-	return NewWithOptions(sys, cat, now, Options{})
-}
-
-// NewWithOptions creates a server with an explicit session store and
-// admission controller.
+// NewWithOptions creates a server over an assembled system with the
+// session store and admission controller in opts. cat may be nil when
+// the deployment has no catalog.
 func NewWithOptions(sys *core.System, cat *catalog.Catalog, now int, opts Options) *Server {
 	st := opts.Store
 	if st == nil {

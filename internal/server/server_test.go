@@ -17,7 +17,7 @@ func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	d := workload.NewSwissDomain(1)
 	sys := core.New(core.Config{DB: d.DB, Catalog: d.Catalog, KG: d.KG, Vocab: d.Vocab, Documents: d.Documents, Now: d.Now, Seed: 1})
-	srv := New(sys, d.Catalog, d.Now)
+	srv := NewWithOptions(sys, d.Catalog, d.Now, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts

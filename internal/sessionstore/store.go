@@ -86,10 +86,6 @@ type Config struct {
 	// Faults, when non-nil, injects crash/torn-write faults into WAL
 	// appends (op "wal.append"). Leave nil in production.
 	Faults WriteFaults
-	// NoFsync skips fsync on WAL appends — benchmarks only; a
-	// production store must keep fsync on for its durability guarantee
-	// to mean anything.
-	NoFsync bool
 	// Versions holds the content-addressed version roots of transcripts
 	// (per committed turn) and shards (per compaction, the checkpoint) —
 	// see versioned.go. Nil opens <Dir>/vstore, or a memory-only store
@@ -147,7 +143,6 @@ type shard struct {
 	maxNum     int
 	pending    int // WAL records since the last compaction
 	snapEvery  int
-	nosync     bool
 	// shipBase is the ship sequence at the last compaction horizon; tail
 	// holds the framed bytes of every record since, mirroring the
 	// on-disk WAL, so replication pulls serve committed frames without
@@ -253,7 +248,6 @@ func Open(cfg Config) (*Store, error) {
 			sessions:   map[string]*Entry{},
 			tombstones: map[string]bool{},
 			snapEvery:  cfg.SnapshotEvery,
-			nosync:     cfg.NoFsync,
 		}
 		sh := st.shards[i]
 		if cfg.Dir == "" {
@@ -312,7 +306,7 @@ func (sh *shard) load(cfg Config, now time.Duration) error {
 	var err error
 	sh.wal, err = framelog.Open(
 		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx)), walMagic,
-		framelog.Options{Op: "wal.append", Faults: cfg.Faults, NoSync: cfg.NoFsync},
+		framelog.Options{Op: "wal.append", Faults: cfg.Faults},
 		func(frame, payload []byte) bool {
 			rec, ok := decodeRecord(payload)
 			if ok {

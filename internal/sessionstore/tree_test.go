@@ -440,7 +440,7 @@ func TestSessionVersionCostIsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: 1 << 20, Versions: vs, NoFsync: true})
+		st, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: 1 << 20, Versions: vs})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -598,7 +598,7 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 64, Versions: vs, NoFsync: true})
+	st, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 64, Versions: vs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func SaveDir(db *Database, dir string) error {
 			})
 		}
 		m.Tables = append(m.Tables, mt)
-		if err := framelog.Publish(filepath.Join(dir, t.Name+".csv"), false, func(w io.Writer) error {
+		if err := framelog.Publish(filepath.Join(dir, t.Name+".csv"), func(w io.Writer) error {
 			return WriteCSV(t, w)
 		}); err != nil {
 			return fmt.Errorf("storage: writing %s: %w", t.Name, err)
@@ -59,7 +59,7 @@ func SaveDir(db *Database, dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := framelog.Publish(filepath.Join(dir, "schema.json"), false, func(w io.Writer) error {
+	if err := framelog.Publish(filepath.Join(dir, "schema.json"), func(w io.Writer) error {
 		_, werr := w.Write(data)
 		return werr
 	}); err != nil {

@@ -57,7 +57,7 @@ func BenchmarkResilienceChaosReplay(b *testing.B) {
 }
 
 func BenchmarkResilienceRetrier(b *testing.B) {
-	r := resilience.NewRetrier(resilience.RetryPolicy{}, resilience.NewVirtualClock(), 1)
+	r := resilience.NewRetrier(resilience.NewVirtualClock(), 1)
 	ctx := context.Background()
 	op := func() error { return nil }
 	b.ResetTimer()
@@ -69,7 +69,7 @@ func BenchmarkResilienceRetrier(b *testing.B) {
 }
 
 func BenchmarkResilienceBreaker(b *testing.B) {
-	ex := resilience.NewExecutor(resilience.Options{}, resilience.NewVirtualClock(), 1)
+	ex := resilience.NewExecutor(resilience.NewVirtualClock(), 1)
 	ctx := context.Background()
 	op := func() error { return nil }
 	b.ResetTimer()

@@ -17,11 +17,11 @@
 #                      The analysis itself — per-package rules, the
 #                      interprocedural dataflow rules, the
 #                      CFG/typestate rules, and the lockset race
-#                      rules (racy-access, atomic-plain-mix,
-#                      guard-escape) — runs under a 15-second
-#                      budget (compile time excluded; the whole run,
-#                      load and type-check included, takes about 3.5 s
-#                      on a 2-vCPU box): if whole-module analysis ever
+#                      rules (racy-access, guard-escape) — runs
+#                      under a 15-second budget (compile time
+#                      excluded; the whole run, load and type-check
+#                      included, takes about 3.5 s on a 2-vCPU box):
+#                      if whole-module analysis ever
 #                      exceeds it, the gate fails rather than silently
 #                      slowing every CI run. After the rule list the
 #                      step prints how many cdalint:ignore directives
@@ -81,16 +81,17 @@
 #                      kind and message) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
-#                      journal decoder, its payload decoder, the
-#                      column-leaf decoder and encoder, the
-#                      session-tree decoder, the WAL-record decoder,
+#                      frame scanner, the journal decoder, its payload
+#                      decoder, the column-leaf decoder and encoder,
+#                      the session-tree decoder, the WAL-record decoder,
 #                      the replica's batch apply, the vector
 #                      operations, the CSV load and the error decoder
 #                      for 30 s each, in one step that loops over the
 #                      (package, target) pairs (go test
-#                      ./internal/vstore -run '^$' -fuzz='^FuzzJournalOpen$'
+#                      ./internal/framelog -run '^$' -fuzz='^FuzzScan$'
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
-#                      with FuzzDecodePayload, FuzzDecodeLeaf and
+#                      in ./internal/vstore with FuzzJournalOpen,
+#                      FuzzDecodePayload, FuzzDecodeLeaf and
 #                      FuzzEncodeLeaf, in ./internal/sessionstore with
 #                      FuzzDecodeSessionTree, FuzzDecodeRecord and
 #                      FuzzApplyBatch, in ./internal/storage with

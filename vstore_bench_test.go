@@ -12,10 +12,11 @@ package cda
 // payload bytes they put in the journal) make the shape visible in
 // benchmark output, and ROADMAP's "commit CPU O(delta)" rung is judged
 // on it. BenchmarkSessionVersionCommit: what a committed turn costs —
-// WAL record and session version, no fsync — as a function of how long
-// the transcript already is (4/64/512 pairs); a version encodes the pair
-// the turn added from the tree the session remembers, so time, bytes
-// allocated and journal-B/op should read flat across the three.
+// WAL record with its fsync, and session version — as a function of how
+// long the transcript already is (4/64/512 pairs); a version encodes the
+// pair the turn added from the tree the session remembers, so time,
+// bytes allocated and journal-B/op should read flat across the three
+// (time carries one constant fsync a turn).
 
 import (
 	"fmt"
@@ -219,7 +220,7 @@ func BenchmarkSessionVersionCommit(b *testing.B) {
 					}
 					// No compaction inside the measurement: a snapshot
 					// document is O(transcript) by design.
-					st, err = sessionstore.Open(sessionstore.Config{Dir: dir, Shards: 1, SnapshotEvery: 1 << 30, NoFsync: true, Versions: vs})
+					st, err = sessionstore.Open(sessionstore.Config{Dir: dir, Shards: 1, SnapshotEvery: 1 << 30, Versions: vs})
 					if err != nil {
 						b.Fatal(err)
 					}
