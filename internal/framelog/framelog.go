@@ -79,6 +79,34 @@ func Scan(magic byte, raw []byte) (payloads [][]byte, valid int) {
 	}
 }
 
+// CutUvarint reads the canonical uvarint at the front of b, the what
+// of a payload, and returns it with the bytes after it: one that is cut
+// short, overflows or is longer than binary.AppendUvarint writes it is
+// an error, so a payload of such fields has one spelling.
+func CutUvarint(b []byte, what string) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("binary payload: %s is cut short or overflows", what)
+	}
+	if n != len(binary.AppendUvarint(nil, v)) {
+		return 0, nil, fmt.Errorf("binary payload: %s is an overlong uvarint", what)
+	}
+	return v, b[n:], nil
+}
+
+// CutString reads a CutUvarint length and that many bytes from the
+// front of b.
+func CutString(b []byte, what string) (string, []byte, error) {
+	n, rest, err := CutUvarint(b, what+" length")
+	if err != nil {
+		return "", nil, err
+	}
+	if n > uint64(len(rest)) {
+		return "", nil, fmt.Errorf("binary payload: %s of %d bytes in %d", what, n, len(rest))
+	}
+	return string(rest[:n]), rest[n:], nil
+}
+
 // ErrCrashed is returned by an Append torn by an injected crash fault
 // (Faults.TornWrite), and by every operation on the log afterwards:
 // the process is considered gone, and the harness reopens the file to

@@ -19,13 +19,14 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// The on-disk format pins. testdata/format-v4 is a data directory in the
+// The on-disk format pins. testdata/format-v5 is a data directory in the
 // `cdaserver -data-dir D` layout, written for formatScript by
-// replayScript: the shard WALs, and a journal whose chunks with refs and
-// whose append records spell every address as 32 raw bytes. It is the
-// store's one format: the tests below hold this code to writing its
-// bytes and to reading what it holds, and Open refuses anything older
-// with a *vstore.FormatError, leaving it as it was.
+// replayScript: shard WALs of binary records, and a journal whose chunks
+// with refs and whose append records spell every address as 32 raw
+// bytes. It is the store's one format: the tests below hold this code to
+// writing its bytes and to reading what it holds, and Open refuses
+// anything older — format-v4's JSON WAL records among it — with a
+// *vstore.FormatError, leaving it as it was.
 
 // formatTurn is one scripted turn pair of the fixture dialogue.
 type formatTurn struct {
@@ -130,29 +131,36 @@ func requireSameFiles(t *testing.T, got, want map[string][]byte, names []string)
 	}
 }
 
-// shardFiles are the files whose bytes no storage change so far may
-// move: the WALs.
+// shardFiles are a data directory's WALs.
 var shardFiles = []string{"shard-00.wal", "shard-01.wal"}
 
-// TestFormatWritesV4Bytes replays both fixture dialogues and requires
-// every file to hash equal to the v4 fixture's, the journal included —
-// the long session's across two folds, from trees remembered turn to
-// turn — nothing else to be written, and the root logs to be the ones
-// the fixture recorded.
-func TestFormatWritesV4Bytes(t *testing.T) {
-	for _, fx := range []struct {
-		fixture string
-		script  []formatTurn
-	}{{formatFixtureV4, formatScript()}, {treeFixtureV4, treeScript()}} {
+// fixtures pairs each fixture dialogue with its v5 and v4 directories.
+var fixtures = []struct {
+	v5, v4 string
+	script func() []formatTurn
+}{{formatFixtureV5, formatFixtureV4, formatScript}, {treeFixtureV5, treeFixtureV4, treeScript}}
+
+// TestFormatWritesV5Bytes replays both fixture dialogues and requires
+// every file to hash equal to the v5 fixture's — the long session's
+// journal across two folds, from trees remembered turn to turn — nothing
+// else to be written, and the root logs to be the ones the fixture
+// recorded. The journal and the logs are also v4's: binary WAL records
+// moved no byte of what the version store holds.
+func TestFormatWritesV5Bytes(t *testing.T) {
+	for _, fx := range fixtures {
 		dir := t.TempDir()
-		_, vs := replayScript(t, dir, fx.script)
-		got, want := readTree(t, dir), readTree(t, fx.fixture)
+		_, vs := replayScript(t, dir, fx.script())
+		got, want := readTree(t, dir), readTree(t, fx.v5)
 		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
+		requireSameFiles(t, got, readTree(t, fx.v4), []string{"vstore/chunks.pack"})
 		if len(got) != 3 || len(want) != 4 {
-			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.fixture, len(got), len(want), fixtureLogs)
+			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.v5, len(got), len(want), fixtureLogs)
 		}
-		if got, want := logsOf(t, vs), recordedLogs(t, fx.fixture); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.fixture, got, want)
+		logs := logsOf(t, vs)
+		for _, fixture := range []string{fx.v5, fx.v4} {
+			if want := recordedLogs(t, fixture); !reflect.DeepEqual(logs, want) {
+				t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fixture, logs, want)
+			}
 		}
 	}
 }
@@ -335,17 +343,14 @@ func requireNextTurn(t *testing.T, st *Store, vs *vstore.Store, id string) {
 	}
 }
 
-// TestOpensFloorDirectories opens a copy of each v4 directory: it holds
+// TestOpensFloorDirectories opens a copy of each v5 directory: it holds
 // every root log, transcript and as-of read its writer recorded, and
 // every session's next turn is this code's tree over the recorded one.
 func TestOpensFloorDirectories(t *testing.T) {
-	for _, fx := range []struct {
-		fixture string
-		script  []formatTurn
-	}{{formatFixtureV4, formatScript()}, {treeFixtureV4, treeScript()}} {
-		st, vs := openFixture(t, copyFixture(t, fx.fixture))
-		transcripts := scriptTranscripts(fx.script)
-		requireRecorded(t, st, vs, recordedLogs(t, fx.fixture), transcripts)
+	for _, fx := range fixtures {
+		st, vs := openFixture(t, copyFixture(t, fx.v5))
+		transcripts := scriptTranscripts(fx.script())
+		requireRecorded(t, st, vs, recordedLogs(t, fx.v5), transcripts)
 		var ids []string
 		for id := range transcripts {
 			ids = append(ids, id)
@@ -355,6 +360,59 @@ func TestOpensFloorDirectories(t *testing.T) {
 			requireNextTurn(t, st, vs, id)
 		}
 		abandon(t, st, vs)
+	}
+}
+
+// TestOpensV4WithEmptiedWALs opens a copy of each v4 directory with its
+// WALs emptied, as Close leaves every WAL once it has compacted it: the
+// journal is v4's and v5's alike, so the store serves what v5 emptied
+// the same way serves — each live session the prefix of its script
+// transcript that its shard root holds — and every as-of read the writer
+// recorded.
+func TestOpensV4WithEmptiedWALs(t *testing.T) {
+	for _, fx := range fixtures {
+		transcripts := scriptTranscripts(fx.script())
+		var states []string
+		for _, fixture := range []string{fx.v4, fx.v5} {
+			dir := copyFixture(t, fixture)
+			for _, name := range shardFiles {
+				if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, vs := openFixture(t, dir)
+			live := 0
+			for id, transcript := range transcripts {
+				e, status := st.Get(id)
+				if status != Found {
+					continue
+				}
+				live++
+				if got := transcriptOf(t, e); got != turnPrefix(transcript, strings.Count(got, "\n")) {
+					t.Errorf("%s emptied: session %s holds %q, no prefix of its transcript", fixture, id, got)
+				}
+			}
+			if live == 0 {
+				t.Errorf("%s emptied: no session is live, want the ones its shard roots hold", fixture)
+			}
+			for root, log := range recordedLogs(t, fixture) {
+				id, ok := strings.CutPrefix(root, "session/")
+				if !ok {
+					continue
+				}
+				for _, c := range log {
+					sess, at, err := st.TranscriptAsOf(id, c.Turn)
+					if err != nil || at != c || Transcript(sess) != turnPrefix(transcripts[id], c.Turn) {
+						t.Errorf("%s emptied: %s as of turn %d = commit %+v, %v; want %+v and that prefix of the transcript", fixture, id, c.Turn, at, err, c)
+					}
+				}
+			}
+			states = append(states, storeState(t, st))
+			abandon(t, st, vs)
+		}
+		if states[0] != states[1] {
+			t.Errorf("%s and %s emptied differ:\n%s\n%s", fx.v4, fx.v5, states[0], states[1])
+		}
 	}
 }
 
@@ -380,16 +438,28 @@ func pathsUnder(t *testing.T, dir string) []string {
 	return paths
 }
 
-// TestOpenRefusesPreFloorDirectories opens copies of format-v4 that
-// hold, beside its files or among its journal's frames, what only older
-// stores wrote. Each Open is a *vstore.FormatError naming a file in the
-// directory, and leaves the directory as it found it: every file's
-// bytes, and no path created.
+// TestOpenRefusesPreFloorDirectories opens the v4 directories, whose
+// WALs hold JSON records, and copies of format-v5 that hold, beside its
+// files, among its WAL's records or among its journal's frames, what only
+// older stores wrote. Each Open is a *vstore.FormatError naming a file in
+// the directory, and leaves the directory as it found it: every file's
+// bytes — a torn tail after a JSON record too — and no path created.
 func TestOpenRefusesPreFloorDirectories(t *testing.T) {
-	journal, err := os.ReadFile(filepath.Join(formatFixtureV4, "vstore", "chunks.pack"))
+	journal, err := os.ReadFile(filepath.Join(formatFixtureV5, "vstore", "chunks.pack"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wal, err := os.ReadFile(filepath.Join(formatFixtureV5, "shard-00.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldWAL, err := os.ReadFile(filepath.Join(formatFixtureV4, "shard-00.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := framelog.Scan(walMagic, oldWAL)
+	jsonRecord := framelog.Encode(walMagic, payloads[len(payloads)-1])
+	torn := framelog.Encode(walMagic, payloads[0])[:framelog.HeaderSize+3]
 	magic := journal[0] // every frame starts with the journal's magic
 	pack := func(parts ...any) map[string][]byte {
 		var b []byte
@@ -403,20 +473,28 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 		}
 		return map[string][]byte{"vstore/chunks.pack": b}
 	}
-	first := recordedLogs(t, formatFixtureV4)[SessionRoot("s0001")][0]
+	first := recordedLogs(t, formatFixtureV5)[SessionRoot("s0001")][0]
 	for _, row := range []struct {
-		name  string
-		files map[string][]byte // written over the copy; nil removes the path
+		name    string
+		fixture string            // copied; empty is format-v5
+		files   map[string][]byte // written over the copy; nil removes the path
 	}{
-		{"a root document", map[string][]byte{"vstore/roots.json": []byte(`{"stamp":1,"roots":{}}`)}},
-		{"a shard snapshot and no version store", map[string][]byte{"shard-01.snap": []byte(`{"max_num":3,"sessions":[]}`), "vstore": nil}},
-		{"a JSON chunk with refs ahead of the versions", pack(`{"k":"sess","r":["`+string(first.Tree)+`"]}`, journal)},
-		{"a JSON append record", pack(journal, `{"root":"session/s0001","commit":"`+string(first.Hash)+`"}`)},
-		{"a JSON null", pack(`null`, journal)},
-		{"a JSON chunk with no kind", pack(journal, `{}`)},
-		{"a JSON root record with a kind", pack(journal, `{"root":"session/s0001","k":"sess","log":[]}`)},
+		{"format-v4's JSON WAL records", formatFixtureV4, nil},
+		{"tree-v4's JSON WAL records", treeFixtureV4, nil},
+		{"a JSON WAL record after binary ones, and a torn tail", "", map[string][]byte{"shard-00.wal": slices.Concat(wal, jsonRecord, torn)}},
+		{"a root document", "", map[string][]byte{"vstore/roots.json": []byte(`{"stamp":1,"roots":{}}`)}},
+		{"a shard snapshot and no version store", "", map[string][]byte{"shard-01.snap": []byte(`{"max_num":3,"sessions":[]}`), "vstore": nil}},
+		{"a JSON chunk with refs ahead of the versions", "", pack(`{"k":"sess","r":["`+string(first.Tree)+`"]}`, journal)},
+		{"a JSON append record", "", pack(journal, `{"root":"session/s0001","commit":"`+string(first.Hash)+`"}`)},
+		{"a JSON null", "", pack(`null`, journal)},
+		{"a JSON chunk with no kind", "", pack(journal, `{}`)},
+		{"a JSON root record with a kind", "", pack(journal, `{"root":"session/s0001","k":"sess","log":[]}`)},
 	} {
-		dir := copyFixture(t, formatFixtureV4)
+		fixture := row.fixture
+		if fixture == "" {
+			fixture = formatFixtureV5
+		}
+		dir := copyFixture(t, fixture)
 		for name, data := range row.files {
 			path := filepath.Join(dir, filepath.FromSlash(name))
 			if data == nil {

@@ -12,8 +12,9 @@ package sessionstore
 // shard root at the horizon as well, and frame shipping resumes from
 // there.
 //
-// The shipped frames are the WAL's own wire format, so the replica
-// validates them with the same CRC scan recovery uses, persists them
+// The shipped frames are the WAL's own wire format — each record carries
+// its ship sequence — so the replica validates them with the same CRC
+// scan and decoder recovery uses, persists them
 // byte-identically into its own WAL, and replays them through the
 // same Seq-idempotent path as crash recovery: applying a frame twice
 // is a no-op, and a replica killed mid-apply truncates its torn tail
@@ -140,8 +141,9 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 // ApplyBatch applies a pulled batch on the replica: a shard root is
 // installed wholesale (replacing the shard — the primary's state at
 // SnapshotSeq is a superset of any prefix the replica held) and adopted
-// as the replica's own root; frames are CRC-validated — all of them
-// before anything is installed, appended or replayed — land
+// as the replica's own root; frames are CRC-validated and decoded, each
+// required to hold the record at the ship sequence the batch gives it —
+// all of them before anything is installed, appended or replayed — land
 // byte-identically in the replica's own WAL with one append and one
 // fsync, and are replayed through the same idempotent, version-keeping
 // path as crash recovery. Frames at or below the replica's cursor are
@@ -205,9 +207,12 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 		if fr.Seq != cur+1 {
 			return 0, fmt.Errorf("%w: shard %d at %d got frame %d", ErrReplicaGap, b.Shard, cur, fr.Seq)
 		}
-		rec, ok := decodeFrame(fr.Data)
-		if !ok {
-			return 0, fmt.Errorf("sessionstore: corrupt replication frame %d for shard %d", fr.Seq, b.Shard)
+		rec, err := decodeFrame(fr.Data)
+		if err != nil {
+			return 0, fmt.Errorf("sessionstore: replication frame %d for shard %d: %w", fr.Seq, b.Shard, err)
+		}
+		if rec.Ship != fr.Seq {
+			return 0, fmt.Errorf("sessionstore: replication frame %d for shard %d holds the record at ship sequence %d", fr.Seq, b.Shard, rec.Ship)
 		}
 		recs, frames, cur = append(recs, rec), append(frames, fr.Data), fr.Seq
 	}

@@ -108,6 +108,46 @@ func TestForgedShipBatchIsAnError(t *testing.T) {
 			}
 		})
 	}
+	// Frames that are no record at the ship sequence the batch names:
+	// one that carries another, and one in the JSON an older primary
+	// wrote. Each is refused before anything of its batch lands.
+	commitPair(t, primary, e, "q5", "a5", 0.5)
+	next, err := primary.PullFrames(0, replica.ReplicationCursor(0), 0)
+	if err != nil || len(next.Frames) != 1 {
+		t.Fatalf("set-up: pull = %d frames, %v; want the one new turn", len(next.Frames), err)
+	}
+	rec, err := decodeFrame(next.Frames[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Ship++
+	elsewhere, err := encodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentForm := framelog.Encode(walMagic, []byte(`{"kind":"turn","id":"s0001","seq":10,"turns":[{"role":"user","text":"q5","intent":"unknown"},{"role":"system","text":"a5","confidence":0.5}]}`))
+	for _, row := range []struct {
+		name string
+		data []byte
+		old  bool // the error is a *vstore.FormatError
+	}{
+		{"a frame at another ship sequence", elsewhere, false},
+		{"a JSON frame", parentForm, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			before := storeState(t, replica)
+			b := next
+			b.Frames = []Frame{{Seq: next.Frames[0].Seq, Data: row.data}}
+			err := replica.ApplyBatch(b)
+			var old *vstore.FormatError
+			if err == nil || errors.As(err, &old) != row.old {
+				t.Errorf("apply = %v, want an error, a *vstore.FormatError: %v", err, row.old)
+			}
+			if after := storeState(t, replica); after != before {
+				t.Errorf("a refused batch changed the replica:\nbefore:\n%safter:\n%s", before, after)
+			}
+		})
+	}
 	// What an older primary shipped below its horizon: its whole state
 	// inline, which nothing here reads, at a snapshot_seq with no root.
 	before := storeState(t, replica)
@@ -150,14 +190,14 @@ func kill(t testing.TB, st *Store) {
 }
 
 // FuzzApplyBatch applies arbitrary ShipBatch JSON to a replica opened on
-// a copy of format-v4. Nothing panics; a refused batch changes no
+// a copy of format-v5. Nothing panics; a refused batch changes no
 // transcript, cursor or shard root; and whatever is accepted leaves a
 // directory that, abandoned as a kill leaves it, reopens to exactly what
 // the replica held. The seeds are the fixture's own frames, shipped
 // again at and above its cursors, its shard root at its horizon, and
 // the forged roots of TestForgedShipBatchIsAnError.
 func FuzzApplyBatch(f *testing.F) {
-	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV4))
+	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV5))
 	add := func(b ShipBatch) {
 		data, err := json.Marshal(b)
 		if err != nil {
@@ -166,7 +206,7 @@ func FuzzApplyBatch(f *testing.F) {
 		f.Add(data)
 	}
 	for shard := 0; shard < 2; shard++ {
-		raw, err := os.ReadFile(filepath.Join(formatFixtureV4, fmt.Sprintf("shard-%02d.wal", shard)))
+		raw, err := os.ReadFile(filepath.Join(formatFixtureV5, fmt.Sprintf("shard-%02d.wal", shard)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -193,7 +233,7 @@ func FuzzApplyBatch(f *testing.F) {
 		if json.Unmarshal(data, &b) != nil {
 			return
 		}
-		dir := copyFixture(t, formatFixtureV4)
+		dir := copyFixture(t, formatFixtureV5)
 		st, _ := openFuzzReplica(t, dir)
 		before := storeState(t, st)
 		err := st.ApplyBatch(b)

@@ -3,9 +3,8 @@ package sessionstore
 // snapshot is one shard's state at a ship horizon: everything its WAL
 // had said up to there. A compaction commits it as the shard's root
 // (encodeShardTree) and only then truncates the WAL, so a crash between
-// the two steps merely replays records the root already contains —
-// replay is idempotent by construction (turn records carry their
-// transcript index).
+// the two steps leaves a WAL of records the root already contains,
+// which recovery knows by their ship sequences and skips.
 type snapshot struct {
 	// MaxNum is the highest numeric session id this shard has ever
 	// issued, evicted sessions included, so a recovered store never
@@ -15,8 +14,8 @@ type snapshot struct {
 	Tombstones []string
 	// ShipSeq is the replication cursor at the horizon: how many records
 	// had ever been appended to this shard's WAL when it was taken.
-	// Recovery resumes the cursor at ShipSeq plus the replayed WAL
-	// length, keeping ship sequences monotonic across compactions and
+	// Recovery resumes the cursor at ShipSeq plus the WAL records past
+	// it, keeping ship sequences monotonic across compactions and
 	// restarts.
 	ShipSeq int64
 }

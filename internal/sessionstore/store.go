@@ -21,9 +21,10 @@
 // truncates any torn tail left by a crash mid-append — so a recovered
 // transcript is byte-identical to the committed prefix at the moment of
 // the crash. That layout is the only one Open reads: a directory older
-// than it — a shard-00.snap, the JSON checkpoint older stores wrote, or
-// a version store older than the journal's format — is a
-// *vstore.FormatError, and Open leaves it as it found it.
+// than it — a shard-00.snap, the JSON checkpoint older stores wrote, a
+// WAL holding the JSON records they logged, or a version store older
+// than the journal's format — is a *vstore.FormatError, and Open leaves
+// it as it found it.
 // The chaos harness (internal/chaos) property-tests exactly that
 // under seeded crash/torn-write faults from internal/faults.
 //
@@ -217,13 +218,13 @@ func NewMemory(cfg Config) *Store {
 // whose root is behind its recovered transcript — the journal lost an
 // unflushed tail to a power cut — gets its version committed again,
 // after the checkpoint and after each replayed turn record (replay). A
-// directory holding a shard-NN.snap is a *vstore.FormatError, found
-// before anything is opened or created in it.
+// directory holding a shard-NN.snap or a WAL of JSON records is a
+// *vstore.FormatError, found before anything is opened or created in it.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{cfg: cfg, clock: cfg.Clock, shards: make([]*shard, cfg.Shards)}
 	if cfg.Dir != "" {
-		if err := refuseSnapshots(cfg.Dir); err != nil {
+		if err := refuseOlderFormats(cfg.Dir); err != nil {
 			return nil, err
 		}
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -270,17 +271,42 @@ func Open(cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// refuseSnapshots fails with a *vstore.FormatError if dir holds a
-// shard-NN.snap, the JSON checkpoint older stores wrote; a dir that is
-// not there holds none.
-func refuseSnapshots(dir string) error {
+// refuseOlderFormats fails with a *vstore.FormatError if dir holds a
+// shard-NN.snap, the JSON checkpoint older stores wrote, or a
+// shard-NN.wal with a whole frame of the JSON records they logged; a dir
+// that is not there holds neither. It reads the WALs before the log
+// opens them, since the log would take such a frame for a torn tail and
+// truncate it, acknowledged turns and all.
+func refuseOlderFormats(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("sessionstore: read data dir: %w", err)
 	}
 	for _, e := range entries {
-		if name := e.Name(); strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".snap") {
-			return &vstore.FormatError{Path: filepath.Join(dir, name), Format: "a JSON shard snapshot"}
+		name := e.Name()
+		if !strings.HasPrefix(name, "shard-") {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		if strings.HasSuffix(name, ".snap") {
+			return &vstore.FormatError{Path: path, Format: "a JSON shard snapshot"}
+		}
+		if !strings.HasSuffix(name, ".wal") {
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("sessionstore: read %s: %w", path, err)
+		}
+		payloads, _ := framelog.Scan(walMagic, raw)
+		off := 0
+		for _, p := range payloads {
+			var old *vstore.FormatError
+			if _, err := decodeRecord(p); errors.As(err, &old) {
+				old.Path, old.Format = path, fmt.Sprintf("%s (the frame at offset %d)", old.Format, off)
+				return old
+			}
+			off += framelog.HeaderSize + len(p)
 		}
 	}
 	return nil
@@ -288,7 +314,11 @@ func refuseSnapshots(dir string) error {
 
 // load recovers the shard from cfg.Dir: the head of its shard root —
 // nothing on a fresh shard — with every loaded session's version kept,
-// then the WAL replayed over it. Caller holds sh.mu.
+// then the WAL replayed over it. A record at or below the root's ship
+// sequence is one the root holds — a crash came between a compaction's
+// root commit and its WAL reset — and is neither replayed nor counted;
+// a WAL the root holds entirely is reset here. Every other record must
+// extend the cursor by one. Caller holds sh.mu.
 func (sh *shard) load(cfg Config, now time.Duration) error {
 	var snap snapshot
 	if head, err := sh.versions.Head(ShardRoot(sh.idx)); err == nil {
@@ -303,18 +333,37 @@ func (sh *shard) load(cfg Config, now time.Duration) error {
 		sh.keepVersion(sh.sessions[ss.ID])
 	}
 	sh.shipBase = snap.ShipSeq
+	path := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx))
+	covered := false // the WAL holds records the root already holds
+	var gap error
 	var err error
-	sh.wal, err = framelog.Open(
-		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx)), walMagic,
+	sh.wal, err = framelog.Open(path, walMagic,
 		framelog.Options{Op: "wal.append", Faults: cfg.Faults},
 		func(frame, payload []byte) bool {
-			rec, ok := decodeRecord(payload)
-			if ok {
+			if gap != nil {
+				return true
+			}
+			rec, err := decodeRecord(payload)
+			switch {
+			case err != nil:
+				return false
+			case rec.Ship <= sh.shipBase:
+				covered = true
+			case rec.Ship == sh.cursor()+1:
 				sh.replay(rec, now)
 				sh.tail = append(sh.tail, frame)
+			default:
+				gap = fmt.Errorf("sessionstore: %s: a record at ship sequence %d follows cursor %d", path, rec.Ship, sh.cursor())
 			}
-			return ok
+			return true
 		})
+	switch {
+	case err != nil:
+	case gap != nil:
+		err = errors.Join(gap, sh.wal.Close())
+	case covered && len(sh.tail) == 0:
+		err = sh.wal.Reset()
+	}
 	sh.pending = len(sh.tail)
 	return err
 }
@@ -344,11 +393,11 @@ func (sh *shard) applySnapshot(snap snapshot, now time.Duration) {
 // on a replica for every shipped frame — and keeps the session version a
 // turn record produces, so recovery and shipping leave one version per
 // replayed pair exactly as CommitTurn does. Records the checkpoint
-// already folded in are skipped by transcript index, so a crash between
-// a shard root's commit and the WAL's truncation is harmless.
+// already folded in are skipped by transcript index, so applying a
+// record twice is harmless.
 func (sh *shard) replay(rec walRecord, now time.Duration) {
 	switch rec.Kind {
-	case "create":
+	case kindCreate:
 		if rec.Num > sh.maxNum {
 			sh.maxNum = rec.Num
 		}
@@ -360,7 +409,7 @@ func (sh *shard) replay(rec walRecord, now time.Duration) {
 		}
 		sh.sessions[rec.ID] = &Entry{ID: rec.ID, num: rec.Num,
 			sess: dialogue.NewSession(), lastActive: now}
-	case "turn":
+	case kindTurn:
 		e, ok := sh.sessions[rec.ID]
 		if !ok || len(e.committed) != rec.Seq {
 			return
@@ -371,7 +420,7 @@ func (sh *shard) replay(rec walRecord, now time.Duration) {
 		e.focus = rec.Focus
 		e.sess.Focus = rec.Focus
 		sh.keepVersion(e)
-	case "evict":
+	case kindEvict:
 		delete(sh.sessions, rec.ID)
 		sh.tombstones[rec.ID] = true
 	}
@@ -427,10 +476,11 @@ func (s *Store) Len() int {
 	return n
 }
 
-// appendRecord frames rec, writes it durably to the WAL (when one is
-// configured), and retains the frame in the replication tail. Caller
-// holds sh.mu.
+// appendRecord frames rec at the next ship sequence, writes it durably
+// to the WAL (when one is configured), and retains the frame in the
+// replication tail. Caller holds sh.mu.
 func (sh *shard) appendRecord(rec walRecord) error {
+	rec.Ship = sh.cursor() + 1
 	buf, err := encodeRecord(rec)
 	if err != nil {
 		return err
@@ -485,7 +535,7 @@ func (s *Store) createSession(id string, num int) (*Entry, error) {
 	if _, ok := sh.sessions[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	if err := sh.appendRecord(walRecord{Kind: "create", ID: id, Num: num}); err != nil {
+	if err := sh.appendRecord(walRecord{Kind: kindCreate, ID: id, Num: num}); err != nil {
 		return nil, err
 	}
 	e := &Entry{ID: id, num: num, sess: dialogue.NewSession(), lastActive: s.clock.Now()}
@@ -547,23 +597,26 @@ func (s *Store) CommitTurn(e *Entry) error {
 		return fmt.Errorf("sessionstore: session %s evicted mid-turn", e.ID)
 	}
 	pair := []turnRec{encodeTurn(e.sess.Turns[n-2]), encodeTurn(e.sess.Turns[n-1])}
-	rec := walRecord{Kind: "turn", ID: e.ID, Seq: len(e.committed),
-		Focus: e.sess.Focus, Turns: pair}
+	rec := walRecord{Kind: kindTurn, ID: e.ID, Seq: len(e.committed),
+		Focus: strings.ToValidUTF8(e.sess.Focus, "\uFFFD"), Turns: pair}
 	if err := sh.appendRecord(rec); err != nil {
 		e.sess.Turns = e.sess.Turns[:n-2]
 		return err
 	}
 	e.committed = append(e.committed, pair...)
-	e.focus = e.sess.Focus
+	e.focus = rec.Focus
 	e.lastActive = s.clock.Now()
 	sh.commitSessionVersion(e)
 	sh.compactIfDue()
 	return nil
 }
 
-// encodeTurn converts a dialogue turn to its persisted form.
+// encodeTurn converts a dialogue turn to its persisted form. Text that
+// is not valid UTF-8 — a served table's bytes may not be — is persisted
+// with U+FFFD in place of each invalid run, which the WAL requires and
+// the journal's JSON would otherwise do its own way.
 func encodeTurn(t dialogue.Turn) turnRec {
-	tr := turnRec{Role: t.Role.String(), Text: t.Text, Confidence: t.Confidence}
+	tr := turnRec{Role: t.Role.String(), Text: strings.ToValidUTF8(t.Text, "\uFFFD"), Confidence: t.Confidence}
 	if t.Role == dialogue.RoleUser {
 		tr.Intent = t.Intent.String()
 	}
@@ -573,7 +626,7 @@ func encodeTurn(t dialogue.Turn) turnRec {
 // evict logs the eviction, then removes the session and leaves a
 // tombstone. Caller holds sh.mu.
 func (sh *shard) evict(e *Entry) error {
-	if err := sh.appendRecord(walRecord{Kind: "evict", ID: e.ID}); err != nil {
+	if err := sh.appendRecord(walRecord{Kind: kindEvict, ID: e.ID}); err != nil {
 		return err
 	}
 	delete(sh.sessions, e.ID)

@@ -14,12 +14,16 @@ import (
 // The session-tree pins. A session's tree is cut as a function of its
 // turn count: sealed 32-turn chunks, then one chunk per pair of the open
 // window. The format dialogue never leaves its first window, so
-// testdata/tree-v4 is the data directory replayScript(treeScript()) writes
+// testdata/tree-v5 is the data directory replayScript(treeScript()) writes
 // — this file, compiled in the commit that wrote it — whose long session
-// has two sealed chunks and eight pair chunks after them; testdata/format-v4
+// has two sealed chunks and eight pair chunks after them; testdata/format-v5
 // is the same for formatScript(). Each carries logs.json, the root logs
-// its writer's store reported.
+// its writer's store reported. The -v4 directories are the same scripts
+// as the commit before binary WAL records wrote them: the same journal
+// and logs, and WALs of JSON records, which Open refuses.
 const (
+	treeFixtureV5   = "testdata/tree-v5"
+	formatFixtureV5 = "testdata/format-v5"
 	treeFixtureV4   = "testdata/tree-v4"
 	formatFixtureV4 = "testdata/format-v4"
 	fixtureLogs     = "logs.json"

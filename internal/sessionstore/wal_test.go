@@ -2,39 +2,47 @@ package sessionstore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/framelog"
+	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// FuzzDecodeRecord feeds the WAL record decoders any bytes, seeded with
-// every frame of the format-v4 and tree-v4 shard WALs, whole and with
-// its checksum flipped. decodeFrame
-// reads the bytes as a shipped frame and decodeRecord reads what
-// follows a frame header as a payload (so a mutated payload reaches the
-// JSON decoder even when its checksum no longer matches). Neither may
-// panic, and whatever decodes re-encodes through encodeRecord to a
-// frame that decodes equal.
-func FuzzDecodeRecord(f *testing.F) {
-	var wals []string
-	for _, fixture := range []string{formatFixtureV4, treeFixtureV4} {
-		for _, name := range shardFiles {
-			wals = append(wals, filepath.Join(fixture, name))
-		}
-	}
-	for _, path := range wals {
+// walPayloads reads every record payload of a fixture's shard WALs,
+// which are whole frames end to end.
+func walPayloads(t testing.TB, fixture string) [][]byte {
+	t.Helper()
+	var all [][]byte
+	for _, name := range shardFiles {
+		path := filepath.Join(fixture, name)
 		raw, err := os.ReadFile(path)
 		if err != nil {
-			f.Fatal(err)
+			t.Fatal(err)
 		}
 		payloads, valid := framelog.Scan(walMagic, raw)
 		if len(payloads) == 0 || valid != len(raw) {
-			f.Fatalf("%s: %d frames cover %d of %d bytes", path, len(payloads), valid, len(raw))
+			t.Fatalf("%s: %d frames cover %d of %d bytes", path, len(payloads), valid, len(raw))
 		}
-		for _, p := range payloads {
+		all = append(all, payloads...)
+	}
+	return all
+}
+
+// FuzzDecodeRecord feeds the WAL record decoders any bytes, seeded with
+// every frame of the format-v5 and tree-v5 shard WALs, whole and with
+// its checksum flipped, and with every frame of the v4 ones, whose JSON
+// records must be refused as a *vstore.FormatError. decodeFrame reads
+// the bytes as a shipped frame and decodeRecord reads what follows a
+// frame header as a payload (so a mutated payload reaches the binary
+// decoder even when its checksum no longer matches). Neither may panic,
+// and whatever decodes encodes back through encodeRecord to the bytes it
+// was decoded from: the decoder takes no record in two spellings.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, fixture := range []string{formatFixtureV5, treeFixtureV5} {
+		for _, p := range walPayloads(f, fixture) {
 			frame := framelog.Encode(walMagic, p)
 			f.Add(frame)
 			// With its checksum flipped, decodeFrame refuses the frame and
@@ -44,32 +52,37 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Add(frame)
 		}
 	}
+	for _, fixture := range []string{formatFixtureV4, treeFixtureV4} {
+		for _, p := range walPayloads(f, fixture) {
+			var old *vstore.FormatError
+			if _, err := decodeRecord(p); !errors.As(err, &old) {
+				f.Fatalf("%s: the record %q decodes with %v, want a *vstore.FormatError", fixture, p, err)
+			}
+			f.Add(framelog.Encode(walMagic, p))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if rec, ok := decodeFrame(data); ok {
-			reencodes(t, rec)
+		if rec, err := decodeFrame(data); err == nil {
+			reencodes(t, rec, data)
 		}
 		if len(data) >= framelog.HeaderSize {
-			if rec, ok := decodeRecord(data[framelog.HeaderSize:]); ok {
-				reencodes(t, rec)
+			payload := data[framelog.HeaderSize:]
+			if rec, err := decodeRecord(payload); err == nil {
+				reencodes(t, rec, framelog.Encode(walMagic, payload))
 			}
 		}
 	})
 }
 
-// reencodes fails t unless rec survives encodeRecord → decodeFrame. An
-// empty turns list and none are the same record: omitempty writes
-// neither.
-func reencodes(t *testing.T, rec walRecord) {
+// reencodes fails t unless rec encodes to frame, the bytes it decoded
+// from.
+func reencodes(t *testing.T, rec walRecord, frame []byte) {
 	t.Helper()
-	frame, err := encodeRecord(rec)
+	got, err := encodeRecord(rec)
 	if err != nil {
-		t.Fatalf("%+v decoded and does not encode: %v", rec, err)
+		t.Fatalf("%+v decoded from %q and does not encode: %v", rec, frame, err)
 	}
-	back, ok := decodeFrame(frame)
-	if len(rec.Turns) == 0 {
-		rec.Turns = nil
-	}
-	if !ok || !reflect.DeepEqual(back, rec) {
-		t.Fatalf("%+v re-encoded as %q decodes to %+v, %v", rec, frame, back, ok)
+	if !bytes.Equal(got, frame) {
+		t.Fatalf("%+v decoded from %q encodes as %q", rec, frame, got)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // The journal's payloads. A chunk that has refs, and a root record that
@@ -128,14 +130,14 @@ func decodePayload(p []byte) (record, error) {
 	}
 	switch p[0] {
 	case tagChunk:
-		kind, rest, err := cutString(p[1:], "kind")
+		kind, rest, err := framelog.CutString(p[1:], "kind")
 		if err != nil {
 			return rec, err
 		}
 		if kind == "" {
 			return rec, errors.New("binary chunk with an empty kind")
 		}
-		n, rest, err := cutUvarint(rest, "ref count")
+		n, rest, err := framelog.CutUvarint(rest, "ref count")
 		if err != nil {
 			return rec, err
 		}
@@ -155,7 +157,7 @@ func decodePayload(p []byte) (record, error) {
 		}
 		return rec, nil
 	case tagAppend:
-		name, rest, err := cutString(p[1:], "root name")
+		name, rest, err := framelog.CutString(p[1:], "root name")
 		if err != nil {
 			return rec, err
 		}
@@ -179,32 +181,6 @@ func decodePayload(p []byte) (record, error) {
 		return rec, &FormatError{Format: "a JSON chunk with no kind or a root record's fields"}
 	}
 	return rec, nil
-}
-
-// cutUvarint reads the canonical uvarint at the front of b, the
-// what of the payload, and returns it with the bytes after it.
-func cutUvarint(b []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("binary payload: %s is cut short or overflows", what)
-	}
-	if n != len(binary.AppendUvarint(nil, v)) {
-		return 0, nil, fmt.Errorf("binary payload: %s is an overlong uvarint", what)
-	}
-	return v, b[n:], nil
-}
-
-// cutString reads a uvarint length and that many bytes from the front
-// of b.
-func cutString(b []byte, what string) (string, []byte, error) {
-	n, rest, err := cutUvarint(b, what+" length")
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("binary payload: %s of %d bytes in %d", what, n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
 }
 
 // checkShipped holds a decoded packet to what a writer of this store

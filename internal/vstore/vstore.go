@@ -215,14 +215,21 @@ const lastReader = `6a9117d ("a chunk's refs are bytes")`
 // FormatError is a data directory, or a payload, older than the one
 // format this store reads: Path holds Format. Open refuses such a
 // directory as it found it — no file removed, no frame whose checksum
-// verifies dropped — so the commit lastReader names can still upgrade it.
+// verifies dropped — so the commit Reader names can still upgrade it.
 type FormatError struct {
 	Path   string
 	Format string
+	// Reader names the last commit that reads Format; empty is
+	// lastReader, the last that reads this store's older formats.
+	Reader string
 }
 
 func (e *FormatError) Error() string {
-	msg := fmt.Sprintf("%s, a format older than this store reads; the last commit that reads it is %s", e.Format, lastReader)
+	reader := e.Reader
+	if reader == "" {
+		reader = lastReader
+	}
+	msg := fmt.Sprintf("%s, a format older than this store reads; the last commit that reads it is %s", e.Format, reader)
 	if e.Path != "" {
 		msg = e.Path + " holds " + msg
 	}

@@ -59,13 +59,16 @@
 #                      more than their plain form, decode bit for bit
 #                      and re-encode to the same bytes),
 #                      FuzzDecodeSessionTree (seeded
-#                      from the chunks of sessionstore's format-v4 and
-#                      tree-v4 fixtures, each chunk with refs also in
+#                      from the chunks of sessionstore's format-v5 and
+#                      tree-v5 fixtures, each chunk with refs also in
 #                      the JSON older stores wrote, which is refused),
 #                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v4 and tree-v4 shard WALs),
+#                      format-v5 and tree-v5 shard WALs, and from the
+#                      JSON records of format-v4 and tree-v4, which are
+#                      refused; a binary record that decodes must
+#                      encode back to the same bytes),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
-#                      replica opened on format-v4, seeded from that
+#                      replica opened on format-v5, seeded from that
 #                      fixture's frames and shard roots and the forged
 #                      roots of TestForgedShipBatchIsAnError),
 #                      FuzzVectorOps (Append/Set/Extend/Gather scripts
