@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/vstore"
@@ -90,11 +91,15 @@ func (n *HTTPNode) CreateSession(ctx context.Context, id string) error {
 	return n.do(ctx, http.MethodPost, "/sessions", map[string]string{"id": id}, nil)
 }
 
-// Ask implements NodeClient.
+// Ask implements NodeClient. A traced ask (obs.WithTrace) asks the
+// node for its trace.
 func (n *HTTPNode) Ask(ctx context.Context, id, question string) (server.AskResponse, error) {
 	var resp server.AskResponse
-	err := n.do(ctx, http.MethodPost, "/sessions/"+url.PathEscape(id)+"/ask",
-		server.AskRequest{Question: question}, &resp)
+	path := "/sessions/" + url.PathEscape(id) + "/ask"
+	if obs.TraceRequested(ctx) {
+		path += "?trace=1"
+	}
+	err := n.do(ctx, http.MethodPost, path, server.AskRequest{Question: question}, &resp)
 	return resp, err
 }
 

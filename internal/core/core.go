@@ -35,6 +35,7 @@ import (
 	"github.com/reliable-cda/cda/internal/kg"
 	"github.com/reliable-cda/cda/internal/nl2sql"
 	"github.com/reliable-cda/cda/internal/nlmodel"
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/optimizer"
 	"github.com/reliable-cda/cda/internal/provenance"
 	"github.com/reliable-cda/cda/internal/resilience"
@@ -306,11 +307,16 @@ func (s *System) Respond(ctx context.Context, sess *dialogue.Session, userText s
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	turn := obs.From(ctx)
+	defer turn.Start("core.respond").End()
+	end := turn.Start("core.classify")
 	intent := sess.ClassifyTurn(userText)
+	end.End()
 	var (
 		ans *Answer
 		err error
 	)
+	end = turn.Start("core.handle")
 	switch intent {
 	case dialogue.IntentDiscover:
 		ans, err = s.discover(sess, userText)
@@ -327,13 +333,16 @@ func (s *System) Respond(ctx context.Context, sess *dialogue.Session, userText s
 	default:
 		ans = s.unknown(sess, userText)
 	}
+	end.End()
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	end = turn.Start("core.suggest")
 	s.attachSuggestions(sess, intent, userText, ans)
+	end.End()
 	sess.CommitTurn(userText, intent, ans.Text, ans.Confidence)
 	return ans, nil
 }

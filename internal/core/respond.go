@@ -10,6 +10,7 @@ import (
 	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/explain"
 	"github.com/reliable-cda/cda/internal/nl2sql"
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/provenance"
 	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/timeseries"
@@ -516,9 +517,11 @@ func (s *System) query(ctx context.Context, sess *dialogue.Session, text string)
 	// have. The cache shares one *Answer across callers, so each caller
 	// gets a shallow copy — per-session suggestion attachment must not
 	// race on the shared value.
+	end := obs.From(ctx).Start("core.optimize")
 	ans, err := s.cache.Do(ctx, text, func() (*Answer, bool, error) {
 		return s.queryUncached(ctx, sess, text)
 	})
+	end.End()
 	if ans == nil || err != nil {
 		return nil, err
 	}
@@ -537,7 +540,15 @@ func (s *System) queryUncached(ctx context.Context, sess *dialogue.Session, text
 		prevFrame = f
 	}
 	ans := &Answer{}
+	turn := obs.From(ctx)
+	end := turn.Start("core.translate")
 	tr, frame, err := s.translate(ctx, text, prevFrame)
+	end.End()
+	if tr != nil {
+		turn.Add(obs.Candidates, len(tr.Candidates))
+		turn.Add(obs.CandidatesDistinct, tr.Executions)
+		turn.Add(obs.RowsScanned, tr.RowsScanned)
+	}
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// A cancelled request is not an outage: propagate, never
@@ -596,13 +607,18 @@ func (s *System) queryUncached(ctx context.Context, sess *dialogue.Session, text
 	ans.Provenance = g
 	ans.AnswerNode = ansNode
 	verified := tr.Result != nil && !s.cfg.DisableVerification
+	end = turn.Start("core.ground")
+	grounding := s.groundingStrength(text)
+	end.End()
 	ans.Evidence = uncertainty.Evidence{
 		Consistency:       tr.Confidence,
-		GroundingStrength: s.groundingStrength(text),
+		GroundingStrength: grounding,
 		Verified:          verified,
 		Unverifiable:      tr.Result == nil,
 	}
+	end = turn.Start("core.finalize")
 	out := s.finalize(ans)
+	end.End()
 	// Ask-and-refine (the paper's "ask-and-refine dialogues"): when
 	// the evidence fell just short of the threshold but a verifiable
 	// candidate exists, show it and ask instead of silently

@@ -203,7 +203,7 @@ func TestFailedAppendLeavesBatchUncommitted(t *testing.T) {
 				t.Fatal(err)
 			}
 			commit := func(v string, turn int) (vstore.Commit, error) {
-				b := s.NewBatch()
+				b := s.NewBatch(nil)
 				leaf, err := b.Put("leaf", nil, []byte(`"`+v+`"`))
 				if err != nil {
 					return vstore.Commit{}, err
@@ -269,7 +269,7 @@ func TestFailedRewriteLeavesEveryChunkReadable(t *testing.T) {
 	}
 	commit := func(root string, turn int) vstore.Commit {
 		t.Helper()
-		b := s.NewBatch()
+		b := s.NewBatch(nil)
 		var leaves []vstore.Hash
 		for i := 0; i < 4; i++ {
 			h, err := b.Put("leaf", nil, []byte(fmt.Sprintf(`"%s leaf %d of turn %d"`, root, i, turn)))

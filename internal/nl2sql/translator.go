@@ -52,6 +52,11 @@ type Translation struct {
 	// fingerprints) among executed samples, winner first, for
 	// entropy-based uncertainty quantification.
 	Votes []int
+	// Executions is how many candidates the engine ran — each distinct
+	// one once, when the round memoizes repeats — and RowsScanned the
+	// rows those runs read.
+	Executions  int
+	RowsScanned int
 }
 
 // Tables returns the base tables of the chosen SQL (FROM plus JOINs),
@@ -255,6 +260,10 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 		out, ok := queryMemo[cand]
 		if !ok {
 			out.res, out.err = t.Engine.Query(cand)
+			tr.Executions++
+			if out.err == nil {
+				tr.RowsScanned += out.res.Stats.RowsScanned
+			}
 			if out.err == nil && t.Options.UseVerification {
 				out.fp = out.res.Fingerprint()
 			}

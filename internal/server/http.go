@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"github.com/reliable-cda/cda/internal/catalog"
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -56,7 +57,11 @@ func RegisterSessionRoutes(mux *http.ServeMux, api SessionAPI) {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		resp, err := api.Ask(r.Context(), r.PathValue("id"), req.Question)
+		ctx := r.Context()
+		if r.URL.Query().Get("trace") == "1" {
+			ctx = obs.WithTrace(ctx)
+		}
+		resp, err := api.Ask(ctx, r.PathValue("id"), req.Question)
 		respond(w, http.StatusOK, resp, err)
 	})
 	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -22,7 +22,8 @@
 // (*Server) and the cluster router (*cluster.Router) both satisfy:
 //
 //	POST /sessions                           create a conversation; returns {"id": ...}
-//	POST /sessions/{id}/ask                  {"question": "..."} → annotated answer
+//	POST /sessions/{id}/ask                  {"question": "..."} → annotated answer; ?trace=1
+//	                                         adds the turn's span tree and work counters
 //	GET  /sessions/{id}?offset=&limit=       paginated session transcript; &replica=1
 //	                                         asks a router for the replica's copy
 //
@@ -47,6 +48,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -55,6 +57,7 @@ import (
 	"github.com/reliable-cda/cda/internal/catalog"
 	"github.com/reliable-cda/cda/internal/core"
 	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -167,6 +170,9 @@ type AskResponse struct {
 	// DataRoot is the content hash of the data version the answer was
 	// computed against (empty when the system versions no data).
 	DataRoot string `json:"data_root,omitempty"`
+	// Trace is where the turn went — its span tree and work counters —
+	// present only when the ask asked for it (?trace=1).
+	Trace *obs.Report `json:"trace,omitempty"`
 }
 
 // AskResponseFrom renders a core answer as the wire payload.
@@ -190,13 +196,32 @@ func AskResponseFrom(ans *core.Answer) AskResponse {
 
 // Ask runs one turn against a session — the only place a turn is
 // taken: admit → lookup → validate → respond → commit. A refused or
-// failed ask returns the zero response and leaves no turn behind.
+// failed ask returns the zero response and leaves no turn behind. The
+// turn's obs recorder starts here and rides ctx through every layer;
+// when ctx asks for a trace (obs.WithTrace), the response carries it.
 func (s *Server) Ask(ctx context.Context, id, question string) (AskResponse, error) {
+	ctx, turn := obs.Begin(ctx, s.store.Clock(), "server.ask")
+	resp, err := s.ask(ctx, turn, id, question)
+	if err != nil || !turn.Traced() {
+		return resp, err
+	}
+	end := turn.Start("server.encode")
+	if body, err := json.Marshal(resp); err == nil {
+		turn.Add(obs.ResponseBytes, len(body))
+	}
+	end.End()
+	resp.Trace = turn.Report()
+	return resp, nil
+}
+
+func (s *Server) ask(ctx context.Context, turn *obs.Turn, id, question string) (AskResponse, error) {
 	var zero AskResponse
 	if s.adm != nil {
 		// Shed BEFORE any work: no session lock, no backend calls happen
 		// for a rejected request.
+		end := turn.Start("server.admission")
 		release, err := s.adm.Admit(s.store.ShardIndex(id))
+		end.End()
 		if err != nil {
 			return zero, err
 		}
@@ -221,7 +246,7 @@ func (s *Server) Ask(ctx context.Context, id, question string) (AskResponse, err
 		// store rolls the pair back, so memory, disk, and the client's
 		// view of the transcript always agree (the client simply
 		// re-asks).
-		return s.store.CommitTurn(entry)
+		return s.store.CommitTurnContext(ctx, entry)
 	})
 	if err != nil {
 		return zero, fmt.Errorf("ask on session %s: %w", id, err)

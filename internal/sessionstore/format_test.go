@@ -279,7 +279,7 @@ func snapOf(st *Store, id string) sessionSnap {
 func coldTree(t testing.TB, ss sessionSnap) *sessionTree {
 	t.Helper()
 	ss.tree = nil
-	tree, err := encodeSessionTree(vstore.NewMemory().NewBatch(), ss)
+	tree, err := encodeSessionTree(vstore.NewMemory().NewBatch(nil), ss)
 	if err != nil {
 		t.Fatal(err)
 	}

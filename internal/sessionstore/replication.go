@@ -234,7 +234,7 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 	if b.PrimaryCursor > sh.remoteSeq {
 		sh.remoteSeq = b.PrimaryCursor
 	}
-	sh.compactIfDue()
+	sh.compactIfDue(nil)
 	return sh.maxNum, nil
 }
 
@@ -266,7 +266,7 @@ func (sh *shard) installSnapshotDoc(snap snapshot, root vstore.Hash, now time.Du
 	sh.pending = 0
 	sh.compactErr = nil
 	for _, id := range sh.sessionIDs() {
-		sh.commitSessionVersion(sh.sessions[id])
+		sh.commitSessionVersion(nil, sh.sessions[id])
 	}
 	return nil
 }

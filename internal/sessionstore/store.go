@@ -37,6 +37,7 @@
 package sessionstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -49,6 +50,7 @@ import (
 
 	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/framelog"
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -462,6 +464,10 @@ func (s *Store) ShardIndex(id string) int {
 	return ShardIndexFor(id, len(s.shards))
 }
 
+// Clock returns the clock the store measures idleness on, which the
+// server times a turn's spans by.
+func (s *Store) Clock() resilience.Clock { return s.clock }
+
 // Shards reports the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
 
@@ -477,18 +483,25 @@ func (s *Store) Len() int {
 }
 
 // appendRecord frames rec at the next ship sequence, writes it durably
-// to the WAL (when one is configured), and retains the frame in the
-// replication tail. Caller holds sh.mu.
-func (sh *shard) appendRecord(rec walRecord) error {
+// to the WAL (when one is configured), counting the append against
+// turn, and retains the frame in the replication tail. Caller holds
+// sh.mu.
+func (sh *shard) appendRecord(turn *obs.Turn, rec walRecord) error {
 	rec.Ship = sh.cursor() + 1
 	buf, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
 	if sh.wal != nil {
-		if err := sh.wal.Append(buf); err != nil {
+		end := turn.Start("sessionstore.wal_append")
+		err := sh.wal.Append(buf)
+		end.End()
+		if err != nil {
 			return err
 		}
+		turn.Add(obs.WALFsyncs, 1)
+		turn.Add(obs.WALFrames, 1)
+		turn.Add(obs.WALBytes, len(buf))
 	}
 	sh.tail = append(sh.tail, buf)
 	sh.pending++
@@ -535,7 +548,7 @@ func (s *Store) createSession(id string, num int) (*Entry, error) {
 	if _, ok := sh.sessions[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	if err := sh.appendRecord(walRecord{Kind: kindCreate, ID: id, Num: num}); err != nil {
+	if err := sh.appendRecord(nil, walRecord{Kind: kindCreate, ID: id, Num: num}); err != nil {
 		return nil, err
 	}
 	e := &Entry{ID: id, num: num, sess: dialogue.NewSession(), lastActive: s.clock.Now()}
@@ -543,7 +556,7 @@ func (s *Store) createSession(id string, num int) (*Entry, error) {
 	if num > sh.maxNum {
 		sh.maxNum = num
 	}
-	sh.compactIfDue()
+	sh.compactIfDue(nil)
 	return e, nil
 }
 
@@ -582,7 +595,17 @@ func (s *Store) Get(id string) (*Entry, GetStatus) {
 // transcript — memory never claims a turn disk does not hold — and
 // the error is returned for the caller to surface (the client simply
 // re-asks).
-func (s *Store) CommitTurn(e *Entry) error {
+func (s *Store) CommitTurn(e *Entry) error { return s.commitTurn(nil, e) }
+
+// CommitTurnContext is CommitTurn that counts what the commit writes —
+// the WAL append, the session version, a compaction it sets off —
+// against the obs turn ctx carries.
+func (s *Store) CommitTurnContext(ctx context.Context, e *Entry) error {
+	return s.commitTurn(obs.From(ctx), e)
+}
+
+func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
+	defer turn.Start("sessionstore.commit_turn").End()
 	sh := s.shards[s.ShardIndex(e.ID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -599,15 +622,15 @@ func (s *Store) CommitTurn(e *Entry) error {
 	pair := []turnRec{encodeTurn(e.sess.Turns[n-2]), encodeTurn(e.sess.Turns[n-1])}
 	rec := walRecord{Kind: kindTurn, ID: e.ID, Seq: len(e.committed),
 		Focus: strings.ToValidUTF8(e.sess.Focus, "\uFFFD"), Turns: pair}
-	if err := sh.appendRecord(rec); err != nil {
+	if err := sh.appendRecord(turn, rec); err != nil {
 		e.sess.Turns = e.sess.Turns[:n-2]
 		return err
 	}
 	e.committed = append(e.committed, pair...)
 	e.focus = rec.Focus
 	e.lastActive = s.clock.Now()
-	sh.commitSessionVersion(e)
-	sh.compactIfDue()
+	sh.commitSessionVersion(turn, e)
+	sh.compactIfDue(turn)
 	return nil
 }
 
@@ -626,12 +649,12 @@ func encodeTurn(t dialogue.Turn) turnRec {
 // evict logs the eviction, then removes the session and leaves a
 // tombstone. Caller holds sh.mu.
 func (sh *shard) evict(e *Entry) error {
-	if err := sh.appendRecord(walRecord{Kind: kindEvict, ID: e.ID}); err != nil {
+	if err := sh.appendRecord(nil, walRecord{Kind: kindEvict, ID: e.ID}); err != nil {
 		return err
 	}
 	delete(sh.sessions, e.ID)
 	sh.tombstones[e.ID] = true
-	sh.compactIfDue()
+	sh.compactIfDue(nil)
 	return nil
 }
 
@@ -675,11 +698,11 @@ func (s *Store) SweepIdle() (int, error) {
 // propagated: the commit that triggered compaction is already durable
 // in the WAL, so user traffic continues and the error resurfaces at
 // the next cadence and at Close.
-func (sh *shard) compactIfDue() {
+func (sh *shard) compactIfDue(turn *obs.Turn) {
 	if sh.pending < sh.snapEvery {
 		return
 	}
-	if err := sh.compact(); err != nil {
+	if err := sh.compact(turn); err != nil {
 		sh.compactErr, sh.compactSaid = err, false
 	}
 }
@@ -719,18 +742,20 @@ func (sh *shard) buildSnapshot() snapshot {
 // with the root: replicas behind it are shipped the root instead of
 // frames. A memory-only shard does the same with nothing to truncate, so
 // its replication tail stays bounded. Caller holds sh.mu.
-func (sh *shard) compact() error {
+func (sh *shard) compact(turn *obs.Turn) error {
 	if sh.wal != nil && sh.wal.Dead() {
 		return nil
 	}
+	defer turn.Start("sessionstore.compact").End()
 	snap := sh.buildSnapshot()
-	if err := sh.commitShardVersion(snap); err != nil {
+	if err := sh.commitShardVersion(turn, snap); err != nil {
 		return fmt.Errorf("sessionstore: shard %d keeps its WAL: %w", sh.idx, err)
 	}
 	if sh.wal != nil {
 		if err := sh.wal.Reset(); err != nil {
 			return err
 		}
+		turn.Add(obs.WALFsyncs, 1)
 	}
 	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
@@ -746,7 +771,7 @@ func (s *Store) Compact() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if sh.pending > 0 {
-			if err := sh.compact(); err != nil {
+			if err := sh.compact(nil); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -764,7 +789,7 @@ func (s *Store) Close() error {
 		sh.mu.Lock()
 		if sh.wal != nil {
 			if sh.pending > 0 {
-				if err := sh.compact(); err != nil {
+				if err := sh.compact(nil); err != nil {
 					errs = append(errs, err)
 				}
 			}

@@ -280,7 +280,7 @@ func FuzzDecodeSessionTree(f *testing.F) {
 				continue
 			}
 			again := vstore.NewMemory()
-			b := again.NewBatch()
+			b := again.NewBatch(nil)
 			tree, err := encodeSessionTree(b, ss)
 			if err != nil {
 				t.Fatalf("session tree %s decoded and does not encode: %v", node, err)
@@ -338,7 +338,7 @@ func TestIncrementalTreeEqualsColdTree(t *testing.T) {
 			var memo *sessionTree
 			for n := 1; n <= len(turns); n++ {
 				ss := sessionSnap{ID: id, Num: trial + 1, Focus: fmt.Sprintf("focus %d", rng.Intn(3)), Turns: turns[:n], tree: memo}
-				b := vs.NewBatch()
+				b := vs.NewBatch(nil)
 				tree, err := encodeSessionTree(b, ss)
 				if err != nil {
 					t.Fatal(err)

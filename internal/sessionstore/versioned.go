@@ -56,6 +56,7 @@ import (
 	"fmt"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
+	"github.com/reliable-cda/cda/internal/obs"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
@@ -281,7 +282,7 @@ func (sh *shard) keepVersion(e *Entry) {
 	if head, err := sh.versions.Head(SessionRoot(e.ID)); err == nil && head.Turn >= len(e.committed) {
 		return
 	}
-	sh.commitSessionVersion(e)
+	sh.commitSessionVersion(nil, e)
 }
 
 // flushVersions flushes the version journal; callers are about to
@@ -301,11 +302,15 @@ func (sh *shard) flushVersions() error {
 // failed commit leaves e.tree at the last version that landed, whose
 // chunks the root's head still reaches. Caller holds sh.mu. Failures
 // are recorded on the shard, never returned to the durability path.
-func (sh *shard) commitSessionVersion(e *Entry) {
-	b := sh.versions.NewBatch()
+func (sh *shard) commitSessionVersion(turn *obs.Turn, e *Entry) {
+	b := sh.versions.NewBatch(turn)
+	end := turn.Start("sessionstore.version_encode")
 	tree, err := encodeSessionTree(b, e.snap())
+	end.End()
 	if err == nil {
+		end = turn.Start("vstore.journal")
 		_, err = b.CommitUnsynced(SessionRoot(e.ID), tree.sess, len(e.committed))
+		end.End()
 	}
 	if err != nil {
 		sh.versionErr = fmt.Errorf("sessionstore: version session %s: %w", e.ID, err)
@@ -317,8 +322,8 @@ func (sh *shard) commitSessionVersion(e *Entry) {
 // commitShardVersion commits snap's tree as the shard's root at its
 // ship horizon, flushed: it is the checkpoint, and nothing could rebuild
 // it. Caller holds sh.mu, or is Open.
-func (sh *shard) commitShardVersion(snap snapshot) error {
-	b := sh.versions.NewBatch()
+func (sh *shard) commitShardVersion(turn *obs.Turn, snap snapshot) error {
+	b := sh.versions.NewBatch(turn)
 	tree, err := encodeShardTree(b, snap)
 	if err == nil {
 		_, err = b.Commit(ShardRoot(sh.idx), tree, int(snap.ShipSeq))

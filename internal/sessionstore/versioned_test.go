@@ -726,7 +726,7 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 	}
 	sh.mu.Lock()
 	size, cursor, pending := sh.wal.Size(), sh.cursor(), sh.pending
-	cerr := sh.compact()
+	cerr := sh.compact(nil)
 	if cerr == nil || sh.wal.Size() != size || sh.cursor() != cursor || sh.pending != pending || sh.shipBase != 0 {
 		t.Errorf("compact on a dead journal = %v; WAL %d → %d bytes, cursor %d → %d, pending %d → %d, horizon %d",
 			cerr, size, sh.wal.Size(), cursor, sh.cursor(), pending, sh.pending, sh.shipBase)

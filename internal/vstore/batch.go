@@ -3,6 +3,8 @@ package vstore
 import (
 	"encoding/json"
 	"fmt"
+
+	"github.com/reliable-cda/cda/internal/obs"
 )
 
 // Batch stages the chunks of one version in memory and lands them, the
@@ -13,6 +15,7 @@ import (
 // under its root. A Batch serves one goroutine and one version.
 type Batch struct {
 	s      *Store
+	turn   *obs.Turn // counts what the batch encodes and journals; may be nil
 	staged []stagedChunk
 	seen   map[Hash]bool
 }
@@ -23,9 +26,10 @@ type stagedChunk struct {
 	refs    []Hash
 }
 
-// NewBatch starts an empty write batch.
-func (s *Store) NewBatch() *Batch {
-	return &Batch{s: s, seen: map[Hash]bool{}}
+// NewBatch starts an empty write batch whose work is counted against
+// turn (nil: counted nowhere).
+func (s *Store) NewBatch(turn *obs.Turn) *Batch {
+	return &Batch{s: s, turn: turn, seen: map[Hash]bool{}}
 }
 
 // Put stages one chunk and returns its address; see Store.Put.
@@ -34,6 +38,8 @@ func (b *Batch) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	if err != nil {
 		return "", err
 	}
+	b.turn.Add(obs.ChunksEncoded, 1)
+	b.turn.Add(obs.ChunksHashed, 1)
 	if err := b.putEncoded(h, payload, refs); err != nil {
 		return "", err
 	}
@@ -107,13 +113,15 @@ func (b *Batch) commit(root string, tree Hash, turn int, durable bool) (Commit, 
 		return Commit{}, err
 	}
 	c := Commit{Hash: hashBytes(payload), Tree: tree, Parent: parent, Turn: turn, Stamp: stamp}
+	b.turn.Add(obs.ChunksEncoded, 1)
+	b.turn.Add(obs.ChunksHashed, 1)
 	rootRec, err := appendPayload(root, c.Hash)
 	if err != nil {
 		return Commit{}, err
 	}
 
 	staged := append(b.staged, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}})
-	if err := s.journalLocked(durable, staged, rootRec); err != nil {
+	if err := s.journalLocked(b.turn, durable, staged, rootRec); err != nil {
 		return Commit{}, err
 	}
 	s.roots[root] = append(log, c)

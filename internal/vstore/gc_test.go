@@ -98,7 +98,7 @@ func TestGCCheckpointKeepsEveryRootLog(t *testing.T) {
 	}()
 	commit := func(s *Store, root string, turn int) Commit {
 		t.Helper()
-		b := s.NewBatch()
+		b := s.NewBatch(nil)
 		tree, err := b.Put("db", nil, []byte(fmt.Sprintf(`{"root":%q,"turn":%d}`, root, turn)))
 		if err != nil {
 			t.Fatal(err)
@@ -493,7 +493,7 @@ func TestRewriteThatFailedAfterItsRename(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	b := s.NewBatch()
+	b := s.NewBatch(nil)
 	var leaves []Hash
 	for i := 0; i < 8; i++ {
 		h, err := b.Put("leaf", nil, []byte(fmt.Sprintf(`[%d]`, i)))

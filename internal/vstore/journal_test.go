@@ -151,7 +151,7 @@ func testBatchTornAtEveryOffset(t *testing.T, land func(*Batch, string, Hash, in
 		t.Fatal(err)
 	}
 	commit := func(s *Store, v int) (Commit, error) {
-		b := s.NewBatch()
+		b := s.NewBatch(nil)
 		leaf, err := b.Put("leaf", nil, []byte(fmt.Sprintf(`[%d]`, v)))
 		if err != nil {
 			return Commit{}, err
@@ -243,7 +243,7 @@ func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
 	}
 	commit := func(v int, land func(*Batch, string, Hash, int) (Commit, error)) Commit {
 		t.Helper()
-		b := s.NewBatch()
+		b := s.NewBatch(nil)
 		tree, err := b.Put("db", nil, []byte(fmt.Sprintf(`{"v":%d}`, v)))
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
 	}
 
 	m := NewMemory()
-	b := m.NewBatch()
+	b := m.NewBatch(nil)
 	tree, err := b.Put("db", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -702,7 +702,7 @@ func FuzzJournalOpen(f *testing.F) {
 		// appends after the point the journal was cut at land where
 		// theirs says too — in this process and in the next.
 		requirePacketsRehash(t, s)
-		b := s.NewBatch()
+		b := s.NewBatch(nil)
 		tree, err := b.Put("db", nil, []byte(`{"fuzz":true}`))
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ type commitData struct {
 // Commit appends a new version to the named root, pinning tree (which
 // must already be stored): a batch with nothing staged.
 func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
-	return s.NewBatch().Commit(root, tree, turn)
+	return s.NewBatch(nil).Commit(root, tree, turn)
 }
 
 // commitEntry rebuilds a root-log entry from its commit chunk's payload —
@@ -98,7 +98,7 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash]
 		if err != nil {
 			return err
 		}
-		if _, err := s.appendPack(true, rec); err != nil {
+		if _, err := s.appendPack(nil, true, rec); err != nil {
 			return err
 		}
 	}

@@ -119,7 +119,7 @@ func (s *Store) AddPackets(ps []Packet) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.journalLocked(true, staged)
+	return s.journalLocked(nil, true, staged)
 }
 
 // PullFrom copies the closure of target from src into s using the

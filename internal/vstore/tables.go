@@ -751,7 +751,7 @@ func encodeDatabase(w chunkWriter, db *storage.Database) (Hash, error) {
 // CommitDatabase encodes db and commits it to the named root at the
 // given turn in one batch, returning the new commit.
 func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Commit, error) {
-	b := s.NewBatch()
+	b := s.NewBatch(nil)
 	tree, err := encodeDatabase(b, db)
 	if err != nil {
 		return Commit{}, err

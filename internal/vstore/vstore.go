@@ -64,6 +64,7 @@ import (
 	"sync"
 
 	"github.com/reliable-cda/cda/internal/framelog"
+	"github.com/reliable-cda/cda/internal/obs"
 )
 
 // Hash is a chunk address: the lowercase hex SHA-256 of the chunk's
@@ -337,32 +338,46 @@ func hashBytes(b []byte) Hash {
 
 // appendPack writes the payloads to the journal, one frame each, with
 // one append (a no-op when memory-only) — and one fsync when durable;
-// without, they are flushed by the next durable append or Sync — and
-// returns the offset each frame was given. Caller holds s.mu.
-func (s *Store) appendPack(durable bool, payloads ...[]byte) ([]int64, error) {
+// without, they are flushed by the next durable append or Sync —
+// counting the append against turn, and returns the offset each frame
+// was given. Caller holds s.mu.
+func (s *Store) appendPack(turn *obs.Turn, durable bool, payloads ...[]byte) ([]int64, error) {
 	offs := make([]int64, len(payloads))
 	if s.pack == nil {
 		return offs, nil
 	}
 	frames := make([][]byte, len(payloads))
-	end := s.pack.Size()
+	start := s.pack.Size()
+	end := start
 	for i, p := range payloads {
 		frames[i] = framelog.Encode(packMagic, p)
 		offs[i] = end
 		end += int64(len(frames[i]))
 	}
-	if !durable {
-		return offs, s.pack.Write(frames...)
+	var err error
+	if durable {
+		err = s.pack.Append(frames...)
+	} else {
+		err = s.pack.Write(frames...)
 	}
-	return offs, s.pack.Append(frames...)
+	if err != nil {
+		return nil, err
+	}
+	if durable {
+		turn.Add(obs.JournalFsyncs, 1)
+	}
+	turn.Add(obs.JournalFrames, len(frames))
+	turn.Add(obs.JournalBytes, int(end-start))
+	return offs, nil
 }
 
 // journalLocked appends the staged chunks the store lacks, then the
 // root records in tail, with one append, and indexes the chunks only
 // once it is acknowledged: a failed or torn append leaves memory as it
 // was. A chunk the store holds is re-touched instead (the GC write
-// barrier). durable is appendPack's. Caller holds s.mu exclusively.
-func (s *Store) journalLocked(durable bool, staged []stagedChunk, tail ...[]byte) error {
+// barrier). durable is appendPack's, and the append is counted against
+// turn. Caller holds s.mu exclusively.
+func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk, tail ...[]byte) error {
 	var fresh []stagedChunk
 	var payloads [][]byte
 	for _, st := range staged {
@@ -373,9 +388,12 @@ func (s *Store) journalLocked(durable bool, staged []stagedChunk, tail ...[]byte
 			payloads = append(payloads, st.payload)
 		}
 	}
-	offs, err := s.appendPack(durable, append(payloads, tail...)...)
+	offs, err := s.appendPack(turn, durable, append(payloads, tail...)...)
 	if err != nil {
 		return err
+	}
+	if s.pack != nil {
+		turn.Add(obs.ChunksJournalled, len(fresh))
 	}
 	for i, st := range fresh {
 		c := &chunk{off: offs[i], n: len(st.payload), refs: st.refs, epoch: s.epoch}
@@ -450,7 +468,7 @@ func (s *Store) putEncoded(h Hash, payload []byte, refs []Hash) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.journalLocked(true, []stagedChunk{{hash: h, payload: payload, refs: refs}})
+	return s.journalLocked(nil, true, []stagedChunk{{hash: h, payload: payload, refs: refs}})
 }
 
 // Has reports whether the chunk is present.

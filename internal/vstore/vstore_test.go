@@ -440,7 +440,7 @@ func TestCorruptChunkIsAnErrorNotAnAnswer(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	b := s.NewBatch()
+	b := s.NewBatch(nil)
 	before, err := b.Put("leaf", nil, []byte(`["before"]`))
 	if err != nil {
 		t.Fatal(err)
