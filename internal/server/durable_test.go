@@ -365,7 +365,7 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 	}
 
 	// Find the turns chunk's frame in the journal and flip a byte of the
-	// question inside it, which leaves the payload valid JSON.
+	// question inside it, which leaves the turn well-formed.
 	pack := filepath.Join(dir, "vstore", "chunks.pack")
 	raw, err := os.ReadFile(pack)
 	if err != nil {
@@ -375,7 +375,7 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 	at, victim := int64(-1), ""
 	off := int64(0)
 	for _, p := range payloads {
-		if i := bytes.Index(p, []byte("Zurich")); i >= 0 && bytes.HasPrefix(p, []byte(`{"k":"turns"`)) {
+		if i := bytes.Index(p, []byte("Zurich")); i >= 0 && bytes.HasPrefix(p, []byte("\x01\x05turns")) {
 			sum := sha256.Sum256(p)
 			at, victim = off+framelog.HeaderSize+int64(i), hex.EncodeToString(sum[:])
 		}

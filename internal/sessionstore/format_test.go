@@ -19,14 +19,16 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// The on-disk format pins. testdata/format-v5 is a data directory in the
+// The on-disk format pins. testdata/format-v6 is a data directory in the
 // `cdaserver -data-dir D` layout, written for formatScript by
-// replayScript: shard WALs of binary records, and a journal whose chunks
-// with refs and whose append records spell every address as 32 raw
-// bytes. It is the store's one format: the tests below hold this code to
-// writing its bytes and to reading what it holds, and Open refuses
-// anything older — format-v4's JSON WAL records among it — with a
-// *vstore.FormatError, leaving it as it was.
+// replayScript: shard WALs of binary records, and a journal of binary
+// payloads — chunks whose data is this package's and vstore's binary
+// codecs, a column leaf's JSON aside, and root records — every address
+// 32 raw bytes. It is the store's one format: the tests below hold this
+// code to writing its bytes and to reading what it holds, and Open
+// refuses anything older — format-v5's JSON journal payloads and
+// format-v4's JSON WAL records among it — with a *vstore.FormatError,
+// leaving it as it was.
 
 // formatTurn is one scripted turn pair of the fixture dialogue.
 type formatTurn struct {
@@ -134,35 +136,56 @@ func requireSameFiles(t *testing.T, got, want map[string][]byte, names []string)
 // shardFiles are a data directory's WALs.
 var shardFiles = []string{"shard-00.wal", "shard-01.wal"}
 
-// fixtures pairs each fixture dialogue with its v5 and v4 directories.
+// fixtures pairs each fixture dialogue with its v6 and v5 directories.
 var fixtures = []struct {
-	v5, v4 string
+	v6, v5 string
 	script func() []formatTurn
-}{{formatFixtureV5, formatFixtureV4, formatScript}, {treeFixtureV5, treeFixtureV4, treeScript}}
+}{{formatFixtureV6, formatFixtureV5, formatScript}, {treeFixtureV6, treeFixtureV5, treeScript}}
 
-// TestFormatWritesV5Bytes replays both fixture dialogues and requires
-// every file to hash equal to the v5 fixture's — the long session's
+// TestFormatWritesV6Bytes replays both fixture dialogues and requires
+// every file to hash equal to the v6 fixture's — the long session's
 // journal across two folds, from trees remembered turn to turn — nothing
 // else to be written, and the root logs to be the ones the fixture
-// recorded. The journal and the logs are also v4's: binary WAL records
-// moved no byte of what the version store holds.
-func TestFormatWritesV5Bytes(t *testing.T) {
+// recorded. The WALs are also v5's, and so are the logs but for the
+// addresses: binary journal payloads moved no byte of the WAL and no
+// version's turn or stamp.
+func TestFormatWritesV6Bytes(t *testing.T) {
 	for _, fx := range fixtures {
 		dir := t.TempDir()
 		_, vs := replayScript(t, dir, fx.script())
-		got, want := readTree(t, dir), readTree(t, fx.v5)
+		got, want := readTree(t, dir), readTree(t, fx.v6)
 		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
-		requireSameFiles(t, got, readTree(t, fx.v4), []string{"vstore/chunks.pack"})
+		requireSameFiles(t, got, readTree(t, fx.v5), shardFiles)
 		if len(got) != 3 || len(want) != 4 {
-			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.v5, len(got), len(want), fixtureLogs)
+			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.v6, len(got), len(want), fixtureLogs)
 		}
 		logs := logsOf(t, vs)
-		for _, fixture := range []string{fx.v5, fx.v4} {
-			if want := recordedLogs(t, fixture); !reflect.DeepEqual(logs, want) {
-				t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fixture, logs, want)
-			}
+		if want := recordedLogs(t, fx.v6); !reflect.DeepEqual(logs, want) {
+			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.v6, logs, want)
+		}
+		if got, want := versionsOf(logs), versionsOf(recordedLogs(t, fx.v5)); got != want {
+			t.Errorf("%s: versions (turn, stamp)\n got: %s\nwant: %s", fx.v5, got, want)
 		}
 	}
+}
+
+// versionsOf renders root logs without their addresses: each root's
+// versions as turn and stamp.
+func versionsOf(logs map[string][]vstore.Commit) string {
+	var roots []string
+	for root := range logs {
+		roots = append(roots, root)
+	}
+	slices.Sort(roots)
+	var sb strings.Builder
+	for _, root := range roots {
+		fmt.Fprintf(&sb, "%s:", root)
+		for _, c := range logs[root] {
+			fmt.Fprintf(&sb, " %d@%d", c.Turn, c.Stamp)
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }
 
 // copyFixture copies a fixture directory into a fresh temp dir.
@@ -343,14 +366,14 @@ func requireNextTurn(t *testing.T, st *Store, vs *vstore.Store, id string) {
 	}
 }
 
-// TestOpensFloorDirectories opens a copy of each v5 directory: it holds
+// TestOpensFloorDirectories opens a copy of each v6 directory: it holds
 // every root log, transcript and as-of read its writer recorded, and
 // every session's next turn is this code's tree over the recorded one.
 func TestOpensFloorDirectories(t *testing.T) {
 	for _, fx := range fixtures {
-		st, vs := openFixture(t, copyFixture(t, fx.v5))
+		st, vs := openFixture(t, copyFixture(t, fx.v6))
 		transcripts := scriptTranscripts(fx.script())
-		requireRecorded(t, st, vs, recordedLogs(t, fx.v5), transcripts)
+		requireRecorded(t, st, vs, recordedLogs(t, fx.v6), transcripts)
 		var ids []string
 		for id := range transcripts {
 			ids = append(ids, id)
@@ -363,56 +386,47 @@ func TestOpensFloorDirectories(t *testing.T) {
 	}
 }
 
-// TestOpensV4WithEmptiedWALs opens a copy of each v4 directory with its
-// WALs emptied, as Close leaves every WAL once it has compacted it: the
-// journal is v4's and v5's alike, so the store serves what v5 emptied
-// the same way serves — each live session the prefix of its script
-// transcript that its shard root holds — and every as-of read the writer
-// recorded.
-func TestOpensV4WithEmptiedWALs(t *testing.T) {
+// TestOpensFloorWithEmptiedWALs opens a copy of each v6 directory with
+// its WALs emptied, as Close leaves every WAL once it has compacted it:
+// the store serves each live session the prefix of its script transcript
+// that its shard root holds, and every as-of read the writer recorded.
+func TestOpensFloorWithEmptiedWALs(t *testing.T) {
 	for _, fx := range fixtures {
 		transcripts := scriptTranscripts(fx.script())
-		var states []string
-		for _, fixture := range []string{fx.v4, fx.v5} {
-			dir := copyFixture(t, fixture)
-			for _, name := range shardFiles {
-				if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		dir := copyFixture(t, fx.v6)
+		for _, name := range shardFiles {
+			if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			st, vs := openFixture(t, dir)
-			live := 0
-			for id, transcript := range transcripts {
-				e, status := st.Get(id)
-				if status != Found {
-					continue
-				}
-				live++
-				if got := transcriptOf(t, e); got != turnPrefix(transcript, strings.Count(got, "\n")) {
-					t.Errorf("%s emptied: session %s holds %q, no prefix of its transcript", fixture, id, got)
-				}
-			}
-			if live == 0 {
-				t.Errorf("%s emptied: no session is live, want the ones its shard roots hold", fixture)
-			}
-			for root, log := range recordedLogs(t, fixture) {
-				id, ok := strings.CutPrefix(root, "session/")
-				if !ok {
-					continue
-				}
-				for _, c := range log {
-					sess, at, err := st.TranscriptAsOf(id, c.Turn)
-					if err != nil || at != c || Transcript(sess) != turnPrefix(transcripts[id], c.Turn) {
-						t.Errorf("%s emptied: %s as of turn %d = commit %+v, %v; want %+v and that prefix of the transcript", fixture, id, c.Turn, at, err, c)
-					}
-				}
-			}
-			states = append(states, storeState(t, st))
-			abandon(t, st, vs)
 		}
-		if states[0] != states[1] {
-			t.Errorf("%s and %s emptied differ:\n%s\n%s", fx.v4, fx.v5, states[0], states[1])
+		st, vs := openFixture(t, dir)
+		live := 0
+		for id, transcript := range transcripts {
+			e, status := st.Get(id)
+			if status != Found {
+				continue
+			}
+			live++
+			if got := transcriptOf(t, e); got != turnPrefix(transcript, strings.Count(got, "\n")) {
+				t.Errorf("%s emptied: session %s holds %q, no prefix of its transcript", fx.v6, id, got)
+			}
 		}
+		if live == 0 {
+			t.Errorf("%s emptied: no session is live, want the ones its shard roots hold", fx.v6)
+		}
+		for root, log := range recordedLogs(t, fx.v6) {
+			id, ok := strings.CutPrefix(root, "session/")
+			if !ok {
+				continue
+			}
+			for _, c := range log {
+				sess, at, err := st.TranscriptAsOf(id, c.Turn)
+				if err != nil || at != c || Transcript(sess) != turnPrefix(transcripts[id], c.Turn) {
+					t.Errorf("%s emptied: %s as of turn %d = commit %+v, %v; want %+v and that prefix of the transcript", fx.v6, id, c.Turn, at, err, c)
+				}
+			}
+		}
+		abandon(t, st, vs)
 	}
 }
 
@@ -438,18 +452,20 @@ func pathsUnder(t *testing.T, dir string) []string {
 	return paths
 }
 
-// TestOpenRefusesPreFloorDirectories opens the v4 directories, whose
-// WALs hold JSON records, and copies of format-v5 that hold, beside its
-// files, among its WAL's records or among its journal's frames, what only
-// older stores wrote. Each Open is a *vstore.FormatError naming a file in
-// the directory, and leaves the directory as it found it: every file's
-// bytes — a torn tail after a JSON record too — and no path created.
+// TestOpenRefusesPreFloorDirectories opens the v5 directories, whose
+// journals hold JSON payloads, the v4 ones, whose WALs hold JSON records,
+// and copies of format-v6 that hold, beside its files, among its WAL's
+// records or among its journal's frames, what only older stores wrote.
+// Each Open is a *vstore.FormatError naming a file in the directory — a
+// JSON journal payload the last commit that reads one — and leaves the
+// directory as it found it: every file's bytes — a torn tail after a
+// JSON record too — and no path created.
 func TestOpenRefusesPreFloorDirectories(t *testing.T) {
-	journal, err := os.ReadFile(filepath.Join(formatFixtureV5, "vstore", "chunks.pack"))
+	journal, err := os.ReadFile(filepath.Join(formatFixtureV6, "vstore", "chunks.pack"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(formatFixtureV5, "shard-00.wal"))
+	wal, err := os.ReadFile(filepath.Join(formatFixtureV6, "shard-00.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,26 +489,41 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 		}
 		return map[string][]byte{"vstore/chunks.pack": b}
 	}
-	first := recordedLogs(t, formatFixtureV5)[SessionRoot("s0001")][0]
+	leafJournal := func(fixture string) []byte {
+		raw, err := os.ReadFile(filepath.Join("..", "vstore", "testdata", fixture, "chunks.pack"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	first := recordedLogs(t, formatFixtureV6)[SessionRoot("s0001")][0]
+	// jsonReader is what a refusal of a JSON journal payload names: the
+	// last commit that reads one.
+	const jsonReader = "8992f61"
 	for _, row := range []struct {
 		name    string
-		fixture string            // copied; empty is format-v5
+		fixture string            // copied; empty is format-v6
 		files   map[string][]byte // written over the copy; nil removes the path
+		reader  string            // the refusal's Reader contains it
 	}{
-		{"format-v4's JSON WAL records", formatFixtureV4, nil},
-		{"tree-v4's JSON WAL records", treeFixtureV4, nil},
-		{"a JSON WAL record after binary ones, and a torn tail", "", map[string][]byte{"shard-00.wal": slices.Concat(wal, jsonRecord, torn)}},
-		{"a root document", "", map[string][]byte{"vstore/roots.json": []byte(`{"stamp":1,"roots":{}}`)}},
-		{"a shard snapshot and no version store", "", map[string][]byte{"shard-01.snap": []byte(`{"max_num":3,"sessions":[]}`), "vstore": nil}},
-		{"a JSON chunk with refs ahead of the versions", "", pack(`{"k":"sess","r":["`+string(first.Tree)+`"]}`, journal)},
-		{"a JSON append record", "", pack(journal, `{"root":"session/s0001","commit":"`+string(first.Hash)+`"}`)},
-		{"a JSON null", "", pack(`null`, journal)},
-		{"a JSON chunk with no kind", "", pack(journal, `{}`)},
-		{"a JSON root record with a kind", "", pack(journal, `{"root":"session/s0001","k":"sess","log":[]}`)},
+		{"format-v5's JSON journal payloads", formatFixtureV5, nil, jsonReader},
+		{"tree-v5's JSON journal payloads", treeFixtureV5, nil, jsonReader},
+		{"leaf-v5's JSON column leaves", "", pack(leafJournal("leaf-v5")), jsonReader},
+		{"readings-v5's JSON column leaves", "", pack(leafJournal("readings-v5")), jsonReader},
+		{"format-v4's JSON WAL records", formatFixtureV4, nil, ""},
+		{"tree-v4's JSON WAL records", treeFixtureV4, nil, ""},
+		{"a JSON WAL record after binary ones, and a torn tail", "", map[string][]byte{"shard-00.wal": slices.Concat(wal, jsonRecord, torn)}, ""},
+		{"a root document", "", map[string][]byte{"vstore/roots.json": []byte(`{"stamp":1,"roots":{}}`)}, ""},
+		{"a shard snapshot and no version store", "", map[string][]byte{"shard-01.snap": []byte(`{"max_num":3,"sessions":[]}`), "vstore": nil}, ""},
+		{"a JSON chunk with refs ahead of the versions", "", pack(`{"k":"sess","r":["`+string(first.Tree)+`"]}`, journal), jsonReader},
+		{"a JSON append record", "", pack(journal, `{"root":"session/s0001","commit":"`+string(first.Hash)+`"}`), jsonReader},
+		{"a JSON log record", "", pack(journal, `{"root":"session/s0001","log":[],"stamp":99}`), jsonReader},
+		{"a JSON leaf", "", pack(journal, `{"k":"leaf","d":{"t":1,"v":[1]}}`), jsonReader},
+		{"a JSON chunk with no kind", "", pack(journal, `{}`), jsonReader},
 	} {
 		fixture := row.fixture
 		if fixture == "" {
-			fixture = formatFixtureV5
+			fixture = formatFixtureV6
 		}
 		dir := copyFixture(t, fixture)
 		for name, data := range row.files {
@@ -514,6 +545,9 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 				abandon(t, st, st.Versions())
 			}
 			t.Fatalf("%s: Open = %v, want a *vstore.FormatError naming a file in the directory", row.name, err)
+		}
+		if !strings.Contains(old.Reader, row.reader) || !strings.Contains(err.Error(), row.reader) {
+			t.Errorf("%s: Open = %v, want it to name %q as the last reader", row.name, err, row.reader)
 		}
 		t.Logf("%s: %v", row.name, err)
 		if got := pathsUnder(t, dir); !slices.Equal(got, paths) {

@@ -25,13 +25,15 @@ type forgedRoot struct {
 // shape of snapshot_root that is no shard commit at seq.
 func forgeRoots(t testing.TB, vs *vstore.Store, seq int64) []forgedRoot {
 	t.Helper()
-	turns := mustPut(t, vs, "turns", nil, turnsJSON(t, 2))
-	sess := mustPut(t, vs, "sess", []vstore.Hash{turns}, `{"id":"forged","num":1,"turns":2,"per":32}`)
-	shard := func(shipSeq int64, ids string, refs ...vstore.Hash) vstore.Hash {
-		return mustPut(t, vs, "shard", refs, fmt.Sprintf(`{"maxNum":1,"shipSeq":%d,"ids":%s}`, shipSeq, ids))
+	turns := mustPut(t, vs, "turns", nil, turnsData(t, 2))
+	sess := mustPut(t, vs, "sess", []vstore.Hash{turns}, sessNode(t, "forged", 2, 32))
+	shard := func(shipSeq int64, ids []string, refs ...vstore.Hash) vstore.Hash {
+		return mustPut(t, vs, "shard", refs, shardNode(t, shipSeq, ids...))
 	}
-	twice := shard(seq, `["forged","forged"]`, sess, sess)
-	elsewhere := shard(seq+1, `["forged"]`, sess)
+	twice := shard(seq, []string{"forged", "forged"}, sess, sess)
+	elsewhere := shard(seq+1, []string{"forged"}, sess)
+	junk := mustPut(t, vs, "turns", nil, "junk")
+	closure := shard(seq, []string{"junk"}, mustPut(t, vs, "sess", []vstore.Hash{junk}, sessNode(t, "junk", 2, 32)))
 	commit := func(root string, tree vstore.Hash) vstore.Hash {
 		c, err := vs.Commit(root, tree, int(seq))
 		if err != nil {
@@ -47,6 +49,7 @@ func forgeRoots(t testing.TB, vs *vstore.Store, seq int64) []forgedRoot {
 		{"a commit whose tree is no shard node", commit("forged/sess", sess), sess},
 		{"a shard node listing a session twice", commit("forged/twice", twice), twice},
 		{"a shard node at another ship sequence", commit("forged/elsewhere", elsewhere), elsewhere},
+		{"a junk turns chunk in the closure", commit("forged/junk", closure), junk},
 	}
 }
 
@@ -190,14 +193,14 @@ func kill(t testing.TB, st *Store) {
 }
 
 // FuzzApplyBatch applies arbitrary ShipBatch JSON to a replica opened on
-// a copy of format-v5. Nothing panics; a refused batch changes no
+// a copy of format-v6. Nothing panics; a refused batch changes no
 // transcript, cursor or shard root; and whatever is accepted leaves a
 // directory that, abandoned as a kill leaves it, reopens to exactly what
 // the replica held. The seeds are the fixture's own frames, shipped
 // again at and above its cursors, its shard root at its horizon, and
 // the forged roots of TestForgedShipBatchIsAnError.
 func FuzzApplyBatch(f *testing.F) {
-	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV5))
+	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV6))
 	add := func(b ShipBatch) {
 		data, err := json.Marshal(b)
 		if err != nil {
@@ -206,7 +209,7 @@ func FuzzApplyBatch(f *testing.F) {
 		f.Add(data)
 	}
 	for shard := 0; shard < 2; shard++ {
-		raw, err := os.ReadFile(filepath.Join(formatFixtureV5, fmt.Sprintf("shard-%02d.wal", shard)))
+		raw, err := os.ReadFile(filepath.Join(formatFixtureV6, fmt.Sprintf("shard-%02d.wal", shard)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -233,7 +236,7 @@ func FuzzApplyBatch(f *testing.F) {
 		if json.Unmarshal(data, &b) != nil {
 			return
 		}
-		dir := copyFixture(t, formatFixtureV5)
+		dir := copyFixture(t, formatFixtureV6)
 		st, _ := openFuzzReplica(t, dir)
 		before := storeState(t, st)
 		err := st.ApplyBatch(b)

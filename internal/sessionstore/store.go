@@ -636,8 +636,8 @@ func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
 
 // encodeTurn converts a dialogue turn to its persisted form. Text that
 // is not valid UTF-8 — a served table's bytes may not be — is persisted
-// with U+FFFD in place of each invalid run, which the WAL requires and
-// the journal's JSON would otherwise do its own way.
+// with U+FFFD in place of each invalid run, which the turn codec the WAL
+// and the journal share requires.
 func encodeTurn(t dialogue.Turn) turnRec {
 	tr := turnRec{Role: t.Role.String(), Text: strings.ToValidUTF8(t.Text, "\uFFFD"), Confidence: t.Confidence}
 	if t.Role == dialogue.RoleUser {

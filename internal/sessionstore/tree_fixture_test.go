@@ -14,14 +14,17 @@ import (
 // The session-tree pins. A session's tree is cut as a function of its
 // turn count: sealed 32-turn chunks, then one chunk per pair of the open
 // window. The format dialogue never leaves its first window, so
-// testdata/tree-v5 is the data directory replayScript(treeScript()) writes
+// testdata/tree-v6 is the data directory replayScript(treeScript()) writes
 // — this file, compiled in the commit that wrote it — whose long session
-// has two sealed chunks and eight pair chunks after them; testdata/format-v5
+// has two sealed chunks and eight pair chunks after them; testdata/format-v6
 // is the same for formatScript(). Each carries logs.json, the root logs
-// its writer's store reported. The -v4 directories are the same scripts
-// as the commit before binary WAL records wrote them: the same journal
-// and logs, and WALs of JSON records, which Open refuses.
+// its writer's store reported. The -v5 directories are the same scripts
+// as the commit before binary journal payloads wrote them: the same WALs,
+// and a journal of JSON leaves, turns chunks and commit data, which Open
+// refuses; the -v4 ones are older still, with WALs of JSON records.
 const (
+	treeFixtureV6   = "testdata/tree-v6"
+	formatFixtureV6 = "testdata/format-v6"
 	treeFixtureV5   = "testdata/tree-v5"
 	formatFixtureV5 = "testdata/format-v5"
 	treeFixtureV4   = "testdata/tree-v4"

@@ -1,15 +1,18 @@
 package sessionstore
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
@@ -27,14 +30,34 @@ func mustPut(t testing.TB, vs *vstore.Store, kind string, refs []vstore.Hash, da
 	return h
 }
 
-// turnsJSON is the data of a turns chunk of n turns.
-func turnsJSON(t testing.TB, n int) string {
+// turnsData is the data of a turns chunk of n turns.
+func turnsData(t testing.TB, n int) string {
 	t.Helper()
 	turns := make([]turnRec, n)
 	for i := range turns {
 		turns[i] = turnRec{Role: "user", Text: fmt.Sprintf("turn %d", i), Intent: "query"}
 	}
-	data, err := json.Marshal(turns)
+	data, err := encodeTurns(turns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// sessNode is the data of a session node.
+func sessNode(t testing.TB, id string, turns, per int) string {
+	t.Helper()
+	data, err := sessData{ID: id, Num: 1, Turns: turns, Per: per}.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// shardNode is the data of a shard node at ship sequence seq.
+func shardNode(t testing.TB, seq int64, ids ...string) string {
+	t.Helper()
+	data, err := shardData{MaxNum: 9, ShipSeq: seq, IDs: ids}.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +74,11 @@ func turnsJSON(t testing.TB, n int) string {
 func TestForgedSessionChunkIsAnError(t *testing.T) {
 	vs := vstore.NewMemory()
 	replica := NewMemory(Config{Shards: 1, Versions: vs})
-	pair := mustPut(t, vs, "turns", nil, turnsJSON(t, 2))
-	three := mustPut(t, vs, "turns", nil, turnsJSON(t, 3))
-	one := mustPut(t, vs, "turns", nil, turnsJSON(t, 1))
+	pair := mustPut(t, vs, "turns", nil, turnsData(t, 2))
+	three := mustPut(t, vs, "turns", nil, turnsData(t, 3))
+	one := mustPut(t, vs, "turns", nil, turnsData(t, 1))
 	sess := func(id string, turns, per int, refs ...vstore.Hash) vstore.Hash {
-		return mustPut(t, vs, "sess", refs, fmt.Sprintf(`{"id":%q,"num":1,"turns":%d,"per":%d}`, id, turns, per))
+		return mustPut(t, vs, "sess", refs, sessNode(t, id, turns, per))
 	}
 	good := sess("good", 6, 32, one, three, pair)
 	if ss, err := decodeSessionTree(vs, good); err != nil || len(ss.Turns) != 6 || ss.ID != "good" {
@@ -73,40 +96,59 @@ func TestForgedSessionChunkIsAnError(t *testing.T) {
 		return forged{name, sess(name, turns, per, culprit), culprit}
 	}
 	self := func(name string, node vstore.Hash) forged { return forged{name, node, node} }
-	empty := mustPut(t, vs, "turns", nil, `[]`)
-	null := mustPut(t, vs, "turns", nil, `null`)
-	withRefs := mustPut(t, vs, "turns", []vstore.Hash{pair}, turnsJSON(t, 2))
-	object := mustPut(t, vs, "turns", nil, `{"role":"user","text":"not an array"}`)
-	leaf := mustPut(t, vs, "leaf", nil, turnsJSON(t, 2))
+	// turn is one turn's bytes as appendTurnRec lays them out, from its
+	// parts: flags, intent code, the text with its length, the rest.
+	turn := func(flags, intent byte, text string, rest ...byte) string {
+		return string(append(append([]byte{flags, intent, byte(len(text))}, text...), rest...))
+	}
+	conf := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	turns := func(data string) vstore.Hash { return mustPut(t, vs, "turns", nil, data) }
+	withRefs := mustPut(t, vs, "turns", []vstore.Hash{pair}, turnsData(t, 2))
+	leaf := mustPut(t, vs, "leaf", nil, turnsData(t, 2))
+	goodNode := sessNode(t, "node", 2, 32)
 	sessions := []forged{
-		of("an empty turns chunk", empty, 0, 32),
-		of("a null turns chunk", null, 0, 32),
+		of("an empty turns chunk", turns(""), 0, 32),
 		of("a turns chunk of more than per turns", three, 3, 2),
 		of("a turns chunk with refs", withRefs, 2, 32),
-		of("a turns chunk that is no array", object, 1, 32),
+		of("a turns chunk in JSON", turns(`[{"role":"user","text":"q"}]`), 1, 32),
+		of("a turns chunk with a trailing byte", turns(turnsData(t, 2)+"\x00"), 2, 32),
+		of("a turn text length as an overlong uvarint", turns(turn(0, 6, "")[:2]+"\x81\x00q"), 1, 32),
+		of("unknown turn flags", turns(turn(4, 6, "q")), 1, 32),
+		of("an unknown intent code", turns(turn(0, byte(len(intentCodes)), "q")), 1, 32),
+		of("a stored zero confidence", turns(turn(turnSystem|turnConf, 0, "a", conf(0)...)), 1, 32),
+		of("a stored NaN confidence", turns(turn(turnSystem|turnConf, 0, "a", conf(math.NaN())...)), 1, 32),
+		of("a confidence cut short", turns(turn(turnSystem|turnConf, 0, "a", 1, 2, 3)), 1, 32),
+		of("turn text that is not UTF-8", turns(turn(0, 6, "q\xff")), 1, 32),
 		of("a ref of another kind", leaf, 2, 32),
 		of("a session node for a ref", good, 6, 32),
 		of("a missing ref", absent, 2, 32),
 		self("per of zero", sess("per0", 2, 0, pair)),
-		self("a negative per", sess("per-1", 2, -1, pair)),
-		self("negative turns", sess("turns-1", -1, 32)),
 		self("a total that disagrees", sess("total", 4, 32, pair)),
-		self("no data", mustPut(t, vs, "sess", []vstore.Hash{pair}, `null`)),
+		self("no data", mustPut(t, vs, "sess", []vstore.Hash{pair}, "")),
+		self("a session node in JSON", mustPut(t, vs, "sess", []vstore.Hash{pair}, `{"id":"j","num":1,"turns":2,"per":32}`)),
+		self("a session node with a trailing byte", mustPut(t, vs, "sess", []vstore.Hash{pair}, goodNode+"\x00")),
+		self("a session id length as an overlong uvarint", mustPut(t, vs, "sess", []vstore.Hash{pair}, "\x84\x00"+goodNode[1:])),
+		self("a session id that is not UTF-8", mustPut(t, vs, "sess", []vstore.Hash{pair}, "\x01\xff"+goodNode[5:])),
 	}
 	// Shard trees: each holds one of the session trees above, or is
 	// ill-formed itself.
-	shard := func(ids string, refs ...vstore.Hash) vstore.Hash {
-		return mustPut(t, vs, "shard", refs, fmt.Sprintf(`{"maxNum":9,"shipSeq":7,"ids":%s}`, ids))
+	shard := func(ids []string, refs ...vstore.Hash) vstore.Hash {
+		return mustPut(t, vs, "shard", refs, shardNode(t, 7, ids...))
 	}
 	other := sess("other", 2, 32, pair)
+	goodShard := shardNode(t, 7, "good")
 	shards := []forged{
-		self("more ids than refs", shard(`["good","other"]`, good)),
-		self("more refs than ids", shard(`["good"]`, good, other)),
-		self("an id twice", shard(`["good","good"]`, good, good)),
-		self("an id that is not its session's", shard(`["good","else"]`, good, other)),
+		self("more ids than refs", shard([]string{"good", "other"}, good)),
+		self("more refs than ids", shard([]string{"good"}, good, other)),
+		self("an id twice", shard([]string{"good", "good"}, good, good)),
+		self("an id that is not its session's", shard([]string{"good", "else"}, good, other)),
+		self("a shard node in JSON", mustPut(t, vs, "shard", []vstore.Hash{good}, `{"maxNum":9,"shipSeq":7,"ids":["good"]}`)),
+		self("a shard node with a trailing byte", mustPut(t, vs, "shard", []vstore.Hash{good}, goodShard+"\x00")),
+		self("a shard id count past its bytes", mustPut(t, vs, "shard", []vstore.Hash{good}, goodShard[:2]+"\x7f")),
+		self("a ship sequence as an overlong uvarint", mustPut(t, vs, "shard", []vstore.Hash{good}, goodShard[:1]+"\x87\x00"+goodShard[2:])),
 	}
 	for _, f := range sessions {
-		shards = append(shards, forged{"a shard of " + f.name, shard(fmt.Sprintf("[%q]", f.name), f.node), f.culprit})
+		shards = append(shards, forged{"a shard of " + f.name, shard([]string{f.name}, f.node), f.culprit})
 	}
 
 	names := func(err error, culprit vstore.Hash) bool {
@@ -153,7 +195,7 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 	f.Helper()
 	base := vstore.NewMemory()
 	var all []vstore.Packet
-	for _, fixture := range []string{formatFixtureV5, treeFixtureV5} {
+	for _, fixture := range []string{formatFixtureV6, treeFixtureV6} {
 		// A copy: an open may truncate, and a fixture is read-only.
 		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(copyFixture(f, fixture), "vstore")})
 		if err != nil {
@@ -193,50 +235,28 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 
 // FuzzDecodeSessionTree feeds the tree decoders one chunk a peer could
 // ship — any bytes that hash to their address — over the chunks of the
-// v5 fixtures, which its refs may name: the decoders answer with a
+// v6 fixtures, which its refs may name: the decoders answer with a
 // transcript or an error, never a panic, and whatever decodes, encoded
 // again from nothing, is a tree that decodes to the same transcript. A
-// turns chunk is also read through a session node made for it.
+// turns chunk is also read through a session node made for it. Seeded
+// with every chunk of the v6 fixtures, whole and cut one byte short, and
+// with every payload of v5's journals: JSON chunks the store refuses,
+// and binary ones whose JSON data the decoders refuse.
 func FuzzDecodeSessionTree(f *testing.F) {
 	base, seeds := fuzzFixtureChunks(f)
 	for _, p := range seeds {
 		f.Add(p.Data)
-		// A chunk with refs also as stores before binary refs wrote it,
-		// and cut one byte short: both refused.
-		if refs, err := base.Refs(p.Hash); err != nil {
-			f.Fatal(err)
-		} else if len(refs) > 0 {
-			var data json.RawMessage
-			kind, err := base.Data(p.Hash, &data)
-			if err != nil {
-				f.Fatal(err)
-			}
-			old, err := json.Marshal(struct {
-				K string          `json:"k"`
-				R []vstore.Hash   `json:"r"`
-				D json.RawMessage `json:"d,omitempty"`
-			}{kind, refs, data})
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(old)
-			f.Add(p.Data[:len(p.Data)-1])
-		}
+		f.Add(p.Data[:len(p.Data)-1])
 	}
-	for _, seed := range []string{
-		`{"k":"turns","d":[]}`,
-		`{"k":"turns","d":null}`,
-		`{"k":"turns","d":[{"role":"user","text":"q","intent":"query","confidence":0.5}]}`,
-		`{"k":"sess","d":{"id":"s","num":1,"turns":0,"per":32}}`,
-		`{"k":"sess","d":{"id":"s","num":1,"turns":2,"per":32}}`,
-		`{"k":"sess","d":{"id":"s","num":1,"turns":0,"per":0}}`,
-		`{"k":"shard","d":{"maxNum":1,"shipSeq":0,"ids":[]}}`,
-		`{"k":"shard","d":{"maxNum":1,"shipSeq":0,"ids":["s"]}}`,
-		`{"root":"session/s","log":[]}`,
-		`null`,
-		`{}`,
-	} {
-		f.Add([]byte(seed))
+	for _, fixture := range []string{formatFixtureV5, treeFixtureV5} {
+		raw, err := os.ReadFile(filepath.Join(fixture, "vstore", "chunks.pack"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		payloads, _ := framelog.Scan(raw[0], raw)
+		for _, p := range payloads {
+			f.Add(p)
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		vs := vstore.NewMemory()
@@ -257,13 +277,10 @@ func FuzzDecodeSessionTree(f *testing.F) {
 			}
 		}
 		nodes := []vstore.Hash{h}
-		var turns []turnRec
-		if kind, err := vs.Data(h, &turns); err == nil && kind == "turns" {
-			data, err := json.Marshal(sessData{ID: "fuzz", Num: 1, Turns: len(turns), Per: turnsPerChunk})
-			if err != nil {
-				t.Fatal(err)
+		if kind, data, err := vs.Data(h); err == nil && kind == "turns" {
+			if turns, err := decodeTurns(data, turnsPerChunk); err == nil {
+				nodes = append(nodes, mustPut(t, vs, "sess", []vstore.Hash{h}, sessNode(t, "fuzz", len(turns), turnsPerChunk)))
 			}
-			nodes = append(nodes, mustPut(t, vs, "sess", []vstore.Hash{h}, string(data)))
 		}
 		for _, node := range nodes {
 			if snap, err := decodeShardTree(vs, node); err == nil {

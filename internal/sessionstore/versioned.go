@@ -52,8 +52,9 @@ package sessionstore
 // compacts before the process restarts.
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/obs"
@@ -90,22 +91,79 @@ func (e *MissingChunksError) Error() string {
 }
 
 // sessData is the data field of a "sess" chunk; refs are the turn
-// chunks in transcript order.
+// chunks in transcript order. Its bytes are
+//
+//	uvarint len(id) · id · uvarint num · uvarint len(focus) · focus · uvarint turns · uvarint per
 type sessData struct {
-	ID    string `json:"id"`
-	Num   int    `json:"num"`
-	Focus string `json:"focus,omitempty"`
-	Turns int    `json:"turns"`
-	Per   int    `json:"per"`
+	ID    string
+	Num   int
+	Focus string
+	Turns int
+	Per   int
+}
+
+func (m sessData) encode() ([]byte, error) {
+	p, err := appendString(nil, m.ID)
+	if err != nil {
+		return nil, err
+	}
+	p = binary.AppendUvarint(p, uint64(m.Num))
+	if p, err = appendString(p, m.Focus); err != nil {
+		return nil, err
+	}
+	p = binary.AppendUvarint(p, uint64(m.Turns))
+	return binary.AppendUvarint(p, uint64(m.Per)), nil
+}
+
+// decodeSessData reads what encode writes and nothing else.
+func decodeSessData(data []byte) (sessData, error) {
+	d := recordDecoder{p: data}
+	m := sessData{ID: d.string("session id")}
+	m.Num = int(d.uvarint("session num", math.MaxInt))
+	m.Focus = d.string("focus")
+	m.Turns = int(d.uvarint("turn count", math.MaxInt))
+	m.Per = int(d.uvarint("turns per chunk", math.MaxInt))
+	return m, d.end("a session node")
 }
 
 // shardData is the data field of a "shard" chunk; refs are the
-// session chunks aligned with IDs (sorted).
+// session chunks aligned with IDs (sorted). Its bytes are
+//
+//	uvarint maxNum · uvarint shipSeq · uvarint len(ids) · (uvarint len(id) · id)… ·
+//	uvarint len(tombstones) · (uvarint len(id) · id)…
 type shardData struct {
-	MaxNum     int      `json:"maxNum"`
-	ShipSeq    int64    `json:"shipSeq"`
-	IDs        []string `json:"ids"`
-	Tombstones []string `json:"tombstones,omitempty"`
+	MaxNum     int
+	ShipSeq    int64
+	IDs        []string
+	Tombstones []string
+}
+
+func (m shardData) encode() ([]byte, error) {
+	if m.MaxNum < 0 || m.ShipSeq < 0 {
+		return nil, fmt.Errorf("shard node at max num %d, ship sequence %d", m.MaxNum, m.ShipSeq)
+	}
+	p := binary.AppendUvarint(nil, uint64(m.MaxNum))
+	p = binary.AppendUvarint(p, uint64(m.ShipSeq))
+	for _, list := range [][]string{m.IDs, m.Tombstones} {
+		p = binary.AppendUvarint(p, uint64(len(list)))
+		for _, id := range list {
+			var err error
+			if p, err = appendString(p, id); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return p, nil
+}
+
+// decodeShardData reads what encode writes and nothing else.
+func decodeShardData(data []byte) (shardData, error) {
+	d := recordDecoder{p: data}
+	m := shardData{MaxNum: int(d.uvarint("max num", math.MaxInt))}
+	m.ShipSeq = int64(d.uvarint("ship sequence", math.MaxInt64))
+	m.IDs = d.strings("session id")
+	m.Tombstones = d.strings("tombstone")
+	return m, d.end("a shard node")
 }
 
 // sessionTree is a session's tree as a committed version left it in the
@@ -139,7 +197,7 @@ func encodeSessionTree(b *vstore.Batch, ss sessionSnap) (*sessionTree, error) {
 			refs = append(refs, memo.refs[len(refs)])
 			continue
 		}
-		data, err := json.Marshal(ss.Turns[lo:hi])
+		data, err := encodeTurns(ss.Turns[lo:hi])
 		if err != nil {
 			return nil, fmt.Errorf("sessionstore: encode turn chunk: %w", err)
 		}
@@ -150,7 +208,7 @@ func encodeSessionTree(b *vstore.Batch, ss sessionSnap) (*sessionTree, error) {
 		refs = append(refs, h)
 	}
 	meta := sessData{ID: ss.ID, Num: ss.Num, Focus: ss.Focus, Turns: n, Per: turnsPerChunk}
-	data, err := json.Marshal(meta)
+	data, err := meta.encode()
 	if err != nil {
 		return nil, fmt.Errorf("sessionstore: encode session node: %w", err)
 	}
@@ -171,15 +229,18 @@ func malformed(h vstore.Hash, format string, args ...any) error {
 // turns chunks it lists, however they were cut, end to end. A node or
 // chunk that no encoder writes is a *vstore.MalformedChunkError.
 func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
-	var meta sessData
-	kind, err := vs.Data(h, &meta)
+	kind, data, err := vs.Data(h)
 	if err != nil {
 		return sessionSnap{}, err
 	}
 	if kind != "sess" {
 		return sessionSnap{}, malformed(h, "is %q, want sess", kind)
 	}
-	if meta.Per <= 0 || meta.Turns < 0 {
+	meta, err := decodeSessData(data)
+	if err != nil {
+		return sessionSnap{}, malformed(h, "%w", err)
+	}
+	if meta.Per <= 0 {
 		return sessionSnap{}, malformed(h, "is a session node of %d turns in chunks of %d", meta.Turns, meta.Per)
 	}
 	refs, err := vs.Refs(h)
@@ -188,8 +249,7 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 	}
 	ss := sessionSnap{ID: meta.ID, Num: meta.Num, Focus: meta.Focus}
 	for _, ref := range refs {
-		var turns []turnRec
-		kind, err := vs.Data(ref, &turns)
+		kind, data, err := vs.Data(ref)
 		if err != nil {
 			return sessionSnap{}, err
 		}
@@ -201,8 +261,9 @@ func decodeSessionTree(vs *vstore.Store, h vstore.Hash) (sessionSnap, error) {
 		} else if len(sub) != 0 {
 			return sessionSnap{}, malformed(ref, "is a turns chunk with %d refs, want none", len(sub))
 		}
-		if len(turns) == 0 || len(turns) > meta.Per {
-			return sessionSnap{}, malformed(ref, "holds %d turns, session node %s allows 1 to %d", len(turns), h, meta.Per)
+		turns, err := decodeTurns(data, meta.Per)
+		if err != nil {
+			return sessionSnap{}, malformed(ref, "in session node %s: %w", h, err)
 		}
 		ss.Turns = append(ss.Turns, turns...)
 	}
@@ -227,7 +288,7 @@ func encodeShardTree(b *vstore.Batch, snap snapshot) (vstore.Hash, error) {
 		refs = append(refs, tree.sess)
 		meta.IDs = append(meta.IDs, ss.ID)
 	}
-	data, err := json.Marshal(meta)
+	data, err := meta.encode()
 	if err != nil {
 		return "", fmt.Errorf("sessionstore: encode shard node: %w", err)
 	}
@@ -238,13 +299,16 @@ func encodeShardTree(b *vstore.Batch, snap snapshot) (vstore.Hash, error) {
 // it to what encodeShardTree writes: one session node per id, in the
 // ids' order, no id twice.
 func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
-	var meta shardData
-	kind, err := vs.Data(h, &meta)
+	kind, data, err := vs.Data(h)
 	if err != nil {
 		return snapshot{}, err
 	}
 	if kind != "shard" {
 		return snapshot{}, malformed(h, "is %q, want shard", kind)
+	}
+	meta, err := decodeShardData(data)
+	if err != nil {
+		return snapshot{}, malformed(h, "%w", err)
 	}
 	refs, err := vs.Refs(h)
 	if err != nil {
@@ -361,11 +425,7 @@ func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.C
 	if err != nil {
 		return nil, vstore.Commit{}, err
 	}
-	tree, err := treeOf(vs, c)
-	if err != nil {
-		return nil, vstore.Commit{}, err
-	}
-	ss, err := decodeSessionTree(vs, tree)
+	ss, err := decodeSessionTree(vs, c.Tree)
 	if err != nil {
 		return nil, vstore.Commit{}, err
 	}
@@ -376,22 +436,6 @@ func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.C
 	}
 	sess.Focus = ss.Focus
 	return sess, c, nil
-}
-
-// treeOf returns the commit's tree hash (Commit.Tree is recorded in
-// the log; fall back to the chunk for logs shipped without it).
-func treeOf(vs *vstore.Store, c vstore.Commit) (vstore.Hash, error) {
-	if c.Tree != "" {
-		return c.Tree, nil
-	}
-	refs, err := vs.Refs(c.Hash)
-	if err != nil {
-		return "", err
-	}
-	if len(refs) != 1 {
-		return "", fmt.Errorf("sessionstore: commit %s has %d refs, want 1", c.Hash, len(refs))
-	}
-	return refs[0], nil
 }
 
 // materializeShardSnapshot rebuilds a shard's state from a shipped
@@ -405,23 +449,16 @@ func (s *Store) materializeShardSnapshot(root vstore.Hash, seq int64) (snapshot,
 	if !vs.HasClosure(root) {
 		return snapshot{}, &MissingChunksError{Root: root}
 	}
-	var commit struct {
-		Turn int64 `json:"turn"`
-	}
-	kind, err := vs.Data(root, &commit)
+	c, err := vs.CommitOf(root)
 	if err != nil {
 		return snapshot{}, err
 	}
-	if kind != "commit" || commit.Turn != seq {
-		return snapshot{}, malformed(root, "is %q at %d, want a commit at the batch's %d", kind, commit.Turn, seq)
+	if int64(c.Turn) != seq {
+		return snapshot{}, malformed(root, "is a commit at %d, want the batch's %d", c.Turn, seq)
 	}
-	tree, err := vs.ResolveTree(root)
-	if err != nil {
-		return snapshot{}, err
-	}
-	snap, err := decodeShardTree(vs, tree)
+	snap, err := decodeShardTree(vs, c.Tree)
 	if err == nil && snap.ShipSeq != seq {
-		err = malformed(tree, "is a shard node at ship sequence %d, the batch says %d", snap.ShipSeq, seq)
+		err = malformed(c.Tree, "is a shard node at ship sequence %d, the batch says %d", snap.ShipSeq, seq)
 	}
 	return snap, err
 }

@@ -54,15 +54,16 @@ type walRecord struct {
 	Turns []turnRec
 }
 
-// turnRec is one transcript turn as persisted: in the WAL as bytes
-// (appendTurnRec), in the version journal's turns chunks as JSON. Role
-// and Intent hold their canonical string names (dialogue.ParseRole /
-// ParseIntent invert them exactly), so both encodings are lossless.
+// turnRec is one transcript turn as persisted, in the same bytes
+// (appendTurnRec) in a WAL record and in the version journal's turns
+// chunks. Role and Intent hold their canonical string names
+// (dialogue.ParseRole / ParseIntent invert them exactly), so the
+// encoding is lossless.
 type turnRec struct {
-	Role       string  `json:"role"`
-	Text       string  `json:"text"`
-	Intent     string  `json:"intent,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
+	Role       string
+	Text       string
+	Intent     string
+	Confidence float64
 }
 
 // A turn's first byte: its role, and whether its confidence follows its
@@ -158,6 +159,36 @@ func appendTurnRec(p []byte, tr turnRec) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(p, math.Float64bits(tr.Confidence)), nil
 }
 
+// encodeTurns renders a turns chunk's data: its turns end to end, each
+// as a WAL record spells it.
+func encodeTurns(turns []turnRec) ([]byte, error) {
+	var p []byte
+	for _, tr := range turns {
+		var err error
+		if p, err = appendTurnRec(p, tr); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// decodeTurns reads a turns chunk's data: at least one turn and at most
+// per, and nothing else.
+func decodeTurns(data []byte, per int) ([]turnRec, error) {
+	d := recordDecoder{p: data}
+	var turns []turnRec
+	for d.err == nil && len(d.p) > 0 && len(turns) < per {
+		turns = append(turns, d.turn())
+	}
+	if err := d.end("a turns chunk's last turn"); err != nil {
+		return nil, err
+	}
+	if len(turns) == 0 {
+		return nil, errors.New("a turns chunk holds no turn")
+	}
+	return turns, nil
+}
+
 func appendString(p []byte, s string) ([]byte, error) {
 	if !utf8.ValidString(s) {
 		return nil, fmt.Errorf("string %q is not valid UTF-8", s)
@@ -192,17 +223,15 @@ func decodeRecord(p []byte) (walRecord, error) {
 	default:
 		d.fail(fmt.Errorf("unknown record kind %d", rec.Kind))
 	}
-	if d.err == nil && len(d.p) > 0 {
-		d.fail(fmt.Errorf("%d bytes after a kind %d record", len(d.p), rec.Kind))
-	}
-	if d.err != nil {
-		return walRecord{}, fmt.Errorf("sessionstore: wal record: %w", d.err)
+	if err := d.end(fmt.Sprintf("a kind %d record", rec.Kind)); err != nil {
+		return walRecord{}, fmt.Errorf("sessionstore: wal record: %w", err)
 	}
 	return rec, nil
 }
 
-// recordDecoder reads a WAL payload front to back; the first thing it
-// cannot read sets err, after which every read returns a zero value.
+// recordDecoder reads a binary payload — a WAL record, a session or
+// shard node, a turns chunk — front to back; the first thing it cannot
+// read sets err, after which every read returns a zero value.
 type recordDecoder struct {
 	p   []byte
 	err error
@@ -237,6 +266,27 @@ func (d *recordDecoder) uvarint(what string, limit uint64) uint64 {
 	}
 	d.p = rest
 	return v
+}
+
+// end fails the decode when bytes remain after what, and returns its
+// error.
+func (d *recordDecoder) end(what string) error {
+	if d.err == nil && len(d.p) > 0 {
+		d.fail(fmt.Errorf("%d bytes after %s", len(d.p), what))
+	}
+	return d.err
+}
+
+// strings reads a uvarint count and that many strings. Each takes at
+// least its length byte, so a count past the bytes left is refused
+// before anything is sized by it.
+func (d *recordDecoder) strings(what string) []string {
+	n := d.uvarint(what+" count", uint64(len(d.p)))
+	var out []string
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		out = append(out, d.string(what))
+	}
+	return out
 }
 
 // string reads a length-prefixed string, which must be valid UTF-8.

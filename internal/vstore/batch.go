@@ -1,7 +1,6 @@
 package vstore
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/reliable-cda/cda/internal/obs"
@@ -104,11 +103,11 @@ func (b *Batch) commit(root string, tree Hash, turn int, durable bool) (Commit, 
 		parent = last.Hash
 	}
 	stamp := s.stamp + 1
-	data, err := json.Marshal(commitData{Parent: parent, Turn: turn, Stamp: stamp})
+	data, err := appendCommitData(parent, turn, stamp)
 	if err != nil {
 		return Commit{}, fmt.Errorf("vstore: encode commit for %q: %w", root, err)
 	}
-	payload, err := encodeEnvelope("commit", []Hash{tree}, data)
+	payload, err := appendChunk("commit", []Hash{tree}, data)
 	if err != nil {
 		return Commit{}, err
 	}

@@ -187,7 +187,8 @@ func (s *Store) rewritePackLocked() error {
 			end += int64(n)
 		}
 		for _, name := range names {
-			payload, err := rootPayload(setRecord(name, s.roots[name], s.stamp))
+			r := setRecord(name, s.roots[name], s.stamp)
+			payload, err := setPayload(name, r.Log, r.Stamp)
 			if err != nil {
 				return err
 			}

@@ -396,7 +396,7 @@ func TestGCUnderConcurrentCommitSeeded(t *testing.T) {
 								rerr = fmt.Errorf("reads back as %s", hashBytes(pk.Data))
 							}
 							if rerr == nil {
-								_, rerr = s.Data(h, nil)
+								_, _, rerr = s.Data(h)
 							}
 							if rerr != nil {
 								errs <- fmt.Errorf("reader %d: chunk %s: %w", r, h, rerr)

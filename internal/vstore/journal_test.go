@@ -3,6 +3,7 @@ package vstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -274,7 +275,7 @@ func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
 	if head, err := s.Head("session/s0001"); err != nil || head != c {
 		t.Fatalf("head after CommitUnsynced = %+v, %v; want %+v", head, err, c)
 	}
-	if _, err := s.Data(c.Tree, &got); err != nil || got.V != 2 {
+	if _, data, err := s.Data(c.Tree); err != nil || json.Unmarshal(data, &got) != nil || got.V != 2 {
 		t.Fatalf("tree of the unflushed commit reads back as %+v, %v", got, err)
 	}
 	requirePacketsRehash(t, s)
@@ -320,7 +321,7 @@ func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
 func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
 	dir := t.TempDir()
 	root := "db/main"
-	leaf, err := encodeEnvelope("leaf", nil, []byte(`[1]`))
+	leaf, err := appendChunk("leaf", nil, []byte(`[1]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := encodeEnvelope("leaf", nil, []byte(`[2]`))
+	late, err := appendChunk("leaf", nil, []byte(`[2]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
 
 func TestAddPacketRejectsRootRecord(t *testing.T) {
 	root := "session/s0001"
-	data, err := rootPayload(rootRecord{Root: &root, Commit: Hash("beef")})
+	data, err := setPayload(root, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func forgedPayloads(t testing.TB) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonRoot, err := rootPayload(rootRecord{Root: new(string), Commit: addr})
+	setRec, err := setPayload("session/s0001", []Hash{addr}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,12 +419,13 @@ func forgedPayloads(t testing.TB) []struct {
 		{"JSON refs that are not addresses", []byte(`{"k":"x","r":["zz"]}`)},
 		{"JSON ref in uppercase hex", []byte(`{"k":"x","r":["` + strings.ToUpper(string(addr)) + `"]}`)},
 		{"JSON chunk with address refs", []byte(`{"k":"x","r":["` + string(addr) + `"],"d":{}}`)},
-		{"JSON append record", jsonRoot},
+		{"JSON append record", []byte(`{"root":"","commit":"` + string(addr) + `"}`)},
 		{"JSON root record with a kind", []byte(`{"root":"r","k":"x","log":["` + string(addr) + `"]}`)},
 		{"JSON log record", []byte(`{"root":"r","log":["` + string(addr) + `"],"stamp":1}`)},
+		{"JSON leaf", []byte(`{"k":"leaf","d":{"t":1,"v":[1]}}`)},
 		{"not JSON", []byte(`{`)},
 		{"empty", nil},
-		{"unknown first byte", raw(0x03, 1, "x", 1, addr)},
+		{"unknown first byte", raw(0x04, 1, "x", 1, addr)},
 		{"binary chunk with an empty kind", raw(tagChunk, 0, 1, addr)},
 		{"binary kind whose bytes are not there", raw(tagChunk, 9, "x")},
 		{"binary ref whose bytes are not there", raw(tagChunk, 1, "x", 2, addr)},
@@ -431,12 +433,26 @@ func forgedPayloads(t testing.TB) []struct {
 		{"binary uvarint that overflows", raw(tagChunk, strings.Repeat("\xff", 10), 1)},
 		{"binary overlong kind length", raw(tagChunk, 0x81, 0, "x", 1, addr)},
 		{"binary overlong ref count", raw(tagChunk, 1, "x", 0x81, 0, addr)},
-		{"binary chunk with no refs", raw(tagChunk, 1, "x", 0, `{}`)},
-		{"binary data that is not JSON", raw(tagChunk, 1, "x", 1, addr, `{`)},
+		{"commit data flagged 2", raw(tagChunk, 6, "commit", 1, addr, 2, 1, 1)},
+		{"commit data with a trailing byte", raw(tagChunk, 6, "commit", 1, addr, 0, 1, 1, 0)},
+		{"commit data short of its parent", raw(tagChunk, 6, "commit", 1, addr, 1, 1, 1)},
+		{"commit data with an overlong turn", raw(tagChunk, 6, "commit", 1, addr, 0, 0x81, 0, 1)},
+		{"commit data with no stamp", raw(tagChunk, 6, "commit", 1, addr, 0, 1)},
+		{"commit data in JSON", raw(tagChunk, 6, "commit", 1, addr, `{"turn":1,"stamp":1}`)},
+		{"commit with no refs", raw(tagChunk, 6, "commit", 0, 0, 1, 1)},
+		{"leaf data that is not JSON", raw(tagChunk, 4, "leaf", 0, `{`)},
+		{"leaf data in two forms", raw(tagChunk, 4, "leaf", 0, `{"t":1,"v":[1],"dr":[1,1]}`)},
+		{"leaf with refs", raw(tagChunk, 4, "leaf", 1, addr, `{"t":1,"v":[1]}`)},
+		{"table data that is not JSON", raw(tagChunk, 5, "table", 1, addr, `{`)},
+		{"db data that is not JSON", raw(tagChunk, 2, "db", 0, `[`)},
 		{"binary root record", rootRec},
 		{"binary root record with trailing bytes", append(bytes.Clone(rootRec), 0)},
 		{"binary root record short of its commit", rootRec[:len(rootRec)-1]},
 		{"binary root name whose bytes are not there", raw(tagAppend, 40, "session/")},
+		{"binary set record", setRec},
+		{"binary set record with a trailing byte", append(bytes.Clone(setRec), 0)},
+		{"binary set record with an overlong stamp", raw(tagSet, 1, "r", 0x81, 0, 0)},
+		{"binary set record short of its log", setRec[:len(setRec)-1]},
 	}
 }
 
@@ -456,11 +472,11 @@ func TestAddPacketsRefusesForgedPayloads(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	leaf, err := encodeEnvelope("leaf", nil, []byte(`[1]`))
+	leaf, err := appendChunk("leaf", nil, []byte(`{"t":1,"v":[1]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := encodeEnvelope("table", []Hash{hashBytes(leaf)}, []byte(`{"rows":1}`))
+	table, err := appendChunk("table", []Hash{hashBytes(leaf)}, []byte(`{"rows":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +554,7 @@ func TestAddPacketsIsOneJournalAppend(t *testing.T) {
 	// Forged, undecodable and root-record packets, first, last or in the
 	// middle: nothing of the batch is journalled or indexed.
 	root := "db/main"
-	rootRec, err := rootPayload(rootRecord{Root: &root, Commit: c.Hash})
+	rootRec, err := appendPayload(root, c.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,17 +626,21 @@ func journalSeeds(t testing.TB) [][]byte {
 		}
 		return framelog.Encode(packMagic, b)
 	}
-	tree := must(encodeEnvelope("db", nil, []byte(`{"v":1}`)))
-	commitPayload, err := encodeEnvelope("commit", []Hash{hashBytes(tree[framelog.HeaderSize:])}, []byte(`{"turn":1,"stamp":1}`))
+	tree := must(appendChunk("db", nil, []byte(`{"v":1}`)))
+	commitData, err := appendCommitData("", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPayload, err := appendChunk("commit", []Hash{hashBytes(tree[framelog.HeaderSize:])}, commitData)
 	if err != nil {
 		t.Fatal(err)
 	}
 	commit := framelog.Encode(packMagic, commitPayload)
 	h := hashBytes(commitPayload)
-	appendRec := must(rootPayload(rootRecord{Root: &root, Commit: h}))
-	setRec := must(rootPayload(rootRecord{Root: &root, Log: []Hash{h, h}, Stamp: 9}))
-	deleteRec := must(rootPayload(rootRecord{Root: &root, Stamp: 9}))
-	notCommit := must(rootPayload(rootRecord{Root: &root, Commit: hashBytes(tree[framelog.HeaderSize:])}))
+	appendRec := must(appendPayload(root, h))
+	setRec := must(setPayload(root, []Hash{h, h}, 9))
+	deleteRec := must(setPayload(root, nil, 9))
+	notCommit := must(appendPayload(root, hashBytes(tree[framelog.HeaderSize:])))
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	return [][]byte{
 		nil,
@@ -650,14 +670,10 @@ func FuzzJournalOpen(f *testing.F) {
 		f.Add(seed)
 	}
 	// Journals this code wrote: whole, cut, and behind a JSON chunk with
-	// refs, which only older stores wrote.
+	// refs, which only older stores wrote; and the v5 journals, whose JSON
+	// payloads are an older format.
 	old := framelog.Encode(packMagic, []byte(`{"k":"sess","r":["`+string(hashBytes(nil))+`"]}`))
-	for _, path := range []string{
-		filepath.Join(leafFixtureV5, packName),
-		filepath.Join(readingsFixture, packName),
-		filepath.Join("..", "sessionstore", "testdata", "format-v4", "vstore", packName),
-		filepath.Join("..", "sessionstore", "testdata", "tree-v4", "vstore", packName),
-	} {
+	for _, path := range fixtureJournals {
 		pack, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -665,6 +681,13 @@ func FuzzJournalOpen(f *testing.F) {
 		f.Add(pack)
 		f.Add(pack[:len(pack)/2])
 		f.Add(append(bytes.Clone(old), pack...))
+	}
+	for _, path := range v5Journals {
+		pack, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(pack)
 	}
 	for _, forged := range forgedPayloads(f) {
 		f.Add(framelog.Encode(packMagic, forged.payload))

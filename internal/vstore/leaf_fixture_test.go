@@ -9,17 +9,19 @@ import (
 )
 
 // The leaf-format pins, each a journal written by one Open, the
-// fixture's commits and Close. testdata/readings-v5/chunks.pack is
+// fixture's commits and Close. testdata/readings-v6/chunks.pack is
 // commitLeafFixture's: every column kind, NULLs and the values a codec
-// gets wrong first, in plain leaves. testdata/leaf-v5/chunks.pack is
+// gets wrong first, in plain leaves. testdata/leaf-v6/chunks.pack is
 // commitOrdersFixture's: runs, dictionary and packed leaves. Both were
-// written by the commit that made refs bytes — this file, compiled there
-// unchanged — and this code writes them byte for byte.
+// written by the commit that made every journal payload binary — this
+// file, compiled there unchanged — and this code writes them byte for
+// byte. The -v5 journals are the same commits as the commit before wrote
+// them, leaves in a JSON envelope, which Open refuses.
 
 const (
-	readingsFixture   = "testdata/readings-v5"
+	readingsFixture   = "testdata/readings-v6"
 	leafFixtureRoot   = "db/main"
-	leafFixtureV5     = "testdata/leaf-v5"
+	leafFixture       = "testdata/leaf-v6"
 	ordersFixtureRoot = "data"
 )
 

@@ -723,7 +723,7 @@ func requireSameVersion(t *testing.T, s *Store, a, b Hash) {
 }
 
 // TestWritesV2LeafBytes requires the journal this code writes for the
-// readings fixture's two commits to be readings-v5's, byte for byte, its
+// readings fixture's two commits to be readings-v6's, byte for byte, its
 // leaves to be the fixture's, and its two versions to read back.
 func TestWritesV2LeafBytes(t *testing.T) {
 	dir := t.TempDir()
@@ -789,7 +789,7 @@ func leafForms(t *testing.T, s *Store, tree Hash) []string {
 	var forms []string
 	for _, h := range tableLeaves(t, s, tree) {
 		var keys map[string]json.RawMessage
-		if _, err := s.Data(h, &keys); err != nil {
+		if _, data, err := s.Data(h); err != nil || json.Unmarshal(data, &keys) != nil {
 			t.Fatal(err)
 		}
 		var names []string
@@ -826,25 +826,25 @@ func requireOrdersFixture(t *testing.T, fixture string, forms []string) {
 	}
 }
 
-// TestWritesV5LeafBytes pins the bytes this code journals for
+// TestWritesV6LeafBytes pins the bytes this code journals for
 // ordersFixtureDB — runs, dictionary and packed leaves under a table, db
-// and commit chunk and a root record whose addresses are bytes — and
-// reads them back.
-func TestWritesV5LeafBytes(t *testing.T) {
+// and commit chunk and a root record, every payload binary — and reads
+// them back.
+func TestWritesV6LeafBytes(t *testing.T) {
 	dir := t.TempDir()
 	commitOrdersFixture(t, openDir(t, dir))
 	got, err := os.ReadFile(filepath.Join(dir, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := os.ReadFile(filepath.Join(leafFixtureV5, packName))
+	pinned, err := os.ReadFile(filepath.Join(leafFixture, packName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pinned) {
 		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
 	}
-	requireOrdersFixture(t, leafFixtureV5, v4Forms)
+	requireOrdersFixture(t, leafFixture, v4Forms)
 }
 
 // requireLeavesOf requires every commit on root in s to list, table by
@@ -1055,7 +1055,12 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 	table := put("table", []Hash{leaf}, `{"name":"t","schema":[{"name":"x","kind":1}],"rows":3,"leafRows":256}`)
 	db := func(data string, refs ...Hash) Hash { return put("db", refs, data) }
 	good := db(`{"name":"d","tables":["t"]}`, table)
-	commit := func(refs ...Hash) Hash { return put("commit", refs, `{"turn":0,"stamp":1}`) }
+	commitData, err := appendCommitData("", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitWith := func(data string, refs ...Hash) Hash { return put("commit", refs, data) }
+	commit := func(refs ...Hash) Hash { return commitWith(string(commitData), refs...) }
 	if got, err := s.MaterializeDatabase(commit(good)); err != nil || len(got.Tables()) != 1 {
 		t.Fatalf("the well-formed database: %v", err)
 	}
@@ -1072,6 +1077,8 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 		self("more refs than names", db(`{"name":"d","tables":["t"]}`, table, table)),
 		self("more names than refs", db(`{"name":"d","tables":["t","u"]}`, table)),
 		self("names that are not strings", db(`{"name":"d","tables":[7]}`, table)),
+		self("db data that is not JSON", db(`{"name":"d"`, table)),
+		self("db data with trailing bytes", db(`{"name":"d","tables":["t"]}x`, table)),
 		{"a table ref that points at a leaf", db(`{"name":"d","tables":["t"]}`, leaf), leaf},
 		{"a table ref that points at a db", db(`{"name":"d","tables":["t"]}`, good), good},
 	}
@@ -1080,6 +1087,12 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 		self("a commit with two refs", commit(good, good)),
 		self("a commit of a commit", commit(commit(good))),
 		self("a commit of a commit with no ref", commit(commit())),
+		self("commit data flagged 2", commitWith("\x02"+string(commitData[1:]), good)),
+		self("commit data with a trailing byte", commitWith(string(commitData)+"\x00", good)),
+		self("commit data with an overlong turn", commitWith("\x00\x80\x00\x01", good)),
+		self("commit data short of its parent", commitWith("\x01"+string(commitData[1:]), good)),
+		self("commit data in JSON", commitWith(`{"turn":0,"stamp":1}`, good)),
+		self("no commit data", commitWith("", good)),
 	}
 	for i, f := range append(dbs, commits...) {
 		if _, err := s.MaterializeDatabase(f.node); !names(err, f.culprit) {
@@ -1125,9 +1138,11 @@ func TestAdoptCommitRefusesForgedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := mustPut(t, s, "leaf", nil, `{"t":1,"v":[1,2,3]}`)
-	commit := func(tree Hash) Hash {
-		return mustPut(t, s, "commit", []Hash{tree}, fmt.Sprintf(`{"parent":%q,"turn":1,"stamp":9}`, head.Hash))
+	data, err := appendCommitData(head.Hash, 1, 9)
+	if err != nil {
+		t.Fatal(err)
 	}
+	commit := func(tree Hash) Hash { return mustPut(t, s, "commit", []Hash{tree}, string(data)) }
 	absent := hashBytes([]byte("absent"))
 	forged := []struct {
 		name   string

@@ -2,7 +2,7 @@ package vstore
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,57 +11,73 @@ import (
 	"github.com/reliable-cda/cda/internal/framelog"
 )
 
-// olderForm is the JSON that stores before binary refs wrote for the
-// binary payload p, which this one refuses; nil for a JSON payload.
-func olderForm(t testing.TB, p []byte) []byte {
-	rec, err := decodePayload(p)
+// fixtureJournals are the journals the leaf and session fixtures of the
+// format this store writes hold, and v5Journals the same fixtures as the
+// commit before binary payloads wrote them.
+var (
+	fixtureJournals = []string{
+		filepath.Join(readingsFixture, packName),
+		filepath.Join(leafFixture, packName),
+		filepath.Join("..", "sessionstore", "testdata", "format-v6", "vstore", packName),
+		filepath.Join("..", "sessionstore", "testdata", "tree-v6", "vstore", packName),
+	}
+	v5Journals = []string{
+		filepath.Join("testdata", "readings-v5", packName),
+		filepath.Join("testdata", "leaf-v5", packName),
+		filepath.Join("..", "sessionstore", "testdata", "format-v5", "vstore", packName),
+		filepath.Join("..", "sessionstore", "testdata", "tree-v5", "vstore", packName),
+	}
+)
+
+// journalPayloads reads every frame payload of a fixture journal, which
+// must end on a whole frame.
+func journalPayloads(t testing.TB, path string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var old []byte
+	payloads, valid := framelog.Scan(packMagic, raw)
+	if valid != len(raw) {
+		t.Fatalf("%s: frames end at %d of %d bytes", path, valid, len(raw))
+	}
+	return payloads
+}
+
+// reencode renders a decoded payload again.
+func reencode(p []byte, rec record) ([]byte, error) {
 	switch p[0] {
-	case tagChunk:
-		old, err = json.Marshal(rec.envelope)
 	case tagAppend:
-		old, err = rootPayload(rec.rootRecord)
-	default:
-		return nil
+		return appendPayload(*rec.Root, rec.Commit)
+	case tagSet:
+		return setPayload(*rec.Root, rec.Log, rec.Stamp)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return old
+	return appendChunk(rec.K, rec.R, rec.D)
 }
 
 // FuzzDecodePayload feeds arbitrary bytes to the journal's payload
-// decoder: it never panics; a binary payload it accepts is the one
-// encoding the writer produces for what it decoded, byte for byte; and a
-// payload AddPackets' check accepts lists refs that are addresses and
-// installs as a chunk whose kind and refs read back as decoded. Seeded
-// with every frame of the journals the leaf and session fixtures hold,
-// JSON and binary, each binary one also in its older JSON form and cut
-// one byte short, and with the forged payloads.
+// decoder: it never panics; every payload it accepts is the one encoding
+// the writer produces for what it decoded, byte for byte; and a payload
+// AddPackets' check accepts lists refs that are addresses and installs
+// as a chunk whose kind and refs read back as decoded. Seeded with every
+// frame of the fixture journals, whole and cut one byte short, with
+// every frame of the v5 journals — whose JSON payloads it must refuse as
+// an older format, and whose binary chunks carry JSON commit, session
+// and shard data — and with the forged payloads.
 func FuzzDecodePayload(f *testing.F) {
-	for _, path := range []string{
-		filepath.Join(readingsFixture, packName),
-		filepath.Join(leafFixtureV5, packName),
-		filepath.Join("..", "sessionstore", "testdata", "format-v4", "vstore", packName),
-		filepath.Join("..", "sessionstore", "testdata", "tree-v4", "vstore", packName),
-	} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		payloads, valid := framelog.Scan(packMagic, raw)
-		if valid != len(raw) {
-			f.Fatalf("%s: frames end at %d of %d bytes", path, valid, len(raw))
-		}
-		for _, p := range payloads {
+	for _, path := range fixtureJournals {
+		for _, p := range journalPayloads(f, path) {
 			f.Add(p)
-			if old := olderForm(f, p); old != nil {
-				f.Add(old)
-				f.Add(p[:len(p)-1])
+			f.Add(p[:len(p)-1])
+		}
+	}
+	for _, path := range v5Journals {
+		for _, p := range journalPayloads(f, path) {
+			var old *FormatError
+			if _, err := decodePayload(p); p[0] == '{' && !errors.As(err, &old) {
+				f.Fatalf("%s: a v5 JSON payload decodes with %v, want a *FormatError", path, err)
 			}
+			f.Add(p)
 		}
 	}
 	for _, forged := range forgedPayloads(f) {
@@ -72,17 +88,10 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var again []byte
-		switch p[0] {
-		case tagChunk:
-			again, err = appendChunk(rec.K, rec.R, rec.D)
-		case tagAppend:
-			again, err = appendPayload(*rec.Root, rec.Commit)
-		}
-		if err != nil || (again != nil && !bytes.Equal(again, p)) {
+		if again, err := reencode(p, rec); err != nil || !bytes.Equal(again, p) {
 			t.Fatalf("decoded %+v re-encodes as %x, %v; was %x", rec, again, err, p)
 		}
-		if checkShipped(p, rec) != nil {
+		if checkShipped(rec) != nil {
 			return
 		}
 		for _, r := range rec.R {

@@ -1,19 +1,78 @@
 package vstore
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+
+	"github.com/reliable-cda/cda/internal/framelog"
 )
 
-// commitData is the data field of a commit chunk. The parent lives
+// A commit chunk's data is
+//
+//	flags · [32-byte parent, when flags is 1] · uvarint turn · uvarint stamp
+//
+// flags is 0 for a root's first commit and 1 after it. The parent lives
 // here (data, not refs) on purpose: a commit's ref closure is exactly
 // one version, so shipping a version never drags history behind it.
-type commitData struct {
-	Parent Hash  `json:"parent,omitempty"`
-	Turn   int   `json:"turn"`
-	Stamp  int64 `json:"stamp"`
+const commitHasParent = 1
+
+// appendCommitData renders a commit chunk's data.
+func appendCommitData(parent Hash, turn int, stamp int64) ([]byte, error) {
+	if turn < 0 || stamp < 0 {
+		return nil, fmt.Errorf("commit at turn %d, stamp %d", turn, stamp)
+	}
+	p := make([]byte, 0, 1+addrLen+2*binary.MaxVarintLen64)
+	if parent == "" {
+		p = append(p, 0)
+	} else {
+		var err error
+		if p, err = appendAddr(append(p, commitHasParent), parent); err != nil {
+			return nil, err
+		}
+	}
+	p = binary.AppendUvarint(p, uint64(turn))
+	return binary.AppendUvarint(p, uint64(stamp)), nil
+}
+
+// decodeCommitData reads what appendCommitData writes and nothing else:
+// an unknown flag, a count out of range or a byte after the stamp is an
+// error.
+func decodeCommitData(d []byte) (parent Hash, turn int, stamp int64, err error) {
+	if len(d) == 0 {
+		return "", 0, 0, errors.New("commit data is empty")
+	}
+	flags, rest := d[0], d[1:]
+	switch flags {
+	case 0:
+	case commitHasParent:
+		if len(rest) < addrLen {
+			return "", 0, 0, errors.New("commit parent is cut short")
+		}
+		parent, rest = Hash(hex.EncodeToString(rest[:addrLen])), rest[addrLen:]
+	default:
+		return "", 0, 0, fmt.Errorf("commit flags %#x", flags)
+	}
+	t, rest, err := framelog.CutUvarint(rest, "commit turn")
+	if err != nil {
+		return "", 0, 0, err
+	}
+	st, rest, err := framelog.CutUvarint(rest, "commit stamp")
+	if err != nil {
+		return "", 0, 0, err
+	}
+	switch {
+	case t > math.MaxInt:
+		return "", 0, 0, fmt.Errorf("commit turn %d overflows", t)
+	case st > math.MaxInt64:
+		return "", 0, 0, fmt.Errorf("commit stamp %d overflows", st)
+	case len(rest) > 0:
+		return "", 0, 0, fmt.Errorf("%d bytes after a commit's stamp", len(rest))
+	}
+	return parent, int(t), int64(st), nil
 }
 
 // Commit appends a new version to the named root, pinning tree (which
@@ -23,29 +82,32 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 }
 
 // commitEntry rebuilds a root-log entry from its commit chunk's payload —
-// the journal's root records and shipped commits carry only the hash.
+// the journal's root records and shipped commits carry only the hash. A
+// chunk that is no commit a writer produces is a *MalformedChunkError.
 func commitEntry(h Hash, payload []byte) (Commit, error) {
 	env, err := decodePayload(payload)
 	if err != nil {
 		return Commit{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
 	if env.Root != nil || env.K != "commit" || len(env.R) != 1 {
-		return Commit{}, fmt.Errorf("vstore: chunk %s is %q with %d refs, want a commit with 1", h, env.K, len(env.R))
+		return Commit{}, malformed(h, "is %q with %d refs, want a commit with 1", env.K, len(env.R))
 	}
-	var data commitData
-	if err := json.Unmarshal(env.D, &data); err != nil {
-		return Commit{}, fmt.Errorf("vstore: decode commit chunk %s data: %w", h, err)
+	parent, turn, stamp, err := decodeCommitData(env.D)
+	if err != nil {
+		return Commit{}, malformed(h, "decode commit data: %w", err)
 	}
-	return Commit{Hash: h, Tree: env.R[0], Parent: data.Parent, Turn: data.Turn, Stamp: data.Stamp}, nil
+	return Commit{Hash: h, Tree: env.R[0], Parent: parent, Turn: turn, Stamp: stamp}, nil
 }
 
-// rootPayload encodes a "log is exactly" record, which stays JSON.
-func rootPayload(r rootRecord) ([]byte, error) {
-	payload, err := json.Marshal(r)
+// CommitOf reads commit chunk h as the root-log entry it makes.
+func (s *Store) CommitOf(h Hash) (Commit, error) {
+	s.mu.RLock()
+	p, err := s.payloadLocked(h)
+	s.mu.RUnlock()
 	if err != nil {
-		return nil, fmt.Errorf("vstore: encode root record for %q: %w", *r.Root, err)
+		return Commit{}, err
 	}
-	return payload, nil
+	return commitEntry(h, p)
 }
 
 // setRecord is the record that makes root's log exactly log.
@@ -93,7 +155,7 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash]
 		if r.Commit != "" {
 			rec, err = appendPayload(*r.Root, r.Commit)
 		} else {
-			rec, err = rootPayload(r)
+			rec, err = setPayload(*r.Root, r.Log, r.Stamp)
 		}
 		if err != nil {
 			return err

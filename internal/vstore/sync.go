@@ -109,7 +109,7 @@ func (s *Store) AddPackets(ps []Packet) error {
 		if err != nil {
 			return fmt.Errorf("%w: decode %s: %v", ErrBadPacket, p.Hash, err)
 		}
-		if err := checkShipped(p.Data, rec); err != nil {
+		if err := checkShipped(rec); err != nil {
 			return fmt.Errorf("%w: %s %v", ErrBadPacket, p.Hash, err)
 		}
 		if !seen[p.Hash] {

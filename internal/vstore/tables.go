@@ -74,6 +74,20 @@ type dbData struct {
 	Tables []string `json:"tables"`
 }
 
+// decodeTableData reads a table chunk's data.
+func decodeTableData(data []byte) (tableData, error) {
+	var meta tableData
+	err := json.Unmarshal(data, &meta)
+	return meta, err
+}
+
+// decodeDBData reads a db chunk's data.
+func decodeDBData(data []byte) (dbData, error) {
+	var meta dbData
+	err := json.Unmarshal(data, &meta)
+	return meta, err
+}
+
 // leavesPerCol returns the leaf count covering rows; leafRows > 0.
 func leavesPerCol(rows, leafRows int) int {
 	n := rows / leafRows
@@ -427,22 +441,24 @@ func decodeLeaf(data []byte, want int) (*storage.Vector, error) {
 	return col, nil
 }
 
-// decodeForm is decodeLeaf less the final count. A runs, packed or
-// dictionary leaf is checked against want before anything is sized by
-// what it claims; a packed one holds exactly want values.
-func decodeForm(data []byte, want int) (*storage.Vector, error) {
-	var leaf struct {
-		T    storage.Kind    `json:"t"`
-		V    json.RawMessage `json:"v"`
-		DR   json.RawMessage `json:"dr"`
-		Dict json.RawMessage `json:"dict"`
-		P    json.RawMessage `json:"p"`
-		Lo   int64           `json:"lo"`
-		W    int             `json:"w"`
-		S    int             `json:"s"`
-	}
+// leafFields are a leaf's JSON fields, each form's among them.
+type leafFields struct {
+	T    storage.Kind    `json:"t"`
+	V    json.RawMessage `json:"v"`
+	DR   json.RawMessage `json:"dr"`
+	Dict json.RawMessage `json:"dict"`
+	P    json.RawMessage `json:"p"`
+	Lo   int64           `json:"lo"`
+	W    int             `json:"w"`
+	S    int             `json:"s"`
+}
+
+// parseLeaf reads a leaf's fields and refuses any that no form has
+// together: what a leaf's data must be before its row range is known.
+func parseLeaf(data []byte) (leafFields, error) {
+	var leaf leafFields
 	if err := json.Unmarshal(data, &leaf); err != nil {
-		return nil, err
+		return leaf, err
 	}
 	forms := 0
 	for _, form := range []json.RawMessage{leaf.V, leaf.DR, leaf.P} {
@@ -452,11 +468,24 @@ func decodeForm(data []byte, want int) (*storage.Vector, error) {
 	}
 	switch {
 	case forms > 1:
-		return nil, fmt.Errorf("leaf has more than one of v, dr and p")
+		return leaf, fmt.Errorf("leaf has more than one of v, dr and p")
 	case leaf.Dict != nil && leaf.P == nil:
-		return nil, fmt.Errorf("leaf has a dictionary and no p")
+		return leaf, fmt.Errorf("leaf has a dictionary and no p")
 	case leaf.Dict != nil && leaf.T != storage.KindString:
-		return nil, fmt.Errorf("%s leaf has a dictionary", leaf.T)
+		return leaf, fmt.Errorf("%s leaf has a dictionary", leaf.T)
+	}
+	return leaf, nil
+}
+
+// decodeForm is decodeLeaf less the final count. A runs, packed or
+// dictionary leaf is checked against want before anything is sized by
+// what it claims; a packed one holds exactly want values.
+func decodeForm(data []byte, want int) (*storage.Vector, error) {
+	leaf, err := parseLeaf(data)
+	if err != nil {
+		return nil, err
+	}
+	switch {
 	case leaf.Dict != nil:
 		return decodeDict(leaf.Dict, leaf.P, leaf.W, want)
 	case leaf.DR != nil && leaf.T == storage.KindInt:
@@ -634,7 +663,7 @@ type chunkWriter interface {
 const encodeSpanMin = 64
 
 // encodeTable writes a table as a Merkle tree and returns the table
-// chunk's address. The leaves are encoded — leaf, envelope, address —
+// chunk's address. The leaves are encoded — leaf, chunk, address —
 // in one contiguous span of the column-major leaf order per GOMAXPROCS
 // worker, and then put in that order by the calling goroutine, so the
 // staged chunks, the journal and the fault schedule are a serial
@@ -761,15 +790,19 @@ func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Com
 
 // loadTable reads a table chunk and checks everything its readers index
 // or allocate by: the chunk may be a peer's, and AddPackets verifies a
-// packet's hash and envelope, not its data.
+// packet's hash and that its data is JSON of a table's fields, not what
+// they say.
 func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
-	var meta tableData
-	kind, err := s.Data(h, &meta)
+	kind, data, err := s.Data(h)
 	if err != nil {
-		return meta, nil, err
+		return tableData{}, nil, err
 	}
 	if kind != "table" {
-		return meta, nil, malformed(h, "is %q, want table", kind)
+		return tableData{}, nil, malformed(h, "is %q, want table", kind)
+	}
+	meta, err := decodeTableData(data)
+	if err != nil {
+		return meta, nil, malformed(h, "table data: %w", err)
 	}
 	refs, err := s.Refs(h)
 	if err != nil {
@@ -854,13 +887,16 @@ func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	var meta dbData
-	kind, err := s.Data(h, &meta)
+	kind, data, err := s.Data(h)
 	if err != nil {
 		return nil, err
 	}
 	if kind != "db" {
 		return nil, malformed(h, "is %q, want db", kind)
+	}
+	meta, err := decodeDBData(data)
+	if err != nil {
+		return nil, malformed(h, "db data: %w", err)
 	}
 	refs, err := s.Refs(h)
 	if err != nil {
@@ -905,18 +941,15 @@ func (s *Store) ResolveTree(h Hash) (Hash, error) {
 	if kind != "commit" {
 		return h, nil
 	}
-	refs, err := s.Refs(h)
+	c, err := s.CommitOf(h)
 	if err != nil {
 		return "", err
 	}
-	if len(refs) != 1 {
-		return "", malformed(h, "is a commit with %d refs, want 1", len(refs))
-	}
-	if kind, err = s.Kind(refs[0]); err != nil {
+	if kind, err = s.Kind(c.Tree); err != nil {
 		return "", err
 	}
 	if kind == "commit" {
-		return "", malformed(h, "is a commit of commit %s, want a tree", refs[0])
+		return "", malformed(h, "is a commit of commit %s, want a tree", c.Tree)
 	}
-	return refs[0], nil
+	return c.Tree, nil
 }

@@ -23,14 +23,12 @@
 // Both chunks and roots are durable through one journal, chunks.pack —
 // a framelog.Log, the same frame codec and torn-tail recovery as the
 // session store's WAL. A frame's payload is either a chunk — a
-// self-describing envelope of kind, child addresses and JSON data that
+// self-describing record of kind, child addresses and data bytes that
 // lets replication walk a tree generically (have/want negotiation over
 // chunk hashes) without knowing the schema of what it is shipping — or
-// a root record: one appends a commit to a root's log, and {"root":
-// name, "log": [hashes], "stamp": n} says the log is now exactly that
-// (empty: the root is gone). A chunk with refs and an append record
-// spell every address as its 32 raw bytes; a chunk without refs keeps
-// the JSON envelope {"k": kind, "d": data} (payload.go has the
+// a root record: one appends a commit to a root's log, another says the
+// log is now exactly a list of commits (empty: the root is gone). Every
+// payload is binary, every address its 32 raw bytes (payload.go has the
 // layouts). A root record names commit chunks that precede it in the
 // journal; the log entry is rebuilt from the chunk on open. That is the
 // store's one format: Open refuses a directory holding anything older
@@ -56,7 +54,6 @@ package vstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -132,8 +129,9 @@ var ErrBadPacket = errors.New("vstore: bad packet")
 
 // MalformedChunkError is a chunk that is stored and intact but not the
 // shape its reader needs: AddPackets checks a peer's chunk against its
-// hash and its envelope, not the schema of its data or what its refs
-// point at, so a forged tree is this error, never a panic.
+// hash, its layout and the data of the kinds this store owns, not the
+// schema of other kinds' data or what its refs point at, so a forged
+// tree is this error, never a panic.
 type MalformedChunkError struct {
 	Chunk Hash
 	Err   error
@@ -162,11 +160,11 @@ type chunk struct {
 	epoch uint64
 }
 
-// envelope is a decoded chunk: its kind, refs and data.
-type envelope struct {
-	K string          `json:"k"`
-	R []Hash          `json:"r,omitempty"`
-	D json.RawMessage `json:"d,omitempty"`
+// chunkFields are a decoded chunk: its kind, refs and data.
+type chunkFields struct {
+	K string
+	R []Hash
+	D []byte
 }
 
 // rootRecord is the journal payload that updates a root. With Commit
@@ -176,15 +174,15 @@ type envelope struct {
 // commits that reached it. Root is a pointer so that its presence, not
 // its value, tells a root record from a chunk.
 type rootRecord struct {
-	Root   *string `json:"root"`
-	Commit Hash    `json:"commit,omitempty"`
-	Log    []Hash  `json:"log,omitempty"`
-	Stamp  int64   `json:"stamp,omitempty"`
+	Root   *string
+	Commit Hash
+	Log    []Hash
+	Stamp  int64
 }
 
 // record is either journal payload, decoded (decodePayload).
 type record struct {
-	envelope
+	chunkFields
 	rootRecord
 }
 
@@ -429,9 +427,9 @@ func (s *Store) payloadLocked(h Hash) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeChunk renders a chunk's envelope and its address.
+// encodeChunk renders a chunk's payload and its address.
 func encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte, error) {
-	payload, err := encodeEnvelope(kind, refs, data)
+	payload, err := appendChunk(kind, refs, data)
 	if err != nil {
 		return "", nil, err
 	}
@@ -449,7 +447,7 @@ func (s *Store) injectPut() error {
 // Put stores one chunk, returning its address. Re-putting identical
 // content is free (content addressing dedups) but still re-touches
 // the chunk's GC epoch — the write barrier that keeps a tree being
-// committed mid-sweep alive. data must be valid JSON (or nil).
+// committed mid-sweep alive. data is the caller's bytes, nil for none.
 func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	h, payload, err := encodeChunk(kind, refs, data)
 	if err != nil {
@@ -479,23 +477,23 @@ func (s *Store) Has(h Hash) bool {
 	return ok
 }
 
-// get reads and decodes one chunk's envelope. Callers treat the
+// get reads and decodes one chunk. Callers treat the
 // returned data as read-only.
-func (s *Store) get(h Hash) (envelope, error) {
+func (s *Store) get(h Hash) (chunkFields, error) {
 	s.mu.RLock()
 	payload, err := s.payloadLocked(h)
 	s.mu.RUnlock()
 	if err != nil {
-		return envelope{}, err
+		return chunkFields{}, err
 	}
 	rec, err := decodePayload(payload)
 	if err != nil {
-		return envelope{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
+		return chunkFields{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
-	return rec.envelope, nil
+	return rec.chunkFields, nil
 }
 
-// Kind returns a chunk's envelope kind.
+// Kind returns a chunk's kind.
 func (s *Store) Kind(h Hash) (string, error) {
 	env, err := s.get(h)
 	if err != nil {
@@ -515,18 +513,14 @@ func (s *Store) Refs(h Hash) ([]Hash, error) {
 	return append([]Hash(nil), c.refs...), nil
 }
 
-// Data unmarshals a chunk's data field into out and returns its kind.
-func (s *Store) Data(h Hash, out any) (string, error) {
+// Data returns a chunk's kind and its data bytes, which the caller
+// treats as read-only and decodes itself.
+func (s *Store) Data(h Hash) (string, []byte, error) {
 	env, err := s.get(h)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	if out != nil && env.D != nil {
-		if err := json.Unmarshal(env.D, out); err != nil {
-			return env.K, malformed(h, "%s data: %w", env.K, err)
-		}
-	}
-	return env.K, nil
+	return env.K, env.D, nil
 }
 
 // PacketOf exports one chunk in wire form.

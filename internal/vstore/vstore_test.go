@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -58,7 +59,7 @@ func TestChunkRoundTrip(t *testing.T) {
 	var data struct {
 		Rows int `json:"rows"`
 	}
-	if _, err := s.Data(node, &data); err != nil || data.Rows != 2 {
+	if _, raw, err := s.Data(node); err != nil || json.Unmarshal(raw, &data) != nil || data.Rows != 2 {
 		t.Fatalf("Data = %+v, %v", data, err)
 	}
 	if _, err := s.Kind(Hash("feed")); !errors.Is(err, ErrUnknownChunk) {
@@ -261,7 +262,7 @@ func TestCorruptPackFrameStopsScan(t *testing.T) {
 
 func TestPacketsVerifyHashes(t *testing.T) {
 	s := NewMemory()
-	h := mustPut(t, s, "leaf", nil, `[7]`)
+	h := mustPut(t, s, "leaf", nil, `{"t":1,"v":[7]}`)
 	p, err := s.PacketOf(h)
 	if err != nil {
 		t.Fatalf("PacketOf: %v", err)
@@ -464,7 +465,7 @@ func TestCorruptChunkIsAnErrorNotAnAnswer(t *testing.T) {
 	s.mu.RUnlock()
 	flipJournalByte(t, dir, off+framelog.HeaderSize+20) // inside the JSON string: still valid JSON
 
-	var out []string
+	var out []byte
 	wantErr := func(what string, err error) {
 		t.Helper()
 		if err == nil {
@@ -476,7 +477,7 @@ func TestCorruptChunkIsAnErrorNotAnAnswer(t *testing.T) {
 			}
 		}
 	}
-	_, err = s.Data(victim, &out)
+	_, out, err = s.Data(victim)
 	wantErr("Data", err)
 	_, err = s.Kind(victim)
 	wantErr("Kind", err)
@@ -601,7 +602,7 @@ func TestClosedStoreRefusesReads(t *testing.T) {
 	if p, err := s.PacketOf(h); err == nil {
 		t.Fatalf("PacketOf on a closed store = %q, want an error", p.Data)
 	}
-	if kind, err := s.Data(h, nil); err == nil {
+	if kind, _, err := s.Data(h); err == nil {
 		t.Fatalf("Data on a closed store = %q, want an error", kind)
 	}
 	if refs, err := s.Refs(h); err != nil || len(refs) != 0 || !s.Has(h) {
