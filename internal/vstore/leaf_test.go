@@ -870,8 +870,9 @@ func requireLeavesOf(t *testing.T, s *Store, fixture, root string) {
 // TestLeafBytesPerValue holds the journal of an orders-shaped table —
 // the benchmark's scan_heavy CSV: int id, c%04d customer, eight region
 // names, 1–12, a two-decimal amount — to 2.90 bytes per value,
-// envelopes, hashes and frames included (it measures 2.80, 2.95 while
-// the table chunk spelled its leaf refs in hex; the struct-array form
+// chunk heads, hashes and frames included (it measures 2.76, 2.80 while
+// a leaf sat in a JSON envelope, 2.95 while the table chunk spelled its
+// leaf refs in hex; the struct-array form
 // took ~44, the plain form alone ~6.7, plain, runs and decimal
 // dictionaries ~4.3).
 func TestLeafBytesPerValue(t *testing.T) {
