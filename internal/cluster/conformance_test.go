@@ -444,6 +444,8 @@ func TestSessionAPIConformance(t *testing.T) {
 // words, for the same call.
 func TestNodeClientsRefuseAlike(t *testing.T) {
 	ctx := context.Background()
+	// absent is a well-formed address no node in this test holds.
+	absent := strings.Repeat("0", 64)
 	calls := []struct {
 		name string
 		call func(n NodeClient, id string) error
@@ -456,6 +458,11 @@ func TestNodeClientsRefuseAlike(t *testing.T) {
 		{"pull from a shard the node lacks", func(n NodeClient, _ string) error { _, err := n.Pull(ctx, confShards, 0, 0); return err }, server.ErrBadRequest},
 		{"pull from a cursor the node never reached", func(n NodeClient, _ string) error { _, err := n.Pull(ctx, 0, 99, 0); return err }, server.ErrConflict},
 		{"want chunks for no root", func(n NodeClient, _ string) error { _, err := n.WantChunks(ctx, "", 1); return err }, server.ErrBadRequest},
+		{"want chunks with a negative limit", func(n NodeClient, _ string) error { _, err := n.WantChunks(ctx, absent, -5); return err }, server.ErrBadRequest},
+		{"fetch a chunk the node lacks", func(n NodeClient, _ string) error { _, err := n.FetchChunks(ctx, []string{absent}); return err }, server.ErrConflict},
+		{"put a packet that does not hash to its address", func(n NodeClient, _ string) error {
+			return n.PutChunks(ctx, []vstore.Packet{{Hash: vstore.Hash(absent), Data: []byte("forged")}})
+		}, server.ErrBadRequest},
 	}
 	for _, c := range calls {
 		t.Run(c.name, func(t *testing.T) {

@@ -177,15 +177,22 @@ func TestUnparsableQueryClarifies(t *testing.T) {
 	}
 }
 
+// TestDescribeUngroundedAbstains: a question nothing grounds abstains
+// with low confidence, whether it asks what a concept is or which
+// dataset covers a topic no catalog entry matches.
 func TestDescribeUngroundedAbstains(t *testing.T) {
 	s := swissSystem(t, nil)
-	sess := s.NewSession()
-	ans := respond(t, s, sess, "what is the gross national happiness index")
-	if !ans.Abstained {
-		t.Errorf("ungrounded describe must abstain: %+v", ans)
-	}
-	if ans.Confidence >= 0.5 {
-		t.Errorf("confidence = %v", ans.Confidence)
+	for _, q := range []string{
+		"what is the gross national happiness index",
+		"what data do you have about unemployment",
+	} {
+		ans := respond(t, s, s.NewSession(), q)
+		if !ans.Abstained {
+			t.Errorf("%q: ungrounded question must abstain: %+v", q, ans)
+		}
+		if ans.Confidence >= 0.5 {
+			t.Errorf("%q: confidence = %v", q, ans.Confidence)
+		}
 	}
 }
 

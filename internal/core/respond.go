@@ -579,11 +579,6 @@ func (s *System) queryUncached(ctx context.Context, sess *dialogue.Session, text
 	}
 	ans.Code = tr.SQL
 	ans.Text = renderResult(tr.Result)
-	if tr.Result != nil {
-		// Stream partial snapshots to an attached emitter (see
-		// stream.go); a no-op when the caller did not opt in.
-		s.streamPartials(ctx, tr.SQL, tr.Confidence)
-	}
 
 	g := provenance.NewGraph()
 	q := g.AddNode(provenance.Node{Kind: provenance.KindQuery, Label: "generated SQL",

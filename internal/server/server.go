@@ -429,6 +429,11 @@ func (s *Server) WantChunks(root string, limit int) ([]string, error) {
 	if root == "" {
 		return nil, refuse(ErrBadRequest, "root must not be empty")
 	}
+	// WantList reads a limit <= 0 as "all", so a negative one would
+	// silently mean "send me everything".
+	if limit < 0 {
+		return nil, refuse(ErrBadRequest, "limit must be a non-negative integer, got %q", fmt.Sprint(limit))
+	}
 	missing := s.store.Versions().WantList(vstore.Hash(root), limit)
 	out := make([]string, 0, len(missing))
 	for _, h := range missing {

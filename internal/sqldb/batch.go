@@ -51,7 +51,7 @@ type vrel struct {
 	// RowRef slice for every scanned row up front).
 	base string
 	// prov holds explicit per-physical-row provenance for derived
-	// relations (join outputs, streaming accumulators).
+	// relations (join outputs).
 	prov [][]RowRef
 }
 

@@ -176,8 +176,7 @@ func (e *Engine) Execute(stmt *SelectStmt) (*Result, error) {
 }
 
 // finishResult applies the post-projection stages shared by both
-// engines (and the streaming snapshots): DISTINCT, OFFSET, LIMIT, and
-// the final stats stamp.
+// engines: DISTINCT, OFFSET, LIMIT, and the final stats stamp.
 func finishResult(stmt *SelectStmt, res *Result, stats *Stats) *Result {
 	if stmt.Distinct {
 		res = distinct(res)

@@ -102,11 +102,14 @@
 #                      FuzzApplyBatch, in ./internal/storage with
 #                      FuzzVectorOps and FuzzReadCSV, and in
 #                      ./internal/server with FuzzDecodeError).
-#   5. bench module  — go test -C bench ./...: bench/ is a module of
-#                      its own that `./...` skips, and cdaload imports
+#   5. bench module  — go vet -C bench ./... and go test -C bench
+#                      ./...: bench/ is a module of its own that
+#                      `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
 #                      change to those must keep it compiling and its
-#                      own tests green
+#                      own tests green. The full vet runs because the
+#                      subset go test runs leaves out copylocks, the
+#                      check step 1 relies on
 #   6. bench smoke   — one iteration of every benchmark in the module,
 #                      with -benchmem (the root E-benches, ablations,
 #                      resilience and version-commit benches, among
@@ -153,7 +156,8 @@ timeout 15 "$CDALINT_BIN" ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -C bench ./... (the benchmark's own module)"
+echo "==> go vet -C bench ./... and go test -C bench ./... (the benchmark's own module)"
+go vet -C bench ./...
 go test -C bench ./...
 
 echo "==> benchmark smoke (1 iteration of each)"
