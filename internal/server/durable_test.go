@@ -336,12 +336,48 @@ func TestCreateSessionIDsMonotonicAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptVersionChunkIsA500 flips one byte of a session's turns
-// chunk in the version journal under the running node. The as-of read
-// that needs the chunk fails — in the session store with an error naming
-// the chunk, over HTTP as a logged 500 — and never serves the altered
-// transcript; a version that exists but cannot be read is not a 404.
+// TestCorruptVersionChunkIsA500 flips one byte of a version's chunk in
+// the journal under the running node: a byte of the question inside the
+// session's turns chunk, which leaves the turn well-formed, or a byte of
+// the session node inside the commit record that carries it. The as-of
+// read that needs the chunk fails — in the session store with an error
+// naming the chunk, over HTTP as a logged 500 — and never serves the
+// altered transcript; a version that exists but cannot be read is not a
+// 404.
 func TestCorruptVersionChunkIsA500(t *testing.T) {
+	// Each row finds the byte to flip among the journal's payloads and
+	// the chunk that holds it: the index of the payload, the byte's place
+	// in it, and the chunk's address.
+	for _, row := range []struct {
+		name string
+		find func(payloads [][]byte) (frame, at int, victim string)
+	}{
+		{"turns chunk", func(payloads [][]byte) (int, int, string) {
+			for i, p := range payloads {
+				if at := bytes.Index(p, []byte("Zurich")); at >= 0 && bytes.HasPrefix(p, []byte("\x01\x05turns")) {
+					sum := sha256.Sum256(p)
+					return i, at, hex.EncodeToString(sum[:])
+				}
+			}
+			return -1, 0, ""
+		}},
+		{"session node in its commit record", func(payloads [][]byte) (int, int, string) {
+			for i, p := range payloads {
+				// 0x04, the root name behind its length, the turn, and the
+				// node's chunk bytes: the rest of the payload.
+				if at := bytes.Index(p, []byte("\x01\x04sess")); at >= 0 && p[0] == 0x04 {
+					sum := sha256.Sum256(p[at:])
+					return i, len(p) - 1, hex.EncodeToString(sum[:])
+				}
+			}
+			return -1, 0, ""
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) { testCorruptVersionChunkIsA500(t, row.find) })
+	}
+}
+
+func testCorruptVersionChunkIsA500(t *testing.T, find func(payloads [][]byte) (frame, at int, victim string)) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
 	if err != nil {
@@ -364,31 +400,29 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 		t.Fatalf("as-of read before the damage: status %d, %d turns", resp.StatusCode, got.Total)
 	}
 
-	// Find the turns chunk's frame in the journal and flip a byte of the
-	// question inside it, which leaves the turn well-formed.
 	pack := filepath.Join(dir, "vstore", "chunks.pack")
 	raw, err := os.ReadFile(pack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payloads, _ := framelog.Scan(0xC6, raw)
-	at, victim := int64(-1), ""
-	off := int64(0)
-	for _, p := range payloads {
-		if i := bytes.Index(p, []byte("Zurich")); i >= 0 && bytes.HasPrefix(p, []byte("\x01\x05turns")) {
-			sum := sha256.Sum256(p)
-			at, victim = off+framelog.HeaderSize+int64(i), hex.EncodeToString(sum[:])
-		}
+	frame, at, victim := find(payloads)
+	if frame < 0 {
+		t.Fatal("no frame holding the chunk in the journal")
+	}
+	off := int64(framelog.HeaderSize + at)
+	for _, p := range payloads[:frame] {
 		off += int64(framelog.HeaderSize + len(p))
 	}
-	if at < 0 {
-		t.Fatal("no turns chunk holding the question in the journal")
-	}
-	f, err := os.OpenFile(pack, os.O_WRONLY, 0)
+	f, err := os.OpenFile(pack, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte("B"), at); err != nil { // "Burich"
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0x20}, off); err != nil { // "zurich" in a turns chunk
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

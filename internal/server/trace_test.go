@@ -59,14 +59,14 @@ func TestTurnCountersArePinned(t *testing.T) {
 	// chunks: encoded, hashed, journalled; rows scanned; candidates,
 	// distinct.
 	want := []turnCounters{
-		{1, 1, 417, 0, 4, 582, 3, 3, 3, 0, 0, 0},
-		{1, 1, 248, 0, 4, 477, 3, 3, 3, 0, 0, 0},
-		{2, 1, 86, 1, 7, 510, 5, 5, 5, 100, 5, 1}, // compacts shard: a flushed root, a WAL reset
-		{1, 1, 56, 0, 4, 349, 3, 3, 3, 100, 5, 1},
-		{1, 1, 86, 0, 3, 167, 3, 3, 2, 0, 0, 0}, // a cache hit, whose turns chunk "a" already journalled
-		{1, 1, 63, 0, 4, 292, 3, 3, 3, 120, 5, 1},
-		{1, 1, 133, 0, 4, 458, 3, 3, 3, 0, 0, 0},
-		{2, 1, 148, 1, 7, 572, 5, 5, 5, 0, 0, 0},
+		{1, 1, 417, 0, 2, 489, 3, 3, 3, 0, 0, 0},
+		{1, 1, 248, 0, 2, 352, 3, 3, 3, 0, 0, 0},
+		{2, 1, 86, 1, 3, 292, 5, 5, 5, 100, 5, 1}, // compacts shard: a flushed root, a WAL reset
+		{1, 1, 56, 0, 2, 224, 3, 3, 3, 100, 5, 1},
+		{1, 1, 86, 0, 1, 74, 3, 3, 2, 0, 0, 0}, // a cache hit, whose turns chunk "a" already journalled
+		{1, 1, 63, 0, 2, 167, 3, 3, 3, 120, 5, 1},
+		{1, 1, 133, 0, 2, 333, 3, 3, 3, 0, 0, 0},
+		{2, 1, 148, 1, 3, 354, 5, 5, 5, 0, 0, 0},
 	}
 	var got []turnCounters
 	for i, turn := range traceDialogue {

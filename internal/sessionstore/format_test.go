@@ -19,16 +19,19 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// The on-disk format pins. testdata/format-v6 is a data directory in the
+// The on-disk format pins. testdata/format-v7 is a data directory in the
 // `cdaserver -data-dir D` layout, written for formatScript by
 // replayScript: shard WALs of binary records, and a journal of binary
 // payloads — chunks whose data is this package's and vstore's binary
-// codecs, a column leaf's JSON aside, and root records — every address
-// 32 raw bytes. It is the store's one format: the tests below hold this
-// code to writing its bytes and to reading what it holds, and Open
-// refuses anything older — format-v5's JSON journal payloads and
-// format-v4's JSON WAL records among it — with a *vstore.FormatError,
-// leaving it as it was.
+// codecs, and root records, every version one commit record that carries
+// its new session or shard node — every address 32 raw bytes. It is the
+// format this code writes: the tests below hold this code to writing its
+// bytes and to reading what it holds. format-v6 is the same dialogue
+// before commit records — a tree node, a commit chunk and an append
+// record a version — which this code reads as it is, and Open refuses
+// anything older — format-v5's JSON journal payloads and format-v4's
+// JSON WAL records among it — with a *vstore.FormatError, leaving it as
+// it was.
 
 // formatTurn is one scripted turn pair of the fixture dialogue.
 type formatTurn struct {
@@ -136,32 +139,36 @@ func requireSameFiles(t *testing.T, got, want map[string][]byte, names []string)
 // shardFiles are a data directory's WALs.
 var shardFiles = []string{"shard-00.wal", "shard-01.wal"}
 
-// fixtures pairs each fixture dialogue with its v6 and v5 directories.
+// fixtures pairs each fixture dialogue with its directories: v7, the
+// format this code writes, v6, the format before commit records, which
+// it reads, and v5, which it refuses.
 var fixtures = []struct {
-	v6, v5 string
-	script func() []formatTurn
-}{{formatFixtureV6, formatFixtureV5, formatScript}, {treeFixtureV6, treeFixtureV5, treeScript}}
+	v7, v6, v5 string
+	script     func() []formatTurn
+}{{formatFixtureV7, formatFixtureV6, formatFixtureV5, formatScript}, {treeFixtureV7, treeFixtureV6, treeFixtureV5, treeScript}}
 
-// TestFormatWritesV6Bytes replays both fixture dialogues and requires
-// every file to hash equal to the v6 fixture's — the long session's
+// TestFormatWritesV7Bytes replays both fixture dialogues and requires
+// every file to hash equal to the v7 fixture's — the long session's
 // journal across two folds, from trees remembered turn to turn — nothing
 // else to be written, and the root logs to be the ones the fixture
-// recorded. The WALs are also v5's, and so are the logs but for the
-// addresses: binary journal payloads moved no byte of the WAL and no
-// version's turn or stamp.
-func TestFormatWritesV6Bytes(t *testing.T) {
+// recorded. The WALs are also v6's and v5's, and the recorded logs are
+// v6's byte for byte: a commit record moves no byte of the WAL and no
+// version's address, turn or stamp.
+func TestFormatWritesV7Bytes(t *testing.T) {
 	for _, fx := range fixtures {
 		dir := t.TempDir()
 		_, vs := replayScript(t, dir, fx.script())
-		got, want := readTree(t, dir), readTree(t, fx.v6)
+		got, want := readTree(t, dir), readTree(t, fx.v7)
 		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
+		requireSameFiles(t, got, readTree(t, fx.v6), shardFiles)
 		requireSameFiles(t, got, readTree(t, fx.v5), shardFiles)
+		requireSameFiles(t, want, readTree(t, fx.v6), []string{fixtureLogs})
 		if len(got) != 3 || len(want) != 4 {
-			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.v6, len(got), len(want), fixtureLogs)
+			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.v7, len(got), len(want), fixtureLogs)
 		}
 		logs := logsOf(t, vs)
-		if want := recordedLogs(t, fx.v6); !reflect.DeepEqual(logs, want) {
-			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.v6, logs, want)
+		if want := recordedLogs(t, fx.v7); !reflect.DeepEqual(logs, want) {
+			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.v7, logs, want)
 		}
 		if got, want := versionsOf(logs), versionsOf(recordedLogs(t, fx.v5)); got != want {
 			t.Errorf("%s: versions (turn, stamp)\n got: %s\nwant: %s", fx.v5, got, want)
@@ -366,68 +373,83 @@ func requireNextTurn(t *testing.T, st *Store, vs *vstore.Store, id string) {
 	}
 }
 
-// TestOpensFloorDirectories opens a copy of each v6 directory: it holds
-// every root log, transcript and as-of read its writer recorded, and
-// every session's next turn is this code's tree over the recorded one.
+// TestOpensFloorDirectories opens a copy of each v7 and v6 directory: it
+// holds every root log, transcript and as-of read its writer recorded,
+// every session's next turn is this code's tree over the recorded one,
+// and the directory reopens to the root logs the store held.
 func TestOpensFloorDirectories(t *testing.T) {
 	for _, fx := range fixtures {
-		st, vs := openFixture(t, copyFixture(t, fx.v6))
-		transcripts := scriptTranscripts(fx.script())
-		requireRecorded(t, st, vs, recordedLogs(t, fx.v6), transcripts)
-		var ids []string
-		for id := range transcripts {
-			ids = append(ids, id)
+		for _, fixture := range []string{fx.v7, fx.v6} {
+			dir := copyFixture(t, fixture)
+			st, vs := openFixture(t, dir)
+			transcripts := scriptTranscripts(fx.script())
+			requireRecorded(t, st, vs, recordedLogs(t, fixture), transcripts)
+			var ids []string
+			for id := range transcripts {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			for _, id := range ids {
+				requireNextTurn(t, st, vs, id)
+			}
+			logs := logsOf(t, vs)
+			abandon(t, st, vs)
+			if got := versionLogs(t, dir); !reflect.DeepEqual(got, logs) {
+				t.Errorf("%s reopened after the next turns: root logs\n got: %+v\nwant: %+v", fixture, got, logs)
+			}
 		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			requireNextTurn(t, st, vs, id)
-		}
-		abandon(t, st, vs)
 	}
 }
 
-// TestOpensFloorWithEmptiedWALs opens a copy of each v6 directory with
+// TestOpensFloorWithEmptiedWALs opens a copy of each v7 and v6 directory with
 // its WALs emptied, as Close leaves every WAL once it has compacted it:
 // the store serves each live session the prefix of its script transcript
 // that its shard root holds, and every as-of read the writer recorded.
 func TestOpensFloorWithEmptiedWALs(t *testing.T) {
 	for _, fx := range fixtures {
-		transcripts := scriptTranscripts(fx.script())
-		dir := copyFixture(t, fx.v6)
-		for _, name := range shardFiles {
-			if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		for _, fixture := range []string{fx.v7, fx.v6} {
+			requireOpensEmptied(t, fixture, scriptTranscripts(fx.script()))
 		}
-		st, vs := openFixture(t, dir)
-		live := 0
-		for id, transcript := range transcripts {
-			e, status := st.Get(id)
-			if status != Found {
-				continue
-			}
-			live++
-			if got := transcriptOf(t, e); got != turnPrefix(transcript, strings.Count(got, "\n")) {
-				t.Errorf("%s emptied: session %s holds %q, no prefix of its transcript", fx.v6, id, got)
-			}
-		}
-		if live == 0 {
-			t.Errorf("%s emptied: no session is live, want the ones its shard roots hold", fx.v6)
-		}
-		for root, log := range recordedLogs(t, fx.v6) {
-			id, ok := strings.CutPrefix(root, "session/")
-			if !ok {
-				continue
-			}
-			for _, c := range log {
-				sess, at, err := st.TranscriptAsOf(id, c.Turn)
-				if err != nil || at != c || Transcript(sess) != turnPrefix(transcripts[id], c.Turn) {
-					t.Errorf("%s emptied: %s as of turn %d = commit %+v, %v; want %+v and that prefix of the transcript", fx.v6, id, c.Turn, at, err, c)
-				}
-			}
-		}
-		abandon(t, st, vs)
 	}
+}
+
+// requireOpensEmptied is TestOpensFloorWithEmptiedWALs for one fixture.
+func requireOpensEmptied(t *testing.T, fixture string, transcripts map[string]string) {
+	t.Helper()
+	dir := copyFixture(t, fixture)
+	for _, name := range shardFiles {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, vs := openFixture(t, dir)
+	live := 0
+	for id, transcript := range transcripts {
+		e, status := st.Get(id)
+		if status != Found {
+			continue
+		}
+		live++
+		if got := transcriptOf(t, e); got != turnPrefix(transcript, strings.Count(got, "\n")) {
+			t.Errorf("%s emptied: session %s holds %q, no prefix of its transcript", fixture, id, got)
+		}
+	}
+	if live == 0 {
+		t.Errorf("%s emptied: no session is live, want the ones its shard roots hold", fixture)
+	}
+	for root, log := range recordedLogs(t, fixture) {
+		id, ok := strings.CutPrefix(root, "session/")
+		if !ok {
+			continue
+		}
+		for _, c := range log {
+			sess, at, err := st.TranscriptAsOf(id, c.Turn)
+			if err != nil || at != c || Transcript(sess) != turnPrefix(transcripts[id], c.Turn) {
+				t.Errorf("%s emptied: %s as of turn %d = commit %+v, %v; want %+v and that prefix of the transcript", fixture, id, c.Turn, at, err, c)
+			}
+		}
+	}
+	abandon(t, st, vs)
 }
 
 // pathsUnder lists every file and directory under dir, by slash-separated
@@ -454,18 +476,18 @@ func pathsUnder(t *testing.T, dir string) []string {
 
 // TestOpenRefusesPreFloorDirectories opens the v5 directories, whose
 // journals hold JSON payloads, the v4 ones, whose WALs hold JSON records,
-// and copies of format-v6 that hold, beside its files, among its WAL's
+// and copies of format-v7 that hold, beside its files, among its WAL's
 // records or among its journal's frames, what only older stores wrote.
 // Each Open is a *vstore.FormatError naming a file in the directory — a
 // JSON journal payload the last commit that reads one — and leaves the
 // directory as it found it: every file's bytes — a torn tail after a
 // JSON record too — and no path created.
 func TestOpenRefusesPreFloorDirectories(t *testing.T) {
-	journal, err := os.ReadFile(filepath.Join(formatFixtureV6, "vstore", "chunks.pack"))
+	journal, err := os.ReadFile(filepath.Join(formatFixtureV7, "vstore", "chunks.pack"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(formatFixtureV6, "shard-00.wal"))
+	wal, err := os.ReadFile(filepath.Join(formatFixtureV7, "shard-00.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,13 +518,13 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 		}
 		return raw
 	}
-	first := recordedLogs(t, formatFixtureV6)[SessionRoot("s0001")][0]
+	first := recordedLogs(t, formatFixtureV7)[SessionRoot("s0001")][0]
 	// jsonReader is what a refusal of a JSON journal payload names: the
 	// last commit that reads one.
 	const jsonReader = "8992f61"
 	for _, row := range []struct {
 		name    string
-		fixture string            // copied; empty is format-v6
+		fixture string            // copied; empty is format-v7
 		files   map[string][]byte // written over the copy; nil removes the path
 		reader  string            // the refusal's Reader contains it
 	}{
@@ -523,7 +545,7 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 	} {
 		fixture := row.fixture
 		if fixture == "" {
-			fixture = formatFixtureV6
+			fixture = formatFixtureV7
 		}
 		dir := copyFixture(t, fixture)
 		for name, data := range row.files {

@@ -138,10 +138,11 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 	return b, nil
 }
 
-// ApplyBatch applies a pulled batch on the replica: a shard root is
-// installed wholesale (replacing the shard — the primary's state at
-// SnapshotSeq is a superset of any prefix the replica held) and adopted
-// as the replica's own root; frames are CRC-validated and decoded, each
+// ApplyBatch applies a pulled batch on the replica: a shard root above
+// the replica's cursor is installed wholesale (replacing the shard — the
+// primary's state at SnapshotSeq is a superset of any prefix the replica
+// held) and adopted as the replica's own root, and one at or below it is
+// skipped; frames are CRC-validated and decoded, each
 // required to hold the record at the ship sequence the batch gives it —
 // all of them before anything is installed, appended or replayed — land
 // byte-identically in the replica's own WAL with one append and one
@@ -154,6 +155,13 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 		return fmt.Errorf("sessionstore: apply to unknown shard %d (have %d)", b.Shard, len(s.shards))
 	}
 	sh := s.shards[b.Shard]
+	// A shard root at or below the replica's cursor is one it is already
+	// past (a restarted router pulls from 0): installing it would
+	// rewind the shard, so it is skipped before anything is materialized
+	// or negotiated, and the frames are judged against the cursor as it is.
+	if b.SnapshotRoot != "" && b.SnapshotSeq <= s.ReplicationCursor(b.Shard) {
+		b.SnapshotRoot, b.SnapshotSeq = "", 0
+	}
 	// The shard root materializes from the local chunk store before the
 	// shard lock is taken (vstore has its own locking); a
 	// *MissingChunksError here tells the driver to negotiate chunks and
@@ -193,8 +201,12 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 // shard's id horizon after the apply. Caller holds sh.mu.
 func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (int, error) {
 	// The cursor the frames must extend is the one the batch's root will
-	// leave, so the whole batch is judged before any of it lands.
+	// leave, so the whole batch is judged before any of it lands. A root
+	// an apply that raced this one has already passed is skipped.
 	cur := sh.cursor()
+	if snap != nil && b.SnapshotSeq <= cur {
+		snap = nil
+	}
 	if snap != nil {
 		cur = b.SnapshotSeq
 	}

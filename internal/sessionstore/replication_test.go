@@ -163,6 +163,84 @@ func TestShipSnapshotFallback(t *testing.T) {
 	}
 }
 
+// TestStaleShardRootDoesNotRewindReplica ships a batch whose shard root
+// the replica is already past — what a restarted router pulls, its
+// cursors back at 0 and each pull capped — and requires the replica to
+// skip the root and judge the frames against its own cursor: it keeps
+// its cursor, every turn, its WAL and its shard root's log, and the
+// primary's next turn still ships as a frame.
+func TestStaleShardRootDoesNotRewindReplica(t *testing.T) {
+	primary, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaDir := t.TempDir()
+	replica, err := Open(Config{Dir: replicaDir, Shards: 1, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := primary.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 9; j++ {
+		commitPair(t, primary, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
+	}
+	shipAll(t, primary, replica, 0)
+	cursor := replica.ReplicationCursor(0)
+	if cursor != primary.ReplicationCursor(0) || cursor != 10 {
+		t.Fatalf("replica cursor %d, primary %d; want both at 10", cursor, primary.ReplicationCursor(0))
+	}
+	shardLog, err := replica.Versions().Log(ShardRoot(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := primary.PullFrames(0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.SnapshotRoot == "" || stale.SnapshotSeq >= cursor || len(stale.Frames) != 1 {
+		t.Fatalf("pull after 0 = root at %d (%q) and %d frames; want a root below %d and one frame", stale.SnapshotSeq, stale.SnapshotRoot, len(stale.Frames), cursor)
+	}
+	before := transcriptOf(t, mustGet(t, replica, e.ID))
+	applyShipped(t, primary, replica, stale)
+	if got := replica.ReplicationCursor(0); got != cursor {
+		t.Fatalf("a stale root moved the replica's cursor from %d to %d", cursor, got)
+	}
+	if got := transcriptOf(t, mustGet(t, replica, e.ID)); got != before {
+		t.Fatalf("a stale root changed the replica's transcript:\n got: %q\nwant: %q", got, before)
+	}
+	if log, err := replica.Versions().Log(ShardRoot(0)); err != nil || !reflect.DeepEqual(log, shardLog) {
+		t.Fatalf("a stale root changed the replica's shard root log:\n got: %+v, %v\nwant: %+v", log, err, shardLog)
+	}
+	commitPair(t, primary, e, "q-next", "a-next", 0.5)
+	shipAll(t, primary, replica, 0)
+	assertMirrors(t, primary, replica, []string{e.ID})
+	if err := errors.Join(primary.Close(), replica.Close()); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(Config{Dir: replicaDir, Shards: 1, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.ReplicationCursor(0); got != cursor+1 {
+		t.Errorf("reopened replica at cursor %d, want %d", got, cursor+1)
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustGet is a live session of st.
+func mustGet(t *testing.T, st *Store, id string) *Entry {
+	t.Helper()
+	e, status := st.Get(id)
+	if status != Found {
+		t.Fatalf("session %s: status %v", id, status)
+	}
+	return e
+}
+
 func TestApplyBatchRejectsGapsAndCorruption(t *testing.T) {
 	primary := NewMemory(Config{Shards: 1})
 	replica := NewMemory(Config{Shards: 1})

@@ -193,14 +193,14 @@ func kill(t testing.TB, st *Store) {
 }
 
 // FuzzApplyBatch applies arbitrary ShipBatch JSON to a replica opened on
-// a copy of format-v6. Nothing panics; a refused batch changes no
+// a copy of format-v7. Nothing panics; a refused batch changes no
 // transcript, cursor or shard root; and whatever is accepted leaves a
 // directory that, abandoned as a kill leaves it, reopens to exactly what
 // the replica held. The seeds are the fixture's own frames, shipped
 // again at and above its cursors, its shard root at its horizon, and
 // the forged roots of TestForgedShipBatchIsAnError.
 func FuzzApplyBatch(f *testing.F) {
-	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV6))
+	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV7))
 	add := func(b ShipBatch) {
 		data, err := json.Marshal(b)
 		if err != nil {
@@ -209,7 +209,7 @@ func FuzzApplyBatch(f *testing.F) {
 		f.Add(data)
 	}
 	for shard := 0; shard < 2; shard++ {
-		raw, err := os.ReadFile(filepath.Join(formatFixtureV6, fmt.Sprintf("shard-%02d.wal", shard)))
+		raw, err := os.ReadFile(filepath.Join(formatFixtureV7, fmt.Sprintf("shard-%02d.wal", shard)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func FuzzApplyBatch(f *testing.F) {
 		if json.Unmarshal(data, &b) != nil {
 			return
 		}
-		dir := copyFixture(t, formatFixtureV6)
+		dir := copyFixture(t, formatFixtureV7)
 		st, _ := openFuzzReplica(t, dir)
 		before := storeState(t, st)
 		err := st.ApplyBatch(b)

@@ -221,7 +221,7 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 // no log this store writes — every append extends the cursor by one —
 // so Open fails on it and truncates none of its whole frames.
 func TestWALWithAGapIsAnError(t *testing.T) {
-	dir := copyFixture(t, formatFixtureV6)
+	dir := copyFixture(t, formatFixtureV7)
 	path := filepath.Join(dir, "shard-00.wal")
 	raw, err := os.ReadFile(path)
 	if err != nil {

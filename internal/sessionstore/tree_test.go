@@ -195,7 +195,7 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 	f.Helper()
 	base := vstore.NewMemory()
 	var all []vstore.Packet
-	for _, fixture := range []string{formatFixtureV6, treeFixtureV6} {
+	for _, fixture := range []string{formatFixtureV7, treeFixtureV7} {
 		// A copy: an open may truncate, and a fixture is read-only.
 		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(copyFixture(f, fixture), "vstore")})
 		if err != nil {
@@ -235,11 +235,11 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 
 // FuzzDecodeSessionTree feeds the tree decoders one chunk a peer could
 // ship — any bytes that hash to their address — over the chunks of the
-// v6 fixtures, which its refs may name: the decoders answer with a
+// v7 fixtures, which its refs may name: the decoders answer with a
 // transcript or an error, never a panic, and whatever decodes, encoded
 // again from nothing, is a tree that decodes to the same transcript. A
 // turns chunk is also read through a session node made for it. Seeded
-// with every chunk of the v6 fixtures, whole and cut one byte short, and
+// with every chunk of the v7 fixtures, whole and cut one byte short, and
 // with every payload of v5's journals: JSON chunks the store refuses,
 // and binary ones whose JSON data the decoders refuse.
 func FuzzDecodeSessionTree(f *testing.F) {

@@ -1,6 +1,7 @@
 package sessionstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -854,10 +855,10 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 // TestSessionVersionJournalBytes pins what each version of one 8-pair
 // session journals on a dir-backed store that does not compact, frame by
 // frame in journal order (framelog header included): the pair's turns
-// chunk — or, at the turn that fills a window, the sealed chunk — the
-// session node, the commit chunk and the root record. No frame spells
-// in hex an address it references; the one hex address a frame holds is
-// a commit's parent, in the commit's data.
+// chunk — or, at the turn that fills a window, the sealed chunk — and one
+// commit record, which carries the session node the version pins and
+// spells neither the commit's address nor its parent. No frame spells in
+// hex an address it references.
 func TestSessionVersionJournalBytes(t *testing.T) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
@@ -898,43 +899,57 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	payloads, _ := framelog.Scan(0xC6, raw) // the version store's journal magic
-	addrs := make([]vstore.Hash, len(payloads))
-	for i, p := range payloads {
-		addrs[i] = vstore.Hash(sha256Hex(p))
-	}
 	var got [][]string
 	var version []string
 	for i, p := range payloads {
-		kind := "root"
-		if vs.Has(addrs[i]) {
-			if kind, err = vs.Kind(addrs[i]); err != nil {
+		for _, c := range log {
+			for _, a := range []vstore.Hash{c.Hash, c.Tree} {
+				if strings.Contains(string(p), string(a)) {
+					t.Errorf("the frame at %d spells address %s in hex", i, a)
+				}
+			}
+		}
+		size := framelog.HeaderSize + len(p)
+		if h := vstore.Hash(sha256Hex(p)); vs.Has(h) {
+			kind, err := vs.Kind(h)
+			if err != nil {
 				t.Fatal(err)
 			}
+			version = append(version, fmt.Sprintf("%s %d", kind, size))
+			continue
 		}
-		for _, a := range append(addrs, log[len(log)-1].Hash) {
-			if strings.Contains(string(p), string(a)) {
-				t.Errorf("the %s frame at %d spells address %s in hex", kind, i, a)
-			}
+		// A commit record: 0x04, the root name behind its length, the
+		// turn, and form 1 — the session node's chunk bytes after their
+		// 0x01 tag, so the form byte and the rest are that chunk.
+		if len(got) == len(log) {
+			t.Fatalf("the frame at %d is a record past the %d versions", i, len(log))
 		}
-		version = append(version, fmt.Sprintf("%s %d", kind, framelog.HeaderSize+len(p)))
-		if kind == "root" {
-			got, version = append(got, version), nil
+		c := log[len(got)]
+		name := SessionRoot(e.ID)
+		head := append([]byte{0x04, byte(len(name))}, name...)
+		head = append(head, byte(c.Turn))
+		if !bytes.HasPrefix(p, head) || vstore.Hash(sha256Hex(p[len(head):])) != c.Tree {
+			t.Fatalf("version %d: the frame at %d is %x, want a commit record for %s at turn %d carrying node %s", len(got), i, p, name, c.Turn, c.Tree)
 		}
+		version = append(version, fmt.Sprintf("record %d", size))
+		got, version = append(got, version), nil
 	}
 	// Frame sizes, the 9-byte header included: a turns chunk is the
 	// pair as a WAL record spells it behind 8 bytes of kind and ref
-	// count; a session node grows 32
-	// bytes a ref; a commit is 53 bytes, 85 once it names a parent; the
-	// root record of session/s0001 is 56.
+	// count; a commit record is the session node's frame and 16 bytes of
+	// tag, root name and turn, and the node grows 32 bytes a ref. The
+	// format before commit records spent on each version a session node
+	// frame, a 53-byte commit chunk (85 once it names a parent) and a
+	// 56-byte root record: 93 bytes more on the first, 125 on the rest.
 	want := [][]string{
-		{"turns 131", "sess 58", "commit 53", "root 56"},
-		{"turns 133", "sess 90", "commit 85", "root 56"},
-		{"turns 133", "sess 122", "commit 85", "root 56"},
-		{"turns 133", "sess 154", "commit 85", "root 56"},
-		{"turns 133", "sess 186", "commit 85", "root 56"},
-		{"turns 133", "sess 218", "commit 85", "root 56"},
-		{"turns 133", "sess 250", "commit 85", "root 56"},
-		{"turns 133", "sess 282", "commit 85", "root 56"},
+		{"turns 131", "record 74"},
+		{"turns 133", "record 106"},
+		{"turns 133", "record 138"},
+		{"turns 133", "record 170"},
+		{"turns 133", "record 202"},
+		{"turns 133", "record 234"},
+		{"turns 133", "record 266"},
+		{"turns 133", "record 298"},
 	}
 	if !reflect.DeepEqual(got, want) || len(got) != len(log) {
 		t.Errorf("versions journal\n got: %q\nwant: %q", got, want)

@@ -32,7 +32,7 @@ func walPayloads(t testing.TB, fixture string) [][]byte {
 }
 
 // FuzzDecodeRecord feeds the WAL record decoders any bytes, seeded with
-// every frame of the format-v6 and tree-v6 shard WALs, whole and with
+// every frame of the format-v7 and tree-v7 shard WALs, whole and with
 // its checksum flipped, and with every frame of the v4 ones, whose JSON
 // records must be refused as a *vstore.FormatError. decodeFrame reads
 // the bytes as a shipped frame and decodeRecord reads what follows a
@@ -41,7 +41,7 @@ func walPayloads(t testing.TB, fixture string) [][]byte {
 // and whatever decodes encodes back through encodeRecord to the bytes it
 // was decoded from: the decoder takes no record in two spellings.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, fixture := range []string{formatFixtureV6, treeFixtureV6} {
+	for _, fixture := range []string{formatFixtureV7, treeFixtureV7} {
 		for _, p := range walPayloads(f, fixture) {
 			frame := framelog.Encode(walMagic, p)
 			f.Add(frame)

@@ -6,8 +6,8 @@ import (
 	"github.com/reliable-cda/cda/internal/obs"
 )
 
-// Batch stages the chunks of one version in memory and lands them, the
-// commit chunk and the root record in the journal with one append.
+// Batch stages the chunks of one version in memory and lands them and the
+// commit record in the journal with one append.
 // Nothing staged is visible in the store before Commit, and
 // Commit decides what is new under the store lock, so a GC round
 // between encoding a tree and committing it cannot sweep the tree from
@@ -19,10 +19,14 @@ type Batch struct {
 	seen   map[Hash]bool
 }
 
+// stagedChunk is a chunk on its way into the journal: framed on its own,
+// or, by host, carried by the commit record that ends the append.
 type stagedChunk struct {
 	hash    Hash
 	payload []byte
 	refs    []Hash
+	host    host
+	commit  *Commit // a recordCommit chunk's log entry
 }
 
 // NewBatch starts an empty write batch whose work is counted against
@@ -58,12 +62,13 @@ func (b *Batch) putEncoded(h Hash, payload []byte, refs []Hash) error {
 }
 
 // Commit appends a new version to the named root, pinning tree, which
-// must be staged or already stored. The staged chunks the store lacks,
-// the commit chunk and the root record reach the journal in one
-// append; the index and the root log change only once it is
-// acknowledged, so a failed append leaves the store as it was. The
-// append is flushed before Commit returns: the version survives a power
-// cut, as one that nothing else could rebuild must.
+// must be staged or already stored. The staged chunks the store lacks
+// and one commit record — which carries the tree node when the store
+// lacks that too — reach the journal in one append; the index and the
+// root log change only once it is acknowledged, so a failed append
+// leaves the store as it was. The append is flushed before Commit
+// returns: the version survives a power cut, as one that nothing else
+// could rebuild must.
 func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
 	return b.commit(root, tree, turn, true)
 }
@@ -92,38 +97,51 @@ func (b *Batch) commit(root string, tree Hash, turn int, durable bool) (Commit, 
 		return Commit{}, fmt.Errorf("vstore: commit %q: tree %w: %s", root, ErrUnknownChunk, tree)
 	}
 	log := s.roots[root]
-	var parent Hash
 	if len(log) > 0 {
-		last := log[len(log)-1]
-		if last.Tree == tree && last.Turn == turn {
+		if last := log[len(log)-1]; last.Tree == tree && last.Turn == turn {
 			// Idempotent re-commit (recovery replay, batch re-apply):
 			// the head already pins this exact state.
 			return last, nil
 		}
-		parent = last.Hash
 	}
-	stamp := s.stamp + 1
-	data, err := appendCommitData(parent, turn, stamp)
+	c, payload, err := s.nextCommitLocked(root, tree, turn)
 	if err != nil {
 		return Commit{}, fmt.Errorf("vstore: encode commit for %q: %w", root, err)
 	}
-	payload, err := appendChunk("commit", []Hash{tree}, data)
-	if err != nil {
-		return Commit{}, err
-	}
-	c := Commit{Hash: hashBytes(payload), Tree: tree, Parent: parent, Turn: turn, Stamp: stamp}
 	b.turn.Add(obs.ChunksEncoded, 1)
 	b.turn.Add(obs.ChunksHashed, 1)
-	rootRec, err := appendPayload(root, c.Hash)
+	rec, err := commitPayload(root, turn, tree, b.inlineLocked(tree))
 	if err != nil {
 		return Commit{}, err
 	}
-
-	staged := append(b.staged, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}})
-	if err := s.journalLocked(b.turn, durable, staged, rootRec); err != nil {
+	staged := append(b.staged, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}, host: recordCommit, commit: &c})
+	if err := s.journalLocked(b.turn, durable, staged, rec); err != nil {
 		return Commit{}, err
 	}
 	s.roots[root] = append(log, c)
-	s.stamp = stamp
+	s.stamp = c.Stamp
 	return c, nil
+}
+
+// inlineLocked marks the staged tree node as the commit record's to carry
+// and returns its payload when the record can: this batch staged it, the
+// store lacks it, and checkInline accepts it. Otherwise it returns nil,
+// and the node, framed on its own or already stored, is named by address.
+// Caller holds s.mu.
+func (b *Batch) inlineLocked(tree Hash) []byte {
+	if _, ok := b.s.chunks[tree]; ok || !b.seen[tree] {
+		return nil
+	}
+	for i := len(b.staged) - 1; i >= 0; i-- {
+		st := &b.staged[i]
+		if st.hash != tree {
+			continue
+		}
+		if node, err := decodeChunk(st.payload[1:]); err != nil || checkInline(node) != nil {
+			return nil
+		}
+		st.host = recordTree
+		return st.payload
+	}
+	return nil
 }

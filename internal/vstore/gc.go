@@ -28,7 +28,8 @@ import (
 //     deletes. A commit that starts after the sweep takes the lock
 //     simply waits for it.
 //
-// The surviving chunks, followed by one "log is exactly" record per
+// The surviving chunks — those commit records carried among them, each
+// now a frame of its own — followed by one "log is exactly" record per
 // root as the checkpoint, are rewritten into a fresh journal
 // (framelog.Log.Rewrite) so on-disk space is actually reclaimed.
 
@@ -158,7 +159,8 @@ func (s *Store) markFromLocked(head Hash, marked map[Hash]bool) {
 }
 
 // rewritePackLocked rebuilds the journal as the surviving chunks in
-// hash order followed by every root's log in name order, streaming each
+// hash order — each a frame of its own, a chunk a commit record hosted
+// too — followed by every root's log in name order, streaming each
 // payload from the old file into the new one, and publishes it
 // atomically. Caller holds s.mu exclusively.
 func (s *Store) rewritePackLocked() error {
@@ -171,7 +173,7 @@ func (s *Store) rewritePackLocked() error {
 	}
 	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
 	names := s.rootNamesLocked()
-	offs := make([]int64, len(hashes))
+	moved := make([]chunk, len(hashes))
 	err := s.pack.Rewrite(func(w io.Writer) error {
 		var end int64
 		for i, h := range hashes {
@@ -183,7 +185,7 @@ func (s *Store) rewritePackLocked() error {
 			if err != nil {
 				return err
 			}
-			offs[i] = end
+			moved[i] = chunk{off: end, n: len(payload)}
 			end += int64(n)
 		}
 		for _, name := range names {
@@ -198,28 +200,35 @@ func (s *Store) rewritePackLocked() error {
 		}
 		return nil
 	})
-	s.relocateLocked(hashes, offs, err == nil)
+	s.relocateLocked(hashes, moved, err == nil)
 	return err
 }
 
-// relocateLocked points the index at the rewritten journal. A Rewrite
-// that reported success wrote every chunk where offs says. One that
-// failed may have done so on either side of its rename, and which file
-// now bears the name is not guessed: an entry takes whichever of its new
-// and old offsets still reads back as its own bytes, and is unreadable
-// if neither does. Caller holds s.mu exclusively.
-func (s *Store) relocateLocked(hashes []Hash, offs []int64, trusted bool) {
+// relocateLocked points the index at the rewritten journal, where
+// moved[i] is hashes[i]'s own frame. A Rewrite that reported success
+// wrote every chunk there. One that failed may have done so on either
+// side of its rename, and which file now bears the name is not guessed:
+// an entry takes whichever of its new and old places still reads back
+// as its own bytes, and is unreadable if neither does. Caller holds s.mu
+// exclusively.
+func (s *Store) relocateLocked(hashes []Hash, moved []chunk, trusted bool) {
 	for i, h := range hashes {
 		c := s.chunks[h]
-		if trusted {
-			c.off = offs[i]
+		old := *c
+		c.off, c.n, c.host, c.commit = moved[i].off, moved[i].n, ownFrame, nil
+		if trusted || s.readsBackLocked(h) {
 			continue
 		}
-		for _, off := range []int64{offs[i], c.off, -1} {
-			c.off = off
-			if p, err := s.payloadLocked(h); err == nil && hashBytes(p) == h {
-				break
-			}
+		*c = old
+		if !s.readsBackLocked(h) {
+			c.off = -1
 		}
 	}
+}
+
+// readsBackLocked reports whether chunk h reads back as its own bytes.
+// Caller holds s.mu.
+func (s *Store) readsBackLocked(h Hash) bool {
+	p, err := s.payloadLocked(h)
+	return err == nil && hashBytes(p) == h
 }

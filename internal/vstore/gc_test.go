@@ -3,8 +3,6 @@ package vstore
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -511,25 +509,27 @@ func TestRewriteThatFailedAfterItsRename(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The journal again, chunks in reverse order, root records last.
-	raw, err := os.ReadFile(filepath.Join(dir, packName))
+	// The journal as a rewrite lays it out, but with the chunks in
+	// reverse order: each a frame of its own, the root record last.
+	var hashes []Hash
+	for _, h := range append(leaves, tree, c.Hash) {
+		hashes = append([]Hash{h}, hashes...)
+	}
+	var swapped []byte
+	var moved []chunk
+	for _, h := range hashes {
+		p, err := s.PacketOf(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved = append(moved, chunk{off: int64(len(swapped)), n: len(p.Data)})
+		swapped = append(swapped, framelog.Encode(packMagic, p.Data)...)
+	}
+	set, err := setPayload("db/main", []Hash{c.Hash}, c.Stamp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, _ := framelog.Scan(packMagic, raw)
-	var swapped, rootRecords []byte
-	var hashes []Hash
-	var offs []int64
-	for i := len(payloads) - 1; i >= 0; i-- {
-		frame := framelog.Encode(packMagic, payloads[i])
-		if h := hashBytes(payloads[i]); s.Has(h) {
-			hashes, offs = append(hashes, h), append(offs, int64(len(swapped)))
-			swapped = append(swapped, frame...)
-		} else {
-			rootRecords = append(rootRecords, frame...)
-		}
-	}
-	swapped = append(swapped, rootRecords...)
+	swapped = append(swapped, framelog.Encode(packMagic, set)...)
 	swap := func() {
 		t.Helper()
 		if err := s.pack.Rewrite(func(w io.Writer) error {
@@ -544,7 +544,7 @@ func TestRewriteThatFailedAfterItsRename(t *testing.T) {
 	// may keep an offset that now holds another chunk.
 	s.mu.Lock()
 	swap()
-	s.relocateLocked(hashes, make([]int64, len(hashes)), false)
+	s.relocateLocked(hashes, make([]chunk, len(hashes)), false)
 	s.mu.Unlock()
 	served := 0
 	for _, h := range hashes {
@@ -563,7 +563,7 @@ func TestRewriteThatFailedAfterItsRename(t *testing.T) {
 	// The same failure with the offsets the writer recorded: everything
 	// reads from the new file, and the next open agrees.
 	s.mu.Lock()
-	s.relocateLocked(hashes, offs, false)
+	s.relocateLocked(hashes, moved, false)
 	s.mu.Unlock()
 	requirePacketsRehash(t, s)
 	if !s.HasClosure(c.Hash) || s.NumChunks() != len(hashes) {

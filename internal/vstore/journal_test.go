@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -318,14 +319,12 @@ func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
 	}
 }
 
+// TestRootRecordWithoutItsCommitEndsTheJournal: an append record whose
+// commit chunk, or a commit record whose stored tree, no frame before it
+// holds ends the journal's valid prefix there.
 func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
-	dir := t.TempDir()
 	root := "db/main"
 	leaf, err := appendChunk("leaf", nil, []byte(`[1]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dangling, err := appendPayload(root, hashBytes([]byte("beef")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,32 +332,41 @@ func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var journal []byte
-	for _, p := range [][]byte{leaf, dangling, late} {
-		journal = append(journal, framelog.Encode(packMagic, p)...)
-	}
-	path := filepath.Join(dir, packName)
-	if err := os.WriteFile(path, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(Config{Dir: dir})
+	danglingAppend, err := appendPayload(root, hashBytes([]byte("beef")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("close: %v", err)
+	danglingCommit, err := commitPayload(root, 1, hashBytes([]byte("beef")), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, dangling := range map[string][]byte{"append record": danglingAppend, "commit record": danglingCommit} {
+		dir := t.TempDir()
+		var journal []byte
+		for _, p := range [][]byte{leaf, dangling, late} {
+			journal = append(journal, framelog.Encode(packMagic, p)...)
 		}
-	}()
-	if len(s.Roots()) != 0 || s.NumChunks() != 1 || !s.Has(hashBytes(leaf)) {
-		t.Fatalf("roots %v, %d chunks; want no root and only the chunk before the dangling record", s.Roots(), s.NumChunks())
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(framelog.HeaderSize + len(leaf)); info.Size() != want {
-		t.Fatalf("journal is %d bytes after open, want it cut to %d", info.Size(), want)
+		path := filepath.Join(dir, packName)
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Roots()) != 0 || s.NumChunks() != 1 || !s.Has(hashBytes(leaf)) {
+			t.Fatalf("%s: roots %v, %d chunks; want no root and only the chunk before the dangling record", name, s.Roots(), s.NumChunks())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(framelog.HeaderSize + len(leaf)); info.Size() != want {
+			t.Fatalf("%s: journal is %d bytes after open, want it cut to %d", name, info.Size(), want)
+		}
 	}
 }
 
@@ -410,6 +418,22 @@ func forgedPayloads(t testing.TB) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	node := func(kind string, refs []Hash, data string) []byte {
+		p, err := appendChunk(kind, refs, []byte(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	sess := node("sess", []Hash{addr}, "\x02s1")
+	inline, err := commitPayload("session/s0001", 2, hashBytes(sess), sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := commitPayload("session/s0001", 2, addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name    string
 		payload []byte
@@ -425,7 +449,7 @@ func forgedPayloads(t testing.TB) []struct {
 		{"JSON leaf", []byte(`{"k":"leaf","d":{"t":1,"v":[1]}}`)},
 		{"not JSON", []byte(`{`)},
 		{"empty", nil},
-		{"unknown first byte", raw(0x04, 1, "x", 1, addr)},
+		{"unknown first byte", raw(0x05, 1, "x", 1, addr)},
 		{"binary chunk with an empty kind", raw(tagChunk, 0, 1, addr)},
 		{"binary kind whose bytes are not there", raw(tagChunk, 9, "x")},
 		{"binary ref whose bytes are not there", raw(tagChunk, 1, "x", 2, addr)},
@@ -453,6 +477,20 @@ func forgedPayloads(t testing.TB) []struct {
 		{"binary set record with a trailing byte", append(bytes.Clone(setRec), 0)},
 		{"binary set record with an overlong stamp", raw(tagSet, 1, "r", 0x81, 0, 0)},
 		{"binary set record short of its log", setRec[:len(setRec)-1]},
+		{"commit record carrying its node", inline},
+		{"commit record naming its tree", stored},
+		{"commit record with a byte after its tree's address", append(bytes.Clone(stored), 0)},
+		{"commit record short of its tree's address", stored[:len(stored)-1]},
+		{"commit record ending before its tree", raw(tagCommit, 1, "r", 2)},
+		{"commit record with an overlong turn", raw(tagCommit, 1, "r", 0x82, 0, treeStored, addr)},
+		{"commit record with an overlong name length", raw(tagCommit, 0x81, 0, "r", 2, treeStored, addr)},
+		{"commit record whose turn overflows an int", raw(tagCommit, 1, "r", binary.AppendUvarint(nil, 1<<63), treeStored, addr)},
+		{"commit record in tree form 2", raw(tagCommit, 1, "r", 2, 2, addr)},
+		{"commit record carrying a leaf", raw(tagCommit, 1, "r", 2, node("leaf", nil, `{"t":1,"v":[1]}`))},
+		{"commit record carrying a commit", raw(tagCommit, 1, "r", 2, node("commit", []Hash{addr}, "\x00\x01\x01"))},
+		{"commit record carrying db data its decoder refuses", raw(tagCommit, 1, "r", 2, node("db", nil, `[`))},
+		{"commit record carrying a node with an empty kind", raw(tagCommit, 1, "r", 2, tagChunk, 0, 0)},
+		{"commit record carrying a node short of its ref", raw(tagCommit, 1, "r", 2, tagChunk, 4, "sess", 1, addr)[:40]},
 	}
 }
 
@@ -631,16 +669,33 @@ func journalSeeds(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitPayload, err := appendChunk("commit", []Hash{hashBytes(tree[framelog.HeaderSize:])}, commitData)
+	commitChunkPayload, err := appendChunk("commit", []Hash{hashBytes(tree[framelog.HeaderSize:])}, commitData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit := framelog.Encode(packMagic, commitPayload)
-	h := hashBytes(commitPayload)
+	commit := framelog.Encode(packMagic, commitChunkPayload)
+	h := hashBytes(commitChunkPayload)
 	appendRec := must(appendPayload(root, h))
 	setRec := must(setPayload(root, []Hash{h, h}, 9))
 	deleteRec := must(setPayload(root, nil, 9))
 	notCommit := must(appendPayload(root, hashBytes(tree[framelog.HeaderSize:])))
+	sess, err := appendChunk("sess", nil, []byte{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := must(commitPayload(root, 2, hashBytes(sess), sess))
+	stored := must(commitPayload(root, 4, hashBytes(sess), nil))
+	storedTree := must(commitPayload(root, 3, hashBytes(tree[framelog.HeaderSize:]), nil))
+	// The commit inline's record stands for, appended to a second root.
+	recordCommit, err := appendCommitData("", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordCommitPayload, err := appendChunk("commit", []Hash{hashBytes(sess)}, recordCommit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopt := must(appendPayload("other", hashBytes(recordCommitPayload)))
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	return [][]byte{
 		nil,
@@ -655,6 +710,11 @@ func journalSeeds(t testing.TB) [][]byte {
 		framelog.Encode(0xA7, []byte(`{"k":"leaf"}`)),
 		append(cat(tree), packMagic, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0),
 		append(cat(tree, commit), "garbage!!!"...),
+		cat(inline, stored, adopt),
+		cat(tree, storedTree, inline, setRec),
+		cat(stored, inline),
+		cat(tree, commit, appendRec, storedTree, inline, deleteRec, inline),
+		cat(inline, stored)[:len(inline)+5],
 	}
 }
 
@@ -669,11 +729,11 @@ func FuzzJournalOpen(f *testing.F) {
 	for _, seed := range journalSeeds(f) {
 		f.Add(seed)
 	}
-	// Journals this code wrote: whole, cut, and behind a JSON chunk with
-	// refs, which only older stores wrote; and the v5 journals, whose JSON
-	// payloads are an older format.
+	// Journals this code wrote, and the v6 ones it reads: whole, cut, and
+	// behind a JSON chunk with refs, which only older stores wrote; and the
+	// v5 journals, whose JSON payloads are an older format.
 	old := framelog.Encode(packMagic, []byte(`{"k":"sess","r":["`+string(hashBytes(nil))+`"]}`))
-	for _, path := range fixtureJournals {
+	for _, path := range slices.Concat(fixtureJournals, v6Journals) {
 		pack, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

@@ -9,19 +9,23 @@ import (
 )
 
 // The leaf-format pins, each a journal written by one Open, the
-// fixture's commits and Close. testdata/readings-v6/chunks.pack is
+// fixture's commits and Close. testdata/readings-v7/chunks.pack is
 // commitLeafFixture's: every column kind, NULLs and the values a codec
-// gets wrong first, in plain leaves. testdata/leaf-v6/chunks.pack is
+// gets wrong first, in plain leaves. testdata/leaf-v7/chunks.pack is
 // commitOrdersFixture's: runs, dictionary and packed leaves. Both were
-// written by the commit that made every journal payload binary — this
+// written by the commit that made a version one commit record — this
 // file, compiled there unchanged — and this code writes them byte for
-// byte. The -v5 journals are the same commits as the commit before wrote
-// them, leaves in a JSON envelope, which Open refuses.
+// byte. The -v6 journals are the same commits as the commit before wrote
+// them, a db node frame, a commit chunk and an append record a version,
+// which Open reads as it is; the -v5 ones are older, leaves in a JSON
+// envelope, which Open refuses.
 
 const (
-	readingsFixture   = "testdata/readings-v6"
+	readingsFixture   = "testdata/readings-v7"
+	readingsFixtureV6 = "testdata/readings-v6"
 	leafFixtureRoot   = "db/main"
-	leafFixture       = "testdata/leaf-v6"
+	leafFixture       = "testdata/leaf-v7"
+	leafFixtureV6     = "testdata/leaf-v6"
 	ordersFixtureRoot = "data"
 )
 

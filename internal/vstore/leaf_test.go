@@ -723,8 +723,9 @@ func requireSameVersion(t *testing.T, s *Store, a, b Hash) {
 }
 
 // TestWritesV2LeafBytes requires the journal this code writes for the
-// readings fixture's two commits to be readings-v6's, byte for byte, its
-// leaves to be the fixture's, and its two versions to read back.
+// readings fixture's two commits to be readings-v7's, byte for byte, its
+// leaves to be the fixture's and readings-v6's, and its two versions to
+// read back from both.
 func TestWritesV2LeafBytes(t *testing.T) {
 	dir := t.TempDir()
 	commitLeafFixture(t, openDir(t, dir))
@@ -742,6 +743,7 @@ func TestWritesV2LeafBytes(t *testing.T) {
 	s := NewMemory()
 	want := commitLeafFixture(t, s)
 	requireLeavesOf(t, s, readingsFixture, leafFixtureRoot)
+	requireLeavesOf(t, s, readingsFixtureV6, leafFixtureRoot)
 	tab, err := want[0].Get("readings")
 	if err != nil {
 		t.Fatal(err)
@@ -757,13 +759,15 @@ func TestWritesV2LeafBytes(t *testing.T) {
 			t.Fatalf("fixture column %s has %d NULLs in %d rows, want some of each", cd.Name, nulls, tab.NumRows())
 		}
 	}
-	fixture := openDir(t, copyLeafFixture(t, readingsFixture))
-	for turn := range want {
-		db, _, err := fixture.DatabaseAsOf(leafFixtureRoot, turn)
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range []string{readingsFixture, readingsFixtureV6} {
+		fixture := openDir(t, copyLeafFixture(t, f))
+		for turn := range want {
+			db, _, err := fixture.DatabaseAsOf(leafFixtureRoot, turn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameDB(t, db, want[turn])
 		}
-		requireSameDB(t, db, want[turn])
 	}
 }
 
@@ -826,11 +830,11 @@ func requireOrdersFixture(t *testing.T, fixture string, forms []string) {
 	}
 }
 
-// TestWritesV6LeafBytes pins the bytes this code journals for
-// ordersFixtureDB — runs, dictionary and packed leaves under a table, db
-// and commit chunk and a root record, every payload binary — and reads
-// them back.
-func TestWritesV6LeafBytes(t *testing.T) {
+// TestWritesV7LeafBytes pins the bytes this code journals for
+// ordersFixtureDB — runs, dictionary and packed leaves under a table and
+// a db node, which the commit record carries, every payload binary — and
+// reads them back, and leaf-v6's too.
+func TestWritesV7LeafBytes(t *testing.T) {
 	dir := t.TempDir()
 	commitOrdersFixture(t, openDir(t, dir))
 	got, err := os.ReadFile(filepath.Join(dir, packName))
@@ -845,6 +849,7 @@ func TestWritesV6LeafBytes(t *testing.T) {
 		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
 	}
 	requireOrdersFixture(t, leafFixture, v4Forms)
+	requireOrdersFixture(t, leafFixtureV6, v4Forms)
 }
 
 // requireLeavesOf requires every commit on root in s to list, table by

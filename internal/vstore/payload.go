@@ -16,18 +16,28 @@ import (
 //	chunk   0x01 · uvarint len(kind) · kind · uvarint len(refs) · 32 bytes a ref · data
 //	append  0x02 · uvarint len(name) · name · 32-byte commit
 //	set     0x03 · uvarint len(name) · name · uvarint stamp · uvarint len(log) · 32 bytes a commit
+//	commit  0x04 · uvarint len(name) · name · uvarint turn · form · tree
 //
 // uvarint is binary.AppendUvarint's. A chunk may have no refs, and its
 // data is its owner's bytes, empty for none: opaque to the store except
 // for the kinds it owns (commit, leaf, table, db). An append record adds
-// a commit to a root's log; a set record says the log is now exactly
-// that list (empty: the root is gone) and carries the store-wide stamp.
-// A payload that opens with '{' is JSON, which stores up to
-// jsonLastReader wrote: a *FormatError.
+// a commit chunk that precedes it to a root's log; a set record says the
+// log is now exactly that list (empty: the root is gone) and carries the
+// store-wide stamp. A commit record is a new version in one frame: the
+// commit chunk it stands for pins tree at turn, its parent is the root's
+// head and its stamp the store's next, so the journal holds neither.
+// Form 0 names a stored tree by its 32-byte address; form 1 carries the
+// tree node itself, its chunk payload after the 0x01 tag — so the form
+// byte and the rest are exactly that payload. A payload that opens with
+// '{' is JSON, which stores up to jsonLastReader wrote: a *FormatError.
 const (
 	tagChunk  = 0x01
 	tagAppend = 0x02
 	tagSet    = 0x03
+	tagCommit = 0x04
+
+	treeStored = 0x00
+	treeInline = tagChunk
 )
 
 // jsonLastReader names the last commit that reads a journal holding
@@ -142,13 +152,78 @@ func setPayload(root string, log []Hash, stamp int64) ([]byte, error) {
 	return p, nil
 }
 
+// commitPayload encodes the commit record that appends a version of root
+// at turn pinning tree: node inline (form 1) when it is not nil — the
+// tree's chunk payload, which checkInline must accept — else tree's
+// address (form 0).
+func commitPayload(root string, turn int, tree Hash, node []byte) ([]byte, error) {
+	if turn < 0 {
+		return nil, fmt.Errorf("vstore: encode commit record for %q: turn %d", root, turn)
+	}
+	p := make([]byte, 0, 2*binary.MaxVarintLen64+len(root)+1+max(addrLen, len(node)))
+	p = append(p, tagCommit)
+	p = binary.AppendUvarint(p, uint64(len(root)))
+	p = append(p, root...)
+	p = binary.AppendUvarint(p, uint64(turn))
+	if node != nil {
+		return append(p, node...), nil
+	}
+	p, err := appendAddr(append(p, treeStored), tree)
+	if err != nil {
+		return nil, fmt.Errorf("vstore: encode commit record for %q: %w", root, err)
+	}
+	return p, nil
+}
+
+// cutCommitHead reads a commit record's root name and turn, returning
+// the rest: the form byte and the tree.
+func cutCommitHead(p []byte) (name string, turn int, rest []byte, err error) {
+	name, rest, err = framelog.CutString(p[1:], "root name")
+	if err != nil {
+		return "", 0, nil, err
+	}
+	t, rest, err := framelog.CutUvarint(rest, "commit turn")
+	if err != nil {
+		return "", 0, nil, err
+	}
+	if t > math.MaxInt {
+		return "", 0, nil, fmt.Errorf("commit record turn %d overflows", t)
+	}
+	if len(rest) == 0 {
+		return "", 0, nil, errors.New("commit record ends before its tree")
+	}
+	return name, int(t), rest, nil
+}
+
+// decodeChunk decodes a chunk payload after its tag. Its data aliases p.
+func decodeChunk(p []byte) (chunkFields, error) {
+	var f chunkFields
+	kind, rest, err := framelog.CutString(p, "kind")
+	if err != nil {
+		return f, err
+	}
+	if kind == "" {
+		return f, errors.New("binary chunk with an empty kind")
+	}
+	if f.R, rest, err = cutAddrs(rest, "ref"); err != nil {
+		return f, err
+	}
+	f.K = kind
+	if len(rest) > 0 {
+		f.D = rest
+	}
+	return f, nil
+}
+
 // decodePayload decodes a journal payload: a chunk, or a root record
-// (Root set). It is refused unless it is the one encoding a writer
-// produces for what it holds — every count canonical and backed by the
-// bytes that follow it, a chunk with a kind, nothing after a root
-// record's last address — and each refusal comes before anything is
-// sized by a count. A JSON payload is what older stores wrote, a
-// *FormatError. A chunk's data aliases p.
+// (Root set; Version too for a commit record). It is refused unless it is
+// the one encoding a writer produces for what it holds — every count
+// canonical and backed by the bytes that follow it, a chunk with a kind,
+// nothing after a root record's last address, a commit record's tree in
+// form 0 or 1 and, inline, a node checkInline accepts — and each refusal
+// comes before anything is sized by a count. A JSON payload is what
+// older stores wrote, a *FormatError. A chunk's data, and a commit
+// record's node, alias p.
 func decodePayload(p []byte) (record, error) {
 	var rec record
 	if len(p) == 0 {
@@ -156,21 +231,9 @@ func decodePayload(p []byte) (record, error) {
 	}
 	switch p[0] {
 	case tagChunk:
-		kind, rest, err := framelog.CutString(p[1:], "kind")
-		if err != nil {
-			return rec, err
-		}
-		if kind == "" {
-			return rec, errors.New("binary chunk with an empty kind")
-		}
-		if rec.R, rest, err = cutAddrs(rest, "ref"); err != nil {
-			return rec, err
-		}
-		rec.K = kind
-		if len(rest) > 0 {
-			rec.D = rest
-		}
-		return rec, nil
+		var err error
+		rec.chunkFields, err = decodeChunk(p[1:])
+		return rec, err
 	case tagAppend:
 		name, rest, err := framelog.CutString(p[1:], "root name")
 		if err != nil {
@@ -201,6 +264,32 @@ func decodePayload(p []byte) (record, error) {
 		}
 		rec.Root, rec.Stamp = &name, int64(stamp)
 		return rec, nil
+	case tagCommit:
+		name, turn, rest, err := cutCommitHead(p)
+		if err != nil {
+			return rec, err
+		}
+		v := &versionRecord{Turn: turn}
+		switch rest[0] {
+		case treeStored:
+			if len(rest) != 1+addrLen {
+				return rec, fmt.Errorf("commit record ends in a %d-byte tree address, want %d", len(rest)-1, addrLen)
+			}
+			v.Tree = Hash(hex.EncodeToString(rest[1:]))
+		case treeInline:
+			node, err := decodeChunk(rest[1:])
+			if err != nil {
+				return rec, fmt.Errorf("commit record's tree: %w", err)
+			}
+			if err := checkInline(node); err != nil {
+				return rec, fmt.Errorf("commit record's tree %w", err)
+			}
+			v.Tree, v.Node, v.NodeRefs = hashBytes(rest), rest, node.R
+		default:
+			return rec, fmt.Errorf("commit record tree form %#x", rest[0])
+		}
+		rec.Root, rec.Version = &name, v
+		return rec, nil
 	case '{':
 		return rec, &FormatError{Format: "a JSON journal payload", Reader: jsonLastReader}
 	}
@@ -216,25 +305,41 @@ func checkShipped(rec record) error {
 	if rec.Root != nil {
 		return errors.New("is a root record, not a chunk")
 	}
+	return checkChunk(rec.chunkFields)
+}
+
+// checkInline holds a commit record's inline tree node to what a writer
+// of this store puts there: a chunk checkChunk accepts that is neither a
+// leaf nor a commit, the kinds no version pins as its tree.
+func checkInline(f chunkFields) error {
+	if f.K == "leaf" || f.K == "commit" {
+		return fmt.Errorf("is a %s node, which no commit record carries", f.K)
+	}
+	return checkChunk(f)
+}
+
+// checkChunk requires the data of a kind this store owns to be what its
+// decoder reads.
+func checkChunk(f chunkFields) error {
 	var err error
-	switch rec.K {
+	switch f.K {
 	case "commit":
-		if len(rec.R) != 1 {
-			return fmt.Errorf("is a commit with %d refs, want 1", len(rec.R))
+		if len(f.R) != 1 {
+			return fmt.Errorf("is a commit with %d refs, want 1", len(f.R))
 		}
-		_, _, _, err = decodeCommitData(rec.D)
+		_, _, _, err = decodeCommitData(f.D)
 	case "leaf":
-		if len(rec.R) != 0 {
-			return fmt.Errorf("is a leaf with %d refs", len(rec.R))
+		if len(f.R) != 0 {
+			return fmt.Errorf("is a leaf with %d refs", len(f.R))
 		}
-		_, err = parseLeaf(rec.D)
+		_, err = parseLeaf(f.D)
 	case "table":
-		_, err = decodeTableData(rec.D)
+		_, err = decodeTableData(f.D)
 	case "db":
-		_, err = decodeDBData(rec.D)
+		_, err = decodeDBData(f.D)
 	}
 	if err != nil {
-		return fmt.Errorf("has %s data its decoder refuses: %w", rec.K, err)
+		return fmt.Errorf("has %s data its decoder refuses: %w", f.K, err)
 	}
 	return nil
 }

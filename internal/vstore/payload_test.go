@@ -6,18 +6,26 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // fixtureJournals are the journals the leaf and session fixtures of the
-// format this store writes hold, and v5Journals the same fixtures as the
-// commit before binary payloads wrote them.
+// format this store writes hold, v6Journals the same fixtures as the
+// commit before commit records wrote them, which this store reads, and
+// v5Journals the same as the commit before binary payloads wrote them.
 var (
 	fixtureJournals = []string{
 		filepath.Join(readingsFixture, packName),
 		filepath.Join(leafFixture, packName),
+		filepath.Join("..", "sessionstore", "testdata", "format-v7", "vstore", packName),
+		filepath.Join("..", "sessionstore", "testdata", "tree-v7", "vstore", packName),
+	}
+	v6Journals = []string{
+		filepath.Join(readingsFixtureV6, packName),
+		filepath.Join(leafFixtureV6, packName),
 		filepath.Join("..", "sessionstore", "testdata", "format-v6", "vstore", packName),
 		filepath.Join("..", "sessionstore", "testdata", "tree-v6", "vstore", packName),
 	}
@@ -51,6 +59,8 @@ func reencode(p []byte, rec record) ([]byte, error) {
 		return appendPayload(*rec.Root, rec.Commit)
 	case tagSet:
 		return setPayload(*rec.Root, rec.Log, rec.Stamp)
+	case tagCommit:
+		return commitPayload(*rec.Root, rec.Version.Turn, rec.Version.Tree, rec.Version.Node)
 	}
 	return appendChunk(rec.K, rec.R, rec.D)
 }
@@ -63,9 +73,11 @@ func reencode(p []byte, rec record) ([]byte, error) {
 // frame of the fixture journals, whole and cut one byte short, with
 // every frame of the v5 journals — whose JSON payloads it must refuse as
 // an older format, and whose binary chunks carry JSON commit, session
-// and shard data — and with the forged payloads.
+// and shard data — and with the forged payloads. The v7 journals hold
+// commit records, in both forms; the v6 ones, which this store also
+// reads, their commit chunks and append records.
 func FuzzDecodePayload(f *testing.F) {
-	for _, path := range fixtureJournals {
+	for _, path := range slices.Concat(fixtureJournals, v6Journals) {
 		for _, p := range journalPayloads(f, path) {
 			f.Add(p)
 			f.Add(p[:len(p)-1])

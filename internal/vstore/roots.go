@@ -75,6 +75,59 @@ func decodeCommitData(d []byte) (parent Hash, turn int, stamp int64, err error) 
 	return parent, int(t), int64(st), nil
 }
 
+// commitChunk renders the commit chunk that pins tree at turn and stamp
+// on parent, and its address.
+func commitChunk(tree, parent Hash, turn int, stamp int64) (Hash, []byte, error) {
+	data, err := appendCommitData(parent, turn, stamp)
+	if err != nil {
+		return "", nil, err
+	}
+	payload, err := appendChunk("commit", []Hash{tree}, data)
+	if err != nil {
+		return "", nil, err
+	}
+	return hashBytes(payload), payload, nil
+}
+
+// nextCommitLocked is the commit that appends tree at turn to root's log
+// now — its parent the root's head, its stamp the store's next — and its
+// chunk payload. A commit record spells only root, turn and tree, so the
+// writer and the journal scan both derive the rest here. Caller holds s.mu.
+func (s *Store) nextCommitLocked(root string, tree Hash, turn int) (Commit, []byte, error) {
+	c := Commit{Tree: tree, Turn: turn, Stamp: s.stamp + 1}
+	if log := s.roots[root]; len(log) > 0 {
+		c.Parent = log[len(log)-1].Hash
+	}
+	var payload []byte
+	var err error
+	c.Hash, payload, err = commitChunk(tree, c.Parent, turn, c.Stamp)
+	return c, payload, err
+}
+
+// replayCommitLocked applies the commit record v for root that the
+// journal scan found at off, n bytes long: its inline tree node, or the
+// stored one it names, and the commit it stands for enter the index at
+// the record, the commit payload joins the scan's commits, and the root's
+// log and the store's stamp move as the writer's did. A stored tree the
+// scan has not passed is an error. Caller holds s.mu exclusively.
+func (s *Store) replayCommitLocked(root string, v *versionRecord, off int64, n int, commits map[Hash][]byte) error {
+	if _, ok := s.chunks[v.Tree]; !ok && v.Node == nil {
+		return fmt.Errorf("vstore: commit record for %q names tree %s, which no frame before it holds", root, v.Tree)
+	}
+	c, payload, err := s.nextCommitLocked(root, v.Tree, v.Turn)
+	if err != nil {
+		return err
+	}
+	if v.Node != nil {
+		s.chunks[v.Tree] = &chunk{off: off, n: n, refs: v.NodeRefs, host: recordTree}
+	}
+	s.chunks[c.Hash] = &chunk{off: off, n: n, refs: []Hash{v.Tree}, host: recordCommit, commit: &c}
+	commits[c.Hash] = payload
+	s.roots[root] = append(s.roots[root], c)
+	s.stamp = c.Stamp
+	return nil
+}
+
 // Commit appends a new version to the named root, pinning tree (which
 // must already be stored): a batch with nothing staged.
 func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
@@ -82,8 +135,9 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 }
 
 // commitEntry rebuilds a root-log entry from its commit chunk's payload —
-// the journal's root records and shipped commits carry only the hash. A
-// chunk that is no commit a writer produces is a *MalformedChunkError.
+// the journal's append and set records and shipped commits carry only
+// the hash. A chunk that is no commit a writer produces is a
+// *MalformedChunkError.
 func commitEntry(h Hash, payload []byte) (Commit, error) {
 	env, err := decodePayload(payload)
 	if err != nil {

@@ -26,18 +26,22 @@
 // self-describing record of kind, child addresses and data bytes that
 // lets replication walk a tree generically (have/want negotiation over
 // chunk hashes) without knowing the schema of what it is shipping — or
-// a root record: one appends a commit to a root's log, another says the
-// log is now exactly a list of commits (empty: the root is gone). Every
-// payload is binary, every address its 32 raw bytes (payload.go has the
-// layouts). A root record names commit chunks that precede it in the
-// journal; the log entry is rebuilt from the chunk on open. That is the
-// store's one format: Open refuses a directory holding anything older
-// with a *FormatError, naming the last commit that reads it.
-// A Batch puts a version's new chunks, its commit chunk and its root
-// record into the journal with one append, so a crash leaves the root
-// on the old commit or the new one with its whole tree. GC rewrites
-// the journal as the surviving chunks followed by one "log is exactly"
-// record per root — log + checkpoint, the shape the WAL has.
+// a root record: a commit record is a new version of a root, carrying
+// its tree node when the store lacks it; an append record adds a commit
+// chunk, shipped from another store, to a root's log; a set record says
+// the log is now exactly a list of commits (empty: the root is gone).
+// Every payload is binary, every address its 32 raw bytes (payload.go
+// has the layouts). A record spells nothing the frames before it hold:
+// an append or set record names commit chunks that precede it, a commit
+// record leaves out its commit's parent and stamp, and the log entry is
+// rebuilt from them on open. That is the store's one format: Open
+// refuses a directory holding anything older with a *FormatError,
+// naming the last commit that reads it. A Batch puts a version's new
+// chunks and its commit record into the journal with one append, so a
+// crash leaves the root on the old commit or the new one with its whole
+// tree. GC rewrites the journal as the surviving chunks followed by one
+// "log is exactly" record per root — log + checkpoint, the shape the WAL
+// has.
 //
 // When the journal is flushed depends on who could rebuild the version.
 // Nothing can rebuild a data root, a shard root, an adopted commit, a
@@ -151,14 +155,28 @@ func malformed(h Hash, format string, args ...any) error {
 // the refs every graph walk needs, and its GC bookkeeping.
 type chunk struct {
 	off  int64 // the frame's offset in the journal
-	n    int   // payload length
+	n    int   // the frame's payload length
 	refs []Hash
 	data []byte // memory-only store: the payload itself (see payloadLocked)
 	// epoch is the GC epoch the chunk was last put or re-touched in;
 	// the sweep spares any chunk touched at or after the sweep's own
 	// epoch (the write barrier for in-flight commits).
 	epoch uint64
+	// host says where in its frame the chunk lies; for a commit a
+	// commit record stands for, commit is its log entry, whose parent
+	// and stamp the record leaves out.
+	host   host
+	commit *Commit
 }
+
+// host is where a chunk lies in the frame its index entry names.
+type host uint8
+
+const (
+	ownFrame     host = iota // the frame is the chunk
+	recordTree               // the tree node a commit record carries inline
+	recordCommit             // the commit chunk a commit record stands for
+)
 
 // chunkFields are a decoded chunk: its kind, refs and data.
 type chunkFields struct {
@@ -180,10 +198,21 @@ type rootRecord struct {
 	Stamp  int64
 }
 
-// record is either journal payload, decoded (decodePayload).
+// versionRecord is what a commit record holds of the commit it stands
+// for: its turn and its tree, and in form 1 the tree node itself.
+type versionRecord struct {
+	Turn     int
+	Tree     Hash
+	Node     []byte // form 1: the node's chunk payload, aliasing the record; nil in form 0
+	NodeRefs []Hash
+}
+
+// record is any journal payload, decoded (decodePayload): a chunk, or a
+// root record — a commit record when Version is set.
 type record struct {
 	chunkFields
 	rootRecord
+	Version *versionRecord
 }
 
 // Store is the content-addressed chunk store. Safe for concurrent
@@ -272,9 +301,12 @@ func NewMemory() *Store {
 
 // openPack opens (creating if absent) the journal and replays it:
 // chunks enter the index at their offsets, root records rebuild the
-// root logs. A torn tail left by a crash mid-append — or a payload that
-// does not decode, or a root record whose commit chunk does not precede
-// it — ends the valid prefix and is truncated by the log. A frame of an
+// root logs, and a commit record both: the commit it stands for — and
+// its tree, when inline — enter the index at the record's offset. A
+// torn tail left by a crash mid-append — or a payload that does not
+// decode, or a root record whose commit chunk does not precede it, or a
+// commit record whose stored tree does not — ends the valid prefix and
+// is truncated by the log. A frame of an
 // older format is a *FormatError: the scan keeps it and every frame
 // after it, so the log truncates nothing but a torn tail, and Open
 // fails. Only Open can see the store yet; s.mu is taken so that every
@@ -288,8 +320,9 @@ func (s *Store) openPack() error {
 	}
 	// The log cannot be read until Open returns it, so root records are
 	// resolved against the commit chunks this scan has passed: payloads
-	// that alias its read buffer and go when it does. One it has not
-	// passed is nil, which decodes as no commit, and the record is refused.
+	// that alias its read buffer and go when it does, and those commit
+	// records stand for. One it has not passed is nil, which decodes as no
+	// commit, and the record is refused.
 	commits := map[Hash][]byte{}
 	path := filepath.Join(s.cfg.Dir, packName)
 	var old *FormatError
@@ -308,11 +341,16 @@ func (s *Store) openPack() error {
 			if err != nil {
 				return false
 			}
-			if rec.Root != nil {
+			switch {
+			case rec.Version != nil:
+				if s.replayCommitLocked(*rec.Root, rec.Version, off, len(payload), commits) != nil {
+					return false
+				}
+			case rec.Root != nil:
 				if s.applyRootLocked(rec.rootRecord, true, commits) != nil {
 					return false
 				}
-			} else {
+			default:
 				h := hashBytes(payload)
 				if rec.K == "commit" {
 					commits[h] = payload
@@ -369,32 +407,45 @@ func (s *Store) appendPack(turn *obs.Turn, durable bool, payloads ...[]byte) ([]
 	return offs, nil
 }
 
-// journalLocked appends the staged chunks the store lacks, then the
-// root records in tail, with one append, and indexes the chunks only
-// once it is acknowledged: a failed or torn append leaves memory as it
-// was. A chunk the store holds is re-touched instead (the GC write
-// barrier). durable is appendPack's, and the append is counted against
-// turn. Caller holds s.mu exclusively.
-func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk, tail ...[]byte) error {
+// journalLocked appends the staged chunks the store lacks, each a frame
+// of its own, then rec, a commit record, when it is not nil — the frame
+// that holds every staged chunk hosted in it — with one append, and
+// indexes the chunks only once it is acknowledged: a failed or torn
+// append leaves memory as it was. A chunk the store holds is re-touched
+// instead (the GC write barrier). durable is appendPack's, and the append
+// is counted against turn. Caller holds s.mu exclusively.
+func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk, rec []byte) error {
 	var fresh []stagedChunk
 	var payloads [][]byte
 	for _, st := range staged {
 		if c, ok := s.chunks[st.hash]; ok {
 			c.epoch = s.epoch
-		} else {
-			fresh = append(fresh, st)
+			continue
+		}
+		fresh = append(fresh, st)
+		if st.host == ownFrame {
 			payloads = append(payloads, st.payload)
 		}
 	}
-	offs, err := s.appendPack(turn, durable, append(payloads, tail...)...)
+	if rec != nil {
+		payloads = append(payloads, rec)
+	}
+	offs, err := s.appendPack(turn, durable, payloads...)
 	if err != nil {
 		return err
 	}
 	if s.pack != nil {
 		turn.Add(obs.ChunksJournalled, len(fresh))
 	}
-	for i, st := range fresh {
-		c := &chunk{off: offs[i], n: len(st.payload), refs: st.refs, epoch: s.epoch}
+	next := 0
+	for _, st := range fresh {
+		c := &chunk{n: len(st.payload), refs: st.refs, epoch: s.epoch, host: st.host, commit: st.commit}
+		if st.host == ownFrame {
+			c.off = offs[next]
+			next++
+		} else {
+			c.off, c.n = offs[len(offs)-1], len(rec)
+		}
 		if s.pack == nil {
 			c.data = st.payload
 		}
@@ -404,9 +455,10 @@ func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk
 }
 
 // payloadLocked returns a chunk's payload: one pread of its frame,
-// refused unless magic, length and checksum verify — or, in a
-// memory-only store, the bytes its entry kept, so callers treat the
-// result as read-only. It runs under s.mu (either mode) because GC's
+// refused unless magic, length and checksum verify — rebuilt, for a
+// chunk a commit record hosts, as the canonical bytes it stands for —
+// or, in a memory-only store, the bytes its entry kept, so callers treat
+// the result as read-only. It runs under s.mu (either mode) because GC's
 // rewrite swaps the file and every offset under the exclusive lock; the
 // decode can follow the unlock.
 func (s *Store) payloadLocked(h Hash) ([]byte, error) {
@@ -421,10 +473,35 @@ func (s *Store) payloadLocked(h Hash) ([]byte, error) {
 		return c.data, nil
 	}
 	payload, err := s.pack.ReadFrame(packMagic, c.off, c.n)
+	if err == nil && c.host != ownFrame {
+		payload, err = hostedPayload(payload, c)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("vstore: read chunk %s: %w", h, err)
 	}
 	return payload, nil
+}
+
+// hostedPayload rebuilds the payload of the chunk c a commit record
+// hosts from the record's bytes p: the inline tree node is the record's
+// tail, which starts with the chunk tag; the commit chunk is rendered
+// from its log entry.
+func hostedPayload(p []byte, c *chunk) ([]byte, error) {
+	if len(p) == 0 || p[0] != tagCommit {
+		return nil, errors.New("the frame is no commit record")
+	}
+	if c.host == recordCommit {
+		_, payload, err := commitChunk(c.commit.Tree, c.commit.Parent, c.commit.Turn, c.commit.Stamp)
+		return payload, err
+	}
+	_, _, tree, err := cutCommitHead(p)
+	if err != nil {
+		return nil, err
+	}
+	if tree[0] != treeInline {
+		return nil, errors.New("the commit record carries no tree node")
+	}
+	return tree, nil
 }
 
 // encodeChunk renders a chunk's payload and its address.
@@ -466,7 +543,7 @@ func (s *Store) putEncoded(h Hash, payload []byte, refs []Hash) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.journalLocked(nil, true, []stagedChunk{{hash: h, payload: payload, refs: refs}})
+	return s.journalLocked(nil, true, []stagedChunk{{hash: h, payload: payload, refs: refs}}, nil)
 }
 
 // Has reports whether the chunk is present.

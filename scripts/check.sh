@@ -49,8 +49,10 @@
 #                      has no -race. FuzzScan, FuzzJournalOpen
 #                      (arbitrary journals: a refusal for an older
 #                      format keeps every whole frame), FuzzDecodePayload
-#                      (arbitrary journal payloads, seeded from the v6
-#                      fixture journals and the v5 ones' JSON payloads,
+#                      (arbitrary journal payloads, seeded from the v7
+#                      fixture journals — commit records in both tree
+#                      forms among them — the v6 ones, which are still
+#                      read, and the v5 ones' JSON payloads,
 #                      which are refused: never a panic, every accepted
 #                      one decodes and encodes back to the same bytes,
 #                      a shipped one AddPackets' check accepts has
@@ -61,16 +63,16 @@
 #                      more than their plain form, decode bit for bit
 #                      and re-encode to the same bytes),
 #                      FuzzDecodeSessionTree (seeded
-#                      from the chunks of sessionstore's format-v6 and
-#                      tree-v6 fixtures, whole and cut short, and from
+#                      from the chunks of sessionstore's format-v7 and
+#                      tree-v7 fixtures, whole and cut short, and from
 #                      the JSON chunks of v5's, which are refused),
 #                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v6 and tree-v6 shard WALs, and from the
+#                      format-v7 and tree-v7 shard WALs, and from the
 #                      JSON records of format-v4 and tree-v4, which are
 #                      refused; a binary record that decodes must
 #                      encode back to the same bytes),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
-#                      replica opened on format-v6, seeded from that
+#                      replica opened on format-v7, seeded from that
 #                      fixture's frames and shard roots and the forged
 #                      roots of TestForgedShipBatchIsAnError),
 #                      FuzzVectorOps (Append/Set/Extend/Gather scripts
