@@ -357,8 +357,8 @@ const chunkBatch = 64
 // the primary serves those packets, and the loop repeats until the
 // replica wants nothing — shipping only the delta, never the chunks
 // the replica already holds from earlier catch-ups. A round that
-// moves nothing while wants remain aborts (the primary GC'd the root
-// mid-transfer or the stores disagree) instead of spinning.
+// moves nothing while wants remain aborts (the primary lacks a chunk
+// the replica wants: the stores disagree) instead of spinning.
 func (r *Router) negotiateChunks(ctx context.Context, m *member, root string) error {
 	for {
 		want, err := m.Replica.WantChunks(ctx, root, chunkBatch)

@@ -1,10 +1,7 @@
 package framelog_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
-	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -253,89 +250,5 @@ func TestFailedAppendLeavesBatchUncommitted(t *testing.T) {
 				t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
 			}
 		})
-	}
-}
-
-// TestFailedRewriteLeavesEveryChunkReadable fills the disk under GC's
-// rewrite: the new journal cannot be written, so nothing is renamed, GC
-// reports the failure, and every surviving chunk — indexed by offset,
-// not held in memory — still reads back from the journal that stayed,
-// which also still takes commits and a later, successful, collection.
-func TestFailedRewriteLeavesEveryChunkReadable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := vstore.Open(vstore.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := func(root string, turn int) vstore.Commit {
-		t.Helper()
-		b := s.NewBatch(nil)
-		var leaves []vstore.Hash
-		for i := 0; i < 4; i++ {
-			h, err := b.Put("leaf", nil, []byte(fmt.Sprintf(`"%s leaf %d of turn %d"`, root, i, turn)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			leaves = append(leaves, h)
-		}
-		tree, err := b.Put("db", leaves, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := b.Commit(root, tree, turn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	requireReadable := func(s *vstore.Store, c vstore.Commit) {
-		t.Helper()
-		closure, err := s.Closure(c.Hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packets, err := s.Packets(closure)
-		if err != nil {
-			t.Fatalf("reading %s back: %v", c.Hash, err)
-		}
-		for _, p := range packets {
-			if sum := sha256.Sum256(p.Data); hex.EncodeToString(sum[:]) != string(p.Hash) {
-				t.Fatalf("chunk %s reads back as other bytes", p.Hash)
-			}
-		}
-	}
-	kept := commit("db/kept", 0)
-	commit("db/dropped", 0)
-	if err := s.DeleteRoot("db/dropped"); err != nil {
-		t.Fatal(err)
-	}
-
-	var stats vstore.GCStats
-	var failed error
-	capFileSize(t, 64, func() { stats, failed = s.GC() })
-	if failed == nil || stats.Swept == 0 {
-		t.Fatalf("GC under a 64-byte file size cap = %+v, %v; want a sweep whose rewrite fails", stats, failed)
-	}
-	requireReadable(s, kept)
-	next := commit("db/kept", 1)
-	requireReadable(s, next)
-
-	commit("db/dropped", 1)
-	if err := s.DeleteRoot("db/dropped"); err != nil {
-		t.Fatal(err)
-	}
-	if stats, err := s.GC(); err != nil || stats.Swept == 0 {
-		t.Fatalf("GC once the disk has room: %+v, %v", stats, err)
-	}
-	requireReadable(s, kept)
-	requireReadable(s, next)
-	r, err := vstore.Open(vstore.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireReadable(r, kept)
-	requireReadable(r, next)
-	if r.NumChunks() != s.NumChunks() {
-		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
 	}
 }

@@ -218,7 +218,7 @@ func (l *Log) Synced() int64 { return l.synced }
 // checksum verify through the Scan that recovery uses. Acknowledged
 // frames stay readable on a dead log. Unlike the rest of Log, ReadFrame
 // calls may run concurrently with each other — not with Append, Write,
-// Sync, Reset, Rewrite or Close, which move Size() or the file under it.
+// Sync, Reset or Close, which move Size() or the file under it.
 func (l *Log) ReadFrame(magic byte, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+int64(HeaderSize+n) > l.size {
 		return nil, fmt.Errorf("framelog: read %s: a %d-byte frame at offset %d does not end below the log's %d bytes", l.path, n, off, l.size)
@@ -322,35 +322,6 @@ func (l *Log) Reset() error {
 		return fmt.Errorf("framelog: reset %s: %w", l.path, err)
 	}
 	return nil
-}
-
-// Rewrite atomically replaces the log's contents with the frames that
-// write emits (Publish), then reopens the file for appending. The
-// reopen happens even when Publish fails: the failure may have come
-// after the rename, and either way path names a complete log, so
-// later appends land in the file the next Open will read.
-func (l *Log) Rewrite(write func(w io.Writer) error) error {
-	if l.dead != nil {
-		return l.dead
-	}
-	perr := Publish(l.path, write)
-	err := l.f.Close()
-	if err == nil {
-		l.f, err = os.OpenFile(l.path, os.O_RDWR, 0o644)
-	}
-	if err == nil {
-		l.size, err = l.f.Seek(0, io.SeekEnd)
-		if perr == nil {
-			l.synced = l.size
-		} else {
-			// The old file may still bear the name, unflushed tail and all.
-			l.synced = min(l.synced, l.size)
-		}
-	}
-	if err != nil {
-		l.dead = fmt.Errorf("framelog: reopen rewritten %s: %w", l.path, err)
-	}
-	return errors.Join(perr, l.dead)
 }
 
 // Close releases the file handle.

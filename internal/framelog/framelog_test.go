@@ -166,7 +166,9 @@ func TestOpenStopsAtRejectedFrame(t *testing.T) {
 	wantPayloads(t, got, "a")
 }
 
-func TestResetAndRewrite(t *testing.T) {
+// TestReset: a reset log is empty, and appends after it land from the
+// start of the file.
+func TestReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _ := openCollect(t, path, framelog.Options{})
 	for _, p := range []string{"a", "b", "c"} {
@@ -174,32 +176,8 @@ func TestResetAndRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Rewrite(func(w io.Writer) error {
-		_, err := w.Write(frames("b"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind: %v", err)
-	}
-	if err := l.Append(frame("d")); err != nil {
-		t.Fatal(err)
-	}
 	_, got := openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "b", "d")
-
-	// A rewrite that fails before the rename leaves the log as it was,
-	// and still appendable.
-	boom := errors.New("boom")
-	if err := l.Rewrite(func(io.Writer) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("failed rewrite = %v, want boom", err)
-	}
-	if err := l.Append(frame("e")); err != nil {
-		t.Fatal(err)
-	}
-	_, got = openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "b", "d", "e")
+	wantPayloads(t, got, "a", "b", "c")
 
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
@@ -252,7 +230,7 @@ func TestCrashFaultKillsLog(t *testing.T) {
 
 // TestReadFrame: a frame is served only from where one starts, with the
 // length the caller indexed, below the acknowledged end, and intact —
-// also after a rewrite moved it, and on a log a crash has killed.
+// also on a log a crash has killed.
 func TestReadFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _ := openCollect(t, path, framelog.Options{Op: "test.append", Faults: &tearAt{n: 2}})
@@ -319,17 +297,6 @@ func TestReadFrame(t *testing.T) {
 		t.Fatalf("neighbour of the corrupt frame = %q, %v", got, err)
 	}
 
-	// A rewrite moves frames; Size and reads follow the new file.
-	if err := l.Rewrite(func(w io.Writer) error {
-		_, err := w.Write(frames("be", "alpha"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := read(int64(len(frame("be"))), 5); err != nil || got != "alpha" || l.Size() != int64(len(frames("be", "alpha"))) {
-		t.Fatalf("after rewrite: %q, %v, size %d", got, err, l.Size())
-	}
-
 	// The second append is torn by a crash: the log is dead, its torn
 	// bytes lie past Size and are refused, acknowledged frames still read.
 	size := l.Size()
@@ -339,7 +306,7 @@ func TestReadFrame(t *testing.T) {
 	if l.Size() != size {
 		t.Fatalf("size moved from %d to %d by an unacknowledged append", size, l.Size())
 	}
-	if got, err := read(0, 2); err != nil || got != "be" {
+	if got, err := read(second, 2); err != nil || got != "be" {
 		t.Fatalf("acknowledged frame on a dead log = %q, %v", got, err)
 	}
 	if got, err := read(size, 2); err == nil {
@@ -379,7 +346,7 @@ func TestPublishReplacesAtomically(t *testing.T) {
 
 // TestWriteIsUnflushedUntilAppendOrSync: the two ways to add frames.
 // Both move Size() and are served by ReadFrame at once; only Append,
-// Sync, Reset and Rewrite move Synced(), and each moves it to Size().
+// Sync and Reset move Synced(), and each moves it to Size().
 func TestWriteIsUnflushedUntilAppendOrSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _ := openCollect(t, path, framelog.Options{})
@@ -426,16 +393,6 @@ func TestWriteIsUnflushedUntilAppendOrSync(t *testing.T) {
 		t.Fatalf("Sync with nothing to flush: %v", err)
 	}
 
-	if err := l.Write(frame("f")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rewrite(func(w io.Writer) error {
-		_, err := w.Write(frames("a", "f"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	flushed("after Rewrite", true)
 	if err := l.Write(frame("g")); err != nil {
 		t.Fatal(err)
 	}

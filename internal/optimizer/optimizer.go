@@ -198,38 +198,3 @@ func (c *Cache[V]) HitRate() float64 {
 	}
 	return float64(h) / float64(h+m)
 }
-
-// Batcher groups items until Size is reached (or Flush is called) and
-// hands each full batch to the sink — the "batched computations"
-// optimization. Not safe for concurrent use; wrap externally if
-// needed.
-type Batcher[T any] struct {
-	Size    int
-	Sink    func(batch []T)
-	pending []T
-	flushed int
-}
-
-// Add appends one item, flushing automatically at Size.
-func (b *Batcher[T]) Add(item T) {
-	b.pending = append(b.pending, item)
-	if b.Size > 0 && len(b.pending) >= b.Size {
-		b.Flush()
-	}
-}
-
-// Flush delivers any pending items as one batch.
-func (b *Batcher[T]) Flush() {
-	if len(b.pending) == 0 {
-		return
-	}
-	batch := b.pending
-	b.pending = nil
-	b.flushed++
-	if b.Sink != nil {
-		b.Sink(batch)
-	}
-}
-
-// Batches returns how many batches have been delivered.
-func (b *Batcher[T]) Batches() int { return b.flushed }

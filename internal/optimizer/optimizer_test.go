@@ -91,31 +91,6 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
-func TestBatcher(t *testing.T) {
-	var batches [][]int
-	b := &Batcher[int]{Size: 3, Sink: func(batch []int) {
-		cp := append([]int{}, batch...)
-		batches = append(batches, cp)
-	}}
-	for i := 1; i <= 7; i++ {
-		b.Add(i)
-	}
-	if len(batches) != 2 {
-		t.Fatalf("batches = %v", batches)
-	}
-	b.Flush()
-	if len(batches) != 3 || len(batches[2]) != 1 {
-		t.Errorf("after flush = %v", batches)
-	}
-	if b.Batches() != 3 {
-		t.Errorf("count = %d", b.Batches())
-	}
-	b.Flush() // empty flush is a no-op
-	if b.Batches() != 3 {
-		t.Error("empty flush counted")
-	}
-}
-
 // TestDoComputesOnce: under a concurrent stampede on one key, the
 // compute runs exactly once — callers either lead, join the flight,
 // or hit the freshly cached value.

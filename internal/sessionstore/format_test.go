@@ -29,9 +29,9 @@ import (
 // bytes and to reading what it holds. format-v6 is the same dialogue
 // before commit records — a tree node, a commit chunk and an append
 // record a version — which this code reads as it is, and Open refuses
-// anything older — format-v5's JSON journal payloads and format-v4's
-// JSON WAL records among it — with a *vstore.FormatError, leaving it as
-// it was.
+// anything older — format-v5's JSON journal payloads, format-v4's JSON
+// WAL records and the set records only retention wrote among it — with a
+// *vstore.FormatError, leaving it as it was.
 
 // formatTurn is one scripted turn pair of the fixture dialogue.
 type formatTurn struct {
@@ -479,9 +479,9 @@ func pathsUnder(t *testing.T, dir string) []string {
 // and copies of format-v7 that hold, beside its files, among its WAL's
 // records or among its journal's frames, what only older stores wrote.
 // Each Open is a *vstore.FormatError naming a file in the directory — a
-// JSON journal payload the last commit that reads one — and leaves the
-// directory as it found it: every file's bytes — a torn tail after a
-// JSON record too — and no path created.
+// JSON journal payload or a set record the last commit that reads one —
+// and leaves the directory as it found it: every file's bytes — a torn
+// tail after a JSON record too — and no path created.
 func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 	journal, err := os.ReadFile(filepath.Join(formatFixtureV7, "vstore", "chunks.pack"))
 	if err != nil {
@@ -532,6 +532,7 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 		{"tree-v5's JSON journal payloads", treeFixtureV5, nil, jsonReader},
 		{"leaf-v5's JSON column leaves", "", pack(leafJournal("leaf-v5")), jsonReader},
 		{"readings-v5's JSON column leaves", "", pack(leafJournal("readings-v5")), jsonReader},
+		{"retention-v7's set root records", "", pack(leafJournal("retention-v7")), "7c56897"},
 		{"format-v4's JSON WAL records", formatFixtureV4, nil, ""},
 		{"tree-v4's JSON WAL records", treeFixtureV4, nil, ""},
 		{"a JSON WAL record after binary ones, and a torn tail", "", map[string][]byte{"shard-00.wal": slices.Concat(wal, jsonRecord, torn)}, ""},

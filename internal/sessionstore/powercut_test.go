@@ -407,7 +407,7 @@ func (pc *powerCut) turn(id string, n int) {
 	t.Helper()
 	sh := pc.st.shards[pc.st.ShardIndex(id)]
 	sh.mu.Lock()
-	compacts := sh.pending+1 >= pcSnapEvery
+	compacts := len(sh.tail)+1 >= pcSnapEvery
 	sh.mu.Unlock()
 	appends := pc.wal.appends
 	flushed, _ := pc.vs.JournalSynced()

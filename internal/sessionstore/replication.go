@@ -242,7 +242,6 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 		sh.replay(rec, now)
 	}
 	sh.tail = append(sh.tail, frames...)
-	sh.pending += len(frames)
 	if b.PrimaryCursor > sh.remoteSeq {
 		sh.remoteSeq = b.PrimaryCursor
 	}
@@ -275,7 +274,6 @@ func (sh *shard) installSnapshotDoc(snap snapshot, root vstore.Hash, now time.Du
 	sh.applySnapshot(snap, now)
 	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
-	sh.pending = 0
 	sh.compactErr = nil
 	for _, id := range sh.sessionIDs() {
 		sh.commitSessionVersion(nil, sh.sessions[id])

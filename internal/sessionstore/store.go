@@ -144,12 +144,12 @@ type shard struct {
 	tombstones map[string]bool
 	wal        *framelog.Log
 	maxNum     int
-	pending    int // WAL records since the last compaction
 	snapEvery  int
 	// shipBase is the ship sequence at the last compaction horizon; tail
 	// holds the framed bytes of every record since, mirroring the
 	// on-disk WAL, so replication pulls serve committed frames without
-	// re-reading disk. remoteSeq is the highest primary cursor seen by
+	// re-reading disk, and its length is the count of records the next
+	// compaction folds. remoteSeq is the highest primary cursor seen by
 	// ApplyBatch (replicas only), for lag reporting.
 	shipBase  int64
 	tail      [][]byte
@@ -366,7 +366,6 @@ func (sh *shard) load(cfg Config, now time.Duration) error {
 	case covered && len(sh.tail) == 0:
 		err = sh.wal.Reset()
 	}
-	sh.pending = len(sh.tail)
 	return err
 }
 
@@ -504,7 +503,6 @@ func (sh *shard) appendRecord(turn *obs.Turn, rec walRecord) error {
 		turn.Add(obs.WALBytes, len(buf))
 	}
 	sh.tail = append(sh.tail, buf)
-	sh.pending++
 	return nil
 }
 
@@ -699,7 +697,7 @@ func (s *Store) SweepIdle() (int, error) {
 // in the WAL, so user traffic continues and the error resurfaces at
 // the next cadence and at Close.
 func (sh *shard) compactIfDue(turn *obs.Turn) {
-	if sh.pending < sh.snapEvery {
+	if len(sh.tail) < sh.snapEvery {
 		return
 	}
 	if err := sh.compact(turn); err != nil {
@@ -759,7 +757,6 @@ func (sh *shard) compact(turn *obs.Turn) error {
 	}
 	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
-	sh.pending = 0
 	sh.compactErr = nil
 	return nil
 }
@@ -770,7 +767,7 @@ func (s *Store) Compact() error {
 	var errs []error
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.pending > 0 {
+		if len(sh.tail) > 0 {
 			if err := sh.compact(nil); err != nil {
 				errs = append(errs, err)
 			}
@@ -788,7 +785,7 @@ func (s *Store) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if sh.wal != nil {
-			if sh.pending > 0 {
+			if len(sh.tail) > 0 {
 				if err := sh.compact(nil); err != nil {
 					errs = append(errs, err)
 				}

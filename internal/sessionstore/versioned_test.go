@@ -439,15 +439,14 @@ func TestVersionedStoreSurvivesRestart(t *testing.T) {
 // one per chunk marshalled and hashed, new to the store or not), tears
 // the next append in half once tearNext is set — which kills the log —
 // and, at the "vstore.commit" consult, after a version's tree is encoded
-// and before its commit takes the store lock, runs onCommit and then
-// fails the commit once if failCommit is set, which kills nothing.
+// and before its commit takes the store lock, fails the commit once if
+// failCommit is set, which kills nothing.
 type journalProbe struct {
 	appends    int
 	bytes      int64
 	puts       int
 	tearNext   bool
 	failCommit bool
-	onCommit   func()
 }
 
 var errProbeCommit = errors.New("journalProbe: injected commit failure")
@@ -457,9 +456,6 @@ func (p *journalProbe) Inject(op string) error {
 	case "vstore.put":
 		p.puts++
 	case "vstore.commit":
-		if p.onCommit != nil {
-			p.onCommit()
-		}
 		if p.failCommit {
 			p.failCommit = false
 			return errProbeCommit
@@ -476,113 +472,6 @@ func (p *journalProbe) TornWrite(_ string, b []byte) ([]byte, bool) {
 	}
 	p.bytes += int64(len(b))
 	return b, false
-}
-
-// TestGCBetweenSessionEncodeAndCommit is the regression test for a GC
-// round landing between a session tree's encode and its commit: the
-// fresh tree is unreachable at that point, and the head must not end
-// up pinning a tree the sweep took.
-func TestGCBetweenSessionEncodeAndCommit(t *testing.T) {
-	probe := &journalProbe{}
-	vs, err := vstore.Open(vstore.Config{Dir: t.TempDir(), Faults: probe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(Config{Dir: t.TempDir(), Shards: 1, Versions: vs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := errors.Join(st.Close(), vs.Close()); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	e, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitPair(t, st, e, "q0", "a0", 0.5)
-	// An orphan gives the sweep something to delete, so it rewrites
-	// the journal as well.
-	if _, err := vs.Put("leaf", nil, []byte(`["orphan"]`)); err != nil {
-		t.Fatal(err)
-	}
-	rounds := 0
-	probe.onCommit = func() {
-		probe.onCommit = nil
-		// Two rounds: the second one's epoch is past anything the
-		// encode could have touched.
-		for i := 0; i < 2; i++ {
-			if _, err := vs.GC(); err != nil {
-				t.Errorf("GC: %v", err)
-			}
-			rounds++
-		}
-	}
-	commitPair(t, st, e, "q1", "a1", 0.5)
-	if rounds != 2 {
-		t.Fatalf("GC ran %d times between encode and commit, want 2", rounds)
-	}
-	if err := st.DeferredError(0); err != nil {
-		t.Fatalf("version error: %v", err)
-	}
-	head, err := vs.Head(SessionRoot(e.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head.Turn != 4 || !vs.HasClosure(head.Hash) {
-		t.Fatalf("head = %+v, closure complete = %v; want turn 4 with its whole tree", head, vs.HasClosure(head.Hash))
-	}
-	sess, _, err := st.TranscriptAsOf(e.ID, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Transcript(sess); got != transcriptOf(t, e) {
-		t.Fatalf("as-of transcript after the raced commit:\n got: %q\nwant: %q", got, transcriptOf(t, e))
-	}
-
-	// From here the session's tree is remembered turn to turn, and the
-	// chunks it remembers are referenced by the next version, never put
-	// again — nothing re-touches their GC epoch. They live because the
-	// root's head reaches them: with the log cut to that head and a sweep
-	// run before every turn and again between its encode and its commit,
-	// across the fold at turn 32 (whose pair chunks the sweep then takes),
-	// every head keeps its whole tree.
-	retain := func() {
-		if err := vs.TruncateLog(SessionRoot(e.ID), 1); err != nil {
-			t.Errorf("TruncateLog: %v", err)
-		}
-		if _, err := vs.GC(); err != nil {
-			t.Errorf("GC: %v", err)
-		}
-	}
-	for j := 2; j < 20; j++ {
-		retain()
-		probe.onCommit = func() {
-			probe.onCommit = nil
-			retain()
-			rounds++
-		}
-		commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
-		if err := st.DeferredError(0); err != nil {
-			t.Fatalf("turn pair %d: version error: %v", j, err)
-		}
-		turns := 2 * (j + 1)
-		head, err := vs.Head(SessionRoot(e.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree := peek(st, e.ID).tree; tree == nil || tree.turns != turns || tree.sess != head.Tree {
-			t.Fatalf("turn pair %d: the entry remembers %+v, the head is %+v", j, tree, head)
-		}
-		sess, _, err := st.TranscriptAsOf(e.ID, turns)
-		if head.Turn != turns || !vs.HasClosure(head.Hash) || err != nil || Transcript(sess) != transcriptOf(t, e) {
-			t.Fatalf("turn pair %d after retention: head %+v, closure whole = %v, as-of read %v; want turn %d and the transcript", j, head, vs.HasClosure(head.Hash), err, turns)
-		}
-	}
-	if rounds != 2+18 {
-		t.Fatalf("GC ran %d times between an encode and its commit, want 20", rounds)
-	}
 }
 
 // TestVersionCommitsAreJournalAppends commits 400 turns into one
@@ -617,7 +506,7 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	for j := 0; j < pairs; j++ {
 		for _, e := range entries {
 			sh.mu.Lock()
-			compactsAt := sh.pending+1 >= 64
+			compactsAt := len(sh.tail)+1 >= 64
 			sh.mu.Unlock()
 			before := probe.appends
 			flushed, _ := vs.JournalSynced()
@@ -726,11 +615,11 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 		}
 	}
 	sh.mu.Lock()
-	size, cursor, pending := sh.wal.Size(), sh.cursor(), sh.pending
+	size, cursor, pending := sh.wal.Size(), sh.cursor(), len(sh.tail)
 	cerr := sh.compact(nil)
-	if cerr == nil || sh.wal.Size() != size || sh.cursor() != cursor || sh.pending != pending || sh.shipBase != 0 {
+	if cerr == nil || sh.wal.Size() != size || sh.cursor() != cursor || len(sh.tail) != pending || sh.shipBase != 0 {
 		t.Errorf("compact on a dead journal = %v; WAL %d → %d bytes, cursor %d → %d, pending %d → %d, horizon %d",
-			cerr, size, sh.wal.Size(), cursor, sh.cursor(), pending, sh.pending, sh.shipBase)
+			cerr, size, sh.wal.Size(), cursor, sh.cursor(), pending, len(sh.tail), sh.shipBase)
 	}
 	sh.mu.Unlock()
 	if head, err := vs.Head(ShardRoot(0)); err == nil {

@@ -7,11 +7,11 @@ import (
 )
 
 // Batch stages the chunks of one version in memory and lands them and the
-// commit record in the journal with one append.
-// Nothing staged is visible in the store before Commit, and
-// Commit decides what is new under the store lock, so a GC round
-// between encoding a tree and committing it cannot sweep the tree from
-// under its root. A Batch serves one goroutine and one version.
+// commit record in the journal with one append. Nothing staged is visible
+// in the store before Commit, and Commit decides under the store lock
+// which staged chunks the store lacks, so a chunk another writer
+// journalled in the meantime is not framed twice. A Batch serves one
+// goroutine and one version.
 type Batch struct {
 	s      *Store
 	turn   *obs.Turn // counts what the batch encodes and journals; may be nil

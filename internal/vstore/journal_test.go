@@ -372,10 +372,8 @@ func TestRootRecordWithoutItsCommitEndsTheJournal(t *testing.T) {
 
 func TestAddPacketRejectsRootRecord(t *testing.T) {
 	root := "session/s0001"
-	data, err := setPayload(root, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A set record that empties root: 0x03 · name · stamp 0 · no commits.
+	data := append([]byte{tagSet, byte(len(root))}, root+"\x00\x00"...)
 	s := NewMemory()
 	if err := s.AddPackets([]Packet{{Hash: hashBytes(data), Data: data}}); !errors.Is(err, ErrBadPacket) {
 		t.Fatalf("root record shipped as a chunk: err = %v, want ErrBadPacket", err)
@@ -384,8 +382,8 @@ func TestAddPacketRejectsRootRecord(t *testing.T) {
 
 // forgedPayloads are chunk payloads no writer of this store produces,
 // each hashing to its address: the JSON shapes older stores wrote or
-// accepted from a peer, a root record, and every way out of the binary
-// layout.
+// accepted from a peer, the set record only retention wrote, a root
+// record, and every way out of the binary layout.
 func forgedPayloads(t testing.TB) []struct {
 	name    string
 	payload []byte
@@ -411,10 +409,6 @@ func forgedPayloads(t testing.TB) []struct {
 		return p
 	}
 	rootRec, err := appendPayload("session/s0001", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setRec, err := setPayload("session/s0001", []Hash{addr}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,10 +467,7 @@ func forgedPayloads(t testing.TB) []struct {
 		{"binary root record with trailing bytes", append(bytes.Clone(rootRec), 0)},
 		{"binary root record short of its commit", rootRec[:len(rootRec)-1]},
 		{"binary root name whose bytes are not there", raw(tagAppend, 40, "session/")},
-		{"binary set record", setRec},
-		{"binary set record with a trailing byte", append(bytes.Clone(setRec), 0)},
-		{"binary set record with an overlong stamp", raw(tagSet, 1, "r", 0x81, 0, 0)},
-		{"binary set record short of its log", setRec[:len(setRec)-1]},
+		{"set record, which only retention wrote", retentionSetRecord(t)},
 		{"commit record carrying its node", inline},
 		{"commit record naming its tree", stored},
 		{"commit record with a byte after its tree's address", append(bytes.Clone(stored), 0)},
@@ -676,8 +667,12 @@ func journalSeeds(t testing.TB) [][]byte {
 	commit := framelog.Encode(packMagic, commitChunkPayload)
 	h := hashBytes(commitChunkPayload)
 	appendRec := must(appendPayload(root, h))
-	setRec := must(setPayload(root, []Hash{h, h}, 9))
-	deleteRec := must(setPayload(root, nil, 9))
+	// Set records, which only retention wrote, by hand: 0x03 · name ·
+	// stamp 9 · log.
+	setRecord := func(log ...Hash) []byte {
+		return must(appendAddrs(append([]byte{tagSet, byte(len(root))}, root+"\x09"...), log))
+	}
+	setRec, deleteRec := setRecord(h, h), setRecord()
 	notCommit := must(appendPayload(root, hashBytes(tree[framelog.HeaderSize:])))
 	sess, err := appendChunk("sess", nil, []byte{2})
 	if err != nil {
@@ -729,11 +724,13 @@ func FuzzJournalOpen(f *testing.F) {
 	for _, seed := range journalSeeds(f) {
 		f.Add(seed)
 	}
-	// Journals this code wrote, and the v6 ones it reads: whole, cut, and
-	// behind a JSON chunk with refs, which only older stores wrote; and the
-	// v5 journals, whose JSON payloads are an older format.
+	// Journals this code wrote, the v6 ones it reads, and retention-v7,
+	// whose set records are an older format: whole, cut — retention-v7's
+	// half holds none of them — and behind a JSON chunk with refs, which
+	// only older stores wrote; and the v5 journals, whose JSON payloads are
+	// an older format.
 	old := framelog.Encode(packMagic, []byte(`{"k":"sess","r":["`+string(hashBytes(nil))+`"]}`))
-	for _, path := range slices.Concat(fixtureJournals, v6Journals) {
+	for _, path := range slices.Concat(fixtureJournals, v6Journals, []string{retentionJournal}) {
 		pack, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

@@ -15,21 +15,21 @@ import (
 //
 //	chunk   0x01 · uvarint len(kind) · kind · uvarint len(refs) · 32 bytes a ref · data
 //	append  0x02 · uvarint len(name) · name · 32-byte commit
-//	set     0x03 · uvarint len(name) · name · uvarint stamp · uvarint len(log) · 32 bytes a commit
 //	commit  0x04 · uvarint len(name) · name · uvarint turn · form · tree
 //
 // uvarint is binary.AppendUvarint's. A chunk may have no refs, and its
 // data is its owner's bytes, empty for none: opaque to the store except
 // for the kinds it owns (commit, leaf, table, db). An append record adds
-// a commit chunk that precedes it to a root's log; a set record says the
-// log is now exactly that list (empty: the root is gone) and carries the
-// store-wide stamp. A commit record is a new version in one frame: the
-// commit chunk it stands for pins tree at turn, its parent is the root's
-// head and its stamp the store's next, so the journal holds neither.
-// Form 0 names a stored tree by its 32-byte address; form 1 carries the
-// tree node itself, its chunk payload after the 0x01 tag — so the form
-// byte and the rest are exactly that payload. A payload that opens with
-// '{' is JSON, which stores up to jsonLastReader wrote: a *FormatError.
+// a commit chunk that precedes it to a root's log. A commit record is a
+// new version in one frame: the commit chunk it stands for pins tree at
+// turn, its parent is the root's head and its stamp the store's next, so
+// the journal holds neither. Form 0 names a stored tree by its 32-byte
+// address; form 1 carries the tree node itself, its chunk payload after
+// the 0x01 tag — so the form byte and the rest are exactly that payload.
+// A payload that opens with '{' is JSON, which stores up to
+// jsonLastReader wrote, and one tagged 0x03 is a set record — "a root's
+// log is now exactly this list" — which only the retention of stores up
+// to setLastReader wrote: each is a *FormatError.
 const (
 	tagChunk  = 0x01
 	tagAppend = 0x02
@@ -44,6 +44,10 @@ const (
 // JSON payloads: column leaves and turns chunks in a JSON envelope, and
 // JSON "log is exactly" records.
 const jsonLastReader = `8992f61 (the last with JSON journal payloads)`
+
+// setLastReader names the last commit that reads a journal holding set
+// records.
+const setLastReader = `7c56897 ("a version is one journal record")`
 
 // addrLen is the length of an address in binary form.
 const addrLen = sha256.Size
@@ -134,24 +138,6 @@ func appendPayload(root string, commit Hash) ([]byte, error) {
 	return p, nil
 }
 
-// setPayload encodes the root record that makes root's log exactly log,
-// at the store-wide stamp.
-func setPayload(root string, log []Hash, stamp int64) ([]byte, error) {
-	if stamp < 0 {
-		return nil, fmt.Errorf("vstore: encode root record for %q: stamp %d", root, stamp)
-	}
-	p := make([]byte, 0, 1+3*binary.MaxVarintLen64+len(root)+addrLen*len(log))
-	p = append(p, tagSet)
-	p = binary.AppendUvarint(p, uint64(len(root)))
-	p = append(p, root...)
-	p = binary.AppendUvarint(p, uint64(stamp))
-	p, err := appendAddrs(p, log)
-	if err != nil {
-		return nil, fmt.Errorf("vstore: encode root record for %q: %w", root, err)
-	}
-	return p, nil
-}
-
 // commitPayload encodes the commit record that appends a version of root
 // at turn pinning tree: node inline (form 1) when it is not nil — the
 // tree's chunk payload, which checkInline must accept — else tree's
@@ -221,9 +207,9 @@ func decodeChunk(p []byte) (chunkFields, error) {
 // canonical and backed by the bytes that follow it, a chunk with a kind,
 // nothing after a root record's last address, a commit record's tree in
 // form 0 or 1 and, inline, a node checkInline accepts — and each refusal
-// comes before anything is sized by a count. A JSON payload is what
-// older stores wrote, a *FormatError. A chunk's data, and a commit
-// record's node, alias p.
+// comes before anything is sized by a count. A JSON payload or a set
+// record is what older stores wrote, a *FormatError. A chunk's data, and
+// a commit record's node, alias p.
 func decodePayload(p []byte) (record, error) {
 	var rec record
 	if len(p) == 0 {
@@ -245,25 +231,7 @@ func decodePayload(p []byte) (record, error) {
 		rec.Root, rec.Commit = &name, Hash(hex.EncodeToString(rest))
 		return rec, nil
 	case tagSet:
-		name, rest, err := framelog.CutString(p[1:], "root name")
-		if err != nil {
-			return rec, err
-		}
-		stamp, rest, err := framelog.CutUvarint(rest, "stamp")
-		if err != nil {
-			return rec, err
-		}
-		if stamp > math.MaxInt64 {
-			return rec, fmt.Errorf("root record stamp %d overflows", stamp)
-		}
-		if rec.Log, rest, err = cutAddrs(rest, "commit"); err != nil {
-			return rec, err
-		}
-		if len(rest) > 0 {
-			return rec, fmt.Errorf("%d bytes after a root record's log", len(rest))
-		}
-		rec.Root, rec.Stamp = &name, int64(stamp)
-		return rec, nil
+		return rec, &FormatError{Format: "a set root record", Reader: setLastReader}
 	case tagCommit:
 		name, turn, rest, err := cutCommitHead(p)
 		if err != nil {

@@ -16,6 +16,10 @@ import (
 // format this store writes hold, v6Journals the same fixtures as the
 // commit before commit records wrote them, which this store reads, and
 // v5Journals the same as the commit before binary payloads wrote them.
+// retentionJournal is a v7 journal that holds set records, which only
+// retention wrote: setLastReader's code ran commits, a TruncateLog, a
+// DeleteRoot, a GC, a commit and a TruncateLog on a fresh Open, then
+// Closed it.
 var (
 	fixtureJournals = []string{
 		filepath.Join(readingsFixture, packName),
@@ -35,7 +39,20 @@ var (
 		filepath.Join("..", "sessionstore", "testdata", "format-v5", "vstore", packName),
 		filepath.Join("..", "sessionstore", "testdata", "tree-v5", "vstore", packName),
 	}
+	retentionJournal = filepath.Join("testdata", "retention-v7", packName)
 )
+
+// retentionSetRecord is the first set record of retentionJournal.
+func retentionSetRecord(t testing.TB) []byte {
+	t.Helper()
+	for _, p := range journalPayloads(t, retentionJournal) {
+		if p[0] == tagSet {
+			return p
+		}
+	}
+	t.Fatalf("%s holds no set record", retentionJournal)
+	return nil
+}
 
 // journalPayloads reads every frame payload of a fixture journal, which
 // must end on a whole frame.
@@ -57,8 +74,6 @@ func reencode(p []byte, rec record) ([]byte, error) {
 	switch p[0] {
 	case tagAppend:
 		return appendPayload(*rec.Root, rec.Commit)
-	case tagSet:
-		return setPayload(*rec.Root, rec.Log, rec.Stamp)
 	case tagCommit:
 		return commitPayload(*rec.Root, rec.Version.Turn, rec.Version.Tree, rec.Version.Node)
 	}
@@ -73,9 +88,10 @@ func reencode(p []byte, rec record) ([]byte, error) {
 // frame of the fixture journals, whole and cut one byte short, with
 // every frame of the v5 journals — whose JSON payloads it must refuse as
 // an older format, and whose binary chunks carry JSON commit, session
-// and shard data — and with the forged payloads. The v7 journals hold
-// commit records, in both forms; the v6 ones, which this store also
-// reads, their commit chunks and append records.
+// and shard data — with every frame of retention-v7, whose set records
+// it must refuse as an older format too, and with the forged payloads.
+// The v7 journals hold commit records, in both forms; the v6 ones, which
+// this store also reads, their commit chunks and append records.
 func FuzzDecodePayload(f *testing.F) {
 	for _, path := range slices.Concat(fixtureJournals, v6Journals) {
 		for _, p := range journalPayloads(f, path) {
@@ -91,6 +107,13 @@ func FuzzDecodePayload(f *testing.F) {
 			}
 			f.Add(p)
 		}
+	}
+	for _, p := range journalPayloads(f, retentionJournal) {
+		var old *FormatError
+		if _, err := decodePayload(p); p[0] == tagSet && !errors.As(err, &old) {
+			f.Fatalf("%s: a set record decodes with %v, want a *FormatError", retentionJournal, err)
+		}
+		f.Add(p)
 	}
 	for _, forged := range forgedPayloads(f) {
 		f.Add(forged.payload)

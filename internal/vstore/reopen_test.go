@@ -31,8 +31,8 @@ func lastForm(t *testing.T, dir string) byte {
 
 // requireCopyReopens opens a copy of the journal under dir, as a kill
 // would leave it, and requires every root log of s, commit for commit,
-// and extra more chunks than s indexes, each reading back as its address.
-func requireCopyReopens(t *testing.T, dir string, s *Store, extra int) {
+// and the chunks s indexes, each reading back as its address.
+func requireCopyReopens(t *testing.T, dir string, s *Store) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, packName))
 	if err != nil {
@@ -54,8 +54,8 @@ func requireCopyReopens(t *testing.T, dir string, s *Store, extra int) {
 	if got, want := allLogs(t, r), allLogs(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("root logs after reopen:\n got: %+v\nwant: %+v", got, want)
 	}
-	if r.NumChunks() != s.NumChunks()+extra {
-		t.Fatalf("reopened with %d chunks, store holds %d, want %d more", r.NumChunks(), s.NumChunks(), extra)
+	if r.NumChunks() != s.NumChunks() {
+		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
 	}
 	requirePacketsRehash(t, s)
 	requirePacketsRehash(t, r)
@@ -65,9 +65,7 @@ func requireCopyReopens(t *testing.T, dir string, s *Store, extra int) {
 // changes and reopens a copy of the directory after each step: the
 // reopened store lists every commit of every root as the live one does —
 // hash, tree, parent, turn and stamp, none of which a commit record
-// spells but the tree — and indexes the same chunks, each readable. The
-// one exception is a rewrite that failed before its rename: the old
-// journal still holds what the sweep dropped from the index.
+// spells but the tree — and indexes the same chunks, each readable.
 func TestReopenGivesBackEveryCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir})
@@ -104,7 +102,6 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 	}
 	const none = 0xFF // a step that writes no commit record
 	var first Commit
-	var swept int
 	for _, step := range []struct {
 		name string
 		do   func()
@@ -133,17 +130,6 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, treeStored},
-		{"TruncateLog", func() {
-			if err := s.TruncateLog("session/a", 1); err != nil {
-				t.Fatal(err)
-			}
-		}, none},
-		{"DeleteRoot", func() {
-			if err := s.DeleteRoot("session/b"); err != nil {
-				t.Fatal(err)
-			}
-		}, none},
-		{"a first commit again", func() { commit("session/b", 3, 2, (*Batch).Commit) }, treeInline},
 		{"a commit shipped from a second store, adopted", func() {
 			b := src.NewBatch(nil)
 			c, err := b.Commit("shard/00", sessTree(b, 9), 8)
@@ -158,45 +144,6 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 			}
 		}, none},
 		{"a commit on the adopted one", func() { commit("shard/00", 4, 12, (*Batch).Commit) }, treeInline},
-		{"a GC rewrite", func() {
-			if stats, err := s.GC(); err != nil || stats.Swept == 0 {
-				t.Fatalf("GC = %+v, %v; want a rewrite", stats, err)
-			}
-		}, none},
-		{"commits after the rewrite", func() {
-			commit("session/a", 5, 8, (*Batch).Commit)
-			if _, err := s.Commit("session/b", first.Tree, 4); err != nil {
-				t.Fatal(err)
-			}
-		}, treeStored},
-		{"a rewrite that fails before its rename", func() {
-			if err := s.TruncateLog("session/a", 1); err != nil {
-				t.Fatal(err)
-			}
-			// A directory where the rewrite's temp file goes fails it.
-			tmp := filepath.Join(dir, packName+".tmp")
-			if err := os.Mkdir(tmp, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			stats, err := s.GC()
-			if err == nil || stats.Swept == 0 {
-				t.Fatalf("GC = %+v, %v; want a failed rewrite", stats, err)
-			}
-			swept = stats.Swept
-			if err := os.Remove(tmp); err != nil {
-				t.Fatal(err)
-			}
-		}, none},
-		{"a commit after the failure", func() { commit("session/a", 6, 10, (*Batch).Commit) }, treeInline},
-		{"a rewrite after the failure", func() {
-			if err := s.TruncateLog("session/a", 1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.GC(); err != nil {
-				t.Fatal(err)
-			}
-			swept = 0
-		}, none},
 	} {
 		step.do()
 		if step.form != none {
@@ -204,6 +151,6 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 				t.Fatalf("%s: the commit record's tree is in form %d, want %d", step.name, got, step.form)
 			}
 		}
-		t.Run(step.name, func(t *testing.T) { requireCopyReopens(t, dir, s, swept) })
+		t.Run(step.name, func(t *testing.T) { requireCopyReopens(t, dir, s) })
 	}
 }

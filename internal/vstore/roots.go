@@ -135,9 +135,8 @@ func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
 }
 
 // commitEntry rebuilds a root-log entry from its commit chunk's payload —
-// the journal's append and set records and shipped commits carry only
-// the hash. A chunk that is no commit a writer produces is a
-// *MalformedChunkError.
+// the journal's append records and shipped commits carry only the hash.
+// A chunk that is no commit a writer produces is a *MalformedChunkError.
 func commitEntry(h Hash, payload []byte) (Commit, error) {
 	env, err := decodePayload(payload)
 	if err != nil {
@@ -164,53 +163,26 @@ func (s *Store) CommitOf(h Hash) (Commit, error) {
 	return commitEntry(h, p)
 }
 
-// setRecord is the record that makes root's log exactly log.
-func setRecord(root string, log []Commit, stamp int64) rootRecord {
-	r := rootRecord{Root: &root, Stamp: stamp}
-	for _, c := range log {
-		r.Log = append(r.Log, c.Hash)
-	}
-	return r
-}
-
-// applyRootLocked applies one root record: it rebuilds the log entries
-// from the commit chunks the record names — read from the store, or,
-// when Open's replay passes the commit payloads its scan has passed,
-// from scanned (failing if either lacks one) — journals the record
-// unless the journal already holds it, and only then changes the root's
-// log and lifts the store-wide stamp past the commits it now lists.
-// Caller holds s.mu exclusively.
-func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash][]byte) error {
-	hashes, stamp := r.Log, r.Stamp
-	var log []Commit
-	if r.Commit != "" {
-		hashes, log = []Hash{r.Commit}, s.roots[*r.Root]
-	}
-	for _, h := range hashes {
-		p := scanned[h]
-		if scanned == nil {
-			var err error
-			if p, err = s.payloadLocked(h); err != nil {
-				return err
-			}
-		}
-		c, err := commitEntry(h, p)
-		if err != nil {
+// applyRootLocked appends commit chunk h to root's log: it rebuilds the
+// log entry from the chunk — read from the store, or, when Open's replay
+// passes the commit payloads its scan has passed, from scanned (failing
+// if either lacks it) — journals the append record unless the journal
+// already holds it, and only then appends the entry and lifts the
+// store-wide stamp past it. Caller holds s.mu exclusively.
+func (s *Store) applyRootLocked(root string, h Hash, journalled bool, scanned map[Hash][]byte) error {
+	p := scanned[h]
+	if scanned == nil {
+		var err error
+		if p, err = s.payloadLocked(h); err != nil {
 			return err
 		}
-		if c.Stamp > stamp {
-			stamp = c.Stamp
-		}
-		log = append(log, c)
+	}
+	c, err := commitEntry(h, p)
+	if err != nil {
+		return err
 	}
 	if !journalled {
-		var rec []byte
-		var err error
-		if r.Commit != "" {
-			rec, err = appendPayload(*r.Root, r.Commit)
-		} else {
-			rec, err = setPayload(*r.Root, r.Log, r.Stamp)
-		}
+		rec, err := appendPayload(root, h)
 		if err != nil {
 			return err
 		}
@@ -218,14 +190,8 @@ func (s *Store) applyRootLocked(r rootRecord, journalled bool, scanned map[Hash]
 			return err
 		}
 	}
-	if len(log) == 0 {
-		delete(s.roots, *r.Root)
-	} else {
-		s.roots[*r.Root] = log
-	}
-	if stamp > s.stamp {
-		s.stamp = stamp
-	}
+	s.roots[root] = append(s.roots[root], c)
+	s.stamp = max(s.stamp, c.Stamp)
 	return nil
 }
 
@@ -243,7 +209,7 @@ func (s *Store) AdoptCommit(root string, h Hash) (Commit, error) {
 	if log := s.roots[root]; len(log) == 0 || log[len(log)-1].Hash != h {
 		err := s.checkTreeLocked(h)
 		if err == nil {
-			err = s.applyRootLocked(rootRecord{Root: &root, Commit: h}, false, nil)
+			err = s.applyRootLocked(root, h, false, nil)
 		}
 		if err != nil {
 			return Commit{}, fmt.Errorf("vstore: adopt into %q: %w", root, err)
@@ -305,12 +271,6 @@ func (s *Store) Log(root string) ([]Commit, error) {
 func (s *Store) Roots() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.rootNamesLocked()
-}
-
-// rootNamesLocked lists the root names, sorted. Caller holds s.mu
-// (either mode).
-func (s *Store) rootNamesLocked() []string {
 	out := make([]string, 0, len(s.roots))
 	for name := range s.roots {
 		out = append(out, name)
@@ -335,34 +295,4 @@ func (s *Store) AsOf(root string, turn int) (Commit, error) {
 		}
 	}
 	return Commit{}, fmt.Errorf("vstore: root %q has no commit at or before turn %d", root, turn)
-}
-
-// DeleteRoot drops a root's log (its chunks become GC candidates) and
-// durably records the change.
-func (s *Store) DeleteRoot(root string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.roots[root]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRoot, root)
-	}
-	return s.applyRootLocked(setRecord(root, nil, s.stamp), false, nil)
-}
-
-// TruncateLog keeps only the last keep commits of a root (retention
-// for long-lived session roots); the trimmed commits' chunks become
-// GC candidates unless shared.
-func (s *Store) TruncateLog(root string, keep int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	log := s.roots[root]
-	if len(log) == 0 {
-		return fmt.Errorf("%w: %q", ErrUnknownRoot, root)
-	}
-	if keep < 1 {
-		keep = 1
-	}
-	if len(log) <= keep {
-		return nil
-	}
-	return s.applyRootLocked(setRecord(root, log[len(log)-keep:], s.stamp), false, nil)
 }

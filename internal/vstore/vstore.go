@@ -7,7 +7,7 @@
 // chunk, and committing a new version after a small change writes
 // only the changed chunks plus the path to the root.
 //
-// The store keeps three things:
+// The store keeps two things:
 //
 //   - chunks: immutable byte payloads that live in the journal, behind
 //     an in-memory index from address to (offset, length, refs), so
@@ -15,10 +15,10 @@
 //     a read is one checksum-verified pread;
 //   - roots: named version lines ("db/main", "session/s0001",
 //     "shard/03"), each a commit log of (commit hash, parent hash,
-//     turn number, wall-free logical stamp);
-//   - a garbage collector: mark-and-sweep from every commit of every
-//     root, with an epoch write barrier so chunks put or re-touched
-//     while a sweep is running are never collected (see gc.go).
+//     turn number, wall-free logical stamp).
+//
+// It keeps every version of every root: nothing reclaims a chunk or a
+// commit, and the journal only grows.
 //
 // Both chunks and roots are durable through one journal, chunks.pack —
 // a framelog.Log, the same frame codec and torn-tail recovery as the
@@ -28,31 +28,27 @@
 // chunk hashes) without knowing the schema of what it is shipping — or
 // a root record: a commit record is a new version of a root, carrying
 // its tree node when the store lacks it; an append record adds a commit
-// chunk, shipped from another store, to a root's log; a set record says
-// the log is now exactly a list of commits (empty: the root is gone).
-// Every payload is binary, every address its 32 raw bytes (payload.go
-// has the layouts). A record spells nothing the frames before it hold:
-// an append or set record names commit chunks that precede it, a commit
-// record leaves out its commit's parent and stamp, and the log entry is
-// rebuilt from them on open. That is the store's one format: Open
-// refuses a directory holding anything older with a *FormatError,
-// naming the last commit that reads it. A Batch puts a version's new
-// chunks and its commit record into the journal with one append, so a
-// crash leaves the root on the old commit or the new one with its whole
-// tree. GC rewrites the journal as the surviving chunks followed by one
-// "log is exactly" record per root — log + checkpoint, the shape the WAL
-// has.
+// chunk, shipped from another store, to a root's log. Every payload is
+// binary, every address its 32 raw bytes (payload.go has the layouts). A
+// record spells nothing the frames before it hold: an append record
+// names a commit chunk that precedes it, a commit record leaves out its
+// commit's parent and stamp, and the log entry is rebuilt from them on
+// open. That is the store's one format: Open refuses a directory holding
+// anything older with a *FormatError, naming the last commit that reads
+// it. A Batch puts a version's new chunks and its commit record into the
+// journal with one append, so a crash leaves the root on the old commit
+// or the new one with its whole tree.
 //
 // When the journal is flushed depends on who could rebuild the version.
-// Nothing can rebuild a data root, a shard root, an adopted commit, a
-// shipped packet or a root-log edit, so Batch.Commit and every other
-// journal write is framelog's Append: write + fsync, then the
-// acknowledgement. A session version is a pure function of a transcript
-// the session store's WAL already holds flushed, so that one caller
-// uses Batch.CommitUnsynced — framelog's Write, no fsync: readable at
-// once, flushed by the next flushed append or by Store.Sync, which the
-// session store calls before it truncates the WAL that could have
-// rebuilt the version (and Close calls last).
+// Nothing can rebuild a data root, a shard root, an adopted commit or a
+// shipped packet, so Batch.Commit and every other journal write is
+// framelog's Append: write + fsync, then the acknowledgement. A session
+// version is a pure function of a transcript the session store's WAL
+// already holds flushed, so that one caller uses Batch.CommitUnsynced —
+// framelog's Write, no fsync: readable at once, flushed by the next
+// flushed append or by Store.Sync, which the session store calls before
+// it truncates the WAL that could have rebuilt the version (and Close
+// calls last).
 package vstore
 
 import (
@@ -101,9 +97,8 @@ type Commit struct {
 }
 
 // FaultHook is the chaos seam (see internal/faults): when non-nil it
-// is consulted on put, commit, and GC phase boundaries and may return
-// an injected error or add seeded latency — the interleaving source
-// the GC-under-concurrent-commit tests drive.
+// is consulted on every put and commit and may return an injected error
+// or add seeded latency.
 type FaultHook interface {
 	Inject(op string) error
 }
@@ -113,10 +108,9 @@ type Config struct {
 	// Dir is the data directory; empty runs the store memory-only.
 	Dir string
 	// Faults, when non-nil, injects deterministic chaos faults into
-	// vstore operations ("vstore.put", "vstore.commit",
-	// "vstore.gc.mark", "vstore.gc.sweep"); one that also implements
-	// framelog.Faults may tear a journal append ("vstore.journal").
-	// Leave nil in production.
+	// vstore operations ("vstore.put", "vstore.commit"); one that also
+	// implements framelog.Faults may tear a journal append
+	// ("vstore.journal"). Leave nil in production.
 	Faults FaultHook
 }
 
@@ -151,17 +145,13 @@ func malformed(h Hash, format string, args ...any) error {
 	return &MalformedChunkError{Chunk: h, Err: fmt.Errorf(format, args...)}
 }
 
-// chunk is one index entry: where the chunk's frame lies in the journal,
-// the refs every graph walk needs, and its GC bookkeeping.
+// chunk is one index entry: where the chunk's frame lies in the journal
+// and the refs every graph walk needs.
 type chunk struct {
 	off  int64 // the frame's offset in the journal
 	n    int   // the frame's payload length
 	refs []Hash
 	data []byte // memory-only store: the payload itself (see payloadLocked)
-	// epoch is the GC epoch the chunk was last put or re-touched in;
-	// the sweep spares any chunk touched at or after the sweep's own
-	// epoch (the write barrier for in-flight commits).
-	epoch uint64
 	// host says where in its frame the chunk lies; for a commit a
 	// commit record stands for, commit is its log entry, whose parent
 	// and stamp the record leaves out.
@@ -185,17 +175,12 @@ type chunkFields struct {
 	D []byte
 }
 
-// rootRecord is the journal payload that updates a root. With Commit
-// set it appends that commit to the root's log; without, it replaces
-// the log with exactly Log (empty deletes the root) and carries the
-// store-wide stamp, which must survive a checkpoint that drops the
-// commits that reached it. Root is a pointer so that its presence, not
-// its value, tells a root record from a chunk.
+// rootRecord is the journal payload that appends Commit, a commit chunk
+// that precedes it, to Root's log. Root is a pointer so that its
+// presence, not its value, tells a root record from a chunk.
 type rootRecord struct {
 	Root   *string
 	Commit Hash
-	Log    []Hash
-	Stamp  int64
 }
 
 // versionRecord is what a commit record holds of the commit it stands
@@ -225,7 +210,6 @@ type Store struct {
 	chunks map[Hash]*chunk
 	roots  map[string][]Commit
 	stamp  int64         // store-wide logical commit sequence
-	epoch  uint64        // GC epoch counter (see gc.go)
 	pack   *framelog.Log // the journal; nil when memory-only
 }
 
@@ -347,7 +331,7 @@ func (s *Store) openPack() error {
 					return false
 				}
 			case rec.Root != nil:
-				if s.applyRootLocked(rec.rootRecord, true, commits) != nil {
+				if s.applyRootLocked(*rec.Root, rec.Commit, true, commits) != nil {
 					return false
 				}
 			default:
@@ -411,15 +395,13 @@ func (s *Store) appendPack(turn *obs.Turn, durable bool, payloads ...[]byte) ([]
 // of its own, then rec, a commit record, when it is not nil — the frame
 // that holds every staged chunk hosted in it — with one append, and
 // indexes the chunks only once it is acknowledged: a failed or torn
-// append leaves memory as it was. A chunk the store holds is re-touched
-// instead (the GC write barrier). durable is appendPack's, and the append
+// append leaves memory as it was. durable is appendPack's, and the append
 // is counted against turn. Caller holds s.mu exclusively.
 func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk, rec []byte) error {
 	var fresh []stagedChunk
 	var payloads [][]byte
 	for _, st := range staged {
-		if c, ok := s.chunks[st.hash]; ok {
-			c.epoch = s.epoch
+		if _, ok := s.chunks[st.hash]; ok {
 			continue
 		}
 		fresh = append(fresh, st)
@@ -439,7 +421,7 @@ func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk
 	}
 	next := 0
 	for _, st := range fresh {
-		c := &chunk{n: len(st.payload), refs: st.refs, epoch: s.epoch, host: st.host, commit: st.commit}
+		c := &chunk{n: len(st.payload), refs: st.refs, host: st.host, commit: st.commit}
 		if st.host == ownFrame {
 			c.off = offs[next]
 			next++
@@ -458,9 +440,9 @@ func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk
 // refused unless magic, length and checksum verify — rebuilt, for a
 // chunk a commit record hosts, as the canonical bytes it stands for —
 // or, in a memory-only store, the bytes its entry kept, so callers treat
-// the result as read-only. It runs under s.mu (either mode) because GC's
-// rewrite swaps the file and every offset under the exclusive lock; the
-// decode can follow the unlock.
+// the result as read-only. It runs under s.mu (either mode) because an
+// append moves the journal's size, and Close its file, under the exclusive
+// lock; the decode can follow the unlock.
 func (s *Store) payloadLocked(h Hash) ([]byte, error) {
 	c, ok := s.chunks[h]
 	if !ok {
@@ -522,9 +504,8 @@ func (s *Store) injectPut() error {
 }
 
 // Put stores one chunk, returning its address. Re-putting identical
-// content is free (content addressing dedups) but still re-touches
-// the chunk's GC epoch — the write barrier that keeps a tree being
-// committed mid-sweep alive. data is the caller's bytes, nil for none.
+// content is free (content addressing dedups). data is the caller's
+// bytes, nil for none.
 func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	h, payload, err := encodeChunk(kind, refs, data)
 	if err != nil {

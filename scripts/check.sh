@@ -39,21 +39,23 @@
 #                      run-twice transcript diffs, and the session
 #                      store, admission, framelog and versioned-store
 #                      durability suites. The framelog + vstore +
-#                      sessionstore part — journal readers racing GC's
-#                      file swap, and the power-cut and dead-journal
-#                      tests, which hold a shard's lock and the version
-#                      store's together — also runs on every push and
-#                      PR (check.yml build-test: go test -race
+#                      sessionstore part — the power-cut and
+#                      dead-journal tests, which hold a shard's lock
+#                      and the version store's together — also runs on
+#                      every push and PR (check.yml build-test: go test -race
 #                      ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore, ~1 min), since tier-1
 #                      has no -race. FuzzScan, FuzzJournalOpen
-#                      (arbitrary journals: a refusal for an older
-#                      format keeps every whole frame), FuzzDecodePayload
+#                      (arbitrary journals, seeded from the fixture
+#                      journals and retention-v7's set records: a
+#                      refusal for an older format keeps every whole
+#                      frame), FuzzDecodePayload
 #                      (arbitrary journal payloads, seeded from the v7
 #                      fixture journals — commit records in both tree
 #                      forms among them — the v6 ones, which are still
-#                      read, and the v5 ones' JSON payloads,
-#                      which are refused: never a panic, every accepted
+#                      read, and the v5 ones' JSON payloads and
+#                      retention-v7's set records, which are
+#                      refused: never a panic, every accepted
 #                      one decodes and encodes back to the same bytes,
 #                      a shipped one AddPackets' check accepts has
 #                      address refs),
