@@ -244,11 +244,14 @@ func ClusterKillRecover(ctx context.Context, sc ClusterScenario) (*ClusterKillRe
 	return res, nil
 }
 
-// ClusterPartitionScenario configures one partition-and-heal replay:
-// the replica is partitioned away mid-dialogue, commits continue on
-// the primary (replication degrades, writes never do), and after the
-// heal the replica catches up in bounded steps — observably stale
-// mid-way, byte-identical at the end.
+// ClusterPartitionScenario configures one partition, heal and failover
+// replay: the replica is partitioned away mid-dialogue, commits continue
+// on the primary (replication degrades, writes never do), and the heal
+// crosses the primary's compaction horizon — the replica adopts its
+// shard root through chunk negotiation and catches up in bounded steps,
+// observably stale mid-way, byte-identical at the end. Then the primary
+// is killed, and the promoted replica, whose state below the horizon
+// arrived only as negotiated chunks, finishes the dialogue.
 type ClusterPartitionScenario struct {
 	// Seed drives both systems and every fault draw.
 	Seed int64
@@ -258,14 +261,17 @@ type ClusterPartitionScenario struct {
 	// (default 3).
 	PartitionAfter int
 	// PartitionTurns is how many turns commit while the replica is
-	// away (default 3, clamped to the dialogue's remainder).
+	// away (default 3). The partition must leave at least one turn for
+	// the promoted replica.
 	PartitionTurns int
 	// PrimaryDir and ReplicaDir are the nodes' data directories.
 	PrimaryDir, ReplicaDir string
-	// SnapshotEvery is both stores' compaction cadence (default 3 —
+	// SnapshotEvery is both stores' compaction cadence (default 4 —
 	// small enough that the primary compacts past the replica's cursor
 	// during the partition, so the heal ships the shard root, negotiates
-	// its chunks, and resumes bounded frame catch-up on top of it).
+	// its chunks, and resumes bounded frame catch-up on top of it; at 3
+	// the shard root covers the whole partition, one ship step catches
+	// the replica up, and its mid-catch-up page is never stale).
 	SnapshotEvery int
 }
 
@@ -273,7 +279,7 @@ type ClusterPartitionScenario struct {
 type ClusterPartitionResult struct {
 	SessionID string
 	// Committed is the total committed turns (every turn of the
-	// dialogue — the partition must lose none).
+	// dialogue — neither the partition nor the kill may lose one).
 	Committed int
 	// LagAtHeal is the replica's record lag the moment the partition
 	// heals (> 0, or the partition did nothing).
@@ -287,12 +293,24 @@ type ClusterPartitionResult struct {
 	MidCatchUp string
 	// MidCatchUpStale reports whether that page carried the stamp.
 	MidCatchUpStale bool
-	// Final is the primary's transcript after the full dialogue.
+	// ChunksNegotiated is how many chunks the heal moved to the
+	// replica, counted from before its first ship step (> 0, or the
+	// versioned path never fired).
+	ChunksNegotiated int
+	// ShardRootsMatch reports whether, after the heal, both nodes'
+	// version stores agree on the shard root head — commit hash
+	// identity preserved across the ship.
+	ShardRootsMatch bool
+	// Healed is the primary's transcript after the heal, and
+	// ReplicaHealed the caught-up replica's. Contract: they are equal.
+	Healed, ReplicaHealed string
+	// Final is the promoted replica's transcript after the full
+	// dialogue.
 	Final string
-	// ReplicaFinal is the replica's transcript after full catch-up.
-	// Contract: ReplicaFinal == Final (modulo the page's source field,
-	// which names the serving node and is excluded from the render).
-	ReplicaFinal string
+	// RootLog is the canonical per-turn version rendering from the
+	// promoted replica: one "turn=N tree=<hash>" line per session
+	// commit. Two runs of one seed must render it byte-identically.
+	RootLog string
 	// Transcript is the canonical run rendering for determinism diffs.
 	Transcript string
 }
@@ -303,17 +321,18 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 		return nil, errors.New("chaos: ClusterPartitionHeal needs primary and replica data dirs")
 	}
 	if sc.SnapshotEvery <= 0 {
-		sc.SnapshotEvery = 3
+		sc.SnapshotEvery = 4
 	}
-	turns := SwissTurns()
-	if sc.PartitionAfter <= 0 || sc.PartitionAfter >= len(turns) {
+	if sc.PartitionAfter <= 0 {
 		sc.PartitionAfter = 3
 	}
 	if sc.PartitionTurns <= 0 {
 		sc.PartitionTurns = 3
 	}
-	if sc.PartitionAfter+sc.PartitionTurns > len(turns) {
-		sc.PartitionTurns = len(turns) - sc.PartitionAfter
+	turns := SwissTurns()
+	if sc.PartitionAfter+sc.PartitionTurns >= len(turns) {
+		return nil, fmt.Errorf("chaos: partition window [%d,%d) leaves no post-kill turns in a %d-turn dialogue",
+			sc.PartitionAfter, sc.PartitionAfter+sc.PartitionTurns, len(turns))
 	}
 	member, pn, rn, _, _, err := newClusterMember(ClusterScenario{
 		Seed: sc.Seed, Rates: sc.Rates, PrimaryDir: sc.PrimaryDir,
@@ -321,9 +340,11 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	if err != nil {
 		return nil, err
 	}
+	pvs, rvs := pn.Store().Versions(), rn.Store().Versions()
 	router, err := cluster.NewRouter(cluster.Config{
-		Members: []cluster.Member{member},
-		ShipMax: 8,
+		Members:          []cluster.Member{member},
+		FailureThreshold: 1,
+		ShipMax:          8,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build router: %w", err)
@@ -337,7 +358,13 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	shard := rn.Store().ShardIndex(id)
 
 	ask := func(i int) error {
-		if _, aerr := router.Ask(ctx, id, turns[i]); aerr != nil {
+		_, aerr := router.Ask(ctx, id, turns[i])
+		if errors.Is(aerr, cluster.ErrNodeDown) {
+			// The kill moment: the breaker trips at threshold 1, the
+			// replica is promoted, and the turn is re-asked once.
+			_, aerr = router.Ask(ctx, id, turns[i])
+		}
+		if aerr != nil {
 			return fmt.Errorf("chaos: cluster turn %d %q: %w", i, turns[i], aerr)
 		}
 		res.Committed++
@@ -357,20 +384,21 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	rn.SetPartitioned(false)
 	// Lag at heal, measured store-to-store: the committed records the
 	// replica has never seen.
-	res.LagAtHeal = member.Primary.(*cluster.LocalNode).Store().ReplicationCursor(shard) -
-		rn.Store().ReplicationCursor(shard)
+	res.LagAtHeal = pn.Store().ReplicationCursor(shard) - rn.Store().ReplicationCursor(shard)
 
 	// One bounded ship step — the shard root and one frame: the replica
 	// now KNOWS it is behind (the applied batch carries the primary's
-	// cursor) and stamps its pages.
-	root, err := pn.Store().Versions().Head(sessionstore.ShardRoot(shard))
+	// cursor) and stamps its pages. Chunk growth on the replica from
+	// here to the end of the catch-up measures what the heal moved.
+	root, err := pvs.Head(sessionstore.ShardRoot(shard))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: primary shard root: %w", err)
 	}
+	chunksBefore := rvs.NumChunks()
 	if _, err := router.ShipStep(ctx, "m1", shard, 1); err != nil {
 		return nil, fmt.Errorf("chaos: ship step: %w", err)
 	}
-	adopted, err := rn.Store().Versions().Log(sessionstore.ShardRoot(shard))
+	adopted, err := rvs.Log(sessionstore.ShardRoot(shard))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: replica shard root: %w", err)
 	}
@@ -387,27 +415,49 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	if err := router.CatchUp(ctx, "m1"); err != nil {
 		return nil, fmt.Errorf("chaos: catch up: %w", err)
 	}
-	// The healed member keeps serving the rest of the dialogue with
-	// replication restored.
+	res.ChunksNegotiated = rvs.NumChunks() - chunksBefore
+	ph, perr := pvs.Head(sessionstore.ShardRoot(shard))
+	rh, rerr := rvs.Head(sessionstore.ShardRoot(shard))
+	res.ShardRootsMatch = perr == nil && rerr == nil && ph.Hash == rh.Hash && ph.Tree == rh.Tree
+	if res.Healed, err = fullPage(ctx, router, id, false); err != nil {
+		return nil, err
+	}
+	if res.ReplicaHealed, err = fullPage(ctx, router, id, true); err != nil {
+		return nil, err
+	}
+
+	// Kill the primary; the next ask promotes the healed replica, which
+	// finishes the dialogue.
+	pn.Kill()
 	for i := sc.PartitionAfter + sc.PartitionTurns; i < len(turns); i++ {
 		if err := ask(i); err != nil {
 			return nil, err
 		}
 	}
-	res.Final, err = fullPage(ctx, router, id, false)
-	if err != nil {
-		return nil, err
-	}
-	res.ReplicaFinal, err = fullPage(ctx, router, id, true)
-	if err != nil {
+	if res.Final, err = fullPage(ctx, router, id, false); err != nil {
 		return nil, err
 	}
 
+	// Per-turn version roots from the promoted replica: tree hashes,
+	// not commit hashes, because the replica's commit log legitimately
+	// starts at install time while tree addresses are content-equal
+	// across nodes and across runs.
+	log, err := rvs.Log(sessionstore.SessionRoot(id))
+	if err != nil {
+		return nil, fmt.Errorf("chaos: session versions on replica: %w", err)
+	}
+	var rl strings.Builder
+	for _, c := range log {
+		fmt.Fprintf(&rl, "turn=%d tree=%s\n", c.Turn, c.Tree)
+	}
+	res.RootLog = rl.String()
+
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "seed=%d partitionAfter=%d partitionTurns=%d committed=%d lagAtHeal=%d rootShipped=%t midStale=%t session=%s\n",
-		sc.Seed, sc.PartitionAfter, sc.PartitionTurns, res.Committed, res.LagAtHeal, res.RootShipped, res.MidCatchUpStale, res.SessionID)
-	fmt.Fprintf(&sb, "--- mid-catch-up\n%s--- final\n%s--- replica-final\n%s",
-		res.MidCatchUp, res.Final, res.ReplicaFinal)
+	fmt.Fprintf(&sb, "seed=%d partitionAfter=%d partitionTurns=%d committed=%d lagAtHeal=%d rootShipped=%t midStale=%t negotiated=%d shardRootsMatch=%t session=%s\n",
+		sc.Seed, sc.PartitionAfter, sc.PartitionTurns, res.Committed, res.LagAtHeal, res.RootShipped, res.MidCatchUpStale,
+		res.ChunksNegotiated, res.ShardRootsMatch, res.SessionID)
+	fmt.Fprintf(&sb, "--- mid-catch-up\n%s--- healed\n%s--- replica-healed\n%s--- final\n%s--- session roots\n%s",
+		res.MidCatchUp, res.Healed, res.ReplicaHealed, res.Final, res.RootLog)
 	for _, st := range router.Status(ctx) {
 		fmt.Fprintf(&sb, "member %s: active=%s promoted=%t breaker=%s lag=%d\n",
 			st.Name, st.Active, st.Promoted, st.Breaker, st.ReplicaLag)

@@ -320,25 +320,14 @@ func (s *System) analyze(sess *dialogue.Session, text string) (*Answer, error) {
 		return s.analyzeAnomalies(ds, col, vals, season)
 	}
 
-	sqlText := fmt.Sprintf("SELECT %s FROM %s", col, ds.Table.Name)
-	g := provenance.NewGraph()
-	src := g.AddNode(provenance.Node{Kind: provenance.KindSource, Label: ds.Name,
-		Meta: map[string]string{"uri": ds.Source, "dataset": ds.ID}})
-	q := g.AddNode(provenance.Node{Kind: provenance.KindQuery, Label: "load series",
-		Meta: map[string]string{"query": sqlText}})
-	comp := g.AddNode(provenance.Node{Kind: provenance.KindComputation, Label: "seasonal decomposition",
-		Meta: map[string]string{"code": analysisSnippet(col, ds.Table.Name, season.Period)}})
-	var label string
+	code := analysisSnippet(col, ds.Table.Name, season.Period)
+	label := "no significant seasonality"
 	if season.Period > 0 {
 		label = fmt.Sprintf("seasonal period %d (confidence %.0f%%)", season.Period, season.Confidence*100)
-	} else {
-		label = "no significant seasonality"
 	}
-	ansNode := g.AddNode(provenance.Node{Kind: provenance.KindAnswer, Label: label})
-	for _, e := range [][2]string{{q, src}, {comp, q}, {ansNode, comp}} {
-		if err := g.DerivedFrom(e[0], e[1]); err != nil {
-			return nil, err
-		}
+	g, ansNode, err := s.analysisProvenance(ds, col, "seasonal decomposition", code, label)
+	if err != nil {
+		return nil, err
 	}
 
 	var sb strings.Builder
@@ -362,7 +351,7 @@ func (s *System) analyze(sess *dialogue.Session, text string) (*Answer, error) {
 		}
 	}
 	ans.Text = sb.String()
-	ans.Code = analysisSnippet(col, ds.Table.Name, season.Period)
+	ans.Code = code
 	ans.Explanation.Caveats = append(ans.Explanation.Caveats,
 		"trend estimates at the series edges are excluded (moving-average window)",
 		suff.Explanation)

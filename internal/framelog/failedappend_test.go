@@ -156,21 +156,41 @@ func TestFailedAppendDoesNotPoisonWAL(t *testing.T) {
 	}
 }
 
+// TestFailedAppendDoesNotPoisonPack: a shipped chunk that a full disk
+// keeps out of the journal leaves it whole, and the next one is
+// acknowledged and survives reopen.
 func TestFailedAppendDoesNotPoisonPack(t *testing.T) {
 	dir := t.TempDir()
 	s, err := vstore.Open(vstore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("leaf", nil, []byte(`[1]`)); err != nil {
+	// ship adds one chunk, as a peer ships it, and returns its address.
+	src := vstore.NewMemory()
+	ship := func(v string) (vstore.Hash, error) {
+		b := src.NewBatch(nil)
+		tree, err := b.Put("db", nil, []byte(`{"v":"`+v+`"}`))
+		if err == nil {
+			_, err = b.Commit("db/main", tree, 0)
+		}
+		var p vstore.Packet
+		if err == nil {
+			p, err = src.PacketOf(tree)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree, s.AddPackets([]vstore.Packet{p})
+	}
+	if _, err := ship("first"); err != nil {
 		t.Fatal(err)
 	}
 	var failed error
-	failNextWrite(t, filepath.Join(dir, "chunks.pack"), func() { _, failed = s.Put("leaf", nil, []byte(`"lost to a full disk"`)) })
+	failNextWrite(t, filepath.Join(dir, "chunks.pack"), func() { _, failed = ship("lost to a full disk") })
 	if failed == nil {
-		t.Fatal("put past the file size cap succeeded")
+		t.Fatal("a chunk shipped past the file size cap was installed")
 	}
-	acked, err := s.Put("leaf", nil, []byte(`[2]`))
+	acked, err := ship("second")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -483,9 +483,7 @@ func TestPowerCutKeepsEveryAcknowledgedTurnAndVersion(t *testing.T) {
 				}
 				what := fmt.Sprintf("a batch of %d frames for shard %d", len(b.Frames), shard)
 				if b.SnapshotRoot != "" {
-					if _, err := vs.PullFrom(pvs, vstore.Hash(b.SnapshotRoot), 0); err != nil {
-						t.Fatal(err)
-					}
+					pullChunks(t, pvs, vs, vstore.Hash(b.SnapshotRoot), 0)
 					installs++
 					what = fmt.Sprintf("a snapshot install at %d with %d frames for shard %d", b.SnapshotSeq, len(b.Frames), shard)
 				}

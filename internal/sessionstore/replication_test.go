@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // shipAll drains every shard of src into dst until both cursors
@@ -32,14 +34,31 @@ func applyShipped(t *testing.T, src, dst *Store, b ShipBatch) {
 	err := dst.ApplyBatch(b)
 	var missing *MissingChunksError
 	if errors.As(err, &missing) {
-		if _, err := dst.Versions().PullFrom(src.Versions(), missing.Root, 16); err != nil {
-			t.Fatalf("negotiate shard %d root: %v", b.Shard, err)
-		}
+		pullChunks(t, src.Versions(), dst.Versions(), missing.Root, 16)
 		err = dst.ApplyBatch(b)
 	}
 	if err != nil {
 		t.Fatalf("apply shard %d: %v", b.Shard, err)
 	}
+}
+
+// pullChunks moves target's closure from src to dst, batch chunks a
+// round at most (0: no cap), with the have/want loop the cluster router
+// drives, and returns how many chunks moved.
+func pullChunks(t testing.TB, src, dst *vstore.Store, target vstore.Hash, batch int) int {
+	t.Helper()
+	moved := 0
+	for want := dst.WantList(target, batch); len(want) > 0; want = dst.WantList(target, batch) {
+		packets, err := src.Packets(want)
+		if err == nil {
+			err = dst.AddPackets(packets)
+		}
+		if err != nil {
+			t.Fatalf("pull %s: %v", target, err)
+		}
+		moved += len(packets)
+	}
+	return moved
 }
 
 // assertMirrors checks every live session of src renders the

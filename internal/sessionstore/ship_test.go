@@ -35,7 +35,7 @@ func forgeRoots(t testing.TB, vs *vstore.Store, seq int64) []forgedRoot {
 	junk := mustPut(t, vs, "turns", nil, "junk")
 	closure := shard(seq, []string{"junk"}, mustPut(t, vs, "sess", []vstore.Hash{junk}, sessNode(t, "junk", 2, 32)))
 	commit := func(root string, tree vstore.Hash) vstore.Hash {
-		c, err := vs.Commit(root, tree, int(seq))
+		c, err := vs.NewBatch(nil).Commit(root, tree, int(seq))
 		if err != nil {
 			t.Fatal(err)
 		}

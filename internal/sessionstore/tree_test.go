@@ -20,14 +20,39 @@ import (
 // (a peer's bytes are input), the remembered tree against the cold
 // encode, and what a version costs.
 
-// mustPut stores one hand-built chunk; it is hash-valid whatever it says.
+// mustPut stores one hand-built chunk as the tree of a version of root
+// "put"; it is hash-valid whatever it says.
 func mustPut(t testing.TB, vs *vstore.Store, kind string, refs []vstore.Hash, data string) vstore.Hash {
 	t.Helper()
-	h, err := vs.Put(kind, refs, []byte(data))
+	b := vs.NewBatch(nil)
+	h, err := b.Put(kind, refs, []byte(data))
+	if err == nil {
+		_, err = b.Commit("put", h, 0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// closureOf lists every address reachable from h in vs, h included.
+func closureOf(t testing.TB, vs *vstore.Store, h vstore.Hash) []vstore.Hash {
+	t.Helper()
+	seen := map[vstore.Hash]bool{h: true}
+	out := []vstore.Hash{h}
+	for i := 0; i < len(out); i++ {
+		refs, err := vs.Refs(out[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range refs {
+			if !seen[r] {
+				seen[r] = true
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }
 
 // turnsData is the data of a turns chunk of n turns.
@@ -159,7 +184,7 @@ func TestForgedSessionChunkIsAnError(t *testing.T) {
 			t.Errorf("%s: decodeSessionTree = %v, want an error naming %s", f.name, err, f.culprit)
 		}
 		id := fmt.Sprintf("forged-%d", i)
-		if _, err := vs.Commit(SessionRoot(id), f.node, 2); err != nil {
+		if _, err := vs.NewBatch(nil).Commit(SessionRoot(id), f.node, 2); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := replica.TranscriptAsOf(id, 2); !names(err, f.culprit) {
@@ -170,7 +195,7 @@ func TestForgedSessionChunkIsAnError(t *testing.T) {
 		if _, err := decodeShardTree(vs, f.node); !names(err, f.culprit) {
 			t.Errorf("%s: decodeShardTree = %v, want an error naming %s", f.name, err, f.culprit)
 		}
-		c, err := vs.Commit("shard/forged", f.node, 7)
+		c, err := vs.NewBatch(nil).Commit("shard/forged", f.node, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +232,7 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 				f.Fatal(err)
 			}
 			for _, c := range log {
-				closure, err := vs.Closure(c.Hash)
-				if err != nil {
-					f.Fatal(err)
-				}
-				for _, h := range closure {
+				for _, h := range closureOf(f, vs, c.Hash) {
 					if base.Has(h) {
 						continue
 					}

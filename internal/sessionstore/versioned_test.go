@@ -197,10 +197,7 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	if err := replica.ApplyBatch(b); !errors.As(err, &missing) {
 		t.Fatalf("apply without chunks err = %v, want MissingChunksError", err)
 	}
-	moved1, err := vsR.PullFrom(vsP, missing.Root, 16)
-	if err != nil {
-		t.Fatalf("negotiate: %v", err)
-	}
+	moved1 := pullChunks(t, vsP, vsR, missing.Root, 16)
 	if moved1 == 0 {
 		t.Fatal("negotiation moved no chunks")
 	}
@@ -238,10 +235,7 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	if b2.SnapshotRoot == "" {
 		t.Fatalf("second catch-up did not use a snapshot root")
 	}
-	moved2, err := vsR.PullFrom(vsP, vstore.Hash(b2.SnapshotRoot), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	moved2 := pullChunks(t, vsP, vsR, vstore.Hash(b2.SnapshotRoot), 16)
 	if moved2 >= moved1 {
 		t.Fatalf("second negotiation moved %d chunks, first moved %d; no structural sharing", moved2, moved1)
 	}
@@ -669,6 +663,51 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 	}
 }
 
+// TestClosedVersionStoreKeepsTheWAL: a version store the caller owns,
+// closed before the session store, takes no shard root, so the session
+// store's Close keeps the WAL and says so, and the acknowledged turn is
+// there after reopen.
+func TestClosedVersionStoreKeepsTheWAL(t *testing.T) {
+	dir := t.TempDir()
+	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Config{Dir: dir, Shards: 1, Versions: vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPair(t, st, e, "q0", "a0", 0.5)
+	want := transcriptOf(t, e)
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err == nil || !strings.Contains(err.Error(), "keeps its WAL") {
+		t.Fatalf("Close over a closed version store = %v, want the shard to keep its WAL", err)
+	}
+
+	st2, err := Open(Config{Dir: dir, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st2.Close(); err != nil {
+			t.Errorf("close reopened: %v", err)
+		}
+	}()
+	e2, status := st2.Get(e.ID)
+	if status != Found {
+		t.Fatalf("acknowledged session after reopen: status %v", status)
+	}
+	if got := transcriptOf(t, e2); got != want {
+		t.Fatalf("reopened transcript:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestConcurrentTurnsFlushesAndAsOfReads runs turns on every shard at
 // once against one dir-backed version store, with compactions (each one
 // a journal flush under the store's exclusive lock) frequent and as-of
@@ -800,7 +839,7 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 		}
 		size := framelog.HeaderSize + len(p)
 		if h := vstore.Hash(sha256Hex(p)); vs.Has(h) {
-			kind, err := vs.Kind(h)
+			kind, _, err := vs.Data(h)
 			if err != nil {
 				t.Fatal(err)
 			}

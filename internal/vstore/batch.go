@@ -35,7 +35,9 @@ func (s *Store) NewBatch(turn *obs.Turn) *Batch {
 	return &Batch{s: s, turn: turn, seen: map[Hash]bool{}}
 }
 
-// Put stages one chunk and returns its address; see Store.Put.
+// Put stages one chunk and returns its address. Staging identical
+// content again is free (content addressing dedups). data is the
+// caller's bytes, nil for none.
 func (b *Batch) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	h, payload, err := encodeChunk(kind, refs, data)
 	if err != nil {
@@ -49,10 +51,13 @@ func (b *Batch) Put(kind string, refs []Hash, data []byte) (Hash, error) {
 	return h, nil
 }
 
-// putEncoded is Put for a chunk encodeChunk has rendered.
+// putEncoded is Put for a chunk encodeChunk has rendered. It consults
+// the "vstore.put" fault once for every chunk put.
 func (b *Batch) putEncoded(h Hash, payload []byte, refs []Hash) error {
-	if err := b.s.injectPut(); err != nil {
-		return err
+	if f := b.s.cfg.Faults; f != nil {
+		if err := f.Inject("vstore.put"); err != nil {
+			return err
+		}
 	}
 	if !b.seen[h] {
 		b.seen[h] = true

@@ -112,8 +112,9 @@ func TestEncodeWidthSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := encodeTable(s, tab); fmt.Sprint(err) != fmt.Sprint("injected put ", failAt) || hook.seen != failAt || s.NumChunks() != failAt-1 {
-			t.Errorf("GOMAXPROCS %d: %v after %d puts, %d chunks kept; want put %d to fail", procs, err, hook.seen, s.NumChunks(), failAt)
+		b := s.NewBatch(nil)
+		if _, err := encodeTable(b, tab); fmt.Sprint(err) != fmt.Sprint("injected put ", failAt) || hook.seen != failAt || len(b.staged) != failAt-1 {
+			t.Errorf("GOMAXPROCS %d: %v after %d puts, %d chunks staged; want put %d to fail", procs, err, hook.seen, len(b.staged), failAt)
 		}
 	}
 	for _, cell := range [][2]int{{10000, 4}, {30000, 3}} {
@@ -129,9 +130,10 @@ func TestEncodeWidthSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = encodeTable(s, tab)
-		if leaves := 3*235 + 117; fmt.Sprint(err) != want || hook.seen != leaves || s.NumChunks() != leaves {
-			t.Errorf("GOMAXPROCS %d: %v after %d puts, %d chunks kept; want %s after %d", procs, err, hook.seen, s.NumChunks(), want, leaves)
+		b := s.NewBatch(nil)
+		_, err = encodeTable(b, tab)
+		if leaves := 3*235 + 117; fmt.Sprint(err) != want || hook.seen != leaves || len(b.staged) != leaves {
+			t.Errorf("GOMAXPROCS %d: %v after %d puts, %d chunks staged; want %s after %d", procs, err, hook.seen, len(b.staged), want, leaves)
 		}
 		if _, err := s.CommitDatabase("data", db, 0); !strings.Contains(fmt.Sprint(err), want) {
 			t.Errorf("GOMAXPROCS %d: CommitDatabase = %v, want %s", procs, err, want)
@@ -155,7 +157,7 @@ func TestNonFiniteCSVCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.MaterializeDatabase(c.Hash)
+	got, err := s.MaterializeDatabase(c.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

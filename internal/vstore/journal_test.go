@@ -282,9 +282,7 @@ func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
 	requirePacketsRehash(t, s)
 	requireReopensEqual(t, dir, s)
 
-	if _, err := s.Put("leaf", nil, []byte(`[1]`)); err != nil { // any flushed append covers what came before it
-		t.Fatal(err)
-	}
+	mustPut(t, s, "leaf", nil, `[1]`) // any flushed append covers what came before it
 	flushed("after a flushed append", true)
 	commit(3, (*Batch).CommitUnsynced)
 	flushed("after a second CommitUnsynced", false)
@@ -549,11 +547,7 @@ func TestAddPacketsIsOneJournalAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closure, err := src.Closure(c.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest := len(closure) - 3 - 50 // past commit, db, table and one full batch of leaves
+	rest := src.NumChunks() - 3 - 50 // the version's closure past commit, db, table and one full batch of leaves
 	dir := t.TempDir()
 	jf := &journalFaults{tearAt: -1}
 	dst, err := Open(Config{Dir: dir, Faults: jf})
@@ -619,7 +613,7 @@ func TestAddPacketsIsOneJournalAppend(t *testing.T) {
 	if err := dst.AddPackets(packets); err != nil || jf.appends != appends+1 {
 		t.Fatalf("re-shipped batch: err %v, %d further appends", err, jf.appends-appends-1)
 	}
-	moved, err := dst.PullFrom(src, c.Hash, 50)
+	moved, err := pullFrom(src, dst, c.Hash, 50)
 	if err != nil || moved != rest || rest < 1 || rest > 50 || jf.appends != appends+2 {
 		t.Fatalf("pulling the rest: moved %d (want %d), %d appends (want 1), err %v", moved, rest, jf.appends-appends-1, err)
 	}
@@ -637,13 +631,28 @@ func TestAddPacketsIsOneJournalAppend(t *testing.T) {
 	requireReopensEqual(t, dir, dst)
 }
 
-// pullRound is one round of PullFrom's loop.
+// pullRound is one round of the have/want loop the cluster router
+// drives: dst wants, src answers, dst installs.
 func pullRound(src, dst *Store, target Hash, batch int) (int, error) {
 	packets, err := src.Packets(dst.WantList(target, batch))
 	if err != nil {
 		return 0, err
 	}
 	return len(packets), dst.AddPackets(packets)
+}
+
+// pullFrom runs pullRound until dst holds target's closure and returns
+// how many chunks moved.
+func pullFrom(src, dst *Store, target Hash, batch int) (int, error) {
+	moved := 0
+	for !dst.HasClosure(target) {
+		n, err := pullRound(src, dst, target, batch)
+		if err != nil {
+			return moved, err
+		}
+		moved += n
+	}
+	return moved, nil
 }
 
 // journalSeeds are hand-made journals around the decoder's edges.

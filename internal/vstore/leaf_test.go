@@ -1048,9 +1048,9 @@ func TestForgedTableChunkIsAnError(t *testing.T) {
 }
 
 // TestForgedDBAndCommitChunksAreErrors: a db or commit chunk may be a
-// peer's as well. MaterializeDatabase, DatabaseAsOf and ResolveTree
-// answer a malformed one with a MalformedChunkError naming it, and none
-// panics.
+// peer's as well. MaterializeDatabase and DatabaseAsOf answer a
+// malformed one, or a commit where a db belongs, with a
+// MalformedChunkError naming it, and neither panics.
 func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 	s := NewMemory()
 	put := func(kind string, refs []Hash, data string) Hash {
@@ -1067,7 +1067,7 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 	}
 	commitWith := func(data string, refs ...Hash) Hash { return put("commit", refs, data) }
 	commit := func(refs ...Hash) Hash { return commitWith(string(commitData), refs...) }
-	if got, err := s.MaterializeDatabase(commit(good)); err != nil || len(got.Tables()) != 1 {
+	if got, err := s.MaterializeDatabase(good); err != nil || len(got.Tables()) != 1 {
 		t.Fatalf("the well-formed database: %v", err)
 	}
 	names := func(err error, culprit Hash) bool {
@@ -1089,6 +1089,7 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 		{"a table ref that points at a db", db(`{"name":"d","tables":["t"]}`, good), good},
 	}
 	commits := []forged{
+		self("a commit of a well-formed db", commit(good)),
 		self("a commit with no ref", commit()),
 		self("a commit with two refs", commit(good, good)),
 		self("a commit of a commit", commit(commit(good))),
@@ -1104,26 +1105,14 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 		if _, err := s.MaterializeDatabase(f.node); !names(err, f.culprit) {
 			t.Errorf("%s: MaterializeDatabase = %v, want an error naming %s", f.name, err, f.culprit)
 		}
-		// In a root's log behind a well-formed commit, a forged db names
-		// itself and a forged commit the log entry that pins it.
+		// Pinned by a well-formed commit in a root's log, each names
+		// itself: the as-of read materializes the tree the commit pins.
 		root := fmt.Sprintf("forged/%d", i)
-		c, err := s.Commit(root, f.node, 0)
-		if err != nil {
+		if _, err := s.NewBatch(nil).Commit(root, f.node, 0); err != nil {
 			t.Fatal(err)
 		}
-		culprit := f.culprit
-		if i >= len(dbs) {
-			culprit = c.Hash
-		}
-		if _, _, err := s.DatabaseAsOf(root, 0); !names(err, culprit) {
-			t.Errorf("%s: DatabaseAsOf = %v, want an error naming %s", f.name, err, culprit)
-		}
-		if i < len(dbs) {
-			if tree, err := s.ResolveTree(c.Hash); err != nil || tree != f.node {
-				t.Errorf("%s: ResolveTree of its commit = %s, %v; want the db", f.name, tree, err)
-			}
-		} else if _, err := s.ResolveTree(f.node); !names(err, f.culprit) {
-			t.Errorf("%s: ResolveTree = %v, want an error naming %s", f.name, err, f.culprit)
+		if _, _, err := s.DatabaseAsOf(root, 0); !names(err, f.culprit) {
+			t.Errorf("%s: DatabaseAsOf = %v, want an error naming %s", f.name, err, f.culprit)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func FuzzDecodePayload(f *testing.F) {
 		if err := s.AddPackets([]Packet{{Hash: h, Data: p}}); err != nil {
 			t.Fatalf("a payload the check accepts is refused: %v", err)
 		}
-		kind, err := s.Kind(h)
+		kind, _, err := s.Data(h)
 		if err != nil || kind != rec.K {
 			t.Fatalf("installed chunk has kind %q, %v; decoded %q", kind, err, rec.K)
 		}

@@ -115,7 +115,7 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 		{"a fresh tree", func() { first = commit("session/a", 1, 2, (*Batch).Commit) }, treeInline},
 		{"a fresh tree on a parent, unflushed", func() { commit("session/a", 2, 4, (*Batch).CommitUnsynced) }, treeInline},
 		{"a stored tree", func() {
-			if _, err := s.Commit("session/a", first.Tree, 6); err != nil {
+			if _, err := s.NewBatch(nil).Commit("session/a", first.Tree, 6); err != nil {
 				t.Fatal(err)
 			}
 		}, treeStored},
@@ -136,7 +136,7 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.PullFrom(src, c.Hash, 4); err != nil {
+			if _, err := pullFrom(src, s, c.Hash, 4); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.AdoptCommit("shard/00", c.Hash); err != nil {

@@ -128,12 +128,6 @@ func (s *Store) replayCommitLocked(root string, v *versionRecord, off int64, n i
 	return nil
 }
 
-// Commit appends a new version to the named root, pinning tree (which
-// must already be stored): a batch with nothing staged.
-func (s *Store) Commit(root string, tree Hash, turn int) (Commit, error) {
-	return s.NewBatch(nil).Commit(root, tree, turn)
-}
-
 // commitEntry rebuilds a root-log entry from its commit chunk's payload —
 // the journal's append records and shipped commits carry only the hash.
 // A chunk that is no commit a writer produces is a *MalformedChunkError.

@@ -648,15 +648,6 @@ func vectorOf(kind storage.Kind, vals []storage.Value) (*storage.Vector, error) 
 	return col, nil
 }
 
-// chunkWriter is where an encoder puts the nodes of the tree it
-// builds: a Batch, or in tests the Store itself, chunk by chunk. Both
-// methods consult the "vstore.put" fault once a chunk; putEncoded takes
-// one encodeChunk has rendered.
-type chunkWriter interface {
-	Put(kind string, refs []Hash, data []byte) (Hash, error)
-	putEncoded(h Hash, payload []byte, refs []Hash) error
-}
-
 // encodeSpanMin is the leaf count from which encodeTable encodes a
 // table's leaves on every core; below it, as for every table of the
 // demonstration domain, it encodes them inline.
@@ -669,7 +660,7 @@ const encodeSpanMin = 64
 // staged chunks, the journal and the fault schedule are a serial
 // encode's. A leaf that fails to encode fails the table after every
 // leaf before it has been put, as the serial encode did.
-func encodeTable(w chunkWriter, t *storage.Table) (Hash, error) {
+func encodeTable(b *Batch, t *storage.Table) (Hash, error) {
 	const leafRows = DefaultLeafRows
 	rows := t.NumRows()
 	schema := t.Schema()
@@ -687,7 +678,7 @@ func encodeTable(w chunkWriter, t *storage.Table) (Hash, error) {
 	})
 	refs := make([]Hash, 0, len(leaves))
 	for _, leaf := range leaves[:encoded] {
-		if err := w.putEncoded(leaf.hash, leaf.payload, nil); err != nil {
+		if err := b.putEncoded(leaf.hash, leaf.payload, nil); err != nil {
 			return "", err
 		}
 		refs = append(refs, leaf.hash)
@@ -703,7 +694,7 @@ func encodeTable(w chunkWriter, t *storage.Table) (Hash, error) {
 	if err != nil {
 		return "", fmt.Errorf("vstore: encode table %s: %w", t.Name, err)
 	}
-	return w.Put("table", refs, data)
+	return b.Put("table", refs, data)
 }
 
 // encodedLeaf is one leaf chunk's address and payload.
@@ -755,7 +746,7 @@ func encodeSpans(n int, encode func(i int) error) (int, error) {
 
 // encodeDatabase writes every table of db and returns the db chunk's
 // address. Tables are encoded in canonical (lowercased-name) order.
-func encodeDatabase(w chunkWriter, db *storage.Database) (Hash, error) {
+func encodeDatabase(b *Batch, db *storage.Database) (Hash, error) {
 	tables := db.Tables()
 	sort.Slice(tables, func(i, j int) bool {
 		return strings.ToLower(tables[i].Name) < strings.ToLower(tables[j].Name)
@@ -763,7 +754,7 @@ func encodeDatabase(w chunkWriter, db *storage.Database) (Hash, error) {
 	meta := dbData{Name: db.Name, Tables: make([]string, 0, len(tables))}
 	refs := make([]Hash, 0, len(tables))
 	for _, t := range tables {
-		h, err := encodeTable(w, t)
+		h, err := encodeTable(b, t)
 		if err != nil {
 			return "", err
 		}
@@ -774,7 +765,7 @@ func encodeDatabase(w chunkWriter, db *storage.Database) (Hash, error) {
 	if err != nil {
 		return "", fmt.Errorf("vstore: encode db %s: %w", db.Name, err)
 	}
-	return w.Put("db", refs, data)
+	return b.Put("db", refs, data)
 }
 
 // CommitDatabase encodes db and commits it to the named root at the
@@ -880,13 +871,10 @@ func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
 	return t, nil
 }
 
-// MaterializeDatabase rebuilds a database from a db or commit chunk
-// address — an immutable snapshot ready for internal/sqldb execution.
+// MaterializeDatabase rebuilds a database from a db chunk address — an
+// immutable snapshot ready for internal/sqldb execution. Any other kind,
+// a commit among them, is refused, naming the chunk.
 func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
-	h, err := s.ResolveTree(h)
-	if err != nil {
-		return nil, err
-	}
 	kind, data, err := s.Data(h)
 	if err != nil {
 		return nil, err
@@ -917,39 +905,15 @@ func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
 }
 
 // DatabaseAsOf materializes the snapshot of a root as of the given
-// turn — the time-travel read path. It reads from the commit, so a log
-// entry that pins a commit instead of a tree is refused.
+// turn — the time-travel read path — from the tree its commit pins.
 func (s *Store) DatabaseAsOf(root string, turn int) (*storage.Database, Commit, error) {
 	c, err := s.AsOf(root, turn)
 	if err != nil {
 		return nil, Commit{}, err
 	}
-	db, err := s.MaterializeDatabase(c.Hash)
+	db, err := s.MaterializeDatabase(c.Tree)
 	if err != nil {
 		return nil, Commit{}, err
 	}
 	return db, c, nil
-}
-
-// ResolveTree follows a commit chunk to the tree it pins, which must
-// not be another commit; non-commit chunks pass through unchanged.
-func (s *Store) ResolveTree(h Hash) (Hash, error) {
-	kind, err := s.Kind(h)
-	if err != nil {
-		return "", err
-	}
-	if kind != "commit" {
-		return h, nil
-	}
-	c, err := s.CommitOf(h)
-	if err != nil {
-		return "", err
-	}
-	if kind, err = s.Kind(c.Tree); err != nil {
-		return "", err
-	}
-	if kind == "commit" {
-		return "", malformed(h, "is a commit of commit %s, want a tree", c.Tree)
-	}
-	return c.Tree, nil
 }

@@ -169,7 +169,7 @@ func TestTimeTravelGate(t *testing.T) {
 	// differ by exactly the seeded edits: the rows set, over the rows
 	// both hold, and the rows appended.
 	version := func(k int) *storage.Table {
-		db, err := r.MaterializeDatabase(commits[k].Hash)
+		db, err := r.MaterializeDatabase(commits[k].Tree)
 		if err != nil {
 			t.Fatalf("materialize version %d: %v", k, err)
 		}
@@ -235,7 +235,7 @@ func TestMaterializePreservesSchemaMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	got, err := s.MaterializeDatabase(c.Hash) // commit hash resolves to tree
+	got, err := s.MaterializeDatabase(c.Tree)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
@@ -265,11 +265,11 @@ func TestEncodeDatabaseCanonicalOrder(t *testing.T) {
 		}
 		return db
 	}
-	a, err := encodeDatabase(s, mk("alpha", "beta"))
+	a, err := encodeDatabase(s.NewBatch(nil), mk("alpha", "beta"))
 	if err != nil {
 		t.Fatalf("encode a: %v", err)
 	}
-	b, err := encodeDatabase(s, mk("beta", "alpha"))
+	b, err := encodeDatabase(s.NewBatch(nil), mk("beta", "alpha"))
 	if err != nil {
 		t.Fatalf("encode b: %v", err)
 	}

@@ -35,9 +35,11 @@
 // commit's parent and stamp, and the log entry is rebuilt from them on
 // open. That is the store's one format: Open refuses a directory holding
 // anything older with a *FormatError, naming the last commit that reads
-// it. A Batch puts a version's new chunks and its commit record into the
-// journal with one append, so a crash leaves the root on the old commit
-// or the new one with its whole tree.
+// it. A version enters the store one way: a Batch stages its new chunks
+// and puts them and its commit record into the journal with one append,
+// so a crash leaves the root on the old commit or the new one with its
+// whole tree. A version shipped from another store enters through
+// AddPackets, its chunks, and AdoptCommit, its commit.
 //
 // When the journal is flushed depends on who could rebuild the version.
 // Nothing can rebuild a data root, a shard root, an adopted commit or a
@@ -48,7 +50,8 @@
 // framelog's Write, no fsync: readable at once, flushed by the next
 // flushed append or by Store.Sync, which the session store calls before
 // it truncates the WAL that could have rebuilt the version (and Close
-// calls last).
+// calls last). Once a dir-backed store is closed, every journal write
+// fails.
 package vstore
 
 import (
@@ -210,7 +213,8 @@ type Store struct {
 	chunks map[Hash]*chunk
 	roots  map[string][]Commit
 	stamp  int64         // store-wide logical commit sequence
-	pack   *framelog.Log // the journal; nil when memory-only
+	pack   *framelog.Log // the journal; nil when memory-only or closed
+	closed bool          // Close has released the journal: every write fails
 }
 
 // packMagic tags the journal's frames in the shared framelog layout. A
@@ -360,8 +364,11 @@ func hashBytes(b []byte) Hash {
 // one append (a no-op when memory-only) — and one fsync when durable;
 // without, they are flushed by the next durable append or Sync —
 // counting the append against turn, and returns the offset each frame
-// was given. Caller holds s.mu.
+// was given. A closed store refuses it. Caller holds s.mu.
 func (s *Store) appendPack(turn *obs.Turn, durable bool, payloads ...[]byte) ([]int64, error) {
+	if s.closed {
+		return nil, errors.New("vstore: write to a closed store")
+	}
 	offs := make([]int64, len(payloads))
 	if s.pack == nil {
 		return offs, nil
@@ -495,38 +502,6 @@ func encodeChunk(kind string, refs []Hash, data []byte) (Hash, []byte, error) {
 	return hashBytes(payload), payload, nil
 }
 
-// injectPut consults the "vstore.put" fault, once for every chunk put.
-func (s *Store) injectPut() error {
-	if s.cfg.Faults != nil {
-		return s.cfg.Faults.Inject("vstore.put")
-	}
-	return nil
-}
-
-// Put stores one chunk, returning its address. Re-putting identical
-// content is free (content addressing dedups). data is the caller's
-// bytes, nil for none.
-func (s *Store) Put(kind string, refs []Hash, data []byte) (Hash, error) {
-	h, payload, err := encodeChunk(kind, refs, data)
-	if err != nil {
-		return "", err
-	}
-	if err := s.putEncoded(h, payload, refs); err != nil {
-		return "", err
-	}
-	return h, nil
-}
-
-// putEncoded is Put for a chunk encodeChunk has rendered.
-func (s *Store) putEncoded(h Hash, payload []byte, refs []Hash) error {
-	if err := s.injectPut(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalLocked(nil, true, []stagedChunk{{hash: h, payload: payload, refs: refs}}, nil)
-}
-
 // Has reports whether the chunk is present.
 func (s *Store) Has(h Hash) bool {
 	s.mu.RLock()
@@ -549,15 +524,6 @@ func (s *Store) get(h Hash) (chunkFields, error) {
 		return chunkFields{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
 	}
 	return rec.chunkFields, nil
-}
-
-// Kind returns a chunk's kind.
-func (s *Store) Kind(h Hash) (string, error) {
-	env, err := s.get(h)
-	if err != nil {
-		return "", err
-	}
-	return env.K, nil
 }
 
 // Refs returns a chunk's child addresses.
@@ -637,7 +603,9 @@ func (s *Store) JournalSynced() (synced, size int64) {
 	return s.pack.Synced(), s.pack.Size()
 }
 
-// Close flushes the journal and releases its file handle.
+// Close flushes the journal and releases its file handle. On a
+// dir-backed store every later write fails: nothing it acknowledged
+// could reach the journal.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -649,6 +617,6 @@ func (s *Store) Close() error {
 		err = s.pack.Sync()
 	}
 	err = errors.Join(err, s.pack.Close())
-	s.pack = nil
+	s.pack, s.closed = nil, true
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,17 +16,31 @@ import (
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
+// mustPut journals one hand-built chunk in a frame of its own, outside
+// any version, as AddPackets journals a shipped one; it is hash-valid
+// whatever it says.
 func mustPut(t *testing.T, s *Store, kind string, refs []Hash, data string) Hash {
 	t.Helper()
 	var d []byte
 	if data != "" {
 		d = []byte(data)
 	}
-	h, err := s.Put(kind, refs, d)
+	h, payload, err := encodeChunk(kind, refs, d)
+	if err == nil {
+		s.mu.Lock()
+		err = s.journalLocked(nil, true, []stagedChunk{{hash: h, payload: payload, refs: refs}}, nil)
+		s.mu.Unlock()
+	}
 	if err != nil {
-		t.Fatalf("Put(%s): %v", kind, err)
+		t.Fatalf("put %s: %v", kind, err)
 	}
 	return h
+}
+
+// commit lands a version pinning tree, which must be stored: a batch
+// with nothing staged.
+func commit(s *Store, root string, tree Hash, turn int) (Commit, error) {
+	return s.NewBatch(nil).Commit(root, tree, turn)
 }
 
 func TestPutDedupsByContent(t *testing.T) {
@@ -48,9 +63,9 @@ func TestChunkRoundTrip(t *testing.T) {
 	s := NewMemory()
 	leaf := mustPut(t, s, "leaf", nil, `[1,2]`)
 	node := mustPut(t, s, "table", []Hash{leaf}, `{"rows":2}`)
-	kind, err := s.Kind(node)
+	kind, _, err := s.Data(node)
 	if err != nil || kind != "table" {
-		t.Fatalf("Kind = %q, %v; want table", kind, err)
+		t.Fatalf("Data kind = %q, %v; want table", kind, err)
 	}
 	refs, err := s.Refs(node)
 	if err != nil || len(refs) != 1 || refs[0] != leaf {
@@ -62,8 +77,8 @@ func TestChunkRoundTrip(t *testing.T) {
 	if _, raw, err := s.Data(node); err != nil || json.Unmarshal(raw, &data) != nil || data.Rows != 2 {
 		t.Fatalf("Data = %+v, %v", data, err)
 	}
-	if _, err := s.Kind(Hash("feed")); !errors.Is(err, ErrUnknownChunk) {
-		t.Fatalf("Kind(absent) err = %v, want ErrUnknownChunk", err)
+	if _, _, err := s.Data(Hash("feed")); !errors.Is(err, ErrUnknownChunk) {
+		t.Fatalf("Data(absent) err = %v, want ErrUnknownChunk", err)
 	}
 }
 
@@ -72,15 +87,15 @@ func TestCommitLogAndAsOf(t *testing.T) {
 	t1 := mustPut(t, s, "db", nil, `{"v":1}`)
 	t2 := mustPut(t, s, "db", nil, `{"v":2}`)
 	t3 := mustPut(t, s, "db", nil, `{"v":3}`)
-	c1, err := s.Commit("db/main", t1, 0)
+	c1, err := commit(s, "db/main", t1, 0)
 	if err != nil {
 		t.Fatalf("commit 1: %v", err)
 	}
-	c2, err := s.Commit("db/main", t2, 3)
+	c2, err := commit(s, "db/main", t2, 3)
 	if err != nil {
 		t.Fatalf("commit 2: %v", err)
 	}
-	c3, err := s.Commit("db/main", t3, 7)
+	c3, err := commit(s, "db/main", t3, 7)
 	if err != nil {
 		t.Fatalf("commit 3: %v", err)
 	}
@@ -112,7 +127,7 @@ func TestCommitLogAndAsOf(t *testing.T) {
 	if _, err := s.Head("nope"); !errors.Is(err, ErrUnknownRoot) {
 		t.Fatalf("Head(absent root) err = %v, want ErrUnknownRoot", err)
 	}
-	if _, err := s.Commit("db/main", Hash("beef"), 9); !errors.Is(err, ErrUnknownChunk) {
+	if _, err := commit(s, "db/main", Hash("beef"), 9); !errors.Is(err, ErrUnknownChunk) {
 		t.Fatalf("Commit(absent tree) err = %v, want ErrUnknownChunk", err)
 	}
 }
@@ -125,7 +140,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 	leaf := mustPut(t, s, "leaf", nil, `[42]`)
 	tree := mustPut(t, s, "db", []Hash{leaf}, `{"v":1}`)
-	c, err := s.Commit("db/main", tree, 5)
+	c, err := commit(s, "db/main", tree, 5)
 	if err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -151,7 +166,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 	// Stamps continue where the previous incarnation stopped.
 	tree2 := mustPut(t, r, "db", nil, `{"v":2}`)
-	c2, err := r.Commit("db/main", tree2, 6)
+	c2, err := commit(r, "db/main", tree2, 6)
 	if err != nil {
 		t.Fatalf("commit after reopen: %v", err)
 	}
@@ -292,19 +307,15 @@ func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 	if got := dst.WantList(c1.Hash, 0); len(got) != 1 || got[0] != c1.Hash {
 		t.Fatalf("WantList on empty store = %v, want just the target", got)
 	}
-	moved1, err := dst.PullFrom(src, c1.Hash, 8)
+	moved1, err := pullFrom(src, dst, c1.Hash, 8)
 	if err != nil {
-		t.Fatalf("PullFrom v1: %v", err)
+		t.Fatalf("pull v1: %v", err)
 	}
 	if !dst.HasClosure(c1.Hash) {
 		t.Fatalf("closure incomplete after pull")
 	}
-	closure, err := src.Closure(c1.Hash)
-	if err != nil {
-		t.Fatalf("Closure: %v", err)
-	}
-	if moved1 != len(closure) {
-		t.Fatalf("moved %d chunks, closure has %d", moved1, len(closure))
+	if moved1 != src.NumChunks() || dst.NumChunks() != moved1 {
+		t.Fatalf("moved %d chunks into a store now holding %d, the closure has %d", moved1, dst.NumChunks(), src.NumChunks())
 	}
 
 	// Small edit → second version; the pull must ship only the delta.
@@ -319,9 +330,9 @@ func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("commit v2: %v", err)
 	}
-	moved2, err := dst.PullFrom(src, c2.Hash, 8)
+	moved2, err := pullFrom(src, dst, c2.Hash, 8)
 	if err != nil {
-		t.Fatalf("PullFrom v2: %v", err)
+		t.Fatalf("pull v2: %v", err)
 	}
 	if moved2 >= moved1/2 {
 		t.Fatalf("delta pull moved %d chunks (full transfer was %d); negotiation is not sharing structure", moved2, moved1)
@@ -434,8 +445,6 @@ func TestCorruptChunkIsAnErrorNotAnAnswer(t *testing.T) {
 	}
 	_, out, err = s.Data(victim)
 	wantErr("Data", err)
-	_, err = s.Kind(victim)
-	wantErr("Kind", err)
 	_, err = s.PacketOf(victim)
 	wantErr("PacketOf", err)
 	_, err = s.Packets([]Hash{before, victim})
@@ -549,5 +558,85 @@ func TestClosedStoreRefusesReads(t *testing.T) {
 	}
 	if refs, err := s.Refs(h); err != nil || len(refs) != 0 || !s.Has(h) {
 		t.Fatalf("the index itself outlives the journal: refs %v, %v", refs, err)
+	}
+}
+
+// TestClosedStoreRefusesWrites: a closed dir-backed store has no journal
+// to hold a write, so a commit, a shipped batch and an adopted commit
+// each fail, the store indexes none of them, and a reopen holds what it
+// held at Close. Sync still has nothing to flush.
+func TestClosedStoreRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CommitDatabase("db/main", demoDB(10), 0); err != nil {
+		t.Fatal(err)
+	}
+	// src versions a shard root; s holds the closure of its first commit.
+	src := NewMemory()
+	shipped := func(turn int) (Commit, []Packet) {
+		t.Helper()
+		b := src.NewBatch(nil)
+		tree, err := b.Put("shard", nil, []byte{byte(turn)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := b.Commit("shard/00", tree, turn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets, err := src.Packets([]Hash{c.Hash, tree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, packets
+	}
+	adoptable, held := shipped(1)
+	if err := s.AddPackets(held); err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := shipped(2)
+	chunks, roots := s.NumChunks(), s.Roots()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b := s.NewBatch(nil)
+	tree, err := b.Put("db", nil, []byte(`{"v":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := b.Commit("db/main", tree, 1); err == nil {
+		t.Errorf("Commit on a closed store acknowledged %+v", c)
+	}
+	if err := s.AddPackets(fresh); err == nil {
+		t.Error("AddPackets on a closed store succeeded")
+	}
+	if c, err := s.AdoptCommit("shard/00", adoptable.Hash); err == nil {
+		t.Errorf("AdoptCommit on a closed store acknowledged %+v", c)
+	}
+	if err := s.Sync(); err != nil {
+		t.Errorf("Sync on a closed store: %v", err)
+	}
+	if s.NumChunks() != chunks || !slices.Equal(s.Roots(), roots) {
+		t.Errorf("the closed store indexes %d chunks and roots %v, held %d and %v", s.NumChunks(), s.Roots(), chunks, roots)
+	}
+
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Errorf("close reopened: %v", err)
+		}
+	}()
+	if r.NumChunks() != chunks || !slices.Equal(r.Roots(), roots) || r.Has(tree) || r.Has(fresh[0].Hash) {
+		t.Errorf("reopened: %d chunks and roots %v, want the %d and %v it held at Close", r.NumChunks(), r.Roots(), chunks, roots)
+	}
+	if log, err := r.Log("db/main"); err != nil || len(log) != 1 {
+		t.Errorf("reopened db/main log = %+v, %v; want its one commit", log, err)
 	}
 }

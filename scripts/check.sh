@@ -133,6 +133,10 @@
 #                      the next perf investigation, and the bytes and
 #                      allocations per operation are in the log beside
 #                      the times
+#   7. line counts   — the non-test and test lines of the module's .go
+#                      files, bench/ and testdata aside: the numbers
+#                      ROADMAP's aim 2 quotes, so they come from here
+#                      and not from a hand count
 #
 # Any non-zero exit fails the gate. See README "Static analysis &
 # reliability invariants" for what each cdalint rule enforces.
@@ -167,5 +171,10 @@ go test -C bench ./...
 echo "==> benchmark smoke (1 iteration of each)"
 go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/storage ./internal/analysis
 go test -run='^$' -bench=. -benchtime=1x -benchmem -cpu 1,2 ./internal/sqldb
+
+echo "==> line counts (.go files outside bench/, testdata aside)"
+golines() { find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
+echo "    non-test lines: $(golines ! -name '*_test.go')"
+echo "    test lines:     $(golines -name '*_test.go')"
 
 echo "check.sh: all gates passed"

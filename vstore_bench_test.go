@@ -146,15 +146,18 @@ func addedBytes(b *testing.B, s *vstore.Store, root string) int {
 	seen := map[vstore.Hash]bool{}
 	total := 0
 	for i, c := range log {
-		closure, err := s.Closure(c.Hash)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, h := range closure {
+		for stack := []vstore.Hash{c.Hash}; len(stack) > 0; {
+			h := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			if seen[h] {
 				continue
 			}
 			seen[h] = true
+			refs, err := s.Refs(h)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stack = append(stack, refs...)
 			if i == 0 {
 				continue
 			}
