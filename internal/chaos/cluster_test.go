@@ -107,72 +107,102 @@ func runClusterPartition(t *testing.T, sc ClusterPartitionScenario) *ClusterPart
 	return res
 }
 
-// TestClusterPartitionHeal pins the partition contract: commits never
-// fail while the replica is away, the heal crosses the primary's
+// checkPartitionHeal pins the partition contract on one run: commits
+// never fail while the replica is away, the heal crosses the primary's
 // compaction horizon by adopting its shard root through negotiated
 // chunks, the healed replica is observably stale mid-catch-up, and after
 // full catch-up it agrees with the primary on the shard root head and
 // serves its transcript byte-identically. Promoted after the kill, it
 // finishes the dialogue — no committed turn lost.
-func TestClusterPartitionHeal(t *testing.T) {
-	for _, seed := range []int64{1, 7, 21, 42, 63} {
-		for _, window := range [][2]int{{2, 4}, {3, 3}} {
-			res := runClusterPartition(t, ClusterPartitionScenario{
-				Seed: seed, PartitionAfter: window[0], PartitionTurns: window[1],
-			})
-			run := fmt.Sprintf("seed %d, partition %v", seed, window)
-			if res.Committed != len(SwissTurns()) {
-				t.Errorf("%s: committed %d of %d turns — the partition or the kill lost writes",
-					run, res.Committed, len(SwissTurns()))
-			}
-			if res.LagAtHeal <= 0 {
-				t.Errorf("%s: lag at heal = %d, want > 0", run, res.LagAtHeal)
-			}
-			if !res.RootShipped {
-				t.Errorf("%s: the heal's first step did not adopt the primary's shard root", run)
-			}
-			if res.ChunksNegotiated <= 0 {
-				t.Errorf("%s: heal moved %d chunks — the versioned path never fired", run, res.ChunksNegotiated)
-			}
-			if !res.MidCatchUpStale {
-				t.Errorf("%s: mid-catch-up replica page not stamped stale:\n%s", run, res.MidCatchUp)
-			}
-			if !res.ShardRootsMatch {
-				t.Errorf("%s: shard root heads diverged across nodes after the heal", run)
-			}
-			if res.ReplicaHealed != res.Healed {
-				t.Errorf("%s: caught-up replica diverged:\nprimary:\n%s\nreplica:\n%s",
-					run, res.Healed, res.ReplicaHealed)
-			}
-			if !strings.Contains(res.Transcript, "promoted=true") {
-				t.Errorf("%s: transcript does not record the promotion", run)
-			}
-			if res.RootLog == "" {
-				t.Errorf("%s: promoted replica has no session version log", run)
-			}
-		}
+func checkPartitionHeal(t *testing.T, sc ClusterPartitionScenario) {
+	t.Helper()
+	res := runClusterPartition(t, sc)
+	run := fmt.Sprintf("seed %d, partition after %d for %d", sc.Seed, sc.PartitionAfter, sc.PartitionTurns)
+	if res.Committed != len(SwissTurns()) {
+		t.Errorf("%s: committed %d of %d turns — the partition or the kill lost writes",
+			run, res.Committed, len(SwissTurns()))
+	}
+	if res.LagAtHeal <= 0 {
+		t.Errorf("%s: lag at heal = %d, want > 0", run, res.LagAtHeal)
+	}
+	if !res.RootShipped {
+		t.Errorf("%s: the heal's first step did not adopt the primary's shard root", run)
+	}
+	if res.ChunksNegotiated <= 0 {
+		t.Errorf("%s: heal moved %d chunks — the versioned path never fired", run, res.ChunksNegotiated)
+	}
+	if !res.MidCatchUpStale {
+		t.Errorf("%s: mid-catch-up replica page not stamped stale:\n%s", run, res.MidCatchUp)
+	}
+	if !res.ShardRootsMatch {
+		t.Errorf("%s: shard root heads diverged across nodes after the heal", run)
+	}
+	if res.ReplicaHealed != res.Healed {
+		t.Errorf("%s: caught-up replica diverged:\nprimary:\n%s\nreplica:\n%s",
+			run, res.Healed, res.ReplicaHealed)
+	}
+	if !strings.Contains(res.Transcript, "promoted=true") {
+		t.Errorf("%s: transcript does not record the promotion", run)
+	}
+	if res.RootLog == "" {
+		t.Errorf("%s: promoted replica has no session version log", run)
 	}
 }
 
-// TestClusterPartitionHealDeterministic: two runs of one seed render
+// TestClusterPartitionHeal partitions the replica mid-dialogue (after
+// turn 3, for 3 turns) and holds the run to checkPartitionHeal.
+func TestClusterPartitionHeal(t *testing.T) {
+	for _, seed := range []int64{1, 7, 21, 42, 63} {
+		checkPartitionHeal(t, ClusterPartitionScenario{Seed: seed, PartitionAfter: 3, PartitionTurns: 3})
+	}
+}
+
+// TestClusterKillRecoverVersioned is the versioned failover gate: a
+// replica partitioned early (after turn 2, for 4 turns) falls past the
+// compaction horizon, catches up through chunk negotiation, agrees with
+// the primary on the shard root's commit identity, and — promoted after
+// the kill — serves and finishes the dialogue.
+func TestClusterKillRecoverVersioned(t *testing.T) {
+	for _, seed := range []int64{1, 7, 21, 42, 63} {
+		checkPartitionHeal(t, ClusterPartitionScenario{Seed: seed, PartitionAfter: 2, PartitionTurns: 4})
+	}
+}
+
+// checkPartitionHealDeterministic runs sc twice: the runs must render
 // byte-identical transcripts and per-turn root hashes — content
 // addressing makes version identity a pure function of the conversation.
+func checkPartitionHealDeterministic(t *testing.T, sc ClusterPartitionScenario) {
+	t.Helper()
+	a := runClusterPartition(t, sc)
+	b := runClusterPartition(t, sc)
+	if a.Transcript != b.Transcript {
+		t.Errorf("seed %d: partition/heal not deterministic:\n--- run 1\n%s\n--- run 2\n%s",
+			sc.Seed, a.Transcript, b.Transcript)
+	}
+	if a.RootLog == "" || a.RootLog != b.RootLog {
+		t.Errorf("seed %d: per-turn root hashes empty or differ across runs:\n--- run 1\n%s\n--- run 2\n%s",
+			sc.Seed, a.RootLog, b.RootLog)
+	}
+}
+
+// TestClusterPartitionHealDeterministic: mid-dialogue partitions, one
+// of them under injected errors and latency, are deterministic.
 func TestClusterPartitionHealDeterministic(t *testing.T) {
 	for _, sc := range []ClusterPartitionScenario{
-		{Seed: 5, PartitionAfter: 2, PartitionTurns: 4},
-		{Seed: 31, PartitionAfter: 1, PartitionTurns: 5},
 		{Seed: 2, PartitionAfter: 2, PartitionTurns: 4},
 		{Seed: 31, PartitionAfter: 3, PartitionTurns: 3, Rates: faults.Rates{Error: 0.1, Latency: 0.1}},
 	} {
-		a := runClusterPartition(t, sc)
-		b := runClusterPartition(t, sc)
-		if a.Transcript != b.Transcript {
-			t.Errorf("seed %d: partition/heal not deterministic:\n--- run 1\n%s\n--- run 2\n%s",
-				sc.Seed, a.Transcript, b.Transcript)
-		}
-		if a.RootLog == "" || a.RootLog != b.RootLog {
-			t.Errorf("seed %d: per-turn root hashes empty or differ across runs:\n--- run 1\n%s\n--- run 2\n%s",
-				sc.Seed, a.RootLog, b.RootLog)
-		}
+		checkPartitionHealDeterministic(t, sc)
+	}
+}
+
+// TestClusterKillRecoverVersionedDeterministic: early, long partitions
+// ending in the kill and promotion are deterministic.
+func TestClusterKillRecoverVersionedDeterministic(t *testing.T) {
+	for _, sc := range []ClusterPartitionScenario{
+		{Seed: 5, PartitionAfter: 2, PartitionTurns: 4},
+		{Seed: 31, PartitionAfter: 1, PartitionTurns: 5},
+	} {
+		checkPartitionHealDeterministic(t, sc)
 	}
 }
