@@ -146,7 +146,6 @@ func ClusterKillRecover(ctx context.Context, sc ClusterScenario) (*ClusterKillRe
 	router, err := cluster.NewRouter(cluster.Config{
 		Members:          []cluster.Member{member},
 		FailureThreshold: 1,
-		ShipMax:          8,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build router: %w", err)
@@ -344,7 +343,6 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	router, err := cluster.NewRouter(cluster.Config{
 		Members:          []cluster.Member{member},
 		FailureThreshold: 1,
-		ShipMax:          8,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build router: %w", err)

@@ -296,6 +296,134 @@ func TestRouterReplicaLagAndCatchUpAfterPartition(t *testing.T) {
 	}
 }
 
+// applyCounter is a NodeClient that counts the Apply calls it passes
+// on and how many of them the node refused.
+type applyCounter struct {
+	NodeClient
+	applies, refused int
+}
+
+func (c *applyCounter) Apply(ctx context.Context, batch sessionstore.ShipBatch) (int64, error) {
+	cur, err := c.NodeClient.Apply(ctx, batch)
+	c.applies++
+	if err != nil {
+		c.refused++
+	}
+	return cur, err
+}
+
+// TestRouterHealsBelowTheHorizon: a replica partitioned past the
+// primary's compaction horizon heals through CatchUp. The router
+// negotiates the shipped shard root's chunks before it applies the
+// batch, so the replica accepts every Apply it is sent.
+func TestRouterHealsBelowTheHorizon(t *testing.T) {
+	ctx := context.Background()
+	sys := testSystem(1)
+	p := NewLocalNode("n1-primary", sessionstore.NewMemory(sessionstore.Config{Shards: 1, SnapshotEvery: 4}), sys)
+	rep := NewLocalNode("n1-replica", sessionstore.NewMemory(sessionstore.Config{Shards: 1, SnapshotEvery: 4}), sys)
+	counted := &applyCounter{NodeClient: rep}
+	r, err := NewRouter(Config{Members: []Member{{Name: "n1", Primary: p, Replica: counted}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(q string) {
+		t.Helper()
+		if _, err := r.Ask(ctx, id, q); err != nil {
+			t.Fatalf("ask %q: %v", q, err)
+		}
+	}
+	ask("how many barometer")
+	rep.SetPartitioned(true)
+	for _, q := range []string{"and in Bern?", "how many employment", "and in Zurich?", "how many barometer"} {
+		ask(q)
+	}
+	rep.SetPartitioned(false)
+	pvs, rvs := p.Store().Versions(), rep.Store().Versions()
+	root, err := pvs.Head(sessionstore.ShardRoot(0))
+	if err != nil {
+		t.Fatalf("set-up: the primary never compacted: %v", err)
+	}
+	if cur := rep.Store().ReplicationCursor(0); cur >= int64(root.Turn) {
+		t.Fatalf("set-up: replica at %d, not below the primary's horizon %d", cur, root.Turn)
+	}
+
+	counted.applies, counted.refused = 0, 0
+	if err := r.CatchUp(ctx, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if counted.applies == 0 || counted.refused != 0 {
+		t.Errorf("heal sent %d applies, %d refused; want every one accepted", counted.applies, counted.refused)
+	}
+	if head, err := rvs.Head(sessionstore.ShardRoot(0)); err != nil || head.Hash != root.Hash {
+		t.Errorf("replica shard root = %s, %v; want the primary's %s", head.Hash, err, root.Hash)
+	}
+	pp, err := r.Transcript(ctx, id, 0, 100, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := r.Transcript(ctx, id, 0, 100, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.Stale || rp.Total != 10 || fmt.Sprint(rp.Turns) != fmt.Sprint(pp.Turns) {
+		t.Errorf("healed replica page = %+v, want the primary's %+v", rp, pp)
+	}
+}
+
+// TestShipStepLeavesAPromotedMemberAlone: once a member is promoted,
+// ShipStep ships nothing, as CatchUp does. The deposed primary may hold
+// a turn it committed and never shipped; applying it on the node now
+// serving the member would fork that node's transcripts.
+func TestShipStepLeavesAPromotedMemberAlone(t *testing.T) {
+	ctx := context.Background()
+	r, primaries, replicas := testRouter(t, Config{FailureThreshold: 1}, "n1")
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Ask(ctx, id, "how many barometer"); err != nil {
+		t.Fatal(err)
+	}
+	// A turn the primary commits while the replica is away.
+	replicas["n1"].SetPartitioned(true)
+	if _, err := r.Ask(ctx, id, "and in Bern?"); err != nil {
+		t.Fatal(err)
+	}
+	replicas["n1"].SetPartitioned(false)
+	// The primary is partitioned until the member is promoted, then healed.
+	primaries["n1"].SetPartitioned(true)
+	if _, err := r.Ask(ctx, id, "how many employment"); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("ask on a partitioned primary: %v, want ErrNodeDown", err)
+	}
+	if !r.Status(ctx)[0].Promoted {
+		t.Fatal("set-up: the member was not promoted")
+	}
+	primaries["n1"].SetPartitioned(false)
+
+	st := replicas["n1"].Store()
+	shard := st.ShardIndex(id)
+	cursor := st.ReplicationCursor(shard)
+	before, err := r.Transcript(ctx, id, 0, 100, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caughtUp, err := r.ShipStep(ctx, "n1", shard, 0)
+	if err != nil || !caughtUp {
+		t.Fatalf("ShipStep on a promoted member = %v, %v; want true, nil", caughtUp, err)
+	}
+	after, err := r.Transcript(ctx, id, 0, 100, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.ReplicationCursor(shard); got != cursor || fmt.Sprintf("%+v", after) != fmt.Sprintf("%+v", before) {
+		t.Errorf("ShipStep changed the promoted node: cursor %d -> %d\nbefore: %+v\nafter:  %+v", cursor, got, before, after)
+	}
+}
+
 func TestRouterAdmissionSheds(t *testing.T) {
 	ctx := context.Background()
 	clock := resilience.NewVirtualClock()

@@ -572,8 +572,8 @@ func (w *shipWorld) apply(t *testing.T, b sessionstore.ShipBatch) {
 	}
 }
 
-// applied is an Apply call's outcome on the wire: the replica's cursor,
-// which a 409 carries too.
+// applied is an accepted Apply call's outcome on the wire: the
+// replica's cursor.
 type applied struct {
 	Cursor int64 `json:"cursor"`
 }
@@ -598,6 +598,9 @@ func applyRow(name string, after int64, status int, match matcher) shipRow {
 	return shipRow{name: name, status: status, match: match,
 		call: func(ctx context.Context, t *testing.T, w *shipWorld, _, replica NodeClient) (any, error) {
 			cur, err := replica.Apply(ctx, w.pull(t, after))
+			if err != nil && cur != 0 {
+				t.Errorf("refused apply returned cursor %d, want 0", cur)
+			}
 			return applied{cur}, err
 		}}
 }
@@ -627,27 +630,6 @@ func batchIs(root bool, seqs ...int64) matcher {
 	}
 }
 
-// refusalWith is refusal plus the extra members a replication refusal
-// carries beside its error.
-func refusalWith(want string, extra map[string]any) matcher {
-	return func(t *testing.T, body []byte) {
-		t.Helper()
-		var got map[string]any
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatalf("body is not JSON: %s", body)
-		}
-		msg, _ := got["error"].(string)
-		if len(got) != 1+len(extra) || !strings.Contains(msg, want) {
-			t.Errorf("body = %s, want an error containing %q and %v", body, want, extra)
-		}
-		for k, v := range extra {
-			if fmt.Sprint(got[k]) != fmt.Sprint(v) && !(v == nil && got[k] != nil) {
-				t.Errorf("%s = %v, want %v", k, got[k], v)
-			}
-		}
-	}
-}
-
 var shipConformance = []shipRow{
 	pullRow("pull with a negative after", ownShard, -1, 0, 400, refusal(`after must be a non-negative integer, got "-1"`)),
 	pullRow("pull with a negative max", ownShard, 0, -1, 400, refusal(`max must be a non-negative integer, got "-1"`)),
@@ -655,8 +637,8 @@ var shipConformance = []shipRow{
 	pullRow("pull from a cursor ahead of the primary", ownShard, 99, 0, 409, refusal("replica cursor 99 ahead of shard")),
 	pullRow("pull at the horizon", ownShard, shipSnapEvery, 0, 200, batchIs(false, 7)),
 	pullRow("pull below the horizon", ownShard, 4, 0, 200, batchIs(true, 7)),
-	applyRow("apply with a gap", shipSnapEvery, 409, refusalWith("frame gap", map[string]any{"cursor": 4})),
-	applyRow("apply with a missing closure", 4, 428, refusalWith("missing chunks under snapshot root", map[string]any{"missing_root": nil})),
+	applyRow("apply with a gap", shipSnapEvery, 409, refusal("replication gap; re-pull from the replica cursor: shard 1 at 4 got frame 7")),
+	applyRow("apply with a missing closure", 4, 409, refusal("has chunks missing here; negotiate them before applying it")),
 }
 
 // wire renders a LocalNode call's outcome as the node's handler encodes
@@ -664,25 +646,16 @@ var shipConformance = []shipRow{
 func wire(t *testing.T, v any, err error) (int, []byte) {
 	t.Helper()
 	type envelope struct {
-		Error       string `json:"error"`
-		MissingRoot string `json:"missing_root,omitempty"`
-		Cursor      *int64 `json:"cursor,omitempty"`
+		Error string `json:"error"`
 	}
 	status, body := http.StatusOK, v
-	var missing *sessionstore.MissingChunksError
 	var said *server.Error
 	switch {
 	case err == nil:
-	case errors.As(err, &missing):
-		status, body = http.StatusPreconditionRequired, envelope{Error: err.Error(), MissingRoot: string(missing.Root)}
 	case errors.As(err, &said) && errors.Is(err, server.ErrBadRequest):
 		status, body = http.StatusBadRequest, envelope{Error: said.Msg}
 	case errors.As(err, &said) && errors.Is(err, server.ErrConflict):
-		env := envelope{Error: said.Msg}
-		if a, ok := v.(applied); ok {
-			env.Cursor = &a.Cursor
-		}
-		status, body = http.StatusConflict, env
+		status, body = http.StatusConflict, envelope{Error: said.Msg}
 	default:
 		t.Fatalf("no row expects %v", err)
 	}

@@ -114,9 +114,9 @@ func (n *LocalNode) reachable(ctx context.Context) error {
 }
 
 // gated runs one server call behind the gate and returns what the call
-// did, a refusal's value included (Apply's cursor). A store-level
-// simulated crash — the WAL append torn mid-write, which in a real
-// deployment is the process dying with it — becomes node death.
+// returned. A store-level simulated crash — the WAL append torn
+// mid-write, which in a real deployment is the process dying with it —
+// becomes node death.
 func gated[T any](ctx context.Context, n *LocalNode, call func() (T, error)) (T, error) {
 	var zero T
 	if err := n.reachable(ctx); err != nil {

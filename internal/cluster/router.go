@@ -44,10 +44,11 @@ type Config struct {
 	// ClusterAdmission, when non-nil, gates every request through one
 	// cluster-wide token bucket before any routing happens.
 	ClusterAdmission *admission.Config
-	// ShipMax bounds the frames per replication pull during the
-	// synchronous post-write ship and CatchUp (default 64).
-	ShipMax int
 }
+
+// shipMax bounds the frames per replication pull during the
+// synchronous post-write ship and CatchUp.
+const shipMax = 64
 
 // member is a Member plus its runtime failover state.
 type member struct {
@@ -87,7 +88,6 @@ type Router struct {
 	members map[string]*member
 	names   []string // sorted, for deterministic iteration
 	cluster *admission.Controller
-	shipMax int
 	nextID  atomic.Int64
 }
 
@@ -122,11 +122,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{ring: ring, clock: clock, members: members, names: names,
-		shipMax: cfg.ShipMax}
-	if r.shipMax <= 0 {
-		r.shipMax = 64
-	}
+	r := &Router{ring: ring, clock: clock, members: members, names: names}
 	if cfg.ClusterAdmission != nil {
 		acfg := *cfg.ClusterAdmission
 		acfg.Shards = 1
@@ -289,12 +285,11 @@ func (r *Router) shipAfterWrite(ctx context.Context, m *member, id string) {
 	m.mu.Unlock()
 }
 
-// shipStep is one bounded pull → apply for one shard: pull at most
-// max frames after the router's cursor from the primary, apply them
-// on the replica (negotiating chunks first when the batch ships a
-// shard root the replica cannot materialize yet: replica
-// asks, primary serves, only the delta moves) and store the replica's
-// new cursor.
+// shipStep is one bounded catch-up step for one shard: pull at most
+// max frames after the router's cursor from the primary, negotiate
+// the chunks of the shard root the batch carries, if any (replica
+// asks, primary serves, only the delta moves), apply the batch on the
+// replica and store the replica's new cursor.
 func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caughtUp bool, err error) {
 	m.mu.Lock()
 	after := m.cursors[shard]
@@ -306,14 +301,12 @@ func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caugh
 	if batch.Empty() && batch.PrimaryCursor <= after {
 		return true, nil
 	}
-	cur, err := m.Replica.Apply(ctx, batch)
-	var missing *sessionstore.MissingChunksError
-	if errors.As(err, &missing) {
-		if nerr := r.negotiateChunks(ctx, m, string(missing.Root)); nerr != nil {
-			return false, errors.Join(err, nerr)
+	if batch.SnapshotRoot != "" {
+		if err := r.negotiateChunks(ctx, m, batch.SnapshotRoot); err != nil {
+			return false, err
 		}
-		cur, err = m.Replica.Apply(ctx, batch)
 	}
+	cur, err := m.Replica.Apply(ctx, batch)
 	if err != nil {
 		return false, err
 	}
@@ -331,7 +324,7 @@ func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caugh
 func (r *Router) shipShard(ctx context.Context, m *member, shard int) error {
 	resynced := false
 	for {
-		caughtUp, err := r.shipStep(ctx, m, shard, r.shipMax)
+		caughtUp, err := r.shipStep(ctx, m, shard, shipMax)
 		switch {
 		case err == nil && caughtUp:
 			return nil
@@ -400,9 +393,8 @@ func (r *Router) resyncCursor(ctx context.Context, m *member, shard int) error {
 }
 
 // CatchUp ships every shard of one member until its replica matches
-// the primary's cursor — the heal path after a partition. maxFrames
-// bounds each pull (<=0 takes the router's ShipMax) so tests can step
-// a catch-up mid-way.
+// the primary's cursor — the heal path after a partition. It does
+// nothing for a member without a replica or one already promoted.
 func (r *Router) CatchUp(ctx context.Context, name string) error {
 	m, ok := r.members[name]
 	if !ok {
@@ -424,20 +416,23 @@ func (r *Router) CatchUp(ctx context.Context, name string) error {
 	return err
 }
 
-// ShipStep performs exactly one bounded pull+apply for one shard of a
-// member (maxFrames <= 0 takes ShipMax) and reports whether the
-// replica is now caught up — the primitive the partition-heal chaos
-// scenario uses to observe a replica mid-catch-up.
+// ShipStep performs exactly one bounded catch-up step (shipStep) for
+// one shard of a member (maxFrames <= 0 takes the router's default)
+// and reports whether the replica is now caught up — the primitive the
+// partition-heal chaos scenario uses to observe a replica mid-catch-up.
+// A member without a replica, or one already promoted, reports caught
+// up and ships nothing: its replica serves the member now, and frames
+// pulled from the deposed primary would fork its transcripts.
 func (r *Router) ShipStep(ctx context.Context, name string, shard, maxFrames int) (caughtUp bool, err error) {
 	m, ok := r.members[name]
 	if !ok {
 		return false, fmt.Errorf("cluster: unknown member %q", name)
 	}
-	if m.Replica == nil {
+	if m.Replica == nil || m.isPromoted() {
 		return true, nil
 	}
 	if maxFrames <= 0 {
-		maxFrames = r.shipMax
+		maxFrames = shipMax
 	}
 	return r.shipStep(ctx, m, shard, maxFrames)
 }

@@ -13,16 +13,13 @@ import (
 	"time"
 
 	"github.com/reliable-cda/cda/internal/admission"
-	"github.com/reliable-cda/cda/internal/sessionstore"
-	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // The node API's refusal kinds. Every operation reports a refusal as
-// an error matching (errors.Is) one of these, a *admission.Overload
-// (shed, with its retry delay) or a *sessionstore.MissingChunksError
-// (negotiate chunks, then retry); anything else is an internal
-// failure. A sentinel's text is what a client reads when nothing more
-// specific was said.
+// an error matching (errors.Is) one of these or a *admission.Overload
+// (shed, with its retry delay); anything else is an internal failure.
+// A sentinel's text is what a client reads when nothing more specific
+// was said.
 var (
 	ErrBadRequest  = errors.New("bad request")
 	ErrUnknown     = errors.New("not found")
@@ -35,7 +32,7 @@ var (
 // statusTable is the one error ↔ status mapping: writeError reads it
 // left to right, DecodeError right to left (the first row of a status
 // wins), so a refusal keeps its kind across any number of HTTP hops.
-// 429 and 428 carry data beside the message and are handled next to
+// 429 carries a retry delay beside the message and is handled next to
 // the table, in the same two functions.
 var statusTable = []struct {
 	status int
@@ -84,31 +81,18 @@ func logInternal(err error) string {
 // errorBody is every non-2xx response's payload.
 type errorBody struct {
 	Error string `json:"error"`
-	// MissingRoot rides on a 428 from /replication/apply: the shipped
-	// shard root whose chunks must be negotiated first.
-	MissingRoot string `json:"missing_root,omitempty"`
-	// Cursor rides on a 409 from /replication/apply: the replica's
-	// actual cursor, for the shipper to re-pull from.
-	Cursor *int64 `json:"cursor,omitempty"`
 }
 
 // writeError renders err through the status table.
 func writeError(w http.ResponseWriter, err error) {
-	writeErrorBody(w, err, errorBody{})
-}
-
-func writeErrorBody(w http.ResponseWriter, err error, body errorBody) {
 	status := 0
+	var body errorBody
 	var ov *admission.Overload
-	var missing *sessionstore.MissingChunksError
 	switch {
 	case errors.As(err, &ov):
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", admission.RetryAfterSeconds(ov.RetryAfter))
 		body.Error = fmt.Sprintf("overloaded (%s limit on shard %d); retry after the indicated delay", ov.Reason, ov.Shard)
-	case errors.As(err, &missing):
-		status = http.StatusPreconditionRequired
-		body.Error, body.MissingRoot = err.Error(), string(missing.Root)
 	default:
 		for _, row := range statusTable {
 			if errors.Is(err, row.kind) {
@@ -137,15 +121,12 @@ func DecodeError(status int, header http.Header, body io.Reader) error {
 	if err := json.NewDecoder(body).Decode(&b); err != nil || b.Error == "" {
 		b.Error = http.StatusText(status)
 	}
-	switch {
-	case status == http.StatusTooManyRequests:
+	if status == http.StatusTooManyRequests {
 		secs, err := strconv.Atoi(header.Get("Retry-After"))
 		if err != nil {
 			secs = 1 // the floor RetryAfterSeconds writes
 		}
 		return &Error{Msg: b.Error, Kind: &admission.Overload{Reason: "node", RetryAfter: time.Duration(secs) * time.Second}}
-	case status == http.StatusPreconditionRequired && b.MissingRoot != "":
-		return &sessionstore.MissingChunksError{Root: vstore.Hash(b.MissingRoot)}
 	}
 	for _, row := range statusTable {
 		if row.status == status {

@@ -11,12 +11,10 @@ import (
 	"time"
 
 	"github.com/reliable-cda/cda/internal/admission"
-	"github.com/reliable-cda/cda/internal/sessionstore"
-	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// refusalKinds is one refusal per statusTable row, then a shed request
-// and a missing-chunks answer, each carrying msg.
+// refusalKinds is one refusal per statusTable row, then a shed request,
+// each carrying msg.
 func refusalKinds(msg string) []error {
 	var out []error
 	for _, row := range statusTable {
@@ -24,7 +22,6 @@ func refusalKinds(msg string) []error {
 	}
 	return append(out,
 		&Error{Kind: &admission.Overload{Shard: 1, Reason: "rate", RetryAfter: 2500 * time.Millisecond}, Msg: msg},
-		&Error{Kind: &sessionstore.MissingChunksError{Root: vstore.Hash("ab")}, Msg: msg},
 	)
 }
 
@@ -32,8 +29,8 @@ func refusalKinds(msg string) []error {
 // Retry-After and body bytes it never panics and never returns nil.
 // Over the response writeError records for each refusal kind, it gives
 // back the kind of the first statusTable row for that status (or the
-// typed error a 429 or 428 carries), with the message as one JSON round
-// trip leaves it.
+// overload a 429 carries), with the message as one JSON round trip
+// leaves it.
 func FuzzDecodeError(f *testing.F) {
 	const seedMsg = "no such dataset"
 	for i, err := range refusalKinds(seedMsg) {
@@ -56,19 +53,12 @@ func FuzzDecodeError(f *testing.F) {
 		got := DecodeError(rec.Code, rec.Header(), rec.Body)
 
 		var ov *admission.Overload
-		var missing *sessionstore.MissingChunksError
 		switch {
 		case errors.As(sent, &ov):
 			var back *admission.Overload
 			if !errors.As(got, &back) || strconv.Itoa(int(back.RetryAfter/time.Second)) != admission.RetryAfterSeconds(ov.RetryAfter) {
 				t.Fatalf("%v came back as %#v", sent, got)
 			}
-		case errors.As(sent, &missing):
-			var back *sessionstore.MissingChunksError
-			if !errors.As(got, &back) || back.Root != missing.Root {
-				t.Fatalf("%v came back as %#v", sent, got)
-			}
-			return // a 428 carries its root, not the message
 		default:
 			if rec.Code != statusTable[i].status {
 				t.Fatalf("%v written as %d, want %d", sent, rec.Code, statusTable[i].status)

@@ -196,10 +196,6 @@ func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cursor, err := s.Apply(batch)
-	if errors.Is(err, ErrConflict) {
-		writeErrorBody(w, err, errorBody{Cursor: &cursor})
-		return
-	}
 	respond(w, http.StatusOK, map[string]int64{"cursor": cursor}, err)
 }
 

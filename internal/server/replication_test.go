@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/core"
@@ -261,8 +262,9 @@ func TestReplicationEndpointErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Pull both records but apply only the second: the replica reports
-	// the gap and its cursor (0) so the shipper can restart correctly.
+	// Pull both records but apply only the second: the replica refuses
+	// the gap with a plain 409, and the shipper re-learns its cursor (0)
+	// from /healthz to restart correctly.
 	resp, err = http.Get(fmt.Sprintf("%s/replication/%d?after=0&max=0", primary.URL, shard))
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +279,15 @@ func TestReplicationEndpointErrors(t *testing.T) {
 		t.Fatalf("gapped apply status = %d, want 409", resp.StatusCode)
 	}
 	body := decode[map[string]any](t, resp)
-	if cur, ok := body["cursor"].(float64); !ok || cur != 0 {
-		t.Errorf("gap response cursor = %v, want 0", body["cursor"])
+	if msg, _ := body["error"].(string); len(body) != 1 || !strings.Contains(msg, "replication gap") {
+		t.Errorf("gap response body = %v, want an error naming the gap and nothing else", body)
+	}
+	resp, err = http.Get(replica.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := decode[HealthReport](t, resp); rep.Shards[shard].WALSeq != 0 {
+		t.Errorf("replica shard %d cursor after the refused apply = %d, want 0", shard, rep.Shards[shard].WALSeq)
 	}
 	_ = rsrv
 }

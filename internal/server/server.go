@@ -404,9 +404,11 @@ func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, 
 	return batch, nil
 }
 
-// Apply installs a shipped batch on this node's store. The shard's
-// cursor comes back with success and refusal alike, so a shipper that
-// hit a gap can re-pull from it without a second round trip.
+// Apply installs a shipped batch on this node's store and returns the
+// shard's new cursor, or 0 with a refusal. A batch that does not extend
+// the store — a frame gap, or a shard root whose chunks were not
+// negotiated first — is an ErrConflict: the shipper re-learns the
+// cursor from Health and re-pulls.
 func (s *Server) Apply(batch sessionstore.ShipBatch) (int64, error) {
 	if err := s.checkShard(batch.Shard); err != nil {
 		return 0, err
@@ -414,13 +416,11 @@ func (s *Server) Apply(batch sessionstore.ShipBatch) (int64, error) {
 	err := s.store.ApplyBatch(batch)
 	switch {
 	case errors.Is(err, sessionstore.ErrReplicaGap):
-		err = refuse(ErrConflict, "%v", err)
-	case err != nil && !errors.As(err, new(*sessionstore.MissingChunksError)):
-		// A MissingChunksError passes as it is: the shipper negotiates
-		// the chunks (WantChunks/FetchChunks/PutChunks) and re-applies.
-		err = fmt.Errorf("apply replication batch on shard %d: %w", batch.Shard, err)
+		return 0, refuse(ErrConflict, "%v", err)
+	case err != nil:
+		return 0, fmt.Errorf("apply replication batch on shard %d: %w", batch.Shard, err)
 	}
-	return s.store.ReplicationCursor(batch.Shard), err
+	return s.store.ReplicationCursor(batch.Shard), nil
 }
 
 // WantChunks lists up to limit chunks of root's closure that are

@@ -65,11 +65,14 @@ func (b ShipBatch) Empty() bool {
 	return b.SnapshotRoot == "" && len(b.Frames) == 0
 }
 
-// ErrReplicaGap is returned by ApplyBatch when the batch's first
-// frame does not extend the replica's cursor contiguously: records
-// between were lost in transit, and the driver must re-pull from the
-// replica's actual cursor (which may now yield a snapshot).
-var ErrReplicaGap = errors.New("sessionstore: replication frame gap; re-pull from the replica cursor")
+// ErrReplicaGap is returned by ApplyBatch when the batch does not
+// extend what the replica holds: its first new frame is not the one
+// after the replica's cursor (records were lost in transit), or its
+// shard root's closure is not in the replica's version store (the
+// driver did not negotiate it). The driver re-pulls from the replica's
+// actual cursor, which may now yield a shard root, and negotiates that
+// root's chunks before it applies the batch.
+var ErrReplicaGap = errors.New("sessionstore: replication gap; re-pull from the replica cursor")
 
 // ReplicationCursor reports the shard's ship sequence: the number of
 // records ever appended to its WAL, compactions included. A replica's
@@ -119,7 +122,7 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 	}
 	if after < sh.shipBase {
 		// The horizon moves only once the shard root has landed there
-		// (compact, installSnapshotDoc), so a head anywhere else is a bug.
+		// (compact, installRoot), so a head anywhere else is a bug.
 		head, err := sh.versions.Head(ShardRoot(shard))
 		if err != nil || head.Turn != int(sh.shipBase) {
 			return ShipBatch{}, fmt.Errorf("sessionstore: shard %d root is not at its horizon %d: head at %d, %v", shard, sh.shipBase, head.Turn, err)
@@ -148,8 +151,8 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 // byte-identically in the replica's own WAL with one append and one
 // fsync, and are replayed through the same idempotent, version-keeping
 // path as crash recovery. Frames at or below the replica's cursor are
-// skipped, so re-applying a batch is harmless; a gap above the cursor
-// returns ErrReplicaGap.
+// skipped, so re-applying a batch is harmless; a gap above the cursor,
+// or a shard root whose chunks are not all here, returns ErrReplicaGap.
 func (s *Store) ApplyBatch(b ShipBatch) error {
 	if b.Shard < 0 || b.Shard >= len(s.shards) {
 		return fmt.Errorf("sessionstore: apply to unknown shard %d (have %d)", b.Shard, len(s.shards))
@@ -163,9 +166,7 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 		b.SnapshotRoot, b.SnapshotSeq = "", 0
 	}
 	// The shard root materializes from the local chunk store before the
-	// shard lock is taken (vstore has its own locking); a
-	// *MissingChunksError here tells the driver to negotiate chunks and
-	// retry the apply.
+	// shard lock is taken (vstore has its own locking).
 	var snap *snapshot
 	switch {
 	case b.SnapshotRoot != "":
@@ -229,7 +230,7 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 		recs, frames, cur = append(recs, rec), append(frames, fr.Data), fr.Seq
 	}
 	if snap != nil {
-		if err := sh.installSnapshotDoc(*snap, vstore.Hash(b.SnapshotRoot), now); err != nil {
+		if err := sh.installRoot(vstore.Hash(b.SnapshotRoot), *snap, now); err != nil {
 			return 0, err
 		}
 	}
@@ -247,36 +248,4 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 	}
 	sh.compactIfDue(nil)
 	return sh.maxNum, nil
-}
-
-// installSnapshotDoc replaces the shard's state with snap, the state of
-// the shipped shard root, and persists it: the root is adopted as this
-// shard's own first — a flushed journal append, as is the flush after
-// it for the session versions the WAL about to go could rebuild — and
-// only then is the WAL truncated, so the replica's disk recovers to the
-// same cursor. Every installed session then gets its version. Caller
-// holds sh.mu.
-func (sh *shard) installSnapshotDoc(snap snapshot, root vstore.Hash, now time.Duration) error {
-	if _, err := sh.versions.AdoptCommit(ShardRoot(sh.idx), root); err != nil {
-		return fmt.Errorf("sessionstore: adopt shard %d root: %w", sh.idx, err)
-	}
-	if sh.wal != nil {
-		if err := sh.flushVersions(); err != nil {
-			return err
-		}
-		if err := sh.wal.Reset(); err != nil {
-			return err
-		}
-	}
-	sh.sessions = map[string]*Entry{}
-	sh.tombstones = map[string]bool{}
-	sh.maxNum = 0
-	sh.applySnapshot(snap, now)
-	sh.shipBase = snap.ShipSeq
-	sh.tail = nil
-	sh.compactErr = nil
-	for _, id := range sh.sessionIDs() {
-		sh.commitSessionVersion(nil, sh.sessions[id])
-	}
-	return nil
 }

@@ -323,22 +323,20 @@ func refuseOlderFormats(dir string) error {
 // extend the cursor by one. Caller holds sh.mu.
 func (sh *shard) load(cfg Config, now time.Duration) error {
 	var snap snapshot
-	if head, err := sh.versions.Head(ShardRoot(sh.idx)); err == nil {
+	head, err := sh.versions.Head(ShardRoot(sh.idx))
+	if err == nil {
 		if snap, err = decodeShardTree(sh.versions, head.Tree); err != nil {
 			return fmt.Errorf("sessionstore: load shard %d root: %w", sh.idx, err)
 		}
 	} else if !errors.Is(err, vstore.ErrUnknownRoot) {
 		return err
 	}
-	sh.applySnapshot(snap, now)
-	for _, ss := range snap.Sessions {
-		sh.keepVersion(sh.sessions[ss.ID])
+	if err := sh.installRoot(head.Hash, snap, now); err != nil {
+		return err
 	}
-	sh.shipBase = snap.ShipSeq
 	path := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx))
 	covered := false // the WAL holds records the root already holds
 	var gap error
-	var err error
 	sh.wal, err = framelog.Open(path, walMagic,
 		framelog.Options{Op: "wal.append", Faults: cfg.Faults},
 		func(frame, payload []byte) bool {
@@ -369,9 +367,30 @@ func (sh *shard) load(cfg Config, now time.Duration) error {
 	return err
 }
 
-// applySnapshot installs a shard's state (recovery and snapshot install;
-// the caller holds sh.mu or is Open).
-func (sh *shard) applySnapshot(snap snapshot, now time.Duration) {
+// installRoot resets the shard to snap, the state of shard root root
+// ("" on a fresh shard), and keeps each installed session's version. A
+// root the primary shipped is adopted as this shard's own first — a
+// flushed journal append, as is the flush after it for the session
+// versions the WAL about to go could rebuild — and only then is the WAL
+// reset, so the replica's disk recovers to the same cursor. At Open the
+// root is the shard's own head, which adopting leaves as it is, and
+// there is no WAL yet. Caller holds sh.mu, or is Open.
+func (sh *shard) installRoot(root vstore.Hash, snap snapshot, now time.Duration) error {
+	if root != "" {
+		if _, err := sh.versions.AdoptCommit(ShardRoot(sh.idx), root); err != nil {
+			return fmt.Errorf("sessionstore: adopt shard %d root: %w", sh.idx, err)
+		}
+	}
+	if sh.wal != nil {
+		if err := sh.flushVersions(); err != nil {
+			return err
+		}
+		if err := sh.wal.Reset(); err != nil {
+			return err
+		}
+	}
+	sh.sessions = map[string]*Entry{}
+	sh.tombstones = map[string]bool{}
 	sh.maxNum = snap.MaxNum
 	for _, ss := range snap.Sessions {
 		e := &Entry{ID: ss.ID, num: ss.Num, sess: dialogue.NewSession(),
@@ -388,6 +407,13 @@ func (sh *shard) applySnapshot(snap snapshot, now time.Duration) {
 	for _, id := range snap.Tombstones {
 		sh.tombstones[id] = true
 	}
+	sh.shipBase = snap.ShipSeq
+	sh.tail = nil
+	sh.compactErr = nil
+	for _, id := range sh.sessionIDs() {
+		sh.keepVersion(sh.sessions[id])
+	}
+	return nil
 }
 
 // replay applies one WAL record over the recovered state — at Open, and

@@ -39,7 +39,7 @@ package sessionstore
 // without an fsync (vstore.Batch.CommitUnsynced) after the WAL append
 // that acknowledged the turn; the journal is flushed before any WAL that
 // covers such versions is truncated (the shard root's flushed commit in
-// compact, flushVersions in installSnapshotDoc, and vstore.Store.Close); and
+// compact, flushVersions in installRoot, and vstore.Store.Close); and
 // Open commits again whatever a power cut took from the journal's
 // unflushed tail, one version per replayed turn record (keepVersion),
 // so every acknowledged turn count has its as-of entry. What differs
@@ -78,17 +78,6 @@ func ShardRoot(shard int) string { return fmt.Sprintf("shard/%02d", shard) }
 // Versions returns the store's version store, never nil — the seam the
 // server and cluster layers use to serve and negotiate chunks.
 func (s *Store) Versions() *vstore.Store { return s.cfg.Versions }
-
-// MissingChunksError reports that a shipped shard root could not be
-// materialized because parts of its closure are absent locally; the
-// replication driver negotiates the missing chunks and retries.
-type MissingChunksError struct {
-	Root vstore.Hash
-}
-
-func (e *MissingChunksError) Error() string {
-	return fmt.Sprintf("sessionstore: missing chunks under snapshot root %s", e.Root)
-}
 
 // sessData is the data field of a "sess" chunk; refs are the turn
 // chunks in transcript order. Its bytes are
@@ -440,14 +429,13 @@ func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.C
 
 // materializeShardSnapshot rebuilds a shard's state from a shipped
 // shard root, held to be a commit at ship sequence seq of a shard tree
-// at seq.
-// A partially shipped closure yields *MissingChunksError so the driver
-// can negotiate the gap and retry; any other chunk is a
-// *vstore.MalformedChunkError naming it.
+// at seq. A root whose closure is not all here is an ErrReplicaGap
+// naming it: the driver negotiates a root's chunks before it applies
+// the batch. Any other chunk is a *vstore.MalformedChunkError naming it.
 func (s *Store) materializeShardSnapshot(root vstore.Hash, seq int64) (snapshot, error) {
 	vs := s.cfg.Versions
 	if !vs.HasClosure(root) {
-		return snapshot{}, &MissingChunksError{Root: root}
+		return snapshot{}, fmt.Errorf("%w: shard root %s has chunks missing here; negotiate them before applying it", ErrReplicaGap, root)
 	}
 	c, err := vs.CommitOf(root)
 	if err != nil {

@@ -193,11 +193,10 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 		t.Fatalf("pull below horizon: no shard root, %d frames", len(b.Frames))
 	}
 
-	var missing *MissingChunksError
-	if err := replica.ApplyBatch(b); !errors.As(err, &missing) {
-		t.Fatalf("apply without chunks err = %v, want MissingChunksError", err)
+	if err := replica.ApplyBatch(b); !errors.Is(err, ErrReplicaGap) || !strings.Contains(fmt.Sprint(err), b.SnapshotRoot) {
+		t.Fatalf("apply without chunks err = %v, want a replication gap naming %s", err, b.SnapshotRoot)
 	}
-	moved1 := pullChunks(t, vsP, vsR, missing.Root, 16)
+	moved1 := pullChunks(t, vsP, vsR, vstore.Hash(b.SnapshotRoot), 16)
 	if moved1 == 0 {
 		t.Fatal("negotiation moved no chunks")
 	}
