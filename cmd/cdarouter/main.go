@@ -148,9 +148,9 @@ func main() {
 	}
 
 	// Background loops: probe dead-but-idle primaries into failover,
-	// and re-ship replicas that fell behind (a ship failure after a
-	// write otherwise waits for the next write to that shard). Both are
-	// ctx-bound and joined on shutdown.
+	// and re-ship every replica (a ship failure after a write otherwise
+	// waits for the next write to that shard). Both are ctx-bound and
+	// joined on shutdown.
 	loopCtx, loopStop := context.WithCancel(context.Background())
 	loopsDone := make(chan struct{})
 	go func() {
@@ -205,10 +205,11 @@ func runLoops(ctx context.Context, router *cluster.Router, probeEvery, catchupEv
 		case <-probeC:
 			router.Probe(ctx)
 		case <-catchupC:
+			// Every member, whatever lag its replica reports: that lag
+			// reads 0 when the replica never received the batch it
+			// missed. CatchUp skips a promoted member or one without a
+			// replica, and a caught-up shard costs one empty pull.
 			for _, st := range router.Status(ctx) {
-				if st.Promoted || st.ReplicaLag == 0 {
-					continue
-				}
 				if err := router.CatchUp(ctx, st.Name); err != nil {
 					log.Printf("cdarouter: catch-up %s: %v", st.Name, err)
 				}

@@ -85,11 +85,10 @@ type Config struct {
 	// deterministic.
 	Clock resilience.Clock
 	// Versions, when set, gives the system a content-addressed
-	// version store (internal/vstore): CommitData publishes immutable
-	// snapshots of DB under DefaultDataRoot, and every answer is
-	// stamped with the data root hash it was computed against — the
-	// provenance chain then pins not just which tables, but which
-	// VERSION of them.
+	// version store (internal/vstore): CommitData publishes DB as an
+	// immutable version under DefaultDataRoot, and every answer is
+	// stamped with the head commit hash of that root — the provenance
+	// chain then pins not just which tables, but which VERSION of them.
 	Versions *vstore.Store
 	// Faults, when non-nil, is the deterministic chaos injector
 	// attached to every backend the system constructs (see
@@ -129,9 +128,9 @@ type Answer struct {
 	// outright during an outage (P4 Soundness under partial failure).
 	Degraded string
 	// DataRoot is the hash of the data-version commit the answer was
-	// computed against (empty on unversioned deployments). Replaying
-	// the answer's query against vstore.DatabaseAsOf of this commit
-	// reproduces the result byte-for-byte.
+	// computed against (empty on unversioned deployments): the head of
+	// DefaultDataRoot, which a node commits once, at start-up. Equal
+	// hashes mean the same tables, cell for cell.
 	DataRoot string
 }
 

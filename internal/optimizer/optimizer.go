@@ -1,7 +1,7 @@
 // Package optimizer implements the paper's "holistic optimizer" for
 // interactivity (P1): a result cache with LRU eviction and
-// singleflight computation sharing, plus request batching, each
-// instrumented so E2/E4 can quantify the savings.
+// singleflight computation sharing, instrumented so E2/E4 can quantify
+// the savings.
 package optimizer
 
 import (

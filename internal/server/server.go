@@ -167,7 +167,7 @@ type AskResponse struct {
 	// the verified pipeline was unavailable (empty otherwise), so UIs
 	// can render the outage caveat alongside the lowered confidence.
 	Degraded string `json:"degraded,omitempty"`
-	// DataRoot is the content hash of the data version the answer was
+	// DataRoot is the head commit hash of the data root the answer was
 	// computed against (empty when the system versions no data).
 	DataRoot string `json:"data_root,omitempty"`
 	// Trace is where the turn went — its span tree and work counters —

@@ -163,56 +163,9 @@ func TestTableAppendValidation(t *testing.T) {
 	if got := tbl.At(3, 2); got.Kind != KindFloat || got.F != 70 {
 		t.Errorf("widened value = %v", got)
 	}
-}
-
-// vectorOf builds a vector of the given kind from vals.
-func vectorOf(t *testing.T, kind Kind, vals ...Value) *Vector {
-	t.Helper()
-	col := NewVector(kind, len(vals))
-	for _, v := range vals {
-		if err := col.Append(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return col
-}
-
-// TestTableFromColumns: the columnar constructor accepts and refuses
-// what AppendRow does, and takes a vector of the right kind as it is.
-func TestTableFromColumns(t *testing.T) {
-	schema := testTable(t).Schema()
-	ids := vectorOf(t, KindInt, Int(1), Null())
-	names := NewVector(KindString, 8) // room to spare, which the table cuts
-	if names.Append(Str("ada")) != nil || names.Append(Null()) != nil {
-		t.Fatal("append")
-	}
-	tbl, err := TableFromColumns("people", schema, []*Vector{ids, names, vectorOf(t, KindInt, Int(70), Null())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 2 || tbl.At(0, 2) != Float(70) || !tbl.At(1, 2).IsNull() || tbl.Vector(0) != ids {
-		t.Errorf("rows %d, widened cell %v, id column copied: %v", tbl.NumRows(), tbl.At(0, 2), tbl.Vector(0) != ids)
-	}
-	requireSealed(t, tbl)
-	if err := tbl.AppendRow([]Value{Int(3), Str("cy"), Float(1)}); err != nil || tbl.NumRows() != 3 {
-		t.Errorf("append to a table built from columns: %v", err)
-	}
-	allNull, err := TableFromColumns("people", schema, []*Vector{vectorOf(t, KindNull, Null()), vectorOf(t, KindNull, Null()), vectorOf(t, KindNull, Null())})
-	if err != nil || allNull.NumRows() != 1 || allNull.Vector(1).Kind() != KindString || !allNull.At(0, 1).IsNull() {
-		t.Errorf("all-NULL vectors under a typed schema: %v", err)
-	}
-	for name, cols := range map[string][]*Vector{
-		"a column short of the schema": {vectorOf(t, KindInt, Int(1)), vectorOf(t, KindString, Str("a"))},
-		"columns of unequal length":    {vectorOf(t, KindInt, Int(1)), vectorOf(t, KindString, Str("a"), Str("b")), vectorOf(t, KindFloat, Float(1))},
-		"a column of another kind":     {vectorOf(t, KindString, Str("1")), vectorOf(t, KindString, Str("a")), vectorOf(t, KindFloat, Float(1))},
-		"a float in an int column":     {vectorOf(t, KindFloat, Float(1)), vectorOf(t, KindString, Str("a")), vectorOf(t, KindFloat, Float(1))},
-	} {
-		if _, err := TableFromColumns("people", schema, cols); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if empty, err := TableFromColumns("none", nil, nil); err != nil || empty.NumRows() != 0 {
-		t.Errorf("no columns: %v", err)
+	// A refused row leaves no column longer than the others.
+	if err := tbl.AppendRow([]Value{Int(5), Str("eve"), Str("much")}); err == nil || tbl.Vector(0).Len() != 4 {
+		t.Errorf("refused row: %v, first column now %d rows", err, tbl.Vector(0).Len())
 	}
 }
 

@@ -41,9 +41,9 @@ func (s Schema) Names() []string {
 }
 
 // Table is an in-memory columnar table: one typed Vector per schema
-// column, all of equal length. Table is safe for concurrent reads;
-// writes (AppendRow, Set) must be externally serialized (the engine
-// appends only during loading).
+// column, all of equal length. A table is written only while it is
+// built (AppendRow, one goroutine) and is read-only after that; it is
+// safe for concurrent reads.
 type Table struct {
 	Name        string
 	Description string
@@ -55,37 +55,9 @@ type Table struct {
 func NewTable(name string, schema Schema) *Table {
 	t := &Table{Name: name, schema: schema, cols: make([]*Vector, len(schema))}
 	for c, def := range schema {
-		t.cols[c] = NewVector(def.Kind, 0)
+		t.cols[c] = newVector(def.Kind)
 	}
 	return t
-}
-
-// TableFromColumns builds a table over cols, one vector per schema
-// column, without copying a vector that is already of its column's
-// kind: the table owns it afterwards, sealed as ReadCSV leaves its own.
-// It enforces what AppendRow enforces — columns of one length, each of
-// its column's kind, an INT vector widened for a FLOAT column, a
-// KindNull vector fitting any.
-func TableFromColumns(name string, schema Schema, cols []*Vector) (*Table, error) {
-	if len(cols) != len(schema) {
-		return nil, fmt.Errorf("storage: %d columns of values, schema has %d columns", len(cols), len(schema))
-	}
-	t := &Table{Name: name, schema: schema, cols: make([]*Vector, len(cols))}
-	for c, col := range cols {
-		if col.Len() != cols[0].Len() {
-			return nil, fmt.Errorf("storage: column %s has %d rows, column %s has %d", schema[c].Name, col.Len(), schema[0].Name, cols[0].Len())
-		}
-		if col.Kind() != schema[c].Kind {
-			fitted := NewVector(schema[c].Kind, col.Len())
-			if err := fitted.Extend(col); err != nil {
-				return nil, fmt.Errorf("storage: column %s: %w", schema[c].Name, err)
-			}
-			col = fitted
-		}
-		col.seal()
-		t.cols[c] = col
-	}
-	return t, nil
 }
 
 // Schema returns the table schema (callers must not mutate it).
@@ -131,18 +103,6 @@ func (t *Table) MustAppendRow(row ...Value) {
 		// reachable from user input.
 		panic(err)
 	}
-}
-
-// Set overwrites the cell at (row, col) under AppendRow's rules; it is
-// how a stored cell is changed.
-func (t *Table) Set(row, col int, v Value) error {
-	if col < 0 || col >= len(t.cols) {
-		return fmt.Errorf("storage: table %s has no column %d", t.Name, col)
-	}
-	if err := t.cols[col].Set(row, v); err != nil {
-		return fmt.Errorf("storage: table %s column %s: %w", t.Name, t.schema[col].Name, err)
-	}
-	return nil
 }
 
 // At returns the value at (row, col) without bounds checking beyond

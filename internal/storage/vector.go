@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -42,22 +41,16 @@ func (b *Bitmap) set(i int) {
 	(*b)[w] |= 1 << (uint(i) & 63)
 }
 
-func (b Bitmap) clear(i int) {
-	if w := i >> 6; w < len(b) {
-		b[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
 // Vector is one column: the values of one kind in a slice of that
 // kind's Go type, plus a bitmap of the rows that are NULL (whose slots
 // hold the zero value). A TEXT vector keeps each distinct string once,
 // in its dictionary, and one code per row into it. A KindNull vector
 // is a length and nothing else: every row is NULL. Value is the scalar
-// form of a cell, built on the way out (At) and taken apart on the way
-// in (Append, Set).
+// form of a cell, built on the way out (At).
 //
-// A Vector is safe for concurrent readers; writes must be externally
-// serialized, as for Table.
+// A vector is written only while it is built, by a CSV load or
+// Table.AppendRow, and is read-only after that; it is safe for
+// concurrent readers.
 type Vector struct {
 	kind   Kind
 	n      int
@@ -74,44 +67,20 @@ type Vector struct {
 	distinct atomic.Pointer[[]string]
 }
 
-// NewVector returns an empty vector of the given kind with room for
-// capacity rows.
-func NewVector(kind Kind, capacity int) *Vector {
+// newVector returns an empty vector of the given kind.
+func newVector(kind Kind) *Vector {
 	v := &Vector{kind: kind}
 	switch kind {
 	case KindInt:
-		v.ints = make([]int64, 0, capacity)
+		v.ints = []int64{}
 	case KindFloat:
-		v.floats = make([]float64, 0, capacity)
+		v.floats = []float64{}
 	case KindString:
-		v.codes = make([]uint32, 0, capacity)
+		v.codes = []uint32{}
 	case KindBool:
-		v.bools = make([]bool, 0, capacity)
+		v.bools = []bool{}
 	}
 	return v
-}
-
-// NewTextVector returns the TEXT vector whose row r is dict[codes[r]],
-// taking codes over; every code must index dict. The dictionary is
-// read through the index, so a string it holds twice is kept once and
-// its rows share one code.
-func NewTextVector(dict []string, codes []uint32) (*Vector, error) {
-	for r, k := range codes {
-		if int(k) >= len(dict) {
-			return nil, fmt.Errorf("storage: row %d has code %d, outside a dictionary of %d", r, k, len(dict))
-		}
-	}
-	v := &Vector{kind: KindString, n: len(codes), codes: codes}
-	recode := make([]uint32, len(dict))
-	for k, s := range dict {
-		recode[k] = v.code(s, false)
-	}
-	if len(v.dict) < len(dict) {
-		for r, k := range codes {
-			codes[r] = recode[k]
-		}
-	}
-	return v, nil
 }
 
 // Kind returns the kind of every non-NULL value of the vector.
@@ -180,17 +149,6 @@ func fit(kind Kind, val Value) (Value, error) {
 	default:
 		return val, fmt.Errorf("wants %s, got %s", kind, val.Kind)
 	}
-}
-
-// Append adds one row under Table.AppendRow's rules: NULL anywhere, an
-// INT widened into a FLOAT vector, any other kind refused.
-func (v *Vector) Append(val Value) error {
-	val, err := fit(v.kind, val)
-	if err != nil {
-		return fmt.Errorf("storage: column %w", err)
-	}
-	v.push(val, false)
-	return nil
 }
 
 // push appends a value fit has passed. A borrowed string is copied if
@@ -262,99 +220,10 @@ func exact[S ~[]E, E any](s S) S {
 	return append(make(S, 0, len(s)), s...)
 }
 
-// Set overwrites row r under Append's rules.
-func (v *Vector) Set(r int, val Value) error {
-	if r < 0 || r >= v.n {
-		return fmt.Errorf("storage: row %d of a %d-row column", r, v.n)
-	}
-	val, err := fit(v.kind, val)
-	if err != nil {
-		return fmt.Errorf("storage: column %w", err)
-	}
-	if v.kind == KindNull {
-		return nil
-	}
-	if val.Kind == KindNull {
-		v.nulls.set(r)
-	} else {
-		v.nulls.clear(r)
-	}
-	switch v.kind {
-	case KindInt:
-		v.ints[r] = val.I
-	case KindFloat:
-		v.floats[r] = val.F
-	case KindString:
-		var k uint32
-		if val.Kind != KindNull {
-			k = v.code(val.S, false)
-		}
-		v.codes[r] = k
-	case KindBool:
-		v.bools[r] = val.B
-	}
-	v.written()
-	return nil
-}
-
-// Extend appends every row of src, which must be of v's kind, INT for
-// a FLOAT vector (widened), or KindNull. A TEXT row's code is mapped
-// from src's dictionary into v's.
-func (v *Vector) Extend(src *Vector) error {
-	if src.kind != v.kind {
-		// Whether cells of another kind fit depends on the kind alone;
-		// the ones that do (INT, or nothing but NULL) go in one by one.
-		if _, err := fit(v.kind, Value{Kind: src.kind}); err != nil {
-			return fmt.Errorf("storage: column %w", err)
-		}
-		for r := 0; r < src.n; r++ {
-			if err := v.Append(src.At(r)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	nulls := src.nulls
-	if src == v {
-		// The bits set below would land in words still to be read.
-		nulls = slices.Clone(nulls)
-	}
-	for w, word := range nulls {
-		for ; word != 0; word &= word - 1 {
-			v.nulls.set(v.n + w<<6 + bits.TrailingZeros64(word))
-		}
-	}
-	switch v.kind {
-	case KindInt:
-		v.ints = append(v.ints, src.ints...)
-	case KindFloat:
-		v.floats = append(v.floats, src.floats...)
-	case KindString:
-		// remap[k] is 1 + the code in v of src's string k, 0 until a row
-		// uses it.
-		remap := make([]uint32, len(src.dict))
-		for r, k := range src.codes {
-			if src.nulls.Get(r) {
-				v.codes = append(v.codes, 0)
-				continue
-			}
-			if remap[k] == 0 {
-				remap[k] = 1 + v.code(src.dict[k], false)
-			}
-			v.codes = append(v.codes, remap[k]-1)
-		}
-	case KindBool:
-		v.bools = append(v.bools, src.bools...)
-	}
-	v.n += src.n
-	v.written()
-	return nil
-}
-
 // Gather returns a new vector of v's kind holding v's rows at the
 // given indexes, in that order. A TEXT vector's dictionary is shared,
-// capped at its length: a string the new vector adds reallocates it,
-// and one v adds lands past what the new vector sees.
+// capped at its length, so a string v adds later lands past what the
+// new vector sees.
 func (v *Vector) Gather(rows []int) *Vector {
 	out := &Vector{kind: v.kind, n: len(rows)}
 	switch v.kind {

@@ -6,31 +6,37 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// column returns a one-column table of the given kind, the one way a
+// vector is written.
+func column(kind Kind) *Table {
+	return NewTable("t", Schema{{Name: "c", Kind: kind}})
+}
+
 // TestVectorPerKind: a column of each kind takes its own kind and NULL
-// through Append and Set, gives them back through At, and refuses the
-// rest; the NULL bitmap grows with the rows it marks.
+// through AppendRow, gives them back through At, and refuses the rest;
+// the NULL bitmap grows with the rows it marks.
 func TestVectorPerKind(t *testing.T) {
 	samples := map[Kind][2]Value{
 		KindInt:    {Int(math.MinInt64), Int(1 << 53)},
 		KindFloat:  {Float(math.Copysign(0, -1)), Float(math.MaxFloat64)},
-		KindString: {Str(""), Str("  x")},
+		KindString: {Str(""), Str("  x")},
 		KindBool:   {Bool(true), Bool(false)},
 	}
 	for kind, pair := range samples {
-		col := NewVector(kind, 0)
+		tbl := column(kind)
+		col := tbl.Vector(0)
 		// 130 rows: NULLs in the first, second and third bitmap words.
 		want := make([]Value, 130)
 		for r := range want {
 			if r%9 != 0 && r != 63 && r != 64 && r != 128 {
 				want[r] = pair[r%2]
 			}
-			if err := col.Append(want[r]); err != nil {
+			if err := tbl.AppendRow([]Value{want[r]}); err != nil {
 				t.Fatalf("%s: append %v: %v", kind, want[r], err)
 			}
 		}
@@ -56,65 +62,43 @@ func TestVectorPerKind(t *testing.T) {
 		if len(col.Nulls()) != 3 {
 			t.Fatalf("%s: NULL bitmap of %d words for a last NULL in row 128", kind, len(col.Nulls()))
 		}
-		// Set: NULL over a value and a value over NULL, either side of
-		// a word boundary.
-		for _, r := range []int{1, 62, 65, 129} {
-			want[r] = Null()
-		}
-		want[0], want[63], want[64], want[128] = pair[0], pair[0], pair[1], pair[0]
-		for _, r := range []int{1, 62, 65, 129, 0, 63, 64, 128} {
-			if err := col.Set(r, want[r]); err != nil {
-				t.Fatalf("%s: set row %d: %v", kind, r, err)
-			}
-		}
-		check("set")
 
 		for other, otherPair := range samples {
 			if other == kind || (kind == KindFloat && other == KindInt) {
 				continue
 			}
-			if err := col.Append(otherPair[0]); err == nil {
+			if err := tbl.AppendRow([]Value{otherPair[0]}); err == nil {
 				t.Errorf("%s column took an appended %s", kind, other)
-			}
-			if err := col.Set(0, otherPair[0]); err == nil {
-				t.Errorf("%s column took a %s through Set", kind, other)
-			}
-		}
-		for _, r := range []int{-1, col.Len()} {
-			if err := col.Set(r, Null()); err == nil {
-				t.Errorf("%s column: Set(%d) accepted", kind, r)
 			}
 		}
 		check("after refusals")
 	}
 
 	// A column without a NULL has no bitmap.
-	if col := NewVector(KindInt, 0); col.Append(Int(1)) != nil || col.Nulls() != nil {
-		t.Errorf("NULL-free column carries a bitmap %v", col.Nulls())
+	if tbl := column(KindInt); tbl.AppendRow([]Value{Int(1)}) != nil || tbl.Vector(0).Nulls() != nil {
+		t.Errorf("NULL-free column carries a bitmap %v", tbl.Vector(0).Nulls())
 	}
 
-	// INT widens into FLOAT through Append and Set, 1<<53+1 rounding as
-	// AppendRow always rounded it.
-	wide := NewVector(KindFloat, 0)
-	if err := wide.Append(Int(1<<53 + 1)); err != nil || wide.At(0) != Float(1<<53) {
-		t.Errorf("appended INT in a FLOAT column = %#v, %v", wide.At(0), err)
-	}
-	if err := wide.Set(0, Int(-3)); err != nil || wide.At(0) != Float(-3) {
-		t.Errorf("INT set in a FLOAT column = %#v, %v", wide.At(0), err)
+	// INT widens into FLOAT, 1<<53+1 rounding as AppendRow always
+	// rounded it.
+	wide := column(KindFloat)
+	if err := wide.AppendRow([]Value{Int(1<<53 + 1)}); err != nil || wide.At(0, 0) != Float(1<<53) {
+		t.Errorf("appended INT in a FLOAT column = %#v, %v", wide.At(0, 0), err)
 	}
 
 	// A KindNull column is a length: it takes NULL and nothing else.
-	null := NewVector(KindNull, 0)
+	tbl := column(KindNull)
 	for i := 0; i < 70; i++ {
-		if err := null.Append(Null()); err != nil {
+		if err := tbl.AppendRow([]Value{Null()}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	null := tbl.Vector(0)
 	if null.Len() != 70 || !null.IsNull(69) || !null.At(69).IsNull() || null.NullCount(3, 70) != 67 || null.Nulls() != nil {
 		t.Errorf("KindNull column: %d rows, bitmap %v", null.Len(), null.Nulls())
 	}
-	if null.Append(Int(1)) == nil || null.Set(0, Str("x")) == nil || null.Set(0, Null()) != nil {
-		t.Error("KindNull column took a value, or refused NULL")
+	if tbl.AppendRow([]Value{Int(1)}) == nil || null.Len() != 70 {
+		t.Error("KindNull column took a value")
 	}
 }
 
@@ -128,26 +112,24 @@ func countValues(vals []Value) int {
 	return n
 }
 
-// TestVectorExtendAndGather: what sqldb's join output and the version
-// store's materialize are built from.
-func TestVectorExtendAndGather(t *testing.T) {
-	src := NewVector(KindString, 0)
+// TestVectorGather: what sqldb's join output is built from.
+func TestVectorGather(t *testing.T) {
+	tbl := column(KindString)
 	for r := 0; r < 200; r++ {
 		v := Str(fmt.Sprint("s", r))
 		if r%5 == 0 {
 			v = Null()
 		}
-		if err := src.Append(v); err != nil {
-			t.Fatal(err)
-		}
+		tbl.MustAppendRow(v)
 	}
+	src := tbl.Vector(0)
 	rows := []int{199, 0, 64, 65, 65, 130}
 	picked := src.Gather(rows)
 	if picked.Kind() != KindString || picked.Len() != len(rows) {
 		t.Fatalf("gathered %d rows of %s", picked.Len(), picked.Kind())
 	}
 	for i, r := range rows {
-		if picked.At(i) != src.At(r) {
+		if picked.At(i) != src.At(r) || picked.IsNull(i) != src.IsNull(r) {
 			t.Errorf("gathered row %d = %v, want row %d = %v", i, picked.At(i), r, src.At(r))
 		}
 	}
@@ -155,41 +137,12 @@ func TestVectorExtendAndGather(t *testing.T) {
 		t.Errorf("gathering no rows: %d rows of %s", none.Len(), none.Kind())
 	}
 
-	// Extend at an offset that is no multiple of 64, so NULL bits shift.
-	dst := NewVector(KindString, 0)
-	for _, part := range []*Vector{picked, src, NewVector(KindNull, 0), src.Gather([]int{1, 5})} {
-		if err := dst.Extend(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r := 0; r < src.Len(); r++ {
-		if got := dst.At(len(rows) + r); got != src.At(r) {
-			t.Fatalf("extended row %d = %v, want %v", r, got, src.At(r))
-		}
-	}
-	if dst.Len() != len(rows)+src.Len()+2 || !dst.IsNull(dst.Len()-1) {
-		t.Errorf("extended column has %d rows", dst.Len())
-	}
-
-	floats := NewVector(KindFloat, 0)
-	ints := NewVector(KindInt, 0)
-	nulls := NewVector(KindNull, 0)
-	for _, v := range []Value{Int(2), Null(), Int(-7)} {
-		if ints.Append(v) != nil || nulls.Append(Null()) != nil {
-			t.Fatal("append")
-		}
-	}
-	if err := floats.Extend(ints); err != nil || floats.At(0) != Float(2) || !floats.IsNull(1) || floats.At(2) != Float(-7) {
-		t.Errorf("INT column into FLOAT column: %v %v %v, %v", floats.At(0), floats.At(1), floats.At(2), err)
-	}
-	if err := floats.Extend(nulls); err != nil || floats.Len() != 6 || floats.NullCount(0, 6) != 4 {
-		t.Errorf("KindNull column into FLOAT column: %d rows, %v", floats.Len(), err)
-	}
-	if err := ints.Extend(floats); err == nil {
-		t.Error("FLOAT column went into an INT column")
-	}
-	if err := ints.Extend(src); err == nil {
-		t.Error("TEXT column went into an INT column")
+	// A string the source takes after the gather is past what the
+	// gathered vector's dictionary holds.
+	dict := len(picked.Dict())
+	tbl.MustAppendRow(Str("later"))
+	if len(picked.Dict()) != dict || picked.At(0) != Str("s199") {
+		t.Errorf("the source's append reached the gathered vector: %q", picked.Dict())
 	}
 }
 
@@ -221,52 +174,48 @@ func vectorScript(steps ...[4]byte) []byte {
 	return out
 }
 
-// FuzzVectorOps runs a script of Append, Set, Extend, Gather and seal
-// steps over vectors of every kind, KindNull among them, and after each
+// FuzzVectorOps runs a script of AppendRow, Gather and seal steps over
+// one-column tables of every kind, KindNull among them, and after each
 // step checks every vector against a []Value oracle: each row, each
 // NULL, and a TEXT vector's dictionary holding no string twice. A step
 // is four bytes — op, target vector, operand, row — and vectors that
-// Gather makes join the set, so a gathered vector and its source, which
-// share a dictionary, are both written afterwards, and Extend runs
-// across vectors whose dictionaries differ.
+// Gather makes join the set, read-only, so a source written after it
+// gathered, which shares its dictionary with the gathered vector, is
+// checked against both.
 func FuzzVectorOps(f *testing.F) {
 	const (
 		opAppend = iota
-		opSet
-		opExtend
 		opGather
 		opSeal
 	)
 	const a, b, north, east, sep, south = 8, 13, 18, 23, 28, 33 // fuzzValue TEXT operands
 	text := byte(KindString)
-	// A gathered vector and its source, each written afterwards: three
+	// A gathered vector, and its source written afterwards: three
 	// strings leave the source's dictionary room to grow in place.
 	f.Add(vectorScript(
 		[4]byte{opAppend, text, a}, [4]byte{opAppend, text, b}, [4]byte{opAppend, text, north},
-		[4]byte{opGather, text, 3}, [4]byte{opAppend, 5, east}, [4]byte{opAppend, text, south},
-		[4]byte{opSet, 5, sep, 1}, [4]byte{opSet, text, sep, 0}, [4]byte{opGather, 5, 2, 1},
+		[4]byte{opGather, text, 3}, [4]byte{opAppend, text, east}, [4]byte{opAppend, text, south},
+		[4]byte{opGather, 5, 2, 1}, [4]byte{opAppend, text, sep}, [4]byte{opGather, text, 8, 2},
 	))
-	// Extend across two dictionaries, each way, and a vector by itself.
+	// A gathered vector gathered from again, and a source that takes a
+	// string its gathered vector already holds.
 	f.Add(vectorScript(
 		[4]byte{opAppend, text, a}, [4]byte{opAppend, text, b}, [4]byte{opAppend, text, 0},
-		[4]byte{opGather, text, 0}, [4]byte{opAppend, 5, south}, [4]byte{opAppend, 5, north},
-		[4]byte{opAppend, 5, b}, [4]byte{opAppend, 5, 0}, [4]byte{opExtend, text, 5},
-		[4]byte{opExtend, 5, text}, [4]byte{opExtend, text, text},
+		[4]byte{opGather, text, 4}, [4]byte{opGather, 5, 3, 1}, [4]byte{opAppend, text, a},
+		[4]byte{opAppend, text, north}, [4]byte{opAppend, 5, south}, [4]byte{opSeal, text},
 	))
-	// TEXT set to NULL and back, and a row past the end.
+	// TEXT NULLs, and a gather of no rows.
 	f.Add(vectorScript(
-		[4]byte{opAppend, text, a}, [4]byte{opAppend, text, b}, [4]byte{opSet, text, 0, 0},
-		[4]byte{opSet, text, a, 0}, [4]byte{opSet, text, 0, 1}, [4]byte{opSet, text, east, 1},
-		[4]byte{opSet, text, a, 2}, [4]byte{opSet, text, 1, 0},
+		[4]byte{opAppend, text, a}, [4]byte{opAppend, text, 0}, [4]byte{opAppend, text, 0},
+		[4]byte{opGather, text, 0}, [4]byte{opGather, text, 5, 1}, [4]byte{opAppend, text, east},
 	))
-	// KindNull: NULL goes in, nothing else does, and it fits any kind.
+	// KindNull: NULL goes in, nothing else does; INT widens into FLOAT.
 	f.Add(vectorScript(
-		[4]byte{opAppend, 0, 0}, [4]byte{opAppend, 0, 1}, [4]byte{opAppend, 0, a}, [4]byte{opSet, 0, 0, 0},
-		[4]byte{opSet, 0, 1, 0}, [4]byte{opExtend, 1, 0}, [4]byte{opExtend, 2, 1}, [4]byte{opExtend, 0, 1},
-		[4]byte{opExtend, 0, 0}, [4]byte{opExtend, text, 0}, [4]byte{opGather, 0, 2}, [4]byte{opSeal, 0},
+		[4]byte{opAppend, 0, 0}, [4]byte{opAppend, 0, 1}, [4]byte{opAppend, 0, a}, [4]byte{opAppend, 2, 1},
+		[4]byte{opAppend, 2, 0}, [4]byte{opAppend, 1, 2}, [4]byte{opAppend, 2, 6}, [4]byte{opGather, 0, 2},
+		[4]byte{opGather, 2, 3}, [4]byte{opSeal, 0}, [4]byte{opSeal, 2},
 	))
-	// NULLs in two bitmap words, a vector extended by itself and then
-	// appended to, and writes after a load's seal.
+	// NULLs in two bitmap words, and appends after a load's seal.
 	var long [][4]byte
 	for i := 0; i <= 64; i++ {
 		v := byte([]int{a, north, b}[i%3])
@@ -275,55 +224,36 @@ func FuzzVectorOps(f *testing.F) {
 		}
 		long = append(long, [4]byte{opAppend, text, v}, [4]byte{opAppend, 1, byte(1 + 5*(i%3))})
 	}
-	long = append(long, [4]byte{opExtend, text, text}, [4]byte{opAppend, text, a},
-		[4]byte{opSeal, text}, [4]byte{opAppend, text, sep}, [4]byte{opSet, text, south, 65},
-		[4]byte{opGather, text, 8, 60}, [4]byte{opExtend, 5, text}, [4]byte{opExtend, text, text}, [4]byte{opSeal, 1}, [4]byte{opSet, 1, 0, 64})
+	long = append(long, [4]byte{opAppend, text, a}, [4]byte{opSeal, text}, [4]byte{opAppend, text, sep},
+		[4]byte{opGather, text, 8, 60}, [4]byte{opSeal, 1}, [4]byte{opAppend, 1, 0}, [4]byte{opGather, 1, 7, 62})
 	f.Add(vectorScript(long...))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		type tracked struct {
+			tbl  *Table // nil for a gathered vector, which nothing writes
 			v    *Vector
 			want []Value
 		}
 		var vecs []*tracked
 		for k := KindNull; k <= KindBool; k++ {
-			vecs = append(vecs, &tracked{v: NewVector(k, 0)})
+			tbl := column(k)
+			vecs = append(vecs, &tracked{tbl: tbl, v: tbl.Vector(0)})
 		}
 		for step := 0; len(script) >= 4; step, script = step+1, script[4:] {
-			op, x, operand, row := script[0]%5, vecs[int(script[1])%len(vecs)], int(script[2]), int(script[3])
+			op, x, operand, row := script[0]%3, vecs[int(script[1])%len(vecs)], int(script[2]), int(script[3])
 			kind := x.v.Kind()
 			switch op {
 			case opAppend:
+				if x.tbl == nil {
+					break
+				}
 				val := fuzzValue(operand)
 				want, ok := fit(kind, val)
-				if err := x.v.Append(val); (err == nil) != (ok == nil) {
+				if err := x.tbl.AppendRow([]Value{val}); (err == nil) != (ok == nil) {
 					t.Fatalf("step %d: %s vector took %#v: %v", step, kind, val, err)
 				}
 				if ok == nil {
 					x.want = append(x.want, want)
-				}
-			case opSet:
-				val := fuzzValue(operand)
-				r := row % (len(x.want) + 1)
-				want, ok := fit(kind, val)
-				if err := x.v.Set(r, val); (err == nil) != (ok == nil && r < len(x.want)) {
-					t.Fatalf("step %d: set row %d of %d in a %s vector to %#v: %v", step, r, len(x.want), kind, val, err)
-				}
-				if ok == nil && r < len(x.want) && kind != KindNull {
-					x.want[r] = want
-				}
-			case opExtend:
-				src := vecs[operand%len(vecs)]
-				_, ok := fit(kind, Value{Kind: src.v.Kind()})
-				srcWant := slices.Clone(src.want)
-				if err := x.v.Extend(src.v); (err == nil) != (ok == nil) {
-					t.Fatalf("step %d: extend a %s vector by a %s one: %v", step, kind, src.v.Kind(), err)
-				}
-				if ok == nil {
-					for _, v := range srcWant {
-						w, _ := fit(kind, v)
-						x.want = append(x.want, w)
-					}
 				}
 			case opGather:
 				rows := make([]int, operand%9)
@@ -343,9 +273,7 @@ func FuzzVectorOps(f *testing.F) {
 					vecs[len(vecs)-1] = g
 				}
 			case opSeal:
-				if _, err := TableFromColumns("t", Schema{{Name: "c", Kind: kind}}, []*Vector{x.v}); err != nil {
-					t.Fatalf("step %d: sealing a %s vector: %v", step, kind, err)
-				}
+				x.v.seal()
 			}
 			for n, tr := range vecs {
 				v := tr.v
@@ -379,40 +307,8 @@ func FuzzVectorOps(f *testing.F) {
 	})
 }
 
-// TestTableSet: Set writes under AppendRow's rules and names what it
-// refused.
-func TestTableSet(t *testing.T) {
-	tbl := testTable(t)
-	for _, ok := range []struct {
-		row, col int
-		v, want  Value
-	}{
-		{0, 0, Int(9), Int(9)}, {1, 1, Null(), Null()}, {2, 2, Int(3), Float(3)}, {2, 2, Float(0.5), Float(0.5)},
-	} {
-		if err := tbl.Set(ok.row, ok.col, ok.v); err != nil || tbl.At(ok.row, ok.col) != ok.want {
-			t.Errorf("Set(%d, %d, %v): cell %v, %v", ok.row, ok.col, ok.v, tbl.At(ok.row, ok.col), err)
-		}
-	}
-	before := fmt.Sprint(rowOf(tbl, 0), rowOf(tbl, 1), rowOf(tbl, 2))
-	for _, bad := range []struct {
-		row, col int
-		v        Value
-	}{{0, 0, Str("x")}, {0, 0, Float(1)}, {0, 1, Int(1)}, {3, 0, Int(1)}, {-1, 0, Int(1)}, {0, 3, Int(1)}, {0, -1, Int(1)}} {
-		if err := tbl.Set(bad.row, bad.col, bad.v); err == nil {
-			t.Errorf("Set(%d, %d, %v) accepted", bad.row, bad.col, bad.v)
-		}
-	}
-	if after := fmt.Sprint(rowOf(tbl, 0), rowOf(tbl, 1), rowOf(tbl, 2)); after != before {
-		t.Errorf("refused writes changed the table: %s → %s", before, after)
-	}
-	// A refused row leaves no column longer than the others.
-	if err := tbl.AppendRow([]Value{Int(4), Str("dee"), Str("much")}); err == nil || tbl.Vector(0).Len() != 3 {
-		t.Errorf("refused row: %v, first column now %d rows", err, tbl.Vector(0).Len())
-	}
-}
-
 // TestDistinctStringsMemo: the distinct strings are computed once per
-// column, shared by concurrent readers, and dropped by every write.
+// column, shared by concurrent readers, and dropped by an appended row.
 func TestDistinctStringsMemo(t *testing.T) {
 	tbl := testTable(t)
 	first, err := tbl.DistinctStrings("name")
@@ -437,12 +333,6 @@ func TestDistinctStringsMemo(t *testing.T) {
 	tbl.MustAppendRow(Int(4), Str("zed"), Null())
 	if got, _ := tbl.DistinctStrings("name"); fmt.Sprint(got) != "[ada bob cid zed]" {
 		t.Errorf("after AppendRow: %v", got)
-	}
-	if err := tbl.Set(0, 1, Null()); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := tbl.DistinctStrings("name"); fmt.Sprint(got) != "[bob cid zed]" {
-		t.Errorf("after Set: %v", got)
 	}
 	if fmt.Sprint(first) != "[ada bob cid]" {
 		t.Errorf("an earlier answer was rewritten: %v", first)
@@ -587,20 +477,17 @@ func BenchmarkReadCSV(b *testing.B) {
 
 // BenchmarkDistinctStrings reads the 4 000-customer column's distinct
 // values as nl2sql's value resolver does for every filtered question:
-// cold builds them (a write dropped the memo), warm is every later ask.
+// cold builds them (the memo dropped), warm is every later ask.
 func BenchmarkDistinctStrings(b *testing.B) {
 	tbl, err := ReadCSV("orders", bytes.NewReader(ordersCSV(ordersRows)), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	first := tbl.At(0, 1)
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if mode == "cold" {
-					if err := tbl.Set(0, 1, first); err != nil {
-						b.Fatal(err)
-					}
+					tbl.cols[1].distinct.Store(nil)
 				}
 				if vals, err := tbl.DistinctStrings("customer"); err != nil || len(vals) == 0 {
 					b.Fatal(vals, err)

@@ -31,8 +31,9 @@ const (
 
 // leafFixtureDB is a 260-row table (two leaves per column) of all four
 // column kinds, with a NULL in every column and the values a number or
-// string codec gets wrong first.
-func leafFixtureDB() *storage.Database {
+// string codec gets wrong first. Its second version has row 100's label
+// edited and two rows more.
+func leafFixtureDB(second bool) *storage.Database {
 	ints := []int64{0, -1, math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53) - 1}
 	floats := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e21, 9.99e20, 0.1, -2.5,
 		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1.0 / 3}
@@ -64,35 +65,29 @@ func leafFixtureDB() *storage.Database {
 		if i >= 16 && i%7 < 4 { // past the edge values above
 			row[i%7] = storage.Null()
 		}
+		if second && i == 100 {
+			row[2] = storage.Str("edited")
+		}
 		tab.MustAppendRow(row...)
+	}
+	if second {
+		tab.MustAppendRow(storage.Int(260260), storage.Float(32.5), storage.Null(), storage.Bool(true))
+		tab.MustAppendRow(storage.Null(), storage.Float(-32.5), storage.Str("last"), storage.Null())
 	}
 	db := storage.NewDatabase("fixture")
 	db.Put(tab)
 	return db
 }
 
-// commitLeafFixture commits the fixture database at turn 0, then edits
-// one row, appends two, and commits again at turn 1. It returns the
-// database as it stood at each commit.
-func commitLeafFixture(t testing.TB, s *Store) [2]*storage.Database {
+// commitLeafFixture commits the fixture database's first version at
+// turn 0 and its second at turn 1.
+func commitLeafFixture(t testing.TB, s *Store) {
 	t.Helper()
-	db := leafFixtureDB()
-	if _, err := s.CommitDatabase(leafFixtureRoot, db, 0); err != nil {
-		t.Fatal(err)
+	for turn, second := range []bool{false, true} {
+		if _, err := s.CommitDatabase(leafFixtureRoot, leafFixtureDB(second), turn); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tab, err := db.Get("readings")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Set(100, 2, storage.Str("edited")); err != nil {
-		t.Fatal(err)
-	}
-	tab.MustAppendRow(storage.Int(260260), storage.Float(32.5), storage.Null(), storage.Bool(true))
-	tab.MustAppendRow(storage.Null(), storage.Float(-32.5), storage.Str("last"), storage.Null())
-	if _, err := s.CommitDatabase(leafFixtureRoot, db, 1); err != nil {
-		t.Fatal(err)
-	}
-	return [2]*storage.Database{leafFixtureDB(), db}
 }
 
 // ordersFixtureDB is the shape of an uploaded CSV at 600 rows (three
@@ -123,12 +118,12 @@ func ordersFixtureDB() *storage.Database {
 }
 
 // commitOrdersFixture commits ordersFixtureDB at turn 0, as a node's
-// first CommitData does, and returns the database.
-func commitOrdersFixture(t testing.TB, s *Store) *storage.Database {
+// first CommitData does, and returns the commit.
+func commitOrdersFixture(t testing.TB, s *Store) Commit {
 	t.Helper()
-	db := ordersFixtureDB()
-	if _, err := s.CommitDatabase(ordersFixtureRoot, db, 0); err != nil {
+	c, err := s.CommitDatabase(ordersFixtureRoot, ordersFixtureDB(), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return c
 }

@@ -93,10 +93,34 @@ func reencode(p []byte, rec record) ([]byte, error) {
 // The v7 journals hold commit records, in both forms; the v6 ones, which
 // this store also reads, their commit chunks and append records.
 func FuzzDecodePayload(f *testing.F) {
+	// The seeds must carry a leaf of every form through checkShipped, so
+	// that parseLeaf is fuzzed as a peer's input.
+	leafForms := map[string]bool{}
 	for _, path := range slices.Concat(fixtureJournals, v6Journals) {
 		for _, p := range journalPayloads(f, path) {
 			f.Add(p)
 			f.Add(p[:len(p)-1])
+			if rec, err := decodePayload(p); err == nil && rec.K == "leaf" && checkShipped(rec) == nil {
+				leaf, err := parseLeaf(rec.D)
+				if err != nil {
+					f.Fatal(err)
+				}
+				switch {
+				case leaf.Dict != nil:
+					leafForms["dictionary"] = true
+				case leaf.P != nil:
+					leafForms["packed"] = true
+				case leaf.DR != nil:
+					leafForms["runs"] = true
+				case leaf.V != nil:
+					leafForms["plain"] = true
+				}
+			}
+		}
+	}
+	for _, form := range []string{"plain", "runs", "dictionary", "packed"} {
+		if !leafForms[form] {
+			f.Fatalf("no seed ships a %s leaf", form)
 		}
 	}
 	for _, path := range v5Journals {

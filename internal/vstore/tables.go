@@ -22,11 +22,10 @@ import (
 //	commit ─▶ db ─▶ table (per table, sorted by name)
 //	                  └▶ leaf (per column, per row range, column-major)
 //
-// Leaves hold up to LeafRows values of ONE column, so editing one row
-// rewrites one leaf per column plus the table, db, and commit nodes —
-// O(columns · log-ish path), not O(table). Content addressing makes
-// the unchanged leaves free: the encoder re-puts them and the store
-// dedups by hash.
+// Leaves hold up to DefaultLeafRows values of ONE column. Content
+// addressing makes equal leaves free: the encoder puts each, and the
+// store dedups by hash. A data version is write-only: the encoder below
+// is all of it, and nothing reads a table back from its chunks.
 //
 // A leaf's data takes one of these JSON forms, told apart by their keys:
 //
@@ -41,11 +40,10 @@ import (
 // a NULL, and a BOOL span, has only the plain one. A packed text "p" is
 // the base64 of each value less the span's minimum "lo" in "w" bits,
 // least-significant bit first; a FLOAT span packs the integers k its
-// values are float64(k)/10^s of. decodeLeaf reads these forms and no
-// other.
+// values are float64(k)/10^s of. parseLeaf refuses a leaf whose keys
+// are of no form: what AddPackets asks of a peer's leaf.
 
-// DefaultLeafRows is the row span of one column leaf, and the most a
-// table chunk may claim.
+// DefaultLeafRows is the row span of one column leaf.
 const DefaultLeafRows = 256
 
 // colDef mirrors storage.ColumnDef with stable JSON tags.
@@ -209,8 +207,8 @@ func encodeInts(vals []int64) []byte {
 }
 
 // intRange returns the least of a non-empty vals and the bits its
-// largest offset from it takes. The offsets wrap, as the decoder's sums
-// do, so the widest span is 64 bits.
+// largest offset from it takes. The offsets wrap, so the widest span
+// is 64 bits.
 func intRange(vals []int64) (lo int64, w int) {
 	lo, hi := vals[0], vals[0]
 	for _, v := range vals {
@@ -240,46 +238,6 @@ func appendPacked(out []byte, n, w int, off func(i int) uint64) []byte {
 		}
 	}
 	return base64.RawStdEncoding.AppendEncode(out, raw)
-}
-
-// unpackBits reads n values of w bits from a packed text, refusing a
-// width outside 0–64 and text that is not the exact base64 of the
-// ⌈n·w/8⌉ bytes appendPacked writes — a bit set past the last value
-// included. Nothing is sized by the text before its length is checked.
-func unpackBits(p json.RawMessage, n, w int) ([]uint64, error) {
-	if w < 0 || w > 64 {
-		return nil, fmt.Errorf("packed width %d, want 0 to 64", w)
-	}
-	var text string
-	if err := json.Unmarshal(p, &text); err != nil {
-		return nil, err
-	}
-	if len(text) != packedLen(n, w) {
-		return nil, fmt.Errorf("packed text of %d characters, want %d for %d values of %d bits", len(text), packedLen(n, w), n, w)
-	}
-	// Strict refuses stray bits in the last character, and the byte
-	// count below a \r or \n, which the decoder skips.
-	raw, err := base64.RawStdEncoding.Strict().DecodeString(text)
-	if err != nil {
-		return nil, err
-	}
-	size := (n*w + 7) / 8
-	if len(raw) != size {
-		return nil, fmt.Errorf("packed text holds %d bytes, want %d", len(raw), size)
-	}
-	if used := n * w % 8; used != 0 && raw[size-1]>>used != 0 {
-		return nil, fmt.Errorf("packed text has bits set past its last value")
-	}
-	offs := make([]uint64, n)
-	for i, bit := 0, 0; i < n && w > 0; i++ {
-		for shift := 0; shift < w; {
-			step := min(8-bit%8, w-shift)
-			offs[i] |= (uint64(raw[bit/8]>>(bit%8)) & (1<<step - 1)) << shift
-			shift += step
-			bit += step
-		}
-	}
-	return offs, nil
 }
 
 // pow10 holds 10^s for each scale a packed FLOAT leaf may have; every
@@ -358,8 +316,8 @@ func digits(v int64) int {
 }
 
 // eachRun calls f with each run of n equal deltas d in a non-empty
-// vals, the first taken from 0. The differences wrap, as the decoder's
-// sums do, so every INT span has runs.
+// vals, the first taken from 0. The differences wrap, so every INT
+// span has runs.
 func eachRun(vals []int64, f func(d, n int64)) {
 	var prev, d, n int64
 	for _, v := range vals {
@@ -428,19 +386,6 @@ func encodeStrings(colDict []string, codes []uint32) ([]byte, error) {
 	return append(out[:len(out)-1], "]}"...), nil
 }
 
-// decodeLeaf reads a leaf in one of the forms above into a vector of its
-// kind (KindNull when every value is NULL) holding exactly want values.
-func decodeLeaf(data []byte, want int) (*storage.Vector, error) {
-	col, err := decodeForm(data, want)
-	if err != nil {
-		return nil, err
-	}
-	if col.Len() != want {
-		return nil, fmt.Errorf("leaf holds %d values, its row range %d", col.Len(), want)
-	}
-	return col, nil
-}
-
 // leafFields are a leaf's JSON fields, each form's among them.
 type leafFields struct {
 	T    storage.Kind    `json:"t"`
@@ -475,177 +420,6 @@ func parseLeaf(data []byte) (leafFields, error) {
 		return leaf, fmt.Errorf("%s leaf has a dictionary", leaf.T)
 	}
 	return leaf, nil
-}
-
-// decodeForm is decodeLeaf less the final count. A runs, packed or
-// dictionary leaf is checked against want before anything is sized by
-// what it claims; a packed one holds exactly want values.
-func decodeForm(data []byte, want int) (*storage.Vector, error) {
-	leaf, err := parseLeaf(data)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case leaf.Dict != nil:
-		return decodeDict(leaf.Dict, leaf.P, leaf.W, want)
-	case leaf.DR != nil && leaf.T == storage.KindInt:
-		return decodeRuns(leaf.DR, want)
-	case leaf.P != nil && leaf.T == storage.KindInt:
-		return decodePackedInts(leaf.P, leaf.Lo, leaf.W, want)
-	case leaf.P != nil && leaf.T == storage.KindFloat:
-		return decodeScaled(leaf.P, leaf.Lo, leaf.W, leaf.S, want)
-	case leaf.V == nil:
-		return nil, fmt.Errorf("%s leaf in no form of its kind", leaf.T)
-	}
-	switch leaf.T {
-	case storage.KindInt:
-		return unpack(leaf.T, leaf.V, storage.Int)
-	case storage.KindFloat:
-		return unpack(leaf.T, leaf.V, storage.Float)
-	case storage.KindString:
-		return unpack(leaf.T, leaf.V, storage.Str)
-	case storage.KindBool:
-		return unpack(leaf.T, leaf.V, storage.Bool)
-	case storage.KindNull:
-		var nulls []any
-		if err := json.Unmarshal(leaf.V, &nulls); err != nil {
-			return nil, err
-		}
-		for i, v := range nulls {
-			if v != nil {
-				return nil, fmt.Errorf("value %d of an all-NULL leaf is not null", i)
-			}
-		}
-		return vectorOf(leaf.T, make([]storage.Value, len(nulls)))
-	default:
-		return nil, fmt.Errorf("leaf kind %d", int(leaf.T))
-	}
-}
-
-// unpack decodes a typed leaf's values, null becoming NULL.
-func unpack[T any](kind storage.Kind, raw []byte, value func(T) storage.Value) (*storage.Vector, error) {
-	var ptrs []*T
-	if err := json.Unmarshal(raw, &ptrs); err != nil {
-		return nil, err
-	}
-	col := storage.NewVector(kind, len(ptrs))
-	for _, p := range ptrs {
-		v := storage.Null()
-		if p != nil {
-			v = value(*p)
-		}
-		if err := col.Append(v); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
-}
-
-// decodeRuns expands [d0,n0,d1,n1,…] into the running sums of n_k
-// deltas d_k from 0, once every count is known to be positive and the
-// counts to sum to want. Each count is held to what is left of want, so
-// the sum cannot overflow on the way.
-func decodeRuns(raw []byte, want int) (*storage.Vector, error) {
-	var dr []int64
-	if err := json.Unmarshal(raw, &dr); err != nil {
-		return nil, err
-	}
-	sum := 0
-	for k := 1; k < len(dr); k += 2 {
-		if dr[k] < 1 || dr[k] > int64(want-sum) {
-			return nil, fmt.Errorf("run of %d values after %d of %d", dr[k], sum, want)
-		}
-		sum += int(dr[k])
-	}
-	if len(dr)%2 != 0 || sum != want {
-		return nil, fmt.Errorf("runs leaf of %d numbers counting %d values, want pairs counting %d", len(dr), sum, want)
-	}
-	col := storage.NewVector(storage.KindInt, want)
-	var acc int64
-	for k := 0; k < len(dr); k += 2 {
-		for n := dr[k+1]; n > 0; n-- {
-			acc += dr[k]
-			if err := col.Append(storage.Int(acc)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return col, nil
-}
-
-// decodePackedInts reads a packed INT leaf: want offsets from lo, whose
-// sums wrap as the encoder's differences did.
-func decodePackedInts(p json.RawMessage, lo int64, w, want int) (*storage.Vector, error) {
-	offs, err := unpackBits(p, want, w)
-	if err != nil {
-		return nil, err
-	}
-	col := storage.NewVector(storage.KindInt, want)
-	for _, off := range offs {
-		if err := col.Append(storage.Int(lo + int64(off))); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
-}
-
-// decodeScaled reads a packed FLOAT leaf: want values float64(k)/10^s,
-// k being lo plus an offset, once s is a scale the encoder writes and
-// every k is within 2^53 of 0.
-func decodeScaled(p json.RawMessage, lo int64, w, s, want int) (*storage.Vector, error) {
-	if s < 0 || s >= len(pow10) {
-		return nil, fmt.Errorf("scale %d, want 0 to %d", s, len(pow10)-1)
-	}
-	if lo < -maxScaled || lo > maxScaled {
-		return nil, fmt.Errorf("scaled values from %d, past 2^53", lo)
-	}
-	offs, err := unpackBits(p, want, w)
-	if err != nil {
-		return nil, err
-	}
-	col := storage.NewVector(storage.KindFloat, want)
-	for i, off := range offs {
-		if off > uint64(maxScaled-lo) {
-			return nil, fmt.Errorf("value %d is %d more than %d, past 2^53", i, off, lo)
-		}
-		if err := col.Append(storage.Float(float64(lo+int64(off)) / pow10[s])); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
-}
-
-// decodeDict reads a dictionary leaf: one packed index per row into the
-// dictionary, which becomes the vector's, read through its index so that
-// a string the leaf repeats is held once.
-func decodeDict(raw, p json.RawMessage, w, want int) (*storage.Vector, error) {
-	var dict []string
-	if err := json.Unmarshal(raw, &dict); err != nil {
-		return nil, err
-	}
-	ix, err := unpackBits(p, want, w)
-	if err != nil {
-		return nil, err
-	}
-	codes := make([]uint32, len(ix))
-	for i, k := range ix {
-		if k >= uint64(len(dict)) {
-			return nil, fmt.Errorf("index %d is %d, outside a dictionary of %d", i, k, len(dict))
-		}
-		codes[i] = uint32(k)
-	}
-	return storage.NewTextVector(dict, codes)
-}
-
-// vectorOf builds a vector of the given kind from vals.
-func vectorOf(kind storage.Kind, vals []storage.Value) (*storage.Vector, error) {
-	col := storage.NewVector(kind, len(vals))
-	for i, v := range vals {
-		if err := col.Append(v); err != nil {
-			return nil, fmt.Errorf("value %d: %w", i, err)
-		}
-	}
-	return col, nil
 }
 
 // encodeSpanMin is the leaf count from which encodeTable encodes a
@@ -777,143 +551,4 @@ func (s *Store) CommitDatabase(root string, db *storage.Database, turn int) (Com
 		return Commit{}, err
 	}
 	return b.Commit(root, tree, turn)
-}
-
-// loadTable reads a table chunk and checks everything its readers index
-// or allocate by: the chunk may be a peer's, and AddPackets verifies a
-// packet's hash and that its data is JSON of a table's fields, not what
-// they say.
-func (s *Store) loadTable(h Hash) (tableData, []Hash, error) {
-	kind, data, err := s.Data(h)
-	if err != nil {
-		return tableData{}, nil, err
-	}
-	if kind != "table" {
-		return tableData{}, nil, malformed(h, "is %q, want table", kind)
-	}
-	meta, err := decodeTableData(data)
-	if err != nil {
-		return meta, nil, malformed(h, "table data: %w", err)
-	}
-	refs, err := s.Refs(h)
-	if err != nil {
-		return meta, nil, err
-	}
-	// A leaf may claim no more rows than a leaf is written with: a
-	// zero-width packed leaf or a one-run leaf claims any count in a
-	// few bytes, and MaterializeTable sizes a column by it.
-	if meta.Rows < 0 || meta.LeafRows <= 0 || meta.LeafRows > DefaultLeafRows {
-		return meta, nil, malformed(h, "has rows %d, leafRows %d (at most %d)", meta.Rows, meta.LeafRows, DefaultLeafRows)
-	}
-	for _, cd := range meta.Schema {
-		if cd.Kind < storage.KindNull || cd.Kind > storage.KindBool {
-			return meta, nil, malformed(h, "column %s has kind %d", cd.Name, int(cd.Kind))
-		}
-	}
-	// The first test keeps a forged row count from overflowing the product.
-	nLeaves, nCols := leavesPerCol(meta.Rows, meta.LeafRows), len(meta.Schema)
-	if nLeaves > len(refs) || nLeaves*nCols != len(refs) {
-		return meta, nil, malformed(h, "has %d leaves, want %d for each of %d columns", len(refs), nLeaves, nCols)
-	}
-	return meta, refs, nil
-}
-
-// leaf reads one column leaf, which must hold exactly want values.
-func (s *Store) leaf(h Hash, want int) (*storage.Vector, error) {
-	env, err := s.get(h)
-	if err != nil {
-		return nil, err
-	}
-	if env.K != "leaf" {
-		return nil, malformed(h, "is %q, want leaf", env.K)
-	}
-	vals, err := decodeLeaf(env.D, want)
-	if err != nil {
-		return nil, malformed(h, "decode leaf: %w", err)
-	}
-	return vals, nil
-}
-
-// MaterializeTable rebuilds a table from its chunk address.
-func (s *Store) MaterializeTable(h Hash) (*storage.Table, error) {
-	meta, refs, err := s.loadTable(h)
-	if err != nil {
-		return nil, err
-	}
-	nLeaves := leavesPerCol(meta.Rows, meta.LeafRows)
-	schema := make(storage.Schema, 0, len(meta.Schema))
-	for _, cd := range meta.Schema {
-		schema = append(schema, storage.ColumnDef{Name: cd.Name, Kind: cd.Kind, Description: cd.Desc})
-	}
-	cols := make([]*storage.Vector, len(schema))
-	for c, cd := range schema {
-		cols[c] = storage.NewVector(cd.Kind, 0)
-		for l := 0; l < nLeaves; l++ {
-			vals, err := s.leaf(refs[c*nLeaves+l], leafSpan(l, meta.Rows, meta.LeafRows))
-			if err != nil {
-				return nil, err
-			}
-			if l == 0 {
-				// Sized only now: a full first leaf shows the row count
-				// is backed by chunks, not just claimed.
-				cols[c] = storage.NewVector(cd.Kind, meta.Rows)
-			}
-			if err := cols[c].Extend(vals); err != nil {
-				return nil, malformed(refs[c*nLeaves+l], "in table %s: %w", meta.Name, err)
-			}
-		}
-	}
-	t, err := storage.TableFromColumns(meta.Name, schema, cols)
-	if err != nil {
-		return nil, malformed(h, "materialize table %s: %w", meta.Name, err)
-	}
-	t.Description = meta.Desc
-	return t, nil
-}
-
-// MaterializeDatabase rebuilds a database from a db chunk address — an
-// immutable snapshot ready for internal/sqldb execution. Any other kind,
-// a commit among them, is refused, naming the chunk.
-func (s *Store) MaterializeDatabase(h Hash) (*storage.Database, error) {
-	kind, data, err := s.Data(h)
-	if err != nil {
-		return nil, err
-	}
-	if kind != "db" {
-		return nil, malformed(h, "is %q, want db", kind)
-	}
-	meta, err := decodeDBData(data)
-	if err != nil {
-		return nil, malformed(h, "db data: %w", err)
-	}
-	refs, err := s.Refs(h)
-	if err != nil {
-		return nil, err
-	}
-	if len(refs) != len(meta.Tables) {
-		return nil, malformed(h, "has %d refs, %d names", len(refs), len(meta.Tables))
-	}
-	db := storage.NewDatabase(meta.Name)
-	for _, ref := range refs {
-		t, err := s.MaterializeTable(ref)
-		if err != nil {
-			return nil, err
-		}
-		db.Put(t)
-	}
-	return db, nil
-}
-
-// DatabaseAsOf materializes the snapshot of a root as of the given
-// turn — the time-travel read path — from the tree its commit pins.
-func (s *Store) DatabaseAsOf(root string, turn int) (*storage.Database, Commit, error) {
-	c, err := s.AsOf(root, turn)
-	if err != nil {
-		return nil, Commit{}, err
-	}
-	db, err := s.MaterializeDatabase(c.Tree)
-	if err != nil {
-		return nil, Commit{}, err
-	}
-	return db, c, nil
 }

@@ -297,8 +297,7 @@ func TestPacketsVerifyHashes(t *testing.T) {
 
 func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 	src := NewMemory()
-	db := demoDB(2000)
-	c1, err := src.CommitDatabase("db/main", db, 0)
+	c1, err := src.CommitDatabase("db/main", demoDB(2000), 0)
 	if err != nil {
 		t.Fatalf("commit v1: %v", err)
 	}
@@ -318,15 +317,9 @@ func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 		t.Fatalf("moved %d chunks into a store now holding %d, the closure has %d", moved1, dst.NumChunks(), src.NumChunks())
 	}
 
-	// Small edit → second version; the pull must ship only the delta.
-	tab, err := db.Get("metrics")
-	if err != nil {
-		t.Fatalf("get table: %v", err)
-	}
-	if err := tab.Set(5, 2, storage.Float(999.5)); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := src.CommitDatabase("db/main", db, 1)
+	// One row more → second version; the pull must ship only the delta:
+	// each column's last leaf and the nodes above them.
+	c2, err := src.CommitDatabase("db/main", demoDB(2001), 1)
 	if err != nil {
 		t.Fatalf("commit v2: %v", err)
 	}
@@ -337,17 +330,10 @@ func TestWantListAndPullFromShipOnlyDelta(t *testing.T) {
 	if moved2 >= moved1/2 {
 		t.Fatalf("delta pull moved %d chunks (full transfer was %d); negotiation is not sharing structure", moved2, moved1)
 	}
-	got, err := dst.MaterializeDatabase(c2.Tree)
-	if err != nil {
-		t.Fatalf("materialize on replica: %v", err)
+	if !dst.HasClosure(c2.Hash) || dst.NumChunks() != src.NumChunks() {
+		t.Fatalf("the replica holds %d chunks, the source %d; closure complete: %v", dst.NumChunks(), src.NumChunks(), dst.HasClosure(c2.Hash))
 	}
-	gt, err := got.Get("metrics")
-	if err != nil {
-		t.Fatalf("replica table: %v", err)
-	}
-	if !gt.At(5, 2).Equal(storage.Float(999.5)) {
-		t.Fatalf("replica row 5 = %v, want 999.5", gt.At(5, 2))
-	}
+	requirePacketsRehash(t, dst)
 }
 
 // demoDB builds a deterministic 3-column table for codec tests.
@@ -517,9 +503,7 @@ func TestIndexKeepsNoPayloadBytes(t *testing.T) {
 	if grown >= journal/5 {
 		t.Fatalf("committing a %d-byte journal grew the heap by %d bytes, want under a fifth: the index is holding payload bytes", journal, grown)
 	}
-	if _, err := durable.MaterializeDatabase(mustHead(t, durable, "db/main").Tree); err != nil {
-		t.Fatalf("reading the table back from the journal: %v", err)
-	}
+	requirePacketsRehash(t, durable)
 
 	grown = grownBy(NewMemory())
 	t.Logf("heap grew by %d memory-only", grown)
@@ -527,15 +511,6 @@ func TestIndexKeepsNoPayloadBytes(t *testing.T) {
 		t.Fatalf("a memory-only store grew the heap by only %d bytes for %d bytes of chunks: where are they?", grown, journal)
 	}
 	runtime.KeepAlive(db) // or the table's own bytes leave the heap inside the last measurement
-}
-
-func mustHead(t *testing.T, s *Store, root string) Commit {
-	t.Helper()
-	c, err := s.Head(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // TestClosedStoreRefusesReads: the journal was the only home of a

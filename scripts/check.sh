@@ -62,11 +62,15 @@
 #                      one decodes and encodes back to the same bytes,
 #                      a shipped one AddPackets' check accepts has
 #                      address refs),
-#                      FuzzDecodeLeaf, FuzzEncodeLeaf (typed spans
-#                      built from the fuzz bytes — -0, subnormals and
-#                      scaled decimals among them — must encode to no
-#                      more than their plain form, decode bit for bit
-#                      and re-encode to the same bytes),
+#                      FuzzDecodeLeaf (arbitrary leaf data shipped as
+#                      a peer's packet: AddPackets installs it exactly
+#                      when parseLeaf accepts it), FuzzEncodeLeaf
+#                      (typed spans built from the fuzz bytes — -0,
+#                      subnormals and scaled decimals among them —
+#                      must encode to no more than their plain form,
+#                      to the same bytes again and after another row,
+#                      to a leaf parseLeaf accepts, and to other bytes
+#                      than the span with one value changed),
 #                      FuzzDecodeSessionTree (seeded
 #                      from the chunks of sessionstore's format-v7 and
 #                      tree-v7 fixtures, whole and cut short, and from
@@ -80,7 +84,7 @@
 #                      replica opened on format-v7, seeded from that
 #                      fixture's frames and shard roots and the forged
 #                      roots of TestForgedShipBatchIsAnError),
-#                      FuzzVectorOps (Append/Set/Extend/Gather scripts
+#                      FuzzVectorOps (AppendRow/Gather/seal scripts
 #                      over column vectors of every kind, checked
 #                      against a []Value oracle) and FuzzReadCSV
 #                      (arbitrary CSV text under an inferred or given
@@ -94,7 +98,7 @@
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
 #                      frame scanner, the journal decoder, its payload
-#                      decoder, the column-leaf decoder and encoder,
+#                      decoder, the column-leaf check and encoder,
 #                      the session-tree decoder, the WAL-record decoder,
 #                      the replica's batch apply, the vector
 #                      operations, the CSV load and the error decoder
@@ -119,11 +123,12 @@
 #                      check step 1 relies on
 #   6. bench smoke   — one iteration of every benchmark in the module,
 #                      with -benchmem (the root E-benches, ablations,
-#                      resilience and version-commit benches, among
-#                      them BenchmarkCommitOrdersTable — the first
-#                      commit of scan_heavy's 60 000 × 5 orders table
-#                      to a dir-backed store, with the journal it
-#                      leaves as pack-B/op;
+#                      resilience benches and the two version-commit
+#                      benches: BenchmarkCommitOrdersTable — the one
+#                      data version a node commits, scan_heavy's
+#                      60 000 × 5 orders table to a dir-backed store,
+#                      with the journal it leaves as pack-B/op — and
+#                      BenchmarkSessionVersionCommit;
 #                      internal/storage's BenchmarkReadCSV and
 #                      BenchmarkDistinctStrings over a generated
 #                      60 000 × 5 orders table; internal/sqldb's

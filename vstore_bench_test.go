@@ -1,17 +1,10 @@
 package cda
 
-// vstore_bench_test.go holds the three versioned-store micro-benchmarks
+// vstore_bench_test.go holds the two versioned-store micro-benchmarks
 // cdaload does not isolate. BenchmarkCommitOrdersTable: the first commit
 // of scan_heavy's 60 000 × 5 orders table to a dir-backed store — the
-// data version a node's CommitData(0) writes at start-up — with the
-// journal it leaves as pack-B/op. BenchmarkVstoreCommitDelta: commit latency
-// as a function of how many rows changed since the previous version
-// (1/16/256 of a 4096-row table). Structural sharing should make the
-// cost scale with the delta, not the table — the chunks/op and
-// journal-B/op metrics (chunks a commit adds to the store, and the
-// payload bytes they put in the journal) make the shape visible in
-// benchmark output, and ROADMAP's "commit CPU O(delta)" rung is judged
-// on it. BenchmarkSessionVersionCommit: what a committed turn costs —
+// one data version a node's CommitData(0) writes at start-up — with the
+// journal it leaves as pack-B/op. BenchmarkSessionVersionCommit: what a committed turn costs —
 // WAL record with its fsync, and session version — as a function of how
 // long the transcript already is (4/64/512 pairs); a version encodes the
 // pair the turn added from the tree the session remembers, so time,
@@ -29,29 +22,6 @@ import (
 	"github.com/reliable-cda/cda/internal/storage"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
-
-const vstoreBenchRows = 4096
-
-// vstoreBenchDB builds a deterministic 3-column table large enough to
-// span many leaf chunks (DefaultLeafRows is 256).
-func vstoreBenchDB(rows int) *storage.Database {
-	db := storage.NewDatabase("bench")
-	t := storage.NewTable("metrics", storage.Schema{
-		{Name: "id", Kind: storage.KindInt},
-		{Name: "region", Kind: storage.KindString},
-		{Name: "value", Kind: storage.KindFloat},
-	})
-	regions := []string{"north", "south", "east", "west"}
-	for i := 0; i < rows; i++ {
-		t.MustAppendRow(
-			storage.Int(int64(i)),
-			storage.Str(regions[i%len(regions)]),
-			storage.Float(float64(i)*1.5),
-		)
-	}
-	db.Put(t)
-	return db
-}
 
 // ordersBenchDB builds scan_heavy's orders table as bench/cdaload does
 // (seed 1): a sequential id, c%04d of 4 000 customers, eight region
@@ -99,76 +69,6 @@ func BenchmarkCommitOrdersTable(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(pack), "pack-B/op")
-}
-
-func BenchmarkVstoreCommitDelta(b *testing.B) {
-	for _, delta := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("delta=%d", delta), func(b *testing.B) {
-			s := vstore.NewMemory()
-			db := vstoreBenchDB(vstoreBenchRows)
-			tab, err := db.Get("metrics")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.CommitDatabase("data", db, 0); err != nil {
-				b.Fatal(err)
-			}
-			base := s.NumChunks()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < delta; j++ {
-					// Unique value per (iteration, row) so every commit
-					// really produces a new version.
-					r := (i*delta + j) % vstoreBenchRows
-					if err := tab.Set(r, 2, storage.Float(float64(i*delta+j)+0.25)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := s.CommitDatabase("data", db, i+1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(s.NumChunks()-base)/float64(b.N), "chunks/op")
-			b.ReportMetric(float64(addedBytes(b, s, "data"))/float64(b.N), "journal-B/op")
-		})
-	}
-}
-
-// addedBytes sums the payloads of the chunks that root's commits after
-// its first added to the store: what a dir-backed store appends to its
-// journal for them, frame headers and root records aside.
-func addedBytes(b *testing.B, s *vstore.Store, root string) int {
-	log, err := s.Log(root)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seen := map[vstore.Hash]bool{}
-	total := 0
-	for i, c := range log {
-		for stack := []vstore.Hash{c.Hash}; len(stack) > 0; {
-			h := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[h] {
-				continue
-			}
-			seen[h] = true
-			refs, err := s.Refs(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stack = append(stack, refs...)
-			if i == 0 {
-				continue
-			}
-			p, err := s.PacketOf(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(p.Data)
-		}
-	}
-	return total
 }
 
 // sessionBenchTurns is how many turns one warmed-up session is timed for
