@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -293,6 +295,119 @@ func TestRouterReplicaLagAndCatchUpAfterPartition(t *testing.T) {
 	}
 	if st := r.Status(ctx)[0]; st.ReplicaLag != 0 || st.ShipError != "" {
 		t.Errorf("caught-up status = %+v", st)
+	}
+}
+
+// TestReplicaReadFallsBackForASessionItNeverSaw: a replica partitioned
+// when a session was created has never heard of it after the heal, and
+// a replica read of the session is served by the primary, not refused
+// with the replica's 404.
+func TestReplicaReadFallsBackForASessionItNeverSaw(t *testing.T) {
+	ctx := context.Background()
+	r, _, replicas := testRouter(t, Config{}, "n1")
+	replicas["n1"].SetPartitioned(true)
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Ask(ctx, id, "how many barometer"); err != nil {
+		t.Fatal(err)
+	}
+	replicas["n1"].SetPartitioned(false)
+	want, err := r.Transcript(ctx, id, 0, 100, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Transcript(ctx, id, 0, 100, true)
+	if err != nil {
+		t.Fatalf("replica read of a session the primary acknowledged: %v", err)
+	}
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("replica read = %+v, want the primary's %+v", got, want)
+	}
+}
+
+// TestReplicaPageIsStampedAfterAFailedShip: while a member's last ship
+// has failed, a page its replica serves is stamped stale with the
+// replica's name, through the front door too, though the replica itself
+// cannot know what it missed; a successful catch-up clears the stamp.
+func TestReplicaPageIsStampedAfterAFailedShip(t *testing.T) {
+	ctx := context.Background()
+	r, _, replicas := testRouter(t, Config{}, "n1")
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Ask(ctx, id, "how many barometer"); err != nil {
+		t.Fatal(err)
+	}
+	replicas["n1"].SetPartitioned(true)
+	if _, err := r.Ask(ctx, id, "and in Bern?"); err != nil {
+		t.Fatal(err)
+	}
+	replicas["n1"].SetPartitioned(false)
+	page, err := r.Transcript(ctx, id, 0, 100, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != 2 || !page.Stale || page.Source != "n1-replica" {
+		t.Errorf("replica page after a failed ship = total %d, stale %v, source %q; want 2, true, n1-replica", page.Total, page.Stale, page.Source)
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sessions/"+id+"?replica=1", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-CDA-Stale") != "true" {
+		t.Errorf("front door = %d, X-CDA-Stale %q; want 200, true", rec.Code, rec.Header().Get("X-CDA-Stale"))
+	}
+	if err := r.CatchUp(ctx, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if page, err := r.Transcript(ctx, id, 0, 100, true); err != nil || page.Stale || page.Total != 4 {
+		t.Errorf("caught-up replica page = %+v, %v; want 4 turns, unstamped", page, err)
+	}
+}
+
+// TestReplicaPagesWhileAsking: router asks run while another goroutine
+// pages the session from its replica, which applies each shipped turn
+// as the page reads run; under -race neither touches what the other
+// writes, and the replica ends with the primary's transcript.
+func TestReplicaPagesWhileAsking(t *testing.T) {
+	ctx := context.Background()
+	r, _, _ := testRouter(t, Config{}, "n1")
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.Transcript(ctx, id, 0, 100, true); err != nil {
+				t.Errorf("replica page: %v", err)
+				return
+			}
+		}
+	}()
+	questions := []string{"how many barometer", "and in Bern?", "how many employment"}
+	for i := 0; i < 9; i++ {
+		if _, err := r.Ask(ctx, id, questions[i%len(questions)]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	<-done
+	want, err := r.Transcript(ctx, id, 0, 100, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Transcript(ctx, id, 0, 100, true)
+	if err != nil || want.Total != 18 || fmt.Sprint(got.Turns) != fmt.Sprint(want.Turns) {
+		t.Errorf("replica page = %+v, %v; want the primary's 18 turns %+v", got, err, want)
 	}
 }
 

@@ -243,22 +243,31 @@ func (r *Router) Ask(ctx context.Context, id, question string) (server.AskRespon
 }
 
 // Transcript reads a session's transcript page. preferReplica sends
-// the read to the member's replica (offloading the primary); a stale
-// replica stamps the page, and an unreachable one falls back to the
-// active node — reads degrade, they don't fail, as long as either
-// node answers.
+// the read to the member's replica (offloading the primary). A page
+// from a replica that knows it lags is stamped by the replica, and one
+// served while the member's last ship failed is stamped here, since the
+// replica cannot know what it missed. A replica that is unreachable, or
+// has never heard of the session (it was away when the session was
+// created), falls back to the active node — reads degrade, they don't
+// fail, as long as either node answers.
 func (r *Router) Transcript(ctx context.Context, id string, offset, limit int, preferReplica bool) (server.TranscriptPage, error) {
 	m := r.route(id)
 	if preferReplica && m.Replica != nil && !m.isPromoted() {
 		page, err := m.Replica.Transcript(ctx, id, offset, limit)
 		if err == nil {
+			m.mu.Lock()
+			shipFailed := m.shipErr != nil
+			m.mu.Unlock()
+			if shipFailed && !page.Stale {
+				page.Stale, page.Source = true, m.Replica.Name()
+			}
 			return page, nil
 		}
-		if !errors.Is(err, ErrNodeDown) {
+		if !errors.Is(err, ErrNodeDown) && !errors.Is(err, server.ErrUnknown) {
 			return server.TranscriptPage{}, err
 		}
-		// Replica unreachable: degrade to the primary (unstamped — the
-		// primary's page is current by definition).
+		// Degrade to the active node (unstamped — its page is current by
+		// definition).
 	}
 	node := m.active()
 	page, err := node.Transcript(ctx, id, offset, limit)

@@ -11,7 +11,6 @@ package dialogue
 
 import (
 	"strings"
-	"time"
 
 	"github.com/reliable-cda/cda/internal/textindex"
 )
@@ -31,16 +30,6 @@ func (r Role) String() string {
 		return "user"
 	}
 	return "system"
-}
-
-// ParseRole inverts Role.String. Unrecognized names parse as
-// RoleSystem, matching String's default arm, so the round trip is
-// total: ParseRole(r.String()) == r for every role.
-func ParseRole(s string) Role {
-	if s == "user" {
-		return RoleUser
-	}
-	return RoleSystem
 }
 
 // Intent classifies what the user wants from a turn.
@@ -90,31 +79,6 @@ func (i Intent) String() string {
 		return "followup"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseIntent inverts Intent.String so transcripts serialized by the
-// session store's WAL (internal/sessionstore) recover the exact
-// intent annotation they were committed with. Unrecognized names
-// parse as IntentUnknown, matching String's default arm.
-func ParseIntent(s string) Intent {
-	switch s {
-	case "discover":
-		return IntentDiscover
-	case "describe":
-		return IntentDescribe
-	case "choose":
-		return IntentChoose
-	case "analyze":
-		return IntentAnalyze
-	case "query":
-		return IntentQuery
-	case "confirm":
-		return IntentConfirm
-	case "followup":
-		return IntentFollowUp
-	default:
-		return IntentUnknown
 	}
 }
 
@@ -174,7 +138,6 @@ type Turn struct {
 	Intent Intent // user turns only
 	// Confidence is the system's reported confidence (system turns).
 	Confidence float64
-	At         time.Time
 }
 
 // Offer is an option the system put on the table (a dataset, an

@@ -77,22 +77,3 @@ func TestChooseSetsFocus(t *testing.T) {
 		t.Error("pending clarification not cleared")
 	}
 }
-
-func TestRoleIntentRoundTrip(t *testing.T) {
-	for _, r := range []Role{RoleUser, RoleSystem} {
-		if got := ParseRole(r.String()); got != r {
-			t.Errorf("ParseRole(%q) = %v, want %v", r.String(), got, r)
-		}
-	}
-	intents := []Intent{IntentUnknown, IntentDiscover, IntentDescribe, IntentChoose,
-		IntentAnalyze, IntentQuery, IntentConfirm, IntentFollowUp}
-	for _, i := range intents {
-		if got := ParseIntent(i.String()); got != i {
-			t.Errorf("ParseIntent(%q) = %v, want %v", i.String(), got, i)
-		}
-	}
-	// Garbage degrades to the default arms, never panics.
-	if ParseRole("alien") != RoleSystem || ParseIntent("alien") != IntentUnknown {
-		t.Error("unrecognized names must parse to the default arms")
-	}
-}

@@ -290,7 +290,7 @@ func (s *Server) handleTranscriptAsOf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, AsOfResponse{Total: len(sess.Turns),
-		Turns: renderTurns(sess.Turns, 0, len(sess.Turns)), Commit: versionInfo(c)})
+		Turns: renderTurns(sess.Turns), Commit: versionInfo(c)})
 }
 
 // WantChunksRequest asks which chunks of a root's closure are missing

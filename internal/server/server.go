@@ -243,9 +243,9 @@ func (s *Server) ask(ctx context.Context, turn *obs.Turn, id, question string) (
 		ans = a
 		// Durability before acknowledgement: the turn pair Respond just
 		// committed to the transcript is WAL-logged here; on failure the
-		// store rolls the pair back, so memory, disk, and the client's
-		// view of the transcript always agree (the client simply
-		// re-asks).
+		// session's next turn starts from what the store committed, so
+		// memory, disk, and the client's view of the transcript always
+		// agree (the client simply re-asks).
 		return s.store.CommitTurnContext(ctx, entry)
 	})
 	if err != nil {
@@ -269,12 +269,11 @@ type TranscriptTurn struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
-// renderTurns renders turns[lo:hi), clamped to the transcript; never
-// nil, so an empty page encodes as [] rather than null.
-func renderTurns(turns []dialogue.Turn, lo, hi int) []TranscriptTurn {
+// renderTurns renders turns; never nil, so an empty page encodes as []
+// rather than null.
+func renderTurns(turns []dialogue.Turn) []TranscriptTurn {
 	out := []TranscriptTurn{}
-	for i := lo; i < hi && i < len(turns); i++ {
-		t := turns[i]
+	for _, t := range turns {
 		tt := TranscriptTurn{Role: t.Role.String(), Text: t.Text, Confidence: t.Confidence}
 		if t.Role == dialogue.RoleUser {
 			tt.Intent = t.Intent.String()
@@ -305,10 +304,11 @@ type TranscriptPage struct {
 	LagRecords int64 `json:"lag_records,omitempty"`
 }
 
-// Transcript reads one page of a session's transcript. limit <= 0
-// takes DefaultPageLimit and anything above MaxPageLimit is clamped.
-// The last argument is SessionAPI's preferReplica: a node has one
-// store and serves from it either way.
+// Transcript reads one page of a session's committed transcript, which
+// never waits behind a turn in flight on the session. limit <= 0 takes
+// DefaultPageLimit and anything above MaxPageLimit is clamped. The last
+// argument is SessionAPI's preferReplica: a node has one store and
+// serves from it either way.
 func (s *Server) Transcript(_ context.Context, id string, offset, limit int, _ bool) (TranscriptPage, error) {
 	if offset < 0 {
 		return TranscriptPage{}, refuse(ErrBadRequest, "offset must not be negative")
@@ -327,14 +327,8 @@ func (s *Server) Transcript(_ context.Context, id string, offset, limit int, _ b
 		// serve the read (graceful degradation) but stamp it.
 		page.Source, page.Stale, page.LagRecords = s.node, true, lag
 	}
-	err = entry.Do(func(sess *dialogue.Session) error {
-		page.Total = len(sess.Turns)
-		page.Turns = renderTurns(sess.Turns, offset, offset+limit)
-		return nil
-	})
-	if err != nil {
-		return TranscriptPage{}, fmt.Errorf("transcript of session %s: %w", id, err)
-	}
+	turns, total := entry.Turns(offset, limit)
+	page.Turns, page.Total = renderTurns(turns), total
 	return page, nil
 }
 

@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/reliable-cda/cda/internal/core"
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/workload"
 )
 
@@ -166,6 +169,57 @@ func TestTranscript(t *testing.T) {
 		t.Errorf("unknown transcript status = %d", r2.StatusCode)
 	}
 	r2.Body.Close()
+}
+
+// TestTranscriptDoesNotWaitForATurn: a page read returns while another
+// goroutine holds the session's turn lock, and reads only the turns the
+// session has committed.
+func TestTranscriptDoesNotWaitForATurn(t *testing.T) {
+	d := workload.NewSwissDomain(1)
+	sys := core.New(core.Config{DB: d.DB, Catalog: d.Catalog, KG: d.KG, Vocab: d.Vocab, Documents: d.Documents, Now: d.Now, Seed: 1})
+	srv := NewWithOptions(sys, d.Catalog, d.Now, Options{})
+	ctx := context.Background()
+	id, err := srv.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Ask(ctx, id, "how many barometer"); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := srv.Store().Get(id)
+	held, release, turnDone := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		turnDone <- entry.Do(func(sess *dialogue.Session) error {
+			sess.CommitTurn("how many employment", dialogue.IntentQuery, "not committed yet", 0.5)
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	defer func() {
+		close(release)
+		if err := <-turnDone; err != nil {
+			t.Error(err)
+		}
+	}()
+	type result struct {
+		page TranscriptPage
+		err  error
+	}
+	read := make(chan result, 1)
+	go func() {
+		page, err := srv.Transcript(ctx, id, 0, 100, false)
+		read <- result{page, err}
+	}()
+	select {
+	case r := <-read:
+		if r.err != nil || r.page.Total != 2 || len(r.page.Turns) != 2 {
+			t.Errorf("page read during a turn = %+v, %v; want the 2 committed turns", r.page, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a page read waited behind the session's turn")
+	}
 }
 
 func TestSessionsAreIsolated(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -280,21 +279,12 @@ func requireRecorded(t *testing.T, st *Store, vs *vstore.Store, want map[string]
 				t.Fatalf("shard %d version at %d: %v", shard, c.Turn, err)
 			}
 			for _, ss := range snap.Sessions {
-				if turns := Transcript(sessionOf(ss)); turns != turnPrefix(transcripts[ss.ID], len(ss.Turns)) {
+				if turns := Transcript(ss.session()); turns != turnPrefix(transcripts[ss.ID], len(ss.Turns)) {
 					t.Errorf("shard %d version at %d holds %q for %s, no prefix of its transcript", shard, c.Turn, turns, ss.ID)
 				}
 			}
 		}
 	}
-}
-
-// sessionOf renders a decoded session state as a dialogue session.
-func sessionOf(ss sessionSnap) *dialogue.Session {
-	e := &Entry{sess: dialogue.NewSession()}
-	for _, tr := range ss.Turns {
-		appendTurn(e, tr)
-	}
-	return e.sess
 }
 
 // snapOf is a live session's committed state.

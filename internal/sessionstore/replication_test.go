@@ -3,9 +3,12 @@ package sessionstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
@@ -74,6 +77,73 @@ func assertMirrors(t *testing.T, src, dst *Store, ids []string) {
 		if p, r := transcriptOf(t, pe), transcriptOf(t, re); p != r {
 			t.Errorf("session %s diverged:\nprimary: %sreplica: %s", id, p, r)
 		}
+	}
+}
+
+// pageOf renders a session's committed transcript as a page read reads
+// it: a copy of the committed turns, without the turn lock.
+func pageOf(e *Entry) string {
+	turns, _ := e.Turns(0, math.MaxInt)
+	return Transcript(&dialogue.Session{Turns: turns})
+}
+
+// TestReplicaReadsWhileApplying: a replica applies 50 shipped batches
+// while one goroutine reads the session through Do and another through
+// the page read. Under -race no read touches what the apply writes, and
+// the replica ends with the primary's transcript on both paths.
+func TestReplicaReadsWhileApplying(t *testing.T) {
+	primary := NewMemory(Config{Shards: 1})
+	replica := NewMemory(Config{Shards: 1})
+	e, err := primary.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, primary, replica, 0)
+	var batches []ShipBatch
+	for i := 0; i < 50; i++ {
+		commitPair(t, primary, e, fmt.Sprintf("how many q%d", i), fmt.Sprintf("a%d", i), 0.5)
+		b, err := primary.PullFrames(0, primary.ReplicationCursor(0)-1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+	}
+	re := mustGet(t, replica, e.ID)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range []func(){
+		func() { _ = re.Do(func(sess *dialogue.Session) error { Transcript(sess); return nil }) },
+		func() { pageOf(re) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+	for _, b := range batches {
+		if err = replica.ApplyBatch(b); err != nil {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := transcriptOf(t, e)
+	if got := transcriptOf(t, re); got != want {
+		t.Errorf("replica transcript through Do:\n%swant the primary's:\n%s", got, want)
+	}
+	if got := pageOf(re); got != want {
+		t.Errorf("replica transcript through the page read:\n%swant the primary's:\n%s", got, want)
 	}
 }
 

@@ -129,14 +129,19 @@ func TestForgedShipBatchIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	parentForm := framelog.Encode(walMagic, []byte(`{"kind":"turn","id":"s0001","seq":10,"turns":[{"role":"user","text":"q5","intent":"unknown"},{"role":"system","text":"a5","confidence":0.5}]}`))
-	for _, row := range []struct {
+	type frameRow struct {
 		name string
 		data []byte
 		old  bool // the error is a *vstore.FormatError
-	}{
+	}
+	rows := []frameRow{
 		{"a frame at another ship sequence", elsewhere, false},
 		{"a JSON frame", parentForm, true},
-	} {
+	}
+	for _, rt := range refusedTurns {
+		rows = append(rows, frameRow{rt.name, refusedRecord(t, next.Frames[0].Seq, rt.data), false})
+	}
+	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			before := storeState(t, replica)
 			b := next

@@ -1,5 +1,11 @@
 package sessionstore
 
+import (
+	"slices"
+
+	"github.com/reliable-cda/cda/internal/dialogue"
+)
+
 // snapshot is one shard's state at a ship horizon: everything its WAL
 // had said up to there. A compaction commits it as the shard's root
 // (encodeShardTree) and only then truncates the WAL, so a crash between
@@ -25,9 +31,17 @@ type sessionSnap struct {
 	ID    string
 	Num   int
 	Focus string
-	Turns []turnRec
+	Turns []dialogue.Turn
 	// tree, when the state is a live Entry's, is the version tree of a
 	// prefix of Turns that the version store already holds (and, when it
 	// covers all of them, of Focus): where encodeSessionTree starts from.
 	tree *sessionTree
+}
+
+// session is the dialogue session ss describes: its turns, copied so the
+// session's next turn can append to them, and its focus.
+func (ss sessionSnap) session() *dialogue.Session {
+	sess := dialogue.NewSession()
+	sess.Turns, sess.Focus = slices.Clone(ss.Turns), ss.Focus
+	return sess
 }

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,24 +166,33 @@ type shard struct {
 	versionErr error
 }
 
-// Entry is one live session. The turn lock (Do) serializes turns
-// within the session; committed/focus/lastActive/tree are guarded by the
-// owning shard's mutex and describe only durably-committed state, so
-// compaction never observes a half-applied turn.
+// Entry is one live session. committed/focus/lastActive/tree/current
+// are guarded by the owning shard's mutex and describe only
+// durably-committed state, so compaction and history reads never observe
+// a half-applied turn; they are all the store writes. The turn lock (Do)
+// serializes turns within the session and guards sess, the dialogue
+// session a turn runs on, which is derived state: Do rebuilds it from
+// the committed state whenever current says it is no longer that. Lock
+// order: the turn lock, then the shard's.
 type Entry struct {
 	ID  string
 	num int
+	sh  *shard
 
 	mu   sync.Mutex
 	sess *dialogue.Session
 
-	committed  []turnRec
+	committed  []dialogue.Turn
 	focus      string
 	lastActive time.Duration
 	// tree is committed's version tree as of the last session version
 	// this Entry committed (versioned.go); nil until it commits one, so
 	// a recovered or installed session pays one full encode.
 	tree *sessionTree
+	// current: Do rebuilt sess from the committed state, and only turns
+	// that committed have changed either since. Every other write of
+	// committed state, and a commit that fails, clears it.
+	current bool
 }
 
 // snap is the entry's committed state. Caller holds the shard's mutex.
@@ -190,14 +200,33 @@ func (e *Entry) snap() sessionSnap {
 	return sessionSnap{ID: e.ID, Num: e.num, Focus: e.focus, Turns: e.committed, tree: e.tree}
 }
 
-// Do runs fn with the session's turn lock held. All reads and writes
-// of the dialogue session — Respond, transcript rendering, and the
-// CommitTurn that persists the produced pair — must happen inside fn
-// so turns within one session stay strictly serialized.
+// Do runs fn with the session's turn lock held, on the session's
+// dialogue state, rebuilt from its committed turns and focus first when
+// those have moved without it. All reads and writes of the dialogue
+// session — Respond and the CommitTurn that persists the produced pair —
+// must happen inside fn so turns within one session stay strictly
+// serialized.
 func (e *Entry) Do(fn func(sess *dialogue.Session) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.sh.mu.Lock()
+	if !e.current {
+		e.sess, e.current = e.snap().session(), true
+	}
+	e.sh.mu.Unlock()
 	return fn(e.sess)
+}
+
+// Turns copies at most limit turns of the session's committed
+// transcript from offset on, and returns them with its length; neither
+// may be negative. It takes only the shard's lock, so a history read
+// never waits behind a turn in flight.
+func (e *Entry) Turns(offset, limit int) ([]dialogue.Turn, int) {
+	e.sh.mu.Lock()
+	defer e.sh.mu.Unlock()
+	n := len(e.committed)
+	lo := min(offset, n)
+	return slices.Clone(e.committed[lo : lo+min(limit, n-lo)]), n
 }
 
 // NewMemory builds a memory-only store (no durability). It cannot
@@ -393,13 +422,8 @@ func (sh *shard) installRoot(root vstore.Hash, snap snapshot, now time.Duration)
 	sh.tombstones = map[string]bool{}
 	sh.maxNum = snap.MaxNum
 	for _, ss := range snap.Sessions {
-		e := &Entry{ID: ss.ID, num: ss.Num, sess: dialogue.NewSession(),
-			focus: ss.Focus, lastActive: now}
-		for _, tr := range ss.Turns {
-			appendTurn(e, tr)
-		}
-		e.sess.Focus = ss.Focus
-		sh.sessions[ss.ID] = e
+		sh.sessions[ss.ID] = &Entry{ID: ss.ID, num: ss.Num, sh: sh,
+			committed: ss.Turns, focus: ss.Focus, lastActive: now}
 		if ss.Num > sh.maxNum {
 			sh.maxNum = ss.Num
 		}
@@ -434,35 +458,19 @@ func (sh *shard) replay(rec walRecord, now time.Duration) {
 		if _, ok := sh.sessions[rec.ID]; ok {
 			return
 		}
-		sh.sessions[rec.ID] = &Entry{ID: rec.ID, num: rec.Num,
-			sess: dialogue.NewSession(), lastActive: now}
+		sh.sessions[rec.ID] = &Entry{ID: rec.ID, num: rec.Num, sh: sh, lastActive: now}
 	case kindTurn:
 		e, ok := sh.sessions[rec.ID]
 		if !ok || len(e.committed) != rec.Seq {
 			return
 		}
-		for _, tr := range rec.Turns {
-			appendTurn(e, tr)
-		}
-		e.focus = rec.Focus
-		e.sess.Focus = rec.Focus
+		e.committed = append(e.committed, rec.Turns...)
+		e.focus, e.current = rec.Focus, false
 		sh.keepVersion(e)
 	case kindEvict:
 		delete(sh.sessions, rec.ID)
 		sh.tombstones[rec.ID] = true
 	}
-}
-
-// appendTurn applies one persisted turn to both the committed record
-// and the live dialogue session.
-func appendTurn(e *Entry, tr turnRec) {
-	e.committed = append(e.committed, tr)
-	e.sess.Turns = append(e.sess.Turns, dialogue.Turn{
-		Role:       dialogue.ParseRole(tr.Role),
-		Text:       tr.Text,
-		Intent:     dialogue.ParseIntent(tr.Intent),
-		Confidence: tr.Confidence,
-	})
 }
 
 // fnv32a hashes a session id (FNV-1a) for shard placement.
@@ -575,7 +583,7 @@ func (s *Store) createSession(id string, num int) (*Entry, error) {
 	if err := sh.appendRecord(nil, walRecord{Kind: kindCreate, ID: id, Num: num}); err != nil {
 		return nil, err
 	}
-	e := &Entry{ID: id, num: num, sess: dialogue.NewSession(), lastActive: s.clock.Now()}
+	e := &Entry{ID: id, num: num, sh: sh, lastActive: s.clock.Now()}
 	sh.sessions[id] = e
 	if num > sh.maxNum {
 		sh.maxNum = num
@@ -615,10 +623,10 @@ func (s *Store) Get(id string) (*Entry, GetStatus) {
 // CommitTurn durably persists the most recent user/system turn pair
 // of e's transcript. It MUST be called inside e.Do, immediately after
 // a successful Respond, so the pair under commit cannot move. When
-// the WAL append fails the pair is rolled back from the in-memory
-// transcript — memory never claims a turn disk does not hold — and
-// the error is returned for the caller to surface (the client simply
-// re-asks).
+// the WAL append fails nothing committed moves, and the session's next
+// Do rebuilds the dialogue session from what did — memory never claims
+// a turn disk does not hold — and the error is returned for the caller
+// to surface (the client simply re-asks).
 func (s *Store) CommitTurn(e *Entry) error { return s.commitTurn(nil, e) }
 
 // CommitTurnContext is CommitTurn that counts what the commit writes —
@@ -640,14 +648,14 @@ func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
 	if sh.sessions[e.ID] != e {
 		// Evicted between Get and commit (TTL race): drop the pair and
 		// tell the caller the session is gone.
-		e.sess.Turns = e.sess.Turns[:n-2]
+		e.current = false
 		return fmt.Errorf("sessionstore: session %s evicted mid-turn", e.ID)
 	}
-	pair := []turnRec{encodeTurn(e.sess.Turns[n-2]), encodeTurn(e.sess.Turns[n-1])}
+	pair := []dialogue.Turn{encodeTurn(e.sess.Turns[n-2]), encodeTurn(e.sess.Turns[n-1])}
 	rec := walRecord{Kind: kindTurn, ID: e.ID, Seq: len(e.committed),
 		Focus: strings.ToValidUTF8(e.sess.Focus, "\uFFFD"), Turns: pair}
 	if err := sh.appendRecord(turn, rec); err != nil {
-		e.sess.Turns = e.sess.Turns[:n-2]
+		e.current = false
 		return err
 	}
 	e.committed = append(e.committed, pair...)
@@ -658,16 +666,16 @@ func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
 	return nil
 }
 
-// encodeTurn converts a dialogue turn to its persisted form. Text that
-// is not valid UTF-8 — a served table's bytes may not be — is persisted
-// with U+FFFD in place of each invalid run, which the turn codec the WAL
-// and the journal share requires.
-func encodeTurn(t dialogue.Turn) turnRec {
-	tr := turnRec{Role: t.Role.String(), Text: strings.ToValidUTF8(t.Text, "\uFFFD"), Confidence: t.Confidence}
-	if t.Role == dialogue.RoleUser {
-		tr.Intent = t.Intent.String()
+// encodeTurn is a dialogue turn as it is persisted, which the turn codec
+// the WAL and the journal share requires: text that is not valid UTF-8 —
+// a served table's bytes may not be — with U+FFFD in place of each
+// invalid run, and a system turn without an intent.
+func encodeTurn(t dialogue.Turn) dialogue.Turn {
+	t.Text = strings.ToValidUTF8(t.Text, "\uFFFD")
+	if t.Role == dialogue.RoleSystem {
+		t.Intent = dialogue.IntentUnknown
 	}
-	return tr
+	return t
 }
 
 // evict logs the eviction, then removes the session and leaves a

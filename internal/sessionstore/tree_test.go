@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -58,9 +59,9 @@ func closureOf(t testing.TB, vs *vstore.Store, h vstore.Hash) []vstore.Hash {
 // turnsData is the data of a turns chunk of n turns.
 func turnsData(t testing.TB, n int) string {
 	t.Helper()
-	turns := make([]turnRec, n)
+	turns := make([]dialogue.Turn, n)
 	for i := range turns {
-		turns[i] = turnRec{Role: "user", Text: fmt.Sprintf("turn %d", i), Intent: "query"}
+		turns[i] = dialogue.Turn{Text: fmt.Sprintf("turn %d", i), Intent: dialogue.IntentQuery}
 	}
 	data, err := encodeTurns(turns)
 	if err != nil {
@@ -154,6 +155,9 @@ func TestForgedSessionChunkIsAnError(t *testing.T) {
 		self("a session node with a trailing byte", mustPut(t, vs, "sess", []vstore.Hash{pair}, goodNode+"\x00")),
 		self("a session id length as an overlong uvarint", mustPut(t, vs, "sess", []vstore.Hash{pair}, "\x84\x00"+goodNode[1:])),
 		self("a session id that is not UTF-8", mustPut(t, vs, "sess", []vstore.Hash{pair}, "\x01\xff"+goodNode[5:])),
+	}
+	for _, rt := range refusedTurns {
+		sessions = append(sessions, of(rt.name, turns(string(rt.data)), 1, 32))
 	}
 	// Shard trees: each holds one of the session trees above, or is
 	// ill-formed itself.
@@ -262,7 +266,8 @@ func fuzzFixtureChunks(f *testing.F) (*vstore.Store, []vstore.Packet) {
 // turns chunk is also read through a session node made for it. Seeded
 // with every chunk of the v7 fixtures, whole and cut one byte short, and
 // with every payload of v5's journals: JSON chunks the store refuses,
-// and binary ones whose JSON data the decoders refuse.
+// and binary ones whose JSON data the decoders refuse; and with a turns
+// chunk of each of refusedTurns.
 func FuzzDecodeSessionTree(f *testing.F) {
 	base, seeds := fuzzFixtureChunks(f)
 	for _, p := range seeds {
@@ -278,6 +283,9 @@ func FuzzDecodeSessionTree(f *testing.F) {
 		for _, p := range payloads {
 			f.Add(p)
 		}
+	}
+	for _, rt := range refusedTurns {
+		f.Add(rt.data)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		vs := vstore.NewMemory()
@@ -335,14 +343,14 @@ func FuzzDecodeSessionTree(f *testing.F) {
 
 // randomTurns is a seeded transcript of n turns: texts of uneven length
 // with the characters JSON escapes, confidences that need every digit.
-func randomTurns(rng *rand.Rand, n int) []turnRec {
-	turns := make([]turnRec, n)
+func randomTurns(rng *rand.Rand, n int) []dialogue.Turn {
+	turns := make([]dialogue.Turn, n)
 	for i := range turns {
 		text := strings.Repeat("é \"q\" <t> & ", rng.Intn(4)) + fmt.Sprintf("turn %d", rng.Intn(1000))
 		if i%2 == 0 {
-			turns[i] = turnRec{Role: "user", Text: text, Intent: "query"}
+			turns[i] = dialogue.Turn{Role: dialogue.RoleUser, Text: text, Intent: dialogue.IntentQuery}
 		} else {
-			turns[i] = turnRec{Role: "system", Text: text, Confidence: rng.Float64()}
+			turns[i] = dialogue.Turn{Role: dialogue.RoleSystem, Text: text, Confidence: rng.Float64()}
 		}
 	}
 	return turns

@@ -418,13 +418,7 @@ func (s *Store) TranscriptAsOf(id string, turn int) (*dialogue.Session, vstore.C
 	if err != nil {
 		return nil, vstore.Commit{}, err
 	}
-	sess := dialogue.NewSession()
-	tmp := &Entry{ID: ss.ID, num: ss.Num, sess: sess}
-	for _, tr := range ss.Turns {
-		appendTurn(tmp, tr)
-	}
-	sess.Focus = ss.Focus
-	return sess, c, nil
+	return ss.session(), c, nil
 }
 
 // materializeShardSnapshot rebuilds a shard's state from a shipped

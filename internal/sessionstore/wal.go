@@ -8,6 +8,7 @@ import (
 	"slices"
 	"unicode/utf8"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
@@ -21,8 +22,8 @@ const walMagic = byte(0xC5)
 const walLastReader = `32443c0 ("every option has a setter")`
 
 // ErrCrashed is returned by a commit whose WAL append was torn by an
-// injected crash fault (faults.Injector.TornWrite). The store rolls
-// the in-memory turn back so memory matches the durable prefix; the
+// injected crash fault (faults.Injector.TornWrite). The session's next
+// turn starts from the durable prefix, as after any failed commit; the
 // harness then reopens the directory to exercise recovery.
 var ErrCrashed = framelog.ErrCrashed
 
@@ -51,19 +52,7 @@ type walRecord struct {
 	Num   int
 	Seq   int
 	Focus string
-	Turns []turnRec
-}
-
-// turnRec is one transcript turn as persisted, in the same bytes
-// (appendTurnRec) in a WAL record and in the version journal's turns
-// chunks. Role and Intent hold their canonical string names
-// (dialogue.ParseRole / ParseIntent invert them exactly), so the
-// encoding is lossless.
-type turnRec struct {
-	Role       string
-	Text       string
-	Intent     string
-	Confidence float64
+	Turns []dialogue.Turn
 }
 
 // A turn's first byte: its role, and whether its confidence follows its
@@ -74,10 +63,19 @@ const (
 	turnKnownSet = turnSystem | turnConf
 )
 
-// intentCodes is the intent byte of a WAL turn, by code: the format,
-// not dialogue.Intent's numbering — append to it, never reorder it.
-// Code 0 is no intent, a system turn's.
-var intentCodes = [...]string{"", "unknown", "discover", "describe", "choose", "analyze", "query", "confirm", "followup"}
+// intentCodes is a user turn's intent byte, by code: the format, not
+// dialogue.Intent's numbering — append to it, never reorder it. Code 0
+// is no intent, which a system turn has and a user turn never does.
+var intentCodes = [...]dialogue.Intent{
+	1: dialogue.IntentUnknown,
+	2: dialogue.IntentDiscover,
+	3: dialogue.IntentDescribe,
+	4: dialogue.IntentChoose,
+	5: dialogue.IntentAnalyze,
+	6: dialogue.IntentQuery,
+	7: dialogue.IntentConfirm,
+	8: dialogue.IntentFollowUp,
+}
 
 // WriteFaults is the crash seam the WAL threads its appends through;
 // *faults.Injector implements it. Nil means no injected crashes.
@@ -93,7 +91,8 @@ type WriteFaults = framelog.Faults
 //
 //	flags · intent code · uvarint len(text) · text · [8-byte LE float64 confidence, when flags say so]
 //
-// Every string must be valid UTF-8, and a confidence finite.
+// Every string must be valid UTF-8, and a confidence finite. A system
+// turn's intent is not written: encodeTurn drops it before a commit.
 func encodeRecord(rec walRecord) ([]byte, error) {
 	p, err := appendRecord(make([]byte, 0, 64), rec)
 	if err != nil {
@@ -121,7 +120,7 @@ func appendRecord(p []byte, rec walRecord) ([]byte, error) {
 			return nil, err
 		}
 		for _, tr := range rec.Turns {
-			if p, err = appendTurnRec(p, tr); err != nil {
+			if p, err = appendTurnBytes(p, tr); err != nil {
 				return nil, err
 			}
 		}
@@ -132,40 +131,41 @@ func appendRecord(p []byte, rec walRecord) ([]byte, error) {
 	return nil, fmt.Errorf("unknown record kind %d", rec.Kind)
 }
 
-func appendTurnRec(p []byte, tr turnRec) ([]byte, error) {
-	var flags byte
-	switch tr.Role {
-	case "user":
-	case "system":
+func appendTurnBytes(p []byte, t dialogue.Turn) ([]byte, error) {
+	var flags, code byte
+	switch t.Role {
+	case dialogue.RoleUser:
+		i := slices.Index(intentCodes[1:], t.Intent)
+		if i < 0 {
+			return nil, fmt.Errorf("turn intent %d", t.Intent)
+		}
+		code = byte(i + 1)
+	case dialogue.RoleSystem:
 		flags |= turnSystem
 	default:
-		return nil, fmt.Errorf("turn role %q", tr.Role)
+		return nil, fmt.Errorf("turn role %d", t.Role)
 	}
-	if tr.Confidence != 0 {
-		if math.IsNaN(tr.Confidence) || math.IsInf(tr.Confidence, 0) {
-			return nil, fmt.Errorf("turn confidence %v", tr.Confidence)
+	if t.Confidence != 0 {
+		if math.IsNaN(t.Confidence) || math.IsInf(t.Confidence, 0) {
+			return nil, fmt.Errorf("turn confidence %v", t.Confidence)
 		}
 		flags |= turnConf
 	}
-	intent := slices.Index(intentCodes[:], tr.Intent)
-	if intent < 0 {
-		return nil, fmt.Errorf("turn intent %q", tr.Intent)
-	}
-	p = append(p, flags, byte(intent))
-	p, err := appendString(p, tr.Text)
+	p = append(p, flags, code)
+	p, err := appendString(p, t.Text)
 	if err != nil || flags&turnConf == 0 {
 		return p, err
 	}
-	return binary.LittleEndian.AppendUint64(p, math.Float64bits(tr.Confidence)), nil
+	return binary.LittleEndian.AppendUint64(p, math.Float64bits(t.Confidence)), nil
 }
 
 // encodeTurns renders a turns chunk's data: its turns end to end, each
 // as a WAL record spells it.
-func encodeTurns(turns []turnRec) ([]byte, error) {
+func encodeTurns(turns []dialogue.Turn) ([]byte, error) {
 	var p []byte
 	for _, tr := range turns {
 		var err error
-		if p, err = appendTurnRec(p, tr); err != nil {
+		if p, err = appendTurnBytes(p, tr); err != nil {
 			return nil, err
 		}
 	}
@@ -174,9 +174,9 @@ func encodeTurns(turns []turnRec) ([]byte, error) {
 
 // decodeTurns reads a turns chunk's data: at least one turn and at most
 // per, and nothing else.
-func decodeTurns(data []byte, per int) ([]turnRec, error) {
+func decodeTurns(data []byte, per int) ([]dialogue.Turn, error) {
 	d := recordDecoder{p: data}
-	var turns []turnRec
+	var turns []dialogue.Turn
 	for d.err == nil && len(d.p) > 0 && len(turns) < per {
 		turns = append(turns, d.turn())
 	}
@@ -303,34 +303,42 @@ func (d *recordDecoder) string(what string) string {
 	return s
 }
 
-func (d *recordDecoder) turn() turnRec {
+// turn reads one turn, held to what appendTurnBytes writes: a system
+// turn has intent code 0, and a user turn any other known code.
+func (d *recordDecoder) turn() dialogue.Turn {
 	flags := d.byte("turn flags")
 	if flags&^turnKnownSet != 0 {
 		d.fail(fmt.Errorf("turn flags %#x set unknown bits", flags))
 	}
-	tr := turnRec{Role: "user"}
-	if flags&turnSystem != 0 {
-		tr.Role = "system"
-	}
-	if code := d.byte("intent"); int(code) < len(intentCodes) {
-		tr.Intent = intentCodes[code]
-	} else {
+	var t dialogue.Turn
+	code := d.byte("intent")
+	switch {
+	case int(code) >= len(intentCodes):
 		d.fail(fmt.Errorf("unknown intent code %d", code))
+	case flags&turnSystem != 0:
+		t.Role = dialogue.RoleSystem
+		if code != 0 {
+			d.fail(fmt.Errorf("a system turn with intent code %d", code))
+		}
+	case code == 0:
+		d.fail(errors.New("a user turn with no intent"))
+	default:
+		t.Intent = intentCodes[code]
 	}
-	tr.Text = d.string("turn text")
+	t.Text = d.string("turn text")
 	if flags&turnConf == 0 || d.err != nil {
-		return tr
+		return t
 	}
 	if len(d.p) < 8 {
 		d.fail(errors.New("turn confidence is cut short"))
-		return tr
+		return t
 	}
-	tr.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(d.p))
+	t.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(d.p))
 	d.p = d.p[8:]
-	if tr.Confidence == 0 || math.IsNaN(tr.Confidence) || math.IsInf(tr.Confidence, 0) {
-		d.fail(fmt.Errorf("stored turn confidence %v", tr.Confidence))
+	if t.Confidence == 0 || math.IsNaN(t.Confidence) || math.IsInf(t.Confidence, 0) {
+		d.fail(fmt.Errorf("stored turn confidence %v", t.Confidence))
 	}
-	return tr
+	return t
 }
 
 // decodeFrame validates one shipped replication frame — exactly one

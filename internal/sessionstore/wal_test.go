@@ -3,13 +3,76 @@ package sessionstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
+
+// refusedTurns are the turn shapes no writer spells, each as a turns
+// chunk and a WAL record would carry it: a system turn with an intent
+// code, and a user turn without one.
+var refusedTurns = []struct {
+	name string
+	data []byte
+}{
+	{"a system turn with an intent code", []byte{turnSystem, 6, 1, 'a'}},
+	{"a user turn with intent code 0", []byte{0, 0, 1, 'q'}},
+}
+
+// refusedRecord is a turn record at ship sequence ship whose one turn is
+// turn's bytes, framed as the WAL and a ship batch carry it.
+func refusedRecord(t testing.TB, ship int64, turn []byte) []byte {
+	t.Helper()
+	p, err := appendRecord(nil, walRecord{Kind: kindTurn, Ship: ship, ID: "s0001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return framelog.Encode(walMagic, append(p, turn...))
+}
+
+// TestTurnCodecRoundTrip: a user turn of every intent, and a system turn
+// with a confidence, come back from a WAL record and from a turns chunk
+// as they went in, each intent under its code in the format's table.
+func TestTurnCodecRoundTrip(t *testing.T) {
+	type row struct {
+		turn dialogue.Turn
+		code byte
+	}
+	rows := []row{{dialogue.Turn{Role: dialogue.RoleSystem, Text: "an answer", Confidence: 0.625}, 0}}
+	for i, intent := range []dialogue.Intent{dialogue.IntentUnknown, dialogue.IntentDiscover,
+		dialogue.IntentDescribe, dialogue.IntentChoose, dialogue.IntentAnalyze, dialogue.IntentQuery,
+		dialogue.IntentConfirm, dialogue.IntentFollowUp} {
+		rows = append(rows, row{dialogue.Turn{Text: "a question", Intent: intent}, byte(i + 1)})
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%s code %d", r.turn.Role, r.code), func(t *testing.T) {
+			want := []dialogue.Turn{r.turn}
+			frame, err := encodeRecord(walRecord{Kind: kindTurn, Ship: 1, ID: "s0001", Turns: want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := decodeFrame(frame); err != nil || !reflect.DeepEqual(rec.Turns, want) {
+				t.Errorf("WAL record decodes to %+v, %v; want %+v", rec.Turns, err, want)
+			}
+			data, err := encodeTurns(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[1] != r.code {
+				t.Errorf("intent code %d, want %d", data[1], r.code)
+			}
+			if got, err := decodeTurns(data, 1); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("turns chunk decodes to %+v, %v; want %+v", got, err, want)
+			}
+		})
+	}
+}
 
 // walPayloads reads every record payload of a fixture's shard WALs,
 // which are whole frames end to end.
@@ -33,8 +96,9 @@ func walPayloads(t testing.TB, fixture string) [][]byte {
 
 // FuzzDecodeRecord feeds the WAL record decoders any bytes, seeded with
 // every frame of the format-v7 and tree-v7 shard WALs, whole and with
-// its checksum flipped, and with every frame of the v4 ones, whose JSON
-// records must be refused as a *vstore.FormatError. decodeFrame reads
+// its checksum flipped, with every frame of the v4 ones, whose JSON
+// records must be refused as a *vstore.FormatError, and with a turn
+// record of each of refusedTurns. decodeFrame reads
 // the bytes as a shipped frame and decodeRecord reads what follows a
 // frame header as a payload (so a mutated payload reaches the binary
 // decoder even when its checksum no longer matches). Neither may panic,
@@ -60,6 +124,9 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 			f.Add(framelog.Encode(walMagic, p))
 		}
+	}
+	for _, rt := range refusedTurns {
+		f.Add(refusedRecord(f, 1, rt.data))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, err := decodeFrame(data); err == nil {

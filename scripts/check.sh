@@ -73,13 +73,16 @@
 #                      than the span with one value changed),
 #                      FuzzDecodeSessionTree (seeded
 #                      from the chunks of sessionstore's format-v7 and
-#                      tree-v7 fixtures, whole and cut short, and from
-#                      the JSON chunks of v5's, which are refused),
+#                      tree-v7 fixtures, whole and cut short, from
+#                      the JSON chunks of v5's, and from turns chunks
+#                      holding a system turn with an intent code or a
+#                      user turn with code 0, all of which are refused),
 #                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v7 and tree-v7 shard WALs, and from the
-#                      JSON records of format-v4 and tree-v4, which are
-#                      refused; a binary record that decodes must
-#                      encode back to the same bytes),
+#                      format-v7 and tree-v7 shard WALs, from the
+#                      JSON records of format-v4 and tree-v4, and from
+#                      turn records holding either of those two turns,
+#                      which are refused; a binary record that decodes
+#                      must encode back to the same bytes),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
 #                      replica opened on format-v7, seeded from that
 #                      fixture's frames and shard roots and the forged
