@@ -6,13 +6,15 @@
 //
 // Usage:
 //
-//	cdarouter [-addr :8070] [-vnodes 128] [-shards 8]
+//	cdarouter [-addr :8070]
 //	          -member n1=http://127.0.0.1:8081,http://127.0.0.1:8082
 //	          [-member n2=...] [-probe-every 2s] [-catchup-every 10s]
 //	          [-failure-threshold 3] [-max-inflight 0] [-rate 0] [-burst 0]
 //
-// Each -member is name=primaryURL[,replicaURL]; -shards must match
-// the nodes' own -shards flag (placement is a shared constant).
+// Each -member is name=primaryURL[,replicaURL]. The router learns a
+// member's shard count from its nodes' /healthz on the first ship; a
+// primary and replica started with different -shards ship nothing, and
+// the member's /healthz row says why.
 //
 // Endpoints: the three session routes of a cdaserver node (POST
 // /sessions, POST /sessions/{id}/ask, GET /sessions/{id} — listed in
@@ -49,19 +51,17 @@ import (
 	"github.com/reliable-cda/cda/internal/resilience"
 )
 
-// memberSpec is one parsed -member value; the HTTPNode clients are
-// built after flag parsing, when -shards is known.
-type memberSpec struct {
-	name, primary, replica string
+// memberFlags accumulates repeated -member name=primaryURL[,replicaURL]
+// as ring members whose nodes share one HTTP client.
+type memberFlags struct {
+	client  *http.Client
+	members []cluster.Member
 }
 
-// memberFlags accumulates repeated -member name=primaryURL[,replicaURL].
-type memberFlags []memberSpec
-
 func (f *memberFlags) String() string {
-	names := make([]string, len(*f))
-	for i, m := range *f {
-		names[i] = m.name
+	names := make([]string, len(f.members))
+	for i, m := range f.members {
+		names[i] = m.Name
 	}
 	return strings.Join(names, ",")
 }
@@ -84,15 +84,17 @@ func (f *memberFlags) Set(v string) error {
 			return fmt.Errorf("member %s: %q is not an absolute URL", name, u)
 		}
 	}
-	*f = append(*f, memberSpec{name: name, primary: primary, replica: replica})
+	m := cluster.Member{Name: name, Primary: cluster.NewHTTPNode(name+"-primary", primary, f.client)}
+	if replica != "" {
+		m.Replica = cluster.NewHTTPNode(name+"-replica", replica, f.client)
+	}
+	f.members = append(f.members, m)
 	return nil
 }
 
 func main() {
-	var members memberFlags
+	members := memberFlags{client: &http.Client{Timeout: 30 * time.Second}}
 	addr := flag.String("addr", ":8070", "listen address")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member (all routers must agree)")
-	shards := flag.Int("shards", 8, "store shard count on every node (must match the nodes' -shards)")
 	flag.Var(&members, "member", "ring member as name=primaryURL[,replicaURL]; repeatable")
 	probeEvery := flag.Duration("probe-every", 2*time.Second, "primary health-probe interval (0: no probing)")
 	catchupEvery := flag.Duration("catchup-every", 10*time.Second, "background replica catch-up interval (0: ship only after writes)")
@@ -102,27 +104,13 @@ func main() {
 	burst := flag.Float64("burst", 0, "token-bucket burst size (0: max(rate,1))")
 	flag.Parse()
 
-	if len(members) == 0 {
+	if len(members.members) == 0 {
 		log.Fatal("cdarouter: at least one -member is required")
-	}
-
-	httpClient := &http.Client{Timeout: 30 * time.Second}
-	ringMembers := make([]cluster.Member, 0, len(members))
-	for _, spec := range members {
-		m := cluster.Member{
-			Name:    spec.name,
-			Primary: cluster.NewHTTPNode(spec.name+"-primary", spec.primary, *shards, httpClient),
-		}
-		if spec.replica != "" {
-			m.Replica = cluster.NewHTTPNode(spec.name+"-replica", spec.replica, *shards, httpClient)
-		}
-		ringMembers = append(ringMembers, m)
 	}
 
 	clock := resilience.NewWallClock()
 	cfg := cluster.Config{
-		Members:          ringMembers,
-		VNodes:           *vnodes,
+		Members:          members.members,
 		Clock:            clock,
 		FailureThreshold: *failureThreshold,
 	}
@@ -160,8 +148,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("cdarouter listening on %s (%d members, %d vnodes)\n",
-			*addr, len(ringMembers), *vnodes)
+		fmt.Printf("cdarouter listening on %s (%d members)\n", *addr, len(members.members))
 		errc <- hs.ListenAndServe()
 	}()
 

@@ -94,13 +94,18 @@ func newClusterMember(sc ClusterScenario, crash bool) (cluster.Member, *cluster.
 	return cluster.Member{Name: "m1", Primary: pn, Replica: rn}, pn, rn, pinj, rinj, nil
 }
 
-// renderPage renders a transcript page canonically, mirroring
-// sessionstore.Transcript's format plus the staleness stamp, so pages
-// are byte-comparable across runs and across nodes.
+// renderPage renders a transcript page canonically: its staleness
+// stamp, then its turns (turnLines), so pages are byte-comparable across
+// runs and across nodes.
 func renderPage(page server.TranscriptPage) string {
+	return fmt.Sprintf("total=%d offset=%d stale=%t lag=%d source=%s\n",
+		page.Total, page.Offset, page.Stale, page.LagRecords, page.Source) + turnLines(page)
+}
+
+// turnLines renders a page's turns, one line each, confidences in exact
+// shortest form.
+func turnLines(page server.TranscriptPage) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "total=%d offset=%d stale=%t lag=%d source=%s\n",
-		page.Total, page.Offset, page.Stale, page.LagRecords, page.Source)
 	for i, t := range page.Turns {
 		fmt.Fprintf(&sb, "%03d %s", page.Offset+i, t.Role)
 		if t.Role == "user" {

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/faults"
+	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 )
 
@@ -94,100 +94,63 @@ func KillRecover(ctx context.Context, sc KillRecoverScenario) (*KillRecoverResul
 	if err != nil {
 		return nil, fmt.Errorf("chaos: open store: %w", err)
 	}
-	entry, err := st.NewSession()
-	switch {
-	case errors.Is(err, sessionstore.ErrCrashed):
-		// Killed while logging the session's creation: nothing durable.
-		res.Killed = true
-	case err != nil:
+	srv := server.NewWithOptions(sys, nil, 0, server.Options{Store: st})
+	// A torn write while logging the session's creation kills the
+	// process with nothing durable, and leaves the id empty.
+	id, err := srv.CreateSession(ctx)
+	res.SessionID, res.Killed = id, errors.Is(err, sessionstore.ErrCrashed)
+	if err != nil && !res.Killed {
 		return nil, fmt.Errorf("chaos: create session: %w", err)
-	default:
-		res.SessionID = entry.ID
 	}
 	for i := 0; !res.Killed && i < sc.KillAfter; i++ {
-		doErr := entry.Do(func(sess *dialogue.Session) error {
-			if _, rerr := sys.Respond(ctx, sess, turns[i]); rerr != nil {
-				return fmt.Errorf("chaos: turn %d %q: %w", i, turns[i], rerr)
-			}
-			return st.CommitTurn(entry)
-		})
-		if errors.Is(doErr, sessionstore.ErrCrashed) {
-			// The torn write killed the process; the store rolled the
-			// in-memory pair back to the durable prefix.
+		_, err := srv.Ask(ctx, id, turns[i])
+		if errors.Is(err, sessionstore.ErrCrashed) {
+			// The torn write killed the process; the turn never committed.
 			res.Killed = true
 			break
 		}
-		if doErr != nil {
-			return nil, doErr
+		if err != nil {
+			return nil, fmt.Errorf("chaos: turn %d %q: %w", i, turns[i], err)
 		}
 		res.Committed++
 	}
-	if entry != nil {
-		transcriptErr := entry.Do(func(sess *dialogue.Session) error {
-			res.PreCrash = sessionstore.Transcript(sess)
-			return nil
-		})
-		if transcriptErr != nil {
-			return nil, transcriptErr
+	if res.SessionID != "" {
+		if res.PreCrash, err = transcript(ctx, srv, id); err != nil {
+			return nil, err
 		}
 	}
 	// The kill: st is abandoned — never Closed, never compacted.
 
-	// Phase 2: recovery. A fresh process opens the directory; torn
-	// tails truncate, snapshots replay, tombstones hold.
+	// Phase 2: recovery. A fresh process opens the directory (torn tails
+	// truncate, snapshots replay, tombstones hold) with the system the
+	// same seed rebuilds, its rng restarted as a real restart's is, and
+	// no WAL crashes: this process survives.
 	st2, err := sessionstore.Open(sessionstore.Config{
 		Dir: sc.Dir, Shards: 4, SnapshotEvery: sc.SnapshotEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: recover store: %w", err)
 	}
-	entry2 := (*sessionstore.Entry)(nil)
+	sys2, inj2 := newSwissSystem(Scenario{Seed: sc.Seed, Rates: sc.Rates})
+	srv2 := server.NewWithOptions(sys2, nil, 0, server.Options{Store: st2})
 	if res.SessionID != "" {
-		e, status := st2.Get(res.SessionID)
-		if status != sessionstore.Found {
-			return nil, fmt.Errorf("chaos: recovered store lost session %s (status %v)", res.SessionID, status)
+		if res.Recovered, err = transcript(ctx, srv2, id); err != nil {
+			return nil, fmt.Errorf("chaos: recovered store lost session %s: %w", id, err)
 		}
-		entry2 = e
-		recErr := entry2.Do(func(sess *dialogue.Session) error {
-			res.Recovered = sessionstore.Transcript(sess)
-			return nil
-		})
-		if recErr != nil {
-			return nil, recErr
-		}
-	} else {
+	} else if res.SessionID, err = srv2.CreateSession(ctx); err != nil {
 		// Creation itself was killed: the recovered process starts the
 		// conversation from scratch.
-		e, nerr := st2.NewSession()
-		if nerr != nil {
-			return nil, fmt.Errorf("chaos: recreate session: %w", nerr)
-		}
-		entry2 = e
-		res.SessionID = e.ID
+		return nil, fmt.Errorf("chaos: recreate session: %w", err)
 	}
 
-	// Phase 3: the recovered process finishes the dialogue. Same seed
-	// rebuilds the system deterministically (a real restart loses rng
-	// position the same way); WAL crashes are off — this process
-	// survives.
-	sys2, inj2 := newSwissSystem(Scenario{Seed: sc.Seed, Rates: sc.Rates})
+	// Phase 3: the recovered process finishes the dialogue.
 	for i := res.Committed; i < len(turns); i++ {
-		doErr := entry2.Do(func(sess *dialogue.Session) error {
-			if _, rerr := sys2.Respond(ctx, sess, turns[i]); rerr != nil {
-				return fmt.Errorf("chaos: recovered turn %d %q: %w", i, turns[i], rerr)
-			}
-			return st2.CommitTurn(entry2)
-		})
-		if doErr != nil {
-			return nil, doErr
+		if _, err := srv2.Ask(ctx, res.SessionID, turns[i]); err != nil {
+			return nil, fmt.Errorf("chaos: recovered turn %d %q: %w", i, turns[i], err)
 		}
 	}
-	finalErr := entry2.Do(func(sess *dialogue.Session) error {
-		res.Final = sessionstore.Transcript(sess)
-		return nil
-	})
-	if finalErr != nil {
-		return nil, finalErr
+	if res.Final, err = transcript(ctx, srv2, res.SessionID); err != nil {
+		return nil, err
 	}
 	if err := st2.Close(); err != nil {
 		return nil, fmt.Errorf("chaos: close recovered store: %w", err)
@@ -210,4 +173,11 @@ func KillRecover(ctx context.Context, sc KillRecoverScenario) (*KillRecoverResul
 	}
 	res.Transcript = sb.String()
 	return res, nil
+}
+
+// transcript renders a session's whole committed transcript as
+// renderPage renders a page's turns.
+func transcript(ctx context.Context, srv *server.Server, id string) (string, error) {
+	page, err := srv.Transcript(ctx, id, 0, server.MaxPageLimit, false)
+	return turnLines(page), err
 }

@@ -9,9 +9,9 @@ import (
 	"github.com/reliable-cda/cda/internal/faults"
 )
 
-// turnHeader matches the "NNN role" prefix sessionstore.Transcript
-// gives each turn; answer bodies may hold newlines, so counting these
-// is the only safe way to count turns in a rendered transcript.
+// turnHeader matches the "NNN role" prefix turnLines gives each turn;
+// answer bodies may hold newlines, so counting these is the only safe
+// way to count turns in a rendered transcript.
 var turnHeader = regexp.MustCompile(`(?m)^[0-9]{3} `)
 
 func countTurns(transcript string) int {

@@ -18,11 +18,11 @@ import (
 
 func TestRingDeterministicPlacement(t *testing.T) {
 	members := []string{"n2", "n1", "n3"}
-	r1, err := NewRing(members, 64)
+	r1, err := NewRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing([]string{"n3", "n2", "n1"}, 64) // order must not matter
+	r2, err := NewRing([]string{"n3", "n2", "n1"}) // order must not matter
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestRingDeterministicPlacement(t *testing.T) {
 }
 
 func TestRingStabilityUnderMembershipChange(t *testing.T) {
-	r3, err := NewRing([]string{"n1", "n2", "n3"}, 64)
+	r3, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing([]string{"n1", "n2"}, 64)
+	r2, err := NewRing([]string{"n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestRingStabilityUnderMembershipChange(t *testing.T) {
 }
 
 func TestRingRejectsBadMembers(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate member accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty member name accepted")
 	}
 }

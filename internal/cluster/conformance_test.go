@@ -64,8 +64,8 @@ func newWorld(t *testing.T, routed bool) *world {
 	w.primary, w.replica = node("n1-primary", w.adm), node("n1-replica", nil)
 	var err error
 	w.router, err = NewRouter(Config{Clock: w.clock, Members: []Member{{Name: "n1",
-		Primary: NewHTTPNode("n1-primary", w.primary.URL, confShards, nil),
-		Replica: NewHTTPNode("n1-replica", w.replica.URL, confShards, nil)}}})
+		Primary: NewHTTPNode("n1-primary", w.primary.URL, nil),
+		Replica: NewHTTPNode("n1-replica", w.replica.URL, nil)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestNodeClientsRefuseAlike(t *testing.T) {
 			var said [2]*server.Error
 			for i, n := range []NodeClient{
 				NewLocalNode("local", store(), testSystem(1)),
-				NewHTTPNode("http", ts.URL, confShards, nil),
+				NewHTTPNode("http", ts.URL, nil),
 			} {
 				if err := n.CreateSession(ctx, "s1"); err != nil {
 					t.Fatal(err)
@@ -702,7 +702,7 @@ func (r shipRow) run(t *testing.T, overHTTP bool) (int, []byte) {
 	node := func(name string, st *sessionstore.Store) NodeClient {
 		ts := httptest.NewServer(server.NewWithOptions(nil, nil, 0, server.Options{Store: st, NodeName: name}).Handler())
 		t.Cleanup(ts.Close)
-		return NewHTTPNode(name, ts.URL, confShards, &http.Client{Transport: last})
+		return NewHTTPNode(name, ts.URL, &http.Client{Transport: last})
 	}
 	_, _ = r.call(ctx, t, w, node("n1-primary", w.primary), node("n1-replica", w.replica))
 	return last.status, last.body

@@ -25,26 +25,20 @@ import (
 type HTTPNode struct {
 	name   string
 	base   string
-	shards int
 	client *http.Client
 }
 
 // NewHTTPNode builds a client for the node at base (e.g.
-// "http://127.0.0.1:8081"). shards is the node's store shard count —
-// the operator-configured placement constant every node and router
-// must agree on. A nil client uses http.DefaultClient.
-func NewHTTPNode(name, base string, shards int, client *http.Client) *HTTPNode {
+// "http://127.0.0.1:8081"). A nil client uses http.DefaultClient.
+func NewHTTPNode(name, base string, client *http.Client) *HTTPNode {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &HTTPNode{name: name, base: strings.TrimRight(base, "/"), shards: shards, client: client}
+	return &HTTPNode{name: name, base: strings.TrimRight(base, "/"), client: client}
 }
 
 // Name implements NodeClient.
 func (n *HTTPNode) Name() string { return n.name }
-
-// Shards implements NodeClient.
-func (n *HTTPNode) Shards() int { return n.shards }
 
 // do runs one request, decoding a 2xx JSON body into out (skipped
 // when out is nil) and every other status through the server's

@@ -30,8 +30,6 @@ var ErrNodeDown = fmt.Errorf("cluster: node unreachable: %w", server.ErrUnavaila
 type NodeClient interface {
 	// Name identifies the node in health reports and stale stamps.
 	Name() string
-	// Shards is the node's store shard count (placement protocol).
-	Shards() int
 	// CreateSession creates a session under the router-chosen id.
 	CreateSession(ctx context.Context, id string) error
 	// Ask runs one turn against a session and commits it durably.
@@ -132,9 +130,6 @@ func gated[T any](ctx context.Context, n *LocalNode, call func() (T, error)) (T,
 
 // Name implements NodeClient.
 func (n *LocalNode) Name() string { return n.name }
-
-// Shards implements NodeClient.
-func (n *LocalNode) Shards() int { return n.Store().Shards() }
 
 // CreateSession implements NodeClient.
 func (n *LocalNode) CreateSession(ctx context.Context, id string) error {

@@ -20,10 +20,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member: enough points
-// that removing or adding one member moves only ~1/N of the key space,
-// while the ring stays tiny (N*128 points).
-const DefaultVNodes = 128
+// vnodes is the virtual-node count per member: enough points that
+// removing or adding one member moves only ~1/N of the key space, while
+// the ring stays tiny (N*128 points). Routers that counted differently
+// would place a session on different members, so it is a constant.
+const vnodes = 128
 
 // ringPoint is one virtual node: a hash position owned by a member.
 type ringPoint struct {
@@ -32,7 +33,7 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash ring over member names. Placement is a
-// pure function of (members, vnodes, key) — no construction-order or
+// pure function of (members, key) — no construction-order or
 // map-iteration dependence — so every router instance in a deployment
 // and every run of a seeded test agrees on where a session lives.
 type Ring struct {
@@ -41,14 +42,10 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given member names (order
-// irrelevant; names must be unique and non-empty). vnodes <= 0 takes
-// DefaultVNodes.
-func NewRing(members []string, vnodes int) (*Ring, error) {
+// irrelevant; names must be unique and non-empty).
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)

@@ -28,10 +28,6 @@ type Member struct {
 type Config struct {
 	// Members are the ring members (at least one; names unique).
 	Members []Member
-	// VNodes is the virtual-node count per member (DefaultVNodes if
-	// zero) — placement changes with it, so every router in a
-	// deployment must agree.
-	VNodes int
 	// Clock drives the failover breakers and admission buckets; nil
 	// defaults to a VirtualClock (tests). Production passes
 	// resilience.NewWallClock().
@@ -57,6 +53,7 @@ type member struct {
 
 	mu       sync.Mutex
 	promoted bool
+	shards   int           // the pair's shard count, once both nodes reported it alike
 	cursors  map[int]int64 // router's view of the replica's per-shard cursor
 	shipErr  error         // most recent replication failure (cleared on success)
 }
@@ -118,7 +115,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		names = append(names, mm.Name)
 	}
 	sort.Strings(names)
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +284,42 @@ func (r *Router) shipAfterWrite(ctx context.Context, m *member, id string) {
 	if m.Replica == nil || m.isPromoted() {
 		return
 	}
-	shard := sessionstore.ShardIndexFor(id, m.Primary.Shards())
-	err := r.shipShard(ctx, m, shard)
+	shards, err := r.shardCount(ctx, m)
+	if err == nil {
+		err = r.shipShard(ctx, m, sessionstore.ShardIndexFor(id, shards))
+	}
 	m.mu.Lock()
 	m.shipErr = err
 	m.mu.Unlock()
+}
+
+// shardCount is the shard count of the member's primary and replica,
+// read from their health reports on the member's first ship and kept.
+// A pair that shards differently would file a session under another
+// shard on each side, so nothing ships: the error names both counts.
+func (r *Router) shardCount(ctx context.Context, m *member) (int, error) {
+	m.mu.Lock()
+	shards := m.shards
+	m.mu.Unlock()
+	if shards > 0 {
+		return shards, nil
+	}
+	prep, err := m.Primary.Health(ctx)
+	if err != nil {
+		return 0, err
+	}
+	rrep, err := m.Replica.Health(ctx)
+	if err != nil {
+		return 0, err
+	}
+	if shards = len(prep.Shards); shards != len(rrep.Shards) {
+		return 0, fmt.Errorf("cluster: member %s: primary %s has %d shards, replica %s has %d; nothing ships between them",
+			m.Name, m.Primary.Name(), shards, m.Replica.Name(), len(rrep.Shards))
+	}
+	m.mu.Lock()
+	m.shards = shards
+	m.mu.Unlock()
+	return shards, nil
 }
 
 // shipStep is one bounded catch-up step for one shard: pull at most
@@ -403,7 +431,8 @@ func (r *Router) resyncCursor(ctx context.Context, m *member, shard int) error {
 
 // CatchUp ships every shard of one member until its replica matches
 // the primary's cursor — the heal path after a partition. It does
-// nothing for a member without a replica or one already promoted.
+// nothing for a member without a replica, one already promoted, or a
+// pair that shards differently (shardCount).
 func (r *Router) CatchUp(ctx context.Context, name string) error {
 	m, ok := r.members[name]
 	if !ok {
@@ -412,13 +441,14 @@ func (r *Router) CatchUp(ctx context.Context, name string) error {
 	if m.Replica == nil || m.isPromoted() {
 		return nil
 	}
-	var errs []error
-	for shard := 0; shard < m.Primary.Shards(); shard++ {
+	shards, err := r.shardCount(ctx, m)
+	errs := []error{err}
+	for shard := 0; shard < shards; shard++ {
 		if err := r.shipShard(ctx, m, shard); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
 		}
 	}
-	err := errors.Join(errs...)
+	err = errors.Join(errs...)
 	m.mu.Lock()
 	m.shipErr = err
 	m.mu.Unlock()
@@ -431,7 +461,8 @@ func (r *Router) CatchUp(ctx context.Context, name string) error {
 // partition-heal chaos scenario uses to observe a replica mid-catch-up.
 // A member without a replica, or one already promoted, reports caught
 // up and ships nothing: its replica serves the member now, and frames
-// pulled from the deposed primary would fork its transcripts.
+// pulled from the deposed primary would fork its transcripts; nor does
+// a pair that shards differently (shardCount).
 func (r *Router) ShipStep(ctx context.Context, name string, shard, maxFrames int) (caughtUp bool, err error) {
 	m, ok := r.members[name]
 	if !ok {
@@ -439,6 +470,9 @@ func (r *Router) ShipStep(ctx context.Context, name string, shard, maxFrames int
 	}
 	if m.Replica == nil || m.isPromoted() {
 		return true, nil
+	}
+	if _, err := r.shardCount(ctx, m); err != nil {
+		return false, err
 	}
 	if maxFrames <= 0 {
 		maxFrames = shipMax

@@ -1,6 +1,6 @@
 // Package faults is the deterministic, seeded chaos injector behind
 // the repo's resilience guarantees. Backends (sqldb execution,
-// vector/text/embed search, nlmodel generation, storage lookups)
+// text and embedding search, nlmodel generation, storage lookups)
 // expose small hook interfaces; an Injector wired into those hooks
 // draws per-backend error, latency, and corruption faults from one
 // seeded rand.Rand. Everything is deterministic: the same seed and

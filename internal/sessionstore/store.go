@@ -44,7 +44,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -243,6 +242,10 @@ func NewMemory(cfg Config) *Store {
 	return st
 }
 
+// ErrShardCount refuses a data directory laid out under another shard
+// count, where a session would be looked for in the wrong shard.
+var ErrShardCount = errors.New("sessionstore: the data directory has another shard count")
+
 // Open builds a store over cfg.Dir, recovering every shard: the head
 // of its shard root first, then the WAL replayed over it, torn tail
 // truncated. The same pass is the version journal's redo: a session
@@ -250,12 +253,15 @@ func NewMemory(cfg Config) *Store {
 // unflushed tail to a power cut — gets its version committed again,
 // after the checkpoint and after each replayed turn record (replay). A
 // directory holding a shard-NN.snap or a WAL of JSON records is a
-// *vstore.FormatError, found before anything is opened or created in it.
+// *vstore.FormatError, and one laid out under another shard count is
+// ErrShardCount; both are found before anything in it changes.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{cfg: cfg, clock: cfg.Clock, shards: make([]*shard, cfg.Shards)}
+	dirShards := 0
 	if cfg.Dir != "" {
-		if err := refuseOlderFormats(cfg.Dir); err != nil {
+		var err error
+		if dirShards, err = checkLayout(cfg.Dir, cfg.Shards); err != nil {
 			return nil, err
 		}
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -281,91 +287,147 @@ func Open(cfg Config) (*Store, error) {
 			tombstones: map[string]bool{},
 			snapEvery:  cfg.SnapshotEvery,
 		}
-		sh := st.shards[i]
-		if cfg.Dir == "" {
-			continue
+	}
+	if cfg.Dir == "" {
+		return st, nil
+	}
+	// Every shard root is read, and its sessions' placement checked,
+	// before any shard loads: loading one can change the directory.
+	roots, snaps := make([]vstore.Hash, cfg.Shards), make([]snapshot, cfg.Shards)
+	for i := range st.shards {
+		var err error
+		if roots[i], snaps[i], err = readRoot(st.cfg.Versions, i, cfg.Shards, dirShards); err != nil {
+			return nil, st.abandon(err)
 		}
+	}
+	for i, sh := range st.shards {
 		// Nothing else can reach the shard yet; its lock is held so the
 		// helpers it shares with serving run under the lock they document.
 		sh.mu.Lock()
-		err := sh.load(cfg, st.clock.Now())
+		err := sh.load(cfg, roots[i], snaps[i], st.clock.Now())
 		maxNum := sh.maxNum
 		sh.mu.Unlock()
 		if err != nil {
-			if st.ownsVersions {
-				err = errors.Join(err, st.cfg.Versions.Close())
-			}
-			return nil, err
+			return nil, st.abandon(err)
 		}
 		st.nextNum = max(st.nextNum, maxNum)
 	}
 	return st, nil
 }
 
-// refuseOlderFormats fails with a *vstore.FormatError if dir holds a
-// shard-NN.snap, the JSON checkpoint older stores wrote, or a
-// shard-NN.wal with a whole frame of the JSON records they logged; a dir
-// that is not there holds neither. It reads the WALs before the log
-// opens them, since the log would take such a frame for a torn tail and
-// truncate it, acknowledged turns and all.
-func refuseOlderFormats(dir string) error {
+// abandon closes what a failed Open opened, every WAL and a version
+// store it owns, and returns err joined with what closing them said.
+func (s *Store) abandon(err error) error {
+	errs := []error{err}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		if sh.wal != nil {
+			errs = append(errs, sh.wal.Close())
+		}
+		sh.mu.Unlock()
+	}
+	if s.ownsVersions {
+		errs = append(errs, s.cfg.Versions.Close())
+	}
+	return errors.Join(errs...)
+}
+
+// walPath is shard's WAL in dir.
+func walPath(dir string, shard int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%02d.wal", shard))
+}
+
+// checkLayout reads dir before anything opens in it and returns the
+// shard count its WALs were written under: every shard's WAL is created
+// at Open, so one more than the highest. A shard-NN.snap, the JSON
+// checkpoint older stores wrote, or a WAL with a whole frame of the
+// JSON records they logged is a *vstore.FormatError; a WAL at or beyond
+// shards, or a record of a session that belongs in another shard under
+// shards, is ErrShardCount. The log would take an old frame for a torn
+// tail and truncate it, acknowledged turns and all, so this runs first.
+func checkLayout(dir string, shards int) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("sessionstore: read data dir: %w", err)
+		return 0, fmt.Errorf("sessionstore: read data dir: %w", err)
 	}
+	dirShards := 0
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "shard-") {
-			continue
+		name, n := e.Name(), 0
+		if strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".snap") {
+			return 0, &vstore.FormatError{Path: filepath.Join(dir, name), Format: "a JSON shard snapshot"}
 		}
-		path := filepath.Join(dir, name)
-		if strings.HasSuffix(name, ".snap") {
-			return &vstore.FormatError{Path: path, Format: "a JSON shard snapshot"}
+		if _, err := fmt.Sscanf(name, "shard-%d.wal", &n); err == nil && walPath(dir, n) == filepath.Join(dir, name) {
+			dirShards = max(dirShards, n+1)
 		}
-		if !strings.HasSuffix(name, ".wal") {
-			continue
-		}
+	}
+	if dirShards > shards {
+		return 0, fmt.Errorf("%w: %s was written under %d shards, not %d", ErrShardCount, walPath(dir, dirShards-1), dirShards, shards)
+	}
+	for i := range dirShards {
+		path := walPath(dir, i)
 		raw, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("sessionstore: read %s: %w", path, err)
+		if err != nil && !os.IsNotExist(err) {
+			return 0, fmt.Errorf("sessionstore: read %s: %w", path, err)
 		}
 		payloads, _ := framelog.Scan(walMagic, raw)
 		off := 0
 		for _, p := range payloads {
-			var old *vstore.FormatError
-			if _, err := decodeRecord(p); errors.As(err, &old) {
+			rec, err := decodeRecord(p)
+			if old := (*vstore.FormatError)(nil); errors.As(err, &old) {
 				old.Path, old.Format = path, fmt.Sprintf("%s (the frame at offset %d)", old.Format, off)
-				return old
+				return 0, old
+			}
+			if err == nil && ShardIndexFor(rec.ID, shards) != i {
+				return 0, misplaced(rec.ID, path, shards, dirShards)
 			}
 			off += framelog.HeaderSize + len(p)
 		}
 	}
-	return nil
+	return dirShards, nil
 }
 
-// load recovers the shard from cfg.Dir: the head of its shard root —
-// nothing on a fresh shard — with every loaded session's version kept,
-// then the WAL replayed over it. A record at or below the root's ship
-// sequence is one the root holds — a crash came between a compaction's
-// root commit and its WAL reset — and is neither replayed nor counted;
-// a WAL the root holds entirely is reset here. Every other record must
-// extend the cursor by one. Caller holds sh.mu.
-func (sh *shard) load(cfg Config, now time.Duration) error {
-	var snap snapshot
-	head, err := sh.versions.Head(ShardRoot(sh.idx))
-	if err == nil {
-		if snap, err = decodeShardTree(sh.versions, head.Tree); err != nil {
-			return fmt.Errorf("sessionstore: load shard %d root: %w", sh.idx, err)
+// misplaced is the ErrShardCount for session id, found in where.
+func misplaced(id, where string, shards, dirShards int) error {
+	return fmt.Errorf("%w: session %s in %s was written under %d shards; under %d it belongs in shard %d",
+		ErrShardCount, id, where, dirShards, shards, ShardIndexFor(id, shards))
+}
+
+// readRoot returns the head of shard's root in vs and the state its tree
+// holds, neither on a fresh shard, and is ErrShardCount when a session
+// in it belongs in another shard under shards.
+func readRoot(vs *vstore.Store, shard, shards, dirShards int) (vstore.Hash, snapshot, error) {
+	head, err := vs.Head(ShardRoot(shard))
+	if errors.Is(err, vstore.ErrUnknownRoot) {
+		return "", snapshot{}, nil
+	} else if err != nil {
+		return "", snapshot{}, err
+	}
+	snap, err := decodeShardTree(vs, head.Tree)
+	if err != nil {
+		return "", snapshot{}, fmt.Errorf("sessionstore: load shard %d root: %w", shard, err)
+	}
+	for _, ss := range snap.Sessions {
+		if ShardIndexFor(ss.ID, shards) != shard {
+			return "", snapshot{}, misplaced(ss.ID, "shard root "+ShardRoot(shard), shards, dirShards)
 		}
-	} else if !errors.Is(err, vstore.ErrUnknownRoot) {
+	}
+	return head.Hash, snap, nil
+}
+
+// load recovers the shard from cfg.Dir: snap, the state of its shard
+// root's head root — nothing on a fresh shard — with every loaded
+// session's version kept, then the WAL replayed over it. A record at or
+// below the root's ship sequence is one the root holds — a crash came
+// between a compaction's root commit and its WAL reset — and is neither
+// replayed nor counted; a WAL the root holds entirely is reset here.
+// Every other record must extend the cursor by one. Caller holds sh.mu.
+func (sh *shard) load(cfg Config, root vstore.Hash, snap snapshot, now time.Duration) error {
+	if err := sh.installRoot(root, snap, now); err != nil {
 		return err
 	}
-	if err := sh.installRoot(head.Hash, snap, now); err != nil {
-		return err
-	}
-	path := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d.wal", sh.idx))
+	path := walPath(cfg.Dir, sh.idx)
 	covered := false // the WAL holds records the root already holds
-	var gap error
+	var gap, err error
 	sh.wal, err = framelog.Open(path, walMagic,
 		framelog.Options{Op: "wal.append", Faults: cfg.Faults},
 		func(frame, payload []byte) bool {
@@ -389,7 +451,7 @@ func (sh *shard) load(cfg Config, now time.Duration) error {
 	switch {
 	case err != nil:
 	case gap != nil:
-		err = errors.Join(gap, sh.wal.Close())
+		err = gap
 	case covered && len(sh.tail) == 0:
 		err = sh.wal.Reset()
 	}
@@ -842,24 +904,4 @@ func (s *Store) Close() error {
 		errs = append(errs, s.cfg.Versions.Close())
 	}
 	return errors.Join(errs...)
-}
-
-// Transcript renders a session's transcript canonically — one line
-// per turn, confidences in exact shortest form — so recovery tests
-// can assert byte identity between pre-crash and recovered state.
-// Callers synchronize access themselves (Entry.Do).
-func Transcript(sess *dialogue.Session) string {
-	var sb strings.Builder
-	for i, t := range sess.Turns {
-		fmt.Fprintf(&sb, "%03d %s", i, t.Role)
-		if t.Role == dialogue.RoleUser {
-			fmt.Fprintf(&sb, " intent=%s", t.Intent)
-		} else {
-			fmt.Fprintf(&sb, " conf=%s", strconv.FormatFloat(t.Confidence, 'g', -1, 64))
-		}
-		sb.WriteString(" | ")
-		sb.WriteString(t.Text)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,26 @@ func commitPair(t *testing.T, st *Store, e *Entry, q, a string, conf float64) {
 	if err != nil {
 		t.Fatalf("commit %q: %v", q, err)
 	}
+}
+
+// Transcript renders a session's transcript canonically — one line
+// per turn, confidences in exact shortest form — so recovery tests
+// can assert byte identity between pre-crash and recovered state.
+// Callers synchronize access themselves (Entry.Do).
+func Transcript(sess *dialogue.Session) string {
+	var sb strings.Builder
+	for i, t := range sess.Turns {
+		fmt.Fprintf(&sb, "%03d %s", i, t.Role)
+		if t.Role == dialogue.RoleUser {
+			fmt.Fprintf(&sb, " intent=%s", t.Intent)
+		} else {
+			fmt.Fprintf(&sb, " conf=%s", strconv.FormatFloat(t.Confidence, 'g', -1, 64))
+		}
+		sb.WriteString(" | ")
+		sb.WriteString(t.Text)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 func transcriptOf(t *testing.T, e *Entry) string {

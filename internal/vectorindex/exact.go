@@ -6,9 +6,6 @@ type Exact struct {
 	distCounter
 	data []Vector
 	dim  int
-	// Faults, when non-nil, injects deterministic chaos faults into
-	// searches.
-	Faults FaultHook
 }
 
 // NewExact indexes the given vectors; IDs are their positions.
@@ -25,11 +22,6 @@ func (e *Exact) Len() int { return len(e.data) }
 
 // Search scans every vector.
 func (e *Exact) Search(q Vector, k int) ([]Neighbor, error) {
-	if e.Faults != nil {
-		if err := e.Faults.Inject("vectorindex.search"); err != nil {
-			return nil, err
-		}
-	}
 	if len(e.data) == 0 {
 		return nil, ErrEmpty
 	}

@@ -27,9 +27,6 @@ type IVF struct {
 	dim       int
 	centroids []Vector
 	lists     [][]int
-	// Faults, when non-nil, injects deterministic chaos faults into
-	// searches.
-	Faults FaultHook
 }
 
 // NewIVF trains the coarse quantizer with seeded k-means and assigns
@@ -177,11 +174,6 @@ func (ivf *IVF) orderedLists(q Vector) []int {
 
 // Search probes the nearest Probe lists and ranks their members.
 func (ivf *IVF) Search(q Vector, k int) ([]Neighbor, error) {
-	if ivf.Faults != nil {
-		if err := ivf.Faults.Inject("vectorindex.search"); err != nil {
-			return nil, err
-		}
-	}
 	if len(ivf.data) == 0 {
 		return nil, ErrEmpty
 	}

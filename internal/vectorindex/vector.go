@@ -25,14 +25,6 @@ import (
 // Vector is a dense embedding.
 type Vector []float32
 
-// FaultHook is the chaos-injection seam (see internal/faults): when
-// wired into an index it is consulted at the top of every Search and
-// may return an injected transient error or add latency. Production
-// deployments leave it nil.
-type FaultHook interface {
-	Inject(op string) error
-}
-
 // ErrDimension is returned when a query's dimensionality does not
 // match the indexed data.
 var ErrDimension = errors.New("vectorindex: dimension mismatch")

@@ -42,12 +42,13 @@
 #                      sessionstore part — the power-cut and
 #                      dead-journal tests, which hold a shard's lock
 #                      and the version store's together — and the ship
-#                      loop and node routes that drive it (server,
-#                      cluster, chaos) also run on every push and PR
-#                      (check.yml build-test: go test -race
-#                      ./internal/framelog ./internal/vstore
+#                      loop, catch-up loop and node routes that drive it
+#                      (server, cluster, chaos, cmd/cdarouter) also run
+#                      on every push and PR (check.yml build-test: go
+#                      test -race ./internal/framelog ./internal/vstore
 #                      ./internal/sessionstore ./internal/server
-#                      ./internal/cluster ./internal/chaos, ~1 min),
+#                      ./internal/cluster ./internal/chaos
+#                      ./cmd/cdarouter, ~1 min),
 #                      since tier-1 has no -race. FuzzScan, FuzzJournalOpen
 #                      (arbitrary journals, seeded from the fixture
 #                      journals and retention-v7's set records: a
