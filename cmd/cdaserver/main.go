@@ -129,11 +129,11 @@ func main() {
 		}
 		store = st
 		log.Printf("cdaserver: durable sessions in %s (%d shards, compaction every %d)",
-			*dataDir, *shards, *snapshotEvery)
+			*dataDir, st.Shards(), *snapshotEvery)
 	}
 	cfg.Versions = store.Versions()
 	adm := admission.New(admission.Config{
-		Shards:      *shards,
+		Shards:      store.Shards(),
 		MaxInflight: *maxInflight,
 		Rate:        *rate,
 		Burst:       *burst,

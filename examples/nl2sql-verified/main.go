@@ -24,10 +24,14 @@ func main() {
 	gold := sqldb.NewEngine(w.DB)
 
 	const noise = 0.15
-	configure := func(tr *nl2sql.Translator, opts nl2sql.Options) {
+	translator := func(opts nl2sql.Options) *nl2sql.Translator {
+		tr := nl2sql.NewTranslator(w.DB, grounder, 0)
 		tr.Channel = nlmodel.Channel{HallucinationRate: noise, Fabrications: w.Fabrications}
 		tr.Options = opts
+		return tr
 	}
+	base := translator(nl2sql.Options{Samples: 1, MaxRepairAttempts: 1})
+	full := translator(nl2sql.DefaultOptions())
 
 	for i, qa := range w.Pairs {
 		fmt.Printf("Q%d: %s\n", i+1, qa.Question)
@@ -36,16 +40,14 @@ func main() {
 			log.Fatal(err)
 		}
 
-		base := nl2sql.NewTranslator(w.DB, grounder, int64(i))
-		configure(base, nl2sql.Options{Samples: 1, MaxRepairAttempts: 1})
+		base.Seed = int64(i)
 		b, err := base.Translate(qa.Question)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  baseline:  %s\n             -> %s\n", b.SQL, verdict(b, goldRes))
 
-		full := nl2sql.NewTranslator(w.DB, grounder, int64(i))
-		configure(full, nl2sql.DefaultOptions())
+		full.Seed = int64(i)
 		f, err := full.Translate(qa.Question)
 		if err != nil {
 			log.Fatal(err)

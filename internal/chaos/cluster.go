@@ -158,11 +158,14 @@ func ClusterKillRecover(ctx context.Context, sc ClusterScenario) (*ClusterKillRe
 	res := &ClusterKillResult{}
 
 	// Session creation can itself be torn; the retry lands on the
-	// promoted replica and the dialogue starts there.
-	id, err := router.CreateSession(ctx)
+	// promoted replica and the dialogue starts there. The ids are
+	// fixed, so a seed renders the same transcript in every run.
+	id := "c000001"
+	err = router.CreateSessionWithID(ctx, id)
 	if errors.Is(err, cluster.ErrNodeDown) {
 		res.TornKill = true
-		id, err = router.CreateSession(ctx)
+		id = "c000002"
+		err = router.CreateSessionWithID(ctx, id)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("chaos: create cluster session: %w", err)
@@ -353,8 +356,8 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 		return nil, fmt.Errorf("chaos: build router: %w", err)
 	}
 	res := &ClusterPartitionResult{}
-	id, err := router.CreateSession(ctx)
-	if err != nil {
+	id := "c000001" // fixed, like ClusterKillRecover's
+	if err := router.CreateSessionWithID(ctx, id); err != nil {
 		return nil, fmt.Errorf("chaos: create cluster session: %w", err)
 	}
 	res.SessionID = id

@@ -96,12 +96,14 @@ func (w *world) do(method, url, body string) (*http.Response, []byte) {
 	return resp, data
 }
 
-// create makes a session through the front door.
+// create makes a session through the front door. It names the id, so
+// the session sits in the same shard behind either door and a refusal
+// that names its shard reads alike.
 func (w *world) create() string {
 	w.t.Helper()
-	resp, body := w.do("POST", w.front+"/sessions", "")
+	resp, body := w.do("POST", w.front+"/sessions", `{"id":"c000001"}`)
 	var out struct{ ID string }
-	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusCreated || out.ID == "" {
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusCreated || out.ID != "c000001" {
 		w.t.Fatalf("setup create: %d %s", resp.StatusCode, body)
 	}
 	return out.ID

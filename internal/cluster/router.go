@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/reliable-cda/cda/internal/admission"
 	"github.com/reliable-cda/cda/internal/resilience"
@@ -81,11 +81,9 @@ func (m *member) isPromoted() bool {
 // concurrent use.
 type Router struct {
 	ring    *Ring
-	clock   resilience.Clock
 	members map[string]*member
 	names   []string // sorted, for deterministic iteration
 	cluster *admission.Controller
-	nextID  atomic.Int64
 }
 
 // NewRouter builds a router over the members.
@@ -119,7 +117,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{ring: ring, clock: clock, members: members, names: names}
+	r := &Router{ring: ring, members: members, names: names}
 	if cfg.ClusterAdmission != nil {
 		acfg := *cfg.ClusterAdmission
 		acfg.Shards = 1
@@ -186,12 +184,41 @@ func (r *Router) recordOutcome(m *member, err error) {
 	}
 }
 
-// CreateSession allocates a cluster-wide session id and places it.
-// The id is chosen by the router (not the node) so every later
-// request routes from the id alone.
+// idAlphabet is lowercase base-32: a–z and 2–7, so no drawn id can
+// equal a digits-only one such as "c000001".
+const idAlphabet = "abcdefghijklmnopqrstuvwxyz234567"
+
+// idDraws bounds how many drawn ids CreateSession tries when the
+// owning node already holds one.
+const idDraws = 8
+
+// CreateSession draws a cluster-wide session id and places it. The id
+// is chosen by the router (not the node) so every later request
+// routes from the id alone. It is "c" plus six characters of
+// idAlphabet from crypto/rand (30 bits), so a restarted router, or a
+// second one in front of the same nodes, does not hand out the ids
+// its members already hold; a draw the node refuses as taken is drawn
+// again.
 func (r *Router) CreateSession(ctx context.Context) (string, error) {
-	id := fmt.Sprintf("c%06d", r.nextID.Add(1))
-	return id, r.CreateSessionWithID(ctx, id)
+	var err error
+	for i := 0; i < idDraws; i++ {
+		var b [6]byte
+		if _, err = rand.Read(b[:]); err != nil {
+			return "", fmt.Errorf("cluster: draw a session id: %w", err)
+		}
+		id := []byte{'c'}
+		for _, x := range b {
+			id = append(id, idAlphabet[x%32])
+		}
+		err = r.CreateSessionWithID(ctx, string(id))
+		if err == nil {
+			return string(id), nil
+		}
+		if !errors.Is(err, server.ErrConflict) {
+			return "", err
+		}
+	}
+	return "", err
 }
 
 // CreateSessionWithID places id on the ring and creates the session

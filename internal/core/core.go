@@ -70,8 +70,9 @@ type Config struct {
 	// DisableGrounding turns off the grounding layer (E3/E8
 	// ablation).
 	DisableGrounding bool
-	// DisableProvenance turns off provenance capture (E4/E8
-	// ablation).
+	// DisableProvenance drops the answer's provenance graph before
+	// it is finalized (E4/E8 ablation), so the answer cites no sources
+	// and no losslessness check runs.
 	DisableProvenance bool
 	// DisableVerification turns off NL2SQL execution verification
 	// (E8 ablation).
@@ -91,8 +92,11 @@ type Config struct {
 	// chain then pins not just which tables, but which VERSION of them.
 	Versions *vstore.Store
 	// Faults, when non-nil, is the deterministic chaos injector
-	// attached to every backend the system constructs (see
-	// internal/faults). Leave nil in production.
+	// attached to the backends the system constructs (see
+	// internal/faults): the translator's NL-model generation and the
+	// degradation ladder's dense and text indexes. The caller's DB
+	// (storage.Database.Faults) is armed by the caller. Leave nil in
+	// production.
 	Faults FaultInjector
 }
 
@@ -138,7 +142,6 @@ type Answer struct {
 type System struct {
 	cfg        Config
 	grounder   *ground.Grounder
-	engine     *sqldb.Engine
 	translator *nl2sql.Translator
 	guide      *guidance.Graph
 	combiner   uncertainty.Combiner
@@ -191,8 +194,6 @@ func New(cfg Config) *System {
 		s.grounder = ground.NewGrounder(cfg.KG, cfg.DB, cfg.Vocab)
 	}
 	if cfg.DB != nil {
-		s.engine = sqldb.NewEngine(cfg.DB)
-		s.engine.CaptureProvenance = !cfg.DisableProvenance
 		s.translator = nl2sql.NewTranslator(cfg.DB, s.grounder, cfg.Seed)
 		s.translator.Channel = nlmodel.Channel{
 			HallucinationRate: cfg.HallucinationRate,
@@ -214,18 +215,11 @@ func New(cfg Config) *System {
 		// Thread the chaos seam through every backend this system
 		// constructed. The caller's DB and catalog are shared objects;
 		// the harness decides whether to fault those.
-		if s.engine != nil {
-			s.engine.Faults = cfg.Faults
-		}
 		if s.translator != nil {
 			s.translator.Faults = cfg.Faults
 		}
-		if s.fallbackDense != nil {
-			s.fallbackDense.Faults = cfg.Faults
-		}
-		if s.fallbackText != nil {
-			s.fallbackText.Faults = cfg.Faults
-		}
+		s.fallbackDense.Faults = cfg.Faults
+		s.fallbackText.Faults = cfg.Faults
 	}
 	s.guide = guidance.NewGraph()
 	seedGuidance(s.guide)

@@ -42,6 +42,17 @@ func RunE5(n int, hallucination float64, seed int64) (*E5Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	raw := nlmodel.RawConfidence{Base: 0.9, Noise: 0.04}
 
+	// Scheme 1's translator is the generation-only system — a single
+	// unchecked sample, raw self-reported confidence independent of
+	// truth (the paper's "relying solely on an LLM" case); scheme 2's
+	// is the verified pipeline.
+	channel := nlmodel.Channel{HallucinationRate: hallucination, Fabrications: w.Fabrications}
+	baseTr := nl2sql.NewTranslator(w.DB, grounder, seed)
+	baseTr.Channel = channel
+	baseTr.Options = nl2sql.Options{UseGrounding: true, Samples: 1, MaxRepairAttempts: 1}
+	fullTr := nl2sql.NewTranslator(w.DB, grounder, seed)
+	fullTr.Channel = channel
+
 	var rawPreds, consPreds, entPreds []metrics.Prediction
 	res := &E5Result{N: n, Hallucination: hallucination}
 	for i, qa := range w.Pairs {
@@ -53,12 +64,8 @@ func RunE5(n int, hallucination float64, seed int64) (*E5Result, error) {
 			return !out.Abstained && out.Result != nil && out.Result.Fingerprint() == gold.Fingerprint()
 		}
 
-		// Scheme 1: the generation-only system — single unchecked
-		// sample, raw self-reported confidence independent of truth
-		// (the paper's "relying solely on an LLM" case).
-		baseTr := nl2sql.NewTranslator(w.DB, grounder, seed+int64(i))
-		baseTr.Channel = nlmodel.Channel{HallucinationRate: hallucination, Fabrications: w.Fabrications}
-		baseTr.Options = nl2sql.Options{UseGrounding: true, Samples: 1, MaxRepairAttempts: 1}
+		// Scheme 1: the generation-only system's raw confidence.
+		baseTr.Seed = seed + int64(i)
 		baseOut, err := baseTr.Translate(qa.Question)
 		if err != nil {
 			continue
@@ -70,9 +77,7 @@ func RunE5(n int, hallucination float64, seed int64) (*E5Result, error) {
 
 		// Scheme 2: the verified pipeline with consistency agreement
 		// as confidence (abstention = confidence 0).
-		fullTr := nl2sql.NewTranslator(w.DB, grounder, seed+int64(i))
-		fullTr.Channel = nlmodel.Channel{HallucinationRate: hallucination, Fabrications: w.Fabrications}
-		fullTr.Options = nl2sql.DefaultOptions()
+		fullTr.Seed = seed + int64(i)
 		fullOut, err := fullTr.Translate(qa.Question)
 		if err != nil {
 			continue

@@ -51,10 +51,11 @@ func RunPipeline(name string, w *workload.NL2SQLWorkload, opts nl2sql.Options, h
 	var correct, wrong, abstained, hallucinated int
 	var confSum float64
 	answered := 0
+	tr := nl2sql.NewTranslator(w.DB, grounder, seed)
+	tr.Channel = nlmodel.Channel{HallucinationRate: hallucination, Fabrications: w.Fabrications}
+	tr.Options = opts
 	for i, qa := range w.Pairs {
-		tr := nl2sql.NewTranslator(w.DB, grounder, seed+int64(i))
-		tr.Channel = nlmodel.Channel{HallucinationRate: hallucination, Fabrications: w.Fabrications}
-		tr.Options = opts
+		tr.Seed = seed + int64(i)
 		res, err := tr.Translate(qa.Question)
 		if err != nil {
 			abstained++ // out-of-grammar: treated as a clarification turn

@@ -1,6 +1,6 @@
 // Package faults is the deterministic, seeded chaos injector behind
-// the repo's resilience guarantees. Backends (sqldb execution,
-// text and embedding search, nlmodel generation, storage lookups)
+// the repo's resilience guarantees. Backends (storage lookups, text
+// and embedding search, nlmodel generation, version-store writes)
 // expose small hook interfaces; an Injector wired into those hooks
 // draws per-backend error, latency, and corruption faults from one
 // seeded rand.Rand. Everything is deterministic: the same seed and
@@ -52,7 +52,7 @@ type Config struct {
 	// Default applies to every backend without an override.
 	Default Rates
 	// PerBackend overrides rates for specific backend names (the op
-	// prefix before the first dot, e.g. "sqldb" for "sqldb.execute").
+	// prefix before the first dot, e.g. "storage" for "storage.get").
 	PerBackend map[string]Rates
 }
 
@@ -108,8 +108,8 @@ func New(cfg Config, clock resilience.Clock) *Injector {
 	}
 }
 
-// rates resolves the effective rates for an op like "sqldb.execute":
-// the backend override (key "sqldb") wins over the default.
+// rates resolves the effective rates for an op like "storage.get":
+// the backend override (key "storage") wins over the default.
 func (in *Injector) rates(op string) Rates {
 	backend := op
 	for i := 0; i < len(op); i++ {

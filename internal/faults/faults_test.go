@@ -13,7 +13,7 @@ func TestInjectDeterministic(t *testing.T) {
 		in := New(Config{Seed: 11, Default: Rates{Error: 0.3, Latency: 0.2}}, nil)
 		var out []string
 		for i := 0; i < 200; i++ {
-			if err := in.Inject("sqldb.execute"); err != nil {
+			if err := in.Inject("storage.get"); err != nil {
 				out = append(out, err.Error())
 			} else {
 				out = append(out, "ok")
@@ -85,7 +85,7 @@ func TestPerBackendOverrides(t *testing.T) {
 	if err := in.Inject("vectorindex.search"); err == nil {
 		t.Fatal("override backend must fault")
 	}
-	if err := in.Inject("sqldb.execute"); err != nil {
+	if err := in.Inject("storage.get"); err != nil {
 		t.Fatalf("default backend must not fault: %v", err)
 	}
 }

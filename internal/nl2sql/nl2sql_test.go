@@ -184,7 +184,7 @@ func TestTranslateAbstainsWhenNothingExecutes(t *testing.T) {
 
 func TestConstrainedRepairFixesHallucination(t *testing.T) {
 	// Hand the repairer a corrupted query directly.
-	fixed := schemaArtifactsFor(fixtureDB()).repairSQL("SELECT AVG ( salarry ) FROM employeez")
+	fixed := newSchemaArtifacts(fixtureDB()).repairSQL("SELECT AVG ( salarry ) FROM employeez")
 	if !strings.Contains(fixed, "salary") || !strings.Contains(fixed, "employees") {
 		t.Errorf("repaired = %q", fixed)
 	}

@@ -102,9 +102,8 @@ func (r *Reranker) Best(candidates []string) string {
 
 // emitRerankedToks draws a pool of candidates for the pre-tokenized
 // ideal SQL through the noisy channel (+ optional constrained repair)
-// and returns the reward-maximizing one. The reference LM comes from
-// the artifact cache, so its (deterministic) training happens once per
-// database rather than once per Translator.
+// and returns the reward-maximizing one. The reference LM is trained
+// once per Translator, on its first reranked question.
 func (t *Translator) emitRerankedToks(sc *schemaArtifacts, toks []string, rng *rand.Rand, pool int) string {
 	if pool < 2 {
 		pool = 2

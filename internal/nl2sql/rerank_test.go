@@ -72,7 +72,7 @@ func TestEmitRerankedDeterministic(t *testing.T) {
 	mk := func() string {
 		tr := NewTranslator(db, fixtureGrounder(db), 5)
 		tr.Channel = nlmodel.Channel{HallucinationRate: 0.3, Fabrications: []string{"zz"}}
-		return tr.emitRerankedToks(schemaArtifactsFor(tr.DB), tokenizeSQL("SELECT COUNT ( * ) FROM employees"), rand.New(rand.NewSource(9)), 4)
+		return tr.emitRerankedToks(tr.artifacts(), tokenizeSQL("SELECT COUNT ( * ) FROM employees"), rand.New(rand.NewSource(9)), 4)
 	}
 	if mk() != mk() {
 		t.Error("reranked emission not deterministic")

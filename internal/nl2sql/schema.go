@@ -11,27 +11,18 @@ import (
 
 // Schema-derived translation artifacts — the identifier vocabulary,
 // the sorted list the constrained decoder scans for nearest-identifier
-// repair, and the reranker's reference LM — are pure functions of the
-// database schema. Benchmarks and multi-session deployments construct
-// a fresh Translator per question or per session over the same
-// database, and rebuilding these per Translator dominated the
-// end-to-end profile (identifier repair plus reranker training were
-// the top two hot spots). This cache shares them across Translators,
-// keyed by database identity and invalidated by a schema signature so
-// a Put that changes the schema rebuilds everything.
-
-// schemaCacheCap bounds the number of databases cached; eviction is
-// least-recently-used. Deployments rarely serve more than a handful of
-// schemas at once, and a miss only costs the original rebuild.
-const schemaCacheCap = 8
+// repair, the repair memos and the reranker's reference LM — are pure
+// functions of the database schema and the text. A Translator builds
+// them once, on its first question (Translator.artifacts), and keeps
+// them for its life: a schema changed after that is not seen, so a
+// caller that changes one builds a new Translator.
 
 // schemaArtifacts holds everything derivable from one schema snapshot.
 type schemaArtifacts struct {
-	sig      string
 	identSet map[string]struct{}
 	// idents is the vocabulary sorted ascending; nearest-identifier
 	// repair scans it in order so ties break to the lexicographically
-	// smallest identifier, exactly as the uncached implementation did.
+	// smallest identifier.
 	idents []string
 
 	nearestMu sync.Mutex
@@ -50,46 +41,15 @@ type repairedCandidate struct {
 	parses bool
 }
 
-// repairMemoCap bounds the per-schema repair memo. The channel's
-// corruption space is small in practice (most tokens survive), but an
-// adversarial fault hook could spray unique strings; beyond the cap,
-// repairs still compute — they just stop being remembered.
+// repairMemoCap bounds the repair memo. The channel's corruption space
+// is small in practice (most tokens survive), but an adversarial fault
+// hook could spray unique strings; beyond the cap, repairs still
+// compute — they just stop being remembered.
 const repairMemoCap = 4096
 
-var (
-	schemaMu  sync.Mutex
-	schemaTab = map[*storage.Database]*schemaArtifacts{}
-	schemaMRU []*storage.Database
-)
-
-// schemaSignature renders the schema (table names, column names and
-// kinds, in registration order) so cached artifacts can be validated
-// cheaply against a database that may have been mutated via Put.
-func schemaSignature(db *storage.Database) string {
-	var b strings.Builder
-	for _, tbl := range db.Tables() {
-		b.WriteString(tbl.Name)
-		for _, c := range tbl.Schema() {
-			b.WriteByte('\x1f')
-			b.WriteString(c.Name)
-			b.WriteByte(':')
-			b.WriteString(c.Kind.String())
-		}
-		b.WriteByte('\x1e')
-	}
-	return b.String()
-}
-
-// schemaArtifactsFor returns the cached artifacts for db, rebuilding
-// them when the schema signature no longer matches.
-func schemaArtifactsFor(db *storage.Database) *schemaArtifacts {
-	sig := schemaSignature(db)
-	schemaMu.Lock()
-	defer schemaMu.Unlock()
-	if a, ok := schemaTab[db]; ok && a.sig == sig {
-		touchSchemaMRU(db)
-		return a
-	}
+// newSchemaArtifacts collects db's identifiers; the memos start empty
+// and the reranker trains on first use.
+func newSchemaArtifacts(db *storage.Database) *schemaArtifacts {
 	set := make(map[string]struct{})
 	for _, tbl := range db.Tables() {
 		set[strings.ToLower(tbl.Name)] = struct{}{}
@@ -102,39 +62,17 @@ func schemaArtifactsFor(db *storage.Database) *schemaArtifacts {
 		idents = append(idents, k)
 	}
 	sort.Strings(idents)
-	a := &schemaArtifacts{
-		sig:      sig,
+	return &schemaArtifacts{
 		identSet: set,
 		idents:   idents,
 		nearest:  make(map[string]string),
 		repairs:  make(map[string]repairedCandidate),
 	}
-	if _, resident := schemaTab[db]; !resident && len(schemaMRU) >= schemaCacheCap {
-		oldest := schemaMRU[0]
-		schemaMRU = schemaMRU[1:]
-		delete(schemaTab, oldest)
-	}
-	schemaTab[db] = a
-	touchSchemaMRU(db)
-	return a
 }
 
-// touchSchemaMRU moves db to the most-recently-used end. Callers hold
-// schemaMu.
-func touchSchemaMRU(db *storage.Database) {
-	for i, d := range schemaMRU {
-		if d == db {
-			schemaMRU = append(schemaMRU[:i], schemaMRU[i+1:]...)
-			break
-		}
-	}
-	schemaMRU = append(schemaMRU, db)
-}
-
-// rerankerFor returns the shared reference-LM reranker, training it at
-// most once per schema snapshot. Training is deterministic (the corpus
-// is rendered from the schema in registration order), so sharing the
-// model across Translators leaves every reward bit-identical.
+// rerankerFor returns the reference-LM reranker, training it on first
+// use. Training is deterministic (the corpus is rendered from the
+// schema in registration order).
 func (a *schemaArtifacts) rerankerFor(db *storage.Database) *Reranker {
 	a.rerankOnce.Do(func() {
 		a.reranker = NewReranker(db)
@@ -144,8 +82,8 @@ func (a *schemaArtifacts) rerankerFor(db *storage.Database) *Reranker {
 
 // repairSQL relexes sql, keeps in-vocabulary identifiers, and maps
 // every out-of-vocabulary identifier to its nearest schema term — the
-// constrained-decoding surrogate, hoisted onto the shared artifacts so
-// the vocabulary is resolved once per schema instead of per call.
+// constrained-decoding surrogate, hoisted onto the artifacts so the
+// vocabulary is resolved once per translator instead of per call.
 func (a *schemaArtifacts) repairSQL(sql string) string {
 	toks, err := sqldb.Lex(sql)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/reliable-cda/cda/internal/ground"
 	"github.com/reliable-cda/cda/internal/nlmodel"
@@ -97,6 +98,16 @@ type Translator struct {
 	// Faults, when non-nil, injects deterministic chaos faults into
 	// NL-model generation.
 	Faults FaultHook
+
+	schemaOnce sync.Once
+	schema     *schemaArtifacts
+}
+
+// artifacts returns the translator's schema artifacts, building them
+// from DB on the first question.
+func (t *Translator) artifacts() *schemaArtifacts {
+	t.schemaOnce.Do(func() { t.schema = newSchemaArtifacts(t.DB) })
+	return t.schema
 }
 
 // NewTranslator wires a translator over a database with the full
@@ -217,11 +228,9 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 	rng := rand.New(rand.NewSource(t.Seed ^ hashString(question)))
 	// The ideal SQL and the schema are fixed for the whole sampling
 	// round: tokenize once instead of re-lexing per candidate attempt
-	// (the channel never mutates its input sequence), and resolve the
-	// schema artifacts once instead of re-validating the signature per
-	// repair.
+	// (the channel never mutates its input sequence).
 	idealToks := tokenizeSQL(ideal)
-	sc := schemaArtifactsFor(t.DB)
+	sc := t.artifacts()
 
 	type executed struct {
 		sql  string
@@ -243,7 +252,7 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 		fp  string // the result's Fingerprint, under verification
 	}
 	var queryMemo map[string]queryOut
-	if t.Faults == nil && t.Engine.Faults == nil && t.DB.Faults == nil {
+	if t.Faults == nil && t.DB.Faults == nil {
 		queryMemo = make(map[string]queryOut, samples)
 	}
 	for s := 0; s < samples; s++ {
@@ -345,12 +354,12 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 // emitCandidateToks pushes the pre-tokenized ideal SQL through the
 // noisy channel and, when constrained decoding is on, repairs it
 // against the schema and grammar with bounded rejection sampling. It
-// takes tokens and pre-resolved schema artifacts, saving a lex and a
-// cache lookup per repair attempt when the caller samples repeatedly
-// from the same ideal. Repair and the parse-validity check are
-// memoized per corrupted candidate (both are pure functions of schema
-// and text); the fault hook runs on every attempt, before the memo key
-// is formed, so chaos corruption is never skipped.
+// takes tokens, saving a lex per repair attempt when the caller
+// samples repeatedly from the same ideal. Repair and the
+// parse-validity check are memoized per corrupted candidate (both are
+// pure functions of schema and text); the fault hook runs on every
+// attempt, before the memo key is formed, so chaos corruption is never
+// skipped.
 func (t *Translator) emitCandidateToks(sc *schemaArtifacts, toks []string, rng *rand.Rand) string {
 	attempts := 1
 	if t.Options.UseConstrained {

@@ -128,20 +128,9 @@ func resolveColumn(aliases, names []string, ref *ColumnRef) (int, error) {
 	return found, nil
 }
 
-// FaultHook is the chaos-injection seam (see internal/faults): when
-// non-nil it is consulted at the top of every Execute and may return
-// an injected transient error or add latency. Production deployments
-// leave it nil.
-type FaultHook interface {
-	Inject(op string) error
-}
-
 // Engine executes parsed statements against a database.
 type Engine struct {
 	DB *storage.Database
-	// Faults, when non-nil, injects deterministic chaos faults into
-	// statement execution.
-	Faults FaultHook
 	// CaptureProvenance controls whether per-row provenance is
 	// recorded. Disabling it is the E4 "provenance off" baseline.
 	CaptureProvenance bool
@@ -167,11 +156,6 @@ func (e *Engine) Query(sql string) (*Result, error) {
 
 // Execute runs a parsed statement on the columnar engine.
 func (e *Engine) Execute(stmt *SelectStmt) (*Result, error) {
-	if e.Faults != nil {
-		if err := e.Faults.Inject("sqldb.execute"); err != nil {
-			return nil, err
-		}
-	}
 	return e.executeVec(stmt)
 }
 
