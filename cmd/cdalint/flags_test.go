@@ -28,16 +28,16 @@ func TestSelectAnalyzersDefault(t *testing.T) {
 
 func TestSelectAnalyzersOnly(t *testing.T) {
 	all := analysis.Analyzers()
-	got, err := selectAnalyzers(all, "guard-escape, racy-access")
+	got, err := selectAnalyzers(all, "unlock-path, lock-flow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"racy-access", "guard-escape"}
+	want := []string{"lock-flow", "unlock-path"}
 	if len(got) != 2 {
 		t.Fatalf("selection = %v, want %v", names(got), want)
 	}
 	// Registry order is preserved regardless of argument order.
-	if got[0].Name != "racy-access" || got[1].Name != "guard-escape" {
+	if got[0].Name != "lock-flow" || got[1].Name != "unlock-path" {
 		t.Errorf("selection order = %v, want %v", names(got), want)
 	}
 }
@@ -48,7 +48,7 @@ func TestSelectAnalyzersValidation(t *testing.T) {
 		only, wantErr string
 	}{
 		{"no-such-rule", "unknown analyzer"},
-		{"racy-access,no-such-rule", "unknown analyzer"},
+		{"lock-flow,no-such-rule", "unknown analyzer"},
 		{" , ", "empty rule list"},
 	}
 	for _, tc := range cases {

@@ -27,10 +27,8 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"sync"
 
 	"github.com/reliable-cda/cda/internal/analysis/flow"
-	"github.com/reliable-cda/cda/internal/analysis/lockset"
 )
 
 // Severity classifies a finding. Errors violate a reliability
@@ -86,20 +84,6 @@ type Module struct {
 	Pkgs  []*Package
 	Units []*flow.Unit
 	Graph *flow.Graph
-
-	locksetOnce sync.Once
-	lockset     *lockset.Result
-}
-
-// Lockset runs the module-wide lockset analysis once and caches the
-// result: the three cdarace rules and lock-flow all read from it, so
-// enabling one or all of them costs a single interprocedural fixed
-// point.
-func (m *Module) Lockset() *lockset.Result {
-	m.locksetOnce.Do(func() {
-		m.lockset = lockset.Analyze(m.Graph)
-	})
-	return m.lockset
 }
 
 // NewModule assembles the flow units and call graph for the packages.
@@ -134,8 +118,6 @@ func Analyzers() []*Analyzer {
 		ResourceLeak,
 		FsyncOrder,
 		GoroutineLeak,
-		RacyAccess,
-		GuardEscape,
 	}
 }
 
@@ -226,6 +208,4 @@ const (
 	ruleResourceLeak      = "resource-leak"
 	ruleFsyncOrder        = "fsync-order"
 	ruleGoroutineLeak     = "goroutine-leak"
-	ruleRacyAccess        = "racy-access"
-	ruleGuardEscape       = "guard-escape"
 )

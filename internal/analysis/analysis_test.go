@@ -77,8 +77,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"resource-leak", "resourceleak"},
 		{"fsync-order", "fsyncorder"},
 		{"goroutine-leak", "goroutineleak"},
-		{"racy-access", "racyaccess"},
-		{"guard-escape", "guardescape"},
 	}
 	loader := newTestLoader(t)
 	for _, tc := range cases {
@@ -130,8 +128,6 @@ func TestSuppressedSitesAreCounted(t *testing.T) {
 		"resource-leak":      "resourceleak",
 		"fsync-order":        "fsyncorder",
 		"goroutine-leak":     "goroutineleak",
-		"racy-access":        "racyaccess",
-		"guard-escape":       "guardescape",
 	}
 	loader := newTestLoader(t)
 	for rule, dir := range cases {

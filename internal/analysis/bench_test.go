@@ -57,12 +57,11 @@ func BenchmarkCdastate(b *testing.B) {
 	}
 }
 
-// BenchmarkCdarace measures just the two lockset race rules
-// (racy-access, guard-escape) over the whole
-// module. The interprocedural lockset fixed point is the most
+// BenchmarkLockFlow measures lock-flow alone over the whole module.
+// The interprocedural lockset fixed point under it is the most
 // expensive single analysis in the suite, so it gets its own number:
 // a regression here must not hide inside BenchmarkCdalint's total.
-func BenchmarkCdarace(b *testing.B) {
+func BenchmarkLockFlow(b *testing.B) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		b.Fatalf("NewLoader: %v", err)
@@ -71,14 +70,14 @@ func BenchmarkCdarace(b *testing.B) {
 	if err != nil {
 		b.Fatalf("loading module: %v", err)
 	}
-	analyzers := []*Analyzer{RacyAccess, GuardEscape}
+	analyzers := []*Analyzer{LockFlow}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if findings := Run(pkgs, analyzers); len(findings) != 0 {
 			for _, f := range findings {
 				b.Errorf("%s", f)
 			}
-			b.Fatalf("module not clean under lockset rules: %d findings (listed above)", len(findings))
+			b.Fatalf("module not clean under lock-flow: %d findings (listed above)", len(findings))
 		}
 	}
 }

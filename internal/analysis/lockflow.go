@@ -1,6 +1,10 @@
 package analysis
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/reliable-cda/cda/internal/analysis/lockset"
+)
 
 // LockFlow is the interprocedural companion to unlock-path: it flags
 // taking a mutex that the body already holds on the same object —
@@ -20,7 +24,7 @@ var LockFlow = &Analyzer{
 
 func runLockFlow(m *Module) []Finding {
 	var out []Finding
-	for _, r := range m.Lockset().Relocks {
+	for _, r := range lockset.Analyze(m.Graph).Relocks {
 		line := r.Unit.Fset.Position(r.HeldAt).Line
 		msg := fmt.Sprintf("%s is re-acquired while already held (acquired at line %d): guaranteed self-deadlock", r.Lock, line)
 		if r.Callee != nil {

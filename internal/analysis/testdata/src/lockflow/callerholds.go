@@ -2,9 +2,9 @@ package fixture
 
 import "sync"
 
-// queue exercises lock-flow where the lockset engine's must-lockset and
-// caller-holds precondition meet: regions opened by a helper, helpers
-// analyzed with the lock held, and closures that run later.
+// queue exercises lock-flow where the must-lockset meets the lock
+// summaries: regions opened by a helper, helpers called with the lock
+// held, and closures that run later.
 type queue struct {
 	mu    sync.Mutex
 	items []int
@@ -17,9 +17,9 @@ func (q *queue) push(v int) {
 	q.mu.Unlock()
 }
 
-// refillLocked's only caller holds q.mu, so it is analyzed with q.mu
-// held — and calls push, which locks it. That is one deadlock and one
-// finding, at the call that took the lock; nothing is reported here.
+// refillLocked's only caller holds q.mu, and it calls push, which
+// locks it. That is one deadlock and one finding, at the call that took
+// the lock; refillLocked starts with an empty lockset, so not here.
 func (q *queue) refillLocked() {
 	q.push(0)
 }

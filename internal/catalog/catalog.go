@@ -126,8 +126,9 @@ func (c *Catalog) ensureIndex() (*textindex.Index, *embed.DenseIndex) {
 	}
 	// The indexes are rebuilt from scratch under the lock and never
 	// mutated after publication — a rebuild swaps in fresh objects, so
-	// the returned references are immutable snapshots.
-	return c.index, c.dense // cdalint:ignore guard-escape -- immutable-after-build snapshot; rebuilds replace, never mutate
+	// the returned references are immutable snapshots
+	// (TestAddDuringSearchIsRaceFree).
+	return c.index, c.dense
 }
 
 // Freshness returns the dataset's freshness in [0,1] at the logical

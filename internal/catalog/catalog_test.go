@@ -2,8 +2,10 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -205,5 +207,47 @@ func TestSearchHybrid(t *testing.T) {
 		if r.Dataset.ID == "barometer" {
 			t.Error("rotted dataset in hybrid results")
 		}
+	}
+}
+
+// TestAddDuringSearchIsRaceFree checks ensureIndex's snapshot claim
+// under the race detector: a rebuild swaps in fresh indexes and never
+// mutates the ones another search is still reading, so Add may run
+// while every search mode does, each on its own goroutine.
+func TestAddDuringSearchIsRaceFree(t *testing.T) {
+	c := fixture()
+	const adds = 100
+	searches := []func(string, int, int) []Recommendation{c.Search, c.SearchDense, c.SearchHybrid}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, search := range searches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if recs := search("labour market barometer", 3, 100); len(recs) == 0 {
+					t.Error("a search during the adds found nothing")
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < adds; i++ {
+		c.Add(Dataset{
+			ID: fmt.Sprintf("extra%03d", i), Name: "Employment extra",
+			Description: "employment figures by canton", UpdatedAt: 100, Cadence: 12,
+		})
+		// Rebuild here, while the other goroutines read the last build.
+		searches[i%len(searches)]("employment", 1, 100)
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(c.Search("employment extra", adds+3, 100)); got < adds {
+		t.Errorf("after the adds, lexical search finds %d datasets; want at least %d", got, adds)
 	}
 }

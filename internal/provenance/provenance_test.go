@@ -191,8 +191,8 @@ func TestLayeredDAGProperty(t *testing.T) {
 	}
 }
 
-// TestClosureConcurrentWithWrites is the regression test for the
-// guard-escape fix in closure(): the adjacency map must be selected
+// TestClosureConcurrentWithWrites is the regression test for a race in
+// closure(): the adjacency map must be selected
 // inside the critical section, never handed across it, so traversals
 // racing with writers stay race-detector clean.
 func TestClosureConcurrentWithWrites(t *testing.T) {

@@ -16,9 +16,8 @@
 #                      reliability invariants" for what each enforces.
 #                      The analysis itself — per-package rules, the
 #                      interprocedural dataflow rules, the
-#                      CFG/typestate rules, and the lockset race
-#                      rules (racy-access, guard-escape) — runs
-#                      under a 15-second budget (compile time
+#                      CFG/typestate rules, and lock-flow over the
+#                      lockset engine — runs under a 15-second budget (compile time
 #                      excluded; the whole run, load and type-check
 #                      included, takes about 3.5 s on a 2-vCPU box):
 #                      if whole-module analysis ever
