@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/reliable-cda/cda/internal/admission"
 	"github.com/reliable-cda/cda/internal/core"
 	"github.com/reliable-cda/cda/internal/resilience"
+	"github.com/reliable-cda/cda/internal/server"
 	"github.com/reliable-cda/cda/internal/sessionstore"
 	"github.com/reliable-cda/cda/internal/workload"
 )
@@ -577,5 +579,106 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(Config{Members: []Member{{Name: "n1"}}}); err == nil {
 		t.Error("member without primary accepted")
+	}
+}
+
+// TestReplicaIdleClockFollowsShippedTurns: a replica's idle clock runs
+// from the turns it is shipped, not from the session's creation, so its
+// TTL sweep leaves a session its primary keeps live — and the replica
+// keeps the same WAL as its primary.
+func TestReplicaIdleClockFollowsShippedTurns(t *testing.T) {
+	ctx := context.Background()
+	const ttl = 30 * time.Minute
+	clock := resilience.NewVirtualClock()
+	sys := testSystem(1)
+	store := func() *sessionstore.Store {
+		return sessionstore.NewMemory(sessionstore.Config{Shards: 1, TTL: ttl, Clock: clock})
+	}
+	p, rep := NewLocalNode("n1-primary", store(), sys), NewLocalNode("n1-replica", store(), sys)
+	r, err := NewRouter(Config{Clock: clock, Members: []Member{{Name: "n1", Primary: p, Replica: rep}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"how many barometer", "and in Bern?"} {
+		if _, err := r.Ask(ctx, id, q); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(20 * time.Minute)
+	}
+	// Now 40 minutes after creation and 20 after the last turn.
+	if n, err := rep.Store().SweepIdle(); n != 0 || err != nil {
+		t.Errorf("the replica's sweep evicted %d sessions (err %v); its last turn is 20 minutes old", n, err)
+	}
+	if _, err := r.Ask(ctx, id, "how many barometer"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Store().ReplicationCursor(0), p.Store().ReplicationCursor(0); got != want {
+		t.Errorf("replica cursor %d, primary cursor %d", got, want)
+	}
+	page, err := rep.Transcript(ctx, id, 0, 0)
+	if err != nil || page.Total != 6 || page.Stale {
+		t.Fatalf("replica page = total %d stale %v, err %v; want 6 current turns", page.Total, page.Stale, err)
+	}
+}
+
+// tornWAL tears every WAL append once armed, the way an injected crash
+// fault does.
+type tornWAL struct{ armed atomic.Bool }
+
+func (f *tornWAL) TornWrite(op string, b []byte) ([]byte, bool) {
+	if op != "wal.append" || !f.armed.Load() {
+		return b, false
+	}
+	return b[:len(b)/2], true
+}
+
+// TestTornWriteBehindASocketPromotesTheReplica: a primary whose WAL
+// append is torn mid-ask drops the connection, as a dying process does,
+// so the router counts a node failure, promotes the replica, and the
+// re-ask lands there.
+func TestTornWriteBehindASocketPromotesTheReplica(t *testing.T) {
+	ctx := context.Background()
+	sys := testSystem(1)
+	tear := &tornWAL{}
+	st, err := sessionstore.Open(sessionstore.Config{Dir: t.TempDir(), Shards: 1, Faults: tear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() }) // the torn WAL reports its crash
+	ts := httptest.NewServer(server.NewWithOptions(sys, nil, 0, server.Options{Store: st, NodeName: "n1-primary"}).Handler())
+	t.Cleanup(ts.Close)
+	rep := NewLocalNode("n1-replica", sessionstore.NewMemory(sessionstore.Config{Shards: 1}), sys)
+	r, err := NewRouter(Config{FailureThreshold: 1,
+		Members: []Member{{Name: "n1", Primary: NewHTTPNode("n1-primary", ts.URL, nil), Replica: rep}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Ask(ctx, id, "how many barometer"); err != nil {
+		t.Fatal(err)
+	}
+	tear.armed.Store(true)
+	if _, err := r.Ask(ctx, id, "and in Bern?"); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("ask on a torn write = %v, want ErrNodeDown", err)
+	}
+	if st := r.Status(ctx)[0]; !st.Promoted || st.Active != "n1-replica" {
+		t.Fatalf("member not promoted after a torn write: %+v", st)
+	}
+	if _, err := r.Ask(ctx, id, "and in Bern?"); err != nil {
+		t.Fatalf("re-ask after promotion: %v", err)
+	}
+	if got := rep.Store().ReplicationCursor(0); got == 0 {
+		t.Error("the replica never held the session")
+	}
+	page, err := r.Transcript(ctx, id, 0, 0, false)
+	if err != nil || page.Total != 4 {
+		t.Fatalf("promoted transcript = %d turns, err %v; want the first pair and the re-ask", page.Total, err)
 	}
 }

@@ -441,9 +441,8 @@ func TestSessionAPIConformance(t *testing.T) {
 }
 
 // TestNodeClientsRefuseAlike is the same promise one layer down: the
-// router's two views of a node — LocalNode in process, HTTPNode over
-// the node's handlers — return the same typed refusal, in the same
-// words, for the same call.
+// router's view of a node, here a LocalNode, gives back the node's
+// refusal as the typed server.Error the node returned, in its words.
 func TestNodeClientsRefuseAlike(t *testing.T) {
 	ctx := context.Background()
 	// absent is a well-formed address no node in this test holds.
@@ -468,37 +467,22 @@ func TestNodeClientsRefuseAlike(t *testing.T) {
 	}
 	for _, c := range calls {
 		t.Run(c.name, func(t *testing.T) {
-			store := func() *sessionstore.Store {
-				return sessionstore.NewMemory(sessionstore.Config{Shards: confShards})
+			n := NewLocalNode("local", sessionstore.NewMemory(sessionstore.Config{Shards: confShards}), testSystem(1))
+			if err := n.CreateSession(ctx, "s1"); err != nil {
+				t.Fatal(err)
 			}
-			ts := httptest.NewServer(server.NewWithOptions(testSystem(1), nil, 0, server.Options{Store: store()}).Handler())
-			defer ts.Close()
-			var said [2]*server.Error
-			for i, n := range []NodeClient{
-				NewLocalNode("local", store(), testSystem(1)),
-				NewHTTPNode("http", ts.URL, nil),
-			} {
-				if err := n.CreateSession(ctx, "s1"); err != nil {
-					t.Fatal(err)
-				}
-				err := c.call(n, "s1")
-				if !errors.Is(err, c.kind) || !errors.As(err, &said[i]) {
-					t.Fatalf("%s: error = %v, want a server.Error of kind %q", n.Name(), err, c.kind)
-				}
-			}
-			if said[0].Msg != said[1].Msg {
-				t.Errorf("LocalNode says %q, HTTPNode says %q", said[0].Msg, said[1].Msg)
+			err := c.call(n, "s1")
+			var said *server.Error
+			if !errors.Is(err, c.kind) || !errors.As(err, &said) || said.Msg == "" {
+				t.Fatalf("error = %v, want a server.Error of kind %q", err, c.kind)
 			}
 		})
 	}
 }
 
-// The node-to-node routes get the same treatment, with the two columns
-// being the router's two views of a node: LocalNode in process, whose
-// outcome is rendered here the way the node's handler encodes it, and
-// HTTPNode over the node's own handler, whose response is taken off the
-// wire. Each row is a NodeClient call on a fresh pair of durable nodes
-// with version stores, and the two bodies must be byte-identical.
+// The node-to-node routes get the same treatment: each row is an
+// HTTPNode call on a fresh pair of durable nodes with version stores,
+// whose status and body are taken off the wire.
 
 // shipWorld is a primary and a replica store with what every ship row
 // starts from: session s1 committed on the primary to cursor 7 with a
@@ -643,31 +627,6 @@ var shipConformance = []shipRow{
 	applyRow("apply with a missing closure", 4, 409, refusal("has chunks missing here; negotiate them before applying it")),
 }
 
-// wire renders a LocalNode call's outcome as the node's handler encodes
-// it: the value, or the error envelope under the refusal's status.
-func wire(t *testing.T, v any, err error) (int, []byte) {
-	t.Helper()
-	type envelope struct {
-		Error string `json:"error"`
-	}
-	status, body := http.StatusOK, v
-	var said *server.Error
-	switch {
-	case err == nil:
-	case errors.As(err, &said) && errors.Is(err, server.ErrBadRequest):
-		status, body = http.StatusBadRequest, envelope{Error: said.Msg}
-	case errors.As(err, &said) && errors.Is(err, server.ErrConflict):
-		status, body = http.StatusConflict, envelope{Error: said.Msg}
-	default:
-		t.Fatalf("no row expects %v", err)
-	}
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return status, append(data, '\n')
-}
-
 // lastResponse is an HTTP transport that keeps the last response's
 // status and body.
 type lastResponse struct {
@@ -692,41 +651,29 @@ func (l *lastResponse) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// run plays the row against one column and returns the status and body.
-func (r shipRow) run(t *testing.T, overHTTP bool) (int, []byte) {
-	ctx := context.Background()
+// run plays the row and returns the status and body.
+func (r shipRow) run(t *testing.T) (int, []byte) {
 	w := newShipWorld(t)
-	if !overHTTP {
-		v, err := r.call(ctx, t, w, NewLocalNode("n1-primary", w.primary, nil), NewLocalNode("n1-replica", w.replica, nil))
-		return wire(t, v, err)
-	}
 	last := &lastResponse{}
 	node := func(name string, st *sessionstore.Store) NodeClient {
 		ts := httptest.NewServer(server.NewWithOptions(nil, nil, 0, server.Options{Store: st, NodeName: name}).Handler())
 		t.Cleanup(ts.Close)
 		return NewHTTPNode(name, ts.URL, &http.Client{Transport: last})
 	}
-	_, _ = r.call(ctx, t, w, node("n1-primary", w.primary), node("n1-replica", w.replica))
+	_, _ = r.call(context.Background(), t, w, node("n1-primary", w.primary), node("n1-replica", w.replica))
 	return last.status, last.body
 }
 
 func TestReplicationRouteConformance(t *testing.T) {
 	for _, r := range shipConformance {
 		t.Run(r.name, func(t *testing.T) {
-			var bodies [2][]byte
-			for i, col := range []string{"LocalNode", "HTTPNode"} {
-				t.Run(col, func(t *testing.T) {
-					status, body := r.run(t, i == 1)
-					if status != r.status {
-						t.Errorf("status = %d, want %d (body %s)", status, r.status, body)
-					}
-					r.match(t, body)
-					bodies[i] = body
-				})
-			}
-			if !bytes.Equal(bodies[0], bodies[1]) {
-				t.Errorf("LocalNode and HTTPNode must answer byte-identically:\nLocalNode: %sHTTPNode:  %s", bodies[0], bodies[1])
-			}
+			t.Run("HTTPNode", func(t *testing.T) {
+				status, body := r.run(t)
+				if status != r.status {
+					t.Errorf("status = %d, want %d (body %s)", status, r.status, body)
+				}
+				r.match(t, body)
+			})
 		})
 	}
 }

@@ -16,11 +16,11 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// HTTPNode is a NodeClient over a real cdaserver's base URL — the
-// implementation cmd/cdarouter wires in. Transport-level failures
-// (connection refused, reset, timeout) wrap ErrNodeDown so the
-// router's failover breaker sees them; a refusal the node answered
-// with comes back as the typed error the node returned
+// HTTPNode is a NodeClient over a cdaserver's base URL — a real
+// node's for cmd/cdarouter, or a LocalNode's in process. Transport-level
+// failures (connection refused, reset, timeout, a body cut short) wrap
+// ErrNodeDown so the router's failover breaker sees them; a refusal the
+// node answered with comes back as the typed error the node returned
 // (server.DecodeError), because a node that answers 404 is alive.
 type HTTPNode struct {
 	name   string
@@ -59,25 +59,33 @@ func (n *HTTPNode) do(ctx context.Context, method, path string, body, out any) e
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
+	// A failure to reach the node, or to read all of what it sent, is
+	// the node's: it is gone, or died mid-response.
+	down := func(err error) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return fmt.Errorf("%w: %s: %v", ErrNodeDown, n.name, err)
 	}
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return down(err)
+	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if out == nil {
-			_, err := io.Copy(io.Discard, resp.Body)
-			return err
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("cluster: decode response from %s: %w", n.name, err)
-		}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		return fmt.Errorf("node %s: %w", n.name, server.DecodeError(resp.StatusCode, resp.Header, resp.Body))
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return down(err)
+	}
+	if out == nil {
 		return nil
 	}
-	return fmt.Errorf("node %s: %w", n.name, server.DecodeError(resp.StatusCode, resp.Header, resp.Body))
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("cluster: decode response from %s: %w", n.name, err)
+	}
+	return nil
 }
 
 // CreateSession implements NodeClient.

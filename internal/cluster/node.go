@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 
 	"github.com/reliable-cda/cda/internal/core"
 	"github.com/reliable-cda/cda/internal/server"
@@ -23,10 +25,9 @@ import (
 // the member is mid-failover and the request is safe to retry.
 var ErrNodeDown = fmt.Errorf("cluster: node unreachable: %w", server.ErrUnavailable)
 
-// NodeClient is one cdaserver process as the router sees it. The two
-// implementations are LocalNode (in-process, for tests and the chaos
-// harness — with kill and partition switches) and HTTPNode (a real
-// node over its base URL, for cmd/cdarouter).
+// NodeClient is one cdaserver process as the router sees it. Its one
+// implementation is HTTPNode, over a real node's base URL or, as a
+// LocalNode, over the node's handler in process.
 type NodeClient interface {
 	// Name identifies the node in health reports and stale stamps.
 	Name() string
@@ -55,129 +56,80 @@ type NodeClient interface {
 	PutChunks(ctx context.Context, packets []vstore.Packet) error
 }
 
-// LocalNode is an in-process node: a server.Server over a store and
-// the system that answers its questions, behind the failure switches
-// the chaos harness flips. It adds nothing to the node API but that
-// gate: every method honours context cancellation, reports ErrNodeDown
-// once killed or while partitioned, and otherwise is the server's own.
+// LocalNode is an in-process node for tests, the chaos harness and the
+// load harness: an HTTPNode at http://<name> whose transport serves the
+// node's own Handler() in the caller's goroutine, so every call crosses
+// the same JSON, status table and server.DecodeError a real node's
+// does. The transport holds the failure switches the chaos harness
+// flips.
 type LocalNode struct {
-	name string
-	srv  *server.Server
-
-	mu          sync.Mutex
-	killed      bool
-	partitioned bool
+	*HTTPNode
+	store *sessionstore.Store
+	wire  *inProcess
 }
 
-// NewLocalNode wraps a store and system as a node.
+// NewLocalNode serves a store and the system that answers its
+// questions as a node.
 func NewLocalNode(name string, store *sessionstore.Store, sys *core.System) *LocalNode {
-	return &LocalNode{name: name,
-		srv: server.NewWithOptions(sys, nil, 0, server.Options{Store: store, NodeName: name})}
+	srv := server.NewWithOptions(sys, nil, 0, server.Options{Store: store, NodeName: name})
+	wire := &inProcess{handler: srv.Handler()}
+	return &LocalNode{HTTPNode: NewHTTPNode(name, "http://"+name, &http.Client{Transport: wire}),
+		store: store, wire: wire}
 }
 
 // Kill marks the node dead — permanently, like a crashed process. A
-// torn WAL write inside Ask kills the node implicitly the same way.
-func (n *LocalNode) Kill() {
-	n.mu.Lock()
-	n.killed = true
-	n.mu.Unlock()
-}
+// handler that aborts its response (a torn WAL write) kills the node
+// the same way.
+func (n *LocalNode) Kill() { n.wire.killed.Store(true) }
 
 // SetPartitioned isolates the node from the router (reversible,
 // unlike Kill): every call fails with ErrNodeDown until healed.
-func (n *LocalNode) SetPartitioned(p bool) {
-	n.mu.Lock()
-	n.partitioned = p
-	n.mu.Unlock()
-}
+func (n *LocalNode) SetPartitioned(p bool) { n.wire.partitioned.Store(p) }
 
 // Store exposes the node's store (chaos assertions).
-func (n *LocalNode) Store() *sessionstore.Store { return n.srv.Store() }
+func (n *LocalNode) Store() *sessionstore.Store { return n.store }
 
-// reachable folds the kill/partition switches and the context into
-// one gate every method passes first.
-func (n *LocalNode) reachable(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// inProcess is an http.RoundTripper that answers a request by running
+// the node's handler into a recorder: no socket, no port and no
+// goroutine. A dead or partitioned node fails the round trip, which
+// HTTPNode reports as ErrNodeDown.
+type inProcess struct {
+	handler             http.Handler
+	killed, partitioned atomic.Bool
+}
+
+// RoundTrip implements http.RoundTripper.
+func (t *inProcess) RoundTrip(req *http.Request) (resp *http.Response, err error) {
+	// A handler may replace the body (http.MaxBytesReader); a
+	// RoundTripper leaves the caller's request as it was, and closes
+	// its body.
+	in := req.Clone(req.Context())
+	if in.Body == nil {
+		in.Body = http.NoBody
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.killed {
-		return fmt.Errorf("%w: %s killed", ErrNodeDown, n.name)
+	defer in.Body.Close()
+	switch {
+	case req.Context().Err() != nil:
+		return nil, req.Context().Err()
+	case t.killed.Load():
+		return nil, errors.New("connection refused: the node was killed")
+	case t.partitioned.Load():
+		return nil, errors.New("no route to the node: partitioned")
 	}
-	if n.partitioned {
-		return fmt.Errorf("%w: %s partitioned", ErrNodeDown, n.name)
-	}
-	return nil
-}
-
-// gated runs one server call behind the gate and returns what the call
-// returned. A store-level simulated crash — the WAL append torn
-// mid-write, which in a real deployment is the process dying with it —
-// becomes node death.
-func gated[T any](ctx context.Context, n *LocalNode, call func() (T, error)) (T, error) {
-	var zero T
-	if err := n.reachable(ctx); err != nil {
-		return zero, err
-	}
-	v, err := call()
-	if errors.Is(err, sessionstore.ErrCrashed) {
-		n.Kill()
-		return zero, fmt.Errorf("%w: %s crashed mid-append", ErrNodeDown, n.name)
-	}
-	return v, err
-}
-
-// Name implements NodeClient.
-func (n *LocalNode) Name() string { return n.name }
-
-// CreateSession implements NodeClient.
-func (n *LocalNode) CreateSession(ctx context.Context, id string) error {
-	_, err := gated(ctx, n, func() (struct{}, error) {
-		return struct{}{}, n.srv.CreateSessionWithID(ctx, id)
-	})
-	return err
-}
-
-// Ask implements NodeClient.
-func (n *LocalNode) Ask(ctx context.Context, id, question string) (server.AskResponse, error) {
-	return gated(ctx, n, func() (server.AskResponse, error) { return n.srv.Ask(ctx, id, question) })
-}
-
-// Transcript implements NodeClient.
-func (n *LocalNode) Transcript(ctx context.Context, id string, offset, limit int) (server.TranscriptPage, error) {
-	return gated(ctx, n, func() (server.TranscriptPage, error) {
-		return n.srv.Transcript(ctx, id, offset, limit, false)
-	})
-}
-
-// Health implements NodeClient.
-func (n *LocalNode) Health(ctx context.Context) (server.HealthReport, error) {
-	return gated(ctx, n, func() (server.HealthReport, error) { return n.srv.Health(), nil })
-}
-
-// Pull implements NodeClient.
-func (n *LocalNode) Pull(ctx context.Context, shard int, after int64, max int) (sessionstore.ShipBatch, error) {
-	return gated(ctx, n, func() (sessionstore.ShipBatch, error) { return n.srv.Pull(shard, after, max) })
-}
-
-// Apply implements NodeClient.
-func (n *LocalNode) Apply(ctx context.Context, batch sessionstore.ShipBatch) (int64, error) {
-	return gated(ctx, n, func() (int64, error) { return n.srv.Apply(batch) })
-}
-
-// WantChunks implements NodeClient.
-func (n *LocalNode) WantChunks(ctx context.Context, root string, limit int) ([]string, error) {
-	return gated(ctx, n, func() ([]string, error) { return n.srv.WantChunks(root, limit) })
-}
-
-// FetchChunks implements NodeClient.
-func (n *LocalNode) FetchChunks(ctx context.Context, hashes []string) ([]vstore.Packet, error) {
-	return gated(ctx, n, func() ([]vstore.Packet, error) { return n.srv.FetchChunks(hashes) })
-}
-
-// PutChunks implements NodeClient.
-func (n *LocalNode) PutChunks(ctx context.Context, packets []vstore.Packet) error {
-	_, err := gated(ctx, n, func() (struct{}, error) { return struct{}{}, n.srv.PutChunks(packets) })
-	return err
+	defer func() {
+		switch p := recover(); p {
+		case nil:
+		case http.ErrAbortHandler:
+			// A real server closes the connection on an aborted response;
+			// here the process it stands for is dead.
+			t.killed.Store(true)
+			resp, err = nil, errors.New("connection dropped mid-response: the node died")
+		default:
+			// cdalint:ignore bare-panic -- re-raises the handler's own panic unchanged; only the abort is a dropped connection.
+			panic(p)
+		}
+	}()
+	rec := httptest.NewRecorder()
+	t.handler.ServeHTTP(rec, in)
+	return rec.Result(), nil
 }

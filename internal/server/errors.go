@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/reliable-cda/cda/internal/admission"
+	"github.com/reliable-cda/cda/internal/sessionstore"
 )
 
 // The node API's refusal kinds. Every operation reports a refusal as
@@ -83,8 +84,15 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError renders err through the status table.
+// writeError renders err through the status table. A WAL append torn
+// by an injected crash fault is the process dying mid-request, so the
+// response is aborted: net/http closes the connection, and the client
+// sees what it would see of a dead node.
 func writeError(w http.ResponseWriter, err error) {
+	if errors.Is(err, sessionstore.ErrCrashed) {
+		// cdalint:ignore bare-panic -- net/http's documented way to abort a response and drop its connection.
+		panic(http.ErrAbortHandler)
+	}
 	status := 0
 	var body errorBody
 	var ov *admission.Overload

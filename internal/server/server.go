@@ -6,9 +6,10 @@
 //
 // The API exists once, as transport-free methods on *Server (this
 // file) that return typed errors (errors.go). The HTTP handlers
-// (http.go) are decode → call → encode adapters over those methods,
-// and cluster.LocalNode calls them directly, so an in-process node, a
-// node over HTTP and a node behind cmd/cdarouter answer alike.
+// (http.go) are decode → call → encode adapters over those methods.
+// Every other process reaches a node through those handlers — the
+// cluster's in-process LocalNode too — so an in-process node, a node
+// over HTTP and a node behind cmd/cdarouter answer alike.
 //
 // Sessions live in a durable sharded store (internal/sessionstore):
 // every committed turn pair is WAL-logged before the response leaves,
@@ -381,13 +382,6 @@ func (s *Server) checkShard(shard int) error {
 func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, error) {
 	if err := s.checkShard(shard); err != nil {
 		return sessionstore.ShipBatch{}, err
-	}
-	// Worded as the HTTP handler words the same values in a query.
-	if after < 0 {
-		return sessionstore.ShipBatch{}, refuse(ErrBadRequest, "after must be a non-negative integer, got %q", fmt.Sprint(after))
-	}
-	if max < 0 {
-		return sessionstore.ShipBatch{}, refuse(ErrBadRequest, "max must be a non-negative integer, got %q", fmt.Sprint(max))
 	}
 	batch, err := s.store.PullFrames(shard, after, max)
 	if err != nil {

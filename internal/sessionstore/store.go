@@ -528,6 +528,9 @@ func (sh *shard) replay(rec walRecord, now time.Duration) {
 		}
 		e.committed = append(e.committed, rec.Turns...)
 		e.focus, e.current = rec.Focus, false
+		// A turn is activity: a replica's idle clock runs from the turns
+		// it is shipped, as its primary's runs from the turns it commits.
+		e.lastActive = now
 		sh.keepVersion(e)
 	case kindEvict:
 		delete(sh.sessions, rec.ID)

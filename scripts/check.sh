@@ -2,14 +2,21 @@
 # check.sh — the extended verification gate for this repo.
 #
 # Runs, in order:
-#   1. go vet        — stock Go correctness checks. Its copylocks pass
+#   1. gofmt -l      — every tracked .go file is gofmt-formatted.
+#                      testdata/ is left out: analyzer fixtures may be
+#                      laid out on purpose (today only the
+#                      droppederror fixture is unformatted), and any
+#                      other file gofmt would change fails the gate.
+#                      The push/PR job in .github/workflows/check.yml
+#                      runs the same check
+#   2. go vet        — stock Go correctness checks. Its copylocks pass
 #                      is the only guard against copying a struct that
 #                      holds a lock (cdalint's mutex-hygiene rule did
 #                      the same job and is gone), which is why the
 #                      push/PR job in .github/workflows/check.yml runs
 #                      vet too
-#   2. go build      — every package compiles
-#   3. cdalint       — the repo's own reliability analyzers. The rule
+#   3. go build      — every package compiles
+#   4. cdalint       — the repo's own reliability analyzers. The rule
 #                      set is printed from the registry at run time
 #                      (cdalint -list) so this script never drifts from
 #                      the code; see README "Static analysis &
@@ -28,7 +35,7 @@
 #                      suppression that creeps in shows in the log
 #                      (TestModuleIgnoresAreLoadBearing fails one that
 #                      suppresses nothing).
-#   4. go test -race — the whole module's test suite, once, under the
+#   5. go test -race — the whole module's test suite, once, under the
 #                      race detector. That one run is every -race gate
 #                      this script used to list separately: the
 #                      filter scan's GOMAXPROCS-sweep determinism
@@ -116,15 +123,15 @@
 #                      FuzzApplyBatch, in ./internal/storage with
 #                      FuzzVectorOps and FuzzReadCSV, and in
 #                      ./internal/server with FuzzDecodeError).
-#   5. bench module  — go vet -C bench ./... and go test -C bench
+#   6. bench module  — go vet -C bench ./... and go test -C bench
 #                      ./...: bench/ is a module of its own that
 #                      `./...` skips, and cdaload imports
 #                      internal/storage, sessionstore and vstore, so a
 #                      change to those must keep it compiling and its
 #                      own tests green. The full vet runs because the
 #                      subset go test runs leaves out copylocks, the
-#                      check step 1 relies on
-#   6. bench smoke   — one iteration of every benchmark in the module,
+#                      check step 2 relies on
+#   7. bench smoke   — one iteration of every benchmark in the module,
 #                      with -benchmem (the root E-benches, ablations,
 #                      resilience benches and the two version-commit
 #                      benches: BenchmarkCommitOrdersTable — the one
@@ -144,7 +151,7 @@
 #                      the next perf investigation, and the bytes and
 #                      allocations per operation are in the log beside
 #                      the times
-#   7. line counts   — the non-test and test lines of the module's .go
+#   8. line counts   — the non-test and test lines of the module's .go
 #                      files, bench/ and testdata aside: the numbers
 #                      ROADMAP's aim 2 quotes, so they come from here
 #                      and not from a hand count
@@ -154,6 +161,14 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (tracked .go files, testdata aside)"
+unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "gofmt: the files above are not formatted"
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
