@@ -78,3 +78,54 @@ func TestFirstQuestionsAtOnce(t *testing.T) {
 		t.Errorf("concurrent first questions decided differently:\ngot:  %q\nwant: %q", got, want)
 	}
 }
+
+// passHook is a fault hook that is consulted and injects nothing, for
+// both the model's seam and the database's.
+type passHook struct{}
+
+func (passHook) Inject(string) error                            { return nil }
+func (passHook) CorruptTokens(_ string, toks []string) []string { return toks }
+
+// TestModelFaultHookKeepsExecutionMemo: the model's fault hook is
+// consulted before a candidate reaches the execution memo, so with only
+// that hook set a round still runs each distinct candidate once. A
+// database fault hook, consulted once per scan, runs every candidate.
+func TestModelFaultHookKeepsExecutionMemo(t *testing.T) {
+	w := workload.GenNL2SQL(30, 0.3, 5)
+	g := ground.NewGrounder(nil, w.DB, w.Vocab)
+	channel := nlmodel.Channel{HallucinationRate: 0.1, Fabrications: w.Fabrications}
+	run := func(dbFaults bool) (repeats int) {
+		tr := NewTranslator(w.DB, g, 0)
+		tr.Channel = channel
+		tr.Faults = passHook{}
+		if dbFaults {
+			w.DB.Faults = passHook{}
+			defer func() { w.DB.Faults = nil }()
+		}
+		for i, qa := range w.Pairs {
+			tr.Seed = int64(i)
+			res, err := tr.Translate(qa.Question)
+			if err != nil {
+				t.Fatalf("question %d %q: %v", i, qa.Question, err)
+			}
+			distinct := map[string]bool{}
+			for _, c := range res.Candidates {
+				distinct[c] = true
+			}
+			want := len(distinct)
+			if dbFaults {
+				want = len(res.Candidates)
+			}
+			if res.Executions != want {
+				t.Errorf("database faults %t, question %d %q: %d executions for %d candidates, %d distinct; want %d",
+					dbFaults, i, qa.Question, res.Executions, len(res.Candidates), len(distinct), want)
+			}
+			repeats += len(res.Candidates) - len(distinct)
+		}
+		return repeats
+	}
+	if run(false) == 0 {
+		t.Fatal("no round repeated a candidate, so the memo was never exercised")
+	}
+	run(true)
+}

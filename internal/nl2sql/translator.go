@@ -243,16 +243,18 @@ func (t *Translator) translateFrame(question string, frame *Frame) (*Translation
 	// The engine is deterministic: identical candidate SQL produces an
 	// identical result (or error), so repeated candidates within a
 	// round — common once constrained repair converges — need only one
-	// execution, and one fingerprint. Any configured fault hook disables
-	// the dedup, since skipping executions would shift the deterministic
-	// injection schedule.
+	// execution, and one fingerprint. The model's fault hook is consulted
+	// once per question and once per emitted candidate, both before the
+	// memo lookup, so it leaves the dedup on. A database fault hook
+	// turns it off: it is consulted once per scan, and skipping an
+	// execution would shift its deterministic injection schedule.
 	type queryOut struct {
 		res *sqldb.Result
 		err error
 		fp  string // the result's Fingerprint, under verification
 	}
 	var queryMemo map[string]queryOut
-	if t.Faults == nil && t.DB.Faults == nil {
+	if t.DB.Faults == nil {
 		queryMemo = make(map[string]queryOut, samples)
 	}
 	for s := 0; s < samples; s++ {

@@ -27,36 +27,9 @@ func validateGroupExpr(e Expr, groupBy []Expr) error {
 			}
 		}
 		return fmt.Errorf("sql: column %q must appear in GROUP BY or inside an aggregate", x.Render())
-	case *BinaryExpr:
-		if err := validateGroupExpr(x.Left, groupBy); err != nil {
-			return err
-		}
-		return validateGroupExpr(x.Right, groupBy)
-	case *UnaryExpr:
-		return validateGroupExpr(x.Expr, groupBy)
-	case *InExpr:
-		if err := validateGroupExpr(x.Expr, groupBy); err != nil {
-			return err
-		}
-		for _, it := range x.List {
-			if err := validateGroupExpr(it, groupBy); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *BetweenExpr:
-		if err := validateGroupExpr(x.Expr, groupBy); err != nil {
-			return err
-		}
-		if err := validateGroupExpr(x.Lo, groupBy); err != nil {
-			return err
-		}
-		return validateGroupExpr(x.Hi, groupBy)
-	case *IsNullExpr:
-		return validateGroupExpr(x.Expr, groupBy)
-	case *ScalarExpr:
-		for _, a := range x.Args {
-			if err := validateGroupExpr(a, groupBy); err != nil {
+	case *BinaryExpr, *UnaryExpr, *InExpr, *BetweenExpr, *IsNullExpr, *ScalarExpr:
+		for _, c := range children(e) {
+			if err := validateGroupExpr(c, groupBy); err != nil {
 				return err
 			}
 		}

@@ -280,69 +280,74 @@ func (s *SelectStmt) HasAggregates() bool {
 	return containsAggregate(s.Having)
 }
 
+// containsAggregate reports whether e holds an aggregate call.
 func containsAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *FuncExpr:
+	if _, ok := e.(*FuncExpr); ok {
 		return true
-	case *BinaryExpr:
-		return containsAggregate(x.Left) || containsAggregate(x.Right)
-	case *UnaryExpr:
-		return containsAggregate(x.Expr)
-	case *InExpr:
-		if containsAggregate(x.Expr) {
+	}
+	for _, c := range children(e) {
+		if containsAggregate(c) {
 			return true
 		}
-		for _, it := range x.List {
-			if containsAggregate(it) {
-				return true
-			}
-		}
-		return false
-	case *BetweenExpr:
-		return containsAggregate(x.Expr) || containsAggregate(x.Lo) || containsAggregate(x.Hi)
-	case *IsNullExpr:
-		return containsAggregate(x.Expr)
-	case *ScalarExpr:
-		for _, a := range x.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
 	}
+	return false
 }
 
 // columnRefs collects every ColumnRef in the expression tree.
 func columnRefs(e Expr, out *[]*ColumnRef) {
+	if ref, ok := e.(*ColumnRef); ok {
+		*out = append(*out, ref)
+	}
+	for _, c := range children(e) {
+		columnRefs(c, out)
+	}
+}
+
+// children returns e's operands in evaluation order, the order in
+// which every evaluator visits them and so the order whose first error
+// wins. Leaves (Literal, ColumnRef, Star), nil and node types this
+// package does not define have none. Callers must not modify the
+// slice: a ScalarExpr's is its Args.
+func children(e Expr) []Expr {
 	switch x := e.(type) {
-	case nil:
-	case *ColumnRef:
-		*out = append(*out, x)
 	case *BinaryExpr:
-		columnRefs(x.Left, out)
-		columnRefs(x.Right, out)
+		return []Expr{x.Left, x.Right}
 	case *UnaryExpr:
-		columnRefs(x.Expr, out)
+		return []Expr{x.Expr}
 	case *InExpr:
-		columnRefs(x.Expr, out)
-		for _, it := range x.List {
-			columnRefs(it, out)
-		}
+		return append([]Expr{x.Expr}, x.List...)
 	case *BetweenExpr:
-		columnRefs(x.Expr, out)
-		columnRefs(x.Lo, out)
-		columnRefs(x.Hi, out)
+		return []Expr{x.Expr, x.Lo, x.Hi}
 	case *IsNullExpr:
-		columnRefs(x.Expr, out)
+		return []Expr{x.Expr}
 	case *FuncExpr:
-		columnRefs(x.Arg, out)
+		return []Expr{x.Arg}
 	case *ScalarExpr:
-		for _, a := range x.Args {
-			columnRefs(a, out)
-		}
+		return x.Args
+	default:
+		return nil
+	}
+}
+
+// withChildren returns a copy of e whose operands are kids, given in
+// children's order; a node without operands is returned as it is.
+func withChildren(e Expr, kids []Expr) Expr {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		return &BinaryExpr{Op: x.Op, Left: kids[0], Right: kids[1]}
+	case *UnaryExpr:
+		return &UnaryExpr{Op: x.Op, Expr: kids[0]}
+	case *InExpr:
+		return &InExpr{Expr: kids[0], List: kids[1:], Not: x.Not}
+	case *BetweenExpr:
+		return &BetweenExpr{Expr: kids[0], Lo: kids[1], Hi: kids[2], Not: x.Not}
+	case *IsNullExpr:
+		return &IsNullExpr{Expr: kids[0], Not: x.Not}
+	case *FuncExpr:
+		return &FuncExpr{Name: x.Name, Arg: kids[0], Distinct: x.Distinct}
+	case *ScalarExpr:
+		return &ScalarExpr{Name: x.Name, Args: kids}
+	default:
+		return e
 	}
 }

@@ -10,7 +10,7 @@ import (
 // This file holds the batch (columnar) execution substrate: the vrel
 // intermediate representation and the compiled expression kernels.
 //
-// The row executor (exec.go) evaluates the Expr AST once per row,
+// The row oracle (oracle_test.go) evaluates the Expr AST once per row,
 // re-resolving every column reference by a linear scan over the schema
 // and materializing a fresh []storage.Value per scanned row. The
 // vectorized executor instead keeps data in typed column vectors
@@ -19,17 +19,19 @@ import (
 // schema into a closure tree with column indexes already bound.
 //
 // Semantics are identical BY CONSTRUCTION, not by reimplementation:
-// every kernel mirrors the corresponding evalExpr case statement for
-// statement, calls the same helpers (Value.Compare, evalArith,
-// evalScalar, isTrue, likeMatch), and preserves evaluation order —
-// including which sub-expression errors first and that unresolvable
-// columns fail at evaluation time, not compile time (a query over an
-// empty table must succeed even if it references unknown columns,
-// exactly as the row engine behaves). The kernels bound to a vector's
-// kind (columnKernel, compareKernel, and foldColumn in vagg.go) each
-// sit beside the generic kernel they stand in for and return what it
-// would; the row oracle, which reads cells through Table.Row, is what
-// checks them.
+// every kernel mirrors the corresponding case of the oracle's evalExpr
+// statement for statement, calls the same helpers (Value.Compare,
+// evalArith, evalScalar, isTrue, likeMatch), and preserves evaluation
+// order — including which sub-expression errors first and that
+// unresolvable columns fail at evaluation time, not compile time (a
+// query over an empty table must succeed even if it references unknown
+// columns, exactly as the row engine behaves). The kernels bound to a
+// vector's kind (columnKernel, compareKernel, and foldColumn in
+// vagg.go) each sit beside the generic kernel they stand in for and
+// return what it would; the row oracle, which reads cells through
+// Table.Row, is what checks them. The kernels are also the binary's
+// only expression evaluator: group scope (vEvalGroupExpr) compiles a
+// node over its operands' values rather than keeping one of its own.
 
 // vrel is the columnar intermediate relation: parallel column vectors
 // with an optional selection vector of surviving physical rows.
@@ -173,8 +175,8 @@ func errKernel(err error) vkernel {
 }
 
 // compile builds the kernel tree for e. Each case mirrors the matching
-// evalExpr case, with column resolution hoisted out of the per-row
-// path.
+// case of the oracle's evalExpr, with column resolution hoisted out of
+// the per-row path.
 func (vc *vcompiler) compile(e Expr) vkernel {
 	switch x := e.(type) {
 	case *Literal:

@@ -8,200 +8,13 @@ import (
 	"github.com/reliable-cda/cda/internal/storage"
 )
 
-// evalExpr evaluates a scalar (non-aggregate) expression against one
-// relation row. Aggregate calls reaching this function are an internal
-// error surfaced to the caller.
-func evalExpr(e Expr, rel *relation, row []storage.Value) (storage.Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Val, nil
-	case *ColumnRef:
-		idx, err := rel.resolve(x)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return row[idx], nil
-	case *BinaryExpr:
-		return evalBinary(x, rel, row)
-	case *UnaryExpr:
-		v, err := evalExpr(x.Expr, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return storage.Null(), nil
-			}
-			return storage.Bool(!isTrue(v)), nil
-		case "-":
-			switch v.Kind {
-			case storage.KindInt:
-				return storage.Int(-v.I), nil
-			case storage.KindFloat:
-				return storage.Float(-v.F), nil
-			case storage.KindNull:
-				return storage.Null(), nil
-			default:
-				return storage.Null(), fmt.Errorf("sql: cannot negate %s", v.Kind)
-			}
-		default:
-			return storage.Null(), fmt.Errorf("sql: unknown unary operator %q", x.Op)
-		}
-	case *InExpr:
-		v, err := evalExpr(x.Expr, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		if v.IsNull() {
-			return storage.Null(), nil
-		}
-		found := false
-		for _, item := range x.List {
-			iv, err := evalExpr(item, rel, row)
-			if err != nil {
-				return storage.Null(), err
-			}
-			if v.Equal(iv) {
-				found = true
-				break
-			}
-		}
-		return storage.Bool(found != x.Not), nil
-	case *BetweenExpr:
-		v, err := evalExpr(x.Expr, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		lo, err := evalExpr(x.Lo, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		hi, err := evalExpr(x.Hi, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return storage.Null(), nil
-		}
-		cl, err := v.Compare(lo)
-		if err != nil {
-			return storage.Null(), err
-		}
-		ch, err := v.Compare(hi)
-		if err != nil {
-			return storage.Null(), err
-		}
-		in := cl >= 0 && ch <= 0
-		return storage.Bool(in != x.Not), nil
-	case *IsNullExpr:
-		v, err := evalExpr(x.Expr, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return storage.Bool(v.IsNull() != x.Not), nil
-	case *ScalarExpr:
-		args := make([]storage.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalExpr(a, rel, row)
-			if err != nil {
-				return storage.Null(), err
-			}
-			args[i] = v
-		}
-		return evalScalar(x.Name, args)
-	case *FuncExpr:
-		return storage.Null(), fmt.Errorf("sql: aggregate %s used outside GROUP BY context", x.Name)
-	case *Star:
-		return storage.Null(), fmt.Errorf("sql: * is not a scalar expression")
-	default:
-		return storage.Null(), fmt.Errorf("sql: unsupported expression %T", e)
-	}
-}
+// The scalar semantics both engines share: the columnar kernels
+// (batch.go) and the row oracle's evaluator (oracle_test.go) both call
+// these helpers, so arithmetic, scalar functions, truthiness and LIKE
+// cannot drift between them.
 
-func evalBinary(x *BinaryExpr, rel *relation, row []storage.Value) (storage.Value, error) {
-	l, err := evalExpr(x.Left, rel, row)
-	if err != nil {
-		return storage.Null(), err
-	}
-	// Short-circuit logic with SQL three-valued semantics approximated:
-	// NULL propagates except for definitive AND-false / OR-true.
-	switch x.Op {
-	case "AND":
-		if !l.IsNull() && !isTrue(l) {
-			return storage.Bool(false), nil
-		}
-		r, err := evalExpr(x.Right, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		if l.IsNull() || r.IsNull() {
-			if !r.IsNull() && !isTrue(r) {
-				return storage.Bool(false), nil
-			}
-			return storage.Null(), nil
-		}
-		return storage.Bool(isTrue(l) && isTrue(r)), nil
-	case "OR":
-		if !l.IsNull() && isTrue(l) {
-			return storage.Bool(true), nil
-		}
-		r, err := evalExpr(x.Right, rel, row)
-		if err != nil {
-			return storage.Null(), err
-		}
-		if l.IsNull() || r.IsNull() {
-			if !r.IsNull() && isTrue(r) {
-				return storage.Bool(true), nil
-			}
-			return storage.Null(), nil
-		}
-		return storage.Bool(isTrue(l) || isTrue(r)), nil
-	}
-	r, err := evalExpr(x.Right, rel, row)
-	if err != nil {
-		return storage.Null(), err
-	}
-	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return storage.Null(), nil
-		}
-		c, err := l.Compare(r)
-		if err != nil {
-			return storage.Null(), err
-		}
-		var b bool
-		switch x.Op {
-		case "=":
-			b = c == 0
-		case "!=":
-			b = c != 0
-		case "<":
-			b = c < 0
-		case "<=":
-			b = c <= 0
-		case ">":
-			b = c > 0
-		case ">=":
-			b = c >= 0
-		}
-		return storage.Bool(b), nil
-	case "+", "-", "*", "/", "%":
-		return evalArith(x.Op, l, r)
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return storage.Null(), nil
-		}
-		if l.Kind != storage.KindString || r.Kind != storage.KindString {
-			return storage.Null(), fmt.Errorf("sql: LIKE requires string operands")
-		}
-		return storage.Bool(likeMatch(l.S, r.S)), nil
-	default:
-		return storage.Null(), fmt.Errorf("sql: unknown operator %q", x.Op)
-	}
-}
-
+// evalArith applies an arithmetic operator; NULL propagates, and +
+// over two strings concatenates.
 func evalArith(op string, l, r storage.Value) (storage.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return storage.Null(), nil

@@ -86,22 +86,10 @@ func appendKeyed(buf []byte, v storage.Value) []byte {
 	return buf
 }
 
-// relation is the executor's intermediate representation: a bag of
-// rows over (alias, column) pairs, each row carrying provenance.
-type relation struct {
-	aliases []string // per column
-	names   []string // per column
-	rows    [][]storage.Value
-	prov    [][]RowRef
-}
-
-func (rel *relation) resolve(ref *ColumnRef) (int, error) {
-	return resolveColumn(rel.aliases, rel.names, ref)
-}
-
 // columnResolver abstracts column lookup over a relation schema; both
-// the row engine's relation and the columnar vrel implement it, so the
-// planner (pushdown, equi-join detection) serves both executors.
+// the columnar vrel and the row oracle's relation (oracle_test.go)
+// implement it, so the planner (pushdown, equi-join detection) serves
+// both executors.
 type columnResolver interface {
 	resolve(ref *ColumnRef) (int, error)
 }

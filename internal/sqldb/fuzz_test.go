@@ -241,30 +241,89 @@ func matchRowOracle(t *testing.T, db *storage.Database, rng *rand.Rand, n int) {
 	e := NewEngine(db)
 	for i := 0; i < n; i++ {
 		q := genDiffQuery(rng)
-		want, werr := e.queryRow(q)
-		got, gerr := e.Query(q)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%q: error divergence oracle=%v vectorized=%v", q, werr, gerr)
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
 		}
-		if werr != nil {
-			if werr.Error() != gerr.Error() {
-				t.Fatalf("%q: error text diverged oracle=%q vectorized=%q", q, werr, gerr)
-			}
-			continue
-		}
-		if want.Fingerprint() != got.Fingerprint() {
-			t.Fatalf("%q: fingerprints differ", q)
-		}
-		if !reflect.DeepEqual(want.Rows, got.Rows) {
-			t.Fatalf("%q: rows differ\noracle %v\nvector %v", q, want.Rows, got.Rows)
-		}
-		if !reflect.DeepEqual(want.Prov, got.Prov) {
-			t.Fatalf("%q: provenance differs", q)
-		}
-		if want.Stats != got.Stats {
-			t.Fatalf("%q: stats oracle %+v vectorized %+v", q, want.Stats, got.Stats)
-		}
+		sameAnswer(t, e, q, stmt)
 	}
+}
+
+// sameAnswer fails t unless the row oracle and the engine answer stmt
+// alike: the same error text, or the same Rows, Prov, Stats and
+// Fingerprint.
+func sameAnswer(t *testing.T, e *Engine, q string, stmt *SelectStmt) {
+	t.Helper()
+	want, werr := e.executeRow(stmt)
+	got, gerr := e.Execute(stmt)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%q: error divergence oracle=%v vectorized=%v", q, werr, gerr)
+	}
+	if werr != nil {
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("%q: error text diverged oracle=%q vectorized=%q", q, werr, gerr)
+		}
+		return
+	}
+	if want.Fingerprint() != got.Fingerprint() {
+		t.Fatalf("%q: fingerprints differ", q)
+	}
+	if !reflect.DeepEqual(want.Rows, got.Rows) {
+		t.Fatalf("%q: rows differ\noracle %v\nvector %v", q, want.Rows, got.Rows)
+	}
+	if !reflect.DeepEqual(want.Prov, got.Prov) {
+		t.Fatalf("%q: provenance differs", q)
+	}
+	if want.Stats != got.Stats {
+		t.Fatalf("%q: stats oracle %+v vectorized %+v", q, want.Stats, got.Stats)
+	}
+}
+
+// FuzzEngineMatchesOracle is the engine differential over arbitrary
+// SQL text: any statement that parses must get the same answer, or the
+// same error, from the row oracle and the engine. It runs over
+// genJoinDB's three tables cut to at most 24 rows each, plus testDB's
+// employees and departments, and seeds from both query generators and
+// the group-scope pins. A statement over more than three tables is
+// skipped, to keep each input cheap: a cross join of four would
+// materialize 24⁴ rows in the oracle.
+func FuzzEngineMatchesOracle(f *testing.F) {
+	db := genJoinDB(24, 8, 3)
+	for _, name := range []string{"facts", "dims", "sparse"} {
+		full, err := db.Get(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cut := storage.NewTable(name, full.Schema())
+		for i := 0; i < min(full.NumRows(), 24); i++ {
+			cut.MustAppendRow(rowOf(full, i)...)
+		}
+		db.Put(cut)
+	}
+	hr := testDB(f)
+	for _, name := range []string{"employees", "departments"} {
+		tbl, err := hr.Get(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		db.Put(tbl)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 48; i++ {
+		f.Add(genDiffQuery(rng))
+		f.Add(genSparseQuery(rng))
+	}
+	for _, tc := range groupScopeQueries {
+		f.Add(tc.sql)
+	}
+	e := NewEngine(db)
+	f.Fuzz(func(t *testing.T, q string) {
+		stmt, err := Parse(q)
+		if err != nil || len(stmt.Joins) > 2 {
+			return
+		}
+		sameAnswer(t, e, q, stmt)
+	})
 }
 
 // TestGroupAndDistinctKeysHoldAnyText: two rows whose TEXT values hold

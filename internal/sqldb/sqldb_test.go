@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -585,5 +586,46 @@ func TestCountMatchesRowsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// groupScopeQueries pin how HAVING, select items and ORDER BY keys
+// evaluate over a group: every operand of a node is evaluated before
+// the node, so AND does not short-circuit there (unlike WHERE), the
+// first operand's error wins, a bare column of an empty group reads
+// NULL, and expressions over aggregates evaluate as they would over
+// literals. want is the rows, or "error: " and the error's text.
+var groupScopeQueries = []struct{ sql, want string }{
+	{"SELECT dept_id FROM employees GROUP BY dept_id HAVING 1 = 0 AND SUM(name) > 0",
+		"error: sql: SUM over non-numeric value TEXT"},
+	{"SELECT dept_id FROM employees GROUP BY dept_id HAVING dept_id IN (10, SUM(name))",
+		"error: sql: SUM over non-numeric value TEXT"},
+	{"SELECT dept_id FROM employees GROUP BY dept_id HAVING MAX(name) > 3 AND SUM(name) > 0",
+		"error: storage: cannot compare TEXT with INT"},
+	{"SELECT COUNT(*) FROM employees WHERE 1 = 0 HAVING name IS NULL", "[[0]]"},
+	{"SELECT dept_id, -SUM(salary) AS neg FROM employees GROUP BY dept_id HAVING AVG(salary) BETWEEN 85 AND 110 ORDER BY neg",
+		"[[10 -210] [20 -180]]"},
+	{"SELECT dept_id, COALESCE(SUM(salary), 0) FROM employees GROUP BY dept_id ORDER BY dept_id",
+		"[[10 210] [20 180] [30 0]]"},
+}
+
+// TestGroupScopeEvaluation runs groupScopeQueries through both engines.
+func TestGroupScopeEvaluation(t *testing.T) {
+	e := NewEngine(testDB(t))
+	for _, tc := range groupScopeQueries {
+		for _, engine := range []struct {
+			name string
+			run  func(string) (*Result, error)
+		}{{"vectorized", e.Query}, {"row oracle", e.queryRow}} {
+			got := ""
+			if res, err := engine.run(tc.sql); err != nil {
+				got = "error: " + err.Error()
+			} else {
+				got = fmt.Sprint(res.Rows)
+			}
+			if got != tc.want {
+				t.Errorf("%s: %q = %s, want %s", engine.name, tc.sql, got, tc.want)
+			}
+		}
 	}
 }

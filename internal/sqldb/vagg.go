@@ -9,10 +9,11 @@ import (
 )
 
 // Vectorized aggregation: the same grouping and group-scope evaluation
-// as aggregate.go, with column access through compiled kernels instead
-// of per-row materialized slices. Group membership is tracked by
-// physical row index so provenance and first-row key semantics line up
-// with the row engine exactly (which tracks relation row indexes).
+// as the row oracle's (oracle_test.go), with column access through
+// compiled kernels instead of per-row materialized slices. Group
+// membership is tracked by physical row index so provenance and
+// first-row key semantics line up with the row engine exactly (which
+// tracks relation row indexes).
 
 // vExecuteAggregate mirrors executeAggregate over a vrel.
 func (e *Engine) vExecuteAggregate(stmt *SelectStmt, vr *vrel) (*Result, error) {
@@ -175,90 +176,34 @@ func vGroupProvenance(vr *vrel, g *group) []RowRef {
 	return out
 }
 
-// vEvalGroupExpr mirrors evalGroupExpr: aggregates compute over the
-// group; other nodes rebuild with group-evaluated literal leaves and
-// reuse the row engine's literal evaluator (literal trees contain no
-// column references, so passing a nil relation is safe — exactly what
-// evalGroupExpr relies on).
+// vEvalGroupExpr mirrors evalGroupExpr: an aggregate folds over the
+// group, and a bare column reads the group's first row (valid because
+// validation restricts bare columns to group keys, which are constant
+// within a group), or NULL for an empty group. Any other node has its
+// operands evaluated first, left to right, the first error winning;
+// the node itself is then compiled over those values as literals, a
+// tree with no column in it, and run once.
 func vEvalGroupExpr(e Expr, vr *vrel, g *group, vc *vcompiler) (storage.Value, error) {
 	switch x := e.(type) {
 	case *FuncExpr:
 		return vEvalAggregate(x, vr, g, vc)
-	case *Literal:
-		return x.Val, nil
 	case *ColumnRef:
 		if len(g.rowIdxs) == 0 {
 			return storage.Null(), nil
 		}
-		k := vc.kernel(x)
 		ctx := vctx{cols: vr.cols, phys: g.rowIdxs[0]}
-		return k(&ctx)
-	case *BinaryExpr:
-		l, err := vEvalGroupExpr(x.Left, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		r, err := vEvalGroupExpr(x.Right, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		lit := &BinaryExpr{Op: x.Op, Left: &Literal{Val: l}, Right: &Literal{Val: r}}
-		return evalExpr(lit, nil, nil)
-	case *UnaryExpr:
-		v, err := vEvalGroupExpr(x.Expr, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return evalExpr(&UnaryExpr{Op: x.Op, Expr: &Literal{Val: v}}, nil, nil)
-	case *InExpr:
-		v, err := vEvalGroupExpr(x.Expr, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		list := make([]Expr, len(x.List))
-		for i, it := range x.List {
-			iv, err := vEvalGroupExpr(it, vr, g, vc)
-			if err != nil {
-				return storage.Null(), err
-			}
-			list[i] = &Literal{Val: iv}
-		}
-		return evalExpr(&InExpr{Expr: &Literal{Val: v}, List: list, Not: x.Not}, nil, nil)
-	case *BetweenExpr:
-		v, err := vEvalGroupExpr(x.Expr, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		lo, err := vEvalGroupExpr(x.Lo, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		hi, err := vEvalGroupExpr(x.Hi, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return evalExpr(&BetweenExpr{
-			Expr: &Literal{Val: v}, Lo: &Literal{Val: lo}, Hi: &Literal{Val: hi}, Not: x.Not,
-		}, nil, nil)
-	case *IsNullExpr:
-		v, err := vEvalGroupExpr(x.Expr, vr, g, vc)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return storage.Bool(v.IsNull() != x.Not), nil
-	case *ScalarExpr:
-		args := make([]storage.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := vEvalGroupExpr(a, vr, g, vc)
-			if err != nil {
-				return storage.Null(), err
-			}
-			args[i] = v
-		}
-		return evalScalar(x.Name, args)
-	default:
-		return storage.Null(), fmt.Errorf("sql: unsupported expression %T in group scope", e)
+		return vc.kernel(x)(&ctx)
 	}
+	kids := children(e)
+	lits := make([]Expr, len(kids))
+	for i, c := range kids {
+		v, err := vEvalGroupExpr(c, vr, g, vc)
+		if err != nil {
+			return storage.Null(), err
+		}
+		lits[i] = &Literal{Val: v}
+	}
+	return vc.compile(withChildren(e, lits))(&vctx{})
 }
 
 // vEvalAggregate mirrors evalAggregate: fold the non-NULL argument

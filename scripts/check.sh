@@ -96,24 +96,27 @@
 #                      roots of TestForgedShipBatchIsAnError),
 #                      FuzzVectorOps (AppendRow/Gather/seal scripts
 #                      over column vectors of every kind, checked
-#                      against a []Value oracle) and FuzzReadCSV
+#                      against a []Value oracle), FuzzReadCSV
 #                      (arbitrary CSV text under an inferred or given
 #                      schema, loaded by column workers in two-record
 #                      batches and checked against the serial load's
-#                      table or error text) and FuzzDecodeError
+#                      table or error text), FuzzDecodeError
 #                      (arbitrary error responses never decode to nil
 #                      or a panic; the response writeError renders for
 #                      each refusal kind decodes back to its status's
-#                      kind and message) run their seed
+#                      kind and message) and FuzzEngineMatchesOracle
+#                      (arbitrary SQL text over small tables: whatever
+#                      parses gets the row oracle's answer or error
+#                      text from the columnar engine) run their seed
 #                      corpora here; the nightly full-check job in
 #                      .github/workflows/check.yml also fuzzes the
 #                      frame scanner, the journal decoder, its payload
 #                      decoder, the column-leaf check and encoder,
 #                      the session-tree decoder, the WAL-record decoder,
 #                      the replica's batch apply, the vector
-#                      operations, the CSV load and the error decoder
-#                      for 30 s each, in one step that loops over the
-#                      (package, target) pairs (go test
+#                      operations, the CSV load, the error decoder and
+#                      the SQL engine for 30 s each, in one step that
+#                      loops over the (package, target) pairs (go test
 #                      ./internal/framelog -run '^$' -fuzz='^FuzzScan$'
 #                      -fuzztime=30s -fuzzminimizetime=2s; the same
 #                      in ./internal/vstore with FuzzJournalOpen,
@@ -121,8 +124,9 @@
 #                      FuzzEncodeLeaf, in ./internal/sessionstore with
 #                      FuzzDecodeSessionTree, FuzzDecodeRecord and
 #                      FuzzApplyBatch, in ./internal/storage with
-#                      FuzzVectorOps and FuzzReadCSV, and in
-#                      ./internal/server with FuzzDecodeError).
+#                      FuzzVectorOps and FuzzReadCSV, in
+#                      ./internal/server with FuzzDecodeError, and in
+#                      ./internal/sqldb with FuzzEngineMatchesOracle).
 #   6. bench module  — go vet -C bench ./... and go test -C bench
 #                      ./...: bench/ is a module of its own that
 #                      `./...` skips, and cdaload imports
