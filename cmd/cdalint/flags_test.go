@@ -28,16 +28,16 @@ func TestSelectAnalyzersDefault(t *testing.T) {
 
 func TestSelectAnalyzersOnly(t *testing.T) {
 	all := analysis.Analyzers()
-	got, err := selectAnalyzers(all, "unlock-path, lock-flow")
+	got, err := selectAnalyzers(all, "fsync-order, resource-leak")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lock-flow", "unlock-path"}
+	want := []string{"resource-leak", "fsync-order"}
 	if len(got) != 2 {
 		t.Fatalf("selection = %v, want %v", names(got), want)
 	}
 	// Registry order is preserved regardless of argument order.
-	if got[0].Name != "lock-flow" || got[1].Name != "unlock-path" {
+	if got[0].Name != "resource-leak" || got[1].Name != "fsync-order" {
 		t.Errorf("selection order = %v, want %v", names(got), want)
 	}
 }
@@ -48,7 +48,7 @@ func TestSelectAnalyzersValidation(t *testing.T) {
 		only, wantErr string
 	}{
 		{"no-such-rule", "unknown analyzer"},
-		{"lock-flow,no-such-rule", "unknown analyzer"},
+		{"resource-leak,no-such-rule", "unknown analyzer"},
 		{" , ", "empty rule list"},
 	}
 	for _, tc := range cases {

@@ -65,15 +65,10 @@ func TestAnalyzersGolden(t *testing.T) {
 	}{
 		{"dropped-error", "droppederror"},
 		{"nondeterminism", "nondeterminism"},
-		{"unannotated-answer", "unannotated"},
 		{"map-order-leak", "maporder"},
 		{"bare-panic", "barepanic"},
 		{"raw-sleep", "rawsleep"},
 		{"ctx-propagation", "ctxprop"},
-		{"provenance-taint", "provtaint"},
-		{"confidence-bounds", "confbounds"},
-		{"lock-flow", "lockflow"},
-		{"unlock-path", "unlockpath"},
 		{"resource-leak", "resourceleak"},
 		{"fsync-order", "fsyncorder"},
 		{"goroutine-leak", "goroutineleak"},
@@ -114,41 +109,27 @@ func TestAnalyzersGolden(t *testing.T) {
 // findings than the golden set.
 func TestSuppressedSitesAreCounted(t *testing.T) {
 	cases := map[string]string{
-		"dropped-error":      "droppederror",
-		"nondeterminism":     "nondeterminism",
-		"unannotated-answer": "unannotated",
-		"map-order-leak":     "maporder",
-		"bare-panic":         "barepanic",
-		"raw-sleep":          "rawsleep",
-		"ctx-propagation":    "ctxprop",
-		"provenance-taint":   "provtaint",
-		"confidence-bounds":  "confbounds",
-		"lock-flow":          "lockflow",
-		"unlock-path":        "unlockpath",
-		"resource-leak":      "resourceleak",
-		"fsync-order":        "fsyncorder",
-		"goroutine-leak":     "goroutineleak",
+		"dropped-error":   "droppederror",
+		"nondeterminism":  "nondeterminism",
+		"map-order-leak":  "maporder",
+		"bare-panic":      "barepanic",
+		"raw-sleep":       "rawsleep",
+		"ctx-propagation": "ctxprop",
+		"resource-leak":   "resourceleak",
+		"fsync-order":     "fsyncorder",
+		"goroutine-leak":  "goroutineleak",
 	}
 	loader := newTestLoader(t)
 	for rule, dir := range cases {
 		a := AnalyzerByName(rule)
 		p := loadFixture(t, loader, dir)
-		raw := len(rawFindings(a, p))
+		raw := len(a.Run(p))
 		filtered := len(Run([]*Package{p}, []*Analyzer{a}))
 		if raw <= filtered {
 			t.Errorf("%s: raw findings %d should exceed post-ignore findings %d (fixture must include a suppressed case)",
 				rule, raw, filtered)
 		}
 	}
-}
-
-// rawFindings invokes an analyzer directly — per-package or
-// module-wide — with cdalint:ignore processing bypassed.
-func rawFindings(a *Analyzer, p *Package) []Finding {
-	if a.Run != nil {
-		return a.Run(p)
-	}
-	return a.RunModule(NewModule([]*Package{p}))
 }
 
 // TestIgnoreScopeGolden is the regression test for directive scoping
@@ -174,7 +155,7 @@ func TestIgnoreScopeGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("findings mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	raw := len(rawFindings(a, p))
+	raw := len(a.Run(p))
 	filtered := len(Run([]*Package{p}, []*Analyzer{a}))
 	if raw != filtered+2 {
 		t.Errorf("expected exactly 2 suppressed sites — the wrapped statement in each function — got raw=%d filtered=%d", raw, filtered)
@@ -189,7 +170,7 @@ func TestIgnoreScopeGolden(t *testing.T) {
 // end of a select case arm's own line suppress exactly their sites.
 func TestIgnoreLitScopeGolden(t *testing.T) {
 	loader := newTestLoader(t)
-	a := AnalyzerByName("unlock-path")
+	a := AnalyzerByName("resource-leak")
 	p := loadFixture(t, loader, "ignorelit")
 	got := renderFindings(t, Run([]*Package{p}, []*Analyzer{a}))
 	goldenPath := filepath.Join("testdata", "ignorelit.golden")
@@ -206,7 +187,7 @@ func TestIgnoreLitScopeGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("findings mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	raw := len(rawFindings(a, p))
+	raw := len(a.Run(p))
 	filtered := len(Run([]*Package{p}, []*Analyzer{a}))
 	if raw != filtered+2 {
 		t.Errorf("expected exactly 2 suppressed sites — inside the literal and in the select arm — got raw=%d filtered=%d", raw, filtered)
@@ -226,7 +207,7 @@ func TestIgnoreScopeMultilineRename(t *testing.T) {
 	loader := newTestLoader(t)
 	a := AnalyzerByName("fsync-order")
 	p := loadFixture(t, loader, "fsyncorder")
-	raw := len(rawFindings(a, p))
+	raw := len(a.Run(p))
 	filtered := len(Run([]*Package{p}, []*Analyzer{a}))
 	if raw != filtered+1 {
 		t.Errorf("expected exactly 1 suppressed site — the multi-line rename — got raw=%d filtered=%d", raw, filtered)
@@ -291,22 +272,15 @@ func TestModuleIgnoresAreLoadBearing(t *testing.T) {
 		line int
 	}
 	raw := map[site]map[string]bool{}
-	m := NewModule(pkgs)
 	for _, a := range Analyzers() {
-		var fs []Finding
-		if a.RunModule != nil {
-			fs = a.RunModule(m)
-		} else {
-			for _, p := range pkgs {
-				fs = append(fs, a.Run(p)...)
+		for _, p := range pkgs {
+			for _, f := range a.Run(p) {
+				at := site{f.Pos.Filename, f.Pos.Line}
+				if raw[at] == nil {
+					raw[at] = map[string]bool{}
+				}
+				raw[at][a.Name] = true
 			}
-		}
-		for _, f := range fs {
-			at := site{f.Pos.Filename, f.Pos.Line}
-			if raw[at] == nil {
-				raw[at] = map[string]bool{}
-			}
-			raw[at][a.Name] = true
 		}
 	}
 	checked := 0

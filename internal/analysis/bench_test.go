@@ -5,9 +5,7 @@ import "testing"
 // BenchmarkCdalint measures one full-suite analysis pass over the
 // whole module — the exact work scripts/check.sh runs under its
 // 15-second budget. Loading and type-checking the packages happens
-// once outside the timer; each iteration re-runs every analyzer,
-// including the module-wide call-graph construction and dataflow
-// fixed points (NewModule is rebuilt per Run call, as in the CLI).
+// once outside the timer; each iteration re-runs every analyzer.
 func BenchmarkCdalint(b *testing.B) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -32,8 +30,8 @@ func BenchmarkCdalint(b *testing.B) {
 	}
 }
 
-// BenchmarkCdastate measures just the four CFG/dataflow typestate
-// rules (unlock-path, resource-leak, fsync-order, goroutine-leak)
+// BenchmarkCdastate measures just the three CFG/dataflow typestate
+// rules (resource-leak, fsync-order, goroutine-leak)
 // over the whole module, so regressions in the CFG builder or the
 // fixed-point solver show up separately from the rest of the suite.
 func BenchmarkCdastate(b *testing.B) {
@@ -45,7 +43,7 @@ func BenchmarkCdastate(b *testing.B) {
 	if err != nil {
 		b.Fatalf("loading module: %v", err)
 	}
-	analyzers := []*Analyzer{UnlockPath, ResourceLeak, FsyncOrder, GoroutineLeak}
+	analyzers := []*Analyzer{ResourceLeak, FsyncOrder, GoroutineLeak}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if findings := Run(pkgs, analyzers); len(findings) != 0 {
@@ -53,31 +51,6 @@ func BenchmarkCdastate(b *testing.B) {
 				b.Errorf("%s", f)
 			}
 			b.Fatalf("module not clean under typestate rules: %d findings (listed above)", len(findings))
-		}
-	}
-}
-
-// BenchmarkLockFlow measures lock-flow alone over the whole module.
-// The interprocedural lockset fixed point under it is the most
-// expensive single analysis in the suite, so it gets its own number:
-// a regression here must not hide inside BenchmarkCdalint's total.
-func BenchmarkLockFlow(b *testing.B) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		b.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		b.Fatalf("loading module: %v", err)
-	}
-	analyzers := []*Analyzer{LockFlow}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if findings := Run(pkgs, analyzers); len(findings) != 0 {
-			for _, f := range findings {
-				b.Errorf("%s", f)
-			}
-			b.Fatalf("module not clean under lock-flow: %d findings (listed above)", len(findings))
 		}
 	}
 }

@@ -18,22 +18,20 @@ import (
 // core.Respond silently stop applying to everything downstream of the
 // break.
 var CtxPropagation = &Analyzer{
-	Name:      ruleCtxPropagation,
-	Doc:       "context.Context must be forwarded, not re-rooted: Background()/TODO() outside main/tests, or a ctx parameter not passed to a ctx-accepting callee",
-	Severity:  SeverityError,
-	RunModule: runCtxPropagation,
+	Name:     ruleCtxPropagation,
+	Doc:      "context.Context must be forwarded, not re-rooted: Background()/TODO() outside main/tests, or a ctx parameter not passed to a ctx-accepting callee",
+	Severity: SeverityError,
+	Run:      runCtxPropagation,
 }
 
-func runCtxPropagation(m *Module) []Finding {
+func runCtxPropagation(p *Package) []Finding {
 	var out []Finding
-	for _, p := range m.Pkgs {
-		for _, fd := range funcDecls(p) {
-			file := p.Fset.Position(fd.Pos()).Filename
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
-			out = append(out, auditCtxFunc(p, fd)...)
+	for _, fd := range funcDecls(p) {
+		file := p.Fset.Position(fd.Pos()).Filename
+		if strings.HasSuffix(file, "_test.go") {
+			continue
 		}
+		out = append(out, auditCtxFunc(p, fd)...)
 	}
 	return out
 }

@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"github.com/reliable-cda/cda/internal/analysis/flow"
 )
 
 // errorType is the predeclared error interface.
@@ -35,7 +33,17 @@ func funcDecls(p *Package) []*ast.FuncDecl {
 // calleeFunc resolves a call expression to the *types.Func it
 // invokes, or nil for builtins, conversions, and function values.
 func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
-	return flow.CalleeOf(p.Info, call)
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.ObjectOf(id).(*types.Func)
+	return fn
 }
 
 // calleeFullName returns the types.Func full name of the callee

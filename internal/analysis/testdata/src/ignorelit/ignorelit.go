@@ -1,37 +1,38 @@
 // Package fixture is regression input for cdalint:ignore directive
 // scoping around function literals and select cases, checked against
-// a CFG-based rule (unlock-path). The contract under test: a
+// a CFG-based rule (resource-leak). The contract under test: a
 // directive attached to a spawning statement (go/defer) covers the
 // statement header only — never the literal's body — so suppressions
 // inside a literal must sit on the offending lines themselves, and
 // end-of-line placement works inside select case arms.
 package fixture
 
-import "sync"
-
-type store struct {
-	mu sync.Mutex
-	n  int
-}
+import "os"
 
 // spawnLeaky: the directive on the go statement must NOT reach the
-// Lock inside the literal body — the finding below survives.
-func spawnLeaky(s *store, done chan struct{}) {
-	// cdalint:ignore unlock-path -- attached to the spawning statement; must not cover the body
+// Open inside the literal body — the finding below survives.
+func spawnLeaky(name string, done chan struct{}) {
+	// cdalint:ignore resource-leak -- attached to the spawning statement; must not cover the body
 	go func() {
-		s.mu.Lock()
-		s.n++
+		f, err := os.Open(name)
+		if err != nil {
+			return
+		}
+		f.Stat()
 		close(done)
 	}()
 }
 
 // spawnSuppressed: the directive inside the literal, on the line
 // above the acquisition, suppresses it.
-func spawnSuppressed(s *store, done chan struct{}) {
+func spawnSuppressed(name string, done chan struct{}) {
 	go func() {
-		// cdalint:ignore unlock-path -- deliberately held; the collector releases at teardown
-		s.mu.Lock()
-		s.n++
+		// cdalint:ignore resource-leak -- deliberately kept; the collector closes it at teardown
+		f, err := os.Open(name)
+		if err != nil {
+			return
+		}
+		f.Stat()
 		close(done)
 	}()
 }
@@ -39,24 +40,34 @@ func spawnSuppressed(s *store, done chan struct{}) {
 // selectArms: end-of-line placement inside one case arm suppresses
 // that acquisition only; the default arm's identical leak is
 // reported.
-func selectArms(s *store, ch chan int) int {
+func selectArms(name string, ch chan int) int {
 	select {
 	case v := <-ch:
-		s.mu.Lock() // cdalint:ignore unlock-path -- probe path measured with the lock held
-		s.n = v
+		f, err := os.Open(name) // cdalint:ignore resource-leak -- probe path measured with the file open
+		if err != nil {
+			return 0
+		}
+		f.Stat()
 		return v
 	default:
-		s.mu.Lock()
-		return s.n
+		f, err := os.Open(name)
+		if err != nil {
+			return 0
+		}
+		f.Stat()
+		return 1
 	}
 }
 
 // deferClosure: same boundary for deferred literals — the directive
 // on the defer statement covers its header, not the body.
-func deferClosure(s *store) {
-	// cdalint:ignore unlock-path -- attached to the defer statement; must not cover the body
+func deferClosure(name string) {
+	// cdalint:ignore resource-leak -- attached to the defer statement; must not cover the body
 	defer func() {
-		s.mu.Lock()
-		s.n = 0
+		f, err := os.Open(name)
+		if err != nil {
+			return
+		}
+		f.Stat()
 	}()
 }

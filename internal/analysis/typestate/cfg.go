@@ -1,7 +1,7 @@
 // Package typestate builds per-function control-flow graphs over
 // go/ast and runs forward dataflow analyses over them. It is the
-// substrate for the CFG-based cdalint rules (unlock-path,
-// resource-leak, fsync-order, goroutine-leak): where the older rules
+// substrate for the CFG-based cdalint rules (resource-leak,
+// fsync-order, goroutine-leak): where the older rules
 // pattern-match statements, typestate rules track an abstract state
 // per value along every path a function can take.
 //
@@ -21,7 +21,7 @@
 //   - defer is NOT routed to the exits. A DeferStmt stays a plain
 //     node where it executes, and analyses apply the deferred call's
 //     effect at registration. For the idempotent exit effects the
-//     rules track (Unlock, Close, Done, close(ch)) this is equivalent
+//     rules track (Close, Done, close(ch)) this is equivalent
 //     to running the defer on every exit path — and it is the only
 //     treatment that handles conditionally registered defers
 //     correctly;

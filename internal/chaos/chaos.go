@@ -147,14 +147,16 @@ func replay(ctx context.Context, sys *core.System, inj *faults.Injector, turns [
 }
 
 // renderTranscript produces the canonical byte-comparable rendering:
-// every turn with its answer annotations, then the fault tallies and
-// breaker states in sorted order.
+// every turn with its answer annotations, the code and sources its
+// explanation cites among them, then the fault tallies and breaker
+// states in sorted order.
 func renderTranscript(res *Result, inj *faults.Injector) string {
 	var sb strings.Builder
 	for i, turn := range res.Turns {
 		a := res.Answers[i]
 		fmt.Fprintf(&sb, "U%02d: %s\n", i+1, turn)
 		fmt.Fprintf(&sb, "S%02d: conf=%.6f abstained=%t degraded=%q\n", i+1, a.Confidence, a.Abstained, a.Degraded)
+		fmt.Fprintf(&sb, "code=%q sources=%q\n", a.Explanation.Code, a.Explanation.Sources)
 		fmt.Fprintf(&sb, "%s\n---\n", a.Text)
 	}
 	for _, op := range inj.Ops() {

@@ -166,7 +166,7 @@ type System struct {
 // DefaultAbstainBelow is the abstention policy's threshold. The
 // graceful-degradation ladder's confidence caps (ladder.go) must stay
 // below it so a degraded answer never outranks the abstention line;
-// cdalint's confidence-bounds rule checks that relationship.
+// TestDegradedCapsBelowAbstention checks that relationship.
 const DefaultAbstainBelow = 0.5
 
 // New builds a System from the config.

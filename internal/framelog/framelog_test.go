@@ -344,6 +344,31 @@ func TestPublishReplacesAtomically(t *testing.T) {
 	}
 }
 
+// TestFailedPublishClosesItsFile: a write that fails leaves no
+// descriptor open on the temp file, however often it fails.
+func TestFailedPublishClosesItsFile(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+		}
+		return len(fds)
+	}
+	path := filepath.Join(t.TempDir(), "doc.json")
+	boom := errors.New("boom")
+	// Only a rise counts: a file an earlier test dropped may be closed
+	// by its finalizer meanwhile.
+	before := openFDs()
+	for i := 0; i < 8; i++ {
+		if err := framelog.Publish(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+			t.Fatalf("failed publish = %v, want boom", err)
+		}
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("eight failed publishes left %d descriptors open, had %d", after, before)
+	}
+}
+
 // TestWriteIsUnflushedUntilAppendOrSync: the two ways to add frames.
 // Both move Size() and are served by ReadFrame at once; only Append,
 // Sync and Reset move Synced(), and each moves it to Size().

@@ -21,10 +21,9 @@
 #                      (cdalint -list) so this script never drifts from
 #                      the code; see README "Static analysis &
 #                      reliability invariants" for what each enforces.
-#                      The analysis itself — per-package rules, the
-#                      interprocedural dataflow rules, the
-#                      CFG/typestate rules, and lock-flow over the
-#                      lockset engine — runs under a 15-second budget (compile time
+#                      The analysis itself — pattern rules and
+#                      CFG/typestate rules, each run one package at a
+#                      time — runs under a 15-second budget (compile time
 #                      excluded; the whole run, load and type-check
 #                      included, takes about 3.5 s on a 2-vCPU box):
 #                      if whole-module analysis ever
