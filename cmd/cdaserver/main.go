@@ -16,18 +16,15 @@
 // transcript reads, and replica catch-up below the compaction horizon
 // ships only missing chunks.
 //
-// With -data-dir, sessions are durable: every committed turn is
-// WAL-logged before the response is acknowledged, the version store is
-// the journal under <data-dir>/vstore, each shard compacts its WAL into
-// a shard root there, and a restarted server replays the directory to
-// serve the same transcripts byte-for-byte. A turn waits for one fsync,
-// the WAL's: a session's version is written to the journal unflushed,
-// the journal is flushed before a compaction truncates the WAL that
-// could rebuild it, and a restart after a power cut commits again
-// whatever versions the journal's tail lost. A version or compaction
-// failure never fails a turn; it is logged, under a request reference,
-// at the turn that ran into it. Without -data-dir, sessions and their
-// versions live in memory only.
+// With -data-dir, sessions are durable: the version store's journal
+// under <data-dir>/vstore is the node's one log, and every committed
+// turn is one flushed append to it — its session's version — before the
+// response is acknowledged. Turns on different shards share fsyncs. Each
+// shard compacts into a shard root there, and a restarted server replays
+// the journal to serve the same transcripts byte-for-byte, as of every
+// turn. A compaction failure never fails a turn; it is logged, under a
+// request reference, at the turn that ran into it. Without -data-dir,
+// sessions and their versions live in memory only.
 //
 // -versioned is accepted and ignored: versions are no longer optional.
 //
@@ -70,7 +67,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for durable session state (empty: in-memory sessions)")
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (0: never)")
 	shards := flag.Int("shards", 8, "session store shard count (rounded up to a power of two)")
-	snapshotEvery := flag.Int("snapshot-every", 256, "compact each shard's WAL into its shard root every N records")
+	snapshotEvery := flag.Int("snapshot-every", 256, "commit each shard's root every N records")
 	maxInflight := flag.Int("max-inflight", 64, "per-shard concurrent ask limit (negative: unlimited)")
 	rate := flag.Float64("rate", 0, "per-shard admitted asks per second (0: unlimited)")
 	burst := flag.Float64("burst", 0, "token-bucket burst size (0: max(rate,1))")
@@ -216,8 +213,8 @@ func main() {
 		sweepStop()
 		<-sweepDone
 		// Close after the drain: every acknowledged turn is already in
-		// the WAL; Close compacts shards, closes the version store, and
-		// surfaces any deferred compaction error.
+		// the journal; Close compacts shards, closes the version store,
+		// and surfaces any deferred compaction error.
 		if err := store.Close(); err != nil {
 			log.Printf("cdaserver: close session store: %v", err)
 		}

@@ -15,8 +15,8 @@ import (
 // → rename sequence) must reach Sync() after its last write before
 // any os.Rename of that path executes. A rename reachable while the
 // file still has unsynced writes can publish a name whose content is
-// not yet on disk — exactly the crash window the session store's WAL
-// and snapshot machinery exist to close. The analysis is per path:
+// not yet on disk — exactly the crash window the journal and the
+// publish protocol exist to close. The analysis is per path:
 // writing marks the file dirty, Sync() cleans it, and a branch that
 // skips the Sync (or a deleted Sync call) is flagged at the rename.
 // Handing the file to another function is treated as a write, since

@@ -18,7 +18,7 @@ import (
 // with its own seeded system and version store — two "processes")
 // fronted by a router
 // whose failover breaker trips on the first node-level failure. The
-// kill arrives either as a seeded torn WAL write mid-commit
+// kill arrives either as a seeded torn journal write mid-commit
 // (CrashRate) or as a clean kill after KillAfter committed turns —
 // both pure functions of the seed, so two runs of one scenario render
 // byte-identical transcripts.
@@ -27,7 +27,7 @@ type ClusterScenario struct {
 	Seed int64
 	// Rates are backend fault probabilities during turns.
 	Rates faults.Rates
-	// CrashRate is the probability each primary WAL append is torn
+	// CrashRate is the probability each primary journal append is torn
 	// mid-write, killing the primary at that exact byte.
 	CrashRate float64
 	// KillAfter is the committed-turn count before the planned clean
@@ -75,7 +75,7 @@ type ClusterKillResult struct {
 func newClusterMember(sc ClusterScenario, crash bool) (cluster.Member, *cluster.LocalNode, *cluster.LocalNode, *faults.Injector, *faults.Injector, error) {
 	perBackend := map[string]faults.Rates{}
 	if crash {
-		perBackend["wal"] = faults.Rates{Crash: sc.CrashRate}
+		perBackend["vstore"] = faults.Rates{Crash: sc.CrashRate}
 	}
 	psys, pinj := newSwissSystem(Scenario{Seed: sc.Seed, Rates: sc.Rates, PerBackend: perBackend})
 	rsys, rinj := newSwissSystem(Scenario{Seed: sc.Seed, Rates: sc.Rates})

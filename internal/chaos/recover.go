@@ -26,8 +26,9 @@ type KillRecoverScenario struct {
 	// Rates are backend fault probabilities during turns (the
 	// degradation ladder keeps answering under them).
 	Rates faults.Rates
-	// CrashRate is the probability each WAL append is torn mid-write,
-	// killing the process at that exact byte (op "wal.append").
+	// CrashRate is the probability each journal append is torn
+	// mid-write, killing the process at that exact byte (op
+	// "vstore.journal").
 	CrashRate float64
 	// KillAfter is the number of user turns attempted before the
 	// planned kill (default: half the dialogue). An injected torn
@@ -38,8 +39,8 @@ type KillRecoverScenario struct {
 	// render identical transcripts — the path never enters the render).
 	Dir string
 	// SnapshotEvery is the store's compaction cadence (default 4, low
-	// enough that recovery exercises snapshot + WAL replay, not just
-	// the WAL).
+	// enough that recovery exercises a shard root and the records after
+	// it, not just the records).
 	SnapshotEvery int
 }
 
@@ -82,11 +83,11 @@ func KillRecover(ctx context.Context, sc KillRecoverScenario) (*KillRecoverResul
 	res := &KillRecoverResult{}
 
 	// Phase 1: the doomed process. One injector drives backend faults
-	// and WAL torn writes from one seeded stream.
+	// and journal torn writes from one seeded stream.
 	sys, inj := newSwissSystem(Scenario{
 		Seed:       sc.Seed,
 		Rates:      sc.Rates,
-		PerBackend: map[string]faults.Rates{"wal": {Crash: sc.CrashRate}},
+		PerBackend: map[string]faults.Rates{"vstore": {Crash: sc.CrashRate}},
 	})
 	st, err := sessionstore.Open(sessionstore.Config{
 		Dir: sc.Dir, Shards: 4, SnapshotEvery: sc.SnapshotEvery, Faults: inj,
@@ -124,7 +125,7 @@ func KillRecover(ctx context.Context, sc KillRecoverScenario) (*KillRecoverResul
 	// Phase 2: recovery. A fresh process opens the directory (torn tails
 	// truncate, snapshots replay, tombstones hold) with the system the
 	// same seed rebuilds, its rng restarted as a real restart's is, and
-	// no WAL crashes: this process survives.
+	// no torn writes: this process survives.
 	st2, err := sessionstore.Open(sessionstore.Config{
 		Dir: sc.Dir, Shards: 4, SnapshotEvery: sc.SnapshotEvery,
 	})

@@ -625,30 +625,30 @@ func TestReplicaIdleClockFollowsShippedTurns(t *testing.T) {
 	}
 }
 
-// tornWAL tears every WAL append once armed, the way an injected crash
-// fault does.
-type tornWAL struct{ armed atomic.Bool }
+// tornJournal tears every journal append once armed, the way an
+// injected crash fault does.
+type tornJournal struct{ armed atomic.Bool }
 
-func (f *tornWAL) TornWrite(op string, b []byte) ([]byte, bool) {
-	if op != "wal.append" || !f.armed.Load() {
+func (f *tornJournal) TornWrite(op string, b []byte) ([]byte, bool) {
+	if op != "vstore.journal" || !f.armed.Load() {
 		return b, false
 	}
 	return b[:len(b)/2], true
 }
 
-// TestTornWriteBehindASocketPromotesTheReplica: a primary whose WAL
+// TestTornWriteBehindASocketPromotesTheReplica: a primary whose journal
 // append is torn mid-ask drops the connection, as a dying process does,
 // so the router counts a node failure, promotes the replica, and the
 // re-ask lands there.
 func TestTornWriteBehindASocketPromotesTheReplica(t *testing.T) {
 	ctx := context.Background()
 	sys := testSystem(1)
-	tear := &tornWAL{}
+	tear := &tornJournal{}
 	st, err := sessionstore.Open(sessionstore.Config{Dir: t.TempDir(), Shards: 1, Faults: tear})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = st.Close() }) // the torn WAL reports its crash
+	t.Cleanup(func() { _ = st.Close() }) // the torn journal reports its crash
 	ts := httptest.NewServer(server.NewWithOptions(sys, nil, 0, server.Options{Store: st, NodeName: "n1-primary"}).Handler())
 	t.Cleanup(ts.Close)
 	rep := NewLocalNode("n1-replica", sessionstore.NewMemory(sessionstore.Config{Shards: 1}), sys)

@@ -222,7 +222,7 @@ func traced(t *testing.T, body []byte) {
 		!strings.Contains(string(body), `"sessionstore.commit_turn"`) {
 		t.Errorf("trace is not the ask's span tree: %s", body)
 	}
-	if _, ok := a.Trace.Counters["wal_fsyncs"]; !ok || a.Trace.Counters["chunks_hashed"] == 0 {
+	if _, ok := a.Trace.Counters["journal_fsyncs"]; !ok || a.Trace.Counters["chunks_hashed"] == 0 {
 		t.Errorf("trace lacks the turn's counters: %v", a.Trace.Counters)
 	}
 }

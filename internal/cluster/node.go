@@ -40,7 +40,7 @@ type NodeClient interface {
 	Transcript(ctx context.Context, id string, offset, limit int) (server.TranscriptPage, error)
 	// Health returns the node's replication health report.
 	Health(ctx context.Context) (server.HealthReport, error)
-	// Pull fetches one shard's committed WAL frames after a cursor.
+	// Pull fetches one shard's committed record frames after a cursor.
 	Pull(ctx context.Context, shard int, after int64, max int) (sessionstore.ShipBatch, error)
 	// Apply installs a pulled batch, returning the shard's new cursor.
 	Apply(ctx context.Context, batch sessionstore.ShipBatch) (int64, error)
@@ -78,7 +78,7 @@ func NewLocalNode(name string, store *sessionstore.Store, sys *core.System) *Loc
 }
 
 // Kill marks the node dead — permanently, like a crashed process. A
-// handler that aborts its response (a torn WAL write) kills the node
+// handler that aborts its response (a torn journal write) kills the node
 // the same way.
 func (n *LocalNode) Kill() { n.wire.killed.Store(true) }
 

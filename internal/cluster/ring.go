@@ -1,7 +1,7 @@
 // Package cluster turns N single-node cdaserver processes into one
 // logical service: a consistent-hash ring places every session on a
 // member, each member is a primary/replica pair kept in sync by
-// WAL-frame shipping (internal/sessionstore's replication layer), and
+// record-frame shipping (internal/sessionstore's replication layer), and
 // a router fronts the ring — admitting requests through per-node and
 // cluster-wide token buckets, promoting a member's replica when its
 // primary stops acking (a circuit breaker on the injectable clock, so

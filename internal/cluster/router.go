@@ -76,7 +76,7 @@ func (m *member) isPromoted() bool {
 }
 
 // Router fronts the ring: it places sessions, admits requests, ships
-// WAL frames to replicas after every write, and fails a member over
+// record frames to replicas after every write, and fails a member over
 // to its replica when the primary's breaker trips. Safe for
 // concurrent use.
 type Router struct {

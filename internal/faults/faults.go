@@ -40,7 +40,7 @@ type Rates struct {
 	Corrupt float64
 	// Crash is the probability a durable append is torn mid-write
 	// (TornWrite): the write stops at a seeded cut point and the
-	// process is considered dead. The session store's WAL uses this to
+	// process is considered dead. The version journal uses this to
 	// property-test crash recovery against torn tails.
 	Crash float64
 }

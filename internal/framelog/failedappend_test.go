@@ -82,8 +82,7 @@ func capFileSize(t *testing.T, limit uint64, op func()) {
 
 func TestFailedAppendDoesNotPoisonLog(t *testing.T) {
 	for name, add := range map[string]func(*framelog.Log, ...[]byte) error{
-		"Append": (*framelog.Log).Append,
-		"Write":  (*framelog.Log).Write,
+		"Append": appendSync,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "log")
@@ -112,6 +111,9 @@ func TestFailedAppendDoesNotPoisonLog(t *testing.T) {
 	}
 }
 
+// TestFailedAppendDoesNotPoisonWAL: a turn that a full disk keeps out of
+// the session store's write-ahead log — the version journal — fails, and
+// the next one is acknowledged and survives a kill.
 func TestFailedAppendDoesNotPoisonWAL(t *testing.T) {
 	dir := t.TempDir()
 	cfg := sessionstore.Config{Dir: dir, Shards: 1}
@@ -130,7 +132,7 @@ func TestFailedAppendDoesNotPoisonWAL(t *testing.T) {
 		})
 	}
 	var failed error
-	failNextWrite(t, filepath.Join(dir, "shard-00.wal"), func() { failed = commit("lost to a full disk") })
+	failNextWrite(t, filepath.Join(dir, "vstore", "chunks.pack"), func() { failed = commit("lost to a full disk") })
 	if failed == nil {
 		t.Fatal("commit past the file size cap succeeded")
 	}
@@ -140,7 +142,7 @@ func TestFailedAppendDoesNotPoisonWAL(t *testing.T) {
 	want, _ := e.Turns(0, 100)
 
 	// Reopen without Close, as after a kill: Close would compact the
-	// WAL away and hide what is in it.
+	// shard and hide what its records are.
 	st2, err := sessionstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +208,15 @@ func TestFailedAppendDoesNotPoisonPack(t *testing.T) {
 // chunks, commit, root record in one append — short on a full disk: the
 // store's index, root logs and stamp sequence are what they were, and
 // the next commit succeeds, continues the sequence and survives reopen.
-// The flushed and the unflushed commit fail the same way.
+// A Land that puts a mark before the version fails the same way.
 func TestFailedAppendLeavesBatchUncommitted(t *testing.T) {
 	for name, land := range map[string]func(*vstore.Batch, string, vstore.Hash, int) (vstore.Commit, error){
-		"Commit":         (*vstore.Batch).Commit,
-		"CommitUnsynced": (*vstore.Batch).CommitUnsynced,
+		"Commit": (*vstore.Batch).Commit,
+		"Land": func(b *vstore.Batch, root string, tree vstore.Hash, turn int) (vstore.Commit, error) {
+			b.Mark("mark/" + root)
+			b.Version(root, tree, turn)
+			return vstore.Commit{}, b.Land()
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -228,7 +234,10 @@ func TestFailedAppendLeavesBatchUncommitted(t *testing.T) {
 				if err != nil {
 					return vstore.Commit{}, err
 				}
-				return land(b, "db/main", tree, turn)
+				if _, err := land(b, "db/main", tree, turn); err != nil {
+					return vstore.Commit{}, err
+				}
+				return s.Head("db/main")
 			}
 			first, err := commit("first", 0)
 			if err != nil {

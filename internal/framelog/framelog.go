@@ -1,11 +1,10 @@
 // Package framelog is the storage spine: the one frame codec, the one
 // append-only log, and the one atomic publish that every durable file
-// in the module is written through. The session store's WAL, the
-// version store's journal (chunks and root records in one log),
-// replication frames on the wire, shard snapshots and
-// storage.SaveDir's CSVs differ only in the magic byte and in what the
-// payload bytes mean; that schema stays with its owner, and everything
-// a crash can interrupt lives here.
+// in the module is written through. The version store's journal
+// (chunks and root records in one log), replication frames on the wire
+// and storage.SaveDir's CSVs differ only in the magic byte and in what
+// the payload bytes mean; that schema stays with its owner, and
+// everything a crash can interrupt lives here.
 //
 // Frame layout, identical for every log:
 //
@@ -15,21 +14,20 @@
 // a crash mid-append leaves a partial header, a partial payload, or a
 // payload whose checksum no longer matches, and all three truncate to
 // the last complete frame on Open. An Append of several frames is one
-// write and one fsync, so a torn one leaves a prefix of whole frames:
-// an owner that needs the group to land together makes its last frame
-// the one that gives the others meaning.
+// write, so a torn one leaves a prefix of whole frames: an owner that
+// needs the group to land together makes its last frame the one that
+// gives the others meaning.
 //
-// There are two ways to add frames. Append is write + fsync: what it
-// acknowledges survives a power cut, and it is the only spelling an
-// owner may acknowledge to anyone on. Write is the write alone: the
-// frames are readable at once and survive a process kill, but a power
-// cut may take them — any suffix of them, or a page out of their middle
-// — until a later Append or Sync flushes the file. It is for an owner
-// who can rebuild those frames from a log it did flush (the version
-// journal's session versions, behind the session store's WAL), and who
-// calls Sync before it gives that other log up. DESIGN.md "Storage
-// spine" states the torn-tail, append, failed-append and publish rules
-// this package enforces.
+// Adding frames is group commit in two steps. Append writes them, under
+// the owner's lock, which orders the log; Sync, called once that lock is
+// released, returns when an fsync has covered them. One writer at a time
+// leads that fsync, for every byte written before it started; the others
+// wait for Synced() to pass their end, so writers that append while an
+// fsync runs share the next one. Only after Sync may an owner acknowledge
+// the frames to anyone. A failed fsync kills the log: every writer it
+// covered fails, and every later operation until the file is reopened.
+// DESIGN.md "Storage spine" states the torn-tail, append, failed-append
+// and publish rules this package enforces.
 package framelog
 
 import (
@@ -41,6 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // HeaderSize is the fixed frame header: magic, payload length, CRC.
@@ -119,31 +118,44 @@ type Faults interface {
 	TornWrite(op string, b []byte) ([]byte, bool)
 }
 
+// FsyncFaults is the seam an fsync is threaded through when the
+// Options' Faults also implements it: Fsync runs before each fsync a
+// writer leads, may hold it there, and a non-nil error stands for the
+// fsync failing.
+type FsyncFaults interface {
+	Fsync(op string) error
+}
+
 // Options configures a Log.
 type Options struct {
-	// Op is the fault-injection operation name, e.g. "wal.append".
+	// Op is the fault-injection operation name, e.g. "vstore.journal".
 	Op string
 	// Faults, when non-nil, may tear an append. Leave nil in production.
 	Faults Faults
 }
 
-// Log is one append-only file of frames. It is not safe for concurrent
-// use; the owner serializes calls under its own lock, of which
-// ReadFrame needs only the shared side.
+// Log is one append-only file of frames. Append, and Close, run under
+// the owner's lock, which serializes them; ReadFrame needs only its
+// shared side; Sync runs without it, concurrently with all of them.
 type Log struct {
 	f    *os.File
 	path string
 	opts Options
-	// size is the offset of the end of the last acknowledged frame: a
-	// failed append rolls the file back to it.
+
+	mu   sync.Mutex // guards the fields below
+	cond *sync.Cond // signalled when an fsync ends
+	// size is the offset of the end of the last frame written: a failed
+	// append rolls the file back to it. It moves only under the owner's
+	// lock too, so a holder of that lock reads it without mu.
 	size int64
-	// synced is the end of the prefix known to be flushed: size after an
-	// Append or Sync, behind it after a Write.
+	// synced is the end of the prefix an fsync has covered.
 	synced int64
-	// dead, once set, fails every further operation until the file is
-	// reopened: after a simulated crash, or when a failed append could
-	// not be rolled back, writing on would bury a partial frame under
-	// acknowledged ones that the next Open would then truncate.
+	// syncing: a writer is leading an fsync.
+	syncing bool
+	// dead, once set, fails every further append, and every Sync whose
+	// end is past synced, until the file is reopened: after a simulated
+	// crash, a failed fsync, or a failed append that could not be rolled
+	// back, writing on would bury lost bytes under acknowledged ones.
 	dead error
 }
 
@@ -171,9 +183,9 @@ func Open(path string, magic byte, opts Options, accept func(frame, payload []by
 		return nil, fmt.Errorf("framelog: open %s: %w", path, err)
 	}
 	// Nothing tells flushed bytes from ones a killed process only wrote,
-	// so what Open accepts counts as flushed; Sync never skips its fsync
-	// on the strength of that.
+	// so what Open accepts counts as flushed.
 	l := &Log{f: f, path: path, opts: opts, size: int64(valid), synced: int64(valid)}
+	l.cond = sync.NewCond(&l.mu)
 	if valid < len(raw) {
 		err = l.truncate(l.size)
 	} else {
@@ -185,7 +197,8 @@ func Open(path string, magic byte, opts Options, accept func(frame, payload []by
 	return l, nil
 }
 
-// truncate cuts the file to size and appends from there.
+// truncate cuts the file to size and appends from there. Caller holds
+// the owner's lock, and mu unless nothing else can reach the log yet.
 func (l *Log) truncate(size int64) error {
 	if err := l.f.Truncate(size); err != nil {
 		return err
@@ -194,34 +207,43 @@ func (l *Log) truncate(size int64) error {
 		return err
 	}
 	l.size = size
-	l.synced = min(l.synced, size)
 	return nil
 }
 
-// Dead reports whether the log refuses every further operation until
-// it is reopened: after a crash fault, or a failed append that could
-// not be rolled back.
-func (l *Log) Dead() bool { return l.dead != nil }
+// Dead reports whether the log refuses every further append until it
+// is reopened: after a crash fault, a failed fsync, or a failed append
+// that could not be rolled back.
+func (l *Log) Dead() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dead != nil
+}
 
-// Size is the offset of the end of the last acknowledged frame, which
-// is where the first frame of the next Append or Write will start.
-func (l *Log) Size() int64 { return l.size }
+// Size is the offset of the end of the last frame written, which is
+// where the first frame of the next Append will start.
+func (l *Log) Size() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size
+}
 
 // Synced is the end of the flushed prefix: what a power cut cannot
-// take. It equals Size() except between a Write and the Append or Sync
-// that follows it.
-func (l *Log) Synced() int64 { return l.synced }
+// take. It trails Size() between an Append and the fsync that covers it.
+func (l *Log) Synced() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.synced
+}
 
 // ReadFrame returns the payload of the frame that starts at off and
 // carries n payload bytes: one ReadAt, accepted only if the frame ends
-// at or below Size() — flushed or not — and its magic, length and
-// checksum verify through the Scan that recovery uses. Acknowledged
-// frames stay readable on a dead log. Unlike the rest of Log, ReadFrame
-// calls may run concurrently with each other — not with Append, Write,
-// Sync, Reset or Close, which move Size() or the file under it.
+// at or below Size() and its magic, length and checksum verify through
+// the Scan that recovery uses. Frames stay readable on a dead log. It
+// may run concurrently with other ReadFrame calls and with Sync — the
+// owner holds its lock in shared mode — not with Append or Close.
 func (l *Log) ReadFrame(magic byte, off int64, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+int64(HeaderSize+n) > l.size {
-		return nil, fmt.Errorf("framelog: read %s: a %d-byte frame at offset %d does not end below the log's %d bytes", l.path, n, off, l.size)
+	if size := l.Size(); off < 0 || n < 0 || off+int64(HeaderSize+n) > size {
+		return nil, fmt.Errorf("framelog: read %s: a %d-byte frame at offset %d does not end below the log's %d bytes", l.path, n, off, size)
 	}
 	buf := make([]byte, HeaderSize+n)
 	if _, err := l.f.ReadAt(buf, off); err != nil {
@@ -233,93 +255,96 @@ func (l *Log) ReadFrame(magic byte, off int64, n int) ([]byte, error) {
 	return nil, fmt.Errorf("framelog: read %s: no intact %d-byte frame at offset %d (magic, length or checksum mismatch)", l.path, n, off)
 }
 
-// Append writes already-encoded frames with one write and one fsync,
-// which also flushes whatever earlier Writes left unflushed. When the
-// write or the fsync fails, whatever part reached the file is truncated
-// away so a later successful append is not lost behind it; if that
-// rollback fails too — or the failed fsync covered earlier Writes,
-// whose pages the kernel may have dropped — the log goes dead. A crash
+// Append writes already-encoded frames with one write and returns the
+// offset where they end, which Sync takes: they are readable at once and
+// acknowledged once Sync(end) has returned nil. The caller holds the
+// owner's lock, which orders appends. When the write fails, whatever
+// part reached the file is truncated away so a later append is not lost
+// behind it; if that rollback fails too, the log goes dead. A crash
 // fault persists the torn prefix, kills the log, and returns ErrCrashed.
-func (l *Log) Append(frames ...[]byte) error { return l.add(true, frames) }
-
-// Write is Append without the fsync: one write, acknowledged once the
-// kernel has it. The frames count toward Size() and are served by
-// ReadFrame at once; Synced() stays where it was until the next Append
-// or Sync. Failure and crash faults are handled as in Append.
-func (l *Log) Write(frames ...[]byte) error { return l.add(false, frames) }
-
-func (l *Log) add(flush bool, frames [][]byte) error {
-	if l.dead != nil {
-		return l.dead
+func (l *Log) Append(frames ...[]byte) (int64, error) {
+	l.mu.Lock()
+	dead, start := l.dead, l.size
+	l.mu.Unlock()
+	if dead != nil {
+		return 0, dead
 	}
-	if len(frames) == 0 {
-		return nil
-	}
-	buf := frames[0]
-	if len(frames) > 1 {
-		buf = bytes.Join(frames, nil)
-	}
+	buf := bytes.Join(frames, nil)
 	if l.opts.Faults != nil {
 		if cut, crashed := l.opts.Faults.TornWrite(l.opts.Op, buf); crashed {
-			l.dead = ErrCrashed
 			_, err := l.f.Write(cut)
 			if err == nil {
 				err = l.f.Sync()
 			}
-			return errors.Join(ErrCrashed, err)
+			l.kill(ErrCrashed)
+			return 0, errors.Join(ErrCrashed, err)
 		}
 	}
-	_, err := l.f.Write(buf)
-	if err == nil && flush {
-		if err = l.f.Sync(); err != nil && l.synced < l.size {
-			l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flushing %d written bytes: %w", l.path, l.size-l.synced, err)
-			return l.dead
-		}
-	}
-	if err != nil {
+	if _, err := l.f.Write(buf); err != nil {
 		err = fmt.Errorf("framelog: append %s: %w", l.path, err)
-		if rerr := l.truncate(l.size); rerr != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if rerr := l.truncate(start); rerr != nil {
 			l.dead = fmt.Errorf("framelog: %s is unusable until reopened: rolling back a failed append: %w", l.path, rerr)
-			return errors.Join(err, l.dead)
+			return 0, errors.Join(err, l.dead)
 		}
-		return err
+		return 0, err
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.size += int64(len(buf))
-	if flush {
-		l.synced = l.size
-	}
-	return nil
+	return l.size, nil
 }
 
-// Sync flushes what Writes left unflushed, after which Synced() equals
-// Size(). A failed flush kills the log: the kernel may have dropped the
-// pages it could not write, so frames this log acknowledged can no
-// longer be promised, and an owner that was about to give up its redo
-// log on the strength of this one must keep it.
-func (l *Log) Sync() error {
-	if l.dead != nil {
-		return l.dead
+// kill makes err the log's death, unless it has died already, and
+// wakes every writer waiting in Sync.
+func (l *Log) kill(err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dead == nil {
+		l.dead = err
 	}
-	if err := l.f.Sync(); err != nil {
-		l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flush: %w", l.path, err)
-		return l.dead
-	}
-	l.synced = l.size
-	return nil
+	l.cond.Broadcast()
 }
 
-// Reset empties the log (after its contents were folded into a
-// published snapshot).
-func (l *Log) Reset() error {
-	if l.dead != nil {
-		return l.dead
-	}
-	err := l.truncate(0)
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
-		return fmt.Errorf("framelog: reset %s: %w", l.path, err)
+// Sync returns once the flushed prefix reaches end: nil when an fsync
+// has covered every byte before it, the log's death when it died first.
+// The first writer to find no fsync running leads one, for every byte
+// written when it starts; the rest wait for it and, if their bytes came
+// after its start, lead or share the next. A failed fsync kills the log:
+// the kernel may have dropped the pages it could not write, so nothing
+// it covered can be promised. The caller does not hold the owner's lock.
+func (l *Log) Sync(end int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.synced < end {
+		switch {
+		case l.dead != nil:
+			return l.dead
+		case l.syncing:
+			l.cond.Wait()
+			continue
+		}
+		l.syncing = true
+		l.mu.Unlock()
+		var err error
+		if ff, ok := l.opts.Faults.(FsyncFaults); ok {
+			err = ff.Fsync(l.opts.Op)
+		}
+		l.mu.Lock()
+		mark := l.size
+		l.mu.Unlock()
+		if err == nil {
+			err = l.f.Sync()
+		}
+		l.mu.Lock()
+		l.syncing = false
+		if err != nil && l.dead == nil {
+			l.dead = fmt.Errorf("framelog: %s is unusable until reopened: flush: %w", l.path, err)
+		} else if err == nil {
+			l.synced = max(l.synced, mark)
+		}
+		l.cond.Broadcast()
 	}
 	return nil
 }

@@ -3,9 +3,12 @@ package framelog_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/reliable-cda/cda/internal/framelog"
@@ -113,6 +116,15 @@ func openCollect(t *testing.T, path string, opts framelog.Options) (*framelog.Lo
 	return l, got
 }
 
+// appendSync appends frames and waits for the fsync that covers them.
+func appendSync(l *framelog.Log, frames ...[]byte) error {
+	end, err := l.Append(frames...)
+	if err == nil {
+		err = l.Sync(end)
+	}
+	return err
+}
+
 func wantPayloads(t *testing.T, got []string, want ...string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -140,7 +152,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		if info, err := os.Stat(path); err != nil || info.Size() != int64(len(frames("a", "b"))) {
 			t.Fatalf("cut=%d: torn tail not truncated: size %d, err %v", cut, info.Size(), err)
 		}
-		if err := l.Append(frame("c"), frame("d")); err != nil {
+		if err := appendSync(l, frame("c"), frame("d")); err != nil {
 			t.Fatal(err)
 		}
 		_, got = openCollect(t, path, framelog.Options{})
@@ -166,29 +178,6 @@ func TestOpenStopsAtRejectedFrame(t *testing.T) {
 	wantPayloads(t, got, "a")
 }
 
-// TestReset: a reset log is empty, and appends after it land from the
-// start of the file.
-func TestReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _ := openCollect(t, path, framelog.Options{})
-	for _, p := range []string{"a", "b", "c"} {
-		if err := l.Append(frame(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, got := openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "a", "b", "c")
-
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(frame("f")); err != nil {
-		t.Fatal(err)
-	}
-	_, got = openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "f")
-}
-
 // tearAt is a Faults that tears the n-th append (1-based) in half.
 type tearAt struct{ n, seen int }
 
@@ -201,15 +190,15 @@ func (f *tearAt) TornWrite(op string, b []byte) ([]byte, bool) {
 }
 
 // TestCrashFaultKillsLog: the injected crash persists the torn prefix,
-// every later operation fails with ErrCrashed, and reopening recovers
-// the acknowledged prefix.
+// every later append, and every Sync past what was flushed, fails with
+// ErrCrashed, and reopening recovers the acknowledged prefix.
 func TestCrashFaultKillsLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _ := openCollect(t, path, framelog.Options{Op: "test.append", Faults: &tearAt{n: 2}})
-	if err := l.Append(frame("a")); err != nil {
+	if err := appendSync(l, frame("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(frame("torn")); !errors.Is(err, framelog.ErrCrashed) {
+	if err := appendSync(l, frame("torn")); !errors.Is(err, framelog.ErrCrashed) {
 		t.Fatalf("torn append = %v, want ErrCrashed", err)
 	}
 	if info, err := os.Stat(path); err != nil || info.Size() <= int64(len(frames("a"))) {
@@ -218,11 +207,17 @@ func TestCrashFaultKillsLog(t *testing.T) {
 	if !l.Dead() {
 		t.Fatal("log alive after a crash")
 	}
-	if err := l.Append(frame("b")); !errors.Is(err, framelog.ErrCrashed) {
+	if err := appendSync(l, frame("b")); !errors.Is(err, framelog.ErrCrashed) {
 		t.Fatalf("append after crash = %v, want ErrCrashed", err)
 	}
-	if err := l.Reset(); !errors.Is(err, framelog.ErrCrashed) {
-		t.Fatalf("reset after crash = %v, want ErrCrashed", err)
+	if _, err := l.Append(frame("b")); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("append after crash = %v, want ErrCrashed", err)
+	}
+	if err := l.Sync(l.Size() + 1); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("sync past the acknowledged end after crash = %v, want ErrCrashed", err)
+	}
+	if err := l.Sync(l.Size()); err != nil {
+		t.Fatalf("sync of what was acknowledged before the crash = %v, want nil", err)
 	}
 	_, got := openCollect(t, path, framelog.Options{})
 	wantPayloads(t, got, "a")
@@ -237,7 +232,7 @@ func TestReadFrame(t *testing.T) {
 	if l.Size() != 0 {
 		t.Fatalf("empty log has size %d", l.Size())
 	}
-	if err := l.Append(frame("alpha"), frame("be"), frame("ta")); err != nil {
+	if err := appendSync(l, frame("alpha"), frame("be"), frame("ta")); err != nil {
 		t.Fatal(err)
 	}
 	second := int64(len(frame("alpha")))
@@ -300,7 +295,7 @@ func TestReadFrame(t *testing.T) {
 	// The second append is torn by a crash: the log is dead, its torn
 	// bytes lie past Size and are refused, acknowledged frames still read.
 	size := l.Size()
-	if err := l.Append(frame("torn-by-the-crash")); !errors.Is(err, framelog.ErrCrashed) || !l.Dead() {
+	if err := appendSync(l, frame("torn-by-the-crash")); !errors.Is(err, framelog.ErrCrashed) || !l.Dead() {
 		t.Fatalf("torn append = %v, dead %v", err, l.Dead())
 	}
 	if l.Size() != size {
@@ -369,10 +364,10 @@ func TestFailedPublishClosesItsFile(t *testing.T) {
 	}
 }
 
-// TestWriteIsUnflushedUntilAppendOrSync: the two ways to add frames.
-// Both move Size() and are served by ReadFrame at once; only Append,
-// Sync and Reset move Synced(), and each moves it to Size().
-func TestWriteIsUnflushedUntilAppendOrSync(t *testing.T) {
+// TestAppendIsUnflushedUntilSync: Append moves Size() and its frames are
+// served by ReadFrame at once; only Sync moves Synced(), to the end of
+// what was written when its fsync started.
+func TestAppendIsUnflushedUntilSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _ := openCollect(t, path, framelog.Options{})
 	flushed := func(when string, want bool) {
@@ -382,18 +377,17 @@ func TestWriteIsUnflushedUntilAppendOrSync(t *testing.T) {
 		}
 	}
 	flushed("empty", true)
-	if err := l.Append(frame("a")); err != nil {
+	first, err := l.Append(frame("a"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	flushed("after Append", true)
-	mark := l.Synced()
-
-	if err := l.Write(frame("b"), frame("c")); err != nil {
+	flushed("after Append", false)
+	end, err := l.Append(frame("b"), frame("c"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	flushed("after Write", false)
-	if l.Synced() != mark || l.Size() != int64(len(frames("a", "b", "c"))) {
-		t.Fatalf("Write moved the log to %d flushed of %d; want %d of %d", l.Synced(), l.Size(), mark, len(frames("a", "b", "c")))
+	if l.Synced() != 0 || l.Size() != end || end != int64(len(frames("a", "b", "c"))) {
+		t.Fatalf("two Appends moved the log to %d flushed of %d, ending at %d; want 0 of %d", l.Synced(), l.Size(), end, len(frames("a", "b", "c")))
 	}
 	if got, err := l.ReadFrame(testMagic, int64(len(frames("a", "b"))), 1); err != nil || string(got) != "c" {
 		t.Fatalf("ReadFrame of an unflushed frame = %q, %v", got, err)
@@ -402,61 +396,117 @@ func TestWriteIsUnflushedUntilAppendOrSync(t *testing.T) {
 	_, got := openCollect(t, path, framelog.Options{})
 	wantPayloads(t, got, "a", "b", "c")
 
-	if err := l.Append(frame("d")); err != nil {
-		t.Fatal(err)
-	}
-	flushed("after an Append that followed a Write", true)
-	if err := l.Write(frame("e")); err != nil {
-		t.Fatal(err)
-	}
-	flushed("after a second Write", false)
-	if err := l.Sync(); err != nil {
+	// One fsync covers every byte written before it started, so a Sync
+	// of the earlier end flushes the later frames too.
+	if err := l.Sync(first); err != nil {
 		t.Fatal(err)
 	}
 	flushed("after Sync", true)
-	if err := l.Sync(); err != nil {
+	if err := l.Sync(end); err != nil {
 		t.Fatalf("Sync with nothing to flush: %v", err)
 	}
-
-	if err := l.Write(frame("g")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	flushed("after Reset", true)
-	if l.Size() != 0 {
-		t.Fatalf("reset log has size %d", l.Size())
-	}
-	if err := l.Write(frame("h")); err != nil {
+	if _, err := l.Append(frame("d")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, got = openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "h")
+	wantPayloads(t, got, "a", "b", "c", "d")
 }
 
-// TestCrashFaultKillsLogOnWrite: the crash seam tears a Write exactly as
-// it tears an Append, and a dead log refuses Sync too.
-func TestCrashFaultKillsLogOnWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _ := openCollect(t, path, framelog.Options{Op: "test.append", Faults: &tearAt{n: 2}})
-	if err := l.Write(frame("a")); err != nil {
-		t.Fatal(err)
+// heldFsync is a Faults whose fsyncs wait for release once armed: it
+// counts them, and fails them when fail is set.
+type heldFsync struct {
+	release chan struct{}
+	fail    error
+	fsyncs  atomic.Int32
+}
+
+func (h *heldFsync) TornWrite(_ string, b []byte) ([]byte, bool) { return b, false }
+
+func (h *heldFsync) Fsync(string) error {
+	h.fsyncs.Add(1)
+	<-h.release
+	return h.fail
+}
+
+// appendAll runs n writers that each append one frame under lock, the
+// owner's, and then Sync it without the lock; after every writer has
+// appended it releases the held fsync, and it returns what each Sync said
+// and the end each waited for.
+func appendAll(t *testing.T, l *framelog.Log, h *heldFsync, n int) ([]error, []int64) {
+	t.Helper()
+	var lock sync.Mutex
+	var appended, done sync.WaitGroup
+	errs, ends := make([]error, n), make([]int64, n)
+	appended.Add(n)
+	done.Add(n)
+	for i := range n {
+		go func() {
+			defer done.Done()
+			lock.Lock()
+			end, err := l.Append(frame(fmt.Sprintf("writer %d", i)))
+			lock.Unlock()
+			appended.Done()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			ends[i] = end
+			errs[i] = l.Sync(end)
+			if errs[i] == nil && l.Synced() < end {
+				errs[i] = fmt.Errorf("Sync(%d) returned with the log flushed to %d", end, l.Synced())
+			}
+		}()
 	}
-	if err := l.Write(frame("torn")); !errors.Is(err, framelog.ErrCrashed) {
-		t.Fatalf("torn write = %v, want ErrCrashed", err)
-	}
-	if !l.Dead() || l.Size() != int64(len(frames("a"))) {
-		t.Fatalf("after the crash: dead = %v, size %d; want a dead log that acknowledged one frame", l.Dead(), l.Size())
-	}
-	for name, err := range map[string]error{"Write": l.Write(frame("b")), "Sync": l.Sync()} {
-		if !errors.Is(err, framelog.ErrCrashed) {
-			t.Fatalf("%s after crash = %v, want ErrCrashed", name, err)
+	appended.Wait()
+	close(h.release)
+	done.Wait()
+	return errs, ends
+}
+
+// TestGroupCommitSharesFsyncs: writers that append while an fsync is
+// held each return from Sync only once Synced() covers their bytes, and
+// they share fsyncs: fewer run than there are writers.
+func TestGroupCommitSharesFsyncs(t *testing.T) {
+	const n = 8
+	h := &heldFsync{release: make(chan struct{})}
+	l, _ := openCollect(t, filepath.Join(t.TempDir(), "log"), framelog.Options{Op: "test.append", Faults: h})
+	errs, _ := appendAll(t, l, h, n)
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("writer %d: %v", i, err)
 		}
 	}
-	_, got := openCollect(t, path, framelog.Options{})
-	wantPayloads(t, got, "a")
+	if got := h.fsyncs.Load(); got < 1 || got >= n {
+		t.Errorf("%d writers ran %d fsyncs, want at least 1 and fewer than %d", n, got, n)
+	}
+	if l.Synced() != l.Size() || l.Size() != int64(n*len(frame("writer 0"))) {
+		t.Errorf("the log is flushed to %d of %d bytes after every Sync returned", l.Synced(), l.Size())
+	}
+}
+
+// TestFailedGroupFsyncFailsEveryWriter: an fsync that fails fails every
+// writer whose bytes it covered and kills the log: appends and Syncs past
+// the flushed prefix fail with the same error until it is reopened.
+func TestFailedGroupFsyncFailsEveryWriter(t *testing.T) {
+	const n = 4
+	h := &heldFsync{release: make(chan struct{}), fail: errors.New("the disk is gone")}
+	l, _ := openCollect(t, filepath.Join(t.TempDir(), "log"), framelog.Options{Op: "test.append", Faults: h})
+	errs, _ := appendAll(t, l, h, n)
+	for i, err := range errs {
+		if err == nil || !errors.Is(err, h.fail) {
+			t.Errorf("writer %d: Sync = %v, want the failed fsync's error", i, err)
+		}
+	}
+	if !l.Dead() || l.Synced() != 0 {
+		t.Fatalf("after the failed fsync: dead = %v, flushed to %d", l.Dead(), l.Synced())
+	}
+	if _, err := l.Append(frame("after")); !errors.Is(err, h.fail) {
+		t.Errorf("append on the dead log = %v, want the failed fsync's error", err)
+	}
+	if err := l.Sync(1); !errors.Is(err, h.fail) {
+		t.Errorf("sync on the dead log = %v, want the failed fsync's error", err)
+	}
 }

@@ -29,10 +29,7 @@ type Counter int
 // The counters. A log's fsyncs, frames and bytes are what the turn
 // appended to it on disk; a memory-only store appends nothing.
 const (
-	WALFsyncs          Counter = iota // fsyncs of a session-store WAL
-	WALFrames                         // frames appended to a WAL
-	WALBytes                          // bytes appended to a WAL, frame headers included
-	JournalFsyncs                     // fsyncs of the version journal
+	JournalFsyncs      Counter = iota // fsyncs of the version journal
 	JournalFrames                     // frames appended to the journal: chunks and root records
 	JournalBytes                      // bytes appended to the journal, frame headers included
 	ChunksEncoded                     // chunks rendered to their payload bytes
@@ -47,9 +44,6 @@ const (
 
 // counterNames spell the counters in a Report.
 var counterNames = [numCounters]string{
-	WALFsyncs:          "wal_fsyncs",
-	WALFrames:          "wal_frames",
-	WALBytes:           "wal_bytes",
 	JournalFsyncs:      "journal_fsyncs",
 	JournalFrames:      "journal_frames",
 	JournalBytes:       "journal_bytes",

@@ -26,7 +26,7 @@ func TestTracedTurnNestsSpansOnTheClock(t *testing.T) {
 	inner.End()
 	outer.End()
 	turn.Start("after").End()
-	turn.Add(WALFsyncs, 1)
+	turn.Add(JournalFsyncs, 1)
 	turn.Add(JournalBytes, 40)
 	turn.Add(JournalBytes, 2)
 	r := turn.Report()
@@ -40,7 +40,7 @@ func TestTracedTurnNestsSpansOnTheClock(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("span tree\n got %s\nwant %s", got, want)
 	}
-	if r.Counters["wal_fsyncs"] != 1 || r.Counters["journal_bytes"] != 42 || len(r.Counters) != int(numCounters) {
+	if r.Counters["journal_fsyncs"] != 1 || r.Counters["journal_bytes"] != 42 || len(r.Counters) != int(numCounters) {
 		t.Errorf("counters = %v", r.Counters)
 	}
 }
@@ -64,6 +64,6 @@ func TestUntracedTurnAllocatesNoSpan(t *testing.T) {
 		t.Errorf("chunks hashed = %d, want 101", n)
 	}
 	var none *Turn // a layer reached without a turn
-	none.Add(WALFrames, 1)
+	none.Add(JournalFrames, 1)
 	none.Start("stage").End()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -362,7 +363,9 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 			return -1, 0, ""
 		}},
 		{"session node in its commit record", func(payloads [][]byte) (int, int, string) {
-			for i, p := range payloads {
+			// The last: the first is the creation's, the empty node at turn 0.
+			for i := len(payloads) - 1; i >= 0; i-- {
+				p := payloads[i]
 				// 0x04, the root name behind its length, the turn, and the
 				// node's chunk bytes: the rest of the payload.
 				if at := bytes.Index(p, []byte("\x01\x04sess")); at >= 0 && p[0] == 0x04 {
@@ -444,16 +447,22 @@ func testCorruptVersionChunkIsA500(t *testing.T, find func(payloads [][]byte) (f
 	if resp.StatusCode != http.StatusInternalServerError || strings.Contains(string(body), "urich") || strings.Contains(string(body), victim) {
 		t.Fatalf("as-of read over a corrupt chunk: status %d, body %s; want a 500 that leaks neither data nor detail", resp.StatusCode, body)
 	}
-	// What the client could ask for and is not there stays a 404.
-	for _, url := range []string{ts.URL + "/sessions/" + id + "/asof/1", ts.URL + "/sessions/never-issued/asof/2"} {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s = %d, want 404", url, resp.StatusCode)
-		}
+	// What the client could ask for and is not there stays a 404, and
+	// the creation's version, which the damage does not touch, reads.
+	resp, err = http.Get(ts.URL + "/sessions/never-issued/asof/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET an as-of read of a session never issued = %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/sessions/" + id + "/asof/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decode[AsOfResponse](t, resp); resp.StatusCode != http.StatusOK || got.Total != 0 {
+		t.Errorf("as-of read of turn 1: status %d, %d turns; want the creation's empty transcript", resp.StatusCode, got.Total)
 	}
 	// The live transcript does not go through the journal.
 	if code, _ := rawTranscript(t, ts, id, ""); code != http.StatusOK {
@@ -461,25 +470,31 @@ func testCorruptVersionChunkIsA500(t *testing.T, find func(payloads [][]byte) (f
 	}
 }
 
-// tearJournalAppend is a version-store fault hook that tears the n-th
-// journal append in half, which kills the journal.
-type tearJournalAppend struct{ n, seen int }
+// failCommit is a version-store fault hook that refuses the n-th
+// version commit, killing nothing.
+type failCommit struct{ n, seen int }
 
-func (f *tearJournalAppend) Inject(string) error { return nil }
+var errRefusedCommit = errors.New("failCommit: refused")
 
-func (f *tearJournalAppend) TornWrite(_ string, b []byte) ([]byte, bool) {
-	f.seen++
-	if f.seen != f.n {
-		return b, false
+func (f *failCommit) Inject(op string) error {
+	if op != "vstore.commit" {
+		return nil
 	}
-	return b[:len(b)/2], true
+	f.seen++
+	if f.seen == f.n {
+		return errRefusedCommit
+	}
+	return nil
 }
 
-// TestVersionFailureIsLoggedAtTheTurn: when a shard cannot keep a
-// session's version — or, later, compact — the turn that ran into it is
-// still answered, byte for byte as a healthy node answers it, and the
-// failure is logged under a request reference then, once, not at
-// shutdown.
+// TestVersionFailureIsLoggedAtTheTurn: when a shard cannot commit its
+// root's version — the compaction due at the fourth record refused by
+// the version store — the turn that ran into it is still answered, byte
+// for byte as a healthy node answers it, and the failure is logged under
+// a request reference then, once, not at shutdown; the next turn's
+// compaction lands. A session's version is its turn: when that one is
+// refused, the ask is a 500 naming only a reference, the transcript holds
+// what was acknowledged, and the ask repeated is answered.
 func TestVersionFailureIsLoggedAtTheTurn(t *testing.T) {
 	var logged bytes.Buffer
 	log.SetOutput(&logged)
@@ -491,7 +506,7 @@ func TestVersionFailureIsLoggedAtTheTurn(t *testing.T) {
 		"how many barometer",
 		"what is the average employment by canton",
 	}
-	run := func(faults vstore.FaultHook) (answers []string, st *sessionstore.Store) {
+	open := func(faults vstore.FaultHook) (*httptest.Server, *Server, string) {
 		dir := t.TempDir()
 		vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore"), Faults: faults})
 		if err != nil {
@@ -503,15 +518,25 @@ func TestVersionFailureIsLoggedAtTheTurn(t *testing.T) {
 			}
 		})
 		ts, srv := durableServer(t, dir, sessionstore.Config{Shards: 1, SnapshotEvery: 4, Versions: vs}, nil)
-		id := createSession(t, ts)
+		return ts, srv, createSession(t, ts)
+	}
+	ask := func(ts *httptest.Server, id, q string) (int, string) {
+		resp := postJSON(t, ts.URL+"/sessions/"+id+"/ask", AskRequest{Question: q})
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	run := func(faults vstore.FaultHook) (answers []string, st *sessionstore.Store) {
+		ts, srv, id := open(faults)
 		for _, q := range questions {
-			resp := postJSON(t, ts.URL+"/sessions/"+id+"/ask", AskRequest{Question: q})
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("ask %q: status %d, %v", q, resp.StatusCode, err)
+			if code, body := ask(ts, id, q); code != http.StatusOK {
+				t.Fatalf("ask %q: status %d: %s", q, code, body)
+			} else {
+				answers = append(answers, body)
 			}
-			answers = append(answers, string(body))
 		}
 		_, transcript := rawTranscript(t, ts, id, "")
 		return append(answers, transcript), srv.Store()
@@ -520,25 +545,39 @@ func TestVersionFailureIsLoggedAtTheTurn(t *testing.T) {
 	if logged.Len() != 0 {
 		t.Fatalf("a healthy node logged:\n%s", logged.String())
 	}
-	// The second session version is torn; every later one, and the
-	// compaction due at the fourth WAL record, finds the journal dead.
-	failing, st := run(&tearJournalAppend{n: 2})
+	// Commits: the creation, then one per ask; the fifth is the
+	// compaction the third ask sets off, and the fourth ask's lands.
+	failing, st := run(&failCommit{n: 5})
 	if !reflect.DeepEqual(failing, healthy) {
 		t.Fatalf("responses differ from a healthy node's:\n got: %q\nwant: %q", failing, healthy)
 	}
 	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("logged %d lines, want one per turn from the torn version on:\n%s", len(lines), logged.String())
-	}
-	for i, line := range lines {
-		if !strings.Contains(line, "version session") || !strings.Contains(line, "[req-") {
-			t.Errorf("log line %d names neither the version failure nor a request reference: %s", i, line)
-		}
-		if compaction := strings.Contains(line, "keeps its WAL"); compaction != (i > 0) {
-			t.Errorf("log line %d: refused compaction reported = %v, want %v: %s", i, compaction, i > 0, line)
-		}
+	if len(lines) != 1 || !strings.Contains(lines[0], "compact shard 0") || !strings.Contains(lines[0], errRefusedCommit.Error()) || !strings.Contains(lines[0], "[req-") {
+		t.Fatalf("logged %d lines, want one naming the refused compaction and a request reference:\n%s", len(lines), logged.String())
 	}
 	if err := st.DeferredError(0); err != nil {
 		t.Errorf("a failure was left unreported: %v", err)
+	}
+	if head, err := st.Versions().Head(sessionstore.ShardRoot(0)); err != nil || head.Turn != 5 {
+		t.Errorf("shard root head = %+v, %v; want the compaction the fourth ask retried, at horizon 5", head, err)
+	}
+
+	logged.Reset()
+	ts, _, id := open(&failCommit{n: 3}) // the second ask's
+	if code, _ := ask(ts, id, questions[0]); code != http.StatusOK {
+		t.Fatalf("first ask: status %d", code)
+	}
+	code, body := ask(ts, id, questions[1])
+	if code != http.StatusInternalServerError || !strings.Contains(body, "reference req-") || strings.Contains(body, errRefusedCommit.Error()) {
+		t.Fatalf("an ask whose version is refused = %d %s; want a 500 naming a reference and nothing else", code, body)
+	}
+	if !strings.Contains(logged.String(), errRefusedCommit.Error()) {
+		t.Errorf("the refused turn was not logged: %q", logged.String())
+	}
+	if code, page := rawTranscript(t, ts, id, ""); code != http.StatusOK || strings.Count(page, `"role"`) != 2 {
+		t.Fatalf("transcript after the refused turn = %d %s; want the first pair alone", code, page)
+	}
+	if code, body := ask(ts, id, questions[1]); code != http.StatusOK {
+		t.Fatalf("the refused ask repeated: status %d: %s", code, body)
 	}
 }

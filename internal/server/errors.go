@@ -84,7 +84,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError renders err through the status table. A WAL append torn
+// writeError renders err through the status table. A journal append torn
 // by an injected crash fault is the process dying mid-request, so the
 // response is aborted: net/http closes the connection, and the client
 // sees what it would see of a dead node.

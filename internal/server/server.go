@@ -12,7 +12,7 @@
 // over HTTP and a node behind cmd/cdarouter answer alike.
 //
 // Sessions live in a durable sharded store (internal/sessionstore):
-// every committed turn pair is WAL-logged before the response leaves,
+// every committed turn pair is journalled before the response leaves,
 // so transcripts survive a crash and a restarted server resumes the
 // same conversations. Asks pass an admission controller
 // (internal/admission) before any work is done; an overloaded shard
@@ -31,11 +31,11 @@
 // Node routes (Handler adds them):
 //
 //	GET  /health                             liveness probe
-//	GET  /healthz                            per-shard WAL seq + replication lag (JSON)
+//	GET  /healthz                            per-shard ship seq + replication lag (JSON)
 //	GET  /datasets                           catalog listing with freshness
 //	GET  /sessions/{id}/asof/{turn}          time-travel transcript read
 //	GET  /versions/{root...}                 a version root's commit log
-//	GET  /replication/{shard}?after=&max=    pull committed WAL frames (cluster shipping)
+//	GET  /replication/{shard}?after=&max=    pull committed record frames (cluster shipping)
 //	POST /replication/apply                  apply a pulled batch on a replica
 //	POST /chunks/want                        chunk negotiation: list missing chunks under a root
 //	POST /chunks/fetch                       chunk negotiation: serve chunk packets by hash
@@ -243,7 +243,7 @@ func (s *Server) ask(ctx context.Context, turn *obs.Turn, id, question string) (
 		}
 		ans = a
 		// Durability before acknowledgement: the turn pair Respond just
-		// committed to the transcript is WAL-logged here; on failure the
+		// committed to the transcript is journalled here; on failure the
 		// session's next turn starts from what the store committed, so
 		// memory, disk, and the client's view of the transcript always
 		// agree (the client simply re-asks).
@@ -253,8 +253,8 @@ func (s *Server) ask(ctx context.Context, turn *obs.Turn, id, question string) (
 		return zero, fmt.Errorf("ask on session %s: %w", id, err)
 	}
 	// The turn is durable and answered. What its shard failed to do off
-	// the acknowledgement path — keep the session's version, compact the
-	// WAL — changes nothing the client reads, so it is said here, once,
+	// the acknowledgement path — compact into its shard root — changes
+	// nothing the client reads, so it is said here, once,
 	// where an operator will see it before shutdown does.
 	if derr := s.store.DeferredError(s.store.ShardIndex(id)); derr != nil {
 		logInternal(fmt.Errorf("after a turn on session %s: %w", id, derr))
@@ -299,7 +299,7 @@ type TranscriptPage struct {
 	// Stale is true when the serving store is known to be behind the
 	// primary it last replicated from.
 	Stale bool `json:"stale,omitempty"`
-	// LagRecords is how many WAL records behind the serving shard is —
+	// LagRecords is how many records behind the serving shard is —
 	// a lower bound during a partition (the primary may have committed
 	// more since it was last reachable).
 	LagRecords int64 `json:"lag_records,omitempty"`
@@ -334,7 +334,8 @@ func (s *Server) Transcript(_ context.Context, id string, offset, limit int, _ b
 }
 
 // ShardHealth is one shard's replication state in /healthz: the ship
-// sequence its WAL has reached and how far it is known to lag the
+// sequence its records have reached (wal_seq, the name the replication
+// wire keeps) and how far it is known to lag the
 // primary it last applied a batch from (0 on a primary).
 type ShardHealth struct {
 	Shard  int   `json:"shard"`
@@ -376,7 +377,7 @@ func (s *Server) checkShard(shard int) error {
 	return nil
 }
 
-// Pull returns one shard's committed WAL frames after a cursor, at
+// Pull returns one shard's committed record frames after a cursor, at
 // most max of them (0: all) — a sessionstore.ShipBatch a replica
 // applies verbatim.
 func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, error) {
@@ -385,7 +386,7 @@ func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, 
 	}
 	batch, err := s.store.PullFrames(shard, after, max)
 	if err != nil {
-		// A cursor ahead of this node's WAL means the puller has state we
+		// A cursor ahead of this node's records means the puller has state we
 		// never shipped: the request is wrong, not the node.
 		return batch, refuse(ErrConflict, "%v", err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // traceDialogue is one seeded dialogue over two sessions on a
-// dir-backed store that compacts every fourth WAL record: every intent
+// dir-backed store that compacts every fourth record: every intent
 // the core serves, a follow-up, a question answered from the optimizer's
 // cache, and a turn that sets off a compaction.
 var traceDialogue = []struct{ session, question string }{
@@ -28,7 +28,6 @@ var traceDialogue = []struct{ session, question string }{
 // turnCounters is the pinned part of a turn's trace: every counter but
 // the malloc delta, which is the process's and moves run to run.
 type turnCounters struct {
-	walFsyncs, walFrames, walBytes             int64
 	journalFsyncs, journalFrames, journalBytes int64
 	encoded, hashed, journalled                int64
 	rows, candidates, distinct                 int64
@@ -36,8 +35,7 @@ type turnCounters struct {
 
 func countersOf(r *obs.Report) turnCounters {
 	c := r.Counters
-	return turnCounters{c["wal_fsyncs"], c["wal_frames"], c["wal_bytes"],
-		c["journal_fsyncs"], c["journal_frames"], c["journal_bytes"],
+	return turnCounters{c["journal_fsyncs"], c["journal_frames"], c["journal_bytes"],
 		c["chunks_encoded"], c["chunks_hashed"], c["chunks_journalled"],
 		c["rows_scanned"], c["candidates"], c["candidates_distinct"]}
 }
@@ -55,18 +53,18 @@ func TestTurnCountersArePinned(t *testing.T) {
 		}
 		ids[name] = id
 	}
-	// wal: fsyncs, frames, bytes; journal: fsyncs, frames, bytes;
+	// journal: fsyncs, frames, bytes;
 	// chunks: encoded, hashed, journalled; rows scanned; candidates,
 	// distinct.
 	want := []turnCounters{
-		{1, 1, 417, 0, 2, 489, 3, 3, 3, 0, 0, 0},
-		{1, 1, 248, 0, 2, 352, 3, 3, 3, 0, 0, 0},
-		{2, 1, 86, 1, 3, 292, 5, 5, 5, 100, 5, 1}, // compacts shard: a flushed root, a WAL reset
-		{1, 1, 56, 0, 2, 224, 3, 3, 3, 100, 5, 1},
-		{1, 1, 86, 0, 1, 74, 3, 3, 2, 0, 0, 0}, // a cache hit, whose turns chunk "a" already journalled
-		{1, 1, 63, 0, 2, 167, 3, 3, 3, 120, 5, 1},
-		{1, 1, 133, 0, 2, 333, 3, 3, 3, 0, 0, 0},
-		{2, 1, 148, 1, 3, 354, 5, 5, 5, 0, 0, 0},
+		{1, 2, 489, 3, 3, 3, 0, 0, 0},
+		{1, 2, 352, 3, 3, 3, 0, 0, 0},
+		{2, 3, 292, 5, 5, 5, 100, 5, 1}, // compacts shard: a second flushed append, the root
+		{1, 2, 224, 3, 3, 3, 100, 5, 1},
+		{1, 1, 74, 3, 3, 2, 0, 0, 0}, // a cache hit, whose turns chunk "a" already journalled
+		{1, 2, 167, 3, 3, 3, 120, 5, 1},
+		{1, 2, 333, 3, 3, 3, 0, 0, 0},
+		{2, 3, 354, 5, 5, 5, 0, 0, 0},
 	}
 	var got []turnCounters
 	for i, turn := range traceDialogue {
@@ -83,7 +81,7 @@ func TestTurnCountersArePinned(t *testing.T) {
 		got = append(got, countersOf(resp.Trace))
 		spans := spanNames(resp.Trace.Span)
 		for _, name := range []string{"server.ask", "core.respond", "core.classify", "core.handle",
-			"sessionstore.commit_turn", "sessionstore.wal_append", "sessionstore.version_encode", "vstore.journal", "server.encode"} {
+			"sessionstore.commit_turn", "sessionstore.version_encode", "vstore.journal", "server.encode"} {
 			if !strings.Contains(spans, " "+name+" ") {
 				t.Errorf("turn %d: no %s span in%s", i, name, spans)
 			}
@@ -91,8 +89,8 @@ func TestTurnCountersArePinned(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, c := range got {
-		fmt.Fprintf(&b, "\t\t{%d, %d, %d, %d, %d, %d, %d, %d, %d, %d, %d, %d},\n",
-			c.walFsyncs, c.walFrames, c.walBytes, c.journalFsyncs, c.journalFrames, c.journalBytes,
+		fmt.Fprintf(&b, "\t\t{%d, %d, %d, %d, %d, %d, %d, %d, %d},\n",
+			c.journalFsyncs, c.journalFrames, c.journalBytes,
 			c.encoded, c.hashed, c.journalled, c.rows, c.candidates, c.distinct)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -1,6 +1,7 @@
 package sessionstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -18,19 +19,21 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// The on-disk format pins. testdata/format-v7 is a data directory in the
-// `cdaserver -data-dir D` layout, written for formatScript by
-// replayScript: shard WALs of binary records, and a journal of binary
-// payloads — chunks whose data is this package's and vstore's binary
-// codecs, and root records, every version one commit record that carries
-// its new session or shard node — every address 32 raw bytes. It is the
-// format this code writes: the tests below hold this code to writing its
-// bytes and to reading what it holds. format-v6 is the same dialogue
-// before commit records — a tree node, a commit chunk and an append
-// record a version — which this code reads as it is, and Open refuses
-// anything older — format-v5's JSON journal payloads, format-v4's JSON
-// WAL records and the set records only retention wrote among it — with a
-// *vstore.FormatError, leaving it as it was.
+// The on-disk format pins. This code writes one log, the journal under
+// vstore/: a session's creation, each turn pair and an eviction are each
+// a record in it, and there is no shard WAL. testdata/format-v8 and
+// tree-v8 are data directories in the `cdaserver -data-dir D` layout that
+// the last commit to write shard WALs closed: every WAL empty, every
+// shard compacted. They open, and lose their empty WALs. format-v7 and
+// tree-v7 are the same dialogues that commit left as a kill leaves them,
+// with records in the WALs; there is no migration for those, so Open
+// refuses them with a *vstore.FormatError naming that commit, and leaves
+// them as they were. format-v6 is v7 before commit records — a tree node,
+// a commit chunk and an append record a version — which this code reads
+// with its WALs emptied, and Open refuses anything older — format-v5's
+// JSON journal payloads, format-v4's JSON WAL records and the set records
+// only retention wrote among it — naming the last commit that reads the
+// oldest format it holds.
 
 // formatTurn is one scripted turn pair of the fixture dialogue.
 type formatTurn struct {
@@ -135,44 +138,77 @@ func requireSameFiles(t *testing.T, got, want map[string][]byte, names []string)
 	}
 }
 
-// shardFiles are a data directory's WALs.
+// shardFiles are the WALs of a data directory older stores wrote.
 var shardFiles = []string{"shard-00.wal", "shard-01.wal"}
 
-// fixtures pairs each fixture dialogue with its directories: v7, the
-// format this code writes, v6, the format before commit records, which
-// it reads, and v5, which it refuses.
+// fixtures pairs each fixture dialogue with its directories: v8, closed
+// by the last writer of shard WALs, which this code opens, v7, that
+// writer's killed directory, which it refuses, v6, the format before
+// commit records, which it reads once its WALs are emptied, and v5,
+// which it refuses.
 var fixtures = []struct {
-	v7, v6, v5 string
-	script     func() []formatTurn
-}{{formatFixtureV7, formatFixtureV6, formatFixtureV5, formatScript}, {treeFixtureV7, treeFixtureV6, treeFixtureV5, treeScript}}
+	v8, v7, v6, v5 string
+	script         func() []formatTurn
+}{{formatFixtureV8, formatFixtureV7, formatFixtureV6, formatFixtureV5, formatScript}, {treeFixtureV8, treeFixtureV7, treeFixtureV6, treeFixtureV5, treeScript}}
 
-// TestFormatWritesV7Bytes replays both fixture dialogues and requires
-// every file to hash equal to the v7 fixture's — the long session's
-// journal across two folds, from trees remembered turn to turn — nothing
-// else to be written, and the root logs to be the ones the fixture
-// recorded. The WALs are also v6's and v5's, and the recorded logs are
-// v6's byte for byte: a commit record moves no byte of the WAL and no
-// version's address, turn or stamp.
-func TestFormatWritesV7Bytes(t *testing.T) {
+// TestFormatWritesOneLog replays both fixture dialogues and closes the
+// stores: the directory holds the journal and nothing else, a second
+// replay writes it byte for byte, and every version pins the tree the v8
+// writer's did at the same turn — a tree is a function of the state it
+// holds — behind a version at turn 0 that the v8 writer did not make: a
+// session's creation, and the empty shard a shard's first record lands
+// behind.
+func TestFormatWritesOneLog(t *testing.T) {
 	for _, fx := range fixtures {
-		dir := t.TempDir()
-		_, vs := replayScript(t, dir, fx.script())
-		got, want := readTree(t, dir), readTree(t, fx.v7)
-		requireSameFiles(t, got, want, append([]string{"vstore/chunks.pack"}, shardFiles...))
-		requireSameFiles(t, got, readTree(t, fx.v6), shardFiles)
-		requireSameFiles(t, got, readTree(t, fx.v5), shardFiles)
-		requireSameFiles(t, want, readTree(t, fx.v6), []string{fixtureLogs})
-		if len(got) != 3 || len(want) != 4 {
-			t.Errorf("%s: replay wrote %d files, fixture has %d; want 3, and %s beside them", fx.v7, len(got), len(want), fixtureLogs)
+		var journals [][]byte
+		for range 2 {
+			dir := t.TempDir()
+			st, vs := openFixture(t, dir)
+			var entries []*Entry
+			for range 3 {
+				e, err := st.NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries = append(entries, e)
+			}
+			for _, turn := range fx.script() {
+				commitPair(t, st, entries[turn.session], turn.q, turn.a, turn.conf)
+			}
+			if err := errors.Join(st.Close(), vs.Close()); err != nil {
+				t.Fatal(err)
+			}
+			files := readTree(t, dir)
+			if len(files) != 1 || len(files["vstore/chunks.pack"]) == 0 {
+				t.Fatalf("%s replayed: the directory holds %v, want vstore/chunks.pack alone", fx.v8, pathsUnder(t, dir))
+			}
+			journals = append(journals, files["vstore/chunks.pack"])
+			logs, want := versionLogs(t, dir), recordedLogs(t, fx.v8)
+			if len(logs) != len(want) {
+				t.Fatalf("%s replayed: %d roots, the v8 writer's %d", fx.v8, len(logs), len(want))
+			}
+			for root, log := range logs {
+				if len(log) == 0 || log[0].Turn != 0 {
+					t.Fatalf("%s replayed: %s begins at %+v, want a version at turn 0", fx.v8, root, log)
+				}
+				if got, want := treesOf(log[1:]), treesOf(want[root]); got != want {
+					t.Errorf("%s replayed: %s (turn, tree)\n got: %s\nwant: %s", fx.v8, root, got, want)
+				}
+			}
 		}
-		logs := logsOf(t, vs)
-		if want := recordedLogs(t, fx.v7); !reflect.DeepEqual(logs, want) {
-			t.Errorf("%s: root logs\n got: %+v\nwant: %+v", fx.v7, logs, want)
-		}
-		if got, want := versionsOf(logs), versionsOf(recordedLogs(t, fx.v5)); got != want {
-			t.Errorf("%s: versions (turn, stamp)\n got: %s\nwant: %s", fx.v5, got, want)
+		if !bytes.Equal(journals[0], journals[1]) {
+			t.Errorf("%s: two replays wrote journals of %d and %d bytes that differ", fx.v8, len(journals[0]), len(journals[1]))
 		}
 	}
+}
+
+// treesOf renders a root log without commit addresses, parents or stamps.
+func treesOf(log []vstore.Commit) string {
+	var sb strings.Builder
+	for _, c := range log {
+		fmt.Fprintf(&sb, " %d:%s", c.Turn, c.Tree)
+	}
+	return sb.String()
 }
 
 // versionsOf renders root logs without their addresses: each root's
@@ -363,38 +399,40 @@ func requireNextTurn(t *testing.T, st *Store, vs *vstore.Store, id string) {
 	}
 }
 
-// TestOpensFloorDirectories opens a copy of each v7 and v6 directory: it
-// holds every root log, transcript and as-of read its writer recorded,
-// every session's next turn is this code's tree over the recorded one,
-// and the directory reopens to the root logs the store held.
+// TestOpensFloorDirectories opens a copy of each v8 directory: it holds
+// every root log, transcript and as-of read its writer recorded, its
+// empty WALs are gone, every session's next turn is this code's tree over
+// the recorded one, and the directory reopens to the root logs the store
+// held.
 func TestOpensFloorDirectories(t *testing.T) {
 	for _, fx := range fixtures {
-		for _, fixture := range []string{fx.v7, fx.v6} {
-			dir := copyFixture(t, fixture)
-			st, vs := openFixture(t, dir)
-			transcripts := scriptTranscripts(fx.script())
-			requireRecorded(t, st, vs, recordedLogs(t, fixture), transcripts)
-			var ids []string
-			for id := range transcripts {
-				ids = append(ids, id)
-			}
-			slices.Sort(ids)
-			for _, id := range ids {
-				requireNextTurn(t, st, vs, id)
-			}
-			logs := logsOf(t, vs)
-			abandon(t, st, vs)
-			if got := versionLogs(t, dir); !reflect.DeepEqual(got, logs) {
-				t.Errorf("%s reopened after the next turns: root logs\n got: %+v\nwant: %+v", fixture, got, logs)
-			}
+		dir := copyFixture(t, fx.v8)
+		st, vs := openFixture(t, dir)
+		transcripts := scriptTranscripts(fx.script())
+		requireRecorded(t, st, vs, recordedLogs(t, fx.v8), transcripts)
+		if got := pathsUnder(t, dir); !slices.Equal(got, []string{"./", fixtureLogs, "vstore/", "vstore/chunks.pack"}) {
+			t.Errorf("%s opened: the directory holds %v, want the journal and %s alone", fx.v8, got, fixtureLogs)
+		}
+		var ids []string
+		for id := range transcripts {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			requireNextTurn(t, st, vs, id)
+		}
+		logs := logsOf(t, vs)
+		abandon(t, st, vs)
+		if got := versionLogs(t, dir); !reflect.DeepEqual(got, logs) {
+			t.Errorf("%s reopened after the next turns: root logs\n got: %+v\nwant: %+v", fx.v8, got, logs)
 		}
 	}
 }
 
-// TestOpensFloorWithEmptiedWALs opens a copy of each v7 and v6 directory with
-// its WALs emptied, as Close leaves every WAL once it has compacted it:
-// the store serves each live session the prefix of its script transcript
-// that its shard root holds, and every as-of read the writer recorded.
+// TestOpensFloorWithEmptiedWALs opens a copy of each v7 and v6 directory
+// with its WALs emptied, as Close leaves every WAL once it has compacted
+// it: the store serves each live session a prefix of its script
+// transcript, and every as-of read the writer recorded.
 func TestOpensFloorWithEmptiedWALs(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, fixture := range []string{fx.v7, fx.v6} {
@@ -413,6 +451,9 @@ func requireOpensEmptied(t *testing.T, fixture string, transcripts map[string]st
 		}
 	}
 	st, vs := openFixture(t, dir)
+	if got := pathsUnder(t, dir); slices.Contains(got, shardFiles[0]) || slices.Contains(got, shardFiles[1]) {
+		t.Errorf("%s emptied and opened: the directory still holds its empty WALs: %v", fixture, got)
+	}
 	live := 0
 	for id, transcript := range transcripts {
 		e, status := st.Get(id)
@@ -464,16 +505,18 @@ func pathsUnder(t *testing.T, dir string) []string {
 	return paths
 }
 
-// TestOpenRefusesPreFloorDirectories opens the v5 directories, whose
-// journals hold JSON payloads, the v4 ones, whose WALs hold JSON records,
-// and copies of format-v7 that hold, beside its files, among its WAL's
-// records or among its journal's frames, what only older stores wrote.
-// Each Open is a *vstore.FormatError naming a file in the directory — a
-// JSON journal payload or a set record the last commit that reads one —
-// and leaves the directory as it found it: every file's bytes — a torn
-// tail after a JSON record too — and no path created.
+// TestOpenRefusesPreFloorDirectories opens the v7 and v6 directories,
+// whose WALs hold records, the v5 directories, whose journals hold JSON
+// payloads, the v4 ones, whose WALs hold JSON records, and copies of
+// format-v8 that hold, beside its files, in a WAL or among its journal's
+// frames, what only older stores wrote. Each Open is a *vstore.FormatError
+// naming a file in the directory and the last commit that reads the
+// oldest format in it — a JSON WAL before a JSON journal, a journal
+// before a WAL of binary records — and leaves the directory as it found
+// it: every file's bytes — a torn tail after a JSON record too — and no
+// path created.
 func TestOpenRefusesPreFloorDirectories(t *testing.T) {
-	journal, err := os.ReadFile(filepath.Join(formatFixtureV7, "vstore", "chunks.pack"))
+	journal, err := os.ReadFile(filepath.Join(formatFixtureV8, "vstore", "chunks.pack"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,25 +551,37 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 		}
 		return raw
 	}
-	first := recordedLogs(t, formatFixtureV7)[SessionRoot("s0001")][0]
-	// jsonReader is what a refusal of a JSON journal payload names: the
-	// last commit that reads one.
-	const jsonReader = "8992f61"
+	with := func(files map[string][]byte, name string, data []byte) map[string][]byte {
+		files[name] = data
+		return files
+	}
+	first := recordedLogs(t, formatFixtureV8)[SessionRoot("s0001")][0]
+	// The last commit that reads each older format: a shard WAL with
+	// records in it, a JSON journal payload, a WAL of JSON records, a set
+	// root record.
+	const walReader, jsonReader, jsonWALReader, setReader = "0230b50", "8992f61", "32443c0", "7c56897"
 	for _, row := range []struct {
 		name    string
-		fixture string            // copied; empty is format-v7
+		fixture string            // copied; empty is format-v8
 		files   map[string][]byte // written over the copy; nil removes the path
 		reader  string            // the refusal's Reader contains it
 	}{
+		{"format-v7's WAL records", formatFixtureV7, nil, walReader},
+		{"tree-v7's WAL records", treeFixtureV7, nil, walReader},
+		{"format-v6's WAL records", formatFixtureV6, nil, walReader},
+		{"one record in shard-01.wal", "", map[string][]byte{"shard-01.wal": framelog.Encode(walMagic, walPayloads(t, formatFixtureV7)[0])}, walReader},
+		{"a torn record in a WAL", "", map[string][]byte{"shard-00.wal": torn}, walReader},
 		{"format-v5's JSON journal payloads", formatFixtureV5, nil, jsonReader},
 		{"tree-v5's JSON journal payloads", treeFixtureV5, nil, jsonReader},
 		{"leaf-v5's JSON column leaves", "", pack(leafJournal("leaf-v5")), jsonReader},
 		{"readings-v5's JSON column leaves", "", pack(leafJournal("readings-v5")), jsonReader},
-		{"retention-v7's set root records", "", pack(leafJournal("retention-v7")), "7c56897"},
-		{"format-v4's JSON WAL records", formatFixtureV4, nil, ""},
-		{"tree-v4's JSON WAL records", treeFixtureV4, nil, ""},
-		{"a JSON WAL record after binary ones, and a torn tail", "", map[string][]byte{"shard-00.wal": slices.Concat(wal, jsonRecord, torn)}, ""},
+		{"leaf-v5's JSON column leaves behind a WAL record", "", with(pack(leafJournal("leaf-v5")), "shard-00.wal", wal), jsonReader},
+		{"retention-v7's set root records", "", pack(leafJournal("retention-v7")), setReader},
+		{"format-v4's JSON WAL records", formatFixtureV4, nil, jsonWALReader},
+		{"tree-v4's JSON WAL records", treeFixtureV4, nil, jsonWALReader},
+		{"a JSON WAL record after binary ones, and a torn tail", "", map[string][]byte{"shard-00.wal": slices.Concat(wal, jsonRecord, torn)}, jsonWALReader},
 		{"a root document", "", map[string][]byte{"vstore/roots.json": []byte(`{"stamp":1,"roots":{}}`)}, ""},
+		{"a root document behind a WAL record", "", map[string][]byte{"vstore/roots.json": []byte(`{"stamp":1,"roots":{}}`), "shard-00.wal": wal}, ""},
 		{"a shard snapshot and no version store", "", map[string][]byte{"shard-01.snap": []byte(`{"max_num":3,"sessions":[]}`), "vstore": nil}, ""},
 		{"a JSON chunk with refs ahead of the versions", "", pack(`{"k":"sess","r":["`+string(first.Tree)+`"]}`, journal), jsonReader},
 		{"a JSON append record", "", pack(journal, `{"root":"session/s0001","commit":"`+string(first.Hash)+`"}`), jsonReader},
@@ -536,7 +591,7 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 	} {
 		fixture := row.fixture
 		if fixture == "" {
-			fixture = formatFixtureV7
+			fixture = formatFixtureV8
 		}
 		dir := copyFixture(t, fixture)
 		for name, data := range row.files {

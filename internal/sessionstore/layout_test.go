@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/reliable-cda/cda/internal/framelog"
 )
 
 // TestOpenRefusesAnotherShardCount: a directory written under 8 shards
@@ -92,27 +89,15 @@ func TestOpenRefusesAnotherShardCount(t *testing.T) {
 	}
 }
 
-// TestRefusedOpenClosesEveryFile: an Open refused at its second shard
-// — a WAL with a gap — leaves no descriptor open, the first shard's WAL
-// and the version store's journal included.
+// TestRefusedOpenClosesEveryFile: an Open refused once its version
+// store is open — format-v8, written under two shards, opened under one,
+// whose shard/01 root is beyond it — leaves no descriptor open, the
+// journal's included.
 func TestRefusedOpenClosesEveryFile(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
 	}
-	dir := copyFixture(t, formatFixtureV7)
-	path := filepath.Join(dir, "shard-01.wal")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, _ := framelog.Scan(walMagic, raw)
-	if len(payloads) < 2 {
-		t.Fatalf("shard-01.wal holds %d records, want 2 or more to cut a gap into", len(payloads))
-	}
-	// Without its first record, the WAL's second follows a cursor one short.
-	if err := os.WriteFile(path, raw[framelog.HeaderSize+len(payloads[0]):], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := copyFixture(t, formatFixtureV8)
 	openFDs := func() int {
 		fds, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
@@ -123,9 +108,11 @@ func TestRefusedOpenClosesEveryFile(t *testing.T) {
 	// Only a rise counts: a file an earlier test dropped may be closed
 	// by its finalizer meanwhile.
 	before := openFDs()
-	if st, err := Open(Config{Dir: dir, Shards: 2, SnapshotEvery: 8}); err == nil {
-		kill(t, st)
-		t.Fatal("Open took a WAL that skips a ship sequence")
+	if st, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: 8}); !errors.Is(err, ErrShardCount) {
+		if err == nil {
+			kill(t, st)
+		}
+		t.Fatalf("Open under one shard = %v, want ErrShardCount", err)
 	}
 	if after := openFDs(); after > before {
 		t.Errorf("a refused Open left %d descriptors open, had %d", after, before)

@@ -1,38 +1,40 @@
 package sessionstore
 
-// Primary→replica WAL shipping. Every shard numbers the records it
-// appends with a ship sequence — 1-based, monotonic across compactions
+// Primary→replica record shipping. Every shard numbers the records it
+// logs with a ship sequence — 1-based, monotonic across compactions
 // and restarts (the shard root persists the sequence at its horizon) —
 // and keeps the CRC-framed bytes of the records since the last
-// compaction in memory, exactly mirroring the on-disk WAL. A
-// replication driver (internal/cluster, or cdarouter over HTTP) pulls
-// frames after the replica's cursor with PullFrames and applies them
-// on the replica store with ApplyBatch; when the replica's cursor has
-// fallen behind the primary's compaction horizon the pull ships the
-// shard root at the horizon as well, and frame shipping resumes from
-// there.
+// compaction in memory, rebuilt from the journal on Open. A replication
+// driver (internal/cluster, or cdarouter over HTTP) pulls frames after
+// the replica's cursor with PullFrames and applies them on the replica
+// store with ApplyBatch; when the replica's cursor has fallen behind the
+// primary's compaction horizon the pull ships the shard root at the
+// horizon as well, and frame shipping resumes from there.
 //
-// The shipped frames are the WAL's own wire format — each record carries
-// its ship sequence — so the replica validates them with the same CRC
-// scan and decoder recovery uses, persists them
-// byte-identically into its own WAL, and replays them through the
-// same Seq-idempotent path as crash recovery: applying a frame twice
-// is a no-op, and a replica killed mid-apply truncates its torn tail
-// on reopen exactly like a primary. Byte-identical durable state on
-// both ends is therefore a consequence of the framing, not a separate
-// protocol invariant to maintain.
+// A frame is a record's own wire format — it carries its ship sequence
+// — and it is never written to a file: the replica validates it with
+// framelog's CRC scan and the record decoder, judges every record of the
+// batch against the state the records before it leave, and lands the
+// whole batch in its own journal as the same records the primary's
+// journal holds — a version of the session per create and turn, a mark
+// per evict — with one flushed append. Its Open then rebuilds the same
+// frames, so the replica's tail, and what it ships on after a promotion,
+// is the primary's byte for byte. Applying a frame twice is a no-op, by
+// its ship sequence, and a replica killed mid-apply truncates its torn
+// tail on reopen exactly like a primary.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// Frame is one committed WAL record as shipped to a replica: the raw
-// CRC-framed bytes exactly as they sit in the primary's WAL, plus its
-// per-shard ship sequence.
+// Frame is one committed record as shipped to a replica: the raw
+// CRC-framed bytes exactly as the primary's replication tail holds them,
+// plus its per-shard ship sequence.
 type Frame struct {
 	Seq  int64  `json:"seq"`
 	Data []byte `json:"data"`
@@ -75,7 +77,7 @@ func (b ShipBatch) Empty() bool {
 var ErrReplicaGap = errors.New("sessionstore: replication gap; re-pull from the replica cursor")
 
 // ReplicationCursor reports the shard's ship sequence: the number of
-// records ever appended to its WAL, compactions included. A replica's
+// records it has ever logged, compactions included. A replica's
 // cursor is the sequence it has durably applied through.
 func (s *Store) ReplicationCursor(shard int) int64 {
 	sh := s.shards[shard&(len(s.shards)-1)]
@@ -145,14 +147,16 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 // the replica's cursor is installed wholesale (replacing the shard — the
 // primary's state at SnapshotSeq is a superset of any prefix the replica
 // held) and adopted as the replica's own root, and one at or below it is
-// skipped; frames are CRC-validated and decoded, each
-// required to hold the record at the ship sequence the batch gives it —
-// all of them before anything is installed, appended or replayed — land
-// byte-identically in the replica's own WAL with one append and one
-// fsync, and are replayed through the same idempotent, version-keeping
-// path as crash recovery. Frames at or below the replica's cursor are
-// skipped, so re-applying a batch is harmless; a gap above the cursor,
-// or a shard root whose chunks are not all here, returns ErrReplicaGap.
+// skipped; frames are CRC-validated and decoded, each required to hold
+// the record at the ship sequence the batch gives it and to change the
+// state the records before it leave — a create of a session the shard
+// has never held, a turn at its session's turn count, each of a session
+// this shard holds — all of them before anything is installed or
+// replayed. The root and the frames' records then land with one flushed
+// journal append, and only then are replayed. Frames at or below the
+// replica's cursor are skipped, so re-applying a batch is harmless; a
+// gap above the cursor, or a shard root whose chunks are not all here,
+// returns ErrReplicaGap.
 func (s *Store) ApplyBatch(b ShipBatch) error {
 	if b.Shard < 0 || b.Shard >= len(s.shards) {
 		return fmt.Errorf("sessionstore: apply to unknown shard %d (have %d)", b.Shard, len(s.shards))
@@ -229,18 +233,34 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 		}
 		recs, frames, cur = append(recs, rec), append(frames, fr.Data), fr.Seq
 	}
+	if snap == nil && len(recs) == 0 {
+		return sh.maxNum, nil
+	}
+	batch := sh.versions.NewBatch(nil)
 	if snap != nil {
-		if err := sh.installRoot(vstore.Hash(b.SnapshotRoot), *snap, now); err != nil {
+		batch.Adopt(ShardRoot(sh.idx), vstore.Hash(b.SnapshotRoot))
+		if err := sh.keepInstalled(batch, snap); err != nil {
+			return 0, err
+		}
+	} else if !sh.rooted {
+		var err error
+		if batch, err = sh.newBatch(nil); err != nil {
 			return 0, err
 		}
 	}
-	if sh.wal != nil {
-		if err := sh.wal.Append(frames...); err != nil {
-			return 0, err
-		}
+	trees, err := sh.judge(batch, recs, snap)
+	if err != nil {
+		return 0, fmt.Errorf("sessionstore: replication batch for shard %d: %w", b.Shard, err)
 	}
-	for _, rec := range recs {
-		sh.replay(rec, now)
+	if err := batch.Land(); err != nil {
+		return 0, err
+	}
+	sh.rooted = true
+	if snap != nil {
+		sh.reset(*snap, now)
+	}
+	for i, rec := range recs {
+		sh.replay(rec, trees[i], now)
 	}
 	sh.tail = append(sh.tail, frames...)
 	if b.PrimaryCursor > sh.remoteSeq {
@@ -248,4 +268,90 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 	}
 	sh.compactIfDue(nil)
 	return sh.maxNum, nil
+}
+
+// keepInstalled queues on b a version of every session of snap, the
+// shard root a batch installs, whose root in the store is behind it, so
+// the replica reads each as of the turn count it installs at; each
+// version's tree is remembered in snap for the records after it. They
+// follow the root in the journal, which holds every turn they pin, so
+// Open passes them over (recordOf), and a torn append that keeps one
+// keeps the root. Caller holds sh.mu.
+func (sh *shard) keepInstalled(b *vstore.Batch, snap *snapshot) error {
+	for i := range snap.Sessions {
+		ss := &snap.Sessions[i]
+		if head, err := sh.versions.Head(SessionRoot(ss.ID)); err == nil && head.Turn >= len(ss.Turns) {
+			continue
+		}
+		tree, err := encodeSessionTree(b, *ss)
+		if err != nil {
+			return err
+		}
+		b.Version(SessionRoot(ss.ID), tree.sess, len(ss.Turns))
+		ss.tree = tree
+	}
+	return nil
+}
+
+// judge holds each of recs to the state the records before it leave —
+// from snap, when the batch installs a shard root, else from the shard's
+// own — queues on b the journal record standing for each, and returns
+// the tree each create or turn leaves. A record that would not change
+// that state, or of a session that belongs in another shard, is an
+// error: no journal record could stand for it. Caller holds sh.mu.
+func (sh *shard) judge(b *vstore.Batch, recs []walRecord, snap *snapshot) ([]*sessionTree, error) {
+	type held struct {
+		ss   *sessionSnap // nil: not live
+		gone bool
+	}
+	state := map[string]held{}
+	if snap != nil {
+		for i := range snap.Sessions {
+			state[snap.Sessions[i].ID] = held{ss: &snap.Sessions[i]}
+		}
+		for _, id := range snap.Tombstones {
+			state[id] = held{gone: true}
+		}
+	}
+	lookup := func(id string) held {
+		if h, ok := state[id]; ok || snap != nil {
+			return h
+		}
+		if e, ok := sh.sessions[id]; ok {
+			ss := e.snap()
+			return held{ss: &ss}
+		}
+		return held{gone: sh.tombstones[id]}
+	}
+	trees := make([]*sessionTree, len(recs))
+	for i, rec := range recs {
+		if got := ShardIndexFor(rec.ID, sh.count); got != sh.idx {
+			return nil, fmt.Errorf("record %d is of session %s, which belongs in shard %d", rec.Ship, rec.ID, got)
+		}
+		h := lookup(rec.ID)
+		var after sessionSnap
+		switch rec.Kind {
+		case kindCreate:
+			if h.ss != nil || h.gone {
+				return nil, fmt.Errorf("record %d creates session %s, which the shard holds", rec.Ship, rec.ID)
+			}
+			after = sessionSnap{ID: rec.ID, Num: rec.Num}
+		case kindTurn:
+			if h.ss == nil || rec.Seq != len(h.ss.Turns) || len(rec.Turns) == 0 {
+				return nil, fmt.Errorf("record %d adds %d turns at %d to session %s, which does not hold that many", rec.Ship, len(rec.Turns), rec.Seq, rec.ID)
+			}
+			after = sessionSnap{ID: rec.ID, Num: h.ss.Num, Focus: rec.Focus, Turns: slices.Concat(h.ss.Turns, rec.Turns), tree: h.ss.tree}
+		case kindEvict:
+			state[rec.ID] = held{gone: true}
+		}
+		tree, err := stageRecord(nil, b, rec, after)
+		if err != nil {
+			return nil, err
+		}
+		if tree != nil {
+			after.tree, trees[i] = tree, tree
+			state[rec.ID] = held{ss: &after}
+		}
+	}
+	return trees, nil
 }

@@ -447,8 +447,8 @@ func TestReplicationLagTracksPrimaryCursor(t *testing.T) {
 }
 
 // TestReplicaAsOfAfterBatchedCatchUp: a replica that caught up in one
-// batch carrying several turns of one session has one version per pair,
-// as the primary does — the trees the primary has, since a tree is a
+// batch carrying several turns of one session has one version per
+// record — its creation and each pair — as the primary does — the trees the primary has, since a tree is a
 // function of the transcript — and serves every as-of read.
 func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 	primary := NewMemory(Config{Shards: 1})
@@ -490,7 +490,7 @@ func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rlog) != 3 || !reflect.DeepEqual(versionEntries(rlog), versionEntries(plog)) {
+			if len(rlog) != 4 || !reflect.DeepEqual(versionEntries(rlog), versionEntries(plog)) {
 				t.Fatalf("round %d: replica's version log of %s (turn, tree):\n got: %v\nwant: %v", round, id, versionEntries(rlog), versionEntries(plog))
 			}
 			for j, transcript := range want[id] {
@@ -507,9 +507,11 @@ func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 }
 
 // TestApplyBatchIsOneWALAppend: a catch-up batch is judged whole, then
-// lands in the replica's WAL with one append — one fsync — however many
-// frames it carries; a bad frame anywhere in it appends and replays
-// nothing, and so does a batch the replica already holds.
+// lands in the replica's write-ahead log, the journal — the shard root's
+// first version and a version per record — with one append and one
+// fsync, however many frames it carries; a bad frame anywhere in it
+// appends and replays nothing, and so does a batch the replica already
+// holds.
 func TestApplyBatchIsOneWALAppend(t *testing.T) {
 	primary := NewMemory(Config{Shards: 1, SnapshotEvery: 1 << 20})
 	e, err := primary.NewSession()
@@ -538,9 +540,9 @@ func TestApplyBatchIsOneWALAppend(t *testing.T) {
 	}()
 	untouched := func(when string) {
 		t.Helper()
-		if wal.appends != 0 || replica.ReplicationCursor(0) != 0 || replica.Len() != 0 || replica.shards[0].wal.Size() != 0 {
-			t.Fatalf("%s: %d WAL appends, cursor %d, %d sessions, %d WAL bytes; want nothing of the batch", when,
-				wal.appends, replica.ReplicationCursor(0), replica.Len(), replica.shards[0].wal.Size())
+		if _, size := replica.Versions().JournalSynced(); wal.appends != 0 || replica.ReplicationCursor(0) != 0 || replica.Len() != 0 || size != 0 {
+			t.Fatalf("%s: %d journal appends, cursor %d, %d sessions, %d journal bytes; want nothing of the batch", when,
+				wal.appends, replica.ReplicationCursor(0), replica.Len(), size)
 		}
 	}
 	for _, at := range []int{0, 25, 49} {
@@ -564,14 +566,14 @@ func TestApplyBatchIsOneWALAppend(t *testing.T) {
 	if err := replica.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if wal.appends != 1 || replica.ReplicationCursor(0) != 50 {
-		t.Fatalf("a 50-frame batch: %d WAL appends, cursor %d; want 1 and 50", wal.appends, replica.ReplicationCursor(0))
+	if synced, size := replica.Versions().JournalSynced(); wal.appends != 1 || replica.ReplicationCursor(0) != 50 || synced != size {
+		t.Fatalf("a 50-frame batch: %d journal appends, cursor %d, journal flushed to %d of %d bytes; want 1, 50 and all of it", wal.appends, replica.ReplicationCursor(0), synced, size)
 	}
 	if err := replica.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	if wal.appends != 1 {
-		t.Fatalf("re-applying a held batch made %d WAL appends", wal.appends-1)
+		t.Fatalf("re-applying a held batch made %d journal appends", wal.appends-1)
 	}
 	assertMirrors(t, primary, replica, []string{e.ID})
 }

@@ -187,25 +187,22 @@ func openFuzzReplica(t testing.TB, dir string) (*Store, []forgedRoot) {
 // included, the way a kill does: no compaction, nothing written.
 func kill(t testing.TB, st *Store) {
 	t.Helper()
-	for _, sh := range st.shards {
-		if err := sh.wal.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := st.Versions().Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // FuzzApplyBatch applies arbitrary ShipBatch JSON to a replica opened on
-// a copy of format-v7. Nothing panics; a refused batch changes no
+// a copy of format-v8. Nothing panics; a refused batch changes no
 // transcript, cursor or shard root; and whatever is accepted leaves a
 // directory that, abandoned as a kill leaves it, reopens to exactly what
-// the replica held. The seeds are the fixture's own frames, shipped
-// again at and above its cursors, its shard root at its horizon, and
-// the forged roots of TestForgedShipBatchIsAnError.
+// the replica held. The seeds are the dialogue's frames as format-v7's
+// WALs hold them, shipped again at and above the cursors, the frames of
+// one more turn on every session as a primary opened on format-v8 ships
+// them, its shard root at its horizon, and the forged roots of
+// TestForgedShipBatchIsAnError.
 func FuzzApplyBatch(f *testing.F) {
-	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV7))
+	st, forged := openFuzzReplica(f, copyFixture(f, formatFixtureV8))
 	add := func(b ShipBatch) {
 		data, err := json.Marshal(b)
 		if err != nil {
@@ -235,13 +232,29 @@ func FuzzApplyBatch(f *testing.F) {
 		add(ShipBatch{Shard: 1, SnapshotRoot: string(fr.root), SnapshotSeq: fuzzSeq, PrimaryCursor: fuzzSeq})
 	}
 	kill(f, st)
+	primary, err := Open(Config{Dir: copyFixture(f, formatFixtureV8), Shards: 2, SnapshotEvery: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for id := range scriptTranscripts(formatScript()) {
+		e, _ := primary.Get(id)
+		commitPair(f, primary, e, "one more turn", "one more answer", 0.5)
+	}
+	for shard := 0; shard < 2; shard++ {
+		b, err := primary.PullFrames(shard, st.ReplicationCursor(shard), 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		add(b)
+	}
+	kill(f, primary)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b ShipBatch
 		if json.Unmarshal(data, &b) != nil {
 			return
 		}
-		dir := copyFixture(t, formatFixtureV7)
+		dir := copyFixture(t, formatFixtureV8)
 		st, _ := openFuzzReplica(t, dir)
 		before := storeState(t, st)
 		err := st.ApplyBatch(b)

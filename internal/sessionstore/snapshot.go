@@ -6,11 +6,10 @@ import (
 	"github.com/reliable-cda/cda/internal/dialogue"
 )
 
-// snapshot is one shard's state at a ship horizon: everything its WAL
-// had said up to there. A compaction commits it as the shard's root
-// (encodeShardTree) and only then truncates the WAL, so a crash between
-// the two steps leaves a WAL of records the root already contains,
-// which recovery knows by their ship sequences and skips.
+// snapshot is one shard's state at a ship horizon: everything its
+// records had said up to there. A compaction commits it as the shard's
+// root (encodeShardTree), and recovery replays only the shard's records
+// that follow that root in the journal.
 type snapshot struct {
 	// MaxNum is the highest numeric session id this shard has ever
 	// issued, evicted sessions included, so a recovered store never
@@ -19,10 +18,9 @@ type snapshot struct {
 	Sessions   []sessionSnap
 	Tombstones []string
 	// ShipSeq is the replication cursor at the horizon: how many records
-	// had ever been appended to this shard's WAL when it was taken.
-	// Recovery resumes the cursor at ShipSeq plus the WAL records past
-	// it, keeping ship sequences monotonic across compactions and
-	// restarts.
+	// the shard had ever logged when it was taken. Recovery resumes the
+	// cursor at ShipSeq plus the records past it, keeping ship sequences
+	// monotonic across compactions and restarts.
 	ShipSeq int64
 }
 

@@ -2,36 +2,41 @@
 // state. The paper's Figure 1 dialogue treats the accumulated
 // transcript — turns, intent annotations, confidences — as a
 // first-class artifact the user returns to, so sessions must outlive
-// the serving process: every committed turn pair is appended to a
-// per-shard write-ahead log before the commit is acknowledged, and
-// periodic compaction folds the log into the shard's root in the
-// version store so recovery stays O(recent traffic), not O(history).
+// the serving process: every record — a session's creation, a committed
+// turn pair, an eviction — is one flushed append to the version journal
+// before it is acknowledged, and that append is the version the
+// transcript is read at as of that turn. Periodic compaction commits
+// the shard's root, so recovery stays O(recent traffic), not O(history).
 //
 // Layout on disk under Config.Dir:
 //
-//	shard-00.wal    append-only framed log of records since the checkpoint
 //	vstore/         the version store (internal/vstore): a root per
-//	                session, and per shard the root that is its checkpoint
+//	                session, a version per record, and per shard the
+//	                root that is its checkpoint
 //
-// The WAL is written through internal/framelog, the module's one frame
-// codec and torn-tail log; this package owns only what the bytes mean —
-// the record schema, the trees of versioned.go, and their replay.
-// Recovery loads the head of the shard's root, replays the WAL over it
-// (idempotent: turn records carry their transcript index), and the log
-// truncates any torn tail left by a crash mid-append — so a recovered
-// transcript is byte-identical to the committed prefix at the moment of
-// the crash. That layout is the only one Open reads: a directory older
-// than it — a shard-00.snap, the JSON checkpoint older stores wrote, a
-// WAL holding the JSON records they logged, or a version store older
-// than the journal's format — is a *vstore.FormatError, and Open leaves
-// it as it found it.
+// The journal is the only log. A create is a commit of an empty session
+// node at turn 0 on session/<id>, a turn pair the commit of the
+// session's tree at its new turn count, and an eviction a mark record on
+// session/<id>; versioned.go has the trees. Recovery loads the head of
+// each shard's root and replays the shard's session records that follow
+// it in journal order — each rebuilt as the record it stands for, with
+// the ship sequence its place gives it — and the journal truncates any
+// torn tail left by a crash mid-append, so a recovered transcript is
+// byte-identical to the acknowledged prefix at the moment of the crash.
+// That layout is the only one Open reads: a directory older than it — a
+// shard-00.snap, the JSON checkpoint older stores wrote, a shard WAL with
+// a record in it, or a version store older than the journal's format —
+// is a *vstore.FormatError, and Open leaves it as it found it; an older
+// directory whose WALs are empty, as a clean Close leaves them, opens,
+// and its WAL files are removed.
 // The chaos harness (internal/chaos) property-tests exactly that
 // under seeded crash/torn-write faults from internal/faults.
 //
 // Sessions are spread across a power-of-two number of shards by FNV-1a
-// hash of the session id; each shard has its own mutex, WAL, and
-// compaction cadence, so commit traffic on one shard never serializes
-// against another. Idle sessions are evicted on a TTL measured on the
+// hash of the session id; each shard has its own mutex, replication
+// tail, and compaction cadence, so commit traffic on one shard never
+// serializes against another, and shards that commit at once share the
+// journal's fsyncs. Idle sessions are evicted on a TTL measured on the
 // injectable resilience.Clock (deterministic in tests); evicted ids
 // leave tombstones so the server can answer 410 Gone instead of 404.
 package sessionstore
@@ -72,13 +77,13 @@ const (
 // Config assembles a Store.
 type Config struct {
 	// Dir is the data directory; empty runs the store memory-only
-	// (no WAL, nothing survives restart).
+	// (nothing survives restart).
 	Dir string
 	// Shards is the shard count, rounded up to the next power of two
 	// (default 8).
 	Shards int
-	// SnapshotEvery is the per-shard WAL record count between
-	// compactions (default 256).
+	// SnapshotEvery is the per-shard record count between compactions
+	// (default 256).
 	SnapshotEvery int
 	// TTL evicts sessions idle longer than this; 0 disables eviction.
 	TTL time.Duration
@@ -86,15 +91,15 @@ type Config struct {
 	// VirtualClock so tests drive eviction deterministically;
 	// production passes resilience.NewWallClock().
 	Clock resilience.Clock
-	// Faults, when non-nil, injects crash/torn-write faults into WAL
-	// appends (op "wal.append"). Leave nil in production.
+	// Faults, when non-nil, injects crash/torn-write faults into the
+	// journal appends of the version store Open opens (op
+	// "vstore.journal"). Leave nil in production.
 	Faults WriteFaults
 	// Versions holds the content-addressed version roots of transcripts
-	// (per committed turn) and shards (per compaction, the checkpoint) —
-	// see versioned.go. Nil opens <Dir>/vstore, or a memory-only store
-	// when Dir is empty, which Close closes; a store passed here is the
-	// caller's to close. A session version never fails user traffic; its
-	// errors surface via DeferredError/Close.
+	// (per record) and shards (per compaction, the checkpoint) — see
+	// versioned.go — and so every record. Nil opens <Dir>/vstore, or a
+	// memory-only store when Dir is empty, which Close closes; a store
+	// passed here is the caller's to close.
 	Versions *vstore.Store
 }
 
@@ -132,37 +137,36 @@ type Store struct {
 }
 
 // shard owns one slice of the id space: its sessions, tombstones,
-// WAL, and shard root. All fields below mu are guarded by it.
+// replication tail, and shard root. All fields below mu are guarded by it.
 type shard struct {
-	// idx is this shard's index; versions is the store's vstore. Both
-	// are set once at Open, before any concurrent use.
-	idx      int
-	versions *vstore.Store
+	// idx is this shard's index, of count; versions is the store's
+	// vstore. All are set once at Open, before any concurrent use.
+	idx, count int
+	versions   *vstore.Store
 
 	mu         sync.Mutex
 	sessions   map[string]*Entry
 	tombstones map[string]bool
-	wal        *framelog.Log
 	maxNum     int
 	snapEvery  int
+	// rooted: the journal holds a version of the shard's root, the first
+	// of which a shard's first record lands behind (newBatch).
+	rooted bool
 	// shipBase is the ship sequence at the last compaction horizon; tail
-	// holds the framed bytes of every record since, mirroring the
-	// on-disk WAL, so replication pulls serve committed frames without
-	// re-reading disk, and its length is the count of records the next
-	// compaction folds. remoteSeq is the highest primary cursor seen by
-	// ApplyBatch (replicas only), for lag reporting.
+	// holds the framed bytes of every record since, so replication pulls
+	// serve committed frames without reading the journal, and its length
+	// is the count of records the next compaction folds. remoteSeq is the
+	// highest primary cursor seen by ApplyBatch (replicas only), for lag
+	// reporting.
 	shipBase  int64
 	tail      [][]byte
 	remoteSeq int64
-	// compactErr holds the most recent compaction failure.
-	// Compaction is an optimization — user traffic must not fail when
-	// it does — so the error is retried on later commits and surfaced
-	// by DeferredError (once: compactSaid) and at Close.
+	// compactErr holds the most recent compaction failure. Compaction
+	// is an optimization — user traffic must not fail when it does — so
+	// the error is retried on later commits and surfaced by
+	// DeferredError (once: compactSaid) and at Close.
 	compactErr  error
 	compactSaid bool
-	// versionErr holds the most recent version-maintenance failure
-	// (see versioned.go); same policy as compactErr.
-	versionErr error
 }
 
 // Entry is one live session. committed/focus/lastActive/tree/current
@@ -184,9 +188,9 @@ type Entry struct {
 	committed  []dialogue.Turn
 	focus      string
 	lastActive time.Duration
-	// tree is committed's version tree as of the last session version
-	// this Entry committed (versioned.go); nil until it commits one, so
-	// a recovered or installed session pays one full encode.
+	// tree is committed's version tree as the session's last record left
+	// it in the version store (versioned.go); nil on a session a shard
+	// root installed, which pays one full encode.
 	tree *sessionTree
 	// current: Do rebuilt sess from the committed state, and only turns
 	// that committed have changed either since. Every other write of
@@ -246,22 +250,20 @@ func NewMemory(cfg Config) *Store {
 // count, where a session would be looked for in the wrong shard.
 var ErrShardCount = errors.New("sessionstore: the data directory has another shard count")
 
-// Open builds a store over cfg.Dir, recovering every shard: the head
-// of its shard root first, then the WAL replayed over it, torn tail
-// truncated. The same pass is the version journal's redo: a session
-// whose root is behind its recovered transcript — the journal lost an
-// unflushed tail to a power cut — gets its version committed again,
-// after the checkpoint and after each replayed turn record (replay). A
-// directory holding a shard-NN.snap or a WAL of JSON records is a
+// Open builds a store over cfg.Dir, recovering every shard from the
+// journal alone: the head of its shard root first, then the shard's
+// session records that follow it, in journal order (load). A directory
+// holding a shard-NN.snap or a shard WAL with a record in it is a
 // *vstore.FormatError, and one laid out under another shard count is
-// ErrShardCount; both are found before anything in it changes.
+// ErrShardCount; both are found before anything in it changes. The
+// empty WALs of an older directory are removed once it has opened.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{cfg: cfg, clock: cfg.Clock, shards: make([]*shard, cfg.Shards)}
-	dirShards := 0
+	var wals []string
 	if cfg.Dir != "" {
 		var err error
-		if dirShards, err = checkLayout(cfg.Dir, cfg.Shards); err != nil {
+		if wals, err = checkLayout(cfg.Dir); err != nil {
 			return nil, err
 		}
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -269,11 +271,14 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	if cfg.Versions == nil {
-		dir := ""
+		vcfg := vstore.Config{}
 		if cfg.Dir != "" {
-			dir = filepath.Join(cfg.Dir, "vstore")
+			vcfg.Dir = filepath.Join(cfg.Dir, "vstore")
 		}
-		vs, err := vstore.Open(vstore.Config{Dir: dir})
+		if cfg.Faults != nil {
+			vcfg.Faults = tearOnly{cfg.Faults}
+		}
+		vs, err := vstore.Open(vcfg)
 		if err != nil {
 			return nil, fmt.Errorf("sessionstore: open version store: %w", err)
 		}
@@ -282,6 +287,7 @@ func Open(cfg Config) (*Store, error) {
 	for i := range st.shards {
 		st.shards[i] = &shard{
 			idx:        i,
+			count:      cfg.Shards,
 			versions:   st.cfg.Versions,
 			sessions:   map[string]*Entry{},
 			tombstones: map[string]bool{},
@@ -291,20 +297,17 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return st, nil
 	}
-	// Every shard root is read, and its sessions' placement checked,
-	// before any shard loads: loading one can change the directory.
-	roots, snaps := make([]vstore.Hash, cfg.Shards), make([]snapshot, cfg.Shards)
-	for i := range st.shards {
-		var err error
-		if roots[i], snaps[i], err = readRoot(st.cfg.Versions, i, cfg.Shards, dirShards); err != nil {
-			return nil, st.abandon(err)
-		}
+	// Every shard root is read, and every session's placement checked,
+	// before any shard loads.
+	plans, err := planShards(st.cfg.Versions, cfg.Shards, len(wals))
+	if err != nil {
+		return nil, st.abandon(err)
 	}
 	for i, sh := range st.shards {
 		// Nothing else can reach the shard yet; its lock is held so the
 		// helpers it shares with serving run under the lock they document.
 		sh.mu.Lock()
-		err := sh.load(cfg, roots[i], snaps[i], st.clock.Now())
+		err := sh.load(plans[i], st.clock.Now())
 		maxNum := sh.maxNum
 		sh.mu.Unlock()
 		if err != nil {
@@ -312,78 +315,84 @@ func Open(cfg Config) (*Store, error) {
 		}
 		st.nextNum = max(st.nextNum, maxNum)
 	}
+	for _, path := range wals {
+		if err := os.Remove(path); err != nil {
+			return nil, st.abandon(fmt.Errorf("sessionstore: remove the empty %s: %w", path, err))
+		}
+	}
 	return st, nil
 }
 
-// abandon closes what a failed Open opened, every WAL and a version
-// store it owns, and returns err joined with what closing them said.
+// tearOnly lends the journal of the version store Open opens the crash
+// seam of Config.Faults, and nothing else: no put or commit fault.
+type tearOnly struct{ WriteFaults }
+
+func (tearOnly) Inject(string) error { return nil }
+
+// abandon closes a version store a failed Open opened, and returns err
+// joined with what closing it said.
 func (s *Store) abandon(err error) error {
-	errs := []error{err}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.wal != nil {
-			errs = append(errs, sh.wal.Close())
-		}
-		sh.mu.Unlock()
-	}
 	if s.ownsVersions {
-		errs = append(errs, s.cfg.Versions.Close())
+		err = errors.Join(err, s.cfg.Versions.Close())
 	}
-	return errors.Join(errs...)
+	return err
 }
 
-// walPath is shard's WAL in dir.
-func walPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%02d.wal", shard))
-}
+// walLastReader names the last commit that reads a shard WAL with a
+// record in it, and jsonWALLastReader the last that reads one of JSON
+// records.
+const (
+	walLastReader     = `0230b50 ("each cdalint rule earns its lines")`
+	jsonWALLastReader = `32443c0 ("every option has a setter")`
+)
 
-// checkLayout reads dir before anything opens in it and returns the
-// shard count its WALs were written under: every shard's WAL is created
-// at Open, so one more than the highest. A shard-NN.snap, the JSON
-// checkpoint older stores wrote, or a WAL with a whole frame of the
-// JSON records they logged is a *vstore.FormatError; a WAL at or beyond
-// shards, or a record of a session that belongs in another shard under
-// shards, is ErrShardCount. The log would take an old frame for a torn
-// tail and truncate it, acknowledged turns and all, so this runs first.
-func checkLayout(dir string, shards int) (int, error) {
+// checkLayout reads dir before anything opens in it and returns its
+// shard WALs, the logs older stores kept beside the journal, when every
+// one is empty, as a clean Close left them: Open removes them once it
+// has opened. A shard-NN.snap, the JSON checkpoint older stores wrote, or
+// a WAL with any byte in it is a *vstore.FormatError naming the last
+// commit that reads it — the journal's, when the journal is older still.
+func checkLayout(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("sessionstore: read data dir: %w", err)
+		return nil, fmt.Errorf("sessionstore: read data dir: %w", err)
 	}
-	dirShards := 0
+	var wals []string
+	var held *vstore.FormatError // the first WAL with a record in it
 	for _, e := range entries {
 		name, n := e.Name(), 0
+		path := filepath.Join(dir, name)
 		if strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".snap") {
-			return 0, &vstore.FormatError{Path: filepath.Join(dir, name), Format: "a JSON shard snapshot"}
+			return nil, &vstore.FormatError{Path: path, Format: "a JSON shard snapshot"}
 		}
-		if _, err := fmt.Sscanf(name, "shard-%d.wal", &n); err == nil && walPath(dir, n) == filepath.Join(dir, name) {
-			dirShards = max(dirShards, n+1)
+		if _, err := fmt.Sscanf(name, "shard-%d.wal", &n); err != nil || name != fmt.Sprintf("shard-%02d.wal", n) {
+			continue
 		}
-	}
-	if dirShards > shards {
-		return 0, fmt.Errorf("%w: %s was written under %d shards, not %d", ErrShardCount, walPath(dir, dirShards-1), dirShards, shards)
-	}
-	for i := range dirShards {
-		path := walPath(dir, i)
 		raw, err := os.ReadFile(path)
-		if err != nil && !os.IsNotExist(err) {
-			return 0, fmt.Errorf("sessionstore: read %s: %w", path, err)
+		if err != nil {
+			return nil, fmt.Errorf("sessionstore: read %s: %w", path, err)
 		}
+		wals = append(wals, path)
 		payloads, _ := framelog.Scan(walMagic, raw)
-		off := 0
 		for _, p := range payloads {
-			rec, err := decodeRecord(p)
-			if old := (*vstore.FormatError)(nil); errors.As(err, &old) {
-				old.Path, old.Format = path, fmt.Sprintf("%s (the frame at offset %d)", old.Format, off)
-				return 0, old
+			if len(p) > 0 && p[0] == '{' {
+				held = &vstore.FormatError{Path: path, Format: "a shard WAL of JSON records", Reader: jsonWALLastReader}
 			}
-			if err == nil && ShardIndexFor(rec.ID, shards) != i {
-				return 0, misplaced(rec.ID, path, shards, dirShards)
-			}
-			off += framelog.HeaderSize + len(p)
+		}
+		if len(raw) > 0 && held == nil {
+			held = &vstore.FormatError{Path: path, Format: "a shard WAL holding records", Reader: walLastReader}
 		}
 	}
-	return dirShards, nil
+	switch {
+	case held == nil:
+		return wals, nil
+	case held.Reader == walLastReader:
+		// A journal older than the WAL is the older format to name.
+		if err := vstore.CheckFormat(filepath.Join(dir, "vstore")); err != nil {
+			return nil, err
+		}
+	}
+	return nil, held
 }
 
 // misplaced is the ErrShardCount for session id, found in where.
@@ -392,100 +401,124 @@ func misplaced(id, where string, shards, dirShards int) error {
 		ErrShardCount, id, where, dirShards, shards, ShardIndexFor(id, shards))
 }
 
-// readRoot returns the head of shard's root in vs and the state its tree
-// holds, neither on a fresh shard, and is ErrShardCount when a session
-// in it belongs in another shard under shards.
-func readRoot(vs *vstore.Store, shard, shards, dirShards int) (vstore.Hash, snapshot, error) {
+// shardPlan is what Open recovers a shard from: the head of its root,
+// "" on a shard with none, the state that head's tree holds, and the
+// shard's session records that follow it in the journal.
+type shardPlan struct {
+	root    vstore.Hash
+	snap    snapshot
+	records []vstore.Event
+}
+
+// planShards reads every shard root of vs and sorts the journal's
+// session records after them into the shards under shards. The count a
+// directory was written under, dirShards, is the shard root of the
+// highest index, rounded up to a power of two — a shard's first record
+// lands behind its root's first version — or the count of the WALs an
+// older directory had, wals, if that is higher. A root at or beyond
+// shards, or a session that belongs in another shard under shards than
+// under dirShards, is ErrShardCount.
+func planShards(vs *vstore.Store, shards, wals int) ([]shardPlan, error) {
+	events := vs.Events()
+	last := map[int]int{} // shard → the index of its root's head in events
+	top := -1
+	for i, ev := range events {
+		var n int
+		if _, err := fmt.Sscanf(ev.Root, "shard/%d", &n); err == nil && ev.Root == ShardRoot(n) && !ev.Mark {
+			last[n], top = i, max(top, n)
+		}
+	}
+	dirShards := 1
+	for dirShards < top+1 || dirShards < wals {
+		dirShards <<= 1
+	}
+	if top >= shards {
+		return nil, fmt.Errorf("%w: the journal holds %s, written under %d shards, not %d", ErrShardCount, ShardRoot(top), dirShards, shards)
+	}
+	plans := make([]shardPlan, shards)
+	for i := range plans {
+		if err := readRoot(vs, i, shards, dirShards, &plans[i]); err != nil {
+			return nil, err
+		}
+	}
+	for i, ev := range events {
+		id, ok := strings.CutPrefix(ev.Root, "session/")
+		if !ok {
+			continue
+		}
+		j := ShardIndexFor(id, shards)
+		if at, ok := last[j]; ok && i < at {
+			continue
+		}
+		if ShardIndexFor(id, dirShards) != j {
+			return nil, misplaced(id, "the journal", shards, dirShards)
+		}
+		plans[j].records = append(plans[j].records, ev)
+	}
+	return plans, nil
+}
+
+// readRoot fills plan with the head of shard's root in vs and the state
+// its tree holds, neither on a shard with no root, and is ErrShardCount
+// when a session in it belongs in another shard under shards.
+func readRoot(vs *vstore.Store, shard, shards, dirShards int, plan *shardPlan) error {
 	head, err := vs.Head(ShardRoot(shard))
 	if errors.Is(err, vstore.ErrUnknownRoot) {
-		return "", snapshot{}, nil
+		return nil
 	} else if err != nil {
-		return "", snapshot{}, err
+		return err
 	}
 	snap, err := decodeShardTree(vs, head.Tree)
 	if err != nil {
-		return "", snapshot{}, fmt.Errorf("sessionstore: load shard %d root: %w", shard, err)
+		return fmt.Errorf("sessionstore: load shard %d root: %w", shard, err)
 	}
 	for _, ss := range snap.Sessions {
 		if ShardIndexFor(ss.ID, shards) != shard {
-			return "", snapshot{}, misplaced(ss.ID, "shard root "+ShardRoot(shard), shards, dirShards)
+			return misplaced(ss.ID, "shard root "+ShardRoot(shard), shards, dirShards)
 		}
 	}
-	return head.Hash, snap, nil
+	plan.root, plan.snap = head.Hash, snap
+	return nil
 }
 
-// load recovers the shard from cfg.Dir: snap, the state of its shard
-// root's head root — nothing on a fresh shard — with every loaded
-// session's version kept, then the WAL replayed over it. A record at or
-// below the root's ship sequence is one the root holds — a crash came
-// between a compaction's root commit and its WAL reset — and is neither
-// replayed nor counted; a WAL the root holds entirely is reset here.
-// Every other record must extend the cursor by one. Caller holds sh.mu.
-func (sh *shard) load(cfg Config, root vstore.Hash, snap snapshot, now time.Duration) error {
-	if err := sh.installRoot(root, snap, now); err != nil {
-		return err
+// load recovers the shard from plan: the state of its root's head, then
+// each journal record after it that stands for one of the shard's
+// records, replayed and framed at the next ship sequence — so the
+// replication tail holds the frames it held before the crash, byte for
+// byte. A version that stands for no record — an older writer's, which
+// versioned what its WAL logged, or a replica's of a session a root
+// installed — is passed over. Caller holds sh.mu.
+func (sh *shard) load(plan shardPlan, now time.Duration) error {
+	sh.reset(plan.snap, now)
+	sh.rooted = plan.root != ""
+	for _, ev := range plan.records {
+		rec, tree, err := sh.recordOf(ev)
+		if err != nil {
+			return err
+		}
+		if tree == nil && rec.Kind != kindEvict {
+			continue
+		}
+		rec.Ship = sh.cursor() + 1
+		frame, err := encodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		sh.replay(rec, tree, now)
+		sh.tail = append(sh.tail, frame)
 	}
-	path := walPath(cfg.Dir, sh.idx)
-	covered := false // the WAL holds records the root already holds
-	var gap, err error
-	sh.wal, err = framelog.Open(path, walMagic,
-		framelog.Options{Op: "wal.append", Faults: cfg.Faults},
-		func(frame, payload []byte) bool {
-			if gap != nil {
-				return true
-			}
-			rec, err := decodeRecord(payload)
-			switch {
-			case err != nil:
-				return false
-			case rec.Ship <= sh.shipBase:
-				covered = true
-			case rec.Ship == sh.cursor()+1:
-				sh.replay(rec, now)
-				sh.tail = append(sh.tail, frame)
-			default:
-				gap = fmt.Errorf("sessionstore: %s: a record at ship sequence %d follows cursor %d", path, rec.Ship, sh.cursor())
-			}
-			return true
-		})
-	switch {
-	case err != nil:
-	case gap != nil:
-		err = gap
-	case covered && len(sh.tail) == 0:
-		err = sh.wal.Reset()
-	}
-	return err
+	return nil
 }
 
-// installRoot resets the shard to snap, the state of shard root root
-// ("" on a fresh shard), and keeps each installed session's version. A
-// root the primary shipped is adopted as this shard's own first — a
-// flushed journal append, as is the flush after it for the session
-// versions the WAL about to go could rebuild — and only then is the WAL
-// reset, so the replica's disk recovers to the same cursor. At Open the
-// root is the shard's own head, which adopting leaves as it is, and
-// there is no WAL yet. Caller holds sh.mu, or is Open.
-func (sh *shard) installRoot(root vstore.Hash, snap snapshot, now time.Duration) error {
-	if root != "" {
-		if _, err := sh.versions.AdoptCommit(ShardRoot(sh.idx), root); err != nil {
-			return fmt.Errorf("sessionstore: adopt shard %d root: %w", sh.idx, err)
-		}
-	}
-	if sh.wal != nil {
-		if err := sh.flushVersions(); err != nil {
-			return err
-		}
-		if err := sh.wal.Reset(); err != nil {
-			return err
-		}
-	}
+// reset sets the shard to snap, the state of a shard root. Caller holds
+// sh.mu, or is Open.
+func (sh *shard) reset(snap snapshot, now time.Duration) {
 	sh.sessions = map[string]*Entry{}
 	sh.tombstones = map[string]bool{}
 	sh.maxNum = snap.MaxNum
 	for _, ss := range snap.Sessions {
 		sh.sessions[ss.ID] = &Entry{ID: ss.ID, num: ss.Num, sh: sh,
-			committed: ss.Turns, focus: ss.Focus, lastActive: now}
+			committed: ss.Turns, focus: ss.Focus, lastActive: now, tree: ss.tree}
 		if ss.Num > sh.maxNum {
 			sh.maxNum = ss.Num
 		}
@@ -496,42 +529,24 @@ func (sh *shard) installRoot(root vstore.Hash, snap snapshot, now time.Duration)
 	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
 	sh.compactErr = nil
-	for _, id := range sh.sessionIDs() {
-		sh.keepVersion(sh.sessions[id])
-	}
-	return nil
 }
 
-// replay applies one WAL record over the recovered state — at Open, and
-// on a replica for every shipped frame — and keeps the session version a
-// turn record produces, so recovery and shipping leave one version per
-// replayed pair exactly as CommitTurn does. Records the checkpoint
-// already folded in are skipped by transcript index, so applying a
-// record twice is harmless.
-func (sh *shard) replay(rec walRecord, now time.Duration) {
+// replay applies one record — judged to change the shard (judge), or
+// rebuilt from the journal (recordOf) — to memory, tree being the
+// session tree a create or turn record's version holds. Caller holds
+// sh.mu.
+func (sh *shard) replay(rec walRecord, tree *sessionTree, now time.Duration) {
 	switch rec.Kind {
 	case kindCreate:
-		if rec.Num > sh.maxNum {
-			sh.maxNum = rec.Num
-		}
-		if sh.tombstones[rec.ID] {
-			return
-		}
-		if _, ok := sh.sessions[rec.ID]; ok {
-			return
-		}
-		sh.sessions[rec.ID] = &Entry{ID: rec.ID, num: rec.Num, sh: sh, lastActive: now}
+		sh.maxNum = max(sh.maxNum, rec.Num)
+		sh.sessions[rec.ID] = &Entry{ID: rec.ID, num: rec.Num, sh: sh, lastActive: now, tree: tree}
 	case kindTurn:
-		e, ok := sh.sessions[rec.ID]
-		if !ok || len(e.committed) != rec.Seq {
-			return
-		}
+		e := sh.sessions[rec.ID]
 		e.committed = append(e.committed, rec.Turns...)
-		e.focus, e.current = rec.Focus, false
+		e.focus, e.current, e.tree = rec.Focus, false, tree
 		// A turn is activity: a replica's idle clock runs from the turns
 		// it is shipped, as its primary's runs from the turns it commits.
 		e.lastActive = now
-		sh.keepVersion(e)
 	case kindEvict:
 		delete(sh.sessions, rec.ID)
 		sh.tombstones[rec.ID] = true
@@ -580,28 +595,44 @@ func (s *Store) Len() int {
 	return n
 }
 
-// appendRecord frames rec at the next ship sequence, writes it durably
-// to the WAL (when one is configured), counting the append against
-// turn, and retains the frame in the replication tail. Caller holds
-// sh.mu.
-func (sh *shard) appendRecord(turn *obs.Turn, rec walRecord) error {
-	rec.Ship = sh.cursor() + 1
-	buf, err := encodeRecord(rec)
+// newBatch starts the batch that lands the shard's next records. On a
+// shard whose root has no version yet its first one — the empty shard
+// at ship sequence 0 — comes first, so that every shard with a record
+// has a root: the shard count a directory was written under is in its
+// journal. Caller holds sh.mu.
+func (sh *shard) newBatch(turn *obs.Turn) (*vstore.Batch, error) {
+	b := sh.versions.NewBatch(turn)
+	if !sh.rooted {
+		tree, err := encodeShardTree(b, snapshot{})
+		if err != nil {
+			return nil, err
+		}
+		b.Version(ShardRoot(sh.idx), tree, 0)
+	}
+	return b, nil
+}
+
+// logRecords lands b, on which the journal records standing for recs are
+// queued, with one flushed append — the acknowledgement — and then
+// retains their frames, at the next ship sequences, in the replication
+// tail. Nothing moves when the append fails. Caller holds sh.mu.
+func (sh *shard) logRecords(turn *obs.Turn, b *vstore.Batch, recs ...walRecord) error {
+	frames := make([][]byte, len(recs))
+	for i, rec := range recs {
+		rec.Ship = sh.cursor() + int64(i) + 1
+		var err error
+		if frames[i], err = encodeRecord(rec); err != nil {
+			return err
+		}
+	}
+	end := turn.Start("vstore.journal")
+	err := b.Land()
+	end.End()
 	if err != nil {
 		return err
 	}
-	if sh.wal != nil {
-		end := turn.Start("sessionstore.wal_append")
-		err := sh.wal.Append(buf)
-		end.End()
-		if err != nil {
-			return err
-		}
-		turn.Add(obs.WALFsyncs, 1)
-		turn.Add(obs.WALFrames, 1)
-		turn.Add(obs.WALBytes, len(buf))
-	}
-	sh.tail = append(sh.tail, buf)
+	sh.rooted = true
+	sh.tail = append(sh.tail, frames...)
 	return nil
 }
 
@@ -645,10 +676,15 @@ func (s *Store) createSession(id string, num int) (*Entry, error) {
 	if _, ok := sh.sessions[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	if err := sh.appendRecord(nil, walRecord{Kind: kindCreate, ID: id, Num: num}); err != nil {
+	rec := walRecord{Kind: kindCreate, ID: id, Num: num}
+	b, tree, err := sh.stage(nil, rec, sessionSnap{ID: id, Num: num})
+	if err == nil {
+		err = sh.logRecords(nil, b, rec)
+	}
+	if err != nil {
 		return nil, err
 	}
-	e := &Entry{ID: id, num: num, sh: sh, lastActive: s.clock.Now()}
+	e := &Entry{ID: id, num: num, sh: sh, lastActive: s.clock.Now(), tree: tree}
 	sh.sessions[id] = e
 	if num > sh.maxNum {
 		sh.maxNum = num
@@ -686,17 +722,18 @@ func (s *Store) Get(id string) (*Entry, GetStatus) {
 }
 
 // CommitTurn durably persists the most recent user/system turn pair
-// of e's transcript. It MUST be called inside e.Do, immediately after
-// a successful Respond, so the pair under commit cannot move. When
-// the WAL append fails nothing committed moves, and the session's next
-// Do rebuilds the dialogue session from what did — memory never claims
-// a turn disk does not hold — and the error is returned for the caller
-// to surface (the client simply re-asks).
+// of e's transcript: one flushed journal append of the session's tree
+// at its new turn count. It MUST be called inside e.Do, immediately
+// after a successful Respond, so the pair under commit cannot move. When
+// the append fails nothing committed moves, and the session's next Do
+// rebuilds the dialogue session from what did — memory never claims a
+// turn disk does not hold — and the error is returned for the caller to
+// surface (the client simply re-asks).
 func (s *Store) CommitTurn(e *Entry) error { return s.commitTurn(nil, e) }
 
 // CommitTurnContext is CommitTurn that counts what the commit writes —
-// the WAL append, the session version, a compaction it sets off —
-// against the obs turn ctx carries.
+// the session version, a compaction it sets off — against the obs turn
+// ctx carries.
 func (s *Store) CommitTurnContext(ctx context.Context, e *Entry) error {
 	return s.commitTurn(obs.From(ctx), e)
 }
@@ -719,20 +756,25 @@ func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
 	pair := []dialogue.Turn{encodeTurn(e.sess.Turns[n-2]), encodeTurn(e.sess.Turns[n-1])}
 	rec := walRecord{Kind: kindTurn, ID: e.ID, Seq: len(e.committed),
 		Focus: strings.ToValidUTF8(e.sess.Focus, "\uFFFD"), Turns: pair}
-	if err := sh.appendRecord(turn, rec); err != nil {
+	// The pair joins committed's spare capacity, if it has any, where
+	// nothing reads while committed is shorter.
+	after := sessionSnap{ID: e.ID, Num: e.num, Focus: rec.Focus, Turns: append(e.committed, pair...), tree: e.tree}
+	b, tree, err := sh.stage(turn, rec, after)
+	if err == nil {
+		err = sh.logRecords(turn, b, rec)
+	}
+	if err != nil {
 		e.current = false
 		return err
 	}
-	e.committed = append(e.committed, pair...)
-	e.focus = rec.Focus
+	e.committed, e.focus, e.tree = after.Turns, rec.Focus, tree
 	e.lastActive = s.clock.Now()
-	sh.commitSessionVersion(turn, e)
 	sh.compactIfDue(turn)
 	return nil
 }
 
 // encodeTurn is a dialogue turn as it is persisted, which the turn codec
-// the WAL and the journal share requires: text that is not valid UTF-8 —
+// records and turns chunks share requires: text that is not valid UTF-8 —
 // a served table's bytes may not be — with U+FFFD in place of each
 // invalid run, and a system turn without an intent.
 func encodeTurn(t dialogue.Turn) dialogue.Turn {
@@ -746,7 +788,12 @@ func encodeTurn(t dialogue.Turn) dialogue.Turn {
 // evict logs the eviction, then removes the session and leaves a
 // tombstone. Caller holds sh.mu.
 func (sh *shard) evict(e *Entry) error {
-	if err := sh.appendRecord(nil, walRecord{Kind: kindEvict, ID: e.ID}); err != nil {
+	rec := walRecord{Kind: kindEvict, ID: e.ID}
+	b, _, err := sh.stage(nil, rec, sessionSnap{})
+	if err == nil {
+		err = sh.logRecords(nil, b, rec)
+	}
+	if err != nil {
 		return err
 	}
 	delete(sh.sessions, e.ID)
@@ -768,7 +815,7 @@ func (s *Store) SweepIdle() (int, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		// Deterministic eviction order: sorted ids, not map order, so
-		// two sweeps of identical stores write identical WAL suffixes.
+		// two sweeps of identical stores write identical journal suffixes.
 		var idle []string
 		for id, e := range sh.sessions {
 			if now-e.lastActive > s.cfg.TTL {
@@ -790,10 +837,10 @@ func (s *Store) SweepIdle() (int, error) {
 	return evicted, firstErr
 }
 
-// compactIfDue compacts the shard when enough WAL records have
-// accumulated. Caller holds sh.mu. Failures are remembered, not
-// propagated: the commit that triggered compaction is already durable
-// in the WAL, so user traffic continues and the error resurfaces at
+// compactIfDue compacts the shard when enough records have accumulated
+// since the last compaction. Caller holds sh.mu. Failures are
+// remembered, not propagated: the record that triggered compaction is
+// already durable, so user traffic continues and the error resurfaces at
 // the next cadence and at Close.
 func (sh *shard) compactIfDue(turn *obs.Turn) {
 	if len(sh.tail) < sh.snapEvery {
@@ -831,29 +878,19 @@ func (sh *shard) buildSnapshot() snapshot {
 	return snap
 }
 
-// compact folds the shard into its shard root and then truncates the
-// WAL — the checkpoint. The root's commit is a flushed journal append,
-// so it flushes the session versions written before it, which the WAL
-// about to go is what could rebuild; a journal that cannot take it
-// refuses the compaction, and the WAL is kept. The ship horizon advances
-// with the root: replicas behind it are shipped the root instead of
-// frames. A memory-only shard does the same with nothing to truncate, so
-// its replication tail stays bounded. Caller holds sh.mu.
+// compact folds the shard into its shard root — the checkpoint — with
+// one flushed journal append. The ship horizon advances with the root:
+// replicas behind it are shipped the root instead of frames, and the
+// replication tail and Open's replay start after it. A journal that
+// cannot take it refuses the compaction, and nothing moves. Caller holds
+// sh.mu.
 func (sh *shard) compact(turn *obs.Turn) error {
-	if sh.wal != nil && sh.wal.Dead() {
-		return nil
-	}
 	defer turn.Start("sessionstore.compact").End()
 	snap := sh.buildSnapshot()
 	if err := sh.commitShardVersion(turn, snap); err != nil {
-		return fmt.Errorf("sessionstore: shard %d keeps its WAL: %w", sh.idx, err)
+		return fmt.Errorf("sessionstore: compact shard %d: %w", sh.idx, err)
 	}
-	if sh.wal != nil {
-		if err := sh.wal.Reset(); err != nil {
-			return err
-		}
-		turn.Add(obs.WALFsyncs, 1)
-	}
+	sh.rooted = true
 	sh.shipBase = snap.ShipSeq
 	sh.tail = nil
 	sh.compactErr = nil
@@ -876,30 +913,20 @@ func (s *Store) Compact() error {
 	return errors.Join(errs...)
 }
 
-// Close compacts what is pending, closes every WAL and a version store
-// Open opened, and reports any failure that was deferred off the commit
-// path.
+// Close compacts the dir-backed shards with records since their last
+// compaction, so the next Open replays nothing, closes a version store
+// Open opened, and reports any compaction failure deferred off the
+// commit path.
 func (s *Store) Close() error {
 	var errs []error
+	if s.cfg.Dir != "" {
+		errs = append(errs, s.Compact())
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.wal != nil {
-			if len(sh.tail) > 0 {
-				if err := sh.compact(nil); err != nil {
-					errs = append(errs, err)
-				}
-			}
-			if err := sh.wal.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
 		if sh.compactErr != nil {
 			errs = append(errs, sh.compactErr)
 			sh.compactErr = nil
-		}
-		if sh.versionErr != nil {
-			errs = append(errs, sh.versionErr)
-			sh.versionErr = nil
 		}
 		sh.mu.Unlock()
 	}

@@ -18,10 +18,11 @@ import (
 	"github.com/reliable-cda/cda/internal/faults"
 	"github.com/reliable-cda/cda/internal/framelog"
 	"github.com/reliable-cda/cda/internal/resilience"
+	"github.com/reliable-cda/cda/internal/vstore"
 )
 
 // commitPair appends one question/answer pair and persists it.
-func commitPair(t *testing.T, st *Store, e *Entry, q, a string, conf float64) {
+func commitPair(t testing.TB, st *Store, e *Entry, q, a string, conf float64) {
 	t.Helper()
 	err := e.Do(func(sess *dialogue.Session) error {
 		sess.CommitTurn(q, dialogue.ClassifyIntent(q), a, conf)
@@ -135,8 +136,8 @@ func TestRecoverAfterSnapshotCompaction(t *testing.T) {
 	}
 	want := transcriptOf(t, e)
 	// Compaction must have fired (8 records > 2*SnapshotEvery) into the
-	// shard root, and written nothing beside the WAL and the version
-	// store: no snapshot document.
+	// shard root, and written nothing beside the version store: no
+	// snapshot document, no log of its own.
 	if head, err := st.Versions().Head(ShardRoot(0)); err != nil || head.Turn != 6 {
 		t.Fatalf("shard root head = %+v, %v; want one at the horizon 6", head, err)
 	}
@@ -148,8 +149,8 @@ func TestRecoverAfterSnapshotCompaction(t *testing.T) {
 	for _, f := range files {
 		names = append(names, f.Name())
 	}
-	if fmt.Sprint(names) != "[shard-00.wal vstore]" {
-		t.Fatalf("data dir after compactions holds %v, want the WAL and the version store", names)
+	if fmt.Sprint(names) != "[vstore]" {
+		t.Fatalf("data dir after compactions holds %v, want the version store alone", names)
 	}
 	st2, err := Open(Config{Dir: dir, Shards: 1, SnapshotEvery: 3})
 	if err != nil {
@@ -167,11 +168,12 @@ func TestRecoverAfterSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// TestReplayIdempotentOverSnapshot simulates a crash between the shard
-// root's commit and WAL truncation: the WAL still holds records the
-// root already folded in. Replay must not duplicate them, nor the ship
-// cursor count them — a replica at the cursor is shipped nothing — and
-// Open resets the WAL they are all of, so the next turn and the reopen
+// TestReplayIdempotentOverSnapshot kills the store after a compaction
+// and one more turn: the journal holds the records the shard root
+// already folded in, the root, and the turn after it. Replay must not
+// duplicate the folded records, nor the ship cursor count them — a
+// replica at the cursor is shipped nothing — and the one record after
+// the root comes back as the frame it was; the next turn and the reopen
 // after it carry on from the cursor.
 func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -185,21 +187,14 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	}
 	commitPair(t, st, e, "q0", "a0", 0.8)
 	commitPair(t, st, e, "q1", "a1", 0.7)
-	want := transcriptOf(t, e)
-	walPath := filepath.Join(dir, "shard-00.wal")
-	walBytes, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursor := st.ReplicationCursor(0)
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	commitPair(t, st, e, "q2", "a2", 0.6)
+	want := transcriptOf(t, e)
+	cursor := st.ReplicationCursor(0)
+	tail := slices.Clone(st.shards[0].tail)
 	kill(t, st)
-	// Resurrect the pre-compaction WAL next to the committed shard root.
-	if err := os.WriteFile(walPath, walBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	st2, err := Open(Config{Dir: dir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -212,15 +207,15 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 		t.Errorf("replay duplicated snapshotted turns:\n got: %q\nwant: %q", tr, want)
 	}
 	if c := st2.ReplicationCursor(0); c != cursor {
-		t.Errorf("cursor after the reopen = %d, want %d, where the crash left it", c, cursor)
+		t.Errorf("cursor after the reopen = %d, want %d, where the kill left it", c, cursor)
+	}
+	if !slices.EqualFunc(st2.shards[0].tail, tail, bytes.Equal) || len(tail) != 1 {
+		t.Errorf("the reopened tail holds %d frames, the killed one %d (want the one turn after the root, byte for byte)", len(st2.shards[0].tail), len(tail))
 	}
 	if b, err := st2.PullFrames(0, cursor, 0); err != nil || !b.Empty() {
 		t.Errorf("a pull at cursor %d = %d frames, root %q, %v; want nothing to ship", cursor, len(b.Frames), b.SnapshotRoot, err)
 	}
-	if fi, err := os.Stat(walPath); err != nil || fi.Size() != 0 {
-		t.Errorf("the WAL the root holds entirely is still there after the reopen: %v, %v", fi.Size(), err)
-	}
-	commitPair(t, st2, got, "q2", "a2", 0.6)
+	commitPair(t, st2, got, "q3", "a3", 0.5)
 	want = transcriptOf(t, got)
 	kill(t, st2)
 	st3, err := Open(Config{Dir: dir, Shards: 1})
@@ -238,9 +233,10 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	}
 }
 
-// TestWALWithAGapIsAnError: a WAL whose records skip a ship sequence is
-// no log this store writes — every append extends the cursor by one —
-// so Open fails on it and truncates none of its whole frames.
+// TestWALWithAGapIsAnError: a shard WAL whose records skip a ship
+// sequence was never a log this store wrote, and a shard WAL with any
+// record in it is a format this store does not read: Open refuses it and
+// changes none of its bytes.
 func TestWALWithAGapIsAnError(t *testing.T) {
 	dir := copyFixture(t, formatFixtureV7)
 	path := filepath.Join(dir, "shard-00.wal")
@@ -254,18 +250,22 @@ func TestWALWithAGapIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, gap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := Open(Config{Dir: dir, Shards: 2, SnapshotEvery: 8}); err == nil {
-		kill(t, st)
-		t.Fatal("Open took a WAL that skips a ship sequence")
+	var old *vstore.FormatError
+	if st, err := Open(Config{Dir: dir, Shards: 2, SnapshotEvery: 8}); !errors.As(err, &old) || old.Path != path {
+		if err == nil {
+			kill(t, st)
+		}
+		t.Fatalf("Open of a WAL that skips a ship sequence = %v, want a *vstore.FormatError naming it", err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, gap) {
 		t.Errorf("the refused WAL changed: %d bytes, want %d, %v", len(got), len(gap), err)
 	}
 }
 
-// TestWALTornTailRecovers is the torn-tail regression: a crash
-// mid-append leaves a truncated final record, and Open must recover
-// the longest valid prefix cleanly rather than error.
+// TestWALTornTailRecovers is the torn-tail regression for the log of
+// records, the journal: a crash mid-append leaves a truncated final
+// record, and Open must recover the longest valid prefix cleanly rather
+// than error.
 func TestWALTornTailRecovers(t *testing.T) {
 	for _, cut := range []int{1, 5, 9, 17} {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
@@ -281,13 +281,14 @@ func TestWALTornTailRecovers(t *testing.T) {
 			commitPair(t, st, e, "q0", "a0", 0.8)
 			prefix := transcriptOf(t, e)
 			commitPair(t, st, e, "q1", "a1", 0.7)
-			walPath := filepath.Join(dir, "shard-00.wal")
-			info, err := os.Stat(walPath)
+			kill(t, st)
+			journal := filepath.Join(dir, "vstore", "chunks.pack")
+			info, err := os.Stat(journal)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Tear the final (second) turn record by cut bytes.
-			if err := os.Truncate(walPath, info.Size()-int64(cut)); err != nil {
+			if err := os.Truncate(journal, info.Size()-int64(cut)); err != nil {
 				t.Fatal(err)
 			}
 			st2, err := Open(Config{Dir: dir, Shards: 1})
@@ -303,6 +304,7 @@ func TestWALTornTailRecovers(t *testing.T) {
 			}
 			// The store stays writable on the clean frame boundary.
 			commitPair(t, st2, got, "q2", "a2", 0.6)
+			kill(t, st2)
 			st3, err := Open(Config{Dir: dir, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -314,6 +316,7 @@ func TestWALTornTailRecovers(t *testing.T) {
 			if tr := transcriptOf(t, e3); !strings.Contains(tr, "q2") {
 				t.Errorf("post-repair commit lost: %q", tr)
 			}
+			kill(t, st3)
 		})
 	}
 }
@@ -324,7 +327,7 @@ func TestWALTornTailRecovers(t *testing.T) {
 func TestCrashFaultRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(faults.Config{Seed: 3,
-		PerBackend: map[string]faults.Rates{"wal": {Crash: 1}}}, nil)
+		PerBackend: map[string]faults.Rates{"vstore": {Crash: 1}}}, nil)
 	st, err := Open(Config{Dir: dir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,13 @@ import (
 // turn count: sealed 32-turn chunks, then one chunk per pair of the open
 // window. The format dialogue never leaves its first window, so
 // testdata/tree-v7 is the data directory replayScript(treeScript()) writes
-// — this file, compiled in the commit that wrote it — whose long session
-// has two sealed chunks and eight pair chunks after them; testdata/format-v7
-// is the same for formatScript(). Each carries logs.json, the root logs
-// its writer's store reported. The -v6 directories are the same scripts
+// — this file, compiled in a commit that wrote shard WALs beside the
+// journal — whose long session has two sealed chunks and eight pair
+// chunks after them, abandoned as a kill leaves it; testdata/format-v7 is
+// the same for formatScript(). The -v8 directories are the same scripts
+// closed by the last commit that wrote shard WALs, 0230b50: its Close
+// compacted every shard and emptied the WALs. Each carries logs.json, the
+// root logs its writer's store reported. The -v6 directories are the same scripts
 // as the commit before commit records wrote them: the same WALs, logs.json
 // byte for byte, and a journal that spends a tree node frame, a commit
 // chunk and an append record on each version, which Open reads as it is.
@@ -26,6 +29,8 @@ import (
 // commit data, which Open refuses; the -v4 ones are older still, with
 // WALs of JSON records.
 const (
+	treeFixtureV8   = "testdata/tree-v8"
+	formatFixtureV8 = "testdata/format-v8"
 	treeFixtureV7   = "testdata/tree-v7"
 	formatFixtureV7 = "testdata/format-v7"
 	treeFixtureV6   = "testdata/tree-v6"
@@ -70,7 +75,7 @@ func treeScript() []formatTurn {
 // store under dir, in the fixtures' configuration: two shards at a
 // snapshot cadence of 8, so a shard compacts mid-dialogue and keeps
 // appending afterwards. The stores are left open — Close would compact
-// every WAL away — and closed at test cleanup.
+// every shard — and closed at test cleanup.
 func replayScript(t *testing.T, dir string, script []formatTurn) (*Store, *vstore.Store) {
 	t.Helper()
 	st, vs := openFormatStores(t, dir)

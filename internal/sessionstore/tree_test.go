@@ -396,7 +396,7 @@ func TestIncrementalTreeEqualsColdTree(t *testing.T) {
 				if rng.Intn(5) == 0 {
 					continue // the commit failed: nothing landed, nothing is remembered
 				}
-				if _, err := b.CommitUnsynced(SessionRoot(id), tree.sess, n); err != nil {
+				if _, err := b.Commit(SessionRoot(id), tree.sess, n); err != nil {
 					t.Fatal(err)
 				}
 				back, err := decodeSessionTree(vs, tree.sess)
@@ -410,10 +410,11 @@ func TestIncrementalTreeEqualsColdTree(t *testing.T) {
 }
 
 // TestFailedVersionCommitKeepsTheTree: a version commit that fails and
-// kills nothing — here on the very turn that folds the window — leaves
-// the entry remembering the last version that landed, and the next
-// turn's version is complete: it encodes the sealed chunk the failed
-// commit never stored, and every as-of read is a prefix.
+// kills nothing — here on the very turn that folds the window — fails
+// the turn and leaves the entry, and its memory of the last version that
+// landed, as they were; the turn asked again is complete: it encodes the
+// sealed chunk the failed commit never stored, and every as-of read is a
+// prefix.
 func TestFailedVersionCommitKeepsTheTree(t *testing.T) {
 	probe := &journalProbe{}
 	vs, err := vstore.Open(vstore.Config{Dir: t.TempDir(), Faults: probe})
@@ -436,36 +437,32 @@ func TestFailedVersionCommitKeepsTheTree(t *testing.T) {
 	for j := 0; j < 15; j++ {
 		commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
 	}
-	before := peek(st, e.ID).tree
+	before, transcript := peek(st, e.ID).tree, transcriptOf(t, e)
 	probe.failCommit = true
-	commitPair(t, st, e, "q15", "a15", 0.5) // turn 32: acknowledged, its version refused
-	if err := st.DeferredError(0); !errors.Is(err, errProbeCommit) {
-		t.Fatalf("deferred error after the refused version = %v, want the injected one", err)
+	if err := commitOnce(st, e, "q15", "a15"); !errors.Is(err, errProbeCommit) { // turn 32: refused
+		t.Fatalf("the turn whose version is refused = %v, want the injected error", err)
 	}
-	if tree := peek(st, e.ID).tree; tree != before || tree.turns != 30 {
+	if tree := peek(st, e.ID).tree; tree != before || tree.turns != 30 || transcriptOf(t, e) != transcript {
 		t.Fatalf("after the refused version the entry remembers %+v, want the tree at turn 30 untouched", tree)
 	}
 	puts := probe.puts
-	commitPair(t, st, e, "q16", "a16", 0.5)
-	if err := st.DeferredError(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := probe.puts - puts; got != 3 {
-		t.Errorf("the turn after the refused version encoded %d chunks, want 3: the sealed window, its pair, the session node", got)
+	commitPair(t, st, e, "q15", "a15", 0.5)
+	if got := probe.puts - puts; got != 2 {
+		t.Errorf("the turn asked again encoded %d chunks, want 2: the sealed window, the session node", got)
 	}
 	head, err := vs.Head(SessionRoot(e.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := peek(st, e.ID).tree
-	if head.Turn != 34 || !vs.HasClosure(head.Hash) || tree.turns != 34 || tree.sess != head.Tree || len(tree.refs) != 2 {
-		t.Fatalf("head %+v (closure whole = %v), remembered %+v; want the whole tree at turn 34: one sealed chunk and a pair", head, vs.HasClosure(head.Hash), tree)
+	if head.Turn != 32 || !vs.HasClosure(head.Hash) || tree.turns != 32 || tree.sess != head.Tree || len(tree.refs) != 1 {
+		t.Fatalf("head %+v (closure whole = %v), remembered %+v; want the whole tree at turn 32: one sealed chunk", head, vs.HasClosure(head.Hash), tree)
 	}
-	transcript := transcriptOf(t, e)
-	for turn, at := range map[int]int{30: 30, 32: 30, 34: 34} { // turn 32 has no version: DESIGN §15's known corner
+	transcript = transcriptOf(t, e)
+	for _, turn := range []int{30, 32} {
 		sess, c, err := st.TranscriptAsOf(e.ID, turn)
-		if err != nil || c.Turn != at || Transcript(sess) != turnPrefix(transcript, at) {
-			t.Fatalf("as of turn %d = commit at %d, %v; want the %d-turn prefix", turn, c.Turn, err, at)
+		if err != nil || c.Turn != turn || Transcript(sess) != turnPrefix(transcript, turn) {
+			t.Fatalf("as of turn %d = commit at %d, %v; want the %d-turn prefix", turn, c.Turn, err, turn)
 		}
 	}
 }

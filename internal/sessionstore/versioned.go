@@ -3,14 +3,18 @@ package sessionstore
 // Content-addressed versioning of session state (internal/vstore).
 // Every store maintains two families of vstore roots:
 //
-//	session/<id>  committed per turn pair: the transcript's Merkle
-//	              tree at each committed turn count, so
+//	session/<id>  committed per record: an empty session node at turn 0
+//	              when the session is created, then the transcript's
+//	              Merkle tree at each committed turn count, so
 //	              TranscriptAsOf(id, turn) materializes exactly what
-//	              the session held at turn N;
-//	shard/<NN>    committed at every compaction: the whole shard's
-//	              durable state at the ship horizon — the checkpoint
-//	              recovery loads and the WAL is truncated to, and the
-//	              unit replicas catch up on via chunk negotiation.
+//	              the session held at turn N; an eviction is a mark on
+//	              the root, which no as-of read returns;
+//	shard/<NN>    committed when the shard records its first session
+//	              (the empty shard at ship sequence 0) and at every
+//	              compaction: the whole shard's state at the ship
+//	              horizon — the checkpoint recovery loads and replays
+//	              the shard's records after, and the unit replicas
+//	              catch up on via chunk negotiation.
 //
 // A transcript is cut where its turn count says, and nowhere else: every
 // full window of turnsPerChunk turns is one sealed "turns" chunk, and
@@ -21,40 +25,27 @@ package sessionstore
 // sealed chunk in place of its pair chunks, once; and every chunk before
 // the one a turn added is shared byte for byte with the previous
 // version. The cuts being a function of the count, two stores that hold
-// the same transcript hold the same tree — what recovery's redo and a
-// replica's replay stand on. The reader (decodeSessionTree) concatenates
-// whatever turns chunks a node lists. Each Entry remembers the chunks of
-// its last committed version (sessionTree), so a version encodes and
-// hashes only what the turn added, whatever the transcript's length.
-// A shard tree references its session nodes, so a compaction after
-// light traffic shares every untouched session with the previous
-// compaction's tree, and a replica that installed that one only fetches
-// the delta.
+// the same transcript hold the same tree — what a replica's replay
+// stands on. The reader (decodeSessionTree) concatenates whatever turns
+// chunks a node lists. Each Entry remembers the chunks of its last
+// committed version (sessionTree), so a version encodes and hashes only
+// what the turn added, whatever the transcript's length. A shard tree
+// references its session nodes, so a compaction after light traffic
+// shares every untouched session with the previous compaction's tree,
+// and a replica that installed that one only fetches the delta.
 //
-// A session version is an annotation on the durability path, never a
-// gate on it: its failures are recorded (surfaced by DeferredError —
-// the server reads it after every turn — and at Close) and user traffic
-// continues. Nor does a turn wait for it: the WAL is the session
-// versions' redo log. A session version is written to the journal
-// without an fsync (vstore.Batch.CommitUnsynced) after the WAL append
-// that acknowledged the turn; the journal is flushed before any WAL that
-// covers such versions is truncated (the shard root's flushed commit in
-// compact, flushVersions in installRoot, and vstore.Store.Close); and
-// Open commits again whatever a power cut took from the journal's
-// unflushed tail, one version per replayed turn record (keepVersion),
-// so every acknowledged turn count has its as-of entry. What differs
-// after such a recovery is the re-derived commits' hashes, parents and
-// stamps — never a tree hash, which is a function of the transcript.
-// Shard roots have no redo log behind them and are flushed commits; a
-// compaction whose root does not land keeps its WAL. What still leaves a
-// turn count without an entry: a version commit that fails without
-// killing the journal (a full disk, rolled back) on a shard that
-// compacts before the process restarts.
+// A session version is the record itself: the turn is acknowledged once
+// the journal append that holds its version is flushed, a failed append
+// fails the turn, and recovery rebuilds each record from its version
+// (recordOf). Every record a shard ships lands as exactly one journal
+// record, on the primary and on the replica, so the place of a record
+// among the shard's records after its root's head is its ship sequence.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/obs"
@@ -325,56 +316,108 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 	return snap, nil
 }
 
-// keepVersion commits the session's version unless its root already
-// has one at or past the committed turn count: the redo step, one Head
-// lookup when there is nothing to redo. Caller holds sh.mu, or is Open.
-func (sh *shard) keepVersion(e *Entry) {
-	if len(e.committed) == 0 {
-		return
+// stage starts the shard's next batch (newBatch) and queues on it the
+// journal record that stands for rec: for a create or a turn the version
+// of after, the session's state once rec has applied, returned as its
+// tree; for an evict a mark. Caller holds sh.mu.
+func (sh *shard) stage(turn *obs.Turn, rec walRecord, after sessionSnap) (*vstore.Batch, *sessionTree, error) {
+	b, err := sh.newBatch(turn)
+	if err != nil {
+		return nil, nil, err
 	}
-	if head, err := sh.versions.Head(SessionRoot(e.ID)); err == nil && head.Turn >= len(e.committed) {
-		return
-	}
-	sh.commitSessionVersion(nil, e)
+	tree, err := stageRecord(turn, b, rec, after)
+	return b, tree, err
 }
 
-// flushVersions flushes the version journal; callers are about to
-// truncate the WAL that could rebuild its unflushed session versions.
-func (sh *shard) flushVersions() error {
-	if err := sh.versions.Sync(); err != nil {
-		return fmt.Errorf("sessionstore: shard %d keeps its WAL: %w", sh.idx, err)
+// stageRecord queues on b the journal record that stands for rec, after
+// being the session's state once rec has applied (unused for an evict).
+func stageRecord(turn *obs.Turn, b *vstore.Batch, rec walRecord, after sessionSnap) (*sessionTree, error) {
+	if rec.Kind == kindEvict {
+		b.Mark(SessionRoot(rec.ID))
+		return nil, nil
 	}
-	return nil
-}
-
-// commitSessionVersion commits the session's transcript tree at its
-// current committed turn count, as one journal append and no fsync —
-// the WAL record that produced this state is already flushed and
-// rebuilds the version if a power cut takes it — and, once the store
-// has taken it, remembers the tree for the next one to build on; a
-// failed commit leaves e.tree at the last version that landed, whose
-// chunks the root's head still reaches. Caller holds sh.mu. Failures
-// are recorded on the shard, never returned to the durability path.
-func (sh *shard) commitSessionVersion(turn *obs.Turn, e *Entry) {
-	b := sh.versions.NewBatch(turn)
 	end := turn.Start("sessionstore.version_encode")
-	tree, err := encodeSessionTree(b, e.snap())
+	tree, err := encodeSessionTree(b, after)
 	end.End()
-	if err == nil {
-		end = turn.Start("vstore.journal")
-		_, err = b.CommitUnsynced(SessionRoot(e.ID), tree.sess, len(e.committed))
-		end.End()
+	if err != nil {
+		return nil, err
+	}
+	b.Version(SessionRoot(rec.ID), tree.sess, len(after.Turns))
+	return tree, nil
+}
+
+// recordOf rebuilds the record a journal event after the shard's root
+// stands for, and the tree a create or turn leaves: a mark is the
+// session's eviction; a version of an empty node at turn 0 of a session
+// the shard has never held is its creation; a version that adds turns to
+// a live session is the turn record that added them, its focus the
+// node's. Any other version stands for no record, and the tree returned
+// is nil. Caller holds sh.mu.
+func (sh *shard) recordOf(ev vstore.Event) (walRecord, *sessionTree, error) {
+	id := ev.Root[len(SessionRoot("")):]
+	if ev.Mark {
+		return walRecord{Kind: kindEvict, ID: id}, nil, nil
+	}
+	kind, data, err := sh.versions.Data(ev.Commit.Tree)
+	if err != nil {
+		return walRecord{}, nil, err
+	}
+	meta, err := decodeSessData(data)
+	if err == nil && (kind != "sess" || meta.ID != id || meta.Per <= 0 || meta.Turns != ev.Commit.Turn) {
+		err = fmt.Errorf("is a %q node of session %q at %d turns, committed at turn %d of %s", kind, meta.ID, meta.Turns, ev.Commit.Turn, ev.Root)
 	}
 	if err != nil {
-		sh.versionErr = fmt.Errorf("sessionstore: version session %s: %w", e.ID, err)
-		return
+		return walRecord{}, nil, malformed(ev.Commit.Tree, "%w", err)
 	}
-	e.tree = tree
+	refs, err := sh.versions.Refs(ev.Commit.Tree)
+	if err != nil {
+		return walRecord{}, nil, err
+	}
+	tree := &sessionTree{turns: meta.Turns, refs: refs, sess: ev.Commit.Tree}
+	e, live := sh.sessions[id]
+	switch {
+	case !live && !sh.tombstones[id] && meta.Turns == 0:
+		return walRecord{Kind: kindCreate, ID: id, Num: meta.Num}, tree, nil
+	case live && meta.Turns > len(e.committed):
+		turns, err := lastTurns(sh.versions, ev.Commit.Tree, refs, meta.Per, meta.Turns-len(e.committed))
+		if err != nil {
+			return walRecord{}, nil, err
+		}
+		return walRecord{Kind: kindTurn, ID: id, Seq: len(e.committed), Focus: meta.Focus, Turns: turns}, tree, nil
+	}
+	return walRecord{}, nil, nil
+}
+
+// lastTurns decodes the last n turns of the session tree whose node, h,
+// lists refs: the turns chunks from the last back, as far as n needs.
+func lastTurns(vs *vstore.Store, h vstore.Hash, refs []vstore.Hash, per, n int) ([]dialogue.Turn, error) {
+	var chunks [][]dialogue.Turn
+	got := 0
+	for i := len(refs) - 1; i >= 0 && got < n; i-- {
+		kind, data, err := vs.Data(refs[i])
+		if err != nil {
+			return nil, err
+		}
+		if kind != "turns" {
+			return nil, malformed(refs[i], "is %q, want turns", kind)
+		}
+		turns, err := decodeTurns(data, per)
+		if err != nil {
+			return nil, malformed(refs[i], "in session node %s: %w", h, err)
+		}
+		chunks = append(chunks, turns)
+		got += len(turns)
+	}
+	if got < n {
+		return nil, malformed(h, "lists %d turns, its node says %d more than the session held", got, n)
+	}
+	slices.Reverse(chunks)
+	all := slices.Concat(chunks...)
+	return all[len(all)-n:], nil
 }
 
 // commitShardVersion commits snap's tree as the shard's root at its
-// ship horizon, flushed: it is the checkpoint, and nothing could rebuild
-// it. Caller holds sh.mu, or is Open.
+// ship horizon, flushed. Caller holds sh.mu, or is Open.
 func (sh *shard) commitShardVersion(turn *obs.Turn, snap snapshot) error {
 	b := sh.versions.NewBatch(turn)
 	tree, err := encodeShardTree(b, snap)
@@ -384,24 +427,18 @@ func (sh *shard) commitShardVersion(turn *obs.Turn, snap snapshot) error {
 	return err
 }
 
-// DeferredError reports, once each, the most recent failures of the
-// work a shard does off the acknowledgement path: session versions
-// (cleared here) and compaction (kept for the retry and for Close). Neither failed the turn that ran into it, so the caller
-// serving that turn is where it gets said.
+// DeferredError reports, once, the most recent compaction failure,
+// which is kept for the retry and for Close: it failed no turn, so the
+// caller serving the turn that ran into it is where it gets said.
 func (s *Store) DeferredError(shard int) error {
 	sh := s.shards[shard&(len(s.shards)-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	err := sh.versionErr
-	sh.versionErr = nil
 	if sh.compactErr != nil && !sh.compactSaid {
 		sh.compactSaid = true
-		if err == nil {
-			return sh.compactErr
-		}
-		return fmt.Errorf("%w; %w", err, sh.compactErr) // one line for a log
+		return sh.compactErr
 	}
-	return err
+	return nil
 }
 
 // TranscriptAsOf materializes a session's transcript as it stood at

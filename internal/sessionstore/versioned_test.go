@@ -126,8 +126,8 @@ func TestTranscriptAsOfMaterializesEveryVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(log) != 5 {
-		t.Fatalf("session has %d versions, want 5: %+v", len(log), log)
+	if len(log) != 6 || log[0].Turn != 0 {
+		t.Fatalf("session has %d versions, want 6: its creation's at turn 0 and one per pair: %+v", len(log), log)
 	}
 	for turn, expect := range want {
 		sess, c, err := st.TranscriptAsOf(e.ID, turn)
@@ -468,12 +468,10 @@ func (p *journalProbe) TornWrite(_ string, b []byte) ([]byte, bool) {
 }
 
 // TestVersionCommitsAreJournalAppends commits 400 turns into one
-// dir-backed version store: each session and shard version is exactly
-// one journal append, the journal is exactly the bytes of those
-// appends — no per-commit document, nothing that grows with the run —
-// and it is the only file. A session version is that append and no
-// flush; the journal is flushed when a compaction is about to reset the
-// WAL that covers those versions, and by Close.
+// dir-backed version store: each create, turn and shard version is
+// exactly one journal append, flushed before the commit returns, the
+// journal is exactly the bytes of those appends — no per-commit
+// document, nothing that grows with the run — and it is the only file.
 func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	probe := &journalProbe{}
 	vdir := t.TempDir()
@@ -486,50 +484,47 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sessions, pairs = 25, 8 // 25 × 8 × 2 = 400 turns
+	flushed := func(what string) {
+		t.Helper()
+		if synced, size := vs.JournalSynced(); synced != size {
+			t.Fatalf("%s: journal flushed to %d of %d bytes; every record is a flushed append", what, synced, size)
+		}
+	}
 	var entries []*Entry
 	for i := 0; i < sessions; i++ {
+		before := probe.appends
 		e, err := st.NewSession()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := probe.appends - before; got != 1 {
+			t.Fatalf("create %d made %d journal appends, want 1", i, got)
+		}
+		flushed("create " + e.ID)
 		entries = append(entries, e)
 	}
 	sh := st.shards[0]
-	resets := 0
+	compactions := 0
 	for j := 0; j < pairs; j++ {
 		for _, e := range entries {
 			sh.mu.Lock()
 			compactsAt := len(sh.tail)+1 >= 64
 			sh.mu.Unlock()
 			before := probe.appends
-			flushed, _ := vs.JournalSynced()
 			commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
 			want := 1 // the session version
 			if compactsAt {
 				want = 2 // and the shard version the compaction commits
+				compactions++
 			}
 			if got := probe.appends - before; got != want {
 				t.Fatalf("turn pair %d of %s made %d journal appends, want %d", j, e.ID, got, want)
 			}
-			synced, size := vs.JournalSynced()
-			if !compactsAt && (synced != flushed || synced == size) {
-				t.Fatalf("turn pair %d of %s: journal flushed to %d of %d bytes, was flushed to %d; a session version is no flush", j, e.ID, synced, size, flushed)
-			}
-			if compactsAt {
-				// The shard root's commit is the flushed append; the WAL
-				// reset comes after it.
-				resets++
-				if synced != size || sh.wal.Size() != 0 {
-					t.Fatalf("turn pair %d of %s compacted with the journal flushed to %d of %d bytes and %d WAL bytes left", j, e.ID, synced, size, sh.wal.Size())
-				}
-			}
+			flushed(fmt.Sprintf("turn pair %d of %s", j, e.ID))
 		}
 	}
-	if resets != (sessions+sessions*pairs)/64 {
-		t.Fatalf("saw %d WAL resets, want %d", resets, (sessions+sessions*pairs)/64)
-	}
-	if err := st.DeferredError(0); err != nil {
-		t.Fatalf("version error: %v", err)
+	if compactions != (sessions+sessions*pairs)/64 {
+		t.Fatalf("saw %d compactions, want %d", compactions, (sessions+sessions*pairs)/64)
 	}
 	files, err := os.ReadDir(vdir)
 	if err != nil {
@@ -541,9 +536,7 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	if err := st.Close(); err != nil { // the last compaction: one more shard version
 		t.Fatal(err)
 	}
-	if synced, size := vs.JournalSynced(); synced != size || sh.wal.Synced() != sh.wal.Size() {
-		t.Fatalf("after Close: journal flushed to %d of %d bytes, WAL to %d of %d", synced, size, sh.wal.Synced(), sh.wal.Size())
-	}
+	flushed("after Close")
 	if err := vs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -556,11 +549,19 @@ func TestVersionCommitsAreJournalAppends(t *testing.T) {
 	}
 }
 
-// TestDeadJournalRefusesCompaction: a journal that can no longer be
-// flushed must not cost the WAL that could rebuild it. Turns are still
-// acknowledged, the failure is reported once per turn, every compaction
-// is refused with the WAL and the cursor where they were, and a reopen
-// re-derives from that WAL every version the dead journal never took.
+// commitOnce is commitPair that returns the commit's error.
+func commitOnce(st *Store, e *Entry, q, a string) error {
+	return e.Do(func(sess *dialogue.Session) error {
+		sess.CommitTurn(q, dialogue.ClassifyIntent(q), a, 0.5)
+		return st.CommitTurn(e)
+	})
+}
+
+// TestDeadJournalRefusesCompaction: a torn journal append kills the
+// journal, and with it the turn it carried and every record after it:
+// each fails with ErrCrashed and moves nothing — no turn, no cursor, no
+// compaction, no shard root — and a reopen serves every acknowledged
+// turn, each with its version.
 func TestDeadJournalRefusesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	vdir := filepath.Join(dir, "vstore")
@@ -580,49 +581,35 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 	}
 	commitPair(t, st, e, "q0", "a0", 0.5)
 	commitPair(t, st, e, "q1", "a1", 0.5)
-	if err := st.DeferredError(0); err != nil {
-		t.Fatal(err)
-	}
+	want := transcriptOf(t, e)
 
 	fault.tearNext = true
-	commitPair(t, st, e, "q2", "a2", 0.5) // acknowledged; its version is torn
-	if err := st.DeferredError(0); !errors.Is(err, framelog.ErrCrashed) {
-		t.Fatalf("deferred error after the torn version = %v, want ErrCrashed", err)
-	}
-	if err := st.DeferredError(0); err != nil {
-		t.Fatalf("the failure was reported twice: %v", err)
+	if err := commitOnce(st, e, "q2", "a2"); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("the torn turn = %v, want ErrCrashed", err)
 	}
 	sh := st.shards[0]
 	for j := 3; j < 10; j++ { // well past the compaction cadence
-		size := sh.wal.Size()
-		commitPair(t, st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
-		if sh.wal.Size() <= size {
-			t.Fatalf("turn pair %d: WAL went from %d to %d bytes; a dead journal keeps it", j, size, sh.wal.Size())
+		if err := commitOnce(st, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j)); !errors.Is(err, framelog.ErrCrashed) {
+			t.Fatalf("turn pair %d on the dead journal = %v, want ErrCrashed", j, err)
 		}
-		err := st.DeferredError(0)
-		if !errors.Is(err, framelog.ErrCrashed) {
-			t.Fatalf("turn pair %d: deferred error = %v, want the dead journal's", j, err)
-		}
-		if due := 1+j+1 >= snapEvery; due != strings.Contains(err.Error(), "keeps its WAL") {
-			t.Fatalf("turn pair %d: compaction due = %v, deferred error = %v", j, due, err)
-		}
+	}
+	if _, err := st.NewSession(); !errors.Is(err, framelog.ErrCrashed) {
+		t.Fatalf("a create on the dead journal = %v, want ErrCrashed", err)
+	}
+	if got := transcriptOf(t, e); got != want {
+		t.Fatalf("after the dead journal the session holds\n%s\nwant the acknowledged\n%s", got, want)
 	}
 	sh.mu.Lock()
-	size, cursor, pending := sh.wal.Size(), sh.cursor(), len(sh.tail)
+	cursor, pending := sh.cursor(), len(sh.tail)
 	cerr := sh.compact(nil)
-	if cerr == nil || sh.wal.Size() != size || sh.cursor() != cursor || len(sh.tail) != pending || sh.shipBase != 0 {
-		t.Errorf("compact on a dead journal = %v; WAL %d → %d bytes, cursor %d → %d, pending %d → %d, horizon %d",
-			cerr, size, sh.wal.Size(), cursor, sh.cursor(), pending, len(sh.tail), sh.shipBase)
+	if cerr == nil || sh.cursor() != cursor || len(sh.tail) != pending || sh.shipBase != 0 || cursor != 3 {
+		t.Errorf("compact on a dead journal = %v; cursor %d → %d, pending %d → %d, horizon %d; want it refused at cursor 3",
+			cerr, cursor, sh.cursor(), pending, len(sh.tail), sh.shipBase)
 	}
 	sh.mu.Unlock()
-	if head, err := vs.Head(ShardRoot(0)); err == nil {
-		t.Errorf("a refused compaction committed a shard root: %+v", head)
+	if head, err := vs.Head(ShardRoot(0)); err != nil || head.Turn != 0 {
+		t.Errorf("the shard root on the dead journal = %+v, %v; want only its first version, at 0", head, err)
 	}
-	log, err := st.Versions().Log(SessionRoot(e.ID))
-	if err != nil || len(log) != 2 {
-		t.Fatalf("version log on the dead journal = %+v, %v; want the two versions it took", log, err)
-	}
-	want := transcriptOf(t, e)
 	if err := st.Close(); !errors.Is(err, framelog.ErrCrashed) {
 		t.Fatalf("Close = %v, want the refused compaction's error", err)
 	}
@@ -643,29 +630,30 @@ func TestDeadJournalRefusesCompaction(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	if err := st2.DeferredError(0); err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
 	e2, status := st2.Get(e.ID)
 	if status != Found || transcriptOf(t, e2) != want {
 		t.Fatalf("reopened: status %v, transcript %q; want %q", status, transcriptOf(t, e2), want)
 	}
-	log, err = st2.Versions().Log(SessionRoot(e.ID))
-	if err != nil || len(log) != 10 {
-		t.Fatalf("reopened version log has %d entries (%v), want one per pair: 10", len(log), err)
+	log, err := st2.Versions().Log(SessionRoot(e.ID))
+	if err != nil || len(log) != 3 {
+		t.Fatalf("reopened version log has %d entries (%v), want the create's and one per pair: 3", len(log), err)
 	}
 	for i, c := range log {
 		sess, _, err := st2.TranscriptAsOf(e.ID, c.Turn)
-		if err != nil || c.Turn != 2*(i+1) || Transcript(sess) != turnPrefix(want, c.Turn) {
-			t.Fatalf("version %d is at turn %d (%v); want turn %d and that prefix of the transcript", i, c.Turn, err, 2*(i+1))
+		if err != nil || c.Turn != 2*i || Transcript(sess) != turnPrefix(want, c.Turn) {
+			t.Fatalf("version %d is at turn %d (%v); want turn %d and that prefix of the transcript", i, c.Turn, err, 2*i)
 		}
+	}
+	if c := st2.ReplicationCursor(0); c != 3 {
+		t.Fatalf("reopened cursor = %d, want the 3 acknowledged records", c)
 	}
 }
 
-// TestClosedVersionStoreKeepsTheWAL: a version store the caller owns,
-// closed before the session store, takes no shard root, so the session
-// store's Close keeps the WAL and says so, and the acknowledged turn is
-// there after reopen.
+// TestClosedVersionStoreKeepsTheWAL: the session store's write-ahead
+// log is the journal of the version store it was given. One the caller
+// owns, closed before the session store, takes no record, so the turn
+// after it fails and moves nothing, the session store's Close cannot
+// compact and says so, and the acknowledged turn is there after reopen.
 func TestClosedVersionStoreKeepsTheWAL(t *testing.T) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
@@ -685,8 +673,14 @@ func TestClosedVersionStoreKeepsTheWAL(t *testing.T) {
 	if err := vs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err == nil || !strings.Contains(err.Error(), "keeps its WAL") {
-		t.Fatalf("Close over a closed version store = %v, want the shard to keep its WAL", err)
+	if err := commitOnce(st, e, "q1", "a1"); err == nil || !strings.Contains(err.Error(), "closed store") {
+		t.Fatalf("a turn over a closed version store = %v, want the closed store's refusal", err)
+	}
+	if got := transcriptOf(t, e); got != want {
+		t.Fatalf("the refused turn moved the transcript to\n%s", got)
+	}
+	if err := st.Close(); err == nil || !strings.Contains(err.Error(), "compact shard 0") {
+		t.Fatalf("Close over a closed version store = %v, want the refused compaction", err)
 	}
 
 	st2, err := Open(Config{Dir: dir, Shards: 1})
@@ -708,10 +702,10 @@ func TestClosedVersionStoreKeepsTheWAL(t *testing.T) {
 }
 
 // TestConcurrentTurnsFlushesAndAsOfReads runs turns on every shard at
-// once against one dir-backed version store, with compactions (each one
-// a journal flush under the store's exclusive lock) frequent and as-of
-// reads of not-yet-flushed versions in between: under -race this is the
-// shard lock and the store lock taken together from several goroutines.
+// once against one dir-backed version store, with compactions frequent
+// and as-of reads of each turn just acknowledged in between: under -race
+// this is the shard locks, the store lock and the journal's group commit
+// taken together from several goroutines.
 func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
@@ -745,7 +739,7 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 					t.Errorf("commit %d of %s: %v", j, e.ID, err)
 					return
 				}
-				// Read back what was just written and nothing has flushed.
+				// Read back what was just acknowledged.
 				sess, c, err := st.TranscriptAsOf(e.ID, 2*(j+1))
 				if err != nil || c.Turn != 2*(j+1) || len(sess.Turns) != 2*(j+1) {
 					t.Errorf("%s as of turn %d = commit at turn %d, %v", e.ID, 2*(j+1), c.Turn, err)
@@ -763,8 +757,8 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 	want := map[string][]vstore.Commit{}
 	for _, e := range entries {
 		log, err := st.Versions().Log(SessionRoot(e.ID))
-		if err != nil || len(log) != pairs {
-			t.Fatalf("session %s has %d versions (%v), want %d", e.ID, len(log), err, pairs)
+		if err != nil || len(log) != pairs+1 {
+			t.Fatalf("session %s has %d versions (%v), want the create's and %d", e.ID, len(log), err, pairs)
 		}
 		want[e.ID] = log
 	}
@@ -781,11 +775,13 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 
 // TestSessionVersionJournalBytes pins what each version of one 8-pair
 // session journals on a dir-backed store that does not compact, frame by
-// frame in journal order (framelog header included): the pair's turns
-// chunk — or, at the turn that fills a window, the sealed chunk — and one
-// commit record, which carries the session node the version pins and
-// spells neither the commit's address nor its parent. No frame spells in
-// hex an address it references.
+// frame in journal order (framelog header included): its creation, one
+// commit record of the empty session node at turn 0 behind the shard's
+// first root record, then per pair the pair's turns chunk — or, at the
+// turn that fills a window, the sealed chunk — and one commit record,
+// which carries the session node the version pins and spells neither the
+// commit's address nor its parent. No frame spells in hex an address it
+// references.
 func TestSessionVersionJournalBytes(t *testing.T) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
@@ -851,8 +847,12 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 		if len(got) == len(log) {
 			t.Fatalf("the frame at %d is a record past the %d versions", i, len(log))
 		}
-		c := log[len(got)]
 		name := SessionRoot(e.ID)
+		if shard := ShardRoot(0); bytes.HasPrefix(p, append([]byte{0x04, byte(len(shard))}, shard...)) {
+			version = append(version, fmt.Sprintf("shard record %d", size))
+			continue
+		}
+		c := log[len(got)]
 		head := append([]byte{0x04, byte(len(name))}, name...)
 		head = append(head, byte(c.Turn))
 		if !bytes.HasPrefix(p, head) || vstore.Hash(sha256Hex(p[len(head):])) != c.Tree {
@@ -862,13 +862,14 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 		got, version = append(got, version), nil
 	}
 	// Frame sizes, the 9-byte header included: a turns chunk is the
-	// pair as a WAL record spells it behind 8 bytes of kind and ref
+	// pair as a turn record spells it behind 8 bytes of kind and ref
 	// count; a commit record is the session node's frame and 16 bytes of
 	// tag, root name and turn, and the node grows 32 bytes a ref. The
 	// format before commit records spent on each version a session node
 	// frame, a 53-byte commit chunk (85 once it names a parent) and a
 	// 56-byte root record: 93 bytes more on the first, 125 on the rest.
 	want := [][]string{
+		{"shard record 32", "record 42"},
 		{"turns 131", "record 74"},
 		{"turns 133", "record 106"},
 		{"turns 133", "record 138"},

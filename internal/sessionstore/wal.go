@@ -14,20 +14,19 @@ import (
 )
 
 // walMagic tags this package's frames in the shared framelog layout:
-// one frame per record, the payload one binary walRecord. The shipped
-// replication frames are the same bytes.
+// one frame per record, the payload one binary walRecord — the unit the
+// replication tail holds and ships, and the shard WALs of older stores
+// held on disk.
 const walMagic = byte(0xC5)
 
-// walLastReader names the last commit that reads a WAL of JSON records.
-const walLastReader = `32443c0 ("every option has a setter")`
-
-// ErrCrashed is returned by a commit whose WAL append was torn by an
-// injected crash fault (faults.Injector.TornWrite). The session's next
-// turn starts from the durable prefix, as after any failed commit; the
-// harness then reopens the directory to exercise recovery.
+// ErrCrashed is returned by a commit whose journal append was torn by an
+// injected crash fault (faults.Injector.TornWrite), and by every commit
+// after it. The session's next turn starts from the durable prefix, as
+// after any failed commit; the harness then reopens the directory to
+// exercise recovery.
 var ErrCrashed = framelog.ErrCrashed
 
-// recordKind is a WAL record's first byte. The values are the format:
+// recordKind is a record's first byte. The values are the format:
 // never renumber them.
 type recordKind byte
 
@@ -38,13 +37,12 @@ const (
 	kindEvict  recordKind = 3
 )
 
-// walRecord is the WAL payload. Ship is the record's ship sequence, the
-// shard cursor it advances to, so recovery and a replica can tell a
-// record a shard root already holds. A create record carries Num, a
-// turn record Seq — the transcript index of the first turn of the
-// committed pair, so replay over a checkpoint that already contains the
-// pair is idempotent — its Focus and its Turns; an evict record only
-// its ID.
+// walRecord is a record's frame payload. Ship is the record's ship
+// sequence, the shard cursor it advances to, so a replica can tell a
+// record it already holds. A create record carries Num, a turn record
+// Seq — the transcript index of the first turn of the committed pair,
+// which must be the session's turn count when it applies — its Focus and
+// its Turns; an evict record only its ID.
 type walRecord struct {
 	Kind  recordKind
 	Ship  int64
@@ -77,11 +75,11 @@ var intentCodes = [...]dialogue.Intent{
 	8: dialogue.IntentFollowUp,
 }
 
-// WriteFaults is the crash seam the WAL threads its appends through;
-// *faults.Injector implements it. Nil means no injected crashes.
+// WriteFaults is the crash seam the journal threads its appends
+// through; *faults.Injector implements it. Nil means no injected crashes.
 type WriteFaults = framelog.Faults
 
-// encodeRecord frames one record for the WAL and the replication tail.
+// encodeRecord frames one record for the replication tail.
 // Its payload is
 //
 //	kind · uvarint ship · uvarint len(id) · id ·
@@ -160,7 +158,7 @@ func appendTurnBytes(p []byte, t dialogue.Turn) ([]byte, error) {
 }
 
 // encodeTurns renders a turns chunk's data: its turns end to end, each
-// as a WAL record spells it.
+// as a record spells it.
 func encodeTurns(turns []dialogue.Turn) ([]byte, error) {
 	var p []byte
 	for _, tr := range turns {
@@ -204,7 +202,7 @@ func appendString(p []byte, s string) ([]byte, error) {
 // *vstore.FormatError.
 func decodeRecord(p []byte) (walRecord, error) {
 	if len(p) > 0 && p[0] == '{' {
-		return walRecord{}, &vstore.FormatError{Format: "a JSON WAL record", Reader: walLastReader}
+		return walRecord{}, &vstore.FormatError{Format: "a JSON WAL record", Reader: jsonWALLastReader}
 	}
 	d := recordDecoder{p: p}
 	rec := walRecord{Kind: recordKind(d.byte("kind"))}
@@ -229,8 +227,8 @@ func decodeRecord(p []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// recordDecoder reads a binary payload — a WAL record, a session or
-// shard node, a turns chunk — front to back; the first thing it cannot
+// recordDecoder reads a binary payload — a record, a session or shard
+// node, a turns chunk — front to back; the first thing it cannot
 // read sets err, after which every read returns a zero value.
 type recordDecoder struct {
 	p   []byte
@@ -342,12 +340,12 @@ func (d *recordDecoder) turn() dialogue.Turn {
 }
 
 // decodeFrame validates one shipped replication frame — exactly one
-// complete WAL frame, nothing before or after it — with the same scan
-// recovery uses.
+// complete record frame, nothing before or after it — with framelog's
+// scan.
 func decodeFrame(data []byte) (walRecord, error) {
 	payloads, valid := framelog.Scan(walMagic, data)
 	if len(payloads) != 1 || valid != len(data) {
-		return walRecord{}, errors.New("sessionstore: not one whole WAL frame")
+		return walRecord{}, errors.New("sessionstore: not one whole record frame")
 	}
 	return decodeRecord(payloads[0])
 }

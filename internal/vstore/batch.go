@@ -2,30 +2,45 @@ package vstore
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/reliable-cda/cda/internal/obs"
 )
 
-// Batch stages the chunks of one version in memory and lands them and the
-// commit record in the journal with one append. Nothing staged is visible
-// in the store before Commit, and Commit decides under the store lock
-// which staged chunks the store lacks, so a chunk another writer
-// journalled in the meantime is not framed twice. A Batch serves one
-// goroutine and one version.
+// Batch stages the chunks of one or more versions in memory, queues
+// their commits (Version) and marks (Mark), and lands them all in the
+// journal with one flushed append (Land, or Commit). Nothing staged is
+// visible in the store before the fsync that covers it has succeeded,
+// and the append decides under the store lock which staged chunks the
+// store lacks, so a chunk another writer journalled in the meantime is
+// not framed twice. A Batch serves one goroutine and lands once.
 type Batch struct {
 	s      *Store
 	turn   *obs.Turn // counts what the batch encodes and journals; may be nil
 	staged []stagedChunk
 	seen   map[Hash]bool
+	queued []queuedRecord
+}
+
+// queuedRecord is a root record a batch lands: a version of root pinning
+// tree at turn, the adoption of commit chunk adopt into root's log, or a
+// mark on root.
+type queuedRecord struct {
+	root  string
+	tree  Hash
+	turn  int
+	adopt Hash
+	mark  bool
 }
 
 // stagedChunk is a chunk on its way into the journal: framed on its own,
-// or, by host, carried by the commit record that ends the append.
+// or, by host, carried by the root record at index rec of its append.
 type stagedChunk struct {
 	hash    Hash
 	payload []byte
 	refs    []Hash
 	host    host
+	rec     int
 	commit  *Commit // a recordCommit chunk's log entry
 }
 
@@ -66,75 +81,156 @@ func (b *Batch) putEncoded(h Hash, payload []byte, refs []Hash) error {
 	return nil
 }
 
-// Commit appends a new version to the named root, pinning tree, which
-// must be staged or already stored. The staged chunks the store lacks
-// and one commit record — which carries the tree node when the store
-// lacks that too — reach the journal in one append; the index and the
-// root log change only once it is acknowledged, so a failed append
-// leaves the store as it was. The append is flushed before Commit
-// returns: the version survives a power cut, as one that nothing else
-// could rebuild must.
+// Version queues a new version of root pinning tree, which must be
+// staged or already stored when the batch lands, at turn.
+func (b *Batch) Version(root string, tree Hash, turn int) {
+	b.queued = append(b.queued, queuedRecord{root: root, tree: tree, turn: turn})
+}
+
+// Mark queues a mark record on root: an event in the journal's order
+// that Events lists and no root log holds.
+func (b *Batch) Mark(root string) {
+	b.queued = append(b.queued, queuedRecord{root: root, mark: true})
+}
+
+// Adopt queues the adoption of commit chunk h — typically shipped from
+// another store — into root's log, preserving the commit's identity
+// (hash, turn, stamp) so the two stores agree on version addresses: an
+// append record, after which the store-wide stamp is past the commit's.
+// The chunk and its tree must be present when the batch lands (ship
+// chunks first, adopt after), and the tree must be neither a leaf nor
+// another commit: a batch adopting one that fails that lands nothing,
+// naming it. Adopting the root's newest commit again writes nothing.
+func (b *Batch) Adopt(root string, h Hash) {
+	b.queued = append(b.queued, queuedRecord{root: root, adopt: h})
+}
+
+// Commit queues a version of root pinning tree at turn and lands the
+// batch, returning that version's commit.
 func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
-	return b.commit(root, tree, turn, true)
+	b.Version(root, tree, turn)
+	commits, err := b.land()
+	if err != nil {
+		return Commit{}, err
+	}
+	return commits[len(commits)-1], nil
 }
 
-// CommitUnsynced is Commit without the fsync, for a version its caller
-// can derive again from a redo log it has already flushed: the version
-// is readable at once and survives a process kill, and a power cut may
-// take it until the next flushed append or Store.Sync. The caller calls
-// Sync before it truncates that redo log, and re-derives what is missing
-// when it opens. The one such caller is the session store (a session
-// root has a WAL behind it; no other root does).
-func (b *Batch) CommitUnsynced(root string, tree Hash, turn int) (Commit, error) {
-	return b.commit(root, tree, turn, false)
+// Land puts the staged chunks the store lacks and one root record for
+// each queued version, adoption and mark, in the order they were queued,
+// into the journal with one append, and returns once an fsync has
+// covered it; a version's commit record carries its tree node when the
+// store lacks that too. The index, the root logs and the events change
+// only then, so a failed append or fsync leaves them as they were: every
+// record the batch holds lands, or none, and a crash that tears the
+// append keeps a prefix of its records, each with its whole tree. A
+// version whose root's newest commit already pins its tree at its turn,
+// or an adoption of the newest commit, is that commit and writes nothing.
+func (b *Batch) Land() error {
+	_, err := b.land()
+	return err
 }
 
-func (b *Batch) commit(root string, tree Hash, turn int, durable bool) (Commit, error) {
+// land is Land, returning the commit of every queued record — zero for
+// a mark.
+func (b *Batch) land() ([]Commit, error) {
 	s := b.s
 	if s.cfg.Faults != nil {
 		if err := s.cfg.Faults.Inject("vstore.commit"); err != nil {
-			return Commit{}, err
+			return nil, err
 		}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.chunks[tree]; !ok && !b.seen[tree] {
-		return Commit{}, fmt.Errorf("vstore: commit %q: tree %w: %s", root, ErrUnknownChunk, tree)
+	w, commits, err := b.writeLocked()
+	s.mu.Unlock()
+	if err == nil {
+		err = s.settle(w)
 	}
-	log := s.roots[root]
-	if len(log) > 0 {
-		if last := log[len(log)-1]; last.Tree == tree && last.Turn == turn {
-			// Idempotent re-commit (recovery replay, batch re-apply):
-			// the head already pins this exact state.
-			return last, nil
-		}
-	}
-	c, payload, err := s.nextCommitLocked(root, tree, turn)
 	if err != nil {
-		return Commit{}, fmt.Errorf("vstore: encode commit for %q: %w", root, err)
+		return nil, err
 	}
-	b.turn.Add(obs.ChunksEncoded, 1)
-	b.turn.Add(obs.ChunksHashed, 1)
-	rec, err := commitPayload(root, turn, tree, b.inlineLocked(tree))
-	if err != nil {
-		return Commit{}, err
-	}
-	staged := append(b.staged, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{tree}, host: recordCommit, commit: &c})
-	if err := s.journalLocked(b.turn, durable, staged, rec); err != nil {
-		return Commit{}, err
-	}
-	s.roots[root] = append(log, c)
-	s.stamp = c.Stamp
-	return c, nil
+	return commits, nil
 }
 
-// inlineLocked marks the staged tree node as the commit record's to carry
-// and returns its payload when the record can: this batch staged it, the
-// store lacks it, and checkInline accepts it. Otherwise it returns nil,
-// and the node, framed on its own or already stored, is named by address.
-// Caller holds s.mu.
-func (b *Batch) inlineLocked(tree Hash) []byte {
-	if _, ok := b.s.chunks[tree]; ok || !b.seen[tree] {
+// writeLocked builds the batch's root records on the roots' newest
+// commits, writes in flight included, and appends them. Caller holds
+// s.mu exclusively.
+func (b *Batch) writeLocked() (*write, []Commit, error) {
+	s := b.s
+	tips := map[string]Commit{} // the batch's own newest commit of each root
+	stamp := s.stamp
+	var own []stagedChunk // the commit chunks the records carry
+	var recs [][]byte
+	var entries []entry
+	commits := make([]Commit, len(b.queued))
+	for i, q := range b.queued {
+		last, ok := tips[q.root]
+		if !ok {
+			last, ok = s.tipLocked(q.root)
+		}
+		if q.adopt != "" {
+			if ok && last.Hash == q.adopt {
+				commits[i] = last
+				continue
+			}
+			c, rec, err := s.adoptionLocked(q.root, q.adopt)
+			if err != nil {
+				return nil, nil, fmt.Errorf("vstore: adopt into %q: %w", q.root, err)
+			}
+			recs, entries = append(recs, rec), append(entries, entry{root: q.root, commit: c})
+			tips[q.root], stamp, commits[i] = c, max(stamp, c.Stamp), c
+			continue
+		}
+		if q.mark {
+			rec, err := markPayload(q.root)
+			if err != nil {
+				return nil, nil, err
+			}
+			recs, entries = append(recs, rec), append(entries, entry{root: q.root, mark: true})
+			continue
+		}
+		if !s.hasLocked(q.tree) && !b.seen[q.tree] {
+			return nil, nil, fmt.Errorf("vstore: commit %q: tree %w: %s", q.root, ErrUnknownChunk, q.tree)
+		}
+		var parent *Commit
+		if ok {
+			if last.Tree == q.tree && last.Turn == q.turn {
+				// Idempotent re-commit (a batch re-applied): the head
+				// already pins this exact state.
+				commits[i] = last
+				continue
+			}
+			parent = &last
+		}
+		c, payload, err := nextCommit(parent, q.tree, q.turn, stamp+1)
+		if err != nil {
+			return nil, nil, fmt.Errorf("vstore: encode commit for %q: %w", q.root, err)
+		}
+		b.turn.Add(obs.ChunksEncoded, 1)
+		b.turn.Add(obs.ChunksHashed, 1)
+		rec, err := commitPayload(q.root, q.turn, q.tree, b.inlineLocked(q.tree, len(recs)))
+		if err != nil {
+			return nil, nil, err
+		}
+		own = append(own, stagedChunk{hash: c.Hash, payload: payload, refs: []Hash{q.tree}, host: recordCommit, rec: len(recs), commit: &c})
+		recs, entries = append(recs, rec), append(entries, entry{root: q.root, commit: c})
+		tips[q.root], stamp, commits[i] = c, c.Stamp, c
+	}
+	// After the loop: inlineLocked marks the staged nodes the records carry.
+	w, err := s.writeLocked(b.turn, append(slices.Clone(b.staged), own...), recs, entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, commits, nil
+}
+
+// inlineLocked marks the staged tree node as the rec-th root record's to
+// carry and returns its payload when the record can: this batch staged
+// it, no record of it carries it already, the store lacks it, and
+// checkInline accepts it. Otherwise it returns nil, and the node, framed
+// on its own or already stored, is named by address. Caller holds s.mu.
+func (b *Batch) inlineLocked(tree Hash, rec int) []byte {
+	if b.s.hasLocked(tree) || !b.seen[tree] {
 		return nil
 	}
 	for i := len(b.staged) - 1; i >= 0; i-- {
@@ -142,10 +238,13 @@ func (b *Batch) inlineLocked(tree Hash) []byte {
 		if st.hash != tree {
 			continue
 		}
+		if st.host != ownFrame {
+			return nil
+		}
 		if node, err := decodeChunk(st.payload[1:]); err != nil || checkInline(node) != nil {
 			return nil
 		}
-		st.host = recordTree
+		st.host, st.rec = recordTree, rec
 		return st.payload
 	}
 	return nil

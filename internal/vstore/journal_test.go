@@ -3,7 +3,6 @@ package vstore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -134,16 +133,27 @@ func TestCommitDatabaseIsOneJournalAppend(t *testing.T) {
 
 // TestBatchTornAtEveryOffset crashes one batch append at each of its
 // bytes: the reopened root is on the old commit with its whole tree —
-// the root record is the batch's last frame, so nothing short of the
-// full append moves the head — and the journal accepts new commits.
-// Flushed or not, a commit is torn the same way.
+// the commit record is the batch's last frame, so nothing short of the
+// full append moves the head — and the journal accepts new commits. A
+// Land that puts a mark before the version is torn the same way.
 func TestBatchTornAtEveryOffset(t *testing.T) {
 	for name, land := range map[string]func(*Batch, string, Hash, int) (Commit, error){
-		"Commit":         (*Batch).Commit,
-		"CommitUnsynced": (*Batch).CommitUnsynced,
+		"Commit": (*Batch).Commit,
+		"Land":   markThenLand,
 	} {
 		t.Run(name, func(t *testing.T) { testBatchTornAtEveryOffset(t, land) })
 	}
+}
+
+// markThenLand lands a mark on mark/<root> and then the version of root
+// pinning tree at turn, and returns the root's head.
+func markThenLand(b *Batch, root string, tree Hash, turn int) (Commit, error) {
+	b.Mark("mark/" + root)
+	b.Version(root, tree, turn)
+	if err := b.Land(); err != nil {
+		return Commit{}, err
+	}
+	return b.s.Head(root)
 }
 
 func testBatchTornAtEveryOffset(t *testing.T, land func(*Batch, string, Hash, int) (Commit, error)) {
@@ -230,90 +240,6 @@ func testBatchTornAtEveryOffset(t *testing.T, land func(*Batch, string, Hash, in
 		if whole {
 			break // cut reached the batch's length: every offset is covered
 		}
-	}
-}
-
-// TestCommitUnsyncedIsFlushedByAppendSyncAndClose: an unflushed commit is
-// in the store at once — head, log, chunk reads — and in the file, so a
-// process kill keeps it; what it is not, until the next flushed append,
-// Sync or Close, is inside the journal's flushed prefix.
-func TestCommitUnsyncedIsFlushedByAppendSyncAndClose(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := func(v int, land func(*Batch, string, Hash, int) (Commit, error)) Commit {
-		t.Helper()
-		b := s.NewBatch(nil)
-		tree, err := b.Put("db", nil, []byte(fmt.Sprintf(`{"v":%d}`, v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := land(b, "session/s0001", tree, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	flushed := func(when string, want bool) {
-		t.Helper()
-		synced, size := s.JournalSynced()
-		if synced > size || (synced == size) != want {
-			t.Fatalf("%s: journal flushed to %d of %d bytes; want flushed = %v", when, synced, size, want)
-		}
-	}
-	commit(1, (*Batch).Commit)
-	flushed("after Commit", true)
-	mark, _ := s.JournalSynced()
-
-	c := commit(2, (*Batch).CommitUnsynced)
-	flushed("after CommitUnsynced", false)
-	if synced, _ := s.JournalSynced(); synced != mark {
-		t.Fatalf("CommitUnsynced moved the flushed prefix from %d to %d", mark, synced)
-	}
-	var got struct{ V int }
-	if head, err := s.Head("session/s0001"); err != nil || head != c {
-		t.Fatalf("head after CommitUnsynced = %+v, %v; want %+v", head, err, c)
-	}
-	if _, data, err := s.Data(c.Tree); err != nil || json.Unmarshal(data, &got) != nil || got.V != 2 {
-		t.Fatalf("tree of the unflushed commit reads back as %+v, %v", got, err)
-	}
-	requirePacketsRehash(t, s)
-	requireReopensEqual(t, dir, s)
-
-	mustPut(t, s, "leaf", nil, `[1]`) // any flushed append covers what came before it
-	flushed("after a flushed append", true)
-	commit(3, (*Batch).CommitUnsynced)
-	flushed("after a second CommitUnsynced", false)
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	flushed("after Sync", true)
-
-	commit(4, (*Batch).CommitUnsynced)
-	pack := s.pack
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if pack.Synced() != pack.Size() {
-		t.Fatalf("Close left the journal flushed to %d of %d bytes", pack.Synced(), pack.Size())
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync on a closed store: %v", err)
-	}
-
-	m := NewMemory()
-	b := m.NewBatch(nil)
-	tree, err := b.Put("db", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CommitUnsynced("session/s0001", tree, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Sync(); err != nil {
-		t.Fatalf("Sync on a memory-only store: %v", err)
 	}
 }
 

@@ -955,7 +955,7 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 		{"no commit data", commitWith("", good)},
 	} {
 		root := fmt.Sprintf("forged/%d", i)
-		_, err := s.AdoptCommit(root, f.commit)
+		_, err := adoptCommit(s, root, f.commit)
 		var mal *MalformedChunkError
 		if !errors.As(err, &mal) || mal.Chunk != f.commit {
 			t.Errorf("%s: AdoptCommit = %v, want an error naming %s", f.name, err, f.commit)
@@ -964,7 +964,7 @@ func TestForgedDBAndCommitChunksAreErrors(t *testing.T) {
 			t.Errorf("%s: the root's log holds %d commits", f.name, len(log))
 		}
 	}
-	if c, err := s.AdoptCommit("data", commit(good)); err != nil || c.Tree != good {
+	if c, err := adoptCommit(s, "data", commit(good)); err != nil || c.Tree != good {
 		t.Fatalf("the well-formed commit: %+v, %v", c, err)
 	}
 }
@@ -1002,7 +1002,7 @@ func TestAdoptCommitRefusesForgedCommits(t *testing.T) {
 	for _, f := range forged {
 		_, size := s.JournalSynced()
 		stamp := s.stamp
-		_, err := s.AdoptCommit(ordersFixtureRoot, f.commit)
+		_, err := adoptCommit(s, ordersFixtureRoot, f.commit)
 		var mal *MalformedChunkError
 		if !errors.As(err, &mal) || mal.Chunk != f.commit {
 			t.Errorf("%s: AdoptCommit = %v, want an error naming %s", f.name, err, f.commit)
@@ -1012,14 +1012,14 @@ func TestAdoptCommitRefusesForgedCommits(t *testing.T) {
 			t.Errorf("%s: the log holds %d commits, the stamp is %d (was %d), the journal %d bytes (was %d)", f.name, len(log), s.stamp, stamp, after, size)
 		}
 	}
-	if _, err := s.AdoptCommit(ordersFixtureRoot, forged[0].commit); !errors.Is(err, ErrUnknownChunk) {
+	if _, err := adoptCommit(s, ordersFixtureRoot, forged[0].commit); !errors.Is(err, ErrUnknownChunk) {
 		t.Errorf("the absent tree: %v, want ErrUnknownChunk", err)
 	}
 
 	// A well-formed commit is adopted, and the root pins its tree at its
 	// turn.
 	good := commit(head.Tree)
-	if c, err := s.AdoptCommit(ordersFixtureRoot, good); err != nil || c.Hash != good || c.Stamp != 9 {
+	if c, err := adoptCommit(s, ordersFixtureRoot, good); err != nil || c.Hash != good || c.Stamp != 9 {
 		t.Fatalf("the well-formed commit: %+v, %v", c, err)
 	}
 	if c, err := s.AsOf(ordersFixtureRoot, 1); err != nil || c.Hash != good || c.Tree != first.Tree {

@@ -16,6 +16,7 @@ import (
 //	chunk   0x01 · uvarint len(kind) · kind · uvarint len(refs) · 32 bytes a ref · data
 //	append  0x02 · uvarint len(name) · name · 32-byte commit
 //	commit  0x04 · uvarint len(name) · name · uvarint turn · form · tree
+//	mark    0x05 · uvarint len(name) · name
 //
 // uvarint is binary.AppendUvarint's. A chunk may have no refs, and its
 // data is its owner's bytes, empty for none: opaque to the store except
@@ -26,7 +27,8 @@ import (
 // the journal holds neither. Form 0 names a stored tree by its 32-byte
 // address; form 1 carries the tree node itself, its chunk payload after
 // the 0x01 tag — so the form byte and the rest are exactly that payload.
-// A payload that opens with '{' is JSON, which stores up to
+// A mark record notes its root at its place in the journal and changes
+// no root log. A payload that opens with '{' is JSON, which stores up to
 // jsonLastReader wrote, and one tagged 0x03 is a set record — "a root's
 // log is now exactly this list" — which only the retention of stores up
 // to setLastReader wrote: each is a *FormatError.
@@ -35,6 +37,7 @@ const (
 	tagAppend = 0x02
 	tagSet    = 0x03
 	tagCommit = 0x04
+	tagMark   = 0x05
 
 	treeStored = 0x00
 	treeInline = tagChunk
@@ -138,6 +141,15 @@ func appendPayload(root string, commit Hash) ([]byte, error) {
 	return p, nil
 }
 
+// markPayload encodes the mark record on root.
+func markPayload(root string) ([]byte, error) {
+	if root == "" {
+		return nil, errors.New("vstore: encode mark record: empty root name")
+	}
+	p := binary.AppendUvarint([]byte{tagMark}, uint64(len(root)))
+	return append(p, root...), nil
+}
+
 // commitPayload encodes the commit record that appends a version of root
 // at turn pinning tree: node inline (form 1) when it is not nil — the
 // tree's chunk payload, which checkInline must accept — else tree's
@@ -229,6 +241,19 @@ func decodePayload(p []byte) (record, error) {
 			return rec, fmt.Errorf("root record ends in %d bytes, want a %d-byte commit", len(rest), addrLen)
 		}
 		rec.Root, rec.Commit = &name, Hash(hex.EncodeToString(rest))
+		return rec, nil
+	case tagMark:
+		name, rest, err := framelog.CutString(p[1:], "root name")
+		if err != nil {
+			return rec, err
+		}
+		switch {
+		case name == "":
+			return rec, errors.New("mark record on no root")
+		case len(rest) != 0:
+			return rec, fmt.Errorf("%d bytes after a mark record", len(rest))
+		}
+		rec.Root, rec.Mark = &name, true
 		return rec, nil
 	case tagSet:
 		return rec, &FormatError{Format: "a set root record", Reader: setLastReader}

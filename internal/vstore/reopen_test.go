@@ -31,7 +31,7 @@ func lastForm(t *testing.T, dir string) byte {
 
 // requireCopyReopens opens a copy of the journal under dir, as a kill
 // would leave it, and requires every root log of s, commit for commit,
-// and the chunks s indexes, each reading back as its address.
+// its events in their order, and the chunks s indexes, each reading back as its address.
 func requireCopyReopens(t *testing.T, dir string, s *Store) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, packName))
@@ -54,6 +54,9 @@ func requireCopyReopens(t *testing.T, dir string, s *Store) {
 	if got, want := allLogs(t, r), allLogs(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("root logs after reopen:\n got: %+v\nwant: %+v", got, want)
 	}
+	if got, want := r.Events(), s.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events after reopen:\n got: %+v\nwant: %+v", got, want)
+	}
 	if r.NumChunks() != s.NumChunks() {
 		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
 	}
@@ -62,10 +65,11 @@ func requireCopyReopens(t *testing.T, dir string, s *Store) {
 }
 
 // TestReopenGivesBackEveryCommit runs a script of every way a root log
-// changes and reopens a copy of the directory after each step: the
-// reopened store lists every commit of every root as the live one does —
-// hash, tree, parent, turn and stamp, none of which a commit record
-// spells but the tree — and indexes the same chunks, each readable.
+// changes, and a mark, and reopens a copy of the directory after each
+// step: the reopened store lists every commit of every root as the live
+// one does — hash, tree, parent, turn and stamp, none of which a commit
+// record spells but the tree — and every event in order, and indexes the
+// same chunks, each readable.
 func TestReopenGivesBackEveryCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir})
@@ -113,7 +117,14 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 			}
 		}, treeInline},
 		{"a fresh tree", func() { first = commit("session/a", 1, 2, (*Batch).Commit) }, treeInline},
-		{"a fresh tree on a parent, unflushed", func() { commit("session/a", 2, 4, (*Batch).CommitUnsynced) }, treeInline},
+		{"a fresh tree on a parent, with a mark", func() {
+			b := s.NewBatch(nil)
+			b.Mark("session/b")
+			b.Version("session/a", sessTree(b, 2), 4)
+			if err := b.Land(); err != nil {
+				t.Fatal(err)
+			}
+		}, treeInline},
 		{"a stored tree", func() {
 			if _, err := s.NewBatch(nil).Commit("session/a", first.Tree, 6); err != nil {
 				t.Fatal(err)
@@ -139,7 +150,7 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 			if _, err := pullFrom(src, s, c.Hash, 4); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.AdoptCommit("shard/00", c.Hash); err != nil {
+			if _, err := adoptCommit(s, "shard/00", c.Hash); err != nil {
 				t.Fatal(err)
 			}
 		}, none},
@@ -153,4 +164,15 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 		}
 		t.Run(step.name, func(t *testing.T) { requireCopyReopens(t, dir, s) })
 	}
+}
+
+// adoptCommit lands a batch that adopts commit chunk h into root's log,
+// and returns the root's newest commit.
+func adoptCommit(s *Store, root string, h Hash) (Commit, error) {
+	b := s.NewBatch(nil)
+	b.Adopt(root, h)
+	if err := b.Land(); err != nil {
+		return Commit{}, err
+	}
+	return s.Head(root)
 }

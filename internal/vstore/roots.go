@@ -89,14 +89,14 @@ func commitChunk(tree, parent Hash, turn int, stamp int64) (Hash, []byte, error)
 	return hashBytes(payload), payload, nil
 }
 
-// nextCommitLocked is the commit that appends tree at turn to root's log
-// now — its parent the root's head, its stamp the store's next — and its
-// chunk payload. A commit record spells only root, turn and tree, so the
-// writer and the journal scan both derive the rest here. Caller holds s.mu.
-func (s *Store) nextCommitLocked(root string, tree Hash, turn int) (Commit, []byte, error) {
-	c := Commit{Tree: tree, Turn: turn, Stamp: s.stamp + 1}
-	if log := s.roots[root]; len(log) > 0 {
-		c.Parent = log[len(log)-1].Hash
+// nextCommit is the commit that appends tree at turn on parent (nil
+// for a root's first) at stamp, and its chunk payload. A commit record
+// spells only root, turn and tree, so the writer and the journal scan
+// both derive the rest here.
+func nextCommit(parent *Commit, tree Hash, turn int, stamp int64) (Commit, []byte, error) {
+	c := Commit{Tree: tree, Turn: turn, Stamp: stamp}
+	if parent != nil {
+		c.Parent = parent.Hash
 	}
 	var payload []byte
 	var err error
@@ -106,15 +106,20 @@ func (s *Store) nextCommitLocked(root string, tree Hash, turn int) (Commit, []by
 
 // replayCommitLocked applies the commit record v for root that the
 // journal scan found at off, n bytes long: its inline tree node, or the
-// stored one it names, and the commit it stands for enter the index at
+// stored one it names, and the commit it stands for — on the root's head,
+// at the store's next stamp, as the writer's was — enter the index at
 // the record, the commit payload joins the scan's commits, and the root's
-// log and the store's stamp move as the writer's did. A stored tree the
-// scan has not passed is an error. Caller holds s.mu exclusively.
+// log and the events take the commit. A stored tree the scan has not
+// passed is an error. Caller holds s.mu exclusively.
 func (s *Store) replayCommitLocked(root string, v *versionRecord, off int64, n int, commits map[Hash][]byte) error {
 	if _, ok := s.chunks[v.Tree]; !ok && v.Node == nil {
 		return fmt.Errorf("vstore: commit record for %q names tree %s, which no frame before it holds", root, v.Tree)
 	}
-	c, payload, err := s.nextCommitLocked(root, v.Tree, v.Turn)
+	var parent *Commit
+	if head, ok := s.tipLocked(root); ok {
+		parent = &head
+	}
+	c, payload, err := nextCommit(parent, v.Tree, v.Turn, s.stamp+1)
 	if err != nil {
 		return err
 	}
@@ -123,8 +128,7 @@ func (s *Store) replayCommitLocked(root string, v *versionRecord, off int64, n i
 	}
 	s.chunks[c.Hash] = &chunk{off: off, n: n, refs: []Hash{v.Tree}, host: recordCommit, commit: &c}
 	commits[c.Hash] = payload
-	s.roots[root] = append(s.roots[root], c)
-	s.stamp = c.Stamp
+	s.appendEntryLocked(root, c)
 	return nil
 }
 
@@ -157,60 +161,22 @@ func (s *Store) CommitOf(h Hash) (Commit, error) {
 	return commitEntry(h, p)
 }
 
-// applyRootLocked appends commit chunk h to root's log: it rebuilds the
-// log entry from the chunk — read from the store, or, when Open's replay
-// passes the commit payloads its scan has passed, from scanned (failing
-// if either lacks it) — journals the append record unless the journal
-// already holds it, and only then appends the entry and lifts the
-// store-wide stamp past it. Caller holds s.mu exclusively.
-func (s *Store) applyRootLocked(root string, h Hash, journalled bool, scanned map[Hash][]byte) error {
-	p := scanned[h]
-	if scanned == nil {
-		var err error
-		if p, err = s.payloadLocked(h); err != nil {
-			return err
-		}
+// adoptionLocked is the log entry that adopting commit chunk h makes,
+// and the append record that journals it. Caller holds s.mu.
+func (s *Store) adoptionLocked(root string, h Hash) (Commit, []byte, error) {
+	if err := s.checkTreeLocked(h); err != nil {
+		return Commit{}, nil, err
+	}
+	p, err := s.payloadLocked(h)
+	if err != nil {
+		return Commit{}, nil, err
 	}
 	c, err := commitEntry(h, p)
 	if err != nil {
-		return err
+		return Commit{}, nil, err
 	}
-	if !journalled {
-		rec, err := appendPayload(root, h)
-		if err != nil {
-			return err
-		}
-		if _, err := s.appendPack(nil, true, rec); err != nil {
-			return err
-		}
-	}
-	s.roots[root] = append(s.roots[root], c)
-	s.stamp = max(s.stamp, c.Stamp)
-	return nil
-}
-
-// AdoptCommit appends an existing commit chunk — typically shipped
-// from another store — to the named root, preserving the commit's
-// identity (hash, turn, stamp) so the two stores agree on version
-// addresses. The chunk and its tree must already be present (ship
-// chunks first, adopt after), and the tree must be neither a leaf nor
-// another commit: a commit that fails that is refused, naming it, and
-// leaves the store as it was. Adopting the current head again is a
-// no-op.
-func (s *Store) AdoptCommit(root string, h Hash) (Commit, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if log := s.roots[root]; len(log) == 0 || log[len(log)-1].Hash != h {
-		err := s.checkTreeLocked(h)
-		if err == nil {
-			err = s.applyRootLocked(root, h, false, nil)
-		}
-		if err != nil {
-			return Commit{}, fmt.Errorf("vstore: adopt into %q: %w", root, err)
-		}
-	}
-	log := s.roots[root]
-	return log[len(log)-1], nil
+	rec, err := appendPayload(root, h)
+	return c, rec, err
 }
 
 // checkTreeLocked requires commit chunk h to pin a stored tree that is

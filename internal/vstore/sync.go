@@ -63,7 +63,7 @@ func (s *Store) HasClosure(target Hash) bool {
 // chunk a writer of this store produces (decodePayload, checkShipped),
 // so a chunk of an older format is ErrBadPacket like any forgery, and a
 // bad one anywhere in the batch installs nothing. Then the chunks the
-// store lacks are journalled with one append.
+// store lacks are journalled with one flushed append.
 func (s *Store) AddPackets(ps []Packet) error {
 	staged := make([]stagedChunk, 0, len(ps))
 	seen := map[Hash]bool{}
@@ -84,6 +84,10 @@ func (s *Store) AddPackets(ps []Packet) error {
 		}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalLocked(nil, true, staged, nil)
+	w, err := s.writeLocked(nil, staged, nil, nil)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.settle(w)
 }

@@ -21,14 +21,15 @@
 // commit, and the journal only grows.
 //
 // Both chunks and roots are durable through one journal, chunks.pack —
-// a framelog.Log, the same frame codec and torn-tail recovery as the
-// session store's WAL. A frame's payload is either a chunk — a
+// a framelog.Log. A frame's payload is either a chunk — a
 // self-describing record of kind, child addresses and data bytes that
 // lets replication walk a tree generically (have/want negotiation over
 // chunk hashes) without knowing the schema of what it is shipping — or
 // a root record: a commit record is a new version of a root, carrying
 // its tree node when the store lacks it; an append record adds a commit
-// chunk, shipped from another store, to a root's log. Every payload is
+// chunk, shipped from another store, to a root's log; a mark record
+// notes a root at its point in the journal and changes no log — an
+// event its owner gives meaning to (the session store's evictions). Every payload is
 // binary, every address its 32 raw bytes (payload.go has the layouts). A
 // record spells nothing the frames before it hold: an append record
 // names a commit chunk that precedes it, a commit record leaves out its
@@ -36,22 +37,21 @@
 // open. That is the store's one format: Open refuses a directory holding
 // anything older with a *FormatError, naming the last commit that reads
 // it. A version enters the store one way: a Batch stages its new chunks
-// and puts them and its commit record into the journal with one append,
-// so a crash leaves the root on the old commit or the new one with its
+// and puts them and its commit records into the journal with one append,
+// so a crash leaves each root on the old commit or the new one with its
 // whole tree. A version shipped from another store enters through
-// AddPackets, its chunks, and AdoptCommit, its commit.
+// AddPackets, its chunks, and a Batch that adopts its commit.
 //
-// When the journal is flushed depends on who could rebuild the version.
-// Nothing can rebuild a data root, a shard root, an adopted commit or a
-// shipped packet, so Batch.Commit and every other journal write is
-// framelog's Append: write + fsync, then the acknowledgement. A session
-// version is a pure function of a transcript the session store's WAL
-// already holds flushed, so that one caller uses Batch.CommitUnsynced —
-// framelog's Write, no fsync: readable at once, flushed by the next
-// flushed append or by Store.Sync, which the session store calls before
-// it truncates the WAL that could have rebuilt the version (and Close
-// calls last). Once a dir-backed store is closed, every journal write
-// fails.
+// Every journal write is flushed before it is acknowledged, and before
+// anything it adds can be read: it is appended under the store's lock,
+// which orders the journal, and fsynced once that lock is released, so
+// readers and writers to other roots never wait behind a disk flush, and
+// writers whose appends overlap one fsync share it (framelog's group
+// commit). Its chunks, root-log entries and events are installed only
+// when that fsync has succeeded, in journal order. A failed fsync kills
+// the journal: every write it covered fails, and so does every later one
+// until the store is reopened. Once a dir-backed store is closed, every
+// journal write fails.
 package vstore
 
 import (
@@ -178,12 +178,14 @@ type chunkFields struct {
 	D []byte
 }
 
-// rootRecord is the journal payload that appends Commit, a commit chunk
-// that precedes it, to Root's log. Root is a pointer so that its
-// presence, not its value, tells a root record from a chunk.
+// rootRecord is a journal payload that names a root: an append record,
+// which appends Commit, a commit chunk that precedes it, to Root's log,
+// or a mark record (Mark). Root is a pointer so that its presence, not
+// its value, tells a root record from a chunk.
 type rootRecord struct {
 	Root   *string
 	Commit Hash
+	Mark   bool
 }
 
 // versionRecord is what a commit record holds of the commit it stands
@@ -203,18 +205,61 @@ type record struct {
 	Version *versionRecord
 }
 
+// Event is one root record of the journal, as Events lists them: a
+// commit appended to Root's log, or, when Mark is set, a mark on Root,
+// which holds no commit.
+type Event struct {
+	Root   string
+	Commit Commit
+	Mark   bool
+}
+
+// event is an installed root record: Root's log entry at index i, or a
+// mark when i is -1.
+type event struct {
+	root string
+	i    int
+}
+
+// entry is one root record of a journal write: the commit it appends to
+// root's log, or a mark.
+type entry struct {
+	root   string
+	commit Commit
+	mark   bool
+}
+
+// write is one journal append on its way to acknowledgement: written
+// under s.mu, then installed — its chunks indexed, its entries appended
+// to the root logs and the events — once an fsync of log has covered
+// end. A memory-only store installs it at once, and its log is nil.
+type write struct {
+	log     *framelog.Log
+	end     int64
+	chunks  []stagedChunk
+	offs    []chunk // the index entry of each of chunks
+	entries []entry
+}
+
 // Store is the content-addressed chunk store. Safe for concurrent
 // use: chunks are immutable once put, and the index, roots, and
-// journal are guarded by one mutex.
+// journal are guarded by one mutex, which no fsync is waited for under.
 type Store struct {
 	cfg Config
 
 	mu     sync.RWMutex
 	chunks map[Hash]*chunk
 	roots  map[string][]Commit
-	stamp  int64         // store-wide logical commit sequence
+	events []event
+	stamp  int64         // store-wide logical commit sequence, writes in flight included
 	pack   *framelog.Log // the journal; nil when memory-only or closed
 	closed bool          // Close has released the journal: every write fails
+	// Writes in flight: appended, not yet covered by an fsync, in journal
+	// order, with the chunks they add and the newest commit each adds to
+	// a root, which later writes build on and no reader sees.
+	queue    []*write
+	unsynced map[Hash]bool
+	heads    map[string]Commit
 }
 
 // packMagic tags the journal's frames in the shared framelog layout. A
@@ -258,13 +303,13 @@ func (e *FormatError) Error() string {
 // stores wrote before the journal held roots, or a journal frame
 // decodePayload takes for an older shape.
 func Open(cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg, chunks: map[Hash]*chunk{}, roots: map[string][]Commit{}}
+	s := &Store{cfg: cfg, chunks: map[Hash]*chunk{}, roots: map[string][]Commit{},
+		unsynced: map[Hash]bool{}, heads: map[string]Commit{}}
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	roots := filepath.Join(cfg.Dir, "roots.json")
-	if _, err := os.Stat(roots); err == nil {
-		return nil, &FormatError{Path: roots, Format: "a root document"}
+	if err := checkRootDocument(cfg.Dir); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vstore: create %s: %w", cfg.Dir, err)
@@ -273,6 +318,53 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// checkRootDocument is the *FormatError for a roots.json in dir, the
+// root document stores wrote before the journal held roots.
+func checkRootDocument(dir string) error {
+	roots := filepath.Join(dir, "roots.json")
+	if _, err := os.Stat(roots); err == nil {
+		return &FormatError{Path: roots, Format: "a root document"}
+	}
+	return nil
+}
+
+// CheckFormat reads the store under dir, changing nothing, and returns
+// the *FormatError Open would refuse it with — for a root document or a
+// journal frame — or nil: for an owner that must name the oldest format
+// in a directory before it opens any of it.
+func CheckFormat(dir string) error {
+	if err := checkRootDocument(dir); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, packName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil // Open creates a missing journal, and says why it cannot read one
+	}
+	payloads, _ := framelog.Scan(packMagic, raw)
+	var off int64
+	for _, p := range payloads {
+		if _, err := decodePayload(p); err != nil {
+			if old := olderFormat(err, path, off); old != nil {
+				return old
+			}
+		}
+		off += int64(framelog.HeaderSize + len(p))
+	}
+	return nil
+}
+
+// olderFormat is err when it is a *FormatError, which it names the
+// journal frame at off of path in, and nil for any other error.
+func olderFormat(err error, path string, off int64) *FormatError {
+	var old *FormatError
+	if !errors.As(err, &old) {
+		return nil
+	}
+	old.Path, old.Format = path, fmt.Sprintf("%s (the frame at offset %d)", old.Format, off)
+	return old
 }
 
 // NewMemory builds a memory-only store; it cannot fail.
@@ -322,11 +414,9 @@ func (s *Store) openPack() error {
 				return true
 			}
 			rec, err := decodePayload(payload)
-			if errors.As(err, &old) {
-				old.Path, old.Format = path, fmt.Sprintf("%s (the frame at offset %d)", old.Format, off)
+			if old = olderFormat(err, path, off); old != nil {
 				return true
-			}
-			if err != nil {
+			} else if err != nil {
 				return false
 			}
 			switch {
@@ -334,10 +424,14 @@ func (s *Store) openPack() error {
 				if s.replayCommitLocked(*rec.Root, rec.Version, off, len(payload), commits) != nil {
 					return false
 				}
+			case rec.Mark:
+				s.events = append(s.events, event{root: *rec.Root, i: -1})
 			case rec.Root != nil:
-				if s.applyRootLocked(*rec.Root, rec.Commit, true, commits) != nil {
+				c, err := commitEntry(rec.Commit, commits[rec.Commit])
+				if err != nil {
 					return false
 				}
+				s.appendEntryLocked(*rec.Root, c)
 			default:
 				h := hashBytes(payload)
 				if rec.K == "commit" {
@@ -361,54 +455,70 @@ func hashBytes(b []byte) Hash {
 }
 
 // appendPack writes the payloads to the journal, one frame each, with
-// one append (a no-op when memory-only) — and one fsync when durable;
-// without, they are flushed by the next durable append or Sync —
-// counting the append against turn, and returns the offset each frame
-// was given. A closed store refuses it. Caller holds s.mu.
-func (s *Store) appendPack(turn *obs.Turn, durable bool, payloads ...[]byte) ([]int64, error) {
+// one append (a no-op when memory-only), counting it — and the fsync
+// that will acknowledge it — against turn, and returns the offset each
+// frame was given and the journal's end after them. With no payloads it
+// appends nothing and returns the journal's end, so the caller still
+// waits for the writes in flight, whose chunks it may have counted on.
+// A closed store refuses it. Caller holds s.mu exclusively.
+func (s *Store) appendPack(turn *obs.Turn, payloads [][]byte) ([]int64, int64, error) {
 	if s.closed {
-		return nil, errors.New("vstore: write to a closed store")
+		return nil, 0, errors.New("vstore: write to a closed store")
 	}
 	offs := make([]int64, len(payloads))
 	if s.pack == nil {
-		return offs, nil
+		return offs, 0, nil
+	}
+	start := s.pack.Size()
+	if len(payloads) == 0 {
+		return offs, start, nil
 	}
 	frames := make([][]byte, len(payloads))
-	start := s.pack.Size()
 	end := start
 	for i, p := range payloads {
 		frames[i] = framelog.Encode(packMagic, p)
 		offs[i] = end
 		end += int64(len(frames[i]))
 	}
-	var err error
-	if durable {
-		err = s.pack.Append(frames...)
-	} else {
-		err = s.pack.Write(frames...)
+	if _, err := s.pack.Append(frames...); err != nil {
+		return nil, 0, err
 	}
-	if err != nil {
-		return nil, err
-	}
-	if durable {
-		turn.Add(obs.JournalFsyncs, 1)
-	}
+	turn.Add(obs.JournalFsyncs, 1)
 	turn.Add(obs.JournalFrames, len(frames))
 	turn.Add(obs.JournalBytes, int(end-start))
-	return offs, nil
+	return offs, end, nil
 }
 
-// journalLocked appends the staged chunks the store lacks, each a frame
-// of its own, then rec, a commit record, when it is not nil — the frame
-// that holds every staged chunk hosted in it — with one append, and
-// indexes the chunks only once it is acknowledged: a failed or torn
-// append leaves memory as it was. durable is appendPack's, and the append
-// is counted against turn. Caller holds s.mu exclusively.
-func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk, rec []byte) error {
+// hasLocked reports whether the store holds chunk h or a write in flight
+// adds it: whether a write need not frame it again. Caller holds s.mu.
+func (s *Store) hasLocked(h Hash) bool {
+	_, ok := s.chunks[h]
+	return ok || s.unsynced[h]
+}
+
+// tipLocked is the newest commit on root, a write in flight's included:
+// what the next commit on it builds on. Caller holds s.mu.
+func (s *Store) tipLocked(root string) (Commit, bool) {
+	if c, ok := s.heads[root]; ok {
+		return c, true
+	}
+	log := s.roots[root]
+	if len(log) == 0 {
+		return Commit{}, false
+	}
+	return log[len(log)-1], true
+}
+
+// writeLocked appends the staged chunks no write has framed, each a frame
+// of its own, then recs, the root records of entries — the frames that
+// hold every staged chunk hosted in one — with one append counted
+// against turn, and returns the write, which settle installs. A failed or
+// torn append changes nothing in memory. Caller holds s.mu exclusively.
+func (s *Store) writeLocked(turn *obs.Turn, staged []stagedChunk, recs [][]byte, entries []entry) (*write, error) {
 	var fresh []stagedChunk
 	var payloads [][]byte
 	for _, st := range staged {
-		if _, ok := s.chunks[st.hash]; ok {
+		if s.hasLocked(st.hash) {
 			continue
 		}
 		fresh = append(fresh, st)
@@ -416,31 +526,119 @@ func (s *Store) journalLocked(turn *obs.Turn, durable bool, staged []stagedChunk
 			payloads = append(payloads, st.payload)
 		}
 	}
-	if rec != nil {
-		payloads = append(payloads, rec)
-	}
-	offs, err := s.appendPack(turn, durable, payloads...)
+	first := len(payloads)
+	payloads = append(payloads, recs...)
+	offs, end, err := s.appendPack(turn, payloads)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if s.pack != nil {
-		turn.Add(obs.ChunksJournalled, len(fresh))
-	}
+	w := &write{log: s.pack, end: end, chunks: fresh, offs: make([]chunk, len(fresh)), entries: entries}
 	next := 0
-	for _, st := range fresh {
-		c := &chunk{n: len(st.payload), refs: st.refs, host: st.host, commit: st.commit}
+	for i, st := range fresh {
+		c := chunk{n: len(st.payload), refs: st.refs, host: st.host, commit: st.commit}
 		if st.host == ownFrame {
 			c.off = offs[next]
 			next++
 		} else {
-			c.off, c.n = offs[len(offs)-1], len(rec)
+			c.off, c.n = offs[first+st.rec], len(recs[st.rec])
 		}
 		if s.pack == nil {
 			c.data = st.payload
 		}
-		s.chunks[st.hash] = c
+		w.offs[i] = c
 	}
-	return nil
+	for _, e := range entries {
+		s.stamp = max(s.stamp, e.commit.Stamp)
+	}
+	if w.log == nil {
+		s.installLocked(w)
+		return w, nil
+	}
+	turn.Add(obs.ChunksJournalled, len(fresh))
+	for _, st := range fresh {
+		s.unsynced[st.hash] = true
+	}
+	for _, e := range entries {
+		if !e.mark {
+			s.heads[e.root] = e.commit
+		}
+	}
+	s.queue = append(s.queue, w)
+	return w, nil
+}
+
+// settle waits, without s.mu, for the fsync that covers w, then installs
+// every write in flight that an fsync has covered, in journal order, and
+// returns what the wait said: nil once w is installed, the journal's
+// death when it died first.
+func (s *Store) settle(w *write) error {
+	if w.log == nil {
+		return nil
+	}
+	err := w.log.Sync(w.end)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.installSyncedLocked(w.log)
+	return err
+}
+
+// installSyncedLocked installs the writes in flight on log that an fsync
+// has covered, oldest first. On a dead journal the rest never will be,
+// and are dropped. Caller holds s.mu exclusively.
+func (s *Store) installSyncedLocked(log *framelog.Log) {
+	synced := log.Synced()
+	for len(s.queue) > 0 && s.queue[0].end <= synced {
+		s.installLocked(s.queue[0])
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+	}
+	if log.Dead() {
+		s.queue, s.unsynced, s.heads = nil, map[Hash]bool{}, map[string]Commit{}
+	}
+}
+
+// installLocked makes w's chunks and root records visible. Caller holds
+// s.mu exclusively.
+func (s *Store) installLocked(w *write) {
+	for i, st := range w.chunks {
+		c := w.offs[i]
+		s.chunks[st.hash] = &c
+		delete(s.unsynced, st.hash)
+	}
+	for _, e := range w.entries {
+		if e.mark {
+			s.events = append(s.events, event{root: e.root, i: -1})
+			continue
+		}
+		s.appendEntryLocked(e.root, e.commit)
+		if s.heads[e.root] == e.commit {
+			delete(s.heads, e.root)
+		}
+	}
+}
+
+// appendEntryLocked appends c to root's log and to the events. Caller
+// holds s.mu exclusively.
+func (s *Store) appendEntryLocked(root string, c Commit) {
+	s.roots[root] = append(s.roots[root], c)
+	s.events = append(s.events, event{root: root, i: len(s.roots[root]) - 1})
+	s.stamp = max(s.stamp, c.Stamp)
+}
+
+// Events lists every root record the journal holds — each commit a
+// root's log took, and each mark — in journal order: the order an owner
+// that keeps its own redo in the journal replays.
+func (s *Store) Events() []Event {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]Event, len(s.events))
+	for i, e := range s.events {
+		out[i] = Event{Root: e.root, Mark: e.i < 0}
+		if e.i >= 0 {
+			out[i].Commit = s.roots[e.root][e.i]
+		}
+	}
+	return out
 }
 
 // payloadLocked returns a chunk's payload: one pread of its frame,
@@ -578,20 +776,6 @@ func (s *Store) NumChunks() int {
 	return len(s.chunks)
 }
 
-// Sync flushes the journal: every version committed before it returns
-// nil survives a power cut. Only CommitUnsynced leaves anything to
-// flush; its caller calls Sync before giving up the log it could have
-// rebuilt those versions from. A failed flush leaves the journal dead —
-// every later commit and Sync fails until the store is reopened.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pack == nil {
-		return nil
-	}
-	return s.pack.Sync()
-}
-
 // JournalSynced reports the journal's flushed prefix and its size in
 // bytes (framelog's Synced and Size; both 0 when memory-only or closed).
 func (s *Store) JournalSynced() (synced, size int64) {
@@ -603,20 +787,23 @@ func (s *Store) JournalSynced() (synced, size int64) {
 	return s.pack.Synced(), s.pack.Size()
 }
 
-// Close flushes the journal and releases its file handle. On a
-// dir-backed store every later write fails: nothing it acknowledged
-// could reach the journal.
+// Close waits for the journal writes in flight to be flushed — flushing
+// them itself if no writer is — installs them, and releases the file
+// handle. On a dir-backed store every later write fails: nothing it
+// acknowledged could reach the journal.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pack == nil {
 		return nil
 	}
+	s.closed = true
 	var err error
 	if !s.pack.Dead() { // a dead journal said so where it died
-		err = s.pack.Sync()
+		err = s.pack.Sync(s.pack.Size())
 	}
+	s.installSyncedLocked(s.pack)
 	err = errors.Join(err, s.pack.Close())
-	s.pack, s.closed = nil, true
+	s.pack = nil
 	return err
 }

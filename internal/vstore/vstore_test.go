@@ -27,9 +27,13 @@ func mustPut(t *testing.T, s *Store, kind string, refs []Hash, data string) Hash
 	}
 	h, payload, err := encodeChunk(kind, refs, d)
 	if err == nil {
+		var w *write
 		s.mu.Lock()
-		err = s.journalLocked(nil, true, []stagedChunk{{hash: h, payload: payload, refs: refs}}, nil)
+		w, err = s.writeLocked(nil, []stagedChunk{{hash: h, payload: payload, refs: refs}}, nil, nil)
 		s.mu.Unlock()
+		if err == nil {
+			err = s.settle(w)
+		}
 	}
 	if err != nil {
 		t.Fatalf("put %s: %v", kind, err)
@@ -589,11 +593,8 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	if err := s.AddPackets(fresh); err == nil {
 		t.Error("AddPackets on a closed store succeeded")
 	}
-	if c, err := s.AdoptCommit("shard/00", adoptable.Hash); err == nil {
+	if c, err := adoptCommit(s, "shard/00", adoptable.Hash); err == nil {
 		t.Errorf("AdoptCommit on a closed store acknowledged %+v", c)
-	}
-	if err := s.Sync(); err != nil {
-		t.Errorf("Sync on a closed store: %v", err)
 	}
 	if s.NumChunks() != chunks || !slices.Equal(s.Roots(), roots) {
 		t.Errorf("the closed store indexes %d chunks and roots %v, held %d and %v", s.NumChunks(), s.Roots(), chunks, roots)

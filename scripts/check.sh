@@ -84,15 +84,21 @@
 #                      holding a system turn with an intent code or a
 #                      user turn with code 0, all of which are refused),
 #                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v7 and tree-v7 shard WALs, from the
+#                      format-v7 and tree-v7 shard WALs — the records
+#                      replication ships — from the
 #                      JSON records of format-v4 and tree-v4, and from
 #                      turn records holding either of those two turns,
 #                      which are refused; a binary record that decodes
 #                      must encode back to the same bytes),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
-#                      replica opened on format-v7, seeded from that
-#                      fixture's frames and shard roots and the forged
-#                      roots of TestForgedShipBatchIsAnError),
+#                      replica opened on format-v8, seeded from the
+#                      dialogue's frames, one more turn's, its shard
+#                      roots and the forged roots of
+#                      TestForgedShipBatchIsAnError), FuzzOpenRebuild
+#                      (arbitrary bytes as a data directory's journal:
+#                      Open fails or opens, never panics, and a real
+#                      journal cut at a frame boundary rebuilds the
+#                      cursors of the records it holds),
 #                      FuzzVectorOps (AppendRow/Gather/seal scripts
 #                      over column vectors of every kind, checked
 #                      against a []Value oracle), FuzzReadCSV
@@ -111,8 +117,9 @@
 #                      .github/workflows/check.yml also fuzzes the
 #                      frame scanner, the journal decoder, its payload
 #                      decoder, the column-leaf check and encoder,
-#                      the session-tree decoder, the WAL-record decoder,
-#                      the replica's batch apply, the vector
+#                      the session-tree decoder, the record decoder,
+#                      the replica's batch apply, the rebuild from the
+#                      journal, the vector
 #                      operations, the CSV load, the error decoder and
 #                      the SQL engine for 30 s each, in one step that
 #                      loops over the (package, target) pairs (go test
@@ -121,8 +128,9 @@
 #                      in ./internal/vstore with FuzzJournalOpen,
 #                      FuzzDecodePayload, FuzzDecodeLeaf and
 #                      FuzzEncodeLeaf, in ./internal/sessionstore with
-#                      FuzzDecodeSessionTree, FuzzDecodeRecord and
-#                      FuzzApplyBatch, in ./internal/storage with
+#                      FuzzDecodeSessionTree, FuzzDecodeRecord,
+#                      FuzzApplyBatch and FuzzOpenRebuild, in
+#                      ./internal/storage with
 #                      FuzzVectorOps and FuzzReadCSV, in
 #                      ./internal/server with FuzzDecodeError, and in
 #                      ./internal/sqldb with FuzzEngineMatchesOracle).
