@@ -351,9 +351,9 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 	// in it, and the chunk's address.
 	for _, row := range []struct {
 		name string
-		find func(payloads [][]byte) (frame, at int, victim string)
+		find func(payloads [][]byte, vs *vstore.Store) (frame, at int, victim string)
 	}{
-		{"turns chunk", func(payloads [][]byte) (int, int, string) {
+		{"turns chunk", func(payloads [][]byte, _ *vstore.Store) (int, int, string) {
 			for i, p := range payloads {
 				if at := bytes.Index(p, []byte("Zurich")); at >= 0 && bytes.HasPrefix(p, []byte("\x01\x05turns")) {
 					sum := sha256.Sum256(p)
@@ -362,15 +362,19 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 			}
 			return -1, 0, ""
 		}},
-		{"session node in its commit record", func(payloads [][]byte) (int, int, string) {
-			// The last: the first is the creation's, the empty node at turn 0.
+		{"session node in its commit record", func(payloads [][]byte, vs *vstore.Store) (int, int, string) {
+			// The head's: the creation's is the empty node at turn 0.
+			head, err := vs.Head(sessionstore.SessionRoot("s0001"))
+			if err != nil {
+				return -1, 0, ""
+			}
 			for i := len(payloads) - 1; i >= 0; i-- {
 				p := payloads[i]
 				// 0x04, the root name behind its length, the turn, and the
-				// node's chunk bytes: the rest of the payload.
-				if at := bytes.Index(p, []byte("\x01\x04sess")); at >= 0 && p[0] == 0x04 {
-					sum := sha256.Sum256(p[at:])
-					return i, len(p) - 1, hex.EncodeToString(sum[:])
+				// node in its back form, its ref to the turns chunk spelled
+				// as a distance: the rest of the payload.
+				if bytes.Contains(p, []byte("\x06\x04sess")) && p[0] == 0x04 {
+					return i, len(p) - 1, string(head.Tree)
 				}
 			}
 			return -1, 0, ""
@@ -380,7 +384,7 @@ func TestCorruptVersionChunkIsA500(t *testing.T) {
 	}
 }
 
-func testCorruptVersionChunkIsA500(t *testing.T, find func(payloads [][]byte) (frame, at int, victim string)) {
+func testCorruptVersionChunkIsA500(t *testing.T, find func(payloads [][]byte, vs *vstore.Store) (frame, at int, victim string)) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
 	if err != nil {
@@ -409,7 +413,7 @@ func testCorruptVersionChunkIsA500(t *testing.T, find func(payloads [][]byte) (f
 		t.Fatal(err)
 	}
 	payloads, _ := framelog.Scan(0xC6, raw)
-	frame, at, victim := find(payloads)
+	frame, at, victim := find(payloads, vs)
 	if frame < 0 {
 		t.Fatal("no frame holding the chunk in the journal")
 	}

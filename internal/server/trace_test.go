@@ -57,14 +57,14 @@ func TestTurnCountersArePinned(t *testing.T) {
 	// chunks: encoded, hashed, journalled; rows scanned; candidates,
 	// distinct.
 	want := []turnCounters{
-		{1, 2, 489, 3, 3, 3, 0, 0, 0},
-		{1, 2, 352, 3, 3, 3, 0, 0, 0},
-		{2, 3, 292, 5, 5, 5, 100, 5, 1}, // compacts shard: a second flushed append, the root
-		{1, 2, 224, 3, 3, 3, 100, 5, 1},
-		{1, 1, 74, 3, 3, 2, 0, 0, 0}, // a cache hit, whose turns chunk "a" already journalled
-		{1, 2, 167, 3, 3, 3, 120, 5, 1},
-		{1, 2, 333, 3, 3, 3, 0, 0, 0},
-		{2, 3, 354, 5, 5, 5, 0, 0, 0},
+		{1, 2, 458, 3, 3, 3, 0, 0, 0},
+		{1, 2, 290, 3, 3, 3, 0, 0, 0},
+		{2, 3, 168, 5, 5, 5, 100, 5, 1}, // compacts shard: a second flushed append, the root
+		{1, 2, 100, 3, 3, 3, 100, 5, 1},
+		{1, 1, 43, 3, 3, 2, 0, 0, 0}, // a cache hit, whose turns chunk "a" already journalled
+		{1, 2, 105, 3, 3, 3, 120, 5, 1},
+		{1, 2, 178, 3, 3, 3, 0, 0, 0},
+		{2, 3, 230, 5, 5, 5, 0, 0, 0},
 	}
 	var got []turnCounters
 	for i, turn := range traceDialogue {

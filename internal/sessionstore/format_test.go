@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -141,15 +142,50 @@ func requireSameFiles(t *testing.T, got, want map[string][]byte, names []string)
 // shardFiles are the WALs of a data directory older stores wrote.
 var shardFiles = []string{"shard-00.wal", "shard-01.wal"}
 
-// fixtures pairs each fixture dialogue with its directories: v8, closed
-// by the last writer of shard WALs, which this code opens, v7, that
-// writer's killed directory, which it refuses, v6, the format before
-// commit records, which it reads once its WALs are emptied, and v5,
-// which it refuses.
+// fixtures pairs each fixture dialogue with its directories: v9, left
+// open by the last writer that spelled every ref's address, and v8,
+// closed by the last writer of shard WALs, both of which this code opens,
+// v7, that writer's killed directory, which it refuses, v6, the format
+// before commit records, which it reads once its WALs are emptied, and
+// v5, which it refuses.
 var fixtures = []struct {
-	v8, v7, v6, v5 string
-	script         func() []formatTurn
-}{{formatFixtureV8, formatFixtureV7, formatFixtureV6, formatFixtureV5, formatScript}, {treeFixtureV8, treeFixtureV7, treeFixtureV6, treeFixtureV5, treeScript}}
+	v9, v8, v7, v6, v5 string
+	script             func() []formatTurn
+}{
+	{formatFixtureV9, formatFixtureV8, formatFixtureV7, formatFixtureV6, formatFixtureV5, formatScript},
+	{treeFixtureV9, treeFixtureV8, treeFixtureV7, treeFixtureV6, treeFixtureV5, treeScript},
+}
+
+// TestReplayReportsV9Logs replays both fixture dialogues and requires the
+// root logs the store reports to be the v9 writer's logs.json byte for
+// byte — every commit and tree address, parent, turn and stamp — from a
+// journal smaller than v9's, whose frames spelled each ref's address.
+func TestReplayReportsV9Logs(t *testing.T) {
+	for _, fx := range fixtures {
+		dir := t.TempDir()
+		_, vs := replayScript(t, dir, fx.script())
+		raw, err := json.MarshalIndent(logsOf(t, vs), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(fx.v9, fixtureLogs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(raw, '\n'), want) {
+			t.Errorf("%s replayed: the logs differ from the v9 writer's", fx.v9)
+		}
+		_, size := vs.JournalSynced()
+		info, err := os.Stat(filepath.Join(fx.v9, "vstore", "chunks.pack"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size >= info.Size() {
+			t.Errorf("%s replayed: the journal is %d bytes, v9's %d", fx.v9, size, info.Size())
+		}
+		t.Logf("%s replayed: the journal is %d bytes, v9's %d", fx.v9, size, info.Size())
+	}
+}
 
 // TestFormatWritesOneLog replays both fixture dialogues and closes the
 // stores: the directory holds the journal and nothing else, a second
@@ -399,33 +435,41 @@ func requireNextTurn(t *testing.T, st *Store, vs *vstore.Store, id string) {
 	}
 }
 
-// TestOpensFloorDirectories opens a copy of each v8 directory: it holds
-// every root log, transcript and as-of read its writer recorded, its
-// empty WALs are gone, every session's next turn is this code's tree over
-// the recorded one, and the directory reopens to the root logs the store
-// held.
+// TestOpensFloorDirectories opens a copy of each v9 and v8 directory: it
+// holds every root log, transcript and as-of read its writer recorded,
+// v8's empty WALs are gone, every session's next turn is this code's tree
+// over the recorded one, and the directory reopens to the root logs the
+// store held.
 func TestOpensFloorDirectories(t *testing.T) {
 	for _, fx := range fixtures {
-		dir := copyFixture(t, fx.v8)
-		st, vs := openFixture(t, dir)
-		transcripts := scriptTranscripts(fx.script())
-		requireRecorded(t, st, vs, recordedLogs(t, fx.v8), transcripts)
-		if got := pathsUnder(t, dir); !slices.Equal(got, []string{"./", fixtureLogs, "vstore/", "vstore/chunks.pack"}) {
-			t.Errorf("%s opened: the directory holds %v, want the journal and %s alone", fx.v8, got, fixtureLogs)
+		for _, fixture := range []string{fx.v9, fx.v8} {
+			requireOpensFloor(t, fixture, fx.script)
 		}
-		var ids []string
-		for id := range transcripts {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			requireNextTurn(t, st, vs, id)
-		}
-		logs := logsOf(t, vs)
-		abandon(t, st, vs)
-		if got := versionLogs(t, dir); !reflect.DeepEqual(got, logs) {
-			t.Errorf("%s reopened after the next turns: root logs\n got: %+v\nwant: %+v", fx.v8, got, logs)
-		}
+	}
+}
+
+// requireOpensFloor is TestOpensFloorDirectories for one fixture.
+func requireOpensFloor(t *testing.T, fixture string, script func() []formatTurn) {
+	t.Helper()
+	dir := copyFixture(t, fixture)
+	st, vs := openFixture(t, dir)
+	transcripts := scriptTranscripts(script())
+	requireRecorded(t, st, vs, recordedLogs(t, fixture), transcripts)
+	if got := pathsUnder(t, dir); !slices.Equal(got, []string{"./", fixtureLogs, "vstore/", "vstore/chunks.pack"}) {
+		t.Errorf("%s opened: the directory holds %v, want the journal and %s alone", fixture, got, fixtureLogs)
+	}
+	var ids []string
+	for id := range transcripts {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		requireNextTurn(t, st, vs, id)
+	}
+	logs := logsOf(t, vs)
+	abandon(t, st, vs)
+	if got := versionLogs(t, dir); !reflect.DeepEqual(got, logs) {
+		t.Errorf("%s reopened after the next turns: root logs\n got: %+v\nwant: %+v", fixture, got, logs)
 	}
 }
 

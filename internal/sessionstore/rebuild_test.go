@@ -1,6 +1,7 @@
 package sessionstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,9 +100,26 @@ func cursorsAt(points []rebuildPoint, n int64) [rebuildShards]int64 {
 	return points[i].cursors
 }
 
+// backFormed reports whether the journal payload p is a chunk in the
+// version store's back form (tag 0x06), or a commit record (0x04 · name ·
+// turn) that carries its tree node in it (form 6).
+func backFormed(p []byte) bool {
+	if p[0] == 0x06 {
+		return true
+	}
+	if p[0] != 0x04 {
+		return false
+	}
+	n, k := binary.Uvarint(p[1:])
+	rest := p[1+k+int(n):]
+	_, k = binary.Uvarint(rest)
+	return rest[k] == 0x06
+}
+
 // FuzzOpenRebuild writes arbitrary bytes as a data directory's journal
 // and opens it: Open fails with an error or opens, and never panics. The
-// seeds are rebuildScript's journal cut at each of its frame boundaries;
+// seeds are rebuildScript's journal — whose session and shard nodes spell
+// their refs back — cut at each of its frame boundaries;
 // a cut there is a journal this store could have written, and the store
 // rebuilt from it has exactly the records it holds: each shard's cursor
 // is the one the script acknowledged at the last append the cut keeps
@@ -114,6 +132,9 @@ func FuzzOpenRebuild(f *testing.F) {
 	payloads, valid := framelog.Scan(journal[0], journal)
 	if valid != len(journal) {
 		f.Fatalf("%d of the journal's %d bytes are whole frames", valid, len(journal))
+	}
+	if !slices.ContainsFunc(payloads, backFormed) {
+		f.Fatal("the script's journal spells no ref back")
 	}
 	f.Add([]byte{})
 	end := 0

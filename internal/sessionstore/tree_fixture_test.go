@@ -21,7 +21,10 @@ import (
 // the same for formatScript(). The -v8 directories are the same scripts
 // closed by the last commit that wrote shard WALs, 0230b50: its Close
 // compacted every shard and emptied the WALs. Each carries logs.json, the
-// root logs its writer's store reported. The -v6 directories are the same scripts
+// root logs its writer's store reported. The -v9 directories are the
+// same scripts replayed by the last commit whose journal spelled every
+// ref's 32-byte address, 9fe06c3, and left open, as a kill leaves them:
+// a journal alone, its logs.json that commit's store's report. The -v6 directories are the same scripts
 // as the commit before commit records wrote them: the same WALs, logs.json
 // byte for byte, and a journal that spends a tree node frame, a commit
 // chunk and an append record on each version, which Open reads as it is.
@@ -29,6 +32,8 @@ import (
 // commit data, which Open refuses; the -v4 ones are older still, with
 // WALs of JSON records.
 const (
+	treeFixtureV9   = "testdata/tree-v9"
+	formatFixtureV9 = "testdata/format-v9"
 	treeFixtureV8   = "testdata/tree-v8"
 	formatFixtureV8 = "testdata/format-v8"
 	treeFixtureV7   = "testdata/tree-v7"

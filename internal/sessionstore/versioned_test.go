@@ -2,6 +2,8 @@ package sessionstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -773,15 +775,53 @@ func TestConcurrentTurnsFlushesAndAsOfReads(t *testing.T) {
 	}
 }
 
+// carriesNode reports whether node, the tail of a commit record, carries
+// tree: its canonical chunk payload when tree has no refs, else its back
+// form — tag 0x06, kind, ref count, a distance of at least 1 a ref,
+// data — which spells no ref's address, raw or in hex.
+func carriesNode(t *testing.T, vs *vstore.Store, node []byte, tree vstore.Hash) bool {
+	t.Helper()
+	refs, err := vs.Refs(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) == 0 {
+		return vstore.Hash(sha256Hex(node)) == tree
+	}
+	kind, data, err := vs.Data(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := append([]byte{0x06, byte(len(kind))}, kind...)
+	if !bytes.HasPrefix(node, append(head, byte(len(refs)))) || !bytes.HasSuffix(node, data) {
+		return false
+	}
+	dists := node[len(head)+1 : len(node)-len(data)]
+	for range refs {
+		d, n := binary.Uvarint(dists)
+		if n <= 0 || d == 0 {
+			return false
+		}
+		dists = dists[n:]
+	}
+	for _, r := range refs {
+		raw, err := hex.DecodeString(string(r))
+		if err != nil || bytes.Contains(node, raw) {
+			return false
+		}
+	}
+	return len(dists) == 0
+}
+
 // TestSessionVersionJournalBytes pins what each version of one 8-pair
 // session journals on a dir-backed store that does not compact, frame by
 // frame in journal order (framelog header included): its creation, one
 // commit record of the empty session node at turn 0 behind the shard's
 // first root record, then per pair the pair's turns chunk — or, at the
 // turn that fills a window, the sealed chunk — and one commit record,
-// which carries the session node the version pins and spells neither the
-// commit's address nor its parent. No frame spells in hex an address it
-// references.
+// which carries the session node the version pins, its refs spelled as
+// distances back, and spells neither the commit's address nor its
+// parent. No frame spells in hex an address it references.
 func TestSessionVersionJournalBytes(t *testing.T) {
 	dir := t.TempDir()
 	vs, err := vstore.Open(vstore.Config{Dir: filepath.Join(dir, "vstore")})
@@ -842,8 +882,9 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 			continue
 		}
 		// A commit record: 0x04, the root name behind its length, the
-		// turn, and form 1 — the session node's chunk bytes after their
-		// 0x01 tag, so the form byte and the rest are that chunk.
+		// turn, and the session node: form 1, its chunk bytes after their
+		// 0x01 tag, when it has no refs; else form 6, its back form,
+		// every ref a distance back in the journal's chunk order.
 		if len(got) == len(log) {
 			t.Fatalf("the frame at %d is a record past the %d versions", i, len(log))
 		}
@@ -855,7 +896,7 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 		c := log[len(got)]
 		head := append([]byte{0x04, byte(len(name))}, name...)
 		head = append(head, byte(c.Turn))
-		if !bytes.HasPrefix(p, head) || vstore.Hash(sha256Hex(p[len(head):])) != c.Tree {
+		if !bytes.HasPrefix(p, head) || !carriesNode(t, vs, p[len(head):], c.Tree) {
 			t.Fatalf("version %d: the frame at %d is %x, want a commit record for %s at turn %d carrying node %s", len(got), i, p, name, c.Turn, c.Tree)
 		}
 		version = append(version, fmt.Sprintf("record %d", size))
@@ -864,20 +905,23 @@ func TestSessionVersionJournalBytes(t *testing.T) {
 	// Frame sizes, the 9-byte header included: a turns chunk is the
 	// pair as a turn record spells it behind 8 bytes of kind and ref
 	// count; a commit record is the session node's frame and 16 bytes of
-	// tag, root name and turn, and the node grows 32 bytes a ref. The
-	// format before commit records spent on each version a session node
-	// frame, a 53-byte commit chunk (85 once it names a parent) and a
-	// 56-byte root record: 93 bytes more on the first, 125 on the rest.
+	// tag, root name and turn, and the node grows a byte a ref: each pair
+	// chunk lies fewer than 128 chunks back. Spelling each ref's 32-byte
+	// address, the node grew 32 bytes a ref (records of 74, 106, … 298
+	// bytes). The format before commit records spent on each version a
+	// session node frame, a 53-byte commit chunk (85 once it names a
+	// parent) and a 56-byte root record: 93 bytes more on the first, 125
+	// on the rest.
 	want := [][]string{
 		{"shard record 32", "record 42"},
-		{"turns 131", "record 74"},
-		{"turns 133", "record 106"},
-		{"turns 133", "record 138"},
-		{"turns 133", "record 170"},
-		{"turns 133", "record 202"},
-		{"turns 133", "record 234"},
-		{"turns 133", "record 266"},
-		{"turns 133", "record 298"},
+		{"turns 131", "record 43"},
+		{"turns 133", "record 44"},
+		{"turns 133", "record 45"},
+		{"turns 133", "record 46"},
+		{"turns 133", "record 47"},
+		{"turns 133", "record 48"},
+		{"turns 133", "record 49"},
+		{"turns 133", "record 50"},
 	}
 	if !reflect.DeepEqual(got, want) || len(got) != len(log) {
 		t.Errorf("versions journal\n got: %q\nwant: %q", got, want)

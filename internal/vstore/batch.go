@@ -241,7 +241,7 @@ func (b *Batch) inlineLocked(tree Hash, rec int) []byte {
 		if st.host != ownFrame {
 			return nil
 		}
-		if node, err := decodeChunk(st.payload[1:]); err != nil || checkInline(node) != nil {
+		if node, err := decodeChunk(tagChunk, st.payload[1:]); err != nil || checkInline(node) != nil {
 			return nil
 		}
 		st.host, st.rec = recordTree, rec

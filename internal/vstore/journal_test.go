@@ -406,6 +406,15 @@ func forgedPayloads(t testing.TB) []struct {
 		{"commit record carrying db data its decoder refuses", raw(tagCommit, 1, "r", 2, node("db", nil, `[`))},
 		{"commit record carrying a node with an empty kind", raw(tagCommit, 1, "r", 2, tagChunk, 0, 0)},
 		{"commit record carrying a node short of its ref", raw(tagCommit, 1, "r", 2, tagChunk, 4, "sess", 1, addr)[:40]},
+		{"back-form chunk, which the journal holds and no packet", raw(tagBack, 4, "sess", 1, 1, 2)},
+		{"back-form chunk at distance 0", raw(tagBack, 4, "sess", 1, 0, 2)},
+		{"back-form chunk with an overlong distance", raw(tagBack, 4, "sess", 1, 0x81, 0, 2)},
+		{"back-form chunk with no refs", raw(tagBack, 4, "sess", 0, 2)},
+		{"back-form ref count of 2^63", raw(tagBack, 4, "sess", binary.AppendUvarint(nil, 1<<63), 1)},
+		{"back-form leaf", raw(tagBack, 4, "leaf", 1, 1, `{"t":1,"v":[1]}`)},
+		{"commit record carrying a back-form node", raw(tagCommit, 1, "r", 2, tagBack, 4, "sess", 1, 1)},
+		{"commit record carrying a back-form leaf", raw(tagCommit, 1, "r", 2, tagBack, 4, "leaf", 1, 1)},
+		{"commit record carrying a back-form node at distance 0", raw(tagCommit, 1, "r", 2, tagBack, 4, "sess", 1, 0)},
 	}
 }
 
@@ -648,7 +657,8 @@ func journalSeeds(t testing.TB) [][]byte {
 	}
 }
 
-// FuzzJournalOpen feeds arbitrary bytes to Open as chunks.pack: it
+// FuzzJournalOpen feeds arbitrary bytes to Open as chunks.pack — seeded
+// with journals this code writes, cut at every frame, and older ones — it
 // never panics; a refusal for an older format keeps every frame whose
 // checksum verifies, byte for byte — only a torn tail after the last of
 // them, which any reader cuts, may go — so a journal that ends on a
@@ -683,6 +693,13 @@ func FuzzJournalOpen(f *testing.F) {
 	}
 	for _, forged := range forgedPayloads(f) {
 		f.Add(framelog.Encode(packMagic, forged.payload))
+	}
+	// Journals this code writes, their refs spelled back, whole and cut
+	// after every frame.
+	for _, pack := range backJournals(f) {
+		for _, cut := range frameCuts(pack) {
+			f.Add(cut)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, pack []byte) {

@@ -660,23 +660,36 @@ func openDir(t *testing.T, dir string) *Store {
 	return s
 }
 
+// requireJournalOf requires the journal s wrote to be size bytes and,
+// with its back forms rendered canonical, the fixture's byte for byte:
+// the fixture's writer spelled every ref's address, and nothing else
+// moved.
+func requireJournalOf(t *testing.T, s *Store, fixture string, size int) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(s.cfg.Dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != size {
+		t.Errorf("journal is %d bytes, want %d", len(got), size)
+	}
+	pinned, err := os.ReadFile(filepath.Join(fixture, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical := canonicalJournal(t, s); !bytes.Equal(canonical, pinned) {
+		t.Errorf("journal rendered canonical is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(canonical), hashBytes(canonical), len(pinned), hashBytes(pinned))
+	}
+}
+
 // TestWritesV2LeafBytes requires the journal this code writes for the
-// readings fixture's two commits to be readings-v7's, byte for byte, and
-// its leaves to be the fixture's and readings-v6's, commit by commit.
+// readings fixture's two commits to be readings-v7's, its refs spelled
+// back, and its leaves to be the fixture's and readings-v6's, commit by
+// commit.
 func TestWritesV2LeafBytes(t *testing.T) {
-	dir := t.TempDir()
-	commitLeafFixture(t, openDir(t, dir))
-	got, err := os.ReadFile(filepath.Join(dir, packName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := os.ReadFile(filepath.Join(readingsFixture, packName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pinned) {
-		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
-	}
+	w := openDir(t, t.TempDir())
+	commitLeafFixture(t, w)
+	requireJournalOf(t, w, readingsFixture, 10765)
 	s := NewMemory()
 	commitLeafFixture(t, s)
 	requireLeavesOf(t, s, readingsFixture, leafFixtureRoot)
@@ -761,23 +774,14 @@ func requireOrdersFixture(t *testing.T, fixture string, forms []string) {
 }
 
 // TestWritesV7LeafBytes pins the bytes this code journals for
-// ordersFixtureDB — runs, dictionary and packed leaves under a table and
-// a db node, which the commit record carries, every payload binary — and
+// ordersFixtureDB — runs, dictionary and packed leaves under a table
+// node, and a db node, which the commit record carries, each spelling
+// its refs back — to leaf-v7's, which spelled every address, and
 // requires leaf-v6 to pin the same tree.
 func TestWritesV7LeafBytes(t *testing.T) {
-	dir := t.TempDir()
-	commitOrdersFixture(t, openDir(t, dir))
-	got, err := os.ReadFile(filepath.Join(dir, packName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := os.ReadFile(filepath.Join(leafFixture, packName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pinned) {
-		t.Errorf("journal is %d bytes, sha256 %s; fixture has %d bytes, sha256 %s", len(got), hashBytes(got), len(pinned), hashBytes(pinned))
-	}
+	w := openDir(t, t.TempDir())
+	commitOrdersFixture(t, w)
+	requireJournalOf(t, w, leafFixture, 5578)
 	requireOrdersFixture(t, leafFixture, v4Forms)
 	requireOrdersFixture(t, leafFixtureV6, v4Forms)
 }

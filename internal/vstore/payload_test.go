@@ -69,13 +69,67 @@ func journalPayloads(t testing.TB, path string) [][]byte {
 	return payloads
 }
 
+// canonicalJournal reads the journal of s, a dir-backed store the
+// journal's writes are all installed in, and renders it with every back
+// form canonical: each back-form chunk frame its canonical payload, and
+// each commit record that carries its node in form 6 the record that
+// carries the canonical node in form 1.
+func canonicalJournal(t testing.TB, s *Store) []byte {
+	t.Helper()
+	s.mu.RLock()
+	order := make([]Hash, s.next)
+	for h, c := range s.chunks {
+		order[c.place] = h
+	}
+	s.mu.RUnlock()
+	var out []byte
+	var place int
+	for _, p := range journalPayloads(t, filepath.Join(s.cfg.Dir, packName)) {
+		rec, err := decodePayload(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := func(f chunkFields) []byte {
+			refs, err := resolveBack(order[:place], f.B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonical, err := appendChunk(f.K, refs, f.D)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return canonical
+		}
+		switch {
+		case p[0] == tagBack:
+			p = render(rec.chunkFields)
+			place++
+		case p[0] == tagChunk:
+			place++
+		case rec.Version != nil && rec.Version.Node == nil:
+			place++
+		case rec.Version != nil:
+			if rec.Version.Node[0] == treeBack {
+				p = append(slices.Clip(p[:len(p)-len(rec.Version.Node)]), render(rec.Version.Inline)...)
+			}
+			place += 2
+		}
+		out = append(out, framelog.Encode(packMagic, p)...)
+	}
+	return out
+}
+
 // reencode renders a decoded payload again.
 func reencode(p []byte, rec record) ([]byte, error) {
 	switch p[0] {
 	case tagAppend:
 		return appendPayload(*rec.Root, rec.Commit)
+	case tagMark:
+		return markPayload(*rec.Root)
 	case tagCommit:
 		return commitPayload(*rec.Root, rec.Version.Turn, rec.Version.Tree, rec.Version.Node)
+	case tagBack:
+		return appendBack(rec.K, rec.B, rec.D), nil
 	}
 	return appendChunk(rec.K, rec.R, rec.D)
 }
@@ -86,8 +140,9 @@ func reencode(p []byte, rec record) ([]byte, error) {
 // AddPackets' check accepts lists refs that are addresses and installs
 // as a chunk whose kind and refs read back as decoded. Seeded with every
 // frame of the fixture journals, whole and cut one byte short, with
-// every frame of the v5 journals — whose JSON payloads it must refuse as
-// an older format, and whose binary chunks carry JSON commit, session
+// every frame of the journals this code writes, whose refs are spelled
+// back, whole and cut one byte short, with every frame of the v5
+// journals — whose JSON payloads it must refuse as an older format, and whose binary chunks carry JSON commit, session
 // and shard data — with every frame of retention-v7, whose set records
 // it must refuse as an older format too, and with the forged payloads.
 // The v7 journals hold commit records, in both forms; the v6 ones, which
@@ -121,6 +176,13 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, form := range []string{"plain", "runs", "dictionary", "packed"} {
 		if !leafForms[form] {
 			f.Fatalf("no seed ships a %s leaf", form)
+		}
+	}
+	for _, pack := range backJournals(f) {
+		payloads, _ := framelog.Scan(packMagic, pack)
+		for _, p := range payloads {
+			f.Add(p)
+			f.Add(p[:len(p)-1])
 		}
 	}
 	for _, path := range v5Journals {

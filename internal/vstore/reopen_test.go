@@ -65,8 +65,9 @@ func requireCopyReopens(t *testing.T, dir string, s *Store) {
 }
 
 // TestReopenGivesBackEveryCommit runs a script of every way a root log
-// changes, and a mark, and reopens a copy of the directory after each
-// step: the reopened store lists every commit of every root as the live
+// changes, and a mark — a commit record's node in the back form, and
+// canonical for a ref no frame holds — and reopens a copy of the
+// directory after each step: the reopened store lists every commit of every root as the live
 // one does — hash, tree, parent, turn and stamp, none of which a commit
 // record spells but the tree — and every event in order, and indexes the
 // same chunks, each readable.
@@ -115,13 +116,23 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 			if _, err := s.CommitDatabase("db/main", demoDB(300), 0); err != nil {
 				t.Fatal(err)
 			}
-		}, treeInline},
-		{"a fresh tree", func() { first = commit("session/a", 1, 2, (*Batch).Commit) }, treeInline},
+		}, treeBack},
+		{"a fresh tree", func() { first = commit("session/a", 1, 2, (*Batch).Commit) }, treeBack},
 		{"a fresh tree on a parent, with a mark", func() {
 			b := s.NewBatch(nil)
 			b.Mark("session/b")
 			b.Version("session/a", sessTree(b, 2), 4)
 			if err := b.Land(); err != nil {
+				t.Fatal(err)
+			}
+		}, treeBack},
+		{"a tree with a ref no frame holds", func() {
+			b := s.NewBatch(nil)
+			tree, err := b.Put("sess", []Hash{hashBytes([]byte("elsewhere"))}, []byte{3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Commit("session/c", tree, 2); err != nil {
 				t.Fatal(err)
 			}
 		}, treeInline},
@@ -154,7 +165,7 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, none},
-		{"a commit on the adopted one", func() { commit("shard/00", 4, 12, (*Batch).Commit) }, treeInline},
+		{"a commit on the adopted one", func() { commit("shard/00", 4, 12, (*Batch).Commit) }, treeBack},
 	} {
 		step.do()
 		if step.form != none {

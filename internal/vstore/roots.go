@@ -105,13 +105,23 @@ func nextCommit(parent *Commit, tree Hash, turn int, stamp int64) (Commit, []byt
 }
 
 // replayCommitLocked applies the commit record v for root that the
-// journal scan found at off, n bytes long: its inline tree node, or the
-// stored one it names, and the commit it stands for — on the root's head,
-// at the store's next stamp, as the writer's was — enter the index at
-// the record, the commit payload joins the scan's commits, and the root's
-// log and the events take the commit. A stored tree the scan has not
-// passed is an error. Caller holds s.mu exclusively.
-func (s *Store) replayCommitLocked(root string, v *versionRecord, off int64, n int, commits map[Hash][]byte) error {
+// journal scan found at off, n bytes long: its inline tree node — in the
+// back form, its refs resolved and its address that of the canonical
+// payload they render — or the stored one it names, and the commit it
+// stands for — on the root's head, at the store's next stamp, as the
+// writer's was — enter the index at the record, in that order, the
+// commit payload joins the scan's commits, and the root's log and the
+// events take the commit. A stored tree the scan has not passed is an
+// error, and so is a distance past the first chunk. Caller holds s.mu
+// exclusively.
+func (s *Store) replayCommitLocked(r *replay, root string, v *versionRecord, off int64, n int) error {
+	if v.Node != nil && v.Tree == "" {
+		canonical, err := r.canonical(v.Node, &v.Inline)
+		if err != nil {
+			return err
+		}
+		v.Tree = hashBytes(canonical)
+	}
 	if _, ok := s.chunks[v.Tree]; !ok && v.Node == nil {
 		return fmt.Errorf("vstore: commit record for %q names tree %s, which no frame before it holds", root, v.Tree)
 	}
@@ -124,10 +134,10 @@ func (s *Store) replayCommitLocked(root string, v *versionRecord, off int64, n i
 		return err
 	}
 	if v.Node != nil {
-		s.chunks[v.Tree] = &chunk{off: off, n: n, refs: v.NodeRefs, host: recordTree}
+		s.indexLocked(r, v.Tree, &chunk{off: off, n: n, refs: v.Inline.R, host: recordTree})
 	}
-	s.chunks[c.Hash] = &chunk{off: off, n: n, refs: []Hash{v.Tree}, host: recordCommit, commit: &c}
-	commits[c.Hash] = payload
+	s.indexLocked(r, c.Hash, &chunk{off: off, n: n, refs: []Hash{v.Tree}, host: recordCommit, commit: &c})
+	r.commits[c.Hash] = payload
 	s.appendEntryLocked(root, c)
 	return nil
 }

@@ -30,11 +30,14 @@
 // chunk, shipped from another store, to a root's log; a mark record
 // notes a root at its point in the journal and changes no log — an
 // event its owner gives meaning to (the session store's evictions). Every payload is
-// binary, every address its 32 raw bytes (payload.go has the layouts). A
-// record spells nothing the frames before it hold: an append record
-// names a commit chunk that precedes it, a commit record leaves out its
-// commit's parent and stamp, and the log entry is rebuilt from them on
-// open. That is the store's one format: Open refuses a directory holding
+// binary (payload.go has the layouts). A frame spells nothing the frames
+// before it hold: a ref to a chunk earlier in the journal is its
+// distance back in the journal's chunk order, not its 32-byte address,
+// an append record names a commit chunk that precedes it, a commit
+// record leaves out its commit's parent and stamp, and the canonical
+// chunk and the log entry are rebuilt from them on open, so every
+// address, every read and every packet is what the canonical bytes
+// make it. That is the store's one format: Open refuses a directory holding
 // anything older with a *FormatError, naming the last commit that reads
 // it. A version enters the store one way: a Batch stages its new chunks
 // and puts them and its commit records into the journal with one append,
@@ -55,12 +58,15 @@
 package vstore
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"github.com/reliable-cda/cda/internal/framelog"
@@ -151,10 +157,11 @@ func malformed(h Hash, format string, args ...any) error {
 // chunk is one index entry: where the chunk's frame lies in the journal
 // and the refs every graph walk needs.
 type chunk struct {
-	off  int64 // the frame's offset in the journal
-	n    int   // the frame's payload length
-	refs []Hash
-	data []byte // memory-only store: the payload itself (see payloadLocked)
+	off   int64 // the frame's offset in the journal
+	n     int   // the frame's payload length
+	place int64 // the chunk's place in the journal's chunk order
+	refs  []Hash
+	data  []byte // memory-only store: the payload itself (see payloadLocked)
 	// host says where in its frame the chunk lies; for a commit a
 	// commit record stands for, commit is its log entry, whose parent
 	// and stamp the record leaves out.
@@ -171,10 +178,13 @@ const (
 	recordCommit             // the commit chunk a commit record stands for
 )
 
-// chunkFields are a decoded chunk: its kind, refs and data.
+// chunkFields are a decoded chunk: its kind, refs and data — in the
+// back form, the distances B its refs lie back in the journal's chunk
+// order, until the journal scan resolves them into R.
 type chunkFields struct {
 	K string
 	R []Hash
+	B []uint64
 	D []byte
 }
 
@@ -189,12 +199,14 @@ type rootRecord struct {
 }
 
 // versionRecord is what a commit record holds of the commit it stands
-// for: its turn and its tree, and in form 1 the tree node itself.
+// for: its turn and its tree, and in form 1 or 6 the tree node itself.
+// Tree is the address a form 0 or 1 record spells or hashes; a form 6
+// one's the journal scan renders once it has resolved Inline's refs.
 type versionRecord struct {
-	Turn     int
-	Tree     Hash
-	Node     []byte // form 1: the node's chunk payload, aliasing the record; nil in form 0
-	NodeRefs []Hash
+	Turn   int
+	Tree   Hash
+	Node   []byte // form 1 or 6: the node's payload as the record holds it, aliasing it; nil in form 0
+	Inline chunkFields
 }
 
 // record is any journal payload, decoded (decodePayload): a chunk, or a
@@ -255,11 +267,16 @@ type Store struct {
 	pack   *framelog.Log // the journal; nil when memory-only or closed
 	closed bool          // Close has released the journal: every write fails
 	// Writes in flight: appended, not yet covered by an fsync, in journal
-	// order, with the chunks they add and the newest commit each adds to
-	// a root, which later writes build on and no reader sees.
+	// order, with the chunks they add, at their places in the journal's
+	// chunk order, and the newest commit each adds to a root, which later
+	// writes build on and no reader sees.
 	queue    []*write
-	unsynced map[Hash]bool
+	unsynced map[Hash]int64
 	heads    map[string]Commit
+	// next is the place in the journal's chunk order that the next chunk
+	// the journal takes gets: how many chunks the journal holds, writes in
+	// flight included.
+	next int64
 }
 
 // packMagic tags the journal's frames in the shared framelog layout. A
@@ -304,7 +321,7 @@ func (e *FormatError) Error() string {
 // decodePayload takes for an older shape.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, chunks: map[Hash]*chunk{}, roots: map[string][]Commit{},
-		unsynced: map[Hash]bool{}, heads: map[string]Commit{}}
+		unsynced: map[Hash]int64{}, heads: map[string]Commit{}}
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -382,15 +399,17 @@ func NewMemory() *Store {
 // openPack opens (creating if absent) the journal and replays it:
 // chunks enter the index at their offsets, root records rebuild the
 // root logs, and a commit record both: the commit it stands for — and
-// its tree, when inline — enter the index at the record's offset. A
-// torn tail left by a crash mid-append — or a payload that does not
-// decode, or a root record whose commit chunk does not precede it, or a
-// commit record whose stored tree does not — ends the valid prefix and
-// is truncated by the log. A frame of an
-// older format is a *FormatError: the scan keeps it and every frame
-// after it, so the log truncates nothing but a torn tail, and Open
-// fails. Only Open can see the store yet; s.mu is taken so that every
-// caller of a *Locked helper holds it, replay included.
+// its tree, when inline — enter the index at the record's offset. Each
+// chunk takes the next place in the journal's chunk order, which
+// resolves a back form's refs. A torn tail left by a crash mid-append —
+// or a payload that does not decode, or a root record whose commit chunk
+// does not precede it, or a commit record whose stored tree does not, or
+// a back form whose distance reaches before the first chunk — ends the
+// valid prefix and is truncated by the log. A frame of an older format
+// is a *FormatError: the scan keeps it and every frame after it, so the
+// log truncates nothing but a torn tail, and Open fails. Only Open can
+// see the store yet; s.mu is taken so that every caller of a *Locked
+// helper holds it, replay included.
 func (s *Store) openPack() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,12 +417,7 @@ func (s *Store) openPack() error {
 	if f, ok := s.cfg.Faults.(framelog.Faults); ok {
 		opts.Faults = f
 	}
-	// The log cannot be read until Open returns it, so root records are
-	// resolved against the commit chunks this scan has passed: payloads
-	// that alias its read buffer and go when it does, and those commit
-	// records stand for. One it has not passed is nil, which decodes as no
-	// commit, and the record is refused.
-	commits := map[Hash][]byte{}
+	r := &replay{commits: map[Hash][]byte{}}
 	path := filepath.Join(s.cfg.Dir, packName)
 	var old *FormatError
 	var off int64
@@ -421,23 +435,27 @@ func (s *Store) openPack() error {
 			}
 			switch {
 			case rec.Version != nil:
-				if s.replayCommitLocked(*rec.Root, rec.Version, off, len(payload), commits) != nil {
+				if s.replayCommitLocked(r, *rec.Root, rec.Version, off, len(payload)) != nil {
 					return false
 				}
 			case rec.Mark:
 				s.events = append(s.events, event{root: *rec.Root, i: -1})
 			case rec.Root != nil:
-				c, err := commitEntry(rec.Commit, commits[rec.Commit])
+				c, err := commitEntry(rec.Commit, r.commits[rec.Commit])
 				if err != nil {
 					return false
 				}
 				s.appendEntryLocked(*rec.Root, c)
 			default:
-				h := hashBytes(payload)
-				if rec.K == "commit" {
-					commits[h] = payload
+				canonical, err := r.canonical(payload, &rec.chunkFields)
+				if err != nil {
+					return false
 				}
-				s.chunks[h] = &chunk{off: off, n: len(payload), refs: rec.R}
+				h := hashBytes(canonical)
+				if rec.K == "commit" {
+					r.commits[h] = bytes.Clone(canonical)
+				}
+				s.indexLocked(r, h, &chunk{off: off, n: len(payload), refs: rec.R})
 			}
 			off += int64(len(frame))
 			return true
@@ -446,6 +464,44 @@ func (s *Store) openPack() error {
 		err = errors.Join(old, s.pack.Close())
 	}
 	return err
+}
+
+// replay is what the journal scan keeps while Open runs it.
+type replay struct {
+	// commits are the payloads of the commit chunks the scan has passed,
+	// framed or stood for by a commit record: root records resolve against
+	// them, because the log cannot be read until Open returns it. One the
+	// scan has not passed is nil, which decodes as no commit, and the
+	// record is refused.
+	commits map[Hash][]byte
+	// order is every chunk the scan has indexed, in the journal's chunk
+	// order: what a back form's distances count back through.
+	order []Hash
+	buf   []byte // a back form's canonical payload, rendered to be hashed
+}
+
+// canonical is the canonical payload of the chunk f decoded from the
+// frame payload p: p itself, or, for a back form, the payload its
+// resolved refs — which f takes — render, valid until the next call.
+func (r *replay) canonical(p []byte, f *chunkFields) ([]byte, error) {
+	if f.B == nil {
+		return p, nil
+	}
+	var err error
+	if f.R, err = resolveBack(r.order, f.B); err != nil {
+		return nil, err
+	}
+	r.buf, err = renderChunk(r.buf, f.K, f.R, f.D)
+	return r.buf, err
+}
+
+// indexLocked indexes chunk h, which the scan found, at the next place
+// in the journal's chunk order. Caller holds s.mu exclusively.
+func (s *Store) indexLocked(r *replay, h Hash, c *chunk) {
+	c.place = int64(len(r.order))
+	r.order = append(r.order, h)
+	s.chunks[h] = c
+	s.next = c.place + 1
 }
 
 // hashBytes addresses a payload.
@@ -492,8 +548,18 @@ func (s *Store) appendPack(turn *obs.Turn, payloads [][]byte) ([]int64, int64, e
 // hasLocked reports whether the store holds chunk h or a write in flight
 // adds it: whether a write need not frame it again. Caller holds s.mu.
 func (s *Store) hasLocked(h Hash) bool {
-	_, ok := s.chunks[h]
-	return ok || s.unsynced[h]
+	_, ok := s.placeLocked(h)
+	return ok
+}
+
+// placeLocked is chunk h's place in the journal's chunk order, if the
+// store holds it or a write in flight adds it. Caller holds s.mu.
+func (s *Store) placeLocked(h Hash) (int64, bool) {
+	if c, ok := s.chunks[h]; ok {
+		return c.place, true
+	}
+	place, ok := s.unsynced[h]
+	return place, ok
 }
 
 // tipLocked is the newest commit on root, a write in flight's included:
@@ -512,18 +578,54 @@ func (s *Store) tipLocked(root string) (Commit, bool) {
 // writeLocked appends the staged chunks no write has framed, each a frame
 // of its own, then recs, the root records of entries — the frames that
 // hold every staged chunk hosted in one — with one append counted
-// against turn, and returns the write, which settle installs. A failed or
-// torn append changes nothing in memory. Caller holds s.mu exclusively.
+// against turn, and returns the write, which settle installs. Each chunk
+// takes the next place in the journal's chunk order, its own frames'
+// first, in staged order, then each record's, its tree node before its
+// commit; one whose refs all lie before it is framed, or carried, in the
+// back form. A failed or torn append changes nothing in memory. Caller
+// holds s.mu exclusively.
 func (s *Store) writeLocked(turn *obs.Turn, staged []stagedChunk, recs [][]byte, entries []entry) (*write, error) {
-	var fresh []stagedChunk
-	var payloads [][]byte
+	var fresh, hosted []stagedChunk
 	for _, st := range staged {
-		if s.hasLocked(st.hash) {
-			continue
+		switch {
+		case st.host != ownFrame:
+			// A record's chunks take their places whatever the store
+			// holds, as the scan gives them.
+			hosted = append(hosted, st)
+		case !s.hasLocked(st.hash):
+			fresh = append(fresh, st)
 		}
-		fresh = append(fresh, st)
-		if st.host == ownFrame {
-			payloads = append(payloads, st.payload)
+	}
+	slices.SortStableFunc(hosted, func(a, b stagedChunk) int { return cmp.Or(a.rec-b.rec, int(a.host)-int(b.host)) })
+	fresh = append(fresh, hosted...)
+	places := make(map[Hash]int64, len(fresh))
+	for i, st := range fresh {
+		places[st.hash] = s.next + int64(i)
+	}
+	placeOf := func(h Hash) (int64, bool) {
+		if place, ok := places[h]; ok {
+			return place, true
+		}
+		return s.placeLocked(h)
+	}
+	payloads := make([][]byte, 0, len(fresh)-len(hosted)+len(recs))
+	recs = slices.Clone(recs)
+	for _, st := range fresh {
+		payload := st.payload
+		if dists, ok := backDists(st.refs, places[st.hash], placeOf); ok && s.pack != nil {
+			var err error
+			if payload, err = backForm(st.payload, dists); err != nil {
+				return nil, err
+			}
+		}
+		switch st.host {
+		case ownFrame:
+			payloads = append(payloads, payload)
+		case recordTree:
+			// The record ends in the node's canonical payload; it carries
+			// whichever form the node is framed in.
+			rec := recs[st.rec]
+			recs[st.rec] = append(slices.Clip(rec[:len(rec)-len(st.payload)]), payload...)
 		}
 	}
 	first := len(payloads)
@@ -533,12 +635,10 @@ func (s *Store) writeLocked(turn *obs.Turn, staged []stagedChunk, recs [][]byte,
 		return nil, err
 	}
 	w := &write{log: s.pack, end: end, chunks: fresh, offs: make([]chunk, len(fresh)), entries: entries}
-	next := 0
 	for i, st := range fresh {
-		c := chunk{n: len(st.payload), refs: st.refs, host: st.host, commit: st.commit}
+		c := chunk{place: places[st.hash], refs: st.refs, host: st.host, commit: st.commit}
 		if st.host == ownFrame {
-			c.off = offs[next]
-			next++
+			c.off, c.n = offs[i], len(payloads[i])
 		} else {
 			c.off, c.n = offs[first+st.rec], len(recs[st.rec])
 		}
@@ -547,6 +647,7 @@ func (s *Store) writeLocked(turn *obs.Turn, staged []stagedChunk, recs [][]byte,
 		}
 		w.offs[i] = c
 	}
+	s.next += int64(len(fresh))
 	for _, e := range entries {
 		s.stamp = max(s.stamp, e.commit.Stamp)
 	}
@@ -555,8 +656,8 @@ func (s *Store) writeLocked(turn *obs.Turn, staged []stagedChunk, recs [][]byte,
 		return w, nil
 	}
 	turn.Add(obs.ChunksJournalled, len(fresh))
-	for _, st := range fresh {
-		s.unsynced[st.hash] = true
+	for i, st := range fresh {
+		s.unsynced[st.hash] = w.offs[i].place
 	}
 	for _, e := range entries {
 		if !e.mark {
@@ -593,7 +694,7 @@ func (s *Store) installSyncedLocked(log *framelog.Log) {
 		s.queue = s.queue[1:]
 	}
 	if log.Dead() {
-		s.queue, s.unsynced, s.heads = nil, map[Hash]bool{}, map[string]Commit{}
+		s.queue, s.unsynced, s.heads = nil, map[Hash]int64{}, map[string]Commit{}
 	}
 }
 
@@ -641,39 +742,56 @@ func (s *Store) Events() []Event {
 	return out
 }
 
-// payloadLocked returns a chunk's payload: one pread of its frame,
-// refused unless magic, length and checksum verify — rebuilt, for a
-// chunk a commit record hosts, as the canonical bytes it stands for —
-// or, in a memory-only store, the bytes its entry kept, so callers treat
-// the result as read-only. It runs under s.mu (either mode) because an
-// append moves the journal's size, and Close its file, under the exclusive
-// lock; the decode can follow the unlock.
+// payloadLocked returns a chunk's canonical payload: framedLocked's,
+// rendered from the chunk's refs when the frame holds its back form.
 func (s *Store) payloadLocked(h Hash) ([]byte, error) {
+	p, c, err := s.framedLocked(h)
+	if err != nil || p[0] != tagBack {
+		return p, err
+	}
+	if p, err = renderBack(p[1:], c.refs); err != nil {
+		return nil, fmt.Errorf("vstore: read chunk %s: %w", h, err)
+	}
+	return p, nil
+}
+
+// framedLocked returns chunk h's payload as the journal spells it, and
+// its index entry: one pread of its frame, refused unless magic, length
+// and checksum verify, then framedPayload — or, in a memory-only store,
+// the canonical bytes its entry kept — so callers treat the result as
+// read-only. It runs under s.mu (either mode) because an append moves
+// the journal's size, and Close its file, under the exclusive lock; the
+// decode can follow the unlock.
+func (s *Store) framedLocked(h Hash) ([]byte, *chunk, error) {
 	c, ok := s.chunks[h]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownChunk, h)
 	}
 	if s.pack == nil {
 		if c.data == nil {
-			return nil, fmt.Errorf("vstore: read chunk %s: the store is closed", h)
+			return nil, nil, fmt.Errorf("vstore: read chunk %s: the store is closed", h)
 		}
-		return c.data, nil
+		return c.data, c, nil
 	}
-	payload, err := s.pack.ReadFrame(packMagic, c.off, c.n)
-	if err == nil && c.host != ownFrame {
-		payload, err = hostedPayload(payload, c)
+	p, err := s.pack.ReadFrame(packMagic, c.off, c.n)
+	if err == nil {
+		p, err = framedPayload(p, c)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("vstore: read chunk %s: %w", h, err)
+		return nil, nil, fmt.Errorf("vstore: read chunk %s: %w", h, err)
 	}
-	return payload, nil
+	return p, c, nil
 }
 
-// hostedPayload rebuilds the payload of the chunk c a commit record
-// hosts from the record's bytes p: the inline tree node is the record's
-// tail, which starts with the chunk tag; the commit chunk is rendered
-// from its log entry.
-func hostedPayload(p []byte, c *chunk) ([]byte, error) {
+// framedPayload is the payload of the chunk c as the frame payload p
+// that holds it spells it, in either form: p itself, or, hosted in a
+// commit record, the inline tree node — the record's tail, which starts
+// with the chunk's tag — or the commit chunk, rendered from its log
+// entry.
+func framedPayload(p []byte, c *chunk) ([]byte, error) {
+	if c.host == ownFrame {
+		return p, nil
+	}
 	if len(p) == 0 || p[0] != tagCommit {
 		return nil, errors.New("the frame is no commit record")
 	}
@@ -685,7 +803,7 @@ func hostedPayload(p []byte, c *chunk) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tree[0] != treeInline {
+	if tree[0] != treeInline && tree[0] != treeBack {
 		return nil, errors.New("the commit record carries no tree node")
 	}
 	return tree, nil
@@ -708,22 +826,6 @@ func (s *Store) Has(h Hash) bool {
 	return ok
 }
 
-// get reads and decodes one chunk. Callers treat the
-// returned data as read-only.
-func (s *Store) get(h Hash) (chunkFields, error) {
-	s.mu.RLock()
-	payload, err := s.payloadLocked(h)
-	s.mu.RUnlock()
-	if err != nil {
-		return chunkFields{}, err
-	}
-	rec, err := decodePayload(payload)
-	if err != nil {
-		return chunkFields{}, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
-	}
-	return rec.chunkFields, nil
-}
-
 // Refs returns a chunk's child addresses.
 func (s *Store) Refs(h Hash) ([]Hash, error) {
 	s.mu.RLock()
@@ -736,13 +838,20 @@ func (s *Store) Refs(h Hash) ([]Hash, error) {
 }
 
 // Data returns a chunk's kind and its data bytes, which the caller
-// treats as read-only and decodes itself.
+// treats as read-only and decodes itself: read from the chunk as its
+// frame spells it, so a back form's refs are not rendered.
 func (s *Store) Data(h Hash) (string, []byte, error) {
-	env, err := s.get(h)
+	s.mu.RLock()
+	p, _, err := s.framedLocked(h)
+	s.mu.RUnlock()
 	if err != nil {
 		return "", nil, err
 	}
-	return env.K, env.D, nil
+	rec, err := decodePayload(p)
+	if err != nil {
+		return "", nil, fmt.Errorf("vstore: decode chunk %s: %w", h, err)
+	}
+	return rec.K, rec.D, nil
 }
 
 // PacketOf exports one chunk in wire form.
