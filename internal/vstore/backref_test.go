@@ -110,16 +110,6 @@ func backScript(t testing.TB, seed int64, stores ...*Store) {
 	}
 }
 
-// mustPackets exports hs from s.
-func mustPackets(t testing.TB, s *Store, hs []Hash) []Packet {
-	t.Helper()
-	ps, err := s.Packets(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ps
-}
-
 // requireSameChunks requires got to index the chunks want does, each
 // with the same refs, kind, data and packet bytes, and every packet to
 // hash to its address.
@@ -189,52 +179,32 @@ func TestBackRefsReadBackCanonical(t *testing.T) {
 // TestAddPacketsKeepsForwardRefsWhole ships a three-level tree the way
 // negotiation does, a level a round, parents first: each round's chunks
 // ref chunks the next round brings, so they keep full addresses, land,
-// and reopen. The same packets in one batch, parents first, are framed
-// children first, and every chunk with refs spells them back.
+// and reopen.
 func TestAddPacketsKeepsForwardRefsWhole(t *testing.T) {
 	src := NewMemory()
 	c, err := src.CommitDatabase("db/main", demoDB(2000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, oneBatch := range []bool{false, true} {
-		dir := t.TempDir()
-		dst := openDir(t, dir)
-		if oneBatch {
-			var all []Hash
-			for frontier := []Hash{c.Hash}; len(frontier) > 0; {
-				all = append(all, frontier...)
-				var next []Hash
-				for _, h := range frontier {
-					refs, err := src.Refs(h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					next = append(next, refs...)
-				}
-				frontier = next
-			}
-			if err := dst.AddPackets(mustPackets(t, src, all)); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := pullFrom(src, dst, c.Hash, 1000); err != nil {
+	dir := t.TempDir()
+	dst := openDir(t, dir)
+	if _, err := pullFrom(src, dst, c.Hash, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.HasClosure(c.Hash) {
+		t.Fatal("closure incomplete after the ship")
+	}
+	for _, p := range journalPayloads(t, filepath.Join(dir, packName)) {
+		rec, err := decodePayload(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !dst.HasClosure(c.Hash) {
-			t.Fatal("closure incomplete after the ship")
+		if n := len(rec.R) + len(rec.B); n > 0 && p[0] != tagChunk {
+			t.Errorf("a %s chunk with %d refs is framed with tag %#x", rec.K, n, p[0])
 		}
-		for _, p := range journalPayloads(t, filepath.Join(dir, packName)) {
-			rec, err := decodePayload(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := len(rec.R) + len(rec.B); n > 0 && (p[0] == tagBack) != oneBatch {
-				t.Errorf("one batch %v: a %s chunk with %d refs is framed with tag %#x", oneBatch, rec.K, n, p[0])
-			}
-		}
-		requireSameChunks(t, dst, src)
-		requireCopyReopens(t, dir, dst)
 	}
+	requireSameChunks(t, dst, src)
+	requireCopyReopens(t, dir, dst)
 }
 
 // TestJournalRefusesBadBackRefs: a back form no writer produces ends the

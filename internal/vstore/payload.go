@@ -85,29 +85,10 @@ func isAddr(h Hash) bool {
 
 // appendAddr appends h's 32 raw bytes, refusing an h isAddr refuses.
 func appendAddr(p []byte, h Hash) ([]byte, error) {
-	if len(h) != 2*addrLen {
+	if !isAddr(h) {
 		return nil, fmt.Errorf("vstore: %q is not an address", h)
 	}
-	for i := 0; i < len(h); i += 2 {
-		hi, okHi := unhex(h[i])
-		lo, okLo := unhex(h[i+1])
-		if !okHi || !okLo {
-			return nil, fmt.Errorf("vstore: %q is not an address", h)
-		}
-		p = append(p, hi<<4|lo)
-	}
-	return p, nil
-}
-
-// unhex is the value of a lowercase hex digit.
-func unhex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	}
-	return 0, false
+	return hex.AppendDecode(p, []byte(h))
 }
 
 // appendAddrs appends a uvarint count and each address.

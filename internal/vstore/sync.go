@@ -63,8 +63,8 @@ func (s *Store) HasClosure(target Hash) bool {
 // chunk a writer of this store produces (decodePayload, checkShipped),
 // so a chunk of an older format is ErrBadPacket like any forgery, and a
 // bad one anywhere in the batch installs nothing. Then the chunks the
-// store lacks are journalled with one flushed append, children first,
-// so that a chunk's refs into its own batch are back refs.
+// store lacks are journalled with one flushed append, in batch order: a
+// chunk whose refs the journal already holds is framed in its back form.
 func (s *Store) AddPackets(ps []Packet) error {
 	staged := make([]stagedChunk, 0, len(ps))
 	seen := map[Hash]bool{}
@@ -85,40 +85,10 @@ func (s *Store) AddPackets(ps []Packet) error {
 		}
 	}
 	s.mu.Lock()
-	w, err := s.writeLocked(nil, childrenFirst(staged), nil, nil)
+	w, err := s.writeLocked(nil, staged, nil, nil)
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return s.settle(w)
-}
-
-// childrenFirst orders a batch so that every chunk follows the chunks of
-// the batch it refs, and is otherwise stable: a depth-first walk in batch
-// order that puts a chunk after its refs. A negotiation round ships a
-// frontier top-down; its chunks' refs into the rounds still to come stay
-// forward refs, which the journal spells in full.
-func childrenFirst(staged []stagedChunk) []stagedChunk {
-	at := make(map[Hash]int, len(staged))
-	for i, st := range staged {
-		at[st.hash] = i
-	}
-	out := make([]stagedChunk, 0, len(staged))
-	done := make([]bool, len(staged))
-	var visit func(i int)
-	visit = func(i int) {
-		done[i] = true
-		for _, r := range staged[i].refs {
-			if j, ok := at[r]; ok && !done[j] {
-				visit(j)
-			}
-		}
-		out = append(out, staged[i])
-	}
-	for i := range staged {
-		if !done[i] {
-			visit(i)
-		}
-	}
-	return out
 }

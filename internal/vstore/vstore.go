@@ -611,11 +611,17 @@ func (s *Store) writeLocked(turn *obs.Turn, staged []stagedChunk, recs [][]byte,
 	payloads := make([][]byte, 0, len(fresh)-len(hosted)+len(recs))
 	recs = slices.Clone(recs)
 	for _, st := range fresh {
+		if st.host == recordCommit {
+			// A commit record stands for its commit chunk; no frame spells it.
+			continue
+		}
 		payload := st.payload
-		if dists, ok := backDists(st.refs, places[st.hash], placeOf); ok && s.pack != nil {
-			var err error
-			if payload, err = backForm(st.payload, dists); err != nil {
-				return nil, err
+		if s.pack != nil {
+			if dists, ok := backDists(st.refs, places[st.hash], placeOf); ok {
+				var err error
+				if payload, err = backForm(st.payload, dists); err != nil {
+					return nil, err
+				}
 			}
 		}
 		switch st.host {
