@@ -1,6 +1,6 @@
 // Command cdarouter fronts a cluster of cdaserver nodes: it places
 // sessions on a consistent-hash ring, ships each committed turn's record
-// frames from the owning primary to its replica, serves transcript
+// from the owning primary to its replica, serves transcript
 // reads from replicas, and fails a member over to its replica when
 // the primary stops acking.
 //

@@ -276,7 +276,7 @@ type ClusterPartitionScenario struct {
 	// SnapshotEvery is both stores' compaction cadence (default 4 —
 	// small enough that the primary compacts past the replica's cursor
 	// during the partition, so the heal ships the shard root, negotiates
-	// its chunks, and resumes bounded frame catch-up on top of it; at 3
+	// its chunks, and resumes bounded record catch-up on top of it; at 3
 	// the shard root covers the whole partition, one ship step catches
 	// the replica up, and its mid-catch-up page is never stale).
 	SnapshotEvery int
@@ -392,7 +392,7 @@ func ClusterPartitionHeal(ctx context.Context, sc ClusterPartitionScenario) (*Cl
 	// replica has never seen.
 	res.LagAtHeal = pn.Store().ReplicationCursor(shard) - rn.Store().ReplicationCursor(shard)
 
-	// One bounded ship step — the shard root and one frame: the replica
+	// One bounded ship step — the shard root and one record: the replica
 	// now KNOWS it is behind (the applied batch carries the primary's
 	// cursor) and stamps its pages. Chunk growth on the replica from
 	// here to the end of the catch-up measures what the heal moved.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -488,6 +489,55 @@ func TestRouterHealsBelowTheHorizon(t *testing.T) {
 	}
 	if rp.Stale || rp.Total != 10 || fmt.Sprint(rp.Turns) != fmt.Sprint(pp.Turns) {
 		t.Errorf("healed replica page = %+v, want the primary's %+v", rp, pp)
+	}
+}
+
+// staleReplica is a replica that reads no record of a batch — as one
+// older than the batch's format does — and answers every Apply with the
+// cursor it already had. It stops answering after maxApplies calls, so a
+// router that repeats such an apply forever ends.
+type staleReplica struct {
+	*LocalNode
+	applies int
+}
+
+const maxApplies = 50
+
+func (n *staleReplica) Apply(_ context.Context, batch sessionstore.ShipBatch) (int64, error) {
+	if n.applies++; n.applies > maxApplies {
+		return 0, fmt.Errorf("%w: applied %d times", ErrNodeDown, n.applies)
+	}
+	return n.Store().ReplicationCursor(batch.Shard), nil
+}
+
+// TestShipThatMovesNothingIsAnError: an apply that leaves the replica's
+// cursor where it was while the primary is ahead is an error naming the
+// replica, and the router tries it once more after re-learning the
+// cursor, not again and again.
+func TestShipThatMovesNothingIsAnError(t *testing.T) {
+	ctx := context.Background()
+	sys := testSystem(1)
+	p := NewLocalNode("n1-primary", sessionstore.NewMemory(sessionstore.Config{Shards: 1}), sys)
+	stale := &staleReplica{LocalNode: NewLocalNode("n1-replica", sessionstore.NewMemory(sessionstore.Config{Shards: 1}), sys)}
+	r, err := NewRouter(Config{Members: []Member{{Name: "n1", Primary: p, Replica: stale}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "replica n1-replica applied nothing of shard 0"
+	// The create's own ship, and then a catch-up, each try twice: once,
+	// and once after the router re-learned the replica's cursor.
+	if _, err := r.CreateSession(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Status(ctx); !strings.Contains(st[0].ShipError, want) || stale.applies != 2 {
+		t.Errorf("after the create: ship error %q and %d applies; want %q and 2", st[0].ShipError, stale.applies, want)
+	}
+	stale.applies = 0
+	if err := r.CatchUp(ctx, "n1"); err == nil || !strings.Contains(err.Error(), want) || stale.applies != 2 {
+		t.Errorf("catch-up = %v after %d applies; want %q after 2", err, stale.applies, want)
+	}
+	if caughtUp, err := r.ShipStep(ctx, "n1", 0, 0); caughtUp || err == nil {
+		t.Errorf("ship step = caught up %v, %v; want an error", caughtUp, err)
 	}
 }
 

@@ -544,7 +544,7 @@ func newShipWorld(t *testing.T) *shipWorld {
 
 func (w *shipWorld) pull(t *testing.T, after int64) sessionstore.ShipBatch {
 	t.Helper()
-	b, err := w.primary.PullFrames(w.shard, after, 0)
+	b, err := w.primary.PullRecords(w.shard, after, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func applyRow(name string, after int64, status int, match matcher) shipRow {
 func ownShard(w *shipWorld) int { return w.shard }
 
 // batchIs matches a ShipBatch: a snapshot root or none, and the ship
-// sequences of its frames.
+// sequences of its records.
 func batchIs(root bool, seqs ...int64) matcher {
 	return func(t *testing.T, body []byte) {
 		t.Helper()
@@ -603,11 +603,11 @@ func batchIs(root bool, seqs ...int64) matcher {
 			t.Fatalf("body is not a batch: %s", body)
 		}
 		var got []int64
-		for _, f := range b.Frames {
-			got = append(got, f.Seq)
+		for _, r := range b.Records {
+			got = append(got, r.Seq)
 		}
 		if (b.SnapshotRoot != "") != root || fmt.Sprint(got) != fmt.Sprint(seqs) || b.PrimaryCursor != 7 {
-			t.Errorf("batch = root %q, frames %v, primary cursor %d; want a root %v, frames %v, cursor 7",
+			t.Errorf("batch = root %q, records %v, primary cursor %d; want a root %v, records %v, cursor 7",
 				b.SnapshotRoot, got, b.PrimaryCursor, root, seqs)
 		}
 		if root && b.SnapshotSeq != shipSnapEvery {
@@ -623,8 +623,15 @@ var shipConformance = []shipRow{
 	pullRow("pull from a cursor ahead of the primary", ownShard, 99, 0, 409, refusal("replica cursor 99 ahead of shard")),
 	pullRow("pull at the horizon", ownShard, shipSnapEvery, 0, 200, batchIs(false, 7)),
 	pullRow("pull below the horizon", ownShard, 4, 0, 200, batchIs(true, 7)),
-	applyRow("apply with a gap", shipSnapEvery, 409, refusal("replication gap; re-pull from the replica cursor: shard 1 at 4 got frame 7")),
+	applyRow("apply with a gap", shipSnapEvery, 409, refusal("replication gap; re-pull from the replica cursor: shard 1 at 4 got record 7")),
 	applyRow("apply with a missing closure", 4, 409, refusal("has chunks missing here; negotiate them before applying it")),
+	{name: "apply a batch of record frames", status: 400,
+		match: refusal(`a ship batch of binary WAL record frames, a format older than this store reads; the last commit that reads it is 4bc3512`),
+		call: func(ctx context.Context, _ *testing.T, w *shipWorld, _, replica NodeClient) (any, error) {
+			old := sessionstore.ShipBatch{Shard: w.shard, PrimaryCursor: 5, OldFrames: json.RawMessage(`[{"seq":5,"data":"xQ=="}]`)}
+			cur, err := replica.Apply(ctx, old)
+			return applied{cur}, err
+		}},
 }
 
 // lastResponse is an HTTP transport that keeps the last response's

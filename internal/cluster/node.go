@@ -40,7 +40,7 @@ type NodeClient interface {
 	Transcript(ctx context.Context, id string, offset, limit int) (server.TranscriptPage, error)
 	// Health returns the node's replication health report.
 	Health(ctx context.Context) (server.HealthReport, error)
-	// Pull fetches one shard's committed record frames after a cursor.
+	// Pull fetches one shard's committed records after a cursor.
 	Pull(ctx context.Context, shard int, after int64, max int) (sessionstore.ShipBatch, error)
 	// Apply installs a pulled batch, returning the shard's new cursor.
 	Apply(ctx context.Context, batch sessionstore.ShipBatch) (int64, error)

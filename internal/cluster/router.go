@@ -42,7 +42,7 @@ type Config struct {
 	ClusterAdmission *admission.Config
 }
 
-// shipMax bounds the frames per replication pull during the
+// shipMax bounds the records per replication pull during the
 // synchronous post-write ship and CatchUp.
 const shipMax = 64
 
@@ -76,7 +76,7 @@ func (m *member) isPromoted() bool {
 }
 
 // Router fronts the ring: it places sessions, admits requests, ships
-// record frames to replicas after every write, and fails a member over
+// records to replicas after every write, and fails a member over
 // to its replica when the primary's breaker trips. Safe for
 // concurrent use.
 type Router struct {
@@ -350,10 +350,14 @@ func (r *Router) shardCount(ctx context.Context, m *member) (int, error) {
 }
 
 // shipStep is one bounded catch-up step for one shard: pull at most
-// max frames after the router's cursor from the primary, negotiate
+// max records after the router's cursor from the primary, negotiate
 // the chunks of the shard root the batch carries, if any (replica
 // asks, primary serves, only the delta moves), apply the batch on the
-// replica and store the replica's new cursor.
+// replica and store the replica's new cursor. An apply that leaves the
+// replica's cursor at or below the router's while the primary is ahead
+// moved nothing — a replica that reads no record of the batch, such as
+// one older than the batch's format, answers so — and is an error, not a
+// step to repeat.
 func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caughtUp bool, err error) {
 	m.mu.Lock()
 	after := m.cursors[shard]
@@ -377,6 +381,10 @@ func (r *Router) shipStep(ctx context.Context, m *member, shard, max int) (caugh
 	m.mu.Lock()
 	m.cursors[shard] = cur
 	m.mu.Unlock()
+	if cur <= after && cur < batch.PrimaryCursor {
+		return false, fmt.Errorf("cluster: replica %s applied nothing of shard %d: its cursor is %d, the primary's %d",
+			m.Replica.Name(), shard, cur, batch.PrimaryCursor)
+	}
 	return cur >= batch.PrimaryCursor, nil
 }
 
@@ -483,14 +491,14 @@ func (r *Router) CatchUp(ctx context.Context, name string) error {
 }
 
 // ShipStep performs exactly one bounded catch-up step (shipStep) for
-// one shard of a member (maxFrames <= 0 takes the router's default)
+// one shard of a member (maxRecords <= 0 takes the router's default)
 // and reports whether the replica is now caught up — the primitive the
 // partition-heal chaos scenario uses to observe a replica mid-catch-up.
 // A member without a replica, or one already promoted, reports caught
-// up and ships nothing: its replica serves the member now, and frames
+// up and ships nothing: its replica serves the member now, and records
 // pulled from the deposed primary would fork its transcripts; nor does
 // a pair that shards differently (shardCount).
-func (r *Router) ShipStep(ctx context.Context, name string, shard, maxFrames int) (caughtUp bool, err error) {
+func (r *Router) ShipStep(ctx context.Context, name string, shard, maxRecords int) (caughtUp bool, err error) {
 	m, ok := r.members[name]
 	if !ok {
 		return false, fmt.Errorf("cluster: unknown member %q", name)
@@ -501,10 +509,10 @@ func (r *Router) ShipStep(ctx context.Context, name string, shard, maxFrames int
 	if _, err := r.shardCount(ctx, m); err != nil {
 		return false, err
 	}
-	if maxFrames <= 0 {
-		maxFrames = shipMax
+	if maxRecords <= 0 {
+		maxRecords = shipMax
 	}
-	return r.shipStep(ctx, m, shard, maxFrames)
+	return r.shipStep(ctx, m, shard, maxRecords)
 }
 
 // Probe health-checks every unpromoted primary, feeding the failover

@@ -93,7 +93,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /datasets", s.handleDatasets)
 	mux.HandleFunc("GET /sessions/{id}/asof/{turn}", s.handleTranscriptAsOf)
 	mux.HandleFunc("GET /versions/{root...}", s.handleVersions)
-	mux.HandleFunc("GET /replication/{shard}", s.handlePullFrames)
+	mux.HandleFunc("GET /replication/{shard}", s.handlePullRecords)
 	mux.HandleFunc("POST /replication/apply", s.handleApplyBatch)
 	mux.HandleFunc("POST /chunks/want", s.handleChunksWant)
 	mux.HandleFunc("POST /chunks/fetch", s.handleChunksFetch)
@@ -172,8 +172,8 @@ func queryInt(v string, def, floor int, complaint string) (int, error) {
 	return n, nil
 }
 
-// handlePullFrames serves GET /replication/{shard}?after=&max=.
-func (s *Server) handlePullFrames(w http.ResponseWriter, r *http.Request) {
+// handlePullRecords serves GET /replication/{shard}?after=&max=.
+func (s *Server) handlePullRecords(w http.ResponseWriter, r *http.Request) {
 	shard, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil {
 		shard = -1 // Pull words the refusal

@@ -270,10 +270,10 @@ func TestReplicationEndpointErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := decode[sessionstore.ShipBatch](t, resp)
-	if len(batch.Frames) != 2 {
-		t.Fatalf("pulled %d frames, want 2", len(batch.Frames))
+	if len(batch.Records) != 2 {
+		t.Fatalf("pulled %d records, want 2", len(batch.Records))
 	}
-	batch.Frames = batch.Frames[1:]
+	batch.Records = batch.Records[1:]
 	resp = postJSON(t, replica.URL+"/replication/apply", batch)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("gapped apply status = %d, want 409", resp.StatusCode)

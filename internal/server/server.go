@@ -35,8 +35,9 @@
 //	GET  /datasets                           catalog listing with freshness
 //	GET  /sessions/{id}/asof/{turn}          time-travel transcript read
 //	GET  /versions/{root...}                 a version root's commit log
-//	GET  /replication/{shard}?after=&max=    pull committed record frames (cluster shipping)
-//	POST /replication/apply                  apply a pulled batch on a replica
+//	GET  /replication/{shard}?after=&max=    pull committed records as JSON (cluster shipping)
+//	POST /replication/apply                  apply a pulled batch on a replica; 400 for a
+//	                                         batch of the record frames 4bc3512 shipped
 //	POST /chunks/want                        chunk negotiation: list missing chunks under a root
 //	POST /chunks/fetch                       chunk negotiation: serve chunk packets by hash
 //	POST /chunks/put                         chunk negotiation: store shipped packets
@@ -377,14 +378,14 @@ func (s *Server) checkShard(shard int) error {
 	return nil
 }
 
-// Pull returns one shard's committed record frames after a cursor, at
-// most max of them (0: all) — a sessionstore.ShipBatch a replica
-// applies verbatim.
+// Pull returns one shard's committed records after a cursor, at most
+// max of them (0: all) — a sessionstore.ShipBatch a replica applies
+// verbatim.
 func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, error) {
 	if err := s.checkShard(shard); err != nil {
 		return sessionstore.ShipBatch{}, err
 	}
-	batch, err := s.store.PullFrames(shard, after, max)
+	batch, err := s.store.PullRecords(shard, after, max)
 	if err != nil {
 		// A cursor ahead of this node's records means the puller has state we
 		// never shipped: the request is wrong, not the node.
@@ -395,17 +396,21 @@ func (s *Server) Pull(shard int, after int64, max int) (sessionstore.ShipBatch, 
 
 // Apply installs a shipped batch on this node's store and returns the
 // shard's new cursor, or 0 with a refusal. A batch that does not extend
-// the store — a frame gap, or a shard root whose chunks were not
+// the store — a record gap, or a shard root whose chunks were not
 // negotiated first — is an ErrConflict: the shipper re-learns the
-// cursor from Health and re-pulls.
+// cursor from Health and re-pulls. A batch in a format this node does
+// not read is an ErrBadRequest.
 func (s *Server) Apply(batch sessionstore.ShipBatch) (int64, error) {
 	if err := s.checkShard(batch.Shard); err != nil {
 		return 0, err
 	}
 	err := s.store.ApplyBatch(batch)
+	var old *vstore.FormatError
 	switch {
 	case errors.Is(err, sessionstore.ErrReplicaGap):
 		return 0, refuse(ErrConflict, "%v", err)
+	case errors.As(err, &old):
+		return 0, refuse(ErrBadRequest, "%v", err)
 	case err != nil:
 		return 0, fmt.Errorf("apply replication batch on shard %d: %w", batch.Shard, err)
 	}

@@ -10,48 +10,11 @@ import (
 
 	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/framelog"
-	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// walMagic tags this package's frames in the shared framelog layout:
-// one frame per record, the payload one binary walRecord — the unit the
-// replication tail holds and ships, and the shard WALs of older stores
-// held on disk.
-const walMagic = byte(0xC5)
-
-// ErrCrashed is returned by a commit whose journal append was torn by an
-// injected crash fault (faults.Injector.TornWrite), and by every commit
-// after it. The session's next turn starts from the durable prefix, as
-// after any failed commit; the harness then reopens the directory to
-// exercise recovery.
-var ErrCrashed = framelog.ErrCrashed
-
-// recordKind is a record's first byte. The values are the format:
-// never renumber them.
-type recordKind byte
-
-// The record kinds.
-const (
-	kindCreate recordKind = 1
-	kindTurn   recordKind = 2
-	kindEvict  recordKind = 3
-)
-
-// walRecord is a record's frame payload. Ship is the record's ship
-// sequence, the shard cursor it advances to, so a replica can tell a
-// record it already holds. A create record carries Num, a turn record
-// Seq — the transcript index of the first turn of the committed pair,
-// which must be the session's turn count when it applies — its Focus and
-// its Turns; an evict record only its ID.
-type walRecord struct {
-	Kind  recordKind
-	Ship  int64
-	ID    string
-	Num   int
-	Seq   int
-	Focus string
-	Turns []dialogue.Turn
-}
+// shardWALMagic tags the frames of the shard WALs older stores kept
+// beside the journal, which checkLayout reads to name such a directory.
+const shardWALMagic = byte(0xC5)
 
 // A turn's first byte: its role, and whether its confidence follows its
 // text. No other bit is set.
@@ -75,60 +38,12 @@ var intentCodes = [...]dialogue.Intent{
 	8: dialogue.IntentFollowUp,
 }
 
-// WriteFaults is the crash seam the journal threads its appends
-// through; *faults.Injector implements it. Nil means no injected crashes.
-type WriteFaults = framelog.Faults
-
-// encodeRecord frames one record for the replication tail.
-// Its payload is
-//
-//	kind · uvarint ship · uvarint len(id) · id ·
-//	create: uvarint num | turn: uvarint seq · uvarint len(focus) · focus · turn… | evict: nothing
-//
-// and each turn
+// appendTurnBytes appends one turn as a turns chunk spells it:
 //
 //	flags · intent code · uvarint len(text) · text · [8-byte LE float64 confidence, when flags say so]
 //
-// Every string must be valid UTF-8, and a confidence finite. A system
-// turn's intent is not written: encodeTurn drops it before a commit.
-func encodeRecord(rec walRecord) ([]byte, error) {
-	p, err := appendRecord(make([]byte, 0, 64), rec)
-	if err != nil {
-		return nil, fmt.Errorf("sessionstore: encode wal record: %w", err)
-	}
-	return framelog.Encode(walMagic, p), nil
-}
-
-func appendRecord(p []byte, rec walRecord) ([]byte, error) {
-	if rec.Ship < 0 || rec.Num < 0 || rec.Seq < 0 {
-		return nil, fmt.Errorf("kind %d record for %q at ship %d has a negative count", rec.Kind, rec.ID, rec.Ship)
-	}
-	p = append(p, byte(rec.Kind))
-	p = binary.AppendUvarint(p, uint64(rec.Ship))
-	p, err := appendString(p, rec.ID)
-	if err != nil {
-		return nil, err
-	}
-	switch rec.Kind {
-	case kindCreate:
-		return binary.AppendUvarint(p, uint64(rec.Num)), nil
-	case kindTurn:
-		p = binary.AppendUvarint(p, uint64(rec.Seq))
-		if p, err = appendString(p, rec.Focus); err != nil {
-			return nil, err
-		}
-		for _, tr := range rec.Turns {
-			if p, err = appendTurnBytes(p, tr); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	case kindEvict:
-		return p, nil
-	}
-	return nil, fmt.Errorf("unknown record kind %d", rec.Kind)
-}
-
+// Its text must be valid UTF-8, and a confidence finite. A system turn's
+// intent is not written: encodeTurn drops it before a commit.
 func appendTurnBytes(p []byte, t dialogue.Turn) ([]byte, error) {
 	var flags, code byte
 	switch t.Role {
@@ -157,8 +72,8 @@ func appendTurnBytes(p []byte, t dialogue.Turn) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(p, math.Float64bits(t.Confidence)), nil
 }
 
-// encodeTurns renders a turns chunk's data: its turns end to end, each
-// as a record spells it.
+// encodeTurns renders a turns chunk's data, which a shipped turn record
+// carries too: its turns end to end.
 func encodeTurns(turns []dialogue.Turn) ([]byte, error) {
 	var p []byte
 	for _, tr := range turns {
@@ -195,40 +110,8 @@ func appendString(p []byte, s string) ([]byte, error) {
 	return append(p, s...), nil
 }
 
-// decodeRecord parses one frame payload. It takes only the bytes
-// encodeRecord writes for what it decodes to, so decoding and encoding
-// again gives back the payload; anything else is an error. A payload
-// that opens a JSON object is a record older stores wrote, a
-// *vstore.FormatError.
-func decodeRecord(p []byte) (walRecord, error) {
-	if len(p) > 0 && p[0] == '{' {
-		return walRecord{}, &vstore.FormatError{Format: "a JSON WAL record", Reader: jsonWALLastReader}
-	}
-	d := recordDecoder{p: p}
-	rec := walRecord{Kind: recordKind(d.byte("kind"))}
-	rec.Ship = int64(d.uvarint("ship sequence", math.MaxInt64))
-	rec.ID = d.string("id")
-	switch rec.Kind {
-	case kindCreate:
-		rec.Num = int(d.uvarint("num", math.MaxInt))
-	case kindTurn:
-		rec.Seq = int(d.uvarint("seq", math.MaxInt))
-		rec.Focus = d.string("focus")
-		for d.err == nil && len(d.p) > 0 {
-			rec.Turns = append(rec.Turns, d.turn())
-		}
-	case kindEvict:
-	default:
-		d.fail(fmt.Errorf("unknown record kind %d", rec.Kind))
-	}
-	if err := d.end(fmt.Sprintf("a kind %d record", rec.Kind)); err != nil {
-		return walRecord{}, fmt.Errorf("sessionstore: wal record: %w", err)
-	}
-	return rec, nil
-}
-
-// recordDecoder reads a binary payload — a record, a session or shard
-// node, a turns chunk — front to back; the first thing it cannot
+// recordDecoder reads a binary payload — a session or shard node, a
+// turns chunk — front to back; the first thing it cannot
 // read sets err, after which every read returns a zero value.
 type recordDecoder struct {
 	p   []byte
@@ -337,15 +220,4 @@ func (d *recordDecoder) turn() dialogue.Turn {
 		d.fail(fmt.Errorf("stored turn confidence %v", t.Confidence))
 	}
 	return t
-}
-
-// decodeFrame validates one shipped replication frame — exactly one
-// complete record frame, nothing before or after it — with framelog's
-// scan.
-func decodeFrame(data []byte) (walRecord, error) {
-	payloads, valid := framelog.Scan(walMagic, data)
-	if len(payloads) != 1 || valid != len(data) {
-		return walRecord{}, errors.New("sessionstore: not one whole record frame")
-	}
-	return decodeRecord(payloads[0])
 }

@@ -572,9 +572,9 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, _ := framelog.Scan(walMagic, oldWAL)
-	jsonRecord := framelog.Encode(walMagic, payloads[len(payloads)-1])
-	torn := framelog.Encode(walMagic, payloads[0])[:framelog.HeaderSize+3]
+	payloads, _ := framelog.Scan(shardWALMagic, oldWAL)
+	jsonRecord := framelog.Encode(shardWALMagic, payloads[len(payloads)-1])
+	torn := framelog.Encode(shardWALMagic, payloads[0])[:framelog.HeaderSize+3]
 	magic := journal[0] // every frame starts with the journal's magic
 	pack := func(parts ...any) map[string][]byte {
 		var b []byte
@@ -613,7 +613,7 @@ func TestOpenRefusesPreFloorDirectories(t *testing.T) {
 		{"format-v7's WAL records", formatFixtureV7, nil, walReader},
 		{"tree-v7's WAL records", treeFixtureV7, nil, walReader},
 		{"format-v6's WAL records", formatFixtureV6, nil, walReader},
-		{"one record in shard-01.wal", "", map[string][]byte{"shard-01.wal": framelog.Encode(walMagic, walPayloads(t, formatFixtureV7)[0])}, walReader},
+		{"one record in shard-01.wal", "", map[string][]byte{"shard-01.wal": framelog.Encode(shardWALMagic, walPayloads(t, formatFixtureV7)[0])}, walReader},
 		{"a torn record in a WAL", "", map[string][]byte{"shard-00.wal": torn}, walReader},
 		{"format-v5's JSON journal payloads", formatFixtureV5, nil, jsonReader},
 		{"tree-v5's JSON journal payloads", treeFixtureV5, nil, jsonReader},

@@ -25,8 +25,8 @@ import (
 // be flushed to its end — nothing a cut could take — and recovers the
 // directory as it stands, holding it to the store that never crashed
 // commit for commit (hash, parent, turn, stamp: nothing is derived
-// again) and each shard's cursor and replication tail byte for byte.
-// For the first frame batch the store applies as a replica, the first
+// again) and each shard's cursor and replication tail record for record.
+// For the first record batch the store applies as a replica, the first
 // create and the first turn it takes itself, and a seeded choice of the
 // rest, it also recovers what a cut during that operation's write could
 // leave: every prefix of the write, byte by byte, or the write with one
@@ -97,14 +97,20 @@ func abandon(t *testing.T, st *Store, vs *vstore.Store) {
 	}
 }
 
+// sameRecords reports whether two replication tails hold the same
+// records, field for field.
+func sameRecords(a, b []record) bool {
+	return slices.EqualFunc(a, b, func(x, y record) bool { return reflect.DeepEqual(x, y) })
+}
+
 // turnPrefix is the first k turns of a rendered transcript.
 func turnPrefix(transcript string, k int) string {
 	return strings.Join(strings.SplitAfter(transcript, "\n")[:k], "")
 }
 
 // shardState renders one shard of st as replication sees it: its
-// horizon, and the frame of every record after it.
-func shardState(st *Store, shard int) (int64, [][]byte) {
+// horizon, and every record after it.
+func shardState(st *Store, shard int) (int64, []record) {
 	sh := st.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -133,7 +139,7 @@ type powerCut struct {
 	// before is each shard's horizon and tail then.
 	before [pcShards]struct {
 		base int64
-		tail [][]byte
+		tail []record
 	}
 
 	// everyOffset asks for the byte-by-byte treatment of the next
@@ -334,8 +340,8 @@ func (pc *powerCut) reopen(what, dir string) (*Store, *vstore.Store) {
 // requireCut holds a store recovered from a cut during the last write to
 // the state before it with a prefix of that write's records: per shard,
 // the horizon it had then or the live store's now, and a tail that
-// extends the tail it had then by a prefix of the live store's frames.
-// The frames are the records, so that is the state.
+// extends the tail it had then by a prefix of the live store's records.
+// The tail holds every record since the horizon, so that is the state.
 func (pc *powerCut) requireCut(what string, st *Store) {
 	t := pc.t
 	t.Helper()
@@ -343,7 +349,7 @@ func (pc *powerCut) requireCut(what string, st *Store) {
 		base, tail := shardState(st, shard)
 		liveBase, liveTail := shardState(pc.st, shard)
 		prev := pc.before[shard]
-		var from [][]byte // what the recovered tail must extend
+		var from []record // what the recovered tail must extend
 		switch base {
 		case prev.base:
 			from = prev.tail
@@ -352,15 +358,15 @@ func (pc *powerCut) requireCut(what string, st *Store) {
 			t.Fatalf("%s: shard %d recovered at horizon %d; it was at %d, and is at %d", what, shard, base, prev.base, liveBase)
 		}
 		k := len(tail) - len(from)
-		extends := k >= 0 && slices.EqualFunc(tail[:len(from)], from, bytes.Equal)
-		// The frames past what it had, ship sequences base+len(from)+1…,
-		// are the live store's frames at those sequences.
+		extends := k >= 0 && sameRecords(tail[:len(from)], from)
+		// The records past what it had, ship sequences base+len(from)+1…,
+		// are the live store's records at those sequences.
 		off := int(base-liveBase) + len(from)
-		if k > 0 && (off < 0 || off+k > len(liveTail) || !slices.EqualFunc(tail[len(from):], liveTail[off:off+k], bytes.Equal)) {
+		if k > 0 && (off < 0 || off+k > len(liveTail) || !sameRecords(tail[len(from):], liveTail[off:off+k])) {
 			extends = false
 		}
 		if !extends {
-			t.Fatalf("%s: shard %d recovered %d frames after horizon %d; want the %d it had, then a prefix of the live store's", what, shard, len(tail), base, len(from))
+			t.Fatalf("%s: shard %d recovered %d records after horizon %d; want the %d it had, then a prefix of the live store's", what, shard, len(tail), base, len(from))
 		}
 	}
 }
@@ -379,8 +385,8 @@ func (pc *powerCut) requireAcknowledged(what string, st *Store, vs *vstore.Store
 	for shard := range pcShards {
 		base, tail := shardState(st, shard)
 		liveBase, liveTail := shardState(pc.st, shard)
-		if base != liveBase || !slices.EqualFunc(tail, liveTail, bytes.Equal) {
-			t.Fatalf("%s: shard %d recovered %d frames after horizon %d; the live store has %d after %d", what, shard, len(tail), base, len(liveTail), liveBase)
+		if base != liveBase || !sameRecords(tail, liveTail) {
+			t.Fatalf("%s: shard %d recovered %d records after horizon %d; the live store has %d after %d", what, shard, len(tail), base, len(liveTail), liveBase)
 		}
 	}
 	live := 0
@@ -469,7 +475,7 @@ func TestPowerCutKeepsEveryAcknowledgedTurnAndVersion(t *testing.T) {
 
 	// Act one: the store is a replica. Its primary has compacted every
 	// shard, so catch-up starts with a snapshot install (chunks
-	// negotiated, shard root adopted) and goes on in batches of frames,
+	// negotiated, shard root adopted) and goes on in batches of records,
 	// several turns of one session to a batch.
 	pvs := vstore.NewMemory()
 	primary, err := Open(Config{Dir: t.TempDir(), Shards: pcShards, SnapshotEvery: 6, Versions: pvs})
@@ -500,18 +506,18 @@ func TestPowerCutKeepsEveryAcknowledgedTurnAndVersion(t *testing.T) {
 	catchUp := func() (installs int) {
 		for shard := 0; shard < pcShards; shard++ {
 			for {
-				b, err := primary.PullFrames(shard, st.ReplicationCursor(shard), 3)
+				b, err := primary.PullRecords(shard, st.ReplicationCursor(shard), 3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if b.Empty() {
 					break
 				}
-				what := fmt.Sprintf("a batch of %d frames for shard %d", len(b.Frames), shard)
+				what := fmt.Sprintf("a batch of %d records for shard %d", len(b.Records), shard)
 				if b.SnapshotRoot != "" {
 					pullChunks(t, pvs, vs, vstore.Hash(b.SnapshotRoot), 0)
 					installs++
-					what = fmt.Sprintf("a snapshot install at %d with %d frames for shard %d", b.SnapshotSeq, len(b.Frames), shard)
+					what = fmt.Sprintf("a snapshot install at %d with %d records for shard %d", b.SnapshotSeq, len(b.Records), shard)
 				}
 				// The chunks are no part of the batch's write.
 				pc.written, pc.appends = wal.bytes, wal.appends

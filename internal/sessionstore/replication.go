@@ -3,72 +3,156 @@ package sessionstore
 // Primary→replica record shipping. Every shard numbers the records it
 // logs with a ship sequence — 1-based, monotonic across compactions
 // and restarts (the shard root persists the sequence at its horizon) —
-// and keeps the CRC-framed bytes of the records since the last
-// compaction in memory, rebuilt from the journal on Open. A replication
-// driver (internal/cluster, or cdarouter over HTTP) pulls frames after
-// the replica's cursor with PullFrames and applies them on the replica
-// store with ApplyBatch; when the replica's cursor has fallen behind the
-// primary's compaction horizon the pull ships the shard root at the
-// horizon as well, and frame shipping resumes from there.
+// and keeps the records since the last compaction in memory as values,
+// its replication tail, rebuilt from the journal on Open. A replication
+// driver (internal/cluster, or cdarouter over HTTP) pulls the records
+// after the replica's cursor with PullRecords and applies them on the
+// replica store with ApplyBatch; when the replica's cursor has fallen
+// behind the primary's compaction horizon the pull ships the shard root
+// at the horizon as well, and record shipping resumes from there.
 //
-// A frame is a record's own wire format — it carries its ship sequence
-// — and it is never written to a file: the replica validates it with
-// framelog's CRC scan and the record decoder, judges every record of the
-// batch against the state the records before it leave, and lands the
-// whole batch in its own journal as the same records the primary's
-// journal holds — a version of the session per create and turn, a mark
-// per evict — with one flushed append. Its Open then rebuilds the same
-// frames, so the replica's tail, and what it ships on after a promotion,
-// is the primary's byte for byte. Applying a frame twice is a no-op, by
-// its ship sequence, and a replica killed mid-apply truncates its torn
-// tail on reopen exactly like a primary.
+// A shipped record is JSON: its ship sequence, kind and session, what it
+// says — a turn's pair in the bytes a turns chunk holds — and the session
+// node its version pins. The replica judges every record of the batch
+// against the state the records before it leave, rebuilds each version
+// as it would its own, and refuses a record whose version pins any other
+// node: two stores that hold the same transcript must hold the same
+// tree. The whole batch then lands in the replica's journal as the same
+// records the primary's journal holds — a version of the session per
+// create and turn, a mark per evict — with one flushed append. Its Open
+// then rebuilds the same records, so the replica's tail, and what it
+// ships on after a promotion, is the primary's. Applying a record twice
+// is a no-op, by its ship sequence, and a replica killed mid-apply
+// truncates its torn tail on reopen exactly like a primary.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"time"
 
+	"github.com/reliable-cda/cda/internal/dialogue"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// Frame is one committed record as shipped to a replica: the raw
-// CRC-framed bytes exactly as the primary's replication tail holds them,
-// plus its per-shard ship sequence.
-type Frame struct {
-	Seq  int64  `json:"seq"`
-	Data []byte `json:"data"`
+// recordKind names what a record does to its session.
+type recordKind string
+
+// The record kinds, as a shipped record spells them.
+const (
+	kindCreate recordKind = "create"
+	kindTurn   recordKind = "turn"
+	kindEvict  recordKind = "evict"
+)
+
+// record is one of a shard's records, as its replication tail holds it.
+// A create carries the session's Num, a turn the transcript index of its
+// first turn (Turn, which must be the session's turn count when it
+// applies), the focus after it and its Turns; both carry Node, the
+// session node their version pins. An evict carries only its ID.
+type record struct {
+	Kind  recordKind
+	ID    string
+	Num   int
+	Turn  int
+	Focus string
+	Turns []dialogue.Turn
+	Node  vstore.Hash
+}
+
+// ShipRecord is a record as it is shipped, at its ship sequence Seq:
+// Pair holds a turn's turns in the bytes a turns chunk holds
+// (encodeTurns), and Node is the session node a create's or a turn's
+// version pins, which the replica's version of it must pin too.
+type ShipRecord struct {
+	Seq   int64  `json:"seq"`
+	Kind  string `json:"kind"`
+	ID    string `json:"id"`
+	Num   int    `json:"num,omitempty"`
+	Turn  int    `json:"turn,omitempty"`
+	Focus string `json:"focus,omitempty"`
+	Pair  []byte `json:"pair,omitempty"`
+	Node  string `json:"node,omitempty"`
+}
+
+// ship renders rec as it is shipped at ship sequence seq.
+func (rec record) ship(seq int64) (ShipRecord, error) {
+	sr := ShipRecord{Seq: seq, Kind: string(rec.Kind), ID: rec.ID, Num: rec.Num,
+		Turn: rec.Turn, Focus: rec.Focus, Node: string(rec.Node)}
+	if rec.Kind != kindTurn {
+		return sr, nil
+	}
+	var err error
+	if sr.Pair, err = encodeTurns(rec.Turns); err != nil {
+		return ShipRecord{}, fmt.Errorf("sessionstore: ship record %d: %w", seq, err)
+	}
+	return sr, nil
+}
+
+// record reads a shipped record back. It takes only what ship writes for
+// the record it decodes to: a field the kind does not carry, a negative
+// num or a pair that is no turns chunk's bytes is an error.
+func (sr ShipRecord) record() (record, error) {
+	rec := record{Kind: recordKind(sr.Kind), ID: sr.ID}
+	switch rec.Kind {
+	case kindCreate:
+		rec.Num, rec.Node = sr.Num, vstore.Hash(sr.Node)
+	case kindTurn:
+		var err error
+		if rec.Turns, err = decodeTurns(sr.Pair, math.MaxInt); err != nil {
+			return record{}, fmt.Errorf("its pair: %w", err)
+		}
+		rec.Turn, rec.Focus, rec.Node = sr.Turn, sr.Focus, vstore.Hash(sr.Node)
+	case kindEvict:
+	default:
+		return record{}, fmt.Errorf("unknown record kind %q", sr.Kind)
+	}
+	if again, err := rec.ship(sr.Seq); err != nil || sr.Num < 0 || !reflect.DeepEqual(again, sr) {
+		return record{}, fmt.Errorf("a %s record of session %q carries what no %s record does", sr.Kind, sr.ID, sr.Kind)
+	}
+	return rec, nil
 }
 
 // ShipBatch is one replication transfer for one shard. One of two
 // shapes, by how far behind the requested cursor is:
 //
-//   - Frames only: the records after the cursor, in order (the common
+//   - Records only: the records after the cursor, in order (the common
 //     case — the replica is within the primary's retained tail).
-//   - SnapshotRoot + Frames: the cursor predates the compaction
+//   - SnapshotRoot + Records: the cursor predates the compaction
 //     horizon. SnapshotRoot is the commit hash of the primary's shard
 //     root at SnapshotSeq, the horizon; the replica materializes it
 //     from chunks it negotiates separately (have/want over chunk
 //     hashes — only missing chunks cross the wire), adopts it as its
-//     own shard root, then replays the frames on top.
+//     own shard root, then replays the records on top.
 //
 // PrimaryCursor is the primary's cursor at pull time so the replica
 // can report its lag without a second round trip.
 type ShipBatch struct {
-	Shard         int     `json:"shard"`
-	SnapshotRoot  string  `json:"snapshot_root,omitempty"`
-	SnapshotSeq   int64   `json:"snapshot_seq,omitempty"`
-	Frames        []Frame `json:"frames,omitempty"`
-	PrimaryCursor int64   `json:"primary_cursor"`
+	Shard         int          `json:"shard"`
+	SnapshotRoot  string       `json:"snapshot_root,omitempty"`
+	SnapshotSeq   int64        `json:"snapshot_seq,omitempty"`
+	Records       []ShipRecord `json:"records,omitempty"`
+	PrimaryCursor int64        `json:"primary_cursor"`
+	// OldFrames is where a batch of 4bc3512 or older carries its records:
+	// binary WAL record frames, which ApplyBatch refuses as a
+	// *vstore.FormatError. Nothing here ships it.
+	OldFrames json.RawMessage `json:"frames,omitempty"`
 }
 
 // Empty reports whether the batch carries no state to apply.
 func (b ShipBatch) Empty() bool {
-	return b.SnapshotRoot == "" && len(b.Frames) == 0
+	return b.SnapshotRoot == "" && len(b.Records) == 0
 }
 
+// framesLastReader names the last commit that ships and applies a batch
+// of record frames.
+const framesLastReader = `4bc3512 ("the journal spells an address once")`
+
 // ErrReplicaGap is returned by ApplyBatch when the batch does not
-// extend what the replica holds: its first new frame is not the one
+// extend what the replica holds: its first new record is not the one
 // after the replica's cursor (records were lost in transit), or its
 // shard root's closure is not in the replica's version store (the
 // driver did not negotiate it). The driver re-pulls from the replica's
@@ -104,13 +188,13 @@ func (s *Store) ReplicationLag(shard int) int64 {
 // cursor computes the shard's ship sequence. Caller holds sh.mu.
 func (sh *shard) cursor() int64 { return sh.shipBase + int64(len(sh.tail)) }
 
-// PullFrames returns the shard's records after cursor `after`, at
-// most max frames (max <= 0 means all). When `after` predates the
+// PullRecords returns the shard's records after cursor `after`, at
+// most max of them (max <= 0 means all). When `after` predates the
 // compaction horizon the batch also carries the shard root at the
-// horizon, and its frames start there. An `after` beyond the cursor is
+// horizon, and its records start there. An `after` beyond the cursor is
 // an error: the "replica" has state this primary never shipped (split
 // brain or crossed stores), and silently rewinding it would mask that.
-func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
+func (s *Store) PullRecords(shard int, after int64, max int) (ShipBatch, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return ShipBatch{}, fmt.Errorf("sessionstore: pull from unknown shard %d (have %d)", shard, len(s.shards))
 	}
@@ -138,7 +222,11 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 		end = start + max
 	}
 	for i := start; i < end; i++ {
-		b.Frames = append(b.Frames, Frame{Seq: sh.shipBase + int64(i) + 1, Data: sh.tail[i]})
+		sr, err := sh.tail[i].ship(sh.shipBase + int64(i) + 1)
+		if err != nil {
+			return ShipBatch{}, err
+		}
+		b.Records = append(b.Records, sr)
 	}
 	return b, nil
 }
@@ -147,25 +235,28 @@ func (s *Store) PullFrames(shard int, after int64, max int) (ShipBatch, error) {
 // the replica's cursor is installed wholesale (replacing the shard — the
 // primary's state at SnapshotSeq is a superset of any prefix the replica
 // held) and adopted as the replica's own root, and one at or below it is
-// skipped; frames are CRC-validated and decoded, each required to hold
-// the record at the ship sequence the batch gives it and to change the
-// state the records before it leave — a create of a session the shard
-// has never held, a turn at its session's turn count, each of a session
-// this shard holds — all of them before anything is installed or
-// replayed. The root and the frames' records then land with one flushed
-// journal append, and only then are replayed. Frames at or below the
-// replica's cursor are skipped, so re-applying a batch is harmless; a
-// gap above the cursor, or a shard root whose chunks are not all here,
-// returns ErrReplicaGap.
+// skipped; records are decoded, each required to change the state the
+// records before it leave — a create of a session the shard has never
+// held, a turn at its session's turn count, an evict of a live session,
+// each of a session this shard holds — and to name the session node its
+// version pins here, all of them before anything is installed or
+// replayed. The root and the records then land with one flushed journal append, and only then are
+// replayed. Records at or below the replica's cursor are skipped, so
+// re-applying a batch is harmless; a gap above the cursor, or a shard
+// root whose chunks are not all here, returns ErrReplicaGap. A batch of
+// record frames, as 4bc3512 and older ship, is a *vstore.FormatError.
 func (s *Store) ApplyBatch(b ShipBatch) error {
 	if b.Shard < 0 || b.Shard >= len(s.shards) {
 		return fmt.Errorf("sessionstore: apply to unknown shard %d (have %d)", b.Shard, len(s.shards))
+	}
+	if len(b.OldFrames) > 0 {
+		return &vstore.FormatError{Format: "a ship batch of binary WAL record frames", Reader: framesLastReader}
 	}
 	sh := s.shards[b.Shard]
 	// A shard root at or below the replica's cursor is one it is already
 	// past (a restarted router pulls from 0): installing it would
 	// rewind the shard, so it is skipped before anything is materialized
-	// or negotiated, and the frames are judged against the cursor as it is.
+	// or negotiated, and the records are judged against the cursor as it is.
 	if b.SnapshotRoot != "" && b.SnapshotSeq <= s.ReplicationCursor(b.Shard) {
 		b.SnapshotRoot, b.SnapshotSeq = "", 0
 	}
@@ -205,7 +296,7 @@ func (s *Store) ApplyBatch(b ShipBatch) error {
 // b.SnapshotRoot materialized to (nil when b names none); it returns the
 // shard's id horizon after the apply. Caller holds sh.mu.
 func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (int, error) {
-	// The cursor the frames must extend is the one the batch's root will
+	// The cursor the records must extend is the one the batch's root will
 	// leave, so the whole batch is judged before any of it lands. A root
 	// an apply that raced this one has already passed is skipped.
 	cur := sh.cursor()
@@ -215,23 +306,20 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 	if snap != nil {
 		cur = b.SnapshotSeq
 	}
-	var recs []walRecord
-	var frames [][]byte
-	for _, fr := range b.Frames {
-		if fr.Seq <= cur {
+	first := cur + 1
+	var recs []record
+	for _, sr := range b.Records {
+		if sr.Seq <= cur {
 			continue
 		}
-		if fr.Seq != cur+1 {
-			return 0, fmt.Errorf("%w: shard %d at %d got frame %d", ErrReplicaGap, b.Shard, cur, fr.Seq)
+		if sr.Seq != cur+1 {
+			return 0, fmt.Errorf("%w: shard %d at %d got record %d", ErrReplicaGap, b.Shard, cur, sr.Seq)
 		}
-		rec, err := decodeFrame(fr.Data)
+		rec, err := sr.record()
 		if err != nil {
-			return 0, fmt.Errorf("sessionstore: replication frame %d for shard %d: %w", fr.Seq, b.Shard, err)
+			return 0, fmt.Errorf("sessionstore: replication record %d for shard %d: %w", sr.Seq, b.Shard, err)
 		}
-		if rec.Ship != fr.Seq {
-			return 0, fmt.Errorf("sessionstore: replication frame %d for shard %d holds the record at ship sequence %d", fr.Seq, b.Shard, rec.Ship)
-		}
-		recs, frames, cur = append(recs, rec), append(frames, fr.Data), fr.Seq
+		recs, cur = append(recs, rec), sr.Seq
 	}
 	if snap == nil && len(recs) == 0 {
 		return sh.maxNum, nil
@@ -248,7 +336,7 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 			return 0, err
 		}
 	}
-	trees, err := sh.judge(batch, recs, snap)
+	trees, err := sh.judge(batch, first, recs, snap)
 	if err != nil {
 		return 0, fmt.Errorf("sessionstore: replication batch for shard %d: %w", b.Shard, err)
 	}
@@ -262,7 +350,7 @@ func (sh *shard) applyLocked(b ShipBatch, snap *snapshot, now time.Duration) (in
 	for i, rec := range recs {
 		sh.replay(rec, trees[i], now)
 	}
-	sh.tail = append(sh.tail, frames...)
+	sh.tail = append(sh.tail, recs...)
 	if b.PrimaryCursor > sh.remoteSeq {
 		sh.remoteSeq = b.PrimaryCursor
 	}
@@ -293,13 +381,15 @@ func (sh *shard) keepInstalled(b *vstore.Batch, snap *snapshot) error {
 	return nil
 }
 
-// judge holds each of recs to the state the records before it leave —
-// from snap, when the batch installs a shard root, else from the shard's
-// own — queues on b the journal record standing for each, and returns
-// the tree each create or turn leaves. A record that would not change
-// that state, or of a session that belongs in another shard, is an
-// error: no journal record could stand for it. Caller holds sh.mu.
-func (sh *shard) judge(b *vstore.Batch, recs []walRecord, snap *snapshot) ([]*sessionTree, error) {
+// judge holds each of recs, the records from ship sequence first on, to
+// the state the records before it leave — from snap, when the batch
+// installs a shard root, else from the shard's own — queues on b the
+// journal record standing for each, and returns the tree each create or
+// turn leaves. A record that would not change that state, or of a
+// session that belongs in another shard, is an error: no journal record
+// could stand for it. So is a create or turn whose version here pins
+// another session node than the one it names. Caller holds sh.mu.
+func (sh *shard) judge(b *vstore.Batch, first int64, recs []record, snap *snapshot) ([]*sessionTree, error) {
 	type held struct {
 		ss   *sessionSnap // nil: not live
 		gone bool
@@ -325,33 +415,41 @@ func (sh *shard) judge(b *vstore.Batch, recs []walRecord, snap *snapshot) ([]*se
 	}
 	trees := make([]*sessionTree, len(recs))
 	for i, rec := range recs {
+		seq := first + int64(i)
 		if got := ShardIndexFor(rec.ID, sh.count); got != sh.idx {
-			return nil, fmt.Errorf("record %d is of session %s, which belongs in shard %d", rec.Ship, rec.ID, got)
+			return nil, fmt.Errorf("record %d is of session %s, which belongs in shard %d", seq, rec.ID, got)
 		}
 		h := lookup(rec.ID)
 		var after sessionSnap
 		switch rec.Kind {
 		case kindCreate:
 			if h.ss != nil || h.gone {
-				return nil, fmt.Errorf("record %d creates session %s, which the shard holds", rec.Ship, rec.ID)
+				return nil, fmt.Errorf("record %d creates session %s, which the shard holds", seq, rec.ID)
 			}
 			after = sessionSnap{ID: rec.ID, Num: rec.Num}
 		case kindTurn:
-			if h.ss == nil || rec.Seq != len(h.ss.Turns) || len(rec.Turns) == 0 {
-				return nil, fmt.Errorf("record %d adds %d turns at %d to session %s, which does not hold that many", rec.Ship, len(rec.Turns), rec.Seq, rec.ID)
+			if h.ss == nil || rec.Turn != len(h.ss.Turns) || len(rec.Turns) == 0 {
+				return nil, fmt.Errorf("record %d adds %d turns at %d to session %s, which does not hold that many", seq, len(rec.Turns), rec.Turn, rec.ID)
 			}
 			after = sessionSnap{ID: rec.ID, Num: h.ss.Num, Focus: rec.Focus, Turns: slices.Concat(h.ss.Turns, rec.Turns), tree: h.ss.tree}
 		case kindEvict:
+			if h.ss == nil {
+				return nil, fmt.Errorf("record %d evicts session %s, which the shard does not hold live", seq, rec.ID)
+			}
 			state[rec.ID] = held{gone: true}
 		}
 		tree, err := stageRecord(nil, b, rec, after)
 		if err != nil {
 			return nil, err
 		}
-		if tree != nil {
-			after.tree, trees[i] = tree, tree
-			state[rec.ID] = held{ss: &after}
+		if tree == nil {
+			continue
 		}
+		if tree.sess != rec.Node {
+			return nil, fmt.Errorf("record %d names session node %s, but its version here pins %s", seq, rec.Node, tree.sess)
+		}
+		after.tree, trees[i] = tree, tree
+		state[rec.ID] = held{ss: &after}
 	}
 	return trees, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,12 +14,12 @@ import (
 )
 
 // shipAll drains every shard of src into dst until both cursors
-// match, using batches of at most max frames (0: unbounded).
+// match, using batches of at most max records (0: unbounded).
 func shipAll(t *testing.T, src, dst *Store, max int) {
 	t.Helper()
 	for shard := 0; shard < src.Shards(); shard++ {
 		for {
-			b, err := src.PullFrames(shard, dst.ReplicationCursor(shard), max)
+			b, err := src.PullRecords(shard, dst.ReplicationCursor(shard), max)
 			if err != nil {
 				t.Fatalf("pull shard %d: %v", shard, err)
 			}
@@ -102,7 +103,7 @@ func TestReplicaReadsWhileApplying(t *testing.T) {
 	var batches []ShipBatch
 	for i := 0; i < 50; i++ {
 		commitPair(t, primary, e, fmt.Sprintf("how many q%d", i), fmt.Sprintf("a%d", i), 0.5)
-		b, err := primary.PullFrames(0, primary.ReplicationCursor(0)-1, 0)
+		b, err := primary.PullRecords(0, primary.ReplicationCursor(0)-1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,15 +148,22 @@ func TestReplicaReadsWhileApplying(t *testing.T) {
 	}
 }
 
-func TestShipFramesByteIdenticalReplica(t *testing.T) {
-	primary, err := Open(Config{Dir: t.TempDir(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestShippedRecordsAreThePrimarys: a replica fed by pulls holds the
+// primary's transcripts, evictions and session trees, and its own pulls
+// give back the records the primary's give, at the same ship sequences —
+// before and after either node is killed and reopened — so a promoted
+// replica ships a third store what its primary shipped.
+func TestShippedRecordsAreThePrimarys(t *testing.T) {
+	open := func(dir string) *Store {
+		t.Helper()
+		st, err := Open(Config{Dir: dir, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	replica, err := Open(Config{Dir: t.TempDir(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	primaryDir, replicaDir := t.TempDir(), t.TempDir()
+	primary, replica := open(primaryDir), open(replicaDir)
 	var ids []string
 	for i := 0; i < 6; i++ {
 		e, err := primary.NewSession()
@@ -170,35 +178,101 @@ func TestShipFramesByteIdenticalReplica(t *testing.T) {
 				0.25+float64(j)/13)
 		}
 	}
+	gone := ids[len(ids)-1]
+	sh := primary.shards[primary.ShardIndex(gone)]
+	sh.mu.Lock()
+	err := sh.evict(sh.sessions[gone])
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = ids[:len(ids)-1]
 	shipAll(t, primary, replica, 3)
 	assertMirrors(t, primary, replica, ids)
-	for shard := 0; shard < primary.Shards(); shard++ {
-		if p, r := primary.ReplicationCursor(shard), replica.ReplicationCursor(shard); p != r {
-			t.Errorf("shard %d cursor primary=%d replica=%d", shard, p, r)
+	if _, status := replica.Get(gone); status != Gone {
+		t.Errorf("evicted session %s on the replica: %v, want Gone", gone, status)
+	}
+	for _, id := range ids {
+		p, perr := primary.Versions().Head(SessionRoot(id))
+		r, rerr := replica.Versions().Head(SessionRoot(id))
+		if perr != nil || rerr != nil || p.Tree != r.Tree {
+			t.Errorf("session %s: primary tree %s (%v), replica tree %s (%v)", id, p.Tree, perr, r.Tree, rerr)
 		}
+	}
+	shipped := pullEvery(t, primary)
+	requirePulls(t, "the replica", replica, shipped)
+	for shard := 0; shard < primary.Shards(); shard++ {
 		if lag := replica.ReplicationLag(shard); lag != 0 {
 			t.Errorf("caught-up replica lag = %d on shard %d", lag, shard)
 		}
 	}
 	// Re-applying an old batch is a no-op (Seq idempotence).
-	b, err := primary.PullFrames(primary.ShardIndex(ids[0]), 0, 0)
+	b, err := primary.PullRecords(primary.ShardIndex(ids[0]), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Empty() {
-		if err := replica.ApplyBatch(b); err != nil {
-			t.Fatalf("re-apply: %v", err)
-		}
+	if err := replica.ApplyBatch(b); err != nil {
+		t.Fatalf("re-apply: %v", err)
 	}
 	assertMirrors(t, primary, replica, ids)
-	if err := errors.Join(primary.Close(), replica.Close()); err != nil {
+	requirePulls(t, "the replica after a re-apply", replica, shipped)
+
+	kill(t, primary)
+	kill(t, replica)
+	primary, replica = open(primaryDir), open(replicaDir)
+	requirePulls(t, "the reopened primary", primary, shipped)
+	requirePulls(t, "the reopened replica", replica, shipped)
+	third := open(t.TempDir())
+	shipAll(t, replica, third, 2)
+	assertMirrors(t, primary, third, ids)
+	requirePulls(t, "a store the promoted replica shipped", third, shipped)
+	if err := errors.Join(primary.Close(), replica.Close(), third.Close()); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// pullEvery pulls every record of every shard of st from cursor 0.
+func pullEvery(t *testing.T, st *Store) []ShipBatch {
+	t.Helper()
+	var out []ShipBatch
+	for shard := 0; shard < st.Shards(); shard++ {
+		b, err := st.PullRecords(shard, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// requirePulls holds what st's pulls give from cursor 0 to want.
+func requirePulls(t *testing.T, what string, st *Store, want []ShipBatch) {
+	t.Helper()
+	if got := pullEvery(t, st); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s's pulls differ from the primary's:\n got: %+v\nwant: %+v", what, got, want)
+	}
+}
+
+// altered is sr with what it says changed as a forger could change it —
+// a create's num, the last byte of a turn's pair, which decodes still —
+// so that its version pins another session node than the one it names.
+func altered(t testing.TB, sr ShipRecord) ShipRecord {
+	t.Helper()
+	switch recordKind(sr.Kind) {
+	case kindCreate:
+		sr.Num++
+	case kindTurn:
+		sr.Pair = slices.Clone(sr.Pair)
+		sr.Pair[len(sr.Pair)-1] ^= 0x5A
+	default:
+		t.Fatalf("a %s record names no node to alter", sr.Kind)
+	}
+	return sr
+}
+
 // TestShipSnapshotFallback compacts the primary past the replica's
-// cursor so the pull must fall back from frames to the shard root, then
-// resumes frame shipping on top of it.
+// cursor so the pull must fall back from records to the shard root, then
+// resumes record shipping on top of it.
 func TestShipSnapshotFallback(t *testing.T) {
 	primary, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 4})
 	if err != nil {
@@ -215,15 +289,15 @@ func TestShipSnapshotFallback(t *testing.T) {
 	for j := 0; j < 9; j++ { // > 2 compaction cadences on shard 0
 		commitPair(t, primary, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
 	}
-	b, err := primary.PullFrames(0, 0, 0)
+	b, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.SnapshotRoot == "" {
-		t.Fatalf("expected the shard root (cursor 0 behind compaction horizon), got %d frames", len(b.Frames))
+		t.Fatalf("expected the shard root (cursor 0 behind compaction horizon), got %d records", len(b.Records))
 	}
 	applyShipped(t, primary, replica, b)
-	// More commits after the snapshot: shipped as plain frames.
+	// More commits after the snapshot: shipped as plain records.
 	commitPair(t, primary, e, "q-post", "a-post", 0.75)
 	shipAll(t, primary, replica, 0)
 	assertMirrors(t, primary, replica, []string{e.ID})
@@ -252,9 +326,9 @@ func TestShipSnapshotFallback(t *testing.T) {
 // TestStaleShardRootDoesNotRewindReplica ships a batch whose shard root
 // the replica is already past — what a restarted router pulls, its
 // cursors back at 0 and each pull capped — and requires the replica to
-// skip the root and judge the frames against its own cursor: it keeps
-// its cursor, every turn, its WAL and its shard root's log, and the
-// primary's next turn still ships as a frame.
+// skip the root and judge the records against its own cursor: it keeps
+// its cursor, every turn, its journal and its shard root's log, and the
+// primary's next turn still ships as a record.
 func TestStaleShardRootDoesNotRewindReplica(t *testing.T) {
 	primary, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 4})
 	if err != nil {
@@ -281,12 +355,12 @@ func TestStaleShardRootDoesNotRewindReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := primary.PullFrames(0, 0, 1)
+	stale, err := primary.PullRecords(0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stale.SnapshotRoot == "" || stale.SnapshotSeq >= cursor || len(stale.Frames) != 1 {
-		t.Fatalf("pull after 0 = root at %d (%q) and %d frames; want a root below %d and one frame", stale.SnapshotSeq, stale.SnapshotRoot, len(stale.Frames), cursor)
+	if stale.SnapshotRoot == "" || stale.SnapshotSeq >= cursor || len(stale.Records) != 1 {
+		t.Fatalf("pull after 0 = root at %d (%q) and %d records; want a root below %d and one record", stale.SnapshotSeq, stale.SnapshotRoot, len(stale.Records), cursor)
 	}
 	before := transcriptOf(t, mustGet(t, replica, e.ID))
 	applyShipped(t, primary, replica, stale)
@@ -337,22 +411,22 @@ func TestApplyBatchRejectsGapsAndCorruption(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		commitPair(t, primary, e, fmt.Sprintf("q%d", j), "a", 0.5)
 	}
-	b, err := primary.PullFrames(0, 0, 0)
+	b, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop the first frame: the rest no longer extends cursor 0.
+	// Drop the first record: the rest no longer extends cursor 0.
 	gap := b
-	gap.Frames = b.Frames[1:]
+	gap.Records = b.Records[1:]
 	if err := replica.ApplyBatch(gap); !errors.Is(err, ErrReplicaGap) {
 		t.Fatalf("gap apply error = %v, want ErrReplicaGap", err)
 	}
-	// Corrupt a frame body: the CRC scan must reject it.
+	// Alter a turn's pair: its version no longer pins the node it names.
 	bad := b
-	bad.Frames = []Frame{{Seq: 1, Data: append([]byte{}, b.Frames[0].Data...)}}
-	bad.Frames[0].Data[len(bad.Frames[0].Data)-1] ^= 0x5A
+	bad.Records = slices.Clone(b.Records)
+	bad.Records[1] = altered(t, b.Records[1])
 	if err := replica.ApplyBatch(bad); err == nil {
-		t.Fatal("corrupt frame applied without error")
+		t.Fatal("an altered record applied without error")
 	}
 	// The intact batch still applies cleanly afterwards.
 	if err := replica.ApplyBatch(b); err != nil {
@@ -360,7 +434,7 @@ func TestApplyBatchRejectsGapsAndCorruption(t *testing.T) {
 	}
 	assertMirrors(t, primary, replica, []string{e.ID})
 	// A cursor ahead of the primary is refused, not rewound.
-	if _, err := primary.PullFrames(0, primary.ReplicationCursor(0)+1, 0); err == nil {
+	if _, err := primary.PullRecords(0, primary.ReplicationCursor(0)+1, 0); err == nil {
 		t.Fatal("pull from a future cursor succeeded")
 	}
 }
@@ -425,9 +499,9 @@ func TestReplicationLagTracksPrimaryCursor(t *testing.T) {
 	shipAll(t, primary, replica, 0)
 	commitPair(t, primary, e, "q1", "a1", 0.5)
 	commitPair(t, primary, e, "q2", "a2", 0.5)
-	// Pull one frame of the two outstanding: the batch carries the
+	// Pull one record of the two outstanding: the batch carries the
 	// primary's full cursor, so lag = 1 after applying it.
-	b, err := primary.PullFrames(0, replica.ReplicationCursor(0), 1)
+	b, err := primary.PullRecords(0, replica.ReplicationCursor(0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,12 +540,12 @@ func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 			want[e.ID] = append(want[e.ID], transcriptOf(t, e))
 		}
 	}
-	b, err := primary.PullFrames(0, 0, 0)
+	b, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Frames) != 8 || b.SnapshotRoot != "" {
-		t.Fatalf("pull = %d frames (root %q), want the 8 records as frames", len(b.Frames), b.SnapshotRoot)
+	if len(b.Records) != 8 || b.SnapshotRoot != "" {
+		t.Fatalf("pull = %d frames (root %q), want the 8 records as frames", len(b.Records), b.SnapshotRoot)
 	}
 	for round := 0; round < 2; round++ { // applied, then re-applied: nothing changes
 		if err := replica.ApplyBatch(b); err != nil {
@@ -509,9 +583,9 @@ func TestReplicaAsOfAfterBatchedCatchUp(t *testing.T) {
 // TestApplyBatchIsOneWALAppend: a catch-up batch is judged whole, then
 // lands in the replica's write-ahead log, the journal — the shard root's
 // first version and a version per record — with one append and one
-// fsync, however many frames it carries; a bad frame anywhere in it
-// appends and replays nothing, and so does a batch the replica already
-// holds.
+// fsync, however many records it carries; an altered record anywhere in
+// it appends and replays nothing, and so does a batch the replica
+// already holds.
 func TestApplyBatchIsOneWALAppend(t *testing.T) {
 	primary := NewMemory(Config{Shards: 1, SnapshotEvery: 1 << 20})
 	e, err := primary.NewSession()
@@ -521,12 +595,12 @@ func TestApplyBatchIsOneWALAppend(t *testing.T) {
 	for j := 0; j < 49; j++ {
 		commitPair(t, primary, e, fmt.Sprintf("q%d", j), fmt.Sprintf("a%d", j), 0.5)
 	}
-	b, err := primary.PullFrames(0, 0, 0)
+	b, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Frames) != 50 {
-		t.Fatalf("pull = %d frames, want 50", len(b.Frames))
+	if len(b.Records) != 50 {
+		t.Fatalf("pull = %d records, want 50", len(b.Records))
 	}
 	wal := &journalProbe{}
 	replica, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1 << 20, Faults: wal})
@@ -547,27 +621,25 @@ func TestApplyBatchIsOneWALAppend(t *testing.T) {
 	}
 	for _, at := range []int{0, 25, 49} {
 		bad := b
-		bad.Frames = append([]Frame(nil), b.Frames...)
-		data := append([]byte(nil), b.Frames[at].Data...)
-		data[len(data)-1] ^= 0x5A
-		bad.Frames[at].Data = data
+		bad.Records = slices.Clone(b.Records)
+		bad.Records[at] = altered(t, b.Records[at])
 		if err := replica.ApplyBatch(bad); err == nil {
-			t.Fatalf("batch with a corrupt frame at %d applied", at)
+			t.Fatalf("batch with an altered record at %d applied", at)
 		}
-		untouched(fmt.Sprintf("corrupt frame at %d", at))
+		untouched(fmt.Sprintf("altered record at %d", at))
 	}
 	gap := b
-	gap.Frames = append(append([]Frame(nil), b.Frames[:25]...), b.Frames[26:]...)
+	gap.Records = slices.Concat(b.Records[:25], b.Records[26:])
 	if err := replica.ApplyBatch(gap); !errors.Is(err, ErrReplicaGap) {
-		t.Fatalf("batch missing frame 25: err = %v, want ErrReplicaGap", err)
+		t.Fatalf("batch missing record 25: err = %v, want ErrReplicaGap", err)
 	}
-	untouched("frame 25 missing")
+	untouched("record 25 missing")
 
 	if err := replica.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	if synced, size := replica.Versions().JournalSynced(); wal.appends != 1 || replica.ReplicationCursor(0) != 50 || synced != size {
-		t.Fatalf("a 50-frame batch: %d journal appends, cursor %d, journal flushed to %d of %d bytes; want 1, 50 and all of it", wal.appends, replica.ReplicationCursor(0), synced, size)
+		t.Fatalf("a 50-record batch: %d journal appends, cursor %d, journal flushed to %d of %d bytes; want 1, 50 and all of it", wal.appends, replica.ReplicationCursor(0), synced, size)
 	}
 	if err := replica.ApplyBatch(b); err != nil {
 		t.Fatal(err)

@@ -20,9 +20,12 @@
 // session/<id>; versioned.go has the trees. Recovery loads the head of
 // each shard's root and replays the shard's session records that follow
 // it in journal order — each rebuilt as the record it stands for, with
-// the ship sequence its place gives it — and the journal truncates any
-// torn tail left by a crash mid-append, so a recovered transcript is
-// byte-identical to the acknowledged prefix at the moment of the crash.
+// the ship sequence its place gives it, and kept as a value in the
+// shard's replication tail, which replication.go ships as JSON — and the
+// journal truncates any torn tail left by a crash mid-append, so a
+// recovered transcript is byte-identical to the acknowledged prefix at
+// the moment of the crash. The journal is the one format on disk: a
+// record has no encoding of its own.
 // That layout is the only one Open reads: a directory older than it — a
 // shard-00.snap, the JSON checkpoint older stores wrote, a shard WAL with
 // a record in it, or a version store older than the journal's format —
@@ -59,6 +62,17 @@ import (
 	"github.com/reliable-cda/cda/internal/resilience"
 	"github.com/reliable-cda/cda/internal/vstore"
 )
+
+// ErrCrashed is returned by a commit whose journal append was torn by an
+// injected crash fault (faults.Injector.TornWrite), and by every commit
+// after it. The session's next turn starts from the durable prefix, as
+// after any failed commit; the harness then reopens the directory to
+// exercise recovery.
+var ErrCrashed = framelog.ErrCrashed
+
+// WriteFaults is the crash seam the journal threads its appends
+// through; *faults.Injector implements it. Nil means no injected crashes.
+type WriteFaults = framelog.Faults
 
 // GetStatus classifies a session lookup.
 type GetStatus int
@@ -153,13 +167,12 @@ type shard struct {
 	// of which a shard's first record lands behind (newBatch).
 	rooted bool
 	// shipBase is the ship sequence at the last compaction horizon; tail
-	// holds the framed bytes of every record since, so replication pulls
-	// serve committed frames without reading the journal, and its length
-	// is the count of records the next compaction folds. remoteSeq is the
-	// highest primary cursor seen by ApplyBatch (replicas only), for lag
-	// reporting.
+	// holds every record since, so replication pulls serve committed
+	// records without reading the journal, and its length is the count of
+	// records the next compaction folds. remoteSeq is the highest primary
+	// cursor seen by ApplyBatch (replicas only), for lag reporting.
 	shipBase  int64
-	tail      [][]byte
+	tail      []record
 	remoteSeq int64
 	// compactErr holds the most recent compaction failure. Compaction
 	// is an optimization — user traffic must not fail when it does — so
@@ -373,7 +386,7 @@ func checkLayout(dir string) ([]string, error) {
 			return nil, fmt.Errorf("sessionstore: read %s: %w", path, err)
 		}
 		wals = append(wals, path)
-		payloads, _ := framelog.Scan(walMagic, raw)
+		payloads, _ := framelog.Scan(shardWALMagic, raw)
 		for _, p := range payloads {
 			if len(p) > 0 && p[0] == '{' {
 				held = &vstore.FormatError{Path: path, Format: "a shard WAL of JSON records", Reader: jsonWALLastReader}
@@ -419,7 +432,7 @@ type shardPlan struct {
 // shards, or a session that belongs in another shard under shards than
 // under dirShards, is ErrShardCount.
 func planShards(vs *vstore.Store, shards, wals int) ([]shardPlan, error) {
-	events := vs.Events()
+	events := vs.TakeEvents()
 	last := map[int]int{} // shard → the index of its root's head in events
 	top := -1
 	for i, ev := range events {
@@ -483,11 +496,11 @@ func readRoot(vs *vstore.Store, shard, shards, dirShards int, plan *shardPlan) e
 
 // load recovers the shard from plan: the state of its root's head, then
 // each journal record after it that stands for one of the shard's
-// records, replayed and framed at the next ship sequence — so the
-// replication tail holds the frames it held before the crash, byte for
-// byte. A version that stands for no record — an older writer's, which
-// versioned what its WAL logged, or a replica's of a session a root
-// installed — is passed over. Caller holds sh.mu.
+// records, replayed and kept at the next ship sequence — so the
+// replication tail holds the records it held before the crash. A version
+// that stands for no record — an older writer's, which versioned what
+// its WAL logged, or a replica's of a session a root installed — is
+// passed over. Caller holds sh.mu.
 func (sh *shard) load(plan shardPlan, now time.Duration) error {
 	sh.reset(plan.snap, now)
 	sh.rooted = plan.root != ""
@@ -499,13 +512,8 @@ func (sh *shard) load(plan shardPlan, now time.Duration) error {
 		if tree == nil && rec.Kind != kindEvict {
 			continue
 		}
-		rec.Ship = sh.cursor() + 1
-		frame, err := encodeRecord(rec)
-		if err != nil {
-			return err
-		}
 		sh.replay(rec, tree, now)
-		sh.tail = append(sh.tail, frame)
+		sh.tail = append(sh.tail, rec)
 	}
 	return nil
 }
@@ -535,7 +543,7 @@ func (sh *shard) reset(snap snapshot, now time.Duration) {
 // rebuilt from the journal (recordOf) — to memory, tree being the
 // session tree a create or turn record's version holds. Caller holds
 // sh.mu.
-func (sh *shard) replay(rec walRecord, tree *sessionTree, now time.Duration) {
+func (sh *shard) replay(rec record, tree *sessionTree, now time.Duration) {
 	switch rec.Kind {
 	case kindCreate:
 		sh.maxNum = max(sh.maxNum, rec.Num)
@@ -612,19 +620,11 @@ func (sh *shard) newBatch(turn *obs.Turn) (*vstore.Batch, error) {
 	return b, nil
 }
 
-// logRecords lands b, on which the journal records standing for recs are
+// logRecord lands b, on which the journal record standing for rec is
 // queued, with one flushed append — the acknowledgement — and then
-// retains their frames, at the next ship sequences, in the replication
-// tail. Nothing moves when the append fails. Caller holds sh.mu.
-func (sh *shard) logRecords(turn *obs.Turn, b *vstore.Batch, recs ...walRecord) error {
-	frames := make([][]byte, len(recs))
-	for i, rec := range recs {
-		rec.Ship = sh.cursor() + int64(i) + 1
-		var err error
-		if frames[i], err = encodeRecord(rec); err != nil {
-			return err
-		}
-	}
+// retains rec, at the next ship sequence, in the replication tail.
+// Nothing moves when the append fails. Caller holds sh.mu.
+func (sh *shard) logRecord(turn *obs.Turn, b *vstore.Batch, rec record) error {
 	end := turn.Start("vstore.journal")
 	err := b.Land()
 	end.End()
@@ -632,7 +632,7 @@ func (sh *shard) logRecords(turn *obs.Turn, b *vstore.Batch, recs ...walRecord) 
 		return err
 	}
 	sh.rooted = true
-	sh.tail = append(sh.tail, frames...)
+	sh.tail = append(sh.tail, rec)
 	return nil
 }
 
@@ -676,10 +676,11 @@ func (s *Store) createSession(id string, num int) (*Entry, error) {
 	if _, ok := sh.sessions[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	rec := walRecord{Kind: kindCreate, ID: id, Num: num}
+	rec := record{Kind: kindCreate, ID: id, Num: num}
 	b, tree, err := sh.stage(nil, rec, sessionSnap{ID: id, Num: num})
 	if err == nil {
-		err = sh.logRecords(nil, b, rec)
+		rec.Node = tree.sess
+		err = sh.logRecord(nil, b, rec)
 	}
 	if err != nil {
 		return nil, err
@@ -754,14 +755,15 @@ func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
 		return fmt.Errorf("sessionstore: session %s evicted mid-turn", e.ID)
 	}
 	pair := []dialogue.Turn{encodeTurn(e.sess.Turns[n-2]), encodeTurn(e.sess.Turns[n-1])}
-	rec := walRecord{Kind: kindTurn, ID: e.ID, Seq: len(e.committed),
+	rec := record{Kind: kindTurn, ID: e.ID, Turn: len(e.committed),
 		Focus: strings.ToValidUTF8(e.sess.Focus, "\uFFFD"), Turns: pair}
 	// The pair joins committed's spare capacity, if it has any, where
 	// nothing reads while committed is shorter.
 	after := sessionSnap{ID: e.ID, Num: e.num, Focus: rec.Focus, Turns: append(e.committed, pair...), tree: e.tree}
 	b, tree, err := sh.stage(turn, rec, after)
 	if err == nil {
-		err = sh.logRecords(turn, b, rec)
+		rec.Node = tree.sess
+		err = sh.logRecord(turn, b, rec)
 	}
 	if err != nil {
 		e.current = false
@@ -774,9 +776,9 @@ func (s *Store) commitTurn(turn *obs.Turn, e *Entry) error {
 }
 
 // encodeTurn is a dialogue turn as it is persisted, which the turn codec
-// records and turns chunks share requires: text that is not valid UTF-8 —
-// a served table's bytes may not be — with U+FFFD in place of each
-// invalid run, and a system turn without an intent.
+// requires: text that is not valid UTF-8 — a served table's bytes may
+// not be — with U+FFFD in place of each invalid run, and a system turn
+// without an intent.
 func encodeTurn(t dialogue.Turn) dialogue.Turn {
 	t.Text = strings.ToValidUTF8(t.Text, "\uFFFD")
 	if t.Role == dialogue.RoleSystem {
@@ -788,10 +790,10 @@ func encodeTurn(t dialogue.Turn) dialogue.Turn {
 // evict logs the eviction, then removes the session and leaves a
 // tombstone. Caller holds sh.mu.
 func (sh *shard) evict(e *Entry) error {
-	rec := walRecord{Kind: kindEvict, ID: e.ID}
+	rec := record{Kind: kindEvict, ID: e.ID}
 	b, _, err := sh.stage(nil, rec, sessionSnap{})
 	if err == nil {
-		err = sh.logRecords(nil, b, rec)
+		err = sh.logRecord(nil, b, rec)
 	}
 	if err != nil {
 		return err
@@ -880,7 +882,7 @@ func (sh *shard) buildSnapshot() snapshot {
 
 // compact folds the shard into its shard root — the checkpoint — with
 // one flushed journal append. The ship horizon advances with the root:
-// replicas behind it are shipped the root instead of frames, and the
+// replicas behind it are shipped the root instead of records, and the
 // replication tail and Open's replay start after it. A journal that
 // cannot take it refuses the compaction, and nothing moves. Caller holds
 // sh.mu.

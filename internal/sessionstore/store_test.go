@@ -173,7 +173,7 @@ func TestRecoverAfterSnapshotCompaction(t *testing.T) {
 // already folded in, the root, and the turn after it. Replay must not
 // duplicate the folded records, nor the ship cursor count them — a
 // replica at the cursor is shipped nothing — and the one record after
-// the root comes back as the frame it was; the next turn and the reopen
+// the root comes back as the record it was; the next turn and the reopen
 // after it carry on from the cursor.
 func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -209,11 +209,11 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 	if c := st2.ReplicationCursor(0); c != cursor {
 		t.Errorf("cursor after the reopen = %d, want %d, where the kill left it", c, cursor)
 	}
-	if !slices.EqualFunc(st2.shards[0].tail, tail, bytes.Equal) || len(tail) != 1 {
-		t.Errorf("the reopened tail holds %d frames, the killed one %d (want the one turn after the root, byte for byte)", len(st2.shards[0].tail), len(tail))
+	if !sameRecords(st2.shards[0].tail, tail) || len(tail) != 1 {
+		t.Errorf("the reopened tail holds %d records, the killed one %d (want the one turn after the root, field for field)", len(st2.shards[0].tail), len(tail))
 	}
-	if b, err := st2.PullFrames(0, cursor, 0); err != nil || !b.Empty() {
-		t.Errorf("a pull at cursor %d = %d frames, root %q, %v; want nothing to ship", cursor, len(b.Frames), b.SnapshotRoot, err)
+	if b, err := st2.PullRecords(0, cursor, 0); err != nil || !b.Empty() {
+		t.Errorf("a pull at cursor %d = %d records, root %q, %v; want nothing to ship", cursor, len(b.Records), b.SnapshotRoot, err)
 	}
 	commitPair(t, st2, got, "q3", "a3", 0.5)
 	want = transcriptOf(t, got)
@@ -244,7 +244,7 @@ func TestWALWithAGapIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, _ := framelog.Scan(walMagic, raw)
+	payloads, _ := framelog.Scan(shardWALMagic, raw)
 	second := framelog.HeaderSize + len(payloads[0])
 	gap := slices.Concat(raw[:second], raw[second+framelog.HeaderSize+len(payloads[1]):])
 	if err := os.WriteFile(path, gap, 0o644); err != nil {

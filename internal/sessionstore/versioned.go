@@ -320,7 +320,7 @@ func decodeShardTree(vs *vstore.Store, h vstore.Hash) (snapshot, error) {
 // journal record that stands for rec: for a create or a turn the version
 // of after, the session's state once rec has applied, returned as its
 // tree; for an evict a mark. Caller holds sh.mu.
-func (sh *shard) stage(turn *obs.Turn, rec walRecord, after sessionSnap) (*vstore.Batch, *sessionTree, error) {
+func (sh *shard) stage(turn *obs.Turn, rec record, after sessionSnap) (*vstore.Batch, *sessionTree, error) {
 	b, err := sh.newBatch(turn)
 	if err != nil {
 		return nil, nil, err
@@ -331,7 +331,7 @@ func (sh *shard) stage(turn *obs.Turn, rec walRecord, after sessionSnap) (*vstor
 
 // stageRecord queues on b the journal record that stands for rec, after
 // being the session's state once rec has applied (unused for an evict).
-func stageRecord(turn *obs.Turn, b *vstore.Batch, rec walRecord, after sessionSnap) (*sessionTree, error) {
+func stageRecord(turn *obs.Turn, b *vstore.Batch, rec record, after sessionSnap) (*sessionTree, error) {
 	if rec.Kind == kindEvict {
 		b.Mark(SessionRoot(rec.ID))
 		return nil, nil
@@ -351,41 +351,42 @@ func stageRecord(turn *obs.Turn, b *vstore.Batch, rec walRecord, after sessionSn
 // session's eviction; a version of an empty node at turn 0 of a session
 // the shard has never held is its creation; a version that adds turns to
 // a live session is the turn record that added them, its focus the
-// node's. Any other version stands for no record, and the tree returned
-// is nil. Caller holds sh.mu.
-func (sh *shard) recordOf(ev vstore.Event) (walRecord, *sessionTree, error) {
+// node's. A create or a turn names the node its version pins. Any other
+// version stands for no record, and the tree returned is nil. Caller
+// holds sh.mu.
+func (sh *shard) recordOf(ev vstore.Event) (record, *sessionTree, error) {
 	id := ev.Root[len(SessionRoot("")):]
 	if ev.Mark {
-		return walRecord{Kind: kindEvict, ID: id}, nil, nil
+		return record{Kind: kindEvict, ID: id}, nil, nil
 	}
 	kind, data, err := sh.versions.Data(ev.Commit.Tree)
 	if err != nil {
-		return walRecord{}, nil, err
+		return record{}, nil, err
 	}
 	meta, err := decodeSessData(data)
 	if err == nil && (kind != "sess" || meta.ID != id || meta.Per <= 0 || meta.Turns != ev.Commit.Turn) {
 		err = fmt.Errorf("is a %q node of session %q at %d turns, committed at turn %d of %s", kind, meta.ID, meta.Turns, ev.Commit.Turn, ev.Root)
 	}
 	if err != nil {
-		return walRecord{}, nil, malformed(ev.Commit.Tree, "%w", err)
+		return record{}, nil, malformed(ev.Commit.Tree, "%w", err)
 	}
 	refs, err := sh.versions.Refs(ev.Commit.Tree)
 	if err != nil {
-		return walRecord{}, nil, err
+		return record{}, nil, err
 	}
 	tree := &sessionTree{turns: meta.Turns, refs: refs, sess: ev.Commit.Tree}
 	e, live := sh.sessions[id]
 	switch {
 	case !live && !sh.tombstones[id] && meta.Turns == 0:
-		return walRecord{Kind: kindCreate, ID: id, Num: meta.Num}, tree, nil
+		return record{Kind: kindCreate, ID: id, Num: meta.Num, Node: tree.sess}, tree, nil
 	case live && meta.Turns > len(e.committed):
 		turns, err := lastTurns(sh.versions, ev.Commit.Tree, refs, meta.Per, meta.Turns-len(e.committed))
 		if err != nil {
-			return walRecord{}, nil, err
+			return record{}, nil, err
 		}
-		return walRecord{Kind: kindTurn, ID: id, Seq: len(e.committed), Focus: meta.Focus, Turns: turns}, tree, nil
+		return record{Kind: kindTurn, ID: id, Turn: len(e.committed), Focus: meta.Focus, Turns: turns, Node: tree.sess}, tree, nil
 	}
-	return walRecord{}, nil, nil
+	return record{}, nil, nil
 }
 
 // lastTurns decodes the last n turns of the session tree whose node, h,

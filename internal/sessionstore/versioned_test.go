@@ -18,12 +18,12 @@ import (
 	"github.com/reliable-cda/cda/internal/vstore"
 )
 
-// TestPullFramesAtCompactionHorizonBoundary pins the boundary between
-// the snapshot-transfer and frame-shipping paths: a cursor EXACTLY at
-// the compaction horizon is fully served by frames — the horizon is
+// TestPullRecordsAtCompactionHorizonBoundary pins the boundary between
+// the snapshot-transfer and record-shipping paths: a cursor EXACTLY at
+// the compaction horizon is fully served by records — the horizon is
 // the last sequence the snapshot covers, so nothing below it is
 // needed — while one record below it must get a snapshot.
-func TestPullFramesAtCompactionHorizonBoundary(t *testing.T) {
+func TestPullRecordsAtCompactionHorizonBoundary(t *testing.T) {
 	primary, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -49,35 +49,35 @@ func TestPullFramesAtCompactionHorizonBoundary(t *testing.T) {
 		t.Fatalf("no compaction happened; shipBase = 0")
 	}
 	if tail == 0 {
-		// Land at least one record above the horizon so the frame path
+		// Land at least one record above the horizon so the record path
 		// has something to serve.
 		commitPair(t, primary, e, "q-tail", "a-tail", 0.5)
 	}
 
-	// Exactly at the horizon: frames, starting at horizon+1.
-	b, err := primary.PullFrames(0, horizon, 0)
+	// Exactly at the horizon: records, starting at horizon+1.
+	b, err := primary.PullRecords(0, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.SnapshotRoot != "" {
 		t.Fatalf("cursor at horizon %d got the shard root", horizon)
 	}
-	if len(b.Frames) == 0 || b.Frames[0].Seq != horizon+1 {
-		t.Fatalf("cursor at horizon: frames = %d starting %d, want first seq %d",
-			len(b.Frames), b.Frames[0].Seq, horizon+1)
+	if len(b.Records) == 0 || b.Records[0].Seq != horizon+1 {
+		t.Fatalf("cursor at horizon: records = %d starting %d, want first seq %d",
+			len(b.Records), b.Records[0].Seq, horizon+1)
 	}
 
-	// One below: the shard root at the horizon, and the frames after it.
-	b, err = primary.PullFrames(0, horizon-1, 0)
+	// One below: the shard root at the horizon, and the records after it.
+	b, err = primary.PullRecords(0, horizon-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SnapshotRoot == "" || b.SnapshotSeq != horizon || len(b.Frames) == 0 || b.Frames[0].Seq != horizon+1 {
-		t.Fatalf("cursor below horizon: root %q at %d and %d frames, want the root at %d and frames from %d",
-			b.SnapshotRoot, b.SnapshotSeq, len(b.Frames), horizon, horizon+1)
+	if b.SnapshotRoot == "" || b.SnapshotSeq != horizon || len(b.Records) == 0 || b.Records[0].Seq != horizon+1 {
+		t.Fatalf("cursor below horizon: root %q at %d and %d records, want the root at %d and records from %d",
+			b.SnapshotRoot, b.SnapshotSeq, len(b.Records), horizon, horizon+1)
 	}
 
-	// A replica starting exactly at the horizon catches up by frames
+	// A replica starting exactly at the horizon catches up by records
 	// alone and mirrors byte-identically.
 	replica, err := Open(Config{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 4})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestPullFramesAtCompactionHorizonBoundary(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	full, err := primary.PullFrames(0, 0, 0)
+	full, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	}
 	e := entries[0]
 
-	b, err := primary.PullFrames(0, 0, 0)
+	b, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.SnapshotRoot == "" {
-		t.Fatalf("pull below horizon: no shard root, %d frames", len(b.Frames))
+		t.Fatalf("pull below horizon: no shard root, %d records", len(b.Records))
 	}
 
 	if err := replica.ApplyBatch(b); !errors.Is(err, ErrReplicaGap) || !strings.Contains(fmt.Sprint(err), b.SnapshotRoot) {
@@ -229,7 +229,7 @@ func TestVersionedSnapshotShipNegotiatesChunks(t *testing.T) {
 	for j := 2; j < 8; j++ {
 		commitPair(t, primary, e, fmt.Sprintf("s0 q%d", j), fmt.Sprintf("a%d", j), 0.5)
 	}
-	b2, err := primary.PullFrames(0, replica.ReplicationCursor(0), 0)
+	b2, err := primary.PullRecords(0, replica.ReplicationCursor(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestCatchUpIsNoDeeperAndShipsNoMore(t *testing.T) {
 		return st, vs
 	}
 	primary, vsP := open()
-	follower, vsF := open() // replays every record as a frame
+	follower, vsF := open() // replays every record as it is shipped
 	fresh, vsN := open()    // holds nothing
 	var ids []string
 	for _, pairs := range []int{20, 3, 16} { // past a fold and mid-window; mid-window; exactly at a fold
@@ -305,12 +305,12 @@ func TestCatchUpIsNoDeeperAndShipsNoMore(t *testing.T) {
 	if err := primary.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := primary.PullFrames(0, 0, 0)
+	b, err := primary.PullRecords(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SnapshotRoot == "" || len(b.Frames) != 0 {
-		t.Fatalf("pull below the horizon: root %q and %d frames, want the snapshot root alone", b.SnapshotRoot, len(b.Frames))
+	if b.SnapshotRoot == "" || len(b.Records) != 0 {
+		t.Fatalf("pull below the horizon: root %q and %d records, want the snapshot root alone", b.SnapshotRoot, len(b.Records))
 	}
 	// The driver's loop (cluster.negotiateChunks), counted.
 	negotiate := func(vs *vstore.Store) (rounds, moved int) {

@@ -19,17 +19,22 @@ import (
 // forward ref), each batch a version of one of three roots and now and
 // then behind a mark; a data version; and a shipped version, adopted,
 // whose packets arrive top-down in rounds of three.
-func backScript(t testing.TB, seed int64, stores ...*Store) {
+func backScript(t testing.TB, seed int64, stores ...*Store) []Event {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	src := NewMemory()
 	var known []Hash
+	var events []Event
 	for step := 0; step < 24; step++ {
 		switch step {
 		case 5:
-			for _, s := range stores {
-				if _, err := s.CommitDatabase("db/main", demoDB(600), step); err != nil {
+			for i, s := range stores {
+				c, err := s.CommitDatabase("db/main", demoDB(600), step)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if i == 0 {
+					events = append(events, Event{Root: "db/main", Commit: c})
 				}
 			}
 			continue
@@ -55,13 +60,17 @@ func backScript(t testing.TB, seed int64, stores ...*Store) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range stores {
+			for i, s := range stores {
 				// mid's ref to the data tree, which s holds whole, is not pulled.
 				if _, err := pullFrom(src, s, c.Hash, 3); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := adoptCommit(s, "shard/00", c.Hash); err != nil {
+				head, err := adoptCommit(s, "shard/00", c.Hash)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if i == 0 {
+					events = append(events, Event{Root: "shard/00", Commit: head})
 				}
 			}
 			continue
@@ -92,7 +101,7 @@ func backScript(t testing.TB, seed int64, stores ...*Store) {
 			puts, staged = append(puts, p), append(staged, h)
 		}
 		root, mark := fmt.Sprintf("session/%d", rng.Intn(3)), rng.Intn(4) == 0
-		for _, s := range stores {
+		for i, s := range stores {
 			b := s.NewBatch(nil)
 			if mark {
 				b.Mark(root)
@@ -102,12 +111,21 @@ func backScript(t testing.TB, seed int64, stores ...*Store) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := b.Commit(root, staged[len(staged)-1], step); err != nil {
+			c, err := b.Commit(root, staged[len(staged)-1], step)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if i > 0 {
+				continue
+			}
+			if mark {
+				events = append(events, Event{Root: root, Mark: true})
+			}
+			events = append(events, Event{Root: root, Commit: c})
 		}
 		known = append(known, staged...)
 	}
+	return events
 }
 
 // requireSameChunks requires got to index the chunks want does, each
@@ -153,12 +171,12 @@ func TestBackRefsReadBackCanonical(t *testing.T) {
 		dir := t.TempDir()
 		disk := openDir(t, dir)
 		mem := NewMemory()
-		backScript(t, seed, disk, mem)
+		events := backScript(t, seed, disk, mem)
 		requireSameChunks(t, disk, mem)
 		if got, want := allLogs(t, disk), allLogs(t, mem); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: root logs differ from the memory store's", seed)
 		}
-		requireCopyReopens(t, dir, disk)
+		requireCopyReopens(t, dir, disk, events)
 		reopened := openDir(t, copyLeafFixture(t, dir))
 		requireSameChunks(t, reopened, mem)
 		forms := map[byte]int{}
@@ -204,7 +222,7 @@ func TestAddPacketsKeepsForwardRefsWhole(t *testing.T) {
 		}
 	}
 	requireSameChunks(t, dst, src)
-	requireCopyReopens(t, dir, dst)
+	requireCopyReopens(t, dir, dst, nil)
 }
 
 // TestJournalRefusesBadBackRefs: a back form no writer produces ends the

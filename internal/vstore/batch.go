@@ -88,7 +88,7 @@ func (b *Batch) Version(root string, tree Hash, turn int) {
 }
 
 // Mark queues a mark record on root: an event in the journal's order
-// that Events lists and no root log holds.
+// that TakeEvents lists after a reopen and no root log holds.
 func (b *Batch) Mark(root string) {
 	b.queued = append(b.queued, queuedRecord{root: root, mark: true})
 }
@@ -120,8 +120,8 @@ func (b *Batch) Commit(root string, tree Hash, turn int) (Commit, error) {
 // each queued version, adoption and mark, in the order they were queued,
 // into the journal with one append, and returns once an fsync has
 // covered it; a version's commit record carries its tree node when the
-// store lacks that too. The index, the root logs and the events change
-// only then, so a failed append or fsync leaves them as they were: every
+// store lacks that too. The index and the root logs change only then,
+// so a failed append or fsync leaves them as they were: every
 // record the batch holds lands, or none, and a crash that tears the
 // append keeps a prefix of its records, each with its whole tree. A
 // version whose root's newest commit already pins its tree at its turn,

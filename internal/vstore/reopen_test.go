@@ -31,8 +31,9 @@ func lastForm(t *testing.T, dir string) byte {
 
 // requireCopyReopens opens a copy of the journal under dir, as a kill
 // would leave it, and requires every root log of s, commit for commit,
-// its events in their order, and the chunks s indexes, each reading back as its address.
-func requireCopyReopens(t *testing.T, dir string, s *Store) {
+// events, the root records of the journal in their order, and the chunks
+// s indexes, each reading back as its address.
+func requireCopyReopens(t *testing.T, dir string, s *Store, events []Event) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, packName))
 	if err != nil {
@@ -54,8 +55,8 @@ func requireCopyReopens(t *testing.T, dir string, s *Store) {
 	if got, want := allLogs(t, r), allLogs(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("root logs after reopen:\n got: %+v\nwant: %+v", got, want)
 	}
-	if got, want := r.Events(), s.Events(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("events after reopen:\n got: %+v\nwant: %+v", got, want)
+	if got := r.TakeEvents(); !reflect.DeepEqual(got, events) {
+		t.Fatalf("events after reopen:\n got: %+v\nwant: %+v", got, events)
 	}
 	if r.NumChunks() != s.NumChunks() {
 		t.Fatalf("reopened with %d chunks, store holds %d", r.NumChunks(), s.NumChunks())
@@ -107,6 +108,11 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 	}
 	const none = 0xFF // a step that writes no commit record
 	var first Commit
+	// events are the journal's root records so far: each step adds the
+	// mark it lands, if any, before the one commit it adds, if any.
+	var events []Event
+	var marked string // the root a step's mark is on
+	logs := map[string][]Commit{}
 	for _, step := range []struct {
 		name string
 		do   func()
@@ -125,6 +131,7 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 			if err := b.Land(); err != nil {
 				t.Fatal(err)
 			}
+			marked = "session/b"
 		}, treeBack},
 		{"a tree with a ref no frame holds", func() {
 			b := s.NewBatch(nil)
@@ -168,12 +175,77 @@ func TestReopenGivesBackEveryCommit(t *testing.T) {
 		{"a commit on the adopted one", func() { commit("shard/00", 4, 12, (*Batch).Commit) }, treeBack},
 	} {
 		step.do()
+		if marked != "" {
+			events, marked = append(events, Event{Root: marked, Mark: true}), ""
+		}
+		added := 0
+		for root, log := range allLogs(t, s) {
+			for _, c := range log[len(logs[root]):] {
+				events, added = append(events, Event{Root: root, Commit: c}), added+1
+			}
+			logs[root] = log
+		}
+		if added > 1 {
+			t.Fatalf("%s: added %d commits; a step adds at most one, so the events' order is known", step.name, added)
+		}
 		if step.form != none {
 			if got := lastForm(t, dir); got != step.form {
 				t.Fatalf("%s: the commit record's tree is in form %d, want %d", step.name, got, step.form)
 			}
 		}
-		t.Run(step.name, func(t *testing.T) { requireCopyReopens(t, dir, s) })
+		t.Run(step.name, func(t *testing.T) { requireCopyReopens(t, dir, s, events) })
+	}
+}
+
+// TestEventsAreHandedOverOnce: a store's own writes leave no event
+// behind, however many it takes, and a reopen hands over every root
+// record of the journal once, in order.
+func TestEventsAreHandedOverOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Event
+	for i := 1; i <= 50; i++ {
+		b := s.NewBatch(nil)
+		if i%10 == 0 {
+			b.Mark("session/gone")
+			want = append(want, Event{Root: "session/gone", Mark: true})
+		}
+		turns, err := b.Put("turns", nil, []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := b.Commit("session/a", turns, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, Event{Root: "session/a", Commit: c})
+	}
+	s.mu.RLock()
+	kept := len(s.events)
+	s.mu.RUnlock()
+	if kept != 0 {
+		t.Errorf("50 commits after Open left %d events in the store, want none", kept)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	if got := r.TakeEvents(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events after reopen:\n got: %+v\nwant: %+v", got, want)
+	}
+	if got := r.TakeEvents(); len(got) != 0 {
+		t.Errorf("a second TakeEvents returned %d events, want none", len(got))
 	}
 }
 

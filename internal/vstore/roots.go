@@ -139,6 +139,7 @@ func (s *Store) replayCommitLocked(r *replay, root string, v *versionRecord, off
 	s.indexLocked(r, c.Hash, &chunk{off: off, n: n, refs: []Hash{v.Tree}, host: recordCommit, commit: &c})
 	r.commits[c.Hash] = payload
 	s.appendEntryLocked(root, c)
+	s.events = append(s.events, Event{Root: root, Commit: c})
 	return nil
 }
 

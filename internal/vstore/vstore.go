@@ -50,8 +50,8 @@
 // which orders the journal, and fsynced once that lock is released, so
 // readers and writers to other roots never wait behind a disk flush, and
 // writers whose appends overlap one fsync share it (framelog's group
-// commit). Its chunks, root-log entries and events are installed only
-// when that fsync has succeeded, in journal order. A failed fsync kills
+// commit). Its chunks and root-log entries are installed only when that
+// fsync has succeeded, in journal order. A failed fsync kills
 // the journal: every write it covered fails, and so does every later one
 // until the store is reopened. Once a dir-backed store is closed, every
 // journal write fails.
@@ -217,20 +217,13 @@ type record struct {
 	Version *versionRecord
 }
 
-// Event is one root record of the journal, as Events lists them: a
+// Event is one root record of the journal, as TakeEvents lists them: a
 // commit appended to Root's log, or, when Mark is set, a mark on Root,
 // which holds no commit.
 type Event struct {
 	Root   string
 	Commit Commit
 	Mark   bool
-}
-
-// event is an installed root record: Root's log entry at index i, or a
-// mark when i is -1.
-type event struct {
-	root string
-	i    int
 }
 
 // entry is one root record of a journal write: the commit it appends to
@@ -243,8 +236,8 @@ type entry struct {
 
 // write is one journal append on its way to acknowledgement: written
 // under s.mu, then installed — its chunks indexed, its entries appended
-// to the root logs and the events — once an fsync of log has covered
-// end. A memory-only store installs it at once, and its log is nil.
+// to the root logs — once an fsync of log has covered end. A
+// memory-only store installs it at once, and its log is nil.
 type write struct {
 	log     *framelog.Log
 	end     int64
@@ -262,7 +255,9 @@ type Store struct {
 	mu     sync.RWMutex
 	chunks map[Hash]*chunk
 	roots  map[string][]Commit
-	events []event
+	// events are the root records the journal held at Open, in its
+	// order, until TakeEvents hands them over; nothing else adds to them.
+	events []Event
 	stamp  int64         // store-wide logical commit sequence, writes in flight included
 	pack   *framelog.Log // the journal; nil when memory-only or closed
 	closed bool          // Close has released the journal: every write fails
@@ -439,13 +434,14 @@ func (s *Store) openPack() error {
 					return false
 				}
 			case rec.Mark:
-				s.events = append(s.events, event{root: *rec.Root, i: -1})
+				s.events = append(s.events, Event{Root: *rec.Root, Mark: true})
 			case rec.Root != nil:
 				c, err := commitEntry(rec.Commit, r.commits[rec.Commit])
 				if err != nil {
 					return false
 				}
 				s.appendEntryLocked(*rec.Root, c)
+				s.events = append(s.events, Event{Root: *rec.Root, Commit: c})
 			default:
 				canonical, err := r.canonical(payload, &rec.chunkFields)
 				if err != nil {
@@ -714,7 +710,6 @@ func (s *Store) installLocked(w *write) {
 	}
 	for _, e := range w.entries {
 		if e.mark {
-			s.events = append(s.events, event{root: e.root, i: -1})
 			continue
 		}
 		s.appendEntryLocked(e.root, e.commit)
@@ -724,27 +719,23 @@ func (s *Store) installLocked(w *write) {
 	}
 }
 
-// appendEntryLocked appends c to root's log and to the events. Caller
-// holds s.mu exclusively.
+// appendEntryLocked appends c to root's log. Caller holds s.mu
+// exclusively.
 func (s *Store) appendEntryLocked(root string, c Commit) {
 	s.roots[root] = append(s.roots[root], c)
-	s.events = append(s.events, event{root: root, i: len(s.roots[root]) - 1})
 	s.stamp = max(s.stamp, c.Stamp)
 }
 
-// Events lists every root record the journal holds — each commit a
-// root's log took, and each mark — in journal order: the order an owner
-// that keeps its own redo in the journal replays.
-func (s *Store) Events() []Event {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Event, len(s.events))
-	for i, e := range s.events {
-		out[i] = Event{Root: e.root, Mark: e.i < 0}
-		if e.i >= 0 {
-			out[i].Commit = s.roots[e.root][e.i]
-		}
-	}
+// TakeEvents hands over the root records the journal held when the store
+// opened — each commit a root's log took, and each mark — in journal
+// order: the order an owner that keeps its own redo in the journal
+// replays. The first call takes them; the store keeps no list of the
+// records written since, so a later call returns none.
+func (s *Store) TakeEvents() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.events
+	s.events = nil
 	return out
 }
 

@@ -83,18 +83,13 @@
 #                      the JSON chunks of v5's, and from turns chunks
 #                      holding a system turn with an intent code or a
 #                      user turn with code 0, all of which are refused),
-#                      FuzzDecodeRecord (seeded from every frame of the
-#                      format-v7 and tree-v7 shard WALs — the records
-#                      replication ships — from the
-#                      JSON records of format-v4 and tree-v4, and from
-#                      turn records holding either of those two turns,
-#                      which are refused; a binary record that decodes
-#                      must encode back to the same bytes),
 #                      FuzzApplyBatch (ShipBatch JSON applied to a
-#                      replica opened on format-v8, seeded from the
-#                      dialogue's frames, one more turn's, its shard
-#                      roots and the forged roots of
-#                      TestForgedShipBatchIsAnError), FuzzOpenRebuild
+#                      replica opened on format-v8, seeded from what
+#                      primaries opened on format-v8 and format-v9
+#                      ship, its shard roots, the forged roots of
+#                      TestForgedShipBatchIsAnError, and the record
+#                      frames format-v7's WALs hold and 4bc3512
+#                      shipped, which are refused), FuzzOpenRebuild
 #                      (arbitrary bytes as a data directory's journal:
 #                      Open fails or opens, never panics, and a real
 #                      journal cut at a frame boundary rebuilds the
@@ -117,8 +112,8 @@
 #                      .github/workflows/check.yml also fuzzes the
 #                      frame scanner, the journal decoder, its payload
 #                      decoder, the column-leaf check and encoder,
-#                      the session-tree decoder, the record decoder,
-#                      the replica's batch apply, the rebuild from the
+#                      the session-tree decoder, the replica's batch
+#                      apply, the rebuild from the
 #                      journal, the vector
 #                      operations, the CSV load, the error decoder and
 #                      the SQL engine for 30 s each, in one step that
@@ -128,8 +123,8 @@
 #                      in ./internal/vstore with FuzzJournalOpen,
 #                      FuzzDecodePayload, FuzzDecodeLeaf and
 #                      FuzzEncodeLeaf, in ./internal/sessionstore with
-#                      FuzzDecodeSessionTree, FuzzDecodeRecord,
-#                      FuzzApplyBatch and FuzzOpenRebuild, in
+#                      FuzzDecodeSessionTree, FuzzApplyBatch and
+#                      FuzzOpenRebuild, in
 #                      ./internal/storage with
 #                      FuzzVectorOps and FuzzReadCSV, in
 #                      ./internal/server with FuzzDecodeError, and in
